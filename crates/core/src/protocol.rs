@@ -26,8 +26,8 @@ pub struct PowerRequest {
     pub alpha: Power,
     /// Market-policy bid: what this request is worth to the sender
     /// (`base_bid` plus its deprivation below the initial cap). Zero under
-    /// the urgency and predictive policies — and a zero bid is what keeps
-    /// those requests on the v1/v2 wire encodings.
+    /// the urgency and predictive policies — and a zero bid takes no bytes
+    /// on the daemon's wire.
     pub bid: Power,
     /// Requester-local sequence number, echoed in the grant.
     pub seq: u64,

@@ -263,16 +263,6 @@ impl DaemonConfigBuilder {
         self
     }
 
-    /// The shared per-node protocol knobs (decider, pool, safe range).
-    #[deprecated(
-        note = "use engine_config(EngineConfig::new(node)) — one config type across sim, \
-                runtime and daemon"
-    )]
-    pub fn node_params(mut self, node: NodeParams) -> Self {
-        self.cfg.node = node;
-        self
-    }
-
     /// The power substrate.
     pub fn power(mut self, power: PowerBackend) -> Self {
         self.cfg.power = power;
@@ -282,17 +272,6 @@ impl DaemonConfigBuilder {
     /// Simulated-RAPL parameters.
     pub fn rapl(mut self, rapl: RaplConfig) -> Self {
         self.cfg.rapl = rapl;
-        self
-    }
-
-    /// Resume the request sequence namespace at `seq` — pass the previous
-    /// incarnation's `next_seq` when restarting a crashed daemon.
-    #[deprecated(
-        note = "use engine_config(EngineConfig::new(node).with_seq_floor(seq)) — the seq \
-                epoch is part of the unified engine configuration"
-    )]
-    pub fn initial_seq(mut self, seq: u64) -> Self {
-        self.cfg.initial_seq = seq;
         self
     }
 

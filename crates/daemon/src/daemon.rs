@@ -1,46 +1,37 @@
-//! The daemon runtime: decider thread + network/pool thread over UDP.
+//! The per-node daemon: the N = 1 configuration of the `Reactor`.
 //!
-//! Both threads drive one shared [`NodeEngine`] — the same automaton the
-//! simulator and the threaded runtime run — behind a mutex (§3.3: "a
-//! simple lock"). The daemon's job reduces to transport: decode
-//! datagrams into [`EngineInput`]s, execute [`EngineOutput`]s as UDP
-//! sends and RAPL writes, and keep a node-id → socket-address table so
-//! engine-level peer ids resolve to real endpoints.
+//! One spawned thread owns the node's [`NodeEngine`] — the same automaton
+//! the simulator and the threaded runtime run — its power hardware and its
+//! socket. Each period it reads power, ticks the engine, and then receives
+//! until the next period boundary, dispatching every frame the moment it
+//! arrives: a peer's request is served and a grant applied (and acked) in
+//! the same call, whether or not this node happens to be waiting for one.
+//! Requests, replies and acks go to the address the reactor's
+//! `NodeId → SocketAddr` table holds for the peer, which follows a peer
+//! that rebinds its port.
 //!
-//! All sends go through the [`DatagramSocket`] shim, so a test can slot a
-//! deterministic fault plane (`penelope_net::FaultySocket`) under a live
-//! daemon. An injected drop comes back as [`SendStatus::Dropped`]: the
-//! daemon *knows* the datagram never left, emits `MsgDropped` (or
-//! `AckDropped`), and — for grants — feeds `delivered = false` into the
-//! engine so the amount is escrowed as undelivered and reclaimed at the
-//! deadline instead of leaking. A real OS send error is different news
-//! and is counted separately as `send_failed`.
+//! There is one clock: the wall-clock `origin` taken at start stamps trace
+//! events, bounds the RAPL read windows and paces the periods.
 
-use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, UdpSocket};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::UdpSocket;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use penelope_core::decider::DeciderStats;
-use penelope_core::{
-    EngineConfig, EngineInput, EngineOutput, GrantAck, NodeEngine, PeerMsg, PowerGrant,
-    PowerRequest,
-};
-use penelope_net::shim::{DatagramSocket, SendStatus};
-use penelope_power::{CappedDevice, ConstantDevice, LinuxRapl, PowerInterface, SimulatedRapl};
+use penelope_core::{EngineConfig, NodeEngine};
+use penelope_net::shim::DatagramSocket;
+use penelope_power::{CappedDevice, ConstantDevice, LinuxRapl, SimulatedRapl};
 use penelope_testkit::rng::TestRng;
-use penelope_trace::{
-    CounterObserver, CounterSnapshot, EventKind, FanoutObserver, SharedObserver, TraceEvent,
-};
+use penelope_trace::{CounterObserver, CounterSnapshot, FanoutObserver, SharedObserver};
 use penelope_units::{NodeId, Power, SimTime};
 use penelope_workload::WorkloadState;
 
 use crate::config::{DaemonConfig, PowerBackend};
-use crate::wire::{WireMsg, MAX_WIRE_LEN};
+use crate::reactor::{Plant, Reactor};
 
 /// One status sample, emitted every `status_every` iterations.
 #[derive(Clone, Copy, Debug)]
@@ -104,35 +95,21 @@ pub struct DaemonSummary {
     /// [`CounterObserver`] — the same shape every substrate reports, so a
     /// local daemon and a remote one can be compared field for field.
     pub counters: CounterSnapshot,
+    /// Datagrams received and refused: undecodable, addressed to another
+    /// node, or from a sender outside the configured cluster.
+    pub rejected: u64,
 }
 
 /// A running daemon: stop it to get the summary.
 pub struct DaemonHandle {
     shutdown: Arc<AtomicBool>,
-    decider_thread: JoinHandle<u64>,
-    net_thread: JoinHandle<()>,
-    engine: Arc<Mutex<NodeEngine>>,
+    thread: JoinHandle<(u64, Reactor)>,
     counters: Arc<CounterObserver>,
-    node: NodeId,
+    escrow_len: Arc<AtomicUsize>,
     /// Status samples (`status_every` > 0) arrive here.
     pub status_rx: Receiver<DaemonStatus>,
     /// The address the daemon actually bound (useful with port 0).
     pub local_addr: std::net::SocketAddr,
-}
-
-/// Lock one of the daemon's shared tables, turning a poisoned mutex (a
-/// sibling thread panicked while holding it) into a panic that names the
-/// table and the node — diagnosable, unlike the bare `PoisonError` the
-/// old `.lock().unwrap()` produced.
-fn lock_table<'a, T>(m: &'a Mutex<T>, table: &str, node: NodeId) -> std::sync::MutexGuard<'a, T> {
-    match m.lock() {
-        Ok(guard) => guard,
-        Err(_) => panic!(
-            "daemon node {}: {table} table mutex poisoned — \
-             a daemon thread panicked while holding it; see the first panic above",
-            node.index()
-        ),
-    }
 }
 
 impl DaemonHandle {
@@ -145,17 +122,24 @@ impl DaemonHandle {
     /// Outstanding granter-side escrow entries, live. A healthy quiescent
     /// daemon trends to zero as acks arrive or deadlines pass; tests use
     /// this to prove an ack from a *rebound* requester address still
-    /// releases the node-keyed entry.
+    /// releases the node-keyed entry. Waits out a dispatch in progress, so
+    /// whoever has seen a grant sees the escrow entry behind it.
     pub fn escrow_len(&self) -> usize {
-        lock_table(&self.engine, "engine", self.node).escrow_len()
+        loop {
+            let n = self.escrow_len.load(Ordering::SeqCst);
+            if n != MID_DISPATCH {
+                return n;
+            }
+            assert!(!self.thread.is_finished(), "daemon thread panicked");
+            std::hint::spin_loop();
+        }
     }
 
     /// Signal shutdown and collect the final summary.
     pub fn stop(self) -> DaemonSummary {
         self.shutdown.store(true, Ordering::Relaxed);
-        let iterations = self.decider_thread.join().expect("decider thread");
-        self.net_thread.join().expect("net thread");
-        let engine = lock_table(&self.engine, "engine", self.node);
+        let (iterations, reactor) = self.thread.join().expect("daemon thread panicked");
+        let engine = &reactor.engines[0];
         let pool = engine.pool();
         DaemonSummary {
             iterations,
@@ -169,101 +153,23 @@ impl DaemonHandle {
             pool_drained: pool.total_drained(),
             next_seq: engine.next_seq(),
             counters: self.counters.snapshot(),
+            rejected: reactor.counters.rejected,
         }
     }
 }
 
-/// The node's power hardware, simulated or real.
-enum Hardware {
-    Simulated {
-        rapl: SimulatedRapl<Box<dyn CappedDevice + Send>>,
-        origin: Instant,
-    },
-    Linux(Box<LinuxRapl>),
-}
-
-impl Hardware {
-    fn now(&self) -> SimTime {
-        match self {
-            Hardware::Simulated { origin, .. } => {
-                SimTime::from_nanos(origin.elapsed().as_nanos().min(u64::MAX as u128) as u64)
-            }
-            Hardware::Linux(_) => {
-                // The Linux backend only needs a monotonically increasing
-                // clock for its read windows.
-                static START: std::sync::OnceLock<Instant> = std::sync::OnceLock::new();
-                let origin = START.get_or_init(Instant::now);
-                SimTime::from_nanos(origin.elapsed().as_nanos().min(u64::MAX as u128) as u64)
-            }
+fn build_plant(cfg: &DaemonConfig) -> io::Result<Plant> {
+    let device: Box<dyn CappedDevice + Send> = match &cfg.power {
+        PowerBackend::SimulatedConstant { demand } => Box::new(ConstantDevice::new(*demand)),
+        PowerBackend::SimulatedProfile { profile } => Box::new(WorkloadState::new(profile.clone())),
+        PowerBackend::LinuxRapl => {
+            let rapl = LinuxRapl::discover(cfg.node.safe_range)
+                .map_err(|e| io::Error::new(io::ErrorKind::NotFound, e.to_string()))?;
+            return Ok(Plant::Linux(Box::new(rapl)));
         }
-    }
-
-    fn read_power(&mut self) -> Power {
-        let now = self.now();
-        match self {
-            Hardware::Simulated { rapl, .. } => rapl.read_power(now),
-            Hardware::Linux(rapl) => rapl.read_power(now),
-        }
-    }
-
-    fn set_cap(&mut self, cap: Power) {
-        let now = self.now();
-        match self {
-            Hardware::Simulated { rapl, .. } => rapl.set_cap(cap, now),
-            Hardware::Linux(rapl) => rapl.set_cap(cap, now),
-        }
-    }
-}
-
-fn build_hardware(cfg: &DaemonConfig) -> io::Result<Hardware> {
-    Ok(match &cfg.power {
-        PowerBackend::SimulatedConstant { demand } => {
-            let device: Box<dyn CappedDevice + Send> = Box::new(ConstantDevice::new(*demand));
-            Hardware::Simulated {
-                rapl: SimulatedRapl::new(device, cfg.initial_cap, cfg.rapl.clone()),
-                origin: Instant::now(),
-            }
-        }
-        PowerBackend::SimulatedProfile { profile } => {
-            let device: Box<dyn CappedDevice + Send> =
-                Box::new(WorkloadState::new(profile.clone()));
-            Hardware::Simulated {
-                rapl: SimulatedRapl::new(device, cfg.initial_cap, cfg.rapl.clone()),
-                origin: Instant::now(),
-            }
-        }
-        PowerBackend::LinuxRapl => Hardware::Linux(Box::new(
-            LinuxRapl::discover(cfg.node.safe_range)
-                .map_err(|e| io::Error::new(io::ErrorKind::NotFound, e.to_string()))?,
-        )),
-    })
-}
-
-/// Map a datagram source address to a cluster node id: a configured (or
-/// since-learned) peer address resolves to its logical id, anything else
-/// gets a stable synthetic id above the cluster range — so the engine's
-/// NodeId-keyed escrow still deduplicates retransmits from v1 senders
-/// that carry no identity of their own.
-fn resolve_src(
-    src: SocketAddr,
-    me: NodeId,
-    peer_addrs: &Mutex<Vec<SocketAddr>>,
-    extern_ids: &mut HashMap<SocketAddr, NodeId>,
-    next_extern: &mut u32,
-) -> NodeId {
-    {
-        let table = lock_table(peer_addrs, "addrs", me);
-        if let Some(j) = table.iter().position(|a| *a == src) {
-            if j != me.index() {
-                return NodeId::new(j as u32);
-            }
-        }
-    }
-    *extern_ids.entry(src).or_insert_with(|| {
-        let id = NodeId::new(*next_extern);
-        *next_extern += 1;
-        id
-    })
+    };
+    let rapl = SimulatedRapl::new(device, cfg.initial_cap, cfg.rapl.clone());
+    Ok(Plant::Simulated(rapl))
 }
 
 /// Start a daemon, binding a fresh socket to `cfg.listen`.
@@ -278,24 +184,13 @@ pub fn run_daemon_with_socket(cfg: DaemonConfig, socket: UdpSocket) -> io::Resul
     run_daemon_with_shim(cfg, Arc::new(socket))
 }
 
-/// Start a daemon on any [`DatagramSocket`] — a plain [`UdpSocket`] or a
-/// `penelope_net::FaultySocket` injecting deterministic loss under the
-/// live daemon. Both daemon threads share the one shim.
-pub fn run_daemon_with_shim(
+/// The N = 1 reactor for `cfg` over `socket`, its built-in counters, and
+/// the node's period.
+pub(crate) fn build_reactor(
     cfg: DaemonConfig,
     socket: Arc<dyn DatagramSocket>,
-) -> io::Result<DaemonHandle> {
+) -> io::Result<(Reactor, Arc<CounterObserver>, Duration)> {
     let local_addr = socket.local_addr()?;
-    let shutdown = Arc::new(AtomicBool::new(false));
-    // Grants are forwarded with their source address so the decider can
-    // ack the granter.
-    #[allow(clippy::type_complexity)]
-    let (grant_tx, grant_rx): (
-        Sender<(WireMsg, SocketAddr)>,
-        Receiver<(WireMsg, SocketAddr)>,
-    ) = channel();
-    let (status_tx, status_rx) = channel();
-
     // Built-in counters always run; any configured observer fans in next
     // to them.
     let counters = Arc::new(CounterObserver::new());
@@ -305,20 +200,7 @@ pub fn run_daemon_with_shim(
     );
     let me = NodeId::new(cfg.node_id);
     let cluster_size = cfg.peers.len() + 1;
-    let period_ns = cfg.node.decider.period.as_nanos().max(1);
-    // One wall-clock origin for both threads, so event timestamps from the
-    // serve path and the decider path share a time base.
-    let origin = Instant::now();
-    let stamp = move |at: SimTime, kind: EventKind| TraceEvent {
-        at,
-        node: me,
-        period: at.as_nanos() / period_ns,
-        kind,
-    };
-
-    // The complete node automaton — decider, pool, escrow, suspicion —
-    // shared by both threads behind one lock.
-    let engine = Arc::new(Mutex::new(NodeEngine::new(
+    let engine = NodeEngine::new(
         me,
         cluster_size,
         EngineConfig::new(cfg.node)
@@ -326,451 +208,122 @@ pub fn run_daemon_with_shim(
             .with_seq_floor(cfg.initial_seq),
         cfg.initial_cap,
         obs.clone(),
-    )));
+    );
+    // Config peers fill the id-indexed address table in global order,
+    // skipping our own slot (which holds `local_addr`, never dialled).
+    let mut addrs = vec![local_addr; cluster_size];
+    for (k, addr) in cfg.peers.iter().enumerate() {
+        let j = if k >= me.index() { k + 1 } else { k };
+        if j < cluster_size {
+            addrs[j] = *addr;
+        }
+    }
+    let mut plant = build_plant(&cfg)?;
+    plant.set_cap(engine.cap(), SimTime::ZERO);
+    let rng = TestRng::seed_from_u64(local_addr.port() as u64 ^ 0xDAE0_0DAE);
+    let mut reactor = Reactor::new(
+        vec![engine],
+        vec![rng],
+        plant,
+        Arc::clone(&socket),
+        socket,
+        addrs,
+    );
+    let period = cfg.node.decider.period.as_nanos().max(1);
+    reactor.obs = obs;
+    reactor.period_ns = period;
+    reactor.follow_senders = true;
+    Ok((reactor, counters, Duration::from_nanos(period)))
+}
 
-    // Logical-id-indexed peer address table: slot `j` holds the last
-    // known address of node `j` (our own slot holds `local_addr`, never
-    // dialled). Config peers fill the table in global order; a v2 request
-    // carrying a peer's id refreshes its slot, which is how a rebound
-    // peer's new port propagates to our outgoing requests.
-    let peer_addrs = {
-        let mut table = vec![local_addr; cluster_size];
-        for (k, addr) in cfg.peers.iter().enumerate() {
-            let j = if k >= me.index() { k + 1 } else { k };
-            if j < cluster_size {
-                table[j] = *addr;
+/// What [`DaemonHandle::escrow_len`] reads while the loop is inside a tick
+/// or a dispatch. The mark is stored before anything is sent, and the real
+/// length after the engine has settled, both `SeqCst`: a reader that was
+/// caused by a frame the dispatch sent cannot see the length from before.
+const MID_DISPATCH: usize = usize::MAX;
+
+/// Longest sleep between two looks at the socket, so a peer is answered
+/// (and `stop` noticed) promptly however long the period.
+const POLL: Duration = Duration::from_millis(10);
+
+/// The daemon loop, on its own thread: tick, then receive until the next
+/// period boundary, until `shutdown`. Returns the iteration count and the
+/// reactor (for the final summary).
+///
+/// The socket is non-blocking and the waiting is done by `sleep`, in
+/// slices of a sixteenth of the period: a socket read timeout lives on the
+/// kernel's coarse timer wheel (at `HZ=250` a 4 ms timeout measured 6.5 ms
+/// and a 10 ms one 14.5 ms), which a 20 ms period cannot absorb, while
+/// `sleep` is precise. The boundary is checked between frames, so neither
+/// a backlog nor a flood delays the tick; a frame that landed during the
+/// last slice is dispatched right after it.
+fn run_loop(
+    mut reactor: Reactor,
+    period: Duration,
+    status_every: u64,
+    shutdown: &AtomicBool,
+    escrow_len: &AtomicUsize,
+    status_tx: &Sender<DaemonStatus>,
+) -> (u64, Reactor) {
+    let sim_time = |d: Duration| SimTime::from_nanos(d.as_nanos().min(u64::MAX as u128) as u64);
+    let origin = Instant::now();
+    let slice = (period / 16).min(POLL);
+    let mut iterations = 0u64;
+    while !shutdown.load(Ordering::Relaxed) {
+        iterations += 1;
+        let tick_at = origin.elapsed();
+        escrow_len.store(MID_DISPATCH, Ordering::SeqCst);
+        let reading = reactor.tick(0, sim_time(tick_at));
+        escrow_len.store(reactor.engines[0].escrow_len(), Ordering::SeqCst);
+        let boundary = tick_at + period;
+        while !shutdown.load(Ordering::Relaxed) && origin.elapsed() < boundary {
+            escrow_len.store(MID_DISPATCH, Ordering::SeqCst);
+            let idle = !reactor.pump(|| sim_time(origin.elapsed()));
+            escrow_len.store(reactor.engines[0].escrow_len(), Ordering::SeqCst);
+            if idle {
+                thread::sleep(boundary.saturating_sub(origin.elapsed()).min(slice));
             }
         }
-        Arc::new(Mutex::new(table))
-    };
-
-    // --- Network thread: serves peer requests, forwards grants. ---------
-    let net_socket = Arc::clone(&socket);
-    net_socket.set_read_timeout(Some(Duration::from_millis(10)))?;
-    let net_stop = Arc::clone(&shutdown);
-    let net_obs = obs.clone();
-    let net_engine = Arc::clone(&engine);
-    let net_addrs = Arc::clone(&peer_addrs);
-    let net_thread = thread::spawn(move || {
-        let mut buf = [0u8; MAX_WIRE_LEN + 16];
-        let mut extern_ids: HashMap<SocketAddr, NodeId> = HashMap::new();
-        let mut next_extern = cluster_size as u32;
-        let mut outputs: Vec<EngineOutput> = Vec::new();
-        // The serve path never draws randomness; this stream exists only
-        // to satisfy `handle`'s signature.
-        let mut rng = TestRng::seed_from_u64(0);
-        while !net_stop.load(Ordering::Relaxed) {
-            let sweep_now =
-                SimTime::from_nanos(origin.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-            // Bulk escrow expiry each wake, instead of per-entry timers:
-            // an entry whose deadline passes is *forgotten without
-            // credit* — the grant may have been applied with only its ack
-            // lost, and re-crediting the pool then would mint power. (The
-            // engine credits back only known-undelivered entries, which a
-            // UDP sender essentially never has.)
-            lock_table(&net_engine, "engine", me).handle(
-                sweep_now,
-                EngineInput::SweepEscrow,
-                &mut rng,
-                &mut outputs,
-            );
-            outputs.clear();
-            let (len, src) = match net_socket.recv_from(&mut buf) {
-                Ok(x) => x,
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    continue
-                }
-                Err(_) => continue,
-            };
-            let now = SimTime::from_nanos(origin.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-            match WireMsg::decode(&buf[..len]) {
-                Ok(WireMsg::Request {
-                    seq,
-                    urgent,
-                    alpha,
-                    from,
-                    bid,
-                }) => {
-                    let src_id = match from {
-                        Some(id) => {
-                            // A v2 request names its sender; refresh the
-                            // address table so replies *and* our own
-                            // outgoing requests follow a rebound peer to
-                            // its new port.
-                            if id != me && id.index() < cluster_size {
-                                lock_table(&net_addrs, "addrs", me)[id.index()] = src;
-                            }
-                            id
-                        }
-                        None => resolve_src(src, me, &net_addrs, &mut extern_ids, &mut next_extern),
-                    };
-                    let mut eng = lock_table(&net_engine, "engine", me);
-                    eng.handle(
-                        now,
-                        EngineInput::Msg {
-                            src: src_id,
-                            msg: PeerMsg::Request(PowerRequest {
-                                from: src_id,
-                                urgent,
-                                alpha,
-                                bid,
-                                seq,
-                            }),
-                        },
-                        &mut rng,
-                        &mut outputs,
-                    );
-                    // Iterate by index: the GrantOutcome feedback below
-                    // may append to the same buffer.
-                    let mut k = 0;
-                    while k < outputs.len() {
-                        let out = outputs[k].clone();
-                        k += 1;
-                        match out {
-                            // A zero grant: empty-handed serve or a
-                            // reminder for an already-escrowed duplicate.
-                            EngineOutput::Send {
-                                dst,
-                                msg: PeerMsg::Grant(g, digest),
-                                carried,
-                            } => {
-                                let reply = WireMsg::Grant {
-                                    seq: g.seq,
-                                    amount: g.amount,
-                                    digest,
-                                }
-                                .encode();
-                                match net_socket.send_to(&reply, src) {
-                                    Ok(SendStatus::Sent) => net_obs
-                                        .emit(|| stamp(now, EventKind::MsgSent { dst, carried })),
-                                    Ok(SendStatus::Dropped) => net_obs.emit(|| {
-                                        stamp(now, EventKind::MsgDropped { dst, carried })
-                                    }),
-                                    Err(_) => {
-                                        net_obs.emit(|| stamp(now, EventKind::SendFailed { dst }))
-                                    }
-                                }
-                            }
-                            EngineOutput::SendGrant {
-                                dst,
-                                msg,
-                                amount,
-                                seq: gseq,
-                            } => {
-                                let status = if let PeerMsg::Grant(g, digest) = msg {
-                                    let reply = WireMsg::Grant {
-                                        seq: g.seq,
-                                        amount: g.amount,
-                                        digest,
-                                    }
-                                    .encode();
-                                    net_socket.send_to(&reply, src)
-                                } else {
-                                    // Unreachable: SendGrant always wraps
-                                    // a Grant. Treat as known-undelivered.
-                                    Ok(SendStatus::Dropped)
-                                };
-                                // The ledger follows the shim's knowledge:
-                                // only a datagram the network actually
-                                // took departs the granter. A known drop
-                                // (or a failed send) keeps the amount
-                                // escrowed as undelivered, to be
-                                // reclaimed at the deadline.
-                                let delivered = matches!(status, Ok(SendStatus::Sent));
-                                match status {
-                                    Ok(SendStatus::Sent) => net_obs.emit(|| {
-                                        stamp(
-                                            now,
-                                            EventKind::MsgSent {
-                                                dst,
-                                                carried: amount,
-                                            },
-                                        )
-                                    }),
-                                    Ok(SendStatus::Dropped) => net_obs.emit(|| {
-                                        stamp(
-                                            now,
-                                            EventKind::MsgDropped {
-                                                dst,
-                                                carried: amount,
-                                            },
-                                        )
-                                    }),
-                                    Err(_) => {
-                                        net_obs.emit(|| stamp(now, EventKind::SendFailed { dst }))
-                                    }
-                                }
-                                eng.handle(
-                                    now,
-                                    EngineInput::GrantOutcome {
-                                        requester: dst,
-                                        seq: gseq,
-                                        amount,
-                                        delivered,
-                                    },
-                                    &mut rng,
-                                    &mut outputs,
-                                );
-                            }
-                            // Swept in bulk at the top of the loop.
-                            EngineOutput::SetEscrowTimer { .. } => {}
-                            _ => {}
-                        }
-                    }
-                    outputs.clear();
-                }
-                Ok(grant @ WireMsg::Grant { .. }) => {
-                    let _ = grant_tx.send((grant, src));
-                }
-                Ok(WireMsg::Ack { seq, digest }) => {
-                    // The transfer committed on the requester; release the
-                    // escrow entry. The entry is keyed by node id, so an
-                    // ack from a rebound (or simply different) source port
-                    // of the same node still lands. Duplicate acks are
-                    // harmless.
-                    let src_id =
-                        resolve_src(src, me, &net_addrs, &mut extern_ids, &mut next_extern);
-                    lock_table(&net_engine, "engine", me).handle(
-                        now,
-                        EngineInput::Msg {
-                            src: src_id,
-                            msg: PeerMsg::Ack(GrantAck { seq }, digest),
-                        },
-                        &mut rng,
-                        &mut outputs,
-                    );
-                    outputs.clear();
-                }
-                Err(_) => { /* garbage datagram: drop */ }
-            }
+        if status_every > 0 && iterations.is_multiple_of(status_every) {
+            let engine = &reactor.engines[0];
+            let pool = engine.pool();
+            let _ = status_tx.send(DaemonStatus {
+                iteration: iterations,
+                uptime_secs: origin.elapsed().as_secs_f64(),
+                cap: engine.cap(),
+                reading,
+                pool: pool.available(),
+                pool_deposited: pool.total_deposited(),
+                pool_granted: pool.total_granted() + pool.total_taken_local(),
+                pool_drained: pool.total_drained(),
+            });
         }
-    });
+    }
+    (iterations, reactor)
+}
 
-    // --- Decider thread: the Algorithm 1 loop. ---------------------------
-    let mut hardware = build_hardware(&cfg)?;
-    let decider_socket = socket;
-    let decider_stop = Arc::clone(&shutdown);
-    let period = Duration::from_nanos(cfg.node.decider.period.as_nanos());
-    let timeout = Duration::from_nanos(cfg.node.decider.response_timeout.as_nanos());
+/// Start a daemon on any [`DatagramSocket`] — a plain [`UdpSocket`] or a
+/// `penelope_net::FaultySocket` injecting deterministic loss under the
+/// live daemon.
+pub fn run_daemon_with_shim(
+    cfg: DaemonConfig,
+    socket: Arc<dyn DatagramSocket>,
+) -> io::Result<DaemonHandle> {
+    let local_addr = socket.local_addr()?;
+    socket.set_nonblocking(true)?;
     let status_every = cfg.status_every;
-    let decider_obs = obs.clone();
-    let decider_engine = Arc::clone(&engine);
-    let decider_addrs = Arc::clone(&peer_addrs);
-    let decider_thread = thread::spawn(move || {
-        let mut rng = TestRng::seed_from_u64(local_addr.port() as u64 ^ 0xDAE0_0DAE);
-        let mut outputs: Vec<EngineOutput> = Vec::new();
-        let mut iterations = 0u64;
-        hardware.set_cap(lock_table(&decider_engine, "engine", me).cap());
-        while !decider_stop.load(Ordering::Relaxed) {
-            let iter_start = Instant::now();
-            iterations += 1;
-            let now = SimTime::from_nanos(origin.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-            let reading = hardware.read_power();
-            lock_table(&decider_engine, "engine", me).handle(
-                now,
-                EngineInput::Tick { reading },
-                &mut rng,
-                &mut outputs,
-            );
-            let mut await_seq = None;
-            for out in outputs.drain(..) {
-                match out {
-                    EngineOutput::Actuate { cap } => hardware.set_cap(cap),
-                    EngineOutput::Send {
-                        dst,
-                        msg: PeerMsg::Request(req),
-                        ..
-                    } => {
-                        let wire = WireMsg::Request {
-                            seq: req.seq,
-                            urgent: req.urgent,
-                            alpha: req.alpha,
-                            from: Some(me),
-                            bid: req.bid,
-                        }
-                        .encode();
-                        let target = lock_table(&decider_addrs, "addrs", me)[dst.index()];
-                        match decider_socket.send_to(&wire, target) {
-                            Ok(SendStatus::Sent) => decider_obs.emit(|| {
-                                stamp(
-                                    now,
-                                    EventKind::MsgSent {
-                                        dst,
-                                        carried: Power::ZERO,
-                                    },
-                                )
-                            }),
-                            Ok(SendStatus::Dropped) => decider_obs.emit(|| {
-                                stamp(
-                                    now,
-                                    EventKind::MsgDropped {
-                                        dst,
-                                        carried: Power::ZERO,
-                                    },
-                                )
-                            }),
-                            Err(_) => {
-                                decider_obs.emit(|| stamp(now, EventKind::SendFailed { dst }))
-                            }
-                        }
-                        // A dropped request still opens the wait window:
-                        // the requester cannot know its datagram died, so
-                        // it blocks out the timeout exactly as a lossy
-                        // network would make it.
-                        await_seq = Some(req.seq);
-                    }
-                    _ => {}
-                }
-            }
-            if let Some(seq) = await_seq {
-                // Block for the grant, as the paper's decider does.
-                let deadline = Instant::now() + timeout;
-                loop {
-                    let remaining = deadline.saturating_duration_since(Instant::now());
-                    if remaining.is_zero() {
-                        break;
-                    }
-                    match grant_rx.recv_timeout(remaining) {
-                        Ok((
-                            WireMsg::Grant {
-                                seq: gseq,
-                                amount,
-                                digest,
-                            },
-                            gsrc,
-                        )) => {
-                            let now2 = SimTime::from_nanos(
-                                origin.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-                            );
-                            // Identify the granter by address so gossip
-                            // and liveness land under the right peer id; a
-                            // grant from an unknown address still pays
-                            // out.
-                            let gid = {
-                                let table = lock_table(&decider_addrs, "addrs", me);
-                                table
-                                    .iter()
-                                    .position(|a| *a == gsrc)
-                                    .filter(|j| *j != me.index())
-                                    .map(|j| NodeId::new(j as u32))
-                                    .unwrap_or(NodeId::new(u32::MAX))
-                            };
-                            decider_obs.emit(|| {
-                                stamp(
-                                    now2,
-                                    EventKind::MsgRecv {
-                                        src: gid,
-                                        carried: amount,
-                                    },
-                                )
-                            });
-                            lock_table(&decider_engine, "engine", me).handle(
-                                now2,
-                                EngineInput::Msg {
-                                    src: gid,
-                                    msg: PeerMsg::Grant(PowerGrant { amount, seq: gseq }, digest),
-                                },
-                                &mut rng,
-                                &mut outputs,
-                            );
-                            for out in outputs.drain(..) {
-                                match out {
-                                    EngineOutput::Actuate { cap } => hardware.set_cap(cap),
-                                    // The commit ack, straight back to
-                                    // the granter's source address so it
-                                    // releases the grant's escrow entry.
-                                    EngineOutput::Send {
-                                        dst,
-                                        msg: PeerMsg::Ack(a, d),
-                                        ..
-                                    } => {
-                                        let ack = WireMsg::Ack {
-                                            seq: a.seq,
-                                            digest: d,
-                                        }
-                                        .encode();
-                                        // A dropped ack conserves power
-                                        // (the amount already landed in
-                                        // our cap; the granter's escrow
-                                        // entry simply expires without
-                                        // credit) — but it must be
-                                        // visible in the trace.
-                                        match decider_socket.send_to(&ack, gsrc) {
-                                            Ok(SendStatus::Sent) => decider_obs.emit(|| {
-                                                stamp(
-                                                    now2,
-                                                    EventKind::MsgSent {
-                                                        dst,
-                                                        carried: Power::ZERO,
-                                                    },
-                                                )
-                                            }),
-                                            Ok(SendStatus::Dropped) => decider_obs.emit(|| {
-                                                stamp(
-                                                    now2,
-                                                    EventKind::AckDropped { dst, seq: a.seq },
-                                                )
-                                            }),
-                                            Err(_) => decider_obs.emit(|| {
-                                                stamp(now2, EventKind::SendFailed { dst })
-                                            }),
-                                        }
-                                    }
-                                    _ => {}
-                                }
-                            }
-                            if gseq == seq {
-                                break;
-                            }
-                            // A stale grant (from a timed-out request):
-                            // applied above, keep waiting for ours.
-                        }
-                        Ok(_) => {}
-                        Err(_) => break, // timeout: decider will retry next period
-                    }
-                }
-            }
-            if status_every > 0 && iterations.is_multiple_of(status_every) {
-                // One lock guard for all fields: the sample is an atomic
-                // per-node cut, so its lifetime counters always balance
-                // even while the net thread is granting.
-                let (cap, pool, pool_deposited, pool_granted, pool_drained) = {
-                    let eng = lock_table(&decider_engine, "engine", me);
-                    let p = eng.pool();
-                    (
-                        eng.cap(),
-                        p.available(),
-                        p.total_deposited(),
-                        p.total_granted() + p.total_taken_local(),
-                        p.total_drained(),
-                    )
-                };
-                let _ = status_tx.send(DaemonStatus {
-                    iteration: iterations,
-                    uptime_secs: origin.elapsed().as_secs_f64(),
-                    cap,
-                    reading,
-                    pool,
-                    pool_deposited,
-                    pool_granted,
-                    pool_drained,
-                });
-            }
-            thread::sleep(period.saturating_sub(iter_start.elapsed()));
-        }
-        iterations
-    });
-
+    let (reactor, counters, period) = build_reactor(cfg, socket)?;
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let escrow_len = Arc::new(AtomicUsize::new(0));
+    let (status_tx, status_rx) = channel();
+    let (stop, escrow) = (Arc::clone(&shutdown), Arc::clone(&escrow_len));
+    let thread =
+        thread::spawn(move || run_loop(reactor, period, status_every, &stop, &escrow, &status_tx));
     Ok(DaemonHandle {
         shutdown,
-        decider_thread,
-        net_thread,
-        engine,
+        thread,
         counters,
-        node: me,
+        escrow_len,
         status_rx,
         local_addr,
     })

@@ -10,12 +10,22 @@
 //!     --initial-cap-watts 160 --period-ms 1000
 //! ```
 //!
-//! Each daemon runs the paper's two per-node components over a UDP socket:
-//! the local decider iterates every period against the node's power
-//! interface (real Intel RAPL via `/sys/class/powercap`, or a simulated
-//! device for single-machine demos), and incoming peer requests are served
-//! from the locked local power pool — requests and grants travel as small
-//! versioned datagrams ([`wire`]).
+//! Each daemon runs the paper's two per-node components on one thread
+//! over one UDP socket: the local decider iterates every period against
+//! the node's power interface (real Intel RAPL via `/sys/class/powercap`,
+//! or a simulated device for single-machine demos), and between
+//! iterations incoming peer requests are served from the local power pool.
+//! Requests, grants and acks travel as small datagrams — a [`wire`]
+//! message behind a `[dst][src]` node-id header.
+//!
+//! There is one socket loop in this crate, the `reactor`: it owns its
+//! [`NodeEngine`](penelope_core::NodeEngine)s outright, dispatches each
+//! received frame to the engine its header names and executes the engine's
+//! outputs. [`run_daemon`] is that reactor with one engine, peers' real
+//! addresses and the wall clock; [`run_multiplexed`] is the same reactor
+//! with thousands of engines behind one socket pair on a virtual clock,
+//! for single-host soaks. (The paper's two-threads-and-a-lock detail,
+//! §3.3, lives on in `penelope-runtime`.)
 //!
 //! UDP matches the protocol's needs exactly: requests are idempotent-ish
 //! (a lost request simply times out and the decider re-asks next period),
@@ -30,6 +40,7 @@
 pub mod config;
 pub mod daemon;
 pub mod multiplex;
+mod reactor;
 pub mod wire;
 
 pub use config::{DaemonConfig, DaemonConfigBuilder, PowerBackend};

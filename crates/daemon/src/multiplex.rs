@@ -1,62 +1,44 @@
 //! The multiplexed daemon runtime: thousands of [`NodeEngine`]s in one
 //! process behind a shared UDP socket pair.
 //!
-//! The two-thread daemon in [`crate::daemon`] spends a socket, two
-//! threads and a mutex per node — fine for a handful of real hosts,
-//! hopeless for a single-host soak of the protocol at cluster scale. This
-//! module keeps the part that matters (every protocol message is a real
-//! datagram through the kernel's UDP stack) and multiplexes everything
-//! else: one reactor thread owns every engine outright (no locks), all
-//! traffic flows from one shared `tx` socket to one shared `rx` socket,
-//! and a fixed 8-byte frame header carries the logical addressing the
-//! shared sockets no longer can:
-//!
-//! ```text
-//! frame: [dst: u32 LE][src: u32 LE][WireMsg bytes]
-//! ```
-//!
-//! The reactor dispatches each received frame to the engine named by
-//! `dst`, exactly as the per-node daemon's net thread dispatches by
-//! socket. Grants are handled asynchronously — a requester's engine is
-//! never blocked waiting; the grant arrives as a normal
-//! [`EngineInput::Msg`] in a later pump of the same round — which is what
-//! lets one thread sustain 10⁴ nodes.
+//! A daemon per node spends a socket and a thread per node — fine for a
+//! handful of real hosts, hopeless for a single-host soak of the protocol
+//! at cluster scale. This module is the N-engine configuration of the one
+//! `Reactor`: it keeps the part that matters (every protocol message is
+//! a real datagram through the kernel's UDP stack) and multiplexes
+//! everything else. All traffic flows from one shared `tx` socket to one
+//! shared `rx` socket — every entry of the reactor's address table is that
+//! `rx` socket — and the frame header carries the logical addressing the
+//! shared sockets no longer can.
 //!
 //! Time is hybrid: the protocol clock is virtual (round `p` runs at
 //! `p × period`, so escrow deadlines and request timeouts behave exactly
 //! as on the lockstep runtime), while grant round-trip *latency* is
 //! measured on the wall clock from the moment a request frame enters the
 //! kernel to the moment the engine reports the round-trip
-//! [`EngineOutput::Resolved`] — the tail-latency distribution the soak
-//! harness reports.
+//! [`EngineOutput::Resolved`](penelope_core::EngineOutput::Resolved) — the
+//! tail-latency distribution the soak harness reports.
 //!
 //! Loss injection reuses the [`DatagramSocket`] seam: wrap the `tx`
 //! socket in a `penelope_net::FaultySocket` (see [`MuxConfig::fault`])
-//! and injected drops surface as [`SendStatus::Dropped`], feeding the
-//! same `delivered = false` escrow path as the per-node daemon. The
-//! kernel can also drop on receive-buffer overflow; the reactor prevents
-//! that by capping in-flight frames and draining between send batches,
-//! and counts anything that still vanishes as `wire_lost`.
+//! and injected drops surface as `SendStatus::Dropped`, feeding the same
+//! `delivered = false` escrow path as on a per-node daemon. The kernel can
+//! also drop on receive-buffer overflow; the round loop prevents that by
+//! capping in-flight frames and draining between send batches, and counts
+//! anything that still vanishes as `wire_lost`.
 
-use std::collections::HashMap;
 use std::io;
 use std::net::UdpSocket;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use penelope_core::{
-    EngineConfig, EngineInput, EngineOutput, GrantAck, NodeEngine, NodeParams, PeerMsg, PowerGrant,
-    PowerRequest,
-};
-use penelope_net::shim::{DatagramSocket, FaultConfig, FaultySocket, SendStatus};
+use penelope_core::{EngineConfig, NodeEngine, NodeParams};
+use penelope_net::shim::{DatagramSocket, FaultConfig, FaultySocket};
 use penelope_testkit::rng::{node_stream, TestRng};
 use penelope_trace::SharedObserver;
 use penelope_units::{NodeId, Power, SimDuration, SimTime};
 
-use crate::wire::{WireMsg, MAX_WIRE_LEN};
-
-/// Frame header: destination node id then source node id, both `u32` LE.
-const FRAME_HDR: usize = 8;
+use crate::reactor::{Plant, Reactor, RttLedger};
 
 /// In-flight frames above this trigger a drain before further sends —
 /// comfortably below the kernel's default receive-buffer capacity (a few
@@ -150,6 +132,9 @@ pub struct MuxSummary {
     pub wire_lost: u64,
     /// OS-level send errors (distinct from injected drops).
     pub send_failed: u64,
+    /// Datagrams received and refused (undecodable, or addressed to no
+    /// hosted engine). Zero unless something else sends to the `rx` port.
+    pub rejected: u64,
     /// Engine inputs processed (ticks, messages, outcomes, sweeps) — the
     /// throughput numerator for the BENCH report.
     pub events: u64,
@@ -204,299 +189,36 @@ fn percentile_ns(sorted: &[u64], q: f64) -> u64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// Encode one frame: header plus wire message.
-fn frame(dst: NodeId, src: NodeId, msg: &WireMsg) -> Vec<u8> {
-    let body = msg.encode();
-    let mut buf = Vec::with_capacity(FRAME_HDR + body.len());
-    buf.extend_from_slice(&dst.raw().to_le_bytes());
-    buf.extend_from_slice(&src.raw().to_le_bytes());
-    buf.extend_from_slice(&body);
-    buf
-}
-
-/// Decode a frame header + body; `None` for runts or garbage bodies.
-fn deframe(buf: &[u8]) -> Option<(NodeId, NodeId, WireMsg)> {
-    if buf.len() < FRAME_HDR {
-        return None;
-    }
-    let dst = u32::from_le_bytes(buf[0..4].try_into().expect("4 bytes"));
-    let src = u32::from_le_bytes(buf[4..8].try_into().expect("4 bytes"));
-    let msg = WireMsg::decode(&buf[FRAME_HDR..]).ok()?;
-    Some((NodeId::new(dst), NodeId::new(src), msg))
-}
-
-/// The reactor state: every engine, both shared sockets, and the run's
-/// counters. One instance per run, owned by the calling thread.
+/// The reactor plus the one thing only a closed loop can know: how many
+/// of its own frames never came back.
 struct Mux {
-    engines: Vec<NodeEngine>,
-    rngs: Vec<TestRng>,
-    /// Last actuated cap per node — the reading model is
-    /// `min(demand, cap)`.
-    caps: Vec<Power>,
-    demands: Vec<Power>,
-    tx: Arc<dyn DatagramSocket>,
-    rx: UdpSocket,
-    rx_addr: std::net::SocketAddr,
-    /// Frames accepted by the kernel and not yet received back.
-    outstanding: usize,
-    /// Wall-clock send stamp per open request, keyed (requester, seq).
-    pending_rtt: HashMap<(u32, u64), Instant>,
-    /// Reusable engine-output buffer (see the drive loop).
-    scratch: Vec<EngineOutput>,
-    frames_sent: u64,
-    frames_delivered: u64,
-    injected_drops: u64,
+    reactor: Reactor,
+    /// Frames the kernel accepted and never delivered.
     wire_lost: u64,
-    send_failed: u64,
-    events: u64,
-    lost: Power,
-    rtt_samples_ns: Vec<u64>,
 }
 
 impl Mux {
-    fn new(cfg: &MuxConfig) -> io::Result<Self> {
-        let rx = UdpSocket::bind("127.0.0.1:0")?;
-        rx.set_read_timeout(Some(Duration::from_millis(3)))?;
-        let rx_addr = rx.local_addr()?;
-        let tx_socket = UdpSocket::bind("127.0.0.1:0")?;
-        let tx: Arc<dyn DatagramSocket> = match &cfg.fault {
-            None => Arc::new(tx_socket),
-            Some(fault) => {
-                let shim = FaultySocket::new(tx_socket, fault.clone());
-                // The shared inbox is the only destination; it takes
-                // direction slot 0 of the fault plan.
-                shim.register_peer(rx_addr);
-                Arc::new(shim)
-            }
-        };
-        let engines = (0..cfg.nodes)
-            .map(|i| {
-                NodeEngine::new(
-                    NodeId::new(i as u32),
-                    cfg.nodes,
-                    EngineConfig::new(cfg.node),
-                    cfg.initial_cap,
-                    SharedObserver::noop(),
-                )
-            })
-            .collect();
-        let rngs = (0..cfg.nodes)
-            .map(|i| TestRng::seed_from_u64(node_stream(cfg.seed, i as u64)))
-            .collect();
-        Ok(Mux {
-            engines,
-            rngs,
-            caps: vec![cfg.initial_cap; cfg.nodes],
-            demands: (0..cfg.nodes)
-                .map(|i| cfg.demands[i % cfg.demands.len()])
-                .collect(),
-            tx,
-            rx,
-            rx_addr,
-            outstanding: 0,
-            pending_rtt: HashMap::new(),
-            scratch: Vec::new(),
-            frames_sent: 0,
-            frames_delivered: 0,
-            injected_drops: 0,
-            wire_lost: 0,
-            send_failed: 0,
-            events: 0,
-            lost: Power::ZERO,
-            rtt_samples_ns: Vec::new(),
-        })
-    }
-
-    /// Send one frame through the shared socket, returning whether the
-    /// kernel took it (an injected drop or OS error returns `false`).
-    fn send_frame(&mut self, dst: NodeId, src: NodeId, msg: &WireMsg) -> bool {
-        match self.tx.send_to(&frame(dst, src, msg), self.rx_addr) {
-            Ok(SendStatus::Sent) => {
-                self.frames_sent += 1;
-                self.outstanding += 1;
-                true
-            }
-            Ok(SendStatus::Dropped) => {
-                self.injected_drops += 1;
-                false
-            }
-            Err(_) => {
-                self.send_failed += 1;
-                false
-            }
-        }
-    }
-
-    /// Feed one input to engine `i` and execute every resulting output —
-    /// sends inline (so `GrantOutcome` feedback is synchronous, as the
-    /// engine contract requires), cap actuations into the reading model,
-    /// round trips into the RTT ledger.
-    fn drive(&mut self, i: usize, now: SimTime, input: EngineInput) {
-        self.events += 1;
-        let me = NodeId::new(i as u32);
-        let mut out = std::mem::take(&mut self.scratch);
-        out.clear();
-        self.engines[i].handle(now, input, &mut self.rngs[i], &mut out);
-        // Iterate by index: GrantOutcome feedback appends to the buffer.
-        let mut k = 0;
-        while k < out.len() {
-            let item = out[k].clone();
-            k += 1;
-            match item {
-                EngineOutput::Actuate { cap } => self.caps[i] = cap,
-                EngineOutput::Send {
-                    dst,
-                    msg: PeerMsg::Request(req),
-                    ..
-                } => {
-                    let wire = WireMsg::Request {
-                        seq: req.seq,
-                        urgent: req.urgent,
-                        alpha: req.alpha,
-                        from: Some(me),
-                        bid: req.bid,
-                    };
-                    // Stamp before the syscall so the sample covers the
-                    // full kernel round trip. A dropped request still
-                    // opens the engine's wait window — its stamp dies
-                    // unresolved, exactly like the timeout it causes.
-                    self.pending_rtt.insert((me.raw(), req.seq), Instant::now());
-                    self.send_frame(dst, me, &wire);
-                }
-                EngineOutput::Send {
-                    dst,
-                    msg: PeerMsg::Grant(g, digest),
-                    ..
-                } => {
-                    // Zero grant or escrow-dedup reminder: no ledger
-                    // weight travels, so no delivery feedback is needed.
-                    let wire = WireMsg::Grant {
-                        seq: g.seq,
-                        amount: g.amount,
-                        digest,
-                    };
-                    self.send_frame(dst, me, &wire);
-                }
-                EngineOutput::Send {
-                    dst,
-                    msg: PeerMsg::Ack(a, digest),
-                    ..
-                } => {
-                    // A dropped ack conserves: the amount already landed
-                    // in this cap; the granter's entry expires creditless.
-                    let wire = WireMsg::Ack { seq: a.seq, digest };
-                    self.send_frame(dst, me, &wire);
-                }
-                EngineOutput::SendGrant {
-                    dst,
-                    msg,
-                    amount,
-                    seq,
-                } => {
-                    let delivered = if let PeerMsg::Grant(g, digest) = msg {
-                        let wire = WireMsg::Grant {
-                            seq: g.seq,
-                            amount: g.amount,
-                            digest,
-                        };
-                        self.send_frame(dst, me, &wire)
-                    } else {
-                        // Unreachable: SendGrant always wraps a Grant.
-                        false
-                    };
-                    self.engines[i].handle(
-                        now,
-                        EngineInput::GrantOutcome {
-                            requester: dst,
-                            seq,
-                            amount,
-                            delivered,
-                        },
-                        &mut self.rngs[i],
-                        &mut out,
-                    );
-                }
-                // Escrow is swept in bulk each round.
-                EngineOutput::SetEscrowTimer { .. } => {}
-                EngineOutput::PowerLost { amount } => self.lost += amount,
-                EngineOutput::Resolved { seq, .. } => {
-                    if let Some(t0) = self.pending_rtt.remove(&(me.raw(), seq)) {
-                        let ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                        self.rtt_samples_ns.push(ns);
-                    }
-                }
-            }
-        }
-        self.scratch = out;
-    }
-
-    /// Dispatch one received frame to its destination engine.
-    fn dispatch(&mut self, buf: &[u8], now: SimTime) {
-        let Some((dst, src, msg)) = deframe(buf) else {
-            return; // garbage datagram: drop, like the per-node daemon
-        };
-        let i = dst.index();
-        if i >= self.engines.len() {
-            return;
-        }
-        self.frames_delivered += 1;
-        let peer_msg = match msg {
-            WireMsg::Request {
-                seq,
-                urgent,
-                alpha,
-                from,
-                bid,
-            } => PeerMsg::Request(PowerRequest {
-                from: from.unwrap_or(src),
-                urgent,
-                alpha,
-                bid,
-                seq,
-            }),
-            WireMsg::Grant {
-                seq,
-                amount,
-                digest,
-            } => PeerMsg::Grant(PowerGrant { amount, seq }, digest),
-            WireMsg::Ack { seq, digest } => PeerMsg::Ack(GrantAck { seq }, digest),
-        };
-        self.drive(i, now, EngineInput::Msg { src, msg: peer_msg });
+    /// Frames sent and not yet received back (or written off).
+    fn in_flight(&self) -> u64 {
+        let c = &self.reactor.counters;
+        c.frames_sent - c.frames_delivered - c.rejected - self.wire_lost
     }
 
     /// Receive and dispatch until at most `low` frames remain in flight
     /// (dispatching may send more — grant and ack cascades — so the
     /// target is a backlog level, not a message count). Gives up after
-    /// [`DRAIN_PATIENCE`] consecutive empty timeouts and writes the
+    /// [`DRAIN_PATIENCE`] consecutive empty reads and writes the
     /// remainder off as lost on the wire.
     fn drain_to(&mut self, low: usize, now: SimTime) {
-        let mut buf = [0u8; FRAME_HDR + MAX_WIRE_LEN];
         let mut empty_reads = 0u32;
-        while self.outstanding > low {
-            match self.rx.recv_from(&mut buf) {
-                Ok((len, _)) => {
-                    empty_reads = 0;
-                    self.outstanding -= 1;
-                    self.dispatch(&buf[..len], now);
-                }
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    empty_reads += 1;
-                    if empty_reads >= DRAIN_PATIENCE {
-                        self.wire_lost += self.outstanding as u64;
-                        self.outstanding = 0;
-                        return;
-                    }
-                }
-                Err(_) => {
-                    empty_reads += 1;
-                    if empty_reads >= DRAIN_PATIENCE {
-                        self.wire_lost += self.outstanding as u64;
-                        self.outstanding = 0;
-                        return;
-                    }
+        while self.in_flight() > low as u64 {
+            if self.reactor.pump(|| now) {
+                empty_reads = 0;
+            } else {
+                empty_reads += 1;
+                if empty_reads >= DRAIN_PATIENCE {
+                    self.wire_lost += self.in_flight();
+                    return;
                 }
             }
         }
@@ -505,29 +227,67 @@ impl Mux {
 
 /// Run a multiplexed cluster to completion on the calling thread.
 ///
-/// Every round: sweep escrow deadlines, tick every engine (chunked, with
-/// drains between chunks so the kernel's receive buffer never overflows),
-/// then pump the socket pair until the request→grant→ack cascade
-/// quiesces. Grants are *not* awaited per node — they dispatch
-/// asynchronously as frames arrive, which is what lets one reactor
-/// sustain thousands of engines.
+/// Every round: tick every engine (escrow sweep, reading, decider
+/// iteration — chunked, with drains between chunks so the kernel's receive
+/// buffer never overflows), then pump the socket pair until the
+/// request→grant→ack cascade quiesces. Grants are *not* awaited per node —
+/// they dispatch asynchronously as frames arrive, which is what lets one
+/// reactor sustain thousands of engines.
 pub fn run_multiplexed(cfg: &MuxConfig) -> io::Result<MuxSummary> {
     assert!(cfg.nodes >= 2, "a cluster needs at least two nodes");
     assert!(!cfg.demands.is_empty(), "demands must not be empty");
-    let mut mux = Mux::new(cfg)?;
+    let rx = UdpSocket::bind("127.0.0.1:0")?;
+    rx.set_read_timeout(Some(Duration::from_millis(3)))?;
+    let rx_addr = rx.local_addr()?;
+    let tx_socket = UdpSocket::bind("127.0.0.1:0")?;
+    let tx: Arc<dyn DatagramSocket> = match &cfg.fault {
+        None => Arc::new(tx_socket),
+        Some(fault) => {
+            let shim = FaultySocket::new(tx_socket, fault.clone());
+            // The shared inbox is the only destination; it takes
+            // direction slot 0 of the fault plan.
+            shim.register_peer(rx_addr);
+            Arc::new(shim)
+        }
+    };
+    let engines = (0..cfg.nodes)
+        .map(|i| {
+            NodeEngine::new(
+                NodeId::new(i as u32),
+                cfg.nodes,
+                EngineConfig::new(cfg.node),
+                cfg.initial_cap,
+                SharedObserver::noop(),
+            )
+        })
+        .collect();
+    let rngs = (0..cfg.nodes)
+        .map(|i| TestRng::seed_from_u64(node_stream(cfg.seed, i as u64)))
+        .collect();
+    let demands = (0..cfg.nodes)
+        .map(|i| cfg.demands[i % cfg.demands.len()])
+        .collect();
+    let mut reactor = Reactor::new(
+        engines,
+        rngs,
+        Plant::Steady(demands),
+        tx,
+        Arc::new(rx),
+        vec![rx_addr; cfg.nodes],
+    );
+    reactor.rtt = Some(RttLedger::default());
+    let mut mux = Mux {
+        reactor,
+        wire_lost: 0,
+    };
+
     let period = cfg.node.decider.period;
     let start = Instant::now();
     for p in 0..cfg.rounds {
         let now = SimTime::ZERO + period * (p + 1);
         for i in 0..cfg.nodes {
-            // Bulk escrow expiry, as the per-node daemon's net thread
-            // does each wake — per-entry timers are never armed.
-            if mux.engines[i].escrow_len() > 0 {
-                mux.drive(i, now, EngineInput::SweepEscrow);
-            }
-            let reading = mux.demands[i].min(mux.caps[i]);
-            mux.drive(i, now, EngineInput::Tick { reading });
-            if mux.outstanding >= DRAIN_HIGH {
+            mux.reactor.tick(i, now);
+            if mux.in_flight() >= DRAIN_HIGH as u64 {
                 mux.drain_to(DRAIN_LOW, now);
             }
         }
@@ -535,26 +295,30 @@ pub fn run_multiplexed(cfg: &MuxConfig) -> io::Result<MuxSummary> {
         // the grants and acks that dispatching itself produces.
         mux.drain_to(0, now);
     }
-    let total_caps = mux.caps.iter().copied().sum();
-    let total_pools = mux.engines.iter().map(|e| e.pool().available()).sum();
-    let total_escrowed = mux.engines.iter().map(|e| e.escrowed_undelivered()).sum();
+    let Mux { reactor, wire_lost } = mux;
+    let engines = &reactor.engines;
+    let total_caps = engines.iter().map(|e| e.cap()).sum();
+    let total_pools = engines.iter().map(|e| e.pool().available()).sum();
+    let total_escrowed = engines.iter().map(|e| e.escrowed_undelivered()).sum();
+    let c = reactor.counters;
     Ok(MuxSummary {
         nodes: cfg.nodes,
         rounds: cfg.rounds,
-        frames_sent: mux.frames_sent,
-        frames_delivered: mux.frames_delivered,
-        injected_drops: mux.injected_drops,
-        wire_lost: mux.wire_lost,
-        send_failed: mux.send_failed,
-        events: mux.events,
+        frames_sent: c.frames_sent,
+        frames_delivered: c.frames_delivered,
+        injected_drops: c.injected_drops,
+        wire_lost,
+        send_failed: c.send_failed,
+        rejected: c.rejected,
+        events: c.events,
         total_caps,
         total_pools,
         total_escrowed,
-        lost: mux.lost,
+        lost: c.lost,
         budget: mul_power(cfg.initial_cap, cfg.nodes as u64),
         wall_s: start.elapsed().as_secs_f64(),
         virtual_secs: SimDuration::from_nanos(period.as_nanos() * cfg.rounds).as_secs_f64(),
-        rtt_samples_ns: mux.rtt_samples_ns,
+        rtt_samples_ns: reactor.rtt.map(|r| r.samples_ns).unwrap_or_default(),
     })
 }
 
@@ -569,27 +333,6 @@ mod tests {
 
     fn w(x: u64) -> Power {
         Power::from_watts_u64(x)
-    }
-
-    #[test]
-    fn frames_roundtrip_and_reject_runts() {
-        let msg = WireMsg::Request {
-            seq: 7,
-            urgent: true,
-            alpha: w(30),
-            from: Some(NodeId::new(3)),
-            bid: Power::ZERO,
-        };
-        let buf = frame(NodeId::new(9), NodeId::new(3), &msg);
-        let (dst, src, back) = deframe(&buf).expect("frame decodes");
-        assert_eq!(dst, NodeId::new(9));
-        assert_eq!(src, NodeId::new(3));
-        assert_eq!(back, msg);
-        assert!(deframe(&buf[..7]).is_none(), "runt header must not decode");
-        assert!(
-            deframe(&buf[..FRAME_HDR + 2]).is_none(),
-            "truncated body must not decode"
-        );
     }
 
     #[test]
@@ -682,5 +425,38 @@ mod tests {
         assert!(s.frames_delivered > 500, "traffic too thin for 1k nodes");
         assert!(s.grant_rtt().is_some(), "no round trips at 1k nodes");
         assert!(s.accounted_total() <= s.budget, "power was minted");
+    }
+
+    #[test]
+    fn soak_traffic_and_ledger_are_pinned() {
+        // The reactor refactor must not move the mux: the protocol clock
+        // is virtual and the socket pair FIFO, so a seed fixes the whole
+        // run. Values measured on the pre-reactor multiplexer (PR 11).
+        let mw = Power::from_milliwatts;
+        let s = run_multiplexed(&MuxConfig::soak(1000, 42, 30)).expect("soak runs");
+        assert_eq!(
+            (s.frames_sent, s.frames_delivered, s.events),
+            (37_389, 37_389, 68_440)
+        );
+        assert_eq!(
+            (s.total_caps, s.total_pools, s.total_escrowed, s.lost),
+            (mw(153_396_077), mw(6_603_923), Power::ZERO, Power::ZERO)
+        );
+        assert_eq!(s.rtt_samples_ns.len(), 15_003);
+        assert_eq!((s.wire_lost, s.send_failed, s.rejected), (0, 0, 0));
+
+        let mut cfg = MuxConfig::soak(1000, 42, 30);
+        cfg.fault = Some(FaultConfig::lossy(42 ^ 0xFA17_FA17, 50));
+        cfg.node.decider.suspect_after = 1;
+        let s = run_multiplexed(&cfg).expect("lossy soak runs");
+        assert_eq!(
+            (s.frames_sent, s.injected_drops, s.events),
+            (34_088, 1_833, 66_879)
+        );
+        assert_eq!(
+            (s.total_caps, s.total_pools, s.total_escrowed, s.lost),
+            (mw(152_396_322), mw(7_520_515), mw(83_163), Power::ZERO)
+        );
+        assert_eq!((s.wire_lost, s.send_failed, s.rejected), (0, 0, 0));
     }
 }

@@ -1,73 +1,69 @@
 //! The datagram wire format.
 //!
-//! Three message kinds, fixed little-endian layout, one version byte.
-//! Replies always travel to the datagram's source address, so addressing
-//! fields stay minimal: the sequence number pairs grants — and their acks
-//! — with requests, and a v2 request additionally carries the sender's
-//! stable cluster id so the granter's escrow survives the requester
-//! rebinding to a new port (the address identifies the *socket*, the id
-//! identifies the *node*).
+//! Three message kinds in one fixed little-endian layout. A `WireMsg`
+//! never travels bare: the reactor prefixes every datagram with the frame
+//! header `[dst: u32][src: u32]` (see `reactor.rs`), so the sender
+//! is always known by its cluster id — the id identifies the *node*, the
+//! source address only the *socket* — and the sequence number pairs
+//! grants, and their acks, with requests.
 //!
-//! Three versions coexist. Version `0x01` is the original layout; version
-//! `0x02` appends a suspicion-digest section to grants and acks (so
-//! liveness gossip can piggyback on protocol traffic) and a sender-id
-//! section to requests; version `0x03` further appends a bid section to
-//! requests (market-policy deciders price their demand — see
-//! `DeciderPolicy::Market`). A sender emits the lowest version that
-//! carries everything it has to say — the common fault-free grant/ack is
-//! byte-identical to the old format, and a zero bid never pays the v3
-//! bytes — and receivers accept every version of every kind.
+//! There is one version. A flags byte marks the optional sections, so the
+//! common fault-free grant and ack pay nothing for gossip and a zero bid
+//! pays nothing for the market policy:
 //!
 //! ```text
-//! v1 Request: [0x01, 0x00, seq: u64, urgent: u8, alpha_mw: u64]  (19 bytes)
-//! v1 Grant:   [0x01, 0x01, seq: u64, amount_mw: u64]             (18 bytes)
-//! v1 Ack:     [0x01, 0x02, seq: u64]                             (10 bytes)
-//!
-//! v2 Request: v1 body, then from: u32                            (23 bytes)
-//! v2 Grant:   v1 body, then digest                               (≤75 bytes)
-//! v2 Ack:     v1 body, then digest                               (≤67 bytes)
-//! digest:     [incarnation: u64, count: u8,
-//!              count × (peer: u32, incarnation: u64)]
-//!
-//! v3 Request: v2 body, then bid_mw: u64                          (31 bytes)
+//! header:  [version: 0x04, kind: u8, flags: u8, seq: u64]        (11 bytes)
+//! Request: header, urgent: u8, alpha_mw: u64                     (20 bytes)
+//!          then  from: u32     if flags & 0x01
+//!          then  bid_mw: u64   if flags & 0x02                   (≤32 bytes)
+//! Grant:   header, amount_mw: u64                                (19 bytes)
+//!          then  digest        if flags & 0x04                   (≤76 bytes)
+//! Ack:     header                                                (11 bytes)
+//!          then  digest        if flags & 0x04                   (≤68 bytes)
+//! digest:  [incarnation: u64, count: u8,
+//!           count × (peer: u32, incarnation: u64)]
 //! ```
 //!
-//! A bidding request must name its sender: the granter keys escrow and
-//! ack bookkeeping by node id, and an anonymous bid would break both.
-//! [`WireMsg::encode`] therefore downgrades a non-zero bid with no `from`
-//! to v2, dropping the bid (the daemon stamps `from` on every outbound
-//! request, so this is a defence against hand-built messages, not a path
-//! real traffic takes).
+//! Decoding is strict: any other version byte, an unknown kind, a flag bit
+//! the kind does not define, a short buffer, or a digest `count` above
+//! [`MAX_DIGEST_ENTRIES`] is an error, never a guess — the bound is part
+//! of the format, so a hostile datagram cannot make a receiver loop over
+//! thousands of entries. (Versions `0x01`–`0x03` were the pre-reactor
+//! layouts, chosen per message; the number is not reused so a stale frame
+//! is rejected rather than misread.)
 //!
 //! The digest's leading `incarnation` is the *sender's own*; entries name
-//! third-party peers the sender currently suspects. `count` above
-//! [`MAX_DIGEST_ENTRIES`] is rejected: the bound is part of the format, so
-//! a hostile datagram cannot make a receiver loop over thousands of
-//! entries.
+//! third-party peers the sender currently suspects.
 
-use penelope_core::{SuspicionDigest, SuspicionEntry, MAX_DIGEST_ENTRIES};
+use penelope_core::{
+    GrantAck, PeerMsg, PowerGrant, PowerRequest, SuspicionDigest, SuspicionEntry,
+    MAX_DIGEST_ENTRIES,
+};
 use penelope_units::{NodeId, Power};
 
-/// Protocol version byte for digest-free messages (the v1 format).
-pub const WIRE_VERSION: u8 = 0x01;
-
-/// Protocol version byte for messages carrying a suspicion digest.
-pub const WIRE_VERSION_DIGEST: u8 = 0x02;
-
-/// Protocol version byte for requests carrying a non-zero bid.
-pub const WIRE_VERSION_BID: u8 = 0x03;
+/// The protocol version byte every message starts with.
+pub const WIRE_VERSION: u8 = 0x04;
 
 const KIND_REQUEST: u8 = 0x00;
 const KIND_GRANT: u8 = 0x01;
 const KIND_ACK: u8 = 0x02;
 
+/// Offset of the flags byte.
+const FLAGS_AT: usize = 2;
+/// Request carries a `from` section.
+const FLAG_FROM: u8 = 0x01;
+/// Request carries a `bid` section.
+const FLAG_BID: u8 = 0x02;
+/// Grant or ack carries a digest section.
+const FLAG_DIGEST: u8 = 0x04;
+
 /// Encoded digest section size at the entry cap: 8 (incarnation) + 1
 /// (count) + entries.
 const MAX_DIGEST_LEN: usize = 9 + MAX_DIGEST_ENTRIES * 12;
 
-/// Maximum encoded size (for receive buffers): a v2 grant with a full
+/// Maximum encoded size (for receive buffers): a grant with a full
 /// digest.
-pub const MAX_WIRE_LEN: usize = 18 + MAX_DIGEST_LEN;
+pub const MAX_WIRE_LEN: usize = 19 + MAX_DIGEST_LEN;
 
 /// A message on the wire.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -80,14 +76,13 @@ pub enum WireMsg {
         urgent: bool,
         /// Power needed to return to the initial cap (urgent only).
         alpha: Power,
-        /// The requester's stable cluster id (v2 only). Grants key their
-        /// escrow by this id, so a requester that crashes and rebinds a
-        /// different port can still retransmit, be deduplicated, and ack.
-        /// `None` on v1 datagrams from older senders.
+        /// The requester's stable cluster id, when it is not the frame's
+        /// `src` (a relayed request). Grants key their escrow by this id.
+        /// `None` — what the reactor sends — means "the frame's sender".
         from: Option<NodeId>,
-        /// The price this requester attaches to its demand (v3 only;
-        /// zero under the urgency and predictive policies, which keep
-        /// the v1/v2 formats on the wire).
+        /// The price this requester attaches to its demand (zero under
+        /// the urgency and predictive policies, and then absent from the
+        /// wire).
         bid: Power,
     },
     /// A pool's grant in response.
@@ -120,6 +115,8 @@ pub enum WireError {
     BadVersion(u8),
     /// Unknown message kind.
     BadKind(u8),
+    /// A flag bit the message kind does not define.
+    BadFlags(u8),
     /// Digest section claims more entries than the format allows.
     BadDigest(u8),
 }
@@ -130,6 +127,7 @@ impl std::fmt::Display for WireError {
             WireError::Truncated => write!(f, "truncated datagram"),
             WireError::BadVersion(v) => write!(f, "unknown wire version {v:#x}"),
             WireError::BadKind(k) => write!(f, "unknown message kind {k:#x}"),
+            WireError::BadFlags(b) => write!(f, "undefined flag bits in {b:#x}"),
             WireError::BadDigest(n) => write!(f, "digest claims {n} entries"),
         }
     }
@@ -137,7 +135,10 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-fn encode_digest(buf: &mut Vec<u8>, digest: &SuspicionDigest) {
+/// Append the digest section, if there is one, and set its flag.
+fn encode_digest(buf: &mut Vec<u8>, digest: Option<&SuspicionDigest>) {
+    let Some(digest) = digest else { return };
+    buf[FLAGS_AT] |= FLAG_DIGEST;
     buf.extend_from_slice(&digest.incarnation.to_le_bytes());
     let n = digest.entries.len().min(MAX_DIGEST_ENTRIES);
     buf.push(n as u8);
@@ -147,24 +148,166 @@ fn encode_digest(buf: &mut Vec<u8>, digest: &SuspicionDigest) {
     }
 }
 
+/// A bounds-checked read position in a received datagram: running off the
+/// end is [`WireError::Truncated`], never a panic.
+struct Cursor<'a>(&'a [u8]);
+
+impl Cursor<'_> {
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let (head, rest) = self.0.split_first_chunk().ok_or(WireError::Truncated)?;
+        self.0 = rest;
+        Ok(*head)
+    }
+
+    fn u8(&mut self) -> Result<u8, WireError> {
+        self.take::<1>().map(|b| b[0])
+    }
+
+    fn u32(&mut self) -> Result<u32, WireError> {
+        self.take().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> Result<u64, WireError> {
+        self.take().map(u64::from_le_bytes)
+    }
+
+    fn power(&mut self) -> Result<Power, WireError> {
+        self.u64().map(Power::from_milliwatts)
+    }
+
+    /// The section `flag` marks, or `None` when `flags` leaves it out.
+    fn section<T>(
+        &mut self,
+        flags: u8,
+        flag: u8,
+        read: impl FnOnce(&mut Self) -> Result<T, WireError>,
+    ) -> Result<Option<T>, WireError> {
+        (flags & flag != 0).then(|| read(self)).transpose()
+    }
+
+    fn digest(&mut self) -> Result<Box<SuspicionDigest>, WireError> {
+        let incarnation = self.u64()?;
+        let n = self.u8()?;
+        if n as usize > MAX_DIGEST_ENTRIES {
+            return Err(WireError::BadDigest(n));
+        }
+        let entries = (0..n)
+            .map(|_| {
+                Ok(SuspicionEntry {
+                    peer: NodeId::new(self.u32()?),
+                    incarnation: self.u64()?,
+                })
+            })
+            .collect::<Result<_, WireError>>()?;
+        Ok(Box::new(SuspicionDigest {
+            incarnation,
+            entries,
+        }))
+    }
+}
+
 impl WireMsg {
     /// Encode into a fresh buffer.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(MAX_WIRE_LEN);
-        let version = match self {
-            WireMsg::Request {
-                from: Some(_), bid, ..
-            } if !bid.is_zero() => WIRE_VERSION_BID,
-            WireMsg::Grant {
-                digest: Some(_), ..
-            }
-            | WireMsg::Ack {
-                digest: Some(_), ..
-            }
-            | WireMsg::Request { from: Some(_), .. } => WIRE_VERSION_DIGEST,
-            _ => WIRE_VERSION,
+        let (kind, seq) = match self {
+            WireMsg::Request { seq, .. } => (KIND_REQUEST, seq),
+            WireMsg::Grant { seq, .. } => (KIND_GRANT, seq),
+            WireMsg::Ack { seq, .. } => (KIND_ACK, seq),
         };
-        buf.push(version);
+        let mut buf = Vec::with_capacity(MAX_WIRE_LEN);
+        buf.extend_from_slice(&[WIRE_VERSION, kind, 0]);
+        buf.extend_from_slice(&seq.to_le_bytes());
+        // Each optional section sets its flag as it is appended.
+        match self {
+            WireMsg::Request {
+                urgent,
+                alpha,
+                from,
+                bid,
+                ..
+            } => {
+                buf.push(u8::from(*urgent));
+                buf.extend_from_slice(&alpha.milliwatts().to_le_bytes());
+                if let Some(id) = from {
+                    buf[FLAGS_AT] |= FLAG_FROM;
+                    buf.extend_from_slice(&id.raw().to_le_bytes());
+                }
+                if !bid.is_zero() {
+                    buf[FLAGS_AT] |= FLAG_BID;
+                    buf.extend_from_slice(&bid.milliwatts().to_le_bytes());
+                }
+            }
+            WireMsg::Grant { amount, digest, .. } => {
+                buf.extend_from_slice(&amount.milliwatts().to_le_bytes());
+                encode_digest(&mut buf, digest.as_deref());
+            }
+            WireMsg::Ack { digest, .. } => encode_digest(&mut buf, digest.as_deref()),
+        }
+        buf
+    }
+
+    /// Decode a received datagram body (see the module docs for what is
+    /// rejected).
+    pub fn decode(buf: &[u8]) -> Result<WireMsg, WireError> {
+        let mut r = Cursor(buf);
+        let version = r.u8()?;
+        if version != WIRE_VERSION {
+            return Err(WireError::BadVersion(version));
+        }
+        let (kind, flags) = (r.u8()?, r.u8()?);
+        let defined = match kind {
+            KIND_REQUEST => FLAG_FROM | FLAG_BID,
+            KIND_GRANT | KIND_ACK => FLAG_DIGEST,
+            k => return Err(WireError::BadKind(k)),
+        };
+        if flags & !defined != 0 {
+            return Err(WireError::BadFlags(flags));
+        }
+        let seq = r.u64()?;
+        Ok(match kind {
+            KIND_REQUEST => WireMsg::Request {
+                seq,
+                urgent: r.u8()? != 0,
+                alpha: r.power()?,
+                from: r.section(flags, FLAG_FROM, |r| r.u32().map(NodeId::new))?,
+                bid: r
+                    .section(flags, FLAG_BID, Cursor::power)?
+                    .unwrap_or(Power::ZERO),
+            },
+            KIND_GRANT => WireMsg::Grant {
+                seq,
+                amount: r.power()?,
+                digest: r.section(flags, FLAG_DIGEST, Cursor::digest)?,
+            },
+            _ => WireMsg::Ack {
+                seq,
+                digest: r.section(flags, FLAG_DIGEST, Cursor::digest)?,
+            },
+        })
+    }
+
+    /// The wire form of an engine-level message. The frame header names
+    /// the sender, so a request's `from` section stays off the wire.
+    pub(crate) fn from_peer(msg: PeerMsg) -> WireMsg {
+        match msg {
+            PeerMsg::Request(r) => WireMsg::Request {
+                seq: r.seq,
+                urgent: r.urgent,
+                alpha: r.alpha,
+                from: None,
+                bid: r.bid,
+            },
+            PeerMsg::Grant(g, digest) => WireMsg::Grant {
+                seq: g.seq,
+                amount: g.amount,
+                digest,
+            },
+            PeerMsg::Ack(a, digest) => WireMsg::Ack { seq: a.seq, digest },
+        }
+    }
+
+    /// The engine-level message a frame from node `src` carries.
+    pub(crate) fn into_peer(self, src: NodeId) -> PeerMsg {
         match self {
             WireMsg::Request {
                 seq,
@@ -172,132 +315,19 @@ impl WireMsg {
                 alpha,
                 from,
                 bid,
-            } => {
-                buf.push(KIND_REQUEST);
-                buf.extend_from_slice(&seq.to_le_bytes());
-                buf.push(u8::from(*urgent));
-                buf.extend_from_slice(&alpha.milliwatts().to_le_bytes());
-                if let Some(id) = from {
-                    buf.extend_from_slice(&id.raw().to_le_bytes());
-                }
-                if version == WIRE_VERSION_BID {
-                    buf.extend_from_slice(&bid.milliwatts().to_le_bytes());
-                }
-            }
+            } => PeerMsg::Request(PowerRequest {
+                from: from.unwrap_or(src),
+                urgent,
+                alpha,
+                bid,
+                seq,
+            }),
             WireMsg::Grant {
                 seq,
                 amount,
                 digest,
-            } => {
-                buf.push(KIND_GRANT);
-                buf.extend_from_slice(&seq.to_le_bytes());
-                buf.extend_from_slice(&amount.milliwatts().to_le_bytes());
-                if let Some(d) = digest {
-                    encode_digest(&mut buf, d);
-                }
-            }
-            WireMsg::Ack { seq, digest } => {
-                buf.push(KIND_ACK);
-                buf.extend_from_slice(&seq.to_le_bytes());
-                if let Some(d) = digest {
-                    encode_digest(&mut buf, d);
-                }
-            }
-        }
-        buf
-    }
-
-    /// Decode from a received datagram. Accepts both wire versions; a v1
-    /// grant or ack decodes with `digest: None`.
-    pub fn decode(buf: &[u8]) -> Result<WireMsg, WireError> {
-        if buf.len() < 2 {
-            return Err(WireError::Truncated);
-        }
-        let version = buf[0];
-        if version != WIRE_VERSION && version != WIRE_VERSION_DIGEST && version != WIRE_VERSION_BID
-        {
-            return Err(WireError::BadVersion(version));
-        }
-        let u64_at = |off: usize| -> Result<u64, WireError> {
-            let bytes: [u8; 8] = buf
-                .get(off..off + 8)
-                .ok_or(WireError::Truncated)?
-                .try_into()
-                .expect("slice is 8 bytes");
-            Ok(u64::from_le_bytes(bytes))
-        };
-        let u32_at = |off: usize| -> Result<u32, WireError> {
-            let bytes: [u8; 4] = buf
-                .get(off..off + 4)
-                .ok_or(WireError::Truncated)?
-                .try_into()
-                .expect("slice is 4 bytes");
-            Ok(u32::from_le_bytes(bytes))
-        };
-        // A v2 grant/ack carries a digest section at `off`; v1 carries
-        // none.
-        let digest_at = |off: usize| -> Result<Option<Box<SuspicionDigest>>, WireError> {
-            if version == WIRE_VERSION {
-                return Ok(None);
-            }
-            let incarnation = u64_at(off)?;
-            let n = *buf.get(off + 8).ok_or(WireError::Truncated)?;
-            if n as usize > MAX_DIGEST_ENTRIES {
-                return Err(WireError::BadDigest(n));
-            }
-            let mut entries = Vec::with_capacity(n as usize);
-            let mut at = off + 9;
-            for _ in 0..n {
-                entries.push(SuspicionEntry {
-                    peer: NodeId::new(u32_at(at)?),
-                    incarnation: u64_at(at + 4)?,
-                });
-                at += 12;
-            }
-            Ok(Some(Box::new(SuspicionDigest {
-                incarnation,
-                entries,
-            })))
-        };
-        match buf[1] {
-            KIND_REQUEST => {
-                let seq = u64_at(2)?;
-                let urgent = *buf.get(10).ok_or(WireError::Truncated)? != 0;
-                let alpha = Power::from_milliwatts(u64_at(11)?);
-                let from = if version == WIRE_VERSION {
-                    None
-                } else {
-                    Some(NodeId::new(u32_at(19)?))
-                };
-                let bid = if version == WIRE_VERSION_BID {
-                    Power::from_milliwatts(u64_at(23)?)
-                } else {
-                    Power::ZERO
-                };
-                Ok(WireMsg::Request {
-                    seq,
-                    urgent,
-                    alpha,
-                    from,
-                    bid,
-                })
-            }
-            KIND_GRANT => {
-                let seq = u64_at(2)?;
-                let amount = Power::from_milliwatts(u64_at(10)?);
-                let digest = digest_at(18)?;
-                Ok(WireMsg::Grant {
-                    seq,
-                    amount,
-                    digest,
-                })
-            }
-            KIND_ACK => {
-                let seq = u64_at(2)?;
-                let digest = digest_at(10)?;
-                Ok(WireMsg::Ack { seq, digest })
-            }
-            k => Err(WireError::BadKind(k)),
+            } => PeerMsg::Grant(PowerGrant { amount, seq }, digest),
+            WireMsg::Ack { seq, digest } => PeerMsg::Ack(GrantAck { seq }, digest),
         }
     }
 }
@@ -323,189 +353,129 @@ mod tests {
         })
     }
 
+    fn request(from: Option<u32>, bid: Power) -> WireMsg {
+        WireMsg::Request {
+            seq: 0xDEAD_BEEF_0123,
+            urgent: true,
+            alpha: w(57),
+            from: from.map(NodeId::new),
+            bid,
+        }
+    }
+
+    /// One message per combination of optional sections, with the flags
+    /// byte and encoded length each must have.
+    fn every_shape() -> Vec<(WireMsg, u8, usize)> {
+        let full: Vec<(u32, u64)> = (0..MAX_DIGEST_ENTRIES as u32)
+            .map(|p| (p, u64::MAX))
+            .collect();
+        let grant = |d| WireMsg::Grant {
+            seq: u64::MAX,
+            amount: Power::MAX,
+            digest: d,
+        };
+        let ack = |d| WireMsg::Ack {
+            seq: 0xFEED_F00D_4567,
+            digest: d,
+        };
+        vec![
+            (request(None, Power::ZERO), 0, 20),
+            (request(Some(7), Power::ZERO), FLAG_FROM, 24),
+            (request(None, Power::from_milliwatts(1_017)), FLAG_BID, 28),
+            (
+                request(Some(u32::MAX), Power::MAX),
+                FLAG_FROM | FLAG_BID,
+                32,
+            ),
+            (grant(None), 0, 19),
+            (
+                grant(Some(digest(4, &[(2, 1), (3, 7)]))),
+                FLAG_DIGEST,
+                19 + 9 + 24,
+            ),
+            (
+                grant(Some(digest(u64::MAX, &full))),
+                FLAG_DIGEST,
+                MAX_WIRE_LEN,
+            ),
+            (ack(None), 0, 11),
+            // A rejoining node gossips a bare incarnation (no suspects)
+            // to refute stale suspicion of itself.
+            (ack(Some(digest(12, &[]))), FLAG_DIGEST, 11 + 9),
+        ]
+    }
+
     #[test]
-    fn request_roundtrip() {
-        for urgent in [false, true] {
-            let msg = WireMsg::Request {
-                seq: 0xDEAD_BEEF_0123,
-                urgent,
-                alpha: w(57),
-                from: None,
-                bid: Power::ZERO,
-            };
+    fn every_section_combination_roundtrips() {
+        for (msg, flags, len) in every_shape() {
             let bytes = msg.encode();
-            assert_eq!(bytes.len(), 19);
-            assert_eq!(bytes[0], WIRE_VERSION);
+            assert_eq!(bytes[0], WIRE_VERSION, "{msg:?}");
+            assert_eq!(bytes[FLAGS_AT], flags, "{msg:?}");
+            assert_eq!(bytes.len(), len, "{msg:?}");
+            assert!(bytes.len() <= MAX_WIRE_LEN);
             assert_eq!(WireMsg::decode(&bytes), Ok(msg));
         }
     }
 
     #[test]
-    fn request_with_sender_id_roundtrips_as_v2() {
-        let msg = WireMsg::Request {
-            seq: 42,
-            urgent: true,
-            alpha: w(30),
-            from: Some(NodeId::new(7)),
-            bid: Power::ZERO,
-        };
-        let bytes = msg.encode();
-        assert_eq!(bytes[0], WIRE_VERSION_DIGEST);
-        assert_eq!(bytes.len(), 23);
-        assert_eq!(WireMsg::decode(&bytes), Ok(msg));
-        // A v2 request truncated to the v1 body must not silently decode
-        // without its id section.
-        assert_eq!(WireMsg::decode(&bytes[..19]), Err(WireError::Truncated));
-    }
-
-    #[test]
-    fn bidding_request_roundtrips_as_v3() {
-        let msg = WireMsg::Request {
-            seq: 42,
-            urgent: false,
-            alpha: w(30),
-            from: Some(NodeId::new(7)),
-            bid: Power::from_milliwatts(1_017),
-        };
-        let bytes = msg.encode();
-        assert_eq!(bytes[0], WIRE_VERSION_BID);
-        assert_eq!(bytes.len(), 31);
-        assert_eq!(WireMsg::decode(&bytes), Ok(msg));
-        // Any strict prefix of the bid section must fail, not decode as
-        // a v3 request with a mangled bid.
-        for cut in 23..31 {
-            assert_eq!(WireMsg::decode(&bytes[..cut]), Err(WireError::Truncated));
-        }
-    }
-
-    #[test]
-    fn zero_bid_requests_stay_on_the_old_wire_bytes() {
-        // The urgency and predictive policies always bid zero; their
-        // datagrams must be indistinguishable from the pre-market format.
-        let bytes = WireMsg::Request {
-            seq: 9,
-            urgent: true,
-            alpha: w(12),
-            from: Some(NodeId::new(3)),
-            bid: Power::ZERO,
-        }
-        .encode();
-        assert_eq!(bytes[0], WIRE_VERSION_DIGEST);
-        assert_eq!(bytes.len(), 23);
-    }
-
-    #[test]
-    fn anonymous_bid_downgrades_to_v2_semantics() {
-        // A non-zero bid with no sender id cannot be expressed on the
-        // wire; the encoder drops the bid rather than emit an
-        // unattributable v3 datagram.
-        let bytes = WireMsg::Request {
-            seq: 5,
-            urgent: false,
-            alpha: w(8),
-            from: None,
-            bid: w(2),
-        }
-        .encode();
-        assert_eq!(bytes[0], WIRE_VERSION);
-        assert_eq!(bytes.len(), 19);
-        assert_eq!(
-            WireMsg::decode(&bytes),
-            Ok(WireMsg::Request {
-                seq: 5,
-                urgent: false,
-                alpha: w(8),
-                from: None,
-                bid: Power::ZERO,
-            })
-        );
-    }
-
-    #[test]
-    fn grant_roundtrip() {
-        let msg = WireMsg::Grant {
-            seq: u64::MAX,
-            amount: Power::from_milliwatts(123_456),
-            digest: None,
-        };
-        let bytes = msg.encode();
-        assert_eq!(bytes.len(), 18);
-        assert_eq!(WireMsg::decode(&bytes), Ok(msg));
-    }
-
-    #[test]
-    fn ack_roundtrip() {
-        let msg = WireMsg::Ack {
-            seq: 0xFEED_F00D_4567,
-            digest: None,
-        };
-        let bytes = msg.encode();
-        assert_eq!(bytes.len(), 10);
-        assert_eq!(WireMsg::decode(&bytes), Ok(msg));
-        // Truncated ack body fails cleanly.
-        assert_eq!(WireMsg::decode(&bytes[..9]), Err(WireError::Truncated));
-    }
-
-    #[test]
-    fn digest_free_messages_stay_v1_bytes() {
-        // The fault-free path must emit datagrams an old receiver parses:
-        // version byte 0x01 and the original fixed lengths.
-        let g = WireMsg::Grant {
-            seq: 7,
-            amount: w(40),
-            digest: None,
-        }
-        .encode();
-        assert_eq!(g[0], WIRE_VERSION);
-        assert_eq!(g.len(), 18);
-        let a = WireMsg::Ack {
-            seq: 7,
-            digest: None,
-        }
-        .encode();
-        assert_eq!(a[0], WIRE_VERSION);
-        assert_eq!(a.len(), 10);
-    }
-
-    #[test]
-    fn grant_with_digest_roundtrips_as_v2() {
-        let msg = WireMsg::Grant {
-            seq: 9,
-            amount: w(25),
-            digest: Some(digest(4, &[(2, 1), (3, 7)])),
-        };
-        let bytes = msg.encode();
-        assert_eq!(bytes[0], WIRE_VERSION_DIGEST);
-        assert_eq!(bytes.len(), 18 + 9 + 2 * 12);
-        assert_eq!(WireMsg::decode(&bytes), Ok(msg));
-    }
-
-    #[test]
-    fn ack_with_empty_digest_carries_incarnation_only() {
-        // A rejoining node gossips a bare incarnation (no suspects) to
-        // refute stale suspicion of itself.
-        let msg = WireMsg::Ack {
-            seq: 3,
-            digest: Some(digest(12, &[])),
-        };
-        let bytes = msg.encode();
-        assert_eq!(bytes[0], WIRE_VERSION_DIGEST);
-        assert_eq!(bytes.len(), 10 + 9);
-        assert_eq!(WireMsg::decode(&bytes), Ok(msg));
-    }
-
-    #[test]
-    fn full_digest_fits_the_declared_max() {
-        let entries: Vec<(u32, u64)> = (0..MAX_DIGEST_ENTRIES as u32)
-            .map(|p| (p, u64::MAX))
-            .collect();
-        let msg = WireMsg::Grant {
-            seq: u64::MAX,
-            amount: Power::MAX,
-            digest: Some(digest(u64::MAX, &entries)),
-        };
-        assert_eq!(msg.encode().len(), MAX_WIRE_LEN);
+    fn an_anonymous_bid_keeps_its_bid() {
+        // The frame header names the sender, so a bid needs no `from`
+        // section to be attributable.
+        let msg = request(None, w(2));
         assert_eq!(WireMsg::decode(&msg.encode()), Ok(msg));
+    }
+
+    #[test]
+    fn every_strict_prefix_is_truncated() {
+        for (msg, ..) in every_shape() {
+            let bytes = msg.encode();
+            for cut in 0..bytes.len() {
+                assert_eq!(
+                    WireMsg::decode(&bytes[..cut]),
+                    Err(WireError::Truncated),
+                    "prefix {cut} of {msg:?} must not decode"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_flag_bits_are_rejected() {
+        for (msg, flags, _) in every_shape() {
+            let defined = match msg {
+                WireMsg::Request { .. } => FLAG_FROM | FLAG_BID,
+                _ => FLAG_DIGEST,
+            };
+            for bit in (0..8).map(|b| 1u8 << b).filter(|b| defined & b == 0) {
+                let mut bytes = msg.encode();
+                bytes[FLAGS_AT] |= bit;
+                assert_eq!(
+                    WireMsg::decode(&bytes),
+                    Err(WireError::BadFlags(flags | bit)),
+                    "flag {bit:#x} on {msg:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn other_versions_and_kinds_are_rejected() {
+        for (msg, ..) in every_shape() {
+            let bytes = msg.encode();
+            for version in (0..=u8::MAX).filter(|v| *v != WIRE_VERSION) {
+                let mut forged = bytes.clone();
+                forged[0] = version;
+                assert_eq!(
+                    WireMsg::decode(&forged),
+                    Err(WireError::BadVersion(version))
+                );
+            }
+        }
+        assert_eq!(WireMsg::decode(&[9]), Err(WireError::BadVersion(9)));
+        assert_eq!(
+            WireMsg::decode(&[WIRE_VERSION, 7, 0]),
+            Err(WireError::BadKind(7))
+        );
     }
 
     #[test]
@@ -517,7 +487,7 @@ mod tests {
         .encode();
         // Forge the count byte past the cap; the decoder must refuse
         // rather than trust it.
-        bytes[18] = MAX_DIGEST_ENTRIES as u8 + 1;
+        bytes[11 + 8] = MAX_DIGEST_ENTRIES as u8 + 1;
         assert_eq!(
             WireMsg::decode(&bytes),
             Err(WireError::BadDigest(MAX_DIGEST_ENTRIES as u8 + 1))
@@ -525,67 +495,47 @@ mod tests {
     }
 
     #[test]
-    fn v2_truncated_digest_fails_cleanly() {
-        let bytes = WireMsg::Grant {
-            seq: 2,
-            amount: w(10),
-            digest: Some(digest(5, &[(1, 3)])),
-        }
-        .encode();
-        for cut in 18..bytes.len() {
-            assert_eq!(
-                WireMsg::decode(&bytes[..cut]),
-                Err(WireError::Truncated),
-                "prefix of length {cut} must not decode"
-            );
-        }
-    }
-
-    #[test]
-    fn zero_grant_roundtrip() {
-        let msg = WireMsg::Grant {
-            seq: 0,
-            amount: Power::ZERO,
-            digest: None,
-        };
-        assert_eq!(WireMsg::decode(&msg.encode()), Ok(msg));
-    }
-
-    #[test]
-    fn rejects_garbage() {
-        assert_eq!(WireMsg::decode(&[]), Err(WireError::Truncated));
-        assert_eq!(WireMsg::decode(&[1]), Err(WireError::Truncated));
-        assert_eq!(WireMsg::decode(&[9, 0]), Err(WireError::BadVersion(9)));
-        assert_eq!(WireMsg::decode(&[1, 7]), Err(WireError::BadKind(7)));
-        // Truncated request body.
-        let mut bytes = WireMsg::Request {
+    fn encoder_caps_an_oversized_digest() {
+        let many: Vec<(u32, u64)> = (0..MAX_DIGEST_ENTRIES as u32 + 3).map(|p| (p, 1)).collect();
+        let bytes = WireMsg::Ack {
             seq: 1,
-            urgent: true,
-            alpha: w(1),
-            from: None,
-            bid: Power::ZERO,
+            digest: Some(digest(1, &many)),
         }
         .encode();
-        bytes.truncate(12);
-        assert_eq!(WireMsg::decode(&bytes), Err(WireError::Truncated));
+        let Ok(WireMsg::Ack {
+            digest: Some(d), ..
+        }) = WireMsg::decode(&bytes)
+        else {
+            panic!("capped digest must decode");
+        };
+        assert_eq!(d.entries.len(), MAX_DIGEST_ENTRIES);
     }
 
     #[test]
-    fn buffers_fit_the_declared_max() {
-        let r = WireMsg::Request {
-            seq: u64::MAX,
-            urgent: true,
-            alpha: Power::MAX,
-            from: Some(NodeId::new(u32::MAX)),
-            bid: Power::MAX,
-        };
-        assert!(r.encode().len() <= MAX_WIRE_LEN);
-        let g = WireMsg::Grant {
-            seq: u64::MAX,
-            amount: Power::MAX,
-            digest: None,
-        };
-        assert!(g.encode().len() <= MAX_WIRE_LEN);
+    fn peer_messages_cross_the_wire_unchanged() {
+        let src = NodeId::new(3);
+        let msgs = [
+            PeerMsg::Request(PowerRequest {
+                from: src,
+                urgent: true,
+                alpha: w(30),
+                bid: w(2),
+                seq: 9,
+            }),
+            PeerMsg::Grant(
+                PowerGrant {
+                    amount: w(25),
+                    seq: 9,
+                },
+                Some(digest(4, &[(2, 1)])),
+            ),
+            PeerMsg::Ack(GrantAck { seq: 9 }, None),
+        ];
+        for msg in msgs {
+            let bytes = WireMsg::from_peer(msg.clone()).encode();
+            let back = WireMsg::decode(&bytes).expect("decodes").into_peer(src);
+            assert_eq!(back, msg);
+        }
     }
 
     #[test]
@@ -593,6 +543,7 @@ mod tests {
         assert!(WireError::Truncated.to_string().contains("truncated"));
         assert!(WireError::BadVersion(3).to_string().contains("version"));
         assert!(WireError::BadKind(3).to_string().contains("kind"));
+        assert!(WireError::BadFlags(8).to_string().contains("flag"));
         assert!(WireError::BadDigest(9).to_string().contains("entries"));
     }
 }
@@ -631,6 +582,19 @@ mod fuzz {
         }
 
         #[test]
+        fn decode_never_panics_behind_a_valid_header(
+            kind in 0u8..3,
+            flags in 0u8..8,
+            body in proptest::collection::vec(any::<u8>(), 0..96),
+        ) {
+            // Uniform bytes almost never get past the version check; this
+            // one fuzzes the section parsers.
+            let mut bytes = vec![WIRE_VERSION, kind, flags];
+            bytes.extend_from_slice(&body);
+            let _ = WireMsg::decode(&bytes);
+        }
+
+        #[test]
         fn arbitrary_messages_roundtrip(
             seq in any::<u64>(),
             urgent in any::<bool>(),
@@ -638,8 +602,8 @@ mod fuzz {
             kind in 0u8..4,
             digest in arb_digest(),
         ) {
-            // kind 3 exercises the v2 request (sender id derived from the
-            // same entropy as the payload).
+            // kind 3 exercises the request's optional sections (sender id
+            // and bid derived from the same entropy as the payload).
             let msg = match kind {
                 0 => WireMsg::Request {
                     seq,
@@ -652,7 +616,7 @@ mod fuzz {
                     seq,
                     urgent,
                     alpha: Power::from_milliwatts(mw),
-                    from: Some(NodeId::new((mw >> 16) as u32)),
+                    from: (mw & 1 == 0).then(|| NodeId::new((mw >> 16) as u32)),
                     bid: Power::from_milliwatts(mw ^ seq),
                 },
                 1 => WireMsg::Grant { seq, amount: Power::from_milliwatts(mw), digest },
@@ -665,12 +629,11 @@ mod fuzz {
         fn decode_is_prefix_strict(
             seq in any::<u64>(),
             mw in any::<u64>(),
-            cut in 0usize..74,
+            cut in 0usize..MAX_WIRE_LEN,
             is_ack in any::<bool>(),
             digest in arb_digest(),
         ) {
-            // Any strict prefix of a valid grant or ack fails cleanly —
-            // in both wire versions.
+            // Any strict prefix of a valid grant or ack fails cleanly.
             let bytes = if is_ack {
                 WireMsg::Ack { seq, digest }.encode()
             } else {

@@ -6,11 +6,24 @@ use std::net::UdpSocket;
 use std::thread;
 use std::time::Duration;
 
-use penelope_daemon::{run_daemon_with_socket, DaemonConfig, DaemonSummary};
+use penelope_daemon::{run_daemon_with_socket, DaemonConfig, DaemonSummary, WireMsg};
 use penelope_units::Power;
 
 fn w(x: u64) -> Power {
     Power::from_watts_u64(x)
+}
+
+/// What a daemon puts on the wire: `[dst: u32 LE][src: u32 LE][WireMsg]`.
+fn frame(dst: u32, src: u32, msg: &WireMsg) -> Vec<u8> {
+    let mut buf = dst.to_le_bytes().to_vec();
+    buf.extend_from_slice(&src.to_le_bytes());
+    buf.extend_from_slice(&msg.encode());
+    buf
+}
+
+/// The message in a received frame (header skipped), if it is one.
+fn deframe(buf: &[u8]) -> Option<WireMsg> {
+    WireMsg::decode(buf.get(8..)?).ok()
 }
 
 /// Bind `n` ephemeral localhost sockets so every daemon can know the
@@ -142,13 +155,12 @@ fn status_stream_reports_progress() {
 
 #[test]
 fn escrow_survives_requester_rebinding_a_new_port() {
-    // The granter keys escrow by *node id* (carried in v2 requests), not
-    // by socket address: a requester that crashes and comes back on a
+    // The granter keys escrow by *node id* (carried in every frame header),
+    // not by socket address: a requester that crashes and comes back on a
     // different port must still be deduplicated against its outstanding
     // grant, and its ack — from the new port — must still release the
     // entry. A SocketAddr-keyed escrow orphans the entry and double-debits
     // the pool on the re-request.
-    use penelope_daemon::WireMsg;
     use penelope_units::NodeId;
 
     let daemon_socket = UdpSocket::bind("127.0.0.1:0").expect("bind daemon");
@@ -176,10 +188,10 @@ fn escrow_survives_requester_rebinding_a_new_port() {
             from: Some(NodeId::new(1)),
             bid: Power::ZERO,
         };
-        s1.send_to(&req.encode(), daemon_addr).expect("send");
+        s1.send_to(&frame(0, 1, &req), daemon_addr).expect("send");
         // The daemon's own decider also sends us requests; skip them.
         while let Ok((len, _)) = s1.recv_from(&mut buf) {
-            if let Ok(WireMsg::Grant { seq, amount, .. }) = WireMsg::decode(&buf[..len]) {
+            if let Some(WireMsg::Grant { seq, amount, .. }) = deframe(&buf[..len]) {
                 if seq == attempt {
                     if amount.is_zero() {
                         continue 'outer; // pool still empty: try again
@@ -211,12 +223,13 @@ fn escrow_survives_requester_rebinding_a_new_port() {
         from: Some(NodeId::new(1)),
         bid: Power::ZERO,
     };
-    s2.send_to(&dup.encode(), daemon_addr).expect("send dup");
+    s2.send_to(&frame(0, 1, &dup), daemon_addr)
+        .expect("send dup");
     // The reply is the escrow dedup answer for the already-served seq,
     // not a second debit.
     let mut reminded = false;
     while let Ok((len, _)) = s2.recv_from(&mut buf) {
-        if let Ok(WireMsg::Grant { seq, .. }) = WireMsg::decode(&buf[..len]) {
+        if let Some(WireMsg::Grant { seq, .. }) = deframe(&buf[..len]) {
             if seq == granted_seq {
                 reminded = true;
                 break;
@@ -235,7 +248,8 @@ fn escrow_survives_requester_rebinding_a_new_port() {
         seq: granted_seq,
         digest: None,
     };
-    s2.send_to(&ack.encode(), daemon_addr).expect("send ack");
+    s2.send_to(&frame(0, 1, &ack), daemon_addr)
+        .expect("send ack");
     let deadline = std::time::Instant::now() + Duration::from_secs(2);
     while handle.escrow_len() != 0 && std::time::Instant::now() < deadline {
         thread::sleep(Duration::from_millis(5));
@@ -270,4 +284,129 @@ fn lone_daemon_survives_without_peers_responding() {
     assert!(summary.iterations > 10, "daemon stalled: {summary:?}");
     assert!(summary.decider.timeouts > 0, "no timeouts recorded");
     assert_eq!(summary.final_cap, w(160), "cap changed with no grants");
+}
+
+#[test]
+fn hostile_datagrams_are_counted_and_change_nothing() {
+    // A hungry daemon (250 W appetite under a 160 W cap) whose only peer
+    // is this test: its pool stays empty and its cap at 160 W, so any
+    // movement in cap, pool or escrow is the hostile traffic's doing. The
+    // protocol is not Byzantine-tolerant (a well-formed non-zero grant
+    // for a live seq *is* a grant), so the valid frames mutated below are
+    // ones whose every one-bit neighbour is malformed or harmless: a
+    // hungry node grants nothing, and under the huge seq floor a flipped
+    // zero grant keeps either its zero amount or its stale seq.
+    use penelope_core::{SuspicionDigest, SuspicionEntry, MAX_DIGEST_ENTRIES};
+    use penelope_testkit::rng::{Rng, TestRng};
+    use penelope_units::NodeId;
+
+    let attacker = UdpSocket::bind("127.0.0.1:0").expect("bind attacker");
+    let daemon_socket = UdpSocket::bind("127.0.0.1:0").expect("bind daemon");
+    let daemon_addr = daemon_socket.local_addr().unwrap();
+    let mut cfg = DaemonConfig::demo(daemon_addr, vec![attacker.local_addr().unwrap()], w(250));
+    cfg.initial_seq = 1 << 62;
+    cfg.status_every = 1;
+    let handle = run_daemon_with_socket(cfg, daemon_socket).expect("start");
+    let before = handle
+        .status_rx
+        .recv_timeout(Duration::from_secs(2))
+        .expect("first status");
+    assert_eq!((before.cap, before.pool), (w(160), Power::ZERO));
+
+    let digest = Box::new(SuspicionDigest {
+        incarnation: 3,
+        entries: vec![SuspicionEntry {
+            peer: NodeId::new(1),
+            incarnation: 1,
+        }],
+    });
+    let valid = [
+        WireMsg::Request {
+            seq: 5,
+            urgent: false,
+            alpha: w(30),
+            from: Some(NodeId::new(1)),
+            bid: w(2),
+        },
+        WireMsg::Grant {
+            seq: 5,
+            amount: Power::ZERO,
+            digest: Some(digest.clone()),
+        },
+        WireMsg::Ack {
+            seq: 5,
+            digest: Some(digest),
+        },
+    ];
+    let mut hostile: Vec<Vec<u8>> = Vec::new();
+    let mut malformed = 0u64;
+    for msg in &valid {
+        let good = frame(0, 1, msg);
+        // Every strict prefix, and the whole frame addressed to someone
+        // else or claiming to come from outside the cluster.
+        for cut in 0..good.len() {
+            hostile.push(good[..cut].to_vec());
+        }
+        hostile.push(frame(1, 0, msg));
+        hostile.push(frame(7, 1, msg));
+        hostile.push(frame(0, 9, msg));
+        malformed += good.len() as u64 + 3;
+        // Every single-bit flip (some of these are well-formed frames).
+        for bit in 0..good.len() * 8 {
+            let mut flipped = good.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            hostile.push(flipped);
+        }
+    }
+    // A digest whose count byte claims more entries than the format has.
+    let mut oversized = frame(
+        0,
+        1,
+        &WireMsg::Ack {
+            seq: 5,
+            digest: Some(Box::new(SuspicionDigest {
+                incarnation: 1,
+                entries: Vec::new(),
+            })),
+        },
+    );
+    *oversized.last_mut().unwrap() = MAX_DIGEST_ENTRIES as u8 + 1;
+    hostile.push(oversized);
+    // Random bytes of every length up to well past the largest frame.
+    let mut rng = TestRng::seed_from_u64(0xBAD_DA7A);
+    for len in 0..200usize {
+        hostile.push((0..len).map(|_| rng.gen_range(0..=u8::MAX)).collect());
+    }
+    malformed += 201;
+
+    for (k, datagram) in hostile.iter().enumerate() {
+        attacker.send_to(datagram, daemon_addr).expect("send");
+        if k % 64 == 63 {
+            // Stay under the daemon socket's receive buffer.
+            thread::sleep(Duration::from_millis(2));
+        }
+    }
+    thread::sleep(Duration::from_millis(100));
+
+    assert_eq!(handle.escrow_len(), 0, "hostile traffic created escrow");
+    let summary = handle.stop();
+    assert_eq!(
+        summary.final_cap, before.cap,
+        "hostile traffic moved the cap"
+    );
+    assert_eq!(
+        summary.final_pool, before.pool,
+        "hostile traffic moved the pool"
+    );
+    assert_eq!(summary.granted_to_peers, Power::ZERO);
+    assert!(
+        summary.rejected >= malformed,
+        "only {} of at least {malformed} malformed datagrams were counted",
+        summary.rejected
+    );
+    assert!(
+        summary.rejected < hostile.len() as u64,
+        "well-formed mutants must be dispatched, not rejected"
+    );
+    assert!(summary.iterations > 5, "the daemon stalled: {summary:?}");
 }

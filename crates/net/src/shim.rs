@@ -4,7 +4,7 @@
 //! loopback socket never drops, delays, or reorders anything — so until
 //! this module existed, every "lossy" daemon run was silently lossless.
 //! [`DatagramSocket`] abstracts the four socket operations the daemon
-//! uses; [`UdpSocket`] implements it as a passthrough, and
+//! uses (send, receive, local address, non-blocking mode); [`UdpSocket`] implements it as a passthrough, and
 //! [`FaultySocket`] wraps a socket with seeded per-direction loss,
 //! latency, and duplication so conformance sweeps exercise the
 //! escrow/ack machinery on real datagrams.
@@ -60,14 +60,15 @@ pub trait DatagramSocket: Send + Sync {
     /// fault plane consumed it — an injected drop, not an OS error.
     fn send_to(&self, buf: &[u8], dst: SocketAddr) -> io::Result<SendStatus>;
 
-    /// Receive one datagram (honours the configured read timeout).
+    /// Receive one datagram (honours the socket's read timeout, or
+    /// returns `WouldBlock` at once in non-blocking mode).
     fn recv_from(&self, buf: &mut [u8]) -> io::Result<(usize, SocketAddr)>;
 
     /// The bound local address.
     fn local_addr(&self) -> io::Result<SocketAddr>;
 
-    /// Set the receive timeout, as [`UdpSocket::set_read_timeout`].
-    fn set_read_timeout(&self, dur: Option<Duration>) -> io::Result<()>;
+    /// Enter or leave non-blocking mode, as [`UdpSocket::set_nonblocking`].
+    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()>;
 }
 
 impl DatagramSocket for UdpSocket {
@@ -83,8 +84,8 @@ impl DatagramSocket for UdpSocket {
         UdpSocket::local_addr(self)
     }
 
-    fn set_read_timeout(&self, dur: Option<Duration>) -> io::Result<()> {
-        UdpSocket::set_read_timeout(self, dur)
+    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+        UdpSocket::set_nonblocking(self, nonblocking)
     }
 }
 
@@ -435,8 +436,8 @@ impl DatagramSocket for FaultySocket {
         UdpSocket::local_addr(&self.inner)
     }
 
-    fn set_read_timeout(&self, dur: Option<Duration>) -> io::Result<()> {
-        UdpSocket::set_read_timeout(&self.inner, dur)
+    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+        UdpSocket::set_nonblocking(&self.inner, nonblocking)
     }
 }
 

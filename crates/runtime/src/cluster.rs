@@ -755,16 +755,6 @@ impl ThreadedClusterBuilder {
         self
     }
 
-    /// The shared per-node protocol knobs (decider, pool, safe range).
-    #[deprecated(
-        note = "use engine_config(EngineConfig::new(node)) — one config type across sim, \
-                runtime and daemon"
-    )]
-    pub fn node_params(mut self, node: NodeParams) -> Self {
-        self.cfg.node = node;
-        self
-    }
-
     /// Attach a protocol-event observer (it must be `Send + Sync`; every
     /// node thread emits into it).
     pub fn observer(mut self, obs: SharedObserver) -> Self {

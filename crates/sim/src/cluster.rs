@@ -1308,16 +1308,6 @@ impl ClusterSimBuilder {
         self
     }
 
-    /// The shared per-node protocol knobs (decider, pool, safe range).
-    #[deprecated(
-        note = "use engine_config(EngineConfig::new(node)) — one config type across sim, \
-                runtime and daemon"
-    )]
-    pub fn node_params(mut self, node: penelope_core::NodeParams) -> Self {
-        self.cfg.node = node;
-        self
-    }
-
     /// Attach a protocol-event observer.
     pub fn observer(mut self, obs: SharedObserver) -> Self {
         self.cfg.observer = obs;

@@ -6,7 +6,8 @@
 //! historically marked inlined protocol logic (escrow bookkeeping,
 //! suspicion-gossip merging, seq-epoch staleness, grant dedup) outside
 //! the core crate, so the triplication the engine collapsed cannot creep
-//! back in one convenient shortcut at a time.
+//! back in one convenient shortcut at a time. A second test holds the
+//! daemon crate to a single socket loop.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -101,6 +102,39 @@ fn protocol_state_machinery_stays_inside_penelope_core() {
         "protocol logic leaked out of penelope-core — route it through \
          NodeEngine::handle instead:\n  {}",
         violations.join("\n  ")
+    );
+}
+
+/// The daemon crate owns exactly one socket loop: one file receives
+/// datagrams, and no engine sits behind a lock for a second thread to
+/// share. (The per-node daemon and the multiplexed runtime used to be two
+/// loops over the same engine; the daemon is now the N = 1 case of the
+/// reactor.)
+#[test]
+fn the_daemon_crate_has_one_socket_loop() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_sources(&root.join("crates/daemon/src"), &mut files);
+    let mut receivers = Vec::new();
+    for path in &files {
+        let text = fs::read_to_string(path).expect("readable source file");
+        let name = path
+            .strip_prefix(root)
+            .unwrap_or(path)
+            .display()
+            .to_string();
+        assert!(
+            !text.contains("Mutex<NodeEngine>"),
+            "{name} shares a NodeEngine behind a mutex — the reactor owns its engines outright"
+        );
+        if text.contains("recv_from(") {
+            receivers.push(name);
+        }
+    }
+    assert_eq!(
+        receivers,
+        ["crates/daemon/src/reactor.rs"],
+        "exactly one file under crates/daemon/src may receive datagrams"
     );
 }
 
