@@ -10,7 +10,6 @@ use penelope_units::{Power, PowerRange, SimDuration};
 /// (§3.2): "if the pool size is over 300 it returns 30, and if below 10 it
 /// returns 1".
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PoolConfig {
     /// Fraction of the pool offered per transaction.
     pub fraction: f64,
@@ -72,7 +71,6 @@ impl Default for PoolConfig {
 
 /// Parameters of the local decider (Algorithm 1).
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DeciderConfig {
     /// The power margin ε: a reading within ε of the cap classifies the
     /// node as power-hungry.
@@ -178,7 +176,6 @@ impl DeciderConfig {
 /// pool and safe-range parameters cannot drift apart between deployments —
 /// a scenario tuned in simulation carries to real daemons verbatim.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeParams {
     /// Local decider parameters (Algorithm 1).
     pub decider: DeciderConfig,

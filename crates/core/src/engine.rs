@@ -5,44 +5,55 @@
 //! and peer selection, composed into one state machine that owns every
 //! protocol decision. It performs no I/O and reads no clock: the hosting
 //! substrate (discrete-event simulator, lockstep threaded runtime, UDP
-//! daemon) pumps [`EngineInput`]s into [`NodeEngine::handle`] and executes
-//! the [`EngineOutput`]s it returns — sending messages, arming timers,
-//! actuating power caps. The engine is the single emission site for every
-//! protocol trace event, so all substrates produce the identical
-//! narrative by construction; transport-layer events (`MsgSent`,
-//! `MsgRecv`, `MsgDropped`, `AckDropped`, `RequestDenied` and node
-//! lifecycle) remain the driver's responsibility because they describe
-//! the substrate, not the protocol.
+//! daemon) pumps [`EngineInput`]s into [`NodeEngine::step`], which runs
+//! the automaton and executes what it decided through the substrate's
+//! [`Effects`] — sending messages, arming timers, actuating power caps.
+//! The engine is the single emission site for every protocol trace event,
+//! so all substrates produce the identical narrative by construction;
+//! transport-layer events (`MsgSent`, `MsgRecv`, `MsgDropped`,
+//! `AckDropped`, `RequestDenied` and node lifecycle) remain the driver's
+//! responsibility because they describe the substrate, not the protocol.
 //!
 //! # The driver contract
+//!
+//! A driver is §3.3's interface — read power, set a cap, exchange small
+//! messages — plus a transport, and nothing else. It feeds inputs to
+//! [`NodeEngine::step`] and implements [`Effects`], one method per thing
+//! the engine can ask of a substrate:
 //!
 //! * **Clock** — the driver passes `now` into every call; the engine
 //!   never asks for the time.
 //! * **Randomness** — the driver passes an [`EngineRng`]; the engine
 //!   draws at most what peer selection needs (identical draw sequences to
 //!   the historical inline code, so recorded seeds replay byte-for-byte).
-//! * **Transport** — [`EngineOutput::Send`] asks the driver to route a
-//!   message; delivery, loss and latency are the driver's domain.
-//!   [`EngineOutput::SendGrant`] is the one output with a feedback
-//!   obligation: after attempting delivery the driver MUST synchronously
-//!   feed back [`EngineInput::GrantOutcome`] so the engine can escrow the
-//!   debited amount with the correct delivery knowledge.
-//! * **Timers** — [`EngineOutput::SetEscrowTimer`] requests a wake-up at
-//!   a deadline; substrates with an event queue schedule it and feed back
-//!   [`EngineInput::EscrowDeadline`], while period-polling substrates may
+//! * **Transport** — [`Effects::send`] routes a message; delivery, loss
+//!   and latency are the driver's domain, and it reports whether the
+//!   transport took the message. For a non-zero grant that answer is the
+//!   kept-or-forwarded outcome the zero-sum transaction (§3.2) hangs on:
+//!   `step` escrows the debited amount with it before doing anything
+//!   else, so no driver can forget, reorder or miscount that feedback.
+//! * **Timers** — [`Effects::escrow_timer`] requests a wake-up at a
+//!   deadline; substrates with an event queue schedule it and feed back
+//!   [`EngineInput::EscrowDeadline`], while period-polling substrates
 //!   ignore it and feed [`EngineInput::SweepEscrow`] once per period.
-//! * **Power** — [`EngineOutput::Actuate`] publishes the cap the decider
+//! * **Power** — [`Effects::actuate`] publishes the cap the decider
 //!   wants enforced; the driver applies it to RAPL (or a model of it).
+//! * **Accounting** — [`Effects::power_lost`] and [`Effects::resolved`]
+//!   tell ledgers and turnaround folds what happened; a substrate that
+//!   keeps neither says so with an empty body.
 //! * **Admission** — the pool's service-queue model (service time, queue
 //!   capacity, overload drops) stays in the driver: the engine serves a
 //!   [`PeerMsg::Request`] the moment it is fed one, so the driver feeds
 //!   it at service-completion time and emits `RequestDenied` itself on
 //!   queue overflow.
 //!
-//! Outputs are appended to a caller-supplied `Vec`, which the driver
-//! should iterate *by index*: executing a `SendGrant` re-enters
-//! [`NodeEngine::handle`] with the outcome, appending that call's outputs
-//! (the escrow timer) to the same buffer mid-iteration. This single
+//! [`NodeEngine::handle`] is the primitive underneath: one input in,
+//! [`EngineOutput`]s appended to a caller-supplied buffer, nothing
+//! executed. The transcript tests pin the automaton through it, and a
+//! harness that wants to stage outputs instead of executing them (a
+//! benchmark, a model checker) calls it directly and then owes the engine
+//! an [`EngineInput::GrantOutcome`] for every [`EngineOutput::SendGrant`]
+//! — the obligation `step` exists to discharge. Either way the one
 //! reusable buffer keeps the hot path allocation-free.
 
 use penelope_trace::{EventKind, SharedObserver, TraceEvent};
@@ -121,8 +132,9 @@ pub enum EngineInput {
         /// The message.
         msg: PeerMsg,
     },
-    /// Transport feedback for an [`EngineOutput::SendGrant`]: the driver
-    /// reports whether the grant was handed to the network. MUST be fed
+    /// Transport feedback for an [`EngineOutput::SendGrant`]: whether the
+    /// grant was handed to the network. [`NodeEngine::step`] feeds it
+    /// itself; a caller of bare [`NodeEngine::handle`] MUST feed it
     /// synchronously after attempting delivery — the engine escrows the
     /// (already pool-debited) amount based on this knowledge.
     GrantOutcome {
@@ -151,7 +163,9 @@ pub enum EngineInput {
     SweepEscrow,
 }
 
-/// One effect the driver must execute on the engine's behalf.
+/// One effect the engine asks of its substrate: what [`NodeEngine::handle`]
+/// appends to its buffer and [`NodeEngine::step`] executes through
+/// [`Effects`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum EngineOutput {
     /// Route a protocol message to a peer. `carried` is the power
@@ -218,6 +232,52 @@ pub enum EngineOutput {
         /// The granted amount (zero for an empty-handed reply).
         amount: Power,
     },
+}
+
+/// The substrate side of every [`EngineOutput`]: what a driver implements,
+/// and all it implements. [`NodeEngine::step`] calls these, statically
+/// dispatched, in the order the engine decided; there are no default
+/// bodies, so a substrate says what it does with each effect even when
+/// the answer is nothing.
+///
+/// `R` is the driver's [`EngineRng`], handed through to
+/// [`send`](Effects::send) for transports that draw from the node's own
+/// stream.
+pub trait Effects<R> {
+    /// Hand `msg` for `dst` to the transport and report whether it took
+    /// it, emitting the transport events (`MsgSent`, and `MsgDropped` /
+    /// `AckDropped` on loss). `carried` is the power travelling with the
+    /// message (zero for requests, acks and zero grants). `escrowed` marks
+    /// a non-zero grant ([`EngineOutput::SendGrant`]): its amount leaves
+    /// the granter's books only if the transport carries it, and the
+    /// returned status is what the engine escrows it under; for any other
+    /// message the status is not consulted. `rng` is the stream the
+    /// driver passed to `step`.
+    fn send(
+        &mut self,
+        rng: &mut R,
+        dst: NodeId,
+        msg: PeerMsg,
+        carried: Power,
+        escrowed: bool,
+    ) -> bool;
+
+    /// Apply `cap` to the node's power interface
+    /// ([`EngineOutput::Actuate`]).
+    fn actuate(&mut self, cap: Power);
+
+    /// Arm (or re-arm) a wake-up at `at` for the escrow entry
+    /// `(requester, seq)` ([`EngineOutput::SetEscrowTimer`]); substrates
+    /// that sweep per period do nothing here.
+    fn escrow_timer(&mut self, requester: NodeId, seq: u64, at: SimTime);
+
+    /// Book `amount` as gone from the system
+    /// ([`EngineOutput::PowerLost`]).
+    fn power_lost(&mut self, amount: Power);
+
+    /// The outstanding request `seq` was answered with `amount`
+    /// ([`EngineOutput::Resolved`]).
+    fn resolved(&mut self, seq: u64, amount: Power);
 }
 
 /// The complete Penelope node automaton — see the [module docs](self)
@@ -471,9 +531,62 @@ impl NodeEngine {
         }
     }
 
-    /// Advance the automaton by one input, appending the effects the
-    /// driver must execute to `out` (the buffer is NOT cleared — drivers
-    /// reuse one buffer and iterate by index; see the module docs).
+    /// Advance the automaton by one input and execute everything it
+    /// decided through `fx` — the one loop every substrate shares.
+    ///
+    /// Outputs leave `buf` by value, in order. After a
+    /// [`SendGrant`](EngineOutput::SendGrant) the delivery status `fx`
+    /// reported is fed straight back as the
+    /// [`GrantOutcome`](EngineInput::GrantOutcome) input and the escrow
+    /// timer it arms goes to `fx` too, so the debit, the send and the
+    /// escrow entry are one step no driver can split. `buf` must come in
+    /// empty and is left empty (capacity kept) for the next call.
+    ///
+    /// Returns how many inputs the engine handled: `input` itself plus one
+    /// per grant outcome fed back.
+    pub fn step<R: EngineRng>(
+        &mut self,
+        now: SimTime,
+        input: EngineInput,
+        rng: &mut R,
+        buf: &mut Vec<EngineOutput>,
+        fx: &mut impl Effects<R>,
+    ) -> u64 {
+        debug_assert!(buf.is_empty(), "step needs an empty output buffer");
+        self.handle(now, input, rng, buf);
+        let mut handled = 1;
+        for out in buf.drain(..) {
+            match out {
+                EngineOutput::Send { dst, msg, carried } => {
+                    fx.send(rng, dst, msg, carried, false);
+                }
+                EngineOutput::SendGrant {
+                    dst,
+                    msg,
+                    amount,
+                    seq,
+                } => {
+                    let delivered = fx.send(rng, dst, msg, amount, true);
+                    let at = self.on_grant_outcome(now, dst, seq, amount, delivered);
+                    fx.escrow_timer(dst, seq, at);
+                    handled += 1;
+                }
+                EngineOutput::SetEscrowTimer { requester, seq, at } => {
+                    fx.escrow_timer(requester, seq, at)
+                }
+                EngineOutput::Actuate { cap } => fx.actuate(cap),
+                EngineOutput::PowerLost { amount } => fx.power_lost(amount),
+                EngineOutput::Resolved { seq, amount } => fx.resolved(seq, amount),
+            }
+        }
+        handled
+    }
+
+    /// The primitive under [`step`](NodeEngine::step): advance the
+    /// automaton by one input, appending its outputs to `out` (which is
+    /// NOT cleared) and executing none of them. The caller owes a
+    /// [`GrantOutcome`](EngineInput::GrantOutcome) for every
+    /// [`SendGrant`](EngineOutput::SendGrant) it finds there.
     pub fn handle(
         &mut self,
         now: SimTime,
@@ -493,7 +606,10 @@ impl NodeEngine {
                 seq,
                 amount,
                 delivered,
-            } => self.on_grant_outcome(now, requester, seq, amount, delivered, out),
+            } => {
+                let at = self.on_grant_outcome(now, requester, seq, amount, delivered);
+                out.push(EngineOutput::SetEscrowTimer { requester, seq, at });
+            }
             EngineInput::EscrowDeadline { requester, seq } => {
                 if let Some(entry) = self.escrow.expire_one(requester, seq, now) {
                     self.reclaim(now, entry.requester, entry.seq, entry.amount, entry.state);
@@ -705,6 +821,7 @@ impl NodeEngine {
 
     /// Transport feedback for a [`EngineOutput::SendGrant`]: escrow the
     /// debited amount with the delivery knowledge the driver reports.
+    /// Returns the entry's deadline, for the escrow timer.
     fn on_grant_outcome(
         &mut self,
         now: SimTime,
@@ -712,8 +829,7 @@ impl NodeEngine {
         seq: u64,
         amount: Power,
         delivered: bool,
-        out: &mut Vec<EngineOutput>,
-    ) {
+    ) -> SimTime {
         let fresh = self.escrow.get(requester, seq).is_none();
         let deadline = now + self.cfg.node.decider.escrow_timeout();
         let state = if delivered {
@@ -729,11 +845,7 @@ impl NodeEngine {
                 amount,
             });
         }
-        out.push(EngineOutput::SetEscrowTimer {
-            requester,
-            seq,
-            at: deadline,
-        });
+        deadline
     }
 
     /// A grant arrived for this node's outstanding request.

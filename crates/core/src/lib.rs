@@ -25,8 +25,9 @@
 //! suspicion/gossip and peer selection — compose into [`NodeEngine`], the
 //! complete per-node protocol automaton behind a sans-IO API: the caller
 //! (the discrete-event simulator, the lockstep threaded runtime or the
-//! UDP daemon) pumps [`EngineInput`]s into [`NodeEngine::handle`] and
-//! executes the [`EngineOutput`]s it returns. This is what lets every
+//! UDP daemon) pumps [`EngineInput`]s into [`NodeEngine::step`] and
+//! implements [`Effects`], the substrate side of every [`EngineOutput`];
+//! the loop that executes them lives here once. This is what lets every
 //! experiment in the paper run the *same* algorithm code over different
 //! substrates, and what makes a protocol change land once and work
 //! everywhere. All engines are configured through one [`EngineConfig`],
@@ -53,7 +54,7 @@ pub mod protocol;
 pub use config::{DeciderConfig, NodeParams, PoolConfig};
 pub use decider::{Classification, DeciderStats, LocalDecider, TickAction, APPLIED_SEQ_WINDOW};
 pub use discovery::{choose_peer, initial_rr_cursor, DiscoveryStrategy, EngineRng};
-pub use engine::{EngineConfig, EngineInput, EngineOutput, NodeEngine};
+pub use engine::{Effects, EngineConfig, EngineInput, EngineOutput, NodeEngine};
 pub use escrow::{EscrowEntry, EscrowState, GrantEscrow};
 pub use fair::fair_assignment;
 pub use policy::{DeciderPolicy, MarketConfig, PredictiveConfig};

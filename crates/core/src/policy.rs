@@ -44,7 +44,6 @@ use penelope_units::Power;
 
 /// Parameters of the predictive (forecasting) decider policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PredictiveConfig {
     /// EWMA weight (in permille) given to the newest reading:
     /// `forecast' = (w·reading + (1000−w)·forecast) / 1000`, in exact
@@ -68,7 +67,6 @@ impl Default for PredictiveConfig {
 
 /// Parameters of the market (bid/ask) decider policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MarketConfig {
     /// The floor every bid starts from; a node bids
     /// `base_bid + (initial_cap − cap)`, so deprivation is what raises a
@@ -95,7 +93,6 @@ impl Default for MarketConfig {
 /// see the [module docs](self) for what lives in the policy versus the
 /// shared engine.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DeciderPolicy {
     /// The paper's Algorithm 1 urgency protocol (the default; exactly the
     /// pre-seam behaviour).

@@ -13,7 +13,6 @@ use penelope_units::{NodeId, Power};
 
 /// A decider's request for power, addressed to another node's pool.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PowerRequest {
     /// The requesting node (where the grant should be sent).
     pub from: NodeId,
@@ -35,7 +34,6 @@ pub struct PowerRequest {
 
 /// A pool's response to a [`PowerRequest`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PowerGrant {
     /// Power transferred. The pool has already debited this amount, so the
     /// recipient *must* either raise its cap by it or re-deposit it —
@@ -50,7 +48,6 @@ pub struct PowerGrant {
 /// escrow entry for `seq`; until then the granter treats the grant as
 /// possibly lost and will re-credit it to its own pool on timeout.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GrantAck {
     /// Echo of the granted request's sequence number.
     pub seq: u64,
@@ -65,7 +62,6 @@ pub const MAX_DIGEST_ENTRIES: usize = 4;
 /// known to be at `incarnation`. Receivers adopt the entry only if they
 /// have no evidence of a newer incarnation of `peer`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SuspicionEntry {
     /// The suspected node.
     pub peer: NodeId,
@@ -82,7 +78,6 @@ pub struct SuspicionEntry {
 /// `incarnation`, so stale suspicions of a rejoined node are refuted by
 /// the very messages it sends.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SuspicionDigest {
     /// The sender's own incarnation (seq-epoch floor).
     pub incarnation: u64,
@@ -97,7 +92,6 @@ pub struct SuspicionDigest {
 /// option is `None` on every fault-free run, so the hot path allocates
 /// nothing and the message stays a few machine words.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PeerMsg {
     /// Decider → pool.
     Request(PowerRequest),

@@ -9,10 +9,10 @@
 //! Every packet names its source and destination, and one loop forwards by
 //! header: [`Reactor::dispatch`] turns a received frame into an
 //! [`EngineInput::Msg`] for the engine `dst` names, and [`Reactor::drive`]
-//! executes the engine's outputs — sends go to the address the
-//! `NodeId → SocketAddr` table holds for their destination, and a
-//! `SendGrant`'s delivery status is fed straight back as
-//! [`EngineInput::GrantOutcome`]. A sender is identified by the id in the
+//! steps that engine with the reactor's [`Effects`] — sends go to the
+//! address the `NodeId → SocketAddr` table holds for their destination,
+//! and whether the kernel took a grant's frame is the delivery status the
+//! engine escrows it under. A sender is identified by the id in the
 //! header, never by looking its address up. Nothing ever blocks on a
 //! reply: a grant is just another frame, applied whenever it arrives (the
 //! engine's own blocked/timeout state decides what a late one means).
@@ -28,8 +28,8 @@
 //! deterministic fault plane (`penelope_net::FaultySocket`) under a live
 //! reactor. An injected drop comes back as [`SendStatus::Dropped`]: the
 //! reactor *knows* the datagram never left, emits `MsgDropped` (or
-//! `AckDropped`), and — for grants — feeds `delivered = false` into the
-//! engine so the amount is escrowed as undelivered and reclaimed at the
+//! `AckDropped`), and — for grants — reports the send as not carried, so
+//! the engine escrows the amount as undelivered and reclaims it at the
 //! deadline instead of leaking. A real OS send error is different news
 //! and is counted separately as `send_failed`.
 
@@ -38,7 +38,7 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Instant;
 
-use penelope_core::{EngineInput, EngineOutput, NodeEngine, PeerMsg};
+use penelope_core::{Effects, EngineInput, EngineOutput, NodeEngine, PeerMsg};
 use penelope_net::shim::{DatagramSocket, SendStatus};
 use penelope_power::{CappedDevice, LinuxRapl, PowerInterface, SimulatedRapl};
 use penelope_testkit::rng::TestRng;
@@ -148,7 +148,7 @@ pub(crate) struct Reactor {
     /// Round-trip stamping; `None` on a long-lived daemon, which must not
     /// grow a sample per request forever.
     pub(crate) rtt: Option<RttLedger>,
-    /// Reusable engine-output buffer (see [`Reactor::drive`]).
+    /// Reusable engine-output buffer for [`Reactor::drive`].
     scratch: Vec<EngineOutput>,
     pub(crate) counters: Counters,
 }
@@ -181,122 +181,24 @@ impl Reactor {
         }
     }
 
-    fn emit(&self, node: NodeId, at: SimTime, kind: EventKind) {
-        self.obs.emit(|| TraceEvent {
-            at,
-            node,
-            period: at.as_nanos() / self.period_ns,
-            kind,
-        });
-    }
-
-    /// Send one frame from `src` to the table's address for `dst`,
-    /// returning whether the kernel took it (an injected drop or OS error
-    /// returns `false`).
-    fn send(
-        &mut self,
-        src: NodeId,
-        now: SimTime,
-        dst: NodeId,
-        msg: PeerMsg,
-        carried: Power,
-    ) -> bool {
-        let wire = WireMsg::from_peer(msg);
-        let status = match self.addrs.get(dst.index()) {
-            Some(addr) => self.tx.send_to(&frame(dst, src, &wire), *addr).ok(),
-            None => None,
-        };
-        let kind = match (status, &wire) {
-            (Some(SendStatus::Sent), _) => {
-                self.counters.frames_sent += 1;
-                EventKind::MsgSent { dst, carried }
-            }
-            // A dropped ack conserves power (the amount already landed in
-            // the sender's cap; the granter's entry simply expires
-            // without credit) but must be visible as such.
-            (Some(SendStatus::Dropped), WireMsg::Ack { seq, .. }) => {
-                self.counters.injected_drops += 1;
-                EventKind::AckDropped { dst, seq: *seq }
-            }
-            (Some(SendStatus::Dropped), _) => {
-                self.counters.injected_drops += 1;
-                EventKind::MsgDropped { dst, carried }
-            }
-            (None, _) => {
-                self.counters.send_failed += 1;
-                EventKind::SendFailed { dst }
-            }
-        };
-        self.emit(src, now, kind);
-        status == Some(SendStatus::Sent)
-    }
-
-    /// Feed one input to engine `i` and execute every resulting output —
-    /// sends inline (so `GrantOutcome` feedback is synchronous, as the
-    /// engine contract requires), cap actuations into the plant, round
-    /// trips into the RTT ledger.
+    /// Feed one input to engine `i`; [`ReactorFx`] executes what it
+    /// decides — sends inline, cap actuations into the plant, round trips
+    /// into the RTT ledger.
     pub(crate) fn drive(&mut self, i: usize, now: SimTime, input: EngineInput) {
         self.counters.events += 1;
-        let me = self.engines[i].id();
-        let mut out = std::mem::take(&mut self.scratch);
-        out.clear();
-        self.engines[i].handle(now, input, &mut self.rngs[i], &mut out);
-        // Iterate by index: GrantOutcome feedback appends to the buffer.
-        let mut k = 0;
-        while k < out.len() {
-            let item = out[k].clone();
-            k += 1;
-            match item {
-                EngineOutput::Actuate { cap } => self.plant.set_cap(cap, now),
-                EngineOutput::Send { dst, msg, carried } => {
-                    if let (Some(rtt), PeerMsg::Request(req)) = (&mut self.rtt, &msg) {
-                        // Stamp before the syscall so the sample covers
-                        // the full kernel round trip. A dropped request
-                        // still opens the engine's wait window — its
-                        // stamp dies unresolved, like the timeout it
-                        // causes.
-                        rtt.pending.insert((me.raw(), req.seq), Instant::now());
-                    }
-                    self.send(me, now, dst, msg, carried);
-                }
-                EngineOutput::SendGrant {
-                    dst,
-                    msg,
-                    amount,
-                    seq,
-                } => {
-                    // The ledger follows the shim's knowledge: only a
-                    // datagram the network actually took departs the
-                    // granter. A known drop (or a failed send) keeps the
-                    // amount escrowed as undelivered, to be reclaimed at
-                    // the deadline.
-                    let delivered = self.send(me, now, dst, msg, amount);
-                    self.engines[i].handle(
-                        now,
-                        EngineInput::GrantOutcome {
-                            requester: dst,
-                            seq,
-                            amount,
-                            delivered,
-                        },
-                        &mut self.rngs[i],
-                        &mut out,
-                    );
-                }
-                // Escrow is swept in bulk each tick.
-                EngineOutput::SetEscrowTimer { .. } => {}
-                EngineOutput::PowerLost { amount } => self.counters.lost += amount,
-                EngineOutput::Resolved { seq, .. } => {
-                    if let Some(rtt) = &mut self.rtt {
-                        if let Some(t0) = rtt.pending.remove(&(me.raw(), seq)) {
-                            let ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                            rtt.samples_ns.push(ns);
-                        }
-                    }
-                }
-            }
-        }
-        self.scratch = out;
+        let mut fx = ReactorFx {
+            me: self.engines[i].id(),
+            now,
+            plant: &mut self.plant,
+            tx: &*self.tx,
+            addrs: &self.addrs,
+            obs: &self.obs,
+            period_ns: self.period_ns,
+            rtt: &mut self.rtt,
+            counters: &mut self.counters,
+        };
+        let rng = &mut self.rngs[i];
+        self.engines[i].step(now, input, rng, &mut self.scratch, &mut fx);
     }
 
     /// One decider iteration for engine `i`: bulk escrow expiry (per-entry
@@ -332,11 +234,9 @@ impl Reactor {
             WireMsg::Grant { amount, .. } => *amount,
             _ => Power::ZERO,
         };
-        self.emit(
-            self.engines[i].id(),
-            now,
-            EventKind::MsgRecv { src, carried },
-        );
+        let me = self.engines[i].id();
+        let kind = EventKind::MsgRecv { src, carried };
+        emit(&self.obs, self.period_ns, me, now, kind);
         let msg = msg.into_peer(src);
         self.drive(i, now, EngineInput::Msg { src, msg });
     }
@@ -352,6 +252,101 @@ impl Reactor {
                 true
             }
             Err(_) => false,
+        }
+    }
+}
+
+/// Stamp one transport event with `at / period_ns` as its period.
+fn emit(obs: &SharedObserver, period_ns: u64, node: NodeId, at: SimTime, kind: EventKind) {
+    obs.emit(|| TraceEvent {
+        at,
+        node,
+        period: at.as_nanos() / period_ns,
+        kind,
+    });
+}
+
+/// The reactor's side of one engine step for node `me`.
+struct ReactorFx<'a> {
+    me: NodeId,
+    now: SimTime,
+    plant: &'a mut Plant,
+    tx: &'a dyn DatagramSocket,
+    addrs: &'a [SocketAddr],
+    obs: &'a SharedObserver,
+    period_ns: u64,
+    rtt: &'a mut Option<RttLedger>,
+    counters: &'a mut Counters,
+}
+
+impl Effects<TestRng> for ReactorFx<'_> {
+    /// Send one frame to the table's address for `dst`. The ledger
+    /// follows the shim's knowledge: only a datagram the kernel took
+    /// counts as carried, so a grant behind a known drop (or a failed
+    /// send) stays escrowed as undelivered and is reclaimed at the
+    /// deadline.
+    fn send(
+        &mut self,
+        _: &mut TestRng,
+        dst: NodeId,
+        msg: PeerMsg,
+        carried: Power,
+        _escrowed: bool,
+    ) -> bool {
+        if let (Some(rtt), PeerMsg::Request(req)) = (&mut *self.rtt, &msg) {
+            // Stamp before the syscall so the sample covers the full
+            // kernel round trip. A dropped request still opens the
+            // engine's wait window — its stamp dies unresolved, like the
+            // timeout it causes.
+            rtt.pending.insert((self.me.raw(), req.seq), Instant::now());
+        }
+        let wire = WireMsg::from_peer(msg);
+        let status = match self.addrs.get(dst.index()) {
+            Some(addr) => self.tx.send_to(&frame(dst, self.me, &wire), *addr).ok(),
+            None => None,
+        };
+        let kind = match (status, &wire) {
+            (Some(SendStatus::Sent), _) => {
+                self.counters.frames_sent += 1;
+                EventKind::MsgSent { dst, carried }
+            }
+            // A dropped ack conserves power (the amount already landed in
+            // the sender's cap; the granter's entry simply expires
+            // without credit) but must be visible as such.
+            (Some(SendStatus::Dropped), WireMsg::Ack { seq, .. }) => {
+                self.counters.injected_drops += 1;
+                EventKind::AckDropped { dst, seq: *seq }
+            }
+            (Some(SendStatus::Dropped), _) => {
+                self.counters.injected_drops += 1;
+                EventKind::MsgDropped { dst, carried }
+            }
+            (None, _) => {
+                self.counters.send_failed += 1;
+                EventKind::SendFailed { dst }
+            }
+        };
+        emit(self.obs, self.period_ns, self.me, self.now, kind);
+        status == Some(SendStatus::Sent)
+    }
+
+    fn actuate(&mut self, cap: Power) {
+        self.plant.set_cap(cap, self.now);
+    }
+
+    /// Escrow is swept in bulk each tick.
+    fn escrow_timer(&mut self, _requester: NodeId, _seq: u64, _at: SimTime) {}
+
+    fn power_lost(&mut self, amount: Power) {
+        self.counters.lost += amount;
+    }
+
+    fn resolved(&mut self, seq: u64, _amount: Power) {
+        if let Some(rtt) = self.rtt {
+            if let Some(t0) = rtt.pending.remove(&(self.me.raw(), seq)) {
+                let ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+                rtt.samples_ns.push(ns);
+            }
         }
     }
 }

@@ -8,7 +8,6 @@ use penelope_units::SimDuration;
 /// The paper's testbed is a LAN where round trips are well under a
 /// millisecond; the default models a 50 µs one-way latency with mild jitter.
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum LatencyModel {
     /// Every message takes exactly this long.
     Constant(SimDuration),

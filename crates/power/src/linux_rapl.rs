@@ -227,10 +227,14 @@ mod tests {
     use super::*;
 
     /// Build a synthetic powercap tree with `n` package domains plus a
-    /// decoy subdomain, returning its root.
+    /// decoy subdomain, returning its root. Every call gets a directory
+    /// of its own: the tests run on parallel threads of one process, and
+    /// each of them rewrites (one of them deletes) the tree it was given.
     fn fake_tree(n: usize) -> PathBuf {
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let k = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let root =
-            std::env::temp_dir().join(format!("penelope-rapl-test-{}-{n}", std::process::id()));
+            std::env::temp_dir().join(format!("penelope-rapl-test-{}-{k}-{n}", std::process::id()));
         let _ = fs::remove_dir_all(&root);
         for i in 0..n {
             let d = root.join(format!("intel-rapl:{i}"));

@@ -8,7 +8,6 @@ use crate::iface::PowerInterface;
 
 /// Configuration of the simulated RAPL domain.
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RaplConfig {
     /// Safe powercap range for the node.
     pub safe_range: PowerRange,

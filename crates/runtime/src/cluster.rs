@@ -7,8 +7,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use penelope_core::{
-    fair_assignment, DeciderConfig, DiscoveryStrategy, EngineConfig, EngineInput, EngineOutput,
-    NodeEngine, NodeParams, PeerMsg,
+    fair_assignment, DeciderConfig, DiscoveryStrategy, Effects, EngineConfig, EngineInput,
+    EngineOutput, NodeEngine, NodeParams, PeerMsg,
 };
 use penelope_net::{Envelope, ThreadEndpoint, ThreadNet};
 use penelope_power::RaplConfig;
@@ -110,6 +110,55 @@ impl Emitter {
             kind: kind(),
         });
     }
+}
+
+/// One node thread's side of an engine step: the thread-net endpoint, the
+/// node's hardware and the event stamper.
+struct ThreadFx<'a> {
+    now: SimTime,
+    ep: &'a ThreadEndpoint<PeerMsg>,
+    /// Added to a destination's logical id to find its endpoint: `n` from
+    /// a pool thread (deciders listen on `n..2n`), 0 from a decider thread
+    /// (pools listen on `0..n`).
+    endpoint_base: usize,
+    hw: &'a NodeHardware,
+    em: &'a Emitter,
+    /// The seq of the request this step sent, if it sent one.
+    requested: Option<u64>,
+}
+
+impl Effects<TestRng> for ThreadFx<'_> {
+    fn send(
+        &mut self,
+        _: &mut TestRng,
+        dst: NodeId,
+        msg: PeerMsg,
+        carried: Power,
+        _escrowed: bool,
+    ) -> bool {
+        if let PeerMsg::Request(req) = &msg {
+            self.requested = Some(req.seq);
+        }
+        let endpoint = NodeId::new((self.endpoint_base + dst.index()) as u32);
+        let delivered = self.ep.send(endpoint, msg);
+        self.em
+            .emit(self.now, || EventKind::MsgSent { dst, carried });
+        delivered
+    }
+
+    fn actuate(&mut self, cap: Power) {
+        self.hw.set_cap(cap);
+    }
+
+    /// Escrow is swept in bulk at every pool-thread wake.
+    fn escrow_timer(&mut self, _requester: NodeId, _seq: u64, _at: SimTime) {}
+
+    /// This substrate keeps no running ledger: [`ThreadedReport`] audits
+    /// the end state against the budget.
+    fn power_lost(&mut self, _amount: Power) {}
+
+    /// Nor a turnaround fold.
+    fn resolved(&mut self, _seq: u64, _amount: Power) {}
 }
 
 /// Entry points for running a whole cluster on real threads.
@@ -235,6 +284,7 @@ impl ThreadedCluster {
         for (i, ep) in pool_eps.into_iter().enumerate() {
             let engine = Arc::clone(&engines[i]);
             let stop = Arc::clone(&shutdown);
+            let hw_i = Arc::clone(&hw[i]);
             let em = Emitter::new(
                 cfg.observer.clone(),
                 NodeId::new(i as u32),
@@ -246,105 +296,44 @@ impl ThreadedCluster {
                 // grant is held, keyed by requester id and seq echo, until
                 // its ack; an undeliverable grant's power flows back into
                 // the pool at the deadline instead of silently vanishing.
-                // The rng is demanded by the `handle` signature but never
+                // The rng is demanded by the `step` signature but never
                 // drawn on the serve path.
                 let mut rng = TestRng::seed_from_u64(0);
                 let mut outputs: Vec<EngineOutput> = Vec::new();
+                // Replies route to the requester's *decider* endpoint
+                // (`n..2n`), so grants and requests never share a queue.
+                let mut step = |now, input| {
+                    let mut fx = ThreadFx {
+                        now,
+                        ep: &ep,
+                        endpoint_base: n,
+                        hw: &hw_i,
+                        em: &em,
+                        requested: None,
+                    };
+                    let mut eng = engine.lock().unwrap();
+                    eng.step(now, input, &mut rng, &mut outputs, &mut fx);
+                };
                 while !stop.load(Ordering::Relaxed) {
                     // Bulk escrow expiry each wake; the per-entry timers
                     // the engine requests are never armed on this
-                    // substrate. Sweeps produce no outputs.
-                    engine.lock().unwrap().handle(
-                        clock.now(),
-                        EngineInput::SweepEscrow,
-                        &mut rng,
-                        &mut outputs,
-                    );
+                    // substrate.
+                    step(clock.now(), EngineInput::SweepEscrow);
                     if let Some(env) = ep.recv_timeout(Duration::from_millis(5)) {
-                        let now = clock.now();
-                        match env.msg {
-                            PeerMsg::Request(req) => {
-                                // `req.from` carries the logical node id;
-                                // replies route to that node's *decider*
-                                // endpoint (`n..2n`), so grants and
-                                // requests never share a queue.
-                                let mut eng = engine.lock().unwrap();
-                                eng.handle(
-                                    now,
-                                    EngineInput::Msg {
-                                        src: req.from,
-                                        msg: PeerMsg::Request(req),
-                                    },
-                                    &mut rng,
-                                    &mut outputs,
-                                );
-                                let mut k = 0;
-                                while k < outputs.len() {
-                                    let out = outputs[k].clone();
-                                    k += 1;
-                                    match out {
-                                        // A zero grant (empty-handed reply
-                                        // or ack-raced reminder) is
-                                        // fire-and-forget.
-                                        EngineOutput::Send { dst, msg, carried } => {
-                                            let _ =
-                                                ep.send(NodeId::new((n + dst.index()) as u32), msg);
-                                            em.emit(now, || EventKind::MsgSent { dst, carried });
-                                        }
-                                        EngineOutput::SendGrant {
-                                            dst,
-                                            msg,
-                                            amount,
-                                            seq,
-                                        } => {
-                                            let delivered =
-                                                ep.send(NodeId::new((n + dst.index()) as u32), msg);
-                                            em.emit(now, || EventKind::MsgSent {
-                                                dst,
-                                                carried: amount,
-                                            });
-                                            // The feedback appends the
-                                            // engine's escrow bookkeeping
-                                            // to this same buffer.
-                                            eng.handle(
-                                                now,
-                                                EngineInput::GrantOutcome {
-                                                    requester: dst,
-                                                    seq,
-                                                    amount,
-                                                    delivered,
-                                                },
-                                                &mut rng,
-                                                &mut outputs,
-                                            );
-                                        }
-                                        EngineOutput::SetEscrowTimer { .. } => {}
-                                        EngineOutput::Actuate { .. }
-                                        | EngineOutput::PowerLost { .. }
-                                        | EngineOutput::Resolved { .. } => {}
-                                    }
-                                }
-                                outputs.clear();
+                        let src = match &env.msg {
+                            // `req.from` carries the logical node id.
+                            PeerMsg::Request(req) => req.from,
+                            // The transfer committed; drop the claim. Acks
+                            // arrive from decider endpoints (`n..2n`);
+                            // translate back to the logical id the escrow
+                            // is keyed by.
+                            PeerMsg::Ack(..) => {
+                                NodeId::new(env.src.index().saturating_sub(n) as u32)
                             }
-                            PeerMsg::Ack(a, digest) => {
-                                // The transfer committed; drop the claim.
-                                // Acks arrive from decider endpoints
-                                // (`n..2n`); translate back to the logical
-                                // id the escrow is keyed by.
-                                let src = NodeId::new(env.src.index().saturating_sub(n) as u32);
-                                engine.lock().unwrap().handle(
-                                    now,
-                                    EngineInput::Msg {
-                                        src,
-                                        msg: PeerMsg::Ack(a, digest),
-                                    },
-                                    &mut rng,
-                                    &mut outputs,
-                                );
-                                outputs.clear();
-                            }
-                            PeerMsg::Grant(..) => {}
-                        }
+                            PeerMsg::Grant(..) => continue,
+                        };
+                        let msg = env.msg;
+                        step(clock.now(), EngineInput::Msg { src, msg });
                     }
                 }
                 ep
@@ -363,6 +352,22 @@ impl ThreadedCluster {
                 let em = Emitter::new(cfg.observer.clone(), me, cfg.node.decider.period);
                 let mut rng = TestRng::seed_from_u64(cfg.seed.wrapping_add(i as u64));
                 let mut outputs: Vec<EngineOutput> = Vec::new();
+                // A pool endpoint shares its node's logical id, so requests
+                // and acks route to `dst` as-is. Returns the seq of the
+                // request the step sent, if any.
+                let mut step = |now, input| {
+                    let mut fx = ThreadFx {
+                        now,
+                        ep: &ep,
+                        endpoint_base: 0,
+                        hw: &hw_i,
+                        em: &em,
+                        requested: None,
+                    };
+                    let mut eng = engine.lock().unwrap();
+                    eng.step(now, input, &mut rng, &mut outputs, &mut fx);
+                    fx.requested
+                };
                 // Messages that arrived during a grant wait but were not
                 // the reply being waited for; replayed into the next wait
                 // instead of being discarded.
@@ -376,32 +381,7 @@ impl ThreadedCluster {
                     // probe interval re-admits them; fault-free this draws
                     // exactly the historical uniform pick), Algorithm 1,
                     // and the CapActuated sample — all inside the engine.
-                    engine.lock().unwrap().handle(
-                        now,
-                        EngineInput::Tick { reading },
-                        &mut rng,
-                        &mut outputs,
-                    );
-                    let mut await_seq: Option<u64> = None;
-                    for out in outputs.drain(..) {
-                        match out {
-                            EngineOutput::Actuate { cap } => hw_i.set_cap(cap),
-                            EngineOutput::Send { dst, msg, .. } => {
-                                if let PeerMsg::Request(req) = &msg {
-                                    await_seq = Some(req.seq);
-                                }
-                                // The target's pool endpoint shares its
-                                // logical id, so `dst` routes as-is.
-                                let _ = ep.send(dst, msg);
-                                em.emit(now, || EventKind::MsgSent {
-                                    dst,
-                                    carried: Power::ZERO,
-                                });
-                            }
-                            _ => {}
-                        }
-                    }
-                    if let Some(seq) = await_seq {
+                    if let Some(seq) = step(now, EngineInput::Tick { reading }) {
                         // Block for the pool's reply, as the paper's
                         // decider does — but without discarding whatever
                         // else arrives meanwhile. A late grant (an older
@@ -436,32 +416,12 @@ impl ThreadedCluster {
                                     let g_seq = g.seq;
                                     // Grants arrive from pool endpoints
                                     // (`0..n`), so `env.src` is already
-                                    // the granter's logical id.
-                                    engine.lock().unwrap().handle(
-                                        now2,
-                                        EngineInput::Msg {
-                                            src: env.src,
-                                            msg: PeerMsg::Grant(g, digest),
-                                        },
-                                        &mut rng,
-                                        &mut outputs,
-                                    );
-                                    for out in outputs.drain(..) {
-                                        match out {
-                                            EngineOutput::Actuate { cap } => hw_i.set_cap(cap),
-                                            // The commit ack, addressed to
-                                            // the granter's pool endpoint
-                                            // so it releases its escrow.
-                                            EngineOutput::Send { dst, msg, .. } => {
-                                                let _ = ep.send(dst, msg);
-                                                em.emit(now2, || EventKind::MsgSent {
-                                                    dst,
-                                                    carried: Power::ZERO,
-                                                });
-                                            }
-                                            _ => {}
-                                        }
-                                    }
+                                    // the granter's logical id. The engine
+                                    // applies the grant, actuates, and
+                                    // sends the commit ack that releases
+                                    // the granter's escrow.
+                                    let msg = PeerMsg::Grant(g, digest);
+                                    step(now2, EngineInput::Msg { src: env.src, msg });
                                     if g_seq == seq {
                                         break;
                                     }

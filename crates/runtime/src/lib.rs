@@ -11,7 +11,10 @@
 //! It exists to demonstrate that the *identical* decider/pool/client state
 //! machines from `penelope-core` and `penelope-slurm` run unchanged against
 //! real concurrency — locks, races, blocking waits — not just under the
-//! deterministic simulator. Tests keep periods in the milliseconds so a
+//! deterministic simulator. Both of a Penelope node's threads step the
+//! node's one locked `NodeEngine` through the same `Effects` mapping
+//! (endpoint routing, hardware cap, `MsgSent`), differing only in which
+//! endpoint range their messages go to. Tests keep periods in the milliseconds so a
 //! whole cluster run takes a second or two.
 
 #![forbid(unsafe_code)]

@@ -1,9 +1,9 @@
 //! The cluster simulator.
 
 use penelope_core::{
-    fair_assignment, EngineConfig, EngineInput, EngineOutput, NodeEngine, PeerMsg,
+    fair_assignment, Effects, EngineConfig, EngineInput, EngineOutput, NodeEngine, PeerMsg,
 };
-use penelope_metrics::RedistributionTracker;
+use penelope_metrics::{OscillationStats, RedistributionTracker, TurnaroundStats};
 use penelope_net::{RouteOutcome, SimNet};
 use penelope_power::{PowerInterface, SimulatedRapl};
 use penelope_slurm::{ClientAction, PowerServer, ServerGrant, ServerQueue, SlurmClient, SlurmMsg};
@@ -13,6 +13,7 @@ use penelope_trace::{EventKind, FanoutObserver, SharedObserver, TraceEvent};
 use penelope_units::{NodeId, Power, SimDuration, SimTime};
 use penelope_workload::{Profile, WorkloadState};
 
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use crate::config::{ClusterConfig, SystemKind};
@@ -49,25 +50,57 @@ pub struct ClusterSim {
     /// differently than it did before the ack protocol existed.
     ack_rng: TestRng,
     nodes: NodeTable,
-    /// Reusable scratch buffer for engine outputs — taken, driven, cleared
-    /// and put back on every engine interaction so the hot path never
-    /// allocates.
+    /// Reusable buffer `NodeEngine::step` fills and drains on every engine
+    /// interaction, so the hot path never allocates.
     engine_out: Vec<EngineOutput>,
     servers: Vec<ServerSide>,
     ledger: Ledger,
-    redistribution: Option<(RedistributionTracker, std::collections::HashSet<NodeId>)>,
+    redistribution: Option<Redistribution>,
     finished_count: usize,
     dead: Vec<NodeId>,
     dead_unfinished: usize,
     conservation_ok: bool,
     stop_on_full_redistribution: bool,
     trace: Option<Arc<ClusterTrace>>,
+    stamp: Stamp,
+    events_processed: u64,
+}
+
+/// Stamps substrate-level events with the virtual time and the decider
+/// period it falls in, and hands them to the observer.
+struct Stamp {
     obs: SharedObserver,
     /// `obs.enabled()` cached at attach time: the emission fast path pays
     /// one local bool load instead of a virtual call per event.
-    obs_on: bool,
-    events_processed: u64,
+    on: bool,
+    period_ns: u64,
 }
+
+impl Stamp {
+    fn new(obs: SharedObserver, period: SimDuration) -> Self {
+        Stamp {
+            on: obs.enabled(),
+            obs,
+            period_ns: period.as_nanos().max(1),
+        }
+    }
+
+    /// The closure runs only when some observer is attached.
+    #[inline]
+    fn emit(&self, now: SimTime, node: NodeId, kind: impl FnOnce() -> EventKind) {
+        if self.on {
+            self.obs.on_event(&TraceEvent {
+                at: now,
+                node,
+                period: now.as_nanos() / self.period_ns,
+                kind: kind(),
+            });
+        }
+    }
+}
+
+/// The redistribution tracker and the hungry nodes whose grants it counts.
+type Redistribution = (RedistributionTracker, HashSet<NodeId>);
 
 /// Per-node RNG stream derivation (SplitMix-style stream separation).
 ///
@@ -176,8 +209,7 @@ impl ClusterSim {
 
         let net_rng = TestRng::seed_from_u64(node_seed(cfg.seed, u64::MAX - 1));
         let ack_rng = TestRng::seed_from_u64(node_seed(cfg.seed, u64::MAX - 2));
-        let obs = cfg.observer.clone();
-        let obs_on = obs.enabled();
+        let stamp = Stamp::new(cfg.observer.clone(), cfg.node.decider.period);
         ClusterSim {
             net: SimNet::new(cfg.latency.clone()),
             cfg,
@@ -196,8 +228,7 @@ impl ClusterSim {
             conservation_ok: true,
             stop_on_full_redistribution: false,
             trace: None,
-            obs,
-            obs_on,
+            stamp,
             events_processed: 0,
         }
     }
@@ -211,16 +242,16 @@ impl ClusterSim {
     /// configuration keeps receiving the full stream alongside it.
     pub fn record_traces(&mut self) {
         let trace = Arc::new(ClusterTrace::new(self.nodes.len()));
-        self.obs = FanoutObserver::pair(
+        let obs = FanoutObserver::pair(
             self.cfg.observer.clone(),
             SharedObserver::from(trace.clone()),
         );
-        self.obs_on = self.obs.enabled();
         for manager in &mut self.nodes.manager {
             if let Manager::Penelope { engine, .. } = manager {
-                engine.set_observer(self.obs.clone());
+                engine.set_observer(obs.clone());
             }
         }
+        self.stamp = Stamp::new(obs, self.cfg.node.decider.period);
         self.trace = Some(trace);
     }
 
@@ -231,24 +262,11 @@ impl ClusterSim {
         self.stop_on_full_redistribution = true;
     }
 
-    /// Install a fault script (schedules its entries as events). Entries
-    /// are stably sorted by timestamp first, so a script composed out of
-    /// time order still fires chronologically, with same-time entries
-    /// keeping their insertion order — except that `Kill`/`KillServer`
-    /// always apply *last* among the actions sharing their instant. A
-    /// partition (or drop-rate change, or restart) scheduled at the same
-    /// tick as a kill is therefore in force before the victim's holdings
-    /// are retired; killing first would make the composed script's
-    /// topology depend on insertion order, which is exactly the
-    /// nondeterminism the ordering contract rules out.
+    /// Install a fault script: schedules its entries as events, in
+    /// [`FaultScript::in_firing_order`] (chronological, kills last within
+    /// an instant).
     pub fn install_faults(&mut self, script: &FaultScript) {
-        let kill_rank = |action: &FaultAction| match action {
-            FaultAction::Kill(_) | FaultAction::KillServer => 1u8,
-            _ => 0u8,
-        };
-        let mut entries = script.entries().to_vec();
-        entries.sort_by_key(|(at, action)| (*at, kill_rank(action)));
-        for (at, action) in entries {
+        for (at, action) in script.in_firing_order() {
             self.queue.push(at, Event::Fault(action));
         }
     }
@@ -399,20 +417,10 @@ impl ClusterSim {
     // Event handlers
     // ------------------------------------------------------------------
 
-    /// Emit a substrate-level protocol event stamped with the current
-    /// virtual time and the decider period it falls in. The closure runs
-    /// only when some observer is attached.
+    /// Emit a substrate-level protocol event at the current virtual time.
     #[inline]
     fn emit(&self, node: NodeId, kind: impl FnOnce() -> EventKind) {
-        if self.obs_on {
-            let period_ns = self.cfg.node.decider.period.as_nanos().max(1);
-            self.obs.on_event(&TraceEvent {
-                at: self.now,
-                node,
-                period: self.now.as_nanos() / period_ns,
-                kind: kind(),
-            });
-        }
+        self.stamp.emit(self.now, node, kind);
     }
 
     fn handle_tick(&mut self, id: NodeId) {
@@ -433,8 +441,7 @@ impl ClusterSim {
         }
 
         // Run the manager. Penelope nodes are driven through the shared
-        // `NodeEngine`: one `Tick` input, then the outputs are mapped onto
-        // the event queue / network / RAPL by `drive_engine`.
+        // `NodeEngine`: one `Tick` input, stepped by `step_engine`.
         enum Outgoing {
             None,
             SlurmReport {
@@ -447,18 +454,17 @@ impl ClusterSim {
             },
         }
         let mut outgoing = Outgoing::None;
-        let mut engine_out: Option<Vec<EngineOutput>> = None;
         match &mut self.nodes.manager[idx] {
             Manager::Fair => {}
-            Manager::Penelope { engine, .. } => {
-                let mut outputs = std::mem::take(&mut self.engine_out);
-                engine.handle(
-                    now,
-                    EngineInput::Tick { reading },
-                    &mut self.nodes.rng[idx],
-                    &mut outputs,
-                );
-                engine_out = Some(outputs);
+            Manager::Penelope { .. } => {
+                // The engine emits `CapActuated` itself and its actuation
+                // records the oscillation sample, so the telemetry below
+                // is for the other two managers only.
+                self.step_engine(id, EngineInput::Tick { reading }, true);
+                let next = now + self.cfg.node.decider.period;
+                self.nodes.next_tick_at[idx] = next;
+                self.queue.push(next, Event::Tick(id));
+                return;
             }
             Manager::Slurm { client } => {
                 let had_unanswered = !self.nodes.pending[idx].is_empty();
@@ -486,19 +492,6 @@ impl ClusterSim {
                 let cap = client.cap();
                 self.nodes.rapl[idx].set_cap(cap, now);
             }
-        }
-
-        if let Some(mut outputs) = engine_out {
-            // The engine emitted `CapActuated` itself; its `Actuate` output
-            // records oscillation (tick path) and the rest map onto the
-            // queue and the network.
-            self.drive_engine(id, &mut outputs, 0, true);
-            outputs.clear();
-            self.engine_out = outputs;
-            let next = now + self.cfg.node.decider.period;
-            self.nodes.next_tick_at[idx] = next;
-            self.queue.push(next, Event::Tick(id));
-            return;
         }
 
         // Per-tick telemetry. `CapActuated` is the one event every manager
@@ -590,26 +583,11 @@ impl ClusterSim {
                     src,
                     carried: g.amount,
                 });
-                let now = self.now;
-                let mut outputs = std::mem::take(&mut self.engine_out);
-                let di = dst.index();
-                let Manager::Penelope { engine, .. } = &mut self.nodes.manager[di] else {
-                    self.engine_out = outputs;
-                    self.ledger.lose_direct(g.amount);
-                    return;
-                };
-                engine.handle(
-                    now,
-                    EngineInput::Msg {
-                        src,
-                        msg: PeerMsg::Grant(g, digest),
-                    },
-                    &mut self.nodes.rng[di],
-                    &mut outputs,
-                );
-                self.drive_engine(dst, &mut outputs, 0, false);
-                outputs.clear();
-                self.engine_out = outputs;
+                let amount = g.amount;
+                let msg = PeerMsg::Grant(g, digest);
+                if !self.step_engine(dst, EngineInput::Msg { src, msg }, false) {
+                    self.ledger.lose_direct(amount); // stray message
+                }
             }
             PeerMsg::Ack(a, digest) => {
                 let granter = env.dst;
@@ -620,56 +598,21 @@ impl ClusterSim {
                     src: env.src,
                     carried: Power::ZERO,
                 });
-                let now = self.now;
-                let gi = granter.index();
-                if let Manager::Penelope { engine, .. } = &mut self.nodes.manager[gi] {
-                    let mut outputs = std::mem::take(&mut self.engine_out);
-                    engine.handle(
-                        now,
-                        EngineInput::Msg {
-                            src: env.src,
-                            msg: PeerMsg::Ack(a, digest),
-                        },
-                        &mut self.nodes.rng[gi],
-                        &mut outputs,
-                    );
-                    self.drive_engine(granter, &mut outputs, 0, false);
-                    outputs.clear();
-                    self.engine_out = outputs;
-                }
+                let msg = PeerMsg::Ack(a, digest);
+                self.step_engine(granter, EngineInput::Msg { src: env.src, msg }, false);
             }
         }
     }
 
     fn handle_pool_process(&mut self, env: penelope_net::Envelope<PeerMsg>) {
-        let PeerMsg::Request(req) = env.msg else {
-            return;
-        };
         let pool_node = env.dst;
         if !self.is_alive(pool_node) {
             return; // pool crashed before servicing; nothing was debited
         }
         // The engine owns the whole serve path: retransmit idempotence via
         // its escrow, urgency bookkeeping, and the grant/zero-grant reply.
-        let now = self.now;
-        let mut outputs = std::mem::take(&mut self.engine_out);
-        let pi = pool_node.index();
-        let Manager::Penelope { engine, .. } = &mut self.nodes.manager[pi] else {
-            self.engine_out = outputs;
-            return;
-        };
-        engine.handle(
-            now,
-            EngineInput::Msg {
-                src: env.src,
-                msg: PeerMsg::Request(req),
-            },
-            &mut self.nodes.rng[pi],
-            &mut outputs,
-        );
-        self.drive_engine(pool_node, &mut outputs, 0, false);
-        outputs.clear();
-        self.engine_out = outputs;
+        let (src, msg) = (env.src, env.msg);
+        self.step_engine(pool_node, EngineInput::Msg { src, msg }, false);
     }
 
     fn handle_deliver_slurm(&mut self, env: penelope_net::Envelope<SlurmMsg>) {
@@ -742,7 +685,7 @@ impl ClusterSim {
                     released,
                 );
             }
-            self.credit_redistribution(dst, g.amount);
+            credit(&mut self.redistribution, now, dst, g.amount);
         }
     }
 
@@ -784,20 +727,11 @@ impl ClusterSim {
         if !self.is_alive(granter) {
             return; // the escrow was drained (and booked lost) at death
         }
-        let now = self.now;
-        let gi = granter.index();
-        if let Manager::Penelope { engine, .. } = &mut self.nodes.manager[gi] {
-            let mut outputs = std::mem::take(&mut self.engine_out);
-            engine.handle(
-                now,
-                EngineInput::EscrowDeadline { requester, seq },
-                &mut self.nodes.rng[gi],
-                &mut outputs,
-            );
-            self.drive_engine(granter, &mut outputs, 0, false);
-            outputs.clear();
-            self.engine_out = outputs;
-        }
+        self.step_engine(
+            granter,
+            EngineInput::EscrowDeadline { requester, seq },
+            false,
+        );
     }
 
     fn handle_fault(&mut self, action: FaultAction) {
@@ -925,162 +859,38 @@ impl ClusterSim {
     // Routing
     // ------------------------------------------------------------------
 
-    fn route_peer(&mut self, src: NodeId, dst: NodeId, msg: PeerMsg, carried: Power) {
-        if !carried.is_zero() {
-            self.ledger.depart(carried);
-        }
-        self.emit(src, || EventKind::MsgSent { dst, carried });
-        match self.net.route(src, dst, msg, self.now, &mut self.net_rng) {
-            RouteOutcome::Deliver(env) => {
-                self.queue.push(env.deliver_at, Event::DeliverPeer(env));
-            }
-            _ => {
-                self.emit(src, || EventKind::MsgDropped { dst, carried });
-                if !carried.is_zero() {
-                    self.ledger.lose_in_flight(carried);
-                }
-            }
-        }
-    }
-
-    /// Map one batch of [`NodeEngine`] outputs for node `id` onto the
-    /// simulator's substrate: the event queue, the lossy network, RAPL,
-    /// and the conservation ledger.
+    /// Feed one input to node `id`'s engine; what it decides lands on the
+    /// event queue, the lossy network, RAPL and the conservation ledger
+    /// through [`SimFx`]. `false` (and nothing happens) for a Fair or
+    /// SLURM node.
     ///
-    /// The buffer is iterated by index because executing a `SendGrant`
-    /// feeds the delivery outcome *back into the engine*, which appends
-    /// its escrow bookkeeping (`SetEscrowTimer`, `GrantEscrowed` trace
-    /// event) to the same buffer mid-iteration — the sans-IO equivalent of
-    /// the old `send_escrowed_grant` helper.
-    ///
-    /// `tick` marks the once-per-period path: only there does an `Actuate`
-    /// also record an oscillation sample, matching the old per-tick
-    /// telemetry (grant-path actuations adjust the cap silently).
-    fn drive_engine(
-        &mut self,
-        id: NodeId,
-        outputs: &mut Vec<EngineOutput>,
-        start: usize,
-        tick: bool,
-    ) {
-        let mut i = start;
-        while i < outputs.len() {
-            let out = outputs[i].clone();
-            i += 1;
-            match out {
-                EngineOutput::Actuate { cap } => {
-                    let now = self.now;
-                    let i = id.index();
-                    self.nodes.rapl[i].set_cap(cap, now);
-                    if tick {
-                        self.nodes.oscillation[i].record(cap);
-                    }
-                }
-                EngineOutput::Send { dst, msg, carried } => match &msg {
-                    // Acks ride the dedicated `ack_rng` stream so loss-free
-                    // runs draw exactly the same `net_rng` sequence they
-                    // did before the ack protocol existed. A dropped ack is
-                    // not retried: the granter's `AwaitingAck` entry simply
-                    // expires without credit.
-                    PeerMsg::Ack(a, _) => {
-                        let seq = a.seq;
-                        self.emit(id, || EventKind::MsgSent {
-                            dst,
-                            carried: Power::ZERO,
-                        });
-                        match self.net.route(id, dst, msg, self.now, &mut self.ack_rng) {
-                            RouteOutcome::Deliver(env) => {
-                                self.queue.push(env.deliver_at, Event::DeliverPeer(env));
-                            }
-                            _ => {
-                                self.emit(id, || EventKind::AckDropped { dst, seq });
-                            }
-                        }
-                    }
-                    PeerMsg::Request(req) => {
-                        // A retransmit reuses the seq: keep the original
-                        // send time so turnaround measures the full wait.
-                        let seq = req.seq;
-                        let now = self.now;
-                        self.nodes.pending[id.index()].entry(seq).or_insert(now);
-                        self.route_peer(id, dst, msg, carried);
-                    }
-                    PeerMsg::Grant(..) => {
-                        self.route_peer(id, dst, msg, carried);
-                    }
-                },
-                EngineOutput::SendGrant {
-                    dst,
-                    msg,
-                    amount,
-                    seq,
-                } => {
-                    // A non-zero grant's amount is already debited from the
-                    // pool; the ledger only `depart`s when the transport
-                    // actually carries it — a grant known-dropped at send
-                    // keeps its accounting weight on the granter (as an
-                    // undelivered escrow entry) instead of being booked as
-                    // permanently lost, the §3.2 atomicity fix for lossy
-                    // networks. The engine learns the outcome immediately
-                    // and escrows accordingly.
-                    self.emit(id, || EventKind::MsgSent {
-                        dst,
-                        carried: amount,
-                    });
-                    let delivered = match self.net.route(id, dst, msg, self.now, &mut self.net_rng)
-                    {
-                        RouteOutcome::Deliver(env) => {
-                            self.ledger.depart(amount);
-                            self.queue.push(env.deliver_at, Event::DeliverPeer(env));
-                            true
-                        }
-                        _ => {
-                            self.emit(id, || EventKind::MsgDropped {
-                                dst,
-                                carried: amount,
-                            });
-                            false
-                        }
-                    };
-                    let now = self.now;
-                    let i = id.index();
-                    if let Manager::Penelope { engine, .. } = &mut self.nodes.manager[i] {
-                        engine.handle(
-                            now,
-                            EngineInput::GrantOutcome {
-                                requester: dst,
-                                seq,
-                                amount,
-                                delivered,
-                            },
-                            &mut self.nodes.rng[i],
-                            outputs,
-                        );
-                    }
-                }
-                EngineOutput::SetEscrowTimer { requester, seq, at } => {
-                    self.queue.push(
-                        at,
-                        Event::EscrowTimeout {
-                            granter: id,
-                            requester,
-                            seq,
-                        },
-                    );
-                }
-                EngineOutput::PowerLost { amount } => {
-                    self.ledger.lose_direct(amount);
-                }
-                EngineOutput::Resolved { seq, amount } => {
-                    let now = self.now;
-                    let i = id.index();
-                    if let Some(sent) = self.nodes.pending[i].remove(&seq) {
-                        self.nodes.turnaround[i].record(now.saturating_since(sent));
-                    }
-                    self.credit_redistribution(id, amount);
-                }
-            }
-        }
+    /// `tick` marks the once-per-period path: only there does an actuation
+    /// also record an oscillation sample (grant-path actuations adjust the
+    /// cap silently).
+    fn step_engine(&mut self, id: NodeId, input: EngineInput, tick: bool) -> bool {
+        let i = id.index();
+        let Manager::Penelope { engine, .. } = &mut self.nodes.manager[i] else {
+            return false;
+        };
+        let mut fx = SimFx {
+            id,
+            now: self.now,
+            tick,
+            queue: &mut self.queue,
+            net: &mut self.net,
+            net_rng: &mut self.net_rng,
+            ack_rng: &mut self.ack_rng,
+            ledger: &mut self.ledger,
+            redistribution: &mut self.redistribution,
+            rapl: &mut self.nodes.rapl[i],
+            oscillation: &mut self.nodes.oscillation[i],
+            pending: &mut self.nodes.pending[i],
+            turnaround: &mut self.nodes.turnaround[i],
+            stamp: &self.stamp,
+        };
+        let rng = &mut self.nodes.rng[i];
+        engine.step(self.now, input, rng, &mut self.engine_out, &mut fx);
+        true
     }
 
     fn route_slurm(&mut self, src: NodeId, dst: NodeId, msg: SlurmMsg, carried: Power) {
@@ -1115,15 +925,6 @@ impl ClusterSim {
     fn active_server_for(&self, node: NodeId) -> NodeId {
         let idx = self.nodes.active_server[node.index()].min(self.servers.len() - 1);
         self.servers[idx].id
-    }
-
-    fn credit_redistribution(&mut self, recipient: NodeId, amount: Power) {
-        let Some((tracker, recipients)) = &mut self.redistribution else {
-            return;
-        };
-        if recipients.contains(&recipient) {
-            tracker.record(self.now, amount);
-        }
     }
 
     fn live_total(&self) -> Power {
@@ -1209,6 +1010,134 @@ impl ClusterSim {
             trace: self
                 .trace
                 .map(|t| Arc::try_unwrap(t).unwrap_or_else(|arc| (*arc).clone())),
+        }
+    }
+}
+
+/// The simulator's side of one engine step for node `id`: borrows of the
+/// substrate state an effect can touch, disjoint from the engine and its
+/// random stream.
+struct SimFx<'a> {
+    id: NodeId,
+    now: SimTime,
+    tick: bool,
+    queue: &'a mut EventQueue,
+    net: &'a mut SimNet,
+    net_rng: &'a mut TestRng,
+    ack_rng: &'a mut TestRng,
+    ledger: &'a mut Ledger,
+    redistribution: &'a mut Option<Redistribution>,
+    rapl: &'a mut SimulatedRapl<WorkloadState>,
+    oscillation: &'a mut OscillationStats,
+    pending: &'a mut HashMap<u64, SimTime>,
+    turnaround: &'a mut TurnaroundStats,
+    stamp: &'a Stamp,
+}
+
+impl Effects<TestRng> for SimFx<'_> {
+    fn send(
+        &mut self,
+        _: &mut TestRng,
+        dst: NodeId,
+        msg: PeerMsg,
+        carried: Power,
+        escrowed: bool,
+    ) -> bool {
+        let (id, now) = (self.id, self.now);
+        let ack = match &msg {
+            PeerMsg::Ack(a, _) => Some(a.seq),
+            PeerMsg::Request(req) => {
+                // A retransmit reuses the seq: keep the original send time
+                // so turnaround measures the full wait.
+                self.pending.entry(req.seq).or_insert(now);
+                None
+            }
+            PeerMsg::Grant(..) => None,
+        };
+        // Fire-and-forget power departs at the send. An escrowed grant's
+        // amount is already debited from the pool, and the ledger only
+        // `depart`s it when the transport actually carries it — a grant
+        // known-dropped at send keeps its accounting weight on the granter
+        // (as an undelivered escrow entry) instead of being booked as
+        // permanently lost, the §3.2 atomicity fix for lossy networks.
+        let in_flight = !escrowed && !carried.is_zero();
+        if in_flight {
+            self.ledger.depart(carried);
+        }
+        self.stamp
+            .emit(now, id, || EventKind::MsgSent { dst, carried });
+        // Acks ride the dedicated `ack_rng` stream so loss-free runs draw
+        // exactly the same `net_rng` sequence they did before the ack
+        // protocol existed.
+        let rng = match ack {
+            Some(_) => &mut *self.ack_rng,
+            None => &mut *self.net_rng,
+        };
+        match self.net.route(id, dst, msg, now, rng) {
+            RouteOutcome::Deliver(env) => {
+                if escrowed {
+                    self.ledger.depart(carried);
+                }
+                self.queue.push(env.deliver_at, Event::DeliverPeer(env));
+                true
+            }
+            _ => {
+                // A dropped ack is not retried: the granter's
+                // `AwaitingAck` entry simply expires without credit.
+                self.stamp.emit(now, id, || match ack {
+                    Some(seq) => EventKind::AckDropped { dst, seq },
+                    None => EventKind::MsgDropped { dst, carried },
+                });
+                if in_flight {
+                    self.ledger.lose_in_flight(carried);
+                }
+                false
+            }
+        }
+    }
+
+    fn actuate(&mut self, cap: Power) {
+        self.rapl.set_cap(cap, self.now);
+        if self.tick {
+            self.oscillation.record(cap);
+        }
+    }
+
+    fn escrow_timer(&mut self, requester: NodeId, seq: u64, at: SimTime) {
+        let granter = self.id;
+        self.queue.push(
+            at,
+            Event::EscrowTimeout {
+                granter,
+                requester,
+                seq,
+            },
+        );
+    }
+
+    fn power_lost(&mut self, amount: Power) {
+        self.ledger.lose_direct(amount);
+    }
+
+    fn resolved(&mut self, seq: u64, amount: Power) {
+        if let Some(sent) = self.pending.remove(&seq) {
+            self.turnaround.record(self.now.saturating_since(sent));
+        }
+        credit(self.redistribution, self.now, self.id, amount);
+    }
+}
+
+/// Credit `amount` reaching `recipient` to the redistribution tracker, if
+/// one is installed and `recipient` is one of the nodes it watches.
+fn credit(
+    redistribution: &mut Option<Redistribution>,
+    now: SimTime,
+    recipient: NodeId,
+    amount: Power,
+) {
+    if let Some((tracker, recipients)) = redistribution {
+        if recipients.contains(&recipient) {
+            tracker.record(now, amount);
         }
     }
 }

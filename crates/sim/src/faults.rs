@@ -110,14 +110,30 @@ impl FaultScript {
         self
     }
 
-    /// The scripted entries, in insertion order. Installers must not rely
-    /// on this being time-sorted: the simulator stably sorts by timestamp
-    /// when scheduling — with `Kill`/`KillServer` ordered *after* any other
-    /// action at the same instant, so a partition scheduled at the same
-    /// tick as a kill is in force before the victim's holdings are retired
-    /// — so scripts may be composed in any order.
+    /// The scripted entries, in insertion order — not the order they fire
+    /// in; see [`in_firing_order`](FaultScript::in_firing_order).
     pub fn entries(&self) -> &[(SimTime, FaultAction)] {
         &self.entries
+    }
+
+    /// The entries in the order every installer must apply them: stably
+    /// sorted by timestamp — so scripts may be composed in any order and
+    /// same-time entries keep their insertion order — except that
+    /// `Kill`/`KillServer` go *after* any other action at the same
+    /// instant. A partition (or drop-rate change, or restart) scheduled at
+    /// the same tick as a kill is therefore in force before the victim's
+    /// holdings are retired; killing first would make the composed
+    /// script's topology depend on insertion order.
+    pub fn in_firing_order(&self) -> Vec<(SimTime, FaultAction)> {
+        let kill_rank = |action: &FaultAction| {
+            u8::from(matches!(
+                action,
+                FaultAction::Kill(_) | FaultAction::KillServer
+            ))
+        };
+        let mut entries = self.entries.clone();
+        entries.sort_by_key(|(at, action)| (*at, kill_rank(action)));
+        entries
     }
 
     /// True iff the script injects nothing.

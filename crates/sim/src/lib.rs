@@ -25,7 +25,6 @@
 
 pub mod cluster;
 pub mod config;
-pub mod discovery;
 pub mod event;
 pub mod faults;
 pub mod ledger;
@@ -37,7 +36,6 @@ pub mod trace;
 
 pub use cluster::{node_seed, ClusterSim, ClusterSimBuilder};
 pub use config::{ClusterConfig, DiscoveryStrategy, SystemKind};
-pub use discovery::choose_peer;
 pub use faults::{FaultAction, FaultScript};
 pub use report::RunReport;
 pub use shard::{ShardReport, ShardedConfig, ShardedSim};

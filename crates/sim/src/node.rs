@@ -35,26 +35,3 @@ pub enum Manager {
         client: SlurmClient,
     },
 }
-
-// `initial_rr_cursor` moved into `penelope_core::discovery` with the
-// NodeEngine extraction; re-exported so existing call sites (and the
-// conformance harness) keep compiling unchanged.
-pub use penelope_core::initial_rr_cursor;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn initial_rr_cursor_never_points_at_self() {
-        for n in 1..=8u32 {
-            for idx in 0..n {
-                let c = initial_rr_cursor(idx, n);
-                assert!(c < n.max(1));
-                if n >= 2 {
-                    assert_ne!(c, idx, "node {idx} of {n} starts self-pointing");
-                }
-            }
-        }
-    }
-}

@@ -56,3 +56,52 @@ fn different_seeds_produce_different_runs() {
     let b = run(512, 2, 1, 1);
     assert_ne!(a.fingerprint, b.fingerprint);
 }
+
+/// Absolute pins, measured before the engine-output executor moved into
+/// `penelope-core`: the tests above only compare shard counts with each
+/// other, so a change that shifts every count the same way would pass
+/// them. `executed` counts the grant-delivery feedback as an engine
+/// input, which is what makes it sensitive to who runs that feedback.
+#[test]
+fn absolute_counts_are_pinned() {
+    let sparse = ShardedConfig::mega(4096, 12, 7);
+    let dense = ShardedConfig {
+        recipient_every: 2,
+        ..ShardedConfig::mega(2048, 8, 42)
+    };
+    let pins = [
+        (
+            sparse,
+            0x07d6_b0a1_dae6_1af0_u64,
+            9_597,
+            43_170,
+            2_292,
+            4_126_760,
+        ),
+        (
+            dense,
+            0xb587_8db8_a580_3f3e,
+            40_288,
+            3_333,
+            20_521,
+            18_714_031,
+        ),
+    ];
+    for (cfg, fingerprint, executed, elided, messages, granted_mw) in pins {
+        for (shards, jobs) in [(1, 1), (3, 1), (4, 2)] {
+            let r = ShardedSim::new(ShardedConfig {
+                shards,
+                jobs,
+                ..cfg.clone()
+            })
+            .run();
+            assert_eq!(r.fingerprint, fingerprint, "shards={shards} jobs={jobs}");
+            assert_eq!(r.executed_events, executed);
+            assert_eq!(r.elided_ticks, elided);
+            assert_eq!(r.messages, messages);
+            assert_eq!(r.granted.milliwatts(), granted_mw);
+            assert!(r.lost.is_zero());
+            assert!(r.conservation_ok);
+        }
+    }
+}

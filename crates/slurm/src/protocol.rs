@@ -4,7 +4,6 @@ use penelope_units::{NodeId, Power};
 
 /// The server's response to a client request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ServerGrant {
     /// Power transferred from the global cache.
     pub amount: Power,
@@ -18,7 +17,6 @@ pub struct ServerGrant {
 
 /// Messages exchanged between SLURM clients and the central server.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SlurmMsg {
     /// Client → server: the node freed this much power (its cap has
     /// already been lowered).

@@ -12,7 +12,6 @@ use penelope_units::{SimDuration, SimTime};
 /// processes requests serially" (§4.5.2). The default samples uniformly
 /// from that measured band.
 #[derive(Clone, Copy, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ServiceModel {
     /// Fastest observed service time.
     pub lo: SimDuration,

@@ -6,12 +6,11 @@
 //! * [`rng`] — the workspace PRNG (SplitMix64-seeded xoshiro256**) with
 //!   the `gen_range`/`gen_bool`/`shuffle` surface the codebase uses.
 //!   Product crates use this directly; the `rand`/`rand_chacha` names
-//!   remain available to tests through in-tree compatibility shims under
-//!   the `ext-rand` feature.
+//!   remain available to tests through in-tree compatibility shims.
 //! * [`prop`] — a fixed-iteration property-test harness with integer /
 //!   float / vec / tuple generators, binary-search shrinking and
-//!   seed-reporting failure output, replacing `proptest` for the
-//!   offline default build.
+//!   seed-reporting failure output; the in-tree `proptest` shim is
+//!   built on it.
 //! * [`conformance`] — substrate-neutral scenario descriptions, the
 //!   per-period safety invariants (no minting, safe caps, balanced pool
 //!   accounting, zero-sum), bounded sim↔runtime divergence checking and

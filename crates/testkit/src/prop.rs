@@ -2,9 +2,9 @@
 //!
 //! A fixed-iteration, seed-reporting, shrinking property runner with no
 //! dependencies outside this crate. It exists so the workspace's property
-//! suites run offline by default; the `proptest` versions of the same
-//! suites stay available behind the `ext-rand` feature as a
-//! cross-validation convenience.
+//! suites run offline; the `proptest!` versions of the same suites run
+//! next to them through the in-tree `proptest` shim, which is backed by
+//! this harness.
 //!
 //! Model: a [`Gen`] produces values from a [`TestRng`] and can propose
 //! *simpler* candidate values for a failing input (integers binary-search

@@ -10,9 +10,8 @@
 //!
 //! The API mirrors the small slice of `rand` the codebase actually uses
 //! (`gen_range`, `gen_bool`, `seed_from_u64`, Fisher–Yates `shuffle`), so
-//! call sites read identically whether they use this module or — under
-//! the `ext-rand` feature — the `rand` compatibility shim that re-exports
-//! it.
+//! call sites read identically whether they use this module or the
+//! in-tree `rand` compatibility shim that re-exports it.
 
 /// SplitMix64 step: advances `state` and returns the next output.
 ///

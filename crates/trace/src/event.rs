@@ -11,7 +11,6 @@ use penelope_units::{NodeId, Power, SimTime};
 
 /// The decider's per-iteration classification (Algorithm 1, line 2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum NodeClass {
     /// Consumption sits at least ε below the cap: power can be shed.
     Excess,
@@ -35,7 +34,6 @@ impl NodeClass {
 /// What happened. Power amounts are exact (integer milliwatts), so folds
 /// over an event stream reproduce the substrates' own accounting.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum EventKind {
     /// The decider classified the node for this iteration.
     Classified {
@@ -359,7 +357,6 @@ pub const KIND_NAMES: [&str; KIND_COUNT] = [
 
 /// One protocol event: what happened, where, and when.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TraceEvent {
     /// When the event happened (substrate clock).
     pub at: SimTime,

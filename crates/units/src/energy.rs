@@ -13,7 +13,6 @@ use crate::{Power, SimDuration};
 /// of nanojoules covers ~10²² J — enough for any cluster-lifetime
 /// integration (an exascale 30 MW system for a century is ~10¹⁷ J).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Energy(u128);
 
 impl Energy {

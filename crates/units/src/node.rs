@@ -9,7 +9,6 @@ use std::fmt;
 /// central server when one exists (the paper dedicates one physical node to
 /// it; clients never run workloads there).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeId(u32);
 
 impl NodeId {

@@ -15,7 +15,6 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// arithmetic); the explicitly-checked and saturating variants are provided
 /// for protocol code that must be total.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Power(u64);
 
 impl Power {

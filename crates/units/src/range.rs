@@ -9,7 +9,6 @@ use crate::Power;
 /// cap changes into this range; any power that could not be applied because
 /// of clamping is returned to the local pool so the budget stays conserved.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PowerRange {
     min: Power,
     max: Power,

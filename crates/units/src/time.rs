@@ -10,12 +10,10 @@ use std::ops::{Add, AddAssign, Mul, Sub, SubAssign};
 /// `u64` nanoseconds cover ~584 years of virtual time, far beyond any
 /// experiment in the paper (the longest runs are tens of minutes).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimTime(u64);
 
 /// A span of virtual time, in nanoseconds.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimDuration(u64);
 
 impl SimTime {

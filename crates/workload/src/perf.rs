@@ -19,7 +19,6 @@ use penelope_units::Power;
 /// with `α ∈ (0, 1]`. `α = 1` is the linear model; the default `α = 0.7`
 /// gives the concave shape measured for hardware-enforced power bounds.
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PerfModel {
     /// Package power at zero useful work (fans, uncore, leakage).
     pub idle_power: Power,

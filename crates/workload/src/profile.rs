@@ -10,7 +10,6 @@ use crate::perf::PerfModel;
 /// `work` is expressed in seconds-at-full-speed: a phase with `work = 10.0`
 /// completes in 10 s when uncapped and in `10 / rate` seconds under a cap.
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Phase {
     /// Node-level power the phase wants (both sockets).
     pub demand: Power,
@@ -20,10 +19,6 @@ pub struct Phase {
     /// follows the owning profile's model; `Some` overrides it — the case
     /// a concatenated job sequence needs when the jobs were measured with
     /// different curves.
-    #[cfg_attr(
-        feature = "serde",
-        serde(default, skip_serializing_if = "Option::is_none")
-    )]
     pub perf: Option<PerfModel>,
 }
 
@@ -56,7 +51,6 @@ impl Phase {
 /// These are the "curated profiles of power consumption over time" the
 /// paper's scale study replays in place of live hardware (§4.5).
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Profile {
     /// Application name (e.g. `"EP"`).
     pub name: String,

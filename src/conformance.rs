@@ -8,8 +8,8 @@
 //! * [`SimSubstrate`] — the deterministic discrete-event simulator.
 //!   Single-threaded, so every per-period snapshot is a consistent cut
 //!   with exact in-flight accounting.
-//! * [`LockstepRuntime`] — real OS threads (one per node) sharing
-//!   `PowerPool`s behind mutexes and exchanging `PeerMsg`s over a
+//! * [`LockstepRuntime`] — real OS threads (one per node), each stepping
+//!   its `NodeEngine` behind a mutex and exchanging `PeerMsg`s over a
 //!   [`ThreadNet`], driven in lockstep periods by barriers. The barrier
 //!   at each period boundary guarantees no message is in flight, so these
 //!   snapshots are consistent cuts too — from genuinely concurrent code.
@@ -19,17 +19,20 @@
 //!   per-node invariants are checked every period and the global sums
 //!   only at the quiescent end state.
 //!
-//! All three run the *same* decider and pool code; only power delivery,
-//! transport and clock differ. That is the paper's portability claim, and
-//! the conformance suite in `tests/conformance.rs` enforces it.
+//! All three run the *same* `NodeEngine` through the same executor
+//! (`NodeEngine::step`); only what each substrate's `Effects` do — power
+//! delivery, transport — and the clock differ. That is the paper's
+//! portability claim, and the conformance suite in `tests/conformance.rs`
+//! enforces it. A scenario's faults are translated once, by
+//! `fault_script`, into the period-stamped `FaultScript` both
+//! deterministic substrates execute.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
 
 use penelope_core::{
-    DeciderPolicy, EngineConfig, EngineInput, EngineOutput, NodeEngine, PeerMsg, PowerGrant,
-    SuspicionDigest,
+    DeciderPolicy, Effects, EngineConfig, EngineInput, EngineOutput, NodeEngine, PeerMsg,
 };
 use penelope_net::{FaultConfig, FaultySocket, ThreadNet};
 use penelope_power::{PowerInterface, SimulatedRapl};
@@ -127,13 +130,111 @@ pub fn sim_config(scenario: &Scenario) -> ClusterConfig {
     cfg
 }
 
-/// The two node groups a `split_at` partition spec describes.
-fn split_groups(nodes: usize, split_at: u32) -> Vec<Vec<NodeId>> {
-    let split = (split_at as usize).min(nodes);
-    vec![
-        (0..split).map(|i| NodeId::new(i as u32)).collect(),
-        (split..nodes).map(|i| NodeId::new(i as u32)).collect(),
-    ]
+/// The scenario's fault schedule as one period-stamped [`FaultScript`]:
+/// the simulator installs it, the lockstep coordinator applies each
+/// period's share of it ([`LockstepRuntime::run_observed`]).
+fn fault_script(scenario: &Scenario) -> FaultScript {
+    let at = |period: u64| SimTime::ZERO + PERIOD * period;
+    let n = scenario.nodes as u32;
+    let split = |split_at: u32| {
+        let cut = (split_at as usize).min(scenario.nodes) as u32;
+        FaultAction::Partition(vec![
+            (0..cut).map(NodeId::new).collect(),
+            (cut..n).map(NodeId::new).collect(),
+        ])
+    };
+    let peers_of = |node: u32| (0..n).filter(move |&j| j != node).map(NodeId::new);
+    let script = match scenario.fault {
+        // The deterministic transports deliver in order and exactly once,
+        // so only the loss leg of LossyWire is representable; duplication
+        // and reordering are exercised on the daemon substrate, where real
+        // datagrams pass through the shim.
+        FaultSpec::None | FaultSpec::Lossy { .. } | FaultSpec::LossyWire { .. } => {
+            FaultScript::none()
+        }
+        FaultSpec::KillNode { node, at_period } => {
+            FaultScript::kill_node_at(at(at_period), NodeId::new(node))
+        }
+        FaultSpec::KillRestart {
+            node,
+            kill_at_period,
+            restart_at_period,
+            ..
+        } => {
+            FaultScript::kill_restart(NodeId::new(node), at(kill_at_period), at(restart_at_period))
+        }
+        FaultSpec::Partition {
+            split_at,
+            at_period,
+            heal_at_period,
+            ..
+        } => FaultScript::none()
+            .at(at(at_period), split(split_at))
+            .at(at(heal_at_period), FaultAction::Heal),
+        FaultSpec::AsymmetricIsolate {
+            node,
+            at_period,
+            heal_at_period,
+            ..
+        } => {
+            // Directional: every link *towards* the victim is cut; its
+            // own sends keep delivering.
+            let victim = NodeId::new(node);
+            peers_of(node).fold(FaultScript::none(), |script, peer| {
+                script
+                    .partition_link_at(at(at_period), peer, victim)
+                    .heal_link_at(at(heal_at_period), peer, victim)
+            })
+        }
+        FaultSpec::Flapping {
+            node,
+            at_period,
+            heal_at_period,
+        } => {
+            // Alternate one-period isolation windows: cut on even
+            // offsets from `at_period`, restore on odd ones, restored
+            // for good at `heal_at_period`.
+            let victim = NodeId::new(node);
+            (at_period..=heal_at_period).fold(FaultScript::none(), |script, q| {
+                if q < heal_at_period && (q - at_period) % 2 == 0 {
+                    script.isolate_at(at(q), victim, n)
+                } else {
+                    peers_of(node).fold(script, |script, peer| {
+                        script
+                            .heal_link_at(at(q), peer, victim)
+                            .heal_link_at(at(q), victim, peer)
+                    })
+                }
+            })
+        }
+        FaultSpec::PartitionChurn {
+            split_at,
+            node,
+            at_period,
+            kill_at_period,
+            heal_at_period,
+        } => {
+            // Same-period heal + restart: the rebooted node must come
+            // back into an already-healed network, and the kill-last
+            // ordering contract keeps the kill leg from racing any
+            // same-tick connectivity change.
+            FaultScript::none()
+                .at(at(at_period), split(split_at))
+                .at(at(kill_at_period), FaultAction::Kill(NodeId::new(node)))
+                .at(at(heal_at_period), FaultAction::Heal)
+                .restart_at(at(heal_at_period), NodeId::new(node))
+        }
+    };
+    let rate = scenario.fault.drop_rate();
+    let lossy = matches!(
+        scenario.fault,
+        FaultSpec::Lossy { .. } | FaultSpec::LossyWire { .. }
+    );
+    if lossy || rate > 0.0 {
+        script.at(SimTime::ZERO, FaultAction::SetDropRate(rate))
+    } else {
+        script
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -187,145 +288,7 @@ impl SimSubstrate {
         cfg.observer =
             FanoutObserver::pair(observer, SharedObserver::from(Arc::clone(&drop_counters)));
         let mut sim = ClusterSim::new(cfg, profiles_for(scenario));
-        match scenario.fault {
-            FaultSpec::KillNode { node, at_period } => {
-                sim.install_faults(&FaultScript::kill_node_at(
-                    SimTime::ZERO + PERIOD * at_period,
-                    NodeId::new(node),
-                ));
-            }
-            // The simulator's transport delivers in order and exactly
-            // once, so only the loss leg of LossyWire is representable;
-            // duplication and reordering are exercised on the daemon
-            // substrate, where real datagrams pass through the shim.
-            FaultSpec::Lossy { .. } | FaultSpec::LossyWire { .. } => {
-                sim.install_faults(&FaultScript::none().at(
-                    SimTime::ZERO,
-                    FaultAction::SetDropRate(scenario.fault.drop_rate()),
-                ));
-            }
-            FaultSpec::KillRestart {
-                node,
-                kill_at_period,
-                restart_at_period,
-                drop_permille,
-            } => {
-                let mut script = FaultScript::kill_restart(
-                    NodeId::new(node),
-                    SimTime::ZERO + PERIOD * kill_at_period,
-                    SimTime::ZERO + PERIOD * restart_at_period,
-                );
-                if drop_permille > 0 {
-                    script = script.at(
-                        SimTime::ZERO,
-                        FaultAction::SetDropRate(scenario.fault.drop_rate()),
-                    );
-                }
-                sim.install_faults(&script);
-            }
-            FaultSpec::Partition {
-                split_at,
-                at_period,
-                heal_at_period,
-                drop_permille,
-            } => {
-                let mut script = FaultScript::none()
-                    .at(
-                        SimTime::ZERO + PERIOD * at_period,
-                        FaultAction::Partition(split_groups(scenario.nodes, split_at)),
-                    )
-                    .at(SimTime::ZERO + PERIOD * heal_at_period, FaultAction::Heal);
-                if drop_permille > 0 {
-                    script = script.at(
-                        SimTime::ZERO,
-                        FaultAction::SetDropRate(scenario.fault.drop_rate()),
-                    );
-                }
-                sim.install_faults(&script);
-            }
-            FaultSpec::AsymmetricIsolate {
-                node,
-                at_period,
-                heal_at_period,
-                drop_permille,
-            } => {
-                // Directional: every link *towards* the victim is cut; its
-                // own sends keep delivering.
-                let mut script = FaultScript::none();
-                for j in 0..scenario.nodes as u32 {
-                    if j != node {
-                        script = script
-                            .partition_link_at(
-                                SimTime::ZERO + PERIOD * at_period,
-                                NodeId::new(j),
-                                NodeId::new(node),
-                            )
-                            .heal_link_at(
-                                SimTime::ZERO + PERIOD * heal_at_period,
-                                NodeId::new(j),
-                                NodeId::new(node),
-                            );
-                    }
-                }
-                if drop_permille > 0 {
-                    script = script.at(
-                        SimTime::ZERO,
-                        FaultAction::SetDropRate(scenario.fault.drop_rate()),
-                    );
-                }
-                sim.install_faults(&script);
-            }
-            FaultSpec::Flapping {
-                node,
-                at_period,
-                heal_at_period,
-            } => {
-                // Alternate one-period isolation windows: cut on even
-                // offsets from `at_period`, restore on odd ones, restored
-                // for good at `heal_at_period`.
-                let mut script = FaultScript::none();
-                for q in at_period..=heal_at_period {
-                    let t = SimTime::ZERO + PERIOD * q;
-                    if q < heal_at_period && (q - at_period) % 2 == 0 {
-                        script = script.isolate_at(t, NodeId::new(node), scenario.nodes as u32);
-                    } else {
-                        for j in 0..scenario.nodes as u32 {
-                            if j != node {
-                                script = script
-                                    .heal_link_at(t, NodeId::new(j), NodeId::new(node))
-                                    .heal_link_at(t, NodeId::new(node), NodeId::new(j));
-                            }
-                        }
-                    }
-                }
-                sim.install_faults(&script);
-            }
-            FaultSpec::PartitionChurn {
-                split_at,
-                node,
-                at_period,
-                kill_at_period,
-                heal_at_period,
-            } => {
-                // Same-period heal + restart: the rebooted node must come
-                // back into an already-healed network, and the kill-last
-                // ordering contract keeps the kill leg from racing any
-                // same-tick connectivity change.
-                let script = FaultScript::none()
-                    .at(
-                        SimTime::ZERO + PERIOD * at_period,
-                        FaultAction::Partition(split_groups(scenario.nodes, split_at)),
-                    )
-                    .at(
-                        SimTime::ZERO + PERIOD * kill_at_period,
-                        FaultAction::Kill(NodeId::new(node)),
-                    )
-                    .at(SimTime::ZERO + PERIOD * heal_at_period, FaultAction::Heal)
-                    .restart_at(SimTime::ZERO + PERIOD * heal_at_period, NodeId::new(node));
-                sim.install_faults(&script);
-            }
-            FaultSpec::None => {}
-        }
+        sim.install_faults(&fault_script(scenario));
         let mut snapshots = Vec::with_capacity(scenario.periods as usize);
         for p in 0..scenario.periods {
             sim.advance_to(SimTime::ZERO + PERIOD * (p + 1));
@@ -441,47 +404,41 @@ impl LockstepRuntime {
         });
         let profiles = profiles_for(scenario);
 
+        let period = cfg.node.decider.period;
         let mut threads = Vec::with_capacity(n);
         for (i, endpoint) in endpoints.into_iter().enumerate() {
-            let shared = Arc::clone(&shared);
-            let profile = profiles[i].clone();
-            let rapl_cfg = cfg.rapl.clone();
-            let overhead = cfg.management_overhead;
-            let initial_cap = scenario.budget_per_node;
-            let period = cfg.node.decider.period;
-            let seed = node_seed(scenario.seed, i as u64);
-            let periods = scenario.periods;
-            let obs = observer.clone();
-            let drop_rate = scenario.fault.drop_rate();
-            // Per-node loss stream, disjoint from the decider RNG so drop
-            // injection never perturbs the protocol's draw sequence.
-            let drop_seed = node_seed(scenario.seed, u64::MAX - 3 - i as u64);
-            threads.push(std::thread::spawn(move || {
-                node_loop(
-                    i,
-                    periods,
-                    period,
+            let state = WorkloadState::with_overhead(profiles[i].clone(), cfg.management_overhead);
+            let node = NodeThread {
+                rng: TestRng::seed_from_u64(node_seed(scenario.seed, i as u64)),
+                outputs: Vec::new(),
+                fx: LockstepFx {
+                    idx: i,
+                    now: SimTime::ZERO,
                     endpoint,
-                    shared,
-                    SimulatedRapl::new(
-                        WorkloadState::with_overhead(profile, overhead),
-                        initial_cap,
-                        rapl_cfg,
-                    ),
-                    TestRng::seed_from_u64(seed),
-                    drop_rate,
-                    TestRng::seed_from_u64(drop_seed),
-                    obs,
-                )
-            }));
+                    shared: Arc::clone(&shared),
+                    rapl: SimulatedRapl::new(state, scenario.budget_per_node, cfg.rapl.clone()),
+                    drop_rate: scenario.fault.drop_rate(),
+                    // Per-node loss stream, disjoint from the decider RNG
+                    // so drop injection never perturbs the protocol's
+                    // draw sequence.
+                    drop_rng: TestRng::seed_from_u64(node_seed(
+                        scenario.seed,
+                        u64::MAX - 3 - i as u64,
+                    )),
+                    obs: observer.clone(),
+                    period_ns: period.as_nanos().max(1),
+                },
+            };
+            let periods = scenario.periods;
+            threads.push(std::thread::spawn(move || node_loop(periods, period, node)));
         }
 
         // Coordinator: inject faults at period starts, snapshot at period
         // ends. Node threads are parked on the first barrier of period p
         // while this runs, so the snapshot reads quiescent state.
         let mut snapshots = Vec::with_capacity(scenario.periods as usize);
-        // The kill leg shared by KillNode and KillRestart: retire the
-        // victim's cap and pool into `lost` and block its traffic.
+        // The kill leg: retire the victim's cap and pool into `lost` and
+        // block its traffic.
         let kill = |node: u32| {
             let idx = node as usize;
             if shared.alive[idx].swap(false, Ordering::SeqCst) {
@@ -497,8 +454,7 @@ impl LockstepRuntime {
                 );
             }
         };
-        // The restart leg shared by KillRestart and PartitionChurn:
-        // zero-sum re-admission — the reborn cap comes out of the lost
+        // The restart leg: zero-sum re-admission — the reborn cap comes out of the lost
         // balance, never exceeding it (nor the node's initial assignment),
         // and only if it funds a cap inside the safe range.
         let restart = |node: u32| {
@@ -514,112 +470,29 @@ impl LockstepRuntime {
                 }
             }
         };
-        // Both directions of every link touching `node` — the flapping
-        // isolation window.
-        let isolate = |node: u32, cut: bool| {
-            net.with_faults(|f| {
-                for j in 0..n as u32 {
-                    if j != node {
-                        if cut {
-                            f.cut_link(NodeId::new(j), NodeId::new(node));
-                            f.cut_link(NodeId::new(node), NodeId::new(j));
-                        } else {
-                            f.heal_link(NodeId::new(j), NodeId::new(node));
-                            f.heal_link(NodeId::new(node), NodeId::new(j));
-                        }
-                    }
-                }
-            });
+        // One fault action on this substrate: node lifecycle through the
+        // two closures above, connectivity on the thread-net's fault plane.
+        let apply = |action: &FaultAction| match action {
+            FaultAction::Kill(node) => kill(node.raw()),
+            FaultAction::Restart(node) => restart(node.raw()),
+            FaultAction::Partition(groups) => {
+                let groups = groups.iter().map(|g| g.iter().copied().collect());
+                net.with_faults(|f| f.partition(groups.collect()));
+            }
+            FaultAction::PartitionLink { from, to } => net.with_faults(|f| f.cut_link(*from, *to)),
+            FaultAction::HealLink { from, to } => net.with_faults(|f| f.heal_link(*from, *to)),
+            FaultAction::Heal => net.with_faults(|f| f.heal_partitions()),
+            // Loss is injected at the sender from each node thread's own
+            // stream (`LockstepFx::send`), not by the shared plane; and a
+            // Penelope cluster has no server.
+            FaultAction::SetDropRate(_) | FaultAction::KillServer => {}
         };
+        // Same-period order is the simulator's: script order, kills last.
+        let script = fault_script(scenario).in_firing_order();
         for p in 0..scenario.periods {
-            match scenario.fault {
-                FaultSpec::KillNode { node, at_period } if at_period == p => kill(node),
-                FaultSpec::KillRestart {
-                    node,
-                    kill_at_period,
-                    restart_at_period,
-                    ..
-                } => {
-                    if kill_at_period == p {
-                        kill(node);
-                    }
-                    if restart_at_period == p {
-                        restart(node);
-                    }
-                }
-                FaultSpec::Partition {
-                    split_at,
-                    at_period,
-                    heal_at_period,
-                    ..
-                } => {
-                    if at_period == p {
-                        let groups = split_groups(n, split_at)
-                            .into_iter()
-                            .map(|g| g.into_iter().collect())
-                            .collect();
-                        net.with_faults(|f| f.partition(groups));
-                    }
-                    if heal_at_period == p {
-                        net.with_faults(|f| f.heal_partitions());
-                    }
-                }
-                FaultSpec::AsymmetricIsolate {
-                    node,
-                    at_period,
-                    heal_at_period,
-                    ..
-                } => {
-                    // Inbound-only cut: the victim's own sends still land.
-                    net.with_faults(|f| {
-                        for j in 0..n as u32 {
-                            if j != node {
-                                if at_period == p {
-                                    f.cut_link(NodeId::new(j), NodeId::new(node));
-                                }
-                                if heal_at_period == p {
-                                    f.heal_link(NodeId::new(j), NodeId::new(node));
-                                }
-                            }
-                        }
-                    });
-                }
-                FaultSpec::Flapping {
-                    node,
-                    at_period,
-                    heal_at_period,
-                } => {
-                    if (at_period..heal_at_period).contains(&p) {
-                        isolate(node, (p - at_period) % 2 == 0);
-                    } else if heal_at_period == p {
-                        isolate(node, false);
-                    }
-                }
-                FaultSpec::PartitionChurn {
-                    split_at,
-                    node,
-                    at_period,
-                    kill_at_period,
-                    heal_at_period,
-                } => {
-                    if at_period == p {
-                        let groups = split_groups(n, split_at)
-                            .into_iter()
-                            .map(|g| g.into_iter().collect())
-                            .collect();
-                        net.with_faults(|f| f.partition(groups));
-                    }
-                    if kill_at_period == p {
-                        kill(node);
-                    }
-                    if heal_at_period == p {
-                        // Heal first, then reboot into the healed network —
-                        // the same order the simulator's fault script uses.
-                        net.with_faults(|f| f.heal_partitions());
-                        restart(node);
-                    }
-                }
-                _ => {}
+            let due = SimTime::ZERO + PERIOD * p;
+            for (_, action) in script.iter().filter(|(at, _)| *at == due) {
+                apply(action);
             }
             shared.barrier.wait(); // release into tick
             shared.barrier.wait(); // tick done
@@ -684,177 +557,125 @@ fn snapshot_shared(shared: &Shared, period: u64) -> Snapshot {
     }
 }
 
-/// Send with scenario-level random loss injected at the sender. Requests,
-/// grants and acks all pass through here so a lossy scenario degrades every
-/// protocol edge, exactly like the simulator's drop-rate fault.
-fn send_lossy(
-    endpoint: &penelope_net::ThreadEndpoint<PeerMsg>,
-    drop_rate: f64,
-    drop_rng: &mut TestRng,
-    dst: NodeId,
-    msg: PeerMsg,
-) -> bool {
-    if drop_rate > 0.0 && drop_rng.gen_bool(drop_rate) {
-        return false;
-    }
-    endpoint.send(dst, msg)
+/// What a lockstep node thread owns besides its engine (which lives in
+/// [`Shared`], where the coordinator can reach it between barriers): the
+/// decider's random stream, the reusable output buffer, and [`LockstepFx`].
+struct NodeThread {
+    rng: TestRng,
+    outputs: Vec<EngineOutput>,
+    fx: LockstepFx,
 }
 
-/// Map one batch of [`NodeEngine`] outputs onto the lockstep substrate:
-/// the thread's RAPL + the shared cap mirror, the thread-net (with
-/// scenario-level loss injected at the sender), and the shared lost
-/// balance.
-///
-/// The buffer is iterated by index because executing a `SendGrant` feeds
-/// the delivery outcome straight back into the engine, which appends its
-/// escrow bookkeeping to the same buffer mid-iteration.
-///
-/// `SetEscrowTimer` outputs are dropped on purpose: this substrate has no
-/// timer wheel — the tick phase starts with an `EngineInput::SweepEscrow`,
-/// and one sweep per period boundary subsumes every per-entry deadline.
-#[allow(clippy::too_many_arguments)]
-fn drive_outputs(
+impl NodeThread {
+    fn step(&mut self, engine: &mut NodeEngine, input: EngineInput) {
+        engine.step(
+            self.fx.now,
+            input,
+            &mut self.rng,
+            &mut self.outputs,
+            &mut self.fx,
+        );
+    }
+}
+
+/// The lockstep substrate's side of an engine step: the thread's RAPL and
+/// the shared cap mirror, the thread-net with scenario-level loss injected
+/// at the sender, and the shared lost balance.
+struct LockstepFx {
     idx: usize,
+    /// The start of the current period: every event in it is stamped so.
     now: SimTime,
-    engine: &mut NodeEngine,
-    outputs: &mut Vec<EngineOutput>,
-    rng: &mut TestRng,
-    endpoint: &penelope_net::ThreadEndpoint<PeerMsg>,
+    endpoint: penelope_net::ThreadEndpoint<PeerMsg>,
+    shared: Arc<Shared>,
+    rapl: SimulatedRapl<WorkloadState>,
     drop_rate: f64,
-    drop_rng: &mut TestRng,
-    rapl: &mut SimulatedRapl<WorkloadState>,
-    shared: &Shared,
-    emit: &impl Fn(SimTime, EventKind),
-) {
-    enum SendKind {
-        Request,
-        Grant,
-        Ack(u64),
+    drop_rng: TestRng,
+    obs: SharedObserver,
+    period_ns: u64,
+}
+
+impl LockstepFx {
+    /// Substrate-level emissions; the engine emits its own events through
+    /// the same observer. Kinds are tiny `Copy` values, so building one
+    /// eagerly costs nothing even with the observer off.
+    fn emit(&self, kind: EventKind) {
+        self.obs.emit(|| TraceEvent {
+            at: self.now,
+            node: NodeId::new(self.idx as u32),
+            period: self.now.as_nanos() / self.period_ns,
+            kind,
+        });
     }
-    let mut i = 0;
-    while i < outputs.len() {
-        let out = outputs[i].clone();
-        i += 1;
-        match out {
-            EngineOutput::Actuate { cap } => {
-                rapl.set_cap(cap, now);
-                shared.caps_mw[idx].store(cap.milliwatts(), Ordering::SeqCst);
-            }
-            EngineOutput::Send { dst, msg, carried } => {
-                let kind = match &msg {
-                    PeerMsg::Request(_) => SendKind::Request,
-                    PeerMsg::Grant(..) => SendKind::Grant,
-                    PeerMsg::Ack(a, _) => SendKind::Ack(a.seq),
-                };
-                let delivered = send_lossy(endpoint, drop_rate, drop_rng, dst, msg);
-                emit(now, EventKind::MsgSent { dst, carried });
-                match kind {
-                    // A refused send (dead peer) or a random drop just
-                    // means the decider times out and retries (bounded
-                    // retransmits under lossy scenarios).
-                    SendKind::Request => {
-                        if !delivered {
-                            emit(now, EventKind::MsgDropped { dst, carried });
-                        }
-                    }
-                    // Zero grants (empty-handed replies, ack-raced
-                    // reminders) are fire-and-forget.
-                    SendKind::Grant => {}
-                    // A dropped ack is not retried: the granter's
-                    // AwaitingAck entry simply expires without credit.
-                    SendKind::Ack(seq) => {
-                        if !delivered {
-                            emit(now, EventKind::AckDropped { dst, seq });
-                        }
-                    }
-                }
-            }
-            EngineOutput::SendGrant {
-                dst,
-                msg,
-                amount,
-                seq,
-            } => {
-                // Power already debited from the pool: the engine learns
-                // the delivery outcome immediately and escrows the amount
-                // (AwaitingAck when carried, Undelivered when dropped — the
-                // §3.2 atomicity fix), so an undeliverable grant keeps its
-                // accounting weight on the granter instead of being lost.
-                let delivered = send_lossy(endpoint, drop_rate, drop_rng, dst, msg);
-                emit(
-                    now,
-                    EventKind::MsgSent {
-                        dst,
-                        carried: amount,
-                    },
-                );
-                if !delivered {
-                    emit(
-                        now,
-                        EventKind::MsgDropped {
-                            dst,
-                            carried: amount,
-                        },
-                    );
-                }
-                engine.handle(
-                    now,
-                    EngineInput::GrantOutcome {
-                        requester: dst,
-                        seq,
-                        amount,
-                        delivered,
-                    },
-                    rng,
-                    outputs,
-                );
-            }
-            EngineOutput::SetEscrowTimer { .. } => {}
-            EngineOutput::PowerLost { amount } => {
-                shared
-                    .lost_mw
-                    .fetch_add(amount.milliwatts(), Ordering::SeqCst);
-            }
-            EngineOutput::Resolved { .. } => {}
+}
+
+impl Effects<TestRng> for LockstepFx {
+    /// Requests, grants and acks all pass through the loss stream, so a
+    /// lossy scenario degrades every protocol edge, exactly like the
+    /// simulator's drop-rate fault.
+    fn send(
+        &mut self,
+        _: &mut TestRng,
+        dst: NodeId,
+        msg: PeerMsg,
+        carried: Power,
+        escrowed: bool,
+    ) -> bool {
+        let if_lost = match &msg {
+            // A refused send (dead peer) or a random drop just means the
+            // decider times out and retries (bounded retransmits under
+            // lossy scenarios).
+            PeerMsg::Request(_) => Some(EventKind::MsgDropped { dst, carried }),
+            // A dropped ack is not retried: the granter's AwaitingAck
+            // entry simply expires without credit.
+            PeerMsg::Ack(a, _) => Some(EventKind::AckDropped { dst, seq: a.seq }),
+            // Power already debited from the pool: the engine escrows it
+            // under the outcome returned here (AwaitingAck when carried,
+            // Undelivered when dropped — the §3.2 atomicity fix), so an
+            // undeliverable grant keeps its accounting weight on the
+            // granter instead of being lost.
+            PeerMsg::Grant(..) if escrowed => Some(EventKind::MsgDropped { dst, carried }),
+            // Zero grants (empty-handed replies, ack-raced reminders) are
+            // fire-and-forget.
+            PeerMsg::Grant(..) => None,
+        };
+        let dropped = self.drop_rate > 0.0 && self.drop_rng.gen_bool(self.drop_rate);
+        let delivered = !dropped && self.endpoint.send(dst, msg);
+        self.emit(EventKind::MsgSent { dst, carried });
+        if let (false, Some(kind)) = (delivered, if_lost) {
+            self.emit(kind);
         }
+        delivered
     }
-    outputs.clear();
+
+    fn actuate(&mut self, cap: Power) {
+        self.rapl.set_cap(cap, self.now);
+        self.shared.caps_mw[self.idx].store(cap.milliwatts(), Ordering::SeqCst);
+    }
+
+    /// No timer wheel here: the tick phase starts with a `SweepEscrow`,
+    /// and one sweep per period boundary subsumes every per-entry deadline.
+    fn escrow_timer(&mut self, _requester: NodeId, _seq: u64, _at: SimTime) {}
+
+    fn power_lost(&mut self, amount: Power) {
+        let lost = &self.shared.lost_mw;
+        lost.fetch_add(amount.milliwatts(), Ordering::SeqCst);
+    }
+
+    /// Turnaround is not measured on this substrate.
+    fn resolved(&mut self, _seq: u64, _amount: Power) {}
 }
 
 /// The per-node thread body: the same [`NodeEngine`] the simulator drives,
 /// phased by barriers instead of an event queue.
-#[allow(clippy::too_many_arguments)]
-fn node_loop(
-    idx: usize,
-    periods: u64,
-    period: SimDuration,
-    endpoint: penelope_net::ThreadEndpoint<PeerMsg>,
-    shared: Arc<Shared>,
-    mut rapl: SimulatedRapl<WorkloadState>,
-    mut rng: TestRng,
-    drop_rate: f64,
-    mut drop_rng: TestRng,
-    obs: SharedObserver,
-) {
-    let id = NodeId::new(idx as u32);
-    let period_ns = period.as_nanos().max(1);
-    // Substrate-level emissions; the engine emits its own events through
-    // the same observer. Kinds are tiny `Copy` values, so building one
-    // eagerly costs nothing even with the observer off.
-    let emit = |at: SimTime, kind: EventKind| {
-        obs.emit(|| TraceEvent {
-            at,
-            node: id,
-            period: at.as_nanos() / period_ns,
-            kind,
-        });
-    };
-    let mut outputs: Vec<EngineOutput> = Vec::new();
-    let mut stashed_grants: Vec<(NodeId, PowerGrant, Option<Box<SuspicionDigest>>)> = Vec::new();
+fn node_loop(periods: u64, period: SimDuration, mut node: NodeThread) {
+    let shared = Arc::clone(&node.fx.shared);
+    let idx = node.fx.idx;
+    let mut stashed_grants: Vec<(NodeId, PeerMsg)> = Vec::new();
     let mut was_alive = true;
     for p in 0..periods {
         shared.barrier.wait(); // coordinator finished faults/snapshot
         let now = SimTime::ZERO + period * p;
+        node.fx.now = now;
         let me_alive = shared.alive[idx].load(Ordering::SeqCst);
         if !was_alive && me_alive {
             // Reborn between periods: the coordinator re-admitted a cap
@@ -865,17 +686,15 @@ fn node_loop(
             // with — or be replayed into — the new epoch.
             let reborn = Power::from_milliwatts(shared.caps_mw[idx].load(Ordering::SeqCst));
             shared.engines[idx].lock().unwrap().reincarnate(reborn);
-            rapl.set_cap(reborn, now);
+            node.fx.rapl.set_cap(reborn, now);
             stashed_grants.clear();
-            was_alive = true;
-            emit(now, EventKind::NodeRestarted { readmitted: reborn });
+            node.fx
+                .emit(EventKind::NodeRestarted { readmitted: reborn });
         }
-        if was_alive && !me_alive {
-            // Killed between periods: the coordinator's kill leg already
-            // retired cap, pool *and* escrow through `NodeEngine::retire`;
-            // nothing is left thread-side.
-            was_alive = false;
-        }
+        // Killed between periods: the coordinator's kill leg already
+        // retired cap, pool *and* escrow through `NodeEngine::retire`;
+        // nothing is left thread-side.
+        was_alive = me_alive;
 
         // --- Tick phase -------------------------------------------------
         if me_alive {
@@ -885,35 +704,9 @@ fn node_loop(
             // own pool (the §3.2 abort path); an AwaitingAck entry expires
             // without credit — the power is with the requester or died
             // with it, and re-crediting it would mint.
-            engine.handle(now, EngineInput::SweepEscrow, &mut rng, &mut outputs);
-            drive_outputs(
-                idx,
-                now,
-                &mut engine,
-                &mut outputs,
-                &mut rng,
-                &endpoint,
-                drop_rate,
-                &mut drop_rng,
-                &mut rapl,
-                &shared,
-                &emit,
-            );
-            let reading = rapl.read_power_with(now, &mut rng);
-            engine.handle(now, EngineInput::Tick { reading }, &mut rng, &mut outputs);
-            drive_outputs(
-                idx,
-                now,
-                &mut engine,
-                &mut outputs,
-                &mut rng,
-                &endpoint,
-                drop_rate,
-                &mut drop_rng,
-                &mut rapl,
-                &shared,
-                &emit,
-            );
+            node.step(&mut engine, EngineInput::SweepEscrow);
+            let reading = node.fx.rapl.read_power_with(now, &mut node.rng);
+            node.step(&mut engine, EngineInput::Tick { reading });
         }
         shared.barrier.wait(); // tick done everywhere: all requests sent
 
@@ -923,90 +716,22 @@ fn node_loop(
         // double-debits). Grants from other nodes' serve phases may
         // interleave into the queue; stash them for the apply phase.
         {
-            let mut guard = if me_alive {
-                Some(shared.engines[idx].lock().unwrap())
-            } else {
-                None
-            };
-            while let Some(env) = endpoint.try_recv() {
-                match env.msg {
-                    PeerMsg::Request(req) => {
-                        if let Some(engine) = guard.as_deref_mut() {
-                            emit(
-                                now,
-                                EventKind::MsgRecv {
-                                    src: env.src,
-                                    carried: Power::ZERO,
-                                },
-                            );
-                            engine.handle(
-                                now,
-                                EngineInput::Msg {
-                                    src: env.src,
-                                    msg: PeerMsg::Request(req),
-                                },
-                                &mut rng,
-                                &mut outputs,
-                            );
-                            drive_outputs(
-                                idx,
-                                now,
-                                engine,
-                                &mut outputs,
-                                &mut rng,
-                                &endpoint,
-                                drop_rate,
-                                &mut drop_rng,
-                                &mut rapl,
-                                &shared,
-                                &emit,
-                            );
-                        }
-                        // dead node: request evaporates
+            let mut guard = me_alive.then(|| shared.engines[idx].lock().unwrap());
+            while let Some(env) = node.fx.endpoint.try_recv() {
+                let src = env.src;
+                match &env.msg {
+                    PeerMsg::Grant(g, _) => {
+                        let carried = g.amount;
+                        node.fx.emit(EventKind::MsgRecv { src, carried });
+                        stashed_grants.push((src, env.msg));
                     }
-                    PeerMsg::Grant(g, digest) => {
-                        emit(
-                            now,
-                            EventKind::MsgRecv {
-                                src: env.src,
-                                carried: g.amount,
-                            },
-                        );
-                        stashed_grants.push((env.src, g, digest));
-                    }
-                    PeerMsg::Ack(a, digest) => {
+                    // A dead node's requests and acks evaporate.
+                    PeerMsg::Request(_) | PeerMsg::Ack(..) => {
                         if let Some(engine) = guard.as_deref_mut() {
-                            emit(
-                                now,
-                                EventKind::MsgRecv {
-                                    src: env.src,
-                                    carried: Power::ZERO,
-                                },
-                            );
-                            engine.handle(
-                                now,
-                                EngineInput::Msg {
-                                    src: env.src,
-                                    msg: PeerMsg::Ack(a, digest),
-                                },
-                                &mut rng,
-                                &mut outputs,
-                            );
-                            drive_outputs(
-                                idx,
-                                now,
-                                engine,
-                                &mut outputs,
-                                &mut rng,
-                                &endpoint,
-                                drop_rate,
-                                &mut drop_rng,
-                                &mut rapl,
-                                &shared,
-                                &emit,
-                            );
+                            let carried = Power::ZERO;
+                            node.fx.emit(EventKind::MsgRecv { src, carried });
+                            node.step(engine, EngineInput::Msg { src, msg: env.msg });
                         }
-                        // dead node: ack evaporates
                     }
                 }
             }
@@ -1016,82 +741,31 @@ fn node_loop(
         // --- Apply phase ------------------------------------------------
         if me_alive {
             let mut engine = shared.engines[idx].lock().unwrap();
-            while let Some(env) = endpoint.try_recv() {
-                match env.msg {
-                    PeerMsg::Grant(g, digest) => {
-                        emit(
-                            now,
-                            EventKind::MsgRecv {
-                                src: env.src,
-                                carried: g.amount,
-                            },
-                        );
-                        stashed_grants.push((env.src, g, digest));
+            while let Some(env) = node.fx.endpoint.try_recv() {
+                let src = env.src;
+                match &env.msg {
+                    PeerMsg::Grant(g, _) => {
+                        let carried = g.amount;
+                        node.fx.emit(EventKind::MsgRecv { src, carried });
+                        stashed_grants.push((src, env.msg));
                     }
                     // Acks race with the apply drain (they are sent from
                     // other nodes' apply phases); one missed here is
                     // handled by the next serve phase, well before any
                     // escrow deadline.
-                    PeerMsg::Ack(a, digest) => {
-                        emit(
-                            now,
-                            EventKind::MsgRecv {
-                                src: env.src,
-                                carried: Power::ZERO,
-                            },
-                        );
-                        engine.handle(
-                            now,
-                            EngineInput::Msg {
-                                src: env.src,
-                                msg: PeerMsg::Ack(a, digest),
-                            },
-                            &mut rng,
-                            &mut outputs,
-                        );
-                        drive_outputs(
-                            idx,
-                            now,
-                            &mut engine,
-                            &mut outputs,
-                            &mut rng,
-                            &endpoint,
-                            drop_rate,
-                            &mut drop_rng,
-                            &mut rapl,
-                            &shared,
-                            &emit,
-                        );
+                    PeerMsg::Ack(..) => {
+                        let carried = Power::ZERO;
+                        node.fx.emit(EventKind::MsgRecv { src, carried });
+                        node.step(&mut engine, EngineInput::Msg { src, msg: env.msg });
                     }
                     PeerMsg::Request(_) => {} // all requests drained in serve
                 }
             }
-            for (src, g, digest) in stashed_grants.drain(..) {
+            for (src, msg) in stashed_grants.drain(..) {
                 // The engine merges piggybacked gossip before booking the
                 // reply, applies the grant, actuates the new cap and acks
                 // non-zero amounts back to the granter.
-                engine.handle(
-                    now,
-                    EngineInput::Msg {
-                        src,
-                        msg: PeerMsg::Grant(g, digest),
-                    },
-                    &mut rng,
-                    &mut outputs,
-                );
-                drive_outputs(
-                    idx,
-                    now,
-                    &mut engine,
-                    &mut outputs,
-                    &mut rng,
-                    &endpoint,
-                    drop_rate,
-                    &mut drop_rng,
-                    &mut rapl,
-                    &shared,
-                    &emit,
-                );
+                node.step(&mut engine, EngineInput::Msg { src, msg });
             }
         }
         shared.barrier.wait(); // apply done: nothing in flight

@@ -2,12 +2,14 @@
 //! `penelope-core` and nowhere else. The substrates (simulator, threaded
 //! runtime, UDP daemon) and the CLI are *drivers* — they pump
 //! `EngineInput`s and execute `EngineOutput`s, but they never branch on
-//! protocol state themselves. This test denies the four identifiers that
+//! protocol state themselves. This test denies the identifiers that
 //! historically marked inlined protocol logic (escrow bookkeeping,
-//! suspicion-gossip merging, seq-epoch staleness, grant dedup) outside
+//! suspicion-gossip merging, seq-epoch staleness, grant dedup, and the
+//! grant-delivery feedback every driver once fed back by hand) outside
 //! the core crate, so the triplication the engine collapsed cannot creep
 //! back in one convenient shortcut at a time. A second test holds the
-//! daemon crate to a single socket loop.
+//! daemon crate to a single socket loop, a third holds every crate but
+//! core to zero hand-written output loops.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -19,6 +21,8 @@ const DENIED: &[&str] = &[
     "observe_digest",
     "is_stale_grant",
     "applied_seqs",
+    // Only `NodeEngine::step` constructs the feedback for a sent grant.
+    "GrantOutcome",
 ];
 
 /// Source trees that must stay protocol-free.
@@ -100,7 +104,7 @@ fn protocol_state_machinery_stays_inside_penelope_core() {
     assert!(
         violations.is_empty(),
         "protocol logic leaked out of penelope-core — route it through \
-         NodeEngine::handle instead:\n  {}",
+         NodeEngine::step instead:\n  {}",
         violations.join("\n  ")
     );
 }
@@ -136,6 +140,95 @@ fn the_daemon_crate_has_one_socket_loop() {
         ["crates/daemon/src/reactor.rs"],
         "exactly one file under crates/daemon/src may receive datagrams"
     );
+}
+
+/// The names a source file gives to `Vec<EngineOutput>` buffers: struct
+/// fields, parameters and annotated locals.
+fn output_buffer_names(text: &str) -> Vec<&str> {
+    let mut names = Vec::new();
+    for (pos, _) in text.match_indices("Vec<EngineOutput>") {
+        let decl = text[..pos].trim_end();
+        let decl = decl.strip_suffix("&mut").unwrap_or(decl).trim_end();
+        let Some(decl) = decl.strip_suffix(':') else {
+            continue;
+        };
+        let start = decl
+            .rfind(|c| !is_ident_char(c))
+            .map_or(0, |before| before + 1);
+        if start < decl.len() {
+            names.push(&decl[start..]);
+        }
+    }
+    names
+}
+
+/// True iff `text` clones an element of buffer `name` by index
+/// (`name[i].clone()`), the shape of a hand-written output loop.
+fn clones_an_element_of(text: &str, name: &str) -> bool {
+    let indexed = format!("{name}[");
+    text.match_indices(&indexed).any(|(pos, _)| {
+        let before_ok = text[..pos]
+            .chars()
+            .next_back()
+            .is_none_or(|c| !is_ident_char(c));
+        let after = &text[pos + indexed.len()..];
+        before_ok
+            && after
+                .find(']')
+                .is_some_and(|close| after[close + 1..].starts_with(".clone()"))
+    })
+}
+
+/// The loop that executes engine outputs — walk the buffer, run each
+/// effect, feed a sent grant's delivery status back — exists once, in
+/// `NodeEngine::step`. Every other crate used to carry its own copy, and
+/// each copy walked the buffer by index and cloned the element it was on.
+#[test]
+fn no_driver_walks_an_engine_output_buffer_by_hand() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_sources(&root.join("src"), &mut files);
+    for entry in fs::read_dir(root.join("crates")).expect("crates/ exists") {
+        let krate = entry.expect("readable dir entry").path();
+        if krate.file_name().is_some_and(|n| n != "core") {
+            rust_sources(&krate.join("src"), &mut files);
+        }
+    }
+    assert!(files.len() >= 50, "found only {} sources", files.len());
+    let mut buffers = 0;
+    for path in &files {
+        let text = fs::read_to_string(path).expect("readable source file");
+        for name in output_buffer_names(&text) {
+            buffers += 1;
+            assert!(
+                !clones_an_element_of(&text, name),
+                "{} clones elements of its EngineOutput buffer `{name}` — \
+                 pass the buffer to NodeEngine::step and implement Effects",
+                path.strip_prefix(root).unwrap_or(path).display()
+            );
+        }
+    }
+    assert!(
+        buffers >= 5,
+        "found only {buffers} output buffers; drivers renamed the type?"
+    );
+}
+
+#[test]
+fn output_loop_detection_sees_the_shapes_it_replaced() {
+    let old = "struct S { out_buf: Vec<EngineOutput> }\n\
+               fn f(outputs: &mut Vec<EngineOutput>) {\n\
+                   let out = outputs[i].clone();\n\
+                   let o = self.out_buf[i + 1].clone();\n\
+               }";
+    assert_eq!(output_buffer_names(old), ["out_buf", "outputs"]);
+    assert!(clones_an_element_of(old, "outputs"));
+    assert!(clones_an_element_of(old, "out_buf"));
+    let new = "let mut outputs: Vec<EngineOutput> = Vec::new();\n\
+               let p = profiles[i].clone(); let n = my_outputs[0].clone();\n\
+               engine.step(now, input, rng, &mut outputs, &mut fx);";
+    assert_eq!(output_buffer_names(new), ["outputs"]);
+    assert!(!clones_an_element_of(new, "outputs"));
 }
 
 #[test]
