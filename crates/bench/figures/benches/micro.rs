@@ -3,9 +3,10 @@
 //! whole small-cluster simulated second.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use penelope_core::{DeciderConfig, LocalDecider, PoolConfig, PowerPool};
+use penelope_core::{DeciderConfig, LocalDecider, PeerTable, PoolConfig, PowerPool};
 use penelope_power::{ConstantDevice, PowerInterface, RaplConfig, SimulatedRapl};
 use penelope_sim::{ClusterConfig, ClusterSim, SystemKind};
+use penelope_trace::{SharedObserver, Stamper};
 use penelope_units::{NodeId, Power, PowerRange, SimTime};
 use penelope_power::CappedDevice;
 use penelope_workload::{npb, WorkloadState};
@@ -41,17 +42,22 @@ fn bench_decider(c: &mut Criterion) {
     g.throughput(Throughput::Elements(1));
     g.bench_function("tick_excess_then_hungry", |b| {
         let safe = PowerRange::from_watts(80, 300);
-        let mut decider = LocalDecider::new(DeciderConfig::default(), w(160), safe);
+        let cfg = DeciderConfig::default();
+        let mut decider = LocalDecider::new(cfg, w(160), safe);
+        let mut peers = PeerTable::new(NodeId::new(0), 2, &cfg);
+        let trace = Stamper::new(SharedObserver::noop(), cfg.period);
         let mut pool = PowerPool::new(PoolConfig::default());
         let mut t = 0u64;
         b.iter(|| {
             t += 1;
             let reading = if t.is_multiple_of(2) { w(100) } else { w(200) };
             std::hint::black_box(decider.tick(
+                &trace,
                 SimTime::from_secs(t),
                 reading,
                 &mut pool,
                 Some(NodeId::new(1)),
+                &mut peers,
             ))
         })
     });

@@ -7,9 +7,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use penelope_experiments::service;
 use penelope_slurm::{ServerQueue, ServiceModel};
+use penelope_testkit::TestRng;
 use penelope_units::SimTime;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 fn bench(c: &mut Criterion) {
     if penelope_bench::should_print() {
@@ -19,7 +18,7 @@ fn bench(c: &mut Criterion) {
     g.bench_function("queue_offer_10k_requests", |b| {
         b.iter(|| {
             let mut q = ServerQueue::new(ServiceModel::default(), 1200);
-            let mut rng = ChaCha8Rng::seed_from_u64(1);
+            let mut rng = TestRng::seed_from_u64(1);
             let mut served = 0u64;
             for i in 0..10_000u64 {
                 if q.offer(SimTime::from_micros(i * 95), &mut rng).is_some() {

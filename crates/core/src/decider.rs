@@ -1,12 +1,16 @@
-//! The local decider (Algorithm 1).
+//! The local decider: Algorithm 1, the three [`DeciderPolicy`] arms and
+//! the requester's own seq bookkeeping. What the node knows about its
+//! *peers* lives in the [`PeerTable`], which [`LocalDecider::tick`] — the
+//! one place a request timeout is detected — reports each timeout to; the
+//! node's event sink ([`Stamper`]) is handed to every call that narrates.
 
-use penelope_trace::{EventKind, NodeClass, SharedObserver, TraceEvent};
+use penelope_trace::{EventKind, NodeClass, Stamper};
 use penelope_units::{NodeId, Power, PowerRange, SimTime};
 
 use crate::config::DeciderConfig;
+use crate::discovery::PeerTable;
 use crate::policy::{DeciderPolicy, PredictiveConfig};
 use crate::pool::PowerPool;
-use crate::protocol::{SuspicionDigest, SuspicionEntry, MAX_DIGEST_ENTRIES};
 
 /// The decider's per-iteration classification of its node (§3.1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -155,20 +159,6 @@ pub struct LocalDecider {
     /// never double-pay the reborn node), and ordinary operation advances it
     /// to `next_seq − APPLIED_SEQ_WINDOW` so `applied_seqs` stays bounded.
     seq_floor: u64,
-    /// Liveness: consecutive timeouts per peer, reset by any reply.
-    timeout_streaks: std::collections::HashMap<NodeId, u32>,
-    /// Suspected peers → when the suspicion was last confirmed (by a
-    /// timeout or an adopted gossip entry) and against which incarnation
-    /// of the peer it was formed. Entries older than `probe_interval` no
-    /// longer filter partner selection (one probe gets through) but stay
-    /// until a reply clears them, so `PeerSuspected`/`PeerCleared`
-    /// strictly alternate.
-    suspected: std::collections::HashMap<NodeId, Suspicion>,
-    /// The newest incarnation (seq-epoch floor) observed per peer, learnt
-    /// from the digests peers piggyback on grants and acks. Gossiped
-    /// suspicions formed against an older incarnation are refuted instead
-    /// of adopted, so a rejoined node is never re-shunned by stale gossip.
-    known_incarnations: std::collections::HashMap<NodeId, u64>,
     /// Predictive policy only: the EWMA demand forecast, updated once per
     /// executed (non-blocked) iteration. Unused — and never read — under
     /// the other policies.
@@ -178,17 +168,6 @@ pub struct LocalDecider {
     prev_reading: Option<Power>,
     stats: DeciderStats,
     node: NodeId,
-    obs: SharedObserver,
-}
-
-/// One active suspicion held by a decider.
-#[derive(Clone, Copy, Debug)]
-struct Suspicion {
-    /// When the suspicion was last confirmed (probe clock).
-    since: SimTime,
-    /// The incarnation of the peer the suspicion was formed against; a
-    /// digest proving a newer incarnation refutes it.
-    incarnation: u64,
 }
 
 impl LocalDecider {
@@ -204,14 +183,10 @@ impl LocalDecider {
             next_seq: 0,
             applied_seqs: std::collections::HashSet::new(),
             seq_floor: 0,
-            timeout_streaks: std::collections::HashMap::new(),
-            suspected: std::collections::HashMap::new(),
-            known_incarnations: std::collections::HashMap::new(),
             forecast: Power::ZERO,
             prev_reading: None,
             stats: DeciderStats::default(),
             node: NodeId::new(0),
-            obs: SharedObserver::noop(),
         }
     }
 
@@ -226,30 +201,13 @@ impl LocalDecider {
         self
     }
 
-    /// Attach an observer, stamping every emitted event with `node`.
-    ///
-    /// The decider is where the protocol *decides*, so it is the single
-    /// emission site for classification, pool deposit/withdraw, request
-    /// sent/timeout, grant applied and urgency-cleared events — every
-    /// substrate gets the identical narrative by construction.
-    pub fn with_observer(mut self, node: NodeId, obs: SharedObserver) -> Self {
+    /// Stamp every emitted event with `node`. The decider is where the
+    /// protocol *decides*, so it is the single emission site for
+    /// classification, pool deposit/withdraw, request sent/timeout, grant
+    /// applied and urgency-cleared events on every substrate.
+    pub fn with_node(mut self, node: NodeId) -> Self {
         self.node = node;
-        self.obs = obs;
         self
-    }
-
-    /// Stamp and deliver one protocol event (free when tracing is off).
-    #[inline]
-    fn emit(&self, now: SimTime, kind: impl FnOnce() -> EventKind) {
-        if self.obs.enabled() {
-            let period_ns = self.cfg.period.as_nanos().max(1);
-            self.obs.on_event(&TraceEvent {
-                at: now,
-                node: self.node,
-                period: now.as_nanos() / period_ns,
-                kind: kind(),
-            });
-        }
     }
 
     /// The node-level cap the decider currently wants enforced (`C_t`).
@@ -313,54 +271,6 @@ impl LocalDecider {
         self.forecast
     }
 
-    /// Tell the liveness layer a reply (grant) arrived from `peer`: any
-    /// timeout streak resets and an active suspicion is cleared.
-    pub fn note_peer_reply(&mut self, now: SimTime, peer: NodeId) {
-        self.timeout_streaks.remove(&peer);
-        if self.suspected.remove(&peer).is_some() {
-            self.emit(now, || EventKind::PeerCleared { peer });
-        }
-    }
-
-    /// Is `peer` currently filtered out of partner selection? True while a
-    /// suspicion is younger than `probe_interval`; after that the peer is
-    /// eligible again (one probe request gets through) even though the
-    /// suspicion entry survives until a reply clears it.
-    pub fn is_suspected(&self, now: SimTime, peer: NodeId) -> bool {
-        match self.suspected.get(&peer) {
-            Some(s) => now.saturating_since(s.since) < self.cfg.probe_interval,
-            None => false,
-        }
-    }
-
-    /// True iff a suspicion of `peer` has outlived `probe_interval` and
-    /// is awaiting its probe: a request sent to `peer` now is the probe
-    /// that will either clear the suspicion (any reply) or re-confirm it
-    /// (another timeout).
-    pub fn is_probing(&self, now: SimTime, peer: NodeId) -> bool {
-        match self.suspected.get(&peer) {
-            Some(s) => now.saturating_since(s.since) >= self.cfg.probe_interval,
-            None => false,
-        }
-    }
-
-    /// True iff any peer is currently filtered by suspicion — the fast
-    /// path gate partner selection uses to keep fault-free runs on the
-    /// paper's single blind-uniform draw. Costs O(suspected), which is
-    /// zero on a fault-free run.
-    pub fn suspicion_active(&self, now: SimTime) -> bool {
-        self.suspected
-            .values()
-            .any(|s| now.saturating_since(s.since) < self.cfg.probe_interval)
-    }
-
-    /// Number of peers this decider currently holds a suspicion entry for
-    /// (active or awaiting clearance) — the observable the convergence
-    /// tests count.
-    pub fn suspected_count(&self) -> usize {
-        self.suspected.len()
-    }
-
     /// This decider's own incarnation counter: the persistent seq-epoch
     /// floor. Monotone within a life (the applied-seq window only ever
     /// advances it) and raised past the pre-crash `next_seq` watermark on
@@ -368,150 +278,6 @@ impl LocalDecider {
     /// sender was (re)alive.
     pub fn incarnation(&self) -> u64 {
         self.seq_floor
-    }
-
-    /// Build the suspicion digest to piggyback on an outgoing grant or
-    /// ack, or `None` when there is nothing worth saying (gossip disabled,
-    /// or no suspicions held and a zero incarnation). Entries are sorted
-    /// by peer id and truncated to the configured bound, so every
-    /// substrate produces the identical digest from identical state.
-    pub fn make_digest(&self) -> Option<Box<SuspicionDigest>> {
-        let limit = self.cfg.gossip_digest.min(MAX_DIGEST_ENTRIES);
-        if limit == 0 || (self.suspected.is_empty() && self.seq_floor == 0) {
-            return None;
-        }
-        let mut entries: Vec<SuspicionEntry> = self
-            .suspected
-            .iter()
-            .map(|(&peer, s)| SuspicionEntry {
-                peer,
-                incarnation: s.incarnation,
-            })
-            .collect();
-        entries.sort_by_key(|e| e.peer);
-        entries.truncate(limit);
-        Some(Box::new(SuspicionDigest {
-            incarnation: self.seq_floor,
-            entries,
-        }))
-    }
-
-    /// Merge a digest piggybacked on a message from `src` (call *before*
-    /// [`note_peer_reply`](LocalDecider::note_peer_reply) so refutations
-    /// are attributed to incarnation evidence, not the reply itself).
-    ///
-    /// Three rules, in order:
-    /// 1. The digest is firsthand proof `src` is alive at its carried
-    ///    incarnation: record it, and drop any suspicion of `src` formed
-    ///    against an older incarnation (`SuspicionRefuted`).
-    /// 2. An entry about a peer whose known incarnation is newer than the
-    ///    entry's is stale: never adopted, and it *clears* a matching
-    ///    stale suspicion rather than refreshing it — this is what stops
-    ///    old suspicion of a rejoined node circulating forever.
-    /// 3. A fresh entry about an unsuspected peer is adopted secondhand
-    ///    (`SuspicionGossiped`): the whole point — one node's timeout
-    ///    schedule warns the entire cluster within a gossip round or two.
-    ///
-    /// A no-op when gossip is disabled (`gossip_digest == 0`), so the
-    /// with/without comparison isolates exactly the dissemination layer.
-    pub fn observe_digest(&mut self, now: SimTime, src: NodeId, digest: &SuspicionDigest) {
-        if self.cfg.gossip_digest == 0 {
-            return;
-        }
-        let known_src = self.known_incarnations.entry(src).or_insert(0);
-        if digest.incarnation > *known_src {
-            *known_src = digest.incarnation;
-        }
-        if let Some(s) = self.suspected.get(&src) {
-            if digest.incarnation > s.incarnation {
-                self.suspected.remove(&src);
-                self.timeout_streaks.remove(&src);
-                self.emit(now, || EventKind::SuspicionRefuted { peer: src });
-            }
-        }
-        for entry in digest.entries.iter().take(MAX_DIGEST_ENTRIES) {
-            let peer = entry.peer;
-            if peer == self.node || peer == src {
-                // No one may gossip us into suspecting ourselves, and a
-                // sender's claim about itself is nonsense.
-                continue;
-            }
-            let known = self.known_incarnations.get(&peer).copied().unwrap_or(0);
-            if entry.incarnation < known {
-                // Stale: the peer has provably re-incarnated since this
-                // suspicion was formed.
-                if self
-                    .suspected
-                    .get(&peer)
-                    .is_some_and(|s| s.incarnation < known)
-                {
-                    self.suspected.remove(&peer);
-                    self.timeout_streaks.remove(&peer);
-                    self.emit(now, || EventKind::SuspicionRefuted { peer });
-                }
-                continue;
-            }
-            if entry.incarnation > known {
-                self.known_incarnations.insert(peer, entry.incarnation);
-            }
-            match self.suspected.get_mut(&peer) {
-                Some(s) => {
-                    // Already suspected: upgrade the stamp if the gossip is
-                    // fresher (keeping the original probe clock), so the
-                    // suspicion is not clear-then-reinfect flapped when a
-                    // stale copy of it arrives later.
-                    s.incarnation = s.incarnation.max(entry.incarnation);
-                }
-                None => {
-                    self.suspected.insert(
-                        peer,
-                        Suspicion {
-                            since: now,
-                            incarnation: entry.incarnation,
-                        },
-                    );
-                    self.emit(now, || EventKind::SuspicionGossiped { peer, via: src });
-                }
-            }
-        }
-    }
-
-    /// Consecutive unanswered requests to `peer` (zero after any reply).
-    pub fn peer_timeout_streak(&self, peer: NodeId) -> u32 {
-        self.timeout_streaks.get(&peer).copied().unwrap_or(0)
-    }
-
-    /// One request to `peer` timed out (retransmit fired or the request
-    /// was abandoned): extend the streak and suspect the peer once the
-    /// streak reaches `suspect_after`.
-    fn note_peer_timeout(&mut self, now: SimTime, peer: NodeId) {
-        if self.cfg.suspect_after == 0 {
-            return; // liveness layer disabled
-        }
-        let streak = self.timeout_streaks.entry(peer).or_insert(0);
-        *streak += 1;
-        if *streak >= self.cfg.suspect_after {
-            let fresh = !self.suspected.contains_key(&peer);
-            // Record the suspicion against the newest incarnation we know
-            // for the peer, so gossip recipients can judge its freshness.
-            let incarnation = self.known_incarnations.get(&peer).copied().unwrap_or(0);
-            self.suspected.insert(
-                peer,
-                Suspicion {
-                    since: now,
-                    incarnation,
-                },
-            ); // refresh the probe clock
-            if fresh {
-                self.emit(now, || EventKind::PeerSuspected { peer });
-            }
-        }
-    }
-
-    /// Would a request sent right now be urgent? (Power-hungry is assumed;
-    /// urgency additionally requires being below the initial cap.)
-    pub fn is_below_initial(&self) -> bool {
-        self.cap < self.initial_cap
     }
 
     /// Earliest future time at which [`tick`](LocalDecider::tick) could do
@@ -572,17 +338,22 @@ impl LocalDecider {
 
     /// One iteration of Algorithm 1.
     ///
+    /// * `trace` — the node's event sink.
     /// * `now` — current virtual time.
     /// * `reading` — average power since the previous tick.
     /// * `pool` — the co-located power pool.
     /// * `peer` — a peer chosen uniformly at random by the host (or `None`
     ///   if no peer is reachable); consulted only if a request is needed.
+    /// * `peers` — told of each elapsed wait on the outstanding request,
+    ///   before the retransmit or abandonment it causes is narrated.
     pub fn tick(
         &mut self,
+        trace: &Stamper,
         now: SimTime,
         reading: Power,
         pool: &mut PowerPool,
         peer: Option<NodeId>,
+        peers: &mut PeerTable,
     ) -> TickAction {
         self.stats.ticks += 1;
 
@@ -594,7 +365,7 @@ impl LocalDecider {
             if now.saturating_since(out.sent_at) >= wait {
                 // Every elapsed wait (retransmit or abandonment) is one
                 // timeout signal against the peer the request went to.
-                self.note_peer_timeout(now, out.dst);
+                peers.note_timeout(trace, now, out.dst);
                 if out.attempt < self.cfg.max_retransmits {
                     self.outstanding = Some(Outstanding {
                         sent_at: now,
@@ -602,7 +373,7 @@ impl LocalDecider {
                         ..out
                     });
                     self.stats.retransmits += 1;
-                    self.emit(now, || EventKind::RequestSent {
+                    trace.emit(now, self.node, || EventKind::RequestSent {
                         dst: out.dst,
                         urgent: out.urgent,
                         alpha: out.alpha,
@@ -618,7 +389,9 @@ impl LocalDecider {
                 }
                 self.outstanding = None;
                 self.stats.timeouts += 1;
-                self.emit(now, || EventKind::RequestTimeout { seq: out.seq });
+                trace.emit(now, self.node, || EventKind::RequestTimeout {
+                    seq: out.seq,
+                });
             } else {
                 return TickAction::Idle;
             }
@@ -631,7 +404,7 @@ impl LocalDecider {
         // hungry *before* a predicted rise throttles it.
         let planning = match self.cfg.policy {
             DeciderPolicy::Predictive(p) => {
-                self.update_forecast(now, reading, p);
+                self.update_forecast(trace, now, reading, p);
                 reading.max(self.forecast)
             }
             _ => reading,
@@ -639,7 +412,7 @@ impl LocalDecider {
 
         let classification = classify(planning, self.cap, self.cfg.epsilon);
         let cap_before = self.cap;
-        self.emit(now, || EventKind::Classified {
+        trace.emit(now, self.node, || EventKind::Classified {
             class: classification.as_trace(),
             reading,
             cap: cap_before,
@@ -659,7 +432,7 @@ impl LocalDecider {
                 pool.deposit(freed);
                 self.stats.deposited += freed;
                 let pool_after = pool.available();
-                self.emit(now, || EventKind::PoolDeposit {
+                trace.emit(now, self.node, || EventKind::PoolDeposit {
                     amount: freed,
                     pool: pool_after,
                 });
@@ -670,11 +443,11 @@ impl LocalDecider {
                     // Local pool first: Δ = min(Pool, getMaxSize(Pool)).
                     let delta = pool.take_local();
                     let pool_after = pool.available();
-                    self.emit(now, || EventKind::PoolWithdraw {
+                    trace.emit(now, self.node, || EventKind::PoolWithdraw {
                         amount: delta,
                         pool: pool_after,
                     });
-                    let applied = self.raise_cap(now, delta, pool);
+                    let applied = self.raise_cap(trace, now, delta, pool);
                     TickAction::TookLocal(applied)
                 } else if let Some(dst) = peer {
                     let (urgent, alpha, bid) = self.request_shape(planning);
@@ -694,9 +467,9 @@ impl LocalDecider {
                         self.stats.urgent_sent += 1;
                     }
                     if !bid.is_zero() {
-                        self.emit(now, || EventKind::BidPlaced { seq, bid });
+                        trace.emit(now, self.node, || EventKind::BidPlaced { seq, bid });
                     }
-                    self.emit(now, || EventKind::RequestSent {
+                    trace.emit(now, self.node, || EventKind::RequestSent {
                         dst,
                         urgent,
                         alpha,
@@ -716,7 +489,7 @@ impl LocalDecider {
             Classification::AtMargin => TickAction::Idle,
         };
 
-        self.finish_iteration(now, classification, pool);
+        self.finish_iteration(trace, now, classification, pool);
         action
     }
 
@@ -731,6 +504,7 @@ impl LocalDecider {
     /// discarded and contributes nothing, so one debit can never pay twice.
     pub fn on_grant(
         &mut self,
+        trace: &Stamper,
         now: SimTime,
         seq: u64,
         amount: Power,
@@ -763,8 +537,8 @@ impl LocalDecider {
             }
         }
         self.stats.granted += amount;
-        let applied = self.raise_cap(now, amount, pool);
-        self.emit(now, || EventKind::GrantApplied {
+        let applied = self.raise_cap(trace, now, amount, pool);
+        trace.emit(now, self.node, || EventKind::GrantApplied {
             seq,
             granted: amount,
             applied,
@@ -816,13 +590,19 @@ impl LocalDecider {
     /// Predictive policy: advance the demand forecast by one iteration.
     /// Integer EWMA towards the reading, except that a phase-change-sized
     /// step (or the very first reading) snaps the forecast straight there.
-    fn update_forecast(&mut self, now: SimTime, reading: Power, cfg: PredictiveConfig) {
+    fn update_forecast(
+        &mut self,
+        trace: &Stamper,
+        now: SimTime,
+        reading: Power,
+        cfg: PredictiveConfig,
+    ) {
         let jumped = match self.prev_reading {
             None => true, // bootstrap: adopt the first reading silently
             Some(prev) => {
                 if reading.abs_diff(prev) >= cfg.jump_threshold {
                     let forecast_before = self.forecast;
-                    self.emit(now, || EventKind::ForecastJump {
+                    trace.emit(now, self.node, || EventKind::ForecastJump {
                         forecast: forecast_before,
                         reading,
                     });
@@ -844,7 +624,13 @@ impl LocalDecider {
 
     /// Raise the cap by `delta`, clamped to the safe maximum; overflow goes
     /// back into the local pool.
-    fn raise_cap(&mut self, now: SimTime, delta: Power, pool: &mut PowerPool) -> Power {
+    fn raise_cap(
+        &mut self,
+        trace: &Stamper,
+        now: SimTime,
+        delta: Power,
+        pool: &mut PowerPool,
+    ) -> Power {
         let new_cap = (self.cap + delta).min(self.safe.max());
         let applied = new_cap - self.cap;
         let overflow = delta - applied;
@@ -852,7 +638,7 @@ impl LocalDecider {
         if !overflow.is_zero() {
             pool.deposit(overflow);
             let pool_after = pool.available();
-            self.emit(now, || EventKind::PoolDeposit {
+            trace.emit(now, self.node, || EventKind::PoolDeposit {
                 amount: overflow,
                 pool: pool_after,
             });
@@ -865,6 +651,7 @@ impl LocalDecider {
     /// itself urgent, in which case the flag persists until it is not.
     fn finish_iteration(
         &mut self,
+        trace: &Stamper,
         now: SimTime,
         classification: Classification,
         pool: &mut PowerPool,
@@ -885,18 +672,19 @@ impl LocalDecider {
             self.stats.urgency_released += delta;
             released = delta;
             let pool_after = pool.available();
-            self.emit(now, || EventKind::PoolDeposit {
+            trace.emit(now, self.node, || EventKind::PoolDeposit {
                 amount: delta,
                 pool: pool_after,
             });
         }
-        self.emit(now, || EventKind::UrgencyCleared { released });
+        trace.emit(now, self.node, || EventKind::UrgencyCleared { released });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::discovery::rig::Rig;
     use penelope_units::SimDuration;
     use proptest::prelude::*;
 
@@ -912,8 +700,8 @@ mod tests {
         PowerRange::from_watts(80, 300)
     }
 
-    fn decider(initial_w: u64) -> LocalDecider {
-        LocalDecider::new(DeciderConfig::default(), w(initial_w), safe())
+    fn decider(initial_w: u64) -> Rig {
+        Rig::new(DeciderConfig::default(), w(initial_w), safe())
     }
 
     fn t(s: u64) -> SimTime {
@@ -1085,7 +873,7 @@ mod tests {
             response_timeout: SimDuration::from_secs(2),
             ..Default::default()
         };
-        let mut d = LocalDecider::new(cfg, w(150), safe());
+        let mut d = Rig::new(cfg, w(150), safe());
         let mut p = PowerPool::default();
         let _ = d.tick(t(1), w(150), &mut p, Some(NodeId::new(1)));
         assert!(d.is_blocked());
@@ -1166,7 +954,7 @@ mod tests {
             max_retransmits: 2,
             ..Default::default()
         };
-        let mut d = LocalDecider::new(cfg, w(150), safe());
+        let mut d = Rig::new(cfg, w(150), safe());
         let mut p = PowerPool::default();
         let TickAction::Request { seq, dst, .. } =
             d.tick(t(1), w(150), &mut p, Some(NodeId::new(1)))
@@ -1289,10 +1077,10 @@ mod tests {
 
     #[test]
     fn initial_cap_clamped_to_safe_range() {
-        let d = LocalDecider::new(DeciderConfig::default(), w(999), safe());
+        let d = Rig::new(DeciderConfig::default(), w(999), safe());
         assert_eq!(d.cap(), w(300));
         assert_eq!(d.initial_cap(), w(300));
-        let d = LocalDecider::new(DeciderConfig::default(), w(1), safe());
+        let d = Rig::new(DeciderConfig::default(), w(1), safe());
         assert_eq!(d.initial_cap(), w(80));
     }
 
@@ -1460,6 +1248,7 @@ mod tests {
 mod churn_tests {
     use super::*;
     use crate::config::DeciderConfig;
+    use crate::discovery::rig::Rig;
     use penelope_units::{PowerRange, SimDuration};
 
     fn w(x: u64) -> Power {
@@ -1474,105 +1263,9 @@ mod churn_tests {
         SimTime::from_secs(s)
     }
 
-    /// A decider that suspects after 2 consecutive timeouts, no
-    /// retransmits, 1 s timeout, 8 s probe interval.
-    fn suspicious() -> LocalDecider {
-        let cfg = DeciderConfig {
-            suspect_after: 2,
-            ..Default::default()
-        };
-        LocalDecider::new(cfg, w(150), safe())
-    }
-
-    /// Drive one request→timeout round against `peer`.
-    fn timeout_round(d: &mut LocalDecider, p: &mut PowerPool, now: &mut u64, peer: NodeId) {
-        let a = d.tick(t(*now), w(150), p, Some(peer));
-        assert!(matches!(a, TickAction::Request { .. }), "{a:?}");
-        *now += 2; // past the 1 s response timeout
-                   // The timeout fires at the top of this tick; the decider then
-                   // re-classifies and may issue a fresh request, which we let expire
-                   // on the next round.
-        let _ = d.tick(t(*now), w(145), p, Some(peer)); // at margin after timeout
-        *now += 1;
-    }
-
-    #[test]
-    fn peer_suspected_after_consecutive_timeouts_and_cleared_by_reply() {
-        let mut d = suspicious();
-        let mut p = PowerPool::default();
-        let peer = NodeId::new(1);
-        let mut now = 1u64;
-        timeout_round(&mut d, &mut p, &mut now, peer);
-        assert_eq!(d.peer_timeout_streak(peer), 1);
-        assert!(!d.is_suspected(t(now), peer), "one timeout is not enough");
-        timeout_round(&mut d, &mut p, &mut now, peer);
-        assert_eq!(d.peer_timeout_streak(peer), 2);
-        assert!(d.is_suspected(t(now), peer));
-        assert!(d.suspicion_active(t(now)));
-        // Any reply clears both the streak and the suspicion.
-        d.note_peer_reply(t(now), peer);
-        assert!(!d.is_suspected(t(now), peer));
-        assert_eq!(d.peer_timeout_streak(peer), 0);
-        assert!(!d.suspicion_active(t(now)));
-    }
-
-    #[test]
-    fn suspicion_expires_into_a_probe_after_the_interval() {
-        let mut d = suspicious();
-        let mut p = PowerPool::default();
-        let peer = NodeId::new(2);
-        let mut now = 1u64;
-        timeout_round(&mut d, &mut p, &mut now, peer);
-        timeout_round(&mut d, &mut p, &mut now, peer);
-        let suspected_at = t(now);
-        assert!(d.is_suspected(suspected_at, peer));
-        // 8 s (the default probe interval) later the peer is eligible
-        // again — but the suspicion entry survives, so no PeerCleared is
-        // emitted and a reply still produces exactly one.
-        let later = SimTime::from_secs(now + 20);
-        assert!(!d.is_suspected(later, peer));
-        assert!(!d.suspicion_active(later));
-    }
-
-    #[test]
-    fn reply_resets_the_streak_below_threshold() {
-        let mut d = suspicious();
-        let mut p = PowerPool::default();
-        let peer = NodeId::new(1);
-        let mut now = 1u64;
-        timeout_round(&mut d, &mut p, &mut now, peer);
-        d.note_peer_reply(t(now), peer);
-        timeout_round(&mut d, &mut p, &mut now, peer);
-        assert_eq!(d.peer_timeout_streak(peer), 1);
-        assert!(!d.is_suspected(t(now), peer), "streak was not consecutive");
-    }
-
-    #[test]
-    fn retransmit_expiries_count_toward_the_streak() {
-        // With retransmits enabled a single fully-abandoned request
-        // signals several timeouts — a dead peer is suspected after one
-        // abandoned request, not suspect_after of them.
-        let cfg = DeciderConfig {
-            max_retransmits: 2,
-            suspect_after: 3,
-            ..Default::default()
-        };
-        let mut d = LocalDecider::new(cfg, w(150), safe());
-        let mut p = PowerPool::default();
-        let peer = NodeId::new(4);
-        let _ = d.tick(t(1), w(150), &mut p, Some(peer)); // request
-        let _ = d.tick(t(2), w(150), &mut p, None); // retransmit 1
-        let _ = d.tick(t(4), w(150), &mut p, None); // retransmit 2
-        let _ = d.tick(t(8), w(145), &mut p, None); // abandoned
-        assert_eq!(d.stats().timeouts, 1);
-        assert_eq!(d.stats().retransmits, 2);
-        assert_eq!(d.peer_timeout_streak(peer), 3);
-        assert!(d.is_suspected(t(8), peer));
-    }
-
     #[test]
     fn seq_floor_discards_stale_grants_without_paying() {
-        let mut d = LocalDecider::new(DeciderConfig::default(), w(150), safe()).with_seq_floor(10);
+        let mut d = Rig::new(DeciderConfig::default(), w(150), safe()).with_seq_floor(10);
         let mut p = PowerPool::default();
         assert!(d.is_stale_grant(9));
         assert!(!d.is_stale_grant(10));
@@ -1594,7 +1287,7 @@ mod churn_tests {
         // Satellite regression: the dedup set is O(window), not
         // O(lifetime requests). Drive far more grant cycles than the
         // window and watch the set stay small while dedup still works.
-        let mut d = LocalDecider::new(DeciderConfig::default(), w(150), safe());
+        let mut d = Rig::new(DeciderConfig::default(), w(150), safe());
         let mut p = PowerPool::default();
         for i in 0..(APPLIED_SEQ_WINDOW * 160) {
             let now = SimTime::from_secs(2 * i + 1);
@@ -1629,7 +1322,7 @@ mod churn_tests {
     fn grants_below_the_pruned_window_are_rejected_not_forgotten() {
         // The prune must advance the *floor*, not merely forget entries:
         // a redelivery from below the window would otherwise double-pay.
-        let mut d = LocalDecider::new(DeciderConfig::default(), w(100), safe());
+        let mut d = Rig::new(DeciderConfig::default(), w(100), safe());
         let mut p = PowerPool::default();
         let mut first_seq = None;
         for i in 0..(APPLIED_SEQ_WINDOW + 8) {
@@ -1649,359 +1342,13 @@ mod churn_tests {
         assert_eq!(d.cap(), cap);
         assert!(d.stats().stale_discards >= 1);
     }
-
-    #[test]
-    fn fault_free_decider_never_suspects() {
-        // The byte-identity guarantee's core: without timeouts the
-        // suspicion layer holds no state and emits nothing.
-        use penelope_trace::RingBufferObserver;
-        use std::sync::Arc;
-        let ring = Arc::new(RingBufferObserver::unbounded());
-        let mut d = LocalDecider::new(DeciderConfig::default(), w(150), safe())
-            .with_observer(NodeId::new(0), ring.clone().into());
-        let mut p = PowerPool::default();
-        for i in 0..50u64 {
-            let now = t(2 * i + 1);
-            if let TickAction::Request { seq, .. } =
-                d.tick(now, w(150), &mut p, Some(NodeId::new(1)))
-            {
-                d.note_peer_reply(now + SimDuration::from_millis(5), NodeId::new(1));
-                let _ = d.on_grant(now + SimDuration::from_millis(5), seq, w(1), &mut p);
-            }
-            p.drain();
-            assert!(!d.suspicion_active(now));
-        }
-        assert!(!ring.events().iter().any(|e| matches!(
-            e.kind,
-            EventKind::PeerSuspected { .. } | EventKind::PeerCleared { .. }
-        )));
-    }
-
-    #[test]
-    fn suspect_after_boundary_exactly_n_timeouts() {
-        // The threshold is inclusive: N−1 consecutive timeouts must leave
-        // the peer trusted, the Nth flips it — no off-by-one either way.
-        let cfg = DeciderConfig {
-            suspect_after: 3,
-            ..Default::default()
-        };
-        let mut d = LocalDecider::new(cfg, w(150), safe());
-        let mut p = PowerPool::default();
-        let peer = NodeId::new(1);
-        let mut now = 1u64;
-        timeout_round(&mut d, &mut p, &mut now, peer);
-        timeout_round(&mut d, &mut p, &mut now, peer);
-        assert_eq!(d.peer_timeout_streak(peer), 2);
-        assert!(
-            !d.is_suspected(t(now), peer),
-            "N−1 timeouts must not suspect"
-        );
-        assert!(!d.suspicion_active(t(now)));
-        timeout_round(&mut d, &mut p, &mut now, peer);
-        assert_eq!(d.peer_timeout_streak(peer), 3);
-        assert!(d.is_suspected(t(now), peer), "the Nth timeout suspects");
-    }
-
-    #[test]
-    fn clear_on_reply_after_probe_expiry_emits_one_cleared() {
-        // The clear-on-reply vs clear-on-probe race: once the probe
-        // interval expires the peer is already eligible again
-        // (is_suspected false), but the suspicion *entry* survives. A
-        // reply arriving after expiry must clear it exactly once —
-        // PeerSuspected/PeerCleared strictly alternate, never a double
-        // clear and never a clear-less re-suspect.
-        use penelope_trace::RingBufferObserver;
-        use std::sync::Arc;
-        let ring = Arc::new(RingBufferObserver::unbounded());
-        let cfg = DeciderConfig {
-            suspect_after: 2,
-            ..Default::default()
-        };
-        let mut d = LocalDecider::new(cfg, w(150), safe())
-            .with_observer(NodeId::new(0), ring.clone().into());
-        let mut p = PowerPool::default();
-        let peer = NodeId::new(2);
-        let mut now = 1u64;
-        timeout_round(&mut d, &mut p, &mut now, peer);
-        timeout_round(&mut d, &mut p, &mut now, peer);
-        assert!(d.is_suspected(t(now), peer));
-        // Probe interval (8 s default) expires: eligible again, entry kept.
-        let after_probe = t(now + 20);
-        assert!(!d.is_suspected(after_probe, peer));
-        // The probe's reply lands after expiry.
-        d.note_peer_reply(after_probe, peer);
-        // A second reply must not produce a second clear.
-        d.note_peer_reply(after_probe + SimDuration::from_secs(1), peer);
-        let events = ring.events();
-        let suspected = events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::PeerSuspected { .. }))
-            .count();
-        let cleared = events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::PeerCleared { .. }))
-            .count();
-        assert_eq!((suspected, cleared), (1, 1));
-        // And the streak restarted from zero: one fresh timeout is not
-        // enough to re-suspect.
-        timeout_round(&mut d, &mut p, &mut now, peer);
-        assert_eq!(d.peer_timeout_streak(peer), 1);
-    }
-
-    #[test]
-    fn all_peers_suspected_still_reports_each_individually() {
-        // The decider side of the blind-uniform fallback: when every peer
-        // is suspected the host's chooser sees is_suspected true for all
-        // of them and suspicion_active true, which is its cue to fall
-        // back to the paper's blind draw rather than return no peer. The
-        // probe interval is stretched so the first suspicion cannot expire
-        // while the later peers are still being timed out.
-        let cfg = DeciderConfig {
-            suspect_after: 2,
-            probe_interval: SimDuration::from_secs(1_000),
-            ..Default::default()
-        };
-        let mut d = LocalDecider::new(cfg, w(150), safe());
-        let mut p = PowerPool::default();
-        let mut now = 1u64;
-        for peer in [NodeId::new(1), NodeId::new(2), NodeId::new(3)] {
-            timeout_round(&mut d, &mut p, &mut now, peer);
-            timeout_round(&mut d, &mut p, &mut now, peer);
-            assert!(d.is_suspected(t(now), peer));
-        }
-        assert_eq!(d.suspected_count(), 3);
-        assert!(d.suspicion_active(t(now)));
-        for peer in [NodeId::new(1), NodeId::new(2), NodeId::new(3)] {
-            assert!(d.is_suspected(t(now), peer));
-        }
-    }
-}
-
-#[cfg(test)]
-mod gossip_tests {
-    use super::*;
-    use crate::config::DeciderConfig;
-    use crate::protocol::{SuspicionDigest, SuspicionEntry};
-    use penelope_trace::RingBufferObserver;
-    use penelope_units::PowerRange;
-    use std::sync::Arc;
-
-    fn w(x: u64) -> Power {
-        Power::from_watts_u64(x)
-    }
-
-    fn safe() -> PowerRange {
-        PowerRange::from_watts(80, 300)
-    }
-
-    fn t(s: u64) -> SimTime {
-        SimTime::from_secs(s)
-    }
-
-    fn observed() -> (LocalDecider, Arc<RingBufferObserver>) {
-        let ring = Arc::new(RingBufferObserver::unbounded());
-        let d = LocalDecider::new(DeciderConfig::default(), w(150), safe())
-            .with_observer(NodeId::new(0), ring.clone().into());
-        (d, ring)
-    }
-
-    fn digest_of(incarnation: u64, entries: &[(u32, u64)]) -> SuspicionDigest {
-        SuspicionDigest {
-            incarnation,
-            entries: entries
-                .iter()
-                .map(|&(p, i)| SuspicionEntry {
-                    peer: NodeId::new(p),
-                    incarnation: i,
-                })
-                .collect(),
-        }
-    }
-
-    /// Plant a local (timeout-born) suspicion of `peer` directly.
-    fn suspect_via_timeouts(d: &mut LocalDecider, peer: NodeId, now: &mut u64) {
-        let mut p = PowerPool::default();
-        while !d.is_suspected(t(*now), peer) {
-            let a = d.tick(t(*now), w(150), &mut p, Some(peer));
-            assert!(!matches!(a, TickAction::Deposited(_)));
-            *now += 2;
-            let _ = d.tick(t(*now), w(145), &mut p, Some(peer));
-            *now += 1;
-            p.drain();
-        }
-    }
-
-    #[test]
-    fn fresh_decider_builds_no_digest() {
-        // Fault-free hot path: nothing suspected, zero incarnation — the
-        // grant carries `None` and allocates nothing.
-        let (d, _) = observed();
-        assert!(d.make_digest().is_none());
-    }
-
-    #[test]
-    fn disabled_gossip_builds_and_observes_nothing() {
-        let cfg = DeciderConfig {
-            gossip_digest: 0,
-            ..Default::default()
-        };
-        let mut d = LocalDecider::new(cfg, w(150), safe()).with_seq_floor(7);
-        assert!(
-            d.make_digest().is_none(),
-            "disabled gossip attaches nothing"
-        );
-        d.observe_digest(t(1), NodeId::new(2), &digest_of(3, &[(1, 0)]));
-        assert_eq!(d.suspected_count(), 0, "disabled gossip adopts nothing");
-    }
-
-    #[test]
-    fn digest_is_sorted_bounded_and_carries_incarnation() {
-        let mut d = LocalDecider::new(DeciderConfig::default(), w(150), safe()).with_seq_floor(9);
-        // Adopt six suspicions via gossip (more than MAX_DIGEST_ENTRIES).
-        d.observe_digest(
-            t(1),
-            NodeId::new(9),
-            &digest_of(1, &[(5, 0), (3, 0), (8, 0), (1, 0)]),
-        );
-        d.observe_digest(t(1), NodeId::new(9), &digest_of(1, &[(7, 0), (2, 0)]));
-        assert_eq!(d.suspected_count(), 6);
-        let digest = d.make_digest().expect("active suspicions");
-        assert_eq!(digest.incarnation, 9);
-        assert_eq!(digest.entries.len(), MAX_DIGEST_ENTRIES);
-        let peers: Vec<u32> = digest.entries.iter().map(|e| e.peer.raw()).collect();
-        let mut sorted = peers.clone();
-        sorted.sort_unstable();
-        assert_eq!(peers, sorted, "digest order must be deterministic");
-    }
-
-    #[test]
-    fn gossip_adopts_secondhand_suspicion_once() {
-        let (mut d, ring) = observed();
-        let via = NodeId::new(3);
-        let victim = NodeId::new(1);
-        d.observe_digest(t(5), via, &digest_of(0, &[(1, 0)]));
-        assert!(d.is_suspected(t(5), victim));
-        // Re-delivery does not re-emit or reset the probe clock.
-        d.observe_digest(t(6), via, &digest_of(0, &[(1, 0)]));
-        let gossiped: Vec<_> = ring
-            .events()
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::SuspicionGossiped { .. }))
-            .cloned()
-            .collect();
-        assert_eq!(gossiped.len(), 1);
-        assert_eq!(
-            gossiped[0].kind,
-            EventKind::SuspicionGossiped { peer: victim, via }
-        );
-    }
-
-    #[test]
-    fn gossip_about_self_or_sender_is_ignored() {
-        let (mut d, _) = observed(); // node 0
-        d.observe_digest(t(1), NodeId::new(2), &digest_of(0, &[(0, 0), (2, 0)]));
-        assert_eq!(
-            d.suspected_count(),
-            0,
-            "self-suspicion and sender self-claims must be dropped"
-        );
-    }
-
-    #[test]
-    fn senders_own_incarnation_refutes_stale_suspicion_of_it() {
-        // The rejoin story: we suspected the peer while it was dead (at
-        // incarnation 0); its first post-rebirth message carries its new
-        // seq-epoch floor, which refutes the stale suspicion on contact.
-        let (mut d, ring) = observed();
-        let peer = NodeId::new(1);
-        let mut now = 1u64;
-        suspect_via_timeouts(&mut d, peer, &mut now);
-        assert!(d.is_suspected(t(now), peer));
-        d.observe_digest(t(now), peer, &digest_of(42, &[]));
-        assert!(!d.is_suspected(t(now), peer));
-        assert!(ring
-            .events()
-            .iter()
-            .any(|e| e.kind == EventKind::SuspicionRefuted { peer }));
-    }
-
-    #[test]
-    fn stale_thirdhand_gossip_cannot_reinfect_after_refutation() {
-        // B still suspects the rejoined node A at its old incarnation and
-        // keeps gossiping it; once we have seen A's newer incarnation the
-        // stale entry must be rejected every time, not re-adopted.
-        let (mut d, ring) = observed();
-        let a = NodeId::new(1);
-        let b = NodeId::new(2);
-        // Learn A's new incarnation firsthand.
-        d.observe_digest(t(1), a, &digest_of(10, &[]));
-        // B's stale gossip about A (formed against incarnation 3).
-        d.observe_digest(t(2), b, &digest_of(0, &[(1, 3)]));
-        assert!(!d.is_suspected(t(2), a), "stale gossip must not infect");
-        assert_eq!(d.suspected_count(), 0);
-        // Fresh gossip at A's current incarnation still works.
-        d.observe_digest(t(3), b, &digest_of(0, &[(1, 10)]));
-        assert!(d.is_suspected(t(3), a));
-        let _ = ring;
-    }
-
-    #[test]
-    fn stale_gossip_clears_an_already_adopted_stale_suspicion() {
-        let (mut d, _) = observed();
-        let a = NodeId::new(1);
-        let b = NodeId::new(2);
-        let c = NodeId::new(3);
-        // Adopt B's suspicion of A at incarnation 3.
-        d.observe_digest(t(1), b, &digest_of(0, &[(1, 3)]));
-        assert!(d.is_suspected(t(1), a));
-        // C proves A re-incarnated at 8 — via an *entry* (C suspects A at
-        // 8, so C must have seen incarnation 8): the newer incarnation
-        // updates our knowledge and B's re-gossip of the stale entry now
-        // clears the old suspicion instead of refreshing it.
-        d.observe_digest(t(2), c, &digest_of(0, &[(1, 8)]));
-        d.observe_digest(t(3), b, &digest_of(0, &[(1, 3)]));
-        // The suspicion standing, if any, is against incarnation 8, not 3.
-        let digest = d.make_digest().expect("suspicion state");
-        for e in &digest.entries {
-            assert!(e.incarnation >= 8, "no suspicion below incarnation 8");
-        }
-    }
-
-    #[test]
-    fn local_timeout_suspicion_records_known_incarnation() {
-        // A suspicion earned by timeouts is stamped with the newest
-        // incarnation we know for the peer, so our own gossip about it is
-        // refutable by anyone who has seen the peer more recently.
-        let (mut d, _) = observed();
-        let peer = NodeId::new(1);
-        d.observe_digest(t(0), peer, &digest_of(6, &[]));
-        let mut now = 1u64;
-        suspect_via_timeouts(&mut d, peer, &mut now);
-        let digest = d.make_digest().expect("suspicion held");
-        assert_eq!(
-            digest.entries,
-            vec![SuspicionEntry {
-                peer,
-                incarnation: 6
-            }]
-        );
-    }
-
-    #[test]
-    fn observe_digest_consumes_no_rng_and_emits_nothing_when_empty() {
-        // Byte-identity guarantee: an empty digest (pure incarnation
-        // carrier) leaves no trace in the event stream.
-        let (mut d, ring) = observed();
-        d.observe_digest(t(1), NodeId::new(1), &digest_of(4, &[]));
-        assert!(ring.events().is_empty());
-        assert_eq!(d.suspected_count(), 0);
-    }
 }
 
 #[cfg(test)]
 mod shed_headroom_tests {
     use super::*;
     use crate::config::DeciderConfig;
+    use crate::discovery::rig::Rig;
     use penelope_units::{PowerRange, SimDuration};
 
     fn w(x: u64) -> Power {
@@ -2017,7 +1364,7 @@ mod shed_headroom_tests {
             shed_headroom: w(5), // == default ε
             ..Default::default()
         };
-        let mut d = LocalDecider::new(cfg, w(160), PowerRange::from_watts(80, 300));
+        let mut d = Rig::new(cfg, w(160), PowerRange::from_watts(80, 300));
         let mut p = PowerPool::default();
         let a1 = d.tick(SimTime::from_secs(1), w(100), &mut p, None);
         assert_eq!(a1, TickAction::Deposited(w(55))); // 160 - (100+5)
@@ -2031,7 +1378,7 @@ mod shed_headroom_tests {
     fn zero_headroom_reproduces_algorithm_one() {
         // The paper's verbatim behaviour: C = P, and the node is then
         // power-hungry (P > C − ε), dipping into its own pool.
-        let mut d = LocalDecider::new(
+        let mut d = Rig::new(
             DeciderConfig::default(),
             w(160),
             PowerRange::from_watts(80, 300),
@@ -2051,7 +1398,7 @@ mod shed_headroom_tests {
             shed_headroom: w(500),
             ..Default::default()
         };
-        let mut d = LocalDecider::new(cfg, w(160), PowerRange::from_watts(80, 300));
+        let mut d = Rig::new(cfg, w(160), PowerRange::from_watts(80, 300));
         let mut p = PowerPool::default();
         let a = d.tick(SimTime::from_secs(1), w(100), &mut p, None);
         assert_eq!(a, TickAction::Deposited(Power::ZERO));
@@ -2065,7 +1412,7 @@ mod shed_headroom_tests {
             response_timeout: SimDuration::from_secs(1),
             ..Default::default()
         };
-        let mut d = LocalDecider::new(cfg, w(160), PowerRange::from_watts(80, 300));
+        let mut d = Rig::new(cfg, w(160), PowerRange::from_watts(80, 300));
         let mut p = PowerPool::default();
         let _ = d.tick(SimTime::from_secs(1), w(100), &mut p, None); // cap → 100
         p.drain();
@@ -2084,6 +1431,7 @@ mod shed_headroom_tests {
 mod policy_tests {
     use super::*;
     use crate::config::DeciderConfig;
+    use crate::discovery::rig::Rig;
     use crate::policy::{DeciderPolicy, MarketConfig, PredictiveConfig};
     use penelope_units::PowerRange;
 
@@ -2095,20 +1443,20 @@ mod policy_tests {
         PowerRange::from_watts(80, 300)
     }
 
-    fn decider(initial_w: u64) -> LocalDecider {
-        LocalDecider::new(DeciderConfig::default(), w(initial_w), safe())
+    fn decider(initial_w: u64) -> Rig {
+        Rig::new(DeciderConfig::default(), w(initial_w), safe())
     }
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
     }
 
-    fn predictive_decider(initial_w: u64, pcfg: PredictiveConfig) -> LocalDecider {
+    fn predictive_decider(initial_w: u64, pcfg: PredictiveConfig) -> Rig {
         let cfg = DeciderConfig {
             policy: DeciderPolicy::Predictive(pcfg),
             ..Default::default()
         };
-        LocalDecider::new(cfg, w(initial_w), safe())
+        Rig::new(cfg, w(initial_w), safe())
     }
 
     #[test]
@@ -2117,7 +1465,7 @@ mod policy_tests {
         // nothing. Run an identical script through both deciders and
         // compare every observable.
         let mut base = decider(150);
-        let mut seamed = LocalDecider::new(
+        let mut seamed = Rig::new(
             DeciderConfig {
                 policy: DeciderPolicy::Urgency,
                 ..Default::default()
@@ -2226,7 +1574,7 @@ mod policy_tests {
             policy: DeciderPolicy::Market(mcfg),
             ..Default::default()
         };
-        let mut d = LocalDecider::new(cfg, w(150), safe());
+        let mut d = Rig::new(cfg, w(150), safe());
         let mut p = PowerPool::default();
         let _ = d.tick(t(1), w(100), &mut p, None); // shed: cap → 100
         p.drain();
@@ -2252,7 +1600,7 @@ mod policy_tests {
             max_retransmits: 1,
             ..Default::default()
         };
-        let mut d = LocalDecider::new(cfg, w(150), safe());
+        let mut d = Rig::new(cfg, w(150), safe());
         let mut p = PowerPool::default();
         let _ = d.tick(t(1), w(100), &mut p, None);
         p.drain();

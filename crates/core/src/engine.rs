@@ -1,9 +1,10 @@
 //! The per-node protocol automaton behind a sans-IO API.
 //!
 //! [`NodeEngine`] is the *complete* Penelope node: decider (Algorithm 1),
-//! pool (Algorithm 2), grant escrow, applied-seq dedup, suspicion/gossip
-//! and peer selection, composed into one state machine that owns every
-//! protocol decision. It performs no I/O and reads no clock: the hosting
+//! pool (Algorithm 2), grant escrow and the [`PeerTable`] (everything
+//! known about peers, and partner selection over it), composed into one
+//! state machine that owns every protocol decision and the node's one
+//! event sink. It performs no I/O and reads no clock: the hosting
 //! substrate (discrete-event simulator, lockstep threaded runtime, UDP
 //! daemon) pumps [`EngineInput`]s into [`NodeEngine::step`], which runs
 //! the automaton and executes what it decided through the substrate's
@@ -56,16 +57,16 @@
 //! — the obligation `step` exists to discharge. Either way the one
 //! reusable buffer keeps the hot path allocation-free.
 
-use penelope_trace::{EventKind, SharedObserver, TraceEvent};
+use penelope_trace::{EventKind, SharedObserver, Stamper};
 use penelope_units::{NodeId, Power, SimTime};
 
 use crate::config::NodeParams;
 use crate::decider::{DeciderStats, LocalDecider, TickAction};
-use crate::discovery::{choose_peer, initial_rr_cursor, DiscoveryStrategy, EngineRng};
+use crate::discovery::{DiscoveryStrategy, EngineRng, PeerTable};
 use crate::escrow::{EscrowState, GrantEscrow};
 use crate::policy::DeciderPolicy;
 use crate::pool::PowerPool;
-use crate::protocol::{GrantAck, PeerMsg, PowerGrant, PowerRequest};
+use crate::protocol::{GrantAck, PeerMsg, PowerGrant, PowerRequest, SuspicionDigest};
 
 /// Everything a [`NodeEngine`] needs to know at construction, shared by
 /// all three substrates so protocol parameters cannot drift between a
@@ -74,8 +75,8 @@ use crate::protocol::{GrantAck, PeerMsg, PowerGrant, PowerRequest};
 /// This is the one place seq-epoch plumbing lives: the simulator's
 /// restart path, the threaded runtime and the daemon's crash-recovery
 /// watermark all express "start the sequence namespace at `floor`" via
-/// [`EngineConfig::with_seq_floor`] (or [`NodeEngine::with_seq_floor`]),
-/// replacing the three per-substrate spellings that preceded the engine.
+/// [`EngineConfig::with_seq_floor`], replacing the three per-substrate
+/// spellings that preceded the engine.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct EngineConfig {
     /// Decider, pool and safe-range parameters (Algorithms 1 and 2).
@@ -290,23 +291,8 @@ pub struct NodeEngine {
     decider: LocalDecider,
     pool: PowerPool,
     escrow: GrantEscrow<NodeId>,
-    /// Granter-side late-duplicate guard: the highest request `seq` each
-    /// requester has *acknowledged a grant for*. An escrow entry is
-    /// released the moment its ack lands, so a duplicate request delayed
-    /// past the ack (retransmit + reordering) finds no escrow entry and
-    /// would be served — and debited — a second time; the requester's own
-    /// dedup then discards the second grant, and the second debit would
-    /// vanish from the system unaccounted. Requester seqs are strictly
-    /// monotone (within a life and across rebirths, via the seq-epoch
-    /// floor), so anything at or below this watermark is a duplicate of a
-    /// completed exchange and gets a zero-grant reminder instead.
-    acked_floor: std::collections::HashMap<NodeId, u64>,
-    rr_cursor: u32,
-    last_success: Option<NodeId>,
-    obs: SharedObserver,
-    /// `obs.enabled()` cached at attach time: the emission fast path pays
-    /// one local bool load instead of a virtual call per event.
-    obs_on: bool,
+    peers: PeerTable,
+    trace: Stamper,
 }
 
 impl NodeEngine {
@@ -321,48 +307,27 @@ impl NodeEngine {
         initial_cap: Power,
         observer: SharedObserver,
     ) -> Self {
-        let decider = LocalDecider::new(cfg.node.decider, initial_cap, cfg.node.safe_range)
-            .with_seq_floor(cfg.seq_floor)
-            .with_observer(id, observer.clone());
+        let knobs = &cfg.node.decider;
         NodeEngine {
             id,
             cluster_size,
             cfg,
-            decider,
+            decider: LocalDecider::new(*knobs, initial_cap, cfg.node.safe_range)
+                .with_seq_floor(cfg.seq_floor)
+                .with_node(id),
             pool: PowerPool::new(cfg.node.pool),
             escrow: GrantEscrow::new(),
-            acked_floor: std::collections::HashMap::new(),
-            rr_cursor: initial_rr_cursor(id.raw(), cluster_size as u32),
-            last_success: None,
-            obs_on: observer.enabled(),
-            obs: observer,
+            peers: PeerTable::new(id, cluster_size, knobs),
+            trace: Stamper::new(observer, knobs.period),
         }
     }
 
-    /// Replace the engine-level event sink (the decider keeps the
-    /// observer it was constructed with until the next
-    /// [`reincarnate`](NodeEngine::reincarnate)). Substrates that fan an
-    /// extra trace consumer into their sink after construction — the
-    /// simulator's `record_traces` — push the fanout down here so the
-    /// engine's `CapActuated` samples reach it.
+    /// Re-point the node's event sink — the engine, its decider and its
+    /// peer table all emit through it. Substrates that fan an extra trace
+    /// consumer into their sink after construction (the simulator's
+    /// `record_traces`) push the fanout down here.
     pub fn set_observer(&mut self, obs: SharedObserver) {
-        self.obs_on = obs.enabled();
-        self.obs = obs;
-    }
-
-    /// Restart the sequence namespace at `floor` (builder form; must be
-    /// called before the engine handles any input). This is the unified
-    /// spelling of the seq-epoch watermark across all substrates.
-    pub fn with_seq_floor(mut self, floor: u64) -> Self {
-        self.cfg.seq_floor = floor;
-        self.decider = LocalDecider::new(
-            self.cfg.node.decider,
-            self.decider.initial_cap(),
-            self.cfg.node.safe_range,
-        )
-        .with_seq_floor(floor)
-        .with_observer(self.id, self.obs.clone());
-        self
+        self.trace = Stamper::new(obs, self.cfg.node.decider.period);
     }
 
     /// The node this engine animates.
@@ -413,7 +378,7 @@ impl NodeEngine {
     }
 
     /// The next sequence number this node will spend — the watermark a
-    /// restart hands to [`NodeEngine::with_seq_floor`].
+    /// restart hands to [`EngineConfig::with_seq_floor`].
     pub fn next_seq(&self) -> u64 {
         self.decider.next_seq()
     }
@@ -433,7 +398,7 @@ impl NodeEngine {
     /// Peers this node currently holds a suspicion against (active or
     /// awaiting clearance).
     pub fn suspected_count(&self) -> usize {
-        self.decider.suspected_count()
+        self.peers.suspected_count()
     }
 
     /// Earliest future time at which a `Tick { reading }` input could do
@@ -454,11 +419,10 @@ impl NodeEngine {
     /// * tracing off — a real tick emits `CapActuated` (and the decider a
     ///   `Classified`) per iteration, so elision under an observer would
     ///   be visible;
-    /// * no sticky success hint — a hint makes `choose_peer`
-    ///   deterministic-per-hint rather than a skippable unused draw, and
-    ///   the hint-drop check at the top of the tick mutates state;
-    /// * no suspicions held — probe scheduling piggybacks on tick-time
-    ///   partner selection;
+    /// * partner selection blind
+    ///   ([`PeerTable::selection_is_blind`]) — a held success hint makes
+    ///   the pick state-dependent rather than a skippable unused draw, and
+    ///   probe scheduling piggybacks on tick-time selection;
     /// * no local urgency latched — `finish_iteration` releases power on
     ///   the next tick.
     ///
@@ -471,11 +435,7 @@ impl NodeEngine {
     /// partitions nodes, so any two eliding drivers agree exactly.
     #[inline]
     pub fn tick_quiescent_until(&self, now: SimTime, reading: Power) -> Option<SimTime> {
-        if self.obs_on
-            || self.last_success.is_some()
-            || self.decider.suspected_count() != 0
-            || self.pool.local_urgency()
-        {
+        if self.trace.enabled() || !self.peers.selection_is_blind() || self.pool.local_urgency() {
             return None;
         }
         self.decider.quiescent_until(now, reading)
@@ -493,42 +453,26 @@ impl NodeEngine {
     /// Rebirth in place after a crash: the node rejoins with
     /// `initial_cap`, a fresh pool and escrow, and its sequence namespace
     /// floored at the dead incarnation's watermark so stale pre-crash
-    /// grants are discarded instead of double-paid. The round-robin
-    /// cursor survives (it is substrate-side discovery state, and keeping
-    /// it matches the historical restart behaviour byte-for-byte).
+    /// grants are discarded instead of double-paid. Everything learnt
+    /// about peers is forgotten; the round-robin cursor survives.
     pub fn reincarnate(&mut self, initial_cap: Power) {
         let floor = self.decider.next_seq();
         self.cfg.seq_floor = floor;
         self.decider =
             LocalDecider::new(self.cfg.node.decider, initial_cap, self.cfg.node.safe_range)
                 .with_seq_floor(floor)
-                .with_observer(self.id, self.obs.clone());
+                .with_node(self.id);
         self.pool = PowerPool::new(self.cfg.node.pool);
         self.escrow = GrantEscrow::new();
-        self.acked_floor.clear();
-        self.last_success = None;
+        self.peers.reset();
     }
 
     /// Crash accounting: drop the pool and escrow, returning
     /// `(pool drained, undelivered escrow drained)` so the substrate can
     /// book both as lost alongside the cap.
     pub fn retire(&mut self) -> (Power, Power) {
-        self.last_success = None;
+        self.peers.forget_hint();
         (self.pool.drain(), self.escrow.drain())
-    }
-
-    /// Stamp and deliver one protocol event (free when tracing is off).
-    #[inline]
-    fn emit(&self, now: SimTime, kind: impl FnOnce() -> EventKind) {
-        if self.obs_on {
-            let period_ns = self.cfg.node.decider.period.as_nanos().max(1);
-            self.obs.on_event(&TraceEvent {
-                at: now,
-                node: self.id,
-                period: now.as_nanos() / period_ns,
-                kind: kind(),
-            });
-        }
     }
 
     /// Advance the automaton by one input and execute everything it
@@ -631,30 +575,15 @@ impl NodeEngine {
         rng: &mut impl EngineRng,
         out: &mut Vec<EngineOutput>,
     ) {
-        // Sticky-hint liveness fix: a hint whose peer has started timing
-        // out is dropped immediately instead of waiting for an empty
-        // grant that a crashed peer can never send.
-        if let Some(h) = self.last_success {
-            if self.decider.peer_timeout_streak(h) > 0 {
-                self.last_success = None;
-            }
-        }
-        let decider = &self.decider;
-        let peer = choose_peer(
-            self.cfg.discovery,
-            rng,
-            self.id.index(),
-            self.cluster_size,
-            &mut self.rr_cursor,
-            self.last_success,
-            decider.suspicion_active(now),
-            |p| decider.is_suspected(now, p),
-        );
+        let peer = self.peers.pick(self.cfg.discovery, rng, now);
         // Capture probe-ness at selection time: the tick below may refresh
         // the suspicion clock (a timeout landing this same iteration)
         // after selection already let the probe through.
-        let probing = peer.is_some_and(|p| decider.is_probing(now, p));
-        let action = self.decider.tick(now, reading, &mut self.pool, peer);
+        let probing = peer.is_some_and(|p| self.peers.is_probing(now, p));
+        let (trace, pool) = (&self.trace, &mut self.pool);
+        let action = self
+            .decider
+            .tick(trace, now, reading, pool, peer, &mut self.peers);
         out.push(EngineOutput::Actuate {
             cap: self.decider.cap(),
         });
@@ -663,7 +592,7 @@ impl NodeEngine {
         // series.
         let cap_now = self.decider.cap();
         let pool_now = self.pool.available();
-        self.emit(now, || EventKind::CapActuated {
+        self.trace.emit(now, self.id, || EventKind::CapActuated {
             cap: cap_now,
             reading,
             pool: pool_now,
@@ -681,7 +610,8 @@ impl NodeEngine {
             // (the engine is the single protocol-emission site), so the
             // event appears on every substrate with no driver changes.
             if probing {
-                self.emit(now, || EventKind::PeerProbed { peer: dst });
+                self.trace
+                    .emit(now, self.id, || EventKind::PeerProbed { peer: dst });
             }
             out.push(EngineOutput::Send {
                 dst,
@@ -697,6 +627,34 @@ impl NodeEngine {
         }
     }
 
+    /// The digest this node piggybacks on outgoing grants and acks.
+    fn digest(&self) -> Option<Box<SuspicionDigest>> {
+        self.peers.digest(self.decider.incarnation())
+    }
+
+    /// Queue the reply to `req`: `amount`, with the liveness digest. A
+    /// non-zero amount was debited from the pool (now or on an earlier
+    /// copy of the request), so it travels as a `SendGrant` and is
+    /// escrowed on the delivery status; zero is fire-and-forget.
+    fn reply(&self, req: &PowerRequest, amount: Power, out: &mut Vec<EngineOutput>) {
+        let (dst, seq) = (req.from, req.seq);
+        let msg = PeerMsg::Grant(PowerGrant { amount, seq }, self.digest());
+        out.push(if amount.is_zero() {
+            EngineOutput::Send {
+                dst,
+                msg,
+                carried: amount,
+            }
+        } else {
+            EngineOutput::SendGrant {
+                dst,
+                msg,
+                amount,
+                seq,
+            }
+        });
+    }
+
     /// Serve a peer request out of the pool (Algorithm 2), with
     /// retransmit idempotence: an escrow hit means this (requester, seq)
     /// was already served — re-send the escrowed amount, never re-debit.
@@ -707,59 +665,20 @@ impl NodeEngine {
         // not be served afresh. A zero-grant reminder unblocks the
         // requester if it somehow still waits (its dedup discards it
         // otherwise).
-        if self
-            .acked_floor
-            .get(&req.from)
-            .is_some_and(|&floor| req.seq <= floor)
-        {
-            out.push(EngineOutput::Send {
-                dst: req.from,
-                msg: PeerMsg::Grant(
-                    PowerGrant {
-                        amount: Power::ZERO,
-                        seq: req.seq,
-                    },
-                    self.decider.make_digest(),
-                ),
-                carried: Power::ZERO,
-            });
-            return;
+        if self.peers.already_acked(req.from, req.seq) {
+            return self.reply(&req, Power::ZERO, out);
         }
-        if let Some(entry) = self.escrow.get(req.from, req.seq).copied() {
-            match entry.state {
-                EscrowState::Undelivered => {
-                    out.push(EngineOutput::SendGrant {
-                        dst: req.from,
-                        msg: PeerMsg::Grant(
-                            PowerGrant {
-                                amount: entry.amount,
-                                seq: req.seq,
-                            },
-                            self.decider.make_digest(),
-                        ),
-                        amount: entry.amount,
-                        seq: req.seq,
-                    });
-                }
-                EscrowState::AwaitingAck => {
-                    // The original grant is in flight or already applied;
-                    // a zero reminder unblocks the requester if its ack
-                    // raced this retransmit (duplicates of the real
-                    // amount are discarded by the decider's seq dedup).
-                    out.push(EngineOutput::Send {
-                        dst: req.from,
-                        msg: PeerMsg::Grant(
-                            PowerGrant {
-                                amount: Power::ZERO,
-                                seq: req.seq,
-                            },
-                            self.decider.make_digest(),
-                        ),
-                        carried: Power::ZERO,
-                    });
-                }
-            }
-            return;
+        if let Some(entry) = self.escrow.get(req.from, req.seq) {
+            // Undelivered: re-send the escrowed amount. Awaiting ack: the
+            // original grant is in flight or already applied; a zero
+            // reminder unblocks the requester if its ack raced this
+            // retransmit (duplicates of the real amount are discarded by
+            // the decider's seq dedup).
+            let amount = match entry.state {
+                EscrowState::Undelivered => entry.amount,
+                EscrowState::AwaitingAck => Power::ZERO,
+            };
+            return self.reply(&req, amount, out);
         }
         let urgency_before = self.pool.local_urgency();
         let amount = match self.cfg.node.decider.policy {
@@ -773,7 +692,7 @@ impl NodeEngine {
             _ => self.pool.handle_request(req.urgent, req.alpha),
         };
         let urgency_after = self.pool.local_urgency();
-        self.emit(now, || EventKind::RequestServed {
+        self.trace.emit(now, self.id, || EventKind::RequestServed {
             requester: req.from,
             seq: req.seq,
             granted: amount,
@@ -783,40 +702,14 @@ impl NodeEngine {
         // urgent request raises it, a non-urgent one clears it. Emitting
         // both transitions keeps raise/clear strictly alternating.
         if !urgency_before && urgency_after {
-            self.emit(now, || EventKind::UrgencyRaised { by: req.from });
+            self.trace
+                .emit(now, self.id, || EventKind::UrgencyRaised { by: req.from });
         } else if urgency_before && !urgency_after {
-            self.emit(now, || EventKind::UrgencyCleared {
+            self.trace.emit(now, self.id, || EventKind::UrgencyCleared {
                 released: Power::ZERO,
             });
         }
-        if amount.is_zero() {
-            // Nothing to conserve: an empty-handed reply is
-            // fire-and-forget.
-            out.push(EngineOutput::Send {
-                dst: req.from,
-                msg: PeerMsg::Grant(
-                    PowerGrant {
-                        amount,
-                        seq: req.seq,
-                    },
-                    self.decider.make_digest(),
-                ),
-                carried: amount,
-            });
-        } else {
-            out.push(EngineOutput::SendGrant {
-                dst: req.from,
-                msg: PeerMsg::Grant(
-                    PowerGrant {
-                        amount,
-                        seq: req.seq,
-                    },
-                    self.decider.make_digest(),
-                ),
-                amount,
-                seq: req.seq,
-            });
-        }
+        self.reply(&req, amount, out);
     }
 
     /// Transport feedback for a [`EngineOutput::SendGrant`]: escrow the
@@ -839,7 +732,7 @@ impl NodeEngine {
         };
         self.escrow.insert(requester, seq, amount, state, deadline);
         if fresh {
-            self.emit(now, || EventKind::GrantEscrowed {
+            self.trace.emit(now, self.id, || EventKind::GrantEscrowed {
                 requester,
                 seq,
                 amount,
@@ -854,31 +747,17 @@ impl NodeEngine {
         now: SimTime,
         src: NodeId,
         g: PowerGrant,
-        digest: Option<Box<crate::protocol::SuspicionDigest>>,
+        digest: Option<Box<SuspicionDigest>>,
         out: &mut Vec<EngineOutput>,
     ) {
         // Merge piggybacked suspicion gossip first: the digest may refute
         // a stale suspicion of `src` itself, and the reply below must
         // land on the post-merge state.
         if let Some(d) = &digest {
-            self.decider.observe_digest(now, src, d);
+            self.peers.merge_digest(&self.trace, now, src, d);
         }
-        // Any reply — even a zero grant — proves the peer alive.
-        self.decider.note_peer_reply(now, src);
-        if self.decider.is_stale_grant(g.seq) {
-            // A pre-crash grant caught up with its reborn requester: the
-            // crash already retired this node's whole pre-crash epoch, so
-            // applying the grant now would pay the new epoch with the old
-            // one's money. The decider discards it (counted in
-            // `stale_discards`) and the amount joins the crash's losses.
-            // No ack: the granter's escrow entry expires creditless,
-            // exactly as if the requester died.
-            let _ = self.decider.on_grant(now, g.seq, g.amount, &mut self.pool);
-            if !g.amount.is_zero() {
-                out.push(EngineOutput::PowerLost { amount: g.amount });
-            }
-            return;
-        }
+        self.peers.note_reply(&self.trace, now, src);
+        let stale = self.decider.is_stale_grant(g.seq);
         // A redelivered copy of an already-applied grant (the granter
         // re-sends its escrowed amount when a retransmitted request races
         // the original) resolves nothing: the first delivery did. The
@@ -887,19 +766,26 @@ impl NodeEngine {
         // The ack is still worth re-sending — the duplicate implies the
         // granter has not seen our ack yet.
         let redelivery = !g.amount.is_zero() && self.decider.is_applied_seq(g.seq);
-        let _ = self.decider.on_grant(now, g.seq, g.amount, &mut self.pool);
+        let _ = self
+            .decider
+            .on_grant(&self.trace, now, g.seq, g.amount, &mut self.pool);
+        if stale {
+            // A pre-crash grant caught up with its reborn requester: the
+            // crash already retired this node's whole pre-crash epoch, so
+            // applying the grant now would pay the new epoch with the old
+            // one's money. The decider discarded it (counted in
+            // `stale_discards`) and the amount joins the crash's losses.
+            // No ack: the granter's escrow entry expires creditless,
+            // exactly as if the requester died.
+            if !g.amount.is_zero() {
+                out.push(EngineOutput::PowerLost { amount: g.amount });
+            }
+            return;
+        }
         out.push(EngineOutput::Actuate {
             cap: self.decider.cap(),
         });
-        // Gossip-hint maintenance: remember productive pools, forget dry
-        // ones.
-        if g.amount.is_zero() {
-            if self.last_success == Some(src) {
-                self.last_success = None;
-            }
-        } else {
-            self.last_success = Some(src);
-        }
+        self.peers.note_grant(src, !g.amount.is_zero());
         if !redelivery {
             out.push(EngineOutput::Resolved {
                 seq: g.seq,
@@ -912,7 +798,7 @@ impl NodeEngine {
         if !g.amount.is_zero() {
             out.push(EngineOutput::Send {
                 dst: src,
-                msg: PeerMsg::Ack(GrantAck { seq: g.seq }, self.decider.make_digest()),
+                msg: PeerMsg::Ack(GrantAck { seq: g.seq }, self.digest()),
                 carried: Power::ZERO,
             });
         }
@@ -924,21 +810,19 @@ impl NodeEngine {
         now: SimTime,
         src: NodeId,
         a: GrantAck,
-        digest: Option<Box<crate::protocol::SuspicionDigest>>,
+        digest: Option<Box<SuspicionDigest>>,
     ) {
         if let Some(d) = &digest {
-            self.decider.observe_digest(now, src, d);
+            self.peers.merge_digest(&self.trace, now, src, d);
         }
         if let Some(entry) = self.escrow.release(src, a.seq) {
             // An ack proves delivery, so the entry cannot still be
             // carrying accounting weight on the granter.
             debug_assert_eq!(entry.state, EscrowState::AwaitingAck);
         }
-        // Remember the exchange as completed whether or not the entry was
-        // still escrowed (a duplicated ack may land after expiry): any
-        // later copy of the request must not be served afresh.
-        let floor = self.acked_floor.entry(src).or_insert(0);
-        *floor = (*floor).max(a.seq);
+        // Whether or not the entry was still escrowed: any later copy of
+        // the request must not be served afresh.
+        self.peers.note_ack(src, a.seq);
     }
 
     /// An escrow entry expired: if it is still known undelivered the
@@ -955,7 +839,7 @@ impl NodeEngine {
     ) {
         if state == EscrowState::Undelivered {
             self.pool.deposit(amount);
-            self.emit(now, || EventKind::GrantReclaimed {
+            self.trace.emit(now, self.id, || EventKind::GrantReclaimed {
                 requester,
                 seq,
                 amount,

@@ -21,9 +21,11 @@
 //! initial cap on its next iteration — artificially creating excess when
 //! the system has none.
 //!
-//! Both components — together with the grant escrow, applied-seq dedup,
-//! suspicion/gossip and peer selection — compose into [`NodeEngine`], the
-//! complete per-node protocol automaton behind a sans-IO API: the caller
+//! Both components — together with the grant escrow and the [`PeerTable`]
+//! (what the node knows about its peers: suspicion, incarnations, gossip,
+//! acked floors, and peer selection over them) — compose into
+//! [`NodeEngine`], the complete per-node protocol automaton behind a
+//! sans-IO API: the caller
 //! (the discrete-event simulator, the lockstep threaded runtime or the
 //! UDP daemon) pumps [`EngineInput`]s into [`NodeEngine::step`] and
 //! implements [`Effects`], the substrate side of every [`EngineOutput`];
@@ -53,7 +55,7 @@ pub mod protocol;
 
 pub use config::{DeciderConfig, NodeParams, PoolConfig};
 pub use decider::{Classification, DeciderStats, LocalDecider, TickAction, APPLIED_SEQ_WINDOW};
-pub use discovery::{choose_peer, initial_rr_cursor, DiscoveryStrategy, EngineRng};
+pub use discovery::{choose_peer, initial_rr_cursor, DiscoveryStrategy, EngineRng, PeerTable};
 pub use engine::{Effects, EngineConfig, EngineInput, EngineOutput, NodeEngine};
 pub use escrow::{EscrowEntry, EscrowState, GrantEscrow};
 pub use fair::fair_assignment;

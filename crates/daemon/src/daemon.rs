@@ -26,7 +26,7 @@ use penelope_core::{EngineConfig, NodeEngine};
 use penelope_net::shim::DatagramSocket;
 use penelope_power::{CappedDevice, ConstantDevice, LinuxRapl, SimulatedRapl};
 use penelope_testkit::rng::TestRng;
-use penelope_trace::{CounterObserver, CounterSnapshot, FanoutObserver, SharedObserver};
+use penelope_trace::{CounterObserver, CounterSnapshot, FanoutObserver, SharedObserver, Stamper};
 use penelope_units::{NodeId, Power, SimTime};
 use penelope_workload::WorkloadState;
 
@@ -230,8 +230,7 @@ pub(crate) fn build_reactor(
         addrs,
     );
     let period = cfg.node.decider.period.as_nanos().max(1);
-    reactor.obs = obs;
-    reactor.period_ns = period;
+    reactor.trace = Stamper::new(obs, cfg.node.decider.period);
     reactor.follow_senders = true;
     Ok((reactor, counters, Duration::from_nanos(period)))
 }

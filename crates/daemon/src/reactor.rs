@@ -42,8 +42,8 @@ use penelope_core::{Effects, EngineInput, EngineOutput, NodeEngine, PeerMsg};
 use penelope_net::shim::{DatagramSocket, SendStatus};
 use penelope_power::{CappedDevice, LinuxRapl, PowerInterface, SimulatedRapl};
 use penelope_testkit::rng::TestRng;
-use penelope_trace::{EventKind, SharedObserver, TraceEvent};
-use penelope_units::{NodeId, Power, SimTime};
+use penelope_trace::{EventKind, SharedObserver, Stamper};
+use penelope_units::{NodeId, Power, SimDuration, SimTime};
 
 use crate::wire::{WireMsg, MAX_WIRE_LEN};
 
@@ -141,10 +141,8 @@ pub(crate) struct Reactor {
     /// from, so replies and requests follow a peer that rebound its port.
     /// Off where the table is fixed by construction.
     pub(crate) follow_senders: bool,
-    /// Transport events (`MsgSent`, `MsgRecv`, drops) go here, stamped
-    /// with `now / period_ns` as their period.
-    pub(crate) obs: SharedObserver,
-    pub(crate) period_ns: u64,
+    /// Transport events (`MsgSent`, `MsgRecv`, drops) go here.
+    pub(crate) trace: Stamper,
     /// Round-trip stamping; `None` on a long-lived daemon, which must not
     /// grow a sample per request forever.
     pub(crate) rtt: Option<RttLedger>,
@@ -173,8 +171,7 @@ impl Reactor {
             rx,
             addrs,
             follow_senders: false,
-            obs: SharedObserver::noop(),
-            period_ns: 1,
+            trace: Stamper::new(SharedObserver::noop(), SimDuration::ZERO),
             rtt: None,
             scratch: Vec::new(),
             counters: Counters::default(),
@@ -192,8 +189,7 @@ impl Reactor {
             plant: &mut self.plant,
             tx: &*self.tx,
             addrs: &self.addrs,
-            obs: &self.obs,
-            period_ns: self.period_ns,
+            trace: &self.trace,
             rtt: &mut self.rtt,
             counters: &mut self.counters,
         };
@@ -235,8 +231,8 @@ impl Reactor {
             _ => Power::ZERO,
         };
         let me = self.engines[i].id();
-        let kind = EventKind::MsgRecv { src, carried };
-        emit(&self.obs, self.period_ns, me, now, kind);
+        self.trace
+            .emit(now, me, || EventKind::MsgRecv { src, carried });
         let msg = msg.into_peer(src);
         self.drive(i, now, EngineInput::Msg { src, msg });
     }
@@ -256,16 +252,6 @@ impl Reactor {
     }
 }
 
-/// Stamp one transport event with `at / period_ns` as its period.
-fn emit(obs: &SharedObserver, period_ns: u64, node: NodeId, at: SimTime, kind: EventKind) {
-    obs.emit(|| TraceEvent {
-        at,
-        node,
-        period: at.as_nanos() / period_ns,
-        kind,
-    });
-}
-
 /// The reactor's side of one engine step for node `me`.
 struct ReactorFx<'a> {
     me: NodeId,
@@ -273,8 +259,7 @@ struct ReactorFx<'a> {
     plant: &'a mut Plant,
     tx: &'a dyn DatagramSocket,
     addrs: &'a [SocketAddr],
-    obs: &'a SharedObserver,
-    period_ns: u64,
+    trace: &'a Stamper,
     rtt: &'a mut Option<RttLedger>,
     counters: &'a mut Counters,
 }
@@ -326,7 +311,7 @@ impl Effects<TestRng> for ReactorFx<'_> {
                 EventKind::SendFailed { dst }
             }
         };
-        emit(self.obs, self.period_ns, self.me, self.now, kind);
+        self.trace.emit(self.now, self.me, || kind);
         status == Some(SendStatus::Sent)
     }
 

@@ -14,7 +14,7 @@ use penelope_net::{Envelope, ThreadEndpoint, ThreadNet};
 use penelope_power::RaplConfig;
 use penelope_slurm::{ClientAction, PowerServer, SlurmClient, SlurmMsg};
 use penelope_testkit::rng::TestRng;
-use penelope_trace::{EventKind, SharedObserver, TraceEvent};
+use penelope_trace::{EventKind, SharedObserver, Stamper};
 use penelope_units::{NodeId, Power, SimDuration, SimTime};
 use penelope_workload::Profile;
 
@@ -80,38 +80,6 @@ impl RuntimeConfig {
     }
 }
 
-/// A cheap per-thread event stamper: owns a clone of the shared observer
-/// plus the node identity and period, so worker threads can emit protocol
-/// events without recomputing the stamp math inline.
-#[derive(Clone)]
-struct Emitter {
-    obs: SharedObserver,
-    node: NodeId,
-    period_ns: u64,
-}
-
-impl Emitter {
-    fn new(obs: SharedObserver, node: NodeId, period: SimDuration) -> Self {
-        Emitter {
-            obs,
-            node,
-            period_ns: period.as_nanos().max(1),
-        }
-    }
-
-    #[inline]
-    fn emit(&self, at: SimTime, kind: impl FnOnce() -> EventKind) {
-        let node = self.node;
-        let period_ns = self.period_ns;
-        self.obs.emit(|| TraceEvent {
-            at,
-            node,
-            period: at.as_nanos() / period_ns,
-            kind: kind(),
-        });
-    }
-}
-
 /// One node thread's side of an engine step: the thread-net endpoint, the
 /// node's hardware and the event stamper.
 struct ThreadFx<'a> {
@@ -122,7 +90,8 @@ struct ThreadFx<'a> {
     /// (pools listen on `0..n`).
     endpoint_base: usize,
     hw: &'a NodeHardware,
-    em: &'a Emitter,
+    em: &'a Stamper,
+    me: NodeId,
     /// The seq of the request this step sent, if it sent one.
     requested: Option<u64>,
 }
@@ -142,7 +111,7 @@ impl Effects<TestRng> for ThreadFx<'_> {
         let endpoint = NodeId::new((self.endpoint_base + dst.index()) as u32);
         let delivered = self.ep.send(endpoint, msg);
         self.em
-            .emit(self.now, || EventKind::MsgSent { dst, carried });
+            .emit(self.now, self.me, || EventKind::MsgSent { dst, carried });
         delivered
     }
 
@@ -285,11 +254,8 @@ impl ThreadedCluster {
             let engine = Arc::clone(&engines[i]);
             let stop = Arc::clone(&shutdown);
             let hw_i = Arc::clone(&hw[i]);
-            let em = Emitter::new(
-                cfg.observer.clone(),
-                NodeId::new(i as u32),
-                cfg.node.decider.period,
-            );
+            let me = NodeId::new(i as u32);
+            let em = Stamper::new(cfg.observer.clone(), cfg.node.decider.period);
             let clock = clock.clone();
             pool_threads.push(thread::spawn(move || -> ThreadEndpoint<PeerMsg> {
                 // The engine owns the granter-side escrow: every non-zero
@@ -309,6 +275,7 @@ impl ThreadedCluster {
                         endpoint_base: n,
                         hw: &hw_i,
                         em: &em,
+                        me,
                         requested: None,
                     };
                     let mut eng = engine.lock().unwrap();
@@ -349,7 +316,7 @@ impl ThreadedCluster {
             let cfg = cfg.clone();
             decider_threads.push(thread::spawn(move || -> ThreadEndpoint<PeerMsg> {
                 let me = NodeId::new(i as u32);
-                let em = Emitter::new(cfg.observer.clone(), me, cfg.node.decider.period);
+                let em = Stamper::new(cfg.observer.clone(), cfg.node.decider.period);
                 let mut rng = TestRng::seed_from_u64(cfg.seed.wrapping_add(i as u64));
                 let mut outputs: Vec<EngineOutput> = Vec::new();
                 // A pool endpoint shares its node's logical id, so requests
@@ -362,6 +329,7 @@ impl ThreadedCluster {
                         endpoint_base: 0,
                         hw: &hw_i,
                         em: &em,
+                        me,
                         requested: None,
                     };
                     let mut eng = engine.lock().unwrap();
@@ -409,7 +377,7 @@ impl ThreadedCluster {
                             match env.msg {
                                 PeerMsg::Grant(g, digest) => {
                                     let now2 = clock.now();
-                                    em.emit(now2, || EventKind::MsgRecv {
+                                    em.emit(now2, me, || EventKind::MsgRecv {
                                         src: env.src,
                                         carried: g.amount,
                                     });
@@ -545,7 +513,7 @@ impl ThreadedCluster {
             client_threads.push(thread::spawn(move || -> ThreadEndpoint<SlurmMsg> {
                 let mut client = SlurmClient::new(cfg.node.decider, initial, hw_i.safe_range());
                 let my_addr = NodeId::new(i as u32);
-                let em = Emitter::new(cfg.observer.clone(), my_addr, cfg.node.decider.period);
+                let em = Stamper::new(cfg.observer.clone(), cfg.node.decider.period);
                 while !stop.load(Ordering::Relaxed) {
                     let iter_start = Instant::now();
                     let now = clock.now();
@@ -593,7 +561,7 @@ impl ThreadedCluster {
                     hw_i.set_cap(client.cap());
                     {
                         let cap_now = client.cap();
-                        em.emit(now, || EventKind::CapActuated {
+                        em.emit(now, my_addr, || EventKind::CapActuated {
                             cap: cap_now,
                             reading,
                             pool: Power::ZERO,

@@ -9,7 +9,7 @@ use penelope_power::{PowerInterface, SimulatedRapl};
 use penelope_slurm::{ClientAction, PowerServer, ServerGrant, ServerQueue, SlurmClient, SlurmMsg};
 use penelope_testkit::rng::Rng;
 use penelope_testkit::rng::TestRng;
-use penelope_trace::{EventKind, FanoutObserver, SharedObserver, TraceEvent};
+use penelope_trace::{EventKind, FanoutObserver, SharedObserver, Stamper};
 use penelope_units::{NodeId, Power, SimDuration, SimTime};
 use penelope_workload::{Profile, WorkloadState};
 
@@ -62,41 +62,8 @@ pub struct ClusterSim {
     conservation_ok: bool,
     stop_on_full_redistribution: bool,
     trace: Option<Arc<ClusterTrace>>,
-    stamp: Stamp,
+    stamp: Stamper,
     events_processed: u64,
-}
-
-/// Stamps substrate-level events with the virtual time and the decider
-/// period it falls in, and hands them to the observer.
-struct Stamp {
-    obs: SharedObserver,
-    /// `obs.enabled()` cached at attach time: the emission fast path pays
-    /// one local bool load instead of a virtual call per event.
-    on: bool,
-    period_ns: u64,
-}
-
-impl Stamp {
-    fn new(obs: SharedObserver, period: SimDuration) -> Self {
-        Stamp {
-            on: obs.enabled(),
-            obs,
-            period_ns: period.as_nanos().max(1),
-        }
-    }
-
-    /// The closure runs only when some observer is attached.
-    #[inline]
-    fn emit(&self, now: SimTime, node: NodeId, kind: impl FnOnce() -> EventKind) {
-        if self.on {
-            self.obs.on_event(&TraceEvent {
-                at: now,
-                node,
-                period: now.as_nanos() / self.period_ns,
-                kind: kind(),
-            });
-        }
-    }
 }
 
 /// The redistribution tracker and the hungry nodes whose grants it counts.
@@ -209,7 +176,7 @@ impl ClusterSim {
 
         let net_rng = TestRng::seed_from_u64(node_seed(cfg.seed, u64::MAX - 1));
         let ack_rng = TestRng::seed_from_u64(node_seed(cfg.seed, u64::MAX - 2));
-        let stamp = Stamp::new(cfg.observer.clone(), cfg.node.decider.period);
+        let stamp = Stamper::new(cfg.observer.clone(), cfg.node.decider.period);
         ClusterSim {
             net: SimNet::new(cfg.latency.clone()),
             cfg,
@@ -251,7 +218,7 @@ impl ClusterSim {
                 engine.set_observer(obs.clone());
             }
         }
-        self.stamp = Stamp::new(obs, self.cfg.node.decider.period);
+        self.stamp = Stamper::new(obs, self.cfg.node.decider.period);
         self.trace = Some(trace);
     }
 
@@ -1031,7 +998,7 @@ struct SimFx<'a> {
     oscillation: &'a mut OscillationStats,
     pending: &'a mut HashMap<u64, SimTime>,
     turnaround: &'a mut TurnaroundStats,
-    stamp: &'a Stamp,
+    stamp: &'a Stamper,
 }
 
 impl Effects<TestRng> for SimFx<'_> {

@@ -4,9 +4,8 @@
 //! dependencies outside the repository:
 //!
 //! * [`rng`] — the workspace PRNG (SplitMix64-seeded xoshiro256**) with
-//!   the `gen_range`/`gen_bool`/`shuffle` surface the codebase uses.
-//!   Product crates use this directly; the `rand`/`rand_chacha` names
-//!   remain available to tests through in-tree compatibility shims.
+//!   the `gen_range`/`gen_bool`/`shuffle` surface the codebase uses;
+//!   product crates, tests and benches all use it directly.
 //! * [`prop`] — a fixed-iteration property-test harness with integer /
 //!   float / vec / tuple generators, binary-search shrinking and
 //!   seed-reporting failure output; the in-tree `proptest` shim is

@@ -23,7 +23,8 @@
 //! * [`FanoutObserver`] — deliver to several of the above at once.
 //!
 //! Substrates accept any of these through [`SharedObserver`], a cheaply
-//! clonable handle that keeps config structs `Clone + Debug`.
+//! clonable handle that keeps config structs `Clone + Debug`, and emit
+//! through a [`Stamper`], the single site that builds a [`TraceEvent`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,5 +38,5 @@ pub mod ring;
 pub use counter::{CounterObserver, CounterSnapshot, HIST_BUCKETS};
 pub use event::{EventKind, NodeClass, TraceEvent, KIND_COUNT, KIND_NAMES};
 pub use jsonl::{validate_jsonl, JsonlObserver, JsonlSummary};
-pub use observer::{FanoutObserver, NoopObserver, Observer, SharedObserver};
+pub use observer::{FanoutObserver, NoopObserver, Observer, SharedObserver, Stamper};
 pub use ring::RingBufferObserver;

@@ -3,7 +3,9 @@
 use std::fmt;
 use std::sync::Arc;
 
-use crate::event::TraceEvent;
+use penelope_units::{NodeId, SimDuration, SimTime};
+
+use crate::event::{EventKind, TraceEvent};
 
 /// A sink for protocol events.
 ///
@@ -94,6 +96,49 @@ impl<T: Observer + 'static> From<Arc<T>> for SharedObserver {
     }
 }
 
+/// The one place a [`TraceEvent`] is stamped: an observer, whether it was
+/// listening when attached (cached, so a silent emission site costs one
+/// local load instead of a virtual call) and the decider period events
+/// are binned by. Every substrate and the engine emit through one of these.
+#[derive(Clone, Debug)]
+pub struct Stamper {
+    obs: SharedObserver,
+    on: bool,
+    period_ns: u64,
+}
+
+impl Stamper {
+    /// Stamp for `obs`, binning events into periods of length `period`.
+    pub fn new(obs: SharedObserver, period: SimDuration) -> Self {
+        Stamper {
+            on: obs.enabled(),
+            obs,
+            period_ns: period.as_nanos().max(1),
+        }
+    }
+
+    /// Whether anyone is listening; hosts that elide work only a trace
+    /// could see ask this first.
+    #[inline]
+    pub fn enabled(&self) -> bool {
+        self.on
+    }
+
+    /// Stamp `kind()` as happening on `node` at `at` and deliver it; the
+    /// closure runs only when someone is listening.
+    #[inline]
+    pub fn emit(&self, at: SimTime, node: NodeId, kind: impl FnOnce() -> EventKind) {
+        if self.on {
+            self.obs.on_event(&TraceEvent {
+                at,
+                node,
+                period: at.as_nanos() / self.period_ns,
+                kind: kind(),
+            });
+        }
+    }
+}
+
 /// Deliver every event to each of a set of observers.
 #[derive(Default)]
 pub struct FanoutObserver {
@@ -143,9 +188,7 @@ impl fmt::Debug for FanoutObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventKind;
     use crate::ring::RingBufferObserver;
-    use penelope_units::{NodeId, SimTime};
 
     fn ev(seq: u64) -> TraceEvent {
         TraceEvent {
@@ -166,6 +209,25 @@ mod tests {
             ev(0)
         });
         assert!(!built, "emit must not build events for a disabled observer");
+    }
+
+    #[test]
+    fn stamper_bins_by_period_and_skips_construction_when_silent() {
+        let ring = Arc::new(RingBufferObserver::unbounded());
+        let st = Stamper::new(ring.clone().into(), SimDuration::from_millis(500));
+        assert!(st.enabled());
+        st.emit(SimTime::from_secs(1), NodeId::new(0), || {
+            EventKind::RequestTimeout { seq: 9 }
+        });
+        let mut stamped = ev(9);
+        stamped.period = 2;
+        assert_eq!(ring.events(), [stamped]);
+
+        let silent = Stamper::new(SharedObserver::noop(), SimDuration::ZERO);
+        assert!(!silent.enabled());
+        silent.emit(SimTime::from_secs(1), NodeId::new(0), || {
+            unreachable!("a silent stamper must not build the event")
+        });
     }
 
     #[test]

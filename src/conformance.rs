@@ -42,7 +42,7 @@ use penelope_testkit::conformance::{
 };
 use penelope_testkit::rng::{Rng, TestRng};
 use penelope_trace::{
-    CounterObserver, CounterSnapshot, EventKind, FanoutObserver, SharedObserver, TraceEvent,
+    CounterObserver, CounterSnapshot, EventKind, FanoutObserver, SharedObserver, Stamper,
 };
 
 /// Total messages a substrate's transport attempted over a run: delivered
@@ -425,8 +425,7 @@ impl LockstepRuntime {
                         scenario.seed,
                         u64::MAX - 3 - i as u64,
                     )),
-                    obs: observer.clone(),
-                    period_ns: period.as_nanos().max(1),
+                    trace: Stamper::new(observer.clone(), period),
                 },
             };
             let periods = scenario.periods;
@@ -590,8 +589,7 @@ struct LockstepFx {
     rapl: SimulatedRapl<WorkloadState>,
     drop_rate: f64,
     drop_rng: TestRng,
-    obs: SharedObserver,
-    period_ns: u64,
+    trace: Stamper,
 }
 
 impl LockstepFx {
@@ -599,12 +597,8 @@ impl LockstepFx {
     /// the same observer. Kinds are tiny `Copy` values, so building one
     /// eagerly costs nothing even with the observer off.
     fn emit(&self, kind: EventKind) {
-        self.obs.emit(|| TraceEvent {
-            at: self.now,
-            node: NodeId::new(self.idx as u32),
-            period: self.now.as_nanos() / self.period_ns,
-            kind,
-        });
+        let me = NodeId::new(self.idx as u32);
+        self.trace.emit(self.now, me, || kind);
     }
 }
 
@@ -1112,39 +1106,39 @@ fn mixed_workloads() -> Vec<WorkloadSpec> {
     vec![hungry, ramp]
 }
 
-/// Nominal scenario: no faults, exact power meters.
-pub fn nominal_scenario(seed: u64) -> Scenario {
+/// The canned cluster every scenario below runs: four nodes at 160 W each,
+/// an 80–300 W safe range, the mixed workloads, exact power meters and the
+/// default policy. Scenarios differ in name, length and fault.
+fn canned(name: impl Into<String>, seed: u64, periods: u64, fault: FaultSpec) -> Scenario {
     Scenario {
-        name: "nominal".into(),
+        name: name.into(),
         seed,
         nodes: 4,
         budget_per_node: watts(160),
         safe: PowerRange::from_watts(80, 300),
-        periods: 10,
+        periods,
         workloads: mixed_workloads(),
-        fault: FaultSpec::None,
+        fault,
         read_noise: 0.0,
         policy: DeciderPolicy::default(),
     }
 }
 
+/// Nominal scenario: no faults, exact power meters.
+pub fn nominal_scenario(seed: u64) -> Scenario {
+    canned("nominal", seed, 10, FaultSpec::None)
+}
+
 /// Node-fault scenario: node 1 is killed at the start of period 4; its
 /// cap and pooled power must be retired, never redistributed.
 pub fn node_fault_scenario(seed: u64) -> Scenario {
+    let fault = FaultSpec::KillNode {
+        node: 1,
+        at_period: 4,
+    };
     Scenario {
-        name: "node-fault".into(),
-        seed,
         nodes: 5,
-        budget_per_node: watts(160),
-        safe: PowerRange::from_watts(80, 300),
-        periods: 12,
-        workloads: mixed_workloads(),
-        fault: FaultSpec::KillNode {
-            node: 1,
-            at_period: 4,
-        },
-        read_noise: 0.0,
-        policy: DeciderPolicy::default(),
+        ..canned("node-fault", seed, 12, fault)
     }
 }
 
@@ -1152,16 +1146,8 @@ pub fn node_fault_scenario(seed: u64) -> Scenario {
 /// every power meter, no faults.
 pub fn noisy_power_scenario(seed: u64) -> Scenario {
     Scenario {
-        name: "noisy-power".into(),
-        seed,
-        nodes: 4,
-        budget_per_node: watts(160),
-        safe: PowerRange::from_watts(80, 300),
-        periods: 10,
-        workloads: mixed_workloads(),
-        fault: FaultSpec::None,
         read_noise: 0.05,
-        policy: DeciderPolicy::default(),
+        ..canned("noisy-power", seed, 10, FaultSpec::None)
     }
 }
 
@@ -1170,18 +1156,12 @@ pub fn noisy_power_scenario(seed: u64) -> Scenario {
 /// dies. With the grant escrow/ack layer in place the peer protocol must
 /// book exactly zero `lost` power at every period boundary, for any rate.
 pub fn lossy_scenario(seed: u64, drop_permille: u16, periods: u64) -> Scenario {
-    Scenario {
-        name: format!("lossy-{drop_permille}permille"),
+    canned(
+        format!("lossy-{drop_permille}permille"),
         seed,
-        nodes: 4,
-        budget_per_node: watts(160),
-        safe: PowerRange::from_watts(80, 300),
         periods,
-        workloads: mixed_workloads(),
-        fault: FaultSpec::Lossy { drop_permille },
-        read_noise: 0.0,
-        policy: DeciderPolicy::default(),
-    }
+        FaultSpec::Lossy { drop_permille },
+    )
 }
 
 /// Full wire-fault scenario: loss plus duplication plus delay-reordering
@@ -1196,22 +1176,16 @@ pub fn lossy_wire_scenario(
     jitter_ms: u16,
     periods: u64,
 ) -> Scenario {
-    Scenario {
-        name: format!("lossy-wire-{drop_permille}d-{dup_permille}u-{jitter_ms}ms"),
+    canned(
+        format!("lossy-wire-{drop_permille}d-{dup_permille}u-{jitter_ms}ms"),
         seed,
-        nodes: 4,
-        budget_per_node: watts(160),
-        safe: PowerRange::from_watts(80, 300),
         periods,
-        workloads: mixed_workloads(),
-        fault: FaultSpec::LossyWire {
+        FaultSpec::LossyWire {
             drop_permille,
             dup_permille,
             jitter_ms,
         },
-        read_noise: 0.0,
-        policy: DeciderPolicy::default(),
-    }
+    )
 }
 
 /// A scenario under a non-default decider policy: the nominal mixed
@@ -1244,23 +1218,17 @@ pub fn policy_scenario(
 /// every consistent cut — with a persistent sequence namespace so stale
 /// pre-crash grants are discarded, never double-paid.
 pub fn churn_scenario(seed: u64, drop_permille: u16, periods: u64) -> Scenario {
-    Scenario {
-        name: format!("churn-{drop_permille}permille"),
+    canned(
+        format!("churn-{drop_permille}permille"),
         seed,
-        nodes: 4,
-        budget_per_node: watts(160),
-        safe: PowerRange::from_watts(80, 300),
         periods,
-        workloads: mixed_workloads(),
-        fault: FaultSpec::KillRestart {
+        FaultSpec::KillRestart {
             node: 1,
             kill_at_period: 3,
             restart_at_period: 10,
             drop_permille,
         },
-        read_noise: 0.0,
-        policy: DeciderPolicy::default(),
-    }
+    )
 }
 
 /// Clean-partition scenario: the four nodes split 2|2 from period 3 to
@@ -1268,23 +1236,17 @@ pub fn churn_scenario(seed: u64, drop_permille: u16, periods: u64) -> Scenario {
 /// grant stranded at the boundary must be escrow-reclaimed (`lost` stays
 /// zero) and the books must balance at every consistent cut.
 pub fn partition_scenario(seed: u64, drop_permille: u16, periods: u64) -> Scenario {
-    Scenario {
-        name: format!("partition-{drop_permille}permille"),
+    canned(
+        format!("partition-{drop_permille}permille"),
         seed,
-        nodes: 4,
-        budget_per_node: watts(160),
-        safe: PowerRange::from_watts(80, 300),
         periods,
-        workloads: mixed_workloads(),
-        fault: FaultSpec::Partition {
+        FaultSpec::Partition {
             split_at: 2,
             at_period: 3,
             heal_at_period: 8,
             drop_permille,
         },
-        read_noise: 0.0,
-        policy: DeciderPolicy::default(),
-    }
+    )
 }
 
 /// Asymmetric-partition scenario: node 1 goes deaf (every link towards it
@@ -1292,67 +1254,49 @@ pub fn partition_scenario(seed: u64, drop_permille: u16, periods: u64) -> Scenar
 /// requests keep being served while every grant back to it dies on the cut
 /// link — the worst case for the escrow layer.
 pub fn asymmetric_partition_scenario(seed: u64, drop_permille: u16, periods: u64) -> Scenario {
-    Scenario {
-        name: format!("asymmetric-{drop_permille}permille"),
+    canned(
+        format!("asymmetric-{drop_permille}permille"),
         seed,
-        nodes: 4,
-        budget_per_node: watts(160),
-        safe: PowerRange::from_watts(80, 300),
         periods,
-        workloads: mixed_workloads(),
-        fault: FaultSpec::AsymmetricIsolate {
+        FaultSpec::AsymmetricIsolate {
             node: 1,
             at_period: 3,
             heal_at_period: 8,
             drop_permille,
         },
-        read_noise: 0.0,
-        policy: DeciderPolicy::default(),
-    }
+    )
 }
 
 /// Flapping-node scenario: node 1 alternates between isolated and
 /// reachable every period from period 3 until period 9 — suspicion forms,
 /// is refuted by the node's own gossip between flaps, forms again.
 pub fn flapping_scenario(seed: u64, periods: u64) -> Scenario {
-    Scenario {
-        name: "flapping".into(),
+    canned(
+        "flapping",
         seed,
-        nodes: 4,
-        budget_per_node: watts(160),
-        safe: PowerRange::from_watts(80, 300),
         periods,
-        workloads: mixed_workloads(),
-        fault: FaultSpec::Flapping {
+        FaultSpec::Flapping {
             node: 1,
             at_period: 3,
             heal_at_period: 9,
         },
-        read_noise: 0.0,
-        policy: DeciderPolicy::default(),
-    }
+    )
 }
 
 /// Concurrent churn + partition: the cluster splits 2|2 at period 3,
 /// node 1 crashes inside its half at period 4, and at period 9 the split
 /// heals and the node reboots in the same period.
 pub fn partition_churn_scenario(seed: u64, periods: u64) -> Scenario {
-    Scenario {
-        name: "partition-churn".into(),
+    canned(
+        "partition-churn",
         seed,
-        nodes: 4,
-        budget_per_node: watts(160),
-        safe: PowerRange::from_watts(80, 300),
         periods,
-        workloads: mixed_workloads(),
-        fault: FaultSpec::PartitionChurn {
+        FaultSpec::PartitionChurn {
             split_at: 2,
             node: 1,
             at_period: 3,
             kill_at_period: 4,
             heal_at_period: 9,
         },
-        read_noise: 0.0,
-        policy: DeciderPolicy::default(),
-    }
+    )
 }

@@ -9,7 +9,9 @@
 //! the core crate, so the triplication the engine collapsed cannot creep
 //! back in one convenient shortcut at a time. A second test holds the
 //! daemon crate to a single socket loop, a third holds every crate but
-//! core to zero hand-written output loops.
+//! core to zero hand-written output loops, a fourth holds what a node
+//! knows about its peers to one table in `core::discovery`, and a fifth
+//! holds `TraceEvent` stamping to `penelope-trace`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -212,6 +214,93 @@ fn no_driver_walks_an_engine_output_buffer_by_hand() {
         buffers >= 5,
         "found only {buffers} output buffers; drivers renamed the type?"
     );
+}
+
+/// The part of a source file that ships: everything above its first
+/// column-0 `#[cfg(test)]`.
+fn non_test_part(text: &str) -> &str {
+    match text.find("\n#[cfg(test)]") {
+        Some(at) => &text[..at],
+        None => text,
+    }
+}
+
+/// What a node knows about its peers — timeout streaks, suspicions,
+/// incarnations, the acked-seq floor — is one record per peer in
+/// `discovery::PeerTable`. It used to be four `NodeId`-keyed maps spread
+/// over the decider and the engine, which selection could only reach
+/// through closures.
+#[test]
+fn per_peer_state_lives_in_core_discovery_only() {
+    const KEYED_BY_PEER: &[&str] = &["HashMap<NodeId", "BTreeMap<NodeId", "Vec<(NodeId"];
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_sources(&root.join("crates/core/src"), &mut files);
+    assert!(files.len() >= 8, "found only {} core sources", files.len());
+    for path in &files {
+        let text = fs::read_to_string(path).expect("readable source file");
+        let name = path.file_name().unwrap().to_string_lossy();
+        assert!(
+            name == "discovery.rs" || !KEYED_BY_PEER.iter().any(|c| text.contains(c)),
+            "crates/core/src/{name} keys a container by NodeId — per-peer state \
+             belongs to discovery::PeerTable"
+        );
+    }
+}
+
+/// True iff `text` builds a `TraceEvent` literal (as opposed to naming
+/// the type in a signature, an `impl` or its definition).
+fn constructs_a_trace_event(text: &str) -> bool {
+    text.match_indices("TraceEvent {").any(|(pos, _)| {
+        let before = text[..pos].trim_end();
+        !["->", "impl", "struct", "for"]
+            .iter()
+            .any(|word| before.ends_with(word))
+    })
+}
+
+/// Stamping an event — time, node, `at / period`, behind an "is anyone
+/// listening" check — happens once, in `penelope_trace::Stamper`. Six
+/// sites used to do it by hand and disagreed on the fast path.
+#[test]
+fn only_penelope_trace_stamps_events() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_sources(&root.join("src"), &mut files);
+    rust_sources(&root.join("examples"), &mut files);
+    for entry in fs::read_dir(root.join("crates")).expect("crates/ exists") {
+        let krate = entry.expect("readable dir entry").path();
+        if krate.file_name().is_some_and(|n| n != "trace") {
+            rust_sources(&krate.join("src"), &mut files);
+        }
+    }
+    assert!(files.len() >= 60, "found only {} sources", files.len());
+    for path in &files {
+        let text = fs::read_to_string(path).expect("readable source file");
+        assert!(
+            !constructs_a_trace_event(non_test_part(&text)),
+            "{} builds a TraceEvent by hand — emit through penelope_trace::Stamper",
+            path.strip_prefix(root).unwrap_or(path).display()
+        );
+    }
+}
+
+#[test]
+fn trace_event_detection_tells_construction_from_mention() {
+    assert!(constructs_a_trace_event(
+        "self.obs.on_event(&TraceEvent {\n at: now,"
+    ));
+    assert!(constructs_a_trace_event(
+        "obs.emit(|| TraceEvent { at, node })"
+    ));
+    assert!(!constructs_a_trace_event("fn ev(seq: u64) -> TraceEvent {"));
+    assert!(!constructs_a_trace_event("impl TraceEvent {"));
+    assert!(!constructs_a_trace_event(
+        "impl fmt::Display for TraceEvent {"
+    ));
+    assert!(!constructs_a_trace_event("pub struct TraceEvent {"));
+    assert_eq!(non_test_part("a\n#[cfg(test)]\nmod t {}"), "a");
+    assert_eq!(non_test_part("    #[cfg(test)]\nb"), "    #[cfg(test)]\nb");
 }
 
 #[test]

@@ -536,14 +536,12 @@ fn gossip_converges_suspicion_faster_than_local_timeouts() {
     }
     // And cluster-wide convergence is strictly slower than the gossip arm.
     let ablated_max = ablated_firsts.iter().flatten().max().copied();
-    match ablated_max {
-        Some(t) => assert!(
+    // (No survivor suspecting at all is the strongest form of "slower".)
+    if let Some(t) = ablated_max {
+        assert!(
             t > max,
             "ablated run converged no later ({t:?}) than the gossip run ({max:?})"
-        ),
-        // Some survivor never suspecting at all is the strongest form of
-        // "slower".
-        None => {}
+        );
     }
 }
 
