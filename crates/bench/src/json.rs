@@ -1,9 +1,10 @@
 //! A minimal JSON value, parser and renderer.
 //!
 //! The workspace builds offline against in-tree `third_party/` shims, so
-//! the perf harness cannot lean on serde_json; `BENCH.json` is small and
-//! regular enough that a ~150-line recursive-descent parser covers it.
-//! Objects preserve key order so rendered reports diff cleanly.
+//! the repo benchmark cannot lean on serde_json; its results files are
+//! small and regular enough that a ~150-line recursive-descent parser
+//! covers them. Objects preserve key order so rendered results diff
+//! cleanly.
 
 use std::fmt;
 

@@ -17,8 +17,8 @@ use penelope_units::{NodeId, SimTime};
 use penelope_workload::Profile;
 
 use crate::effort::Effort;
-use crate::nominal::{CellOutcome, PAPER_CAPS_W};
-use crate::parallel::{self, CellStats};
+use crate::nominal::{run_cell, PAPER_CAPS_W};
+use crate::parallel;
 use crate::scenarios::{pair_subset, pair_workloads, paper_cluster_config};
 
 /// One row of the churn table.
@@ -74,15 +74,15 @@ impl ChurnResult {
 }
 
 /// Run one churned cell: the last node is killed at 25 % of the Fair
-/// runtime and restarted at 50 %. Returns the raw measurements.
-pub fn run_churn_cell_outcome(
+/// runtime and restarted at 50 %. Returns the makespan in seconds.
+pub fn run_churn_cell(
     per_socket_cap_w: u64,
     pair: &(Profile, Profile),
     nodes: usize,
     time_scale: f64,
     seed: u64,
     fair_runtime_secs: f64,
-) -> CellOutcome {
+) -> f64 {
     let cfg = paper_cluster_config(SystemKind::Penelope, per_socket_cap_w, nodes, seed);
     let workloads = pair_workloads(&pair.0, &pair.1, nodes, time_scale);
     let longest = workloads
@@ -100,31 +100,7 @@ pub fn run_churn_cell_outcome(
         restart_at,
     ));
     let report = sim.run(horizon);
-    CellOutcome {
-        runtime_s: report.runtime_secs().unwrap_or(horizon_secs),
-        events: report.events,
-        sim_secs: report.ended_at.as_secs_f64(),
-    }
-}
-
-/// Run one churned cell and return just the makespan in seconds.
-pub fn run_churn_cell(
-    per_socket_cap_w: u64,
-    pair: &(Profile, Profile),
-    nodes: usize,
-    time_scale: f64,
-    seed: u64,
-    fair_runtime_secs: f64,
-) -> f64 {
-    run_churn_cell_outcome(
-        per_socket_cap_w,
-        pair,
-        nodes,
-        time_scale,
-        seed,
-        fair_runtime_secs,
-    )
-    .runtime_s
+    report.runtime_secs().unwrap_or(horizon_secs)
 }
 
 /// Run the full churn matrix.
@@ -135,7 +111,7 @@ pub fn run(effort: Effort) -> ChurnResult {
 /// Run the churn experiment for a custom cap list, parallel across
 /// `PENELOPE_JOBS` workers (default: all cores).
 pub fn run_with_caps(effort: Effort, caps: &[u64]) -> ChurnResult {
-    run_with_caps_jobs(effort, caps, parallel::jobs_from_env()).0
+    run_with_caps_jobs(effort, caps, parallel::jobs_from_env())
 }
 
 /// Run the churn matrix with an explicit worker count. One fan-out cell
@@ -143,9 +119,7 @@ pub fn run_with_caps(effort: Effort, caps: &[u64]) -> ChurnResult {
 /// the churned run share a seed and the kill/restart schedule depends
 /// only on the Fair makespan computed inside the same cell, so cells are
 /// independent and the parallel matrix is identical to the serial one.
-/// The returned [`CellStats`] carry the event/virtual-time totals for the
-/// perf harness (all three sims of each cell included).
-pub fn run_with_caps_jobs(effort: Effort, caps: &[u64], jobs: usize) -> (ChurnResult, CellStats) {
+pub fn run_with_caps_jobs(effort: Effort, caps: &[u64], jobs: usize) -> ChurnResult {
     let pairs = pair_subset(effort.pairs());
     let nodes = effort.cluster_nodes();
     let ts = effort.time_scale();
@@ -157,18 +131,11 @@ pub fn run_with_caps_jobs(effort: Effort, caps: &[u64], jobs: usize) -> (ChurnRe
         }
     }
     let outcomes = parallel::par_map_adaptive(jobs, &cells, |&(cap, pair, seed)| {
-        let fair = crate::nominal::run_cell_outcome(SystemKind::Fair, cap, pair, nodes, ts, seed);
-        let nominal =
-            crate::nominal::run_cell_outcome(SystemKind::Penelope, cap, pair, nodes, ts, seed);
-        let churned = run_churn_cell_outcome(cap, pair, nodes, ts, seed, fair.runtime_s);
+        let fair = run_cell(SystemKind::Fair, cap, pair, nodes, ts, seed);
+        let nominal = run_cell(SystemKind::Penelope, cap, pair, nodes, ts, seed);
+        let churned = run_churn_cell(cap, pair, nodes, ts, seed, fair);
         (fair, nominal, churned)
     });
-    let mut stats = CellStats::default();
-    for (fair, nominal, churned) in &outcomes {
-        for o in [fair, nominal, churned] {
-            stats.absorb(o.events, o.sim_secs);
-        }
-    }
 
     let mut rows = Vec::with_capacity(caps.len());
     let mut all_nominal = Vec::new();
@@ -177,11 +144,11 @@ pub fn run_with_caps_jobs(effort: Effort, caps: &[u64], jobs: usize) -> (ChurnRe
         let chunk = &outcomes[ci * pairs.len()..(ci + 1) * pairs.len()];
         let nominal_norm: Vec<f64> = chunk
             .iter()
-            .map(|(fair, nominal, _)| fair.runtime_s / nominal.runtime_s)
+            .map(|(fair, nominal, _)| fair / nominal)
             .collect();
         let churned_norm: Vec<f64> = chunk
             .iter()
-            .map(|(fair, _, churned)| fair.runtime_s / churned.runtime_s)
+            .map(|(fair, _, churned)| fair / churned)
             .collect();
         all_nominal.extend_from_slice(&nominal_norm);
         all_churned.extend_from_slice(&churned_norm);
@@ -191,14 +158,11 @@ pub fn run_with_caps_jobs(effort: Effort, caps: &[u64], jobs: usize) -> (ChurnRe
             churned: geometric_mean(&churned_norm),
         });
     }
-    (
-        ChurnResult {
-            rows,
-            overall_nominal: geometric_mean(&all_nominal),
-            overall_churned: geometric_mean(&all_churned),
-        },
-        stats,
-    )
+    ChurnResult {
+        rows,
+        overall_nominal: geometric_mean(&all_nominal),
+        overall_churned: geometric_mean(&all_churned),
+    }
 }
 
 #[cfg(test)]
@@ -223,11 +187,8 @@ mod tests {
 
     #[test]
     fn parallel_matrix_matches_serial() {
-        let (serial, serial_stats) = run_with_caps_jobs(Effort::Smoke, &[60], 1);
-        let (parallel, parallel_stats) = run_with_caps_jobs(Effort::Smoke, &[60], 4);
+        let serial = run_with_caps_jobs(Effort::Smoke, &[60], 1);
+        let parallel = run_with_caps_jobs(Effort::Smoke, &[60], 4);
         assert_eq!(serial, parallel);
-        assert_eq!(serial_stats, parallel_stats);
-        assert_eq!(serial_stats.cells, Effort::Smoke.pairs() * 3);
-        assert!(serial_stats.events > 0);
     }
 }

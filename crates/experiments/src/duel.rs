@@ -65,11 +65,6 @@ pub struct DuelEntry {
     pub bids: u64,
     /// `ForecastJump` events (the predictive jump detector firing).
     pub forecast_jumps: u64,
-    /// Discrete events the simulator processed for this leg (perf-harness
-    /// throughput numerator).
-    pub sim_events: u64,
-    /// Simulated seconds the leg covered (perf-harness sim/wall ratio).
-    pub sim_secs: f64,
 }
 
 /// The duel scoreboard: one entry per policy, identical inputs.
@@ -192,8 +187,6 @@ pub fn run_policy(policy: DeciderPolicy, effort: Effort, seed: u64) -> DuelEntry
         unanswered_fraction: turnaround.unanswered_fraction(),
         jain: jain_from_events(&events, share_horizon),
         makespan_secs: report.runtime_secs(),
-        sim_events: report.events,
-        sim_secs: report.ended_at.as_secs_f64(),
         bids: count_kind(
             EventKind::BidPlaced {
                 seq: 0,

@@ -3,14 +3,15 @@
 /// How much of the paper's full experimental matrix to run.
 ///
 /// The full matrix (36 pairs × 5 caps × 3 systems for Fig. 2; 1056
-/// simulated nodes for the scale study) takes minutes; tests and criterion
-/// benches use the smaller presets. All presets exercise the same code and
+/// simulated nodes for the scale study) takes minutes; tests, CI and the
+/// examples' default use the smaller presets. All presets exercise the same code and
 /// the same qualitative comparisons — only sample counts shrink.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Effort {
     /// A handful of pairs, small clusters; seconds. Used by unit tests.
     Smoke,
-    /// Enough samples for stable shapes; used by the criterion benches.
+    /// Enough samples for stable shapes; the default when
+    /// `PENELOPE_EFFORT` is unset.
     Quick,
     /// The paper's full matrix.
     Full,

@@ -13,6 +13,7 @@
 //! | [`churn`] | Extension: node crash/rejoin tolerance under churn |
 //! | [`duel`] | Extension: urgency vs predictive vs market decider duel |
 //! | [`scale_mega`] | Extension: sharded scale study at 10^5–10^6 nodes |
+//! | [`ablations`] | DESIGN.md's five design-choice ablations |
 //! | [`service`] | §4.5.2 — server service time and saturation extrapolation |
 //!
 //! Every experiment takes an [`Effort`] knob so the full paper matrix (36
@@ -22,6 +23,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod ablations;
 pub mod assignment;
 pub mod churn;
 pub mod duel;

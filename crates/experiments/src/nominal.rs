@@ -12,7 +12,7 @@ use penelope_units::SimTime;
 use penelope_workload::Profile;
 
 use crate::effort::Effort;
-use crate::parallel::{self, CellStats};
+use crate::parallel;
 use crate::scenarios::{pair_subset, pair_workloads, paper_cluster_config};
 
 /// The per-socket caps the paper sweeps (§4.3).
@@ -71,26 +71,16 @@ impl Fig2Result {
     }
 }
 
-/// Raw outcome of one (system, cap, pair) cell.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CellOutcome {
-    /// Makespan in seconds (the horizon when the run stalled).
-    pub runtime_s: f64,
-    /// Discrete events the simulator processed.
-    pub events: u64,
-    /// Virtual time simulated, seconds.
-    pub sim_secs: f64,
-}
-
-/// Run one (system, cap, pair) cell and return its raw measurements.
-pub fn run_cell_outcome(
+/// Run one (system, cap, pair) cell and return the makespan in seconds
+/// (the horizon when the run stalled).
+pub fn run_cell(
     system: SystemKind,
     per_socket_cap_w: u64,
     pair: &(Profile, Profile),
     nodes: usize,
     time_scale: f64,
     seed: u64,
-) -> CellOutcome {
+) -> f64 {
     let cfg = paper_cluster_config(system, per_socket_cap_w, nodes, seed);
     let workloads = pair_workloads(&pair.0, &pair.1, nodes, time_scale);
     // Generous horizon: the slowest app under the tightest cap stretches by
@@ -102,23 +92,7 @@ pub fn run_cell_outcome(
     let horizon_secs = longest * 8.0 + 30.0;
     let horizon = SimTime::from_nanos((horizon_secs * 1e9) as u64);
     let report = ClusterSim::new(cfg, workloads).run(horizon);
-    CellOutcome {
-        runtime_s: report.runtime_secs().unwrap_or(horizon_secs),
-        events: report.events,
-        sim_secs: report.ended_at.as_secs_f64(),
-    }
-}
-
-/// Run one (system, cap, pair) cell and return the makespan in seconds.
-pub fn run_cell(
-    system: SystemKind,
-    per_socket_cap_w: u64,
-    pair: &(Profile, Profile),
-    nodes: usize,
-    time_scale: f64,
-    seed: u64,
-) -> f64 {
-    run_cell_outcome(system, per_socket_cap_w, pair, nodes, time_scale, seed).runtime_s
+    report.runtime_secs().unwrap_or(horizon_secs)
 }
 
 /// Run the full Figure 2 matrix at the given effort.
@@ -126,17 +100,16 @@ pub fn run(effort: Effort) -> Fig2Result {
     run_with_caps(effort, &PAPER_CAPS_W)
 }
 
-/// Run Figure 2 for a custom cap list (used by tests and benches),
+/// Run Figure 2 for a custom cap list (used by tests),
 /// parallel across `PENELOPE_JOBS` workers (default: all cores).
 pub fn run_with_caps(effort: Effort, caps: &[u64]) -> Fig2Result {
-    run_with_caps_jobs(effort, caps, parallel::jobs_from_env()).0
+    run_with_caps_jobs(effort, caps, parallel::jobs_from_env())
 }
 
 /// Run Figure 2 with an explicit worker count. Every (system, cap, pair)
 /// cell is independent (its seed depends only on the cap and pair index),
-/// so the fanned-out matrix is identical to the serial one; the returned
-/// [`CellStats`] carry the event/virtual-time totals for the perf harness.
-pub fn run_with_caps_jobs(effort: Effort, caps: &[u64], jobs: usize) -> (Fig2Result, CellStats) {
+/// so the fanned-out matrix is identical to the serial one.
+pub fn run_with_caps_jobs(effort: Effort, caps: &[u64], jobs: usize) -> Fig2Result {
     const SYSTEMS: [SystemKind; 3] = [SystemKind::Fair, SystemKind::Slurm, SystemKind::Penelope];
     let pairs = pair_subset(effort.pairs());
     let nodes = effort.cluster_nodes();
@@ -150,26 +123,22 @@ pub fn run_with_caps_jobs(effort: Effort, caps: &[u64], jobs: usize) -> (Fig2Res
             }
         }
     }
-    let outcomes = parallel::par_map_adaptive(jobs, &cells, |&(system, cap, pair, seed)| {
-        run_cell_outcome(system, cap, pair, nodes, ts, seed)
+    let runtimes = parallel::par_map_adaptive(jobs, &cells, |&(system, cap, pair, seed)| {
+        run_cell(system, cap, pair, nodes, ts, seed)
     });
-    let mut stats = CellStats::default();
-    for o in &outcomes {
-        stats.absorb(o.events, o.sim_secs);
-    }
 
     let mut rows = Vec::with_capacity(caps.len());
     let mut all_slurm = Vec::new();
     let mut all_pen = Vec::new();
     let per_cap = pairs.len() * SYSTEMS.len();
     for (ci, &cap) in caps.iter().enumerate() {
-        let chunk = &outcomes[ci * per_cap..(ci + 1) * per_cap];
+        let chunk = &runtimes[ci * per_cap..(ci + 1) * per_cap];
         let mut slurm_norm = Vec::with_capacity(pairs.len());
         let mut pen_norm = Vec::with_capacity(pairs.len());
         for pi in 0..pairs.len() {
-            let fair = chunk[pi * SYSTEMS.len()].runtime_s;
-            let slurm = chunk[pi * SYSTEMS.len() + 1].runtime_s;
-            let pen = chunk[pi * SYSTEMS.len() + 2].runtime_s;
+            let fair = chunk[pi * SYSTEMS.len()];
+            let slurm = chunk[pi * SYSTEMS.len() + 1];
+            let pen = chunk[pi * SYSTEMS.len() + 2];
             slurm_norm.push(fair / slurm);
             pen_norm.push(fair / pen);
         }
@@ -181,14 +150,11 @@ pub fn run_with_caps_jobs(effort: Effort, caps: &[u64], jobs: usize) -> (Fig2Res
             penelope: geometric_mean(&pen_norm),
         });
     }
-    (
-        Fig2Result {
-            rows,
-            overall_slurm: geometric_mean(&all_slurm),
-            overall_penelope: geometric_mean(&all_pen),
-        },
-        stats,
-    )
+    Fig2Result {
+        rows,
+        overall_slurm: geometric_mean(&all_slurm),
+        overall_penelope: geometric_mean(&all_pen),
+    }
 }
 
 #[cfg(test)]
@@ -225,11 +191,8 @@ mod tests {
 
     #[test]
     fn parallel_matrix_matches_serial() {
-        let (serial, serial_stats) = run_with_caps_jobs(Effort::Smoke, &[80], 1);
-        let (parallel, parallel_stats) = run_with_caps_jobs(Effort::Smoke, &[80], 4);
+        let serial = run_with_caps_jobs(Effort::Smoke, &[80], 1);
+        let parallel = run_with_caps_jobs(Effort::Smoke, &[80], 4);
         assert_eq!(serial, parallel);
-        assert_eq!(serial_stats, parallel_stats);
-        assert_eq!(serial_stats.cells, Effort::Smoke.pairs() * 3);
-        assert!(serial_stats.events > 0);
     }
 }

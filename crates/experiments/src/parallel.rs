@@ -11,8 +11,7 @@
 //!
 //! Worker count comes from `PENELOPE_JOBS` (default: available
 //! parallelism); `PENELOPE_JOBS=1` takes the plain serial path with no
-//! threads at all, which is what the perf harness times as its speedup
-//! baseline.
+//! threads at all.
 //!
 //! Tiny sweeps are cheaper than a thread pool: [`par_map_adaptive`]
 //! times the first cell inline and only spawns workers when the
@@ -158,35 +157,6 @@ where
     par_map_adaptive_with_threshold(jobs, items, PAR_MIN_TOTAL_S, f)
 }
 
-/// Aggregate simulator work done by a batch of cells, reported by the
-/// sweeps so the perf harness can turn wall time into events/sec and
-/// sim-seconds/wall-second.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct CellStats {
-    /// Number of simulation cells executed.
-    pub cells: usize,
-    /// Total discrete events processed across cells.
-    pub events: u64,
-    /// Total virtual time simulated across cells, seconds.
-    pub sim_secs: f64,
-}
-
-impl CellStats {
-    /// Fold one cell's contribution in.
-    pub fn absorb(&mut self, events: u64, sim_secs: f64) {
-        self.cells += 1;
-        self.events += events;
-        self.sim_secs += sim_secs;
-    }
-
-    /// Merge another batch's totals.
-    pub fn merge(&mut self, other: &CellStats) {
-        self.cells += other.cells;
-        self.events += other.events;
-        self.sim_secs += other.sim_secs;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,19 +220,6 @@ mod tests {
         assert!(parse_jobs("-2").is_err());
         assert!(parse_jobs("many").is_err());
         assert!(parse_jobs("").is_err());
-    }
-
-    #[test]
-    fn cell_stats_fold_and_merge() {
-        let mut a = CellStats::default();
-        a.absorb(100, 2.0);
-        a.absorb(50, 1.0);
-        let mut b = CellStats::default();
-        b.absorb(10, 0.5);
-        a.merge(&b);
-        assert_eq!(a.cells, 3);
-        assert_eq!(a.events, 160);
-        assert!((a.sim_secs - 3.5).abs() < 1e-12);
     }
 
     #[test]

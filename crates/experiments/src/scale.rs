@@ -15,11 +15,11 @@
 //! total time, exactly as the paper does for Fig. 5.
 
 use penelope_metrics::{SummaryStats, TextTable};
-use penelope_sim::{ClusterSim, SystemKind};
+use penelope_sim::{ClusterConfig, ClusterSim, RunReport, SystemKind};
 use penelope_workload::Profile;
 
 use crate::effort::Effort;
-use crate::parallel::{self, CellStats};
+use crate::parallel;
 use crate::scenarios::{pair_subset, ScaleScenario};
 
 /// The frequency axis of Figs. 4, 5 and 7 (iterations per second).
@@ -71,16 +71,18 @@ pub struct RunOutcome {
     pub unanswered: f64,
     /// How long the experiment ran after the donors finished, seconds.
     pub experiment_s: f64,
-    /// Discrete events the simulator processed for this cell.
-    pub events: u64,
-    /// Virtual time simulated, seconds (wall-normalized by the perf
-    /// harness into sim-seconds per wall-second).
-    pub sim_secs: f64,
 }
 
-/// Run one (system, scenario) scale point and return its raw measurements.
-pub fn run_point(system: SystemKind, scenario: &ScaleScenario) -> RunOutcome {
-    let cfg = scenario.config(system);
+/// Run one (system, scenario) scale point — redistribution tracked from
+/// the donors' finish, stopping once it completes — with the scenario's
+/// config adjusted by `mutate` first (the ablations' hook).
+pub fn run_scenario(
+    system: SystemKind,
+    scenario: &ScaleScenario,
+    mutate: impl FnOnce(&mut ClusterConfig),
+) -> RunReport {
+    let mut cfg = scenario.config(system);
+    mutate(&mut cfg);
     let epsilon = cfg.node.decider.epsilon;
     let horizon = scenario.horizon();
     let workloads = scenario.workloads(epsilon, horizon);
@@ -91,7 +93,12 @@ pub fn run_point(system: SystemKind, scenario: &ScaleScenario) -> RunOutcome {
         scenario.donor_finish,
     );
     sim.stop_when_redistributed();
-    let report = sim.run(horizon);
+    sim.run(horizon)
+}
+
+/// Run one (system, scenario) scale point and return its raw measurements.
+pub fn run_point(system: SystemKind, scenario: &ScaleScenario) -> RunOutcome {
+    let report = run_scenario(system, scenario, |_| {});
     let tracker = report.redistribution.as_ref().expect("tracking installed");
     let experiment_s = report
         .ended_at
@@ -107,8 +114,6 @@ pub fn run_point(system: SystemKind, scenario: &ScaleScenario) -> RunOutcome {
             .unwrap_or(0.0),
         unanswered: report.turnaround.unanswered_fraction(),
         experiment_s,
-        events: report.events,
-        sim_secs: report.ended_at.as_secs_f64(),
     }
 }
 
@@ -134,16 +139,6 @@ fn aggregate(outcomes: &[RunOutcome]) -> SystemPoint {
     }
 }
 
-/// A completed sweep: the figure rows plus the simulator work totals the
-/// perf harness turns into throughput numbers.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Sweep {
-    /// One row per sweep point, in axis order.
-    pub rows: Vec<SweepRow>,
-    /// Aggregate cell/event/virtual-time totals across the whole sweep.
-    pub stats: CellStats,
-}
-
 /// One independent simulation cell of a sweep.
 struct Cell {
     system: SystemKind,
@@ -154,7 +149,11 @@ struct Cell {
 /// `jobs` workers — and reassemble rows in axis order. Each cell's seed
 /// depends only on its own (nodes, frequency, pair) coordinates, so the
 /// result is identical for any worker count.
-fn run_sweep(pairs: &[(Profile, Profile)], points: &[(usize, f64, f64)], jobs: usize) -> Sweep {
+fn run_sweep(
+    pairs: &[(Profile, Profile)],
+    points: &[(usize, f64, f64)],
+    jobs: usize,
+) -> Vec<SweepRow> {
     let mut cells = Vec::with_capacity(points.len() * pairs.len() * 2);
     for &(nodes, frequency_hz, _) in points {
         for (pi, (a, b)) in pairs.iter().enumerate() {
@@ -171,12 +170,8 @@ fn run_sweep(pairs: &[(Profile, Profile)], points: &[(usize, f64, f64)], jobs: u
         }
     }
     let outcomes = parallel::par_map_adaptive(jobs, &cells, |c| run_point(c.system, &c.scenario));
-    let mut stats = CellStats::default();
-    for o in &outcomes {
-        stats.absorb(o.events, o.sim_secs);
-    }
     let per_row = pairs.len() * 2;
-    let rows = points
+    points
         .iter()
         .enumerate()
         .map(|(ri, &(_, _, x))| {
@@ -189,13 +184,16 @@ fn run_sweep(pairs: &[(Profile, Profile)], points: &[(usize, f64, f64)], jobs: u
                 penelope: aggregate(&penelope),
             }
         })
-        .collect();
-    Sweep { rows, stats }
+        .collect()
 }
 
 /// Figs. 4/5/7 with an explicit worker count: sweep decider frequency at
 /// the effort's maximum scale, cells fanned out over `jobs` workers.
-pub fn frequency_sweep_with_jobs(effort: Effort, frequencies: &[f64], jobs: usize) -> Sweep {
+pub fn frequency_sweep_with_jobs(
+    effort: Effort,
+    frequencies: &[f64],
+    jobs: usize,
+) -> Vec<SweepRow> {
     let pairs = pair_subset(effort.pairs());
     let nodes = effort.max_scale_nodes();
     let points: Vec<(usize, f64, f64)> = frequencies.iter().map(|&f| (nodes, f, f)).collect();
@@ -205,12 +203,12 @@ pub fn frequency_sweep_with_jobs(effort: Effort, frequencies: &[f64], jobs: usiz
 /// Figs. 4/5/7: sweep decider frequency at the effort's maximum scale,
 /// parallel across `PENELOPE_JOBS` workers (default: all cores).
 pub fn frequency_sweep(effort: Effort, frequencies: &[f64]) -> Vec<SweepRow> {
-    frequency_sweep_with_jobs(effort, frequencies, parallel::jobs_from_env()).rows
+    frequency_sweep_with_jobs(effort, frequencies, parallel::jobs_from_env())
 }
 
 /// Figs. 6/8 with an explicit worker count: sweep scale at 1 iteration
 /// per second, cells fanned out over `jobs` workers.
-pub fn scale_sweep_with_jobs(effort: Effort, scales: &[usize], jobs: usize) -> Sweep {
+pub fn scale_sweep_with_jobs(effort: Effort, scales: &[usize], jobs: usize) -> Vec<SweepRow> {
     let pairs = pair_subset(effort.pairs());
     let points: Vec<(usize, f64, f64)> = scales
         .iter()
@@ -225,7 +223,7 @@ pub fn scale_sweep_with_jobs(effort: Effort, scales: &[usize], jobs: usize) -> S
 /// Figs. 6/8: sweep scale at 1 iteration per second, parallel across
 /// `PENELOPE_JOBS` workers (default: all cores).
 pub fn scale_sweep(effort: Effort, scales: &[usize]) -> Vec<SweepRow> {
-    scale_sweep_with_jobs(effort, scales, parallel::jobs_from_env()).rows
+    scale_sweep_with_jobs(effort, scales, parallel::jobs_from_env())
 }
 
 fn render_series(
@@ -364,19 +362,15 @@ mod tests {
     fn parallel_sweep_matches_serial_bitwise() {
         // The conformance contract of the parallel engine: for a fixed
         // seed formula, the fanned-out sweep produces exactly the rows the
-        // serial sweep does — f64-equal on every aggregated metric and
-        // equal on every event/virtual-time total.
+        // serial sweep does — f64-equal on every aggregated metric.
         let serial = frequency_sweep_with_jobs(Effort::Smoke, &[1.0, 8.0], 1);
         let parallel = frequency_sweep_with_jobs(Effort::Smoke, &[1.0, 8.0], 4);
-        assert_eq!(serial.rows, parallel.rows);
-        assert_eq!(serial.stats, parallel.stats);
-        assert!(serial.stats.events > 0);
-        assert_eq!(serial.stats.cells, 2 * Effort::Smoke.pairs() * 2);
+        assert_eq!(serial.len(), 2);
+        assert_eq!(serial, parallel);
 
         let serial = scale_sweep_with_jobs(Effort::Smoke, &[32, 64], 1);
         let parallel = scale_sweep_with_jobs(Effort::Smoke, &[32, 64], 3);
-        assert_eq!(serial.rows, parallel.rows);
-        assert_eq!(serial.stats, parallel.stats);
+        assert_eq!(serial, parallel);
     }
 
     #[test]

@@ -10,15 +10,16 @@
 //! Each cell is one [`ShardedConfig::mega`] scenario: a 1-in-64 hungry
 //! minority sustains request/grant/ack traffic against a donor majority
 //! that sheds once and quiesces at the margin. Cells derive their seeds
-//! from their position in the axis, so the sweep is deterministic, and
-//! — because the sharded schedule is shard-count and thread-count
-//! invariant by construction — `PENELOPE_SHARDS` may be set freely
-//! without changing a single row.
+//! from their position in the axis, so the sweep is deterministic; the
+//! sharded schedule is shard-count and thread-count invariant by
+//! construction, so the shard count picked per cell changes no row.
+//! Reachable as `cargo run --release --example paper -- mega`.
 
+use penelope_metrics::TextTable;
 use penelope_sim::{ShardReport, ShardedConfig, ShardedSim};
 
 use crate::effort::Effort;
-use crate::parallel::{self, CellStats};
+use crate::parallel;
 
 /// Master seed the sweep derives per-cell seeds from.
 pub const MEGA_SEED: u64 = 0x4d45_4741; // "MEGA"
@@ -61,50 +62,31 @@ pub struct MegaRow {
     pub fingerprint: u64,
 }
 
-/// The whole sweep: typed rows plus the aggregate cell statistics the
-/// perf harness turns into events/sec.
-#[derive(Clone, Debug, PartialEq)]
-pub struct MegaSweep {
-    /// One row per node-count axis point.
-    pub rows: Vec<MegaRow>,
-    /// Aggregate work done (events include elided ticks; sim seconds are
-    /// virtual protocol time).
-    pub stats: CellStats,
-}
-
 /// Build the cell configuration for axis point `i` at `n_nodes`.
 ///
-/// Shard count comes from `PENELOPE_SHARDS` when set, else one shard per
-/// 32 768 nodes (at least 2, at most 16) — enough partitioning that even
-/// the CI smoke point exercises the cross-shard exchange path, without
-/// drowning small cells in barrier overhead.
+/// One shard per 32 768 nodes (at least 2, at most 16) — enough
+/// partitioning that even the smoke point exercises the cross-shard
+/// exchange path, without drowning small cells in barrier overhead.
 pub fn cell_config(effort: Effort, i: usize, n_nodes: usize) -> ShardedConfig {
     let mut cfg = ShardedConfig::mega(n_nodes, periods(effort), MEGA_SEED ^ (i as u64) << 32);
-    cfg.shards = ShardedConfig::shards_from_env()
-        .unwrap_or_else(|| (n_nodes / 32_768).clamp(2, 16))
-        .min(n_nodes);
+    cfg.shards = (n_nodes / 32_768).clamp(2, 16).min(n_nodes);
     cfg
 }
 
-fn run_cell(effort: Effort, i: usize, n_nodes: usize) -> (MegaRow, f64) {
-    let cfg = cell_config(effort, i, n_nodes);
-    let sim_secs = cfg.periods as f64 * cfg.node.decider.period.as_secs_f64();
-    let report: ShardReport = ShardedSim::new(cfg).run();
+fn run_cell(effort: Effort, i: usize, n_nodes: usize) -> MegaRow {
+    let report: ShardReport = ShardedSim::new(cell_config(effort, i, n_nodes)).run();
     assert!(
         report.conservation_ok,
         "mega cell n={n_nodes} violated power conservation"
     );
-    (
-        MegaRow {
-            n_nodes,
-            shards: report.shards,
-            executed_events: report.executed_events,
-            elided_ticks: report.elided_ticks,
-            messages: report.messages,
-            fingerprint: report.fingerprint,
-        },
-        sim_secs,
-    )
+    MegaRow {
+        n_nodes,
+        shards: report.shards,
+        executed_events: report.executed_events,
+        elided_ticks: report.elided_ticks,
+        messages: report.messages,
+        fingerprint: report.fingerprint,
+    }
 }
 
 /// Run the mega sweep over `nodes` with an explicit cell worker count.
@@ -112,37 +94,56 @@ fn run_cell(effort: Effort, i: usize, n_nodes: usize) -> (MegaRow, f64) {
 /// `jobs` parallelizes *cells*; within a cell the sharded engine runs
 /// serially (its own `jobs` stays 1) so the two layers of parallelism
 /// never nest. Rows are bit-identical for every `jobs` value.
-pub fn mega_sweep_with_jobs(effort: Effort, nodes: &[usize], jobs: usize) -> MegaSweep {
+pub fn mega_sweep_with_jobs(effort: Effort, nodes: &[usize], jobs: usize) -> Vec<MegaRow> {
     let cells: Vec<(usize, usize)> = nodes.iter().copied().enumerate().collect();
-    let outcomes = parallel::par_map(jobs, &cells, |&(i, n)| run_cell(effort, i, n));
-    let mut stats = CellStats::default();
-    let mut rows = Vec::with_capacity(outcomes.len());
-    for (row, sim_secs) in outcomes {
-        stats.absorb(row.executed_events + row.elided_ticks, sim_secs);
-        rows.push(row);
-    }
-    MegaSweep { rows, stats }
+    parallel::par_map(jobs, &cells, |&(i, n)| run_cell(effort, i, n))
 }
 
-/// Run the mega sweep with the worker count from `PENELOPE_JOBS`.
-pub fn mega_sweep(effort: Effort, nodes: &[usize]) -> MegaSweep {
-    mega_sweep_with_jobs(effort, nodes, parallel::jobs_from_env())
+/// Run the mega sweep over the effort's [`node_axis`] with the worker
+/// count from `PENELOPE_JOBS`.
+pub fn run(effort: Effort) -> Vec<MegaRow> {
+    mega_sweep_with_jobs(effort, &node_axis(effort), parallel::jobs_from_env())
+}
+
+/// The sweep as a table, one line per node count.
+pub fn render(rows: &[MegaRow]) -> String {
+    let mut t = TextTable::new(vec![
+        "nodes",
+        "shards",
+        "executed events",
+        "elided ticks",
+        "messages",
+        "fingerprint",
+    ]);
+    for r in rows {
+        t.row(vec![
+            r.n_nodes.to_string(),
+            r.shards.to_string(),
+            r.executed_events.to_string(),
+            r.elided_ticks.to_string(),
+            r.messages.to_string(),
+            format!("{:016x}", r.fingerprint),
+        ]);
+    }
+    format!(
+        "Mega-scale sweep: sharded engine, 1-in-64 hungry minority\n{}",
+        t.render()
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // Small axis so the suite stays fast; the real 10^5+ points run in
-    // the perf harness and the CI scale job.
+    // Small axis so the suite stays fast; the real 10^5+ points run from
+    // `paper -- mega`.
     const TEST_NODES: [usize; 2] = [2_048, 4_096];
 
     #[test]
     fn mega_sweep_rows_conserve_and_mostly_elide() {
-        let sweep = mega_sweep_with_jobs(Effort::Smoke, &TEST_NODES, 1);
-        assert_eq!(sweep.rows.len(), 2);
-        assert_eq!(sweep.stats.cells, 2);
-        for row in &sweep.rows {
+        let rows = mega_sweep_with_jobs(Effort::Smoke, &TEST_NODES, 1);
+        assert_eq!(rows.len(), 2);
+        for row in &rows {
             // The donor majority (63 of every 64 nodes) must be elided
             // most of the time or the scaling story is broken.
             let slots = row.n_nodes as u64 * periods(Effort::Smoke);
@@ -160,7 +161,8 @@ mod tests {
             );
         }
         // Events scale with the axis, so the larger cell dominates.
-        assert!(sweep.rows[1].elided_ticks > sweep.rows[0].elided_ticks);
+        assert!(rows[1].elided_ticks > rows[0].elided_ticks);
+        assert_eq!(render(&rows).lines().count(), 5);
     }
 
     #[test]

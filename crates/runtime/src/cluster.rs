@@ -37,7 +37,7 @@ pub struct RuntimeConfig {
     /// Peer-discovery strategy for the Penelope deciders.
     pub discovery: DiscoveryStrategy,
     /// Starting request-sequence watermark applied to every node's engine
-    /// (`NodeEngine::with_seq_floor`). Zero for a fresh cluster.
+    /// (`EngineConfig::with_seq_floor`). Zero for a fresh cluster.
     pub seq_floor: u64,
     /// RNG seed for peer selection.
     pub seed: u64,

@@ -74,7 +74,7 @@ pub struct ClusterConfig {
     /// Peer-discovery strategy for Penelope deciders.
     pub discovery: DiscoveryStrategy,
     /// Starting request-sequence watermark applied to every node's engine
-    /// (`NodeEngine::with_seq_floor`). Zero for a fresh cluster; restart
+    /// (`EngineConfig::with_seq_floor`). Zero for a fresh cluster; restart
     /// faults manage per-node watermarks on top of this.
     pub seq_floor: u64,
     /// Master RNG seed; all per-node and network streams derive from it.

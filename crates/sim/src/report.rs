@@ -35,8 +35,8 @@ pub struct RunReport {
     pub final_caps: Vec<Power>,
     /// Whether the conservation invariant held at every checked point.
     pub conservation_ok: bool,
-    /// Discrete events processed by the simulator during the run — the
-    /// numerator of the perf harness's events/sec throughput metric.
+    /// Discrete events processed by the simulator during the run — exact
+    /// per seed, so the repo benchmark pins it in its `fidelity` block.
     pub events: u64,
     /// Cluster-wide cap-oscillation statistics (merged over nodes).
     pub oscillation: OscillationStats,

@@ -2,7 +2,7 @@
 //! fault tolerance, determinism.
 
 use penelope_power::RaplConfig;
-use penelope_sim::{ClusterConfig, ClusterSim, FaultScript, SystemKind};
+use penelope_sim::{ClusterConfig, ClusterSim, FaultAction, FaultScript, SystemKind};
 use penelope_units::{NodeId, Power, PowerRange, SimDuration, SimTime};
 use penelope_workload::{PerfModel, Phase, Profile};
 
@@ -155,7 +155,7 @@ fn penelope_survives_client_death() {
 
 #[test]
 fn runs_are_deterministic_for_a_seed() {
-    let run = |seed: u64| {
+    let run = |seed: u64, drop_rate: f64| {
         let mut c = cfg(SystemKind::Penelope, 480);
         c.seed = seed;
         let workloads = vec![
@@ -163,17 +163,31 @@ fn runs_are_deterministic_for_a_seed() {
             profile("b", 250, 30.0),
             profile("c", 180, 30.0),
         ];
-        let r = ClusterSim::new(c, workloads).run(horizon(300));
+        let mut faults = FaultScript::none();
+        if drop_rate > 0.0 {
+            c.node.decider.max_retransmits = 2;
+            faults = faults.at(SimTime::ZERO, FaultAction::SetDropRate(drop_rate));
+        }
+        let mut sim = ClusterSim::new(c, workloads);
+        sim.install_faults(&faults);
+        let r = sim.run(horizon(300));
         (
             r.runtime_secs(),
             r.net.offered(),
             r.final_caps.clone(),
             r.lost,
+            r.events,
+            r.net.dropped_random,
         )
     };
-    assert_eq!(run(42), run(42));
+    assert_eq!(run(42, 0.0), run(42, 0.0));
     // And a different seed actually changes something observable.
-    assert_ne!(run(42).1, 0);
+    assert_ne!(run(42, 0.0).1, 0);
+    // Loss, retransmits, re-served duplicates and deadline reclaims all
+    // draw from seeded streams too: a lossy run repeats exactly.
+    let lossy = run(42, 0.2);
+    assert_eq!(lossy, run(42, 0.2));
+    assert!(lossy.5 > 0, "a 20 % drop rate dropped nothing: {lossy:?}");
 }
 
 #[test]

@@ -1,10 +1,10 @@
 //! Single-host daemon soak: thousands of multiplexed node engines
 //! exchanging real UDP datagrams through one shared socket pair, with
-//! grant round-trip tail latency reported in the BENCH schema.
+//! grant round-trip tail latency printed. (The timed, gated version of
+//! this run is the `mux_soak` workload of `bash benchmark/run.sh`.)
 //!
 //! ```text
 //! cargo run --release --example daemon_soak
-//! cargo run --release --example daemon_soak -- --out BENCH_soak.json
 //! PENELOPE_EFFORT=full cargo run --release --example daemon_soak
 //! cargo run --release --example daemon_soak -- --nodes 2000 --rounds 30
 //! ```
@@ -16,17 +16,14 @@
 //! completes (a latency report with no samples proves nothing).
 
 use penelope::experiments::Effort;
-use penelope_bench::report::{BenchReport, GrantRtt, SweepTiming, BENCH_SCHEMA};
 use penelope_daemon::{run_multiplexed, MuxConfig};
 
 struct Args {
-    out: String,
     nodes: Option<usize>,
     rounds: Option<u64>,
 }
 
 fn parse_args() -> Args {
-    let mut out = "BENCH.json".to_string();
     let mut nodes = None;
     let mut rounds = None;
     let mut args = std::env::args().skip(1);
@@ -38,7 +35,6 @@ fn parse_args() -> Args {
             })
         };
         match a.as_str() {
-            "--out" => out = value("--out"),
             "--nodes" => {
                 let v = value("--nodes");
                 nodes = Some(v.parse().unwrap_or_else(|_| {
@@ -56,13 +52,13 @@ fn parse_args() -> Args {
             other => {
                 eprintln!(
                     "unknown argument {other:?}; usage: daemon_soak \
-                     [--out PATH] [--nodes N] [--rounds R]"
+                     [--nodes N] [--rounds R]"
                 );
                 std::process::exit(2);
             }
         }
     }
-    Args { out, nodes, rounds }
+    Args { nodes, rounds }
 }
 
 fn main() {
@@ -113,45 +109,6 @@ fn main() {
         rtt.p99_ns as f64 / 1e3,
         rtt.p999_ns as f64 / 1e3
     );
-
-    let timing = SweepTiming {
-        name: "daemon_soak".to_string(),
-        cells: summary.nodes,
-        events: summary.events,
-        sim_secs: summary.virtual_secs,
-        wall_s: summary.wall_s,
-        // One reactor thread by construction: the serial run IS the run.
-        serial_wall_s: summary.wall_s,
-        shards: None,
-        grant_rtt: None,
-    }
-    .with_grant_rtt(GrantRtt {
-        samples: rtt.samples,
-        p50_ns: rtt.p50_ns,
-        p99_ns: rtt.p99_ns,
-        p999_ns: rtt.p999_ns,
-    });
-    let report = BenchReport {
-        schema: BENCH_SCHEMA.to_string(),
-        effort: effort_name.to_string(),
-        jobs: 1,
-        parallel_matches_serial: true,
-        sweeps: vec![timing],
-    };
-
-    // Write the artifact and prove it round-trips through the parser — a
-    // malformed report must fail here, not in the CI consumer.
-    let text = report.to_json();
-    std::fs::write(&args.out, &text).unwrap_or_else(|e| {
-        eprintln!("cannot write {}: {e}", args.out);
-        std::process::exit(1);
-    });
-    let back = BenchReport::from_json(&text).unwrap_or_else(|e| {
-        eprintln!("self-validation failed: {e}");
-        std::process::exit(1);
-    });
-    assert_eq!(back, report, "report must survive a JSON round-trip");
-    println!("wrote {}", args.out);
 
     let mut failed = false;
     if summary.send_failed > 0 {

@@ -6,11 +6,13 @@
 //!
 //! artifacts: overhead | fig2 | fig3 | fig4 | fig5 | fig6 | fig7 | fig8
 //!            | service | multijob | assignment | failover | all
+//!            | ablations | mega          (not part of `all`)
 //! effort:    smoke | quick | full        (default: quick)
 //! ```
 
 use penelope::experiments::{
-    assignment, failover, faulty, multijob, nominal, overhead, scale, service, Effort,
+    ablations, assignment, failover, faulty, multijob, nominal, overhead, scale, scale_mega,
+    service, Effort,
 };
 
 fn frequencies(effort: Effort) -> Vec<f64> {
@@ -58,6 +60,8 @@ fn run_artifact(name: &str, effort: Effort) -> bool {
         "multijob" => print!("{}", multijob::run(effort).render()),
         "assignment" => print!("{}", assignment::run(effort).render()),
         "failover" => print!("{}", failover::run(effort).render()),
+        "ablations" => print!("{}", ablations::run(effort).render()),
+        "mega" => print!("{}", scale_mega::render(&scale_mega::run(effort))),
         "all" => {
             for a in [
                 "overhead",
@@ -99,7 +103,7 @@ fn main() {
     if !run_artifact(artifact, effort) {
         eprintln!(
             "unknown artifact {artifact:?}\n\
-             usage: paper <overhead|fig2|fig3|fig4|fig5|fig6|fig7|fig8|service|multijob|assignment|failover|all> [smoke|quick|full]"
+             usage: paper <overhead|fig2|fig3|fig4|fig5|fig6|fig7|fig8|service|multijob|assignment|failover|all|ablations|mega> [smoke|quick|full]"
         );
         std::process::exit(2);
     }

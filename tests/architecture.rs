@@ -10,8 +10,9 @@
 //! back in one convenient shortcut at a time. A second test holds the
 //! daemon crate to a single socket loop, a third holds every crate but
 //! core to zero hand-written output loops, a fourth holds what a node
-//! knows about its peers to one table in `core::discovery`, and a fifth
-//! holds `TraceEvent` stamping to `penelope-trace`.
+//! knows about its peers to one table in `core::discovery`, a fifth
+//! holds `TraceEvent` stamping to `penelope-trace`, and a sixth holds the
+//! repo to one perf harness, `benchmark/`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -36,15 +37,29 @@ const DRIVER_TREES: &[&str] = &[
     "examples",
 ];
 
-fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
-    for entry in fs::read_dir(dir).expect("driver source tree exists") {
+/// Every file under `dir` with one of the extensions `exts`, skipping
+/// build output, the benchmark package and hidden directories other than
+/// `.github`.
+fn sources(dir: &Path, exts: &[&str], out: &mut Vec<PathBuf>) {
+    for entry in fs::read_dir(dir).expect("source tree exists") {
         let path = entry.expect("readable dir entry").path();
+        let name = path.file_name().unwrap_or_default().to_string_lossy();
         if path.is_dir() {
-            rust_sources(&path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
+            let hidden = name.starts_with('.') && name != ".github";
+            if !hidden && name != "target" && name != "benchmark" {
+                sources(&path, exts, out);
+            }
+        } else if exts
+            .iter()
+            .any(|ext| path.extension().is_some_and(|e| e == *ext))
+        {
             out.push(path);
         }
     }
+}
+
+fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
+    sources(dir, &["rs"], out);
 }
 
 fn is_ident_char(c: char) -> bool {
@@ -283,6 +298,53 @@ fn only_penelope_trace_stamps_events() {
             path.strip_prefix(root).unwrap_or(path).display()
         );
     }
+}
+
+/// `benchmark/` is the only program that times this repo. The v1 harness
+/// it replaced (`perf_report`, its schema and regression gate, a committed
+/// baseline, a criterion package that had stopped compiling) measured
+/// less, and every perf PR had to satisfy both.
+#[test]
+fn the_repo_has_one_perf_harness() {
+    // Split so this file does not match itself.
+    let denied = [
+        concat!("penelope-bench", "/v1"),
+        concat!("check_", "regression"),
+        concat!("BENCH_", "baseline"),
+        concat!("PENELOPE_PERF_", "TOLERANCE"),
+    ];
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    sources(root, &["rs", "yml", "toml"], &mut files);
+    assert!(files.len() >= 100, "found only {} sources", files.len());
+    for path in &files {
+        let text = fs::read_to_string(path).expect("readable source file");
+        for needle in denied {
+            assert!(
+                !text.contains(needle),
+                "{} mentions `{needle}` — perf numbers come from `bash benchmark/run.sh`",
+                path.strip_prefix(root).unwrap_or(path).display()
+            );
+        }
+    }
+    for gone in ["crates/bench/figures", concat!("BENCH_", "baseline.json")] {
+        assert!(!root.join(gone).exists(), "{gone} is back");
+    }
+    let mut bench_src: Vec<String> = fs::read_dir(root.join("crates/bench/src"))
+        .expect("crates/bench/src exists")
+        .map(|e| {
+            e.expect("readable dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    bench_src.sort();
+    assert_eq!(
+        bench_src,
+        ["json.rs", "lib.rs"],
+        "penelope-bench is the benchmark's JSON value and nothing else"
+    );
 }
 
 #[test]
