@@ -24,8 +24,9 @@
 //! outputs. [`run_daemon`] is that reactor with one engine, peers' real
 //! addresses and the wall clock; [`run_multiplexed`] is the same reactor
 //! with thousands of engines behind one socket pair on a virtual clock,
-//! for single-host soaks. (The paper's two-threads-and-a-lock detail,
-//! §3.3, lives on in `penelope-runtime`.)
+//! for single-host soaks (there, and only there, frames share
+//! datagrams). (The paper's two-threads-and-a-lock detail, §3.3, lives on
+//! in `penelope-runtime`.)
 //!
 //! UDP matches the protocol's needs exactly: requests are idempotent-ish
 //! (a lost request simply times out and the decider re-asks next period),

@@ -11,29 +11,46 @@
 //! `rx` socket — and the frame header carries the logical addressing the
 //! shared sockets no longer can.
 //!
+//! Because every frame takes the same `tx → rx` hop, both sockets wear a
+//! [`CoalescingSocket`]: consecutive frames share one datagram of
+//! `[len: u16 LE][dst][src][WireMsg]` records, at most
+//! [`MAX_DATAGRAM`](penelope_net::shim::MAX_DATAGRAM) bytes, and come
+//! apart again on receive, in the order they were sent. The reactor
+//! flushes `tx` only when `rx` has nothing unpacked left, and everything
+//! the round loop counts — the in-flight window, `frames_sent`, the
+//! drains — is still counted in frames, so each engine sees the inputs it
+//! saw at one frame per datagram, in the same order: a seed still fixes
+//! the whole run, and only the syscalls go ([`MuxSummary::datagrams_sent`]
+//! says how many are left). Between hosts nothing changes: a per-node
+//! daemon has no second engine to share a datagram with and sends exactly
+//! one `[dst][src][WireMsg]` frame in each.
+//!
 //! Time is hybrid: the protocol clock is virtual (round `p` runs at
 //! `p × period`, so escrow deadlines and request timeouts behave exactly
 //! as on the lockstep runtime), while grant round-trip *latency* is
-//! measured on the wall clock from the moment a request frame enters the
-//! kernel to the moment the engine reports the round-trip
+//! measured on the wall clock from the moment a request frame is handed
+//! to `tx` — so the wait for its datagram to fill or be flushed counts —
+//! to the moment the engine reports the round-trip
 //! [`EngineOutput::Resolved`](penelope_core::EngineOutput::Resolved) — the
 //! tail-latency distribution the soak harness reports.
 //!
-//! Loss injection reuses the [`DatagramSocket`] seam: wrap the `tx`
-//! socket in a `penelope_net::FaultySocket` (see [`MuxConfig::fault`])
-//! and injected drops surface as `SendStatus::Dropped`, feeding the same
+//! Loss injection reuses the [`DatagramSocket`] seam: the `tx` socket
+//! goes under a `penelope_net::FaultySocket` (see [`MuxConfig::fault`]),
+//! *over* the coalescing, so every frame draws its own fate and injected
+//! drops surface as `SendStatus::Dropped`, feeding the same
 //! `delivered = false` escrow path as on a per-node daemon. The kernel can
 //! also drop on receive-buffer overflow; the round loop prevents that by
 //! capping in-flight frames and draining between send batches, and counts
-//! anything that still vanishes as `wire_lost`.
+//! anything that still vanishes as `wire_lost`. Datagrams from anyone
+//! else are counted `rejected` and otherwise ignored.
 
 use std::io;
-use std::net::UdpSocket;
+use std::net::{SocketAddr, UdpSocket};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use penelope_core::{EngineConfig, NodeEngine, NodeParams};
-use penelope_net::shim::{DatagramSocket, FaultConfig, FaultySocket};
+use penelope_net::shim::{CoalescingSocket, DatagramSocket, FaultConfig, FaultySocket};
 use penelope_testkit::rng::{node_stream, TestRng};
 use penelope_trace::SharedObserver;
 use penelope_units::{NodeId, Power, SimDuration, SimTime};
@@ -121,8 +138,12 @@ pub struct MuxSummary {
     pub nodes: usize,
     /// Rounds executed.
     pub rounds: u64,
-    /// Frames the kernel accepted for delivery.
+    /// Frames handed to the `tx` socket and not taken back by a failed
+    /// flush.
     pub frames_sent: u64,
+    /// Datagrams those frames left in. `frames_sent / datagrams_sent` is
+    /// the batching the run achieved.
+    pub datagrams_sent: u64,
     /// Frames received and dispatched to an engine.
     pub frames_delivered: u64,
     /// Frames the fault shim dropped before the kernel saw them.
@@ -130,7 +151,8 @@ pub struct MuxSummary {
     /// Frames the kernel accepted but never delivered (receive-buffer
     /// overflow under extreme pressure). Zero in a healthy run.
     pub wire_lost: u64,
-    /// OS-level send errors (distinct from injected drops).
+    /// Frames behind an OS-level send error, at the send or at the flush
+    /// of their datagram (distinct from injected drops).
     pub send_failed: u64,
     /// Datagrams received and refused (undecodable, or addressed to no
     /// hosted engine). Zero unless something else sends to the `rx` port.
@@ -189,19 +211,82 @@ fn percentile_ns(sorted: &[u64], q: f64) -> u64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// The reactor plus the one thing only a closed loop can know: how many
-/// of its own frames never came back.
-struct Mux {
+/// The reactor plus the two things only a closed loop can know: how many
+/// of its own frames never came back, and what its `tx` socket batched.
+pub(crate) struct Mux {
     reactor: Reactor,
+    /// The coalescing layer of the `tx` socket, for its datagram count.
+    tx: Arc<CoalescingSocket>,
     /// Frames the kernel accepted and never delivered.
     wire_lost: u64,
 }
 
 impl Mux {
-    /// Frames sent and not yet received back (or written off).
+    /// Bind the socket pair and build the reactor for `cfg`. `under` may
+    /// slot a socket of its own between the coalescing `tx` socket and the
+    /// fault plane. Also returns the shared inbox's address.
+    pub(crate) fn bind(
+        cfg: &MuxConfig,
+        under: impl FnOnce(Arc<dyn DatagramSocket>) -> Arc<dyn DatagramSocket>,
+    ) -> io::Result<(Mux, SocketAddr)> {
+        assert!(cfg.nodes >= 2, "a cluster needs at least two nodes");
+        assert!(!cfg.demands.is_empty(), "demands must not be empty");
+        let rx = UdpSocket::bind("127.0.0.1:0")?;
+        rx.set_read_timeout(Some(Duration::from_millis(3)))?;
+        let rx_addr = rx.local_addr()?;
+        let coalescing = Arc::new(CoalescingSocket::new(UdpSocket::bind("127.0.0.1:0")?));
+        let tx = under(coalescing.clone());
+        let tx = match &cfg.fault {
+            None => tx,
+            Some(fault) => {
+                let shim = FaultySocket::over(tx, fault.clone());
+                // The shared inbox is the only destination; it takes
+                // direction slot 0 of the fault plan.
+                shim.register_peer(rx_addr);
+                Arc::new(shim)
+            }
+        };
+        let engines = (0..cfg.nodes)
+            .map(|i| {
+                NodeEngine::new(
+                    NodeId::new(i as u32),
+                    cfg.nodes,
+                    EngineConfig::new(cfg.node),
+                    cfg.initial_cap,
+                    SharedObserver::noop(),
+                )
+            })
+            .collect();
+        let rngs = (0..cfg.nodes)
+            .map(|i| TestRng::seed_from_u64(node_stream(cfg.seed, i as u64)))
+            .collect();
+        let demands = (0..cfg.nodes)
+            .map(|i| cfg.demands[i % cfg.demands.len()])
+            .collect();
+        let mut reactor = Reactor::new(
+            engines,
+            rngs,
+            Plant::Steady(demands),
+            tx,
+            Arc::new(CoalescingSocket::new(rx)),
+            vec![rx_addr; cfg.nodes],
+        );
+        reactor.rtt = Some(RttLedger::default());
+        let mux = Mux {
+            reactor,
+            tx: coalescing,
+            wire_lost: 0,
+        };
+        Ok((mux, rx_addr))
+    }
+
+    /// Frames sent and not yet received back (or written off). Saturating:
+    /// a duplicated frame, or someone else's well-formed one, is delivered
+    /// without having been sent.
     fn in_flight(&self) -> u64 {
         let c = &self.reactor.counters;
-        c.frames_sent - c.frames_delivered - c.rejected - self.wire_lost
+        c.frames_sent
+            .saturating_sub(c.frames_delivered + self.wire_lost)
     }
 
     /// Receive and dispatch until at most `low` frames remain in flight
@@ -223,6 +308,55 @@ impl Mux {
             }
         }
     }
+
+    /// Run `cfg.rounds` rounds and account for them.
+    pub(crate) fn run(mut self, cfg: &MuxConfig) -> MuxSummary {
+        let period = cfg.node.decider.period;
+        let start = Instant::now();
+        for p in 0..cfg.rounds {
+            let now = SimTime::ZERO + period * (p + 1);
+            for i in 0..cfg.nodes {
+                self.reactor.tick(i, now);
+                if self.in_flight() >= DRAIN_HIGH as u64 {
+                    self.drain_to(DRAIN_LOW, now);
+                }
+            }
+            // Quiesce the round: every in-flight frame dispatched,
+            // including the grants and acks that dispatching itself
+            // produces.
+            self.drain_to(0, now);
+        }
+        let Mux {
+            reactor,
+            tx,
+            wire_lost,
+        } = self;
+        let engines = &reactor.engines;
+        let total_caps = engines.iter().map(|e| e.cap()).sum();
+        let total_pools = engines.iter().map(|e| e.pool().available()).sum();
+        let total_escrowed = engines.iter().map(|e| e.escrowed_undelivered()).sum();
+        let c = reactor.counters;
+        MuxSummary {
+            nodes: cfg.nodes,
+            rounds: cfg.rounds,
+            frames_sent: c.frames_sent,
+            datagrams_sent: tx.datagrams_sent(),
+            frames_delivered: c.frames_delivered,
+            injected_drops: c.injected_drops,
+            wire_lost,
+            send_failed: c.send_failed,
+            rejected: c.rejected,
+            events: c.events,
+            total_caps,
+            total_pools,
+            total_escrowed,
+            lost: c.lost,
+            budget: mul_power(cfg.initial_cap, cfg.nodes as u64),
+            wall_s: start.elapsed().as_secs_f64(),
+            virtual_secs: SimDuration::from_nanos(period.as_nanos() * cfg.rounds).as_secs_f64(),
+            rtt_samples_ns: reactor.rtt.map(|r| r.samples_ns).unwrap_or_default(),
+        }
+    }
 }
 
 /// Run a multiplexed cluster to completion on the calling thread.
@@ -234,92 +368,8 @@ impl Mux {
 /// they dispatch asynchronously as frames arrive, which is what lets one
 /// reactor sustain thousands of engines.
 pub fn run_multiplexed(cfg: &MuxConfig) -> io::Result<MuxSummary> {
-    assert!(cfg.nodes >= 2, "a cluster needs at least two nodes");
-    assert!(!cfg.demands.is_empty(), "demands must not be empty");
-    let rx = UdpSocket::bind("127.0.0.1:0")?;
-    rx.set_read_timeout(Some(Duration::from_millis(3)))?;
-    let rx_addr = rx.local_addr()?;
-    let tx_socket = UdpSocket::bind("127.0.0.1:0")?;
-    let tx: Arc<dyn DatagramSocket> = match &cfg.fault {
-        None => Arc::new(tx_socket),
-        Some(fault) => {
-            let shim = FaultySocket::new(tx_socket, fault.clone());
-            // The shared inbox is the only destination; it takes
-            // direction slot 0 of the fault plan.
-            shim.register_peer(rx_addr);
-            Arc::new(shim)
-        }
-    };
-    let engines = (0..cfg.nodes)
-        .map(|i| {
-            NodeEngine::new(
-                NodeId::new(i as u32),
-                cfg.nodes,
-                EngineConfig::new(cfg.node),
-                cfg.initial_cap,
-                SharedObserver::noop(),
-            )
-        })
-        .collect();
-    let rngs = (0..cfg.nodes)
-        .map(|i| TestRng::seed_from_u64(node_stream(cfg.seed, i as u64)))
-        .collect();
-    let demands = (0..cfg.nodes)
-        .map(|i| cfg.demands[i % cfg.demands.len()])
-        .collect();
-    let mut reactor = Reactor::new(
-        engines,
-        rngs,
-        Plant::Steady(demands),
-        tx,
-        Arc::new(rx),
-        vec![rx_addr; cfg.nodes],
-    );
-    reactor.rtt = Some(RttLedger::default());
-    let mut mux = Mux {
-        reactor,
-        wire_lost: 0,
-    };
-
-    let period = cfg.node.decider.period;
-    let start = Instant::now();
-    for p in 0..cfg.rounds {
-        let now = SimTime::ZERO + period * (p + 1);
-        for i in 0..cfg.nodes {
-            mux.reactor.tick(i, now);
-            if mux.in_flight() >= DRAIN_HIGH as u64 {
-                mux.drain_to(DRAIN_LOW, now);
-            }
-        }
-        // Quiesce the round: every in-flight frame dispatched, including
-        // the grants and acks that dispatching itself produces.
-        mux.drain_to(0, now);
-    }
-    let Mux { reactor, wire_lost } = mux;
-    let engines = &reactor.engines;
-    let total_caps = engines.iter().map(|e| e.cap()).sum();
-    let total_pools = engines.iter().map(|e| e.pool().available()).sum();
-    let total_escrowed = engines.iter().map(|e| e.escrowed_undelivered()).sum();
-    let c = reactor.counters;
-    Ok(MuxSummary {
-        nodes: cfg.nodes,
-        rounds: cfg.rounds,
-        frames_sent: c.frames_sent,
-        frames_delivered: c.frames_delivered,
-        injected_drops: c.injected_drops,
-        wire_lost,
-        send_failed: c.send_failed,
-        rejected: c.rejected,
-        events: c.events,
-        total_caps,
-        total_pools,
-        total_escrowed,
-        lost: c.lost,
-        budget: mul_power(cfg.initial_cap, cfg.nodes as u64),
-        wall_s: start.elapsed().as_secs_f64(),
-        virtual_secs: SimDuration::from_nanos(period.as_nanos() * cfg.rounds).as_secs_f64(),
-        rtt_samples_ns: reactor.rtt.map(|r| r.samples_ns).unwrap_or_default(),
-    })
+    let (mux, _) = Mux::bind(cfg, |tx| tx)?;
+    Ok(mux.run(cfg))
 }
 
 /// `Power` multiplication by a scalar (no `Mul<u64>` impl upstream).
@@ -330,6 +380,8 @@ fn mul_power(p: Power, n: u64) -> Power {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reactor::frame_into;
+    use crate::WireMsg;
 
     fn w(x: u64) -> Power {
         Power::from_watts_u64(x)
@@ -458,5 +510,85 @@ mod tests {
             (mw(152_396_322), mw(7_520_515), mw(83_163), Power::ZERO)
         );
         assert_eq!((s.wire_lost, s.send_failed, s.rejected), (0, 0, 0));
+    }
+
+    #[test]
+    fn the_soak_shares_datagrams() {
+        // The health number of the batching: at the window the round loop
+        // keeps (drain at 192 in flight, down to 64) a datagram carries
+        // tens of frames. Eight is the floor under which something is
+        // flushing far too often.
+        let s = run_multiplexed(&MuxConfig::soak(1000, 42, 30)).expect("soak runs");
+        assert_eq!(s.frames_sent, 37_389);
+        assert!(
+            s.datagrams_sent * 8 <= s.frames_sent,
+            "{} frames left in {} datagrams",
+            s.frames_sent,
+            s.datagrams_sent
+        );
+    }
+
+    /// Datagrams from anyone else — garbage, malformed batches, batches
+    /// of frames addressed to no engine — are counted and change nothing:
+    /// the run quiesces, waits for none of them, loses none of its own
+    /// frames behind them, and replays the undisturbed run.
+    #[test]
+    fn stray_datagrams_are_counted_and_change_nothing() {
+        let cfg = MuxConfig::soak(200, 0x50AC_0004, 12);
+        let clean = run_multiplexed(&cfg).expect("clean run");
+        assert_eq!(clean.rejected, 0);
+
+        let (mux, rx_addr) = Mux::bind(&cfg, |tx| tx).expect("mux binds");
+        let stranger = UdpSocket::bind("127.0.0.1:0").expect("bind stranger");
+        // A batch of three records no engine is named by: three rejections.
+        let nobody = {
+            let mut frame = Vec::new();
+            let ack = WireMsg::Ack {
+                seq: 1,
+                digest: None,
+            };
+            frame_into(&mut frame, NodeId::new(9_999), NodeId::new(0), &ack);
+            let mut batch = Vec::new();
+            for _ in 0..3 {
+                batch.extend_from_slice(&(frame.len() as u16).to_le_bytes());
+                batch.extend_from_slice(&frame);
+            }
+            batch
+        };
+        let strays: [&[u8]; 5] = [b"", b"garbage!", b"\xff\xff", b"\x03\0abc\x01", &nobody];
+        let send_strays = |rounds: usize| {
+            for stray in strays.iter().cycle().take(rounds * strays.len()) {
+                stranger.send_to(stray, rx_addr).expect("send stray");
+            }
+        };
+        // Some wait in the inbox before the first frame, the rest arrive
+        // while the rounds run.
+        send_strays(4);
+        let s = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for _ in 0..40 {
+                    send_strays(1);
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+            });
+            mux.run(&cfg)
+        });
+
+        assert!(s.rejected >= 4 * 8, "{} rejected", s.rejected);
+        assert_eq!((s.wire_lost, s.send_failed), (0, 0));
+        assert_eq!(s.accounted_total(), s.budget);
+        assert_eq!(
+            (s.frames_sent, s.frames_delivered, s.events),
+            (clean.frames_sent, clean.frames_delivered, clean.events)
+        );
+        assert_eq!(
+            (s.total_caps, s.total_pools, s.total_escrowed, s.lost),
+            (
+                clean.total_caps,
+                clean.total_pools,
+                clean.total_escrowed,
+                clean.lost
+            )
+        );
     }
 }

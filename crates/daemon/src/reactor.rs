@@ -32,6 +32,24 @@
 //! the engine escrows the amount as undelivered and reclaims it at the
 //! deadline instead of leaking. A real OS send error is different news
 //! and is counted separately as `send_failed`.
+//!
+//! # Flushing
+//!
+//! The `tx` socket may hold frames back to share a datagram
+//! (`penelope_net::CoalescingSocket`, which the multiplexer wears; a
+//! plain socket holds nothing and every step below is a no-op on it).
+//! [`Reactor::pump`] flushes `tx` only when `rx` has no unpacked frame
+//! left to hand up: flushing before every receive would put one frame in
+//! each datagram, and never flushing would wait for frames that are still
+//! in this process. A frame counts as sent — `frames_sent`, `MsgSent`, a
+//! grant escrowed as awaiting its ack, a request's round trip stamped —
+//! when `tx` takes it; the kernel's verdict comes with the flush. Until
+//! then the reactor keeps the frame's addressing and, for a non-zero
+//! grant, its escrow key. A flush that fails names how many of the latest
+//! frames went down with it ([`Reactor::flush`]): each moves from
+//! `frames_sent` to `send_failed`, emits `SendFailed`, and a grant among
+//! them is fed back to its granter as not delivered, so the amount is
+//! reclaimed at the deadline like any other send the reactor knows failed.
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -50,14 +68,12 @@ use crate::wire::{WireMsg, MAX_WIRE_LEN};
 /// Frame header: destination node id then source node id, both `u32` LE.
 pub(crate) const FRAME_HDR: usize = 8;
 
-/// Encode one frame: header plus wire message.
-pub(crate) fn frame(dst: NodeId, src: NodeId, msg: &WireMsg) -> Vec<u8> {
-    let body = msg.encode();
-    let mut buf = Vec::with_capacity(FRAME_HDR + body.len());
+/// Encode one frame, header plus wire message, over whatever `buf` held.
+pub(crate) fn frame_into(buf: &mut Vec<u8>, dst: NodeId, src: NodeId, msg: &WireMsg) {
+    buf.clear();
     buf.extend_from_slice(&dst.raw().to_le_bytes());
     buf.extend_from_slice(&src.raw().to_le_bytes());
-    buf.extend_from_slice(&body);
-    buf
+    msg.encode_into(buf);
 }
 
 /// Decode a frame header + body; `None` for runts or garbage bodies.
@@ -97,8 +113,8 @@ impl Plant {
     }
 }
 
-/// Wall-clock grant round trips, from the moment a request frame enters
-/// the kernel to the engine's [`EngineOutput::Resolved`].
+/// Wall-clock grant round trips, from the moment a request frame is
+/// handed to `tx` to the engine's [`EngineOutput::Resolved`].
 #[derive(Default)]
 pub(crate) struct RttLedger {
     /// Send stamp per open request, keyed (requester, seq).
@@ -110,13 +126,14 @@ pub(crate) struct RttLedger {
 /// What the reactor did, for the two summaries.
 #[derive(Clone, Copy, Default)]
 pub(crate) struct Counters {
-    /// Frames the kernel accepted for delivery.
+    /// Frames `tx` accepted for delivery, less those a failed flush took
+    /// back.
     pub(crate) frames_sent: u64,
     /// Frames received and dispatched to an engine.
     pub(crate) frames_delivered: u64,
     /// Frames the fault shim dropped before the kernel saw them.
     pub(crate) injected_drops: u64,
-    /// OS-level send errors.
+    /// Frames behind an OS-level send error, at the send or at the flush.
     pub(crate) send_failed: u64,
     /// Datagrams received and refused: undecodable, or naming an engine
     /// not hosted here or a sender not in the address table.
@@ -125,6 +142,15 @@ pub(crate) struct Counters {
     pub(crate) events: u64,
     /// Power booked as lost (stale-grant discards).
     pub(crate) lost: Power,
+}
+
+/// A frame `tx` took and may still hold: what [`Reactor::flush`] needs to
+/// take it back.
+struct Unflushed {
+    src: NodeId,
+    dst: NodeId,
+    /// Escrow key and amount, for a non-zero grant.
+    grant: Option<(u64, Power)>,
 }
 
 /// The reactor state: engines with consecutive ids, their random streams
@@ -148,6 +174,10 @@ pub(crate) struct Reactor {
     pub(crate) rtt: Option<RttLedger>,
     /// Reusable engine-output buffer for [`Reactor::drive`].
     scratch: Vec<EngineOutput>,
+    /// Reusable frame buffer for [`ReactorFx::send`].
+    frame: Vec<u8>,
+    /// Frames handed to `tx` since its last flush, oldest first.
+    unflushed: Vec<Unflushed>,
     pub(crate) counters: Counters,
 }
 
@@ -174,6 +204,8 @@ impl Reactor {
             trace: Stamper::new(SharedObserver::noop(), SimDuration::ZERO),
             rtt: None,
             scratch: Vec::new(),
+            frame: Vec::with_capacity(FRAME_HDR + MAX_WIRE_LEN),
+            unflushed: Vec::new(),
             counters: Counters::default(),
         }
     }
@@ -191,6 +223,8 @@ impl Reactor {
             addrs: &self.addrs,
             trace: &self.trace,
             rtt: &mut self.rtt,
+            frame: &mut self.frame,
+            unflushed: &mut self.unflushed,
             counters: &mut self.counters,
         };
         let rng = &mut self.rngs[i];
@@ -237,10 +271,46 @@ impl Reactor {
         self.drive(i, now, EngineInput::Msg { src, msg });
     }
 
-    /// Receive one datagram — waiting up to the `rx` socket's read
-    /// timeout, or not at all if it is non-blocking — and dispatch it at
-    /// `clock()`, read once it has arrived. `false` when nothing came.
-    pub(crate) fn pump(&mut self, clock: impl FnOnce() -> SimTime) -> bool {
+    /// Push every frame `tx` still holds into the kernel. If it refuses,
+    /// the frames the error names never left: count them as failed sends
+    /// at `clock()`, and tell each granter among them that its grant was
+    /// not delivered (the escrow entry turns from awaiting-ack to
+    /// undelivered and is reclaimed at its deadline).
+    pub(crate) fn flush(&mut self, clock: impl FnOnce() -> SimTime) {
+        let Err(e) = self.tx.flush() else {
+            self.unflushed.clear();
+            return;
+        };
+        let now = clock();
+        let first = self.engines[0].id().index();
+        let kept = self.unflushed.len().saturating_sub(e.lost);
+        let lost = self.unflushed.split_off(kept);
+        self.unflushed.clear();
+        self.counters.frames_sent -= lost.len() as u64;
+        self.counters.send_failed += lost.len() as u64;
+        for Unflushed { src, dst, grant } in lost {
+            self.trace.emit(now, src, || EventKind::SendFailed { dst });
+            if let Some((seq, amount)) = grant {
+                let outcome = EngineInput::GrantOutcome {
+                    requester: dst,
+                    seq,
+                    amount,
+                    delivered: false,
+                };
+                self.drive(src.index() - first, now, outcome);
+            }
+        }
+    }
+
+    /// Receive one frame — waiting up to the `rx` socket's read timeout,
+    /// or not at all if it is non-blocking — and dispatch it at `clock()`,
+    /// read once it has arrived. `false` when nothing came. Frames held in
+    /// `tx` are flushed first, unless `rx` still has one to hand up
+    /// without asking the kernel.
+    pub(crate) fn pump(&mut self, clock: impl Fn() -> SimTime) -> bool {
+        if !self.rx.recv_buffered() {
+            self.flush(&clock);
+        }
         let mut buf = [0u8; FRAME_HDR + MAX_WIRE_LEN];
         match self.rx.recv_from(&mut buf) {
             Ok((len, from)) => {
@@ -261,15 +331,17 @@ struct ReactorFx<'a> {
     addrs: &'a [SocketAddr],
     trace: &'a Stamper,
     rtt: &'a mut Option<RttLedger>,
+    frame: &'a mut Vec<u8>,
+    unflushed: &'a mut Vec<Unflushed>,
     counters: &'a mut Counters,
 }
 
 impl Effects<TestRng> for ReactorFx<'_> {
     /// Send one frame to the table's address for `dst`. The ledger
-    /// follows the shim's knowledge: only a datagram the kernel took
-    /// counts as carried, so a grant behind a known drop (or a failed
-    /// send) stays escrowed as undelivered and is reclaimed at the
-    /// deadline.
+    /// follows the shim's knowledge: only a frame `tx` took counts as
+    /// carried, so a grant behind a known drop (or a failed send) stays
+    /// escrowed as undelivered and is reclaimed at the deadline. A frame
+    /// `tx` took is remembered until the flush that settles it.
     fn send(
         &mut self,
         _: &mut TestRng,
@@ -279,20 +351,29 @@ impl Effects<TestRng> for ReactorFx<'_> {
         _escrowed: bool,
     ) -> bool {
         if let (Some(rtt), PeerMsg::Request(req)) = (&mut *self.rtt, &msg) {
-            // Stamp before the syscall so the sample covers the full
-            // kernel round trip. A dropped request still opens the
-            // engine's wait window — its stamp dies unresolved, like the
-            // timeout it causes.
+            // Stamp before the send so the sample covers the wait for the
+            // flush and the full kernel round trip. A dropped request
+            // still opens the engine's wait window — its stamp dies
+            // unresolved, like the timeout it causes.
             rtt.pending.insert((self.me.raw(), req.seq), Instant::now());
         }
         let wire = WireMsg::from_peer(msg);
+        frame_into(self.frame, dst, self.me, &wire);
         let status = match self.addrs.get(dst.index()) {
-            Some(addr) => self.tx.send_to(&frame(dst, self.me, &wire), *addr).ok(),
+            Some(addr) => self.tx.send_to(self.frame, *addr).ok(),
             None => None,
         };
         let kind = match (status, &wire) {
             (Some(SendStatus::Sent), _) => {
                 self.counters.frames_sent += 1;
+                let grant = match &wire {
+                    WireMsg::Grant { seq, amount, .. } if !amount.is_zero() => {
+                        Some((*seq, *amount))
+                    }
+                    _ => None,
+                };
+                let src = self.me;
+                self.unflushed.push(Unflushed { src, dst, grant });
                 EventKind::MsgSent { dst, carried }
             }
             // A dropped ack conserves power (the amount already landed in
@@ -340,10 +421,21 @@ impl Effects<TestRng> for ReactorFx<'_> {
 mod tests {
     use super::*;
     use crate::daemon::build_reactor;
-    use crate::DaemonConfig;
+    use crate::multiplex::Mux;
+    use crate::{DaemonConfig, MuxConfig};
+    use penelope_net::shim::FlushError;
     use penelope_units::SimDuration;
+    use std::io;
     use std::net::UdpSocket;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Mutex;
     use std::time::Duration;
+
+    fn frame(dst: NodeId, src: NodeId, msg: &WireMsg) -> Vec<u8> {
+        let mut buf = Vec::new();
+        frame_into(&mut buf, dst, src, msg);
+        buf
+    }
 
     #[test]
     fn frames_roundtrip_and_reject_runts() {
@@ -444,5 +536,96 @@ mod tests {
         );
         assert_eq!(counters.snapshot().count("grant_applied"), 1);
         assert_eq!(reactor.counters.rejected, 0);
+    }
+
+    /// A `tx` layer that holds frames like the coalescing socket does and
+    /// has the kernel refuse the first `refusals` batches that carry a
+    /// non-zero grant.
+    struct RefusedFlushes {
+        inner: Arc<dyn DatagramSocket>,
+        held: Mutex<Vec<(Vec<u8>, SocketAddr)>>,
+        refusals: AtomicU64,
+        grants_lost: AtomicU64,
+    }
+
+    impl DatagramSocket for RefusedFlushes {
+        fn send_to(&self, buf: &[u8], dst: SocketAddr) -> io::Result<SendStatus> {
+            self.held.lock().unwrap().push((buf.to_vec(), dst));
+            Ok(SendStatus::Sent)
+        }
+
+        fn flush(&self) -> Result<(), FlushError> {
+            let held = std::mem::take(&mut *self.held.lock().unwrap());
+            let grants = held
+                .iter()
+                .filter(|(frame, _)| match deframe(frame) {
+                    Some((_, _, WireMsg::Grant { amount, .. })) => !amount.is_zero(),
+                    _ => false,
+                })
+                .count() as u64;
+            if grants > 0 && self.refusals.load(Ordering::Relaxed) > 0 {
+                self.refusals.fetch_sub(1, Ordering::Relaxed);
+                self.grants_lost.fetch_add(grants, Ordering::Relaxed);
+                return Err(FlushError {
+                    lost: held.len(),
+                    source: io::ErrorKind::ConnectionRefused.into(),
+                });
+            }
+            for (frame, dst) in held {
+                self.inner.send_to(&frame, dst).expect("loopback send");
+            }
+            self.inner.flush()
+        }
+
+        fn recv_from(&self, buf: &mut [u8]) -> io::Result<(usize, SocketAddr)> {
+            self.inner.recv_from(buf)
+        }
+
+        fn local_addr(&self) -> io::Result<SocketAddr> {
+            self.inner.local_addr()
+        }
+
+        fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+            self.inner.set_nonblocking(nonblocking)
+        }
+    }
+
+    /// The kernel's verdict on a frame now arrives with the flush of its
+    /// datagram. A refused flush must cost what a refused send always
+    /// did: the frames are counted `send_failed`, not in flight, and a
+    /// grant among them goes back to its granter's pool at the escrow
+    /// deadline. Were a lost grant left awaiting its ack, the entry would
+    /// expire without credit and the ledger would come up short.
+    #[test]
+    fn a_refused_flush_is_a_failed_send_and_its_grants_are_reclaimed() {
+        let cfg = MuxConfig::soak(48, 0x50AC_0003, 12);
+        let mut double = None;
+        let (mux, _) = Mux::bind(&cfg, |inner| {
+            let tx = Arc::new(RefusedFlushes {
+                inner,
+                held: Mutex::new(Vec::new()),
+                refusals: AtomicU64::new(3),
+                grants_lost: AtomicU64::new(0),
+            });
+            double = Some(tx.clone());
+            tx
+        })
+        .expect("mux binds");
+        let s = mux.run(&cfg);
+        let double = double.expect("bind wraps the tx socket");
+        assert_eq!(double.refusals.load(Ordering::Relaxed), 0, "too few grants");
+        let grants_lost = double.grants_lost.load(Ordering::Relaxed);
+        assert!(grants_lost >= 3);
+        assert!(
+            s.send_failed >= grants_lost,
+            "{} failed sends",
+            s.send_failed
+        );
+        assert_eq!(s.frames_sent, s.frames_delivered);
+        assert_eq!(s.wire_lost, 0, "a refused frame was waited for");
+        // All three refusals fall in the first rounds, so every escrow
+        // deadline (three periods) has passed: the power is back in pools.
+        assert_eq!(s.total_escrowed, Power::ZERO);
+        assert_eq!(s.accounted_total(), s.budget, "a lost grant leaked");
     }
 }

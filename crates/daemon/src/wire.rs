@@ -48,7 +48,7 @@ const KIND_REQUEST: u8 = 0x00;
 const KIND_GRANT: u8 = 0x01;
 const KIND_ACK: u8 = 0x02;
 
-/// Offset of the flags byte.
+/// Offset of the flags byte in a message.
 const FLAGS_AT: usize = 2;
 /// Request carries a `from` section.
 const FLAG_FROM: u8 = 0x01;
@@ -135,10 +135,11 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Append the digest section, if there is one, and set its flag.
-fn encode_digest(buf: &mut Vec<u8>, digest: Option<&SuspicionDigest>) {
+/// Append the digest section, if there is one, and set its flag in the
+/// message's flags byte at `buf[flags_at]`.
+fn encode_digest(buf: &mut Vec<u8>, flags_at: usize, digest: Option<&SuspicionDigest>) {
     let Some(digest) = digest else { return };
-    buf[FLAGS_AT] |= FLAG_DIGEST;
+    buf[flags_at] |= FLAG_DIGEST;
     buf.extend_from_slice(&digest.incarnation.to_le_bytes());
     let n = digest.entries.len().min(MAX_DIGEST_ENTRIES);
     buf.push(n as u8);
@@ -209,12 +210,20 @@ impl Cursor<'_> {
 impl WireMsg {
     /// Encode into a fresh buffer.
     pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(MAX_WIRE_LEN);
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Append the encoding to `buf` — the send path's form, which reuses
+    /// one buffer instead of allocating per message.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
         let (kind, seq) = match self {
             WireMsg::Request { seq, .. } => (KIND_REQUEST, seq),
             WireMsg::Grant { seq, .. } => (KIND_GRANT, seq),
             WireMsg::Ack { seq, .. } => (KIND_ACK, seq),
         };
-        let mut buf = Vec::with_capacity(MAX_WIRE_LEN);
+        let flags_at = buf.len() + FLAGS_AT;
         buf.extend_from_slice(&[WIRE_VERSION, kind, 0]);
         buf.extend_from_slice(&seq.to_le_bytes());
         // Each optional section sets its flag as it is appended.
@@ -229,21 +238,20 @@ impl WireMsg {
                 buf.push(u8::from(*urgent));
                 buf.extend_from_slice(&alpha.milliwatts().to_le_bytes());
                 if let Some(id) = from {
-                    buf[FLAGS_AT] |= FLAG_FROM;
+                    buf[flags_at] |= FLAG_FROM;
                     buf.extend_from_slice(&id.raw().to_le_bytes());
                 }
                 if !bid.is_zero() {
-                    buf[FLAGS_AT] |= FLAG_BID;
+                    buf[flags_at] |= FLAG_BID;
                     buf.extend_from_slice(&bid.milliwatts().to_le_bytes());
                 }
             }
             WireMsg::Grant { amount, digest, .. } => {
                 buf.extend_from_slice(&amount.milliwatts().to_le_bytes());
-                encode_digest(&mut buf, digest.as_deref());
+                encode_digest(buf, flags_at, digest.as_deref());
             }
-            WireMsg::Ack { digest, .. } => encode_digest(&mut buf, digest.as_deref()),
+            WireMsg::Ack { digest, .. } => encode_digest(buf, flags_at, digest.as_deref()),
         }
-        buf
     }
 
     /// Decode a received datagram body (see the module docs for what is

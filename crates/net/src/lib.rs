@@ -19,7 +19,8 @@
 //! A third flavour serves the one substrate that uses *real* sockets: the
 //! [`shim`] module wraps a UDP socket in a [`DatagramSocket`] trait with a
 //! deterministic fault plane ([`FaultySocket`]), so the daemon's lossy
-//! conformance sweeps run on actual datagrams.
+//! conformance sweeps run on actual datagrams, and a batching decorator
+//! ([`CoalescingSocket`]) that packs many small payloads into one.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,7 +36,9 @@ pub mod threadnet;
 pub use envelope::Envelope;
 pub use fault::FaultPlane;
 pub use latency::LatencyModel;
-pub use shim::{DatagramSocket, FaultConfig, FaultySocket, SendStatus};
+pub use shim::{
+    CoalescingSocket, DatagramSocket, FaultConfig, FaultySocket, FlushError, SendStatus,
+};
 pub use simnet::{RouteOutcome, SimNet};
 pub use stats::NetStats;
 pub use threadnet::{ThreadEndpoint, ThreadNet};

@@ -3,11 +3,43 @@
 //! The UDP daemon is the one substrate that touches real sockets, and a
 //! loopback socket never drops, delays, or reorders anything — so until
 //! this module existed, every "lossy" daemon run was silently lossless.
-//! [`DatagramSocket`] abstracts the four socket operations the daemon
-//! uses (send, receive, local address, non-blocking mode); [`UdpSocket`] implements it as a passthrough, and
-//! [`FaultySocket`] wraps a socket with seeded per-direction loss,
+//! [`DatagramSocket`] abstracts the socket operations the daemon uses
+//! (send, flush, receive, local address, non-blocking mode);
+//! [`UdpSocket`] implements it as a passthrough, and two decorators
+//! compose over it. [`FaultySocket`] adds seeded per-direction loss,
 //! latency, and duplication so conformance sweeps exercise the
-//! escrow/ack machinery on real datagrams.
+//! escrow/ack machinery on real datagrams. [`CoalescingSocket`] packs
+//! consecutive payloads for one destination into one datagram and
+//! unpacks them on receive, so a process that sends many small payloads
+//! to the same socket pays the kernel once per batch instead of twice
+//! per payload.
+//!
+//! # Coalesced datagrams
+//!
+//! ```text
+//! datagram: ([len: u16 LE][payload: len bytes])+     ≤ 1 472 bytes
+//! ```
+//!
+//! A [`CoalescingSocket`] holds accepted payloads back until the next one
+//! would not fit in [`MAX_DATAGRAM`] bytes, the destination changes, or
+//! the caller asks for [`DatagramSocket::flush`]; the receiving side hands
+//! the records up one `recv_from` at a time, in order, and
+//! [`DatagramSocket::recv_buffered`] says whether one is still waiting. A
+//! record has at least one payload byte. Whatever follows the last whole
+//! record — a length that overruns the datagram, a zero length, a lone
+//! trailing byte, or an empty datagram — is handed up once as an empty
+//! payload, which no frame decoder accepts, so a hostile datagram costs
+//! its receiver one counted rejection and never a panic or a loop.
+//! Composed *under* a [`FaultySocket`] ([`FaultySocket::over`]), every
+//! payload still draws its own fate; only the survivors share datagrams.
+//!
+//! The kernel's verdict on a coalesced payload arrives at flush time, not
+//! at `send_to`. An implicit flush that fails loses nothing: the batch is
+//! kept and the payload that needed the room is refused with the error.
+//! An explicit [`flush`](DatagramSocket::flush) that fails discards the
+//! batch and says how many payloads went with it ([`FlushError::lost`]) —
+//! always the most recently accepted ones, which is what lets a caller
+//! keeping its own list of accepted payloads name them.
 //!
 //! # Who owns the fault randomness
 //!
@@ -53,16 +85,41 @@ pub enum SendStatus {
     Dropped,
 }
 
+/// A [`DatagramSocket::flush`] the network refused.
+#[derive(Debug)]
+pub struct FlushError {
+    /// How many accepted payloads never left: always the `lost` most
+    /// recently accepted ones. Zero when the socket cannot tell which.
+    pub lost: usize,
+    /// The OS error behind it.
+    pub source: io::Error,
+}
+
 /// The socket surface the daemon runtime needs, abstracted so a
 /// deterministic fault plane can sit between the protocol and the OS.
 pub trait DatagramSocket: Send + Sync {
-    /// Send one datagram to `dst`. `Ok(SendStatus::Dropped)` means the
-    /// fault plane consumed it — an injected drop, not an OS error.
+    /// Send one payload to `dst`. `Ok(SendStatus::Dropped)` means the
+    /// fault plane consumed it — an injected drop, not an OS error. An
+    /// `Err` means this payload was not taken, and says nothing about
+    /// earlier ones.
     fn send_to(&self, buf: &[u8], dst: SocketAddr) -> io::Result<SendStatus>;
 
-    /// Receive one datagram (honours the socket's read timeout, or
+    /// Hand every payload `send_to` accepted and still holds to the
+    /// network. A socket that sends each payload as it comes holds
+    /// nothing, which is the default.
+    fn flush(&self) -> Result<(), FlushError> {
+        Ok(())
+    }
+
+    /// Receive one payload (honours the socket's read timeout, or
     /// returns `WouldBlock` at once in non-blocking mode).
     fn recv_from(&self, buf: &mut [u8]) -> io::Result<(usize, SocketAddr)>;
+
+    /// Whether the next `recv_from` is served from a datagram already
+    /// received, without asking the network.
+    fn recv_buffered(&self) -> bool {
+        false
+    }
 
     /// The bound local address.
     fn local_addr(&self) -> io::Result<SocketAddr>;
@@ -240,7 +297,7 @@ struct Directions {
 /// where the outcome is knowable). See the module docs for the
 /// determinism contract.
 pub struct FaultySocket {
-    inner: Arc<UdpSocket>,
+    inner: Arc<dyn DatagramSocket>,
     cfg: FaultConfig,
     directions: Mutex<Directions>,
     queue: Arc<DelayQueue>,
@@ -254,8 +311,14 @@ pub struct FaultySocket {
 impl FaultySocket {
     /// Wrap `socket` with the fault plane described by `cfg`.
     pub fn new(socket: UdpSocket, cfg: FaultConfig) -> Self {
+        Self::over(Arc::new(socket), cfg)
+    }
+
+    /// The fault plane described by `cfg` over any socket: fates are
+    /// drawn per payload here, and what survives goes to `inner`.
+    pub fn over(inner: Arc<dyn DatagramSocket>, cfg: FaultConfig) -> Self {
         FaultySocket {
-            inner: Arc::new(socket),
+            inner,
             cfg,
             directions: Mutex::new(Directions {
                 slots: HashMap::new(),
@@ -302,9 +365,9 @@ impl FaultySocket {
     }
 
     fn send_now(&self, buf: &[u8], dst: SocketAddr) -> io::Result<SendStatus> {
-        UdpSocket::send_to(&self.inner, buf, dst)?;
+        let status = self.inner.send_to(buf, dst)?;
         self.sent.fetch_add(1, Ordering::Relaxed);
-        Ok(SendStatus::Sent)
+        Ok(status)
     }
 
     /// Queue a copy for sending at `now + delay`, starting the flusher
@@ -315,7 +378,7 @@ impl FaultySocket {
             if flusher.is_none() {
                 let inner = Arc::clone(&self.inner);
                 let queue = Arc::clone(&self.queue);
-                *flusher = Some(std::thread::spawn(move || flush_loop(&inner, &queue)));
+                *flusher = Some(std::thread::spawn(move || flush_loop(&*inner, &queue)));
             }
         }
         let mut guard = lock_shim(&self.queue.heap, "delay queue");
@@ -335,11 +398,11 @@ impl FaultySocket {
 fn lock_shim<'a, T>(m: &'a Mutex<T>, what: &str) -> std::sync::MutexGuard<'a, T> {
     match m.lock() {
         Ok(g) => g,
-        Err(_) => panic!("FaultySocket {what} mutex poisoned (flusher or sender panicked)"),
+        Err(_) => panic!("socket shim {what} mutex poisoned (flusher or sender panicked)"),
     }
 }
 
-fn flush_loop(inner: &UdpSocket, queue: &DelayQueue) {
+fn flush_loop(inner: &dyn DatagramSocket, queue: &DelayQueue) {
     let mut guard = lock_shim(&queue.heap, "delay queue");
     loop {
         if guard.1 {
@@ -348,8 +411,9 @@ fn flush_loop(inner: &UdpSocket, queue: &DelayQueue) {
             // here would silently lose power the caller believes is in
             // flight.
             while let Some(pkt) = guard.0.pop() {
-                let _ = UdpSocket::send_to(inner, &pkt.payload, pkt.dst);
+                let _ = inner.send_to(&pkt.payload, pkt.dst);
             }
+            let _ = inner.flush();
             return;
         }
         let now = Instant::now();
@@ -357,8 +421,11 @@ fn flush_loop(inner: &UdpSocket, queue: &DelayQueue) {
             Some(pkt) if pkt.due <= now => {
                 let pkt = guard.0.pop().expect("peeked");
                 // Send outside the lock so senders never block on the OS.
+                // A deferred payload is due now, not at the caller's next
+                // flush.
                 drop(guard);
-                let _ = UdpSocket::send_to(inner, &pkt.payload, pkt.dst);
+                let _ = inner.send_to(&pkt.payload, pkt.dst);
+                let _ = inner.flush();
                 guard = lock_shim(&queue.heap, "delay queue");
             }
             Some(pkt) => {
@@ -428,8 +495,164 @@ impl DatagramSocket for FaultySocket {
         Ok(SendStatus::Sent)
     }
 
+    /// With duplication or delay configured, payloads reach `inner` in
+    /// another number and order than the caller handed them over, so a
+    /// failed flush cannot name its victims: `lost` is zeroed and they
+    /// count as sent, the side on which power is stranded, never minted.
+    fn flush(&self) -> Result<(), FlushError> {
+        let exact = self.cfg.dup_permille == 0 && self.cfg.latency.is_none();
+        self.inner.flush().map_err(|e| FlushError {
+            lost: if exact { e.lost } else { 0 },
+            ..e
+        })
+    }
+
     fn recv_from(&self, buf: &mut [u8]) -> io::Result<(usize, SocketAddr)> {
-        UdpSocket::recv_from(&self.inner, buf)
+        self.inner.recv_from(buf)
+    }
+
+    fn recv_buffered(&self) -> bool {
+        self.inner.recv_buffered()
+    }
+
+    fn local_addr(&self) -> io::Result<SocketAddr> {
+        self.inner.local_addr()
+    }
+
+    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+        self.inner.set_nonblocking(nonblocking)
+    }
+}
+
+/// Largest datagram a [`CoalescingSocket`] puts on the wire: the UDP
+/// payload of one unfragmented Ethernet frame (1 500 − 20 IP − 8 UDP).
+pub const MAX_DATAGRAM: usize = 1472;
+
+/// Record header: the payload length, `u16` LE.
+const RECORD_HDR: usize = 2;
+
+/// Payloads accepted and not yet handed to the kernel.
+struct TxBatch {
+    buf: Vec<u8>,
+    /// Where the held records go; meaningless while there are none.
+    dst: SocketAddr,
+    records: usize,
+    datagrams_sent: u64,
+}
+
+/// The datagram being unpacked: records remain in `buf[at..len]`.
+struct RxBatch {
+    buf: [u8; MAX_DATAGRAM],
+    len: usize,
+    at: usize,
+    from: SocketAddr,
+}
+
+/// A [`DatagramSocket`] that packs consecutive payloads bound for one
+/// destination into one datagram of length-prefixed records, and unpacks
+/// such datagrams on receive. Both ends of a link must wear it. See the
+/// module docs for the record format, the flush rule and what a failed
+/// flush means.
+pub struct CoalescingSocket {
+    inner: UdpSocket,
+    tx: Mutex<TxBatch>,
+    rx: Mutex<RxBatch>,
+}
+
+impl CoalescingSocket {
+    /// Coalesce over `socket`.
+    pub fn new(socket: UdpSocket) -> Self {
+        let nowhere = SocketAddr::from(([0, 0, 0, 0], 0));
+        CoalescingSocket {
+            inner: socket,
+            tx: Mutex::new(TxBatch {
+                buf: Vec::with_capacity(MAX_DATAGRAM),
+                dst: nowhere,
+                records: 0,
+                datagrams_sent: 0,
+            }),
+            rx: Mutex::new(RxBatch {
+                buf: [0; MAX_DATAGRAM],
+                len: 0,
+                at: 0,
+                from: nowhere,
+            }),
+        }
+    }
+
+    /// Datagrams the kernel has taken so far.
+    pub fn datagrams_sent(&self) -> u64 {
+        lock_shim(&self.tx, "tx batch").datagrams_sent
+    }
+
+    /// Hand the batch to the kernel; on an error it stays as it was.
+    fn send_batch(&self, tx: &mut TxBatch) -> io::Result<()> {
+        if tx.records > 0 {
+            UdpSocket::send_to(&self.inner, &tx.buf, tx.dst)?;
+            tx.datagrams_sent += 1;
+            tx.buf.clear();
+            tx.records = 0;
+        }
+        Ok(())
+    }
+}
+
+impl DatagramSocket for CoalescingSocket {
+    fn send_to(&self, buf: &[u8], dst: SocketAddr) -> io::Result<SendStatus> {
+        if buf.is_empty() || buf.len() > MAX_DATAGRAM - RECORD_HDR {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "payload does not fit one coalesced record",
+            ));
+        }
+        let mut tx = lock_shim(&self.tx, "tx batch");
+        if tx.dst != dst || tx.buf.len() + RECORD_HDR + buf.len() > MAX_DATAGRAM {
+            self.send_batch(&mut tx)?;
+        }
+        tx.dst = dst;
+        tx.buf.extend_from_slice(&(buf.len() as u16).to_le_bytes());
+        tx.buf.extend_from_slice(buf);
+        tx.records += 1;
+        Ok(SendStatus::Sent)
+    }
+
+    fn flush(&self) -> Result<(), FlushError> {
+        let mut tx = lock_shim(&self.tx, "tx batch");
+        self.send_batch(&mut tx).map_err(|source| {
+            let lost = std::mem::take(&mut tx.records);
+            tx.buf.clear();
+            FlushError { lost, source }
+        })
+    }
+
+    fn recv_from(&self, buf: &mut [u8]) -> io::Result<(usize, SocketAddr)> {
+        let mut rx = lock_shim(&self.rx, "rx batch");
+        let rx = &mut *rx;
+        if rx.at == rx.len {
+            (rx.len, rx.from) = UdpSocket::recv_from(&self.inner, &mut rx.buf)?;
+            rx.at = 0;
+        }
+        let rest = &rx.buf[rx.at..rx.len];
+        let record = rest.split_first_chunk().and_then(|(len, body)| {
+            let len = usize::from(u16::from_le_bytes(*len));
+            body.get(..len).filter(|payload| !payload.is_empty())
+        });
+        let Some(payload) = record else {
+            // Not a record: the rest of the datagram goes up as one
+            // empty payload.
+            rx.at = rx.len;
+            return Ok((0, rx.from));
+        };
+        rx.at += RECORD_HDR + payload.len();
+        // Like the kernel, cut a payload longer than the caller's buffer.
+        let n = payload.len().min(buf.len());
+        buf[..n].copy_from_slice(&payload[..n]);
+        Ok((n, rx.from))
+    }
+
+    fn recv_buffered(&self) -> bool {
+        let rx = lock_shim(&self.rx, "rx batch");
+        rx.at < rx.len
     }
 
     fn local_addr(&self) -> io::Result<SocketAddr> {
@@ -591,5 +814,197 @@ mod tests {
             got += 1;
         }
         assert_eq!(got, 8);
+    }
+
+    /// A bound socket with a read timeout, and its address.
+    fn bound(timeout_ms: u64) -> (UdpSocket, SocketAddr) {
+        let socket = UdpSocket::bind("127.0.0.1:0").expect("bind");
+        socket
+            .set_read_timeout(Some(Duration::from_millis(timeout_ms)))
+            .expect("timeout");
+        let addr = socket.local_addr().expect("addr");
+        (socket, addr)
+    }
+
+    /// Every payload waiting on `socket`, in order, until it times out.
+    fn payloads(socket: &dyn DatagramSocket) -> Vec<Vec<u8>> {
+        let mut buf = [0u8; MAX_DATAGRAM];
+        std::iter::from_fn(|| {
+            let (len, _) = socket.recv_from(&mut buf).ok()?;
+            Some(buf[..len].to_vec())
+        })
+        .collect()
+    }
+
+    /// Any sequence of payloads crosses a coalescing pair byte for byte
+    /// and in order, however it falls across datagram boundaries, and no
+    /// datagram on the wire exceeds the bound.
+    #[test]
+    fn coalesced_payloads_round_trip_in_order_within_the_bound() {
+        use penelope_testkit::prop::{self, one_of, vec_of};
+        let (tap, tap_addr) = bound(20);
+        let (rx, rx_addr) = bound(20);
+        let rx = CoalescingSocket::new(rx);
+        let tx = CoalescingSocket::new(UdpSocket::bind("127.0.0.1:0").expect("bind tx"));
+        let lens = one_of(vec![1usize, 2, 27, 31, 300, 733, 734, 735, 1469, 1470]);
+        prop::check(
+            "coalesced payloads round-trip",
+            prop::Config::from_env(),
+            vec_of((lens, prop::any_u8()), 1..48),
+            |seq| {
+                let sent: Vec<Vec<u8>> = seq
+                    .iter()
+                    .map(|&(len, fill)| (0..len).map(|i| fill.wrapping_add(i as u8)).collect())
+                    .collect();
+                let before = tx.datagrams_sent();
+                for payload in &sent {
+                    assert_eq!(
+                        tx.send_to(payload, tap_addr).expect("send"),
+                        SendStatus::Sent
+                    );
+                }
+                tx.flush().expect("flush");
+                // The tap sees what is on the wire and passes it on.
+                let mut wire = [0u8; 2 * MAX_DATAGRAM];
+                let mut datagrams = 0;
+                while let Ok((len, _)) = tap.recv_from(&mut wire) {
+                    assert!(len <= MAX_DATAGRAM, "{len} bytes in one datagram");
+                    UdpSocket::send_to(&tap, &wire[..len], rx_addr).expect("forward");
+                    datagrams += 1;
+                }
+                assert_eq!(datagrams, tx.datagrams_sent() - before);
+                assert_eq!(payloads(&rx), sent);
+                assert!(!rx.recv_buffered());
+            },
+        );
+    }
+
+    #[test]
+    fn a_destination_change_flushes_first() {
+        let (a, a_addr) = bound(20);
+        let (b, b_addr) = bound(20);
+        let tx = CoalescingSocket::new(UdpSocket::bind("127.0.0.1:0").expect("bind tx"));
+        tx.send_to(b"to a", a_addr).expect("send");
+        tx.send_to(b"a too", a_addr).expect("send");
+        let mut buf = [0u8; 64];
+        assert!(a.recv_from(&mut buf).is_err(), "sent before any flush");
+        tx.send_to(b"to b", b_addr).expect("send");
+        // The batch for `a` left when `b`'s payload came; `b`'s waits.
+        let (len, _) = a.recv_from(&mut buf).expect("a's batch");
+        assert_eq!(&buf[..len], b"\x04\0to a\x05\0a too");
+        assert!(b.recv_from(&mut buf).is_err(), "b's batch left unflushed");
+        tx.flush().expect("flush");
+        let (len, _) = b.recv_from(&mut buf).expect("b's batch");
+        assert_eq!(&buf[..len], b"\x04\0to b");
+        assert_eq!(tx.datagrams_sent(), 2);
+    }
+
+    #[test]
+    fn payloads_that_fit_no_record_are_invalid_input() {
+        let (rx, rx_addr) = bound(20);
+        let rx = CoalescingSocket::new(rx);
+        let tx = CoalescingSocket::new(UdpSocket::bind("127.0.0.1:0").expect("bind tx"));
+        for bad in [&[][..], &[7u8; MAX_DATAGRAM - 1]] {
+            let err = tx.send_to(bad, rx_addr).expect_err("no record holds it");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        }
+        tx.send_to(&[7u8; MAX_DATAGRAM - 2], rx_addr).expect("send");
+        tx.flush().expect("flush");
+        assert_eq!(payloads(&rx), vec![vec![7u8; MAX_DATAGRAM - 2]]);
+    }
+
+    /// Whatever follows the last whole record of a datagram comes up once,
+    /// as an empty payload, and the datagram is done: no panic, no loop,
+    /// and the next datagram is read as if nothing had happened.
+    #[test]
+    fn hostile_datagrams_surface_once_as_an_empty_payload() {
+        let (rx, rx_addr) = bound(20);
+        let rx = CoalescingSocket::new(rx);
+        let stranger = UdpSocket::bind("127.0.0.1:0").expect("bind");
+        let cases: [(&[u8], &[&[u8]]); 6] = [
+            // A length that overruns the datagram.
+            (b"\x05\0ab", &[b""]),
+            // A lone trailing byte after a whole record.
+            (b"\x02\0ok\x09", &[b"ok", b""]),
+            // A zero-length record hides the whole one behind it.
+            (b"\x02\0ok\0\0\x02\0no", &[b"ok", b""]),
+            // An empty datagram, and one of plain garbage.
+            (b"", &[b""]),
+            (b"garbage!", &[b""]),
+            // A well-formed one still gets through afterwards.
+            (b"\x01\0a\x01\0b", &[b"a", b"b"]),
+        ];
+        for (datagram, expect) in cases {
+            stranger.send_to(datagram, rx_addr).expect("send");
+            let got = payloads(&rx);
+            assert_eq!(got, expect.iter().map(|p| p.to_vec()).collect::<Vec<_>>());
+            assert!(!rx.recv_buffered());
+        }
+    }
+
+    /// An implicit flush the kernel refuses loses nothing — the batch
+    /// stays and the payload that needed the room is refused — and an
+    /// explicit one discards the batch and says how many payloads it held.
+    #[test]
+    fn a_refused_flush_names_what_it_lost() {
+        let (rx, rx_addr) = bound(20);
+        let rx = CoalescingSocket::new(rx);
+        let tx = CoalescingSocket::new(UdpSocket::bind("127.0.0.1:0").expect("bind tx"));
+        // The kernel refuses port 0 as a destination.
+        let nowhere = SocketAddr::from(([127, 0, 0, 1], 0));
+        for payload in [b"a", b"b", b"c"] {
+            assert_eq!(
+                tx.send_to(payload, nowhere).expect("held"),
+                SendStatus::Sent
+            );
+        }
+        tx.send_to(b"d", rx_addr)
+            .expect_err("the batch in the way cannot leave");
+        let err = tx.flush().expect_err("the kernel refuses the batch");
+        assert_eq!(err.lost, 3);
+        tx.flush().expect("nothing left to refuse");
+        tx.send_to(b"e", rx_addr).expect("send");
+        tx.flush().expect("flush");
+        assert_eq!(payloads(&rx), vec![b"e".to_vec()]);
+        assert_eq!(tx.datagrams_sent(), 1);
+    }
+
+    /// Under the fault plane, coalescing changes what is on the wire and
+    /// nothing else: the same seed drops the same payloads, the stats
+    /// count payloads, and the survivors arrive in order.
+    #[test]
+    fn faults_over_coalescing_replay_the_plain_schedule() {
+        let fates = |tx: FaultySocket, dst: SocketAddr| -> (Vec<bool>, ShimStats) {
+            tx.register_peer(dst);
+            let pattern = (0u8..64)
+                .map(|i| tx.send_to(&[i], dst).expect("send") == SendStatus::Sent)
+                .collect();
+            tx.flush().expect("flush");
+            (pattern, tx.stats())
+        };
+        let (plain_rx, plain_addr) = bound(200);
+        let plain = FaultySocket::new(
+            UdpSocket::bind("127.0.0.1:0").expect("bind tx"),
+            FaultConfig::lossy(99, 300),
+        );
+        let (rx, rx_addr) = bound(200);
+        let rx = CoalescingSocket::new(rx);
+        let inner = Arc::new(CoalescingSocket::new(
+            UdpSocket::bind("127.0.0.1:0").expect("bind tx"),
+        ));
+        let coalesced = FaultySocket::over(inner.clone(), FaultConfig::lossy(99, 300));
+
+        let (plain_pattern, plain_stats) = fates(plain, plain_addr);
+        let (pattern, stats) = fates(coalesced, rx_addr);
+        assert_eq!(pattern, plain_pattern, "same seed, same fates");
+        assert_eq!(stats, plain_stats);
+        let survivors: Vec<Vec<u8>> = (0u8..64)
+            .zip(&pattern)
+            .filter(|(_, sent)| **sent)
+            .map(|(i, _)| vec![i])
+            .collect();
+        assert_eq!(payloads(&plain_rx), survivors);
+        assert_eq!(payloads(&rx), survivors);
+        assert_eq!(inner.datagrams_sent(), 1, "64 one-byte payloads fit one");
     }
 }

@@ -80,8 +80,12 @@ fn main() {
     });
 
     println!(
-        "  frames: sent={} delivered={} wire_lost={} send_failed={}",
-        summary.frames_sent, summary.frames_delivered, summary.wire_lost, summary.send_failed
+        "  frames: sent={} in {} datagrams, delivered={} wire_lost={} send_failed={}",
+        summary.frames_sent,
+        summary.datagrams_sent,
+        summary.frames_delivered,
+        summary.wire_lost,
+        summary.send_failed
     );
     println!(
         "  power: caps={} pools={} escrowed={} lost={} budget={}",
