@@ -13,15 +13,37 @@
 //! [`note_ack`](PeerTable::note_ack) and
 //! [`note_grant`](PeerTable::note_grant).
 //!
-//! Selection ([`PeerTable::pick`]) reads the records directly, through the
-//! free function [`choose_peer`], which implements all three
-//! [`DiscoveryStrategy`] arms: with suspicion active it avoids suspected
-//! peers, falling back to the paper's blind uniform choice when every peer
-//! is suspected; with none (every fault-free run) each arm draws from the
-//! RNG *exactly* as the original inline code did — one index draw for
-//! uniform, one chance draw for a held gossip hint — so loss-free seeds
-//! replay byte-identically. The randomness seam is [`EngineRng`], which
-//! the testkit's deterministic PRNG implements by delegation.
+//! # Selection
+//!
+//! One private algorithm, `select`, implements all three
+//! [`DiscoveryStrategy`] arms for both entry points. It takes the set a
+//! pick must avoid as an ascending walk of ids, and the entry points differ
+//! only in how they name that set: [`PeerTable::pick`] hands it the records
+//! whose suspicion filters right now (already ascending by peer), so a
+//! suspecting pick costs O(records held) and no allocation whatever the
+//! cluster size — an event's cost stays with the nodes that hold evidence
+//! of it, the per-node independence §3.1 and §4.5 argue from; the free
+//! function [`choose_peer`], for a caller with a predicate and no table,
+//! scans the predicate over the cluster into that list first, O(n) by
+//! construction.
+//!
+//! The rule is *k-th live*. Rank the `n − 1` peers in id order, the node
+//! itself skipped. With `m` of them excluded, the uniform arm draws `k` in
+//! `0..n − 1 − m` and returns the `k`-th peer that is not: `k` bumped by
+//! one for each excluded rank at or below it, in ascending order. That is
+//! what indexing a collected list of the unsuspected candidates returns,
+//! from the same draw over the same bound, so a seed replays
+//! bit-identically against the filter-and-collect chooser this replaced
+//! (`crates/core/tests/peer_table.rs` keeps that chooser as its oracle and
+//! compares the RNG after every pick). When every peer is excluded the
+//! draw is the paper's blind one over `0..n − 1`, so a lone survivor keeps
+//! probing. `RoundRobin` takes the first live id ring-wise from its cursor
+//! (the cursor's own peer when none is live), and `GossipHint` re-asks an
+//! unexcluded hint or falls back to the uniform draw. With nothing
+//! excluded — every fault-free run — each arm draws *exactly* as the
+//! original inline code did: one index draw for uniform, one chance draw
+//! for a held gossip hint. The randomness seam is [`EngineRng`], which the
+//! testkit's deterministic PRNG implements by delegation.
 
 use penelope_trace::{EventKind, Stamper};
 use penelope_units::{NodeId, SimDuration, SimTime};
@@ -84,10 +106,15 @@ pub fn initial_rr_cursor(idx: u32, n: u32) -> u32 {
 /// Pick the peer a power-hungry node at `idx` (of `n` client nodes)
 /// queries this iteration. Returns `None` when the node has no peers.
 ///
-/// Liveness filtering: `suspicion_active` says whether the caller's
-/// decider currently suspects *any* peer, and `is_suspected` classifies
-/// one candidate. The filter is only consulted when suspicion is active,
-/// which keeps the nominal path's RNG draw sequence untouched.
+/// This is the predicate-only entry to the [selection rule](self#selection)
+/// for a caller that holds no [`PeerTable`]: `suspicion_active` says
+/// whether any peer is suspected at all, `is_suspected` classifies one
+/// candidate, and the predicate is only consulted when suspicion is
+/// active, which keeps the nominal path's RNG draw sequence untouched. A
+/// predicate can only name the excluded set one id at a time, so with
+/// suspicion active this scans the whole cluster — O(n) and one `Vec` by
+/// construction; [`PeerTable::pick`] names the same set by its records and
+/// costs O(records).
 ///
 /// Every arm guarantees the returned peer is never the node itself —
 /// including `RoundRobin` with a self-pointing cursor, which the old
@@ -103,79 +130,109 @@ pub fn choose_peer<R: EngineRng>(
     suspicion_active: bool,
     is_suspected: impl Fn(NodeId) -> bool,
 ) -> Option<NodeId> {
+    let excluded: Vec<u32> = if suspicion_active {
+        (0..n as u32)
+            .filter(|&p| p as usize != idx && is_suspected(NodeId::new(p)))
+            .collect()
+    } else {
+        Vec::new()
+    };
+    let excluded = excluded.iter().copied();
+    select(strategy, rng, idx, n, rr_cursor, last_success, excluded)
+}
+
+/// The one selection algorithm, behind both [`PeerTable::pick`] and
+/// [`choose_peer`]: see the [module docs](self#selection). `excluded` is
+/// the peers selection must avoid — ascending, distinct, below `n`, never
+/// `idx` — and is walked, never indexed or collected.
+fn select<R: EngineRng>(
+    strategy: DiscoveryStrategy,
+    rng: &mut R,
+    idx: usize,
+    n: usize,
+    rr_cursor: &mut u32,
+    last_success: Option<NodeId>,
+    excluded: impl Iterator<Item = u32> + Clone,
+) -> Option<NodeId> {
     if n < 2 {
         return None;
     }
-    match strategy {
-        DiscoveryStrategy::UniformRandom => {
-            Some(uniform_peer(rng, idx, n, suspicion_active, &is_suspected))
-        }
+    let (me, n) = (idx as u32, n as u32);
+    // Selection works on the n − 1 peers ranked 0..n − 1 in id order, the
+    // node itself skipped, so it never has to be merged into the walk.
+    let rank = move |id: u32| id - u32::from(id > me);
+    let peer = move |rank: u32| rank + u32::from(rank >= me);
+    let barred = excluded.map(rank);
+    let live = (n - 1) as usize - barred.clone().count();
+    // §3.1: chosen at random; the decider has no liveness oracle beyond
+    // its own timeout bookkeeping, so without suspicion a dead peer can be
+    // picked and the request simply times out. Exactly one index draw on
+    // every path.
+    let uniform = |rng: &mut R| {
+        peer(match live {
+            // Everyone is suspected: fall back to the paper's blind pick
+            // so a lone survivor keeps probing instead of going mute.
+            0 => rng.gen_index(n as usize - 1) as u32,
+            _ => bump_past(rng.gen_index(live) as u32, barred.clone()),
+        })
+    };
+    Some(NodeId::new(match strategy {
+        DiscoveryStrategy::UniformRandom => uniform(rng),
         DiscoveryStrategy::RoundRobin => {
             // The cursor itself must never name the node: a stale or
             // mis-seeded cursor would otherwise make the node "request
             // power from itself" and burn a period waiting for a reply
             // that can never come.
             let mut p = *rr_cursor;
-            if p as usize >= n || p as usize == idx {
-                p = next_cursor(p % n as u32, idx, n);
+            if p >= n || p == me {
+                p = next_cursor(p % n, me, n);
             }
-            // Under suspicion, sweep past suspected peers (at most one
-            // full lap; if everyone is suspected, keep the blind pick).
-            if suspicion_active {
-                for _ in 0..n {
-                    if !is_suspected(NodeId::new(p)) {
-                        break;
-                    }
-                    p = next_cursor(p, idx, n);
+            // Under suspicion, the first live peer ring-wise from the
+            // cursor; if everyone is suspected, keep the blind pick.
+            if live > 0 {
+                let from = rank(p);
+                let mut r = bump_past(from, barred.clone().skip_while(move |&e| e < from));
+                if r == n - 1 {
+                    r = bump_past(0, barred.clone());
                 }
+                p = peer(r);
             }
-            *rr_cursor = next_cursor(p, idx, n);
-            Some(NodeId::new(p))
+            *rr_cursor = next_cursor(p, me, n);
+            p
         }
         DiscoveryStrategy::GossipHint { explore } => {
             let hint = last_success
-                .filter(|h| h.index() != idx)
-                .filter(|h| !(suspicion_active && is_suspected(*h)));
+                .map(NodeId::raw)
+                .filter(|&h| h != me && barred.clone().all(|e| e != rank(h)));
             match hint {
-                Some(h) if !rng.gen_chance(explore.clamp(0.0, 1.0)) => Some(h),
-                _ => Some(uniform_peer(rng, idx, n, suspicion_active, &is_suspected)),
+                Some(h) if !rng.gen_chance(explore.clamp(0.0, 1.0)) => h,
+                _ => uniform(rng),
             }
         }
-    }
+    }))
 }
 
-/// Uniform choice over the other client nodes (§3.1: chosen at random; the
-/// decider has no liveness oracle beyond its own timeout bookkeeping, so
-/// without suspicion a dead peer can be picked and the request simply
-/// times out). Exactly one index draw on every path.
-fn uniform_peer<R: EngineRng>(
-    rng: &mut R,
-    idx: usize,
-    n: usize,
-    suspicion_active: bool,
-    is_suspected: &impl Fn(NodeId) -> bool,
-) -> NodeId {
-    if suspicion_active {
-        let candidates: Vec<u32> = (0..n as u32)
-            .filter(|&p| p as usize != idx && !is_suspected(NodeId::new(p)))
-            .collect();
-        if !candidates.is_empty() {
-            let k = rng.gen_index(candidates.len());
-            return NodeId::new(candidates[k]);
+/// Walk `at` up the ascending `barred`: each barred rank at or below it
+/// moves it up by one, the first one above it ends the walk. From a draw
+/// `k` that yields the `k`-th rank (counting from zero) outside `barred` —
+/// what indexing the filtered candidate list would return, without the
+/// list; from a rank, over the barred ranks not below it, the first rank
+/// at or above it outside `barred`.
+fn bump_past(mut at: u32, barred: impl Iterator<Item = u32>) -> u32 {
+    for e in barred {
+        if e > at {
+            break;
         }
-        // Everyone is suspected: fall back to the paper's blind pick so a
-        // lone survivor keeps probing instead of going mute.
+        at += 1;
     }
-    let r = rng.gen_index(n - 1);
-    let p = if r >= idx { r + 1 } else { r };
-    NodeId::new(p as u32)
+    at
 }
 
 /// Advance a round-robin cursor one step, skipping the node itself.
-fn next_cursor(p: u32, idx: usize, n: usize) -> u32 {
-    let mut next = (p + 1) % n as u32;
-    if next as usize == idx {
-        next = (next + 1) % n as u32;
+fn next_cursor(p: u32, me: u32, n: u32) -> u32 {
+    let mut next = (p + 1) % n;
+    if next == me {
+        next = (next + 1) % n;
     }
     next
 }
@@ -533,8 +590,11 @@ impl PeerTable {
         self.last_success.is_none() && self.suspected == 0
     }
 
-    /// Pick the peer to query this iteration: [`choose_peer`] over these
-    /// records. `None` when the node has no peers.
+    /// Pick the peer to query this iteration by the
+    /// [selection rule](self#selection), the excluded set being the
+    /// records whose suspicion filters at `now`: O(records held), whatever
+    /// the cluster size, and no allocation. `None` when the node has no
+    /// peers.
     pub fn pick<R: EngineRng>(
         &mut self,
         strategy: DiscoveryStrategy,
@@ -547,16 +607,28 @@ impl PeerTable {
         if hint_streak > Some(0) {
             self.last_success = None;
         }
+        // With nothing suspected — every fault-free run — no record is
+        // read. A record about this node or about an id outside the
+        // cluster (a digest can carry either) excludes nothing.
+        let held = if self.suspected == 0 {
+            &[][..]
+        } else {
+            &self.records[..]
+        };
+        let excluded = held
+            .iter()
+            .take_while(|r| r.peer.index() < self.cluster_size)
+            .filter(|r| r.peer != self.node && self.filtering(now, r) == Some(true))
+            .map(|r| r.peer.raw());
         let mut cursor = self.rr_cursor;
-        let peer = choose_peer(
+        let peer = select(
             strategy,
             rng,
             self.node.index(),
             self.cluster_size,
             &mut cursor,
             self.last_success,
-            self.suspicion_active(now),
-            |p| self.is_suspected(now, p),
+            excluded,
         );
         self.rr_cursor = cursor;
         peer

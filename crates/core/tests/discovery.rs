@@ -181,6 +181,39 @@ fn all_suspected_falls_back_to_blind_uniform() {
     assert_eq!(seen.len(), 3, "blind fallback still covers all peers");
 }
 
+/// Round-robin under *total* suspicion is still a sweep: the pick is the
+/// cursor's own peer and the cursor moves on by one, so n − 1 picks ask
+/// every peer once. (The sweep used to lap n steps round a ring of n − 1,
+/// landing one past the cursor before advancing again — a stride of two
+/// that, with n − 1 even, only ever asked half the peers.)
+#[test]
+fn all_suspected_round_robin_still_visits_every_peer() {
+    for n in 2..=9usize {
+        for idx in 0..n {
+            let mut rng = TestRng::seed_from_u64(0);
+            let mut cursor = initial_rr_cursor(idx as u32, n as u32);
+            let asked: HashSet<u32> = (0..n - 1)
+                .map(|_| {
+                    choose_peer(
+                        DiscoveryStrategy::RoundRobin,
+                        &mut rng,
+                        idx,
+                        n,
+                        &mut cursor,
+                        None,
+                        true,
+                        |_| true,
+                    )
+                    .expect("n >= 2 always yields a peer")
+                    .raw()
+                })
+                .collect();
+            let peers: HashSet<u32> = (0..n as u32).filter(|&p| p as usize != idx).collect();
+            assert_eq!(asked, peers, "n={n} idx={idx}");
+        }
+    }
+}
+
 /// Single-node clusters have no peers.
 #[test]
 fn singleton_cluster_has_no_peer() {

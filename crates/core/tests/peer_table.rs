@@ -5,6 +5,12 @@
 //! sequences of timeout / reply / digest / ack / grant / pick / rebirth
 //! run against both, and after every step every query — and every event
 //! emitted — must agree.
+//!
+//! Selection has its own oracle, [`oracle_choose_peer`]: the filter-collect
+//! chooser `discovery.rs` shipped before its k-th-live walk, kept here
+//! verbatim (bar the round-robin lap, fixed to the ring's n − 1) and
+//! drawing straight from the testkit PRNG, so it shares no code with the
+//! `select` core that [`PeerTable::pick`] and [`choose_peer`] both run.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -13,8 +19,8 @@ use penelope_core::{
     choose_peer, initial_rr_cursor, DeciderConfig, DiscoveryStrategy, PeerTable, SuspicionDigest,
     SuspicionEntry, MAX_DIGEST_ENTRIES,
 };
-use penelope_testkit::prop::{self, vec_of};
-use penelope_testkit::rng::TestRng;
+use penelope_testkit::prop::{self, any_u64, vec_of};
+use penelope_testkit::rng::{Rng, TestRng};
 use penelope_trace::{EventKind, RingBufferObserver, Stamper};
 use penelope_units::{NodeId, SimDuration, SimTime};
 
@@ -24,13 +30,116 @@ const STRATEGIES: [DiscoveryStrategy; 3] = [
     DiscoveryStrategy::GossipHint { explore: 0.3 },
 ];
 
-/// Cluster size and the node whose knowledge is modelled.
-const N: usize = 6;
-const ME: NodeId = NodeId::new(2);
+/// Largest cluster the properties model (a predicate fits one `u64`).
+const MAX_N: usize = 64;
+
+/// The chooser as it was before selection walked the records: collect the
+/// unsuspected candidates, index the list.
+#[allow(clippy::too_many_arguments)]
+fn oracle_choose_peer(
+    strategy: DiscoveryStrategy,
+    rng: &mut TestRng,
+    idx: usize,
+    n: usize,
+    rr_cursor: &mut u32,
+    last_success: Option<NodeId>,
+    suspicion_active: bool,
+    is_suspected: impl Fn(NodeId) -> bool,
+) -> Option<NodeId> {
+    if n < 2 {
+        return None;
+    }
+    match strategy {
+        DiscoveryStrategy::UniformRandom => Some(oracle_uniform_peer(
+            rng,
+            idx,
+            n,
+            suspicion_active,
+            &is_suspected,
+        )),
+        DiscoveryStrategy::RoundRobin => {
+            let mut p = *rr_cursor;
+            if p as usize >= n || p as usize == idx {
+                p = oracle_next_cursor(p % n as u32, idx, n);
+            }
+            // Under suspicion, sweep past suspected peers (at most one
+            // full lap; if everyone is suspected, keep the blind pick).
+            if suspicion_active {
+                for _ in 0..n - 1 {
+                    if !is_suspected(NodeId::new(p)) {
+                        break;
+                    }
+                    p = oracle_next_cursor(p, idx, n);
+                }
+            }
+            *rr_cursor = oracle_next_cursor(p, idx, n);
+            Some(NodeId::new(p))
+        }
+        DiscoveryStrategy::GossipHint { explore } => {
+            let hint = last_success
+                .filter(|h| h.index() != idx)
+                .filter(|h| !(suspicion_active && is_suspected(*h)));
+            match hint {
+                Some(h) if !rng.gen_bool(explore.clamp(0.0, 1.0)) => Some(h),
+                _ => Some(oracle_uniform_peer(
+                    rng,
+                    idx,
+                    n,
+                    suspicion_active,
+                    &is_suspected,
+                )),
+            }
+        }
+    }
+}
+
+fn oracle_uniform_peer(
+    rng: &mut TestRng,
+    idx: usize,
+    n: usize,
+    suspicion_active: bool,
+    is_suspected: &impl Fn(NodeId) -> bool,
+) -> NodeId {
+    if suspicion_active {
+        let candidates: Vec<u32> = (0..n as u32)
+            .filter(|&p| p as usize != idx && !is_suspected(NodeId::new(p)))
+            .collect();
+        if !candidates.is_empty() {
+            let k = rng.gen_range(0..candidates.len());
+            return NodeId::new(candidates[k]);
+        }
+        // Everyone is suspected: fall back to the paper's blind pick so a
+        // lone survivor keeps probing instead of going mute.
+    }
+    let r = rng.gen_range(0..n - 1);
+    let p = if r >= idx { r + 1 } else { r };
+    NodeId::new(p as u32)
+}
+
+fn oracle_next_cursor(p: u32, idx: usize, n: usize) -> u32 {
+    let mut next = (p + 1) % n as u32;
+    if next as usize == idx {
+        next = (next + 1) % n as u32;
+    }
+    next
+}
+
+/// Where in a cluster of `n` the modelled node sits: a third of the draws
+/// put it at the low end, a third at the high end, the rest anywhere.
+fn place(draw: usize, n: usize) -> usize {
+    match draw % 3 {
+        0 => 0,
+        1 => n - 1,
+        _ => draw / 3 % n,
+    }
+}
 
 /// The pre-table peer knowledge of one node, logic unchanged.
 struct FourMaps {
     cfg: DeciderConfig,
+    /// Cluster size and the node whose knowledge is modelled.
+    n: usize,
+    me: NodeId,
     timeout_streaks: HashMap<NodeId, u32>,
     /// peer → (probe clock, incarnation suspected against).
     suspected: HashMap<NodeId, (SimTime, u64)>,
@@ -42,14 +151,16 @@ struct FourMaps {
 }
 
 impl FourMaps {
-    fn new(cfg: DeciderConfig) -> Self {
+    fn new(cfg: DeciderConfig, n: usize, me: NodeId) -> Self {
         FourMaps {
             cfg,
+            n,
+            me,
             timeout_streaks: HashMap::new(),
             suspected: HashMap::new(),
             known_incarnations: HashMap::new(),
             acked_floor: HashMap::new(),
-            rr_cursor: initial_rr_cursor(ME.raw(), N as u32),
+            rr_cursor: initial_rr_cursor(me.raw(), n as u32),
             last_success: None,
             events: Vec::new(),
         }
@@ -137,7 +248,7 @@ impl FourMaps {
         }
         for entry in digest.entries.iter().take(MAX_DIGEST_ENTRIES) {
             let peer = entry.peer;
-            if peer == ME || peer == src {
+            if peer == self.me || peer == src {
                 continue;
             }
             let known = self.known_incarnations.get(&peer).copied().unwrap_or(0);
@@ -198,11 +309,11 @@ impl FourMaps {
             }
         }
         let mut cursor = self.rr_cursor;
-        let peer = choose_peer(
+        let peer = oracle_choose_peer(
             strategy,
             rng,
-            ME.index(),
-            N,
+            self.me.index(),
+            self.n,
             &mut cursor,
             self.last_success,
             self.suspicion_active(now),
@@ -226,11 +337,12 @@ impl FourMaps {
 }
 
 /// A digest as a peer could send it: up to five entries (one more than
-/// the wire bound), some about the receiver or the sender itself.
-fn digest_from(src: u32, incarnation: u64, shape: u64) -> SuspicionDigest {
+/// the wire bound), some about the receiver, the sender itself or an id
+/// outside the cluster of `n`.
+fn digest_from(src: u32, incarnation: u64, shape: u64, n: usize) -> SuspicionDigest {
     let entries = (0..shape % 6)
         .map(|i| SuspicionEntry {
-            peer: NodeId::new(((u64::from(src) + 1 + i * (shape / 6 + 1)) % N as u64) as u32),
+            peer: NodeId::new(((u64::from(src) + 1 + i * (shape / 6 + 1)) % (n as u64 + 2)) as u32),
             incarnation: (incarnation + shape + i) % 5,
         })
         .collect();
@@ -242,14 +354,21 @@ fn digest_from(src: u32, incarnation: u64, shape: u64) -> SuspicionDigest {
 
 #[test]
 fn the_table_answers_every_query_like_the_four_maps_it_replaced() {
-    // (kind, peer, x, y) steps; kind 8 and up just let time pass.
-    let steps = vec_of((0u32..10, 0u32..N as u32, 0u64..7, 0u64..40), 0..80);
+    // Any cluster size up to `MAX_N`, the modelled node at either end of
+    // it or anywhere between.
+    let shape = (2usize..=MAX_N, 0usize..3 * MAX_N);
+    // (kind, peer, x, y) steps; kind 8 and 9 mostly let time pass — up to
+    // 10 s a step against the 8 s probe interval, so suspicions stop
+    // filtering mid-sequence — and kind 10 is a timeout storm over x
+    // sixths of the cluster (everyone, at x = 6).
+    let steps = vec_of((0u32..11, 0u32..MAX_N as u32, 0u64..7, 0u64..40), 0..80);
     let knobs = (0u32..4, 0usize..5);
     prop::check(
         "peer_table_vs_four_maps",
         prop::Config::from_env(),
-        (knobs, steps),
-        |((suspect_after, gossip_digest), steps)| {
+        (shape, knobs, steps),
+        |((n, me), (suspect_after, gossip_digest), steps)| {
+            let me = NodeId::new(place(me, n) as u32);
             let cfg = DeciderConfig {
                 suspect_after,
                 gossip_digest,
@@ -257,10 +376,11 @@ fn the_table_answers_every_query_like_the_four_maps_it_replaced() {
             };
             let ring = Arc::new(RingBufferObserver::unbounded());
             let trace = Stamper::new(ring.clone().into(), cfg.period);
-            let mut table = PeerTable::new(ME, N, &cfg);
-            let mut maps = FourMaps::new(cfg);
+            let mut table = PeerTable::new(me, n, &cfg);
+            let mut maps = FourMaps::new(cfg, n, me);
             let mut now = SimTime::ZERO;
             for (i, &(kind, peer_raw, x, y)) in steps.iter().enumerate() {
+                let peer_raw = peer_raw % n as u32;
                 let peer = NodeId::new(peer_raw);
                 now += SimDuration::from_millis(y * 250);
                 match kind {
@@ -273,7 +393,7 @@ fn the_table_answers_every_query_like_the_four_maps_it_replaced() {
                         maps.note_peer_reply(peer);
                     }
                     3 | 4 => {
-                        let digest = digest_from(peer_raw, x, y);
+                        let digest = digest_from(peer_raw, x, y, n);
                         table.merge_digest(&trace, now, peer, &digest);
                         maps.observe_digest(now, peer, &digest);
                     }
@@ -299,11 +419,19 @@ fn the_table_answers_every_query_like_the_four_maps_it_replaced() {
                         table.reset();
                         maps.reincarnate();
                     }
+                    10 => {
+                        for p in (0..n as u32).filter(|&p| (u64::from(p) + y) % 6 < x) {
+                            for _ in 0..suspect_after {
+                                table.note_timeout(&trace, now, NodeId::new(p));
+                                maps.note_peer_timeout(now, NodeId::new(p));
+                            }
+                        }
+                    }
                     _ => {}
                 }
 
-                let step = format!("after step {i} {:?}", steps[i]);
-                for p in (0..N as u32).map(NodeId::new) {
+                let step = format!("n {n} me {me:?} after step {i} {:?}", steps[i]);
+                for p in (0..n as u32 + 2).map(NodeId::new) {
                     assert_eq!(
                         table.is_suspected(now, p),
                         maps.is_suspected(now, p),
@@ -338,24 +466,140 @@ fn the_table_answers_every_query_like_the_four_maps_it_replaced() {
                     assert_eq!(table.digest(own), maps.make_digest(own), "{step}");
                 }
                 // What each strategy would pick next, on one RNG stream,
-                // and what the pick leaves behind in that stream.
+                // and what the pick leaves behind: in that stream (the next
+                // draw), in the cursor (a round-robin pick names it) and in
+                // the hint (a never-exploring hint pick names it).
                 for strategy in STRATEGIES {
-                    let (mut t, mut a) = (table.clone(), TestRng::seed_from_u64(x ^ y));
+                    let seed = (i as u64) << 16 | x << 8 | y;
+                    let (mut t, mut a) = (table.clone(), TestRng::seed_from_u64(seed));
                     let mut b = a.clone();
                     let saved = (maps.rr_cursor, maps.last_success);
-                    assert_eq!(
-                        t.pick(strategy, &mut a, now),
-                        maps.tick_pick(strategy, &mut b, now),
-                        "{step}: {strategy:?}"
-                    );
+                    let probes = [
+                        strategy,
+                        DiscoveryStrategy::RoundRobin,
+                        DiscoveryStrategy::GossipHint { explore: 0.0 },
+                    ];
+                    for probe in probes {
+                        assert_eq!(
+                            t.pick(probe, &mut a, now),
+                            maps.tick_pick(probe, &mut b, now),
+                            "{step}: {strategy:?}, then {probe:?}"
+                        );
+                        assert_eq!(
+                            a, b,
+                            "{step}: {strategy:?}, then {probe:?} drew differently"
+                        );
+                    }
                     (maps.rr_cursor, maps.last_success) = saved;
-                    assert_eq!(a, b, "{step}: {strategy:?} drew differently");
                 }
                 let emitted: Vec<EventKind> = ring.events().iter().map(|e| e.kind).collect();
                 assert_eq!(emitted, maps.events, "{step}");
             }
         },
     );
+}
+
+/// The predicate entry runs the same core as the table's pick; held to the
+/// same oracle under predicates of every density, a cursor anywhere
+/// (self-pointing and out of range included) and a hint anywhere: the
+/// peer, the cursor and the next draw agree pick after pick.
+#[test]
+fn choose_peer_picks_and_draws_like_the_filter_collect_oracle() {
+    let shape = (2usize..=MAX_N, 0usize..3 * MAX_N, 0u32..MAX_N as u32 + 2);
+    let hint = 0u32..MAX_N as u32 + 1;
+    let predicate = (any_u64(), any_u64(), 0u32..5);
+    prop::check(
+        "choose_peer_vs_filter_collect",
+        prop::Config::from_env(),
+        (shape, hint, predicate, any_u64()),
+        |((n, idx, cursor), hint, (bits, more, density), seed)| {
+            let idx = place(idx, n);
+            // A hint is a peer that granted, so it names a node of the
+            // cluster — possibly this one — or there is none.
+            let hint = Some(hint % (n as u32 + 1))
+                .filter(|&h| (h as usize) < n)
+                .map(NodeId::new);
+            // Suspicion from one peer, through roughly a quarter, a half
+            // and three quarters of the cluster, to everyone (and, with
+            // `active` off, nobody).
+            let suspected = match density {
+                0 => 1 << (bits % n as u64),
+                1 => bits & more,
+                2 => bits,
+                3 => bits | more,
+                _ => u64::MAX,
+            };
+            let is_suspected = |p: NodeId| suspected >> p.raw() & 1 == 1;
+            for strategy in STRATEGIES {
+                for active in [true, false] {
+                    let mut a = TestRng::seed_from_u64(seed);
+                    let mut b = a.clone();
+                    let (mut cursor_a, mut cursor_b) = (cursor, cursor);
+                    for pick in 0..n + 1 {
+                        let case = format!("{strategy:?} active {active} pick {pick}");
+                        assert_eq!(
+                            choose_peer(
+                                strategy,
+                                &mut a,
+                                idx,
+                                n,
+                                &mut cursor_a,
+                                hint,
+                                active,
+                                is_suspected
+                            ),
+                            oracle_choose_peer(
+                                strategy,
+                                &mut b,
+                                idx,
+                                n,
+                                &mut cursor_b,
+                                hint,
+                                active,
+                                is_suspected
+                            ),
+                            "{case}"
+                        );
+                        assert_eq!(cursor_a, cursor_b, "{case}: cursor");
+                        assert_eq!(a, b, "{case}: drew differently");
+                    }
+                }
+            }
+        },
+    );
+}
+
+/// A pick walks what the node holds, never the cluster: at 2³¹ nodes a
+/// handful of suspicions still answers at once — by filter-and-collect
+/// each of these picks would build an 8 GiB candidate list.
+#[test]
+fn a_pick_costs_the_evidence_held_not_the_cluster() {
+    let n = 1usize << 31;
+    let cfg = DeciderConfig {
+        suspect_after: 1,
+        ..DeciderConfig::default()
+    };
+    let trace = Stamper::new(Arc::new(RingBufferObserver::unbounded()).into(), cfg.period);
+    let now = SimTime::from_secs(1);
+    for me in [0, 5, n as u32 - 1] {
+        let suspects = [0, 1, 4, 5, 6, 1 << 20, n as u32 - 2, n as u32 - 1];
+        let mut table = PeerTable::new(NodeId::new(me), n, &cfg);
+        for peer in suspects {
+            table.note_timeout(&trace, now, NodeId::new(peer));
+        }
+        table.note_grant(NodeId::new(4), true);
+        for strategy in STRATEGIES {
+            let mut rng = TestRng::seed_from_u64(u64::from(me));
+            for _ in 0..10_000 {
+                let peer = table.pick(strategy, &mut rng, now).expect("peers exist");
+                assert!(
+                    peer.index() < n && peer.raw() != me,
+                    "{strategy:?}: {peer:?}"
+                );
+                assert!(!suspects.contains(&peer.raw()), "{strategy:?}: {peer:?}");
+            }
+        }
+    }
 }
 
 /// `shard_sparse` instantiates half a million engines, so the struct's

@@ -12,8 +12,9 @@
 //! core to zero hand-written output loops, a fourth holds what a node
 //! knows about its peers to one table in `core::discovery`, a fifth
 //! holds `TraceEvent` stamping to `penelope-trace`, a sixth holds the
-//! repo to one perf harness, `benchmark/`, and a seventh holds the
-//! daemon's send path to one reused frame buffer and the shim's sockets.
+//! repo to one perf harness, `benchmark/`, a seventh holds the daemon's
+//! send path to one reused frame buffer and the shim's sockets, and an
+//! eighth holds a node's own work to what it holds, not the cluster's size.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -425,6 +426,73 @@ fn the_daemon_send_path_reuses_its_buffers_and_the_shim_sockets() {
         "shipped code sends datagrams in two places: the reactor, on a \
          `DatagramSocket`, and the shim under it, on the `UdpSocket`"
     );
+}
+
+/// True iff `line` is code that ranges over every node of the cluster:
+/// `0..n`, `0..n as u32`, `0..self.cluster_size`.
+fn ranges_over_the_cluster(line: &str) -> bool {
+    !line.trim_start().starts_with("//")
+        && line.match_indices("0..").any(|(pos, _)| {
+            let from_zero = !line[..pos].ends_with(is_ident_char);
+            let bound = &line[pos + 3..];
+            let bound = bound.strip_prefix("self.").unwrap_or(bound);
+            let ident = bound.find(|c| !is_ident_char(c)).unwrap_or(bound.len());
+            from_zero && ["n", "cluster_size"].contains(&&bound[..ident])
+        })
+}
+
+/// The paper's scaling argument (§3.1, §4.5) is that what one node does
+/// in a period does not grow with the cluster: nothing a node runs may
+/// loop over all n ids. Peer selection under suspicion used to — every
+/// pick pushed all n − 1 candidates through the liveness filter into a
+/// fresh `Vec` — and now walks the node's own records. The one scan left
+/// is `choose_peer`'s: its caller names the suspects by predicate, which
+/// can only be asked one id at a time. (`fair.rs` is exempt: the Fair
+/// baseline *is* the cluster-wide assignment, computed once.)
+#[test]
+fn a_node_never_ranges_over_the_cluster() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_sources(&root.join("crates/core/src"), &mut files);
+    assert!(files.len() >= 8, "found only {} core sources", files.len());
+    let mut scans = Vec::new();
+    for path in files.iter().filter(|p| !p.ends_with("fair.rs")) {
+        let text = fs::read_to_string(path).expect("readable source file");
+        let mut inside = None;
+        for line in non_test_part(&text).lines() {
+            if line.starts_with("pub fn ") || line.starts_with("fn ") {
+                inside = line.split(['(', '<']).next();
+            } else if line == "}" {
+                inside = None;
+            }
+            if ranges_over_the_cluster(line) {
+                let file = path.file_name().unwrap().to_string_lossy();
+                scans.push(format!("{file}: {}", inside.unwrap_or("")));
+            }
+        }
+    }
+    assert_eq!(
+        scans,
+        ["discovery.rs: pub fn choose_peer"],
+        "shipped penelope-core ranges over the cluster outside `choose_peer`'s \
+         predicate scan — walk what the node holds instead"
+    );
+}
+
+#[test]
+fn cluster_range_detection_sees_the_shapes_it_replaced() {
+    assert!(ranges_over_the_cluster(
+        "let candidates: Vec<u32> = (0..n as u32)"
+    ));
+    assert!(ranges_over_the_cluster("for _ in 0..n {"));
+    assert!(ranges_over_the_cluster("for p in 0..self.cluster_size {"));
+    assert!(!ranges_over_the_cluster(
+        "// candidates are 0..n but for self"
+    ));
+    assert!(!ranges_over_the_cluster("for i in 0..next {"));
+    assert!(!ranges_over_the_cluster(
+        "&self.records[..0]; let r = 10..n;"
+    ));
 }
 
 #[test]
