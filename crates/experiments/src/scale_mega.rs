@@ -57,6 +57,8 @@ pub struct MegaRow {
     pub elided_ticks: u64,
     /// Peer messages delivered.
     pub messages: u64,
+    /// Drain rounds, each a barrier across the shards.
+    pub rounds: u64,
     /// Order-insensitive digest of every node's inputs and final state;
     /// equal across shard counts and thread counts for the same seed.
     pub fingerprint: u64,
@@ -85,6 +87,7 @@ fn run_cell(effort: Effort, i: usize, n_nodes: usize) -> MegaRow {
         executed_events: report.executed_events,
         elided_ticks: report.elided_ticks,
         messages: report.messages,
+        rounds: report.rounds,
         fingerprint: report.fingerprint,
     }
 }
@@ -113,6 +116,7 @@ pub fn render(rows: &[MegaRow]) -> String {
         "executed events",
         "elided ticks",
         "messages",
+        "rounds",
         "fingerprint",
     ]);
     for r in rows {
@@ -122,6 +126,7 @@ pub fn render(rows: &[MegaRow]) -> String {
             r.executed_events.to_string(),
             r.elided_ticks.to_string(),
             r.messages.to_string(),
+            r.rounds.to_string(),
             format!("{:016x}", r.fingerprint),
         ]);
     }

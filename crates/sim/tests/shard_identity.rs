@@ -6,11 +6,14 @@
 //! in the same order and draws the same RNG stream, so the run is
 //! bit-identical. The unit test in `shard.rs` pins this at toy scale;
 //! this test pins it at a scale where the cross-shard exchange path,
-//! the per-window drain rounds and the wake heap all carry real load,
+//! the per-window drain rounds and the wake lists all carry real load,
 //! and across several seeds so a single lucky schedule can't hide an
 //! ordering bug.
 
+use penelope_core::DeciderConfig;
+use penelope_net::LatencyModel;
 use penelope_sim::{ShardReport, ShardedConfig, ShardedSim};
+use penelope_units::SimDuration;
 
 fn run(n_nodes: usize, seed: u64, shards: usize, jobs: usize) -> ShardReport {
     // Dense recipient mix (1 in 8) so cross-shard request/grant/ack
@@ -43,6 +46,9 @@ fn fingerprint_is_invariant_across_shard_counts_and_threads() {
             assert_eq!(other.elided_ticks, reference.elided_ticks);
             assert_eq!(other.messages, reference.messages);
             assert_eq!(other.granted, reference.granted);
+            // Rounds are barriers: one per non-empty lookahead bucket
+            // anywhere, so how the nodes are cut does not change them.
+            assert_eq!(other.rounds, reference.rounds);
             assert!(other.conservation_ok);
         }
     }
@@ -55,6 +61,33 @@ fn different_seeds_produce_different_runs() {
     let a = run(512, 1, 1, 1);
     let b = run(512, 2, 1, 1);
     assert_ne!(a.fingerprint, b.fingerprint);
+}
+
+/// `(config, fingerprint, executed, elided, messages, granted mW)`.
+type Pin = (ShardedConfig, u64, u64, u64, u64, u64);
+
+/// Every pin reproduces under every `(shards, jobs)` layout, in the same
+/// number of rounds.
+fn assert_pinned<const N: usize>(pins: [Pin; N], layouts: &[(usize, usize)]) {
+    for (cfg, fingerprint, executed, elided, messages, granted_mw) in pins {
+        let mut rounds = None;
+        for &(shards, jobs) in layouts {
+            let r = ShardedSim::new(ShardedConfig {
+                shards,
+                jobs,
+                ..cfg.clone()
+            })
+            .run();
+            assert_eq!(r.fingerprint, fingerprint, "shards={shards} jobs={jobs}");
+            assert_eq!(r.executed_events, executed);
+            assert_eq!(r.elided_ticks, elided);
+            assert_eq!(r.messages, messages);
+            assert_eq!(r.granted.milliwatts(), granted_mw);
+            assert_eq!(*rounds.get_or_insert(r.rounds), r.rounds);
+            assert!(r.lost.is_zero());
+            assert!(r.conservation_ok);
+        }
+    }
 }
 
 /// Absolute pins, measured before the engine-output executor moved into
@@ -87,21 +120,63 @@ fn absolute_counts_are_pinned() {
             18_714_031,
         ),
     ];
-    for (cfg, fingerprint, executed, elided, messages, granted_mw) in pins {
-        for (shards, jobs) in [(1, 1), (3, 1), (4, 2)] {
-            let r = ShardedSim::new(ShardedConfig {
-                shards,
-                jobs,
-                ..cfg.clone()
-            })
-            .run();
-            assert_eq!(r.fingerprint, fingerprint, "shards={shards} jobs={jobs}");
-            assert_eq!(r.executed_events, executed);
-            assert_eq!(r.elided_ticks, elided);
-            assert_eq!(r.messages, messages);
-            assert_eq!(r.granted.milliwatts(), granted_mw);
-            assert!(r.lost.is_zero());
-            assert!(r.conservation_ok);
-        }
-    }
+    assert_pinned(pins, &[(1, 1), (3, 1), (4, 2)]);
+}
+
+/// What the rows above never ran, pinned at the commit before the shard's
+/// event heap became a calendar of lookahead buckets: a constant latency
+/// (a whole wave of messages shares one timestamp, so one bucket holds it
+/// and only the key order separates them) and periods the minimum latency
+/// does not divide (the window's last bucket is short). At 3 Hz the
+/// traffic is over long before the window ends; at 7 kHz a period is 4.76
+/// buckets, so requests, grants, acks and timeouts land in every bucket
+/// and across the boundary.
+#[test]
+fn constant_latency_and_ragged_periods_are_pinned() {
+    let dense = ShardedConfig {
+        recipient_every: 2,
+        ..ShardedConfig::mega(2048, 8, 42)
+    };
+    let at_frequency = |hz: f64, periods: u64| {
+        let mut cfg = ShardedConfig {
+            periods,
+            ..dense.clone()
+        };
+        cfg.node.decider = DeciderConfig {
+            shed_headroom: cfg.node.decider.shed_headroom,
+            ..DeciderConfig::at_frequency(hz)
+        };
+        cfg
+    };
+    let constant = ShardedConfig {
+        latency: LatencyModel::Constant(SimDuration::from_micros(50)),
+        ..dense.clone()
+    };
+    let pins = [
+        (
+            constant,
+            0x6090_0c53_0838_6f56_u64,
+            40_342,
+            3_310,
+            20_532,
+            18_781_552,
+        ),
+        (
+            at_frequency(3.0, 8),
+            0xce7c_43f5_8458_0f9a,
+            40_288,
+            3_333,
+            20_521,
+            18_714_031,
+        ),
+        (
+            at_frequency(7000.0, 40),
+            0xb611_05ae_7a25_a7f5,
+            211_212,
+            11_497,
+            102_128,
+            49_486_735,
+        ),
+    ];
+    assert_pinned(pins, &[(1, 1), (1, 2), (2, 1), (2, 2), (5, 1), (5, 2)]);
 }

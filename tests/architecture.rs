@@ -428,6 +428,28 @@ fn the_daemon_send_path_reuses_its_buffers_and_the_shim_sockets() {
     );
 }
 
+/// `ShardedSim` orders nothing before its round comes: a shard's pending
+/// events sit in a calendar of lookahead buckets and a bucket is sorted
+/// when it is delivered. The binary heap that calendar replaced was 45 %
+/// of `shard_dense`; it does not come back beside it, for events or for
+/// wake-ups.
+#[test]
+fn the_shard_keeps_no_binary_heap() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let text =
+        fs::read_to_string(root.join("crates/sim/src/shard.rs")).expect("readable source file");
+    let shipped = non_test_part(&text);
+    assert!(
+        contains_identifier(shipped, "Calendar"),
+        "crates/sim/src/shard.rs no longer names its calendar — was it moved?"
+    );
+    assert!(
+        !contains_identifier(shipped, "BinaryHeap"),
+        "shipped crates/sim/src/shard.rs names a BinaryHeap — file events under \
+         the round that delivers them (`Calendar`) and wake-ups under their boundary"
+    );
+}
+
 /// True iff `line` is code that ranges over every node of the cluster:
 /// `0..n`, `0..n as u32`, `0..self.cluster_size`.
 fn ranges_over_the_cluster(line: &str) -> bool {
@@ -477,6 +499,19 @@ fn a_node_never_ranges_over_the_cluster() {
         "shipped penelope-core ranges over the cluster outside `choose_peer`'s \
          predicate scan — walk what the node holds instead"
     );
+}
+
+#[test]
+fn binary_heap_detection_sees_the_shapes_it_replaced() {
+    let old = "queue: BinaryHeap<Reverse<Ev>>,\n\
+               wake_heap: BinaryHeap::with_capacity(len),\n\
+               #[cfg(test)]\nmod tests { use std::collections::BinaryHeap; }";
+    assert!(contains_identifier(non_test_part(old), "BinaryHeap"));
+    // The calendar's oracle lives in the test module, and prose about a
+    // heap is not one.
+    let new = "//! the wake heap is gone\nqueue: Calendar,\n\
+               #[cfg(test)]\nmod tests { use std::collections::BinaryHeap; }";
+    assert!(!contains_identifier(non_test_part(new), "BinaryHeap"));
 }
 
 #[test]
