@@ -1,14 +1,19 @@
 //! The local decider: Algorithm 1, the three [`DeciderPolicy`] arms and
 //! the requester's own seq bookkeeping. What the node knows about its
 //! *peers* lives in the [`PeerTable`], which [`LocalDecider::tick`] — the
-//! one place a request timeout is detected — reports each timeout to; the
-//! node's event sink ([`Stamper`]) is handed to every call that narrates.
+//! one place a request timeout is detected — reports each timeout to.
+//!
+//! The decider holds what differs from node to node — caps, the
+//! outstanding request, the seq namespace, the forecast, counters — and
+//! nothing else: its knobs ([`DeciderConfig`](crate::DeciderConfig)), the
+//! safe range, the node id and the event sink are the cluster's and the
+//! engine's, and reach every call that needs them as a [`NodeCtx`].
 
-use penelope_trace::{EventKind, NodeClass, Stamper};
-use penelope_units::{NodeId, Power, PowerRange, SimTime};
+use penelope_trace::{EventKind, NodeClass};
+use penelope_units::{NodeId, Power, SimTime};
 
-use crate::config::DeciderConfig;
 use crate::discovery::PeerTable;
+use crate::engine::NodeCtx;
 use crate::policy::{DeciderPolicy, PredictiveConfig};
 use crate::pool::PowerPool;
 
@@ -120,7 +125,7 @@ pub struct DeciderStats {
 
 /// How many recent applied sequence numbers are remembered exactly; grants
 /// older than this window below `next_seq` are rejected wholesale (treated
-/// as already applied), which is what keeps [`LocalDecider`]'s dedup set
+/// as already applied), which is what keeps [`LocalDecider`]'s dedup list
 /// O(outstanding) instead of O(lifetime requests). The decider has at most
 /// one request outstanding and the escrow deadline spans a handful of
 /// periods, so a legitimate late grant is always far younger than this.
@@ -137,22 +142,22 @@ pub const APPLIED_SEQ_WINDOW: u64 = 64;
 /// While a request is outstanding the decider is *blocked* (the paper's
 /// implementation waits synchronously for the pool's reply); a tick that
 /// arrives first returns [`TickAction::Idle`], and the request is abandoned
-/// after [`DeciderConfig::response_timeout`] so a crashed peer cannot wedge
-/// the node.
+/// after [`response_timeout`](crate::DeciderConfig::response_timeout) so a
+/// crashed peer cannot wedge the node.
 #[derive(Clone, Debug)]
 pub struct LocalDecider {
-    cfg: DeciderConfig,
     initial_cap: Power,
     cap: Power,
-    safe: PowerRange,
     outstanding: Option<Outstanding>,
     next_seq: u64,
     /// Sequence numbers whose non-zero grant has already been applied.
     /// A lossy transport can redeliver a grant (the granter re-sends its
     /// escrowed amount when a retransmitted request arrives); applying it
     /// twice would mint power, so redeliveries are discarded by `seq`.
-    /// Bounded: seqs below `seq_floor` are rejected without lookup.
-    applied_seqs: std::collections::HashSet<u64>,
+    /// Bounded: seqs below `seq_floor` are rejected without lookup, so
+    /// this never holds more than [`APPLIED_SEQ_WINDOW`] of them — few
+    /// enough that a scan beats hashing, in the order they were applied.
+    applied_seqs: Vec<u64>,
     /// Grants with `seq < seq_floor` are stale and discarded. Raised in two
     /// ways: a restarted node adopts its pre-crash `next_seq` watermark here
     /// (the seq-epoch rule — stale pre-crash grants and escrow re-sends can
@@ -167,26 +172,23 @@ pub struct LocalDecider {
     /// phase-change jump detector. `None` until the first iteration.
     prev_reading: Option<Power>,
     stats: DeciderStats,
-    node: NodeId,
 }
 
 impl LocalDecider {
-    /// Create a decider with the given initial cap (clamped into `safe`).
-    pub fn new(cfg: DeciderConfig, initial_cap: Power, safe: PowerRange) -> Self {
-        let cap = safe.clamp(initial_cap);
+    /// Create the decider of `ctx`'s node with the given initial cap,
+    /// clamped into the configuration's safe range.
+    pub fn new(ctx: &NodeCtx, initial_cap: Power) -> Self {
+        let cap = ctx.cfg.node.safe_range.clamp(initial_cap);
         LocalDecider {
-            cfg,
             initial_cap: cap,
             cap,
-            safe,
             outstanding: None,
             next_seq: 0,
-            applied_seqs: std::collections::HashSet::new(),
+            applied_seqs: Vec::new(),
             seq_floor: 0,
             forecast: Power::ZERO,
             prev_reading: None,
             stats: DeciderStats::default(),
-            node: NodeId::new(0),
         }
     }
 
@@ -201,15 +203,6 @@ impl LocalDecider {
         self
     }
 
-    /// Stamp every emitted event with `node`. The decider is where the
-    /// protocol *decides*, so it is the single emission site for
-    /// classification, pool deposit/withdraw, request sent/timeout, grant
-    /// applied and urgency-cleared events on every substrate.
-    pub fn with_node(mut self, node: NodeId) -> Self {
-        self.node = node;
-        self
-    }
-
     /// The node-level cap the decider currently wants enforced (`C_t`).
     pub fn cap(&self) -> Power {
         self.cap
@@ -218,11 +211,6 @@ impl LocalDecider {
     /// The initial assignment — the urgency threshold.
     pub fn initial_cap(&self) -> Power {
         self.initial_cap
-    }
-
-    /// The decider's configuration.
-    pub fn config(&self) -> &DeciderConfig {
-        &self.cfg
     }
 
     /// Lifetime counters.
@@ -249,14 +237,14 @@ impl LocalDecider {
         seq < self.seq_floor
     }
 
-    /// Size of the applied-seq dedup set — bounded by
+    /// Size of the applied-seq dedup list — bounded by
     /// [`APPLIED_SEQ_WINDOW`], proven in the memory-boundedness test.
     pub fn applied_seq_count(&self) -> usize {
         self.applied_seqs.len()
     }
 
     /// Has the non-zero grant for `seq` already been applied? True for
-    /// seqs in the dedup set *or* below the floor (everything below the
+    /// seqs in the dedup list *or* below the floor (everything below the
     /// floor is treated as already paid). Hosts use this to recognise a
     /// redelivered grant *before* handing it to
     /// [`on_grant`](LocalDecider::on_grant), e.g. to avoid double-reporting
@@ -309,20 +297,21 @@ impl LocalDecider {
     /// margin case assumes tracing is off (the skipped `Classified`
     /// emissions are observable) — observer-bearing hosts must not elide.
     #[inline]
-    pub fn quiescent_until(&self, now: SimTime, reading: Power) -> Option<SimTime> {
+    pub fn quiescent_until(&self, ctx: &NodeCtx, now: SimTime, reading: Power) -> Option<SimTime> {
+        let cfg = ctx.knobs();
         if let Some(out) = self.outstanding {
-            let wait = self.cfg.response_timeout * (1u64 << out.attempt.min(16));
+            let wait = cfg.response_timeout * (1u64 << out.attempt.min(16));
             let due = out.sent_at + wait;
             return (now < due).then_some(due);
         }
-        if matches!(self.cfg.policy, DeciderPolicy::Predictive(_)) {
+        if matches!(cfg.policy, DeciderPolicy::Predictive(_)) {
             // Every executed predictive iteration moves the forecast EWMA,
             // so an unblocked tick is never a pure no-op — even at the
             // margin. (Blocked ticks early-return before the forecast
             // update, which is what keeps the branch above sound.)
             return None;
         }
-        (classify(reading, self.cap, self.cfg.epsilon) == Classification::AtMargin)
+        (classify(reading, self.cap, cfg.epsilon) == Classification::AtMargin)
             .then_some(SimTime::MAX)
     }
 
@@ -338,7 +327,7 @@ impl LocalDecider {
 
     /// One iteration of Algorithm 1.
     ///
-    /// * `trace` — the node's event sink.
+    /// * `ctx` — the node's identity, knobs, safe range and event sink.
     /// * `now` — current virtual time.
     /// * `reading` — average power since the previous tick.
     /// * `pool` — the co-located power pool.
@@ -348,32 +337,33 @@ impl LocalDecider {
     ///   before the retransmit or abandonment it causes is narrated.
     pub fn tick(
         &mut self,
-        trace: &Stamper,
+        ctx: &NodeCtx,
         now: SimTime,
         reading: Power,
         pool: &mut PowerPool,
         peer: Option<NodeId>,
         peers: &mut PeerTable,
     ) -> TickAction {
+        let cfg = ctx.knobs();
         self.stats.ticks += 1;
 
         // A decider blocked on an in-flight request does not iterate; once
         // the (attempt-scaled) timeout passes the request is retransmitted
         // verbatim while attempts remain, then abandoned.
         if let Some(out) = self.outstanding {
-            let wait = self.cfg.response_timeout * (1u64 << out.attempt.min(16));
+            let wait = cfg.response_timeout * (1u64 << out.attempt.min(16));
             if now.saturating_since(out.sent_at) >= wait {
                 // Every elapsed wait (retransmit or abandonment) is one
                 // timeout signal against the peer the request went to.
-                peers.note_timeout(trace, now, out.dst);
-                if out.attempt < self.cfg.max_retransmits {
+                peers.note_timeout(ctx, now, out.dst);
+                if out.attempt < cfg.max_retransmits {
                     self.outstanding = Some(Outstanding {
                         sent_at: now,
                         attempt: out.attempt + 1,
                         ..out
                     });
                     self.stats.retransmits += 1;
-                    trace.emit(now, self.node, || EventKind::RequestSent {
+                    ctx.emit(now, || EventKind::RequestSent {
                         dst: out.dst,
                         urgent: out.urgent,
                         alpha: out.alpha,
@@ -389,9 +379,7 @@ impl LocalDecider {
                 }
                 self.outstanding = None;
                 self.stats.timeouts += 1;
-                trace.emit(now, self.node, || EventKind::RequestTimeout {
-                    seq: out.seq,
-                });
+                ctx.emit(now, || EventKind::RequestTimeout { seq: out.seq });
             } else {
                 return TickAction::Idle;
             }
@@ -402,17 +390,17 @@ impl LocalDecider {
         // verbatim); the predictive policy plans on `max(reading,
         // forecast)` so it sheds only down to forecast demand and goes
         // hungry *before* a predicted rise throttles it.
-        let planning = match self.cfg.policy {
+        let planning = match cfg.policy {
             DeciderPolicy::Predictive(p) => {
-                self.update_forecast(trace, now, reading, p);
+                self.update_forecast(ctx, now, reading, p);
                 reading.max(self.forecast)
             }
             _ => reading,
         };
 
-        let classification = classify(planning, self.cap, self.cfg.epsilon);
+        let classification = classify(planning, self.cap, cfg.epsilon);
         let cap_before = self.cap;
-        trace.emit(now, self.node, || EventKind::Classified {
+        ctx.emit(now, || EventKind::Classified {
             class: classification.as_trace(),
             reading,
             cap: cap_before,
@@ -424,15 +412,15 @@ impl LocalDecider {
                 // shed is deposited, keeping the exchange zero-sum. An
                 // optional headroom parks the cap above the reading (never
                 // above the current cap).
-                let new_cap = (planning + self.cfg.shed_headroom)
+                let new_cap = (planning + cfg.shed_headroom)
                     .min(self.cap)
-                    .max(self.safe.min());
+                    .max(ctx.cfg.node.safe_range.min());
                 let freed = self.cap.saturating_sub(new_cap);
                 self.cap = new_cap;
                 pool.deposit(freed);
                 self.stats.deposited += freed;
                 let pool_after = pool.available();
-                trace.emit(now, self.node, || EventKind::PoolDeposit {
+                ctx.emit(now, || EventKind::PoolDeposit {
                     amount: freed,
                     pool: pool_after,
                 });
@@ -443,14 +431,14 @@ impl LocalDecider {
                     // Local pool first: Δ = min(Pool, getMaxSize(Pool)).
                     let delta = pool.take_local();
                     let pool_after = pool.available();
-                    trace.emit(now, self.node, || EventKind::PoolWithdraw {
+                    ctx.emit(now, || EventKind::PoolWithdraw {
                         amount: delta,
                         pool: pool_after,
                     });
-                    let applied = self.raise_cap(trace, now, delta, pool);
+                    let applied = self.raise_cap(ctx, now, delta, pool);
                     TickAction::TookLocal(applied)
                 } else if let Some(dst) = peer {
-                    let (urgent, alpha, bid) = self.request_shape(planning);
+                    let (urgent, alpha, bid) = self.request_shape(ctx, planning);
                     let seq = self.next_seq;
                     self.next_seq += 1;
                     self.outstanding = Some(Outstanding {
@@ -467,9 +455,9 @@ impl LocalDecider {
                         self.stats.urgent_sent += 1;
                     }
                     if !bid.is_zero() {
-                        trace.emit(now, self.node, || EventKind::BidPlaced { seq, bid });
+                        ctx.emit(now, || EventKind::BidPlaced { seq, bid });
                     }
-                    trace.emit(now, self.node, || EventKind::RequestSent {
+                    ctx.emit(now, || EventKind::RequestSent {
                         dst,
                         urgent,
                         alpha,
@@ -489,7 +477,7 @@ impl LocalDecider {
             Classification::AtMargin => TickAction::Idle,
         };
 
-        self.finish_iteration(trace, now, classification, pool);
+        self.finish_iteration(ctx, now, classification, pool);
         action
     }
 
@@ -504,7 +492,7 @@ impl LocalDecider {
     /// discarded and contributes nothing, so one debit can never pay twice.
     pub fn on_grant(
         &mut self,
-        trace: &Stamper,
+        ctx: &NodeCtx,
         now: SimTime,
         seq: u64,
         amount: Power,
@@ -518,13 +506,14 @@ impl LocalDecider {
             self.stats.stale_discards += 1;
             return Power::ZERO;
         }
-        if !amount.is_zero() && !self.applied_seqs.insert(seq) {
-            return Power::ZERO; // duplicate redelivery; already paid
-        }
         if !amount.is_zero() {
+            if self.applied_seqs.contains(&seq) {
+                return Power::ZERO; // duplicate redelivery; already paid
+            }
+            self.applied_seqs.push(seq);
             // Low-watermark prune: everything below the window is rejected
             // by the floor check above, so remembering it exactly is
-            // redundant — the set stays O(window), not O(lifetime).
+            // redundant — the list stays O(window), not O(lifetime).
             let floor = self.next_seq.saturating_sub(APPLIED_SEQ_WINDOW);
             if floor > self.seq_floor {
                 self.seq_floor = floor;
@@ -537,8 +526,8 @@ impl LocalDecider {
             }
         }
         self.stats.granted += amount;
-        let applied = self.raise_cap(trace, now, amount, pool);
-        trace.emit(now, self.node, || EventKind::GrantApplied {
+        let applied = self.raise_cap(ctx, now, amount, pool);
+        ctx.emit(now, || EventKind::GrantApplied {
             seq,
             granted: amount,
             applied,
@@ -547,12 +536,13 @@ impl LocalDecider {
     }
 
     /// Shape a fresh peer request under the active policy: (urgent, α, bid).
-    fn request_shape(&self, planning: Power) -> (bool, Power, Power) {
-        match self.cfg.policy {
+    fn request_shape(&self, ctx: &NodeCtx, planning: Power) -> (bool, Power, Power) {
+        let cfg = ctx.knobs();
+        match cfg.policy {
             DeciderPolicy::Urgency => {
                 // Algorithm 1 verbatim: urgent iff below the initial cap,
                 // α only rides on urgent requests.
-                let urgent = self.cfg.enable_urgency && self.cap < self.initial_cap;
+                let urgent = cfg.enable_urgency && self.cap < self.initial_cap;
                 let alpha = if urgent {
                     self.initial_cap - self.cap
                 } else {
@@ -566,7 +556,7 @@ impl LocalDecider {
                 // the forecast says demand is headed there, and a
                 // non-urgent request still advertises the predicted
                 // deficit as a sizing hint.
-                let urgent = self.cfg.enable_urgency && self.cap < self.initial_cap;
+                let urgent = cfg.enable_urgency && self.cap < self.initial_cap;
                 let deficit = planning.saturating_sub(self.cap);
                 let alpha = if urgent {
                     (self.initial_cap - self.cap).max(deficit)
@@ -581,7 +571,7 @@ impl LocalDecider {
                 // under scarcity the worst-off node outbids its peers; α
                 // carries the shortfall as the granter's clearing clamp.
                 let deficit = self.initial_cap.saturating_sub(self.cap);
-                let alpha = deficit.max(self.cfg.epsilon);
+                let alpha = deficit.max(cfg.epsilon);
                 (false, alpha, m.base_bid + deficit)
             }
         }
@@ -592,7 +582,7 @@ impl LocalDecider {
     /// step (or the very first reading) snaps the forecast straight there.
     fn update_forecast(
         &mut self,
-        trace: &Stamper,
+        ctx: &NodeCtx,
         now: SimTime,
         reading: Power,
         cfg: PredictiveConfig,
@@ -602,7 +592,7 @@ impl LocalDecider {
             Some(prev) => {
                 if reading.abs_diff(prev) >= cfg.jump_threshold {
                     let forecast_before = self.forecast;
-                    trace.emit(now, self.node, || EventKind::ForecastJump {
+                    ctx.emit(now, || EventKind::ForecastJump {
                         forecast: forecast_before,
                         reading,
                     });
@@ -626,19 +616,19 @@ impl LocalDecider {
     /// back into the local pool.
     fn raise_cap(
         &mut self,
-        trace: &Stamper,
+        ctx: &NodeCtx,
         now: SimTime,
         delta: Power,
         pool: &mut PowerPool,
     ) -> Power {
-        let new_cap = (self.cap + delta).min(self.safe.max());
+        let new_cap = (self.cap + delta).min(ctx.cfg.node.safe_range.max());
         let applied = new_cap - self.cap;
         let overflow = delta - applied;
         self.cap = new_cap;
         if !overflow.is_zero() {
             pool.deposit(overflow);
             let pool_after = pool.available();
-            trace.emit(now, self.node, || EventKind::PoolDeposit {
+            ctx.emit(now, || EventKind::PoolDeposit {
                 amount: overflow,
                 pool: pool_after,
             });
@@ -651,7 +641,7 @@ impl LocalDecider {
     /// itself urgent, in which case the flag persists until it is not.
     fn finish_iteration(
         &mut self,
-        trace: &Stamper,
+        ctx: &NodeCtx,
         now: SimTime,
         classification: Classification,
         pool: &mut PowerPool,
@@ -672,20 +662,21 @@ impl LocalDecider {
             self.stats.urgency_released += delta;
             released = delta;
             let pool_after = pool.available();
-            trace.emit(now, self.node, || EventKind::PoolDeposit {
+            ctx.emit(now, || EventKind::PoolDeposit {
                 amount: delta,
                 pool: pool_after,
             });
         }
-        trace.emit(now, self.node, || EventKind::UrgencyCleared { released });
+        ctx.emit(now, || EventKind::UrgencyCleared { released });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::DeciderConfig;
     use crate::discovery::rig::Rig;
-    use penelope_units::SimDuration;
+    use penelope_units::{PowerRange, SimDuration};
     use proptest::prelude::*;
 
     fn w(x: u64) -> Power {

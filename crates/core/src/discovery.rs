@@ -45,10 +45,10 @@
 //! for a held gossip hint. The randomness seam is [`EngineRng`], which the
 //! testkit's deterministic PRNG implements by delegation.
 
-use penelope_trace::{EventKind, Stamper};
-use penelope_units::{NodeId, SimDuration, SimTime};
+use penelope_trace::EventKind;
+use penelope_units::{NodeId, SimTime};
 
-use crate::config::DeciderConfig;
+use crate::engine::NodeCtx;
 use crate::protocol::{SuspicionDigest, SuspicionEntry, MAX_DIGEST_ENTRIES};
 
 /// The randomness a [`NodeEngine`](crate::engine::NodeEngine) consumes:
@@ -293,13 +293,13 @@ impl PeerRecord {
 }
 
 /// Everything one node knows about its peers — see the [module docs](self).
+///
+/// Whose table it is, the size of the cluster it picks from and the three
+/// knobs it runs under (`suspect_after`, `probe_interval`,
+/// `gossip_digest`) are not kept here: they are the engine's and the
+/// cluster's, and every call that needs one takes the [`NodeCtx`].
 #[derive(Clone, Debug)]
 pub struct PeerTable {
-    node: NodeId,
-    cluster_size: usize,
-    suspect_after: u32,
-    probe_interval: SimDuration,
-    gossip_digest: usize,
     /// Sparse, and ascending by peer so a digest needs no sort.
     records: Vec<PeerRecord>,
     /// How many records hold a suspicion, and how many a running timeout
@@ -314,19 +314,14 @@ pub struct PeerTable {
 }
 
 impl PeerTable {
-    /// The empty table of `node` in a cluster of `cluster_size`, under
-    /// `cfg`'s `suspect_after`, `probe_interval` and `gossip_digest`.
-    pub fn new(node: NodeId, cluster_size: usize, cfg: &DeciderConfig) -> Self {
+    /// The empty table of `ctx`'s node: its round-robin cursor starts at
+    /// the next node ring-wise in `ctx`'s cluster.
+    pub fn new(ctx: &NodeCtx) -> Self {
         PeerTable {
-            node,
-            cluster_size,
-            suspect_after: cfg.suspect_after,
-            probe_interval: cfg.probe_interval,
-            gossip_digest: cfg.gossip_digest,
             records: Vec::new(),
             suspected: 0,
             streaking: 0,
-            rr_cursor: initial_rr_cursor(node.raw(), cluster_size as u32),
+            rr_cursor: initial_rr_cursor(ctx.node.raw(), ctx.cluster_size as u32),
             last_success: None,
         }
     }
@@ -374,8 +369,8 @@ impl PeerTable {
     /// was abandoned): extend the streak, and at `suspect_after` (zero
     /// disables the layer) suspect the peer against the newest incarnation
     /// known for it. A repeat timeout only restarts the probe clock.
-    pub fn note_timeout(&mut self, trace: &Stamper, now: SimTime, peer: NodeId) {
-        let suspect_after = self.suspect_after;
+    pub fn note_timeout(&mut self, ctx: &NodeCtx, now: SimTime, peer: NodeId) {
+        let suspect_after = ctx.knobs().suspect_after;
         if suspect_after == 0 {
             return;
         }
@@ -390,13 +385,13 @@ impl PeerTable {
         self.streaking += usize::from(streak == 1);
         if fresh {
             self.suspected += 1;
-            trace.emit(now, self.node, || EventKind::PeerSuspected { peer });
+            ctx.emit(now, || EventKind::PeerSuspected { peer });
         }
     }
 
     /// Any reply from `peer` — even a zero grant — proves it alive: the
     /// streak resets and a suspicion is cleared.
-    pub fn note_reply(&mut self, trace: &Stamper, now: SimTime, peer: NodeId) {
+    pub fn note_reply(&mut self, ctx: &NodeCtx, now: SimTime, peer: NodeId) {
         if self.suspected + self.streaking == 0 {
             return; // nothing a reply could clear
         }
@@ -405,7 +400,7 @@ impl PeerTable {
             self.streaking -= usize::from(std::mem::take(&mut r.timeout_streak) > 0);
             if r.suspicion.take().is_some() {
                 self.suspected -= 1;
-                trace.emit(now, self.node, || EventKind::PeerCleared { peer });
+                ctx.emit(now, || EventKind::PeerCleared { peer });
             }
             self.prune(at);
         }
@@ -421,36 +416,36 @@ impl PeerTable {
 
     /// `Some(filtering?)` iff `r` holds a suspicion: it filters selection
     /// while younger than `probe_interval`.
-    fn filtering(&self, now: SimTime, r: &PeerRecord) -> Option<bool> {
+    fn filtering(ctx: &NodeCtx, now: SimTime, r: &PeerRecord) -> Option<bool> {
         let s = r.suspicion?;
-        Some(now.saturating_since(s.since) < self.probe_interval)
+        Some(now.saturating_since(s.since) < ctx.knobs().probe_interval)
     }
 
     /// [`filtering`](Self::filtering) for `peer`, by lookup.
-    fn suspicion_of(&self, now: SimTime, peer: NodeId) -> Option<bool> {
+    fn suspicion_of(&self, ctx: &NodeCtx, now: SimTime, peer: NodeId) -> Option<bool> {
         if self.suspected == 0 {
             return None;
         }
-        self.filtering(now, self.get(peer)?)
+        Self::filtering(ctx, now, self.get(peer)?)
     }
 
     /// Is `peer` filtered out of selection right now?
-    pub fn is_suspected(&self, now: SimTime, peer: NodeId) -> bool {
-        self.suspicion_of(now, peer) == Some(true)
+    pub fn is_suspected(&self, ctx: &NodeCtx, now: SimTime, peer: NodeId) -> bool {
+        self.suspicion_of(ctx, now, peer) == Some(true)
     }
 
     /// Has a suspicion of `peer` outlived `probe_interval`? A request sent
     /// to it now is the probe that clears (any reply) or re-confirms
     /// (another timeout) the suspicion.
-    pub fn is_probing(&self, now: SimTime, peer: NodeId) -> bool {
-        self.suspicion_of(now, peer) == Some(false)
+    pub fn is_probing(&self, ctx: &NodeCtx, now: SimTime, peer: NodeId) -> bool {
+        self.suspicion_of(ctx, now, peer) == Some(false)
     }
 
     /// True iff any peer is filtered right now — the gate that keeps
     /// fault-free selection on the paper's single blind draw.
-    pub fn suspicion_active(&self, now: SimTime) -> bool {
+    pub fn suspicion_active(&self, ctx: &NodeCtx, now: SimTime) -> bool {
         let mut all = self.records.iter();
-        self.suspected != 0 && all.any(|r| self.filtering(now, r) == Some(true))
+        self.suspected != 0 && all.any(|r| Self::filtering(ctx, now, r) == Some(true))
     }
 
     /// Peers a suspicion is held against (filtering or awaiting a probe).
@@ -463,8 +458,8 @@ impl PeerTable {
     /// node's seq-epoch floor). `None` when gossip is off or there is
     /// nothing to say, so fault-free fresh clusters attach — and allocate
     /// — nothing.
-    pub fn digest(&self, own_incarnation: u64) -> Option<Box<SuspicionDigest>> {
-        let limit = self.gossip_digest.min(MAX_DIGEST_ENTRIES);
+    pub fn digest(&self, ctx: &NodeCtx, own_incarnation: u64) -> Option<Box<SuspicionDigest>> {
+        let limit = ctx.knobs().gossip_digest.min(MAX_DIGEST_ENTRIES);
         if limit == 0 || (self.suspected == 0 && own_incarnation == 0) {
             return None;
         }
@@ -496,12 +491,12 @@ impl PeerTable {
     /// exactly the dissemination layer.
     pub fn merge_digest(
         &mut self,
-        trace: &Stamper,
+        ctx: &NodeCtx,
         now: SimTime,
         src: NodeId,
         digest: &SuspicionDigest,
     ) {
-        if self.gossip_digest == 0 {
+        if ctx.knobs().gossip_digest == 0 {
             return;
         }
         // (Incarnation zero is what an absent record already says, and it
@@ -512,20 +507,20 @@ impl PeerTable {
             if r.suspicion
                 .is_some_and(|s| s.incarnation < digest.incarnation)
             {
-                self.refute(trace, now, src);
+                self.refute(ctx, now, src);
             }
         }
         for entry in digest.entries.iter().take(MAX_DIGEST_ENTRIES) {
             let (peer, incarnation) = (entry.peer, entry.incarnation);
             // No one may gossip us into suspecting ourselves, and a
             // sender's claim about itself is nonsense.
-            if peer == self.node || peer == src {
+            if peer == ctx.node || peer == src {
                 continue;
             }
             let r = self.record(peer);
             if incarnation < r.incarnation {
                 if r.suspicion.is_some_and(|s| s.incarnation < r.incarnation) {
-                    self.refute(trace, now, peer);
+                    self.refute(ctx, now, peer);
                 }
                 continue;
             }
@@ -537,7 +532,7 @@ impl PeerTable {
                     r.suspicion = Some(Suspicion { since, incarnation });
                     self.suspected += 1;
                     let gossiped = EventKind::SuspicionGossiped { peer, via: src };
-                    trace.emit(now, self.node, || gossiped);
+                    ctx.emit(now, || gossiped);
                 }
             }
         }
@@ -545,13 +540,13 @@ impl PeerTable {
 
     /// Drop the suspicion held of `peer`, on incarnation evidence (which
     /// is itself evidence: the record stays).
-    fn refute(&mut self, trace: &Stamper, now: SimTime, peer: NodeId) {
+    fn refute(&mut self, ctx: &NodeCtx, now: SimTime, peer: NodeId) {
         let r = self.record(peer);
         r.suspicion = None;
         let streak = std::mem::take(&mut r.timeout_streak);
         self.streaking -= usize::from(streak > 0);
         self.suspected -= 1;
-        trace.emit(now, self.node, || EventKind::SuspicionRefuted { peer });
+        ctx.emit(now, || EventKind::SuspicionRefuted { peer });
     }
 
     /// `peer` acknowledged the grant for its request `seq`: that exchange
@@ -597,6 +592,7 @@ impl PeerTable {
     /// peers.
     pub fn pick<R: EngineRng>(
         &mut self,
+        ctx: &NodeCtx,
         strategy: DiscoveryStrategy,
         rng: &mut R,
         now: SimTime,
@@ -617,15 +613,15 @@ impl PeerTable {
         };
         let excluded = held
             .iter()
-            .take_while(|r| r.peer.index() < self.cluster_size)
-            .filter(|r| r.peer != self.node && self.filtering(now, r) == Some(true))
+            .take_while(|r| r.peer.index() < ctx.cluster_size)
+            .filter(|r| r.peer != ctx.node && Self::filtering(ctx, now, r) == Some(true))
             .map(|r| r.peer.raw());
         let mut cursor = self.rr_cursor;
         let peer = select(
             strategy,
             rng,
-            self.node.index(),
-            self.cluster_size,
+            ctx.node.index(),
+            ctx.cluster_size,
             &mut cursor,
             self.last_success,
             excluded,
@@ -694,20 +690,20 @@ mod tests {
 
     #[test]
     fn records_track_evidence_not_history() {
-        let cfg = DeciderConfig::default();
-        let trace = Stamper::new(penelope_trace::SharedObserver::noop(), cfg.period);
-        let mut t = PeerTable::new(NodeId::new(0), 8, &cfg);
+        let noop = penelope_trace::SharedObserver::noop();
+        let ctx = NodeCtx::new(NodeId::new(0), 8, crate::EngineConfig::default(), noop);
+        let mut t = PeerTable::new(&ctx);
         let (now, peer) = (SimTime::from_secs(1), NodeId::new(3));
         // A streak a reply cleared, and a digest that proves nothing new,
         // leave nothing behind; an acked floor does.
-        t.note_timeout(&trace, now, peer);
+        t.note_timeout(&ctx, now, peer);
         assert_eq!(t.records.len(), 1);
-        t.note_reply(&trace, now, peer);
-        t.merge_digest(&trace, now, peer, &SuspicionDigest::default());
+        t.note_reply(&ctx, now, peer);
+        t.merge_digest(&ctx, now, peer, &SuspicionDigest::default());
         assert!(t.records.is_empty());
         t.note_ack(peer, 0);
-        t.note_timeout(&trace, now, peer);
-        t.note_reply(&trace, now, peer);
+        t.note_timeout(&ctx, now, peer);
+        t.note_reply(&ctx, now, peer);
         assert_eq!(t.records.len(), 1);
         assert!(t.already_acked(peer, 0));
     }
@@ -745,14 +741,17 @@ mod tests {
     }
 }
 
-/// A decider wired to the peer table and event sink its calls need, under
-/// the call shapes the decider had when it held both — so the liveness and
-/// gossip tests that moved here with the table read as they always did.
+/// A decider wired to the peer table and node context its calls need,
+/// under the call shapes the decider had when it held both — so the
+/// liveness and gossip tests that moved here with the table read as they
+/// always did.
 #[cfg(test)]
 pub(crate) mod rig {
     use super::*;
+    use crate::config::{DeciderConfig, NodeParams};
     use crate::decider::{LocalDecider, TickAction};
     use crate::pool::PowerPool;
+    use crate::EngineConfig;
     use penelope_trace::SharedObserver;
     use penelope_units::{Power, PowerRange};
 
@@ -760,15 +759,22 @@ pub(crate) mod rig {
     pub(crate) struct Rig {
         pub(crate) d: LocalDecider,
         pub(crate) peers: PeerTable,
-        pub(crate) trace: Stamper,
+        pub(crate) ctx: NodeCtx,
     }
 
     impl Rig {
         pub(crate) fn new(cfg: DeciderConfig, initial_cap: Power, safe: PowerRange) -> Self {
+            let params = NodeParams {
+                decider: cfg,
+                safe_range: safe,
+                ..NodeParams::default()
+            };
+            let noop = SharedObserver::noop();
+            let ctx = NodeCtx::new(NodeId::new(0), 16, EngineConfig::new(params), noop);
             Rig {
-                d: LocalDecider::new(cfg, initial_cap, safe),
-                peers: PeerTable::new(NodeId::new(0), 16, &cfg),
-                trace: Stamper::new(SharedObserver::noop(), cfg.period),
+                d: LocalDecider::new(&ctx, initial_cap),
+                peers: PeerTable::new(&ctx),
+                ctx,
             }
         }
 
@@ -778,11 +784,17 @@ pub(crate) mod rig {
         }
 
         pub(crate) fn with_observer(mut self, node: NodeId, obs: SharedObserver) -> Self {
-            let cfg = *self.d.config();
-            self.d = self.d.with_node(node);
-            self.peers = PeerTable::new(node, 16, &cfg);
-            self.trace = Stamper::new(obs, cfg.period);
+            self.ctx = NodeCtx::new(node, 16, self.ctx.cfg.clone(), obs);
+            self.peers = PeerTable::new(&self.ctx);
             self
+        }
+
+        pub(crate) fn config(&self) -> &DeciderConfig {
+            self.ctx.knobs()
+        }
+
+        pub(crate) fn quiescent_until(&self, now: SimTime, reading: Power) -> Option<SimTime> {
+            self.d.quiescent_until(&self.ctx, now, reading)
         }
 
         pub(crate) fn tick(
@@ -793,7 +805,7 @@ pub(crate) mod rig {
             peer: Option<NodeId>,
         ) -> TickAction {
             self.d
-                .tick(&self.trace, now, reading, pool, peer, &mut self.peers)
+                .tick(&self.ctx, now, reading, pool, peer, &mut self.peers)
         }
 
         pub(crate) fn on_grant(
@@ -803,19 +815,19 @@ pub(crate) mod rig {
             amount: Power,
             pool: &mut PowerPool,
         ) -> Power {
-            self.d.on_grant(&self.trace, now, seq, amount, pool)
+            self.d.on_grant(&self.ctx, now, seq, amount, pool)
         }
 
         pub(crate) fn note_peer_reply(&mut self, now: SimTime, peer: NodeId) {
-            self.peers.note_reply(&self.trace, now, peer);
+            self.peers.note_reply(&self.ctx, now, peer);
         }
 
         pub(crate) fn is_suspected(&self, now: SimTime, peer: NodeId) -> bool {
-            self.peers.is_suspected(now, peer)
+            self.peers.is_suspected(&self.ctx, now, peer)
         }
 
         pub(crate) fn suspicion_active(&self, now: SimTime) -> bool {
-            self.peers.suspicion_active(now)
+            self.peers.suspicion_active(&self.ctx, now)
         }
 
         pub(crate) fn suspected_count(&self) -> usize {
@@ -827,7 +839,7 @@ pub(crate) mod rig {
         }
 
         pub(crate) fn make_digest(&self) -> Option<Box<SuspicionDigest>> {
-            self.peers.digest(self.d.incarnation())
+            self.peers.digest(&self.ctx, self.d.incarnation())
         }
 
         pub(crate) fn observe_digest(
@@ -836,7 +848,7 @@ pub(crate) mod rig {
             src: NodeId,
             digest: &SuspicionDigest,
         ) {
-            self.peers.merge_digest(&self.trace, now, src, digest);
+            self.peers.merge_digest(&self.ctx, now, src, digest);
         }
     }
 
@@ -858,9 +870,10 @@ pub(crate) mod rig {
 mod churn_tests {
     use super::rig::Rig;
     use super::*;
+    use crate::config::DeciderConfig;
     use crate::decider::TickAction;
     use crate::pool::PowerPool;
-    use penelope_units::{Power, PowerRange};
+    use penelope_units::{Power, PowerRange, SimDuration};
 
     fn w(x: u64) -> Power {
         Power::from_watts_u64(x)
@@ -1101,6 +1114,7 @@ mod churn_tests {
 mod gossip_tests {
     use super::rig::Rig;
     use super::*;
+    use crate::config::DeciderConfig;
     use crate::decider::TickAction;
     use crate::pool::PowerPool;
     use penelope_trace::RingBufferObserver;

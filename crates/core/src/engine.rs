@@ -56,11 +56,31 @@
 //! an [`EngineInput::GrantOutcome`] for every [`EngineOutput::SendGrant`]
 //! — the obligation `step` exists to discharge. Either way the one
 //! reusable buffer keeps the hot path allocation-free.
+//!
+//! # What an engine stores
+//!
+//! A sharded run holds 10^5–10^6 engines, so `size_of::<NodeEngine>()` is
+//! a memory budget (424 bytes, pinned with its parts in
+//! `tests/peer_table.rs`). Everything that is constant across the cluster
+//! — the [`EngineConfig`]: decider knobs, pool limiter, safe range,
+//! discovery strategy — is stored once per cluster behind an [`Arc`]; an
+//! engine holds the 8-byte handle inside its [`NodeCtx`], beside the three
+//! things that say which node this is (id, cluster size, event sink), and
+//! lends that context to the decider and the peer table on every call.
+//! The rest is state that differs from node to node: the decider's caps,
+//! outstanding request, seq namespace and counters (200 bytes), the pool
+//! (88, including the one configuration copy left — its 24-byte limiter,
+//! because a [`PowerPool`] is also driven on its own), the peer table (56)
+//! and the escrow (24). The two tables a node keeps about *itself* — the
+//! escrow and the decider's applied-seq window — are plain `Vec`s: they
+//! hold a handful of entries, so nothing inside an engine hashes.
+
+use std::sync::Arc;
 
 use penelope_trace::{EventKind, SharedObserver, Stamper};
 use penelope_units::{NodeId, Power, SimTime};
 
-use crate::config::NodeParams;
+use crate::config::{DeciderConfig, NodeParams};
 use crate::decider::{DeciderStats, LocalDecider, TickAction};
 use crate::discovery::{DiscoveryStrategy, EngineRng, PeerTable};
 use crate::escrow::{EscrowState, GrantEscrow};
@@ -77,6 +97,10 @@ use crate::protocol::{GrantAck, PeerMsg, PowerGrant, PowerRequest, SuspicionDige
 /// watermark all express "start the sequence namespace at `floor`" via
 /// [`EngineConfig::with_seq_floor`], replacing the three per-substrate
 /// spellings that preceded the engine.
+///
+/// It is a constant of the *cluster*: a driver builds one, wraps it in an
+/// [`Arc`] and hands every engine a clone of the handle, so 152 bytes of
+/// knobs are stored once, not once per node (see [`NodeCtx`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct EngineConfig {
     /// Decider, pool and safe-range parameters (Algorithms 1 and 2).
@@ -85,7 +109,9 @@ pub struct EngineConfig {
     pub discovery: DiscoveryStrategy,
     /// Starting sequence-namespace floor: seqs below it are permanently
     /// stale. Zero for a fresh node; a rejoining node passes its
-    /// pre-crash `next_seq` watermark.
+    /// pre-crash `next_seq` watermark. Read once, when an engine is
+    /// built: the floor a node lives under afterwards is its own state
+    /// ([`NodeEngine::next_seq`] is the watermark it has reached).
     pub seq_floor: u64,
 }
 
@@ -281,18 +307,67 @@ pub trait Effects<R> {
     fn resolved(&mut self, seq: u64, amount: Power);
 }
 
+/// What no input changes about a node: who it is, in which cluster, under
+/// whose configuration, and where it narrates.
+///
+/// A [`NodeEngine`] owns one and lends it to its parts: [`LocalDecider`]
+/// and [`PeerTable`] keep no copy of the configuration, the node id or the
+/// cluster size — every call of theirs that needs one takes the `ctx`. The
+/// configuration sits behind an [`Arc`], so a cluster of any size stores
+/// one [`EngineConfig`]; what an engine stores per node is this handle and
+/// state that actually differs from node to node.
+#[derive(Clone, Debug)]
+pub struct NodeCtx {
+    pub(crate) node: NodeId,
+    pub(crate) cluster_size: usize,
+    pub(crate) cfg: Arc<EngineConfig>,
+    pub(crate) trace: Stamper,
+}
+
+impl NodeCtx {
+    /// The context of node `node` in a cluster of `cluster_size` client
+    /// nodes configured by `cfg`, narrating to `observer`. Pass an
+    /// `Arc<EngineConfig>` clone to share one configuration between
+    /// nodes; a by-value [`EngineConfig`] gets an `Arc` of its own.
+    pub fn new(
+        node: NodeId,
+        cluster_size: usize,
+        cfg: impl Into<Arc<EngineConfig>>,
+        observer: SharedObserver,
+    ) -> Self {
+        let cfg = cfg.into();
+        let trace = Stamper::new(observer, cfg.node.decider.period);
+        NodeCtx {
+            node,
+            cluster_size,
+            cfg,
+            trace,
+        }
+    }
+
+    /// The decider's knobs (Algorithm 1, liveness, gossip).
+    #[inline]
+    pub(crate) fn knobs(&self) -> &DeciderConfig {
+        &self.cfg.node.decider
+    }
+
+    /// Stamp `kind()` as happening on this node at `now` and deliver it;
+    /// the closure runs only when someone is listening.
+    #[inline]
+    pub(crate) fn emit(&self, now: SimTime, kind: impl FnOnce() -> EventKind) {
+        self.trace.emit(now, self.node, kind);
+    }
+}
+
 /// The complete Penelope node automaton — see the [module docs](self)
 /// for the driver contract.
 #[derive(Debug)]
 pub struct NodeEngine {
-    id: NodeId,
-    cluster_size: usize,
-    cfg: EngineConfig,
+    ctx: NodeCtx,
     decider: LocalDecider,
     pool: PowerPool,
     escrow: GrantEscrow<NodeId>,
     peers: PeerTable,
-    trace: Stamper,
 }
 
 impl NodeEngine {
@@ -300,25 +375,25 @@ impl NodeEngine {
     /// client nodes, starting at `initial_cap` (clamped into the safe
     /// range). Every emitted protocol event is stamped with `id` and
     /// delivered to `observer`.
+    ///
+    /// `cfg` is the cluster's configuration: a driver building many
+    /// engines makes one `Arc<EngineConfig>` and passes a clone of it to
+    /// each, so they share it; a by-value [`EngineConfig`] is accepted too
+    /// and gets an `Arc` of its own.
     pub fn new(
         id: NodeId,
         cluster_size: usize,
-        cfg: EngineConfig,
+        cfg: impl Into<Arc<EngineConfig>>,
         initial_cap: Power,
         observer: SharedObserver,
     ) -> Self {
-        let knobs = &cfg.node.decider;
+        let ctx = NodeCtx::new(id, cluster_size, cfg, observer);
         NodeEngine {
-            id,
-            cluster_size,
-            cfg,
-            decider: LocalDecider::new(*knobs, initial_cap, cfg.node.safe_range)
-                .with_seq_floor(cfg.seq_floor)
-                .with_node(id),
-            pool: PowerPool::new(cfg.node.pool),
+            decider: LocalDecider::new(&ctx, initial_cap).with_seq_floor(ctx.cfg.seq_floor),
+            pool: PowerPool::new(ctx.cfg.node.pool),
             escrow: GrantEscrow::new(),
-            peers: PeerTable::new(id, cluster_size, knobs),
-            trace: Stamper::new(observer, knobs.period),
+            peers: PeerTable::new(&ctx),
+            ctx,
         }
     }
 
@@ -327,22 +402,25 @@ impl NodeEngine {
     /// consumer into their sink after construction (the simulator's
     /// `record_traces`) push the fanout down here.
     pub fn set_observer(&mut self, obs: SharedObserver) {
-        self.trace = Stamper::new(obs, self.cfg.node.decider.period);
+        self.ctx.trace = Stamper::new(obs, self.ctx.knobs().period);
     }
 
     /// The node this engine animates.
     pub fn id(&self) -> NodeId {
-        self.id
+        self.ctx.node
     }
 
     /// Number of client nodes in the cluster (peer-selection domain).
     pub fn cluster_size(&self) -> usize {
-        self.cluster_size
+        self.ctx.cluster_size
     }
 
-    /// The engine's configuration.
+    /// The configuration the engine was built with — the cluster's, shared
+    /// by every engine handed the same `Arc`. Its `seq_floor` is the floor
+    /// this node *started* under; a [`reincarnate`](NodeEngine::reincarnate)
+    /// raises the node's own floor and leaves this untouched.
     pub fn config(&self) -> &EngineConfig {
-        &self.cfg
+        &self.ctx.cfg
     }
 
     /// The cap the decider currently wants enforced.
@@ -435,10 +513,11 @@ impl NodeEngine {
     /// partitions nodes, so any two eliding drivers agree exactly.
     #[inline]
     pub fn tick_quiescent_until(&self, now: SimTime, reading: Power) -> Option<SimTime> {
-        if self.trace.enabled() || !self.peers.selection_is_blind() || self.pool.local_urgency() {
+        if self.ctx.trace.enabled() || !self.peers.selection_is_blind() || self.pool.local_urgency()
+        {
             return None;
         }
-        self.decider.quiescent_until(now, reading)
+        self.decider.quiescent_until(&self.ctx, now, reading)
     }
 
     /// Account `n` ticks elided under a
@@ -457,12 +536,8 @@ impl NodeEngine {
     /// about peers is forgotten; the round-robin cursor survives.
     pub fn reincarnate(&mut self, initial_cap: Power) {
         let floor = self.decider.next_seq();
-        self.cfg.seq_floor = floor;
-        self.decider =
-            LocalDecider::new(self.cfg.node.decider, initial_cap, self.cfg.node.safe_range)
-                .with_seq_floor(floor)
-                .with_node(self.id);
-        self.pool = PowerPool::new(self.cfg.node.pool);
+        self.decider = LocalDecider::new(&self.ctx, initial_cap).with_seq_floor(floor);
+        self.pool = PowerPool::new(self.ctx.cfg.node.pool);
         self.escrow = GrantEscrow::new();
         self.peers.reset();
     }
@@ -575,15 +650,15 @@ impl NodeEngine {
         rng: &mut impl EngineRng,
         out: &mut Vec<EngineOutput>,
     ) {
-        let peer = self.peers.pick(self.cfg.discovery, rng, now);
+        let ctx = &self.ctx;
+        let peer = self.peers.pick(ctx, ctx.cfg.discovery, rng, now);
         // Capture probe-ness at selection time: the tick below may refresh
         // the suspicion clock (a timeout landing this same iteration)
         // after selection already let the probe through.
-        let probing = peer.is_some_and(|p| self.peers.is_probing(now, p));
-        let (trace, pool) = (&self.trace, &mut self.pool);
+        let probing = peer.is_some_and(|p| self.peers.is_probing(ctx, now, p));
         let action = self
             .decider
-            .tick(trace, now, reading, pool, peer, &mut self.peers);
+            .tick(ctx, now, reading, &mut self.pool, peer, &mut self.peers);
         out.push(EngineOutput::Actuate {
             cap: self.decider.cap(),
         });
@@ -592,7 +667,7 @@ impl NodeEngine {
         // series.
         let cap_now = self.decider.cap();
         let pool_now = self.pool.available();
-        self.trace.emit(now, self.id, || EventKind::CapActuated {
+        ctx.emit(now, || EventKind::CapActuated {
             cap: cap_now,
             reading,
             pool: pool_now,
@@ -610,13 +685,12 @@ impl NodeEngine {
             // (the engine is the single protocol-emission site), so the
             // event appears on every substrate with no driver changes.
             if probing {
-                self.trace
-                    .emit(now, self.id, || EventKind::PeerProbed { peer: dst });
+                ctx.emit(now, || EventKind::PeerProbed { peer: dst });
             }
             out.push(EngineOutput::Send {
                 dst,
                 msg: PeerMsg::Request(PowerRequest {
-                    from: self.id,
+                    from: ctx.node,
                     urgent,
                     alpha,
                     bid,
@@ -629,7 +703,7 @@ impl NodeEngine {
 
     /// The digest this node piggybacks on outgoing grants and acks.
     fn digest(&self) -> Option<Box<SuspicionDigest>> {
-        self.peers.digest(self.decider.incarnation())
+        self.peers.digest(&self.ctx, self.decider.incarnation())
     }
 
     /// Queue the reply to `req`: `amount`, with the liveness digest. A
@@ -681,7 +755,7 @@ impl NodeEngine {
             return self.reply(&req, amount, out);
         }
         let urgency_before = self.pool.local_urgency();
-        let amount = match self.cfg.node.decider.policy {
+        let amount = match self.ctx.knobs().policy {
             // Bid-carrying requests are priced, not rationed: the pool's
             // scarcity ask decides, and the urgency flag is never touched.
             // A zero bid (an urgency/predictive peer in a mixed cluster)
@@ -692,7 +766,7 @@ impl NodeEngine {
             _ => self.pool.handle_request(req.urgent, req.alpha),
         };
         let urgency_after = self.pool.local_urgency();
-        self.trace.emit(now, self.id, || EventKind::RequestServed {
+        self.ctx.emit(now, || EventKind::RequestServed {
             requester: req.from,
             seq: req.seq,
             granted: amount,
@@ -702,10 +776,10 @@ impl NodeEngine {
         // urgent request raises it, a non-urgent one clears it. Emitting
         // both transitions keeps raise/clear strictly alternating.
         if !urgency_before && urgency_after {
-            self.trace
-                .emit(now, self.id, || EventKind::UrgencyRaised { by: req.from });
+            self.ctx
+                .emit(now, || EventKind::UrgencyRaised { by: req.from });
         } else if urgency_before && !urgency_after {
-            self.trace.emit(now, self.id, || EventKind::UrgencyCleared {
+            self.ctx.emit(now, || EventKind::UrgencyCleared {
                 released: Power::ZERO,
             });
         }
@@ -724,7 +798,7 @@ impl NodeEngine {
         delivered: bool,
     ) -> SimTime {
         let fresh = self.escrow.get(requester, seq).is_none();
-        let deadline = now + self.cfg.node.decider.escrow_timeout();
+        let deadline = now + self.ctx.knobs().escrow_timeout();
         let state = if delivered {
             EscrowState::AwaitingAck
         } else {
@@ -732,7 +806,7 @@ impl NodeEngine {
         };
         self.escrow.insert(requester, seq, amount, state, deadline);
         if fresh {
-            self.trace.emit(now, self.id, || EventKind::GrantEscrowed {
+            self.ctx.emit(now, || EventKind::GrantEscrowed {
                 requester,
                 seq,
                 amount,
@@ -754,9 +828,9 @@ impl NodeEngine {
         // a stale suspicion of `src` itself, and the reply below must
         // land on the post-merge state.
         if let Some(d) = &digest {
-            self.peers.merge_digest(&self.trace, now, src, d);
+            self.peers.merge_digest(&self.ctx, now, src, d);
         }
-        self.peers.note_reply(&self.trace, now, src);
+        self.peers.note_reply(&self.ctx, now, src);
         let stale = self.decider.is_stale_grant(g.seq);
         // A redelivered copy of an already-applied grant (the granter
         // re-sends its escrowed amount when a retransmitted request races
@@ -768,7 +842,7 @@ impl NodeEngine {
         let redelivery = !g.amount.is_zero() && self.decider.is_applied_seq(g.seq);
         let _ = self
             .decider
-            .on_grant(&self.trace, now, g.seq, g.amount, &mut self.pool);
+            .on_grant(&self.ctx, now, g.seq, g.amount, &mut self.pool);
         if stale {
             // A pre-crash grant caught up with its reborn requester: the
             // crash already retired this node's whole pre-crash epoch, so
@@ -813,7 +887,7 @@ impl NodeEngine {
         digest: Option<Box<SuspicionDigest>>,
     ) {
         if let Some(d) = &digest {
-            self.peers.merge_digest(&self.trace, now, src, d);
+            self.peers.merge_digest(&self.ctx, now, src, d);
         }
         if let Some(entry) = self.escrow.release(src, a.seq) {
             // An ack proves delivery, so the entry cannot still be
@@ -839,7 +913,7 @@ impl NodeEngine {
     ) {
         if state == EscrowState::Undelivered {
             self.pool.deposit(amount);
-            self.trace.emit(now, self.id, || EventKind::GrantReclaimed {
+            self.ctx.emit(now, || EventKind::GrantReclaimed {
                 requester,
                 seq,
                 amount,

@@ -18,13 +18,25 @@
 //!   entry is dropped without credit (the power is with the requester or
 //!   died with it — crediting it back would mint).
 //!
-//! The table is generic over the requester key so all three substrates can
-//! share it: the simulator and lockstep runtime key by
-//! [`NodeId`](penelope_units::NodeId), the UDP daemon by peer socket
-//! address.
-
-use std::collections::HashMap;
-use std::hash::Hash;
+//! # Representation
+//!
+//! The table is a `Vec` in insertion order, matched linearly on
+//! `(seq, requester)`. A granter holds one entry per grant it has sent and
+//! not yet seen acknowledged, and an entry lives one round trip — at worst
+//! one escrow timeout, a handful of periods — so the population is tiny:
+//! the most any engine held across the six benchmark workloads is 6 (on
+//! the dense sharded cell, where half the cluster asks at once; 2–4 on the
+//! others, the lossy one included). At that size a linear match over
+//! 32-byte entries beats hashing the key, which is what the std hash
+//! table this replaced did (SipHash over `(K, u64)`, three to four times
+//! per exchange: 17–20 % of the dense sharded workload), and the empty
+//! table is 24 bytes that draw no per-process hash keys at construction.
+//! Insertion order is also what makes [`GrantEscrow::take_expired`] — and so
+//! the order of `GrantReclaimed` events on substrates that sweep — a
+//! function of the inputs alone, not of a per-process hasher seed.
+//!
+//! The table is generic over the requester key; every engine keys it by
+//! [`NodeId`](penelope_units::NodeId).
 
 use penelope_units::{Power, SimTime};
 
@@ -57,24 +69,34 @@ pub struct EscrowEntry<K> {
     pub deadline: SimTime,
 }
 
-/// The per-granter table of unacknowledged grants.
+/// The per-granter table of unacknowledged grants, in insertion order —
+/// see the [module docs](self#representation).
 #[derive(Clone, Debug)]
 pub struct GrantEscrow<K> {
-    entries: HashMap<(K, u64), EscrowEntry<K>>,
+    entries: Vec<EscrowEntry<K>>,
 }
 
 impl<K> Default for GrantEscrow<K> {
     fn default() -> Self {
         GrantEscrow {
-            entries: HashMap::new(),
+            entries: Vec::new(),
         }
     }
 }
 
-impl<K: Eq + Hash + Copy> GrantEscrow<K> {
+impl<K: Eq + Copy> GrantEscrow<K> {
     /// An empty escrow table.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Where the entry for `(requester, seq)` sits, if it is held. `seq`
+    /// is compared first: it differs between any two entries of one
+    /// requester and between most entries of two.
+    fn position(&self, requester: K, seq: u64) -> Option<usize> {
+        self.entries
+            .iter()
+            .position(|e| e.seq == seq && e.requester == requester)
     }
 
     /// Escrow a freshly served non-zero grant (or update the entry after a
@@ -88,60 +110,63 @@ impl<K: Eq + Hash + Copy> GrantEscrow<K> {
         deadline: SimTime,
     ) {
         debug_assert!(!amount.is_zero(), "zero grants are never escrowed");
-        self.entries.insert(
-            (requester, seq),
-            EscrowEntry {
-                requester,
-                seq,
-                amount,
-                state,
-                deadline,
-            },
-        );
+        let entry = EscrowEntry {
+            requester,
+            seq,
+            amount,
+            state,
+            deadline,
+        };
+        // An update keeps the entry's place: expiry order is the order the
+        // grants were first served in.
+        match self.position(requester, seq) {
+            Some(at) => self.entries[at] = entry,
+            None => self.entries.push(entry),
+        }
     }
 
     /// Look up the escrow entry for a requester/seq pair (the dedup check
     /// a granter performs before serving any request).
     pub fn get(&self, requester: K, seq: u64) -> Option<&EscrowEntry<K>> {
-        self.entries.get(&(requester, seq))
+        self.position(requester, seq).map(|at| &self.entries[at])
     }
 
     /// Mutable lookup (re-send paths update `state` and `deadline` in
     /// place).
     pub fn get_mut(&mut self, requester: K, seq: u64) -> Option<&mut EscrowEntry<K>> {
-        self.entries.get_mut(&(requester, seq))
+        self.position(requester, seq)
+            .map(|at| &mut self.entries[at])
     }
 
     /// An ack arrived: release and return the entry, if any. Duplicate
     /// acks return `None` and are harmless.
     pub fn release(&mut self, requester: K, seq: u64) -> Option<EscrowEntry<K>> {
-        self.entries.remove(&(requester, seq))
+        self.position(requester, seq)
+            .map(|at| self.entries.remove(at))
     }
 
     /// Remove and return the entry iff its deadline has passed — the
     /// handler for a single scheduled escrow timer. A timer made stale by
     /// a later re-send (which pushed the deadline out) returns `None`.
     pub fn expire_one(&mut self, requester: K, seq: u64, now: SimTime) -> Option<EscrowEntry<K>> {
-        match self.entries.get(&(requester, seq)) {
-            Some(e) if e.deadline <= now => self.entries.remove(&(requester, seq)),
-            _ => None,
-        }
+        let at = self.position(requester, seq)?;
+        (self.entries[at].deadline <= now).then(|| self.entries.remove(at))
     }
 
-    /// Remove and return every entry whose deadline has passed — the bulk
-    /// form for substrates that poll once per period instead of scheduling
-    /// per-entry timers.
+    /// Remove and return every entry whose deadline has passed, in the
+    /// order they were first escrowed — the bulk form for substrates that
+    /// poll once per period instead of scheduling per-entry timers. A sweep
+    /// that finds nothing due allocates nothing.
     pub fn take_expired(&mut self, now: SimTime) -> Vec<EscrowEntry<K>> {
-        let expired: Vec<(K, u64)> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| e.deadline <= now)
-            .map(|(k, _)| *k)
-            .collect();
+        let mut expired = Vec::new();
+        self.entries.retain(|e| {
+            let due = e.deadline <= now;
+            if due {
+                expired.push(*e);
+            }
+            !due
+        });
         expired
-            .into_iter()
-            .filter_map(|k| self.entries.remove(&k))
-            .collect()
     }
 
     /// Total escrowed power still carrying accounting weight on the
@@ -149,7 +174,7 @@ impl<K: Eq + Hash + Copy> GrantEscrow<K> {
     /// what conservation audits add to the granter's holdings.
     pub fn undelivered_total(&self) -> Power {
         self.entries
-            .values()
+            .iter()
             .filter(|e| e.state == EscrowState::Undelivered)
             .map(|e| e.amount)
             .sum()
@@ -221,6 +246,28 @@ mod tests {
         assert_eq!(due.len(), 2);
         assert_eq!(e.len(), 1);
         assert_eq!(e.undelivered_total(), w(4));
+    }
+
+    #[test]
+    fn bulk_expiry_returns_due_entries_in_the_order_they_were_escrowed() {
+        // Under the hashed table this order followed a per-process hasher
+        // seed, and with it the order of `GrantReclaimed` events on every
+        // substrate that sweeps.
+        let mut e: GrantEscrow<NodeId> = GrantEscrow::new();
+        e.insert(NodeId::new(9), 4, w(1), EscrowState::Undelivered, t(5));
+        e.insert(NodeId::new(2), 8, w(2), EscrowState::Undelivered, t(30));
+        e.insert(NodeId::new(5), 1, w(3), EscrowState::Undelivered, t(4));
+        // A re-send pushes the first entry's deadline out and back; it
+        // keeps its place.
+        e.insert(NodeId::new(9), 4, w(1), EscrowState::AwaitingAck, t(6));
+        let due: Vec<(u32, u64)> = e
+            .take_expired(t(6))
+            .iter()
+            .map(|d| (d.requester.raw(), d.seq))
+            .collect();
+        assert_eq!(due, [(9, 4), (5, 1)]);
+        assert_eq!(e.len(), 1);
+        assert!(e.get(NodeId::new(2), 8).is_some());
     }
 
     #[test]

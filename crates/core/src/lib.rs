@@ -33,7 +33,9 @@
 //! experiment in the paper run the *same* algorithm code over different
 //! substrates, and what makes a protocol change land once and work
 //! everywhere. All engines are configured through one [`EngineConfig`],
-//! accepted verbatim by each substrate's builder.
+//! accepted verbatim by each substrate's builder and stored once per
+//! cluster: the engines share it behind an `Arc`, and an engine's parts
+//! read it through the [`NodeCtx`] their engine lends them.
 //!
 //! Everything is exact integer arithmetic over
 //! [`Power`](penelope_units::Power) (milliwatts), so a cluster-wide
@@ -56,7 +58,7 @@ pub mod protocol;
 pub use config::{DeciderConfig, NodeParams, PoolConfig};
 pub use decider::{Classification, DeciderStats, LocalDecider, TickAction, APPLIED_SEQ_WINDOW};
 pub use discovery::{choose_peer, initial_rr_cursor, DiscoveryStrategy, EngineRng, PeerTable};
-pub use engine::{Effects, EngineConfig, EngineInput, EngineOutput, NodeEngine};
+pub use engine::{Effects, EngineConfig, EngineInput, EngineOutput, NodeCtx, NodeEngine};
 pub use escrow::{EscrowEntry, EscrowState, GrantEscrow};
 pub use fair::fair_assignment;
 pub use policy::{DeciderPolicy, MarketConfig, PredictiveConfig};

@@ -16,12 +16,12 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use penelope_core::{
-    choose_peer, initial_rr_cursor, DeciderConfig, DiscoveryStrategy, PeerTable, SuspicionDigest,
-    SuspicionEntry, MAX_DIGEST_ENTRIES,
+    choose_peer, initial_rr_cursor, DeciderConfig, DiscoveryStrategy, EngineConfig, NodeCtx,
+    NodeParams, PeerTable, SuspicionDigest, SuspicionEntry, MAX_DIGEST_ENTRIES,
 };
 use penelope_testkit::prop::{self, any_u64, vec_of};
 use penelope_testkit::rng::{Rng, TestRng};
-use penelope_trace::{EventKind, RingBufferObserver, Stamper};
+use penelope_trace::{EventKind, RingBufferObserver, SharedObserver};
 use penelope_units::{NodeId, SimDuration, SimTime};
 
 const STRATEGIES: [DiscoveryStrategy; 3] = [
@@ -32,6 +32,16 @@ const STRATEGIES: [DiscoveryStrategy; 3] = [
 
 /// Largest cluster the properties model (a predicate fits one `u64`).
 const MAX_N: usize = 64;
+
+/// The context a [`PeerTable`] of node `me` is called under: `cfg`'s knobs
+/// in a cluster of `n`, narrating to `obs`.
+fn ctx_of(me: NodeId, n: usize, cfg: DeciderConfig, obs: SharedObserver) -> NodeCtx {
+    let params = NodeParams {
+        decider: cfg,
+        ..NodeParams::default()
+    };
+    NodeCtx::new(me, n, EngineConfig::new(params), obs)
+}
 
 /// The chooser as it was before selection walked the records: collect the
 /// unsuspected candidates, index the list.
@@ -375,8 +385,8 @@ fn the_table_answers_every_query_like_the_four_maps_it_replaced() {
                 ..DeciderConfig::default()
             };
             let ring = Arc::new(RingBufferObserver::unbounded());
-            let trace = Stamper::new(ring.clone().into(), cfg.period);
-            let mut table = PeerTable::new(me, n, &cfg);
+            let ctx = ctx_of(me, n, cfg, ring.clone().into());
+            let mut table = PeerTable::new(&ctx);
             let mut maps = FourMaps::new(cfg, n, me);
             let mut now = SimTime::ZERO;
             for (i, &(kind, peer_raw, x, y)) in steps.iter().enumerate() {
@@ -385,16 +395,16 @@ fn the_table_answers_every_query_like_the_four_maps_it_replaced() {
                 now += SimDuration::from_millis(y * 250);
                 match kind {
                     0 | 1 => {
-                        table.note_timeout(&trace, now, peer);
+                        table.note_timeout(&ctx, now, peer);
                         maps.note_peer_timeout(now, peer);
                     }
                     2 => {
-                        table.note_reply(&trace, now, peer);
+                        table.note_reply(&ctx, now, peer);
                         maps.note_peer_reply(peer);
                     }
                     3 | 4 => {
                         let digest = digest_from(peer_raw, x, y, n);
-                        table.merge_digest(&trace, now, peer, &digest);
+                        table.merge_digest(&ctx, now, peer, &digest);
                         maps.observe_digest(now, peer, &digest);
                     }
                     5 => {
@@ -410,7 +420,7 @@ fn the_table_answers_every_query_like_the_four_maps_it_replaced() {
                         let mut a = TestRng::seed_from_u64(y);
                         let mut b = a.clone();
                         assert_eq!(
-                            table.pick(strategy, &mut a, now),
+                            table.pick(&ctx, strategy, &mut a, now),
                             maps.tick_pick(strategy, &mut b, now),
                             "step {i}: {strategy:?} picked differently"
                         );
@@ -422,7 +432,7 @@ fn the_table_answers_every_query_like_the_four_maps_it_replaced() {
                     10 => {
                         for p in (0..n as u32).filter(|&p| (u64::from(p) + y) % 6 < x) {
                             for _ in 0..suspect_after {
-                                table.note_timeout(&trace, now, NodeId::new(p));
+                                table.note_timeout(&ctx, now, NodeId::new(p));
                                 maps.note_peer_timeout(now, NodeId::new(p));
                             }
                         }
@@ -433,11 +443,15 @@ fn the_table_answers_every_query_like_the_four_maps_it_replaced() {
                 let step = format!("n {n} me {me:?} after step {i} {:?}", steps[i]);
                 for p in (0..n as u32 + 2).map(NodeId::new) {
                     assert_eq!(
-                        table.is_suspected(now, p),
+                        table.is_suspected(&ctx, now, p),
                         maps.is_suspected(now, p),
                         "{step}"
                     );
-                    assert_eq!(table.is_probing(now, p), maps.is_probing(now, p), "{step}");
+                    assert_eq!(
+                        table.is_probing(&ctx, now, p),
+                        maps.is_probing(now, p),
+                        "{step}"
+                    );
                     assert_eq!(
                         table.timeout_streak(p),
                         maps.timeout_streaks.get(&p).copied().unwrap_or(0),
@@ -452,7 +466,7 @@ fn the_table_answers_every_query_like_the_four_maps_it_replaced() {
                     }
                 }
                 assert_eq!(
-                    table.suspicion_active(now),
+                    table.suspicion_active(&ctx, now),
                     maps.suspicion_active(now),
                     "{step}"
                 );
@@ -463,7 +477,7 @@ fn the_table_answers_every_query_like_the_four_maps_it_replaced() {
                     "{step}"
                 );
                 for own in [0, x] {
-                    assert_eq!(table.digest(own), maps.make_digest(own), "{step}");
+                    assert_eq!(table.digest(&ctx, own), maps.make_digest(own), "{step}");
                 }
                 // What each strategy would pick next, on one RNG stream,
                 // and what the pick leaves behind: in that stream (the next
@@ -481,7 +495,7 @@ fn the_table_answers_every_query_like_the_four_maps_it_replaced() {
                     ];
                     for probe in probes {
                         assert_eq!(
-                            t.pick(probe, &mut a, now),
+                            t.pick(&ctx, probe, &mut a, now),
                             maps.tick_pick(probe, &mut b, now),
                             "{step}: {strategy:?}, then {probe:?}"
                         );
@@ -579,19 +593,22 @@ fn a_pick_costs_the_evidence_held_not_the_cluster() {
         suspect_after: 1,
         ..DeciderConfig::default()
     };
-    let trace = Stamper::new(Arc::new(RingBufferObserver::unbounded()).into(), cfg.period);
+    let ring = Arc::new(RingBufferObserver::unbounded());
     let now = SimTime::from_secs(1);
     for me in [0, 5, n as u32 - 1] {
         let suspects = [0, 1, 4, 5, 6, 1 << 20, n as u32 - 2, n as u32 - 1];
-        let mut table = PeerTable::new(NodeId::new(me), n, &cfg);
+        let ctx = ctx_of(NodeId::new(me), n, cfg, ring.clone().into());
+        let mut table = PeerTable::new(&ctx);
         for peer in suspects {
-            table.note_timeout(&trace, now, NodeId::new(peer));
+            table.note_timeout(&ctx, now, NodeId::new(peer));
         }
         table.note_grant(NodeId::new(4), true);
         for strategy in STRATEGIES {
             let mut rng = TestRng::seed_from_u64(u64::from(me));
             for _ in 0..10_000 {
-                let peer = table.pick(strategy, &mut rng, now).expect("peers exist");
+                let peer = table
+                    .pick(&ctx, strategy, &mut rng, now)
+                    .expect("peers exist");
                 assert!(
                     peer.index() < n && peer.raw() != me,
                     "{strategy:?}: {peer:?}"
@@ -603,10 +620,26 @@ fn a_pick_costs_the_evidence_held_not_the_cluster() {
 }
 
 /// `shard_sparse` instantiates half a million engines, so the struct's
-/// size is a memory budget. The four maps the table replaced were 192 of
-/// the 880 bytes it used to take; this keeps them from growing back.
+/// size is a memory budget: 880 bytes with four per-peer maps, 760 with
+/// the [`PeerTable`], 424 once the cluster's configuration (stored two to
+/// three times in every engine) moved behind one shared `Arc` and the two
+/// std hash tables became `Vec`s. The parts are pinned with the whole, so
+/// a field that grows back says where.
 #[test]
 fn an_engine_stays_within_its_size_budget() {
-    let size = std::mem::size_of::<penelope_core::NodeEngine>();
-    assert!(size <= 768, "NodeEngine grew to {size} bytes");
+    use penelope_core::{GrantEscrow, LocalDecider, NodeEngine};
+    use std::mem::size_of;
+    let sizes = [
+        ("NodeEngine", size_of::<NodeEngine>(), 448),
+        ("NodeCtx", size_of::<NodeCtx>(), 56),
+        ("LocalDecider", size_of::<LocalDecider>(), 200),
+        ("PeerTable", size_of::<PeerTable>(), 56),
+        ("GrantEscrow<NodeId>", size_of::<GrantEscrow<NodeId>>(), 24),
+    ];
+    for (name, size, budget) in sizes {
+        assert!(
+            size <= budget,
+            "{name} grew to {size} bytes (budget {budget})"
+        );
+    }
 }

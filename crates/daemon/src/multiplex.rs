@@ -246,12 +246,13 @@ impl Mux {
                 Arc::new(shim)
             }
         };
+        let engine_cfg = Arc::new(EngineConfig::new(cfg.node));
         let engines = (0..cfg.nodes)
             .map(|i| {
                 NodeEngine::new(
                     NodeId::new(i as u32),
                     cfg.nodes,
-                    EngineConfig::new(cfg.node),
+                    Arc::clone(&engine_cfg),
                     cfg.initial_cap,
                     SharedObserver::noop(),
                 )

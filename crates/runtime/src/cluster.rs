@@ -229,19 +229,23 @@ impl ThreadedCluster {
         let pool_eps = endpoints;
         // One engine per node, shared by its decider and pool threads
         // behind the §3.3 lock. The decider's safe range comes from the
-        // node's hardware, so the engine's does too.
+        // hardware — every node's is built from `cfg.rapl` — so the
+        // engines' one shared configuration takes it from there too.
+        let node = NodeParams {
+            safe_range: cfg.rapl.safe_range,
+            ..cfg.node
+        };
+        let engine_cfg = Arc::new(
+            EngineConfig::new(node)
+                .with_discovery(cfg.discovery)
+                .with_seq_floor(cfg.seq_floor),
+        );
         let engines: Vec<Arc<Mutex<NodeEngine>>> = (0..n)
             .map(|i| {
-                let node = NodeParams {
-                    safe_range: hw[i].safe_range(),
-                    ..cfg.node
-                };
                 Arc::new(Mutex::new(NodeEngine::new(
                     NodeId::new(i as u32),
                     n,
-                    EngineConfig::new(node)
-                        .with_discovery(cfg.discovery)
-                        .with_seq_floor(cfg.seq_floor),
+                    Arc::clone(&engine_cfg),
                     caps[i],
                     cfg.observer.clone(),
                 )))

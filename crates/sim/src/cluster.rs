@@ -120,6 +120,12 @@ impl ClusterSim {
 
         let mut queue = EventQueue::with_capacity(2 * n);
         let mut nodes = NodeTable::with_capacity(n);
+        // One configuration for the cluster; every engine holds a handle.
+        let engine_cfg = Arc::new(
+            EngineConfig::new(cfg.node)
+                .with_discovery(cfg.discovery)
+                .with_seq_floor(cfg.seq_floor),
+        );
         for (i, profile) in workloads.into_iter().enumerate() {
             let id = NodeId::new(i as u32);
             let mut rng = TestRng::seed_from_u64(node_seed(cfg.seed, i as u64));
@@ -135,9 +141,7 @@ impl ClusterSim {
                     engine: NodeEngine::new(
                         id,
                         n,
-                        EngineConfig::new(cfg.node)
-                            .with_discovery(cfg.discovery)
-                            .with_seq_floor(cfg.seq_floor),
+                        Arc::clone(&engine_cfg),
                         caps[i],
                         cfg.observer.clone(),
                     ),

@@ -383,13 +383,14 @@ impl LockstepRuntime {
         let observer =
             FanoutObserver::pair(observer, SharedObserver::from(Arc::clone(&drop_counters)));
         let (net, endpoints) = ThreadNet::<PeerMsg>::new(n);
+        let engine_cfg = Arc::new(EngineConfig::new(cfg.node));
         let shared = Arc::new(Shared {
             engines: (0..n)
                 .map(|i| {
                     Mutex::new(NodeEngine::new(
                         NodeId::new(i as u32),
                         n,
-                        EngineConfig::new(cfg.node),
+                        Arc::clone(&engine_cfg),
                         scenario.budget_per_node,
                         observer.clone(),
                     ))

@@ -13,8 +13,11 @@
 //! knows about its peers to one table in `core::discovery`, a fifth
 //! holds `TraceEvent` stamping to `penelope-trace`, a sixth holds the
 //! repo to one perf harness, `benchmark/`, a seventh holds the daemon's
-//! send path to one reused frame buffer and the shim's sockets, and an
-//! eighth holds a node's own work to what it holds, not the cluster's size.
+//! send path to one reused frame buffer and the shim's sockets, an
+//! eighth holds a node's own work to what it holds, not the cluster's
+//! size, and a ninth and tenth hold a node's own *state* to the same: no
+//! hash table inside an engine, and no copy of the cluster's
+//! configuration in any struct an engine is made of.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -499,6 +502,128 @@ fn a_node_never_ranges_over_the_cluster() {
         "shipped penelope-core ranges over the cluster outside `choose_peer`'s \
          predicate scan — walk what the node holds instead"
     );
+}
+
+/// The tables a node keeps for itself — unacknowledged grants, applied
+/// seqs — hold a handful of entries, so they are `Vec`s matched linearly.
+/// As std hash tables they cost SipHash on every request, grant and ack
+/// (a fifth of `shard_dense`), 48 bytes and a `RandomState` draw per
+/// engine each, and an expiry order that changed from run to run.
+#[test]
+fn an_engine_keeps_no_hash_table() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    for file in ["escrow.rs", "decider.rs", "engine.rs"] {
+        let text = fs::read_to_string(root.join("crates/core/src").join(file))
+            .expect("readable source file");
+        let shipped = non_test_part(&text);
+        assert!(shipped.len() > 1_000, "{file} is suspiciously short");
+        for table in ["HashMap", "HashSet"] {
+            assert!(
+                !contains_identifier(shipped, table),
+                "shipped crates/core/src/{file} names a {table} — a node's own tables \
+                 are small: keep them as arrays (see `GrantEscrow`)"
+            );
+        }
+    }
+}
+
+/// The configuration types of `penelope-core`, outermost first: each
+/// holds the next by value, so a field of any of them is a copy of
+/// `DeciderConfig`'s 88 bytes or more.
+const CONFIG_TYPES: &[&str] = &["EngineConfig", "NodeParams", "DeciderConfig", "PoolConfig"];
+
+/// `(struct, field type)` for every field of a struct defined in `text`
+/// that holds one of [`CONFIG_TYPES`] by value — `Option<_>` and friends
+/// included, an `Arc<_>` or a reference not.
+fn config_fields_by_value(text: &str) -> Vec<(&str, &str)> {
+    let mut found = Vec::new();
+    let mut inside = None;
+    for line in text.lines() {
+        let code = line.trim();
+        if code.starts_with("//") {
+            continue;
+        }
+        if let Some(at) = line.find("struct ").filter(|_| !line.starts_with(' ')) {
+            let name = &line[at + "struct ".len()..];
+            let name = &name[..name.find(|c| !is_ident_char(c)).unwrap_or(name.len())];
+            inside = line.trim_end().ends_with('{').then_some(name);
+            continue;
+        }
+        if line == "}" {
+            inside = None;
+        }
+        let (Some(holder), Some((_, ty))) = (inside, code.split_once(':')) else {
+            continue;
+        };
+        let shared = ty.contains("Arc<") || ty.contains('&');
+        if !shared && CONFIG_TYPES.iter().any(|c| contains_identifier(ty, c)) {
+            found.push((holder, ty.trim().trim_end_matches(',')));
+        }
+    }
+    found
+}
+
+/// Configuration is a constant of the cluster, so it is stored once per
+/// cluster: an engine holds an `Arc<EngineConfig>` (inside its `NodeCtx`)
+/// and its parts read the knobs through the context each call is handed.
+/// Every engine used to own a 152-byte `EngineConfig` of which the
+/// decider, the pool and the peer table each kept their part again — 330
+/// of 760 bytes, times half a million nodes. The one copy left is the
+/// pool's 24-byte limiter: `PowerPool` is driven on its own, too.
+#[test]
+fn configuration_is_stored_once_per_cluster() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_sources(&root.join("crates/core/src"), &mut files);
+    assert!(files.len() >= 8, "found only {} core sources", files.len());
+    let mut holders = Vec::new();
+    for path in &files {
+        let text = fs::read_to_string(path).expect("readable source file");
+        for (holder, ty) in config_fields_by_value(non_test_part(&text)) {
+            holders.push(format!("{holder}: {ty}"));
+        }
+    }
+    holders.sort();
+    assert_eq!(
+        holders,
+        [
+            "EngineConfig: NodeParams",
+            "NodeParams: DeciderConfig",
+            "NodeParams: PoolConfig",
+            "PowerPool: PoolConfig",
+        ],
+        "a struct in crates/core/src holds configuration by value — read it \
+         through the `NodeCtx` the engine lends instead"
+    );
+}
+
+#[test]
+fn config_copy_detection_sees_the_shapes_it_replaced() {
+    let old = "/// Keeps its DeciderConfig.\n\
+               pub struct LocalDecider {\n    cfg: DeciderConfig,\n    cap: Power,\n}\n\
+               pub struct NodeEngine {\n    id: NodeId,\n    cfg: EngineConfig,\n}\n\
+               struct Lazy {\n    knobs: Option<NodeParams>,\n}";
+    assert_eq!(
+        config_fields_by_value(old),
+        [
+            ("LocalDecider", "DeciderConfig"),
+            ("NodeEngine", "EngineConfig"),
+            ("Lazy", "Option<NodeParams>"),
+        ]
+    );
+    let new = "pub struct NodeCtx {\n    pub(crate) cfg: Arc<EngineConfig>,\n}\n\
+               pub struct Borrowed<'a> {\n    knobs: &'a DeciderConfig,\n}\n\
+               impl LocalDecider {\n    pub fn tick(&mut self, cfg: DeciderConfig) {\n    }\n}\n\
+               pub struct DeciderConfigs {\n    /// cfg: DeciderConfig\n    n: usize,\n}";
+    assert_eq!(config_fields_by_value(new), []);
+    let hashed = "entries: HashMap<(K, u64), EscrowEntry<K>>,\n\
+                  #[cfg(test)]\nmod tests { use std::collections::HashSet; }";
+    assert!(contains_identifier(non_test_part(hashed), "HashMap"));
+    assert!(!contains_identifier(non_test_part(hashed), "HashSet"));
+    assert!(!contains_identifier(
+        "the std hash table this replaced",
+        "HashMap"
+    ));
 }
 
 #[test]
