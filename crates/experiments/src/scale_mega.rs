@@ -1,11 +1,12 @@
-//! The mega-scale sweep: sharded runs at 10^5–10^6 nodes.
+//! The mega-scale sweep: sharded runs at 10^5–10^7 nodes.
 //!
 //! The paper's scale study (§4.5) stops at 1056 simulated nodes because
 //! the straight-line simulator walks every node every protocol period.
 //! This sweep drives the sharded engine ([`ShardedSim`]) instead, whose
 //! quiescent-tick elision makes the per-period cost proportional to the
 //! *active* minority only, and sweeps node counts two to four orders of
-//! magnitude beyond the paper.
+//! magnitude beyond the paper. Memory tracks the active minority too: a
+//! donor nothing is sent to owns no engine (`engines built` in the table).
 //!
 //! Each cell is one [`ShardedConfig::mega`] scenario: a 1-in-64 hungry
 //! minority sustains request/grant/ack traffic against a donor majority
@@ -25,12 +26,13 @@ use crate::parallel;
 pub const MEGA_SEED: u64 = 0x4d45_4741; // "MEGA"
 
 /// The node-count axis for one effort preset. Smoke (CI) stops at 10^5;
-/// the full preset reaches the 10^6-node headline point.
+/// the full preset reaches the 10^6-node headline point and a 10^7-node
+/// cell (2.2 GiB and under a minute on a 2-core host).
 pub fn node_axis(effort: Effort) -> Vec<usize> {
     match effort {
         Effort::Smoke => vec![100_000],
         Effort::Quick => vec![100_000, 300_000],
-        Effort::Full => vec![100_000, 300_000, 1_000_000],
+        Effort::Full => vec![100_000, 300_000, 1_000_000, 10_000_000],
     }
 }
 
@@ -59,6 +61,9 @@ pub struct MegaRow {
     pub messages: u64,
     /// Drain rounds, each a barrier across the shards.
     pub rounds: u64,
+    /// Nodes that ever owned an engine: the hungry minority and the donors
+    /// something was sent to.
+    pub engines_built: usize,
     /// Order-insensitive digest of every node's inputs and final state;
     /// equal across shard counts and thread counts for the same seed.
     pub fingerprint: u64,
@@ -88,6 +93,7 @@ fn run_cell(effort: Effort, i: usize, n_nodes: usize) -> MegaRow {
         elided_ticks: report.elided_ticks,
         messages: report.messages,
         rounds: report.rounds,
+        engines_built: report.engines_built,
         fingerprint: report.fingerprint,
     }
 }
@@ -117,6 +123,7 @@ pub fn render(rows: &[MegaRow]) -> String {
         "elided ticks",
         "messages",
         "rounds",
+        "engines built",
         "fingerprint",
     ]);
     for r in rows {
@@ -127,6 +134,7 @@ pub fn render(rows: &[MegaRow]) -> String {
             r.elided_ticks.to_string(),
             r.messages.to_string(),
             r.rounds.to_string(),
+            r.engines_built.to_string(),
             format!("{:016x}", r.fingerprint),
         ]);
     }

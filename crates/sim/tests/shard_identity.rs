@@ -10,10 +10,10 @@
 //! and across several seeds so a single lucky schedule can't hide an
 //! ordering bug.
 
-use penelope_core::DeciderConfig;
+use penelope_core::{DeciderConfig, NodeParams};
 use penelope_net::LatencyModel;
 use penelope_sim::{ShardReport, ShardedConfig, ShardedSim};
-use penelope_units::SimDuration;
+use penelope_units::{Power, SimDuration};
 
 fn run(n_nodes: usize, seed: u64, shards: usize, jobs: usize) -> ShardReport {
     // Dense recipient mix (1 in 8) so cross-shard request/grant/ack
@@ -179,4 +179,96 @@ fn constant_latency_and_ragged_periods_are_pinned() {
         ),
     ];
     assert_pinned(pins, &[(1, 1), (1, 2), (2, 1), (2, 2), (5, 1), (5, 2)]);
+}
+
+/// What parking quiescent donors could get wrong, pinned at the commit
+/// before a node nobody has written to stopped owning an engine: every
+/// donor written to (so every deferred first tick is replayed), almost
+/// none (two recipients; the fingerprint is mostly the probe's fold),
+/// "donors" that want more than they have (hungry, so their class fails
+/// the probe and nothing parks), and donors without the ε headroom of
+/// `mega`, whose first tick is as silent as a parked one's but not their
+/// last: they shed again on the next, so they must not park either.
+#[test]
+fn parked_and_unparked_donors_are_pinned() {
+    let every_donor = ShardedConfig {
+        recipient_every: 2,
+        ..ShardedConfig::mega(1024, 40, 11)
+    };
+    let almost_none = ShardedConfig {
+        recipient_every: 1024,
+        ..ShardedConfig::mega(2048, 40, 12)
+    };
+    let hungry_donors = ShardedConfig {
+        donor_demand: Power::from_watts_u64(200),
+        ..ShardedConfig::mega(1024, 12, 13)
+    };
+    let still_shedding = ShardedConfig {
+        node: NodeParams::default(),
+        ..ShardedConfig::mega(1024, 12, 14)
+    };
+    let built = |cfg: &ShardedConfig| ShardedSim::new(cfg.clone()).run().engines_built;
+    assert_eq!(built(&every_donor), 1024);
+    assert!(built(&almost_none) < 128);
+    assert_eq!(built(&hungry_donors), 1024);
+    assert_eq!(built(&still_shedding), 1024);
+    let pins = [
+        (
+            every_donor,
+            0x00a9_c23b_9ddb_8db3_u64,
+            104_209,
+            7_605,
+            51_172,
+            24_871_251,
+        ),
+        (
+            almost_none,
+            0x37d0_e730_ed00_7f5b,
+            2_378,
+            79_722,
+            108,
+            198_000,
+        ),
+        (hungry_donors, 0xd753_6b09_1d04_dda0, 36_864, 0, 24_576, 0),
+        (
+            still_shedding,
+            0x4cdc_0f68_785d_7685,
+            13_191,
+            0,
+            573,
+            1_068_714,
+        ),
+    ];
+    assert_pinned(pins, &[(1, 1), (3, 1), (4, 2)]);
+}
+
+/// A run of no periods ticks nobody: nothing is executed or elided, nobody
+/// is owed a deferred first tick, and every node folds as built. Values
+/// from the same parent commit.
+#[test]
+fn a_run_of_no_periods_is_pinned() {
+    let sparse = ShardedConfig::mega(4096, 0, 7);
+    let dense = ShardedConfig {
+        recipient_every: 2,
+        ..ShardedConfig::mega(2048, 0, 42)
+    };
+    let pins = [
+        (sparse, 0x8a53_bcc2_5d40_2325_u64, 0, 0, 0, 0),
+        (dense, 0xacd1_9b97_70b1_2325, 0, 0, 0, 0),
+    ];
+    assert_pinned(pins, &[(1, 1), (3, 1), (4, 2)]);
+}
+
+/// The mega scenario is carried by the hungry minority and the donors they
+/// reach: an engine for every node would be an eager build come back.
+#[test]
+fn most_of_a_mega_cluster_owns_no_engine() {
+    let r = ShardedSim::new(ShardedConfig::mega(100_000, 250, 0x4d45_4741)).run();
+    assert!(r.conservation_ok);
+    assert!(
+        r.engines_built * 100 <= 35 * r.n_nodes,
+        "{} of {} nodes were built",
+        r.engines_built,
+        r.n_nodes
+    );
 }

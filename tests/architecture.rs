@@ -453,6 +453,28 @@ fn the_shard_keeps_no_binary_heap() {
     );
 }
 
+/// A node nobody has written to owns no engine: the shard keeps a slot per
+/// node and a record per node that has been written to. A column with an
+/// engine or an RNG for every node is the eager build come back — 74 % of
+/// `shard_sparse`'s nodes never receive an input.
+#[test]
+fn the_shard_keeps_no_per_node_engine_column() {
+    const PER_NODE: &[&str] = &["Vec<NodeEngine>", "Vec<TestRng>"];
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let text =
+        fs::read_to_string(root.join("crates/sim/src/shard.rs")).expect("readable source file");
+    let shipped = non_test_part(&text);
+    assert!(
+        shipped.contains("slot: Vec<u32>") && shipped.contains("live: Vec<Live>"),
+        "crates/sim/src/shard.rs no longer names its slots and live records — were they moved?"
+    );
+    assert!(
+        !PER_NODE.iter().any(|c| shipped.contains(c)),
+        "shipped crates/sim/src/shard.rs holds an engine or RNG column — a node \
+         gets both when it is first written to (`Shard::live_index`)"
+    );
+}
+
 /// True iff `line` is code that ranges over every node of the cluster:
 /// `0..n`, `0..n as u32`, `0..self.cluster_size`.
 fn ranges_over_the_cluster(line: &str) -> bool {
