@@ -171,7 +171,7 @@ impl DeciderConfig {
 
 /// The per-node protocol knobs shared by every substrate.
 ///
-/// The simulator's `ClusterConfig`, the threaded runtime's `RuntimeConfig`
+/// The simulator's `ClusterConfig`, the lockstep runtime's `LockstepConfig`
 /// and the daemon's `DaemonConfig` all embed one of these, so the decider,
 /// pool and safe-range parameters cannot drift apart between deployments —
 /// a scenario tuned in simulation carries to real daemons verbatim.

@@ -93,7 +93,7 @@ use crate::protocol::{GrantAck, PeerMsg, PowerGrant, PowerRequest, SuspicionDige
 /// simulation and a deployment.
 ///
 /// This is the one place seq-epoch plumbing lives: the simulator's
-/// restart path, the threaded runtime and the daemon's crash-recovery
+/// restart path, the lockstep runtime and the daemon's crash-recovery
 /// watermark all express "start the sequence namespace at `floor`" via
 /// [`EngineConfig::with_seq_floor`], replacing the three per-substrate
 /// spellings that preceded the engine.

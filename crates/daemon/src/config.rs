@@ -43,7 +43,7 @@ pub struct DaemonConfig {
     /// This node's initial powercap (the urgency threshold).
     pub initial_cap: Power,
     /// The per-node protocol knobs (decider, pool, safe range), shared
-    /// verbatim with the simulator and the threaded runtime.
+    /// verbatim with the simulator and the lockstep runtime.
     pub node: NodeParams,
     /// Peer-discovery strategy for the decider.
     pub discovery: DiscoveryStrategy,
@@ -215,7 +215,7 @@ impl DaemonConfig {
 }
 
 /// Fluent construction of a [`DaemonConfig`] — the daemon-side counterpart
-/// of `ClusterSim::builder()` and `ThreadedCluster::builder()`.
+/// of `ClusterSim::builder()`.
 #[derive(Clone, Debug)]
 pub struct DaemonConfigBuilder {
     cfg: DaemonConfig,
@@ -253,7 +253,7 @@ impl DaemonConfigBuilder {
     /// Apply the unified engine configuration — node parameters,
     /// discovery strategy and sequence watermark in one `penelope_core`
     /// value. The same [`EngineConfig`] drives `ClusterSim::builder` and
-    /// `ThreadedCluster::builder`, so a tuned protocol setup moves
+    /// `penelope_runtime::LockstepConfig`, so a tuned protocol setup moves
     /// between substrates verbatim. The seq floor lands in
     /// [`DaemonConfig::initial_seq`].
     pub fn engine_config(mut self, engine: EngineConfig) -> Self {

@@ -25,8 +25,8 @@
 //! addresses and the wall clock; [`run_multiplexed`] is the same reactor
 //! with thousands of engines behind one socket pair on a virtual clock,
 //! for single-host soaks (there, and only there, frames share
-//! datagrams). (The paper's two-threads-and-a-lock detail, §3.3, lives on
-//! in `penelope-runtime`.)
+//! datagrams). (The paper runs two threads and a lock per node, §3.3; one
+//! thread that owns its engines needs neither.)
 //!
 //! UDP matches the protocol's needs exactly: requests are idempotent-ish
 //! (a lost request simply times out and the decider re-asks next period),

@@ -8,7 +8,7 @@
 //!   delivery latency, consults the [`FaultPlane`] (node crashes, partitions,
 //!   random drops) and either produces a timestamped [`Envelope`] for the
 //!   event queue or reports the message lost.
-//! * [`ThreadNet`] — a channel-based transport for the threaded runtime
+//! * [`ThreadNet`] — a channel-based transport for the thread-per-node runtime
 //!   (`penelope-runtime`), with the same fault plane semantics enforced at
 //!   send time.
 //!

@@ -1,28 +1,23 @@
-//! A channel-based transport for the threaded runtime.
+//! A channel-based transport for the thread-per-node runtime.
 
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::{Duration, Instant};
 
+use penelope_testkit::rng::Rng;
 use penelope_units::{NodeId, SimTime};
 
 use crate::envelope::Envelope;
 use crate::fault::FaultPlane;
-use crate::stats::NetStats;
 
 struct Inner<M> {
     senders: Vec<Mutex<Sender<Envelope<M>>>>,
     faults: RwLock<FaultPlane>,
-    stats: Mutex<NetStats>,
-    origin: Instant,
 }
 
 /// An in-process message network for `penelope-runtime`: one unbounded
 /// channel per node, with the same [`FaultPlane`] semantics as the simulated
-/// network enforced at send time.
-///
-/// Timestamps are wall-clock nanoseconds since the network was created,
-/// expressed as [`SimTime`] so metrics code is shared with the simulator.
+/// network enforced at send time, and — like [`SimNet`](crate::SimNet) —
+/// routing that is a function of the caller's clock and RNG.
 pub struct ThreadNet<M> {
     inner: Arc<Inner<M>>,
 }
@@ -58,8 +53,6 @@ impl<M: Send> ThreadNet<M> {
             inner: Arc::new(Inner {
                 senders,
                 faults: RwLock::new(FaultPlane::healthy()),
-                stats: Mutex::new(NetStats::default()),
-                origin: Instant::now(),
             }),
         };
         let endpoints = receivers
@@ -74,33 +67,34 @@ impl<M: Send> ThreadNet<M> {
         (net, endpoints)
     }
 
-    /// The current timestamp on this network's clock.
-    pub fn now(&self) -> SimTime {
-        SimTime::from_nanos(self.inner.origin.elapsed().as_nanos().min(u64::MAX as u128) as u64)
-    }
-
-    /// Send `msg` from `src` to `dst`. Returns `false` if the message was
-    /// refused (dead endpoint, partition, or unknown destination).
+    /// Send `msg` from `src` to `dst` at `now`. Returns `false` if the
+    /// message was lost to the fault plane's drop rate or refused (dead
+    /// endpoint, partition, unknown destination).
     ///
-    /// In-process channel delivery is effectively instant, matching the
-    /// sub-millisecond LAN of the paper's testbed, so `deliver_at ==
-    /// sent_at` here.
-    pub fn send(&self, src: NodeId, dst: NodeId, msg: M) -> bool {
-        let faults = self.inner.faults.read().unwrap();
-        if !faults.is_alive(src) || !faults.is_alive(dst) {
-            self.inner.stats.lock().unwrap().dropped_dead += 1;
-            return false;
+    /// The loss draw comes out of the caller's `rng`, and comes first: with
+    /// a non-zero drop rate every send draws exactly once, whether or not
+    /// the link would have carried it, so a sender's loss stream does not
+    /// depend on who is dead or cut off. In-process channel delivery is
+    /// effectively instant, matching the sub-millisecond LAN of the paper's
+    /// testbed, so `deliver_at == sent_at` here.
+    pub fn send<R: Rng + ?Sized>(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+        msg: M,
+        now: SimTime,
+        rng: &mut R,
+    ) -> bool {
+        {
+            let faults = self.inner.faults.read().unwrap();
+            let p = faults.drop_rate();
+            if (p > 0.0 && rng.gen_bool(p)) || !faults.can_communicate(src, dst) {
+                return false;
+            }
         }
-        if !faults.can_communicate(src, dst) {
-            self.inner.stats.lock().unwrap().dropped_partition += 1;
-            return false;
-        }
-        drop(faults);
         let Some(tx) = self.inner.senders.get(dst.index()) else {
-            self.inner.stats.lock().unwrap().dropped_dead += 1;
             return false;
         };
-        let now = self.now();
         let env = Envelope {
             src,
             dst,
@@ -108,33 +102,13 @@ impl<M: Send> ThreadNet<M> {
             deliver_at: now,
             msg,
         };
-        if tx.lock().unwrap().send(env).is_ok() {
-            self.inner.stats.lock().unwrap().delivered += 1;
-            true
-        } else {
-            self.inner.stats.lock().unwrap().dropped_dead += 1;
-            false
-        }
+        tx.lock().unwrap().send(env).is_ok()
     }
 
-    /// Apply a mutation to the shared fault plane (kill/revive/partition).
+    /// Apply a mutation to the shared fault plane (kill/revive/partition,
+    /// drop rate).
     pub fn with_faults<T>(&self, f: impl FnOnce(&mut FaultPlane) -> T) -> T {
         f(&mut self.inner.faults.write().unwrap())
-    }
-
-    /// Traffic counters so far.
-    pub fn stats(&self) -> NetStats {
-        *self.inner.stats.lock().unwrap()
-    }
-
-    /// Number of endpoints.
-    pub fn len(&self) -> usize {
-        self.inner.senders.len()
-    }
-
-    /// True iff the network has no endpoints.
-    pub fn is_empty(&self) -> bool {
-        self.inner.senders.is_empty()
     }
 }
 
@@ -144,66 +118,51 @@ impl<M: Send> ThreadEndpoint<M> {
         self.id
     }
 
-    /// The shared network handle (for sending).
-    pub fn net(&self) -> &ThreadNet<M> {
-        &self.net
-    }
-
-    /// Send from this endpoint.
-    pub fn send(&self, dst: NodeId, msg: M) -> bool {
-        self.net.send(self.id, dst, msg)
+    /// Send from this endpoint; see [`ThreadNet::send`].
+    pub fn send<R: Rng + ?Sized>(&self, dst: NodeId, msg: M, now: SimTime, rng: &mut R) -> bool {
+        self.net.send(self.id, dst, msg, now, rng)
     }
 
     /// Non-blocking receive. Messages addressed to a node that has since
     /// been killed are dropped here (a dead node must not act on traffic).
     pub fn try_recv(&self) -> Option<Envelope<M>> {
-        loop {
-            match self.rx.try_recv() {
-                Ok(env) => {
-                    if self.net.inner.faults.read().unwrap().is_alive(self.id) {
-                        return Some(env);
-                    }
-                    // Drain silently while dead.
-                }
-                Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => return None,
+        // `Err` is an empty or a disconnected queue: nothing to deliver.
+        while let Ok(env) = self.rx.try_recv() {
+            if self.net.inner.faults.read().unwrap().is_alive(self.id) {
+                return Some(env);
             }
+            // Drain silently while dead.
         }
-    }
-
-    /// Blocking receive with a wall-clock timeout.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<Envelope<M>> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            match self.rx.recv_timeout(remaining) {
-                Ok(env) => {
-                    if self.net.inner.faults.read().unwrap().is_alive(self.id) {
-                        return Some(env);
-                    }
-                }
-                Err(_) => return None,
-            }
-        }
+        None
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use penelope_testkit::rng::TestRng;
     use std::thread;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
     }
 
+    /// Send at time zero with a throwaway loss stream.
+    fn send<M: Send>(net: &ThreadNet<M>, src: u32, dst: u32, msg: M) -> bool {
+        let mut rng = TestRng::seed_from_u64(0);
+        net.send(n(src), n(dst), msg, SimTime::ZERO, &mut rng)
+    }
+
     #[test]
     fn point_to_point_delivery() {
         let (net, eps) = ThreadNet::<u32>::new(3);
-        assert!(net.send(n(0), n(2), 42));
-        let env = eps[2].recv_timeout(Duration::from_secs(1)).expect("msg");
+        let mut rng = TestRng::seed_from_u64(0);
+        assert!(net.send(n(0), n(2), 42, SimTime::from_secs(3), &mut rng));
+        let env = eps[2].try_recv().expect("msg");
         assert_eq!(env.msg, 42);
         assert_eq!(env.src, n(0));
-        assert_eq!(net.stats().delivered, 1);
+        assert_eq!(env.sent_at, SimTime::from_secs(3));
+        assert_eq!(env.latency(), penelope_units::SimDuration::ZERO);
     }
 
     #[test]
@@ -216,15 +175,14 @@ mod tests {
     fn dead_destination_refused() {
         let (net, eps) = ThreadNet::<u32>::new(2);
         net.with_faults(|f| f.kill(n(1)));
-        assert!(!net.send(n(0), n(1), 1));
+        assert!(!send(&net, 0, 1, 1));
         assert!(eps[1].try_recv().is_none());
-        assert_eq!(net.stats().dropped_dead, 1);
     }
 
     #[test]
     fn dead_receiver_drains_queued_traffic() {
         let (net, eps) = ThreadNet::<u32>::new(2);
-        assert!(net.send(n(0), n(1), 7));
+        assert!(send(&net, 0, 1, 7));
         // The message is already queued when the node dies.
         net.with_faults(|f| f.kill(n(1)));
         assert!(eps[1].try_recv().is_none());
@@ -233,7 +191,7 @@ mod tests {
     #[test]
     fn unknown_destination_refused() {
         let (net, _eps) = ThreadNet::<u32>::new(2);
-        assert!(!net.send(n(0), n(9), 1));
+        assert!(!send(&net, 0, 9, 1));
     }
 
     #[test]
@@ -245,10 +203,38 @@ mod tests {
                 [n(2), n(3)].into_iter().collect(),
             ])
         });
-        assert!(!net.send(n(0), n(2), 1));
-        assert!(net.send(n(0), n(1), 2));
-        assert_eq!(eps[1].recv_timeout(Duration::from_secs(1)).unwrap().msg, 2);
-        assert_eq!(net.stats().dropped_partition, 1);
+        assert!(!send(&net, 0, 2, 1));
+        assert!(send(&net, 0, 1, 2));
+        assert_eq!(eps[1].try_recv().unwrap().msg, 2);
+    }
+
+    #[test]
+    fn drop_rate_draws_once_per_send_from_the_callers_stream() {
+        let (net, eps) = ThreadNet::<u32>::new(2);
+        let mut rng = TestRng::seed_from_u64(7);
+        // A healthy plane draws nothing.
+        assert!(net.send(n(0), n(1), 0, SimTime::ZERO, &mut rng));
+        assert_eq!(rng.next_u64(), TestRng::seed_from_u64(7).next_u64());
+
+        net.with_faults(|f| f.set_drop_rate(0.5));
+        let mut rng = TestRng::seed_from_u64(7);
+        let mut oracle = TestRng::seed_from_u64(7);
+        for k in 0..200 {
+            // One draw per send, dead destination or not.
+            if k == 100 {
+                net.with_faults(|f| f.kill(n(1)));
+            }
+            let lost = oracle.gen_bool(0.5);
+            let sent = net.send(n(0), n(1), k, SimTime::ZERO, &mut rng);
+            assert_eq!(sent, !lost && k < 100, "send {k}");
+        }
+        assert_eq!(rng.next_u64(), oracle.next_u64());
+        net.with_faults(|f| f.revive(n(1)));
+        let got = std::iter::from_fn(|| eps[1].try_recv()).count();
+        assert!(
+            (30..=70).contains(&(got - 1)),
+            "{got} of 100 survived 50 % loss"
+        );
     }
 
     #[test]
@@ -260,7 +246,7 @@ mod tests {
                 let net = net.clone();
                 thread::spawn(move || {
                     for k in 0..100u64 {
-                        assert!(net.send(n(i), n(8), u64::from(i) * 1000 + k));
+                        assert!(send(&net, i, 8, u64::from(i) * 1000 + k));
                     }
                 })
             })
@@ -273,26 +259,14 @@ mod tests {
             got += 1;
         }
         assert_eq!(got, 800);
-        assert_eq!(net.stats().delivered, 800);
-    }
-
-    #[test]
-    fn timestamps_monotone() {
-        let (net, eps) = ThreadNet::<u32>::new(2);
-        net.send(n(0), n(1), 1);
-        thread::sleep(Duration::from_millis(2));
-        net.send(n(0), n(1), 2);
-        let a = eps[1].recv_timeout(Duration::from_secs(1)).unwrap();
-        let b = eps[1].recv_timeout(Duration::from_secs(1)).unwrap();
-        assert!(a.sent_at <= b.sent_at);
-        assert_eq!(a.latency(), penelope_units::SimDuration::ZERO);
     }
 
     #[test]
     fn endpoint_send_uses_own_id() {
         let (_net, eps) = ThreadNet::<u32>::new(2);
-        assert!(eps[0].send(n(1), 5));
-        let env = eps[1].recv_timeout(Duration::from_secs(1)).unwrap();
+        let mut rng = TestRng::seed_from_u64(0);
+        assert!(eps[0].send(n(1), 5, SimTime::ZERO, &mut rng));
+        let env = eps[1].try_recv().unwrap();
         assert_eq!(env.src, n(0));
         assert_eq!(eps[0].id(), n(0));
     }

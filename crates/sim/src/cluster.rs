@@ -71,9 +71,9 @@ type Redistribution = (RedistributionTracker, HashSet<NodeId>);
 
 /// Per-node RNG stream derivation (SplitMix-style stream separation).
 ///
-/// Public so other substrates (the lockstep threaded runtime used by the
-/// conformance harness) can derive the *same* per-node streams from the
-/// same master seed, which keeps cross-substrate divergence small.
+/// Public so other substrates (the lockstep runtime, `penelope-runtime`)
+/// can derive the *same* per-node streams from the same master seed,
+/// which keeps cross-substrate divergence small.
 pub fn node_seed(master: u64, idx: u64) -> u64 {
     master
         ^ idx
@@ -1198,9 +1198,9 @@ impl ClusterSimBuilder {
 
     /// Apply the unified engine configuration — node parameters,
     /// discovery strategy and sequence watermark in one `penelope_core`
-    /// value. The same [`EngineConfig`] drives `ThreadedCluster::builder`
-    /// and `DaemonConfig::builder`, so a tuned protocol setup moves
-    /// between substrates verbatim.
+    /// value. The same [`EngineConfig`] drives `LockstepConfig` (in
+    /// `penelope-runtime`) and `DaemonConfig::builder`, so a tuned
+    /// protocol setup moves between substrates verbatim.
     pub fn engine_config(mut self, engine: EngineConfig) -> Self {
         self.cfg.node = engine.node;
         self.cfg.discovery = engine.discovery;

@@ -8,11 +8,11 @@
 //! * [`SimSubstrate`] — the deterministic discrete-event simulator.
 //!   Single-threaded, so every per-period snapshot is a consistent cut
 //!   with exact in-flight accounting.
-//! * [`LockstepRuntime`] — real OS threads (one per node), each stepping
-//!   its `NodeEngine` behind a mutex and exchanging `PeerMsg`s over a
-//!   [`ThreadNet`], driven in lockstep periods by barriers. The barrier
-//!   at each period boundary guarantees no message is in flight, so these
-//!   snapshots are consistent cuts too — from genuinely concurrent code.
+//! * [`LockstepRuntime`] — `penelope_runtime::run_lockstep`: real OS
+//!   threads (one per node) exchanging `PeerMsg`s over a thread-net,
+//!   driven in lockstep periods by barriers. The barrier at each period
+//!   boundary guarantees no message is in flight, so these snapshots are
+//!   consistent cuts too — from genuinely concurrent code.
 //! * [`UdpDaemonSubstrate`] — full `penelope-daemon` processes-in-threads
 //!   on UDP loopback sockets, free-running on the wall clock. Nodes are
 //!   sampled asynchronously, so snapshots are *not* consistent cuts;
@@ -23,37 +23,24 @@
 //! (`NodeEngine::step`); only what each substrate's `Effects` do — power
 //! delivery, transport — and the clock differ. That is the paper's
 //! portability claim, and the conformance suite in `tests/conformance.rs`
-//! enforces it. A scenario's faults are translated once, by
-//! `fault_script`, into the period-stamped `FaultScript` both
-//! deterministic substrates execute.
+//! enforces it. A scenario is translated once — [`sim_config`],
+//! `profiles_for`, `fault_script` — into the configuration, workloads and
+//! period-stamped `FaultScript` every substrate executes; the drivers
+//! themselves never see a [`Scenario`].
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
-use penelope_core::{
-    DeciderPolicy, Effects, EngineConfig, EngineInput, EngineOutput, NodeEngine, PeerMsg,
-};
-use penelope_net::{FaultConfig, FaultySocket, ThreadNet};
-use penelope_power::{PowerInterface, SimulatedRapl};
+use penelope_core::DeciderPolicy;
+use penelope_net::{FaultConfig, FaultySocket};
+use penelope_runtime::{run_lockstep, LockstepConfig};
 use penelope_sim::{node_seed, ClusterConfig, ClusterSim, FaultAction, FaultScript, SystemKind};
 use penelope_testkit::conformance::{
     FaultSpec, NodeSnapshot, PhaseSpec, Scenario, Snapshot, Substrate, SubstrateRun, WorkloadSpec,
 };
-use penelope_testkit::rng::{Rng, TestRng};
-use penelope_trace::{
-    CounterObserver, CounterSnapshot, EventKind, FanoutObserver, SharedObserver, Stamper,
-};
-
-/// Total messages a substrate's transport attempted over a run: delivered
-/// sends plus everything the fault plane dropped (acks included). Feeds
-/// `SubstrateRun::send_attempts`, the traffic-volume evidence behind the
-/// NonVacuousLoss statistical guard.
-fn send_attempts(counted: &CounterSnapshot) -> u64 {
-    counted.count("msg_sent") + counted.count("msg_dropped") + counted.count("ack_dropped")
-}
+use penelope_trace::{CounterObserver, CounterSnapshot, FanoutObserver, SharedObserver};
 use penelope_units::{NodeId, Power, PowerRange, SimDuration, SimTime};
-use penelope_workload::{PerfModel, Phase, Profile, WorkloadState};
+use penelope_workload::{PerfModel, Phase, Profile};
 
 /// Logical decision period shared by the sim and lockstep substrates.
 const PERIOD: SimDuration = SimDuration::from_secs(1);
@@ -132,7 +119,8 @@ pub fn sim_config(scenario: &Scenario) -> ClusterConfig {
 
 /// The scenario's fault schedule as one period-stamped [`FaultScript`]:
 /// the simulator installs it, the lockstep coordinator applies each
-/// period's share of it ([`LockstepRuntime::run_observed`]).
+/// period's share of it, and the daemon adapter walks its kill, restart
+/// and drop-rate legs.
 fn fault_script(scenario: &Scenario) -> FaultScript {
     let at = |period: u64| SimTime::ZERO + PERIOD * period;
     let n = scenario.nodes as u32;
@@ -237,9 +225,65 @@ fn fault_script(scenario: &Scenario) -> FaultScript {
     }
 }
 
+/// Total messages a substrate's transport attempted over a run: delivered
+/// sends plus everything the fault plane dropped (acks included). Feeds
+/// `SubstrateRun::send_attempts`, the traffic-volume evidence behind the
+/// NonVacuousLoss statistical guard.
+fn send_attempts(counted: &CounterSnapshot) -> u64 {
+    counted.count("msg_sent") + counted.count("msg_dropped") + counted.count("ack_dropped")
+}
+
 // ---------------------------------------------------------------------
-// Substrate 1: the discrete-event simulator
+// Substrates 1 and 2: the deterministic pair
 // ---------------------------------------------------------------------
+
+/// Fan a drop counter in next to the caller's observer, so the run reports
+/// how often the fault plane actually fired (the NonVacuousLoss guard's
+/// evidence): both deterministic substrates emit MsgDropped/AckDropped
+/// when their loss streams fire.
+fn with_drop_counter(observer: SharedObserver) -> (SharedObserver, Arc<CounterObserver>) {
+    let counter = Arc::new(CounterObserver::new());
+    let fanout = FanoutObserver::pair(observer, SharedObserver::from(Arc::clone(&counter)));
+    (fanout, counter)
+}
+
+/// A deterministic substrate's run, from its consistent cuts.
+fn cut_run(
+    substrate: &str,
+    snapshots: Vec<Snapshot>,
+    end: &Snapshot,
+    counted: &CounterSnapshot,
+) -> SubstrateRun {
+    SubstrateRun {
+        substrate: substrate.into(),
+        snapshots,
+        final_caps: end.nodes.iter().map(|n| n.cap).collect(),
+        final_alive: end.nodes.iter().map(|n| n.alive).collect(),
+        final_total: end.accounted_live() + end.lost,
+        injected_drops: Some(counted.count("msg_dropped") + counted.count("ack_dropped")),
+        send_attempts: Some(send_attempts(counted)),
+        // Neither transport can duplicate or reorder: the DES delivers by
+        // timestamp, the thread-net in order and exactly once.
+        duplicated: None,
+        delayed: None,
+    }
+}
+
+/// [`sim_config`] with the transport idealized: zero message latency and
+/// zero pool service time, so a request sent in period *p* is served and
+/// its grant applied within period *p* — the same phase alignment the
+/// lockstep runtime's barriers enforce. With read noise and tick jitter
+/// also zero, the two substrates draw identical per-node RNG streams and
+/// their normalized protocol-event streams must be *equal*, which is what
+/// the event-level conformance tests assert.
+pub fn idealized(mut cfg: ClusterConfig) -> ClusterConfig {
+    cfg.latency = penelope_net::LatencyModel::Constant(SimDuration::ZERO);
+    cfg.service = penelope_slurm::ServiceModel {
+        lo: SimDuration::ZERO,
+        hi: SimDuration::ZERO,
+    };
+    cfg
+}
 
 /// Conformance adapter for [`ClusterSim`].
 pub struct SimSubstrate;
@@ -255,38 +299,23 @@ impl SimSubstrate {
         Self::run_with(sim_config(scenario), scenario, observer)
     }
 
-    /// Like [`SimSubstrate::run_observed`] but with the transport
-    /// idealized: zero message latency and zero pool service time, so a
-    /// request sent in period *p* is served and its grant applied within
-    /// period *p* — the same phase alignment the lockstep runtime's
-    /// barriers enforce. With read noise and tick jitter also zero, the
-    /// two substrates draw identical per-node RNG streams and their
-    /// normalized protocol-event streams must be *equal*, which is what
-    /// the event-level conformance tests assert.
+    /// Like [`SimSubstrate::run_observed`] on the [`idealized`] transport.
     pub fn run_observed_ideal(
         scenario: &Scenario,
         observer: SharedObserver,
     ) -> Result<SubstrateRun, String> {
-        let mut cfg = sim_config(scenario);
-        cfg.latency = penelope_net::LatencyModel::Constant(SimDuration::ZERO);
-        cfg.service = penelope_slurm::ServiceModel {
-            lo: SimDuration::ZERO,
-            hi: SimDuration::ZERO,
-        };
-        Self::run_with(cfg, scenario, observer)
+        Self::run_with(idealized(sim_config(scenario)), scenario, observer)
     }
 
-    fn run_with(
+    /// Run the scenario's workloads and faults under `cfg` — a
+    /// [`sim_config`] the caller has adjusted.
+    pub fn run_with(
         mut cfg: ClusterConfig,
         scenario: &Scenario,
         observer: SharedObserver,
     ) -> Result<SubstrateRun, String> {
-        // Fan a drop counter in next to the caller's observer, so the run
-        // reports how often the fault plane actually fired (the
-        // NonVacuousLoss guard's evidence).
-        let drop_counters = Arc::new(CounterObserver::new());
-        cfg.observer =
-            FanoutObserver::pair(observer, SharedObserver::from(Arc::clone(&drop_counters)));
+        let (observer, drop_counter) = with_drop_counter(observer);
+        cfg.observer = observer;
         let mut sim = ClusterSim::new(cfg, profiles_for(scenario));
         sim.install_faults(&fault_script(scenario));
         let mut snapshots = Vec::with_capacity(scenario.periods as usize);
@@ -295,22 +324,7 @@ impl SimSubstrate {
             snapshots.push(sim.conformance_snapshot(p));
         }
         let end = sim.conformance_snapshot(scenario.periods);
-        let final_total = end.accounted_live() + end.lost;
-        let final_alive: Vec<bool> = end.nodes.iter().map(|n| n.alive).collect();
-        let report = sim.finish();
-        let counted = drop_counters.snapshot();
-        Ok(SubstrateRun {
-            substrate: "sim".into(),
-            snapshots,
-            final_caps: report.final_caps,
-            final_alive,
-            final_total,
-            injected_drops: Some(counted.count("msg_dropped") + counted.count("ack_dropped")),
-            send_attempts: Some(send_attempts(&counted)),
-            // The DES transport cannot duplicate or reorder.
-            duplicated: None,
-            delayed: None,
-        })
+        Ok(cut_run("sim", snapshots, &end, &drop_counter.snapshot()))
     }
 }
 
@@ -324,36 +338,9 @@ impl Substrate for SimSubstrate {
     }
 }
 
-// ---------------------------------------------------------------------
-// Substrate 2: the lockstep threaded runtime
-// ---------------------------------------------------------------------
-
-/// Conformance adapter running one real thread per node.
-///
-/// Each period runs in three barrier-separated phases — tick (Alg. 1),
-/// serve (Alg. 2 on the destination pools), apply (grant delivery) — so
-/// that at the period boundary every message sent has been consumed.
-/// Between periods the coordinator thread injects faults and takes the
-/// snapshot; that instant is a consistent cut of truly concurrent state.
+/// Conformance adapter for [`run_lockstep`]: one real thread per node,
+/// barrier-paced, snapshots at period boundaries.
 pub struct LockstepRuntime;
-
-/// Everything the coordinator shares with the node threads.
-///
-/// Each node's whole protocol automaton is one [`NodeEngine`] behind a
-/// mutex: the owning thread locks it for the duration of a phase, and the
-/// coordinator locks it only between barriers (faults, snapshots), when
-/// every node thread is parked — so the locks are never contended and the
-/// period-boundary reads are consistent cuts.
-struct Shared {
-    engines: Vec<Mutex<NodeEngine>>,
-    /// Caps mirrored out of each engine, in milliwatts (kept so dead
-    /// nodes' retired caps stay visible in snapshots).
-    caps_mw: Vec<AtomicU64>,
-    alive: Vec<AtomicBool>,
-    /// Power retired from the system (killed nodes), in milliwatts.
-    lost_mw: AtomicU64,
-    barrier: Barrier,
-}
 
 impl Substrate for LockstepRuntime {
     fn name(&self) -> &'static str {
@@ -374,396 +361,27 @@ impl LockstepRuntime {
         scenario: &Scenario,
         observer: SharedObserver,
     ) -> Result<SubstrateRun, String> {
-        let n = scenario.nodes;
-        let cfg = sim_config(scenario);
-        // Same drop accounting as the sim adapter: the node threads emit
-        // MsgDropped/AckDropped when their loss streams fire, and the
-        // counter rides next to the caller's observer.
-        let drop_counters = Arc::new(CounterObserver::new());
-        let observer =
-            FanoutObserver::pair(observer, SharedObserver::from(Arc::clone(&drop_counters)));
-        let (net, endpoints) = ThreadNet::<PeerMsg>::new(n);
-        let engine_cfg = Arc::new(EngineConfig::new(cfg.node));
-        let shared = Arc::new(Shared {
-            engines: (0..n)
-                .map(|i| {
-                    Mutex::new(NodeEngine::new(
-                        NodeId::new(i as u32),
-                        n,
-                        Arc::clone(&engine_cfg),
-                        scenario.budget_per_node,
-                        observer.clone(),
-                    ))
-                })
-                .collect(),
-            caps_mw: (0..n)
-                .map(|_| AtomicU64::new(scenario.budget_per_node.milliwatts()))
-                .collect(),
-            alive: (0..n).map(|_| AtomicBool::new(true)).collect(),
-            lost_mw: AtomicU64::new(0),
-            barrier: Barrier::new(n + 1),
-        });
-        let profiles = profiles_for(scenario);
-
-        let period = cfg.node.decider.period;
-        let mut threads = Vec::with_capacity(n);
-        for (i, endpoint) in endpoints.into_iter().enumerate() {
-            let state = WorkloadState::with_overhead(profiles[i].clone(), cfg.management_overhead);
-            let node = NodeThread {
-                rng: TestRng::seed_from_u64(node_seed(scenario.seed, i as u64)),
-                outputs: Vec::new(),
-                fx: LockstepFx {
-                    idx: i,
-                    now: SimTime::ZERO,
-                    endpoint,
-                    shared: Arc::clone(&shared),
-                    rapl: SimulatedRapl::new(state, scenario.budget_per_node, cfg.rapl.clone()),
-                    drop_rate: scenario.fault.drop_rate(),
-                    // Per-node loss stream, disjoint from the decider RNG
-                    // so drop injection never perturbs the protocol's
-                    // draw sequence.
-                    drop_rng: TestRng::seed_from_u64(node_seed(
-                        scenario.seed,
-                        u64::MAX - 3 - i as u64,
-                    )),
-                    trace: Stamper::new(observer.clone(), period),
-                },
-            };
-            let periods = scenario.periods;
-            threads.push(std::thread::spawn(move || node_loop(periods, period, node)));
-        }
-
-        // Coordinator: inject faults at period starts, snapshot at period
-        // ends. Node threads are parked on the first barrier of period p
-        // while this runs, so the snapshot reads quiescent state.
-        let mut snapshots = Vec::with_capacity(scenario.periods as usize);
-        // The kill leg: retire the victim's cap and pool into `lost` and
-        // block its traffic.
-        let kill = |node: u32| {
-            let idx = node as usize;
-            if shared.alive[idx].swap(false, Ordering::SeqCst) {
-                net.with_faults(|f| f.kill(NodeId::new(node)));
-                // The engine retires its pool *and* any escrowed grants —
-                // undelivered power dies with its granter, exactly like
-                // its cap.
-                let (pooled, escrowed) = shared.engines[idx].lock().unwrap().retire();
-                let cap = shared.caps_mw[idx].load(Ordering::SeqCst);
-                shared.lost_mw.fetch_add(
-                    cap + pooled.milliwatts() + escrowed.milliwatts(),
-                    Ordering::SeqCst,
-                );
-            }
-        };
-        // The restart leg: zero-sum re-admission — the reborn cap comes out of the lost
-        // balance, never exceeding it (nor the node's initial assignment),
-        // and only if it funds a cap inside the safe range.
-        let restart = |node: u32| {
-            let idx = node as usize;
-            if !shared.alive[idx].load(Ordering::SeqCst) {
-                let lost = shared.lost_mw.load(Ordering::SeqCst);
-                let readmit = scenario.budget_per_node.milliwatts().min(lost);
-                if readmit >= scenario.safe.min().milliwatts() {
-                    shared.lost_mw.fetch_sub(readmit, Ordering::SeqCst);
-                    shared.caps_mw[idx].store(readmit, Ordering::SeqCst);
-                    net.with_faults(|f| f.revive(NodeId::new(node)));
-                    shared.alive[idx].store(true, Ordering::SeqCst);
-                }
-            }
-        };
-        // One fault action on this substrate: node lifecycle through the
-        // two closures above, connectivity on the thread-net's fault plane.
-        let apply = |action: &FaultAction| match action {
-            FaultAction::Kill(node) => kill(node.raw()),
-            FaultAction::Restart(node) => restart(node.raw()),
-            FaultAction::Partition(groups) => {
-                let groups = groups.iter().map(|g| g.iter().copied().collect());
-                net.with_faults(|f| f.partition(groups.collect()));
-            }
-            FaultAction::PartitionLink { from, to } => net.with_faults(|f| f.cut_link(*from, *to)),
-            FaultAction::HealLink { from, to } => net.with_faults(|f| f.heal_link(*from, *to)),
-            FaultAction::Heal => net.with_faults(|f| f.heal_partitions()),
-            // Loss is injected at the sender from each node thread's own
-            // stream (`LockstepFx::send`), not by the shared plane; and a
-            // Penelope cluster has no server.
-            FaultAction::SetDropRate(_) | FaultAction::KillServer => {}
-        };
-        // Same-period order is the simulator's: script order, kills last.
-        let script = fault_script(scenario).in_firing_order();
-        for p in 0..scenario.periods {
-            let due = SimTime::ZERO + PERIOD * p;
-            for (_, action) in script.iter().filter(|(at, _)| *at == due) {
-                apply(action);
-            }
-            shared.barrier.wait(); // release into tick
-            shared.barrier.wait(); // tick done
-            shared.barrier.wait(); // serve done
-            shared.barrier.wait(); // apply done: channels drained
-            snapshots.push(snapshot_shared(&shared, p));
-        }
-        for t in threads {
-            t.join().map_err(|_| "node thread panicked".to_string())?;
-        }
-
-        let end = snapshot_shared(&shared, scenario.periods);
-        let final_total = end.accounted_live() + end.lost;
-        let counted = drop_counters.snapshot();
-        Ok(SubstrateRun {
-            substrate: "runtime".into(),
-            final_caps: end.nodes.iter().map(|r| r.cap).collect(),
-            final_alive: end.nodes.iter().map(|r| r.alive).collect(),
-            snapshots,
-            final_total,
-            injected_drops: Some(counted.count("msg_dropped") + counted.count("ack_dropped")),
-            send_attempts: Some(send_attempts(&counted)),
-            // The thread-net delivers in order, exactly once.
-            duplicated: None,
-            delayed: None,
-        })
+        Self::run_with(sim_config(scenario), scenario, observer)
     }
-}
 
-/// One period-boundary consistent cut of the lockstep cluster.
-fn snapshot_shared(shared: &Shared, period: u64) -> Snapshot {
-    // At the period boundary every sent message has been consumed, so the
-    // only in-flight power is what granters hold in escrow for grants that
-    // never reached their requester (undelivered entries). Killed nodes'
-    // engines were retired at the kill, so they report zero.
-    let mut escrowed = Power::ZERO;
-    let nodes = shared
-        .engines
-        .iter()
-        .enumerate()
-        .map(|(i, engine)| {
-            let e = engine.lock().unwrap();
-            escrowed += e.escrowed_undelivered();
-            let pool = e.pool();
-            NodeSnapshot {
-                node: i as u32,
-                alive: shared.alive[i].load(Ordering::SeqCst),
-                cap: Power::from_milliwatts(shared.caps_mw[i].load(Ordering::SeqCst)),
-                pool_available: pool.available(),
-                pool_deposited: pool.total_deposited(),
-                pool_granted: pool.total_granted() + pool.total_taken_local(),
-                pool_drained: pool.total_drained(),
-            }
-        })
-        .collect();
-    Snapshot {
-        period,
-        consistent_cut: true,
-        in_flight: escrowed,
-        lost: Power::from_milliwatts(shared.lost_mw.load(Ordering::SeqCst)),
-        nodes,
-    }
-}
-
-/// What a lockstep node thread owns besides its engine (which lives in
-/// [`Shared`], where the coordinator can reach it between barriers): the
-/// decider's random stream, the reusable output buffer, and [`LockstepFx`].
-struct NodeThread {
-    rng: TestRng,
-    outputs: Vec<EngineOutput>,
-    fx: LockstepFx,
-}
-
-impl NodeThread {
-    fn step(&mut self, engine: &mut NodeEngine, input: EngineInput) {
-        engine.step(
-            self.fx.now,
-            input,
-            &mut self.rng,
-            &mut self.outputs,
-            &mut self.fx,
+    /// Run the scenario's workloads and faults under `cfg`, the same
+    /// value [`SimSubstrate::run_with`] takes: the lockstep cluster is the
+    /// part of it a barrier-paced substrate can read.
+    pub fn run_with(
+        mut cfg: ClusterConfig,
+        scenario: &Scenario,
+        observer: SharedObserver,
+    ) -> Result<SubstrateRun, String> {
+        let (observer, drop_counter) = with_drop_counter(observer);
+        cfg.observer = observer;
+        let run = run_lockstep(
+            &LockstepConfig::from(&cfg),
+            profiles_for(scenario),
+            &fault_script(scenario),
+            scenario.periods,
         );
-    }
-}
-
-/// The lockstep substrate's side of an engine step: the thread's RAPL and
-/// the shared cap mirror, the thread-net with scenario-level loss injected
-/// at the sender, and the shared lost balance.
-struct LockstepFx {
-    idx: usize,
-    /// The start of the current period: every event in it is stamped so.
-    now: SimTime,
-    endpoint: penelope_net::ThreadEndpoint<PeerMsg>,
-    shared: Arc<Shared>,
-    rapl: SimulatedRapl<WorkloadState>,
-    drop_rate: f64,
-    drop_rng: TestRng,
-    trace: Stamper,
-}
-
-impl LockstepFx {
-    /// Substrate-level emissions; the engine emits its own events through
-    /// the same observer. Kinds are tiny `Copy` values, so building one
-    /// eagerly costs nothing even with the observer off.
-    fn emit(&self, kind: EventKind) {
-        let me = NodeId::new(self.idx as u32);
-        self.trace.emit(self.now, me, || kind);
-    }
-}
-
-impl Effects<TestRng> for LockstepFx {
-    /// Requests, grants and acks all pass through the loss stream, so a
-    /// lossy scenario degrades every protocol edge, exactly like the
-    /// simulator's drop-rate fault.
-    fn send(
-        &mut self,
-        _: &mut TestRng,
-        dst: NodeId,
-        msg: PeerMsg,
-        carried: Power,
-        escrowed: bool,
-    ) -> bool {
-        let if_lost = match &msg {
-            // A refused send (dead peer) or a random drop just means the
-            // decider times out and retries (bounded retransmits under
-            // lossy scenarios).
-            PeerMsg::Request(_) => Some(EventKind::MsgDropped { dst, carried }),
-            // A dropped ack is not retried: the granter's AwaitingAck
-            // entry simply expires without credit.
-            PeerMsg::Ack(a, _) => Some(EventKind::AckDropped { dst, seq: a.seq }),
-            // Power already debited from the pool: the engine escrows it
-            // under the outcome returned here (AwaitingAck when carried,
-            // Undelivered when dropped — the §3.2 atomicity fix), so an
-            // undeliverable grant keeps its accounting weight on the
-            // granter instead of being lost.
-            PeerMsg::Grant(..) if escrowed => Some(EventKind::MsgDropped { dst, carried }),
-            // Zero grants (empty-handed replies, ack-raced reminders) are
-            // fire-and-forget.
-            PeerMsg::Grant(..) => None,
-        };
-        let dropped = self.drop_rate > 0.0 && self.drop_rng.gen_bool(self.drop_rate);
-        let delivered = !dropped && self.endpoint.send(dst, msg);
-        self.emit(EventKind::MsgSent { dst, carried });
-        if let (false, Some(kind)) = (delivered, if_lost) {
-            self.emit(kind);
-        }
-        delivered
-    }
-
-    fn actuate(&mut self, cap: Power) {
-        self.rapl.set_cap(cap, self.now);
-        self.shared.caps_mw[self.idx].store(cap.milliwatts(), Ordering::SeqCst);
-    }
-
-    /// No timer wheel here: the tick phase starts with a `SweepEscrow`,
-    /// and one sweep per period boundary subsumes every per-entry deadline.
-    fn escrow_timer(&mut self, _requester: NodeId, _seq: u64, _at: SimTime) {}
-
-    fn power_lost(&mut self, amount: Power) {
-        let lost = &self.shared.lost_mw;
-        lost.fetch_add(amount.milliwatts(), Ordering::SeqCst);
-    }
-
-    /// Turnaround is not measured on this substrate.
-    fn resolved(&mut self, _seq: u64, _amount: Power) {}
-}
-
-/// The per-node thread body: the same [`NodeEngine`] the simulator drives,
-/// phased by barriers instead of an event queue.
-fn node_loop(periods: u64, period: SimDuration, mut node: NodeThread) {
-    let shared = Arc::clone(&node.fx.shared);
-    let idx = node.fx.idx;
-    let mut stashed_grants: Vec<(NodeId, PeerMsg)> = Vec::new();
-    let mut was_alive = true;
-    for p in 0..periods {
-        shared.barrier.wait(); // coordinator finished faults/snapshot
-        let now = SimTime::ZERO + period * p;
-        node.fx.now = now;
-        let me_alive = shared.alive[idx].load(Ordering::SeqCst);
-        if !was_alive && me_alive {
-            // Reborn between periods: the coordinator re-admitted a cap
-            // out of the lost balance. The engine rebuilds controller and
-            // pool state fresh, but continues the sequence namespace
-            // *after* the pre-crash watermark, so peers' escrow entries
-            // keyed by the old (requester, seq) pairs can never collide
-            // with — or be replayed into — the new epoch.
-            let reborn = Power::from_milliwatts(shared.caps_mw[idx].load(Ordering::SeqCst));
-            shared.engines[idx].lock().unwrap().reincarnate(reborn);
-            node.fx.rapl.set_cap(reborn, now);
-            stashed_grants.clear();
-            node.fx
-                .emit(EventKind::NodeRestarted { readmitted: reborn });
-        }
-        // Killed between periods: the coordinator's kill leg already
-        // retired cap, pool *and* escrow through `NodeEngine::retire`;
-        // nothing is left thread-side.
-        was_alive = me_alive;
-
-        // --- Tick phase -------------------------------------------------
-        if me_alive {
-            let mut engine = shared.engines[idx].lock().unwrap();
-            // Reclaim escrowed grants whose ack deadline has passed before
-            // deciding: an Undelivered amount flows back into this node's
-            // own pool (the §3.2 abort path); an AwaitingAck entry expires
-            // without credit — the power is with the requester or died
-            // with it, and re-crediting it would mint.
-            node.step(&mut engine, EngineInput::SweepEscrow);
-            let reading = node.fx.rapl.read_power_with(now, &mut node.rng);
-            node.step(&mut engine, EngineInput::Tick { reading });
-        }
-        shared.barrier.wait(); // tick done everywhere: all requests sent
-
-        // --- Serve phase ------------------------------------------------
-        // Drain this node's queue, answering requests from the local pool
-        // (the engine dedups retransmits against its escrow and never
-        // double-debits). Grants from other nodes' serve phases may
-        // interleave into the queue; stash them for the apply phase.
-        {
-            let mut guard = me_alive.then(|| shared.engines[idx].lock().unwrap());
-            while let Some(env) = node.fx.endpoint.try_recv() {
-                let src = env.src;
-                match &env.msg {
-                    PeerMsg::Grant(g, _) => {
-                        let carried = g.amount;
-                        node.fx.emit(EventKind::MsgRecv { src, carried });
-                        stashed_grants.push((src, env.msg));
-                    }
-                    // A dead node's requests and acks evaporate.
-                    PeerMsg::Request(_) | PeerMsg::Ack(..) => {
-                        if let Some(engine) = guard.as_deref_mut() {
-                            let carried = Power::ZERO;
-                            node.fx.emit(EventKind::MsgRecv { src, carried });
-                            node.step(engine, EngineInput::Msg { src, msg: env.msg });
-                        }
-                    }
-                }
-            }
-        }
-        shared.barrier.wait(); // serve done everywhere: all grants sent
-
-        // --- Apply phase ------------------------------------------------
-        if me_alive {
-            let mut engine = shared.engines[idx].lock().unwrap();
-            while let Some(env) = node.fx.endpoint.try_recv() {
-                let src = env.src;
-                match &env.msg {
-                    PeerMsg::Grant(g, _) => {
-                        let carried = g.amount;
-                        node.fx.emit(EventKind::MsgRecv { src, carried });
-                        stashed_grants.push((src, env.msg));
-                    }
-                    // Acks race with the apply drain (they are sent from
-                    // other nodes' apply phases); one missed here is
-                    // handled by the next serve phase, well before any
-                    // escrow deadline.
-                    PeerMsg::Ack(..) => {
-                        let carried = Power::ZERO;
-                        node.fx.emit(EventKind::MsgRecv { src, carried });
-                        node.step(&mut engine, EngineInput::Msg { src, msg: env.msg });
-                    }
-                    PeerMsg::Request(_) => {} // all requests drained in serve
-                }
-            }
-            for (src, msg) in stashed_grants.drain(..) {
-                // The engine merges piggybacked gossip before booking the
-                // reply, applies the grant, actuates the new cap and acks
-                // non-zero amounts back to the granter.
-                node.step(&mut engine, EngineInput::Msg { src, msg });
-            }
-        }
-        shared.barrier.wait(); // apply done: nothing in flight
+        let counted = drop_counter.snapshot();
+        Ok(cut_run("runtime", run.snapshots, &run.end, &counted))
     }
 }
 
@@ -790,17 +408,26 @@ impl Substrate for UdpDaemonSubstrate {
         use penelope_net::DatagramSocket;
         use std::net::UdpSocket;
 
-        if matches!(
-            scenario.fault,
-            FaultSpec::Partition { .. }
-                | FaultSpec::AsymmetricIsolate { .. }
-                | FaultSpec::Flapping { .. }
-                | FaultSpec::PartitionChurn { .. }
-        ) {
-            // UDP loopback has no link-level fault plane to cut; the
-            // partition matrix runs on the sim and lockstep substrates.
-            return Err("partition faults are not supported on the daemon substrate".into());
+        // The one reading of the scenario's faults, in the order every
+        // substrate applies them. Kills and restarts are walked period by
+        // period below; the drop rate in force from time zero feeds the
+        // socket shim, which is configured once, when a socket is wrapped.
+        let script = fault_script(scenario).in_firing_order();
+        let mut drop_permille = 0u16;
+        for (at, action) in &script {
+            match action {
+                FaultAction::Kill(_) | FaultAction::Restart(_) => {}
+                FaultAction::SetDropRate(rate) if *at == SimTime::ZERO => {
+                    drop_permille = (rate * 1000.0).round() as u16;
+                }
+                // UDP loopback has no link-level fault plane to cut; the
+                // partition matrix runs on the sim and lockstep substrates.
+                _ => {
+                    return Err("partition faults are not supported on the daemon substrate".into())
+                }
+            }
         }
+        let mut script = script.into_iter().peekable();
 
         let n = scenario.nodes;
         let scale = DAEMON_PERIOD_MS as f64 / 1000.0;
@@ -819,15 +446,15 @@ impl Substrate for UdpDaemonSubstrate {
         // by slotting each daemon's socket behind the deterministic
         // FaultySocket shim. (Before the shim existed this was silently
         // ignored, and every "lossy" daemon run was lossless.)
-        let (drop_permille, dup_permille, jitter_ms) = match scenario.fault {
-            FaultSpec::Lossy { drop_permille } => (drop_permille, 0, 0),
+        // Duplication and delay-reordering have no `FaultAction`: only a
+        // real wire can do either, so they stay on the spec.
+        let (dup_permille, jitter_ms) = match scenario.fault {
             FaultSpec::LossyWire {
-                drop_permille,
                 dup_permille,
                 jitter_ms,
-            } => (drop_permille, dup_permille, jitter_ms),
-            FaultSpec::KillRestart { drop_permille, .. } => (drop_permille, 0, 0),
-            _ => (0, 0, 0),
+                ..
+            } => (dup_permille, jitter_ms),
+            _ => (0, 0),
         };
         let fault_config = |i: usize| FaultConfig {
             seed: node_seed(scenario.seed, u64::MAX - 3 - i as u64),
@@ -945,66 +572,59 @@ impl Substrate for UdpDaemonSubstrate {
         // restart so the reborn daemon never reuses a pre-crash seq.
         let mut stashed_seq = 0u64;
         for p in 0..scenario.periods {
-            let kill_now = match scenario.fault {
-                FaultSpec::KillNode { node, at_period } if at_period == p => Some(node),
-                FaultSpec::KillRestart {
-                    node,
-                    kill_at_period,
-                    ..
-                } if kill_at_period == p => Some(node),
-                _ => None,
-            };
-            if let Some(node) = kill_now {
-                let idx = node as usize;
-                if handles[idx].is_some() {
-                    let summary = handles[idx].take().expect("alive").stop();
-                    injected_drops += drops_of(&summary);
-                    attempts += attempts_of(&summary);
-                    stashed_seq = summary.next_seq;
-                    lost = lost + summary.final_cap + summary.final_pool;
-                    final_caps[idx] = summary.final_cap;
-                    final_alive[idx] = false;
-                    // The killed node's holdings are retired; its frozen
-                    // row keeps appearing (alive: false) so pool-balance
-                    // checks still cover its lifetime counters.
-                    dead_rows[idx] = Some(NodeSnapshot {
-                        node,
-                        alive: false,
-                        cap: summary.final_cap,
-                        pool_available: summary.final_pool,
-                        pool_deposited: summary.pool_deposited,
-                        pool_granted: summary.granted_to_peers + summary.taken_local,
-                        pool_drained: summary.pool_drained,
-                    });
-                }
-            }
-            if let FaultSpec::KillRestart {
-                node,
-                restart_at_period,
-                ..
-            } = scenario.fault
-            {
-                let idx = node as usize;
-                if restart_at_period == p && handles[idx].is_none() {
-                    // Zero-sum re-admission: the reborn daemon gets at
-                    // most its initial cap back, taken out of `lost`.
-                    let readmitted = scenario.budget_per_node.min(lost);
-                    if readmitted >= scenario.safe.min() {
-                        lost -= readmitted;
-                        let socket = UdpSocket::bind(addrs[idx])
-                            .map_err(|e| format!("rebind daemon {idx}: {e}"))?;
-                        let (sock, shim) = shimmed(idx, socket);
-                        if let Some(old) = shims[idx].take() {
-                            retired_shims.push(old);
-                        }
-                        shims[idx] = shim;
-                        handles[idx] = Some(
-                            run_daemon_with_shim(mk_cfg(idx, readmitted, stashed_seq), sock)
-                                .map_err(|e| format!("daemon {idx} restart: {e}"))?,
-                        );
-                        dead_rows[idx] = None;
-                        final_alive[idx] = true;
+            let due = SimTime::ZERO + PERIOD * p;
+            while let Some((_, action)) = script.next_if(|(at, _)| *at <= due) {
+                match action {
+                    FaultAction::Kill(node) => {
+                        let idx = node.index();
+                        let Some(handle) = handles[idx].take() else {
+                            continue;
+                        };
+                        let summary = handle.stop();
+                        injected_drops += drops_of(&summary);
+                        attempts += attempts_of(&summary);
+                        stashed_seq = summary.next_seq;
+                        lost = lost + summary.final_cap + summary.final_pool;
+                        final_caps[idx] = summary.final_cap;
+                        final_alive[idx] = false;
+                        // The killed node's holdings are retired; its frozen
+                        // row keeps appearing (alive: false) so pool-balance
+                        // checks still cover its lifetime counters.
+                        dead_rows[idx] = Some(NodeSnapshot {
+                            node: node.raw(),
+                            alive: false,
+                            cap: summary.final_cap,
+                            pool_available: summary.final_pool,
+                            pool_deposited: summary.pool_deposited,
+                            pool_granted: summary.granted_to_peers + summary.taken_local,
+                            pool_drained: summary.pool_drained,
+                        });
                     }
+                    FaultAction::Restart(node) if handles[node.index()].is_none() => {
+                        let idx = node.index();
+                        // Zero-sum re-admission: the reborn daemon gets at
+                        // most its initial cap back, taken out of `lost`.
+                        let readmitted = scenario.budget_per_node.min(lost);
+                        if readmitted >= scenario.safe.min() {
+                            lost -= readmitted;
+                            let socket = UdpSocket::bind(addrs[idx])
+                                .map_err(|e| format!("rebind daemon {idx}: {e}"))?;
+                            let (sock, shim) = shimmed(idx, socket);
+                            if let Some(old) = shims[idx].take() {
+                                retired_shims.push(old);
+                            }
+                            shims[idx] = shim;
+                            handles[idx] = Some(
+                                run_daemon_with_shim(mk_cfg(idx, readmitted, stashed_seq), sock)
+                                    .map_err(|e| format!("daemon {idx} restart: {e}"))?,
+                            );
+                            dead_rows[idx] = None;
+                            final_alive[idx] = true;
+                        }
+                    }
+                    // A restart of a live node, or the time-zero drop rate,
+                    // which is already in the shim.
+                    _ => {}
                 }
             }
             let mut rows = Vec::with_capacity(n);

@@ -22,8 +22,8 @@
 //!   (no-op, ring buffer, JSONL export, counters) every substrate feeds.
 //! * [`sim`] — the deterministic discrete-event cluster simulator with
 //!   conservation checking.
-//! * [`runtime`] — the threaded in-process deployment (decider + pool
-//!   threads per node).
+//! * [`runtime`] — the thread-per-node lockstep runtime: one OS thread per
+//!   node over channels, barrier-paced periods, scripted faults.
 //! * [`metrics`] — performance normalization, redistribution time,
 //!   turnaround time.
 //! * [`experiments`] — the harness regenerating every table and figure in

@@ -1,5 +1,5 @@
 //! Architectural invariant: the protocol automaton lives in
-//! `penelope-core` and nowhere else. The substrates (simulator, threaded
+//! `penelope-core` and nowhere else. The substrates (simulator, lockstep
 //! runtime, UDP daemon) and the CLI are *drivers* — they pump
 //! `EngineInput`s and execute `EngineOutput`s, but they never branch on
 //! protocol state themselves. This test denies the identifiers that
@@ -15,9 +15,11 @@
 //! repo to one perf harness, `benchmark/`, a seventh holds the daemon's
 //! send path to one reused frame buffer and the shim's sockets, an
 //! eighth holds a node's own work to what it holds, not the cluster's
-//! size, and a ninth and tenth hold a node's own *state* to the same: no
+//! size, a ninth and tenth hold a node's own *state* to the same: no
 //! hash table inside an engine, and no copy of the cluster's
-//! configuration in any struct an engine is made of.
+//! configuration in any struct an engine is made of, and an eleventh
+//! holds the repo to its five effect mappings and one thread-per-node
+//! driver, in `penelope-runtime`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -617,6 +619,93 @@ fn configuration_is_stored_once_per_cluster() {
         "a struct in crates/core/src holds configuration by value — read it \
          through the `NodeCtx` the engine lends instead"
     );
+}
+
+/// The lines of `text` that implement `penelope_core::Effects`.
+fn effects_impls(text: &str) -> usize {
+    text.lines()
+        .filter(|line| line.starts_with("impl") && line.contains(" Effects<"))
+        .count()
+}
+
+/// True iff `text` both starts threads and names the engine: the shape of
+/// a thread-per-node driver.
+fn spawns_engine_threads(text: &str) -> bool {
+    ["thread::spawn", "thread::scope", "thread::Builder"]
+        .iter()
+        .any(|spawn| text.contains(spawn))
+        && contains_identifier(text, "NodeEngine")
+}
+
+/// A substrate is an `Effects` mapping plus something that feeds the
+/// engine inputs, and the repo keeps five mappings: the DES's, the
+/// sharded DES's two (first tick and steady state), the reactor's, and
+/// the lockstep runtime's. The sixth, `ThreadFx`, belonged to a second
+/// thread-per-node driver with wall-clock sleeps for a clock; the first
+/// lived inside the facade crate's conformance module, which is adapters
+/// now and must not grow a driver back.
+#[test]
+fn effects_are_mapped_in_five_places_and_threads_step_engines_in_one_crate() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for tree in ["src", "crates", "examples"] {
+        rust_sources(&root.join(tree), &mut files);
+    }
+    assert!(files.len() >= 80, "found only {} sources", files.len());
+    let mut impls = Vec::new();
+    for path in &files {
+        let text = fs::read_to_string(path).expect("readable source file");
+        let shipped = non_test_part(&text);
+        let name = path
+            .strip_prefix(root)
+            .unwrap_or(path)
+            .display()
+            .to_string();
+        if !path.components().any(|c| c.as_os_str() == "tests") {
+            impls.extend(std::iter::repeat_n(name.clone(), effects_impls(shipped)));
+        }
+        assert!(
+            !(name.starts_with("src/") && spawns_engine_threads(shipped)),
+            "{name} starts threads that step engines — that driver is \
+             `penelope_runtime::run_lockstep`; the facade only adapts to it"
+        );
+    }
+    impls.sort();
+    assert_eq!(
+        impls,
+        [
+            "crates/daemon/src/reactor.rs",
+            "crates/runtime/src/lib.rs",
+            "crates/sim/src/cluster.rs",
+            "crates/sim/src/shard.rs",
+            "crates/sim/src/shard.rs",
+        ],
+        "shipped code implements `Effects` somewhere new — a substrate is \
+         one mapping; a sixth is a second driver for an existing one"
+    );
+}
+
+#[test]
+fn driver_detection_sees_the_shapes_it_replaced() {
+    let old = "struct Shared {\n    engines: Vec<Mutex<NodeEngine>>,\n}\n\
+               impl Effects<TestRng> for LockstepFx {\n}\n\
+               impl Effects<TestRng> for ThreadFx<'_> {\n}\n\
+               fn run() {\n    threads.push(std::thread::spawn(move || node_loop(node)));\n}";
+    assert_eq!(effects_impls(old), 2);
+    assert!(spawns_engine_threads(old));
+    // The adapter names the driver's entry point and nothing it is made of;
+    // a generic bound or a doc line is not an implementation; threads that
+    // never see an engine (the experiment sweeps) are not a driver.
+    let new = "/// Conformance adapter for [`run_lockstep`].\n\
+               pub struct LockstepRuntime;\n\
+               fn go() { run_lockstep(&LockstepConfig::from(&cfg), profiles, &faults, 9); }\n\
+               pub fn step<R>(fx: &mut impl Effects<R>) {}\n\
+               //! implements [`Effects`], the substrate side";
+    assert_eq!(effects_impls(new), 0);
+    assert!(!spawns_engine_threads(new));
+    assert!(!spawns_engine_threads(
+        "std::thread::scope(|scope| sweep(scope, cells))"
+    ));
 }
 
 #[test]

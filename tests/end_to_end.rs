@@ -2,11 +2,9 @@
 //! codec → simulator → metrics, DES vs threaded runtime agreement, and the
 //! NPB suite running under all three systems.
 
-use std::time::Duration;
-
 use penelope::metrics::geometric_mean;
 use penelope::prelude::*;
-use penelope::runtime::{RuntimeConfig, ThreadedCluster};
+use penelope::runtime::{run_lockstep, LockstepConfig};
 use penelope::sim::ClusterConfig;
 use penelope::workload::codec;
 
@@ -52,8 +50,7 @@ fn all_three_systems_run_the_whole_suite() {
 #[test]
 fn des_and_threaded_runtime_agree_on_who_wins() {
     // The same donor/recipient imbalance through both substrates: each
-    // must show Penelope beating Fair. (Wall-clock and virtual time are
-    // different units; the *comparison* is what must agree.)
+    // must show Penelope moving the donor's slack to the recipient.
     let perf = PerfModel::new(Power::from_watts_u64(60), 1.0);
     let donor = Profile::new(
         "donor",
@@ -69,11 +66,11 @@ fn des_and_threaded_runtime_agree_on_who_wins() {
 
     // DES (virtual seconds; scale the work up so many decider periods fit).
     let scale = 40.0;
-    let des_workloads = vec![donor.scaled(scale), rcpt.scaled(scale)];
+    let workloads = vec![donor.scaled(scale), rcpt.scaled(scale)];
     let des_runtime = |system: SystemKind| {
         let mut cfg = ClusterConfig::checked(system, budget);
         cfg.management_overhead = 0.0;
-        ClusterSim::new(cfg, des_workloads.clone())
+        ClusterSim::new(cfg, workloads.clone())
             .run(SimTime::from_secs(4000))
             .runtime_secs()
             .expect("finished")
@@ -82,22 +79,29 @@ fn des_and_threaded_runtime_agree_on_who_wins() {
     let des_pen = des_runtime(SystemKind::Penelope);
     assert!(des_pen < des_fair, "DES: {des_pen} !< {des_fair}");
 
-    // Threads (real milliseconds).
-    let thr_workloads = vec![donor.clone(), rcpt.clone()];
-    let fair = ThreadedCluster::run_fair(
-        RuntimeConfig::fast(budget),
-        thr_workloads.clone(),
-        Duration::from_secs(20),
+    // Threads (barrier-paced periods, no makespan to compare): the same
+    // imbalance must move power the same way — the recipient ends above
+    // its even share, the donor below — with the books exact at every cut.
+    let mut cfg = ClusterConfig::checked(SystemKind::Penelope, budget);
+    cfg.management_overhead = 0.0;
+    let run = run_lockstep(
+        &LockstepConfig::from(&cfg),
+        workloads,
+        &FaultScript::none(),
+        20,
     );
-    let pen = ThreadedCluster::run_penelope(
-        RuntimeConfig::fast(budget),
-        thr_workloads,
-        Duration::from_secs(20),
-    );
-    let thr_fair = fair.makespan_secs().expect("fair finished");
-    let thr_pen = pen.makespan_secs().expect("penelope finished");
-    assert!(thr_pen < thr_fair, "threads: {thr_pen} !< {thr_fair}");
-    assert!(pen.power_accounted());
+    let share = Power::from_watts_u64(160);
+    let (donor_cap, rcpt_cap) = (run.end.nodes[0].cap, run.end.nodes[1].cap);
+    assert!(rcpt_cap > share, "threads: recipient at {rcpt_cap}");
+    assert!(donor_cap < share, "threads: donor at {donor_cap}");
+    for cut in run.snapshots.iter().chain([&run.end]) {
+        assert_eq!(
+            cut.accounted_live() + cut.lost,
+            budget,
+            "threads: books off at period {}",
+            cut.period
+        );
+    }
 }
 
 #[test]

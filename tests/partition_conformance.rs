@@ -27,9 +27,10 @@
 //! cluster-wide within a bounded number of gossip rounds, where the
 //! ablated cluster pays the full `suspect_after × response_timeout`
 //! detection cost per node. A deterministic property test then throws
-//! arbitrary kill/restart/partition/heal interleavings at the simulator
-//! and checks ledger accounting and per-node seq-epoch monotonicity on
-//! every schedule, shrinking any failure to a minimal script.
+//! arbitrary kill/restart/partition/heal interleavings at both substrates
+//! and checks ledger accounting at every cut and per-node seq-epoch
+//! monotonicity on every schedule, shrinking any failure to a minimal
+//! script.
 //!
 //! The swept drop rate can be pinned from the environment for CI matrix
 //! jobs: `PENELOPE_DROP_RATE=0.2 cargo test --test partition_conformance`
@@ -42,9 +43,10 @@ use penelope::conformance::{
     profile_from_spec, sim_config, LockstepRuntime, SimSubstrate,
 };
 use penelope_core::DeciderPolicy;
+use penelope_runtime::{run_lockstep, LockstepConfig};
 use penelope_sim::{ClusterSim, FaultAction, FaultScript};
 use penelope_testkit::conformance::{
-    check_run, FaultSpec, PhaseSpec, Scenario, Substrate, WorkloadSpec,
+    check_run, FaultSpec, PhaseSpec, Scenario, Snapshot, Substrate, WorkloadSpec,
 };
 use penelope_testkit::prop::{self, vec_of, Gen};
 use penelope_trace::{EventKind, RingBufferObserver, SharedObserver, TraceEvent};
@@ -639,11 +641,12 @@ fn random_fault_schedules_preserve_zero_sum_and_seq_epochs() {
     // Scripts of up to 10 (period, op) pairs over a 4-node cluster:
     // kills, restarts, 2-group splits, heals and directional cuts in any
     // interleaving — including nonsense legs (restarting a live node,
-    // cutting a link twice), which must be harmless no-ops. The simulator
-    // asserts conservation internally after every event; on top of that
-    // the end state must balance exactly and no node's request sequence
-    // may ever regress, crashes and rebirths included (the seq-epoch
-    // contract that makes stale grants detectable).
+    // cutting a link twice), which must be harmless no-ops. Every script
+    // runs on the simulator and, as it is, on the lockstep driver. The
+    // simulator asserts conservation internally after every event; on top
+    // of that every period cut must balance exactly on both, and no node's
+    // request sequence may ever regress, crashes and rebirths included
+    // (the seq-epoch contract that makes stale grants detectable).
     let ops = vec_of((0u64..12, 0u32..6, 0u32..4, 0u32..4), 0..10).prop_map(|raw| {
         raw.into_iter()
             .map(|(period, kind, a, b)| {
@@ -668,47 +671,134 @@ fn random_fault_schedules_preserve_zero_sum_and_seq_epochs() {
     }
     prop::check("random_fault_schedules", cfg, ops, |script| {
         let scenario = all_hungry_scenario(0x5EED_9F01, "prop-faults", 4, 14, FaultSpec::None);
-        let mut cfg = sim_config(&scenario);
-        let ring = Arc::new(RingBufferObserver::unbounded());
-        cfg.observer = SharedObserver::from(ring.clone());
-        let mut sim = ClusterSim::new(cfg, profiles(&scenario));
         let mut faults = FaultScript::none();
         for (period, op) in &script {
             if let Some(action) = op_action(op, scenario.nodes) {
                 faults = faults.at(at_period(*period), action);
             }
         }
-        sim.install_faults(&faults);
-        sim.advance_to(at_period(scenario.periods));
-
-        // Ledger: live + lost equals the budget at the end (and the
-        // simulator asserted it after every event on the way here).
-        let end = sim.conformance_snapshot(scenario.periods);
-        assert_eq!(
-            end.accounted_live() + end.lost,
-            scenario.cluster_budget(),
-            "fault script broke zero-sum: {script:?}"
-        );
-
-        // Seq-epochs: per node, request sequence numbers never
-        // decrease across the whole run (retransmits legitimately
-        // repeat a seq) — a rebirth must continue the namespace,
-        // never rewind it.
-        let events = ring.events();
-        for n in 0..scenario.nodes as u32 {
-            let node = NodeId::new(n);
-            let mut last: Option<u64> = None;
-            for e in events.iter().filter(|e| e.node == node) {
-                if let EventKind::RequestSent { seq, .. } = e.kind {
-                    if let Some(prev) = last {
-                        assert!(
-                            seq >= prev,
-                            "node {n} seq regressed {prev} -> {seq} under {script:?}"
-                        );
-                    }
-                    last = Some(seq);
-                }
-            }
+        let (sim_events, sim_cuts) = run_on_sim(&scenario, &faults);
+        let (rt_events, rt_cuts) = run_on_lockstep(&scenario, &faults);
+        for (substrate, events, cuts) in [
+            ("sim", sim_events, sim_cuts),
+            ("lockstep", rt_events, rt_cuts),
+        ] {
+            assert_books_exact(substrate, &cuts, &scenario, &script);
+            assert_seq_epochs_monotone(substrate, &events, scenario.nodes, &script);
         }
     });
+}
+
+/// Run `faults` over the scenario's cluster on the simulator: the event
+/// stream, and the cut at every period boundary plus the end state.
+fn run_on_sim(scenario: &Scenario, faults: &FaultScript) -> (Vec<TraceEvent>, Vec<Snapshot>) {
+    let mut cfg = sim_config(scenario);
+    let ring = Arc::new(RingBufferObserver::unbounded());
+    cfg.observer = SharedObserver::from(ring.clone());
+    let mut sim = ClusterSim::new(cfg, profiles(scenario));
+    sim.install_faults(faults);
+    let mut cuts = Vec::new();
+    for p in 0..scenario.periods {
+        sim.advance_to(at_period(p + 1));
+        cuts.push(sim.conformance_snapshot(p));
+    }
+    cuts.push(sim.conformance_snapshot(scenario.periods));
+    (ring.events(), cuts)
+}
+
+/// The same on the lockstep driver, which takes the script as it is.
+fn run_on_lockstep(scenario: &Scenario, faults: &FaultScript) -> (Vec<TraceEvent>, Vec<Snapshot>) {
+    let mut cfg = sim_config(scenario);
+    let ring = Arc::new(RingBufferObserver::unbounded());
+    cfg.observer = SharedObserver::from(ring.clone());
+    let run = run_lockstep(
+        &LockstepConfig::from(&cfg),
+        profiles(scenario),
+        faults,
+        scenario.periods,
+    );
+    let mut cuts = run.snapshots;
+    cuts.push(run.end);
+    (ring.events(), cuts)
+}
+
+/// Ledger: live + lost equals the budget at every period cut and at the
+/// end (the simulator also asserts it after every event on the way).
+fn assert_books_exact(
+    substrate: &str,
+    cuts: &[Snapshot],
+    scenario: &Scenario,
+    script: &dyn std::fmt::Debug,
+) {
+    assert_eq!(cuts.len() as u64, scenario.periods + 1);
+    for cut in cuts {
+        assert_eq!(
+            cut.accounted_live() + cut.lost,
+            scenario.cluster_budget(),
+            "{substrate}: zero-sum broken at period {} under {script:?}",
+            cut.period
+        );
+    }
+}
+
+/// Seq-epochs: per node, request sequence numbers never decrease across
+/// the whole run (retransmits legitimately repeat a seq) — a rebirth must
+/// continue the namespace, never rewind it.
+fn assert_seq_epochs_monotone(
+    substrate: &str,
+    events: &[TraceEvent],
+    nodes: usize,
+    script: &dyn std::fmt::Debug,
+) {
+    for n in 0..nodes as u32 {
+        let node = NodeId::new(n);
+        let mut last: Option<u64> = None;
+        for e in events.iter().filter(|e| e.node == node) {
+            if let EventKind::RequestSent { seq, .. } = e.kind {
+                if let Some(prev) = last {
+                    assert!(
+                        seq >= prev,
+                        "{substrate}: node {n} seq regressed {prev} -> {seq} under {script:?}"
+                    );
+                }
+                last = Some(seq);
+            }
+        }
+    }
+}
+
+#[test]
+fn mid_run_drop_rate_starts_dropping_at_its_period_on_both_substrates() {
+    // The loss rate is the script's own `SetDropRate`, in force from the
+    // period it is stamped with: nothing is dropped before period 5, some
+    // of the traffic is from then on, and the books stay exact throughout.
+    let scenario = all_hungry_scenario(0x5EED_9F02, "mid-run-loss", 4, 14, FaultSpec::None);
+    let faults = FaultScript::none().at(at_period(5), FaultAction::SetDropRate(0.3));
+    for (substrate, (events, cuts)) in [
+        ("sim", run_on_sim(&scenario, &faults)),
+        ("lockstep", run_on_lockstep(&scenario, &faults)),
+    ] {
+        let dropped = |from: u64, to: u64| {
+            events
+                .iter()
+                .filter(|e| (from..to).contains(&e.period))
+                .filter(|e| {
+                    matches!(
+                        e.kind,
+                        EventKind::MsgDropped { .. } | EventKind::AckDropped { .. }
+                    )
+                })
+                .count()
+        };
+        assert_eq!(
+            dropped(0, 5),
+            0,
+            "{substrate}: drops before the rate was set"
+        );
+        assert!(
+            dropped(5, scenario.periods) > 0,
+            "{substrate}: a 30 % drop rate from period 5 dropped nothing"
+        );
+        assert_books_exact(substrate, &cuts, &scenario, &faults);
+    }
 }

@@ -14,11 +14,12 @@ use std::time::Duration;
 
 use penelope::conformance::{profile_from_spec, sim_config};
 use penelope_core::DeciderPolicy;
-use penelope_runtime::{RuntimeConfig, ThreadedCluster};
-use penelope_sim::{ClusterSim, FaultScript};
+use penelope_runtime::{run_lockstep, LockstepConfig};
+use penelope_sim::{ClusterConfig, ClusterSim, FaultScript};
 use penelope_testkit::conformance::{FaultSpec, PhaseSpec, Scenario, WorkloadSpec};
 use penelope_trace::{EventKind, RingBufferObserver, SharedObserver, TraceEvent};
 use penelope_units::{NodeId, Power, PowerRange, SimDuration, SimTime};
+use penelope_workload::Profile;
 
 fn w(x: u64) -> Power {
     Power::from_watts_u64(x)
@@ -85,54 +86,40 @@ fn assert_probe_narrative(events: &[TraceEvent], dead: NodeId, substrate: &str) 
     }
 }
 
-#[test]
-fn probe_event_surfaces_on_the_simulator() {
-    let scenario = scenario(0x5EED_960B);
-    let mut cfg = sim_config(&scenario);
-    // Shrink the probe interval so suspicion expires into a probe well
-    // within the run (config, not code — the event logic is core-only).
+/// What the two deterministic legs share: the scenario's configuration
+/// with the probe interval shrunk so suspicion expires into a probe well
+/// within the run (config, not code — the event logic is core-only), its
+/// workloads, and node 0's death at 6 s.
+fn probe_setup(scenario: &Scenario) -> (ClusterConfig, Vec<Profile>, FaultScript) {
+    let mut cfg = sim_config(scenario);
     cfg.node.decider.probe_interval = SimDuration::from_secs(3);
-    let ring = Arc::new(RingBufferObserver::unbounded());
-    cfg.observer = SharedObserver::from(ring.clone());
     let profiles = scenario
         .workloads
         .iter()
         .enumerate()
         .map(|(i, spec)| profile_from_spec(spec, &format!("w{i}")))
         .collect();
+    let kill = FaultScript::kill_node_at(SimTime::from_secs(6), NodeId::new(0));
+    (cfg, profiles, kill)
+}
+
+#[test]
+fn probe_event_surfaces_on_the_simulator() {
+    let (mut cfg, profiles, kill) = probe_setup(&scenario(0x5EED_960B));
+    let ring = Arc::new(RingBufferObserver::unbounded());
+    cfg.observer = SharedObserver::from(ring.clone());
     let mut sim = ClusterSim::new(cfg, profiles);
-    sim.install_faults(&FaultScript::kill_node_at(
-        SimTime::ZERO + SimDuration::from_secs(6),
-        NodeId::new(0),
-    ));
-    sim.advance_to(SimTime::ZERO + SimDuration::from_secs(40));
+    sim.install_faults(&kill);
+    sim.advance_to(SimTime::from_secs(40));
     assert_probe_narrative(&ring.events(), NodeId::new(0), "sim");
 }
 
 #[test]
 fn probe_event_surfaces_on_the_threaded_runtime() {
-    let mut cfg = RuntimeConfig::fast(w(4 * 160));
-    cfg.node.decider.probe_interval = SimDuration::from_millis(150);
+    let (mut cfg, profiles, kill) = probe_setup(&scenario(0x5EED_960B));
     let ring = Arc::new(RingBufferObserver::unbounded());
     cfg.observer = SharedObserver::from(ring.clone());
-    let mk = |demand: u64| {
-        profile_from_spec(
-            &WorkloadSpec {
-                phases: vec![PhaseSpec {
-                    demand: w(demand),
-                    secs: 3.0,
-                }],
-            },
-            "p",
-        )
-    };
-    let workloads = vec![mk(100), mk(250), mk(250), mk(250)];
-    let _ = ThreadedCluster::run_penelope_with_fault(
-        cfg,
-        workloads,
-        Duration::from_secs(4),
-        Some((Duration::from_millis(200), 0)),
-    );
+    run_lockstep(&LockstepConfig::from(&cfg), profiles, &kill, 40);
     assert_probe_narrative(&ring.events(), NodeId::new(0), "runtime");
 }
 

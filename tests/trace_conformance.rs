@@ -17,9 +17,9 @@
 
 use std::sync::Arc;
 
-use penelope::conformance::{LockstepRuntime, SimSubstrate};
+use penelope::conformance::{idealized, sim_config, LockstepRuntime, SimSubstrate};
 use penelope::prelude::*;
-use penelope_core::DeciderPolicy;
+use penelope_core::{DeciderPolicy, DiscoveryStrategy};
 use penelope_testkit::conformance::{FaultSpec, PhaseSpec, Scenario, WorkloadSpec};
 use penelope_testkit::events::{
     check_grant_served_pairing, check_urgency_alternation, normalize_protocol,
@@ -122,6 +122,60 @@ fn sim_and_lockstep_emit_identical_protocol_streams() {
             assert!(v.is_empty(), "seed {seed} {name}: {v:?}");
         }
     }
+}
+
+/// Both adapters read one `ClusterConfig`, discovery strategy included:
+/// the lockstep side used to rebuild its engine configuration from the
+/// node parameters alone and ran uniform-random discovery whatever the
+/// configuration said. One hungry node between two donors: the strategy
+/// decides which pool each request goes to, and each pool still has only
+/// one possible requester.
+#[test]
+fn sim_and_lockstep_agree_under_round_robin_discovery() {
+    let flat = |demand: u64| WorkloadSpec {
+        phases: vec![PhaseSpec {
+            demand: watts(demand),
+            secs: 60.0,
+        }],
+    };
+    let scenario = Scenario {
+        nodes: 3,
+        workloads: vec![flat(220), flat(100), flat(100)],
+        ..ideal_scenario(7)
+    };
+    let mut cfg = idealized(sim_config(&scenario));
+    cfg.discovery = DiscoveryStrategy::RoundRobin;
+    let sim_ring = Arc::new(RingBufferObserver::unbounded());
+    let rt_ring = Arc::new(RingBufferObserver::unbounded());
+    SimSubstrate::run_with(
+        cfg.clone(),
+        &scenario,
+        SharedObserver::from(sim_ring.clone()),
+    )
+    .expect("sim run");
+    LockstepRuntime::run_with(cfg, &scenario, SharedObserver::from(rt_ring.clone()))
+        .expect("lockstep run");
+    let complete = |evs: Vec<TraceEvent>| -> Vec<TraceEvent> {
+        evs.into_iter()
+            .filter(|e| e.period < scenario.periods)
+            .collect()
+    };
+    let sim_events = complete(sim_ring.events());
+    // The sweep itself: node 0 asks its two peers in turn.
+    let asked: Vec<u32> = sim_events
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::RequestSent { dst, .. } => Some(dst.raw()),
+            _ => None,
+        })
+        .collect();
+    assert!(asked.len() >= 4, "only {} requests", asked.len());
+    assert!(asked.windows(2).all(|w| w[0] != w[1]), "asked {asked:?}");
+    assert_eq!(
+        normalize_protocol(&sim_events),
+        normalize_protocol(&complete(rt_ring.events())),
+        "sim and lockstep diverge under round-robin discovery"
+    );
 }
 
 /// The §4.2-style nominal mix on four 160 W nodes: two modest DC-like
