@@ -24,15 +24,14 @@
 #![warn(missing_docs)]
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 use penelope_core::{
     fair_assignment, Effects, EngineConfig, EngineInput, EngineOutput, NodeEngine, PeerMsg,
 };
 use penelope_net::{ThreadEndpoint, ThreadNet};
 use penelope_power::{PowerInterface, RaplConfig, SimulatedRapl};
-use penelope_sim::{node_seed, ClusterConfig, FaultAction, FaultScript};
-use penelope_testkit::conformance::{NodeSnapshot, Snapshot};
+use penelope_sim::{node_seed, ClusterConfig, FaultAction, FaultScript, NodeSnapshot, Snapshot};
 use penelope_testkit::rng::TestRng;
 use penelope_trace::{EventKind, SharedObserver, Stamper};
 use penelope_units::{NodeId, Power, SimDuration, SimTime};
@@ -90,7 +89,9 @@ pub struct LockstepRun {
 /// first period boundary at or after its timestamp.
 ///
 /// Panics if `profiles` is empty or the even share falls below the safe
-/// minimum, as `ClusterSim::new` does, and if a node thread panics.
+/// minimum, as `ClusterSim::new` does. If a node thread panics, the
+/// barrier is aborted, every other thread leaves at its next arrival and
+/// the panic is re-raised here with its original payload.
 pub fn run_lockstep(
     cfg: &LockstepConfig,
     profiles: Vec<Profile>,
@@ -121,7 +122,7 @@ pub fn run_lockstep(
             .collect(),
         alive: (0..n).map(|_| AtomicBool::new(true)).collect(),
         lost_mw: AtomicU64::new(0),
-        barrier: Barrier::new(n + 1),
+        barrier: PhaseBarrier::new(n + 1),
     };
     let coordinator = Coordinator {
         shared: &shared,
@@ -133,6 +134,7 @@ pub fn run_lockstep(
     let script = faults.in_firing_order();
 
     let snapshots = std::thread::scope(|scope| {
+        let mut threads = Vec::with_capacity(n);
         for (i, (endpoint, profile)) in endpoints.into_iter().zip(profiles).enumerate() {
             let state = WorkloadState::with_overhead(profile, cfg.management_overhead);
             // Per-node loss stream, disjoint from the decider RNG so drop
@@ -150,7 +152,7 @@ pub fn run_lockstep(
                     trace: Stamper::new(cfg.observer.clone(), period),
                 },
             };
-            scope.spawn(move || node_loop(periods, period, node));
+            threads.push(scope.spawn(move || node_loop(periods, period, node)));
         }
 
         // Coordinator: inject faults at period starts, snapshot at period
@@ -158,16 +160,24 @@ pub fn run_lockstep(
         // while this runs, so the snapshot reads quiescent state.
         let mut due = script.iter().peekable();
         let mut snapshots = Vec::with_capacity(periods as usize);
-        for p in 0..periods {
+        'run: for p in 0..periods {
             let now = SimTime::ZERO + period * p;
             while let Some((_, action)) = due.next_if(|(at, _)| *at <= now) {
                 coordinator.apply(action);
             }
-            shared.barrier.wait(); // release into tick
-            shared.barrier.wait(); // tick done
-            shared.barrier.wait(); // serve done
-            shared.barrier.wait(); // apply done: channels drained
+            // Release into tick; tick done; serve done; apply done
+            // (channels drained).
+            for _phase in 0..4 {
+                if !shared.barrier.wait() {
+                    break 'run;
+                }
+            }
             snapshots.push(shared.snapshot(p));
+        }
+        for thread in threads {
+            if let Err(payload) = thread.join() {
+                std::panic::resume_unwind(payload);
+            }
         }
         snapshots
     });
@@ -192,7 +202,72 @@ struct Shared {
     alive: Vec<AtomicBool>,
     /// Power retired from the system (killed nodes), in milliwatts.
     lost_mw: AtomicU64,
-    barrier: Barrier,
+    barrier: PhaseBarrier,
+}
+
+/// The phase barrier: `std::sync::Barrier` plus an abort. The standard
+/// barrier does not poison — a thread that unwound without arriving would
+/// leave the other `n` parties waiting forever — so this one keeps an
+/// `aborted` flag under the same lock as the arrival count: once it is
+/// set, every waiter is woken and nobody blocks here again.
+struct PhaseBarrier {
+    parties: usize,
+    state: Mutex<BarrierState>,
+    moved: Condvar,
+}
+
+#[derive(Default)]
+struct BarrierState {
+    arrived: usize,
+    generation: u64,
+    aborted: bool,
+}
+
+impl PhaseBarrier {
+    fn new(parties: usize) -> Self {
+        PhaseBarrier {
+            parties,
+            state: Mutex::default(),
+            moved: Condvar::new(),
+        }
+    }
+
+    /// Arrive, and block until all parties have. False once the barrier
+    /// is aborted: the caller stops there, and so does everyone else.
+    fn wait(&self) -> bool {
+        let mut state = self.state.lock().unwrap();
+        if state.aborted {
+            return false;
+        }
+        state.arrived += 1;
+        if state.arrived == self.parties {
+            state.arrived = 0;
+            state.generation += 1;
+            self.moved.notify_all();
+            return true;
+        }
+        let generation = state.generation;
+        while state.generation == generation && !state.aborted {
+            state = self.moved.wait(state).unwrap();
+        }
+        !state.aborted
+    }
+
+    fn abort(&self) {
+        self.state.lock().unwrap().aborted = true;
+        self.moved.notify_all();
+    }
+}
+
+/// Held by each node thread: a panic aborts the barrier on its way out.
+struct AbortOnPanic<'a>(&'a PhaseBarrier);
+
+impl Drop for AbortOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.abort();
+        }
+    }
 }
 
 impl Shared {
@@ -411,11 +486,15 @@ impl Effects<TestRng> for LockstepFx<'_> {
 /// phased by barriers instead of an event queue.
 fn node_loop(periods: u64, period: SimDuration, mut node: NodeThread) {
     let shared = node.fx.shared;
+    let _abort = AbortOnPanic(&shared.barrier);
     let idx = node.fx.endpoint.id().index();
     let mut stashed_grants: Vec<(NodeId, PeerMsg)> = Vec::new();
     let mut was_alive = true;
     for p in 0..periods {
-        shared.barrier.wait(); // coordinator finished faults/snapshot
+        // Coordinator finished faults/snapshot.
+        if !shared.barrier.wait() {
+            return;
+        }
         let now = SimTime::ZERO + period * p;
         node.fx.now = now;
         let me_alive = shared.alive[idx].load(Ordering::SeqCst);
@@ -450,7 +529,10 @@ fn node_loop(periods: u64, period: SimDuration, mut node: NodeThread) {
             let reading = node.fx.rapl.read_power_with(now, &mut node.rng);
             node.step(&mut engine, EngineInput::Tick { reading });
         }
-        shared.barrier.wait(); // tick done everywhere: all requests sent
+        // Tick done everywhere: all requests sent.
+        if !shared.barrier.wait() {
+            return;
+        }
 
         // --- Serve phase ------------------------------------------------
         // Drain this node's queue, answering requests from the local pool
@@ -478,7 +560,10 @@ fn node_loop(periods: u64, period: SimDuration, mut node: NodeThread) {
                 }
             }
         }
-        shared.barrier.wait(); // serve done everywhere: all grants sent
+        // Serve done everywhere: all grants sent.
+        if !shared.barrier.wait() {
+            return;
+        }
 
         // --- Apply phase ------------------------------------------------
         if me_alive {
@@ -510,7 +595,10 @@ fn node_loop(periods: u64, period: SimDuration, mut node: NodeThread) {
                 node.step(&mut engine, EngineInput::Msg { src, msg });
             }
         }
-        shared.barrier.wait(); // apply done: nothing in flight
+        // Apply done: nothing in flight.
+        if !shared.barrier.wait() {
+            return;
+        }
     }
 }
 
@@ -520,19 +608,26 @@ mod tests {
     use penelope_sim::SystemKind;
     use penelope_workload::{PerfModel, Phase};
 
+    const BUDGET: Power = Power::from_watts_u64(3 * 160);
+
     /// Three nodes at 160 W, one hungry, for `periods` periods of 1 s.
-    fn run(faults: &FaultScript, periods: u64) -> LockstepRun {
-        let budget = Power::from_watts_u64(3 * 160);
-        let cfg = ClusterConfig::checked(SystemKind::Penelope, budget);
+    fn run_observed(faults: &FaultScript, periods: u64, observer: SharedObserver) -> LockstepRun {
+        let mut cfg = ClusterConfig::checked(SystemKind::Penelope, BUDGET);
+        cfg.observer = observer;
         let perf = PerfModel::new(Power::from_watts_u64(60), 1.0);
         let profiles = [230, 100, 100]
             .map(|w| Profile::new("p", vec![Phase::new(Power::from_watts_u64(w), 60.0)], perf));
-        let run = run_lockstep(
+        run_lockstep(
             &LockstepConfig::from(&cfg),
             profiles.to_vec(),
             faults,
             periods,
-        );
+        )
+    }
+
+    fn run(faults: &FaultScript, periods: u64) -> LockstepRun {
+        let budget = BUDGET;
+        let run = run_observed(faults, periods, SharedObserver::noop());
         assert_eq!(run.snapshots.len() as u64, periods);
         for cut in run.snapshots.iter().chain([&run.end]) {
             assert!(cut.consistent_cut);
@@ -566,5 +661,40 @@ mod tests {
         let run = run(&script, 5);
         assert!(run.end.nodes.iter().all(|n| n.alive));
         assert!(run.end.lost.is_zero());
+    }
+
+    /// Panics inside node 1's engine step (its mutex held) in period 2.
+    struct PanicsInPeriodTwo;
+
+    impl penelope_trace::Observer for PanicsInPeriodTwo {
+        fn on_event(&self, ev: &penelope_trace::TraceEvent) {
+            if ev.period == 2 && ev.node == NodeId::new(1) {
+                panic!("node 1 broke in period 2");
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_node_thread_fails_the_run_with_its_own_payload() {
+        // Run on a thread of its own, so that a barrier nobody leaves
+        // fails this test instead of hanging the suite. The panic lands
+        // just after a barrier release, while slower threads are still
+        // leaving it — repeated, because that window is a race.
+        let (done, outcome) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for _ in 0..20 {
+                let result = std::panic::catch_unwind(|| {
+                    let observer = SharedObserver::new(Arc::new(PanicsInPeriodTwo));
+                    run_observed(&FaultScript::none(), 50, observer);
+                });
+                let _ = done.send(result.map_err(|payload| payload.downcast::<&str>().ok()));
+            }
+        });
+        for _ in 0..20 {
+            let outcome = outcome
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .expect("run_lockstep hung on a barrier a panicked node never reached");
+            assert_eq!(outcome, Err(Some(Box::new("node 1 broke in period 2"))));
+        }
     }
 }

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use crate::config::{ClusterConfig, SystemKind};
 use crate::event::{Event, EventQueue, Scheduled};
 use crate::faults::{FaultAction, FaultScript};
-use crate::ledger::Ledger;
+use crate::ledger::{Ledger, NodeSnapshot, Snapshot};
 use crate::node::Manager;
 use crate::report::RunReport;
 use crate::soa::NodeTable;
@@ -329,8 +329,7 @@ impl ClusterSim {
     /// clusters the live server cache is folded into `in_flight` (power
     /// held outside any client node), so zero-sum accounting holds for
     /// every system kind.
-    pub fn conformance_snapshot(&self, period: u64) -> penelope_testkit::conformance::Snapshot {
-        use penelope_testkit::conformance::{NodeSnapshot, Snapshot};
+    pub fn conformance_snapshot(&self, period: u64) -> Snapshot {
         let nodes = (0..self.nodes.len())
             .map(|i| {
                 let (available, deposited, granted, drained) = match &self.nodes.manager[i] {

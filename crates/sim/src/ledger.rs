@@ -87,6 +87,61 @@ impl Ledger {
     }
 }
 
+/// One node's row in a [`Snapshot`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct NodeSnapshot {
+    /// Node index.
+    pub node: u32,
+    /// False once the node has been killed by a fault.
+    pub alive: bool,
+    /// Current powercap.
+    pub cap: Power,
+    /// Power sitting in the node's pool right now.
+    pub pool_available: Power,
+    /// Lifetime power deposited into the pool.
+    pub pool_deposited: Power,
+    /// Lifetime power withdrawn from the pool to raise caps: grants to
+    /// peers plus local takes by the co-located decider.
+    pub pool_granted: Power,
+    /// Lifetime power drained out of the pool (node death / shutdown).
+    pub pool_drained: Power,
+}
+
+/// The cluster's books at one period boundary, as a substrate reports
+/// them: the [`Ledger`]'s equation with its live sums spelled out per
+/// node, so a checker outside the substrate can re-add them.
+#[derive(Clone, Debug)]
+pub struct Snapshot {
+    /// Period index (0-based).
+    pub period: u64,
+    /// True if this snapshot is a consistent global cut — all nodes
+    /// observed at the same logical instant with in-flight power known.
+    /// Cross-node sums are only *exact* on consistent cuts; on the others
+    /// only the per-node rows mean anything.
+    pub consistent_cut: bool,
+    /// Power in transit between nodes (debited from the sender, not yet
+    /// credited to the receiver). Zero if the substrate cannot observe it.
+    pub in_flight: Power,
+    /// Power retired by faults so far (dead caps + drained pools that
+    /// were deliberately lost rather than redistributed).
+    pub lost: Power,
+    /// Per-node rows.
+    pub nodes: Vec<NodeSnapshot>,
+}
+
+impl Snapshot {
+    /// Sum of live caps, live pool balances and known in-flight power.
+    pub fn accounted_live(&self) -> Power {
+        let mut total = self.in_flight;
+        for n in &self.nodes {
+            if n.alive {
+                total = total + n.cap + n.pool_available;
+            }
+        }
+        total
+    }
+}
+
 /// A conservation violation: the strongest possible bug signal in a power
 /// manager, so it carries both sides for the panic message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -37,6 +37,7 @@ pub mod trace;
 pub use cluster::{node_seed, ClusterSim, ClusterSimBuilder};
 pub use config::{ClusterConfig, DiscoveryStrategy, SystemKind};
 pub use faults::{FaultAction, FaultScript};
+pub use ledger::{NodeSnapshot, Snapshot};
 pub use report::RunReport;
 pub use shard::{ShardReport, ShardedConfig, ShardedSim};
 pub use soa::NodeTable;

@@ -12,6 +12,8 @@
 //!   served but never applied).
 //! * [`check_urgency_alternation`] — per pool, `UrgencyRaised` and
 //!   consuming `UrgencyCleared` strictly alternate.
+//! * [`check_seq_epochs_monotone`] — per node, request sequence numbers
+//!   never decrease, crashes and rebirths included.
 //! * [`normalize_protocol`] — strip transport (`Msg*`) events and
 //!   timestamps, leaving the per-node protocol-decision sequence that must
 //!   match across substrates for the same seed.
@@ -122,6 +124,27 @@ pub fn check_urgency_alternation(events: &[TraceEvent]) -> Vec<String> {
                 up.insert(node, false);
             }
             _ => {}
+        }
+    }
+    violations
+}
+
+/// Check the seq-epoch contract: per node, the sequence numbers of its
+/// `RequestSent` events never decrease across the whole stream
+/// (retransmits legitimately repeat a seq) — a rebirth must continue the
+/// namespace, never rewind it, or a stale pre-crash grant becomes
+/// indistinguishable from a fresh one.
+pub fn check_seq_epochs_monotone(events: &[TraceEvent]) -> Vec<String> {
+    let mut violations = Vec::new();
+    let mut last: HashMap<u32, u64> = HashMap::new();
+    for ev in events {
+        if let EventKind::RequestSent { seq, .. } = ev.kind {
+            let node = ev.node.index() as u32;
+            if let Some(prev) = last.insert(node, seq).filter(|prev| seq < *prev) {
+                violations.push(format!(
+                    "node {node}: request seq regressed {prev} -> {seq}"
+                ));
+            }
         }
     }
     violations
@@ -257,5 +280,23 @@ mod tests {
             norm[&1][0],
             EventKind::GrantApplied { seq: 7, .. }
         ));
+    }
+
+    #[test]
+    fn seq_epochs_allow_repeats_and_reject_a_rewind() {
+        let sent = |node, seq| {
+            let kind = EventKind::RequestSent {
+                dst: NodeId::new(9),
+                urgent: false,
+                alpha: Power::ZERO,
+                seq,
+            };
+            ev(node, seq, kind)
+        };
+        // A retransmit repeats its seq; another node's seqs are its own.
+        let clean = [sent(0, 4), sent(1, 0), sent(0, 4), sent(0, 5)];
+        assert!(check_seq_epochs_monotone(&clean).is_empty());
+        let v = check_seq_epochs_monotone(&[sent(0, 4), sent(0, 5), sent(0, 0)]);
+        assert_eq!(v, ["node 0: request seq regressed 5 -> 0"]);
     }
 }

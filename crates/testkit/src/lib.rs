@@ -10,24 +10,22 @@
 //!   float / vec / tuple generators, binary-search shrinking and
 //!   seed-reporting failure output; the in-tree `proptest` shim is
 //!   built on it.
-//! * [`conformance`] — substrate-neutral scenario descriptions, the
-//!   per-period safety invariants (no minting, safe caps, balanced pool
-//!   accounting, zero-sum), bounded sim↔runtime divergence checking and
-//!   the Penelope/Fair/SLURM differential oracle.
+//! * [`events`] — invariant checks and normalization for recorded
+//!   protocol-event streams.
+//!
+//! The cross-substrate conformance harness that runs on top of these
+//! lives in the root crate (`penelope::conformance`), beside the
+//! substrates it drives.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod conformance;
 pub mod events;
 pub mod prop;
 pub mod rng;
 
-pub use conformance::{
-    ConformanceReport, DivergenceBound, FaultSpec, Invariant, NodeSnapshot, PhaseSpec, Scenario,
-    Snapshot, Substrate, SubstrateRun, Violation, WorkloadSpec,
-};
 pub use events::{
-    check_grant_served_pairing, check_urgency_alternation, normalize_protocol, ProtocolStep,
+    check_grant_served_pairing, check_seq_epochs_monotone, check_urgency_alternation,
+    normalize_protocol, ProtocolStep,
 };
 pub use rng::{node_stream, Rng, TestRng};

@@ -19,57 +19,33 @@
 //! PENELOPE_EFFORT=smoke cargo run --release --example decider_duel
 //! ```
 
-use std::sync::Arc;
-
-use penelope::conformance::LockstepRuntime;
+use penelope::conformance::{LockstepRuntime, Scenario, Substrate};
 use penelope::experiments::{duel, Effort};
 use penelope_core::DeciderPolicy;
 use penelope_metrics::{jain_from_events, turnaround_from_events, TextTable};
-use penelope_testkit::conformance::{FaultSpec, PhaseSpec, Scenario, WorkloadSpec};
-use penelope_trace::{RingBufferObserver, SharedObserver};
-use penelope_units::{Power, PowerRange, SimTime};
+use penelope_units::SimTime;
 use penelope_workload::diurnal::{self, DiurnalConfig};
 
 const SEED: u64 = 0x00E1_0DE1;
 const LOCKSTEP_NODES: usize = 4;
 const LOCKSTEP_PERIODS: u64 = 24;
 
-/// The diurnal demand family, flattened into substrate-neutral workload
-/// specs for the lockstep leg: one decision period per slot, two days.
-fn diurnal_specs(nodes: usize, seed: u64) -> Vec<WorkloadSpec> {
+/// The lockstep leg's scenario: the diurnal demand family (one decision
+/// period per slot, two days) on the conformance harness's cluster, every
+/// decider running `policy`.
+fn lockstep_scenario(policy: DeciderPolicy) -> Scenario {
     let cfg = DiurnalConfig {
-        seed,
+        seed: SEED,
         day_secs: 12.0,
         ..DiurnalConfig::default()
     };
-    diurnal::cluster(&cfg, nodes)
+    let demands = diurnal::cluster(&cfg, LOCKSTEP_NODES)
         .into_iter()
-        .map(|p| WorkloadSpec {
-            phases: p
-                .phases
-                .iter()
-                .map(|ph| PhaseSpec {
-                    demand: ph.demand,
-                    secs: ph.work,
-                })
-                .collect(),
-        })
-        .collect()
-}
-
-fn lockstep_scenario(policy: DeciderPolicy) -> Scenario {
-    Scenario {
-        name: format!("duel-lockstep-{}", policy.name()),
-        seed: SEED,
-        nodes: LOCKSTEP_NODES,
-        budget_per_node: Power::from_watts_u64(160),
-        safe: PowerRange::from_watts(80, 300),
-        periods: LOCKSTEP_PERIODS,
-        workloads: diurnal_specs(LOCKSTEP_NODES, SEED),
-        fault: FaultSpec::None,
-        read_noise: 0.0,
-        policy,
-    }
+        .map(|profile| profile.phases);
+    let name = format!("duel-lockstep-{}", policy.name());
+    let mut s = Scenario::new(name, SEED, LOCKSTEP_PERIODS, demands);
+    s.cfg.node.decider.policy = policy;
+    s
 }
 
 struct LockstepLine {
@@ -80,11 +56,9 @@ struct LockstepLine {
 }
 
 fn lockstep_leg(policy: DeciderPolicy) -> LockstepLine {
-    let scenario = lockstep_scenario(policy);
-    let ring = Arc::new(RingBufferObserver::unbounded());
-    LockstepRuntime::run_observed(&scenario, SharedObserver::from(ring.clone()))
+    let (_, events) = LockstepRuntime
+        .run_recorded(&lockstep_scenario(policy))
         .unwrap_or_else(|e| panic!("lockstep leg for {}: {e}", policy.name()));
-    let events = ring.events();
     let turnaround = turnaround_from_events(&events);
     LockstepLine {
         policy,

@@ -1,0 +1,399 @@
+//! The invariants every substrate run is held to, and the report that
+//! collects their violations.
+//!
+//! 1. **No minting** — live caps + pool balances + in-flight power never
+//!    exceed the cluster budget (minus power retired by faults).
+//! 2. **Safe caps** — every live node's cap stays inside the safe range.
+//! 3. **Pool accounting** — per node,
+//!    `total_deposited == total_granted + drained + available` exactly.
+//! 4. **Zero-sum** — on substrates that produce consistent cuts (the
+//!    DES simulator, the lockstep threaded runtime), the accounted total
+//!    equals the initial budget *exactly*, every period.
+//! 5. **No peer loss** — unless the script kills a node, nothing is ever
+//!    booked as lost.
+//!
+//! Snapshots carry a `consistent_cut` flag because only some substrates
+//! can produce a consistent global state: the simulator trivially
+//! (single-threaded), the threaded runtime via a per-period barrier. The
+//! UDP daemons report per-node snapshots sampled asynchronously, so
+//! cross-node sums are only checked at the quiescent end there; the
+//! per-node invariants (2) and (3) are still checked every period.
+
+use std::fmt;
+
+use penelope_units::Power;
+
+use super::{Scenario, Substrate, SubstrateRun};
+
+/// Which invariant a violation breaches.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Invariant {
+    /// Live power exceeded the (fault-adjusted) cluster budget.
+    NoMinting,
+    /// A live cap left the safe range.
+    CapWithinSafe,
+    /// Pool lifetime accounting failed to balance.
+    PoolBalanced,
+    /// Consistent cut did not sum exactly to the initial budget.
+    ZeroSum,
+    /// Power was booked as lost under a script that kills no node: every
+    /// grant dropped or stranded by a cut must be escrowed and reclaimed,
+    /// so `lost` has nothing legitimate to count.
+    NoPeerLoss,
+    /// Suspicion state failed to converge within the required bound — with
+    /// gossip enabled, cluster-wide suspicion of an unreachable node must
+    /// appear within a few gossip rounds instead of every node paying its
+    /// own full timeout schedule. Emitted by scenario-level checks (the
+    /// partition matrix), not by [`check_run`]: snapshots do not carry
+    /// suspicion state.
+    ConvergenceBound,
+    /// A script setting a drop rate ran with zero observed drops on
+    /// a substrate that counts them: the fault plane was never wired in,
+    /// and every loss-tolerance conclusion from the run is vacuous.
+    NonVacuousLoss,
+}
+
+/// One invariant violation, locatable and reproducible.
+#[derive(Clone, Debug)]
+pub struct Violation {
+    /// Which invariant broke.
+    pub invariant: Invariant,
+    /// Substrate that produced the snapshot.
+    pub substrate: String,
+    /// Scenario seed — rerunning with this seed reproduces the failure.
+    pub seed: u64,
+    /// Period at which it broke.
+    pub period: u64,
+    /// Node involved, if the invariant is per-node.
+    pub node: Option<u32>,
+    /// Human-readable detail.
+    pub detail: String,
+}
+
+impl fmt::Display for Violation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "[{:?}] substrate={} seed={:#018x} period={}{}: {}",
+            self.invariant,
+            self.substrate,
+            self.seed,
+            self.period,
+            match self.node {
+                Some(n) => format!(" node={n}"),
+                None => String::new(),
+            },
+            self.detail
+        )
+    }
+}
+
+/// Check every per-period invariant over one substrate run.
+///
+/// Returns all violations found (empty = conformant). Exact zero-sum is
+/// only required on consistent cuts; the no-minting inequality is also
+/// only meaningful there (an inconsistent cut can double-count a
+/// transferred watt, so cross-node sums are skipped for those snapshots).
+pub fn check_run(scenario: &Scenario, run: &SubstrateRun) -> Vec<Violation> {
+    let mut out = Vec::new();
+    let budget = scenario.cfg.budget;
+    let safe = scenario.cfg.node.safe_range;
+    let kills_a_node = scenario.kills_a_node();
+    let violation = |invariant, period, node, detail: String| Violation {
+        invariant,
+        substrate: run.substrate.clone(),
+        seed: scenario.cfg.seed,
+        period,
+        node,
+        detail,
+    };
+
+    for snap in &run.snapshots {
+        // Per-node invariants hold on every snapshot, consistent or not:
+        // each row was sampled atomically on its own node.
+        for n in &snap.nodes {
+            if n.alive && !safe.contains(n.cap) {
+                out.push(violation(
+                    Invariant::CapWithinSafe,
+                    snap.period,
+                    Some(n.node),
+                    format!(
+                        "cap {:?} outside safe [{:?}, {:?}]",
+                        n.cap,
+                        safe.min(),
+                        safe.max()
+                    ),
+                ));
+            }
+            let outgo = n.pool_granted + n.pool_drained + n.pool_available;
+            if n.pool_deposited != outgo {
+                out.push(violation(
+                    Invariant::PoolBalanced,
+                    snap.period,
+                    Some(n.node),
+                    format!(
+                        "pool unbalanced: deposited {:?} != granted {:?} + drained {:?} + available {:?}",
+                        n.pool_deposited, n.pool_granted, n.pool_drained, n.pool_available
+                    ),
+                ));
+            }
+        }
+
+        // Unless the script kills a node, nothing dies, so nothing may be
+        // retired: under pure connectivity faults (random loss, partitions,
+        // link cuts, flapping) a non-zero `lost` means a dropped peer
+        // message burned power the escrow should have reclaimed. Checked on
+        // every snapshot — the counter is per-substrate-local, so it needs
+        // no consistent cut.
+        if !kills_a_node && !snap.lost.is_zero() {
+            out.push(violation(
+                Invariant::NoPeerLoss,
+                snap.period,
+                None,
+                format!(
+                    "{:?} booked as lost under a script that kills no node",
+                    snap.lost
+                ),
+            ));
+        }
+
+        if snap.consistent_cut {
+            let live = snap.accounted_live();
+            let accounted = live + snap.lost;
+            if accounted > budget {
+                out.push(violation(
+                    Invariant::NoMinting,
+                    snap.period,
+                    None,
+                    format!(
+                        "accounted {:?} (live {:?} + lost {:?}) exceeds budget {:?}",
+                        accounted, live, snap.lost, budget
+                    ),
+                ));
+            }
+            if accounted != budget {
+                out.push(violation(
+                    Invariant::ZeroSum,
+                    snap.period,
+                    None,
+                    format!(
+                        "consistent cut accounts {:?} (live {:?} + lost {:?}), budget {:?}",
+                        accounted, live, snap.lost, budget
+                    ),
+                ));
+            }
+        }
+    }
+
+    // A lossy scenario that observably dropped nothing proved nothing:
+    // loss-tolerance coverage is only real if the fault plane actually
+    // fired. Zero drops is legitimate randomness when the expected count
+    // is small (a 5 % rate over a few dozen messages often drops nothing),
+    // so the check only fires once it reaches 20 — an honest fault plane
+    // drops zero there with probability ≤ e⁻²⁰. The expectation is the
+    // attempts times the rate averaged over the run's periods: a
+    // substrate counts attempts for the whole run, so a rate that starts
+    // at period *p* is judged against the share of them made from *p* on,
+    // taking traffic as even across periods. A substrate that counts
+    // drops but not attempts gets the strict reading: it found zero and
+    // cannot show the traffic was thin.
+    let rates = (0..scenario.periods).map(|p| scenario.drop_rate_in(p));
+    let mean_rate = rates.sum::<f64>() / scenario.periods.max(1) as f64;
+    if mean_rate > 0.0 && run.injected_drops == Some(0) {
+        let vacuous = match run.send_attempts {
+            Some(attempts) => attempts as f64 * mean_rate >= 20.0,
+            None => true,
+        };
+        if vacuous {
+            out.push(violation(
+                Invariant::NonVacuousLoss,
+                scenario.periods,
+                None,
+                format!(
+                    "the script sets a mean drop rate of {mean_rate} but the substrate injected \
+                     zero drops over {} send attempts — the lossy coverage is vacuous",
+                    run.send_attempts
+                        .map_or_else(|| "uncounted".into(), |n| n.to_string()),
+                ),
+            ));
+        }
+    }
+
+    // End state must balance on every substrate: after joining/stopping,
+    // all in-flight power has been drained somewhere observable.
+    if run.final_total > budget {
+        out.push(violation(
+            Invariant::NoMinting,
+            scenario.periods,
+            None,
+            format!(
+                "final accounted total {:?} exceeds budget {:?}",
+                run.final_total, budget
+            ),
+        ));
+    }
+
+    out
+}
+
+/// Allowed end-state drift between two substrates running the same seed.
+///
+/// The substrates share algorithms and seed derivation but not event
+/// interleaving, so bit-exact agreement is not expected; what is
+/// expected is that they land in the *same regime*: per-node caps within
+/// `max_cap_diff` and accounted totals within `max_total_diff`.
+#[derive(Clone, Copy, Debug)]
+pub struct DivergenceBound {
+    /// Max per-node final cap difference.
+    pub max_cap_diff: Power,
+    /// Max difference of final accounted totals.
+    pub max_total_diff: Power,
+}
+
+/// Compare the end states of two substrate runs under `bound`.
+pub fn check_divergence(
+    scenario: &Scenario,
+    a: &SubstrateRun,
+    b: &SubstrateRun,
+    bound: DivergenceBound,
+) -> Vec<String> {
+    let mut out = Vec::new();
+    if a.final_caps.len() != b.final_caps.len() {
+        out.push(format!(
+            "seed {:#x}: node count mismatch: {} ({}) vs {} ({})",
+            scenario.cfg.seed,
+            a.final_caps.len(),
+            a.substrate,
+            b.final_caps.len(),
+            b.substrate
+        ));
+        return out;
+    }
+    for (i, (ca, cb)) in a.final_caps.iter().zip(&b.final_caps).enumerate() {
+        // Dead nodes hold their cap at death, which depends on timing;
+        // only live-live pairs are compared.
+        if !(a.final_alive[i] && b.final_alive[i]) {
+            continue;
+        }
+        let diff = ca.abs_diff(*cb);
+        if diff > bound.max_cap_diff {
+            out.push(format!(
+                "seed {:#x}: node {i} final cap diverges: {:?} ({}) vs {:?} ({}), |Δ|={:?} > {:?}",
+                scenario.cfg.seed, ca, a.substrate, cb, b.substrate, diff, bound.max_cap_diff
+            ));
+        }
+    }
+    let dt = a.final_total.abs_diff(b.final_total);
+    if dt > bound.max_total_diff {
+        out.push(format!(
+            "seed {:#x}: final totals diverge: {:?} ({}) vs {:?} ({}), |Δ|={:?} > {:?}",
+            scenario.cfg.seed,
+            a.final_total,
+            a.substrate,
+            b.final_total,
+            b.substrate,
+            dt,
+            bound.max_total_diff
+        ));
+    }
+    out
+}
+
+/// Full conformance outcome for one scenario across several substrates.
+#[derive(Clone, Debug)]
+pub struct ConformanceReport {
+    /// The scenario name.
+    pub scenario: String,
+    /// The reproducing seed.
+    pub seed: u64,
+    /// Invariant violations across all substrates.
+    pub violations: Vec<Violation>,
+    /// Divergence-bound breaches for compared substrate pairs.
+    pub divergence: Vec<String>,
+    /// Infrastructure errors (a substrate failed to run at all).
+    pub errors: Vec<String>,
+    /// Names of the substrates that ran.
+    pub substrates: Vec<String>,
+}
+
+impl ConformanceReport {
+    /// True when every substrate ran cleanly with no violations.
+    pub fn conformant(&self) -> bool {
+        self.violations.is_empty() && self.divergence.is_empty() && self.errors.is_empty()
+    }
+
+    /// Panic with a full report unless conformant.
+    pub fn assert_conformant(&self) {
+        assert!(
+            self.conformant(),
+            "conformance failed for scenario '{}' (reproducing seed {:#018x})\n{}",
+            self.scenario,
+            self.seed,
+            self.render()
+        );
+    }
+
+    /// Multi-line human-readable rendering.
+    pub fn render(&self) -> String {
+        let mut s = String::new();
+        for e in &self.errors {
+            s.push_str(&format!("  error: {e}\n"));
+        }
+        for v in &self.violations {
+            s.push_str(&format!("  {v}\n"));
+        }
+        for d in &self.divergence {
+            s.push_str(&format!("  divergence: {d}\n"));
+        }
+        if s.is_empty() {
+            s.push_str("  conformant\n");
+        }
+        s
+    }
+}
+
+/// Run `scenario` on every substrate, check all invariants every period,
+/// and bound the divergence between the substrate pairs named in
+/// `compare` (indices into `substrates`).
+pub fn run_conformance(
+    scenario: &Scenario,
+    substrates: &[&dyn Substrate],
+    compare: &[(usize, usize)],
+    bound: DivergenceBound,
+) -> ConformanceReport {
+    let mut report = ConformanceReport {
+        scenario: scenario.name.clone(),
+        seed: scenario.cfg.seed,
+        violations: Vec::new(),
+        divergence: Vec::new(),
+        errors: Vec::new(),
+        substrates: Vec::new(),
+    };
+    let mut runs: Vec<Option<SubstrateRun>> = Vec::new();
+    for s in substrates {
+        report.substrates.push(s.name().to_string());
+        match s.run(scenario) {
+            Ok(run) => {
+                if run.snapshots.is_empty() {
+                    report
+                        .errors
+                        .push(format!("{}: produced no snapshots", s.name()));
+                }
+                report.violations.extend(check_run(scenario, &run));
+                runs.push(Some(run));
+            }
+            Err(e) => {
+                report.errors.push(format!("{}: {e}", s.name()));
+                runs.push(None);
+            }
+        }
+    }
+    for &(i, j) in compare {
+        if let (Some(a), Some(b)) = (&runs[i], &runs[j]) {
+            report
+                .divergence
+                .extend(check_divergence(scenario, a, b, bound));
+        }
+    }
+    report
+}

@@ -31,6 +31,11 @@
 //! * [`daemon`] — the deployable `penelope-daemon`: the same decider/pool
 //!   over real UDP sockets, against simulated power or Linux RAPL.
 //!
+//! and holds one module of its own, [`conformance`]: a `Scenario` (the
+//! configuration, workloads and fault script of one run), the adapters
+//! that run it on the simulator, the lockstep runtime and UDP daemons, and
+//! the invariants every such run is held to.
+//!
 //! ## Quickstart
 //!
 //! ```

@@ -17,9 +17,11 @@
 //! eighth holds a node's own work to what it holds, not the cluster's
 //! size, a ninth and tenth hold a node's own *state* to the same: no
 //! hash table inside an engine, and no copy of the cluster's
-//! configuration in any struct an engine is made of, and an eleventh
-//! holds the repo to its five effect mappings and one thread-per-node
-//! driver, in `penelope-runtime`.
+//! configuration in any struct an engine is made of, an eleventh holds
+//! the repo to its five effect mappings and one thread-per-node driver,
+//! in `penelope-runtime`, and a twelfth holds it to one fault vocabulary
+//! (`FaultAction`) and one conformance module, in the root crate, whose
+//! `Scenario` nothing translates.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -683,6 +685,163 @@ fn effects_are_mapped_in_five_places_and_threads_step_engines_in_one_crate() {
         "shipped code implements `Effects` somewhere new — a substrate is \
          one mapping; a sixth is a second driver for an existing one"
     );
+}
+
+/// `Enum::Variant` for every variant of an `enum` defined in `text`.
+fn enum_variants(text: &str) -> Vec<(&str, &str)> {
+    let mut found = Vec::new();
+    let mut inside: Option<(&str, usize)> = None;
+    for line in text.lines() {
+        let code = line.trim();
+        let indent = line.len() - line.trim_start().len();
+        match inside {
+            None => {
+                let decl = code.strip_prefix("pub ").unwrap_or(code);
+                if let Some(name) = decl.strip_prefix("enum ").filter(|_| code.ends_with('{')) {
+                    let end = name.find(|c| !is_ident_char(c)).unwrap_or(name.len());
+                    inside = Some((&name[..end], indent));
+                }
+            }
+            Some((_, at)) if indent == at && code == "}" => inside = None,
+            Some((name, at)) if indent == at + 4 && code.starts_with(char::is_uppercase) => {
+                let end = code.find(|c| !is_ident_char(c)).unwrap_or(code.len());
+                found.push((name, &code[..end]));
+            }
+            Some(_) => {}
+        }
+    }
+    found
+}
+
+/// The enums of `text` that can say both "this node dies" and "these
+/// nodes stop hearing each other": a fault vocabulary.
+fn fault_vocabularies(text: &str) -> Vec<&str> {
+    let variants = enum_variants(text);
+    let says = |name: &str, arm: &str| {
+        variants
+            .iter()
+            .any(|(e, variant)| *e == name && variant.starts_with(arm))
+    };
+    let mut names: Vec<&str> = variants.iter().map(|(name, _)| *name).collect();
+    names.dedup();
+    names.retain(|name| says(name, "Kill") && says(name, "Partition"));
+    names
+}
+
+/// The functions of `text` that take a scenario and return its workloads
+/// or its fault script: a translation step.
+fn scenario_translators(text: &str) -> Vec<&str> {
+    let mut found = Vec::new();
+    for (at, _) in text.match_indices("fn ") {
+        let rest = &text[at + 3..];
+        let Some(body) = rest.find(['{', ';']) else {
+            continue;
+        };
+        let Some((params, returns)) = rest[..body].split_once("->") else {
+            continue;
+        };
+        let translates = (returns.contains("Vec<") && returns.contains("Profile>"))
+            || contains_identifier(returns, "FaultScript");
+        if contains_identifier(params, "Scenario") && translates {
+            found.push(&rest[..rest.find('(').unwrap_or(body)]);
+        }
+    }
+    found
+}
+
+/// A conformance scenario *is* what its substrates run: a `ClusterConfig`,
+/// one `Profile` per node and a `FaultScript`. It used to be a second
+/// vocabulary — a nine-variant fault enum, phase and workload specs — in
+/// the test kit, under a layer in the root crate that translated it, and
+/// every suite that needed the live simulator carried its own copy of the
+/// translation.
+#[test]
+fn a_scenario_is_a_fault_script_and_nothing_translates_it() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for tree in ["src", "crates", "examples"] {
+        rust_sources(&root.join(tree), &mut files);
+    }
+    assert!(files.len() >= 80, "found only {} sources", files.len());
+    let mut vocabularies = Vec::new();
+    for path in &files {
+        let text = fs::read_to_string(path).expect("readable source file");
+        let name = path.strip_prefix(root).unwrap_or(path).display();
+        if !path.components().any(|c| c.as_os_str() == "tests") {
+            for vocabulary in fault_vocabularies(non_test_part(&text)) {
+                vocabularies.push(format!("{name}: {vocabulary}"));
+            }
+        }
+        let below_the_kit = ["crates/sim/src", "crates/runtime/src"]
+            .iter()
+            .any(|tree| path.starts_with(root.join(tree)));
+        assert!(
+            !(below_the_kit && text.contains(concat!("testkit::", "conformance"))),
+            "{name} imports a conformance type from the test kit — the cut \
+             types live in `penelope_sim::ledger`"
+        );
+    }
+    assert_eq!(
+        vocabularies,
+        ["crates/sim/src/faults.rs: FaultAction"],
+        "shipped code spells faults a second way — a scenario carries a `FaultScript`"
+    );
+
+    let kit = root.join("crates/testkit/src");
+    let kit_lib = fs::read_to_string(kit.join("lib.rs")).expect("readable source file");
+    assert!(
+        !kit.join("conformance.rs").exists()
+            && !kit.join("conformance").exists()
+            && !kit_lib.contains("mod conformance"),
+        "penelope-testkit has a conformance module again — it is `penelope::conformance`"
+    );
+
+    let mut suites = Vec::new();
+    rust_sources(&root.join("tests"), &mut suites);
+    assert!(suites.len() >= 10, "found only {} suites", suites.len());
+    // This file holds the shapes themselves, as its self-test's input.
+    for path in suites.iter().filter(|p| !p.ends_with("architecture.rs")) {
+        let text = fs::read_to_string(path).expect("readable source file");
+        let translators = scenario_translators(&text);
+        assert!(
+            translators.is_empty(),
+            "{} maps a scenario to its workloads or faults ({translators:?}) — \
+             read `scenario.profiles` and `scenario.faults`",
+            path.strip_prefix(root).unwrap_or(path).display()
+        );
+    }
+}
+
+#[test]
+fn fault_vocabulary_detection_sees_the_shapes_it_replaced() {
+    let old = "pub enum FaultSpec {\n    /// No faults.\n    None,\n    KillNode {\n        \
+               node: u32,\n    },\n    Partition {\n        split_at: u32,\n    },\n}\n\
+               pub enum FaultAction {\n    Kill(NodeId),\n    Partition(Vec<Vec<NodeId>>),\n    \
+               Heal,\n}\n\
+               enum Lifecycle {\n    Kill(u32),\n    Restart(u32),\n}";
+    assert_eq!(
+        enum_variants(old)[..3],
+        [
+            ("FaultSpec", "None"),
+            ("FaultSpec", "KillNode"),
+            ("FaultSpec", "Partition")
+        ]
+    );
+    assert_eq!(fault_vocabularies(old), ["FaultSpec", "FaultAction"]);
+    let translators = "fn profiles(scenario: &Scenario) -> Vec<penelope_workload::Profile> {\n}\n\
+                       fn fault_script(scenario: &Scenario) -> FaultScript {\n}\n\
+                       fn probe_setup(\n    scenario: &Scenario,\n) -> (ClusterConfig, Vec<Profile>, FaultScript) {\n}";
+    assert_eq!(
+        scenario_translators(translators),
+        ["profiles", "fault_script", "probe_setup"]
+    );
+    // Building a script, or a scenario from one, is not translating one;
+    // neither is reading a scenario for something else.
+    let new = "fn split_then_heal() -> FaultScript {\n}\n\
+               fn cut_by(mut scenario: Scenario, faults: FaultScript) -> Scenario {\n}\n\
+               fn observed_sim_run(scenario: &Scenario) -> Vec<TraceEvent> {\n}\n\
+               fn assert_conserves(scenario: &Scenario, substrate: &dyn Substrate) {\n}";
+    assert_eq!(scenario_translators(new), [""; 0]);
 }
 
 #[test]

@@ -22,20 +22,16 @@
 //! jobs: `PENELOPE_DROP_RATE=0.2 cargo test --test churn_conformance`
 //! runs only that rate instead of the full sweep.
 
-use std::sync::Arc;
-
 use penelope::conformance::{
-    churn_scenario, profile_from_spec, sim_config, LockstepRuntime, SimSubstrate,
+    at_period, check_run, churn_scenario, LockstepRuntime, Scenario, SimSubstrate, Substrate,
     UdpDaemonSubstrate,
 };
-use penelope_core::DeciderPolicy;
 use penelope_net::LatencyModel;
-use penelope_sim::{ClusterSim, DiscoveryStrategy, FaultScript};
-use penelope_testkit::conformance::{
-    check_run, FaultSpec, PhaseSpec, Scenario, Substrate, WorkloadSpec,
-};
-use penelope_trace::{EventKind, RingBufferObserver, SharedObserver};
-use penelope_units::{NodeId, Power, PowerRange, SimDuration, SimTime};
+use penelope_sim::{ClusterSim, DiscoveryStrategy, FaultAction, FaultScript};
+use penelope_testkit::events::check_seq_epochs_monotone;
+use penelope_trace::EventKind;
+use penelope_units::{NodeId, Power, SimDuration, SimTime};
+use penelope_workload::Phase;
 
 /// Drop rates (in permille) to sweep, or the single rate pinned by the
 /// `PENELOPE_DROP_RATE` environment variable (as a probability).
@@ -74,7 +70,7 @@ fn assert_churn_conserves(scenario: &Scenario, substrate: &dyn Substrate) {
         "{} violated invariants on {} (seed {:#x}): {violations:#?}",
         substrate.name(),
         scenario.name,
-        scenario.seed
+        scenario.cfg.seed
     );
 
     // `lost` rises when the node dies (its cap, pool and escrow are
@@ -95,18 +91,18 @@ fn assert_churn_conserves(scenario: &Scenario, substrate: &dyn Substrate) {
         "{} on {}: expected exactly one lost-ledger decrease (the restart), got {decreases:?} (seed {:#x})",
         substrate.name(),
         scenario.name,
-        scenario.seed
+        scenario.cfg.seed
     );
     let (period, readmitted, lost_before) = decreases[0];
-    let expected = scenario.budget_per_node.min(lost_before);
+    let expected = scenario.budget_per_node().min(lost_before);
     assert_eq!(
         readmitted,
         expected,
         "{} on {}: restart at period {period} re-admitted {readmitted:?}, expected min(initial cap {:?}, lost {lost_before:?}) (seed {:#x})",
         substrate.name(),
         scenario.name,
-        scenario.budget_per_node,
-        scenario.seed
+        scenario.budget_per_node(),
+        scenario.cfg.seed
     );
 
     // Liveness pattern: alive, then one contiguous dead window, then
@@ -122,14 +118,14 @@ fn assert_churn_conserves(scenario: &Scenario, substrate: &dyn Substrate) {
         "{} on {}: node {CHURNED} never came back (seed {:#x})",
         substrate.name(),
         scenario.name,
-        scenario.seed
+        scenario.cfg.seed
     );
     assert!(
         alive.iter().any(|a| !a),
         "{} on {}: node {CHURNED} was never observed dead (seed {:#x})",
         substrate.name(),
         scenario.name,
-        scenario.seed
+        scenario.cfg.seed
     );
     let transitions = alive.windows(2).filter(|w| w[0] != w[1]).count();
     assert_eq!(
@@ -138,7 +134,7 @@ fn assert_churn_conserves(scenario: &Scenario, substrate: &dyn Substrate) {
         "{} on {}: liveness flapped: {alive:?} (seed {:#x})",
         substrate.name(),
         scenario.name,
-        scenario.seed
+        scenario.cfg.seed
     );
     assert!(run.final_alive[CHURNED as usize], "dead in final state");
 
@@ -146,11 +142,11 @@ fn assert_churn_conserves(scenario: &Scenario, substrate: &dyn Substrate) {
     // everything live equals the initial budget.
     assert_eq!(
         run.final_total,
-        scenario.cluster_budget(),
+        scenario.cfg.budget,
         "{} final total drifted from the budget on {} (seed {:#x})",
         substrate.name(),
         scenario.name,
-        scenario.seed
+        scenario.cfg.seed
     );
 }
 
@@ -173,7 +169,7 @@ fn restarted_node_reconverges_to_fair_share() {
     // a hungry phase, so the cluster is oversubscribed and the fair share
     // is exactly the per-node budget.
     let scenario = churn_scenario(0x5EED_C440, 0, 40);
-    let fair = scenario.budget_per_node;
+    let fair = scenario.budget_per_node();
     let band = Power::from_watts_u64(50);
     for substrate in [&SimSubstrate as &dyn Substrate, &LockstepRuntime] {
         let run = substrate
@@ -186,48 +182,20 @@ fn restarted_node_reconverges_to_fair_share() {
             dev <= band,
             "{}: churned node ended at {cap:?}, more than {band:?} from fair share {fair:?} (seed {:#x})",
             substrate.name(),
-            scenario.seed
+            scenario.cfg.seed
         );
     }
 }
 
-/// Build a hand-rolled scenario for the direct-simulator tests below:
-/// `hungry` says which nodes run a flat 220 W demand; the rest idle at
-/// 100 W and keep depositing excess into their pools.
-fn direct_scenario(seed: u64, name: &str, hungry: &[usize]) -> Scenario {
-    let workloads = (0..4)
-        .map(|i| WorkloadSpec {
-            phases: vec![PhaseSpec {
-                demand: if hungry.contains(&i) {
-                    Power::from_watts_u64(220)
-                } else {
-                    Power::from_watts_u64(100)
-                },
-                secs: 120.0,
-            }],
-        })
-        .collect();
-    Scenario {
-        name: name.into(),
-        seed,
-        nodes: 4,
-        budget_per_node: Power::from_watts_u64(160),
-        safe: PowerRange::from_watts(80, 300),
-        periods: 10,
-        workloads,
-        fault: FaultSpec::None,
-        read_noise: 0.0,
-        policy: DeciderPolicy::default(),
-    }
-}
-
-fn profiles(scenario: &Scenario) -> Vec<penelope_workload::Profile> {
-    scenario
-        .workloads
-        .iter()
-        .enumerate()
-        .map(|(i, spec)| profile_from_spec(spec, &format!("w{i}")))
-        .collect()
+/// A hand-rolled four-node scenario for the tests below: `hungry` says
+/// which nodes run a flat 220 W demand; the rest idle at 100 W and keep
+/// depositing excess into their pools.
+fn direct_scenario(seed: u64, name: &str, periods: u64, hungry: &[usize]) -> Scenario {
+    let demands = (0..4).map(|i| {
+        let demand = if hungry.contains(&i) { 220 } else { 100 };
+        vec![Phase::new(Power::from_watts_u64(demand), 120.0)]
+    });
+    Scenario::new(name, seed, periods, demands)
 }
 
 #[test]
@@ -244,15 +212,17 @@ fn stale_pre_crash_grant_is_discarded_not_double_paid() {
     // floor must discard it (the amount is returned to the ledger as
     // lost, not applied) — otherwise the node would be paid its
     // re-admitted cap *and* the stale grant: minting.
-    let scenario = direct_scenario(0x5EED_57A1, "stale-grant", &[1]);
-    let mut cfg = sim_config(&scenario);
-    cfg.latency = LatencyModel::Constant(SimDuration::from_millis(400));
-    let mut sim = ClusterSim::new(cfg, profiles(&scenario));
-    sim.install_faults(&FaultScript::kill_restart(
+    let mut scenario = direct_scenario(0x5EED_57A1, "stale-grant", 15, &[1]);
+    scenario.cfg.latency = LatencyModel::Constant(SimDuration::from_millis(400));
+    scenario.faults = FaultScript::kill_restart(
         NodeId::new(1),
         SimTime::ZERO + SimDuration::from_millis(8100),
         SimTime::ZERO + SimDuration::from_millis(8300),
-    ));
+    );
+    // The reborn node's decider counters are the evidence, so this drives
+    // the simulator itself rather than its adapter.
+    let mut sim = ClusterSim::new(scenario.cfg.clone(), scenario.profiles.clone());
+    sim.install_faults(&scenario.faults);
     // Conservation is asserted inside the simulator after every event, so
     // completing the run already proves the stale grant was not minted.
     sim.advance_to(SimTime::ZERO + SimDuration::from_secs(15));
@@ -274,19 +244,10 @@ fn gossip_hint_rediversifies_after_hinted_peer_dies() {
     // forever after it died — each request eating a full timeout. Now the
     // first timeout on the hinted peer clears the hint and repeated
     // timeouts suspect it, so traffic must re-diversify onto live peers.
-    let scenario = direct_scenario(0x5EED_4055, "sticky-hint", &[1, 2, 3]);
-    let mut cfg = sim_config(&scenario);
-    cfg.discovery = DiscoveryStrategy::GossipHint { explore: 0.1 };
-    let ring = Arc::new(RingBufferObserver::unbounded());
-    cfg.observer = SharedObserver::from(ring.clone());
-    let mut sim = ClusterSim::new(cfg, profiles(&scenario));
-    sim.install_faults(&FaultScript::kill_node_at(
-        SimTime::ZERO + SimDuration::from_secs(8),
-        NodeId::new(0),
-    ));
-    sim.advance_to(SimTime::ZERO + SimDuration::from_secs(30));
-
-    let events = ring.events();
+    let mut scenario = direct_scenario(0x5EED_4055, "sticky-hint", 30, &[1, 2, 3]);
+    scenario.cfg.discovery = DiscoveryStrategy::GossipHint { explore: 0.1 };
+    scenario.faults = FaultScript::kill_node_at(at_period(8), NodeId::new(0));
+    let (_, events) = SimSubstrate.run_recorded(&scenario).expect("sim runs");
     // The dead hinted peer must end up suspected by at least one survivor.
     assert!(
         events
@@ -299,7 +260,7 @@ fn gossip_hint_rediversifies_after_hinted_peer_dies() {
     // survivors' requests must spread over live peers instead of hammering
     // the corpse. Suspicion un-suspects for a probe every 8 s, so a
     // trickle to node 0 is expected — but it must be a minority.
-    let cutoff = SimTime::ZERO + SimDuration::from_secs(14);
+    let cutoff = at_period(14);
     for node in 1..4u32 {
         let dsts: Vec<NodeId> = events
             .iter()
@@ -360,12 +321,51 @@ fn churn_daemon_restarts_on_the_same_address_with_a_seq_watermark() {
         "expected exactly one lost-ledger decrease (the restart): {decreases:?}"
     );
     let (readmitted, lost_before) = decreases[0];
-    assert_eq!(readmitted, scenario.budget_per_node.min(lost_before));
+    assert_eq!(readmitted, scenario.budget_per_node().min(lost_before));
 
     assert!(run.final_alive[CHURNED as usize], "daemon never rejoined");
     // UDP grants still in flight at shutdown only ever make the end
     // state *under*count, never mint.
-    assert!(run.final_total <= scenario.cluster_budget());
+    assert!(run.final_total <= scenario.cfg.budget);
+}
+
+#[test]
+fn churn_daemon_keeps_one_seq_watermark_per_node() {
+    // A script can kill two nodes and restart the first. The adapter once
+    // kept a single watermark for the cluster, so node 1 would have come
+    // back on node 2's — a donor that never sent a request, so zero —
+    // below its own pre-crash seqs: the stale-grant minting hole
+    // `DaemonConfig::initial_seq` exists to close. Node 1 is the only
+    // hungry node, so its request stream is long on both sides of the
+    // outage.
+    let mut scenario = direct_scenario(0x5EED_C4DB, "churn-two-kills", 16, &[1]);
+    scenario.faults = FaultScript::none()
+        .at(at_period(5), FaultAction::Kill(NodeId::new(1)))
+        .at(at_period(7), FaultAction::Kill(NodeId::new(2)))
+        .restart_at(at_period(9), NodeId::new(1));
+    let (run, events) = UdpDaemonSubstrate
+        .run_recorded(&scenario)
+        .expect("daemon substrate runs");
+    let violations = check_run(&scenario, &run);
+    assert!(violations.is_empty(), "{violations:#?}");
+    assert!(run.final_total <= scenario.cfg.budget);
+    assert_eq!(run.final_alive, [true, true, false, true]);
+
+    // Non-vacuity: node 1 requested in both incarnations. A daemon stamps
+    // events with the time since it started, so the rebirth is where node
+    // 1's timestamps step back.
+    let requests: Vec<_> = events
+        .iter()
+        .filter(|e| e.node == NodeId::new(1))
+        .filter(|e| matches!(e.kind, EventKind::RequestSent { .. }))
+        .collect();
+    assert!(
+        requests.windows(2).any(|w| w[1].at < w[0].at),
+        "node 1 did not request on both sides of its outage ({} requests)",
+        requests.len()
+    );
+    let regressions = check_seq_epochs_monotone(&events);
+    assert!(regressions.is_empty(), "{regressions:?}");
 }
 
 #[test]
@@ -374,10 +374,8 @@ fn fault_free_churn_scenario_config_matches_lossy_defaults() {
     // drop rate its simulator config differs from the lossy zero-drop
     // config only in the fault script, so fault-free event streams stay
     // byte-identical across scenario families.
-    let churn = churn_scenario(0x5EED_0001, 0, 12);
-    let lossy = penelope::conformance::lossy_scenario(0x5EED_0001, 0, 12);
-    let a = sim_config(&churn);
-    let b = sim_config(&lossy);
+    let a = churn_scenario(0x5EED_0001, 0, 12).cfg;
+    let b = penelope::conformance::lossy_scenario(0x5EED_0001, 0, 12).cfg;
     assert_eq!(
         a.node.decider.max_retransmits,
         b.node.decider.max_retransmits

@@ -8,15 +8,12 @@
 //! seed.
 
 use penelope::conformance::{
-    node_fault_scenario, noisy_power_scenario, nominal_scenario, LockstepRuntime, SimSubstrate,
-    UdpDaemonSubstrate,
+    check_run, node_fault_scenario, noisy_power_scenario, nominal_scenario, run_conformance,
+    DivergenceBound, Invariant, LockstepRuntime, NodeSnapshot, Scenario, SimSubstrate, Snapshot,
+    Substrate, SubstrateRun, UdpDaemonSubstrate,
 };
 use penelope::units::Power;
-use penelope_core::DeciderPolicy;
-use penelope_testkit::conformance::{
-    check_run, run_conformance, DivergenceBound, FaultSpec, Invariant, NodeSnapshot, PhaseSpec,
-    Scenario, Snapshot, Substrate, SubstrateRun, WorkloadSpec,
-};
+use penelope::workload::Phase;
 
 fn watts(w: u64) -> Power {
     Power::from_watts_u64(w)
@@ -92,7 +89,7 @@ fn sim_consistent_cuts_report_in_flight_power() {
         assert!(snap.consistent_cut);
         assert_eq!(
             snap.accounted_live() + snap.lost,
-            scenario.cluster_budget(),
+            scenario.cfg.budget,
             "period {}",
             snap.period
         );
@@ -117,7 +114,7 @@ impl Substrate for DoubleApplyBug {
 
     fn run(&self, scenario: &Scenario) -> Result<SubstrateRun, String> {
         use penelope::core::{PoolConfig, PowerPool};
-        let budget_each = scenario.budget_per_node;
+        let budget_each = scenario.budget_per_node();
         let mut donor_cap = budget_each;
         let mut taker_cap = budget_each;
         let mut pool = PowerPool::new(PoolConfig::default());
@@ -163,25 +160,17 @@ impl Substrate for DoubleApplyBug {
     }
 }
 
+/// Two light nodes: the scenario the buggy substrate is handed.
+fn two_node_scenario(name: &str, seed: u64, periods: u64) -> Scenario {
+    let light = vec![Phase::new(watts(100), 60.0)];
+    let mut s = Scenario::new(name, seed, periods, [light.clone(), light]);
+    s.cfg.node.safe_range = penelope::units::PowerRange::from_watts(80, 400);
+    s
+}
+
 #[test]
 fn injected_double_grant_bug_is_caught_with_reproducing_seed() {
-    let scenario = Scenario {
-        name: "double-grant-injection".into(),
-        seed: 0xBAD_5EED,
-        nodes: 2,
-        budget_per_node: watts(160),
-        safe: penelope::units::PowerRange::from_watts(80, 400),
-        periods: 6,
-        workloads: vec![WorkloadSpec {
-            phases: vec![PhaseSpec {
-                demand: watts(100),
-                secs: 60.0,
-            }],
-        }],
-        fault: FaultSpec::None,
-        read_noise: 0.0,
-        policy: DeciderPolicy::default(),
-    };
+    let scenario = two_node_scenario("double-grant-injection", 0xBAD_5EED, 6);
     let run = DoubleApplyBug.run(&scenario).expect("bug substrate runs");
     let violations = check_run(&scenario, &run);
     assert!(
@@ -214,23 +203,7 @@ fn injected_double_grant_bug_is_caught_with_reproducing_seed() {
 
 #[test]
 fn conformance_report_renders_failures_readably() {
-    let scenario = Scenario {
-        name: "render".into(),
-        seed: 0xFACE,
-        nodes: 2,
-        budget_per_node: watts(160),
-        safe: penelope::units::PowerRange::from_watts(80, 400),
-        periods: 3,
-        workloads: vec![WorkloadSpec {
-            phases: vec![PhaseSpec {
-                demand: watts(100),
-                secs: 60.0,
-            }],
-        }],
-        fault: FaultSpec::None,
-        read_noise: 0.0,
-        policy: DeciderPolicy::default(),
-    };
+    let scenario = two_node_scenario("render", 0xFACE, 3);
     let bug = DoubleApplyBug;
     let substrates: [&dyn Substrate; 1] = [&bug];
     let report = run_conformance(&scenario, &substrates, &[], bound());

@@ -20,11 +20,11 @@
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::sync::Arc;
 
-use penelope::conformance::{churn_scenario, nominal_scenario, partition_scenario, SimSubstrate};
-use penelope_testkit::conformance::Scenario;
-use penelope_trace::{RingBufferObserver, SharedObserver, TraceEvent};
+use penelope::conformance::{
+    churn_scenario, nominal_scenario, partition_scenario, Scenario, SimSubstrate, Substrate,
+};
+use penelope_trace::TraceEvent;
 
 /// FNV-1a over the debug rendering of every event, order-sensitive.
 ///
@@ -49,10 +49,9 @@ fn stream_digest(events: &[TraceEvent]) -> u64 {
 }
 
 fn run_digest(scenario: &Scenario) -> (u64, usize) {
-    let ring = Arc::new(RingBufferObserver::unbounded());
-    SimSubstrate::run_observed(scenario, SharedObserver::from(ring.clone()))
+    let (_, events) = SimSubstrate
+        .run_recorded(scenario)
         .unwrap_or_else(|e| panic!("{} failed: {e}", scenario.name));
-    let events = ring.events();
     assert!(
         !events.is_empty(),
         "{}: empty event stream pins nothing",

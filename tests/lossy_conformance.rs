@@ -10,13 +10,11 @@
 //! jobs: `PENELOPE_DROP_RATE=0.2 cargo test --test lossy_conformance`
 //! runs only that rate instead of the full sweep.
 
-use std::sync::Arc;
-
 use penelope::conformance::{
-    lossy_scenario, lossy_wire_scenario, LockstepRuntime, SimSubstrate, UdpDaemonSubstrate,
+    check_run, lossy_scenario, lossy_wire_scenario, LockstepRuntime, Scenario, SimSubstrate,
+    Substrate, UdpDaemonSubstrate,
 };
-use penelope_testkit::conformance::{check_run, Scenario, Substrate};
-use penelope_trace::{EventKind, RingBufferObserver, SharedObserver};
+use penelope_trace::EventKind;
 
 /// Drop rates (in permille) to sweep, or the single rate pinned by the
 /// `PENELOPE_DROP_RATE` environment variable (as a probability, e.g.
@@ -52,7 +50,7 @@ fn assert_zero_peer_loss(scenario: &Scenario, substrate: &dyn Substrate) {
         "{} violated invariants on {} (seed {:#x}): {violations:#?}",
         substrate.name(),
         scenario.name,
-        scenario.seed
+        scenario.cfg.seed
     );
 
     for snap in &run.snapshots {
@@ -63,26 +61,26 @@ fn assert_zero_peer_loss(scenario: &Scenario, substrate: &dyn Substrate) {
             snap.lost,
             snap.period,
             scenario.name,
-            scenario.seed
+            scenario.cfg.seed
         );
         if snap.consistent_cut {
             assert_eq!(
                 snap.accounted_live(),
-                scenario.cluster_budget(),
+                scenario.cfg.budget,
                 "{} period {} does not conserve the budget (seed {:#x})",
                 substrate.name(),
                 snap.period,
-                scenario.seed
+                scenario.cfg.seed
             );
         }
     }
     assert_eq!(
         run.final_total,
-        scenario.cluster_budget(),
+        scenario.cfg.budget,
         "{} final total drifted from the budget on {} (seed {:#x})",
         substrate.name(),
         scenario.name,
-        scenario.seed
+        scenario.cfg.seed
     );
 }
 
@@ -113,10 +111,9 @@ fn lossy_sim_actually_drops_and_escrows() {
     // must show real drops, real escrow activity, and at least one grant
     // reclaimed after its retransmit window also went dark.
     let scenario = lossy_scenario(0x5EED_3050, 500, 20);
-    let ring = Arc::new(RingBufferObserver::unbounded());
-    SimSubstrate::run_observed(&scenario, SharedObserver::from(ring.clone()))
+    let (_, events) = SimSubstrate
+        .run_recorded(&scenario)
         .expect("lossy sim runs");
-    let events = ring.events();
     let count = |pred: &dyn Fn(&EventKind) -> bool| events.iter().filter(|e| pred(&e.kind)).count();
 
     let dropped = count(&|k| matches!(k, EventKind::MsgDropped { .. }));
@@ -134,10 +131,9 @@ fn lossy_sim_actually_drops_and_escrows() {
 #[test]
 fn lossy_lockstep_actually_drops_and_escrows() {
     let scenario = lossy_scenario(0x5EED_3051, 500, 20);
-    let ring = Arc::new(RingBufferObserver::unbounded());
-    LockstepRuntime::run_observed(&scenario, SharedObserver::from(ring.clone()))
+    let (_, events) = LockstepRuntime
+        .run_recorded(&scenario)
         .expect("lossy lockstep runs");
-    let events = ring.events();
     let dropped = events
         .iter()
         .filter(|e| matches!(e.kind, EventKind::MsgDropped { .. }))
@@ -173,7 +169,7 @@ fn daemon_lossy_leg_drops_real_datagrams_and_loses_no_power() {
         violations.is_empty(),
         "daemon violated invariants on {} (seed {:#x}): {violations:#?}",
         scenario.name,
-        scenario.seed
+        scenario.cfg.seed
     );
 
     let drops = run
@@ -198,10 +194,10 @@ fn daemon_lossy_leg_drops_real_datagrams_and_loses_no_power() {
     // shutdown may undercount the total, but it can never exceed the
     // budget.
     assert!(
-        run.final_total <= scenario.cluster_budget(),
+        run.final_total <= scenario.cfg.budget,
         "daemon minted power under loss: {:?} > {:?}",
         run.final_total,
-        scenario.cluster_budget()
+        scenario.cfg.budget
     );
 }
 
@@ -224,7 +220,7 @@ fn daemon_wire_faults_duplicate_delay_and_still_conserve() {
         violations.is_empty(),
         "daemon violated invariants on {} (seed {:#x}): {violations:#?}",
         scenario.name,
-        scenario.seed
+        scenario.cfg.seed
     );
 
     // Non-vacuity: all three fault legs must have actually fired. Before
@@ -255,17 +251,17 @@ fn daemon_wire_faults_duplicate_delay_and_still_conserve() {
         );
     }
     assert!(
-        run.final_total <= scenario.cluster_budget(),
+        run.final_total <= scenario.cfg.budget,
         "daemon minted power under duplication: {:?} > {:?}",
         run.final_total,
-        scenario.cluster_budget()
+        scenario.cfg.budget
     );
 }
 
 #[test]
 fn sim_and_lockstep_run_the_loss_leg_of_wire_faults() {
     // The deterministic substrates cannot reorder or duplicate, but they
-    // must still honor the loss leg of a LossyWire spec (and conserve
+    // must still honor the loss leg of a wire-fault scenario (and conserve
     // exactly, as for plain Lossy).
     let scenario = lossy_wire_scenario(0x5EED_D0B2, 200, 150, 5, 12);
     for substrate in [&SimSubstrate as &dyn Substrate, &LockstepRuntime] {
@@ -288,11 +284,10 @@ fn lossless_scenario_has_no_escrow_reclaims() {
     // With no loss every grant is acked promptly; escrow entries must be
     // released by acks, never by deadline expiry.
     let scenario = lossy_scenario(0x5EED_0000, 0, 10);
-    let ring = Arc::new(RingBufferObserver::unbounded());
-    SimSubstrate::run_observed(&scenario, SharedObserver::from(ring.clone()))
+    let (_, events) = SimSubstrate
+        .run_recorded(&scenario)
         .expect("lossless sim runs");
-    let reclaimed = ring
-        .events()
+    let reclaimed = events
         .iter()
         .filter(|e| matches!(e.kind, EventKind::GrantReclaimed { .. }))
         .count();

@@ -1,19 +1,19 @@
 //! Differential oracle: the paper's §4.2–§4.3 ordering claims, checked by
 //! running the *same* scenario under Penelope, the static Fair baseline
 //! and the centralized SLURM-style manager, and feeding the normalized
-//! performance triple to `penelope_testkit::conformance::oracle`.
+//! performance triple to `penelope::conformance::oracle`.
 //!
 //! Normalization follows the paper: performance = fair_runtime / runtime,
 //! so Fair is 1.0 by construction and higher is better.
 
+use penelope::conformance::oracle::{
+    check_centralized_no_better, check_fault_advantage, check_nominal, PerfTriple,
+};
 use penelope::experiments::faulty::run_faulty_cell;
 use penelope::experiments::nominal::run_cell;
 use penelope::sim::{ClusterConfig, ClusterSim, SystemKind};
 use penelope::units::{Power, SimTime};
 use penelope::workload::{npb, PerfModel, Phase, Profile};
-use penelope_testkit::conformance::oracle::{
-    check_centralized_no_better, check_fault_advantage, check_nominal, PerfTriple,
-};
 
 const NODES: usize = 4;
 const CAP_PER_SOCKET_W: u64 = 80;

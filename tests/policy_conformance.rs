@@ -17,16 +17,14 @@
 //!    holds under every policy, with and without message loss — a market
 //!    bid in flight is just a request; losing it must strand zero power.
 
-use std::sync::Arc;
-
-use penelope::conformance::{policy_scenario, LockstepRuntime, SimSubstrate};
-use penelope_core::{DeciderPolicy, MarketConfig, PredictiveConfig};
-use penelope_testkit::conformance::{
-    check_run, FaultSpec, PhaseSpec, Scenario, Substrate, WorkloadSpec,
+use penelope::conformance::{
+    check_run, policy_scenario, LockstepRuntime, Scenario, SimSubstrate, Substrate,
 };
+use penelope_core::{DeciderPolicy, MarketConfig, PredictiveConfig};
 use penelope_testkit::events::normalize_protocol;
-use penelope_trace::{EventKind, RingBufferObserver, SharedObserver, TraceEvent};
-use penelope_units::{Power, PowerRange};
+use penelope_trace::{EventKind, TraceEvent};
+use penelope_units::Power;
+use penelope_workload::Phase;
 
 fn watts(w: u64) -> Power {
     Power::from_watts_u64(w)
@@ -49,37 +47,12 @@ fn challenger_policies() -> [DeciderPolicy; 2] {
 /// start, so the market provably bids — and node 1's post-drop excess
 /// gives the pool something to match those bids against.
 fn ideal_policy_scenario(seed: u64, policy: DeciderPolicy) -> Scenario {
-    Scenario {
-        name: format!("event-stream-{}", policy.name()),
-        seed,
-        nodes: 2,
-        budget_per_node: watts(160),
-        safe: PowerRange::from_watts(80, 300),
-        periods: 10,
-        workloads: vec![
-            WorkloadSpec {
-                phases: vec![PhaseSpec {
-                    demand: watts(220),
-                    secs: 60.0,
-                }],
-            },
-            WorkloadSpec {
-                phases: vec![
-                    PhaseSpec {
-                        demand: watts(210),
-                        secs: 4.0,
-                    },
-                    PhaseSpec {
-                        demand: watts(100),
-                        secs: 60.0,
-                    },
-                ],
-            },
-        ],
-        fault: FaultSpec::None,
-        read_noise: 0.0,
-        policy,
-    }
+    let hungry = vec![Phase::new(watts(220), 60.0)];
+    let falling = vec![Phase::new(watts(210), 4.0), Phase::new(watts(100), 60.0)];
+    let name = format!("event-stream-{}", policy.name());
+    let mut s = Scenario::new(name, seed, 10, [hungry, falling]).idealized();
+    s.cfg.node.decider.policy = policy;
+    s
 }
 
 /// The event kinds only one policy family can emit, used as non-vacuity
@@ -93,11 +66,9 @@ fn sim_and_lockstep_emit_identical_streams_under_every_policy() {
     for policy in challenger_policies() {
         for seed in [11, 4242] {
             let scenario = ideal_policy_scenario(seed, policy);
-            let sim_ring = Arc::new(RingBufferObserver::unbounded());
-            let rt_ring = Arc::new(RingBufferObserver::unbounded());
-            SimSubstrate::run_observed_ideal(&scenario, SharedObserver::from(sim_ring.clone()))
-                .expect("sim run");
-            LockstepRuntime::run_observed(&scenario, SharedObserver::from(rt_ring.clone()))
+            let (_, sim_events) = SimSubstrate.run_recorded(&scenario).expect("sim run");
+            let (_, rt_events) = LockstepRuntime
+                .run_recorded(&scenario)
                 .expect("lockstep run");
 
             // The sim's final advance_to also fires the tick sitting on
@@ -108,8 +79,8 @@ fn sim_and_lockstep_emit_identical_streams_under_every_policy() {
                     .filter(|e| e.period < scenario.periods)
                     .collect()
             };
-            let sim_events = cut(sim_ring.events());
-            let rt_events = cut(rt_ring.events());
+            let sim_events = cut(sim_events);
+            let rt_events = cut(rt_events);
 
             // Non-vacuity: the challenger-specific protocol paths must
             // actually run in both streams.
@@ -163,7 +134,7 @@ fn assert_conserves(scenario: &Scenario, substrate: &dyn Substrate) {
         "{} violated invariants on {} (seed {:#x}): {violations:#?}",
         substrate.name(),
         scenario.name,
-        scenario.seed
+        scenario.cfg.seed
     );
     for snap in &run.snapshots {
         assert!(
@@ -177,7 +148,7 @@ fn assert_conserves(scenario: &Scenario, substrate: &dyn Substrate) {
         if snap.consistent_cut {
             assert_eq!(
                 snap.accounted_live(),
-                scenario.cluster_budget(),
+                scenario.cfg.budget,
                 "{} period {} of {} does not conserve the budget",
                 substrate.name(),
                 snap.period,
@@ -187,7 +158,7 @@ fn assert_conserves(scenario: &Scenario, substrate: &dyn Substrate) {
     }
     assert_eq!(
         run.final_total,
-        scenario.cluster_budget(),
+        scenario.cfg.budget,
         "{} final total drifted on {}",
         substrate.name(),
         scenario.name
@@ -217,10 +188,9 @@ fn market_bids_in_flight_under_loss_strand_zero_power() {
         200,
         20,
     );
-    let ring = Arc::new(RingBufferObserver::unbounded());
-    let run = SimSubstrate::run_observed(&scenario, SharedObserver::from(ring.clone()))
+    let (run, events) = SimSubstrate
+        .run_recorded(&scenario)
         .expect("lossy market sim runs");
-    let events = ring.events();
     assert!(
         count_kind(&events, |k| matches!(k, EventKind::BidPlaced { .. })) > 0,
         "no bids placed under loss — the scenario is vacuous"
@@ -234,7 +204,7 @@ fn market_bids_in_flight_under_loss_strand_zero_power() {
     for snap in &run.snapshots {
         assert!(snap.lost.is_zero(), "market loss stranded power");
         if snap.consistent_cut {
-            assert_eq!(snap.accounted_live(), scenario.cluster_budget());
+            assert_eq!(snap.accounted_live(), scenario.cfg.budget);
         }
     }
 

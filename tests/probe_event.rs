@@ -9,46 +9,29 @@
 //! fresh, and once the probe interval elapses the next request to the
 //! corpse is narrated as a probe.
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use penelope::conformance::{profile_from_spec, sim_config};
-use penelope_core::DeciderPolicy;
-use penelope_runtime::{run_lockstep, LockstepConfig};
-use penelope_sim::{ClusterConfig, ClusterSim, FaultScript};
-use penelope_testkit::conformance::{FaultSpec, PhaseSpec, Scenario, WorkloadSpec};
-use penelope_trace::{EventKind, RingBufferObserver, SharedObserver, TraceEvent};
-use penelope_units::{NodeId, Power, PowerRange, SimDuration, SimTime};
-use penelope_workload::Profile;
+use penelope::conformance::{at_period, LockstepRuntime, Scenario, SimSubstrate, Substrate};
+use penelope_sim::FaultScript;
+use penelope_trace::{EventKind, TraceEvent};
+use penelope_units::{NodeId, Power, SimDuration};
+use penelope_workload::Phase;
 
 fn w(x: u64) -> Power {
     Power::from_watts_u64(x)
 }
 
-/// Four nodes: node 0 idles (and then dies), nodes 1-3 stay hungry so
-/// they keep requesting — first from everyone, then (post-suspicion)
-/// only from the living, then probing the corpse.
+/// Four nodes: node 0 idles (and then dies, at 6 s), nodes 1-3 stay
+/// hungry so they keep requesting — first from everyone, then
+/// (post-suspicion) only from the living, then probing the corpse. The
+/// probe interval is shrunk so suspicion expires into a probe well within
+/// the run (config, not code — the event logic is core-only).
 fn scenario(seed: u64) -> Scenario {
-    let workloads = (0..4)
-        .map(|i| WorkloadSpec {
-            phases: vec![PhaseSpec {
-                demand: if i == 0 { w(100) } else { w(220) },
-                secs: 120.0,
-            }],
-        })
-        .collect();
-    Scenario {
-        name: "probe-demo".into(),
-        seed,
-        nodes: 4,
-        budget_per_node: w(160),
-        safe: PowerRange::from_watts(80, 300),
-        periods: 10,
-        workloads,
-        fault: FaultSpec::None,
-        read_noise: 0.0,
-        policy: DeciderPolicy::default(),
-    }
+    let demands = (0..4).map(|i| vec![Phase::new(w(if i == 0 { 100 } else { 220 }), 120.0)]);
+    let mut s = Scenario::new("probe-demo", seed, 40, demands);
+    s.cfg.node.decider.probe_interval = SimDuration::from_secs(3);
+    s.faults = FaultScript::kill_node_at(at_period(6), NodeId::new(0));
+    s
 }
 
 /// Assert the probe narrative: the dead peer was suspected, later
@@ -86,41 +69,20 @@ fn assert_probe_narrative(events: &[TraceEvent], dead: NodeId, substrate: &str) 
     }
 }
 
-/// What the two deterministic legs share: the scenario's configuration
-/// with the probe interval shrunk so suspicion expires into a probe well
-/// within the run (config, not code — the event logic is core-only), its
-/// workloads, and node 0's death at 6 s.
-fn probe_setup(scenario: &Scenario) -> (ClusterConfig, Vec<Profile>, FaultScript) {
-    let mut cfg = sim_config(scenario);
-    cfg.node.decider.probe_interval = SimDuration::from_secs(3);
-    let profiles = scenario
-        .workloads
-        .iter()
-        .enumerate()
-        .map(|(i, spec)| profile_from_spec(spec, &format!("w{i}")))
-        .collect();
-    let kill = FaultScript::kill_node_at(SimTime::from_secs(6), NodeId::new(0));
-    (cfg, profiles, kill)
-}
-
 #[test]
 fn probe_event_surfaces_on_the_simulator() {
-    let (mut cfg, profiles, kill) = probe_setup(&scenario(0x5EED_960B));
-    let ring = Arc::new(RingBufferObserver::unbounded());
-    cfg.observer = SharedObserver::from(ring.clone());
-    let mut sim = ClusterSim::new(cfg, profiles);
-    sim.install_faults(&kill);
-    sim.advance_to(SimTime::from_secs(40));
-    assert_probe_narrative(&ring.events(), NodeId::new(0), "sim");
+    let (_, events) = SimSubstrate
+        .run_recorded(&scenario(0x5EED_960B))
+        .expect("sim runs");
+    assert_probe_narrative(&events, NodeId::new(0), "sim");
 }
 
 #[test]
 fn probe_event_surfaces_on_the_threaded_runtime() {
-    let (mut cfg, profiles, kill) = probe_setup(&scenario(0x5EED_960B));
-    let ring = Arc::new(RingBufferObserver::unbounded());
-    cfg.observer = SharedObserver::from(ring.clone());
-    run_lockstep(&LockstepConfig::from(&cfg), profiles, &kill, 40);
-    assert_probe_narrative(&ring.events(), NodeId::new(0), "runtime");
+    let (_, events) = LockstepRuntime
+        .run_recorded(&scenario(0x5EED_960B))
+        .expect("lockstep runs");
+    assert_probe_narrative(&events, NodeId::new(0), "runtime");
 }
 
 #[test]

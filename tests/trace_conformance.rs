@@ -17,10 +17,9 @@
 
 use std::sync::Arc;
 
-use penelope::conformance::{idealized, sim_config, LockstepRuntime, SimSubstrate};
+use penelope::conformance::{LockstepRuntime, Scenario, SimSubstrate, Substrate};
 use penelope::prelude::*;
-use penelope_core::{DeciderPolicy, DiscoveryStrategy};
-use penelope_testkit::conformance::{FaultSpec, PhaseSpec, Scenario, WorkloadSpec};
+use penelope_core::DiscoveryStrategy;
 use penelope_testkit::events::{
     check_grant_served_pairing, check_urgency_alternation, normalize_protocol,
 };
@@ -36,48 +35,18 @@ fn watts(w: u64) -> Power {
 /// possible requester, keeping serve order deterministic across
 /// substrates.
 fn ideal_scenario(seed: u64) -> Scenario {
-    Scenario {
-        name: "event-stream".into(),
-        seed,
-        nodes: 2,
-        budget_per_node: watts(160),
-        safe: PowerRange::from_watts(80, 300),
-        periods: 10,
-        workloads: vec![
-            WorkloadSpec {
-                phases: vec![PhaseSpec {
-                    demand: watts(220),
-                    secs: 60.0,
-                }],
-            },
-            WorkloadSpec {
-                phases: vec![
-                    PhaseSpec {
-                        demand: watts(100),
-                        secs: 4.0,
-                    },
-                    PhaseSpec {
-                        demand: watts(210),
-                        secs: 60.0,
-                    },
-                ],
-            },
-        ],
-        fault: FaultSpec::None,
-        read_noise: 0.0,
-        policy: DeciderPolicy::default(),
-    }
+    let hungry = vec![Phase::new(watts(220), 60.0)];
+    let ramp = vec![Phase::new(watts(100), 4.0), Phase::new(watts(210), 60.0)];
+    Scenario::new("event-stream", seed, 10, [hungry, ramp]).idealized()
 }
 
 #[test]
 fn sim_and_lockstep_emit_identical_protocol_streams() {
     for seed in [7, 1234] {
         let scenario = ideal_scenario(seed);
-        let sim_ring = Arc::new(RingBufferObserver::unbounded());
-        let rt_ring = Arc::new(RingBufferObserver::unbounded());
-        SimSubstrate::run_observed_ideal(&scenario, SharedObserver::from(sim_ring.clone()))
-            .expect("sim run");
-        LockstepRuntime::run_observed(&scenario, SharedObserver::from(rt_ring.clone()))
+        let (_, sim_events) = SimSubstrate.run_recorded(&scenario).expect("sim run");
+        let (_, rt_events) = LockstepRuntime
+            .run_recorded(&scenario)
             .expect("lockstep run");
 
         // The sim's `advance_to(periods * PERIOD)` also fires the tick
@@ -88,8 +57,8 @@ fn sim_and_lockstep_emit_identical_protocol_streams() {
                 .filter(|e| e.period < scenario.periods)
                 .collect()
         };
-        let sim_events = cut(sim_ring.events());
-        let rt_events = cut(rt_ring.events());
+        let sim_events = cut(sim_events);
+        let rt_events = cut(rt_events);
         // The scenario must actually exercise the protocol, not match on
         // two empty streams.
         let count = |evs: &[TraceEvent], pred: fn(&EventKind) -> bool| {
@@ -124,7 +93,8 @@ fn sim_and_lockstep_emit_identical_protocol_streams() {
     }
 }
 
-/// Both adapters read one `ClusterConfig`, discovery strategy included:
+/// Both adapters read the scenario's one `ClusterConfig`, discovery
+/// strategy included:
 /// the lockstep side used to rebuild its engine configuration from the
 /// node parameters alone and ran uniform-random discovery whatever the
 /// configuration said. One hungry node between two donors: the strategy
@@ -132,35 +102,20 @@ fn sim_and_lockstep_emit_identical_protocol_streams() {
 /// one possible requester.
 #[test]
 fn sim_and_lockstep_agree_under_round_robin_discovery() {
-    let flat = |demand: u64| WorkloadSpec {
-        phases: vec![PhaseSpec {
-            demand: watts(demand),
-            secs: 60.0,
-        }],
-    };
-    let scenario = Scenario {
-        nodes: 3,
-        workloads: vec![flat(220), flat(100), flat(100)],
-        ..ideal_scenario(7)
-    };
-    let mut cfg = idealized(sim_config(&scenario));
-    cfg.discovery = DiscoveryStrategy::RoundRobin;
-    let sim_ring = Arc::new(RingBufferObserver::unbounded());
-    let rt_ring = Arc::new(RingBufferObserver::unbounded());
-    SimSubstrate::run_with(
-        cfg.clone(),
-        &scenario,
-        SharedObserver::from(sim_ring.clone()),
-    )
-    .expect("sim run");
-    LockstepRuntime::run_with(cfg, &scenario, SharedObserver::from(rt_ring.clone()))
+    let flat = |demand: u64| vec![Phase::new(watts(demand), 60.0)];
+    let mut scenario =
+        Scenario::new("round-robin", 7, 10, [flat(220), flat(100), flat(100)]).idealized();
+    scenario.cfg.discovery = DiscoveryStrategy::RoundRobin;
+    let (_, sim_events) = SimSubstrate.run_recorded(&scenario).expect("sim run");
+    let (_, rt_events) = LockstepRuntime
+        .run_recorded(&scenario)
         .expect("lockstep run");
     let complete = |evs: Vec<TraceEvent>| -> Vec<TraceEvent> {
         evs.into_iter()
             .filter(|e| e.period < scenario.periods)
             .collect()
     };
-    let sim_events = complete(sim_ring.events());
+    let sim_events = complete(sim_events);
     // The sweep itself: node 0 asks its two peers in turn.
     let asked: Vec<u32> = sim_events
         .iter()
@@ -173,7 +128,7 @@ fn sim_and_lockstep_agree_under_round_robin_discovery() {
     assert!(asked.windows(2).all(|w| w[0] != w[1]), "asked {asked:?}");
     assert_eq!(
         normalize_protocol(&sim_events),
-        normalize_protocol(&complete(rt_ring.events())),
+        normalize_protocol(&complete(rt_events)),
         "sim and lockstep diverge under round-robin discovery"
     );
 }
