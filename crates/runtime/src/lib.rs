@@ -24,14 +24,17 @@
 #![warn(missing_docs)]
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
 use penelope_core::{
     fair_assignment, Effects, EngineConfig, EngineInput, EngineOutput, NodeEngine, PeerMsg,
 };
 use penelope_net::{ThreadEndpoint, ThreadNet};
 use penelope_power::{PowerInterface, RaplConfig, SimulatedRapl};
-use penelope_sim::{node_seed, ClusterConfig, FaultAction, FaultScript, NodeSnapshot, Snapshot};
+use penelope_sim::{
+    node_seed, AbortOnPanic, ClusterConfig, FaultAction, FaultScript, NodeSnapshot, PhaseBarrier,
+    Snapshot,
+};
 use penelope_testkit::rng::TestRng;
 use penelope_trace::{EventKind, SharedObserver, Stamper};
 use penelope_units::{NodeId, Power, SimDuration, SimTime};
@@ -203,71 +206,6 @@ struct Shared {
     /// Power retired from the system (killed nodes), in milliwatts.
     lost_mw: AtomicU64,
     barrier: PhaseBarrier,
-}
-
-/// The phase barrier: `std::sync::Barrier` plus an abort. The standard
-/// barrier does not poison — a thread that unwound without arriving would
-/// leave the other `n` parties waiting forever — so this one keeps an
-/// `aborted` flag under the same lock as the arrival count: once it is
-/// set, every waiter is woken and nobody blocks here again.
-struct PhaseBarrier {
-    parties: usize,
-    state: Mutex<BarrierState>,
-    moved: Condvar,
-}
-
-#[derive(Default)]
-struct BarrierState {
-    arrived: usize,
-    generation: u64,
-    aborted: bool,
-}
-
-impl PhaseBarrier {
-    fn new(parties: usize) -> Self {
-        PhaseBarrier {
-            parties,
-            state: Mutex::default(),
-            moved: Condvar::new(),
-        }
-    }
-
-    /// Arrive, and block until all parties have. False once the barrier
-    /// is aborted: the caller stops there, and so does everyone else.
-    fn wait(&self) -> bool {
-        let mut state = self.state.lock().unwrap();
-        if state.aborted {
-            return false;
-        }
-        state.arrived += 1;
-        if state.arrived == self.parties {
-            state.arrived = 0;
-            state.generation += 1;
-            self.moved.notify_all();
-            return true;
-        }
-        let generation = state.generation;
-        while state.generation == generation && !state.aborted {
-            state = self.moved.wait(state).unwrap();
-        }
-        !state.aborted
-    }
-
-    fn abort(&self) {
-        self.state.lock().unwrap().aborted = true;
-        self.moved.notify_all();
-    }
-}
-
-/// Held by each node thread: a panic aborts the barrier on its way out.
-struct AbortOnPanic<'a>(&'a PhaseBarrier);
-
-impl Drop for AbortOnPanic<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.abort();
-        }
-    }
 }
 
 impl Shared {

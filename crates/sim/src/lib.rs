@@ -23,6 +23,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod barrier;
 pub mod cluster;
 pub mod config;
 pub mod event;
@@ -34,6 +35,7 @@ pub mod shard;
 pub mod soa;
 pub mod trace;
 
+pub use barrier::{AbortOnPanic, PhaseBarrier};
 pub use cluster::{node_seed, ClusterSim, ClusterSimBuilder};
 pub use config::{ClusterConfig, DiscoveryStrategy, SystemKind};
 pub use faults::{FaultAction, FaultScript};

@@ -19,9 +19,10 @@
 //! hash table inside an engine, and no copy of the cluster's
 //! configuration in any struct an engine is made of, an eleventh holds
 //! the repo to its five effect mappings and one thread-per-node driver,
-//! in `penelope-runtime`, and a twelfth holds it to one fault vocabulary
+//! in `penelope-runtime`, a twelfth holds it to one fault vocabulary
 //! (`FaultAction`) and one conformance module, in the root crate, whose
-//! `Scenario` nothing translates.
+//! `Scenario` nothing translates, and a thirteenth holds `ShardedSim` to
+//! one thread scope per run.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -476,6 +477,28 @@ fn the_shard_keeps_no_per_node_engine_column() {
         !PER_NODE.iter().any(|c| shipped.contains(c)),
         "shipped crates/sim/src/shard.rs holds an engine or RNG column — a node \
          gets both when it is first written to (`Shard::live_index`)"
+    );
+}
+
+/// `ShardedSim` starts its threads once per run: one `thread::scope` whose
+/// workers each own a run of shards from the first phase to the last. It
+/// used to open a scope per phase — 387 of them on `shard_sparse`, two
+/// spawns each — and a `thread::spawn` would be a thread nobody joins.
+#[test]
+fn the_shard_starts_its_threads_once_per_run() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let text =
+        fs::read_to_string(root.join("crates/sim/src/shard.rs")).expect("readable source file");
+    let shipped = non_test_part(&text);
+    assert_eq!(
+        shipped.matches("thread::scope").count(),
+        1,
+        "shipped crates/sim/src/shard.rs must open exactly one thread scope — in \
+         `ShardedSim::run`, around the whole run"
+    );
+    assert!(
+        !shipped.contains("thread::spawn"),
+        "shipped crates/sim/src/shard.rs spawns a thread outside the run's scope"
     );
 }
 
