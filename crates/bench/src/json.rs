@@ -1,6 +1,6 @@
 //! A minimal JSON value, parser and renderer.
 //!
-//! The workspace builds offline against in-tree `third_party/` shims, so
+//! The workspace builds offline with no dependency outside itself, so
 //! the repo benchmark cannot lean on serde_json; its results files are
 //! small and regular enough that a ~150-line recursive-descent parser
 //! covers them. Objects preserve key order so rendered results diff

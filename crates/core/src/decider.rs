@@ -676,8 +676,8 @@ mod tests {
     use super::*;
     use crate::config::DeciderConfig;
     use crate::discovery::rig::Rig;
+    use penelope_testkit::prop::{self, vec_of};
     use penelope_units::{PowerRange, SimDuration};
-    use proptest::prelude::*;
 
     fn w(x: u64) -> Power {
         Power::from_watts_u64(x)
@@ -1175,63 +1175,54 @@ mod tests {
         assert_eq!(released, vec![w(30)]);
     }
 
-    /// Reference model for the proptest below: one decider + one pool,
-    /// arbitrary readings and grants, conservation must hold throughout.
-    #[derive(Debug, Clone)]
-    enum Op {
-        Tick(u64),
-        Grant(u64),
-    }
-
-    proptest! {
-        #[test]
-        fn cap_plus_pool_conserved_locally(
-            ops in proptest::collection::vec(
-                prop_oneof![
-                    (0u64..400_000u64).prop_map(Op::Tick),
-                    (0u64..50_000u64).prop_map(Op::Grant),
-                ],
-                1..300,
-            )
-        ) {
-            // A closed single-node system where grants come from a budget
-            // ledger: cap + pool + ledger is invariant and the cap stays in
-            // the safe range.
-            let mut d = decider(150);
-            let mut p = PowerPool::default();
-            let mut ledger = Power::from_watts_u64(10_000);
-            let invariant = d.cap() + p.available() + ledger;
-            let mut now = 0u64;
-            let mut pending: Vec<(u64, Power)> = Vec::new();
-            for op in ops {
-                now += 1;
-                match op {
-                    Op::Tick(reading_mw) => {
+    #[test]
+    fn cap_plus_pool_conserved_locally() {
+        // A closed single-node system where grants come from a budget
+        // ledger: cap + pool + ledger + in-flight is invariant and the cap
+        // stays in the safe range. Each op is a tick (tag 0) at a reading
+        // in milliwatts, or the delivery of the newest pending grant.
+        prop::check(
+            "cap_plus_pool_conserved_locally",
+            prop::Config::default(),
+            vec_of((0u8..2, 0u64..400_000u64), 1..300),
+            |ops| {
+                let mut d = decider(150);
+                let mut p = PowerPool::default();
+                let mut ledger = Power::from_watts_u64(10_000);
+                let invariant = d.cap() + p.available() + ledger;
+                let mut now = 0u64;
+                let mut pending: Vec<(u64, Power)> = Vec::new();
+                for (tag, reading_mw) in ops {
+                    now += 1;
+                    if tag == 0 {
                         let action = d.tick(
                             SimTime::from_secs(now),
                             mw(reading_mw),
                             &mut p,
                             Some(NodeId::new(1)),
                         );
-                        if let TickAction::Request { seq, urgent, alpha, .. } = action {
+                        if let TickAction::Request {
+                            seq, urgent, alpha, ..
+                        } = action
+                        {
                             // Serve from the ledger like a remote pool would.
-                            let give = if urgent { ledger.min(alpha) } else { ledger.min(w(3)) };
+                            let give = if urgent {
+                                ledger.min(alpha)
+                            } else {
+                                ledger.min(w(3))
+                            };
                             ledger -= give;
                             pending.push((seq, give));
                         }
+                    } else if let Some((seq, give)) = pending.pop() {
+                        let _ = d.on_grant(SimTime::from_secs(now), seq, give, &mut p);
                     }
-                    Op::Grant(extra_mw) => {
-                        if let Some((seq, give)) = pending.pop() {
-                            let _ = extra_mw;
-                            let _ = d.on_grant(SimTime::from_secs(now), seq, give, &mut p);
-                        }
-                    }
+                    let in_flight: Power = pending.iter().map(|&(_, g)| g).sum();
+                    assert_eq!(d.cap() + p.available() + ledger + in_flight, invariant);
+                    assert!(safe().contains(d.cap()));
                 }
-                let in_flight: Power = pending.iter().map(|&(_, g)| g).sum();
-                prop_assert_eq!(d.cap() + p.available() + ledger + in_flight, invariant);
-                prop_assert!(safe().contains(d.cap()));
-            }
-        }
+            },
+        );
     }
 }
 

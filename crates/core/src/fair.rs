@@ -36,7 +36,7 @@ pub fn fair_assignment(budget: Power, n: usize, safe: PowerRange) -> Vec<Power> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use penelope_testkit::prop;
 
     fn w(x: u64) -> Power {
         Power::from_watts_u64(x)
@@ -82,24 +82,28 @@ mod tests {
         let _ = fair_assignment(w(100), 0, safe());
     }
 
-    proptest! {
-        #[test]
-        fn never_exceeds_budget_and_stays_safe(
-            budget_w in 1_600u64..20_000,
-            n in 1usize..200,
-        ) {
-            let budget = w(budget_w);
-            let safe = safe();
-            // Skip unenforceable combinations (the function panics there by
-            // contract).
-            prop_assume!(budget.split(n as u64).0 >= safe.min());
-            let caps = fair_assignment(budget, n, safe);
-            prop_assert_eq!(caps.len(), n);
-            let total: Power = caps.iter().copied().sum();
-            prop_assert!(total <= budget);
-            for c in caps {
-                prop_assert!(safe.contains(c));
-            }
-        }
+    #[test]
+    fn never_exceeds_budget_and_stays_safe() {
+        prop::check(
+            "never_exceeds_budget_and_stays_safe",
+            prop::Config::default(),
+            (1_600u64..20_000, 1usize..200),
+            |(budget_w, n)| {
+                let budget = w(budget_w);
+                let safe = safe();
+                // Skip unenforceable combinations (the function panics there
+                // by contract).
+                if budget.split(n as u64).0 < safe.min() {
+                    return;
+                }
+                let caps = fair_assignment(budget, n, safe);
+                assert_eq!(caps.len(), n);
+                let total: Power = caps.iter().copied().sum();
+                assert!(total <= budget);
+                for c in caps {
+                    assert!(safe.contains(c));
+                }
+            },
+        );
     }
 }

@@ -198,7 +198,7 @@ impl Default for PowerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use penelope_testkit::prop::{self, any_bool, vec_of};
 
     fn w(x: u64) -> Power {
         Power::from_watts_u64(x)
@@ -385,14 +385,11 @@ mod tests {
 
     #[test]
     fn conservation_under_testkit_harness() {
-        // The conservation property ported natively onto the testkit
-        // harness (the `proptest!` version above runs through the shim):
-        // same op encoding, deterministic seed, env-overridable via
-        // PENELOPE_PROP_SEED / PENELOPE_PROP_CASES.
-        use penelope_testkit::prop::{self, vec_of};
+        // Deposits minus withdrawals always equals the balance, and the
+        // lifetime counters account for every milliwatt.
         prop::check(
             "pool conservation over arbitrary ops",
-            prop::Config::from_env(),
+            prop::Config::default(),
             vec_of((0u8..4, 0u64..100_000u64), 1..200),
             |ops| {
                 let mut p = PowerPool::default();
@@ -491,54 +488,41 @@ mod tests {
         assert!(!g.is_zero());
     }
 
-    proptest! {
-        #[test]
-        fn conservation_over_arbitrary_ops(
-            ops in proptest::collection::vec((0u8..4, 0u64..100_000u64), 1..200)
-        ) {
-            // Deposits minus withdrawals always equals the balance, and the
-            // balance never exceeds total deposits.
-            let mut p = PowerPool::default();
-            let mut deposited = Power::ZERO;
-            let mut withdrawn = Power::ZERO;
-            for (op, amt) in ops {
-                let amt = Power::from_milliwatts(amt);
-                match op {
-                    0 => { p.deposit(amt); deposited += amt; }
-                    1 => withdrawn += p.take_local(),
-                    2 => withdrawn += p.handle_request(false, Power::ZERO),
-                    _ => withdrawn += p.handle_request(true, amt),
+    #[test]
+    fn max_size_always_within_limits() {
+        prop::check(
+            "max_size_always_within_limits",
+            prop::Config::default(),
+            0u64..10_000_000_000u64,
+            |balance| {
+                let p = pool_with(Power::from_milliwatts(balance));
+                let m = p.get_max_size();
+                assert!(m >= w(1));
+                assert!(m <= w(30));
+            },
+        );
+    }
+
+    #[test]
+    fn grant_never_exceeds_balance_or_request() {
+        prop::check(
+            "grant_never_exceeds_balance_or_request",
+            prop::Config::default(),
+            (0u64..1_000_000_000u64, 0u64..1_000_000_000u64, any_bool()),
+            |(balance, alpha, urgent)| {
+                let before = Power::from_milliwatts(balance);
+                let mut p = pool_with(before);
+                let g = p.handle_request(urgent, Power::from_milliwatts(alpha));
+                assert!(g <= before);
+                if urgent {
+                    assert!(g <= Power::from_milliwatts(alpha));
+                    // Urgent grants are exactly min(pool, alpha).
+                    assert_eq!(g, before.min(Power::from_milliwatts(alpha)));
+                } else {
+                    assert!(g <= w(30));
                 }
-                prop_assert_eq!(deposited - withdrawn, p.available());
-            }
-        }
-
-        #[test]
-        fn max_size_always_within_limits(balance in 0u64..10_000_000_000u64) {
-            let p = pool_with(Power::from_milliwatts(balance));
-            let m = p.get_max_size();
-            prop_assert!(m >= w(1));
-            prop_assert!(m <= w(30));
-        }
-
-        #[test]
-        fn grant_never_exceeds_balance_or_request(
-            balance in 0u64..1_000_000_000u64,
-            alpha in 0u64..1_000_000_000u64,
-            urgent in any::<bool>(),
-        ) {
-            let before = Power::from_milliwatts(balance);
-            let mut p = pool_with(before);
-            let g = p.handle_request(urgent, Power::from_milliwatts(alpha));
-            prop_assert!(g <= before);
-            if urgent {
-                prop_assert!(g <= Power::from_milliwatts(alpha));
-                // Urgent grants are exactly min(pool, alpha).
-                prop_assert_eq!(g, before.min(Power::from_milliwatts(alpha)));
-            } else {
-                prop_assert!(g <= w(30));
-            }
-            prop_assert_eq!(p.available() + g, before);
-        }
+                assert_eq!(p.available() + g, before);
+            },
+        );
     }
 }

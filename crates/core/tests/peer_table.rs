@@ -375,7 +375,7 @@ fn the_table_answers_every_query_like_the_four_maps_it_replaced() {
     let knobs = (0u32..4, 0usize..5);
     prop::check(
         "peer_table_vs_four_maps",
-        prop::Config::from_env(),
+        prop::Config::default(),
         (shape, knobs, steps),
         |((n, me), (suspect_after, gossip_digest), steps)| {
             let me = NodeId::new(place(me, n) as u32);
@@ -524,7 +524,7 @@ fn choose_peer_picks_and_draws_like_the_filter_collect_oracle() {
     let predicate = (any_u64(), any_u64(), 0u32..5);
     prop::check(
         "choose_peer_vs_filter_collect",
-        prop::Config::from_env(),
+        prop::Config::default(),
         (shape, hint, predicate, any_u64()),
         |((n, idx, cursor), hint, (bits, more, density), seed)| {
             let idx = place(idx, n);

@@ -559,13 +559,13 @@ mod tests {
 #[cfg(test)]
 mod fuzz {
     use super::*;
-    use proptest::prelude::*;
+    use penelope_testkit::prop::{self, any_bool, any_u64, any_u8, vec_of, Gen};
 
-    fn arb_digest() -> impl Strategy<Value = Option<Box<SuspicionDigest>>> {
+    fn arb_digest() -> impl Gen<Value = Option<Box<SuspicionDigest>>> {
         (
-            any::<bool>(),
-            any::<u64>(),
-            proptest::collection::vec((any::<u32>(), any::<u64>()), 0..=MAX_DIGEST_ENTRIES),
+            any_bool(),
+            any_u64(),
+            vec_of((0..=u32::MAX, any_u64()), 0..MAX_DIGEST_ENTRIES + 1),
         )
             .prop_map(|(present, incarnation, peers)| {
                 present.then(|| {
@@ -583,72 +583,97 @@ mod fuzz {
             })
     }
 
-    proptest! {
-        #[test]
-        fn decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..96)) {
-            let _ = WireMsg::decode(&bytes);
-        }
+    #[test]
+    fn decode_never_panics() {
+        prop::check(
+            "decode_never_panics",
+            prop::Config::default(),
+            vec_of(any_u8(), 0..96),
+            |bytes| {
+                let _ = WireMsg::decode(&bytes);
+            },
+        );
+    }
 
-        #[test]
-        fn decode_never_panics_behind_a_valid_header(
-            kind in 0u8..3,
-            flags in 0u8..8,
-            body in proptest::collection::vec(any::<u8>(), 0..96),
-        ) {
-            // Uniform bytes almost never get past the version check; this
-            // one fuzzes the section parsers.
-            let mut bytes = vec![WIRE_VERSION, kind, flags];
-            bytes.extend_from_slice(&body);
-            let _ = WireMsg::decode(&bytes);
-        }
+    #[test]
+    fn decode_never_panics_behind_a_valid_header() {
+        prop::check(
+            "decode_never_panics_behind_a_valid_header",
+            prop::Config::default(),
+            (0u8..3, 0u8..8, vec_of(any_u8(), 0..96)),
+            |(kind, flags, body)| {
+                // Uniform bytes almost never get past the version check;
+                // this one fuzzes the section parsers.
+                let mut bytes = vec![WIRE_VERSION, kind, flags];
+                bytes.extend_from_slice(&body);
+                let _ = WireMsg::decode(&bytes);
+            },
+        );
+    }
 
-        #[test]
-        fn arbitrary_messages_roundtrip(
-            seq in any::<u64>(),
-            urgent in any::<bool>(),
-            mw in any::<u64>(),
-            kind in 0u8..4,
-            digest in arb_digest(),
-        ) {
-            // kind 3 exercises the request's optional sections (sender id
-            // and bid derived from the same entropy as the payload).
-            let msg = match kind {
-                0 => WireMsg::Request {
-                    seq,
-                    urgent,
-                    alpha: Power::from_milliwatts(mw),
-                    from: None,
-                    bid: Power::ZERO,
-                },
-                3 => WireMsg::Request {
-                    seq,
-                    urgent,
-                    alpha: Power::from_milliwatts(mw),
-                    from: (mw & 1 == 0).then(|| NodeId::new((mw >> 16) as u32)),
-                    bid: Power::from_milliwatts(mw ^ seq),
-                },
-                1 => WireMsg::Grant { seq, amount: Power::from_milliwatts(mw), digest },
-                _ => WireMsg::Ack { seq, digest },
-            };
-            prop_assert_eq!(WireMsg::decode(&msg.encode()), Ok(msg));
-        }
+    #[test]
+    fn arbitrary_messages_roundtrip() {
+        prop::check(
+            "arbitrary_messages_roundtrip",
+            prop::Config::default(),
+            (any_u64(), any_bool(), any_u64(), 0u8..4, arb_digest()),
+            |(seq, urgent, mw, kind, digest)| {
+                // kind 3 exercises the request's optional sections (sender
+                // id and bid derived from the same entropy as the payload).
+                let msg = match kind {
+                    0 => WireMsg::Request {
+                        seq,
+                        urgent,
+                        alpha: Power::from_milliwatts(mw),
+                        from: None,
+                        bid: Power::ZERO,
+                    },
+                    3 => WireMsg::Request {
+                        seq,
+                        urgent,
+                        alpha: Power::from_milliwatts(mw),
+                        from: (mw & 1 == 0).then(|| NodeId::new((mw >> 16) as u32)),
+                        bid: Power::from_milliwatts(mw ^ seq),
+                    },
+                    1 => WireMsg::Grant {
+                        seq,
+                        amount: Power::from_milliwatts(mw),
+                        digest,
+                    },
+                    _ => WireMsg::Ack { seq, digest },
+                };
+                assert_eq!(WireMsg::decode(&msg.encode()), Ok(msg));
+            },
+        );
+    }
 
-        #[test]
-        fn decode_is_prefix_strict(
-            seq in any::<u64>(),
-            mw in any::<u64>(),
-            cut in 0usize..MAX_WIRE_LEN,
-            is_ack in any::<bool>(),
-            digest in arb_digest(),
-        ) {
-            // Any strict prefix of a valid grant or ack fails cleanly.
-            let bytes = if is_ack {
-                WireMsg::Ack { seq, digest }.encode()
-            } else {
-                WireMsg::Grant { seq, amount: Power::from_milliwatts(mw), digest }.encode()
-            };
-            let truncated = &bytes[..cut.min(bytes.len() - 1)];
-            prop_assert!(WireMsg::decode(truncated).is_err());
-        }
+    #[test]
+    fn decode_is_prefix_strict() {
+        prop::check(
+            "decode_is_prefix_strict",
+            prop::Config::default(),
+            (
+                any_u64(),
+                any_u64(),
+                0usize..MAX_WIRE_LEN,
+                any_bool(),
+                arb_digest(),
+            ),
+            |(seq, mw, cut, is_ack, digest)| {
+                // Any strict prefix of a valid grant or ack fails cleanly.
+                let bytes = if is_ack {
+                    WireMsg::Ack { seq, digest }.encode()
+                } else {
+                    WireMsg::Grant {
+                        seq,
+                        amount: Power::from_milliwatts(mw),
+                        digest,
+                    }
+                    .encode()
+                };
+                let truncated = &bytes[..cut.min(bytes.len() - 1)];
+                assert!(WireMsg::decode(truncated).is_err());
+            },
+        );
     }
 }

@@ -81,8 +81,8 @@ pub fn jain_from_events(events: &[TraceEvent], horizon: SimTime) -> Option<f64> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use penelope_testkit::prop::{self, vec_of};
     use penelope_units::Power;
-    use proptest::prelude::*;
 
     fn w(x: u64) -> Power {
         Power::from_watts_u64(x)
@@ -160,22 +160,31 @@ mod tests {
         assert_eq!(jain_from_events(&[], t(10)), None);
     }
 
-    proptest! {
-        #[test]
-        fn index_is_bounded(shares in proptest::collection::vec(0.0f64..1e6, 1..64)) {
-            let j = jain_index(&shares);
-            let n = shares.len() as f64;
-            prop_assert!(j <= 1.0 + 1e-12);
-            prop_assert!(j >= 1.0 / n - 1e-12);
-        }
+    #[test]
+    fn index_is_bounded() {
+        prop::check(
+            "index_is_bounded",
+            prop::Config::default(),
+            vec_of(0.0f64..1e6, 1..64),
+            |shares| {
+                let j = jain_index(&shares);
+                let n = shares.len() as f64;
+                assert!(j <= 1.0 + 1e-12);
+                assert!(j >= 1.0 / n - 1e-12);
+            },
+        );
+    }
 
-        #[test]
-        fn index_is_scale_invariant(
-            shares in proptest::collection::vec(0.1f64..1e3, 2..32),
-            k in 0.1f64..100.0,
-        ) {
-            let scaled: Vec<f64> = shares.iter().map(|x| x * k).collect();
-            prop_assert!((jain_index(&shares) - jain_index(&scaled)).abs() < 1e-9);
-        }
+    #[test]
+    fn index_is_scale_invariant() {
+        prop::check(
+            "index_is_scale_invariant",
+            prop::Config::default(),
+            (vec_of(0.1f64..1e3, 2..32), 0.1f64..100.0),
+            |(shares, k)| {
+                let scaled: Vec<f64> = shares.iter().map(|x| x * k).collect();
+                assert!((jain_index(&shares) - jain_index(&scaled)).abs() < 1e-9);
+            },
+        );
     }
 }

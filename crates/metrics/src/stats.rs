@@ -91,7 +91,7 @@ impl SummaryStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use penelope_testkit::prop::{self, vec_of};
 
     #[test]
     fn basic_moments() {
@@ -154,22 +154,34 @@ mod tests {
         let _ = SummaryStats::from_samples(&[0.0, 1.0]).geomean();
     }
 
-    proptest! {
-        #[test]
-        fn bounds_and_ordering(samples in proptest::collection::vec(-1e6f64..1e6, 1..200)) {
-            let s = SummaryStats::from_samples(&samples);
-            prop_assert!(s.min() <= s.median());
-            prop_assert!(s.median() <= s.max());
-            prop_assert!(s.min() <= s.mean() && s.mean() <= s.max());
-            prop_assert!(s.std() >= 0.0);
-            prop_assert!(s.percentile(10.0) <= s.percentile(90.0));
-        }
+    #[test]
+    fn bounds_and_ordering() {
+        prop::check(
+            "bounds_and_ordering",
+            prop::Config::default(),
+            vec_of(-1e6f64..1e6, 1..200),
+            |samples| {
+                let s = SummaryStats::from_samples(&samples);
+                assert!(s.min() <= s.median());
+                assert!(s.median() <= s.max());
+                assert!(s.min() <= s.mean() && s.mean() <= s.max());
+                assert!(s.std() >= 0.0);
+                assert!(s.percentile(10.0) <= s.percentile(90.0));
+            },
+        );
+    }
 
-        #[test]
-        fn geomean_leq_mean(samples in proptest::collection::vec(1e-3f64..1e6, 1..100)) {
-            // AM-GM inequality.
-            let s = SummaryStats::from_samples(&samples);
-            prop_assert!(s.geomean() <= s.mean() * (1.0 + 1e-9));
-        }
+    #[test]
+    fn geomean_leq_mean() {
+        prop::check(
+            "geomean_leq_mean",
+            prop::Config::default(),
+            vec_of(1e-3f64..1e6, 1..100),
+            |samples| {
+                // AM-GM inequality.
+                let s = SummaryStats::from_samples(&samples);
+                assert!(s.geomean() <= s.mean() * (1.0 + 1e-9));
+            },
+        );
     }
 }

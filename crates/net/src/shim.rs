@@ -849,7 +849,7 @@ mod tests {
         let lens = one_of(vec![1usize, 2, 27, 31, 300, 733, 734, 735, 1469, 1470]);
         prop::check(
             "coalesced payloads round-trip",
-            prop::Config::from_env(),
+            prop::Config::default(),
             vec_of((lens, prop::any_u8()), 1..48),
             |seq| {
                 let sent: Vec<Vec<u8>> = seq

@@ -194,8 +194,8 @@ impl<D: CappedDevice> PowerInterface for SimulatedRapl<D> {
 mod tests {
     use super::*;
     use crate::device::{ConstantDevice, StepDevice};
+    use penelope_testkit::prop;
     use penelope_testkit::rng::TestRng;
-    use proptest::prelude::*;
 
     fn w(x: u64) -> Power {
         Power::from_watts_u64(x)
@@ -327,36 +327,41 @@ mod tests {
         );
     }
 
-    proptest! {
-        #[test]
-        fn consumption_never_exceeds_effective_cap(
-            demand_w in 1u64..400,
-            cap_w in 1u64..400,
-            secs in 1u64..100,
-        ) {
-            let cfg = cfg_no_lag();
-            let cap = cfg.safe_range.clamp(w(cap_w));
-            let mut rapl = SimulatedRapl::new(ConstantDevice::new(w(demand_w)), w(cap_w), cfg);
-            let reading = rapl.read_power(SimTime::from_secs(secs));
-            prop_assert!(reading <= cap);
-            prop_assert!(reading <= w(demand_w));
-        }
+    #[test]
+    fn consumption_never_exceeds_effective_cap() {
+        prop::check(
+            "consumption_never_exceeds_effective_cap",
+            prop::Config::default(),
+            (1u64..400, 1u64..400, 1u64..100),
+            |(demand_w, cap_w, secs)| {
+                let cfg = cfg_no_lag();
+                let cap = cfg.safe_range.clamp(w(cap_w));
+                let mut rapl = SimulatedRapl::new(ConstantDevice::new(w(demand_w)), w(cap_w), cfg);
+                let reading = rapl.read_power(SimTime::from_secs(secs));
+                assert!(reading <= cap);
+                assert!(reading <= w(demand_w));
+            },
+        );
+    }
 
-        #[test]
-        fn split_reads_integrate_like_one(
-            demand_w in 1u64..400,
-            a in 1u64..50,
-            b in 1u64..50,
-        ) {
-            // Reading at t=a then t=a+b must account for the same energy as
-            // one read at t=a+b.
-            let mk = || SimulatedRapl::new(ConstantDevice::new(w(demand_w)), w(300), cfg_no_lag());
-            let mut one = mk();
-            let _ = one.read_power(SimTime::from_secs(a + b));
-            let mut two = mk();
-            let _ = two.read_power(SimTime::from_secs(a));
-            let _ = two.read_power(SimTime::from_secs(a + b));
-            prop_assert_eq!(one.total_energy(), two.total_energy());
-        }
+    #[test]
+    fn split_reads_integrate_like_one() {
+        prop::check(
+            "split_reads_integrate_like_one",
+            prop::Config::default(),
+            (1u64..400, 1u64..50, 1u64..50),
+            |(demand_w, a, b)| {
+                // Reading at t=a then t=a+b must account for the same energy
+                // as one read at t=a+b.
+                let mk =
+                    || SimulatedRapl::new(ConstantDevice::new(w(demand_w)), w(300), cfg_no_lag());
+                let mut one = mk();
+                let _ = one.read_power(SimTime::from_secs(a + b));
+                let mut two = mk();
+                let _ = two.read_power(SimTime::from_secs(a));
+                let _ = two.read_power(SimTime::from_secs(a + b));
+                assert_eq!(one.total_energy(), two.total_energy());
+            },
+        );
     }
 }

@@ -125,7 +125,7 @@ impl Default for PowerServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use penelope_testkit::prop::{self, any_bool, vec_of};
 
     fn w(x: u64) -> Power {
         Power::from_watts_u64(x)
@@ -241,31 +241,34 @@ mod tests {
         assert_eq!(st.granted, g1.amount + g2.amount);
     }
 
-    proptest! {
-        #[test]
-        fn cache_conserved_under_arbitrary_traffic(
-            ops in proptest::collection::vec((any::<bool>(), any::<bool>(), 0u64..100_000u64), 1..200)
-        ) {
-            let mut s = PowerServer::default();
-            let mut in_total = Power::ZERO;
-            let mut out_total = Power::ZERO;
-            for (i, (is_report, urgent, amt)) in ops.into_iter().enumerate() {
-                let amt = Power::from_milliwatts(amt);
-                if is_report {
-                    s.on_report(amt);
-                    in_total += amt;
-                } else {
-                    let g = s.on_request(urgent, amt, i as u64);
-                    out_total += g.amount;
-                    prop_assert!(g.amount <= in_total - out_total + g.amount);
-                    if urgent {
-                        prop_assert!(g.amount <= amt);
+    #[test]
+    fn cache_conserved_under_arbitrary_traffic() {
+        prop::check(
+            "cache_conserved_under_arbitrary_traffic",
+            prop::Config::default(),
+            vec_of((any_bool(), any_bool(), 0u64..100_000u64), 1..200),
+            |ops| {
+                let mut s = PowerServer::default();
+                let mut in_total = Power::ZERO;
+                let mut out_total = Power::ZERO;
+                for (i, (is_report, urgent, amt)) in ops.into_iter().enumerate() {
+                    let amt = Power::from_milliwatts(amt);
+                    if is_report {
+                        s.on_report(amt);
+                        in_total += amt;
                     } else {
-                        prop_assert!(g.amount <= w(30));
+                        let g = s.on_request(urgent, amt, i as u64);
+                        out_total += g.amount;
+                        assert!(g.amount <= in_total - out_total + g.amount);
+                        if urgent {
+                            assert!(g.amount <= amt);
+                        } else {
+                            assert!(g.amount <= w(30));
+                        }
                     }
+                    assert_eq!(s.cached(), in_total - out_total);
                 }
-                prop_assert_eq!(s.cached(), in_total - out_total);
-            }
-        }
+            },
+        );
     }
 }

@@ -8,8 +8,8 @@
 //!   product crates, tests and benches all use it directly.
 //! * [`prop`] — a fixed-iteration property-test harness with integer /
 //!   float / vec / tuple generators, binary-search shrinking and
-//!   seed-reporting failure output; the in-tree `proptest` shim is
-//!   built on it.
+//!   seed-reporting failure output; every property suite in the
+//!   workspace runs on it.
 //! * [`events`] — invariant checks and normalization for recorded
 //!   protocol-event streams.
 //!

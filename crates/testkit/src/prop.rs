@@ -1,18 +1,18 @@
 //! Minimal deterministic property-test harness.
 //!
 //! A fixed-iteration, seed-reporting, shrinking property runner with no
-//! dependencies outside this crate. It exists so the workspace's property
-//! suites run offline; the `proptest!` versions of the same suites run
-//! next to them through the in-tree `proptest` shim, which is backed by
-//! this harness.
+//! dependencies outside this crate; every property suite in the
+//! workspace runs on it.
 //!
 //! Model: a [`Gen`] produces values from a [`TestRng`] and can propose
 //! *simpler* candidate values for a failing input (integers binary-search
 //! toward their lower bound, vectors binary-chop their length, tuples
 //! shrink element-wise). [`check`] runs a property over `cases`
 //! generated inputs; on failure it shrinks, then panics with the seed,
-//! the case index and the shrunken input so the exact failure replays
-//! with [`replay`].
+//! the case index and the shrunken input. `PENELOPE_PROP_SEED` (decimal
+//! or `0x` hex) and `PENELOPE_PROP_CASES` override the seed and case
+//! count of every [`check`], so the reported recipe replays the exact
+//! failure without editing code.
 //!
 //! ```
 //! use penelope_testkit::prop::{self, vec_of};
@@ -29,61 +29,46 @@ use std::fmt::Debug;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Once;
 
-/// Harness configuration: number of cases, base seed, shrink budget.
+/// Harness configuration: how many generated inputs to test.
 #[derive(Clone, Copy, Debug)]
 pub struct Config {
     /// How many generated inputs to test.
     pub cases: u32,
-    /// Base seed; each case derives its own stream from `(seed, case)`.
-    pub seed: u64,
-    /// Upper bound on shrink attempts after the first failure.
-    pub max_shrink_iters: u32,
 }
-
-/// Arbitrary but fixed default seed ("PENELOPE SEED 1").
-pub const DEFAULT_SEED: u64 = 0x9E1E_10BE_5EED_0001;
 
 impl Default for Config {
     fn default() -> Self {
-        Config {
-            cases: 64,
-            seed: DEFAULT_SEED,
-            max_shrink_iters: 512,
-        }
+        Config { cases: 64 }
     }
 }
 
 impl Config {
-    /// `cases` tests with everything else defaulted.
+    /// Test `cases` generated inputs.
     pub fn with_cases(cases: u32) -> Self {
-        Config {
-            cases,
-            ..Config::default()
-        }
+        Config { cases }
     }
+}
 
-    /// Override the base seed (e.g. to replay a reported failure).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
+/// Arbitrary but fixed base seed ("PENELOPE SEED 1").
+const DEFAULT_SEED: u64 = 0x9E1E_10BE_5EED_0001;
 
-    /// Honour `PENELOPE_PROP_SEED` / `PENELOPE_PROP_CASES` overrides so a
-    /// reported failure reproduces without editing code.
-    pub fn from_env() -> Self {
-        let mut cfg = Config::default();
-        if let Ok(s) = std::env::var("PENELOPE_PROP_SEED") {
-            if let Ok(seed) = parse_u64(&s) {
-                cfg.seed = seed;
-            }
-        }
-        if let Ok(s) = std::env::var("PENELOPE_PROP_CASES") {
-            if let Ok(cases) = s.parse() {
-                cfg.cases = cases;
-            }
-        }
-        cfg
-    }
+/// Upper bound on shrink attempts after the first failure.
+const MAX_SHRINK_ITERS: u32 = 512;
+
+/// The `(seed, cases)` a [`check`] runs: the default seed and
+/// `cfg.cases`, unless the values of `PENELOPE_PROP_SEED` /
+/// `PENELOPE_PROP_CASES` (passed in, so this stays a pure function)
+/// override them. A value that does not parse panics naming the variable:
+/// a typo in a replay must not pass on the wrong seed.
+fn resolve(cfg: Config, seed_var: Option<&str>, cases_var: Option<&str>) -> (u64, u32) {
+    let seed = seed_var.map_or(DEFAULT_SEED, |s| {
+        parse_u64(s).unwrap_or_else(|e| panic!("PENELOPE_PROP_SEED={s:?} is not a u64: {e}"))
+    });
+    let cases = cases_var.map_or(cfg.cases, |s| {
+        s.parse()
+            .unwrap_or_else(|e| panic!("PENELOPE_PROP_CASES={s:?} is not a u32: {e}"))
+    });
+    (seed, cases)
 }
 
 fn parse_u64(s: &str) -> Result<u64, std::num::ParseIntError> {
@@ -95,7 +80,7 @@ fn parse_u64(s: &str) -> Result<u64, std::num::ParseIntError> {
 }
 
 /// The RNG stream for one `(seed, case)` pair — the unit of replay.
-pub fn case_rng(seed: u64, case: u32) -> TestRng {
+fn case_rng(seed: u64, case: u32) -> TestRng {
     let mut s = seed ^ 0xC0DE_u64.wrapping_mul(case as u64 + 1);
     TestRng::seed_from_u64(splitmix64(&mut s))
 }
@@ -130,12 +115,9 @@ pub trait Gen {
 /// Outcome of [`run`]: either all cases passed or the first failure,
 /// fully described for replay.
 #[derive(Clone, Debug)]
-pub enum RunResult<V> {
+enum RunResult<V> {
     /// Every case passed.
-    Passed {
-        /// Number of cases executed.
-        cases: u32,
-    },
+    Passed,
     /// A case failed (after shrinking).
     Failed {
         /// The base seed of the run — reproduces the whole run.
@@ -151,13 +133,6 @@ pub enum RunResult<V> {
         /// Panic message of the shrunken failure.
         message: String,
     },
-}
-
-impl<V> RunResult<V> {
-    /// True if every case passed.
-    pub fn passed(&self) -> bool {
-        matches!(self, RunResult::Passed { .. })
-    }
 }
 
 thread_local! {
@@ -194,24 +169,17 @@ fn fails<V, F: Fn(V)>(f: &F, value: V) -> Option<String> {
     outcome.err().map(panic_message)
 }
 
-/// Run `property` over `cfg.cases` generated inputs; return the outcome
-/// instead of panicking. This is the entry point for tests *about* the
-/// harness (e.g. asserting that an injected bug is caught and which seed
-/// reproduces it); ordinary tests use [`check`].
-pub fn run<G: Gen, F: Fn(G::Value)>(cfg: Config, gen: G, property: F) -> RunResult<G::Value> {
-    for case in 0..cfg.cases {
-        let mut rng = case_rng(cfg.seed, case);
+/// Run `property` over `cases` inputs generated from `seed`; return the
+/// outcome instead of panicking.
+fn run<G: Gen, F: Fn(G::Value)>(seed: u64, cases: u32, gen: G, property: F) -> RunResult<G::Value> {
+    for case in 0..cases {
+        let mut rng = case_rng(seed, case);
         let value = gen.generate(&mut rng);
         if let Some(first_msg) = fails(&property, value.clone()) {
-            let (shrunk, shrink_steps, message) = shrink_failure(
-                &gen,
-                &property,
-                value.clone(),
-                first_msg,
-                cfg.max_shrink_iters,
-            );
+            let (shrunk, shrink_steps, message) =
+                shrink_failure(&gen, &property, value.clone(), first_msg);
             return RunResult::Failed {
-                seed: cfg.seed,
+                seed,
                 case,
                 original: value,
                 shrunk,
@@ -220,7 +188,7 @@ pub fn run<G: Gen, F: Fn(G::Value)>(cfg: Config, gen: G, property: F) -> RunResu
             };
         }
     }
-    RunResult::Passed { cases: cfg.cases }
+    RunResult::Passed
 }
 
 fn shrink_failure<G: Gen, F: Fn(G::Value)>(
@@ -228,11 +196,10 @@ fn shrink_failure<G: Gen, F: Fn(G::Value)>(
     property: &F,
     mut current: G::Value,
     mut message: String,
-    budget: u32,
 ) -> (G::Value, u32, String) {
     let mut steps = 0;
     let mut spent = 0;
-    'outer: while spent < budget {
+    'outer: while spent < MAX_SHRINK_ITERS {
         for candidate in gen.shrink(&current) {
             spent += 1;
             if let Some(msg) = fails(property, candidate.clone()) {
@@ -241,7 +208,7 @@ fn shrink_failure<G: Gen, F: Fn(G::Value)>(
                 steps += 1;
                 continue 'outer;
             }
-            if spent >= budget {
+            if spent >= MAX_SHRINK_ITERS {
                 break;
             }
         }
@@ -252,12 +219,19 @@ fn shrink_failure<G: Gen, F: Fn(G::Value)>(
 
 /// Run a property and panic with a replayable report on failure.
 ///
-/// The panic message carries the seed, case index and shrunken input;
-/// re-run just that input with [`replay`], or the whole suite with
-/// `PENELOPE_PROP_SEED=<seed>`.
+/// It runs `cfg.cases` inputs from the default seed unless
+/// `PENELOPE_PROP_SEED` / `PENELOPE_PROP_CASES` say otherwise; a value
+/// that does not parse panics. The failure message carries the seed,
+/// case index and shrunken input, and the environment that replays them.
 pub fn check<G: Gen, F: Fn(G::Value)>(name: &str, cfg: Config, gen: G, property: F) {
-    match run(cfg, gen, property) {
-        RunResult::Passed { .. } => {}
+    let var = |key| std::env::var_os(key).map(|v| v.to_string_lossy().into_owned());
+    let (seed, cases) = resolve(
+        cfg,
+        var("PENELOPE_PROP_SEED").as_deref(),
+        var("PENELOPE_PROP_CASES").as_deref(),
+    );
+    match run(seed, cases, gen, property) {
+        RunResult::Passed => {}
         RunResult::Failed {
             seed,
             case,
@@ -270,19 +244,11 @@ pub fn check<G: Gen, F: Fn(G::Value)>(name: &str, cfg: Config, gen: G, property:
                 "property '{name}' failed\n  seed: {seed:#018x}  case: {case}\n  \
                  original input: {original:?}\n  shrunk input ({shrink_steps} steps): {shrunk:?}\n  \
                  failure: {message}\n  \
-                 replay: prop::replay({seed:#x}, {case}, gen, property) or \
-                 PENELOPE_PROP_SEED={seed:#x} PENELOPE_PROP_CASES={n} cargo test",
+                 replay: PENELOPE_PROP_SEED={seed:#x} PENELOPE_PROP_CASES={n} cargo test",
                 n = case + 1,
             );
         }
     }
-}
-
-/// Re-run exactly one `(seed, case)` input through `property`.
-pub fn replay<G: Gen, F: Fn(G::Value)>(seed: u64, case: u32, gen: G, property: F) {
-    let mut rng = case_rng(seed, case);
-    let value = gen.generate(&mut rng);
-    property(value);
 }
 
 // ---------------------------------------------------------------------------
@@ -400,17 +366,6 @@ impl Gen for AnyBool {
     }
 }
 
-/// Always produce `value`.
-#[derive(Clone, Copy, Debug)]
-pub struct Just<T: Clone + Debug>(pub T);
-
-impl<T: Clone + Debug> Gen for Just<T> {
-    type Value = T;
-    fn generate(&self, _rng: &mut TestRng) -> T {
-        self.0.clone()
-    }
-}
-
 /// Uniform choice among `options` (cloned).
 #[derive(Clone, Debug)]
 pub struct OneOf<T: Clone + Debug>(pub Vec<T>);
@@ -435,7 +390,7 @@ impl<T: Clone + Debug + PartialEq> Gen for OneOf<T> {
     }
 }
 
-/// See [`Gen::map`].
+/// See [`Gen::prop_map`].
 #[derive(Clone)]
 pub struct Map<G, F> {
     inner: G,
@@ -547,31 +502,32 @@ mod tests {
 
     #[test]
     fn passing_property_passes() {
-        let result = run(Config::with_cases(50), 0u64..1000, |v| {
+        let result = run(DEFAULT_SEED, 50, 0u64..1000, |v| {
             assert!(v < 1000);
         });
-        assert!(result.passed());
+        assert!(matches!(result, RunResult::Passed));
     }
 
     #[test]
     fn failure_reports_seed_and_shrinks() {
         // Fails for any v >= 100; minimal counterexample is exactly 100.
-        let cfg = Config::with_cases(200);
-        match run(cfg, 0u64..100_000, |v| assert!(v < 100, "v={v}")) {
+        match run(DEFAULT_SEED, 200, 0u64..100_000, |v| {
+            assert!(v < 100, "v={v}")
+        }) {
             RunResult::Failed {
                 seed,
                 case,
+                original,
                 shrunk,
                 message,
                 ..
             } => {
-                assert_eq!(seed, cfg.seed);
+                assert_eq!(seed, DEFAULT_SEED);
                 assert_eq!(shrunk, 100, "binary-search shrink finds the boundary");
                 assert!(message.contains("v="), "message: {message}");
-                // The reported (seed, case) replays the original failure.
+                // The reported (seed, case) regenerates the original input.
                 let mut rng = case_rng(seed, case);
-                let replayed = (0u64..100_000).generate(&mut rng);
-                assert!(replayed >= 100);
+                assert_eq!((0u64..100_000).generate(&mut rng), original);
             }
             other => panic!("expected failure, got {other:?}"),
         }
@@ -580,7 +536,7 @@ mod tests {
     #[test]
     fn vec_shrinking_chops_length() {
         // Fails when the vec contains any element >= 50.
-        match run(Config::with_cases(200), vec_of(0u64..1000, 0..30), |v| {
+        match run(DEFAULT_SEED, 200, vec_of(0u64..1000, 0..30), |v| {
             assert!(v.iter().all(|&x| x < 50))
         }) {
             RunResult::Failed { shrunk, .. } => {
@@ -594,17 +550,9 @@ mod tests {
     #[test]
     fn deterministic_across_runs() {
         let collect = || {
-            let mut seen = Vec::new();
-            let result = run(Config::with_cases(20), 0u64..1_000_000, |v| {
-                // Property that always passes; we only record inputs.
-                let _ = v;
-            });
-            assert!(result.passed());
-            for case in 0..20 {
-                let mut rng = case_rng(Config::default().seed, case);
-                seen.push((0u64..1_000_000).generate(&mut rng));
-            }
-            seen
+            (0..20)
+                .map(|case| (0u64..1_000_000).generate(&mut case_rng(DEFAULT_SEED, case)))
+                .collect::<Vec<_>>()
         };
         assert_eq!(collect(), collect());
     }
@@ -612,7 +560,8 @@ mod tests {
     #[test]
     fn tuple_and_bool_generators() {
         let result = run(
-            Config::with_cases(64),
+            DEFAULT_SEED,
+            64,
             (any_bool(), 0u64..10, 0.0f64..1.0),
             |(b, n, f)| {
                 let _ = b;
@@ -620,7 +569,7 @@ mod tests {
                 assert!((0.0..1.0).contains(&f));
             },
         );
-        assert!(result.passed());
+        assert!(matches!(result, RunResult::Passed));
     }
 
     #[test]
@@ -632,16 +581,34 @@ mod tests {
     }
 
     #[test]
-    fn replay_reproduces() {
-        // Find a failing (seed, case) via run(), then replay it.
-        let cfg = Config::with_cases(64);
-        if let RunResult::Failed { seed, case, .. } = run(cfg, 0u64..1000, |v| assert!(v < 500)) {
-            let outcome = std::panic::catch_unwind(|| {
-                replay(seed, case, 0u64..1000, |v| assert!(v < 500));
-            });
-            assert!(outcome.is_err(), "replay must reproduce the failure");
-        } else {
-            panic!("expected a failure within 64 cases");
-        }
+    fn overrides_apply_to_every_case_count() {
+        // Unset variables keep the default seed and the caller's count.
+        assert_eq!(
+            resolve(Config::with_cases(3_000), None, None),
+            (DEFAULT_SEED, 3_000)
+        );
+        // A set count wins over an explicit `with_cases`, not only over
+        // the default: the printed replay recipe must hold everywhere.
+        assert_eq!(
+            resolve(Config::with_cases(3_000), Some("0x2a"), Some("3")),
+            (42, 3)
+        );
+        assert_eq!(resolve(Config::default(), Some("17"), None), (17, 64));
+        assert_eq!(
+            resolve(Config::default(), Some("0X9E1E10BE5EED0001"), Some("1")),
+            (DEFAULT_SEED, 1)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "PENELOPE_PROP_SEED=\"0x9e1e10be5eed00g1\"")]
+    fn a_malformed_seed_override_panics_naming_it() {
+        resolve(Config::default(), Some("0x9e1e10be5eed00g1"), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "PENELOPE_PROP_CASES=\"3k\"")]
+    fn a_malformed_case_count_override_panics_naming_it() {
+        resolve(Config::default(), None, Some("3k"));
     }
 }

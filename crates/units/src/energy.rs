@@ -119,7 +119,7 @@ impl fmt::Display for Energy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use penelope_testkit::prop;
 
     #[test]
     fn power_times_time() {
@@ -163,31 +163,40 @@ mod tests {
         assert_eq!(Energy::from_joules_u64(2).to_string(), "2.000J");
     }
 
-    proptest! {
-        #[test]
-        fn integration_is_additive_in_time(
-            mw in 0u64..10_000_000,
-            a_ns in 0u64..1_000_000_000_000,
-            b_ns in 0u64..1_000_000_000_000,
-        ) {
-            let p = Power::from_milliwatts(mw);
-            let whole = Energy::from_power(p, SimDuration::from_nanos(a_ns + b_ns));
-            let parts = Energy::from_power(p, SimDuration::from_nanos(a_ns))
-                + Energy::from_power(p, SimDuration::from_nanos(b_ns));
-            // Floor division loses at most 1 nJ per piece.
-            prop_assert!(whole.saturating_sub(parts).nanojoules() <= 1);
-            prop_assert!(parts.saturating_sub(whole).nanojoules() <= 1);
-        }
+    #[test]
+    fn integration_is_additive_in_time() {
+        prop::check(
+            "integration_is_additive_in_time",
+            prop::Config::default(),
+            (
+                0u64..10_000_000,
+                0u64..1_000_000_000_000,
+                0u64..1_000_000_000_000,
+            ),
+            |(mw, a_ns, b_ns)| {
+                let p = Power::from_milliwatts(mw);
+                let whole = Energy::from_power(p, SimDuration::from_nanos(a_ns + b_ns));
+                let parts = Energy::from_power(p, SimDuration::from_nanos(a_ns))
+                    + Energy::from_power(p, SimDuration::from_nanos(b_ns));
+                // Floor division loses at most 1 nJ per piece.
+                assert!(whole.saturating_sub(parts).nanojoules() <= 1);
+                assert!(parts.saturating_sub(whole).nanojoules() <= 1);
+            },
+        );
+    }
 
-        #[test]
-        fn average_power_close_to_input(
-            mw in 1u64..10_000_000,
-            ns in 1_000u64..1_000_000_000_000,
-        ) {
-            let p = Power::from_milliwatts(mw);
-            let dt = SimDuration::from_nanos(ns);
-            let avg = Energy::from_power(p, dt).average_power(dt);
-            prop_assert!(avg.abs_diff(p) <= Power::from_milliwatts(1));
-        }
+    #[test]
+    fn average_power_close_to_input() {
+        prop::check(
+            "average_power_close_to_input",
+            prop::Config::default(),
+            (1u64..10_000_000, 1_000u64..1_000_000_000_000),
+            |(mw, ns)| {
+                let p = Power::from_milliwatts(mw);
+                let dt = SimDuration::from_nanos(ns);
+                let avg = Energy::from_power(p, dt).average_power(dt);
+                assert!(avg.abs_diff(p) <= Power::from_milliwatts(1));
+            },
+        );
     }
 }

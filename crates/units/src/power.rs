@@ -235,7 +235,7 @@ impl fmt::Display for Power {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use penelope_testkit::prop::{self, any_u64};
 
     #[test]
     fn watt_constructors_agree() {
@@ -377,47 +377,81 @@ mod tests {
         assert_eq!(a.abs_diff(b), Power::from_watts_u64(12));
     }
 
-    proptest! {
-        #[test]
-        fn transfer_is_zero_sum(a in 0u64..1_000_000_000, b in 0u64..1_000_000_000, amt in 0u64..1_000_000_000) {
-            // Moving `amt` (clamped to what the donor has) between two
-            // holdings never changes the total: the core property every
-            // Penelope transaction relies on.
-            let mut donor = Power::from_milliwatts(a);
-            let mut recipient = Power::from_milliwatts(b);
-            let before = donor + recipient;
-            let moved = donor.min(Power::from_milliwatts(amt));
-            donor -= moved;
-            recipient += moved;
-            prop_assert_eq!(donor + recipient, before);
-        }
+    #[test]
+    fn transfer_is_zero_sum() {
+        let mw = 0u64..1_000_000_000;
+        prop::check(
+            "transfer_is_zero_sum",
+            prop::Config::default(),
+            (mw.clone(), mw.clone(), mw),
+            |(a, b, amt)| {
+                // Moving `amt` (clamped to what the donor has) between two
+                // holdings never changes the total: the core property every
+                // Penelope transaction relies on.
+                let mut donor = Power::from_milliwatts(a);
+                let mut recipient = Power::from_milliwatts(b);
+                let before = donor + recipient;
+                let moved = donor.min(Power::from_milliwatts(amt));
+                donor -= moved;
+                recipient += moved;
+                assert_eq!(donor + recipient, before);
+            },
+        );
+    }
 
-        #[test]
-        fn split_recombines(total in 0u64..u64::MAX / 2, n in 1u64..10_000) {
-            let p = Power::from_milliwatts(total);
-            let (share, rem) = p.split(n);
-            prop_assert_eq!(share * n + rem, p);
-            prop_assert!(rem < Power::from_milliwatts(n));
-        }
+    #[test]
+    fn split_recombines() {
+        prop::check(
+            "split_recombines",
+            prop::Config::default(),
+            (0u64..u64::MAX / 2, 1u64..10_000),
+            |(total, n)| {
+                let p = Power::from_milliwatts(total);
+                let (share, rem) = p.split(n);
+                assert_eq!(share * n + rem, p);
+                assert!(rem < Power::from_milliwatts(n));
+            },
+        );
+    }
 
-        #[test]
-        fn saturating_sub_never_underflows(a in any::<u64>(), b in any::<u64>()) {
-            let r = Power::from_milliwatts(a).saturating_sub(Power::from_milliwatts(b));
-            prop_assert!(r.milliwatts() <= a);
-        }
+    #[test]
+    fn saturating_sub_never_underflows() {
+        prop::check(
+            "saturating_sub_never_underflows",
+            prop::Config::default(),
+            (any_u64(), any_u64()),
+            |(a, b)| {
+                let r = Power::from_milliwatts(a).saturating_sub(Power::from_milliwatts(b));
+                assert!(r.milliwatts() <= a);
+            },
+        );
+    }
 
-        #[test]
-        fn watts_roundtrip_within_half_milliwatt(mw in 0u64..1_000_000_000_000) {
-            let p = Power::from_milliwatts(mw);
-            let back = Power::from_watts(p.as_watts());
-            prop_assert!(back.abs_diff(p) <= Power::from_milliwatts(1));
-        }
+    #[test]
+    fn watts_roundtrip_within_half_milliwatt() {
+        prop::check(
+            "watts_roundtrip_within_half_milliwatt",
+            prop::Config::default(),
+            0u64..1_000_000_000_000,
+            |mw| {
+                let p = Power::from_milliwatts(mw);
+                let back = Power::from_watts(p.as_watts());
+                assert!(back.abs_diff(p) <= Power::from_milliwatts(1));
+            },
+        );
+    }
 
-        #[test]
-        fn mul_f64_monotone_in_factor(mw in 0u64..1_000_000_000, f1 in 0.0f64..1.0, f2 in 0.0f64..1.0) {
-            let p = Power::from_milliwatts(mw);
-            let (lo, hi) = if f1 <= f2 { (f1, f2) } else { (f2, f1) };
-            prop_assert!(p.mul_f64(lo) <= p.mul_f64(hi));
-        }
+    #[test]
+    fn mul_f64_monotone_in_factor() {
+        prop::check(
+            "mul_f64_monotone_in_factor",
+            prop::Config::default(),
+            (0u64..1_000_000_000, 0.0f64..1.0, 0.0f64..1.0),
+            |(mw, f1, f2)| {
+                let p = Power::from_milliwatts(mw);
+                let (lo, hi) = if f1 <= f2 { (f1, f2) } else { (f2, f1) };
+                assert!(p.mul_f64(lo) <= p.mul_f64(hi));
+            },
+        );
     }
 }

@@ -267,7 +267,7 @@ impl fmt::Display for SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use penelope_testkit::prop::{self, any_u64};
 
     #[test]
     fn constructors_agree() {
@@ -343,30 +343,46 @@ mod tests {
         assert_eq!(total, SimDuration::from_secs(10));
     }
 
-    proptest! {
-        #[test]
-        fn add_then_sub_roundtrips(base in 0u64..u64::MAX / 2, d in 0u64..u64::MAX / 4) {
-            let t = SimTime::from_nanos(base);
-            let dur = SimDuration::from_nanos(d);
-            prop_assert_eq!((t + dur) - dur, t);
-            prop_assert_eq!((t + dur) - t, dur);
-        }
+    #[test]
+    fn add_then_sub_roundtrips() {
+        prop::check(
+            "add_then_sub_roundtrips",
+            prop::Config::default(),
+            (0u64..u64::MAX / 2, 0u64..u64::MAX / 4),
+            |(base, d)| {
+                let t = SimTime::from_nanos(base);
+                let dur = SimDuration::from_nanos(d);
+                assert_eq!((t + dur) - dur, t);
+                assert_eq!((t + dur) - t, dur);
+            },
+        );
+    }
 
-        #[test]
-        fn secs_f64_roundtrip_close(ns in 0u64..1_000_000_000_000_000u64) {
-            let d = SimDuration::from_nanos(ns);
-            let back = SimDuration::from_secs_f64(d.as_secs_f64());
-            // f64 has 52 mantissa bits; within this range the roundtrip is
-            // accurate to a few hundred ns.
-            prop_assert!(back.as_nanos().abs_diff(ns) <= 256);
-        }
+    #[test]
+    fn secs_f64_roundtrip_close() {
+        prop::check(
+            "secs_f64_roundtrip_close",
+            prop::Config::default(),
+            0u64..1_000_000_000_000_000u64,
+            |ns| {
+                let d = SimDuration::from_nanos(ns);
+                let back = SimDuration::from_secs_f64(d.as_secs_f64());
+                // f64 has 52 mantissa bits; within this range the roundtrip
+                // is accurate to a few hundred ns.
+                assert!(back.as_nanos().abs_diff(ns) <= 256);
+            },
+        );
+    }
 
-        #[test]
-        fn ordering_matches_nanos(a in any::<u64>(), b in any::<u64>()) {
-            prop_assert_eq!(
-                SimTime::from_nanos(a) <= SimTime::from_nanos(b),
-                a <= b
-            );
-        }
+    #[test]
+    fn ordering_matches_nanos() {
+        prop::check(
+            "ordering_matches_nanos",
+            prop::Config::default(),
+            (any_u64(), any_u64()),
+            |(a, b)| {
+                assert_eq!(SimTime::from_nanos(a) <= SimTime::from_nanos(b), a <= b);
+            },
+        );
     }
 }

@@ -63,7 +63,7 @@ impl Default for PerfModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use penelope_testkit::prop;
 
     fn w(x: u64) -> Power {
         Power::from_watts_u64(x)
@@ -124,32 +124,40 @@ mod tests {
         let _ = PerfModel::new(w(60), 1.5);
     }
 
-    proptest! {
-        #[test]
-        fn rate_bounded_and_monotone_in_cap(
-            cap1 in 0u64..400,
-            cap2 in 0u64..400,
-            demand in 61u64..400,
-        ) {
-            let m = model();
-            let (lo, hi) = if cap1 <= cap2 { (cap1, cap2) } else { (cap2, cap1) };
-            let r_lo = m.rate(w(lo), w(demand));
-            let r_hi = m.rate(w(hi), w(demand));
-            prop_assert!((0.0..=1.0).contains(&r_lo));
-            prop_assert!((0.0..=1.0).contains(&r_hi));
-            prop_assert!(r_lo <= r_hi + 1e-12);
-        }
+    #[test]
+    fn rate_bounded_and_monotone_in_cap() {
+        prop::check(
+            "rate_bounded_and_monotone_in_cap",
+            prop::Config::default(),
+            (0u64..400, 0u64..400, 61u64..400),
+            |(cap1, cap2, demand)| {
+                let m = model();
+                let (lo, hi) = if cap1 <= cap2 {
+                    (cap1, cap2)
+                } else {
+                    (cap2, cap1)
+                };
+                let r_lo = m.rate(w(lo), w(demand));
+                let r_hi = m.rate(w(hi), w(demand));
+                assert!((0.0..=1.0).contains(&r_lo));
+                assert!((0.0..=1.0).contains(&r_hi));
+                assert!(r_lo <= r_hi + 1e-12);
+            },
+        );
+    }
 
-        #[test]
-        fn rate_antitone_in_demand(
-            cap in 61u64..400,
-            d1 in 61u64..400,
-            d2 in 61u64..400,
-        ) {
-            // A hungrier phase is hurt at least as much by the same cap.
-            let m = model();
-            let (lo, hi) = if d1 <= d2 { (d1, d2) } else { (d2, d1) };
-            prop_assert!(m.rate(w(cap), w(hi)) <= m.rate(w(cap), w(lo)) + 1e-12);
-        }
+    #[test]
+    fn rate_antitone_in_demand() {
+        prop::check(
+            "rate_antitone_in_demand",
+            prop::Config::default(),
+            (61u64..400, 61u64..400, 61u64..400),
+            |(cap, d1, d2)| {
+                // A hungrier phase is hurt at least as much by the same cap.
+                let m = model();
+                let (lo, hi) = if d1 <= d2 { (d1, d2) } else { (d2, d1) };
+                assert!(m.rate(w(cap), w(hi)) <= m.rate(w(cap), w(lo)) + 1e-12);
+            },
+        );
     }
 }

@@ -145,7 +145,7 @@ mod tests {
     use super::*;
     use crate::perf::PerfModel;
     use crate::profile::Phase;
-    use proptest::prelude::*;
+    use penelope_testkit::prop;
 
     fn w(x: u64) -> Power {
         Power::from_watts_u64(x)
@@ -281,37 +281,46 @@ mod tests {
         assert_eq!(st.current_demand(), w(120));
     }
 
-    proptest! {
-        #[test]
-        fn chunked_integration_equals_whole(
-            cap_w in 70u64..300,
-            chunks in 1usize..50,
-        ) {
-            let total = SimTime::from_secs(60);
-            let mut whole = WorkloadState::new(linear_profile());
-            let e_whole = whole.advance(SimTime::ZERO, total, w(cap_w));
+    #[test]
+    fn chunked_integration_equals_whole() {
+        prop::check(
+            "chunked_integration_equals_whole",
+            prop::Config::default(),
+            (70u64..300, 1usize..50),
+            |(cap_w, chunks)| {
+                let total = SimTime::from_secs(60);
+                let mut whole = WorkloadState::new(linear_profile());
+                let e_whole = whole.advance(SimTime::ZERO, total, w(cap_w));
 
-            let mut parts = WorkloadState::new(linear_profile());
-            let mut e_parts = Energy::ZERO;
-            let step = SimDuration::from_nanos(total.as_nanos() / chunks as u64);
-            let mut t = SimTime::ZERO;
-            for i in 0..chunks {
-                let next = if i == chunks - 1 { total } else { t + step };
-                e_parts += parts.advance(t, next, w(cap_w));
-                t = next;
-            }
-            // Progress and energy agree to float/ns tolerance.
-            prop_assert!((whole.progress() - parts.progress()).abs() < 1e-6);
-            let diff = e_whole.saturating_sub(e_parts) + e_parts.saturating_sub(e_whole);
-            prop_assert!(diff.as_joules() < 0.01, "energy diff {}", diff.as_joules());
-        }
+                let mut parts = WorkloadState::new(linear_profile());
+                let mut e_parts = Energy::ZERO;
+                let step = SimDuration::from_nanos(total.as_nanos() / chunks as u64);
+                let mut t = SimTime::ZERO;
+                for i in 0..chunks {
+                    let next = if i == chunks - 1 { total } else { t + step };
+                    e_parts += parts.advance(t, next, w(cap_w));
+                    t = next;
+                }
+                // Progress and energy agree to float/ns tolerance.
+                assert!((whole.progress() - parts.progress()).abs() < 1e-6);
+                let diff = e_whole.saturating_sub(e_parts) + e_parts.saturating_sub(e_whole);
+                assert!(diff.as_joules() < 0.01, "energy diff {}", diff.as_joules());
+            },
+        );
+    }
 
-        #[test]
-        fn energy_never_exceeds_cap_budget(cap_w in 1u64..400, secs in 1u64..200) {
-            let mut st = WorkloadState::new(linear_profile());
-            let e = st.advance(SimTime::ZERO, SimTime::from_secs(secs), w(cap_w));
-            let budget = Energy::from_power(w(cap_w), SimDuration::from_secs(secs));
-            prop_assert!(e <= budget);
-        }
+    #[test]
+    fn energy_never_exceeds_cap_budget() {
+        prop::check(
+            "energy_never_exceeds_cap_budget",
+            prop::Config::default(),
+            (1u64..400, 1u64..200),
+            |(cap_w, secs)| {
+                let mut st = WorkloadState::new(linear_profile());
+                let e = st.advance(SimTime::ZERO, SimTime::from_secs(secs), w(cap_w));
+                let budget = Energy::from_power(w(cap_w), SimDuration::from_secs(secs));
+                assert!(e <= budget);
+            },
+        );
     }
 }

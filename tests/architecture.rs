@@ -21,8 +21,9 @@
 //! the repo to its five effect mappings and one thread-per-node driver,
 //! in `penelope-runtime`, a twelfth holds it to one fault vocabulary
 //! (`FaultAction`) and one conformance module, in the root crate, whose
-//! `Scenario` nothing translates, and a thirteenth holds `ShardedSim` to
-//! one thread scope per run.
+//! `Scenario` nothing translates, a thirteenth holds `ShardedSim` to
+//! one thread scope per run, and a fourteenth holds the workspace to one
+//! property-test vocabulary, `penelope_testkit::prop`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -865,6 +866,117 @@ fn fault_vocabulary_detection_sees_the_shapes_it_replaced() {
                fn observed_sim_run(scenario: &Scenario) -> Vec<TraceEvent> {\n}\n\
                fn assert_conserves(scenario: &Scenario, substrate: &dyn Substrate) {\n}";
     assert_eq!(scenario_translators(new), [""; 0]);
+}
+
+/// True iff `text` invokes one of the `proptest` crate's macros.
+fn invokes_proptest_macros(text: &str) -> bool {
+    let macros = [
+        "proptest",
+        "prop_assert",
+        "prop_assert_eq",
+        "prop_assert_ne",
+        "prop_assume",
+        "prop_oneof",
+    ];
+    macros.iter().any(|name| {
+        text.match_indices(&format!("{name}!")).any(|(pos, _)| {
+            text[..pos]
+                .chars()
+                .next_back()
+                .is_none_or(|c| !is_ident_char(c))
+        })
+    })
+}
+
+/// The value of the `[workspace]` table's `members` key.
+fn workspace_members(manifest: &str) -> Option<&str> {
+    manifest.lines().find_map(|line| {
+        let (key, value) = line.split_once('=')?;
+        (key.trim() == "members").then(|| value.trim())
+    })
+}
+
+/// Every property suite runs on `penelope_testkit::prop`. A vendored
+/// `proptest` shim in `third_party/` used to run half of them through a
+/// second DSL that forwarded to the same harness, and it was a second
+/// workspace member the default `cargo test` never reached.
+#[test]
+fn the_workspace_has_one_property_test_vocabulary() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut manifests = Vec::new();
+    sources(root, &["toml", "lock"], &mut manifests);
+    manifests.retain(|p| p.ends_with("Cargo.toml") || p.ends_with("Cargo.lock"));
+    assert!(
+        manifests.len() >= 14,
+        "found only {} manifests",
+        manifests.len()
+    );
+    for path in &manifests {
+        let text = fs::read_to_string(path).expect("readable manifest");
+        assert!(
+            !contains_identifier(&text, "proptest"),
+            "{} names `proptest` — property tests call `penelope_testkit::prop::check`",
+            path.strip_prefix(root).unwrap_or(path).display()
+        );
+    }
+    let mut files = Vec::new();
+    for tree in ["crates", "src", "tests", "examples"] {
+        rust_sources(&root.join(tree), &mut files);
+    }
+    assert!(files.len() >= 100, "found only {} sources", files.len());
+    for path in &files {
+        let text = fs::read_to_string(path).expect("readable source file");
+        assert!(
+            !invokes_proptest_macros(&text),
+            "{} invokes a `proptest` macro — write a `#[test]` that calls `prop::check`",
+            path.strip_prefix(root).unwrap_or(path).display()
+        );
+    }
+    let manifest = fs::read_to_string(root.join("Cargo.toml")).expect("readable manifest");
+    assert_eq!(
+        workspace_members(&manifest),
+        Some(r#"["crates/*"]"#),
+        "the workspace is the root package and `crates/`, nothing vendored"
+    );
+}
+
+#[test]
+fn prop_vocabulary_detection_sees_the_shapes_it_replaced() {
+    // Split so this file does not itself invoke what it looks for.
+    let old = concat!(
+        "use proptest::prelude::*;\n",
+        "proptest",
+        "! {\n    #[test]\n    fn f(a in 0u8..4) {\n        ",
+        "prop_assume",
+        "!(a > 0);\n        ",
+        "prop_assert_eq",
+        "!(a, a);\n    }\n}"
+    );
+    assert!(invokes_proptest_macros(old));
+    assert!(invokes_proptest_macros(concat!("prop_assert", "!(ok)")));
+    // The harness, a helper that only shares a prefix, and prose are not
+    // invocations.
+    let new = concat!(
+        "prop::check(\"f\", prop::Config::default(), 0u8..4, |a| assert_eq!(a, a));\n",
+        "fn prop_assert_sorted(v: &[u64]) {}\n",
+        "// ported from the proptest crate's DSL\n",
+        "my_proptest",
+        "!(x);"
+    );
+    assert!(!invokes_proptest_macros(new));
+
+    let old_manifest = "[workspace]\nmembers = [\"crates/*\", \"third_party/*\"]\n\
+                        [dev-dependencies]\nproptest = { workspace = true }\n";
+    assert!(contains_identifier(old_manifest, "proptest"));
+    assert_eq!(
+        workspace_members(old_manifest),
+        Some(r#"["crates/*", "third_party/*"]"#)
+    );
+    let new_manifest = "[workspace]\nmembers = [\"crates/*\"]\n\
+                        default-members = [\".\", \"crates/*\"]\n\
+                        [dev-dependencies]\npenelope-testkit = { workspace = true }\n";
+    assert!(!contains_identifier(new_manifest, "proptest"));
+    assert_eq!(workspace_members(new_manifest), Some(r#"["crates/*"]"#));
 }
 
 #[test]

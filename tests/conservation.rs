@@ -6,10 +6,13 @@
 
 use penelope::prelude::*;
 use penelope::sim::ClusterConfig;
-use proptest::prelude::*;
+use penelope_testkit::prop::{self, any_bool, any_u64, vec_of, Gen};
 
-fn workload_strategy(n: usize) -> impl Strategy<Value = Vec<Profile>> {
-    proptest::collection::vec((100u64..260, 5.0f64..40.0, 0usize..3), n..=n).prop_map(|specs| {
+/// Each case runs whole 600 s simulations, so these run 24 cases, not 64.
+const CASES: u32 = 24;
+
+fn workload_strategy(n: usize) -> impl Gen<Value = Vec<Profile>> {
+    vec_of((100u64..260, 5.0f64..40.0, 0usize..3), n..n + 1).prop_map(|specs| {
         specs
             .into_iter()
             .enumerate()
@@ -69,84 +72,121 @@ fn check_run_noisy(
     assert!(report.conservation_ok);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn penelope_conserves_power(
-        workloads in workload_strategy(6),
-        seed in any::<u64>(),
-        budget in 140u64..220,
-    ) {
-        check_run(SystemKind::Penelope, workloads, seed, budget, FaultScript::none());
-    }
-
-    #[test]
-    fn slurm_conserves_power(
-        workloads in workload_strategy(6),
-        seed in any::<u64>(),
-        budget in 140u64..220,
-    ) {
-        check_run(SystemKind::Slurm, workloads, seed, budget, FaultScript::none());
-    }
-
-    #[test]
-    fn penelope_conserves_power_under_faults(
-        workloads in workload_strategy(6),
-        seed in any::<u64>(),
-        kill_at in 1u64..60,
-        victim in 0u32..6,
-        drop_rate in 0.0f64..0.4,
-    ) {
-        let faults = FaultScript::none()
-            .at(SimTime::ZERO, FaultAction::SetDropRate(drop_rate))
-            .at(SimTime::from_secs(kill_at), FaultAction::Kill(NodeId::new(victim)));
-        check_run(SystemKind::Penelope, workloads, seed, 160, faults);
-    }
-
-    #[test]
-    fn slurm_conserves_power_under_server_and_client_faults(
-        workloads in workload_strategy(6),
-        seed in any::<u64>(),
-        kill_at in 1u64..60,
-        kill_client_too in any::<bool>(),
-    ) {
-        let mut faults = FaultScript::kill_server_at(SimTime::from_secs(kill_at));
-        if kill_client_too {
-            faults = faults.at(
-                SimTime::from_secs(kill_at + 5),
-                FaultAction::Kill(NodeId::new(2)),
+#[test]
+fn penelope_conserves_power() {
+    prop::check(
+        "penelope_conserves_power",
+        prop::Config::with_cases(CASES),
+        (workload_strategy(6), any_u64(), 140u64..220),
+        |(workloads, seed, budget)| {
+            check_run(
+                SystemKind::Penelope,
+                workloads,
+                seed,
+                budget,
+                FaultScript::none(),
             );
-        }
-        check_run(SystemKind::Slurm, workloads, seed, 160, faults);
-    }
+        },
+    );
+}
 
-    #[test]
-    fn conservation_survives_noisy_power_readings(
-        workloads in workload_strategy(6),
-        seed in any::<u64>(),
-        noise in 0.0f64..0.10,
-        slurm in any::<bool>(),
-    ) {
-        // Real RAPL readings are noisy; deciders then misjudge excess and
-        // hunger — but every action stays zero-sum, so the ledger must hold
-        // no matter how wrong the readings are.
-        let system = if slurm { SystemKind::Slurm } else { SystemKind::Penelope };
-        check_run_noisy(system, workloads, seed, 160, FaultScript::none(), noise);
-    }
+#[test]
+fn slurm_conserves_power() {
+    prop::check(
+        "slurm_conserves_power",
+        prop::Config::with_cases(CASES),
+        (workload_strategy(6), any_u64(), 140u64..220),
+        |(workloads, seed, budget)| {
+            check_run(
+                SystemKind::Slurm,
+                workloads,
+                seed,
+                budget,
+                FaultScript::none(),
+            );
+        },
+    );
+}
 
-    #[test]
-    fn penelope_conserves_power_under_partitions(
-        workloads in workload_strategy(6),
-        seed in any::<u64>(),
-        split_at in 1u64..30,
-        heal_at in 31u64..90,
-    ) {
-        let left: Vec<NodeId> = (0..3).map(NodeId::new).collect();
-        let right: Vec<NodeId> = (3..6).map(NodeId::new).collect();
-        let faults = FaultScript::none()
-            .at(SimTime::from_secs(split_at), FaultAction::Partition(vec![left, right]))
-            .at(SimTime::from_secs(heal_at), FaultAction::Heal);
-        check_run(SystemKind::Penelope, workloads, seed, 160, faults);
-    }
+#[test]
+fn penelope_conserves_power_under_faults() {
+    prop::check(
+        "penelope_conserves_power_under_faults",
+        prop::Config::with_cases(CASES),
+        (
+            workload_strategy(6),
+            any_u64(),
+            1u64..60,
+            0u32..6,
+            0.0f64..0.4,
+        ),
+        |(workloads, seed, kill_at, victim, drop_rate)| {
+            let faults = FaultScript::none()
+                .at(SimTime::ZERO, FaultAction::SetDropRate(drop_rate))
+                .at(
+                    SimTime::from_secs(kill_at),
+                    FaultAction::Kill(NodeId::new(victim)),
+                );
+            check_run(SystemKind::Penelope, workloads, seed, 160, faults);
+        },
+    );
+}
+
+#[test]
+fn slurm_conserves_power_under_server_and_client_faults() {
+    prop::check(
+        "slurm_conserves_power_under_server_and_client_faults",
+        prop::Config::with_cases(CASES),
+        (workload_strategy(6), any_u64(), 1u64..60, any_bool()),
+        |(workloads, seed, kill_at, kill_client_too)| {
+            let mut faults = FaultScript::kill_server_at(SimTime::from_secs(kill_at));
+            if kill_client_too {
+                faults = faults.at(
+                    SimTime::from_secs(kill_at + 5),
+                    FaultAction::Kill(NodeId::new(2)),
+                );
+            }
+            check_run(SystemKind::Slurm, workloads, seed, 160, faults);
+        },
+    );
+}
+
+#[test]
+fn conservation_survives_noisy_power_readings() {
+    prop::check(
+        "conservation_survives_noisy_power_readings",
+        prop::Config::with_cases(CASES),
+        (workload_strategy(6), any_u64(), 0.0f64..0.10, any_bool()),
+        |(workloads, seed, noise, slurm)| {
+            // Real RAPL readings are noisy; deciders then misjudge excess and
+            // hunger — but every action stays zero-sum, so the ledger must
+            // hold no matter how wrong the readings are.
+            let system = if slurm {
+                SystemKind::Slurm
+            } else {
+                SystemKind::Penelope
+            };
+            check_run_noisy(system, workloads, seed, 160, FaultScript::none(), noise);
+        },
+    );
+}
+
+#[test]
+fn penelope_conserves_power_under_partitions() {
+    prop::check(
+        "penelope_conserves_power_under_partitions",
+        prop::Config::with_cases(CASES),
+        (workload_strategy(6), any_u64(), 1u64..30, 31u64..90),
+        |(workloads, seed, split_at, heal_at)| {
+            let left: Vec<NodeId> = (0..3).map(NodeId::new).collect();
+            let right: Vec<NodeId> = (3..6).map(NodeId::new).collect();
+            let faults = FaultScript::none()
+                .at(
+                    SimTime::from_secs(split_at),
+                    FaultAction::Partition(vec![left, right]),
+                )
+                .at(SimTime::from_secs(heal_at), FaultAction::Heal);
+            check_run(SystemKind::Penelope, workloads, seed, 160, faults);
+        },
+    );
 }

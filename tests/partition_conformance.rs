@@ -600,12 +600,8 @@ fn random_fault_schedules_preserve_zero_sum_and_seq_epochs() {
             .collect::<Vec<_>>()
     });
 
-    // 48 cases by default; CI's quick-effort legs dial this down (and a
-    // failing seed can be replayed) via PENELOPE_PROP_CASES/_SEED.
-    let mut cfg = prop::Config::from_env();
-    if std::env::var("PENELOPE_PROP_CASES").is_err() {
-        cfg.cases = 48;
-    }
+    // CI's quick-effort legs dial the count down via PENELOPE_PROP_CASES.
+    let cfg = prop::Config::with_cases(48);
     prop::check("random_fault_schedules", cfg, ops, |script| {
         let mut scenario = all_hungry_scenario(0x5EED_9F01, "prop-faults", 4, 14);
         for (period, op) in &script {
