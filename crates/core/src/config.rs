@@ -1,6 +1,5 @@
 //! Tunable parameters of the decider and pool.
 
-use crate::policy::DeciderPolicy;
 use penelope_units::{Power, PowerRange, SimDuration};
 
 /// Parameters of the power pool's transaction limiter (Algorithm 2).
@@ -117,13 +116,6 @@ pub struct DeciderConfig {
     /// On fault-free runs no node is suspected and no digest is built, so
     /// the setting is provably inert there either way.
     pub gossip_digest: usize,
-    /// Which decision policy the decider runs (see
-    /// [`policy`](crate::policy)). [`DeciderPolicy::Urgency`] — the default
-    /// — is the paper's Algorithm 1, byte-identical to the pre-seam
-    /// behaviour; the predictive and market policies swap the
-    /// urgency/threshold logic while sharing escrow, suspicion, gossip and
-    /// seq-epochs.
-    pub policy: DeciderPolicy,
 }
 
 impl Default for DeciderConfig {
@@ -138,7 +130,6 @@ impl Default for DeciderConfig {
             suspect_after: 3,
             probe_interval: SimDuration::from_secs(8),
             gossip_digest: crate::protocol::MAX_DIGEST_ENTRIES,
-            policy: DeciderPolicy::Urgency,
         }
     }
 }

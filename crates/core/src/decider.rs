@@ -1,20 +1,19 @@
-//! The local decider: Algorithm 1, the three [`DeciderPolicy`] arms and
-//! the requester's own seq bookkeeping. What the node knows about its
-//! *peers* lives in the [`PeerTable`], which [`LocalDecider::tick`] — the
-//! one place a request timeout is detected — reports each timeout to.
+//! The local decider: Algorithm 1 and the requester's own seq
+//! bookkeeping. What the node knows about its *peers* lives in the
+//! [`PeerTable`], which [`LocalDecider::tick`] — the one place a request
+//! timeout is detected — reports each timeout to.
 //!
 //! The decider holds what differs from node to node — caps, the
-//! outstanding request, the seq namespace, the forecast, counters — and
-//! nothing else: its knobs ([`DeciderConfig`](crate::DeciderConfig)), the
-//! safe range, the node id and the event sink are the cluster's and the
-//! engine's, and reach every call that needs them as a [`NodeCtx`].
+//! outstanding request, the seq namespace, counters — and nothing else:
+//! its knobs ([`DeciderConfig`](crate::DeciderConfig)), the safe range,
+//! the node id and the event sink are the cluster's and the engine's, and
+//! reach every call that needs them as a [`NodeCtx`].
 
 use penelope_trace::{EventKind, NodeClass};
 use penelope_units::{NodeId, Power, SimTime};
 
 use crate::discovery::PeerTable;
 use crate::engine::NodeCtx;
-use crate::policy::{DeciderPolicy, PredictiveConfig};
 use crate::pool::PowerPool;
 
 /// The decider's per-iteration classification of its node (§3.1).
@@ -67,13 +66,8 @@ pub enum TickAction {
         dst: NodeId,
         /// Urgency of the request.
         urgent: bool,
-        /// Power needed to return to the initial cap (urgent only), or the
-        /// forecast shortfall under the predictive policy, or the clearing
-        /// clamp under the market policy.
+        /// Power needed to return to the initial cap (urgent only).
         alpha: Power,
-        /// Market-policy bid attached to the request
-        /// ([`Power::ZERO`] under the urgency and predictive policies).
-        bid: Power,
         /// Sequence number to match the grant against.
         seq: u64,
     },
@@ -91,7 +85,6 @@ struct Outstanding {
     dst: NodeId,
     urgent: bool,
     alpha: Power,
-    bid: Power,
     /// How many times this request has been (re)sent minus one; the wait
     /// before attempt `k + 1` is `response_timeout · 2^k`.
     attempt: u32,
@@ -164,13 +157,6 @@ pub struct LocalDecider {
     /// never double-pay the reborn node), and ordinary operation advances it
     /// to `next_seq − APPLIED_SEQ_WINDOW` so `applied_seqs` stays bounded.
     seq_floor: u64,
-    /// Predictive policy only: the EWMA demand forecast, updated once per
-    /// executed (non-blocked) iteration. Unused — and never read — under
-    /// the other policies.
-    forecast: Power,
-    /// Predictive policy only: the previous iteration's reading, for the
-    /// phase-change jump detector. `None` until the first iteration.
-    prev_reading: Option<Power>,
     stats: DeciderStats,
 }
 
@@ -186,8 +172,6 @@ impl LocalDecider {
             next_seq: 0,
             applied_seqs: Vec::new(),
             seq_floor: 0,
-            forecast: Power::ZERO,
-            prev_reading: None,
             stats: DeciderStats::default(),
         }
     }
@@ -253,12 +237,6 @@ impl LocalDecider {
         seq < self.seq_floor || self.applied_seqs.contains(&seq)
     }
 
-    /// The predictive policy's current demand forecast ([`Power::ZERO`]
-    /// until the first iteration, and always zero under other policies).
-    pub fn forecast(&self) -> Power {
-        self.forecast
-    }
-
     /// This decider's own incarnation counter: the persistent seq-epoch
     /// floor. Monotone within a life (the applied-seq window only ever
     /// advances it) and raised past the pre-crash `next_seq` watermark on
@@ -303,13 +281,6 @@ impl LocalDecider {
             let wait = cfg.response_timeout * (1u64 << out.attempt.min(16));
             let due = out.sent_at + wait;
             return (now < due).then_some(due);
-        }
-        if matches!(cfg.policy, DeciderPolicy::Predictive(_)) {
-            // Every executed predictive iteration moves the forecast EWMA,
-            // so an unblocked tick is never a pure no-op — even at the
-            // margin. (Blocked ticks early-return before the forecast
-            // update, which is what keeps the branch above sound.)
-            return None;
         }
         (classify(reading, self.cap, cfg.epsilon) == Classification::AtMargin)
             .then_some(SimTime::MAX)
@@ -373,7 +344,6 @@ impl LocalDecider {
                         dst: out.dst,
                         urgent: out.urgent,
                         alpha: out.alpha,
-                        bid: out.bid,
                         seq: out.seq,
                     };
                 }
@@ -385,20 +355,7 @@ impl LocalDecider {
             }
         }
 
-        // The planning reading is what the policy classifies and sheds
-        // against. Urgency and market plan on the raw reading (Algorithm 1
-        // verbatim); the predictive policy plans on `max(reading,
-        // forecast)` so it sheds only down to forecast demand and goes
-        // hungry *before* a predicted rise throttles it.
-        let planning = match cfg.policy {
-            DeciderPolicy::Predictive(p) => {
-                self.update_forecast(ctx, now, reading, p);
-                reading.max(self.forecast)
-            }
-            _ => reading,
-        };
-
-        let classification = classify(planning, self.cap, cfg.epsilon);
+        let classification = classify(reading, self.cap, cfg.epsilon);
         let cap_before = self.cap;
         ctx.emit(now, || EventKind::Classified {
             class: classification.as_trace(),
@@ -412,7 +369,7 @@ impl LocalDecider {
                 // shed is deposited, keeping the exchange zero-sum. An
                 // optional headroom parks the cap above the reading (never
                 // above the current cap).
-                let new_cap = (planning + cfg.shed_headroom)
+                let new_cap = (reading + cfg.shed_headroom)
                     .min(self.cap)
                     .max(ctx.cfg.node.safe_range.min());
                 let freed = self.cap.saturating_sub(new_cap);
@@ -438,7 +395,14 @@ impl LocalDecider {
                     let applied = self.raise_cap(ctx, now, delta, pool);
                     TickAction::TookLocal(applied)
                 } else if let Some(dst) = peer {
-                    let (urgent, alpha, bid) = self.request_shape(ctx, planning);
+                    // Urgent iff below the initial cap; α only rides on
+                    // urgent requests.
+                    let urgent = cfg.enable_urgency && self.cap < self.initial_cap;
+                    let alpha = if urgent {
+                        self.initial_cap - self.cap
+                    } else {
+                        Power::ZERO
+                    };
                     let seq = self.next_seq;
                     self.next_seq += 1;
                     self.outstanding = Some(Outstanding {
@@ -447,15 +411,11 @@ impl LocalDecider {
                         dst,
                         urgent,
                         alpha,
-                        bid,
                         attempt: 0,
                     });
                     self.stats.requests_sent += 1;
                     if urgent {
                         self.stats.urgent_sent += 1;
-                    }
-                    if !bid.is_zero() {
-                        ctx.emit(now, || EventKind::BidPlaced { seq, bid });
                     }
                     ctx.emit(now, || EventKind::RequestSent {
                         dst,
@@ -467,7 +427,6 @@ impl LocalDecider {
                         dst,
                         urgent,
                         alpha,
-                        bid,
                         seq,
                     }
                 } else {
@@ -533,83 +492,6 @@ impl LocalDecider {
             applied,
         });
         applied
-    }
-
-    /// Shape a fresh peer request under the active policy: (urgent, α, bid).
-    fn request_shape(&self, ctx: &NodeCtx, planning: Power) -> (bool, Power, Power) {
-        let cfg = ctx.knobs();
-        match cfg.policy {
-            DeciderPolicy::Urgency => {
-                // Algorithm 1 verbatim: urgent iff below the initial cap,
-                // α only rides on urgent requests.
-                let urgent = cfg.enable_urgency && self.cap < self.initial_cap;
-                let alpha = if urgent {
-                    self.initial_cap - self.cap
-                } else {
-                    Power::ZERO
-                };
-                (urgent, alpha, Power::ZERO)
-            }
-            DeciderPolicy::Predictive(_) => {
-                // Same urgency rule, but α covers the forecast shortfall
-                // too: an urgent request may ask past the initial cap when
-                // the forecast says demand is headed there, and a
-                // non-urgent request still advertises the predicted
-                // deficit as a sizing hint.
-                let urgent = cfg.enable_urgency && self.cap < self.initial_cap;
-                let deficit = planning.saturating_sub(self.cap);
-                let alpha = if urgent {
-                    (self.initial_cap - self.cap).max(deficit)
-                } else {
-                    deficit
-                };
-                (urgent, alpha, Power::ZERO)
-            }
-            DeciderPolicy::Market(m) => {
-                // Never urgent — the price replaces the inducement. The bid
-                // grows with deprivation below the initial assignment, so
-                // under scarcity the worst-off node outbids its peers; α
-                // carries the shortfall as the granter's clearing clamp.
-                let deficit = self.initial_cap.saturating_sub(self.cap);
-                let alpha = deficit.max(cfg.epsilon);
-                (false, alpha, m.base_bid + deficit)
-            }
-        }
-    }
-
-    /// Predictive policy: advance the demand forecast by one iteration.
-    /// Integer EWMA towards the reading, except that a phase-change-sized
-    /// step (or the very first reading) snaps the forecast straight there.
-    fn update_forecast(
-        &mut self,
-        ctx: &NodeCtx,
-        now: SimTime,
-        reading: Power,
-        cfg: PredictiveConfig,
-    ) {
-        let jumped = match self.prev_reading {
-            None => true, // bootstrap: adopt the first reading silently
-            Some(prev) => {
-                if reading.abs_diff(prev) >= cfg.jump_threshold {
-                    let forecast_before = self.forecast;
-                    ctx.emit(now, || EventKind::ForecastJump {
-                        forecast: forecast_before,
-                        reading,
-                    });
-                    true
-                } else {
-                    false
-                }
-            }
-        };
-        if jumped {
-            self.forecast = reading;
-        } else {
-            let w = u64::from(cfg.ewma_permille.min(1000));
-            let mixed = (reading.milliwatts() * w + self.forecast.milliwatts() * (1000 - w)) / 1000;
-            self.forecast = Power::from_milliwatts(mixed);
-        }
-        self.prev_reading = Some(reading);
     }
 
     /// Raise the cap by `delta`, clamped to the safe maximum; overflow goes
@@ -811,13 +693,11 @@ mod tests {
                 dst,
                 urgent,
                 alpha,
-                bid,
                 seq,
             } => {
                 assert_eq!(dst, NodeId::new(4));
                 assert!(!urgent); // at initial cap, not below it
                 assert_eq!(alpha, Power::ZERO);
-                assert_eq!(bid, Power::ZERO); // urgency policy never bids
                 assert_eq!(seq, 0);
             }
             other => panic!("expected request, got {other:?}"),
@@ -961,7 +841,6 @@ mod tests {
                 dst,
                 urgent: false,
                 alpha: Power::ZERO,
-                bid: Power::ZERO,
                 seq: 0
             },
             "retransmit must reuse the original seq and dst"
@@ -1405,201 +1284,6 @@ mod shed_headroom_tests {
                 assert_eq!(alpha, Power::ZERO);
             }
             other => panic!("expected request, got {other:?}"),
-        }
-    }
-}
-
-#[cfg(test)]
-mod policy_tests {
-    use super::*;
-    use crate::config::DeciderConfig;
-    use crate::discovery::rig::Rig;
-    use crate::policy::{DeciderPolicy, MarketConfig, PredictiveConfig};
-    use penelope_units::PowerRange;
-
-    fn w(x: u64) -> Power {
-        Power::from_watts_u64(x)
-    }
-
-    fn safe() -> PowerRange {
-        PowerRange::from_watts(80, 300)
-    }
-
-    fn decider(initial_w: u64) -> Rig {
-        Rig::new(DeciderConfig::default(), w(initial_w), safe())
-    }
-
-    fn t(s: u64) -> SimTime {
-        SimTime::from_secs(s)
-    }
-
-    fn predictive_decider(initial_w: u64, pcfg: PredictiveConfig) -> Rig {
-        let cfg = DeciderConfig {
-            policy: DeciderPolicy::Predictive(pcfg),
-            ..Default::default()
-        };
-        Rig::new(cfg, w(initial_w), safe())
-    }
-
-    #[test]
-    fn urgency_policy_is_byte_identical_to_default() {
-        // The seam's first obligation: an explicit Urgency policy changes
-        // nothing. Run an identical script through both deciders and
-        // compare every observable.
-        let mut base = decider(150);
-        let mut seamed = Rig::new(
-            DeciderConfig {
-                policy: DeciderPolicy::Urgency,
-                ..Default::default()
-            },
-            w(150),
-            safe(),
-        );
-        let mut pb = PowerPool::default();
-        let mut ps = PowerPool::default();
-        let script: &[(u64, u64)] = &[(1, 100), (2, 100), (3, 148), (4, 150), (6, 90), (7, 145)];
-        for &(sec, reading) in script {
-            let a = base.tick(t(sec), w(reading), &mut pb, Some(NodeId::new(3)));
-            let b = seamed.tick(t(sec), w(reading), &mut ps, Some(NodeId::new(3)));
-            assert_eq!(a, b);
-            assert_eq!(base.cap(), seamed.cap());
-            assert_eq!(pb.available(), ps.available());
-        }
-        assert_eq!(base.stats(), seamed.stats());
-    }
-
-    #[test]
-    fn predictive_forecast_ewma_eases_and_jump_snaps() {
-        let pcfg = PredictiveConfig {
-            ewma_permille: 500,
-            jump_threshold: w(15),
-        };
-        let mut d = predictive_decider(150, pcfg);
-        let mut p = PowerPool::default();
-        // Bootstrap: first reading adopted outright.
-        let _ = d.tick(t(1), w(100), &mut p, None);
-        assert_eq!(d.forecast(), w(100));
-        // Small move (10 W < 15 W threshold): EWMA midpoint.
-        let _ = d.tick(t(2), w(110), &mut p, None);
-        assert_eq!(d.forecast(), w(105));
-        // Phase change (40 W step): snap.
-        let _ = d.tick(t(3), w(150), &mut p, Some(NodeId::new(1)));
-        assert_eq!(d.forecast(), w(150));
-    }
-
-    #[test]
-    fn predictive_holds_cap_through_a_sub_jump_dip() {
-        // Forecast stuck high (bootstrapped above the cap) while the
-        // reading momentarily dips by less than the jump threshold: the
-        // predictive decider refuses to shed, where the urgency policy
-        // would cut the cap to the dipped reading.
-        let pcfg = PredictiveConfig {
-            ewma_permille: 0, // freeze the EWMA: forecast moves only on jumps
-            jump_threshold: w(60),
-        };
-        let mut d = predictive_decider(150, pcfg);
-        let mut p = PowerPool::default();
-        let _ = d.tick(t(1), w(152), &mut p, None); // bootstrap forecast=152
-        assert_eq!(d.forecast(), w(152));
-        assert_eq!(d.cap(), w(150));
-        let a = d.tick(t(2), w(100), &mut p, None); // dip, no jump (52 < 60)
-                                                    // Planning reading = max(100, 152) = 152 → still hungry: no shed.
-        assert_eq!(a, TickAction::Idle);
-        assert_eq!(d.cap(), w(150));
-        assert_eq!(p.available(), Power::ZERO);
-        // The urgency policy sheds 50 W on the identical dip.
-        let mut u = decider(150);
-        let mut up = PowerPool::default();
-        let _ = u.tick(t(1), w(152), &mut up, None);
-        assert_eq!(
-            u.tick(t(2), w(100), &mut up, None),
-            TickAction::Deposited(w(50))
-        );
-    }
-
-    #[test]
-    fn predictive_requests_ahead_of_forecast_shortfall() {
-        // Reading sits at the margin of the cap, but the forecast says
-        // demand is headed above it: the predictive decider goes hungry
-        // *now*, with α sized by the forecast gap.
-        let pcfg = PredictiveConfig {
-            ewma_permille: 0,
-            jump_threshold: w(60),
-        };
-        let mut d = predictive_decider(150, pcfg);
-        let mut p = PowerPool::default();
-        let _ = d.tick(t(1), w(170), &mut p, None); // bootstrap forecast=170
-        assert_eq!(d.forecast(), w(170));
-        // Reading falls back to margin (cap 150 − ε 5 = 145; a 25 W move,
-        // below the jump threshold): urgency policy would idle; predictive
-        // plans on 170 and requests.
-        let a = d.tick(t(2), w(145), &mut p, Some(NodeId::new(2)));
-        match a {
-            TickAction::Request { urgent, alpha, .. } => {
-                assert!(!urgent, "cap is at initial, not below");
-                assert_eq!(alpha, w(20), "α covers the forecast shortfall");
-            }
-            other => panic!("expected request, got {other:?}"),
-        }
-        // And quiescence must not vouch for margin ticks under predictive.
-        let fresh = predictive_decider(150, pcfg);
-        assert_eq!(fresh.quiescent_until(t(1), w(145)), None);
-    }
-
-    #[test]
-    fn market_requests_bid_by_deprivation_and_never_urgent() {
-        let mcfg = MarketConfig {
-            base_bid: w(1),
-            scarcity_threshold: w(40),
-        };
-        let cfg = DeciderConfig {
-            policy: DeciderPolicy::Market(mcfg),
-            ..Default::default()
-        };
-        let mut d = Rig::new(cfg, w(150), safe());
-        let mut p = PowerPool::default();
-        let _ = d.tick(t(1), w(100), &mut p, None); // shed: cap → 100
-        p.drain();
-        let a = d.tick(t(2), w(100), &mut p, Some(NodeId::new(1)));
-        match a {
-            TickAction::Request {
-                urgent, alpha, bid, ..
-            } => {
-                assert!(!urgent, "market requests are never urgent");
-                assert_eq!(bid, w(51), "base 1 + deprivation 50");
-                assert_eq!(alpha, w(50), "α carries the shortfall clamp");
-            }
-            other => panic!("expected request, got {other:?}"),
-        }
-        assert_eq!(d.stats().urgent_sent, 0);
-    }
-
-    #[test]
-    fn market_retransmit_carries_the_original_bid() {
-        let mcfg = MarketConfig::default();
-        let cfg = DeciderConfig {
-            policy: DeciderPolicy::Market(mcfg),
-            max_retransmits: 1,
-            ..Default::default()
-        };
-        let mut d = Rig::new(cfg, w(150), safe());
-        let mut p = PowerPool::default();
-        let _ = d.tick(t(1), w(100), &mut p, None);
-        p.drain();
-        let first = d.tick(t(2), w(100), &mut p, Some(NodeId::new(1)));
-        let TickAction::Request { bid, seq, .. } = first else {
-            panic!("expected request")
-        };
-        // Timeout → retransmit must be verbatim: same seq, same bid.
-        let retrans = d.tick(t(3), w(100), &mut p, Some(NodeId::new(2)));
-        match retrans {
-            TickAction::Request {
-                bid: b2, seq: s2, ..
-            } => {
-                assert_eq!(b2, bid);
-                assert_eq!(s2, seq);
-            }
-            other => panic!("expected retransmit, got {other:?}"),
         }
     }
 }

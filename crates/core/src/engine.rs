@@ -60,7 +60,7 @@
 //! # What an engine stores
 //!
 //! A sharded run holds 10^5–10^6 engines, so `size_of::<NodeEngine>()` is
-//! a memory budget (424 bytes, pinned with its parts in
+//! a memory budget (392 bytes, pinned with its parts in
 //! `tests/peer_table.rs`). Everything that is constant across the cluster
 //! — the [`EngineConfig`]: decider knobs, pool limiter, safe range,
 //! discovery strategy — is stored once per cluster behind an [`Arc`]; an
@@ -68,7 +68,7 @@
 //! things that say which node this is (id, cluster size, event sink), and
 //! lends that context to the decider and the peer table on every call.
 //! The rest is state that differs from node to node: the decider's caps,
-//! outstanding request, seq namespace and counters (200 bytes), the pool
+//! outstanding request, seq namespace and counters (168 bytes), the pool
 //! (88, including the one configuration copy left — its 24-byte limiter,
 //! because a [`PowerPool`] is also driven on its own), the peer table (56)
 //! and the escrow (24). The two tables a node keeps about *itself* — the
@@ -84,7 +84,6 @@ use crate::config::{DeciderConfig, NodeParams};
 use crate::decider::{DeciderStats, LocalDecider, TickAction};
 use crate::discovery::{DiscoveryStrategy, EngineRng, PeerTable};
 use crate::escrow::{EscrowState, GrantEscrow};
-use crate::policy::DeciderPolicy;
 use crate::pool::PowerPool;
 use crate::protocol::{GrantAck, PeerMsg, PowerGrant, PowerRequest, SuspicionDigest};
 
@@ -99,7 +98,7 @@ use crate::protocol::{GrantAck, PeerMsg, PowerGrant, PowerRequest, SuspicionDige
 /// spellings that preceded the engine.
 ///
 /// It is a constant of the *cluster*: a driver builds one, wraps it in an
-/// [`Arc`] and hands every engine a clone of the handle, so 152 bytes of
+/// [`Arc`] and hands every engine a clone of the handle, so 128 bytes of
 /// knobs are stored once, not once per node (see [`NodeCtx`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct EngineConfig {
@@ -676,7 +675,6 @@ impl NodeEngine {
             dst,
             urgent,
             alpha,
-            bid,
             seq,
         } = action
         {
@@ -693,7 +691,6 @@ impl NodeEngine {
                     from: ctx.node,
                     urgent,
                     alpha,
-                    bid,
                     seq,
                 }),
                 carried: Power::ZERO,
@@ -755,16 +752,7 @@ impl NodeEngine {
             return self.reply(&req, amount, out);
         }
         let urgency_before = self.pool.local_urgency();
-        let amount = match self.ctx.knobs().policy {
-            // Bid-carrying requests are priced, not rationed: the pool's
-            // scarcity ask decides, and the urgency flag is never touched.
-            // A zero bid (an urgency/predictive peer in a mixed cluster)
-            // falls through to Algorithm 2.
-            DeciderPolicy::Market(m) if !req.bid.is_zero() => {
-                self.pool.handle_bid(req.bid, req.alpha, &m)
-            }
-            _ => self.pool.handle_request(req.urgent, req.alpha),
-        };
+        let amount = self.pool.handle_request(req.urgent, req.alpha);
         let urgency_after = self.pool.local_urgency();
         self.ctx.emit(now, || EventKind::RequestServed {
             requester: req.from,

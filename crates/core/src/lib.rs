@@ -51,7 +51,6 @@ pub mod discovery;
 pub mod engine;
 pub mod escrow;
 pub mod fair;
-pub mod policy;
 pub mod pool;
 pub mod protocol;
 
@@ -61,7 +60,6 @@ pub use discovery::{choose_peer, initial_rr_cursor, DiscoveryStrategy, EngineRng
 pub use engine::{Effects, EngineConfig, EngineInput, EngineOutput, NodeCtx, NodeEngine};
 pub use escrow::{EscrowEntry, EscrowState, GrantEscrow};
 pub use fair::fair_assignment;
-pub use policy::{DeciderPolicy, MarketConfig, PredictiveConfig};
 pub use pool::PowerPool;
 pub use protocol::{
     GrantAck, PeerMsg, PowerGrant, PowerRequest, SuspicionDigest, SuspicionEntry,

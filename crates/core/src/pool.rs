@@ -3,7 +3,6 @@
 use penelope_units::Power;
 
 use crate::config::PoolConfig;
-use crate::policy::MarketConfig;
 
 /// A node's local cache of excess power.
 ///
@@ -95,36 +94,6 @@ impl PowerPool {
             self.urgent_served += 1;
         }
         self.local_urgency = urgent;
-        delta
-    }
-
-    /// Serve a market-policy bid (the market decider's replacement for
-    /// [`handle_request`](PowerPool::handle_request)).
-    ///
-    /// The pool prices its power by scarcity: holding `avail` it asks
-    /// `base_bid + (scarcity_threshold − avail)` (saturating at `base_bid`
-    /// once comfortable). A bid below the ask is priced out and granted
-    /// nothing; a clearing bid receives `min(pool, max(getMaxSize, min(α,
-    /// upper)))` — the ordinary Algorithm 2 limiter, widened to the
-    /// bidder's declared shortfall because the bid already paid for
-    /// priority (bounded by the limiter's hard `upper` so one bidder still
-    /// cannot drain a huge pool). Because bids grow with deprivation and
-    /// the ask falls as the pool fills, concurrent bidders clear in
-    /// highest-bid-first order: the ask each one faces admits exactly the
-    /// bidders more deprived than the threshold shortfall.
-    ///
-    /// Never touches `localUrgency` — the market policy replaces the
-    /// urgency inducement with pricing.
-    pub fn handle_bid(&mut self, bid: Power, alpha: Power, market: &MarketConfig) -> Power {
-        self.requests_served += 1;
-        let ask = market.base_bid + market.scarcity_threshold.saturating_sub(self.available);
-        if bid < ask {
-            return Power::ZERO; // priced out
-        }
-        let limit = self.get_max_size().max(alpha.min(self.cfg.upper));
-        let delta = self.available.min(limit);
-        self.available -= delta;
-        self.total_granted += delta;
         delta
     }
 
@@ -429,63 +398,6 @@ mod tests {
         let mut tiny = PowerPool::new(PoolConfig::fixed(w(5)));
         tiny.deposit(w(2));
         assert_eq!(tiny.handle_request(false, Power::ZERO), w(2));
-    }
-
-    #[test]
-    fn bid_below_ask_is_priced_out() {
-        use crate::policy::MarketConfig;
-        let market = MarketConfig {
-            base_bid: w(1),
-            scarcity_threshold: w(40),
-        };
-        // Pool holds 10 W → ask = 1 + (40 − 10) = 31 W.
-        let mut p = pool_with(w(10));
-        assert_eq!(p.handle_bid(w(30), w(20), &market), Power::ZERO);
-        assert_eq!(p.available(), w(10));
-        assert_eq!(p.requests_served(), 1);
-        assert_eq!(p.total_granted(), Power::ZERO);
-        // The same bid clears once the pool is comfortable: ask drops to 1.
-        p.deposit(w(90));
-        let g = p.handle_bid(w(30), w(20), &market);
-        assert_eq!(g, w(20)); // min(pool, max(10% of 100, min(α, upper)))
-        assert_eq!(p.available(), w(80));
-    }
-
-    #[test]
-    fn clearing_bid_widens_limiter_to_alpha_but_not_past_upper() {
-        use crate::policy::MarketConfig;
-        let market = MarketConfig::default();
-        let mut p = pool_with(w(200));
-        // α = 25 exceeds the 20 W fraction limit but rides under `upper`.
-        assert_eq!(p.handle_bid(w(60), w(25), &market), w(25));
-        // α past `upper` (30 W) is clamped to it.
-        let mut big = pool_with(w(200));
-        assert_eq!(big.handle_bid(w(60), w(500), &market), w(30));
-    }
-
-    #[test]
-    fn bids_never_touch_urgency_and_keep_conservation() {
-        use crate::policy::MarketConfig;
-        let market = MarketConfig::default();
-        let mut p = pool_with(w(100));
-        let g = p.handle_bid(w(50), w(25), &market);
-        assert!(!p.local_urgency());
-        assert_eq!(p.urgent_served(), 0);
-        assert_eq!(p.total_withdrawn() + p.available(), p.total_deposited());
-        assert_eq!(p.available() + g, w(100));
-    }
-
-    #[test]
-    fn deprived_bidder_clears_where_comfortable_one_is_refused() {
-        use crate::policy::MarketConfig;
-        let market = MarketConfig::default();
-        // Scarce pool: 15 W held, threshold 40 → ask = 1 + 25 = 26 W.
-        // A node deprived by 30 W bids 31 and clears; a node deprived by
-        // 10 W bids 11 and is priced out — highest-bid-first by admission.
-        let mut p = pool_with(w(15));
-        assert_eq!(p.handle_bid(w(11), w(10), &market), Power::ZERO);
-        let g = p.handle_bid(w(31), w(30), &market);
-        assert!(!g.is_zero());
     }
 
     #[test]

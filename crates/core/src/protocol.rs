@@ -19,15 +19,8 @@ pub struct PowerRequest {
     /// True iff the requester is power-hungry *and* below its initial cap.
     pub urgent: bool,
     /// For urgent requests: the power needed to return to the initial cap
-    /// (α in §3.2). Zero for non-urgent requests under the urgency policy;
-    /// the predictive and market policies use it as a sizing hint (forecast
-    /// shortfall / clearing clamp).
+    /// (α in §3.2). Zero for non-urgent requests.
     pub alpha: Power,
-    /// Market-policy bid: what this request is worth to the sender
-    /// (`base_bid` plus its deprivation below the initial cap). Zero under
-    /// the urgency and predictive policies — and a zero bid takes no bytes
-    /// on the daemon's wire.
-    pub bid: Power,
     /// Requester-local sequence number, echoed in the grant.
     pub seq: u64,
 }
@@ -117,7 +110,6 @@ mod tests {
             from: NodeId::new(3),
             urgent: true,
             alpha: Power::from_watts_u64(12),
-            bid: Power::ZERO,
             seq: 77,
         };
         let grant = PowerGrant {

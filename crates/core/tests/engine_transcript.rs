@@ -51,7 +51,6 @@ fn request(from: u32, urgent: bool, alpha: u64, seq: u64) -> EngineInput {
             from: n(from),
             urgent,
             alpha: w(alpha),
-            bid: Power::ZERO,
             seq,
         }),
     }
@@ -260,7 +259,6 @@ fn a_hungry_tick_requests_power_and_the_grant_resolves_it() {
                     from: n(0),
                     urgent: false,
                     alpha: Power::ZERO,
-                    bid: Power::ZERO,
                     seq: 0,
                 }),
                 carried: Power::ZERO,

@@ -37,7 +37,6 @@ fn urgent_request(seq: u64) -> EngineInput {
             from,
             urgent: true,
             alpha: w(25),
-            bid: Power::ZERO,
             seq,
         }),
     }

@@ -383,7 +383,6 @@ fn reclaim_run(script: &[(u32, u64, bool)]) -> Vec<TraceEvent> {
             from,
             urgent: false,
             alpha: Power::ZERO,
-            bid: Power::ZERO,
             seq,
         });
         let input = EngineInput::Msg {

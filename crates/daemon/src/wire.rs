@@ -8,8 +8,7 @@
 //! grants, and their acks, with requests.
 //!
 //! There is one version. A flags byte marks the optional sections, so the
-//! common fault-free grant and ack pay nothing for gossip and a zero bid
-//! pays nothing for the market policy:
+//! common fault-free grant and ack pay nothing for gossip:
 //!
 //! ```text
 //! header:  [version: 0x04, kind: u8, flags: u8, seq: u64]        (11 bytes)
@@ -34,6 +33,14 @@
 //!
 //! The digest's leading `incarnation` is the *sender's own*; entries name
 //! third-party peers the sender currently suspects.
+//!
+//! The request's `bid` section (flag `0x02`) is accepted and ignored. It
+//! carried the price of a market-pricing decider that no longer exists;
+//! nothing the engine sends sets it, and a request that carries one maps
+//! to the same [`PeerMsg`] as the request without it. Removing the section
+//! from the format waits for the next change to the benchmark harness
+//! (ROADMAP.md's `benchmark/`-only item), whose wire rows encode such a
+//! frame.
 
 use penelope_core::{
     GrantAck, PeerMsg, PowerGrant, PowerRequest, SuspicionDigest, SuspicionEntry,
@@ -80,9 +87,9 @@ pub enum WireMsg {
         /// `src` (a relayed request). Grants key their escrow by this id.
         /// `None` — what the reactor sends — means "the frame's sender".
         from: Option<NodeId>,
-        /// The price this requester attaches to its demand (zero under
-        /// the urgency and predictive policies, and then absent from the
-        /// wire).
+        /// A legacy price section: round-tripped by the codec, ignored by
+        /// [`into_peer`](WireMsg::into_peer), and absent from the wire
+        /// when zero.
         bid: Power,
     },
     /// A pool's grant in response.
@@ -303,7 +310,7 @@ impl WireMsg {
                 urgent: r.urgent,
                 alpha: r.alpha,
                 from: None,
-                bid: r.bid,
+                bid: Power::ZERO,
             },
             PeerMsg::Grant(g, digest) => WireMsg::Grant {
                 seq: g.seq,
@@ -322,12 +329,11 @@ impl WireMsg {
                 urgent,
                 alpha,
                 from,
-                bid,
+                bid: _,
             } => PeerMsg::Request(PowerRequest {
                 from: from.unwrap_or(src),
                 urgent,
                 alpha,
-                bid,
                 seq,
             }),
             WireMsg::Grant {
@@ -527,7 +533,6 @@ mod tests {
                 from: src,
                 urgent: true,
                 alpha: w(30),
-                bid: w(2),
                 seq: 9,
             }),
             PeerMsg::Grant(
@@ -544,6 +549,16 @@ mod tests {
             let back = WireMsg::decode(&bytes).expect("decodes").into_peer(src);
             assert_eq!(back, msg);
         }
+    }
+
+    #[test]
+    fn a_bid_is_ignored_on_the_way_to_the_engine() {
+        let src = NodeId::new(5);
+        let peer = |bid| {
+            let bytes = request(Some(7), bid).encode();
+            WireMsg::decode(&bytes).expect("decodes").into_peer(src)
+        };
+        assert_eq!(peer(w(3)), peer(Power::ZERO));
     }
 
     #[test]

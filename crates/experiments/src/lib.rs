@@ -11,7 +11,6 @@
 //! | [`assignment`] | Extension: §2.2.1 initial-assignment sensitivity |
 //! | [`failover`] | Extension: §4.4's fallback-coordinator future work |
 //! | [`churn`] | Extension: node crash/rejoin tolerance under churn |
-//! | [`duel`] | Extension: urgency vs predictive vs market decider duel |
 //! | [`scale_mega`] | Extension: sharded scale study at 10^5–10^6 nodes |
 //! | [`ablations`] | DESIGN.md's five design-choice ablations |
 //! | [`service`] | §4.5.2 — server service time and saturation extrapolation |
@@ -26,7 +25,6 @@
 pub mod ablations;
 pub mod assignment;
 pub mod churn;
-pub mod duel;
 pub mod effort;
 pub mod failover;
 pub mod faulty;

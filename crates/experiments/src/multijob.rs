@@ -50,14 +50,6 @@ impl MultiJobResult {
             t.render()
         )
     }
-
-    /// How much worse faulty SLURM got from the fewest to the most jobs,
-    /// in percent (positive = the paper's prediction held).
-    pub fn slurm_degradation_pct(&self) -> f64 {
-        let first = self.rows.first().expect("rows");
-        let last = self.rows.last().expect("rows");
-        (first.slurm_faulty / last.slurm_faulty - 1.0) * 100.0
-    }
 }
 
 fn workloads(nodes: usize, jobs: usize, time_scale: f64, seed: u64) -> Vec<Profile> {

@@ -11,9 +11,6 @@
 //! * **Turnaround time** (Figs. 7–8): how long a decider waits for a
 //!   response to a power request ([`turnaround`]).
 //!
-//! * **Allocation fairness** (decider duel): Jain's index over each
-//!   node's integrated cap ([`fairness`]).
-//!
 //! Plus the generic summary statistics ([`stats`]) and plain-text table
 //! rendering ([`table`]) used by the benchmark harness to print the same
 //! rows/series the paper reports.
@@ -21,7 +18,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod fairness;
 pub mod folds;
 pub mod oscillation;
 pub mod perf;
@@ -31,7 +27,6 @@ pub mod stats;
 pub mod table;
 pub mod turnaround;
 
-pub use fairness::{cap_shares_from_events, jain_from_events, jain_index};
 pub use folds::{oscillation_from_events, redistribution_from_events, turnaround_from_events};
 pub use oscillation::OscillationStats;
 pub use perf::{geometric_mean, normalized_performance, PerfSummary};

@@ -99,11 +99,6 @@ impl SimNet {
     pub fn stats(&self) -> NetStats {
         self.stats
     }
-
-    /// The latency model.
-    pub fn latency_model(&self) -> &LatencyModel {
-        &self.latency
-    }
 }
 
 #[cfg(test)]

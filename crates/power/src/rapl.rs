@@ -157,11 +157,6 @@ impl<D: CappedDevice> SimulatedRapl<D> {
     pub fn device(&self) -> &D {
         &self.device
     }
-
-    /// Mutably borrow the wrapped device (e.g. to swap workloads).
-    pub fn device_mut(&mut self) -> &mut D {
-        &mut self.device
-    }
 }
 
 impl<D: CappedDevice> PowerInterface for SimulatedRapl<D> {

@@ -157,11 +157,6 @@ impl ServerQueue {
     pub fn stats(&self) -> QueueStats {
         self.stats
     }
-
-    /// The service model.
-    pub fn service_model(&self) -> ServiceModel {
-        self.service
-    }
 }
 
 impl Default for ServerQueue {

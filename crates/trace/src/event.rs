@@ -235,30 +235,10 @@ pub enum EventKind {
         /// Intended destination.
         dst: NodeId,
     },
-    /// A market-policy decider priced the request it is about to send:
-    /// `bid` is what the power is worth to it (its base bid plus its
-    /// deprivation below the initial cap). Emitted once per fresh request,
-    /// immediately before its `RequestSent`; retransmits re-send the bid
-    /// without re-announcing it.
-    BidPlaced {
-        /// The request's sequence number.
-        seq: u64,
-        /// The attached bid.
-        bid: Power,
-    },
-    /// The predictive decider's phase-change detector fired: the reading
-    /// stepped far enough from the previous one that the forecast snapped
-    /// straight to it instead of easing via the EWMA.
-    ForecastJump {
-        /// The forecast *before* the snap (it becomes `reading` after).
-        forecast: Power,
-        /// The reading that triggered the snap.
-        reading: Power,
-    },
 }
 
 /// Number of distinct [`EventKind`] variants (size of per-kind counters).
-pub const KIND_COUNT: usize = 27;
+pub const KIND_COUNT: usize = 25;
 
 impl EventKind {
     /// Dense index of the variant, `0..KIND_COUNT` (counter bucket).
@@ -289,8 +269,6 @@ impl EventKind {
             EventKind::SuspicionRefuted { .. } => 22,
             EventKind::PeerProbed { .. } => 23,
             EventKind::SendFailed { .. } => 24,
-            EventKind::BidPlaced { .. } => 25,
-            EventKind::ForecastJump { .. } => 26,
         }
     }
 
@@ -351,8 +329,6 @@ pub const KIND_NAMES: [&str; KIND_COUNT] = [
     "suspicion_refuted",
     "peer_probed",
     "send_failed",
-    "bid_placed",
-    "forecast_jump",
 ];
 
 /// One protocol event: what happened, where, and when.
@@ -492,14 +468,6 @@ impl TraceEvent {
                 num(&mut s, "via", u64::from(via.raw()));
             }
             EventKind::SendFailed { dst } => num(&mut s, "dst", u64::from(dst.raw())),
-            EventKind::BidPlaced { seq, bid } => {
-                num(&mut s, "seq", seq);
-                num(&mut s, "bid_mw", bid.milliwatts());
-            }
-            EventKind::ForecastJump { forecast, reading } => {
-                num(&mut s, "forecast_mw", forecast.milliwatts());
-                num(&mut s, "reading_mw", reading.milliwatts());
-            }
         }
         s.push('}');
         s
@@ -690,44 +658,6 @@ mod tests {
         assert_eq!(
             ev.to_jsonl(),
             "{\"t_ns\":7000000000,\"node\":2,\"period\":7,\"kind\":\"peer_probed\",\"peer\":4}"
-        );
-    }
-
-    #[test]
-    fn policy_kinds_render_and_classify() {
-        // Bid and forecast events are pure decider decisions (deterministic
-        // from readings and config), so they belong in cross-substrate
-        // protocol diffs.
-        assert!(EventKind::BidPlaced { seq: 0, bid: w(2) }.is_protocol());
-        assert!(EventKind::ForecastJump {
-            forecast: w(90),
-            reading: w(140),
-        }
-        .is_protocol());
-        let bid = TraceEvent {
-            at: SimTime::from_secs(8),
-            node: NodeId::new(1),
-            period: 8,
-            kind: EventKind::BidPlaced { seq: 12, bid: w(9) },
-        };
-        assert_eq!(
-            bid.to_jsonl(),
-            "{\"t_ns\":8000000000,\"node\":1,\"period\":8,\"kind\":\"bid_placed\",\
-             \"seq\":12,\"bid_mw\":9000}"
-        );
-        let jump = TraceEvent {
-            at: SimTime::from_secs(9),
-            node: NodeId::new(2),
-            period: 9,
-            kind: EventKind::ForecastJump {
-                forecast: w(90),
-                reading: w(140),
-            },
-        };
-        assert_eq!(
-            jump.to_jsonl(),
-            "{\"t_ns\":9000000000,\"node\":2,\"period\":9,\"kind\":\"forecast_jump\",\
-             \"forecast_mw\":90000,\"reading_mw\":140000}"
         );
     }
 

@@ -19,12 +19,6 @@ impl Energy {
     /// Zero energy.
     pub const ZERO: Energy = Energy(0);
 
-    /// Construct from raw nanojoules.
-    #[inline]
-    pub const fn from_nanojoules(nj: u128) -> Self {
-        Energy(nj)
-    }
-
     /// Construct from whole joules.
     #[inline]
     pub const fn from_joules_u64(j: u64) -> Self {

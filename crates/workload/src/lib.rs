@@ -17,14 +17,11 @@
 //!   LU, MG, SP and UA, plus the 36 unordered pairs the paper sweeps.
 //! * [`codec`] — a small self-contained text format for profiles (the
 //!   "curated profiles of power consumption" the scale study replays).
-//! * [`diurnal`] — day/night demand envelopes over the NPB phases, the
-//!   swing the decider-duel experiments feed every policy.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod codec;
-pub mod diurnal;
 pub mod npb;
 pub mod perf;
 pub mod profile;

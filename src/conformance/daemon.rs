@@ -139,17 +139,20 @@ impl Substrate for UdpDaemonSubstrate {
                 peers,
                 initial_cap,
                 node: NodeParams {
-                    // Policy and discovery are the scenario's. The two
-                    // timers stay on this adapter's wall-clock scale: a
+                    // Retransmits, gossip and discovery are the scenario's.
+                    // The timers move to this adapter's wall-clock scale: a
                     // daemon period is 20 ms of real time where the
-                    // scenario's is a virtual second, and a response must
-                    // time out inside the period it was awaited in. The
+                    // scenario's is a virtual second, so the probe interval
+                    // shrinks by the same factor, and a response must time
+                    // out inside the period it was awaited in. The
                     // remaining knobs keep the daemon's defaults, which is
                     // what a deployed daemon runs.
                     decider: DeciderConfig {
                         period: SimDuration::from_millis(DAEMON_PERIOD_MS),
                         response_timeout: SimDuration::from_millis(DAEMON_PERIOD_MS / 2),
-                        policy: cfg.node.decider.policy,
+                        max_retransmits: cfg.node.decider.max_retransmits,
+                        probe_interval: cfg.node.decider.probe_interval.mul_f64(scale),
+                        gossip_digest: cfg.node.decider.gossip_digest,
                         ..Default::default()
                     },
                     pool: penelope_core::PoolConfig::default(),

@@ -34,7 +34,6 @@
 
 use std::sync::Arc;
 
-use penelope_core::DeciderPolicy;
 use penelope_runtime::{run_lockstep, LockstepConfig};
 use penelope_sim::{ClusterConfig, ClusterSim, FaultAction, FaultScript, SystemKind};
 use penelope_trace::{
@@ -79,7 +78,7 @@ pub struct Scenario {
     pub name: String,
     /// Number of decision periods to run.
     pub periods: u64,
-    /// The cluster: budget, safe range, decider policy and knobs, RAPL
+    /// The cluster: budget, safe range, decider knobs, RAPL
     /// noise, discovery, latency and service models, observer — and the
     /// master seed, **the reproducing seed reported on failure**. A
     /// substrate reads the part of it it can honour. The one field not to
@@ -107,10 +106,10 @@ pub struct Scenario {
 impl Scenario {
     /// A fault-free Penelope cluster with one node per entry of `demands`,
     /// each running that phase list: 160 W per node, an 80–300 W safe
-    /// range, exact power meters, the default policy, invariant checking
-    /// on. Every node gets the same linear cap→performance model; what the
-    /// suite varies is the *demand trajectory*, which is what drives
-    /// deposits, requests and urgency. Anything else is an edit of
+    /// range, exact power meters, invariant checking on. Every node gets
+    /// the same linear cap→performance model; what the suite varies is the
+    /// *demand trajectory*, which is what drives deposits, requests and
+    /// urgency. Anything else is an edit of
     /// [`Scenario::cfg`] or [`Scenario::faults`].
     pub fn new(
         name: impl Into<String>,
@@ -460,30 +459,6 @@ pub fn lossy_wire_scenario(
         jitter_ms,
         ..lossy_scenario(seed, drop_permille, periods)
     }
-}
-
-/// A scenario under a non-default decider policy: the nominal mixed
-/// workload (or, with loss, the lossy workload) re-run with every node's
-/// decider swapped to `policy`. Only the tick-time request/shed shape
-/// changes; the engine underneath (escrow, suspicion, gossip, seq/epochs)
-/// is unchanged, so all conservation invariants must hold for any policy
-/// — and for a deterministic substrate pair, the protocol streams must
-/// still match event for event.
-pub fn policy_scenario(
-    seed: u64,
-    policy: DeciderPolicy,
-    drop_permille: u16,
-    periods: u64,
-) -> Scenario {
-    let mut s = if drop_permille == 0 {
-        nominal_scenario(seed)
-    } else {
-        lossy_scenario(seed, drop_permille, periods)
-    };
-    s.name = format!("{}-{}", s.name, policy.name());
-    s.periods = periods;
-    s.cfg.node.decider.policy = policy;
-    s
 }
 
 /// Node-churn scenario: node 1 crashes at the start of period 3 and

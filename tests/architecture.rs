@@ -579,7 +579,7 @@ fn an_engine_keeps_no_hash_table() {
 
 /// The configuration types of `penelope-core`, outermost first: each
 /// holds the next by value, so a field of any of them is a copy of
-/// `DeciderConfig`'s 88 bytes or more.
+/// `DeciderConfig`'s 64 bytes or more.
 const CONFIG_TYPES: &[&str] = &["EngineConfig", "NodeParams", "DeciderConfig", "PoolConfig"];
 
 /// `(struct, field type)` for every field of a struct defined in `text`

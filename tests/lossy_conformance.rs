@@ -202,6 +202,35 @@ fn daemon_lossy_leg_drops_real_datagrams_and_loses_no_power() {
 }
 
 #[test]
+fn daemon_leg_runs_the_scenarios_retransmits() {
+    // `lossy_scenario` retries (two retransmits per request); the daemon
+    // adapter must forward that instead of running the daemon default of
+    // none. A retransmit re-sends the same (node, seq), so a repeated pair
+    // among the `RequestSent` events is one.
+    let scenario = lossy_scenario(0x5EED_DAE1, 200, 12);
+    assert_eq!(scenario.cfg.node.decider.max_retransmits, 2);
+    let (run, events) = UdpDaemonSubstrate
+        .run_recorded(&scenario)
+        .expect("daemon lossy leg runs");
+    let violations = check_run(&scenario, &run);
+    assert!(violations.is_empty(), "{violations:#?}");
+    let mut sent: Vec<(u32, u64)> = events
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::RequestSent { seq, .. } => Some((e.node.raw(), seq)),
+            _ => None,
+        })
+        .collect();
+    let requests = sent.len();
+    sent.sort_unstable();
+    sent.dedup();
+    assert!(
+        requests > sent.len(),
+        "no retransmit among {requests} requests at 200‰ loss"
+    );
+}
+
+#[test]
 fn daemon_wire_faults_duplicate_delay_and_still_conserve() {
     // The reorder/duplication legs of the socket shim, previously never
     // exercised by any conformance scenario: 10 % loss, 15 % duplication,
