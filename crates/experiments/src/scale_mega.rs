@@ -64,8 +64,9 @@ pub struct MegaRow {
     /// Nodes that ever owned an engine: the hungry minority and the donors
     /// something was sent to.
     pub engines_built: usize,
-    /// Order-insensitive digest of every node's inputs and final state;
-    /// equal across shard counts and thread counts for the same seed.
+    /// Polynomial over node order of every node's input digest and final
+    /// state; equal across shard counts and thread counts for the same
+    /// seed.
     pub fingerprint: u64,
 }
 

@@ -41,6 +41,6 @@ pub use config::{ClusterConfig, DiscoveryStrategy, SystemKind};
 pub use faults::{FaultAction, FaultScript};
 pub use ledger::{NodeSnapshot, Snapshot};
 pub use report::RunReport;
-pub use shard::{ShardReport, ShardedConfig, ShardedSim};
+pub use shard::{PhaseSplit, ShardReport, ShardedConfig, ShardedSim};
 pub use soa::NodeTable;
 pub use trace::{ClusterTrace, TraceSample};

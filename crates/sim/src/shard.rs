@@ -19,8 +19,10 @@
 //!   paces them through every phase. Between phases the caller alone
 //!   exchanges outboxes and picks the next bucket. The end of the run
 //!   happens where the shard lives too — elided ticks settled, the audit
-//!   summed, the records freed by the thread that built them — and only
-//!   the fingerprint fold is serial.
+//!   summed, the shard's nodes folded into its fingerprint, the records
+//!   freed by the thread that built them — and the caller only combines
+//!   one partial per shard. [`ShardedSim::run_split`] says where the wall
+//!   time went ([`PhaseSplit`]).
 //! * **Conservative lookahead.** The protocol period `T` is the outer
 //!   sync barrier: all ticks fire on period boundaries. Each window
 //!   `[kT, (k+1)T)` is cut into buckets of width `λ_min > 0`, the
@@ -50,8 +52,11 @@
 //! the round's bucket computed from the global minimum. Hence a run
 //! with `shards = 1` and one with `shards = 32` execute identical
 //! per-node input sequences — `tests/shard_identity.rs` pins
-//! [`ShardReport::fingerprint`] (a fold of per-node input digests and
-//! final engine state) across shard counts per seed.
+//! [`ShardReport::fingerprint`] (a polynomial over global node order of
+//! per-node hashes of input digest and final engine state) across shard
+//! counts per seed. The polynomial is what lets each thread fold its own
+//! shards: the fingerprint of two contiguous blocks is a function of
+//! theirs, `fp(A‖B) = fp(A)·Q^|B| + fp(B)`.
 //!
 //! Simplifications relative to `ClusterSim`, by design: requests are
 //! served at network arrival (no pool service queue), the device model
@@ -72,14 +77,17 @@
 //! `Vec` whose capacity is reserved once at the shard's length, so a push
 //! never reallocates; that leans on lazily-committed anonymous memory —
 //! the reservation is as much *virtual* memory as eager columns were, but
-//! only pages a record has landed on are ever resident. The cluster's
-//! configuration is one `Arc<EngineConfig>` that every engine holds a
-//! handle to, not a 128-byte copy in each. A node still parked at the end
-//! is its class's probe in the fingerprint too, and folds by table
-//! (`ParkedFold`) instead of byte by byte.
+//! only pages a record has landed on are ever resident. Each shard's
+//! configuration is one `Arc<EngineConfig>` that every engine it builds
+//! holds a handle to, not a 128-byte copy in each; one handle per shard,
+//! so two threads never bump the same reference count. A node still
+//! parked at the end is its class's probe in the audit and the
+//! fingerprint: the caller settles and hashes each class's probe once, and
+//! every shard adds that share for each of its parked nodes.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 use penelope_core::{
     Effects, EngineConfig, EngineInput, EngineOutput, NodeEngine, NodeParams, PeerMsg,
@@ -277,55 +285,44 @@ impl Calendar {
     }
 }
 
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Where every digest starts.
+const DIGEST_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+/// [`mix`]'s multiplier: odd, its bits spread (`2^64 / φ`).
+const MIX_K: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// FNV-1a fold of one `u64` into a rolling digest.
+/// Fold one `u64` into a rolling digest: one 64×64→128 multiply, its two
+/// halves folded together. Word-wise FNV-1a, `(h ^ x)·P`, would be one
+/// multiply too, but a flip of bit 63 reaches only bit 63 of its product,
+/// so the same flip in two words cancels — and `drain_bucket` packs a
+/// request's urgency into bit 63. Here that flip moves the high half.
 #[inline]
-fn fnv(mut h: u64, x: u64) -> u64 {
-    for i in 0..8 {
-        h ^= (x >> (i * 8)) & 0xff;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+fn mix(h: u64, x: u64) -> u64 {
+    let p = u128::from(h ^ x) * u128::from(MIX_K);
+    p as u64 ^ (p >> 64) as u64
 }
 
-/// What the fingerprint folds for one node, in order.
+/// What the fingerprint takes of one node, in order.
 type NodeWords = [u64; 8];
 
-/// [`fnv`] of every word of `words` into `h`: 64 dependent steps.
-fn fold(h: u64, words: NodeWords) -> u64 {
-    words.into_iter().fold(h, fnv)
+/// One node's term in the fingerprint: [`mix`] over its words.
+fn node_hash(words: NodeWords) -> u64 {
+    words.into_iter().fold(DIGEST_BASIS, mix)
 }
 
-/// `P^64`: what [`fold`] multiplies a digest by, but for its low byte.
-const FNV_PRIME_64: u64 = FNV_PRIME.wrapping_pow(64);
+/// The fingerprint's radix: odd, so no node's term is multiplied away.
+const FP_Q: u64 = 0xff51_afd7_ed55_8ccd;
 
-/// [`fold`] of one fixed [`NodeWords`] as a table. FNV-1a's xor moves only
-/// the low byte — `h ^ b = h + ((h & 0xff) ^ b) − (h & 0xff)` — and the low
-/// byte of a sum or product mod 2^64 depends only on the operands' low
-/// bytes, so folding a fixed string of `k` bytes into `h` gives
-/// `h·P^k + T[h & 0xff]`, whatever the other 56 bits of `h`. A parked node
-/// costs one multiply, one add and one lookup; the digest is the same.
-struct ParkedFold {
-    table: [u64; 256],
+/// The fingerprint of a block of nodes with `hash` appended: Horner's
+/// rule over node order, starting from 0 for no nodes.
+#[inline]
+fn horner(fp: u64, hash: u64) -> u64 {
+    fp.wrapping_mul(FP_Q).wrapping_add(hash)
 }
 
-impl ParkedFold {
-    fn new(words: NodeWords) -> Self {
-        ParkedFold {
-            table: std::array::from_fn(|low| {
-                let low = low as u64;
-                fold(low, words).wrapping_sub(low.wrapping_mul(FNV_PRIME_64))
-            }),
-        }
-    }
-
-    #[inline]
-    fn apply(&self, h: u64) -> u64 {
-        h.wrapping_mul(FNV_PRIME_64)
-            .wrapping_add(self.table[(h & 0xff) as usize])
-    }
+/// The fingerprint of `A‖B` from `fp(A)`, `fp(B)` and `|B|`.
+fn combine(a: u64, b: u64, len_b: usize) -> u64 {
+    let len_b = u32::try_from(len_b).expect("a block holds fewer than 2^32 nodes");
+    a.wrapping_mul(FP_Q.wrapping_pow(len_b)).wrapping_add(b)
 }
 
 /// Smallest period boundary `≥ t`.
@@ -361,7 +358,7 @@ struct Live {
     /// Next boundary at which the node's tick must actually execute
     /// (`SimTime::MAX` = quiescent until an input arrives).
     wake_at: SimTime,
-    /// Rolling FNV digest of every input the node handled — the
+    /// Rolling [`mix`] digest of every input the node handled — the
     /// shard-invariance witness.
     digest: u64,
     /// Per-source envelope counter (the deterministic tie-break).
@@ -384,7 +381,7 @@ impl Live {
             demand: [cfg.donor_demand, cfg.recipient_demand][cfg.class(i)],
             cap: cfg.initial_cap,
             wake_at: SimTime::ZERO,
-            digest: FNV_BASIS,
+            digest: DIGEST_BASIS,
             msg_seq: 0,
         }
     }
@@ -489,6 +486,8 @@ struct Shard {
     base: usize,
     router: Router,
     /// The cluster's configuration, handed to every engine built here.
+    /// Each shard has its own handle: the reference count its unparks and
+    /// drops bump is not shared with another thread's.
     engine_cfg: Arc<EngineConfig>,
     /// Per local node, its index in `live`, or [`PARKED`].
     slot: Vec<u32>,
@@ -506,13 +505,26 @@ struct Shard {
     settled: Settled,
 }
 
-/// What a shard's built nodes and pending events add to the report,
-/// summed at the end of the run by the thread that owns the shard.
+/// What a shard's nodes and pending events add to the report, summed at
+/// the end of the run by the thread that owns the shard.
 #[derive(Default)]
 struct Settled {
     elided: u64,
     held: Power,
     in_flight: Power,
+    /// The fingerprint of the shard's nodes, in node order.
+    fp: u64,
+}
+
+/// What each node of a demand class that parks adds to [`Settled`] while
+/// it stays parked: its class probe's share, taken once the probe has
+/// settled.
+#[derive(Clone, Copy, Debug)]
+struct Parked {
+    elided: u64,
+    held: Power,
+    /// The probe's [`node_hash`].
+    hash: u64,
 }
 
 /// What every thread of a run does to each shard it owns between two
@@ -523,8 +535,9 @@ enum Phase {
     Tick(SimTime),
     /// Deliver `bucket`, a bucket of the window that ends at `t_next`.
     Drain { bucket: u64, t_next: SimTime },
-    /// Book elided ticks and sum the audit into [`Shard::settled`].
-    Settle,
+    /// Book elided ticks, sum the audit and fold the fingerprint into
+    /// [`Shard::settled`], with `parked` per demand class that parks.
+    Settle { parked: [Option<Parked>; 2] },
     /// Free the node records, and leave.
     Release,
 }
@@ -534,18 +547,40 @@ impl Shard {
         match phase {
             Phase::Tick(t_k) => self.tick_wave(t_k, cfg),
             Phase::Drain { bucket, t_next } => self.drain_bucket(bucket, t_next, cfg),
-            Phase::Settle => {
-                let mut settled = Settled::default();
-                for node in &mut self.live {
-                    settled.elided += node.settle(cfg.periods);
-                    settled.held += node.held();
-                }
-                let pending = self.router.queue.buckets.values().flatten();
-                settled.in_flight = pending.map(Ev::carried).sum();
-                self.settled = settled;
-            }
+            Phase::Settle { parked } => self.settle(parked, cfg),
             Phase::Release => self.live = Vec::new(),
         }
+    }
+
+    /// [`Phase::Settle`]: every built node settled and hashed in `live`
+    /// order, which streams through the records, then the hashes folded
+    /// in node order.
+    fn settle(&mut self, parked: [Option<Parked>; 2], cfg: &ShardedConfig) {
+        let mut settled = Settled::default();
+        let hashes: Vec<u64> = self
+            .live
+            .iter_mut()
+            .map(|node| {
+                settled.elided += node.settle(cfg.periods);
+                settled.held += node.held();
+                node_hash(node.words())
+            })
+            .collect();
+        for (lid, &slot) in self.slot.iter().enumerate() {
+            let hash = if slot == PARKED {
+                let share = parked[cfg.class(self.base + lid)];
+                let share = share.expect("only a probed class parks");
+                settled.elided += share.elided;
+                settled.held += share.held;
+                share.hash
+            } else {
+                hashes[slot as usize]
+            };
+            settled.fp = horner(settled.fp, hash);
+        }
+        let pending = self.router.queue.buckets.values().flatten();
+        settled.in_flight = pending.map(Ev::carried).sum();
+        self.settled = settled;
     }
 
     #[inline]
@@ -612,26 +647,26 @@ impl Shard {
             let lid = self.local(ev.dst);
             let li = self.live_index(lid, cfg);
             let mut h = self.live[li].digest;
-            h = fnv(h, ev.at.as_nanos());
-            h = fnv(h, u64::from(ev.kind()));
-            h = fnv(h, u64::from(ev.src));
-            h = fnv(h, ev.seq);
+            h = mix(h, ev.at.as_nanos());
+            h = mix(h, u64::from(ev.kind()));
+            h = mix(h, u64::from(ev.src));
+            h = mix(h, ev.seq);
             let input = match ev.msg {
                 Some(msg) => {
                     match &msg {
                         PeerMsg::Request(r) => {
-                            h = fnv(h, 1);
-                            h = fnv(h, r.seq);
-                            h = fnv(h, r.alpha.milliwatts() | (u64::from(r.urgent) << 63));
+                            h = mix(h, 1);
+                            h = mix(h, r.seq);
+                            h = mix(h, r.alpha.milliwatts() | (u64::from(r.urgent) << 63));
                         }
                         PeerMsg::Grant(g, _) => {
-                            h = fnv(h, 2);
-                            h = fnv(h, g.seq);
-                            h = fnv(h, g.amount.milliwatts());
+                            h = mix(h, 2);
+                            h = mix(h, g.seq);
+                            h = mix(h, g.amount.milliwatts());
                         }
                         PeerMsg::Ack(a, _) => {
-                            h = fnv(h, 3);
-                            h = fnv(h, a.seq);
+                            h = mix(h, 3);
+                            h = mix(h, a.seq);
                         }
                     }
                     EngineInput::Msg {
@@ -812,54 +847,66 @@ fn exchange(shards: &[Mutex<Shard>]) {
     }
 }
 
+/// Exchange the outboxes, then pick the bucket the next round of window
+/// `k` drains, if any is left.
+fn next_round(shards: &[Mutex<Shard>], k: u64) -> Option<u64> {
+    exchange(shards);
+    shards
+        .iter()
+        .filter_map(|s| lock(s).router.queue.first_in_window(k))
+        .min()
+}
+
+/// Run `f`, adding its wall time to `*spent`.
+fn timed<T>(spent: &mut Duration, f: impl FnOnce() -> T) -> T {
+    let start = Instant::now();
+    let out = f();
+    *spent += start.elapsed();
+    out
+}
+
 /// The caller's side of a run: every tick wave and round to the horizon,
-/// each phase started on every thread by `lead`, then the end of the run.
-/// `None` once `lead` is: a party panicked.
+/// each phase started on every thread by `lead`, then the settle and the
+/// report; [`Phase::Release`] is left to the run. `None` once `lead` is: a
+/// party panicked.
 fn drive(
     cfg: &ShardedConfig,
     shards: &[Mutex<Shard>],
     probe: [Option<Live>; 2],
     lead: impl Fn(Phase) -> Option<()>,
-) -> Option<ShardReport> {
+) -> Option<(ShardReport, PhaseSplit)> {
+    let mut split = PhaseSplit::default();
     let period_ns = cfg.period_ns();
     let mut rounds = 0;
     for k in 0..cfg.periods {
         let t_next = SimTime::from_nanos((k + 1) * period_ns);
-        lead(Phase::Tick(SimTime::from_nanos(k * period_ns)))?;
-        exchange(shards);
-        while let Some(bucket) = shards
-            .iter()
-            .filter_map(|s| lock(s).router.queue.first_in_window(k))
-            .min()
-        {
+        let t_k = SimTime::from_nanos(k * period_ns);
+        timed(&mut split.tick, || lead(Phase::Tick(t_k)))?;
+        while let Some(bucket) = timed(&mut split.caller, || next_round(shards, k)) {
             rounds += 1;
-            lead(Phase::Drain { bucket, t_next })?;
-            exchange(shards);
+            timed(&mut split.drain, || lead(Phase::Drain { bucket, t_next }))?;
         }
     }
-    lead(Phase::Settle)?;
-    let report = finalize(cfg, shards, probe, rounds);
-    lead(Phase::Release)?;
-    Some(report)
+    // A node still parked is its class's probe: settled here, and hashed
+    // once for all of them. Fields evaluate in order, so the hash sees the
+    // settled ticks.
+    let parked = timed(&mut split.caller, || {
+        probe.map(|p| {
+            p.map(|mut node| Parked {
+                elided: node.settle(cfg.periods),
+                held: node.held(),
+                hash: node_hash(node.words()),
+            })
+        })
+    });
+    timed(&mut split.settle, || lead(Phase::Settle { parked }))?;
+    let report = timed(&mut split.caller, || finalize(cfg, shards, rounds));
+    Some((report, split))
 }
 
-/// Fold the fingerprint and close the audit, once every shard has
-/// settled. A node still parked is its class's probe: settled here, and
-/// folded by table.
-fn finalize(
-    cfg: &ShardedConfig,
-    shards: &[Mutex<Shard>],
-    mut probe: [Option<Live>; 2],
-    rounds: u64,
-) -> ShardReport {
-    let periods = cfg.periods;
-    let probe_skipped = probe
-        .each_mut()
-        .map(|p| p.as_mut().map_or(0, |node| node.settle(periods)));
-    let folds = probe
-        .each_ref()
-        .map(|p| p.as_ref().map(|node| ParkedFold::new(node.words())));
-    let mut parked = [0u64; 2];
+/// Close the audit and combine the shards' fingerprints, once every shard
+/// has settled.
+fn finalize(cfg: &ShardedConfig, shards: &[Mutex<Shard>], rounds: u64) -> ShardReport {
     let mut executed = 0u64;
     let mut elided = 0u64;
     let mut messages = 0u64;
@@ -868,9 +915,9 @@ fn finalize(
     let mut held = Power::ZERO;
     let mut in_flight = Power::ZERO;
     let mut engines_built = 0;
-    let mut fp = FNV_BASIS;
-    // Shards hold contiguous index blocks, in order: this is global node
-    // order.
+    // The fingerprint of no nodes. Shards hold contiguous index blocks, in
+    // order: combining them in turn is global node order.
+    let mut fp = 0;
     for shard in shards {
         let shard = lock(shard);
         executed += shard.executed;
@@ -881,28 +928,13 @@ fn finalize(
         elided += shard.settled.elided;
         held += shard.settled.held;
         in_flight += shard.settled.in_flight;
-        for (lid, &slot) in shard.slot.iter().enumerate() {
-            fp = if slot == PARKED {
-                let class = cfg.class(shard.base + lid);
-                parked[class] += 1;
-                let table = folds[class].as_ref();
-                table.expect("only a probed class parks").apply(fp)
-            } else {
-                fold(fp, shard.live[slot as usize].words())
-            };
-        }
-    }
-    for (class, node) in probe.iter().enumerate() {
-        if let Some(node) = node {
-            elided += parked[class] * probe_skipped[class];
-            held += node.held() * parked[class];
-        }
+        fp = combine(fp, shard.settled.fp, shard.slot.len());
     }
     let budget = cfg.initial_cap * cfg.n_nodes as u64;
     ShardReport {
         n_nodes: cfg.n_nodes,
         shards: cfg.shards,
-        periods,
+        periods: cfg.periods,
         executed_events: executed,
         elided_ticks: elided,
         rounds,
@@ -952,7 +984,8 @@ impl ShardedSim {
         );
         let (period_ns, lambda_ns) = (cfg.period_ns(), cfg.lambda_min().as_nanos());
         let chunk = cfg.n_nodes.div_ceil(cfg.shards);
-        // One configuration for the cluster; every engine holds a handle.
+        // One configuration for the cluster, in one allocation per shard;
+        // every engine holds a handle to its shard's.
         let engine_cfg = Arc::new(EngineConfig::new(cfg.node));
         // Node 1 is a donor and node 0 a recipient whatever the mix. With
         // no period to run there is no first tick to defer.
@@ -975,7 +1008,7 @@ impl ShardedSim {
                     granted: Power::ZERO,
                     lost: Power::ZERO,
                 },
-                engine_cfg: Arc::clone(&engine_cfg),
+                engine_cfg: Arc::new(*engine_cfg),
                 slot: vec![PARKED; len],
                 live: Vec::with_capacity(len),
                 wake: BTreeMap::new(),
@@ -988,7 +1021,8 @@ impl ShardedSim {
                     shard.executed += 1; // the deferred first tick
                 } else {
                     shard.slot[lid] = shard.live.len() as u32;
-                    shard.live.push(Live::new(base + lid, &cfg, &engine_cfg));
+                    let node = Live::new(base + lid, &cfg, &shard.engine_cfg);
+                    shard.live.push(node);
                 }
             }
             let due = (0..shard.live.len() as u32).collect();
@@ -1000,12 +1034,17 @@ impl ShardedSim {
 
     /// Run to the configured horizon and report.
     pub fn run(self) -> ShardReport {
+        self.run_split().0
+    }
+
+    /// [`ShardedSim::run`], and where its wall time went.
+    pub fn run_split(self) -> (ShardReport, PhaseSplit) {
         self.run_visiting(|_| {})
     }
 
-    /// [`ShardedSim::run`], handing every shard to `visit` after each
-    /// phase, on the thread that ran it.
-    fn run_visiting(self, visit: impl Fn(&Shard) + Sync) -> ShardReport {
+    /// [`ShardedSim::run_split`], handing every shard to `visit` after
+    /// each phase, on the thread that ran it.
+    fn run_visiting(self, visit: impl Fn(&Shard) + Sync) -> (ShardReport, PhaseSplit) {
         let ShardedSim { cfg, shards, probe } = self;
         let n = shards.len();
         let jobs = cfg.jobs.clamp(1, n);
@@ -1025,13 +1064,18 @@ impl ShardedSim {
             }
         };
         let own = runs.next().expect("a run has a shard");
-        std::thread::scope(|scope| {
+        let (report, mut split, released) = std::thread::scope(|scope| {
             let workers: Vec<_> = runs
                 .map(|run| scope.spawn(move || crew.follow(|phase| work(run, phase))))
                 .collect();
             let _abort = AbortOnPanic(&crew.barrier);
             let lead = |phase| crew.lead(phase, |phase| work(own, phase));
-            drive(&cfg, &shards, probe, lead).unwrap_or_else(|| {
+            let ended = drive(&cfg, &shards, probe, lead).and_then(|(report, split)| {
+                let released = Instant::now();
+                lead(Phase::Release)?;
+                Some((report, split, released))
+            });
+            ended.unwrap_or_else(|| {
                 for worker in workers {
                     if let Err(payload) = worker.join() {
                         std::panic::resume_unwind(payload);
@@ -1039,8 +1083,33 @@ impl ShardedSim {
                 }
                 unreachable!("only a panicking party aborts the barrier")
             })
-        })
+        });
+        // The scope has joined every worker: each freed its own records.
+        split.release = released.elapsed();
+        (report, split)
     }
+}
+
+/// Where a sharded run's wall time went, as the caller saw it. The parts
+/// do not overlap, and what they leave of the run is building the crew
+/// and starting it. Wall time, so unlike the [`ShardReport`] it differs
+/// from run to run.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PhaseSplit {
+    /// Tick waves, from the start of each to the last thread's end.
+    pub tick: Duration,
+    /// Drain rounds, likewise.
+    pub drain: Duration,
+    /// What the caller ran while every other thread waited: the outbox
+    /// exchange and bucket pick after every phase, the class probes'
+    /// settle and hash, and combining the shards' audits and fingerprints.
+    pub caller: Duration,
+    /// The settle phase: every shard's elided ticks booked, audit summed
+    /// and nodes folded into its fingerprint.
+    pub settle: Duration,
+    /// The release phase, to the last worker joined: every thread frees
+    /// the records it built.
+    pub release: Duration,
 }
 
 /// Outcome of a sharded run.
@@ -1097,7 +1166,6 @@ mod tests {
     use std::panic::AssertUnwindSafe;
     use std::sync::mpsc;
     use std::thread::ThreadId;
-    use std::time::Duration;
 
     #[test]
     fn boundary_helpers() {
@@ -1505,7 +1573,7 @@ mod tests {
         // Per shard, by its first node: the threads it ran on, and how
         // many phases.
         let seen = Mutex::new(BTreeMap::<usize, (HashSet<ThreadId>, u64)>::new());
-        let report = sim.run_visiting(|s| {
+        let (report, _) = sim.run_visiting(|s| {
             let mut seen = seen.lock().expect("no panic holds this lock");
             let (threads, phases) = seen.entry(s.base).or_default();
             threads.insert(std::thread::current().id());
@@ -1559,17 +1627,74 @@ mod tests {
         }
     }
 
+    /// `words` with bit `bit` of word `i` flipped.
+    fn flipped(mut words: NodeWords, i: usize, bit: u32) -> NodeWords {
+        words[i] ^= 1 << bit;
+        words
+    }
+
     #[test]
-    fn a_parked_fold_is_the_byte_wise_fold() {
-        let words = (any_u64(), vec_of(any_u64(), 8..9));
+    fn a_node_hash_sees_every_bit_of_every_word() {
         prop::check(
-            "parked_fold_vs_fnv",
+            "node_hash_bit_flips",
             prop::Config::with_cases(3_000),
-            words,
-            |(h, words)| {
+            vec_of(any_u64(), 8..9),
+            |words| {
                 let words: NodeWords = words.try_into().expect("eight words");
-                assert_eq!(ParkedFold::new(words).apply(h), fold(h, words));
+                let h = node_hash(words);
+                for i in 0..8 {
+                    for bit in 0..64 {
+                        let one = node_hash(flipped(words, i, bit));
+                        assert_ne!(one, h, "word {i} bit {bit}");
+                    }
+                    // Word-wise FNV-1a's blind spot: the same top-bit flip
+                    // in two words, as two urgency flips would be.
+                    for j in i + 1..8 {
+                        let two = node_hash(flipped(flipped(words, i, 63), j, 63));
+                        assert_ne!(two, h, "bit 63 of words {i} and {j}");
+                    }
+                }
             },
         );
+    }
+
+    #[test]
+    fn a_fingerprint_combines_over_contiguous_blocks() {
+        prop::check(
+            "fingerprint_combine",
+            prop::Config::with_cases(3_000),
+            (vec_of(any_u64(), 0..200), any_u64()),
+            |(hashes, cut)| {
+                let fp = |block: &[u64]| block.iter().copied().fold(0, horner);
+                let (a, b) = hashes.split_at(cut as usize % (hashes.len() + 1));
+                assert_eq!(combine(fp(a), fp(b), b.len()), fp(&hashes));
+            },
+        );
+    }
+
+    #[test]
+    fn a_phase_split_fits_in_its_run() {
+        let cfg = ShardedConfig {
+            shards: 2,
+            jobs: 2,
+            ..ShardedConfig::mega(256, 10, 7)
+        };
+        let start = Instant::now();
+        let (report, split) = ShardedSim::new(cfg.clone()).run_split();
+        let wall = start.elapsed();
+        let PhaseSplit {
+            tick,
+            drain,
+            caller,
+            settle,
+            release,
+        } = split;
+        assert!(
+            tick + drain + caller + settle + release <= wall,
+            "{split:?} in {wall:?}"
+        );
+        assert!(caller > Duration::ZERO, "{split:?}");
+        // The clock moves the split, never the report.
+        assert_eq!(report, ShardedSim::new(cfg).run());
     }
 }
