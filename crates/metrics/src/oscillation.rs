@@ -4,7 +4,7 @@
 //! oscillation*: grants that are too large make a node's cap swing up and
 //! down period after period. This collector quantifies that from a node's
 //! cap sequence: how often the cap's direction of travel reverses, and how
-//! much total cap movement there was relative to the net change.
+//! far it travelled up and down.
 
 use penelope_units::Power;
 
@@ -67,20 +67,6 @@ impl OscillationStats {
         self.total_down
     }
 
-    /// Total cap travel (up + down).
-    pub fn total_travel(&self) -> Power {
-        self.total_up + self.total_down
-    }
-
-    /// Churn ratio: total travel divided by the net displacement. 1.0 is a
-    /// monotone trajectory; large values mean the cap mostly went back and
-    /// forth. `None` when the net displacement is zero but travel is not
-    /// (pure oscillation) or no movement happened at all.
-    pub fn churn_ratio(&self) -> Option<f64> {
-        let net = self.total_up.abs_diff(self.total_down);
-        self.total_travel().ratio(net)
-    }
-
     /// Reversals per recorded sample — comparable across runs of different
     /// length. Zero with fewer than two samples.
     pub fn reversal_rate(&self) -> f64 {
@@ -126,16 +112,13 @@ mod tests {
         assert_eq!(o.reversals(), 0);
         assert_eq!(o.total_up(), w(50));
         assert_eq!(o.total_down(), Power::ZERO);
-        assert_eq!(o.churn_ratio(), Some(1.0));
     }
 
     #[test]
     fn sawtooth_counts_each_turn() {
         let o = feed(&[100, 130, 100, 130, 100]);
         assert_eq!(o.reversals(), 3);
-        assert_eq!(o.total_travel(), w(120));
-        // Net displacement zero: churn ratio undefined.
-        assert_eq!(o.churn_ratio(), None);
+        assert_eq!(o.total_up() + o.total_down(), w(120));
         assert!((o.reversal_rate() - 0.75).abs() < 1e-12);
     }
 
@@ -155,22 +138,13 @@ mod tests {
     }
 
     #[test]
-    fn churn_ratio_quantifies_wasted_motion() {
-        // 100→160 net +60, but with a 40 W round trip on the way:
-        // travel 140, net 60 → ratio 2.33.
-        let o = feed(&[100, 140, 120, 160, 140, 160]);
-        let r = o.churn_ratio().unwrap();
-        assert!(r > 1.5 && r < 3.0, "ratio {r}");
-    }
-
-    #[test]
     fn merge_adds_counters() {
         let mut a = feed(&[100, 120, 110]);
         let b = feed(&[200, 180, 190]);
         a.merge(&b);
         assert_eq!(a.reversals(), 2);
         assert_eq!(a.samples(), 6);
-        assert_eq!(a.total_travel(), w(30 + 30));
+        assert_eq!(a.total_up() + a.total_down(), w(30 + 30));
     }
 
     #[test]
@@ -178,6 +152,5 @@ mod tests {
         let o = OscillationStats::new();
         assert_eq!(o.reversals(), 0);
         assert_eq!(o.reversal_rate(), 0.0);
-        assert_eq!(o.churn_ratio(), None);
     }
 }

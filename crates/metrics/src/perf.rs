@@ -58,13 +58,6 @@ impl PerfSummary {
             .copied()
             .fold(f64::NEG_INFINITY, f64::max)
     }
-
-    /// Mean speedup of `self` over `other` as a percentage (the paper's
-    /// "8–15 % mean application performance gains" phrasing): positive when
-    /// `self` is faster.
-    pub fn speedup_pct_over(&self, other: &PerfSummary) -> f64 {
-        (self.geomean() / other.geomean() - 1.0) * 100.0
-    }
 }
 
 #[cfg(test)]
@@ -100,14 +93,6 @@ mod tests {
         assert!((s.max() - 1.3).abs() < 1e-12);
         let g = s.geomean();
         assert!(g > 0.9 && g < 1.3);
-    }
-
-    #[test]
-    fn speedup_percentage() {
-        let a = PerfSummary::new("A", vec![1.10]);
-        let b = PerfSummary::new("B", vec![1.00]);
-        assert!((a.speedup_pct_over(&b) - 10.0).abs() < 1e-9);
-        assert!((b.speedup_pct_over(&a) + 9.0909).abs() < 1e-3);
     }
 
     #[test]

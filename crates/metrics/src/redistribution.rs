@@ -44,24 +44,6 @@ impl RedistributionTracker {
         self.timeline.push((at, self.shifted));
     }
 
-    /// Record the *cumulative level* of redistributed power observed at
-    /// `at` (e.g. `Σ max(0, cap − initial)` over the hungry nodes). Levels
-    /// are clipped to the total and only monotone increases are kept, so
-    /// power that churns back and forth is not double-counted. Use either
-    /// this or [`record`](Self::record), not both.
-    pub fn record_level(&mut self, at: SimTime, level: Power) {
-        let level = level.min(self.total);
-        if level > self.shifted {
-            self.shifted = level;
-            self.timeline.push((at, level));
-        }
-    }
-
-    /// The tracked total.
-    pub fn total(&self) -> Power {
-        self.total
-    }
-
     /// Power shifted so far.
     pub fn shifted(&self) -> Power {
         self.shifted
@@ -161,19 +143,6 @@ mod tests {
         let mut tr = RedistributionTracker::new(w(100), t(0));
         tr.record(t(4), w(1));
         assert_eq!(tr.time_to_fraction(0.0), Some(SimDuration::from_secs(4)));
-    }
-
-    #[test]
-    fn level_recording_is_monotone_and_clipped() {
-        let mut tr = RedistributionTracker::new(w(100), t(0));
-        tr.record_level(t(1), w(30));
-        tr.record_level(t(2), w(20)); // dip ignored (power churned back)
-        assert_eq!(tr.shifted(), w(30));
-        tr.record_level(t(3), w(55));
-        assert_eq!(tr.median_time(), Some(SimDuration::from_secs(3)));
-        tr.record_level(t(4), w(500)); // clipped to total
-        assert_eq!(tr.shifted(), w(100));
-        assert_eq!(tr.total_time(), Some(SimDuration::from_secs(4)));
     }
 
     #[test]

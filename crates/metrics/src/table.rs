@@ -76,11 +76,6 @@ impl TextTable {
     }
 }
 
-/// Format a float with 3 decimals (the harness's standard cell format).
-pub fn f3(x: f64) -> String {
-    format!("{x:.3}")
-}
-
 /// Format milliseconds with 3 decimals and unit.
 pub fn ms(x: f64) -> String {
     format!("{x:.3}ms")
@@ -116,7 +111,6 @@ mod tests {
 
     #[test]
     fn helpers_format() {
-        assert_eq!(f3(1.23456), "1.235");
         assert_eq!(ms(0.5), "0.500ms");
     }
 

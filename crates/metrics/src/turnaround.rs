@@ -2,8 +2,6 @@
 
 use penelope_units::SimDuration;
 
-use crate::stats::SummaryStats;
-
 /// Collects the time deciders spend waiting for responses to power
 /// requests.
 ///
@@ -64,23 +62,6 @@ impl TurnaroundStats {
             (sum / self.samples_ns.len() as u128) as u64,
         ))
     }
-
-    /// Full summary statistics in milliseconds (the figures' unit).
-    /// `None` with no completed samples.
-    pub fn summary_ms(&self) -> Option<SummaryStats> {
-        if self.samples_ns.is_empty() {
-            return None;
-        }
-        let ms: Vec<f64> = self.samples_ns.iter().map(|&ns| ns as f64 / 1e6).collect();
-        Some(SummaryStats::from_samples(&ms))
-    }
-
-    /// Merge another collector into this one (per-node collectors are
-    /// merged into the cluster-wide figure).
-    pub fn merge(&mut self, other: &TurnaroundStats) {
-        self.samples_ns.extend_from_slice(&other.samples_ns);
-        self.unanswered += other.unanswered;
-    }
 }
 
 #[cfg(test)]
@@ -103,7 +84,6 @@ mod tests {
     #[test]
     fn empty_has_no_mean() {
         assert_eq!(TurnaroundStats::new().mean(), None);
-        assert!(TurnaroundStats::new().summary_ms().is_none());
         assert_eq!(TurnaroundStats::new().unanswered_fraction(), 0.0);
     }
 
@@ -117,28 +97,5 @@ mod tests {
         assert!((t.unanswered_fraction() - 2.0 / 3.0).abs() < 1e-12);
         // Mean is over completed requests only.
         assert_eq!(t.mean(), Some(us(100)));
-    }
-
-    #[test]
-    fn summary_in_milliseconds() {
-        let mut t = TurnaroundStats::new();
-        t.record(SimDuration::from_millis(10));
-        t.record(SimDuration::from_millis(30));
-        let s = t.summary_ms().unwrap();
-        assert!((s.mean() - 20.0).abs() < 1e-9);
-        assert!((s.max() - 30.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_combines() {
-        let mut a = TurnaroundStats::new();
-        a.record(us(10));
-        a.record_unanswered();
-        let mut b = TurnaroundStats::new();
-        b.record(us(30));
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.unanswered(), 1);
-        assert_eq!(a.mean(), Some(us(20)));
     }
 }

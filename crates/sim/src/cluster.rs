@@ -3,7 +3,7 @@
 use penelope_core::{
     fair_assignment, Effects, EngineConfig, EngineInput, EngineOutput, NodeEngine, PeerMsg,
 };
-use penelope_metrics::{OscillationStats, RedistributionTracker, TurnaroundStats};
+use penelope_metrics::{Figures, MetricsCollector};
 use penelope_net::{RouteOutcome, SimNet};
 use penelope_power::{PowerInterface, SimulatedRapl};
 use penelope_slurm::{ClientAction, PowerServer, ServerGrant, ServerQueue, SlurmClient, SlurmMsg};
@@ -13,7 +13,6 @@ use penelope_trace::{EventKind, FanoutObserver, SharedObserver, Stamper};
 use penelope_units::{NodeId, Power, SimDuration, SimTime};
 use penelope_workload::{Profile, WorkloadState};
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use crate::config::{ClusterConfig, SystemKind};
@@ -55,7 +54,8 @@ pub struct ClusterSim {
     engine_out: Vec<EngineOutput>,
     servers: Vec<ServerSide>,
     ledger: Ledger,
-    redistribution: Option<Redistribution>,
+    /// Every Fig. 4–8 number: turnaround, oscillation, redistribution.
+    metrics: MetricsCollector,
     finished_count: usize,
     dead: Vec<NodeId>,
     dead_unfinished: usize,
@@ -65,9 +65,6 @@ pub struct ClusterSim {
     stamp: Stamper,
     events_processed: u64,
 }
-
-/// The redistribution tracker and the hungry nodes whose grants it counts.
-type Redistribution = (RedistributionTracker, HashSet<NodeId>);
 
 /// Per-node RNG stream derivation (SplitMix-style stream separation).
 ///
@@ -192,7 +189,7 @@ impl ClusterSim {
             engine_out: Vec::new(),
             servers,
             ledger: Ledger::new(initial_total),
-            redistribution: None,
+            metrics: MetricsCollector::new(),
             finished_count: 0,
             dead: Vec::new(),
             dead_unfinished: 0,
@@ -247,10 +244,7 @@ impl ClusterSim {
     /// `total`, exactly as the paper counts power reaching power-hungry
     /// nodes), with the clock starting at `from`.
     pub fn track_redistribution(&mut self, total: Power, recipients: Vec<NodeId>, from: SimTime) {
-        self.redistribution = Some((
-            RedistributionTracker::new(total, from),
-            recipients.into_iter().collect(),
-        ));
+        self.metrics.track_redistribution(total, recipients, from);
     }
 
     /// Number of client nodes.
@@ -285,12 +279,13 @@ impl ClusterSim {
             if self.finished_count + self.dead_unfinished >= self.nodes.len() {
                 return false;
             }
-            if self.stop_on_full_redistribution {
-                if let Some((tracker, _)) = &self.redistribution {
-                    if tracker.fraction_shifted() >= 1.0 {
-                        return false;
-                    }
-                }
+            if self.stop_on_full_redistribution
+                && self
+                    .metrics
+                    .redistribution()
+                    .is_some_and(|tracker| tracker.fraction_shifted() >= 1.0)
+            {
+                return false;
             }
             let Scheduled { at, event, .. } = self.queue.pop().expect("peeked");
             self.now = at;
@@ -411,19 +406,9 @@ impl ClusterSim {
         }
 
         // Run the manager. Penelope nodes are driven through the shared
-        // `NodeEngine`: one `Tick` input, stepped by `step_engine`.
-        enum Outgoing {
-            None,
-            SlurmReport {
-                excess: Power,
-            },
-            SlurmRequest {
-                urgent: bool,
-                alpha: Power,
-                seq: u64,
-            },
-        }
-        let mut outgoing = Outgoing::None;
+        // `NodeEngine`: one `Tick` input, stepped by `step_engine`. A SLURM
+        // client's message goes to its server once the node borrow ends.
+        let mut outgoing = None;
         match &mut self.nodes.manager[idx] {
             Manager::Fair => {}
             Manager::Penelope { .. } => {
@@ -437,30 +422,41 @@ impl ClusterSim {
                 return;
             }
             Manager::Slurm { client } => {
-                let had_unanswered = !self.nodes.pending[idx].is_empty();
-                match client.tick(now, reading) {
-                    ClientAction::Report { excess } => outgoing = Outgoing::SlurmReport { excess },
-                    ClientAction::Request { urgent, alpha, seq } => {
-                        // Emitting a new request while an old one is still
-                        // pending means the server never answered: the
-                        // client's only liveness signal. Two in a row
-                        // triggers failover to the standby, if one exists.
-                        if had_unanswered {
-                            self.nodes.server_timeouts[idx] =
-                                self.nodes.server_timeouts[idx].saturating_add(1);
-                            if self.nodes.server_timeouts[idx] >= 2
-                                && self.nodes.active_server[idx] == 0
-                            {
-                                self.nodes.active_server[idx] = 1;
-                            }
-                        }
-                        self.nodes.pending[idx].insert(seq, now);
-                        outgoing = Outgoing::SlurmRequest { urgent, alpha, seq };
-                    }
-                    ClientAction::Idle => {}
+                let action = client.tick(now, reading);
+                // Reports are connection-oriented in real SLURM: sending to
+                // a dead coordinator fails visibly, so a client with a
+                // standby configured fails over immediately instead of
+                // pouring freed power into the void.
+                if matches!(action, ClientAction::Report { .. })
+                    && self.servers.len() > 1
+                    && !self.net.faults().is_alive(server_of(&self.servers, client))
+                {
+                    client.fail_over();
                 }
-                let cap = client.cap();
-                self.nodes.rapl[idx].set_cap(cap, now);
+                let server = server_of(&self.servers, client);
+                outgoing = match action {
+                    ClientAction::Report { excess } => {
+                        Some((server, SlurmMsg::Report { from: id, excess }, excess))
+                    }
+                    ClientAction::Request { urgent, alpha, seq } => {
+                        self.metrics.trip_opened(id, seq, now);
+                        self.stamp.emit(now, id, || EventKind::RequestSent {
+                            dst: server,
+                            urgent,
+                            alpha,
+                            seq,
+                        });
+                        let msg = SlurmMsg::Request {
+                            from: id,
+                            urgent,
+                            alpha,
+                            seq,
+                        };
+                        Some((server, msg, Power::ZERO))
+                    }
+                    ClientAction::Idle => None,
+                };
+                self.nodes.rapl[idx].set_cap(client.cap(), now);
             }
         }
 
@@ -469,7 +465,7 @@ impl ClusterSim {
         // it into the plottable (cap, reading, pool) series.
         let cap_now = self.nodes.cap(idx);
         let pool_now = self.nodes.pooled(idx);
-        self.nodes.oscillation[idx].record(cap_now);
+        self.metrics.cap_actuated(id, cap_now);
         self.emit(id, || EventKind::CapActuated {
             cap: cap_now,
             reading,
@@ -477,34 +473,8 @@ impl ClusterSim {
         });
 
         // Route any message (node borrow released).
-        match outgoing {
-            Outgoing::None => {}
-            Outgoing::SlurmReport { excess } => {
-                let mut server_id = self.active_server_for(id);
-                // Reports are connection-oriented in real SLURM: sending to
-                // a dead coordinator fails visibly, so a client with a
-                // standby configured fails over immediately instead of
-                // pouring freed power into the void.
-                if !self.is_alive(server_id) && self.servers.len() > 1 {
-                    self.nodes.active_server[idx] = 1;
-                    server_id = self.active_server_for(id);
-                }
-                self.route_slurm(id, server_id, SlurmMsg::Report { from: id, excess }, excess);
-            }
-            Outgoing::SlurmRequest { urgent, alpha, seq } => {
-                let server_id = self.active_server_for(id);
-                self.route_slurm(
-                    id,
-                    server_id,
-                    SlurmMsg::Request {
-                        from: id,
-                        urgent,
-                        alpha,
-                        seq,
-                    },
-                    Power::ZERO,
-                );
-            }
+        if let Some((server, msg, carried)) = outgoing {
+            self.route_slurm(id, server, msg, carried);
         }
 
         // Next iteration.
@@ -635,16 +605,16 @@ impl ClusterSim {
                 return;
             };
             let eff = client.on_grant(g.seq, g.amount, g.release_to_initial);
-            let cap = client.cap();
-            self.nodes.rapl[di].set_cap(cap, now);
-            if let Some(sent) = self.nodes.pending[di].remove(&g.seq) {
-                self.nodes.turnaround[di].record(now.saturating_since(sent));
-            }
-            // A response arrived: the node's server is healthy again.
-            self.nodes.server_timeouts[di] = 0;
+            let server_id = server_of(&self.servers, client);
+            self.nodes.rapl[di].set_cap(client.cap(), now);
+            self.metrics.trip_closed(dst, g.seq, now, g.amount);
+            self.emit(dst, || EventKind::GrantApplied {
+                seq: g.seq,
+                granted: g.amount,
+                applied: eff.applied,
+            });
             let released = eff.released;
             if !released.is_zero() {
-                let server_id = self.active_server_for(dst);
                 self.route_slurm(
                     dst,
                     server_id,
@@ -655,7 +625,6 @@ impl ClusterSim {
                     released,
                 );
             }
-            credit(&mut self.redistribution, now, dst, g.amount);
         }
     }
 
@@ -685,6 +654,12 @@ impl ClusterSim {
                 let server = &mut self.servers[k];
                 let grant: ServerGrant = server.policy.on_request(urgent, alpha, seq);
                 let server_id = server.id;
+                self.emit(server_id, || EventKind::RequestServed {
+                    requester: from,
+                    seq,
+                    granted: grant.amount,
+                    urgent,
+                });
                 self.route_slurm(server_id, from, SlurmMsg::Grant(grant), grant.amount);
             }
             SlurmMsg::Grant(_) => {}
@@ -799,9 +774,7 @@ impl ClusterSim {
             }
         }
         self.nodes.rapl[i].set_cap(readmitted, now);
-        self.nodes.pending[i].clear();
-        self.nodes.active_server[i] = 0;
-        self.nodes.server_timeouts[i] = 0;
+        self.metrics.node_restarted(id);
         // Resume ticking immediately, with no jitter draw: the node's RNG
         // stream (and every other stream) stays exactly where the crash
         // left it, so fault scripts perturb nothing they don't touch.
@@ -851,11 +824,8 @@ impl ClusterSim {
             net_rng: &mut self.net_rng,
             ack_rng: &mut self.ack_rng,
             ledger: &mut self.ledger,
-            redistribution: &mut self.redistribution,
+            metrics: &mut self.metrics,
             rapl: &mut self.nodes.rapl[i],
-            oscillation: &mut self.nodes.oscillation[i],
-            pending: &mut self.nodes.pending[i],
-            turnaround: &mut self.nodes.turnaround[i],
             stamp: &self.stamp,
         };
         let rng = &mut self.nodes.rng[i];
@@ -887,14 +857,6 @@ impl ClusterSim {
 
     fn is_alive(&self, id: NodeId) -> bool {
         self.net.faults().is_alive(id)
-    }
-
-    /// The server a SLURM client currently addresses. With a backup
-    /// configured, a client fails over after two consecutive request
-    /// timeouts (it has no other liveness oracle) and stays there.
-    fn active_server_for(&self, node: NodeId) -> NodeId {
-        let idx = self.nodes.active_server[node.index()].min(self.servers.len() - 1);
-        self.servers[idx].id
     }
 
     fn live_total(&self) -> Power {
@@ -949,19 +911,15 @@ impl ClusterSim {
     }
 
     fn into_report(self) -> RunReport {
-        let mut turnaround = penelope_metrics::TurnaroundStats::new();
-        let mut oscillation = penelope_metrics::OscillationStats::new();
-        let mut finished = Vec::with_capacity(self.nodes.len());
-        let mut final_caps = Vec::with_capacity(self.nodes.len());
-        for i in 0..self.nodes.len() {
-            turnaround.merge(&self.nodes.turnaround[i]);
-            oscillation.merge(&self.nodes.oscillation[i]);
-            for _ in self.nodes.pending[i].iter() {
-                turnaround.record_unanswered();
-            }
-            finished.push(self.nodes.rapl[i].device().finished_at());
-            final_caps.push(self.nodes.cap(i));
-        }
+        let finished = (0..self.nodes.len())
+            .map(|i| self.nodes.rapl[i].device().finished_at())
+            .collect();
+        let final_caps = (0..self.nodes.len()).map(|i| self.nodes.cap(i)).collect();
+        let Figures {
+            turnaround,
+            oscillation,
+            redistribution,
+        } = self.metrics.finish();
         RunReport {
             system: self.cfg.system,
             n_nodes: self.nodes.len(),
@@ -969,7 +927,7 @@ impl ClusterSim {
             dead: self.dead,
             ended_at: self.now,
             turnaround,
-            redistribution: self.redistribution.map(|(t, _)| t),
+            redistribution,
             net: self.net.stats(),
             server_queue: self.servers.first().map(|s| s.queue.stats()),
             lost: self.ledger.lost,
@@ -996,11 +954,8 @@ struct SimFx<'a> {
     net_rng: &'a mut TestRng,
     ack_rng: &'a mut TestRng,
     ledger: &'a mut Ledger,
-    redistribution: &'a mut Option<Redistribution>,
+    metrics: &'a mut MetricsCollector,
     rapl: &'a mut SimulatedRapl<WorkloadState>,
-    oscillation: &'a mut OscillationStats,
-    pending: &'a mut HashMap<u64, SimTime>,
-    turnaround: &'a mut TurnaroundStats,
     stamp: &'a Stamper,
 }
 
@@ -1017,9 +972,7 @@ impl Effects<TestRng> for SimFx<'_> {
         let ack = match &msg {
             PeerMsg::Ack(a, _) => Some(a.seq),
             PeerMsg::Request(req) => {
-                // A retransmit reuses the seq: keep the original send time
-                // so turnaround measures the full wait.
-                self.pending.entry(req.seq).or_insert(now);
+                self.metrics.trip_opened(id, req.seq, now);
                 None
             }
             PeerMsg::Grant(..) => None,
@@ -1069,7 +1022,7 @@ impl Effects<TestRng> for SimFx<'_> {
     fn actuate(&mut self, cap: Power) {
         self.rapl.set_cap(cap, self.now);
         if self.tick {
-            self.oscillation.record(cap);
+            self.metrics.cap_actuated(self.id, cap);
         }
     }
 
@@ -1090,26 +1043,15 @@ impl Effects<TestRng> for SimFx<'_> {
     }
 
     fn resolved(&mut self, seq: u64, amount: Power) {
-        if let Some(sent) = self.pending.remove(&seq) {
-            self.turnaround.record(self.now.saturating_since(sent));
-        }
-        credit(self.redistribution, self.now, self.id, amount);
+        self.metrics.trip_closed(self.id, seq, self.now, amount);
     }
 }
 
-/// Credit `amount` reaching `recipient` to the redistribution tracker, if
-/// one is installed and `recipient` is one of the nodes it watches.
-fn credit(
-    redistribution: &mut Option<Redistribution>,
-    now: SimTime,
-    recipient: NodeId,
-    amount: Power,
-) {
-    if let Some((tracker, recipients)) = redistribution {
-        if recipients.contains(&recipient) {
-            tracker.record(now, amount);
-        }
-    }
+/// The server a SLURM client currently addresses: its own choice, clamped
+/// to the servers that exist (a client may fail over on a cluster without
+/// a standby, and then keeps addressing the primary).
+fn server_of(servers: &[ServerSide], client: &SlurmClient) -> NodeId {
+    servers[client.active_server().min(servers.len() - 1)].id
 }
 
 /// Fluent construction of a [`ClusterSim`].

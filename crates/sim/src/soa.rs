@@ -14,14 +14,17 @@
 //! * whole-cluster folds (conformance snapshots, conservation audits)
 //!   scan exactly the columns they read.
 //!
+//! The columns are the manager, RAPL domain, RNG stream, completion flag,
+//! initial cap and next tick time: what the driver needs to run a node.
+//! Measurement is not here: turnaround, oscillation and redistribution
+//! live in the simulator's one `MetricsCollector`, and a SLURM client
+//! keeps its own failover state.
+//!
 //! The transposition is storage-only: field contents, update order and
 //! RNG draw sequences are unchanged, which
 //! `tests/layout_conformance.rs` pins with per-seed digests of complete
 //! trace streams recorded from the pre-SoA layout.
 
-use std::collections::HashMap;
-
-use penelope_metrics::{OscillationStats, TurnaroundStats};
 use penelope_power::{PowerInterface, SimulatedRapl};
 use penelope_testkit::rng::TestRng;
 use penelope_units::{Power, SimTime};
@@ -43,21 +46,10 @@ pub struct NodeTable {
     pub rapl: Vec<SimulatedRapl<WorkloadState>>,
     /// Per-node deterministic RNG stream.
     pub rng: Vec<TestRng>,
-    /// Outstanding requests: seq → send time (for turnaround metrics).
-    pub pending: Vec<HashMap<u64, SimTime>>,
-    /// Completed round-trip times.
-    pub turnaround: Vec<TurnaroundStats>,
     /// Whether the workload's completion has been observed.
     pub finished_seen: Vec<bool>,
     /// The cap each node was initially assigned.
     pub initial_cap: Vec<Power>,
-    /// Cap-trajectory oscillation collector (fed once per tick).
-    pub oscillation: Vec<OscillationStats>,
-    /// Index of the server each SLURM client currently addresses
-    /// (failover bumps it; 0 = primary).
-    pub active_server: Vec<usize>,
-    /// Consecutive unanswered requests to the current server.
-    pub server_timeouts: Vec<u8>,
     /// When each node's *live* tick chain fires next. A tick arriving at
     /// any other time belongs to a superseded chain (a pre-crash tick
     /// racing a restart-spawned one) and is dropped, so a node never
@@ -72,13 +64,8 @@ impl NodeTable {
             manager: Vec::with_capacity(n),
             rapl: Vec::with_capacity(n),
             rng: Vec::with_capacity(n),
-            pending: Vec::with_capacity(n),
-            turnaround: Vec::with_capacity(n),
             finished_seen: Vec::with_capacity(n),
             initial_cap: Vec::with_capacity(n),
-            oscillation: Vec::with_capacity(n),
-            active_server: Vec::with_capacity(n),
-            server_timeouts: Vec::with_capacity(n),
             next_tick_at: Vec::with_capacity(n),
         }
     }
@@ -95,13 +82,8 @@ impl NodeTable {
         self.manager.push(manager);
         self.rapl.push(rapl);
         self.rng.push(rng);
-        self.pending.push(HashMap::new());
-        self.turnaround.push(TurnaroundStats::default());
         self.finished_seen.push(false);
         self.initial_cap.push(initial_cap);
-        self.oscillation.push(OscillationStats::new());
-        self.active_server.push(0);
-        self.server_timeouts.push(0);
         self.next_tick_at.push(next_tick_at);
     }
 
@@ -244,7 +226,7 @@ mod tests {
         for col in [
             t.rapl.len(),
             t.rng.len(),
-            t.pending.len(),
+            t.finished_seen.len(),
             t.next_tick_at.len(),
         ] {
             assert_eq!(col, 2, "every column advances together");

@@ -67,6 +67,9 @@ struct Outstanding {
 /// The SLURM local decider: identical classification loop to Penelope's
 /// (same ε, same period — §4.1 implements both with the same heuristic),
 /// but excess goes to the central server and acquisition queries it.
+/// Its only liveness signal is its requests: two in a row issued while an
+/// earlier one is unanswered switch it to the standby for good, and any
+/// grant clears the count.
 #[derive(Clone, Debug)]
 pub struct SlurmClient {
     cfg: DeciderConfig,
@@ -75,6 +78,12 @@ pub struct SlurmClient {
     safe: PowerRange,
     outstanding: Option<Outstanding>,
     next_seq: u64,
+    /// Requests sent and not yet answered by a grant.
+    unanswered: u64,
+    /// Consecutive requests issued with an earlier one unanswered.
+    server_timeouts: u8,
+    /// The server addressed: 0 the primary, 1 the standby.
+    active_server: usize,
     stats: ClientStats,
 }
 
@@ -89,6 +98,9 @@ impl SlurmClient {
             safe,
             outstanding: None,
             next_seq: 0,
+            unanswered: 0,
+            server_timeouts: 0,
+            active_server: 0,
             stats: ClientStats::default(),
         }
     }
@@ -111,6 +123,17 @@ impl SlurmClient {
     /// True iff a request is in flight.
     pub fn is_blocked(&self) -> bool {
         self.outstanding.is_some()
+    }
+
+    /// The server this client addresses: 0 the primary, 1 the standby.
+    pub fn active_server(&self) -> usize {
+        self.active_server
+    }
+
+    /// Switch to the standby for good (a report to a dead primary fails
+    /// visibly: reports are connection-oriented in real SLURM).
+    pub fn fail_over(&mut self) {
+        self.active_server = 1;
     }
 
     /// One iteration of the client loop.
@@ -150,6 +173,13 @@ impl SlurmClient {
                 let seq = self.next_seq;
                 self.next_seq += 1;
                 self.outstanding = Some(Outstanding { seq, sent_at: now });
+                if self.unanswered > 0 {
+                    self.server_timeouts = self.server_timeouts.saturating_add(1);
+                    if self.server_timeouts >= 2 {
+                        self.fail_over();
+                    }
+                }
+                self.unanswered += 1;
                 self.stats.requests_sent += 1;
                 if urgent {
                     self.stats.urgent_sent += 1;
@@ -169,6 +199,9 @@ impl SlurmClient {
                 self.outstanding = None;
             }
         }
+        // A response arrived: the server is healthy again.
+        self.unanswered = self.unanswered.saturating_sub(1);
+        self.server_timeouts = 0;
         self.stats.granted += amount;
         // Apply the grant, clamped to the safe maximum.
         let new_cap = (self.cap + amount).min(self.safe.max());
@@ -268,6 +301,33 @@ mod tests {
         let a = c.tick(t(4), w(150));
         assert!(matches!(a, ClientAction::Request { seq: 1, .. }), "{a:?}");
         assert_eq!(c.stats().timeouts, 1);
+    }
+
+    #[test]
+    fn two_requests_over_an_unanswered_one_fail_over_and_a_grant_resets() {
+        let cfg = DeciderConfig {
+            response_timeout: SimDuration::from_secs(1),
+            ..Default::default()
+        };
+        let hungry = |c: &mut SlurmClient, at| match c.tick(t(at), w(150)) {
+            ClientAction::Request { seq, .. } => seq,
+            other => panic!("expected request, got {other:?}"),
+        };
+        let mut c = SlurmClient::new(cfg, w(150), safe());
+        let first = hungry(&mut c, 1);
+        let _ = hungry(&mut c, 2); // `first` still unanswered: one strike
+        assert_eq!(c.active_server(), 0);
+        // A late grant for `first` resets the count; the second request
+        // is still unanswered, so the next one is again only one strike.
+        let _ = c.on_grant(first, Power::ZERO, false);
+        let _ = hungry(&mut c, 3);
+        assert_eq!(c.active_server(), 0);
+        // A second request in a row over an unanswered one: failover.
+        let _ = hungry(&mut c, 4);
+        assert_eq!(c.active_server(), 1);
+        // Failover is for good; a grant does not switch back.
+        let _ = c.on_grant(7, Power::ZERO, false);
+        assert_eq!(c.active_server(), 1);
     }
 
     #[test]

@@ -59,9 +59,10 @@ pub enum EventKind {
         /// Pool level after the withdrawal.
         pool: Power,
     },
-    /// A hungry decider sent a peer request.
+    /// A hungry decider sent a power request (to a peer, or on the
+    /// centralized arm to the server).
     RequestSent {
-        /// The peer asked for power.
+        /// The node asked for power.
         dst: NodeId,
         /// Whether distributed urgency was raised on the request.
         urgent: bool,
@@ -70,7 +71,8 @@ pub enum EventKind {
         /// Per-node request sequence number.
         seq: u64,
     },
-    /// This node's pool served a peer request (the grant may be zero).
+    /// This node's pool (or, on the centralized arm, this server) served
+    /// a request (the grant may be zero).
     RequestServed {
         /// The requesting node.
         requester: NodeId,
@@ -101,7 +103,8 @@ pub enum EventKind {
         /// Amount the peer granted.
         granted: Power,
         /// Amount actually added to the cap (the rest, if any, overflowed
-        /// back into the pool and shows up as a `PoolDeposit`).
+        /// back into the pool and shows up as a `PoolDeposit`; a SLURM
+        /// client reports it back to the server).
         applied: Power,
     },
     /// Serving an urgent request switched the local urgency flag on.

@@ -6,8 +6,8 @@
 //! [`EventKind`]) and the [`Observer`] sink trait that the DES simulator,
 //! the lockstep threaded runtime and the UDP daemon all emit through — the
 //! same events everywhere, so the conformance harness can diff event
-//! streams across substrates and the metrics crate can compute figures as
-//! pure folds instead of reconstructing them from lossy summaries.
+//! streams across substrates and the metrics crate can read the figures
+//! off any stream instead of reconstructing them from lossy summaries.
 //!
 //! ## Choosing an observer
 //!

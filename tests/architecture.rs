@@ -23,7 +23,9 @@
 //! (`FaultAction`) and one conformance module, in the root crate, whose
 //! `Scenario` nothing translates, a thirteenth holds `ShardedSim` to
 //! one thread scope per run, and a fourteenth holds the workspace to one
-//! property-test vocabulary, `penelope_testkit::prop`.
+//! property-test vocabulary, `penelope_testkit::prop`, and a fifteenth
+//! holds the Fig. 4–8 metrics to one path: only `penelope-metrics` feeds
+//! a turnaround, oscillation or redistribution sample.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -938,6 +940,85 @@ fn the_workspace_has_one_property_test_vocabulary() {
         Some(r#"["crates/*"]"#),
         "the workspace is the root package and `crates/`, nothing vendored"
     );
+}
+
+/// Every `recv.record(` call in `text` whose receiver is not bare `self`,
+/// and every `record_unanswered(` call. Outside the metrics crate the
+/// only `record` method is `PeerTable`'s private one, called on `self`;
+/// any other receiver is a `TurnaroundStats`, `OscillationStats` or
+/// `RedistributionTracker`.
+fn metric_record_calls(text: &str) -> Vec<&str> {
+    let mut found = Vec::new();
+    for (at, _) in text.match_indices(".record(") {
+        let start = text[..at]
+            .rfind(|c: char| !(is_ident_char(c) || c == '.' || c == '[' || c == ']'))
+            .map_or(0, |p| p + 1);
+        let receiver = &text[start..at];
+        if receiver != "self" {
+            found.push(&text[start..at + ".record(".len()]);
+        }
+    }
+    for (at, _) in text.match_indices("record_unanswered(") {
+        if !text[..at].ends_with("fn ") {
+            found.push(&text[at..at + "record_unanswered(".len()]);
+        }
+    }
+    found
+}
+
+/// Turnaround, redistribution and oscillation are computed once, by
+/// `penelope_metrics::MetricsCollector`. The simulator used to keep its
+/// own per-node collectors and pairing map beside a second set of slice
+/// folds over the event stream, and the two disagreed on retransmits,
+/// restarts and the whole SLURM arm.
+#[test]
+fn only_the_metrics_crate_records_a_metric_sample() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for tree in ["crates", "src", "tests", "examples"] {
+        rust_sources(&root.join(tree), &mut files);
+    }
+    assert!(files.len() >= 100, "found only {} sources", files.len());
+    let allowed = [
+        root.join("crates/metrics/src"),
+        // This file names the shapes it denies.
+        root.join("tests/architecture.rs"),
+    ];
+    for path in files
+        .iter()
+        .filter(|p| !allowed.iter().any(|a| p.starts_with(a)))
+    {
+        let text = fs::read_to_string(path).expect("readable source file");
+        let calls = metric_record_calls(&text);
+        assert!(
+            calls.is_empty(),
+            "{} records a metric sample itself ({calls:?}) — call a \
+             penelope_metrics::MetricsCollector entry point",
+            path.strip_prefix(root).unwrap_or(path).display()
+        );
+    }
+}
+
+#[test]
+fn metric_record_detection_sees_the_shapes_it_replaced() {
+    let old = "self.nodes.turnaround[di].record(now.saturating_since(sent));\n\
+               self.oscillation.record(cap);\n\
+               tracker.record(now, amount);\n\
+               turnaround.record_unanswered();";
+    assert_eq!(
+        metric_record_calls(old),
+        [
+            "self.nodes.turnaround[di].record(",
+            "self.oscillation.record(",
+            "tracker.record(",
+            "record_unanswered("
+        ]
+    );
+    let new = "let r = self.record(peer);\n\
+               self.metrics.trip_closed(dst, g.seq, now, g.amount);\n\
+               sim.record_traces();\n\
+               pub fn record_unanswered(&mut self) {}";
+    assert!(metric_record_calls(new).is_empty());
 }
 
 #[test]

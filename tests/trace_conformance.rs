@@ -11,19 +11,25 @@
 //! 2. **Stream invariants** — every `GrantApplied` pairs with exactly one
 //!    `RequestServed`, and urgency raise/clear strictly alternate per
 //!    pool, on every substrate's stream.
-//! 3. **Fold agreement** — turnaround, redistribution and oscillation
-//!    computed as pure folds over the event stream must agree with the
-//!    summary statistics the simulator accumulates inline.
+//! 3. **Metric agreement** — turnaround, redistribution and oscillation
+//!    read off the event stream by `penelope_metrics::SharedCollector`
+//!    must equal the `RunReport` the simulator fills by calling the same
+//!    collector's entry points directly: Penelope and SLURM, with
+//!    retransmits, and across a restart inside an open round trip. The
+//!    lockstep runtime's stream scores the same round trips as the
+//!    simulator's.
 
 use std::sync::Arc;
 
-use penelope::conformance::{LockstepRuntime, Scenario, SimSubstrate, Substrate};
+use penelope::conformance::{at_period, LockstepRuntime, Scenario, SimSubstrate, Substrate};
 use penelope::prelude::*;
 use penelope_core::DiscoveryStrategy;
+use penelope_metrics::{Figures, MetricsCollector, SharedCollector};
+use penelope_sim::RunReport;
 use penelope_testkit::events::{
     check_grant_served_pairing, check_urgency_alternation, normalize_protocol,
 };
-use penelope_trace::{validate_jsonl, EventKind, JsonlObserver, RingBufferObserver};
+use penelope_trace::{validate_jsonl, EventKind, FanoutObserver, JsonlObserver};
 
 fn watts(w: u64) -> Power {
     Power::from_watts_u64(w)
@@ -133,67 +139,164 @@ fn sim_and_lockstep_agree_under_round_robin_discovery() {
     );
 }
 
-/// The §4.2-style nominal mix on four 160 W nodes: two modest DC-like
-/// applications (nodes 0–1) and two power-hungry EP-like ones (nodes 2–3).
-fn nominal_sim(observer: SharedObserver) -> ClusterSim {
+/// Four 160 W nodes under `system`, seed 42.
+fn nominal_config(system: SystemKind) -> ClusterConfig {
+    let mut cfg = ClusterConfig::paper_defaults(system, watts(4 * 160));
+    cfg.seed = 42;
+    cfg
+}
+
+/// The §4.2-style nominal mix on `cfg`: two modest DC-like applications
+/// (nodes 0–1) and two power-hungry EP-like ones (nodes 2–3).
+fn nominal_sim(cfg: ClusterConfig) -> ClusterSim {
     let profiles: Vec<_> = vec![npb::dc(), npb::dc(), npb::ep(), npb::ep()]
         .into_iter()
         .map(|p| p.scaled(0.05))
         .collect();
     ClusterSim::builder()
-        .budget(watts(4 * 160))
+        .config(cfg)
         .workloads(profiles)
-        .observer(observer)
-        .seed(42)
         .build()
+}
+
+const HORIZON: SimTime = SimTime::from_secs(120);
+
+/// One nominal run with a [`SharedCollector`] and a ring listening: the
+/// report, the collector's figures and the recorded stream.
+fn collected(
+    mut cfg: ClusterConfig,
+    faults: &FaultScript,
+) -> (RunReport, Figures, Vec<TraceEvent>) {
+    let hungry = [NodeId::new(2), NodeId::new(3)];
+    let total = watts(100);
+    let mut collector = MetricsCollector::new();
+    collector.track_redistribution(total, hungry, SimTime::ZERO);
+    let collector = Arc::new(SharedCollector::new(collector));
+    let ring = Arc::new(RingBufferObserver::unbounded());
+    cfg.observer = FanoutObserver::pair(
+        SharedObserver::from(collector.clone()),
+        SharedObserver::from(ring.clone()),
+    );
+    let mut sim = nominal_sim(cfg);
+    sim.track_redistribution(total, hungry.to_vec(), SimTime::ZERO);
+    sim.install_faults(faults);
+    let report = sim.run(HORIZON);
+    (report, collector.figures(), ring.events())
+}
+
+/// The first `RequestSent` node 2 emits on the nominal Penelope run.
+fn first_request_of_node_2() -> SimTime {
+    let penelope = nominal_config(SystemKind::Penelope);
+    let (_, _, events) = collected(penelope, &FaultScript::none());
+    events
+        .iter()
+        .find(|e| e.node == NodeId::new(2) && matches!(e.kind, EventKind::RequestSent { .. }))
+        .expect("node 2 asks for power")
+        .at
+}
+
+/// Every figure the collector read off the stream equals the report's.
+fn assert_agree(case: &str, report: &RunReport, fold: &Figures) {
+    // Turnaround: same trips, same durations, same unanswered count.
+    assert_eq!(fold.turnaround.count(), report.turnaround.count(), "{case}");
+    assert_eq!(
+        fold.turnaround.unanswered(),
+        report.turnaround.unanswered(),
+        "{case}"
+    );
+    assert_eq!(fold.turnaround.mean(), report.turnaround.mean(), "{case}");
+    assert!(fold.turnaround.count() > 0, "{case}: no grant round trips");
+
+    // Redistribution: same shifted total and crossing times.
+    let inline = report.redistribution.as_ref().expect("tracker installed");
+    let fold_r = fold.redistribution.as_ref().expect("tracker installed");
+    assert_eq!(fold_r.shifted(), inline.shifted(), "{case}");
+    assert_eq!(fold_r.median_time(), inline.median_time(), "{case}");
+    assert_eq!(fold_r.total_time(), inline.total_time(), "{case}");
+    assert!(
+        !fold_r.shifted().is_zero(),
+        "{case}: no power reached the hungry nodes"
+    );
+
+    // Oscillation: same per-node cap trajectories.
+    let (o, r) = (&fold.oscillation, &report.oscillation);
+    assert_eq!(o.samples(), r.samples(), "{case}");
+    assert_eq!(o.reversals(), r.reversals(), "{case}");
+    assert_eq!(o.total_up(), r.total_up(), "{case}");
+    assert_eq!(o.total_down(), r.total_down(), "{case}");
 }
 
 #[test]
 fn folds_over_event_stream_agree_with_inline_summaries() {
-    let ring = Arc::new(RingBufferObserver::unbounded());
-    let mut sim = nominal_sim(SharedObserver::from(ring.clone()));
-    let hungry = vec![NodeId::new(2), NodeId::new(3)];
-    let total = watts(100);
-    sim.track_redistribution(total, hungry.clone(), SimTime::ZERO);
-    let report = sim.run(SimTime::from_secs(120));
-    let events = ring.events();
-    assert!(!events.is_empty());
+    let kill_at = first_request_of_node_2() + SimDuration::from_micros(1);
+    let restart = FaultScript::none()
+        .at(kill_at, FaultAction::Kill(NodeId::new(2)))
+        .restart_at(kill_at + SimDuration::from_secs(3), NodeId::new(2));
+    let lossy = FaultScript::none().at(SimTime::ZERO, FaultAction::SetDropRate(0.3));
+    let penelope = nominal_config(SystemKind::Penelope);
+    let mut retransmitting = penelope.clone();
+    retransmitting.node.decider.max_retransmits = 2;
+    let none = FaultScript::none();
+    let cases = [
+        ("penelope nominal", penelope.clone(), &none),
+        (
+            "penelope retransmitting at 30 % loss",
+            retransmitting,
+            &lossy,
+        ),
+        ("penelope restarted inside an open trip", penelope, &restart),
+        ("slurm nominal", nominal_config(SystemKind::Slurm), &none),
+    ];
+    for (case, cfg, faults) in cases {
+        let (report, fold, events) = collected(cfg, faults);
+        assert_agree(case, &report, &fold);
+        if case.ends_with("nominal") {
+            let v = check_grant_served_pairing(&events);
+            assert!(v.is_empty(), "{case}: {v:?}");
+        }
+    }
+}
 
-    // Turnaround: same trips, same durations, same unanswered count.
-    let fold = penelope_metrics::turnaround_from_events(&events);
-    assert_eq!(fold.count(), report.turnaround.count());
-    assert_eq!(fold.unanswered(), report.turnaround.unanswered());
-    assert_eq!(fold.mean(), report.turnaround.mean());
-    assert!(
-        fold.count() > 0,
-        "nominal run produced no grant round trips"
-    );
+/// The lockstep runtime emits the simulator's protocol stream, so its
+/// recorded stream, replayed into a collector, scores the simulator's
+/// round trips.
+#[test]
+fn a_lockstep_stream_scores_the_simulators_round_trips() {
+    for seed in [7, 1234] {
+        let scenario = ideal_scenario(seed);
+        let (_, events) = LockstepRuntime
+            .run_recorded(&scenario)
+            .expect("lockstep run");
+        let mut collector = MetricsCollector::new();
+        for ev in &events {
+            collector.on_event(ev);
+        }
+        let fold = collector.finish().turnaround;
 
-    // Redistribution: same shifted total and crossing times.
-    let inline = report.redistribution.expect("tracker installed");
-    let fold = penelope_metrics::redistribution_from_events(&events, total, &hungry, SimTime::ZERO);
-    assert_eq!(fold.shifted(), inline.shifted());
-    assert_eq!(fold.fraction_shifted(), inline.fraction_shifted());
-    assert_eq!(fold.median_time(), inline.median_time());
-    assert_eq!(fold.total_time(), inline.total_time());
-    assert!(
-        !fold.shifted().is_zero(),
-        "no power reached the hungry nodes"
-    );
-
-    // Oscillation: same per-node cap trajectories.
-    let fold = penelope_metrics::oscillation_from_events(&events);
-    assert_eq!(fold.samples(), report.oscillation.samples());
-    assert_eq!(fold.reversals(), report.oscillation.reversals());
-    assert_eq!(fold.total_up(), report.oscillation.total_up());
-    assert_eq!(fold.total_down(), report.oscillation.total_down());
+        // The lockstep loop runs `periods` whole periods; the simulator's
+        // `advance_to` would also fire the tick on the final boundary.
+        let last_instant = SimTime::from_nanos(at_period(scenario.periods).as_nanos() - 1);
+        let mut sim = ClusterSim::new(scenario.cfg.clone(), scenario.profiles.clone());
+        sim.install_faults(&scenario.faults);
+        sim.advance_to(last_instant);
+        let report = sim.finish();
+        assert!(fold.count() > 0, "seed {seed}: no round trips");
+        assert_eq!(fold.count(), report.turnaround.count(), "seed {seed}");
+        assert_eq!(
+            fold.unanswered(),
+            report.turnaround.unanswered(),
+            "seed {seed}"
+        );
+    }
 }
 
 #[test]
 fn jsonl_export_of_a_nominal_run_validates() {
     let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("nominal_trace.jsonl");
     let jsonl = Arc::new(JsonlObserver::create(&path).expect("create trace file"));
-    let sim = nominal_sim(SharedObserver::from(jsonl.clone()));
+    let mut cfg = nominal_config(SystemKind::Penelope);
+    cfg.observer = SharedObserver::from(jsonl.clone());
+    let sim = nominal_sim(cfg);
     let report = sim.run(SimTime::from_secs(60));
     assert!(report.conservation_ok);
     jsonl.flush().expect("flush trace");
