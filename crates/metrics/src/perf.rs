@@ -21,45 +21,6 @@ pub fn geometric_mean(values: &[f64]) -> f64 {
     SummaryStats::from_samples(values).geomean()
 }
 
-/// Normalized performance of one system across many application pairs at
-/// one initial powercap setting.
-#[derive(Clone, Debug)]
-pub struct PerfSummary {
-    /// Label of the power-management system (e.g. `"Penelope"`).
-    pub system: String,
-    /// Per-pair normalized performance, in pair order.
-    pub per_pair: Vec<f64>,
-}
-
-impl PerfSummary {
-    /// Build a summary. Panics if `per_pair` is empty.
-    pub fn new(system: impl Into<String>, per_pair: Vec<f64>) -> Self {
-        assert!(!per_pair.is_empty(), "no pairs");
-        PerfSummary {
-            system: system.into(),
-            per_pair,
-        }
-    }
-
-    /// The geometric-mean normalized performance.
-    pub fn geomean(&self) -> f64 {
-        geometric_mean(&self.per_pair)
-    }
-
-    /// The worst pair.
-    pub fn min(&self) -> f64 {
-        self.per_pair.iter().copied().fold(f64::INFINITY, f64::min)
-    }
-
-    /// The best pair.
-    pub fn max(&self) -> f64 {
-        self.per_pair
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,21 +44,5 @@ mod tests {
     #[test]
     fn geomean_aggregation() {
         assert!((geometric_mean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn summary_accessors() {
-        let s = PerfSummary::new("Penelope", vec![1.1, 0.9, 1.3]);
-        assert_eq!(s.system, "Penelope");
-        assert!((s.min() - 0.9).abs() < 1e-12);
-        assert!((s.max() - 1.3).abs() < 1e-12);
-        let g = s.geomean();
-        assert!(g > 0.9 && g < 1.3);
-    }
-
-    #[test]
-    #[should_panic(expected = "no pairs")]
-    fn empty_summary_rejected() {
-        let _ = PerfSummary::new("X", vec![]);
     }
 }

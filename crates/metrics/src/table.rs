@@ -76,11 +76,6 @@ impl TextTable {
     }
 }
 
-/// Format milliseconds with 3 decimals and unit.
-pub fn ms(x: f64) -> String {
-    format!("{x:.3}ms")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,11 +102,6 @@ mod tests {
     fn mismatched_row_rejected() {
         let mut t = TextTable::new(vec!["a", "b"]);
         t.row(vec!["only one"]);
-    }
-
-    #[test]
-    fn helpers_format() {
-        assert_eq!(ms(0.5), "0.500ms");
     }
 
     #[test]

@@ -37,6 +37,11 @@ impl PhaseBarrier {
         }
     }
 
+    /// How many threads each crossing waits for.
+    pub(crate) fn parties(&self) -> usize {
+        self.parties
+    }
+
     /// Arrive, and block until all parties have. False once the barrier
     /// is aborted: the caller stops there, and so does everyone else.
     pub fn wait(&self) -> bool {
