@@ -25,7 +25,7 @@ use penelope_core::decider::DeciderStats;
 use penelope_core::{EngineConfig, NodeEngine};
 use penelope_net::shim::DatagramSocket;
 use penelope_power::{CappedDevice, ConstantDevice, LinuxRapl, SimulatedRapl};
-use penelope_testkit::rng::TestRng;
+use penelope_testkit::rng::{node_stream, TestRng};
 use penelope_trace::{CounterObserver, CounterSnapshot, FanoutObserver, SharedObserver, Stamper};
 use penelope_units::{NodeId, Power, SimTime};
 use penelope_workload::WorkloadState;
@@ -46,12 +46,6 @@ pub struct DaemonStatus {
     pub reading: Power,
     /// Power cached in the local pool.
     pub pool: Power,
-    /// Lifetime power deposited into the pool.
-    pub pool_deposited: Power,
-    /// Lifetime power withdrawn to raise caps (peer grants + local takes).
-    pub pool_granted: Power,
-    /// Lifetime power drained out of the pool (shutdown).
-    pub pool_drained: Power,
 }
 
 impl DaemonStatus {
@@ -77,14 +71,6 @@ pub struct DaemonSummary {
     pub decider: DeciderStats,
     /// Power granted to peers by the local pool.
     pub granted_to_peers: Power,
-    /// Peer requests served.
-    pub requests_served: u64,
-    /// Lifetime power deposited into the pool.
-    pub pool_deposited: Power,
-    /// Lifetime power the co-located decider took back locally.
-    pub taken_local: Power,
-    /// Lifetime power drained out of the pool.
-    pub pool_drained: Power,
     /// The next request sequence number the decider would have used —
     /// feed this to [`DaemonConfig::initial_seq`](crate::DaemonConfig)
     /// when restarting this node so the reborn daemon's sequence
@@ -147,10 +133,6 @@ impl DaemonHandle {
             final_pool: pool.available(),
             decider: engine.stats(),
             granted_to_peers: pool.total_granted(),
-            requests_served: pool.requests_served(),
-            pool_deposited: pool.total_deposited(),
-            taken_local: pool.total_taken_local(),
-            pool_drained: pool.total_drained(),
             next_seq: engine.next_seq(),
             counters: self.counters.snapshot(),
             rejected: reactor.counters.rejected,
@@ -169,7 +151,7 @@ fn build_plant(cfg: &DaemonConfig) -> io::Result<Plant> {
         }
     };
     let rapl = SimulatedRapl::new(device, cfg.initial_cap, cfg.rapl.clone());
-    Ok(Plant::Simulated(rapl))
+    Ok(Plant::Simulated(vec![rapl]))
 }
 
 /// Start a daemon, binding a fresh socket to `cfg.listen`.
@@ -181,7 +163,24 @@ pub fn run_daemon(cfg: DaemonConfig) -> io::Result<DaemonHandle> {
 /// Start a daemon on a pre-bound socket (tests bind port 0 first so peers
 /// can learn each other's real ports before launch).
 pub fn run_daemon_with_socket(cfg: DaemonConfig, socket: UdpSocket) -> io::Result<DaemonHandle> {
-    run_daemon_with_shim(cfg, Arc::new(socket))
+    let local_addr = socket.local_addr()?;
+    socket.set_nonblocking(true)?;
+    let status_every = cfg.status_every;
+    let (reactor, counters, period) = build_reactor(cfg, Arc::new(socket))?;
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let escrow_len = Arc::new(AtomicUsize::new(0));
+    let (status_tx, status_rx) = channel();
+    let (stop, escrow) = (Arc::clone(&shutdown), Arc::clone(&escrow_len));
+    let thread =
+        thread::spawn(move || run_loop(reactor, period, status_every, &stop, &escrow, &status_tx));
+    Ok(DaemonHandle {
+        shutdown,
+        thread,
+        counters,
+        escrow_len,
+        status_rx,
+        local_addr,
+    })
 }
 
 /// The N = 1 reactor for `cfg` over `socket`, its built-in counters, and
@@ -219,8 +218,10 @@ pub(crate) fn build_reactor(
         }
     }
     let mut plant = build_plant(&cfg)?;
-    plant.set_cap(engine.cap(), SimTime::ZERO);
-    let rng = TestRng::seed_from_u64(local_addr.port() as u64 ^ 0xDAE0_0DAE);
+    plant.set_cap(0, engine.cap(), SimTime::ZERO);
+    // The node's own stream, fixed by its id: a restarted daemon draws
+    // what its first incarnation drew, whatever port it binds.
+    let rng = TestRng::seed_from_u64(node_stream(DAEMON_SEED, me.raw().into()));
     let mut reactor = Reactor::new(
         vec![engine],
         vec![rng],
@@ -234,6 +235,10 @@ pub(crate) fn build_reactor(
     reactor.follow_senders = true;
     Ok((reactor, counters, Duration::from_nanos(period)))
 }
+
+/// The root of every per-node daemon's random stream (node `i` draws from
+/// `node_stream(DAEMON_SEED, i)`).
+const DAEMON_SEED: u64 = 0xDAE0_0DAE;
 
 /// What [`DaemonHandle::escrow_len`] reads while the loop is inside a tick
 /// or a dispatch. The mark is stored before anything is sent, and the real
@@ -285,45 +290,14 @@ fn run_loop(
         }
         if status_every > 0 && iterations.is_multiple_of(status_every) {
             let engine = &reactor.engines[0];
-            let pool = engine.pool();
             let _ = status_tx.send(DaemonStatus {
                 iteration: iterations,
                 uptime_secs: origin.elapsed().as_secs_f64(),
                 cap: engine.cap(),
                 reading,
-                pool: pool.available(),
-                pool_deposited: pool.total_deposited(),
-                pool_granted: pool.total_granted() + pool.total_taken_local(),
-                pool_drained: pool.total_drained(),
+                pool: engine.pool().available(),
             });
         }
     }
     (iterations, reactor)
-}
-
-/// Start a daemon on any [`DatagramSocket`] — a plain [`UdpSocket`] or a
-/// `penelope_net::FaultySocket` injecting deterministic loss under the
-/// live daemon.
-pub fn run_daemon_with_shim(
-    cfg: DaemonConfig,
-    socket: Arc<dyn DatagramSocket>,
-) -> io::Result<DaemonHandle> {
-    let local_addr = socket.local_addr()?;
-    socket.set_nonblocking(true)?;
-    let status_every = cfg.status_every;
-    let (reactor, counters, period) = build_reactor(cfg, socket)?;
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let escrow_len = Arc::new(AtomicUsize::new(0));
-    let (status_tx, status_rx) = channel();
-    let (stop, escrow) = (Arc::clone(&shutdown), Arc::clone(&escrow_len));
-    let thread =
-        thread::spawn(move || run_loop(reactor, period, status_every, &stop, &escrow, &status_tx));
-    Ok(DaemonHandle {
-        shutdown,
-        thread,
-        counters,
-        escrow_len,
-        status_rx,
-        local_addr,
-    })
 }

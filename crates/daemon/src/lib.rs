@@ -25,8 +25,10 @@
 //! addresses and the wall clock; [`run_multiplexed`] is the same reactor
 //! with thousands of engines behind one socket pair on a virtual clock,
 //! for single-host soaks (there, and only there, frames share
-//! datagrams). (The paper runs two threads and a lock per node, §3.3; one
-//! thread that owns its engines needs neither.)
+//! datagrams), and a [`Mux`] over simulated RAPL domains, stepped one
+//! round at a time, is how the conformance harness holds this code to the
+//! invariants the simulator and the lockstep runtime are held to. (The paper runs two threads and a lock per node,
+//! §3.3; one thread that owns its engines needs neither.)
 //!
 //! UDP matches the protocol's needs exactly: requests are idempotent-ish
 //! (a lost request simply times out and the decider re-asks next period),
@@ -45,9 +47,6 @@ mod reactor;
 pub mod wire;
 
 pub use config::{DaemonConfig, DaemonConfigBuilder, PowerBackend};
-pub use daemon::{
-    run_daemon, run_daemon_with_shim, run_daemon_with_socket, DaemonHandle, DaemonStatus,
-    DaemonSummary,
-};
-pub use multiplex::{run_multiplexed, GrantRttStats, MuxConfig, MuxSummary};
+pub use daemon::{run_daemon, run_daemon_with_socket, DaemonHandle, DaemonStatus, DaemonSummary};
+pub use multiplex::{run_multiplexed, GrantRttStats, Mux, MuxConfig, MuxSummary};
 pub use wire::WireMsg;

@@ -25,24 +25,39 @@
 //! daemon has no second engine to share a datagram with and sends exactly
 //! one `[dst][src][WireMsg]` frame in each.
 //!
-//! Time is hybrid: the protocol clock is virtual (round `p` runs at
-//! `p × period`, so escrow deadlines and request timeouts behave exactly
-//! as on the lockstep runtime), while grant round-trip *latency* is
-//! measured on the wall clock from the moment a request frame is handed
-//! to `tx` — so the wait for its datagram to fill or be flushed counts —
-//! to the moment the engine reports the round-trip
+//! Time is hybrid: the protocol clock is virtual (round `p` ticks every
+//! engine at `(p + 1) × period`, so escrow deadlines and request timeouts
+//! behave exactly as on the lockstep runtime), while grant round-trip
+//! *latency* is measured on the wall clock from the moment a request frame
+//! is handed to `tx` — so the wait for its datagram to fill or be flushed
+//! counts — to the moment the engine reports the round-trip
 //! [`EngineOutput::Resolved`](penelope_core::EngineOutput::Resolved) — the
 //! tail-latency distribution the soak harness reports.
 //!
-//! Loss injection reuses the [`DatagramSocket`] seam: the `tx` socket
-//! goes under a `penelope_net::FaultySocket` (see [`MuxConfig::fault`]),
-//! *over* the coalescing, so every frame draws its own fate and injected
-//! drops surface as `SendStatus::Dropped`, feeding the same
-//! `delivered = false` escrow path as on a per-node daemon. The kernel can
-//! also drop on receive-buffer overflow; the round loop prevents that by
-//! capping in-flight frames and draining between send batches, and counts
-//! anything that still vanishes as `wire_lost`. Datagrams from anyone
-//! else are counted `rejected` and otherwise ignored.
+//! There is one round loop, [`Mux::run`]. Before round `p` it hands the
+//! multiplexer to the caller, who may change the fault plane or kill and
+//! restart nodes; round `p` ticks every live engine, then pumps the socket
+//! pair until every frame sent — duplicates included — has been
+//! dispatched, so the books between rounds are a consistent cut.
+//! [`run_multiplexed`] is that loop with nothing between rounds and steady
+//! demands; [`Mux::simulated`] builds it over simulated RAPL domains, which
+//! is how the conformance harness runs a fault script on the daemon's
+//! code.
+//!
+//! Faults reuse the [`DatagramSocket`] seam: the `tx` socket goes under a
+//! `penelope_net::FaultySocket` (see [`MuxConfig::fault`]), *over* the
+//! coalescing, so every frame meets the fault plane on its own link —
+//! the header names it — and injected drops and refused links surface as
+//! `SendStatus::Dropped`, feeding the same `delivered = false` escrow path
+//! as on a per-node daemon. Connectivity and loss are set on that plane
+//! ([`Mux::with_faults`]); a kill retires the node's cap, pool and escrow
+//! into `lost`, and a restart re-admits `min(initial cap, lost)` under the
+//! node's sequence watermark. The kernel can also drop on
+//! receive-buffer overflow; the round loop prevents that by capping
+//! in-flight frames and draining between send batches, and counts anything
+//! that still vanishes as `wire_lost` — after which a cut is no longer
+//! exact. Datagrams from anyone else are counted `rejected` and otherwise
+//! ignored.
 
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
@@ -50,9 +65,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use penelope_core::{EngineConfig, NodeEngine, NodeParams};
-use penelope_net::shim::{CoalescingSocket, DatagramSocket, FaultConfig, FaultySocket};
+use penelope_net::shim::{CoalescingSocket, DatagramSocket, FaultConfig, FaultySocket, ShimStats};
+use penelope_net::FaultPlane;
+use penelope_power::{CappedDevice, SimulatedRapl};
 use penelope_testkit::rng::{node_stream, TestRng};
-use penelope_trace::SharedObserver;
+use penelope_trace::{EventKind, SharedObserver, Stamper};
 use penelope_units::{NodeId, Power, SimDuration, SimTime};
 
 use crate::reactor::{Plant, Reactor, RttLedger};
@@ -211,83 +228,111 @@ fn percentile_ns(sorted: &[u64], q: f64) -> u64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// The reactor plus the two things only a closed loop can know: how many
-/// of its own frames never came back, and what its `tx` socket batched.
-pub(crate) struct Mux {
+/// The reactor plus what only a closed loop can know — how many of its
+/// own frames never came back, what its `tx` socket batched — and which
+/// of its nodes are alive.
+pub struct Mux {
     reactor: Reactor,
     /// The coalescing layer of the `tx` socket, for its datagram count.
     tx: Arc<CoalescingSocket>,
+    /// The fault shim over `tx`, if any: where a script's faults land.
+    shim: Option<Arc<FaultySocket>>,
     /// Frames the kernel accepted and never delivered.
     wire_lost: u64,
+    /// Killed engines are neither ticked nor reachable.
+    alive: Vec<bool>,
+    /// Each node's first cap: the budget's share, and what a restart
+    /// re-admits at most.
+    initial_caps: Vec<Power>,
 }
 
 impl Mux {
-    /// Bind the socket pair and build the reactor for `cfg`. `under` may
-    /// slot a socket of its own between the coalescing `tx` socket and the
-    /// fault plane. Also returns the shared inbox's address.
+    /// Bind the socket pair and build the soak reactor for `cfg`. `under`
+    /// may slot a socket of its own between the coalescing `tx` socket and
+    /// the fault plane. Also returns the shared inbox's address.
     pub(crate) fn bind(
         cfg: &MuxConfig,
         under: impl FnOnce(Arc<dyn DatagramSocket>) -> Arc<dyn DatagramSocket>,
     ) -> io::Result<(Mux, SocketAddr)> {
-        assert!(cfg.nodes >= 2, "a cluster needs at least two nodes");
         assert!(!cfg.demands.is_empty(), "demands must not be empty");
+        let engine_cfg = Arc::new(EngineConfig::new(cfg.node));
+        let engines = (0..cfg.nodes).map(|i| {
+            let id = NodeId::new(i as u32);
+            let observer = SharedObserver::noop();
+            NodeEngine::new(id, cfg.nodes, engine_cfg.clone(), cfg.initial_cap, observer)
+        });
+        let demands = (0..cfg.nodes).map(|i| cfg.demands[i % cfg.demands.len()]);
+        let plant = Plant::Steady(demands.collect());
+        let trace = Stamper::new(SharedObserver::noop(), SimDuration::ZERO);
+        let fault = cfg.fault.clone();
+        Mux::new(engines.collect(), plant, cfg.seed, fault, trace, under)
+    }
+
+    /// The multiplexer over `engines`, engine `i` reading `rapls[i]` and
+    /// drawing from `node_stream(seed, i)`, every frame crossing a
+    /// `FaultySocket` set up by `wire`; `trace` stamps what it narrates.
+    /// Each engine's cap at this point is its share of the budget and what
+    /// a restart re-admits at most. Drive it with [`Mux::run`].
+    pub fn simulated(
+        engines: Vec<NodeEngine>,
+        rapls: Vec<SimulatedRapl<Box<dyn CappedDevice + Send>>>,
+        seed: u64,
+        wire: FaultConfig,
+        trace: Stamper,
+    ) -> io::Result<Mux> {
+        assert_eq!(engines.len(), rapls.len(), "one RAPL domain per engine");
+        let plant = Plant::Simulated(rapls);
+        Ok(Mux::new(engines, plant, seed, Some(wire), trace, |tx| tx)?.0)
+    }
+
+    fn new(
+        engines: Vec<NodeEngine>,
+        plant: Plant,
+        seed: u64,
+        fault: Option<FaultConfig>,
+        trace: Stamper,
+        under: impl FnOnce(Arc<dyn DatagramSocket>) -> Arc<dyn DatagramSocket>,
+    ) -> io::Result<(Mux, SocketAddr)> {
+        let n = engines.len();
+        assert!(n >= 2, "a cluster needs at least two nodes");
+        let initial_caps = engines.iter().map(|e| e.cap()).collect();
         let rx = UdpSocket::bind("127.0.0.1:0")?;
         rx.set_read_timeout(Some(Duration::from_millis(3)))?;
         let rx_addr = rx.local_addr()?;
         let coalescing = Arc::new(CoalescingSocket::new(UdpSocket::bind("127.0.0.1:0")?));
-        let tx = under(coalescing.clone());
-        let tx = match &cfg.fault {
-            None => tx,
-            Some(fault) => {
-                let shim = FaultySocket::over(tx, fault.clone());
-                // The shared inbox is the only destination; it takes
-                // direction slot 0 of the fault plan.
-                shim.register_peer(rx_addr);
-                Arc::new(shim)
-            }
-        };
-        let engine_cfg = Arc::new(EngineConfig::new(cfg.node));
-        let engines = (0..cfg.nodes)
-            .map(|i| {
-                NodeEngine::new(
-                    NodeId::new(i as u32),
-                    cfg.nodes,
-                    Arc::clone(&engine_cfg),
-                    cfg.initial_cap,
-                    SharedObserver::noop(),
-                )
-            })
+        let mut tx = under(coalescing.clone());
+        let shim = fault.map(|fault| Arc::new(FaultySocket::over(tx.clone(), fault)));
+        if let Some(shim) = &shim {
+            // The shared inbox is the only destination; it takes
+            // direction slot 0 of the fault plan.
+            shim.register_peer(rx_addr);
+            tx = shim.clone();
+        }
+        let rngs = (0..n)
+            .map(|i| TestRng::seed_from_u64(node_stream(seed, i as u64)))
             .collect();
-        let rngs = (0..cfg.nodes)
-            .map(|i| TestRng::seed_from_u64(node_stream(cfg.seed, i as u64)))
-            .collect();
-        let demands = (0..cfg.nodes)
-            .map(|i| cfg.demands[i % cfg.demands.len()])
-            .collect();
-        let mut reactor = Reactor::new(
-            engines,
-            rngs,
-            Plant::Steady(demands),
-            tx,
-            Arc::new(CoalescingSocket::new(rx)),
-            vec![rx_addr; cfg.nodes],
-        );
+        let rx = Arc::new(CoalescingSocket::new(rx));
+        let mut reactor = Reactor::new(engines, rngs, plant, tx, rx, vec![rx_addr; n]);
+        reactor.trace = trace;
         reactor.rtt = Some(RttLedger::default());
         let mux = Mux {
             reactor,
             tx: coalescing,
+            shim,
             wire_lost: 0,
+            alive: vec![true; n],
+            initial_caps,
         };
         Ok((mux, rx_addr))
     }
 
-    /// Frames sent and not yet received back (or written off). Saturating:
-    /// a duplicated frame, or someone else's well-formed one, is delivered
-    /// without having been sent.
+    /// Frames sent — and copies the shim added — not yet received back (or
+    /// written off). Saturating: someone else's well-formed frame is
+    /// delivered without having been sent.
     fn in_flight(&self) -> u64 {
         let c = &self.reactor.counters;
-        c.frames_sent
-            .saturating_sub(c.frames_delivered + self.wire_lost)
+        let copies = self.shim.as_ref().map_or(0, |s| s.stats().duplicated);
+        (c.frames_sent + copies).saturating_sub(c.frames_delivered + self.wire_lost)
     }
 
     /// Receive and dispatch until at most `low` frames remain in flight
@@ -310,53 +355,132 @@ impl Mux {
         }
     }
 
-    /// Run `cfg.rounds` rounds and account for them.
-    pub(crate) fn run(mut self, cfg: &MuxConfig) -> MuxSummary {
-        let period = cfg.node.decider.period;
+    /// The round loop: `rounds` rounds. Before round `p`, `before` gets
+    /// the multiplexer and the round's start, `p × period`; after it `cut`
+    /// sees the quiesced books and `p`. Returns the run's accounts.
+    pub fn run(
+        mut self,
+        rounds: u64,
+        mut before: impl FnMut(&mut Mux, SimTime),
+        mut cut: impl FnMut(&Mux, u64),
+    ) -> MuxSummary {
+        let period = self.reactor.engines[0].config().node.decider.period;
         let start = Instant::now();
-        for p in 0..cfg.rounds {
-            let now = SimTime::ZERO + period * (p + 1);
-            for i in 0..cfg.nodes {
-                self.reactor.tick(i, now);
-                if self.in_flight() >= DRAIN_HIGH as u64 {
-                    self.drain_to(DRAIN_LOW, now);
+        for p in 0..rounds {
+            let begin = SimTime::ZERO + period * p;
+            before(&mut self, begin);
+            let now = begin + period;
+            for i in 0..self.alive.len() {
+                if self.alive[i] {
+                    self.reactor.tick(i, now);
+                    if self.in_flight() >= DRAIN_HIGH as u64 {
+                        self.drain_to(DRAIN_LOW, now);
+                    }
                 }
             }
             // Quiesce the round: every in-flight frame dispatched,
             // including the grants and acks that dispatching itself
             // produces.
             self.drain_to(0, now);
+            cut(&self, p);
         }
-        let Mux {
-            reactor,
-            tx,
-            wire_lost,
-        } = self;
-        let engines = &reactor.engines;
-        let total_caps = engines.iter().map(|e| e.cap()).sum();
-        let total_pools = engines.iter().map(|e| e.pool().available()).sum();
-        let total_escrowed = engines.iter().map(|e| e.escrowed_undelivered()).sum();
-        let c = reactor.counters;
+        let engines = &self.reactor.engines;
+        let c = self.reactor.counters;
         MuxSummary {
-            nodes: cfg.nodes,
-            rounds: cfg.rounds,
+            nodes: engines.len(),
+            rounds,
             frames_sent: c.frames_sent,
-            datagrams_sent: tx.datagrams_sent(),
+            datagrams_sent: self.tx.datagrams_sent(),
             frames_delivered: c.frames_delivered,
             injected_drops: c.injected_drops,
-            wire_lost,
+            wire_lost: self.wire_lost,
             send_failed: c.send_failed,
             rejected: c.rejected,
             events: c.events,
-            total_caps,
-            total_pools,
-            total_escrowed,
+            total_caps: engines.iter().map(|e| e.cap()).sum(),
+            total_pools: engines.iter().map(|e| e.pool().available()).sum(),
+            total_escrowed: engines.iter().map(|e| e.escrowed_undelivered()).sum(),
             lost: c.lost,
-            budget: mul_power(cfg.initial_cap, cfg.nodes as u64),
+            budget: self.initial_caps.iter().copied().sum(),
             wall_s: start.elapsed().as_secs_f64(),
-            virtual_secs: SimDuration::from_nanos(period.as_nanos() * cfg.rounds).as_secs_f64(),
-            rtt_samples_ns: reactor.rtt.map(|r| r.samples_ns).unwrap_or_default(),
+            virtual_secs: SimDuration::from_nanos(period.as_nanos() * rounds).as_secs_f64(),
+            rtt_samples_ns: self.reactor.rtt.map(|r| r.samples_ns).unwrap_or_default(),
         }
+    }
+
+    /// Change the fault plane the `tx` shim holds, between rounds.
+    ///
+    /// # Panics
+    /// If the multiplexer sends without a shim ([`MuxConfig::fault`] was
+    /// `None`).
+    pub fn with_faults<T>(&self, f: impl FnOnce(&mut FaultPlane) -> T) -> T {
+        self.shim.as_ref().expect("no fault shim").with_faults(f)
+    }
+
+    /// Kill `node` at `now`, between rounds: it is neither ticked nor
+    /// reachable, and its cap, pool and escrow retire into `lost`. A no-op
+    /// on a node already dead or not in the cluster.
+    pub fn kill(&mut self, node: NodeId, now: SimTime) {
+        if !self.is_alive(node.index()) {
+            return;
+        }
+        self.alive[node.index()] = false;
+        self.with_faults(|plane| plane.kill(node));
+        let reactor = &mut self.reactor;
+        let (pooled, escrowed) = reactor.engines[node.index()].retire();
+        let lost = reactor.engines[node.index()].cap() + pooled + escrowed;
+        reactor.counters.lost += lost;
+        reactor
+            .trace
+            .emit(now, node, || EventKind::NodeKilled { lost });
+    }
+
+    /// Restart a dead `node` at `now`, between rounds: it re-admits
+    /// `min(initial cap, lost)` if that funds a safe cap, under its
+    /// sequence watermark. A no-op otherwise.
+    pub fn restart(&mut self, node: NodeId, now: SimTime) {
+        let i = node.index();
+        if self.alive.get(i) != Some(&false) {
+            return;
+        }
+        let reactor = &mut self.reactor;
+        let readmitted = self.initial_caps[i].min(reactor.counters.lost);
+        if readmitted < reactor.engines[i].config().node.safe_range.min() {
+            return;
+        }
+        reactor.counters.lost -= readmitted;
+        reactor.engines[i].reincarnate(readmitted);
+        reactor.plant.set_cap(i, readmitted, now);
+        self.alive[i] = true;
+        self.with_faults(|plane| plane.revive(node));
+        let restarted = EventKind::NodeRestarted { readmitted };
+        self.reactor.trace.emit(now, node, || restarted);
+    }
+
+    /// The engines, indexed by node.
+    pub fn engines(&self) -> &[NodeEngine] {
+        &self.reactor.engines
+    }
+
+    /// Whether node `i` is in the cluster and alive.
+    pub fn is_alive(&self, i: usize) -> bool {
+        self.alive.get(i) == Some(&true)
+    }
+
+    /// Power retired by kills and stale grants, not yet re-admitted.
+    pub fn lost(&self) -> Power {
+        self.reactor.counters.lost
+    }
+
+    /// Whether the books between rounds are exact: no frame has been
+    /// written off as lost on the wire.
+    pub fn exact(&self) -> bool {
+        self.wire_lost == 0
+    }
+
+    /// The `tx` shim's lifetime counters (zero without a shim).
+    pub fn shim_stats(&self) -> ShimStats {
+        self.shim.as_ref().map(|s| s.stats()).unwrap_or_default()
     }
 }
 
@@ -370,12 +494,7 @@ impl Mux {
 /// reactor sustain thousands of engines.
 pub fn run_multiplexed(cfg: &MuxConfig) -> io::Result<MuxSummary> {
     let (mux, _) = Mux::bind(cfg, |tx| tx)?;
-    Ok(mux.run(cfg))
-}
-
-/// `Power` multiplication by a scalar (no `Mul<u64>` impl upstream).
-fn mul_power(p: Power, n: u64) -> Power {
-    Power::from_milliwatts(p.milliwatts() * n)
+    Ok(mux.run(cfg.rounds, |_, _| {}, |_, _| {}))
 }
 
 #[cfg(test)]
@@ -407,7 +526,7 @@ mod tests {
         assert!(s.frames_delivered > 0, "no datagrams moved");
         // Power actually shifted: some hungry node rose above its share.
         assert!(
-            s.total_caps != mul_power(w(160), 48) || s.total_pools > Power::ZERO,
+            s.total_caps != w(160 * 48) || s.total_pools > Power::ZERO,
             "no power moved anywhere"
         );
         let rtt = s.grant_rtt().expect("round trips completed");
@@ -572,7 +691,7 @@ mod tests {
                     std::thread::sleep(Duration::from_micros(200));
                 }
             });
-            mux.run(&cfg)
+            mux.run(cfg.rounds, |_, _| {}, |_, _| {})
         });
 
         assert!(s.rejected >= 4 * 8, "{} rejected", s.rejected);

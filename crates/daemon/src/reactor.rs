@@ -20,13 +20,14 @@
 //! The reactor reads no clock; its two callers pass `now` in.
 //! [`crate::run_multiplexed`] hosts N engines on a virtual clock, every
 //! table entry its own `rx` socket, and drains to quiescence each round;
-//! [`crate::run_daemon_with_shim`] is the N = 1 case — peers' real
+//! [`crate::run_daemon_with_socket`] is the N = 1 case — peers' real
 //! addresses, one wall-clock origin, real (or simulated) RAPL — receiving
 //! until the next period boundary.
 //!
-//! All sends go through the [`DatagramSocket`] shim, so a test can slot a
-//! deterministic fault plane (`penelope_net::FaultySocket`) under a live
-//! reactor. An injected drop comes back as [`SendStatus::Dropped`]: the
+//! All sends go through the [`DatagramSocket`] shim, so the multiplexer
+//! can slot a fault plane (`penelope_net::FaultySocket`: loss, partitions,
+//! cut links, dead nodes, duplication, delay) under the reactor. An
+//! injected drop or a refused link comes back as [`SendStatus::Dropped`]: the
 //! reactor *knows* the datagram never left, emits `MsgDropped` (or
 //! `AckDropped`), and — for grants — reports the send as not carried, so
 //! the engine escrows the amount as undelivered and reclaims it at the
@@ -57,16 +58,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use penelope_core::{Effects, EngineInput, EngineOutput, NodeEngine, PeerMsg};
-use penelope_net::shim::{DatagramSocket, SendStatus};
+use penelope_net::shim::{frame_endpoints, DatagramSocket, SendStatus, FRAME_HDR};
 use penelope_power::{CappedDevice, LinuxRapl, PowerInterface, SimulatedRapl};
 use penelope_testkit::rng::TestRng;
 use penelope_trace::{EventKind, SharedObserver, Stamper};
 use penelope_units::{NodeId, Power, SimDuration, SimTime};
 
 use crate::wire::{WireMsg, MAX_WIRE_LEN};
-
-/// Frame header: destination node id then source node id, both `u32` LE.
-pub(crate) const FRAME_HDR: usize = 8;
 
 /// Encode one frame, header plus wire message, over whatever `buf` held.
 pub(crate) fn frame_into(buf: &mut Vec<u8>, dst: NodeId, src: NodeId, msg: &WireMsg) {
@@ -78,36 +76,35 @@ pub(crate) fn frame_into(buf: &mut Vec<u8>, dst: NodeId, src: NodeId, msg: &Wire
 
 /// Decode a frame header + body; `None` for runts or garbage bodies.
 pub(crate) fn deframe(buf: &[u8]) -> Option<(NodeId, NodeId, WireMsg)> {
-    let (dst, rest) = buf.split_first_chunk()?;
-    let (src, body) = rest.split_first_chunk()?;
-    let msg = WireMsg::decode(body).ok()?;
-    let id = |bytes: &[u8; 4]| NodeId::new(u32::from_le_bytes(*bytes));
-    Some((id(dst), id(src), msg))
+    let (dst, src) = frame_endpoints(buf)?;
+    let msg = WireMsg::decode(&buf[FRAME_HDR..]).ok()?;
+    Some((dst, src, msg))
 }
 
 /// Where readings come from and actuated caps go.
 pub(crate) enum Plant {
     /// One steady demand per engine; the reading is `min(demand, cap)`.
     Steady(Vec<Power>),
-    /// A simulated RAPL domain around a device model.
-    Simulated(SimulatedRapl<Box<dyn CappedDevice + Send>>),
+    /// One simulated RAPL domain per engine, each around its device
+    /// model; read noise draws from the engine's stream.
+    Simulated(Vec<SimulatedRapl<Box<dyn CappedDevice + Send>>>),
     /// Real Intel RAPL through `/sys/class/powercap`.
     Linux(Box<LinuxRapl>),
 }
 
 impl Plant {
-    fn read(&mut self, i: usize, cap: Power, now: SimTime) -> Power {
+    fn read(&mut self, i: usize, cap: Power, now: SimTime, rng: &mut TestRng) -> Power {
         match self {
             Plant::Steady(demands) => demands[i].min(cap),
-            Plant::Simulated(rapl) => rapl.read_power(now),
+            Plant::Simulated(rapls) => rapls[i].read_power_with(now, rng),
             Plant::Linux(rapl) => rapl.read_power(now),
         }
     }
 
-    pub(crate) fn set_cap(&mut self, cap: Power, now: SimTime) {
+    pub(crate) fn set_cap(&mut self, i: usize, cap: Power, now: SimTime) {
         match self {
             Plant::Steady(_) => {}
-            Plant::Simulated(rapl) => rapl.set_cap(cap, now),
+            Plant::Simulated(rapls) => rapls[i].set_cap(cap, now),
             Plant::Linux(rapl) => rapl.set_cap(cap, now),
         }
     }
@@ -158,7 +155,7 @@ struct Unflushed {
 pub(crate) struct Reactor {
     pub(crate) engines: Vec<NodeEngine>,
     rngs: Vec<TestRng>,
-    plant: Plant,
+    pub(crate) plant: Plant,
     tx: Arc<dyn DatagramSocket>,
     rx: Arc<dyn DatagramSocket>,
     /// Where frames for node `j` are sent, indexed by node id.
@@ -216,6 +213,7 @@ impl Reactor {
     pub(crate) fn drive(&mut self, i: usize, now: SimTime, input: EngineInput) {
         self.counters.events += 1;
         let mut fx = ReactorFx {
+            i,
             me: self.engines[i].id(),
             now,
             plant: &mut self.plant,
@@ -238,7 +236,9 @@ impl Reactor {
         if self.engines[i].escrow_len() > 0 {
             self.drive(i, now, EngineInput::SweepEscrow);
         }
-        let reading = self.plant.read(i, self.engines[i].cap(), now);
+        let reading = self
+            .plant
+            .read(i, self.engines[i].cap(), now, &mut self.rngs[i]);
         self.drive(i, now, EngineInput::Tick { reading });
         reading
     }
@@ -322,8 +322,9 @@ impl Reactor {
     }
 }
 
-/// The reactor's side of one engine step for node `me`.
+/// The reactor's side of one engine step for node `me`, engine `i`.
 struct ReactorFx<'a> {
+    i: usize,
     me: NodeId,
     now: SimTime,
     plant: &'a mut Plant,
@@ -397,7 +398,7 @@ impl Effects<TestRng> for ReactorFx<'_> {
     }
 
     fn actuate(&mut self, cap: Power) {
-        self.plant.set_cap(cap, self.now);
+        self.plant.set_cap(self.i, cap, self.now);
     }
 
     /// Escrow is swept in bulk each tick.
@@ -611,7 +612,7 @@ mod tests {
             tx
         })
         .expect("mux binds");
-        let s = mux.run(&cfg);
+        let s = mux.run(cfg.rounds, |_, _| {}, |_, _| {});
         let double = double.expect("bind wraps the tx socket");
         assert_eq!(double.refusals.load(Ordering::Relaxed), 0, "too few grants");
         let grants_lost = double.grants_lost.load(Ordering::Relaxed);

@@ -3,11 +3,13 @@
 //! (simulated-hardware) power between nodes.
 
 use std::net::UdpSocket;
+use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use penelope_daemon::{run_daemon_with_socket, DaemonConfig, DaemonSummary, WireMsg};
-use penelope_units::Power;
+use penelope_trace::{EventKind, RingBufferObserver, SharedObserver};
+use penelope_units::{NodeId, Power};
 
 fn w(x: u64) -> Power {
     Power::from_watts_u64(x)
@@ -59,6 +61,19 @@ fn launch(sockets: Vec<UdpSocket>, demands: &[u64]) -> Vec<penelope_daemon::Daem
 
 fn stop_all(handles: Vec<penelope_daemon::DaemonHandle>) -> Vec<DaemonSummary> {
     handles.into_iter().map(|h| h.stop()).collect()
+}
+
+/// Poll `done` every few milliseconds until it holds or `limit` passes;
+/// whether it held.
+fn wait_until(limit: Duration, mut done: impl FnMut() -> bool) -> bool {
+    let deadline = Instant::now() + limit;
+    while !done() {
+        if Instant::now() >= deadline {
+            return false;
+        }
+        thread::sleep(Duration::from_millis(5));
+    }
+    true
 }
 
 #[test]
@@ -113,26 +128,119 @@ fn power_shifts_over_real_udp() {
 
 #[test]
 fn urgency_recovers_over_udp() {
-    // A node that donated (demand 100) competes with one hungry peer; its
-    // urgent requests must carry alpha and get served. We verify via the
-    // decider stats that urgent requests actually happened and power came
-    // back (the donor oscillates near its demand rather than pinning at
-    // the 80 W floor).
+    // A node that donated (demand 100) competes with one hungry peer. Once
+    // the peer has drained the donor's pool, the donor — below its initial
+    // cap, short of power — asks urgently and is served. Whether it ever
+    // runs short is up to how the two daemons' ticks interleave on the
+    // wall clock: if its pool is down to 1 W local takes (the pool's lower
+    // limit) when its cap sits at its demand, five takes lift the cap to
+    // exactly demand + ε, the one reading Algorithm 1 leaves unclassified,
+    // and with a steady meter the donor parks there for good with nothing
+    // to ask for. A loaded host made that one run in five. So the test
+    // waits for either end — a grant back on the donor, or the donor parked
+    // at the margin — and holds the donor to its demand in both; the
+    // urgency itself is pinned on the virtual clock
+    // (`a_donor_goes_urgent_and_recovers_on_the_daemon_leg`).
     let sockets = bind_cluster(2);
     let handles = launch(sockets, &[100, 250]);
-    thread::sleep(Duration::from_millis(1500));
+    let margin = w(100) + penelope_core::DeciderConfig::default().epsilon;
+    let settled = wait_until(Duration::from_secs(20), || {
+        let served = !handles[0].counters().applied.is_zero();
+        let parked = handles[0].status_rx.try_iter().any(|s| s.cap == margin);
+        served || parked
+    });
     let summaries = stop_all(handles);
     let donor = &summaries[0];
-    assert!(
-        donor.decider.urgent_sent > 0,
-        "donor never went urgent: {:?}",
-        donor.decider
-    );
-    // Urgency keeps the donor's cap at or above (roughly) its own demand.
+    assert!(settled, "the donor never settled: {:?}", donor.decider);
+    if donor.counters.applied.is_zero() {
+        assert_eq!(
+            (donor.final_cap, donor.decider.requests_sent),
+            (margin, 0),
+            "the donor neither got power back nor parked at the margin"
+        );
+    } else {
+        assert!(
+            donor.decider.urgent_sent > 0,
+            "power came back to the donor without an urgent request: {:?}",
+            donor.decider
+        );
+    }
+    // Either way the donor's cap stays at or above (roughly) its demand.
     assert!(
         donor.final_cap >= w(95),
         "donor stranded below its demand: {}",
         donor.final_cap
+    );
+}
+
+#[test]
+fn a_daemon_restarted_on_its_address_rejoins_above_its_watermark() {
+    // A daemon stopped and started again on the same address, as an
+    // operator restarts a node: its peers keep their static peer lists,
+    // and it resumes from its first incarnation's sequence watermark, so
+    // it never reuses a seq a peer may still hold a grant or an escrow
+    // entry under.
+    let sockets = bind_cluster(2);
+    let addrs: Vec<_> = sockets.iter().map(|s| s.local_addr().unwrap()).collect();
+    let donor_events = Arc::new(RingBufferObserver::unbounded());
+    let mut handles: Vec<_> = sockets
+        .into_iter()
+        .enumerate()
+        .map(|(i, socket)| {
+            let mut cfg = DaemonConfig::demo(addrs[i], vec![addrs[1 - i]], w([100, 250][i]));
+            cfg.node_id = i as u32;
+            if i == 0 {
+                cfg.observer = SharedObserver::from(donor_events.clone());
+            }
+            run_daemon_with_socket(cfg, socket).expect("daemon start")
+        })
+        .collect();
+    let hungry = handles.pop().expect("two daemons");
+    assert!(
+        wait_until(Duration::from_secs(10), || hungry
+            .counters()
+            .requests_sent()
+            > 0),
+        "the hungry node never asked"
+    );
+    let first = hungry.stop();
+    let watermark = first.next_seq;
+    assert!(watermark > 0);
+
+    let reborn_events = Arc::new(RingBufferObserver::unbounded());
+    let mut cfg = DaemonConfig::demo(addrs[1], vec![addrs[0]], w(250));
+    cfg.node_id = 1;
+    cfg.initial_seq = watermark;
+    cfg.observer = SharedObserver::from(reborn_events.clone());
+    let socket = UdpSocket::bind(addrs[1]).expect("rebind the same address");
+    let reborn = run_daemon_with_socket(cfg, socket).expect("restart");
+    let served_reborn = || {
+        donor_events.events().iter().any(|e| {
+            matches!(e.kind, EventKind::RequestServed { requester, seq, .. }
+                if requester == NodeId::new(1) && seq >= watermark)
+        })
+    };
+    assert!(
+        wait_until(Duration::from_secs(10), || served_reborn()
+            && reborn.counters().count("msg_recv") > 0),
+        "the donor and the reborn daemon never heard each other"
+    );
+    let summaries = [handles.pop().expect("the donor").stop(), reborn.stop()];
+    let reborn_seqs: Vec<u64> = reborn_events
+        .events()
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::RequestSent { seq, .. } => Some(seq),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        reborn_seqs.iter().all(|seq| *seq >= watermark),
+        "the reborn daemon reused a seq below {watermark}: {reborn_seqs:?}"
+    );
+    assert_eq!(
+        summaries[0].rejected, 0,
+        "the donor refused the reborn's frames"
     );
 }
 
@@ -284,6 +392,38 @@ fn lone_daemon_survives_without_peers_responding() {
     assert!(summary.iterations > 10, "daemon stalled: {summary:?}");
     assert!(summary.decider.timeouts > 0, "no timeouts recorded");
     assert_eq!(summary.final_cap, w(160), "cap changed with no grants");
+}
+
+#[test]
+fn a_black_hole_peer_is_suspected_then_probed() {
+    // Three cluster slots; slot 1 is a black hole (bound, never served):
+    // the hungry daemon suspects it after timeouts and, once the suspicion
+    // outlives the probe interval, probes it.
+    let sockets = bind_cluster(3);
+    let addrs: Vec<_> = sockets.iter().map(|s| s.local_addr().unwrap()).collect();
+    let launch = |i: usize, demand: u64| {
+        let peers = (0..3).filter(|j| *j != i).map(|j| addrs[j]).collect();
+        let mut cfg = DaemonConfig::demo(addrs[i], peers, w(demand));
+        cfg.node_id = i as u32;
+        cfg.node.decider.probe_interval = penelope_units::SimDuration::from_millis(150);
+        let socket = sockets[i].try_clone().expect("clone socket");
+        run_daemon_with_socket(cfg, socket).expect("daemon start")
+    };
+    let hungry = launch(0, 250);
+    let donor = launch(2, 100);
+    wait_until(Duration::from_secs(10), || {
+        hungry.counters().count("peer_probed") > 0
+    });
+    let counters = hungry.counters();
+    let _ = stop_all(vec![hungry, donor]);
+    assert!(
+        counters.count("peer_suspected") > 0,
+        "daemon never suspected the black-hole peer: {counters:?}"
+    );
+    assert!(
+        counters.count("peer_probed") > 0,
+        "daemon suspicion never expired into a peer_probed event: {counters:?}"
+    );
 }
 
 #[test]

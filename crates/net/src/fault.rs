@@ -2,6 +2,7 @@
 
 use std::collections::HashSet;
 
+use penelope_testkit::rng::Rng;
 use penelope_units::NodeId;
 
 /// The cluster's current fault state: which nodes are dead, how the network
@@ -110,11 +111,29 @@ impl FaultPlane {
         self.drop_rate
     }
 
+    /// Whether the drop rate takes the next message: one draw from the
+    /// sender's `rng` when the rate is non-zero, none otherwise.
+    pub fn loses<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
+        self.drop_rate > 0.0 && rng.gen_bool(self.drop_rate)
+    }
+
+    /// The fault decision for one message from `src` to `dst`, for every
+    /// transport that sends on its own clock (the thread-net and the
+    /// daemon's socket shim): the loss draw comes first, out of the
+    /// sender's `rng`, so with a non-zero drop rate every send draws
+    /// exactly once whether or not the link would have carried it, and a
+    /// sender's loss stream does not depend on who is dead or cut off;
+    /// then the link must connect ([`can_communicate`](Self::can_communicate)).
+    pub fn carries<R: Rng + ?Sized>(&self, src: NodeId, dst: NodeId, rng: &mut R) -> bool {
+        !self.loses(rng) && self.can_communicate(src, dst)
+    }
+
     /// Can a message currently travel from `src` to `dst`?
     ///
     /// Requires both endpoints alive and, if partitioned, co-located in some
-    /// group. (The random drop rate is applied separately by the router so
-    /// it can consume randomness from the caller's RNG.)
+    /// group. (The random drop rate is applied separately, by
+    /// [`carries`](Self::carries) or the simulator's router, so it can
+    /// consume randomness from the caller's RNG.)
     pub fn can_communicate(&self, src: NodeId, dst: NodeId) -> bool {
         if !self.is_alive(src) || !self.is_alive(dst) {
             return false;

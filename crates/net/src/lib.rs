@@ -17,9 +17,10 @@
 //! systems ran over the same Ethernet in the paper's testbed.
 //!
 //! A third flavour serves the one substrate that uses *real* sockets: the
-//! [`shim`] module wraps a UDP socket in a [`DatagramSocket`] trait with a
-//! deterministic fault plane ([`FaultySocket`]), so the daemon's lossy
-//! conformance sweeps run on actual datagrams, and a batching decorator
+//! [`shim`] module wraps a UDP socket in a [`DatagramSocket`] trait with the
+//! same fault plane plus what only a wire adds, duplication and delay
+//! ([`FaultySocket`]), so the daemon's conformance runs meet loss and
+//! partitions on actual datagrams, and a batching decorator
 //! ([`CoalescingSocket`]) that packs many small payloads into one.
 
 #![forbid(unsafe_code)]

@@ -6,9 +6,11 @@
 //! [`DatagramSocket`] abstracts the socket operations the daemon uses
 //! (send, flush, receive, local address, non-blocking mode);
 //! [`UdpSocket`] implements it as a passthrough, and two decorators
-//! compose over it. [`FaultySocket`] adds seeded per-direction loss,
-//! latency, and duplication so conformance sweeps exercise the
-//! escrow/ack machinery on real datagrams. [`CoalescingSocket`] packs
+//! compose over it. [`FaultySocket`] holds a [`FaultPlane`] — the one the
+//! simulator and the thread-net route through — and adds what only a wire
+//! can: seeded per-direction duplication and latency, so conformance runs
+//! exercise partitions, loss and the escrow/ack machinery on real
+//! datagrams. [`CoalescingSocket`] packs
 //! consecutive payloads for one destination into one datagram and
 //! unpacks them on receive, so a process that sends many small payloads
 //! to the same socket pays the kernel once per batch instead of twice
@@ -61,6 +63,11 @@
 //! engine's `GrantOutcome`, escrow the amount as undelivered, and
 //! reclaim it at the deadline, exactly as the simulator's send-side loss
 //! model does. Sends to unregistered destinations pass through unfaulted.
+//!
+//! A payload's fate is the thread-net's [`FaultPlane::carries`] — the loss
+//! draw from the direction's stream, then the link the daemon frame's
+//! `[dst][src]` header names ([`frame_endpoints`]); a payload too short
+//! for a header is on no node's link and meets the loss draw alone.
 
 use std::collections::{BinaryHeap, HashMap};
 use std::io;
@@ -71,8 +78,23 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use penelope_testkit::rng::{node_stream, Rng, TestRng};
+use penelope_units::NodeId;
 
+use crate::fault::FaultPlane;
 use crate::latency::LatencyModel;
+
+/// Bytes of the `[dst: u32 LE][src: u32 LE]` header every daemon frame
+/// starts with.
+pub const FRAME_HDR: usize = 8;
+
+/// The `(dst, src)` a daemon frame's header names, or `None` for a payload
+/// too short to hold one.
+pub fn frame_endpoints(frame: &[u8]) -> Option<(NodeId, NodeId)> {
+    let (dst, rest) = frame.split_first_chunk()?;
+    let (src, _) = rest.split_first_chunk()?;
+    let id = |bytes: &[u8; 4]| NodeId::new(u32::from_le_bytes(*bytes));
+    Some((id(dst), id(src)))
+}
 
 /// What the shim did with a datagram handed to `send_to`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -153,8 +175,10 @@ impl DatagramSocket for UdpSocket {
 pub struct FaultConfig {
     /// Root seed; direction `k` draws from `node_stream(seed, k)`.
     pub seed: u64,
-    /// Drop probability in permille (200 = 20 %).
-    pub drop_permille: u16,
+    /// Loss and connectivity at the start: the drop rate, dead nodes,
+    /// partitions and cut links. The socket keeps it and a caller changes
+    /// it with [`FaultySocket::with_faults`].
+    pub plane: FaultPlane,
     /// Duplication probability in permille; the copy samples its own
     /// delay, so a duplicate can overtake the original (reordering).
     pub dup_permille: u16,
@@ -165,11 +189,13 @@ pub struct FaultConfig {
 }
 
 impl FaultConfig {
-    /// Pure loss, no delay — the conformance sweeps' configuration.
+    /// Pure loss, `drop_permille / 1000`, and no delay.
     pub fn lossy(seed: u64, drop_permille: u16) -> Self {
+        let mut plane = FaultPlane::healthy();
+        plane.set_drop_rate(f64::from(drop_permille) / 1000.0);
         FaultConfig {
             seed,
-            drop_permille,
+            plane,
             dup_permille: 0,
             latency: None,
         }
@@ -177,10 +203,10 @@ impl FaultConfig {
 }
 
 /// The fate of one datagram, fully determined by (seed, direction slot,
-/// packet index).
+/// packet index) and the plane it was sent under.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PacketFate {
-    /// Dropped before reaching the network.
+    /// Dropped before reaching the network: lost, or refused by the link.
     pub drop: bool,
     /// Delay before the original copy is handed to the OS.
     pub delay_ns: u64,
@@ -193,7 +219,6 @@ pub struct PacketFate {
 #[derive(Clone, Debug)]
 pub struct DirectionPlan {
     rng: TestRng,
-    drop_p: f64,
     dup_p: f64,
     latency: Option<LatencyModel>,
 }
@@ -203,17 +228,22 @@ impl DirectionPlan {
     pub fn new(cfg: &FaultConfig, slot: u64) -> Self {
         DirectionPlan {
             rng: TestRng::seed_from_u64(node_stream(cfg.seed, slot)),
-            drop_p: f64::from(cfg.drop_permille) / 1000.0,
             dup_p: f64::from(cfg.dup_permille) / 1000.0,
             latency: cfg.latency.clone(),
         }
     }
 
-    /// Decide the next packet's fate. The draw order per packet is fixed
-    /// (drop, then delay, then duplicate, then the duplicate's delay), so
-    /// the schedule is a pure function of the stream.
-    pub fn next_fate(&mut self) -> PacketFate {
-        if self.drop_p > 0.0 && self.rng.gen_bool(self.drop_p) {
+    /// Decide the next packet's fate under `plane`, for a payload on the
+    /// `(dst, src)` link (`None`: on no node's link). The draw order per
+    /// packet is fixed (the plane's loss, then delay, then duplicate, then
+    /// the duplicate's delay), so the schedule is a pure function of the
+    /// stream and the plane.
+    pub fn next_fate(&mut self, plane: &FaultPlane, link: Option<(NodeId, NodeId)>) -> PacketFate {
+        let carried = match link {
+            Some((dst, src)) => plane.carries(src, dst, &mut self.rng),
+            None => !plane.loses(&mut self.rng),
+        };
+        if !carried {
             return PacketFate {
                 drop: true,
                 delay_ns: 0,
@@ -289,10 +319,12 @@ struct Directions {
     slots: HashMap<SocketAddr, usize>,
     plans: Vec<DirectionPlan>,
     stamp: u64,
+    plane: FaultPlane,
 }
 
 /// A [`DatagramSocket`] that wraps a real socket with a deterministic
-/// fault plane: seeded per-direction drop, delay, and duplication.
+/// fault plane: a [`FaultPlane`] (loss, dead nodes, partitions, cut
+/// links) and seeded per-direction delay and duplication.
 /// Receives pass through untouched (loss is injected on the send side,
 /// where the outcome is knowable). See the module docs for the
 /// determinism contract.
@@ -316,7 +348,8 @@ impl FaultySocket {
 
     /// The fault plane described by `cfg` over any socket: fates are
     /// drawn per payload here, and what survives goes to `inner`.
-    pub fn over(inner: Arc<dyn DatagramSocket>, cfg: FaultConfig) -> Self {
+    pub fn over(inner: Arc<dyn DatagramSocket>, mut cfg: FaultConfig) -> Self {
+        let plane = std::mem::take(&mut cfg.plane);
         FaultySocket {
             inner,
             cfg,
@@ -324,6 +357,7 @@ impl FaultySocket {
                 slots: HashMap::new(),
                 plans: Vec::new(),
                 stamp: 0,
+                plane,
             }),
             queue: Arc::new(DelayQueue {
                 heap: Mutex::new((BinaryHeap::new(), false)),
@@ -352,6 +386,11 @@ impl FaultySocket {
         dirs.plans.push(plan);
         dirs.slots.insert(addr, slot);
         slot
+    }
+
+    /// Change the plane every later payload is sent under.
+    pub fn with_faults<T>(&self, f: impl FnOnce(&mut FaultPlane) -> T) -> T {
+        f(&mut lock_shim(&self.directions, "directions").plane)
     }
 
     /// Lifetime fault counters.
@@ -460,12 +499,14 @@ impl Drop for FaultySocket {
 impl DatagramSocket for FaultySocket {
     fn send_to(&self, buf: &[u8], dst: SocketAddr) -> io::Result<SendStatus> {
         let fate = {
-            let mut dirs = lock_shim(&self.directions, "directions");
+            let mut guard = lock_shim(&self.directions, "directions");
+            let dirs = &mut *guard;
             match dirs.slots.get(&dst).copied() {
                 None => None, // unregistered: passthrough
                 Some(slot) => {
                     dirs.stamp += 1;
-                    Some((dirs.plans[slot].next_fate(), dirs.stamp))
+                    let fate = dirs.plans[slot].next_fate(&dirs.plane, frame_endpoints(buf));
+                    Some((fate, dirs.stamp))
                 }
             }
         };
@@ -671,19 +712,18 @@ mod tests {
 
     fn fates(cfg: &FaultConfig, slot: u64, n: usize) -> Vec<PacketFate> {
         let mut plan = DirectionPlan::new(cfg, slot);
-        (0..n).map(|_| plan.next_fate()).collect()
+        (0..n).map(|_| plan.next_fate(&cfg.plane, None)).collect()
     }
 
     #[test]
     fn same_seed_same_schedule() {
         let cfg = FaultConfig {
-            seed: 0xBEEF,
-            drop_permille: 250,
             dup_permille: 100,
             latency: Some(LatencyModel::Uniform {
                 lo: SimDuration::from_micros(100),
                 hi: SimDuration::from_micros(900),
             }),
+            ..FaultConfig::lossy(0xBEEF, 250)
         };
         for slot in 0..4 {
             assert_eq!(fates(&cfg, slot, 256), fates(&cfg, slot, 256));
@@ -773,10 +813,8 @@ mod tests {
         let tx = FaultySocket::new(
             UdpSocket::bind("127.0.0.1:0").expect("bind tx"),
             FaultConfig {
-                seed: 5,
-                drop_permille: 0,
-                dup_permille: 0,
                 latency: Some(LatencyModel::Constant(SimDuration::from_millis(10_000))),
+                ..FaultConfig::lossy(5, 0)
             },
         );
         tx.register_peer(rx_addr);
@@ -814,6 +852,46 @@ mod tests {
             got += 1;
         }
         assert_eq!(got, 8);
+    }
+
+    /// The plane's links bind framed payloads by the ids in their header:
+    /// a cut link refuses its frames from the moment it is cut until it
+    /// heals, every other link carries, and a payload too short to name a
+    /// link meets the loss draw alone.
+    #[test]
+    fn a_cut_link_refuses_the_frames_its_header_names() {
+        let (rx, rx_addr) = bound(200);
+        let tx = FaultySocket::new(
+            UdpSocket::bind("127.0.0.1:0").expect("bind tx"),
+            FaultConfig::lossy(7, 0),
+        );
+        tx.register_peer(rx_addr);
+        let frame = |dst: u32, src: u32| {
+            let mut buf = dst.to_le_bytes().to_vec();
+            buf.extend_from_slice(&src.to_le_bytes());
+            buf.push(0xAB);
+            buf
+        };
+        let send = |payload: &[u8]| tx.send_to(payload, rx_addr).expect("send");
+        assert_eq!(
+            frame_endpoints(&frame(2, 1)),
+            Some((NodeId::new(2), NodeId::new(1)))
+        );
+        assert_eq!(frame_endpoints(&[1, 2, 3]), None);
+
+        tx.with_faults(|plane| plane.cut_link(NodeId::new(1), NodeId::new(2)));
+        assert_eq!(send(&frame(2, 1)), SendStatus::Dropped, "the cut direction");
+        assert_eq!(send(&frame(1, 2)), SendStatus::Sent, "the other direction");
+        assert_eq!(send(&frame(3, 1)), SendStatus::Sent, "another link");
+        assert_eq!(send(&[9]), SendStatus::Sent, "on no node's link");
+        tx.with_faults(|plane| plane.heal_link(NodeId::new(1), NodeId::new(2)));
+        assert_eq!(send(&frame(2, 1)), SendStatus::Sent, "healed");
+        tx.with_faults(|plane| plane.kill(NodeId::new(3)));
+        assert_eq!(send(&frame(3, 1)), SendStatus::Dropped, "to a dead node");
+        assert_eq!(send(&frame(1, 3)), SendStatus::Dropped, "from a dead node");
+
+        assert_eq!(tx.stats().injected_drops, 3);
+        assert_eq!(payloads(&rx).len(), 4);
     }
 
     /// A bound socket with a read timeout, and its address.

@@ -71,10 +71,8 @@ impl<M: Send> ThreadNet<M> {
     /// message was lost to the fault plane's drop rate or refused (dead
     /// endpoint, partition, unknown destination).
     ///
-    /// The loss draw comes out of the caller's `rng`, and comes first: with
-    /// a non-zero drop rate every send draws exactly once, whether or not
-    /// the link would have carried it, so a sender's loss stream does not
-    /// depend on who is dead or cut off. In-process channel delivery is
+    /// The fault decision is [`FaultPlane::carries`], with the loss drawn
+    /// from the caller's `rng`. In-process channel delivery is
     /// effectively instant, matching the sub-millisecond LAN of the paper's
     /// testbed, so `deliver_at == sent_at` here.
     pub fn send<R: Rng + ?Sized>(
@@ -85,12 +83,8 @@ impl<M: Send> ThreadNet<M> {
         now: SimTime,
         rng: &mut R,
     ) -> bool {
-        {
-            let faults = self.inner.faults.read().unwrap();
-            let p = faults.drop_rate();
-            if (p > 0.0 && rng.gen_bool(p)) || !faults.can_communicate(src, dst) {
-                return false;
-            }
+        if !self.inner.faults.read().unwrap().carries(src, dst, rng) {
+            return false;
         }
         let Some(tx) = self.inner.senders.get(dst.index()) else {
             return false;

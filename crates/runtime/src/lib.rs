@@ -17,8 +17,9 @@
 //! discrete-event queue can use (latency and service models, queue
 //! capacities, tick jitter), and its per-node streams are derived the
 //! same way ([`node_seed`]) — so on a zero-latency, jitter-free simulator
-//! the two emit equal protocol-event streams per seed. The free-running,
-//! wall-clock substrate is `penelope-daemon`.
+//! the two emit equal protocol-event streams per seed. The third
+//! substrate is `penelope-daemon`'s reactor, multiplexed on loopback
+//! datagrams.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -224,16 +225,9 @@ impl Shared {
             .map(|(i, engine)| {
                 let e = engine.lock().unwrap();
                 escrowed += e.escrowed_undelivered();
-                let pool = e.pool();
-                NodeSnapshot {
-                    node: i as u32,
-                    alive: self.alive[i].load(Ordering::SeqCst),
-                    cap: Power::from_milliwatts(self.caps_mw[i].load(Ordering::SeqCst)),
-                    pool_available: pool.available(),
-                    pool_deposited: pool.total_deposited(),
-                    pool_granted: pool.total_granted() + pool.total_taken_local(),
-                    pool_drained: pool.total_drained(),
-                }
+                let alive = self.alive[i].load(Ordering::SeqCst);
+                let cap = Power::from_milliwatts(self.caps_mw[i].load(Ordering::SeqCst));
+                NodeSnapshot::of(i as u32, alive, cap, e.pool())
             })
             .collect();
         Snapshot {
@@ -256,23 +250,18 @@ struct Coordinator<'a> {
 }
 
 impl Coordinator<'_> {
+    /// Connectivity and the drop rate land on the thread-net's plane (each
+    /// sender draws the rate against its own loss stream,
+    /// [`ThreadNet::send`]); kills and restarts are the books'.
     fn apply(&self, action: &FaultAction) {
-        let net = self.net;
+        if self.net.with_faults(|plane| action.apply(plane)) {
+            return;
+        }
         match action {
             FaultAction::Kill(node) => self.kill(*node),
             FaultAction::Restart(node) => self.restart(*node),
-            FaultAction::Partition(groups) => {
-                let groups = groups.iter().map(|g| g.iter().copied().collect());
-                net.with_faults(|f| f.partition(groups.collect()));
-            }
-            FaultAction::PartitionLink { from, to } => net.with_faults(|f| f.cut_link(*from, *to)),
-            FaultAction::HealLink { from, to } => net.with_faults(|f| f.heal_link(*from, *to)),
-            FaultAction::Heal => net.with_faults(|f| f.heal_partitions()),
-            // Held on the plane; each sender draws it against its own
-            // loss stream ([`ThreadNet::send`]).
-            FaultAction::SetDropRate(rate) => net.with_faults(|f| f.set_drop_rate(*rate)),
             // A Penelope cluster has no server.
-            FaultAction::KillServer => {}
+            _ => {}
         }
     }
 

@@ -2,6 +2,7 @@
 
 use penelope_core::{
     fair_assignment, Effects, EngineConfig, EngineInput, EngineOutput, NodeEngine, PeerMsg,
+    PoolConfig, PowerPool,
 };
 use penelope_metrics::{Figures, MetricsCollector};
 use penelope_net::{RouteOutcome, SimNet};
@@ -325,29 +326,16 @@ impl ClusterSim {
     /// held outside any client node), so zero-sum accounting holds for
     /// every system kind.
     pub fn conformance_snapshot(&self, period: u64) -> Snapshot {
+        // Managers without a pool report an empty one.
+        let no_pool = PowerPool::new(PoolConfig::default());
         let nodes = (0..self.nodes.len())
             .map(|i| {
-                let (available, deposited, granted, drained) = match &self.nodes.manager[i] {
-                    Manager::Penelope { engine, .. } => {
-                        let pool = engine.pool();
-                        (
-                            pool.available(),
-                            pool.total_deposited(),
-                            pool.total_granted() + pool.total_taken_local(),
-                            pool.total_drained(),
-                        )
-                    }
-                    _ => (Power::ZERO, Power::ZERO, Power::ZERO, Power::ZERO),
+                let pool = match &self.nodes.manager[i] {
+                    Manager::Penelope { engine, .. } => engine.pool(),
+                    _ => &no_pool,
                 };
-                NodeSnapshot {
-                    node: i as u32,
-                    alive: self.is_alive(NodeId::new(i as u32)),
-                    cap: self.nodes.cap(i),
-                    pool_available: available,
-                    pool_deposited: deposited,
-                    pool_granted: granted,
-                    pool_drained: drained,
-                }
+                let alive = self.is_alive(NodeId::new(i as u32));
+                NodeSnapshot::of(i as u32, alive, self.nodes.cap(i), pool)
             })
             .collect();
         let server_cache: Power = self
@@ -680,6 +668,9 @@ impl ClusterSim {
     }
 
     fn handle_fault(&mut self, action: FaultAction) {
+        if action.apply(self.net.faults_mut()) {
+            return;
+        }
         match action {
             FaultAction::Kill(id) => self.kill_node(id),
             FaultAction::Restart(id) => self.restart_node(id),
@@ -688,22 +679,7 @@ impl ClusterSim {
                     self.kill_node(id);
                 }
             }
-            FaultAction::Partition(groups) => {
-                self.net.faults_mut().partition(
-                    groups
-                        .into_iter()
-                        .map(|g| g.into_iter().collect())
-                        .collect(),
-                );
-            }
-            FaultAction::PartitionLink { from, to } => {
-                self.net.faults_mut().cut_link(from, to);
-            }
-            FaultAction::HealLink { from, to } => {
-                self.net.faults_mut().heal_link(from, to);
-            }
-            FaultAction::Heal => self.net.faults_mut().heal_partitions(),
-            FaultAction::SetDropRate(p) => self.net.faults_mut().set_drop_rate(p),
+            _ => {}
         }
     }
 

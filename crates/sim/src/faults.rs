@@ -1,5 +1,6 @@
 //! Scripted fault injection.
 
+use penelope_net::FaultPlane;
 use penelope_units::{NodeId, SimTime};
 
 /// A fault (or repair) that can be injected into a running cluster.
@@ -41,6 +42,28 @@ pub enum FaultAction {
     Heal,
     /// Set the background random message-loss probability.
     SetDropRate(f64),
+}
+
+impl FaultAction {
+    /// The one reading of a fault onto a transport: connectivity and loss
+    /// land on `plane` and `true` comes back. A kill or a restart touches
+    /// nothing and returns `false`: a node's lifecycle is the driver's,
+    /// which marks the plane itself once its books are done.
+    pub fn apply(&self, plane: &mut FaultPlane) -> bool {
+        match self {
+            FaultAction::Kill(_) | FaultAction::KillServer | FaultAction::Restart(_) => {
+                return false
+            }
+            FaultAction::Partition(groups) => {
+                plane.partition(groups.iter().map(|g| g.iter().copied().collect()).collect());
+            }
+            FaultAction::PartitionLink { from, to } => plane.cut_link(*from, *to),
+            FaultAction::HealLink { from, to } => plane.heal_link(*from, *to),
+            FaultAction::Heal => plane.heal_partitions(),
+            FaultAction::SetDropRate(rate) => plane.set_drop_rate(*rate),
+        }
+        true
+    }
 }
 
 /// A time-ordered script of fault injections, installed into the simulator
@@ -201,6 +224,33 @@ mod tests {
                 other => panic!("unexpected action {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn connectivity_lands_on_the_plane_and_lifecycle_comes_back() {
+        let (a, b) = (NodeId::new(0), NodeId::new(1));
+        let mut plane = FaultPlane::healthy();
+        assert!(FaultAction::Partition(vec![vec![a], vec![b]]).apply(&mut plane));
+        assert!(!plane.can_communicate(a, b));
+        assert!(FaultAction::Heal.apply(&mut plane));
+        assert!(FaultAction::PartitionLink { from: a, to: b }.apply(&mut plane));
+        assert!(!plane.can_communicate(a, b) && plane.can_communicate(b, a));
+        assert!(FaultAction::HealLink { from: a, to: b }.apply(&mut plane));
+        assert!(FaultAction::SetDropRate(0.25).apply(&mut plane));
+        assert_eq!(plane.drop_rate(), 0.25);
+        assert!(plane.can_communicate(a, b) && !plane.is_partitioned());
+
+        for action in [
+            FaultAction::Kill(b),
+            FaultAction::KillServer,
+            FaultAction::Restart(b),
+        ] {
+            assert!(!action.apply(&mut plane), "{action:?} is the driver's");
+        }
+        assert!(
+            plane.is_alive(b),
+            "the driver marks the plane, not the reading"
+        );
     }
 
     #[test]

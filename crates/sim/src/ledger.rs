@@ -1,5 +1,6 @@
 //! The power-conservation ledger.
 
+use penelope_core::PowerPool;
 use penelope_units::Power;
 
 /// Tracks power that is neither on a node nor in the server cache: grants
@@ -107,10 +108,25 @@ pub struct NodeSnapshot {
     pub pool_drained: Power,
 }
 
+impl NodeSnapshot {
+    /// Node `node`'s row: its cap, and the books of its pool.
+    pub fn of(node: u32, alive: bool, cap: Power, pool: &PowerPool) -> Self {
+        NodeSnapshot {
+            node,
+            alive,
+            cap,
+            pool_available: pool.available(),
+            pool_deposited: pool.total_deposited(),
+            pool_granted: pool.total_granted() + pool.total_taken_local(),
+            pool_drained: pool.total_drained(),
+        }
+    }
+}
+
 /// The cluster's books at one period boundary, as a substrate reports
 /// them: the [`Ledger`]'s equation with its live sums spelled out per
 /// node, so a checker outside the substrate can re-add them.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Snapshot {
     /// Period index (0-based).
     pub period: u64,

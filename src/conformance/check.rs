@@ -12,12 +12,13 @@
 //! 5. **No peer loss** — unless the script kills a node, nothing is ever
 //!    booked as lost.
 //!
-//! Snapshots carry a `consistent_cut` flag because only some substrates
-//! can produce a consistent global state: the simulator trivially
-//! (single-threaded), the threaded runtime via a per-period barrier. The
-//! UDP daemons report per-node snapshots sampled asynchronously, so
-//! cross-node sums are only checked at the quiescent end there; the
-//! per-node invariants (2) and (3) are still checked every period.
+//! Every substrate cuts a consistent global state each period: the
+//! simulator trivially (single-threaded), the threaded runtime via a
+//! per-period barrier, the multiplexed daemon by pumping each round until
+//! every frame has landed. A snapshot still carries a `consistent_cut`
+//! flag, because the daemon's kernel can lose a datagram the round then
+//! writes off; from then on its cross-node sums are only checked at the
+//! end, while the per-node invariants (2) and (3) hold every period.
 
 use std::fmt;
 

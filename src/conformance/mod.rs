@@ -17,15 +17,23 @@
 //!   driven in lockstep periods by barriers. The barrier at each period
 //!   boundary guarantees no message is in flight, so these snapshots are
 //!   consistent cuts too — from genuinely concurrent code.
-//! * [`UdpDaemonSubstrate`] — full `penelope-daemon` processes-in-threads
-//!   on UDP loopback sockets, free-running on the wall clock. Nodes are
-//!   sampled asynchronously, so snapshots are *not* consistent cuts;
-//!   per-node invariants are checked every period and the global sums
-//!   only at the quiescent end state.
+//! * [`MultiplexedDaemon`] — the daemon's own code: its `Reactor`, wire
+//!   format and real UDP datagrams on loopback, every node's engine behind
+//!   one socket pair (`penelope_daemon::Mux`), stepped one period at a
+//!   time on the virtual clock. Each round is pumped until every frame
+//!   has landed, so its snapshots are consistent cuts too —
+//!   unless the kernel lost a datagram, after which the cuts say they are
+//!   not. Its socket shim adds what only a wire can: duplication and
+//!   wall-clock delay.
 //!
 //! All three run the *same* `NodeEngine` through the same executor
-//! (`NodeEngine::step`); only what each substrate's `Effects` do — power
-//! delivery, transport — and the clock differ. [`check_run`] holds every
+//! (`NodeEngine::step`) and read the [`FaultScript`] onto the same
+//! `penelope_net::FaultPlane` (`FaultAction::apply`); only what each
+//! substrate's `Effects` do — power delivery, transport — and the clock
+//! differ. A seed fixes a run on every substrate, except for the
+//! daemon's wire delays. The per-node daemon on the wall clock is not a
+//! conformance substrate; `penelope-daemon`'s `udp_cluster` tests smoke
+//! it on real sockets. [`check_run`] holds every
 //! run to the safety invariants ([`Invariant`]), [`check_divergence`]
 //! bounds how far two substrates may drift for the same seed,
 //! [`run_conformance`] does both across a substrate list, and [`oracle`]
@@ -34,6 +42,7 @@
 
 use std::sync::Arc;
 
+use penelope_net::FaultPlane;
 use penelope_runtime::{run_lockstep, LockstepConfig};
 use penelope_sim::{ClusterConfig, ClusterSim, FaultAction, FaultScript, SystemKind};
 use penelope_trace::{
@@ -53,7 +62,7 @@ pub use check::{
     check_divergence, check_run, run_conformance, ConformanceReport, DivergenceBound, Invariant,
     Violation,
 };
-pub use daemon::UdpDaemonSubstrate;
+pub use daemon::MultiplexedDaemon;
 pub use penelope_sim::{NodeSnapshot, Snapshot};
 
 /// The decision period of every scenario: the one clock faults are
@@ -88,15 +97,14 @@ pub struct Scenario {
     /// One workload per node; the cluster has `profiles.len()` nodes.
     pub profiles: Vec<Profile>,
     /// The fault schedule, period-stamped ([`at_period`]). The simulator
-    /// installs it, the lockstep coordinator applies each period's share
-    /// of it, and the daemon adapter walks its kill, restart and
-    /// time-zero drop-rate legs.
+    /// installs it; the lockstep coordinator and the multiplexed daemon
+    /// apply each period's share of it between periods.
     pub faults: FaultScript,
     /// Duplication probability on every link, in permille. A copy samples
     /// its own delay, so duplicates can overtake originals. Only a real
     /// wire can duplicate, so this has no `FaultAction`: the daemon
     /// substrate honours it on real datagrams through the socket shim and
-    /// the deterministic substrates ignore it.
+    /// the simulator and the lockstep runtime ignore it.
     pub dup_permille: u16,
     /// Upper bound of the uniform per-datagram delay (reordering), in
     /// milliseconds; 0 = none. Wire-only, like `dup_permille`.
@@ -217,13 +225,13 @@ impl Scenario {
     /// script's last `SetDropRate` stamped at or before its start.
     pub fn drop_rate_in(&self, period: u64) -> f64 {
         let start = at_period(period);
-        let mut rate = 0.0;
+        let mut plane = FaultPlane::healthy();
         for (at, action) in self.faults.in_firing_order() {
-            if let (true, FaultAction::SetDropRate(r)) = (at <= start, action) {
-                rate = r;
+            if at <= start {
+                action.apply(&mut plane);
             }
         }
-        rate
+        plane.drop_rate()
     }
 }
 
@@ -294,7 +302,7 @@ pub trait Substrate {
 }
 
 // ---------------------------------------------------------------------
-// Substrates 1 and 2: the deterministic pair
+// Substrates 1 and 2: the simulator and the lockstep runtime
 // ---------------------------------------------------------------------
 
 /// Total messages a substrate's transport attempted over a run: delivered
@@ -316,7 +324,8 @@ fn with_drop_counter(scenario: &Scenario) -> (ClusterConfig, Arc<CounterObserver
     (cfg, counter)
 }
 
-/// A deterministic substrate's run, from its consistent cuts.
+/// A substrate's run from its per-period cuts, with drops counted off
+/// the events.
 fn cut_run(
     substrate: &str,
     snapshots: Vec<Snapshot>,
@@ -331,8 +340,9 @@ fn cut_run(
         final_total: end.accounted_live() + end.lost,
         injected_drops: Some(counted.count("msg_dropped") + counted.count("ack_dropped")),
         send_attempts: Some(send_attempts(counted)),
-        // Neither transport can duplicate or reorder: the DES delivers by
-        // timestamp, the thread-net in order and exactly once.
+        // The DES delivers by timestamp and the thread-net in order and
+        // exactly once; only the daemon leg's socket shim can duplicate or
+        // delay, and that leg fills these in over this default.
         duplicated: None,
         delayed: None,
     }
@@ -442,10 +452,11 @@ pub fn lossy_scenario(seed: u64, drop_permille: u16, periods: u64) -> Scenario {
 
 /// Full wire-fault scenario: loss plus duplication plus delay-reordering
 /// on every link. On the daemon substrate all three legs run on real
-/// datagrams through the socket shim; the deterministic substrates model
-/// the loss leg only. Nothing dies, so `lost` must stay exactly zero and
-/// every duplicate delivery must be absorbed idempotently (the engine's
-/// seq dedup and acked-floor guards are exactly what this shakes out).
+/// datagrams through the socket shim; the simulator and the lockstep
+/// runtime model the loss leg only. Nothing dies, so `lost` must stay
+/// exactly zero and every duplicate delivery must be absorbed
+/// idempotently (the engine's seq dedup and acked-floor guards are exactly
+/// what this shakes out).
 pub fn lossy_wire_scenario(
     seed: u64,
     drop_permille: u16,

@@ -25,7 +25,9 @@
 //! one thread scope per run, and a fourteenth holds the workspace to one
 //! property-test vocabulary, `penelope_testkit::prop`, and a fifteenth
 //! holds the Fig. 4–8 metrics to one path: only `penelope-metrics` feeds
-//! a turnaround, oscillation or redistribution sample.
+//! a turnaround, oscillation or redistribution sample, and a sixteenth
+//! holds the fault script to one reading onto a `FaultPlane`: one shipped
+//! function matches `FaultAction`'s connectivity arms.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -836,6 +838,131 @@ fn a_scenario_is_a_fault_script_and_nothing_translates_it() {
             path.strip_prefix(root).unwrap_or(path).display()
         );
     }
+}
+
+/// `FaultAction`'s variants that a transport's fault plane carries out.
+const CONNECTIVITY_ARMS: &[&str] = &[
+    "Partition",
+    "PartitionLink",
+    "HealLink",
+    "Heal",
+    "SetDropRate",
+];
+
+/// The functions of `text` that match one of [`CONNECTIVITY_ARMS`]: a
+/// `match` arm, an `if let`/`let … else` pattern (tuples included) or a
+/// `matches!`. Building an action — as an argument, a value, an element —
+/// is not a match. Each name is the nearest `fn` above the pattern.
+fn connectivity_readers(text: &str) -> Vec<&str> {
+    let mut found = Vec::new();
+    for (at, _) in text.match_indices("FaultAction::") {
+        let rest = &text[at + "FaultAction::".len()..];
+        let arm = &rest[..rest.find(|c| !is_ident_char(c)).unwrap_or(rest.len())];
+        if !CONNECTIVITY_ARMS.contains(&arm) {
+            continue;
+        }
+        // Skip the arm's fields, then whatever closes around it.
+        let mut after = rest[arm.len()..].trim_start();
+        if let Some(open) = after.chars().next().filter(|c| *c == '(' || *c == '{') {
+            let close = if open == '(' { ')' } else { '}' };
+            let mut depth = 0;
+            for (i, c) in after.char_indices() {
+                depth += i32::from(c == open) - i32::from(c == close);
+                if depth == 0 {
+                    after = &after[i + 1..];
+                    break;
+                }
+            }
+        }
+        let after = after.trim_start_matches(|c: char| c.is_whitespace() || c == ')' || c == ']');
+        let line_start = text[..at].rfind('\n').map_or(0, |i| i + 1);
+        let in_matches = text[line_start..at].contains("matches!(");
+        let pattern = after.starts_with("=>")
+            || after.starts_with('|')
+            || after.starts_with("if ")
+            || (after.starts_with('=') && !after.starts_with("=="))
+            || in_matches;
+        if pattern {
+            let name = text[..at].rfind("fn ").map_or("", |f| {
+                let name = &text[f + 3..];
+                &name[..name.find(|c| !is_ident_char(c)).unwrap_or(name.len())]
+            });
+            if !found.contains(&name) {
+                found.push(name);
+            }
+        }
+    }
+    found
+}
+
+/// A fault script reaches a transport in one place: `FaultAction::apply`
+/// puts connectivity and loss on a `FaultPlane` and hands kills and
+/// restarts back. The simulator, the lockstep coordinator and the daemon
+/// adapter once each matched the arms themselves — the adapter by
+/// refusing every one its socket shim could not express.
+#[test]
+fn a_fault_script_has_one_reading_onto_a_fault_plane() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for tree in ["src", "crates", "examples"] {
+        rust_sources(&root.join(tree), &mut files);
+    }
+    assert!(files.len() >= 80, "found only {} sources", files.len());
+    let mut readers = Vec::new();
+    for path in &files {
+        if path.components().any(|c| c.as_os_str() == "tests") {
+            continue;
+        }
+        let text = fs::read_to_string(path).expect("readable source file");
+        let name = path.strip_prefix(root).unwrap_or(path).display();
+        for reader in connectivity_readers(non_test_part(&text)) {
+            readers.push(format!("{name}: {reader}"));
+        }
+    }
+    assert_eq!(
+        readers,
+        ["crates/sim/src/faults.rs: apply"],
+        "shipped code reads a fault's connectivity arms outside `FaultAction::apply`"
+    );
+}
+
+#[test]
+fn connectivity_reader_detection_sees_the_shapes_it_replaced() {
+    let old = "    fn handle_fault(&mut self, action: FaultAction) {\n        match action {\n            \
+               FaultAction::Kill(id) => self.kill_node(id),\n            \
+               FaultAction::PartitionLink { from, to } => {\n                \
+               self.net.faults_mut().cut_link(from, to);\n            }\n        }\n    }\n\
+               fn apply(&self, action: &FaultAction) {\n        match action {\n            \
+               FaultAction::Heal => net.with_faults(|f| f.heal_partitions()),\n        }\n    }\n\
+               fn run(&self, scenario: &Scenario) {\n            match action {\n                \
+               FaultAction::SetDropRate(rate) if *at == SimTime::ZERO => {}\n            }\n    }\n\
+               pub fn drop_rate_in(&self, period: u64) -> f64 {\n            \
+               if let (true, FaultAction::SetDropRate(r)) = (at <= start, action) {\n            }\n    }\n\
+               fn is_cut(action: &FaultAction) -> bool {\n    \
+               matches!(action, FaultAction::Partition(_))\n}\n\
+               fn split() -> FaultAction {\n    let FaultAction::Partition(groups) = a else { return };\n}";
+    assert_eq!(
+        connectivity_readers(old),
+        [
+            "handle_fault",
+            "apply",
+            "run",
+            "drop_rate_in",
+            "is_cut",
+            "split"
+        ]
+    );
+    // Building actions — as arguments, values and elements — and matching
+    // only the lifecycle arms are not readings of connectivity.
+    let new =
+        "fn split(split_at: u32) -> FaultAction {\n    FaultAction::Partition(vec![\n        \
+               (0..split_at).map(NodeId::new).collect(),\n    ])\n}\n\
+               fn dropping(mut self) -> Scenario {\n        \
+               self.faults = self.faults.at(SimTime::ZERO, FaultAction::SetDropRate(rate));\n}\n\
+               fn heals() -> Vec<FaultAction> {\n    let heal = FaultAction::Heal;\n    \
+               vec![FaultAction::Heal, FaultAction::HealLink { from, to }, heal]\n}\n\
+               fn kills(&self) -> bool {\n    matches!(action, FaultAction::Kill(_))\n}";
+    assert_eq!(connectivity_readers(new), [""; 0]);
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! Cross-substrate conformance: the same scenarios on the DES simulator,
-//! the lockstep threaded runtime, and real UDP daemons, with the safety
-//! invariants checked every period and sim↔runtime divergence bounded.
+//! the lockstep threaded runtime, and the daemon's reactor multiplexed on
+//! real UDP datagrams, with the safety invariants checked every period and
+//! sim↔runtime divergence bounded.
 //!
 //! These are the tentpole tests of the conformance harness: if any
 //! substrate mints power, lets a cap escape the safe range, or unbalances
@@ -8,12 +9,15 @@
 //! seed.
 
 use penelope::conformance::{
-    check_run, node_fault_scenario, noisy_power_scenario, nominal_scenario, run_conformance,
-    DivergenceBound, Invariant, LockstepRuntime, NodeSnapshot, Scenario, SimSubstrate, Snapshot,
-    Substrate, SubstrateRun, UdpDaemonSubstrate,
+    at_period, check_run, churn_scenario, lossy_wire_scenario, node_fault_scenario,
+    noisy_power_scenario, nominal_scenario, partition_churn_scenario, run_conformance,
+    DivergenceBound, Invariant, LockstepRuntime, MultiplexedDaemon, NodeSnapshot, Scenario,
+    SimSubstrate, Snapshot, Substrate, SubstrateRun,
 };
-use penelope::units::Power;
+use penelope::units::{NodeId, Power};
 use penelope::workload::Phase;
+use penelope_sim::FaultAction;
+use penelope_trace::EventKind;
 
 fn watts(w: u64) -> Power {
     Power::from_watts_u64(w)
@@ -33,11 +37,12 @@ fn bound() -> DivergenceBound {
 fn check_all_substrates(scenario: &Scenario) {
     let sim = SimSubstrate;
     let runtime = LockstepRuntime;
-    let daemon = UdpDaemonSubstrate;
+    let daemon = MultiplexedDaemon;
     let substrates: [&dyn Substrate; 3] = [&sim, &runtime, &daemon];
-    // Divergence is bounded for the deterministic pair (sim vs lockstep
-    // runtime); the free-running daemons run on a different clock and are
-    // held to the invariants, not to trajectory agreement.
+    // Divergence is bounded for the pair that draws the same per-node
+    // streams (sim vs lockstep runtime); the daemon derives its streams
+    // another way and is held to the invariants, not to trajectory
+    // agreement.
     let report = run_conformance(scenario, &substrates, &[(0, 1)], bound());
     report.assert_conformant();
     assert_eq!(report.substrates, ["sim", "runtime", "daemon"]);
@@ -61,7 +66,11 @@ fn noisy_power_scenario_is_conformant_on_all_substrates() {
 #[test]
 fn fault_scenario_actually_kills_the_node_everywhere() {
     let scenario = node_fault_scenario(0x5EED_0004);
-    for s in [&SimSubstrate as &dyn Substrate, &LockstepRuntime] {
+    for s in [
+        &SimSubstrate as &dyn Substrate,
+        &LockstepRuntime,
+        &MultiplexedDaemon,
+    ] {
         let run = s.run(&scenario).expect("substrate runs");
         assert!(
             !run.final_alive[1],
@@ -97,6 +106,136 @@ fn sim_consistent_cuts_report_in_flight_power() {
 }
 
 // ---------------------------------------------------------------------
+// The daemon leg: consistent cuts, replay, urgency
+// ---------------------------------------------------------------------
+
+#[test]
+fn the_daemon_legs_books_are_exact_at_every_period() {
+    // Each round is pumped until every frame it sent — and every copy the
+    // shim added — has been dispatched, so the cut between rounds is a
+    // consistent global state and zero-sum holds at every period, not
+    // only at the end: under kills, restarts, loss and duplication.
+    let wire = lossy_wire_scenario(0x5EED_0A01, 100, 150, 0, 12);
+    for scenario in [
+        nominal_scenario(0x5EED_0A02),
+        node_fault_scenario(0x5EED_0A03),
+        churn_scenario(0x5EED_0A04, 200, 16),
+        partition_churn_scenario(0x5EED_0A05, 16),
+        wire,
+    ] {
+        let run = MultiplexedDaemon.run(&scenario).expect("daemon leg runs");
+        let violations = check_run(&scenario, &run);
+        assert!(violations.is_empty(), "{}: {violations:#?}", scenario.name);
+        assert_eq!(run.snapshots.len() as u64, scenario.periods);
+        for snap in &run.snapshots {
+            assert!(
+                snap.consistent_cut,
+                "{}: period {}",
+                scenario.name, snap.period
+            );
+            let accounted = snap.accounted_live() + snap.lost;
+            assert_eq!(
+                accounted, scenario.cfg.budget,
+                "{}: period {}",
+                scenario.name, snap.period
+            );
+        }
+        assert_eq!(run.final_total, scenario.cfg.budget, "{}", scenario.name);
+    }
+}
+
+#[test]
+fn the_daemon_leg_replays_a_seed_bit_identically() {
+    // With no wire delay — the one wall-clock input — a seed fixes every
+    // frame's fate and every engine input: two runs agree cut for cut and
+    // event for event, under loss, duplication, a partition and a crash
+    // and restart inside it.
+    let halves = vec![
+        vec![NodeId::new(0), NodeId::new(1)],
+        vec![NodeId::new(2), NodeId::new(3)],
+    ];
+    let mut scenario = lossy_wire_scenario(0x5EED_4E01, 150, 400, 0, 14);
+    scenario.faults = scenario
+        .faults
+        .at(at_period(3), FaultAction::Partition(halves))
+        .at(at_period(5), FaultAction::Kill(NodeId::new(2)))
+        .at(at_period(8), FaultAction::Heal)
+        .restart_at(at_period(9), NodeId::new(2));
+    let (a, events_a) = MultiplexedDaemon.run_recorded(&scenario).expect("runs");
+    let (b, events_b) = MultiplexedDaemon.run_recorded(&scenario).expect("reruns");
+    assert!(check_run(&scenario, &a).is_empty());
+    assert!(
+        a.injected_drops > Some(0) && a.duplicated > Some(0),
+        "{a:?}"
+    );
+    assert!(
+        a.final_alive.iter().all(|alive| *alive),
+        "node 2 never came back"
+    );
+    assert_eq!(a.snapshots, b.snapshots, "same seed, other books");
+    assert_eq!(events_a, events_b, "same seed, other events");
+    assert_eq!(
+        (a.injected_drops, a.duplicated),
+        (b.injected_drops, b.duplicated)
+    );
+
+    let mut reseeded = scenario.clone();
+    reseeded.cfg.seed += 1;
+    let c = MultiplexedDaemon.run(&reseeded).expect("runs");
+    assert_ne!(a.snapshots, c.snapshots, "the seed fixes nothing");
+}
+
+#[test]
+fn a_donor_goes_urgent_and_recovers_on_the_daemon_leg() {
+    // A donor (100 W) beside one hungry node (250 W), both at 160 W: the
+    // donor sheds its excess, the hungry node drains the donor's pool, and
+    // the donor — now below its initial cap and short of power — asks
+    // urgently, with alpha, is served, and ends at its demand. On the
+    // virtual clock this order is fixed; on the wall clock whether the
+    // donor ever goes short depends on how the two nodes' ticks interleave
+    // (`penelope-daemon`'s `udp_cluster::urgency_recovers_over_udp`).
+    let scenario = Scenario::new(
+        "urgency",
+        0x5EED_0A06,
+        40,
+        [
+            vec![Phase::new(watts(100), 600.0)],
+            vec![Phase::new(watts(250), 600.0)],
+        ],
+    );
+    let (run, events) = MultiplexedDaemon.run_recorded(&scenario).expect("runs");
+    assert!(check_run(&scenario, &run).is_empty());
+    let (donor, hungry) = (NodeId::new(0), NodeId::new(1));
+    let first_urgent = events
+        .iter()
+        .find(|e| e.node == donor && matches!(e.kind, EventKind::RequestSent { urgent: true, .. }))
+        .expect("the donor never went urgent");
+    assert!(
+        matches!(first_urgent.kind, EventKind::RequestSent { alpha, .. } if !alpha.is_zero()),
+        "an urgent request without alpha: {first_urgent:?}"
+    );
+    assert!(
+        events
+            .iter()
+            .any(|e| e.node == hungry && e.kind == EventKind::UrgencyRaised { by: donor }),
+        "the hungry node never served the donor urgently"
+    );
+    assert!(
+        events.iter().any(|e| {
+            e.node == donor
+                && e.at >= first_urgent.at
+                && matches!(e.kind, EventKind::GrantApplied { applied, .. } if !applied.is_zero())
+        }),
+        "no power came back to the donor"
+    );
+    assert!(
+        run.final_caps[0] >= watts(100),
+        "donor stranded below its demand: {:?}",
+        run.final_caps[0]
+    );
+}
+
+// ---------------------------------------------------------------------
 // The deliberately buggy substrate: double-applied grants
 // ---------------------------------------------------------------------
 
@@ -128,15 +267,7 @@ impl Substrate for DoubleApplyBug {
             let amount = pool.handle_request(false, Power::ZERO);
             // ...but the buggy transport delivers it twice.
             taker_cap = taker_cap + amount + amount;
-            let row = |node, cap, pool: &PowerPool| NodeSnapshot {
-                node,
-                alive: true,
-                cap,
-                pool_available: pool.available(),
-                pool_deposited: pool.total_deposited(),
-                pool_granted: pool.total_granted() + pool.total_taken_local(),
-                pool_drained: pool.total_drained(),
-            };
+            let row = |node, cap, pool: &PowerPool| NodeSnapshot::of(node, true, cap, pool);
             let empty = PowerPool::new(PoolConfig::default());
             snapshots.push(Snapshot {
                 period: p,

@@ -11,8 +11,8 @@
 //! runs only that rate instead of the full sweep.
 
 use penelope::conformance::{
-    check_run, lossy_scenario, lossy_wire_scenario, LockstepRuntime, Scenario, SimSubstrate,
-    Substrate, UdpDaemonSubstrate,
+    check_run, lossy_scenario, lossy_wire_scenario, LockstepRuntime, MultiplexedDaemon, Scenario,
+    SimSubstrate, Substrate,
 };
 use penelope_trace::EventKind;
 
@@ -160,7 +160,7 @@ fn daemon_lossy_leg_drops_real_datagrams_and_loses_no_power() {
     // datagrams consume that schedule, so we assert the invariants and
     // non-vacuousness rather than an exact count.
     let scenario = lossy_scenario(0x5EED_DAE0, 200, 12);
-    let run = UdpDaemonSubstrate
+    let run = MultiplexedDaemon
         .run(&scenario)
         .expect("daemon lossy leg runs");
 
@@ -209,7 +209,7 @@ fn daemon_leg_runs_the_scenarios_retransmits() {
     // among the `RequestSent` events is one.
     let scenario = lossy_scenario(0x5EED_DAE1, 200, 12);
     assert_eq!(scenario.cfg.node.decider.max_retransmits, 2);
-    let (run, events) = UdpDaemonSubstrate
+    let (run, events) = MultiplexedDaemon
         .run_recorded(&scenario)
         .expect("daemon lossy leg runs");
     let violations = check_run(&scenario, &run);
@@ -240,7 +240,7 @@ fn daemon_wire_faults_duplicate_delay_and_still_conserve() {
     // acked-floor guard — and duplicate requests must never double-grant,
     // so the run must conserve power like any other lossy run.
     let scenario = lossy_wire_scenario(0x5EED_D0B1, 100, 150, 5, 12);
-    let run = UdpDaemonSubstrate
+    let run = MultiplexedDaemon
         .run(&scenario)
         .expect("daemon wire-fault leg runs");
 

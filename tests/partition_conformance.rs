@@ -1,8 +1,9 @@
 //! The adversarial partition matrix: asymmetric link cuts and
 //! gossip-propagated suspicion, held to the full invariant set.
 //!
-//! Five scenario families run over both deterministic substrates (the
-//! discrete-event simulator and the lockstep threaded runtime):
+//! Five scenario families run over all three substrates (the
+//! discrete-event simulator, the lockstep threaded runtime and the
+//! multiplexed daemon reactor):
 //!
 //! * **Clean partition** — the cluster splits 2|2, then heals. No node
 //!   dies, so `lost` must stay zero at every cut (stranded grants are
@@ -27,7 +28,7 @@
 //! cluster-wide within a bounded number of gossip rounds, where the
 //! ablated cluster pays the full `suspect_after × response_timeout`
 //! detection cost per node. A deterministic property test then throws
-//! arbitrary kill/restart/partition/heal interleavings at both substrates
+//! arbitrary kill/restart/partition/heal interleavings at every substrate
 //! and holds every schedule to the full `check_run` invariant set and to
 //! per-node seq-epoch monotonicity, shrinking any failure to a minimal
 //! script.
@@ -38,8 +39,8 @@
 
 use penelope::conformance::{
     asymmetric_partition_scenario, at_period, check_run, flapping_scenario,
-    partition_churn_scenario, partition_scenario, LockstepRuntime, Scenario, SimSubstrate,
-    Substrate, PERIOD,
+    partition_churn_scenario, partition_scenario, LockstepRuntime, MultiplexedDaemon, Scenario,
+    SimSubstrate, Substrate, PERIOD,
 };
 use penelope_sim::{FaultAction, FaultScript};
 use penelope_testkit::events::check_seq_epochs_monotone;
@@ -90,6 +91,21 @@ fn split_then_heal() -> FaultScript {
         .at(at_period(12), FaultAction::Heal)
 }
 
+/// The three substrates, each of which must run every scenario here.
+const SUBSTRATES: [&dyn Substrate; 3] = [&SimSubstrate, &LockstepRuntime, &MultiplexedDaemon];
+
+/// Node 1 goes deaf from period 3 to period 12: every link towards it is
+/// cut, its own sends deliver.
+fn deaf_then_heal() -> FaultScript {
+    let victim = NodeId::new(1);
+    let deaf = [0, 2, 3].map(NodeId::new).into_iter();
+    deaf.fold(FaultScript::none(), |script, peer| {
+        script
+            .partition_link_at(at_period(3), peer, victim)
+            .heal_link_at(at_period(12), peer, victim)
+    })
+}
+
 /// Run on `substrate` and assert the scenario-independent invariant set.
 fn assert_conserves(scenario: &Scenario, substrate: &dyn Substrate) {
     let run = substrate
@@ -103,6 +119,12 @@ fn assert_conserves(scenario: &Scenario, substrate: &dyn Substrate) {
         scenario.name,
         scenario.cfg.seed
     );
+    assert!(
+        run.snapshots.iter().all(|cut| cut.consistent_cut),
+        "{} could not vouch for a cut of {}",
+        substrate.name(),
+        scenario.name
+    );
     assert_eq!(
         run.final_total,
         scenario.cfg.budget,
@@ -114,13 +136,13 @@ fn assert_conserves(scenario: &Scenario, substrate: &dyn Substrate) {
 }
 
 // ---------------------------------------------------------------------
-// The matrix: every partition family × both substrates (× drop rates)
+// The matrix: every partition family × all three substrates (× drop rates)
 // ---------------------------------------------------------------------
 
 #[test]
 fn partition_matrix_conserves_on_sim_and_lockstep() {
-    let sim = SimSubstrate;
-    let runtime = LockstepRuntime;
+    // Runs on all three `SUBSTRATES`, the multiplexed daemon leg included;
+    // the name predates that leg and is kept so the test keeps its id.
     let mut scenarios = Vec::new();
     for dp in drop_rates_permille() {
         scenarios.push(partition_scenario(0x5EED_9A01 + u64::from(dp), dp, 16));
@@ -133,7 +155,7 @@ fn partition_matrix_conserves_on_sim_and_lockstep() {
     scenarios.push(flapping_scenario(0x5EED_9A03, 16));
     scenarios.push(partition_churn_scenario(0x5EED_9A04, 16));
     for scenario in &scenarios {
-        for substrate in [&sim as &dyn Substrate, &runtime] {
+        for substrate in SUBSTRATES {
             assert_conserves(scenario, substrate);
         }
     }
@@ -146,7 +168,7 @@ fn partition_churn_restart_readmits_zero_sum() {
     // invariants, the lost ledger must take exactly one decrease — the
     // restart — of exactly min(initial cap, lost).
     let scenario = partition_churn_scenario(0x5EED_9B01, 16);
-    for substrate in [&SimSubstrate as &dyn Substrate, &LockstepRuntime] {
+    for substrate in SUBSTRATES {
         let run = substrate
             .run(&scenario)
             .unwrap_or_else(|e| panic!("{} failed: {e}", substrate.name()));
@@ -168,6 +190,62 @@ fn partition_churn_restart_readmits_zero_sum() {
         let (readmitted, lost_before) = decreases[0];
         assert_eq!(readmitted, scenario.budget_per_node().min(lost_before));
         assert!(run.final_alive[1], "node 1 never rejoined");
+    }
+}
+
+/// Frames `events` shows refused on a link `crosses` while `cut` held, and
+/// frames it shows delivered over such a link from `heal` on.
+fn refused_then_delivered(
+    events: &[TraceEvent],
+    crosses: impl Fn(NodeId, NodeId) -> bool,
+    (cut, heal): (SimTime, SimTime),
+) -> (usize, usize) {
+    let refused = events.iter().filter(|e| {
+        (cut..heal).contains(&e.at)
+            && matches!(e.kind, EventKind::MsgDropped { dst, .. } | EventKind::AckDropped { dst, .. }
+                if crosses(e.node, dst))
+    });
+    let delivered = events.iter().filter(|e| {
+        e.at >= heal && matches!(e.kind, EventKind::MsgRecv { src, .. } if crosses(src, e.node))
+    });
+    (refused.count(), delivered.count())
+}
+
+#[test]
+fn cut_links_refuse_frames_then_carry_them_after_the_heal_everywhere() {
+    // What `NonVacuousLoss` is for loss, for connectivity: a substrate
+    // that accepted a partition and kept delivering across it would pass
+    // every conservation check above. With no background loss, every
+    // drop is the cut's doing: at least one frame across the cut must be
+    // refused while it holds, and traffic across it must flow again once
+    // it heals.
+    let split = cut_by(
+        all_hungry_scenario(0x5EED_9C05, "split-refuses", 4, 16),
+        split_then_heal(),
+    );
+    let deaf = cut_by(
+        all_hungry_scenario(0x5EED_9C06, "deaf-refuses", 4, 16),
+        deaf_then_heal(),
+    );
+    type Crosses = fn(NodeId, NodeId) -> bool;
+    let halves: Crosses = |from, to| from.index() / 2 != to.index() / 2;
+    let towards_victim: Crosses = |from, to| from != to && to == NodeId::new(1);
+    let cases = [(&split, halves), (&deaf, towards_victim)];
+    for (scenario, crosses) in cases {
+        assert_eq!(scenario.drop_rate_in(3), 0.0);
+        for substrate in SUBSTRATES {
+            let (run, events) = substrate.run_recorded(scenario).expect("runs");
+            assert!(check_run(scenario, &run).is_empty());
+            let window = (at_period(3), at_period(12));
+            let (refused, delivered) = refused_then_delivered(&events, crosses, window);
+            let name = substrate.name();
+            assert!(
+                refused > 0,
+                "{name}: {} delivered across its cut",
+                scenario.name
+            );
+            assert!(delivered > 0, "{name}: {} never healed", scenario.name);
+        }
     }
 }
 
@@ -278,15 +356,9 @@ fn asymmetric_cut_starves_both_sides_but_victim_traffic_still_serves() {
     // asymmetric: the victim's requests keep reaching peers and being
     // served, while nothing of any kind reaches the victim.
     let victim = NodeId::new(1);
-    let deaf = [0, 2, 3].map(NodeId::new).into_iter();
-    let deaf = deaf.fold(FaultScript::none(), |script, peer| {
-        script
-            .partition_link_at(at_period(3), peer, victim)
-            .heal_link_at(at_period(12), peer, victim)
-    });
     let scenario = cut_by(
         all_hungry_scenario(0x5EED_9C03, "asymmetric-suspicion", 4, 24),
-        deaf,
+        deaf_then_heal(),
     );
     let events = observed_sim_run(&scenario);
     let cut = at_period(3);
@@ -609,7 +681,7 @@ fn random_fault_schedules_preserve_zero_sum_and_seq_epochs() {
                 scenario.faults = scenario.faults.at(at_period(*period), action);
             }
         }
-        for substrate in [&SimSubstrate as &dyn Substrate, &LockstepRuntime] {
+        for substrate in SUBSTRATES {
             let (run, events) = substrate.run_recorded(&scenario).expect("runs");
             let violations = check_run(&scenario, &run);
             assert!(
@@ -630,12 +702,14 @@ fn random_fault_schedules_preserve_zero_sum_and_seq_epochs() {
 
 #[test]
 fn mid_run_drop_rate_starts_dropping_at_its_period_on_both_substrates() {
+    // All three `SUBSTRATES` (the name predates the daemon leg and is kept
+    // so the test keeps its id).
     // The loss rate is the script's own `SetDropRate`, in force from the
     // period it is stamped with: nothing is dropped before period 5, some
     // of the traffic is from then on, and the books stay exact throughout.
     let mut scenario = all_hungry_scenario(0x5EED_9F02, "mid-run-loss", 4, 14);
     scenario.faults = FaultScript::none().at(at_period(5), FaultAction::SetDropRate(0.3));
-    for substrate in [&SimSubstrate as &dyn Substrate, &LockstepRuntime] {
+    for substrate in SUBSTRATES {
         let (run, events) = substrate.run_recorded(&scenario).expect("runs");
         let dropped = |from: u64, to: u64| {
             events

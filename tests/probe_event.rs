@@ -9,9 +9,9 @@
 //! fresh, and once the probe interval elapses the next request to the
 //! corpse is narrated as a probe.
 
-use std::time::Duration;
-
-use penelope::conformance::{at_period, LockstepRuntime, Scenario, SimSubstrate, Substrate};
+use penelope::conformance::{
+    at_period, LockstepRuntime, MultiplexedDaemon, Scenario, SimSubstrate, Substrate,
+};
 use penelope_sim::FaultScript;
 use penelope_trace::{EventKind, TraceEvent};
 use penelope_units::{NodeId, Power, SimDuration};
@@ -87,43 +87,12 @@ fn probe_event_surfaces_on_the_threaded_runtime() {
 
 #[test]
 fn probe_event_surfaces_on_the_udp_daemon() {
-    use std::net::UdpSocket;
-
-    use penelope_daemon::{run_daemon_with_socket, DaemonConfig};
-
-    // Three cluster slots; slot 1 is a black hole (bound, never served):
-    // the daemons suspect it after timeouts and probe it after the
-    // interval. Node 0 stays hungry so it never stops requesting.
-    let sockets: Vec<UdpSocket> = (0..3)
-        .map(|_| UdpSocket::bind("127.0.0.1:0").expect("bind"))
-        .collect();
-    let addrs: Vec<_> = sockets.iter().map(|s| s.local_addr().unwrap()).collect();
-    let launch = |i: usize, demand: u64| {
-        let peers = (0..3).filter(|j| *j != i).map(|j| addrs[j]).collect();
-        let mut cfg = DaemonConfig::demo(addrs[i], peers, w(demand));
-        cfg.node_id = i as u32;
-        cfg.node.decider.probe_interval = SimDuration::from_millis(150);
-        let socket = sockets[i].try_clone().expect("clone socket");
-        run_daemon_with_socket(cfg, socket).expect("daemon start")
-    };
-    let hungry = launch(0, 250);
-    let donor = launch(2, 100);
-
-    // The hungry daemon must suspect the black hole and, once the
-    // suspicion outlives the probe interval, probe it.
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while hungry.counters().count("peer_probed") == 0 && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    let counters = hungry.counters();
-    let _ = hungry.stop();
-    let _ = donor.stop();
-    assert!(
-        counters.count("peer_suspected") > 0,
-        "daemon never suspected the black-hole peer: {counters:?}"
-    );
-    assert!(
-        counters.count("peer_probed") > 0,
-        "daemon suspicion never expired into a peer_probed event: {counters:?}"
-    );
+    // The daemon's reactor, multiplexed on loopback UDP datagrams (the
+    // name is kept from the per-node daemon leg); the per-node daemon on
+    // the wall clock probes a black hole in `penelope-daemon`'s
+    // `udp_cluster` tests.
+    let (_, events) = MultiplexedDaemon
+        .run_recorded(&scenario(0x5EED_960B))
+        .expect("daemon leg runs");
+    assert_probe_narrative(&events, NodeId::new(0), "daemon");
 }
