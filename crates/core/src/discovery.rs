@@ -456,8 +456,9 @@ impl PeerTable {
     /// The digest to piggyback on an outgoing grant or ack: the lowest
     /// `gossip_digest` suspected peers, under `own_incarnation` (the
     /// node's seq-epoch floor). `None` when gossip is off or there is
-    /// nothing to say, so fault-free fresh clusters attach — and allocate
-    /// — nothing.
+    /// nothing to say, so fault-free fresh clusters attach nothing. The
+    /// box is one of this thread's spares when it has one
+    /// ([`SuspicionDigest::boxed`]).
     pub fn digest(&self, ctx: &NodeCtx, own_incarnation: u64) -> Option<Box<SuspicionDigest>> {
         let limit = ctx.knobs().gossip_digest.min(MAX_DIGEST_ENTRIES);
         if limit == 0 || (self.suspected == 0 && own_incarnation == 0) {
@@ -467,10 +468,9 @@ impl PeerTable {
             let (peer, incarnation) = (r.peer, r.suspicion?.incarnation);
             Some(SuspicionEntry { peer, incarnation })
         });
-        Some(Box::new(SuspicionDigest {
-            incarnation: own_incarnation,
-            entries: suspicions.take(limit).collect(),
-        }))
+        let mut digest = SuspicionDigest::boxed(own_incarnation);
+        digest.entries.extend(suspicions.take(limit));
+        Some(digest)
     }
 
     /// Merge a digest piggybacked on a message from `src` (before

@@ -703,6 +703,15 @@ impl NodeEngine {
         self.peers.digest(&self.ctx, self.decider.incarnation())
     }
 
+    /// Merge the digest a grant or ack from `src` carried, then give its
+    /// box back to this thread's spares.
+    fn merge_digest(&mut self, now: SimTime, src: NodeId, digest: Option<Box<SuspicionDigest>>) {
+        if let Some(d) = digest {
+            self.peers.merge_digest(&self.ctx, now, src, &d);
+            SuspicionDigest::recycle(d);
+        }
+    }
+
     /// Queue the reply to `req`: `amount`, with the liveness digest. A
     /// non-zero amount was debited from the pool (now or on an earlier
     /// copy of the request), so it travels as a `SendGrant` and is
@@ -815,9 +824,7 @@ impl NodeEngine {
         // Merge piggybacked suspicion gossip first: the digest may refute
         // a stale suspicion of `src` itself, and the reply below must
         // land on the post-merge state.
-        if let Some(d) = &digest {
-            self.peers.merge_digest(&self.ctx, now, src, d);
-        }
+        self.merge_digest(now, src, digest);
         self.peers.note_reply(&self.ctx, now, src);
         let stale = self.decider.is_stale_grant(g.seq);
         // A redelivered copy of an already-applied grant (the granter
@@ -874,9 +881,7 @@ impl NodeEngine {
         a: GrantAck,
         digest: Option<Box<SuspicionDigest>>,
     ) {
-        if let Some(d) = &digest {
-            self.peers.merge_digest(&self.ctx, now, src, d);
-        }
+        self.merge_digest(now, src, digest);
         if let Some(entry) = self.escrow.release(src, a.seq) {
             // An ack proves delivery, so the entry cannot still be
             // carrying accounting weight on the granter.

@@ -9,6 +9,8 @@
 //! instead of burning budget forever (the §3.2 atomicity argument extended
 //! to unreliable delivery).
 
+use std::cell::RefCell;
+
 use penelope_units::{NodeId, Power};
 
 /// A decider's request for power, addressed to another node's pool.
@@ -79,11 +81,62 @@ pub struct SuspicionDigest {
     pub entries: Vec<SuspicionEntry>,
 }
 
+/// Most spare digest boxes one thread keeps for reuse: past it a
+/// recycled box is freed, so a thread that only recycles (a shard
+/// receiving digests another shard built) holds at most this many.
+const SPARE_DIGESTS: usize = 16;
+
+thread_local! {
+    /// This thread's spare digest boxes, each keeping its `entries`
+    /// capacity. The boxes themselves are what is reused, hence
+    /// `Vec<Box<_>>`.
+    #[allow(clippy::vec_box)]
+    static SPARES: RefCell<Vec<Box<SuspicionDigest>>> = const { RefCell::new(Vec::new()) };
+}
+
+impl SuspicionDigest {
+    /// An empty digest under `incarnation`, boxed: a box this thread
+    /// [recycled](SuspicionDigest::recycle), cleared, when it has one, so
+    /// a gossiping message costs no heap acquisition; otherwise a new box.
+    pub fn boxed(incarnation: u64) -> Box<SuspicionDigest> {
+        match SPARES.try_with(|s| s.borrow_mut().pop()).ok().flatten() {
+            Some(mut digest) => {
+                digest.incarnation = incarnation;
+                digest.entries.clear();
+                digest
+            }
+            None => Box::new(SuspicionDigest {
+                incarnation,
+                entries: Vec::new(),
+            }),
+        }
+    }
+
+    /// Give a box back once its digest has been merged or encoded. The
+    /// thread keeps it for the next [`boxed`](SuspicionDigest::boxed)
+    /// while it holds fewer than a small cap (16 boxes); past that the box
+    /// is freed.
+    pub fn recycle(digest: Box<SuspicionDigest>) {
+        let _ = SPARES.try_with(|s| {
+            let mut spares = s.borrow_mut();
+            if spares.len() < SPARE_DIGESTS {
+                spares.push(digest);
+            }
+        });
+    }
+}
+
 /// The Penelope peer protocol.
 ///
-/// Grants and acks optionally piggyback a boxed [`SuspicionDigest`]; the
-/// option is `None` on every fault-free run, so the hot path allocates
-/// nothing and the message stays a few machine words.
+/// Grants and acks optionally piggyback a boxed [`SuspicionDigest`]. The
+/// option is `None` while a node suspects no one and its incarnation (its
+/// seq-epoch floor) is still 0. Once it has spent more than
+/// [`APPLIED_SEQ_WINDOW`](crate::APPLIED_SEQ_WINDOW) seqs the floor is
+/// positive, and every grant and ack it sends carries at least its
+/// incarnation, even on a fault-free run. The box comes from the
+/// sending thread's spares and goes back after the receiver merges it
+/// (or the wire encodes it), so the message stays a few machine words and
+/// a warm thread allocates nothing for it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PeerMsg {
     /// Decider → pool.
@@ -126,6 +179,49 @@ mod tests {
             PeerMsg::Ack(ack, None),
             PeerMsg::Ack(GrantAck { seq: 42 }, None)
         );
+    }
+
+    fn spares_held() -> usize {
+        SPARES.with(|s| s.borrow().len())
+    }
+
+    #[test]
+    fn a_thread_that_only_recycles_holds_at_most_the_cap() {
+        // The sharded simulator's outbox shape: digests built on one
+        // thread, merged and given back on another. The producer's
+        // spares run dry and it allocates; the consumer's stop at the cap.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let producer = std::thread::spawn(move || {
+            for i in 0..4 * SPARE_DIGESTS as u64 {
+                let mut digest = SuspicionDigest::boxed(i);
+                digest.entries.push(SuspicionEntry {
+                    peer: NodeId::new(i as u32),
+                    incarnation: i,
+                });
+                tx.send(digest).expect("consumer alive");
+                assert_eq!(spares_held(), 0);
+            }
+        });
+        let consumer = std::thread::spawn(move || {
+            for digest in rx {
+                SuspicionDigest::recycle(digest);
+                assert!(spares_held() <= SPARE_DIGESTS);
+            }
+            assert_eq!(spares_held(), SPARE_DIGESTS);
+            // What the consumer hands out next is cleared, and keeps its
+            // entry capacity.
+            let digest = SuspicionDigest::boxed(7);
+            assert_eq!(
+                *digest,
+                SuspicionDigest {
+                    incarnation: 7,
+                    entries: Vec::new(),
+                }
+            );
+            assert!(digest.entries.capacity() > 0);
+        });
+        producer.join().expect("producer");
+        consumer.join().expect("consumer");
     }
 
     #[test]

@@ -394,6 +394,7 @@ impl Effects<TestRng> for ReactorFx<'_> {
             }
         };
         self.trace.emit(self.now, self.me, || kind);
+        wire.recycle();
         status == Some(SendStatus::Sent)
     }
 

@@ -193,24 +193,32 @@ impl Cursor<'_> {
         (flags & flag != 0).then(|| read(self)).transpose()
     }
 
+    /// The digest section, in one of this thread's spare boxes when it
+    /// has one; a section cut short gives the box back.
     fn digest(&mut self) -> Result<Box<SuspicionDigest>, WireError> {
         let incarnation = self.u64()?;
         let n = self.u8()?;
         if n as usize > MAX_DIGEST_ENTRIES {
             return Err(WireError::BadDigest(n));
         }
-        let entries = (0..n)
-            .map(|_| {
-                Ok(SuspicionEntry {
-                    peer: NodeId::new(self.u32()?),
-                    incarnation: self.u64()?,
-                })
-            })
-            .collect::<Result<_, WireError>>()?;
-        Ok(Box::new(SuspicionDigest {
-            incarnation,
-            entries,
-        }))
+        let mut digest = SuspicionDigest::boxed(incarnation);
+        for _ in 0..n {
+            match self.entry() {
+                Ok(entry) => digest.entries.push(entry),
+                Err(e) => {
+                    SuspicionDigest::recycle(digest);
+                    return Err(e);
+                }
+            }
+        }
+        Ok(digest)
+    }
+
+    fn entry(&mut self) -> Result<SuspicionEntry, WireError> {
+        Ok(SuspicionEntry {
+            peer: NodeId::new(self.u32()?),
+            incarnation: self.u64()?,
+        })
     }
 }
 
@@ -318,6 +326,20 @@ impl WireMsg {
                 digest,
             },
             PeerMsg::Ack(a, digest) => WireMsg::Ack { seq: a.seq, digest },
+        }
+    }
+
+    /// Give the digest box this message carries, if any, back to the
+    /// thread's spares: the send path's last use of an encoded message.
+    pub(crate) fn recycle(self) {
+        if let WireMsg::Grant {
+            digest: Some(d), ..
+        }
+        | WireMsg::Ack {
+            digest: Some(d), ..
+        } = self
+        {
+            SuspicionDigest::recycle(d);
         }
     }
 
@@ -688,6 +710,135 @@ mod fuzz {
                 };
                 let truncated = &bytes[..cut.min(bytes.len() - 1)];
                 assert!(WireMsg::decode(truncated).is_err());
+            },
+        );
+    }
+
+    /// Where one step of `recycled_digest_boxes_carry_nothing_over` gets
+    /// its digest.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    enum Source {
+        /// A fresh peer table that adopted `entries` as gossip, then
+        /// built the digest for an outgoing message.
+        Table,
+        /// A decoded ack carrying `entries`.
+        Wire,
+        /// An ack whose digest section is cut short: the decode fails
+        /// after taking a box.
+        Truncated,
+    }
+
+    #[test]
+    fn recycled_digest_boxes_carry_nothing_over() {
+        use std::collections::BTreeMap;
+
+        use penelope_core::{EngineConfig, NodeCtx, NodeParams, PeerTable};
+        use penelope_trace::SharedObserver;
+        use penelope_units::SimTime;
+
+        let me = NodeId::new(0);
+        let ctx = NodeCtx::new(
+            me,
+            16,
+            EngineConfig::new(NodeParams::default()),
+            SharedObserver::noop(),
+        );
+        let step = (
+            penelope_testkit::prop::one_of(vec![Source::Table, Source::Wire, Source::Truncated]),
+            any_u64(),
+            vec_of((1u32..16, 0u64..4), 0..MAX_DIGEST_ENTRIES + 1),
+            0u8..3,
+        );
+        // Every digest a step produces is the one its source describes,
+        // whatever boxes earlier steps gave back: spares are cleared, not
+        // appended to or left at an old incarnation. Kept digests are
+        // given back at later steps, so boxes of every size interleave.
+        prop::check(
+            "recycled_digest_boxes_carry_nothing_over",
+            prop::Config::default(),
+            vec_of(step, 0..32),
+            |steps| {
+                let mut held: Vec<(Box<SuspicionDigest>, SuspicionDigest)> = Vec::new();
+                for (source, incarnation, peers, keep) in steps {
+                    let incarnation = if incarnation % 3 == 0 { 0 } else { incarnation };
+                    let entries: Vec<SuspicionEntry> = peers
+                        .iter()
+                        .map(|&(peer, incarnation)| SuspicionEntry {
+                            peer: NodeId::new(peer),
+                            incarnation,
+                        })
+                        .collect();
+                    let produced = match source {
+                        Source::Table => {
+                            let src = NodeId::new(1);
+                            let mut table = PeerTable::new(&ctx);
+                            let mut gossip = SuspicionDigest::boxed(0);
+                            gossip.entries.extend_from_slice(&entries);
+                            table.merge_digest(&ctx, SimTime::ZERO, src, &gossip);
+                            SuspicionDigest::recycle(gossip);
+                            // Adopted: every named peer but the sender, at
+                            // the newest incarnation named, ascending.
+                            let mut adopted = BTreeMap::new();
+                            for e in entries.iter().filter(|e| e.peer != src) {
+                                let inc = adopted.entry(e.peer).or_insert(e.incarnation);
+                                *inc = (*inc).max(e.incarnation);
+                            }
+                            let expected =
+                                (!adopted.is_empty() || incarnation > 0).then(|| SuspicionDigest {
+                                    incarnation,
+                                    entries: adopted
+                                        .into_iter()
+                                        .map(|(peer, incarnation)| SuspicionEntry {
+                                            peer,
+                                            incarnation,
+                                        })
+                                        .collect(),
+                                });
+                            let digest = table.digest(&ctx, incarnation);
+                            assert_eq!(digest.as_deref(), expected.as_ref());
+                            digest.zip(expected)
+                        }
+                        Source::Wire | Source::Truncated => {
+                            let expected = SuspicionDigest {
+                                incarnation,
+                                entries,
+                            };
+                            let digest = Some(Box::new(expected.clone()));
+                            let bytes = WireMsg::Ack { seq: 9, digest }.encode();
+                            if let Source::Truncated = source {
+                                // Drop the last byte: it cuts the last
+                                // entry short after a box was taken, or,
+                                // with no entries, the count before.
+                                let cut = bytes.len() - 1;
+                                assert!(WireMsg::decode(&bytes[..cut]).is_err());
+                                continue;
+                            }
+                            let Ok(WireMsg::Ack {
+                                digest: Some(digest),
+                                ..
+                            }) = WireMsg::decode(&bytes)
+                            else {
+                                panic!("an ack with a digest decodes");
+                            };
+                            assert_eq!(*digest, expected);
+                            Some((digest, expected))
+                        }
+                    };
+                    match (produced, keep) {
+                        (Some(pair), 0) => held.push(pair),
+                        (Some((digest, _)), _) => SuspicionDigest::recycle(digest),
+                        (None, _) => {}
+                    }
+                    if keep == 2 && !held.is_empty() {
+                        let (digest, expected) = held.swap_remove(0);
+                        assert_eq!(*digest, expected, "a held digest changed");
+                        SuspicionDigest::recycle(digest);
+                    }
+                }
+                for (digest, expected) in held {
+                    assert_eq!(*digest, expected, "a held digest changed");
+                    SuspicionDigest::recycle(digest);
+                }
             },
         );
     }

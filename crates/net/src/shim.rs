@@ -317,9 +317,27 @@ struct DelayQueue {
 
 struct Directions {
     slots: HashMap<SocketAddr, usize>,
+    /// The address the latest send looked up, and its slot: a slot never
+    /// changes once registered, and the multiplexer sends every frame to
+    /// one address, so most sends skip hashing it.
+    last: Option<(SocketAddr, usize)>,
     plans: Vec<DirectionPlan>,
     stamp: u64,
     plane: FaultPlane,
+}
+
+impl Directions {
+    /// The direction slot registered for `dst`, if any.
+    fn slot(&mut self, dst: SocketAddr) -> Option<usize> {
+        if let Some((addr, slot)) = self.last {
+            if addr == dst {
+                return Some(slot);
+            }
+        }
+        let slot = self.slots.get(&dst).copied()?;
+        self.last = Some((dst, slot));
+        Some(slot)
+    }
 }
 
 /// A [`DatagramSocket`] that wraps a real socket with a deterministic
@@ -355,6 +373,7 @@ impl FaultySocket {
             cfg,
             directions: Mutex::new(Directions {
                 slots: HashMap::new(),
+                last: None,
                 plans: Vec::new(),
                 stamp: 0,
                 plane,
@@ -501,7 +520,7 @@ impl DatagramSocket for FaultySocket {
         let fate = {
             let mut guard = lock_shim(&self.directions, "directions");
             let dirs = &mut *guard;
-            match dirs.slots.get(&dst).copied() {
+            match dirs.slot(dst) {
                 None => None, // unregistered: passthrough
                 Some(slot) => {
                     dirs.stamp += 1;
