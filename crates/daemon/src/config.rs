@@ -252,10 +252,10 @@ impl DaemonConfigBuilder {
 
     /// Apply the unified engine configuration — node parameters,
     /// discovery strategy and sequence watermark in one `penelope_core`
-    /// value. The same [`EngineConfig`] drives `ClusterSim::builder` and
-    /// `penelope_runtime::LockstepConfig`, so a tuned protocol setup moves
-    /// between substrates verbatim. The seq floor lands in
-    /// [`DaemonConfig::initial_seq`].
+    /// value. The same [`EngineConfig`] drives `ClusterSim::builder` (and
+    /// through its `ClusterConfig`, `penelope_runtime::run_lockstep`), so a
+    /// tuned protocol setup moves between substrates verbatim. The seq
+    /// floor lands in [`DaemonConfig::initial_seq`].
     pub fn engine_config(mut self, engine: EngineConfig) -> Self {
         self.cfg.node = engine.node;
         self.cfg.discovery = engine.discovery;

@@ -13,11 +13,11 @@
 //! coordinator applies the [`FaultScript`]'s due actions and takes a
 //! snapshot; that instant is a consistent cut of truly concurrent state.
 //!
-//! It takes what `penelope_sim::ClusterSim` takes, less what only a
-//! discrete-event queue can use (latency and service models, queue
-//! capacities, tick jitter), and its per-node streams are derived the
-//! same way ([`node_seed`]) — so on a zero-latency, jitter-free simulator
-//! the two emit equal protocol-event streams per seed. The third
+//! It takes the simulator's `ClusterConfig` and reads all of it but what
+//! only a discrete-event queue can use (latency and service models, queue
+//! capacities, tick jitter), and its per-node streams are derived the same
+//! way ([`node_seed`]) — so on a zero-latency, jitter-free simulator the
+//! two emit equal protocol-event streams per seed. The third
 //! substrate is `penelope-daemon`'s reactor, multiplexed on loopback
 //! datagrams.
 
@@ -27,56 +27,17 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use penelope_core::{
-    fair_assignment, Effects, EngineConfig, EngineInput, EngineOutput, NodeEngine, PeerMsg,
-};
+use penelope_core::{fair_assignment, Effects, EngineInput, EngineOutput, NodeEngine, PeerMsg};
 use penelope_net::{ThreadEndpoint, ThreadNet};
-use penelope_power::{PowerInterface, RaplConfig, SimulatedRapl};
+use penelope_power::{PowerInterface, SimulatedRapl};
 use penelope_sim::{
     node_seed, AbortOnPanic, ClusterConfig, FaultAction, FaultScript, NodeSnapshot, PhaseBarrier,
     Snapshot,
 };
 use penelope_testkit::rng::TestRng;
-use penelope_trace::{EventKind, SharedObserver, Stamper};
+use penelope_trace::{EventKind, Stamper};
 use penelope_units::{NodeId, Power, SimDuration, SimTime};
 use penelope_workload::{Profile, WorkloadState};
-
-/// The cluster a lockstep run executes: the fields of the simulator's
-/// `ClusterConfig` this substrate reads.
-#[derive(Clone, Debug)]
-pub struct LockstepConfig {
-    /// Protocol knobs, discovery strategy and sequence floor — one value
-    /// for the cluster, shared by every engine.
-    pub engine: EngineConfig,
-    /// System-wide budget, split evenly as the initial assignment.
-    pub budget: Power,
-    /// Simulated RAPL parameters.
-    pub rapl: RaplConfig,
-    /// Fractional slowdown the management daemons impose on the workload.
-    pub management_overhead: f64,
-    /// Master seed; every per-node stream derives from it.
-    pub seed: u64,
-    /// Protocol-event sink shared by every node thread.
-    pub observer: SharedObserver,
-}
-
-impl From<&ClusterConfig> for LockstepConfig {
-    /// The lockstep cluster a simulator configuration describes: same
-    /// engine configuration (node parameters, discovery, sequence floor),
-    /// budget, RAPL model, overhead, seed and observer.
-    fn from(cfg: &ClusterConfig) -> Self {
-        LockstepConfig {
-            engine: EngineConfig::new(cfg.node)
-                .with_discovery(cfg.discovery)
-                .with_seq_floor(cfg.seq_floor),
-            budget: cfg.budget,
-            rapl: cfg.rapl.clone(),
-            management_overhead: cfg.management_overhead,
-            seed: cfg.seed,
-            observer: cfg.observer.clone(),
-        }
-    }
-}
 
 /// What [`run_lockstep`] saw: one consistent cut per period boundary, and
 /// the cut after the node threads have exited.
@@ -88,26 +49,27 @@ pub struct LockstepRun {
     pub end: Snapshot,
 }
 
-/// Run one node thread per profile for `periods` decider periods, applying
-/// each entry of `faults` (in [`FaultScript::in_firing_order`]) at the
-/// first period boundary at or after its timestamp.
+/// Run one node thread per profile of the cluster `cfg` describes for
+/// `periods` decider periods, applying each entry of `faults` (in
+/// [`FaultScript::in_firing_order`]) at the first period boundary at or
+/// after its timestamp.
 ///
 /// Panics if `profiles` is empty or the even share falls below the safe
 /// minimum, as `ClusterSim::new` does. If a node thread panics, the
 /// barrier is aborted, every other thread leaves at its next arrival and
 /// the panic is re-raised here with its original payload.
 pub fn run_lockstep(
-    cfg: &LockstepConfig,
+    cfg: &ClusterConfig,
     profiles: Vec<Profile>,
     faults: &FaultScript,
     periods: u64,
 ) -> LockstepRun {
     let n = profiles.len();
     assert!(n > 0, "cluster needs at least one node");
-    let period = cfg.engine.node.decider.period;
-    let initial_caps = fair_assignment(cfg.budget, n, cfg.engine.node.safe_range);
+    let period = cfg.node.decider.period;
+    let initial_caps = fair_assignment(cfg.budget, n, cfg.node.safe_range);
     let (net, endpoints) = ThreadNet::<PeerMsg>::new(n);
-    let engine_cfg = Arc::new(cfg.engine);
+    let engine_cfg = Arc::new(cfg.engine_config());
     let shared = Shared {
         engines: (0..n)
             .map(|i| {
@@ -132,7 +94,7 @@ pub fn run_lockstep(
         shared: &shared,
         net: &net,
         initial_caps: &initial_caps,
-        safe_min: cfg.engine.node.safe_range.min(),
+        safe_min: cfg.node.safe_range.min(),
     };
     // Same-period order is the simulator's: script order, kills last.
     let script = faults.in_firing_order();
@@ -533,6 +495,7 @@ fn node_loop(periods: u64, period: SimDuration, mut node: NodeThread) {
 mod tests {
     use super::*;
     use penelope_sim::SystemKind;
+    use penelope_trace::SharedObserver;
     use penelope_workload::{PerfModel, Phase};
 
     const BUDGET: Power = Power::from_watts_u64(3 * 160);
@@ -544,12 +507,7 @@ mod tests {
         let perf = PerfModel::new(Power::from_watts_u64(60), 1.0);
         let profiles = [230, 100, 100]
             .map(|w| Profile::new("p", vec![Phase::new(Power::from_watts_u64(w), 60.0)], perf));
-        run_lockstep(
-            &LockstepConfig::from(&cfg),
-            profiles.to_vec(),
-            faults,
-            periods,
-        )
+        run_lockstep(&cfg, profiles.to_vec(), faults, periods)
     }
 
     fn run(faults: &FaultScript, periods: u64) -> LockstepRun {

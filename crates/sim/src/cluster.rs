@@ -119,11 +119,7 @@ impl ClusterSim {
         let mut queue = EventQueue::with_capacity(2 * n);
         let mut nodes = NodeTable::with_capacity(n);
         // One configuration for the cluster; every engine holds a handle.
-        let engine_cfg = Arc::new(
-            EngineConfig::new(cfg.node)
-                .with_discovery(cfg.discovery)
-                .with_seq_floor(cfg.seq_floor),
-        );
+        let engine_cfg = Arc::new(cfg.engine_config());
         for (i, profile) in workloads.into_iter().enumerate() {
             let id = NodeId::new(i as u32);
             let mut rng = TestRng::seed_from_u64(node_seed(cfg.seed, i as u64));
@@ -1115,8 +1111,9 @@ impl ClusterSimBuilder {
 
     /// Apply the unified engine configuration — node parameters,
     /// discovery strategy and sequence watermark in one `penelope_core`
-    /// value. The same [`EngineConfig`] drives `LockstepConfig` (in
-    /// `penelope-runtime`) and `DaemonConfig::builder`, so a tuned
+    /// value, the one [`ClusterConfig::engine_config`] reads back. The
+    /// same [`EngineConfig`] drives `DaemonConfig::builder`, and the
+    /// lockstep runtime takes the `ClusterConfig` itself, so a tuned
     /// protocol setup moves between substrates verbatim.
     pub fn engine_config(mut self, engine: EngineConfig) -> Self {
         self.cfg.node = engine.node;

@@ -1,6 +1,6 @@
 //! Cluster configuration.
 
-use penelope_core::NodeParams;
+use penelope_core::{EngineConfig, NodeParams};
 use penelope_net::LatencyModel;
 use penelope_power::RaplConfig;
 use penelope_slurm::ServiceModel;
@@ -124,6 +124,14 @@ impl ClusterConfig {
             check_invariants: true,
             ..Self::paper_defaults(system, budget)
         }
+    }
+
+    /// The engine configuration every node of this cluster runs: its node
+    /// parameters, discovery strategy and sequence floor.
+    pub fn engine_config(&self) -> EngineConfig {
+        EngineConfig::new(self.node)
+            .with_discovery(self.discovery)
+            .with_seq_floor(self.seq_floor)
     }
 }
 

@@ -10,22 +10,15 @@
 //!   float / vec / tuple generators, binary-search shrinking and
 //!   seed-reporting failure output; every property suite in the
 //!   workspace runs on it.
-//! * [`events`] — invariant checks and normalization for recorded
-//!   protocol-event streams.
 //!
-//! The cross-substrate conformance harness that runs on top of these
-//! lives in the root crate (`penelope::conformance`), beside the
-//! substrates it drives.
+//! The cross-substrate conformance harness, and the checks it holds every
+//! run's cuts and event stream to, live in the root crate
+//! (`penelope::conformance`), beside the substrates it drives.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod events;
 pub mod prop;
 pub mod rng;
 
-pub use events::{
-    check_grant_served_pairing, check_seq_epochs_monotone, check_urgency_alternation,
-    normalize_protocol, ProtocolStep,
-};
 pub use rng::{node_stream, Rng, TestRng};

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use penelope_core::{fair_assignment, EngineConfig, NodeEngine};
+use penelope_core::{fair_assignment, NodeEngine};
 use penelope_daemon::Mux;
 use penelope_net::{FaultConfig, FaultPlane, LatencyModel};
 use penelope_power::{CappedDevice, SimulatedRapl};
@@ -11,9 +11,7 @@ use penelope_trace::Stamper;
 use penelope_units::{NodeId, SimDuration};
 use penelope_workload::WorkloadState;
 
-use super::{
-    cut_run, with_drop_counter, NodeSnapshot, Scenario, Snapshot, Substrate, SubstrateRun,
-};
+use super::{cut_run, recorded, NodeSnapshot, Scenario, Snapshot, Substrate, SubstrateRun};
 
 /// Conformance adapter for the daemon code: the real `Reactor`, wire
 /// format and UDP datagrams, every node's engine behind one loopback socket
@@ -30,13 +28,12 @@ impl Substrate for MultiplexedDaemon {
     }
 
     fn run(&self, scenario: &Scenario) -> Result<SubstrateRun, String> {
-        let (cfg, counter) = with_drop_counter(scenario);
+        let (cfg, ring) = recorded(scenario);
         // Engines and RAPL domains built as `ClusterSim` and the lockstep
         // runtime build theirs: even shares of the budget, the scenario's
         // discovery, sequence floor and observer.
         let caps = fair_assignment(cfg.budget, scenario.profiles.len(), cfg.node.safe_range);
-        let engine_cfg = EngineConfig::new(cfg.node).with_discovery(cfg.discovery);
-        let engine_cfg = Arc::new(engine_cfg.with_seq_floor(cfg.seq_floor));
+        let engine_cfg = Arc::new(cfg.engine_config());
         let (n, observer) = (caps.len(), &cfg.observer);
         let engine = |(i, cap)| {
             NodeEngine::new(
@@ -97,7 +94,7 @@ impl Substrate for MultiplexedDaemon {
         Ok(SubstrateRun {
             duplicated: Some(shim.duplicated),
             delayed: Some(shim.delayed),
-            ..cut_run("daemon", snapshots, &end, &counter.snapshot())
+            ..cut_run("daemon", snapshots, &end, ring.events())
         })
     }
 }

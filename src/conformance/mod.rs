@@ -33,22 +33,23 @@
 //! differ. A seed fixes a run on every substrate, except for the
 //! daemon's wire delays. The per-node daemon on the wall clock is not a
 //! conformance substrate; `penelope-daemon`'s `udp_cluster` tests smoke
-//! it on real sockets. [`check_run`] holds every
-//! run to the safety invariants ([`Invariant`]), [`check_divergence`]
-//! bounds how far two substrates may drift for the same seed,
-//! [`run_conformance`] does both across a substrate list, and [`oracle`]
-//! holds the differential Penelope/Fair/SLURM ordering checks from the
-//! paper's §4.2–§4.3.
+//! it on real sockets.
+//!
+//! Every run records the events it emitted ([`SubstrateRun::events`]).
+//! [`check_run`] is the one verdict on a run: it holds the run's cuts, its
+//! end state and its event stream to every [`Invariant`].
+//! [`check_divergence`] bounds how far two substrates may drift for the
+//! same seed, [`run_conformance`] does both across a substrate list,
+//! [`normalize_protocol`] strips a stream to what two substrates must
+//! emit alike, and [`oracle`] holds the differential Penelope/Fair/SLURM
+//! ordering checks from the paper's §4.2–§4.3.
 
 use std::sync::Arc;
 
 use penelope_net::FaultPlane;
-use penelope_runtime::{run_lockstep, LockstepConfig};
+use penelope_runtime::run_lockstep;
 use penelope_sim::{ClusterConfig, ClusterSim, FaultAction, FaultScript, SystemKind};
-use penelope_trace::{
-    CounterObserver, CounterSnapshot, FanoutObserver, RingBufferObserver, SharedObserver,
-    TraceEvent,
-};
+use penelope_trace::{EventKind, FanoutObserver, RingBufferObserver, SharedObserver, TraceEvent};
 use penelope_units::{NodeId, Power, PowerRange, SimDuration, SimTime};
 use penelope_workload::{PerfModel, Phase, Profile};
 
@@ -59,8 +60,8 @@ pub mod oracle;
 mod tests;
 
 pub use check::{
-    check_divergence, check_run, run_conformance, ConformanceReport, DivergenceBound, Invariant,
-    Violation,
+    check_divergence, check_run, normalize_protocol, run_conformance, ConformanceReport,
+    DivergenceBound, Invariant, Violation,
 };
 pub use daemon::MultiplexedDaemon;
 pub use penelope_sim::{NodeSnapshot, Snapshot};
@@ -249,32 +250,22 @@ pub struct SubstrateRun {
     /// Total power accounted at the end, including drained in-flight
     /// remnants — the quantity that must equal the initial budget.
     pub final_total: Power,
-    /// Messages the substrate's fault plane actually dropped over the
-    /// whole run (`None` = the substrate does not count). Under a script
-    /// with a non-zero drop rate, `Some(0)` is an
-    /// [`Invariant::NonVacuousLoss`] violation: the substrate accepted a
-    /// drop rate it never honored, so its "lossy" coverage proved
-    /// nothing — exactly how the UDP daemon leg once shipped silently
-    /// lossless lossy sweeps.
-    pub injected_drops: Option<u64>,
-    /// Messages the substrate attempted to send over the whole run
-    /// (delivered + dropped; `None` = not counted). Used to judge whether
-    /// `injected_drops == Some(0)` is honest randomness or a dead fault
-    /// plane: at drop rate `p` over `n` attempts an honest plane drops
-    /// zero with probability `(1-p)^n ≤ e^(-np)`, so zero drops is only
-    /// flagged when `n·p` is large enough to make that implausible.
-    pub send_attempts: Option<u64>,
     /// Duplicate datagrams the fault plane injected (`None` = the
     /// substrate's transport cannot duplicate, or does not count). Under
     /// a non-zero [`Scenario::dup_permille`], a counting substrate
     /// reporting `Some(0)` over many sends means the duplication leg was
-    /// never wired in — the same vacuity failure mode `injected_drops`
-    /// guards for loss.
+    /// never wired in — the same vacuity failure mode
+    /// [`SubstrateRun::injected_drops`] guards for loss.
     pub duplicated: Option<u64>,
     /// Datagrams the fault plane held for a sampled delay before sending
     /// (`None` = not counted). Evidence the reordering leg
     /// ([`Scenario::jitter_ms`]) actually fired.
     pub delayed: Option<u64>,
+    /// Every protocol and transport event the run emitted, in emission
+    /// order. The substrates emit one event vocabulary at the same
+    /// protocol points, so [`check_run`] holds every stream to the same
+    /// rules and tests diff streams across substrates.
+    pub events: Vec<TraceEvent>,
 }
 
 /// A substrate that can execute a conformance scenario.
@@ -283,54 +274,59 @@ pub trait Substrate {
     fn name(&self) -> &'static str;
 
     /// Run the scenario to completion, emitting protocol events to
-    /// `scenario.cfg.observer`; `Err` for infrastructure failures (socket
+    /// `scenario.cfg.observer` and recording them in
+    /// [`SubstrateRun::events`]; `Err` for infrastructure failures (socket
     /// exhaustion etc.), not invariant violations.
     fn run(&self, scenario: &Scenario) -> Result<SubstrateRun, String>;
-
-    /// [`run`](Substrate::run) with an unbounded ring buffer listening
-    /// next to the scenario's own observer: the run, and every event it
-    /// emitted. The substrates emit one event vocabulary at the same
-    /// protocol points, which is what the event-stream tests diff.
-    fn run_recorded(&self, scenario: &Scenario) -> Result<(SubstrateRun, Vec<TraceEvent>), String> {
-        let ring = Arc::new(RingBufferObserver::unbounded());
-        let mut recorded = scenario.clone();
-        recorded.cfg.observer =
-            FanoutObserver::pair(recorded.cfg.observer, SharedObserver::from(ring.clone()));
-        let run = self.run(&recorded)?;
-        Ok((run, ring.events()))
-    }
 }
 
 // ---------------------------------------------------------------------
 // Substrates 1 and 2: the simulator and the lockstep runtime
 // ---------------------------------------------------------------------
 
-/// Total messages a substrate's transport attempted over a run: delivered
-/// sends plus everything the fault plane dropped (acks included). Feeds
-/// `SubstrateRun::send_attempts`, the traffic-volume evidence behind the
-/// NonVacuousLoss statistical guard.
-fn send_attempts(counted: &CounterSnapshot) -> u64 {
-    counted.count("msg_sent") + counted.count("msg_dropped") + counted.count("ack_dropped")
-}
-
-/// The scenario's configuration with a drop counter fanned in next to its
-/// observer, so the run reports how often the fault plane actually fired
-/// (the NonVacuousLoss guard's evidence): both deterministic substrates
-/// emit MsgDropped/AckDropped when their loss streams fire.
-fn with_drop_counter(scenario: &Scenario) -> (ClusterConfig, Arc<CounterObserver>) {
-    let counter = Arc::new(CounterObserver::new());
+/// The scenario's configuration with an unbounded ring fanned in next to
+/// its observer: what the run emits is recorded for [`SubstrateRun::events`].
+fn recorded(scenario: &Scenario) -> (ClusterConfig, Arc<RingBufferObserver>) {
+    let ring = Arc::new(RingBufferObserver::unbounded());
     let mut cfg = scenario.cfg.clone();
-    cfg.observer = FanoutObserver::pair(cfg.observer, SharedObserver::from(Arc::clone(&counter)));
-    (cfg, counter)
+    cfg.observer = FanoutObserver::pair(cfg.observer, SharedObserver::from(Arc::clone(&ring)));
+    (cfg, ring)
 }
 
-/// A substrate's run from its per-period cuts, with drops counted off
-/// the events.
+impl SubstrateRun {
+    /// Messages the substrate's fault plane dropped over the whole run,
+    /// counted off [`SubstrateRun::events`]: every substrate emits
+    /// `MsgDropped`/`AckDropped` when its plane fires. Under a script with
+    /// a non-zero drop rate and enough traffic, zero is an
+    /// [`Invariant::NonVacuousLoss`] violation: the substrate accepted a
+    /// drop rate it never honored, so its "lossy" coverage proved nothing.
+    pub fn injected_drops(&self) -> u64 {
+        let dropped = |ev: &&TraceEvent| {
+            matches!(
+                ev.kind,
+                EventKind::MsgDropped { .. } | EventKind::AckDropped { .. }
+            )
+        };
+        self.events.iter().filter(dropped).count() as u64
+    }
+
+    /// Messages the substrate attempted to send over the whole run: the
+    /// delivered sends and the drops, acks included. At drop rate `p` over
+    /// `n` attempts an honest plane drops zero with probability
+    /// `(1-p)^n ≤ e^(-np)`, which is what [`check_run`] weighs a zero
+    /// [`SubstrateRun::injected_drops`] against.
+    pub fn send_attempts(&self) -> u64 {
+        let sent = |ev: &&TraceEvent| matches!(ev.kind, EventKind::MsgSent { .. });
+        self.events.iter().filter(sent).count() as u64 + self.injected_drops()
+    }
+}
+
+/// A substrate's run from its per-period cuts and its recorded stream.
 fn cut_run(
     substrate: &str,
     snapshots: Vec<Snapshot>,
     end: &Snapshot,
-    counted: &CounterSnapshot,
+    events: Vec<TraceEvent>,
 ) -> SubstrateRun {
     SubstrateRun {
         substrate: substrate.into(),
@@ -338,13 +334,12 @@ fn cut_run(
         final_caps: end.nodes.iter().map(|n| n.cap).collect(),
         final_alive: end.nodes.iter().map(|n| n.alive).collect(),
         final_total: end.accounted_live() + end.lost,
-        injected_drops: Some(counted.count("msg_dropped") + counted.count("ack_dropped")),
-        send_attempts: Some(send_attempts(counted)),
         // The DES delivers by timestamp and the thread-net in order and
         // exactly once; only the daemon leg's socket shim can duplicate or
         // delay, and that leg fills these in over this default.
         duplicated: None,
         delayed: None,
+        events,
     }
 }
 
@@ -357,7 +352,7 @@ impl Substrate for SimSubstrate {
     }
 
     fn run(&self, scenario: &Scenario) -> Result<SubstrateRun, String> {
-        let (cfg, drop_counter) = with_drop_counter(scenario);
+        let (cfg, ring) = recorded(scenario);
         let mut sim = ClusterSim::new(cfg, scenario.profiles.clone());
         sim.install_faults(&scenario.faults);
         let mut snapshots = Vec::with_capacity(scenario.periods as usize);
@@ -366,7 +361,7 @@ impl Substrate for SimSubstrate {
             snapshots.push(sim.conformance_snapshot(p));
         }
         let end = sim.conformance_snapshot(scenario.periods);
-        Ok(cut_run("sim", snapshots, &end, &drop_counter.snapshot()))
+        Ok(cut_run("sim", snapshots, &end, ring.events()))
     }
 }
 
@@ -381,15 +376,14 @@ impl Substrate for LockstepRuntime {
     }
 
     fn run(&self, scenario: &Scenario) -> Result<SubstrateRun, String> {
-        let (cfg, drop_counter) = with_drop_counter(scenario);
+        let (cfg, ring) = recorded(scenario);
         let run = run_lockstep(
-            &LockstepConfig::from(&cfg),
+            &cfg,
             scenario.profiles.clone(),
             &scenario.faults,
             scenario.periods,
         );
-        let counted = drop_counter.snapshot();
-        Ok(cut_run("runtime", run.snapshots, &run.end, &counted))
+        Ok(cut_run("runtime", run.snapshots, &run.end, ring.events()))
     }
 }
 

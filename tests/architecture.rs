@@ -1200,7 +1200,7 @@ fn driver_detection_sees_the_shapes_it_replaced() {
     // never see an engine (the experiment sweeps) are not a driver.
     let new = "/// Conformance adapter for [`run_lockstep`].\n\
                pub struct LockstepRuntime;\n\
-               fn go() { run_lockstep(&LockstepConfig::from(&cfg), profiles, &faults, 9); }\n\
+               fn go() { run_lockstep(&cfg, profiles, &faults, 9); }\n\
                pub fn step<R>(fx: &mut impl Effects<R>) {}\n\
                //! implements [`Effects`], the substrate side";
     assert_eq!(effects_impls(new), 0);

@@ -4,7 +4,7 @@
 
 use penelope::metrics::geometric_mean;
 use penelope::prelude::*;
-use penelope::runtime::{run_lockstep, LockstepConfig};
+use penelope::runtime::run_lockstep;
 use penelope::sim::ClusterConfig;
 use penelope::workload::codec;
 
@@ -84,12 +84,7 @@ fn des_and_threaded_runtime_agree_on_who_wins() {
     // its even share, the donor below — with the books exact at every cut.
     let mut cfg = ClusterConfig::checked(SystemKind::Penelope, budget);
     cfg.management_overhead = 0.0;
-    let run = run_lockstep(
-        &LockstepConfig::from(&cfg),
-        workloads,
-        &FaultScript::none(),
-        20,
-    );
+    let run = run_lockstep(&cfg, workloads, &FaultScript::none(), 20);
     let share = Power::from_watts_u64(160);
     let (donor_cap, rcpt_cap) = (run.end.nodes[0].cap, run.end.nodes[1].cap);
     assert!(rcpt_cap > share, "threads: recipient at {rcpt_cap}");

@@ -49,9 +49,10 @@ fn stream_digest(events: &[TraceEvent]) -> u64 {
 }
 
 fn run_digest(scenario: &Scenario) -> (u64, usize) {
-    let (_, events) = SimSubstrate
-        .run_recorded(scenario)
-        .unwrap_or_else(|e| panic!("{} failed: {e}", scenario.name));
+    let events = SimSubstrate
+        .run(scenario)
+        .unwrap_or_else(|e| panic!("{} failed: {e}", scenario.name))
+        .events;
     assert!(
         !events.is_empty(),
         "{}: empty event stream pins nothing",

@@ -71,17 +71,19 @@ fn assert_probe_narrative(events: &[TraceEvent], dead: NodeId, substrate: &str) 
 
 #[test]
 fn probe_event_surfaces_on_the_simulator() {
-    let (_, events) = SimSubstrate
-        .run_recorded(&scenario(0x5EED_960B))
-        .expect("sim runs");
+    let events = SimSubstrate
+        .run(&scenario(0x5EED_960B))
+        .expect("sim runs")
+        .events;
     assert_probe_narrative(&events, NodeId::new(0), "sim");
 }
 
 #[test]
 fn probe_event_surfaces_on_the_threaded_runtime() {
-    let (_, events) = LockstepRuntime
-        .run_recorded(&scenario(0x5EED_960B))
-        .expect("lockstep runs");
+    let events = LockstepRuntime
+        .run(&scenario(0x5EED_960B))
+        .expect("lockstep runs")
+        .events;
     assert_probe_narrative(&events, NodeId::new(0), "runtime");
 }
 
@@ -91,8 +93,9 @@ fn probe_event_surfaces_on_the_udp_daemon() {
     // name is kept from the per-node daemon leg); the per-node daemon on
     // the wall clock probes a black hole in `penelope-daemon`'s
     // `udp_cluster` tests.
-    let (_, events) = MultiplexedDaemon
-        .run_recorded(&scenario(0x5EED_960B))
-        .expect("daemon leg runs");
+    let events = MultiplexedDaemon
+        .run(&scenario(0x5EED_960B))
+        .expect("daemon leg runs")
+        .events;
     assert_probe_narrative(&events, NodeId::new(0), "daemon");
 }

@@ -8,9 +8,9 @@
 //!    the simulator and the lockstep threaded runtime must emit *equal*
 //!    normalized protocol-event streams for the same seed: same events,
 //!    same per-node order, timestamps erased.
-//! 2. **Stream invariants** — every `GrantApplied` pairs with exactly one
-//!    `RequestServed`, and urgency raise/clear strictly alternate per
-//!    pool, on every substrate's stream.
+//! 2. **Stream invariants** — both streams pass `check_run`, which holds
+//!    every substrate's stream to one debit per request, one application
+//!    per grant, alternating urgency and monotone request seqs.
 //! 3. **Metric agreement** — turnaround, redistribution and oscillation
 //!    read off the event stream by `penelope_metrics::SharedCollector`
 //!    must equal the `RunReport` the simulator fills by calling the same
@@ -21,14 +21,13 @@
 
 use std::sync::Arc;
 
-use penelope::conformance::{at_period, LockstepRuntime, Scenario, SimSubstrate, Substrate};
+use penelope::conformance::{
+    at_period, check_run, normalize_protocol, LockstepRuntime, Scenario, SimSubstrate, Substrate,
+};
 use penelope::prelude::*;
 use penelope_core::DiscoveryStrategy;
 use penelope_metrics::{Figures, MetricsCollector, SharedCollector};
 use penelope_sim::RunReport;
-use penelope_testkit::events::{
-    check_grant_served_pairing, check_urgency_alternation, normalize_protocol,
-};
 use penelope_trace::{validate_jsonl, EventKind, FanoutObserver, JsonlObserver};
 
 fn watts(w: u64) -> Power {
@@ -50,10 +49,12 @@ fn ideal_scenario(seed: u64) -> Scenario {
 fn sim_and_lockstep_emit_identical_protocol_streams() {
     for seed in [7, 1234] {
         let scenario = ideal_scenario(seed);
-        let (_, sim_events) = SimSubstrate.run_recorded(&scenario).expect("sim run");
-        let (_, rt_events) = LockstepRuntime
-            .run_recorded(&scenario)
-            .expect("lockstep run");
+        let sim = SimSubstrate.run(&scenario).expect("sim run");
+        let rt = LockstepRuntime.run(&scenario).expect("lockstep run");
+        for run in [&sim, &rt] {
+            let v = check_run(&scenario, run);
+            assert!(v.is_empty(), "seed {seed} {}: {v:#?}", run.substrate);
+        }
 
         // The sim's `advance_to(periods * PERIOD)` also fires the tick
         // sitting exactly on the final boundary — an extra period the
@@ -63,8 +64,8 @@ fn sim_and_lockstep_emit_identical_protocol_streams() {
                 .filter(|e| e.period < scenario.periods)
                 .collect()
         };
-        let sim_events = cut(sim_events);
-        let rt_events = cut(rt_events);
+        let sim_events = cut(sim.events);
+        let rt_events = cut(rt.events);
         // The scenario must actually exercise the protocol, not match on
         // two empty streams.
         let count = |evs: &[TraceEvent], pred: fn(&EventKind) -> bool| {
@@ -89,13 +90,6 @@ fn sim_and_lockstep_emit_identical_protocol_streams() {
             sim_norm, rt_norm,
             "seed {seed}: sim and lockstep protocol-event streams diverge"
         );
-
-        for (name, events) in [("sim", &sim_events), ("runtime", &rt_events)] {
-            let v = check_grant_served_pairing(events);
-            assert!(v.is_empty(), "seed {seed} {name}: {v:?}");
-            let v = check_urgency_alternation(events);
-            assert!(v.is_empty(), "seed {seed} {name}: {v:?}");
-        }
     }
 }
 
@@ -112,10 +106,8 @@ fn sim_and_lockstep_agree_under_round_robin_discovery() {
     let mut scenario =
         Scenario::new("round-robin", 7, 10, [flat(220), flat(100), flat(100)]).idealized();
     scenario.cfg.discovery = DiscoveryStrategy::RoundRobin;
-    let (_, sim_events) = SimSubstrate.run_recorded(&scenario).expect("sim run");
-    let (_, rt_events) = LockstepRuntime
-        .run_recorded(&scenario)
-        .expect("lockstep run");
+    let sim_events = SimSubstrate.run(&scenario).expect("sim run").events;
+    let rt_events = LockstepRuntime.run(&scenario).expect("lockstep run").events;
     let complete = |evs: Vec<TraceEvent>| -> Vec<TraceEvent> {
         evs.into_iter()
             .filter(|e| e.period < scenario.periods)
@@ -248,12 +240,8 @@ fn folds_over_event_stream_agree_with_inline_summaries() {
         ("slurm nominal", nominal_config(SystemKind::Slurm), &none),
     ];
     for (case, cfg, faults) in cases {
-        let (report, fold, events) = collected(cfg, faults);
+        let (report, fold, _) = collected(cfg, faults);
         assert_agree(case, &report, &fold);
-        if case.ends_with("nominal") {
-            let v = check_grant_served_pairing(&events);
-            assert!(v.is_empty(), "{case}: {v:?}");
-        }
     }
 }
 
@@ -264,9 +252,7 @@ fn folds_over_event_stream_agree_with_inline_summaries() {
 fn a_lockstep_stream_scores_the_simulators_round_trips() {
     for seed in [7, 1234] {
         let scenario = ideal_scenario(seed);
-        let (_, events) = LockstepRuntime
-            .run_recorded(&scenario)
-            .expect("lockstep run");
+        let events = LockstepRuntime.run(&scenario).expect("lockstep run").events;
         let mut collector = MetricsCollector::new();
         for ev in &events {
             collector.on_event(ev);
