@@ -1170,3 +1170,65 @@ impl ClusterSimBuilder {
         sim
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use penelope_workload::{PerfModel, Phase};
+
+    /// A warm, fault-free 64-node cell of `system`, half donors and half
+    /// hungry, run for 30 periods after its first. Returns the lane-kind
+    /// pushes that fell back to the heap in that window, and the requests
+    /// the server accepted and the power peers granted in it.
+    fn warm_window(system: SystemKind) -> (u64, u64, Power) {
+        let w = Power::from_watts_u64;
+        let n = 64;
+        let workloads = (0..n)
+            .map(|i| {
+                let demand = if i % 2 == 0 { 100 } else { 250 };
+                Profile::new(
+                    format!("app{i}"),
+                    vec![Phase::new(w(demand), 1e9)],
+                    PerfModel::new(w(60), 1.0),
+                )
+            })
+            .collect();
+        let cfg = ClusterConfig::paper_defaults(system, w(160 * n));
+        assert!(!cfg.backup_server, "one SLURM server");
+        let period = cfg.node.decider.period;
+        let mut sim = ClusterSim::new(cfg, workloads);
+        let traffic = |sim: &ClusterSim| {
+            let served = sim.servers.iter().map(|s| s.queue.stats().accepted);
+            let granted = (0..sim.n_nodes())
+                .filter_map(|i| sim.decider_stats(NodeId::new(i as u32)))
+                .map(|s| s.granted);
+            (
+                sim.queue.fallbacks(),
+                served.sum::<u64>(),
+                granted.sum::<Power>(),
+            )
+        };
+        sim.advance_to(SimTime::ZERO + period);
+        let (fallbacks, served, granted) = traffic(&sim);
+        sim.advance_to(SimTime::ZERO + period * 31);
+        let (fallbacks_end, served_end, granted_end) = traffic(&sim);
+        (
+            fallbacks_end - fallbacks,
+            served_end - served,
+            granted_end - granted,
+        )
+    }
+
+    /// Ticks re-arm at `now + period`, escrow deadlines at `now +
+    /// escrow_timeout`, and one FIFO server completes in order: after the
+    /// first period every such push rides its lane, none the heap.
+    #[test]
+    fn warm_ticks_and_timers_never_fall_back_to_the_heap() {
+        let (fallbacks, _, granted) = warm_window(SystemKind::Penelope);
+        assert_eq!(fallbacks, 0, "Penelope: lane-kind pushes on the heap");
+        assert!(granted > Power::ZERO, "no grant, so no escrow timer pushed");
+        let (fallbacks, served, _) = warm_window(SystemKind::Slurm);
+        assert_eq!(fallbacks, 0, "SLURM: lane-kind pushes on the heap");
+        assert!(served > 0, "no request served, so no completion pushed");
+    }
+}

@@ -2,15 +2,25 @@
 //!
 //! This is the simulator's hottest data structure: every tick, message
 //! delivery and service completion passes through one push and one pop.
-//! Events are kept in a slab of reusable slots and the ordering heap holds
-//! only a compact *index-stamped* key — `(time, sequence, slot)`, 24 bytes —
-//! so heap sift operations never move the (much larger) event payloads and
-//! a slot freed by `pop` is handed straight to the next `push`. At steady
+//! Events are kept in a slab of reusable slots; the ordering structures
+//! hold only a compact *index-stamped* key — `(time, sequence, slot)`, 24
+//! bytes — so ordering never moves the (much larger) event payloads and a
+//! slot freed by `pop` is handed straight to the next `push`. At steady
 //! state the queue allocates nothing per event: message envelopes are
 //! written into recycled slots instead of freshly allocated nodes.
+//!
+//! Most keys need no heap. A re-armed `Tick` lands at `now + period`, an
+//! `EscrowTimeout` at `now + escrow_timeout`, and a `ServerProcess` leaves
+//! one FIFO server, so each kind arrives in time order already. Those
+//! kinds go to a FIFO lane (one for ticks, one for timers) whenever the key
+//! is not earlier than the lane's tail, and to the binary heap otherwise —
+//! a restart tick, a jittered first tick, a second server's completion.
+//! Every other kind goes to the heap. `pop` takes the least key among the
+//! lane heads and the heap top, so the `(time, sequence)` order is the
+//! same as a single heap's whatever the routing.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use penelope_core::PeerMsg;
 use penelope_net::Envelope;
@@ -57,14 +67,20 @@ pub struct Scheduled {
     pub event: Event,
 }
 
-/// The compact heap key: everything the ordering needs, plus the slot the
-/// payload lives in. `seq` is unique per push, so two keys never compare
-/// equal and FIFO tie-breaking at equal timestamps is total.
+/// The compact ordering key: everything the ordering needs, plus the slot
+/// the payload lives in. `seq` is unique per push, so two keys never
+/// compare equal and FIFO tie-breaking at equal timestamps is total.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct HeapKey {
     at: SimTime,
     seq: u64,
     slot: u32,
+}
+
+impl HeapKey {
+    fn before(&self, other: &HeapKey) -> bool {
+        (self.at, self.seq) < (other.at, other.seq)
+    }
 }
 
 impl PartialOrd for HeapKey {
@@ -80,13 +96,27 @@ impl Ord for HeapKey {
     }
 }
 
+/// The FIFO lane an event kind may ride: ticks, or timers.
+fn lane_of(event: &Event) -> Option<usize> {
+    match event {
+        Event::Tick(_) => Some(0),
+        Event::EscrowTimeout { .. } | Event::ServerProcess(_) => Some(1),
+        _ => None,
+    }
+}
+
 /// A deterministic min-time event queue over a slab of reusable slots.
 #[derive(Debug, Default)]
 pub struct EventQueue {
     heap: BinaryHeap<HeapKey>,
+    /// Ascending runs of keys, appended at the back and popped at the front.
+    lanes: [VecDeque<HeapKey>; 2],
     slots: Vec<Option<Event>>,
     free: Vec<u32>,
     next_seq: u64,
+    /// Lane-kind pushes that fell back to the heap.
+    #[cfg(test)]
+    fallbacks: u64,
 }
 
 impl EventQueue {
@@ -100,9 +130,9 @@ impl EventQueue {
     pub fn with_capacity(n: usize) -> Self {
         EventQueue {
             heap: BinaryHeap::with_capacity(n),
+            lanes: [VecDeque::with_capacity(n), VecDeque::with_capacity(n)],
             slots: Vec::with_capacity(n),
-            free: Vec::new(),
-            next_seq: 0,
+            ..Self::default()
         }
     }
 
@@ -110,6 +140,7 @@ impl EventQueue {
     pub fn push(&mut self, at: SimTime, event: Event) {
         let seq = self.next_seq;
         self.next_seq += 1;
+        let lane = lane_of(&event);
         let slot = match self.free.pop() {
             Some(s) => {
                 self.slots[s as usize] = Some(event);
@@ -121,15 +152,44 @@ impl EventQueue {
                 (self.slots.len() - 1) as u32
             }
         };
-        self.heap.push(HeapKey { at, seq, slot });
+        let key = HeapKey { at, seq, slot };
+        if let Some(lane) = lane.map(|l| &mut self.lanes[l]) {
+            // `seq` only grows, so a key not earlier than the tail is later.
+            if lane.back().is_none_or(|tail| tail.at <= at) {
+                lane.push_back(key);
+                return;
+            }
+            #[cfg(test)]
+            {
+                self.fallbacks += 1;
+            }
+        }
+        self.heap.push(key);
+    }
+
+    /// The least pending key and the lane holding it (`None`: the heap).
+    fn head(&self) -> Option<(HeapKey, Option<usize>)> {
+        let mut best = self.heap.peek().map(|&k| (k, None));
+        for (l, lane) in self.lanes.iter().enumerate() {
+            if let Some(&k) = lane.front() {
+                if best.is_none_or(|(b, _)| k.before(&b)) {
+                    best = Some((k, Some(l)));
+                }
+            }
+        }
+        best
     }
 
     /// Pop the earliest event (FIFO among equal timestamps).
     pub fn pop(&mut self) -> Option<Scheduled> {
-        let key = self.heap.pop()?;
+        let (key, lane) = self.head()?;
+        match lane {
+            Some(l) => self.lanes[l].pop_front(),
+            None => self.heap.pop(),
+        };
         let event = self.slots[key.slot as usize]
             .take()
-            .expect("heap key points at an occupied slot");
+            .expect("a key points at an occupied slot");
         self.free.push(key.slot);
         Some(Scheduled {
             at: key.at,
@@ -140,23 +200,30 @@ impl EventQueue {
 
     /// Peek at the earliest event's time.
     pub fn next_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|k| k.at)
+        self.head().map(|(k, _)| k.at)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.lanes.iter().map(VecDeque::len).sum::<usize>()
     }
 
     /// True iff no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 
     /// Slots currently allocated in the slab (pending + recyclable) —
     /// the queue's steady-state footprint, exposed for perf tests.
     pub fn slab_capacity(&self) -> usize {
         self.slots.len()
+    }
+
+    /// Lane-kind pushes so far that found their lane's tail later and
+    /// went to the heap.
+    #[cfg(test)]
+    pub(crate) fn fallbacks(&self) -> u64 {
+        self.fallbacks
     }
 }
 
@@ -262,5 +329,100 @@ mod tests {
         assert_eq!(q.next_time(), Some(t(7)));
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
+    }
+
+    /// A push-index-stamped event of kind `kind` (0..7, every variant).
+    fn event(kind: u8, i: u32) -> Event {
+        let id = NodeId::new(i);
+        let env = || Envelope {
+            src: id,
+            dst: id,
+            sent_at: SimTime::ZERO,
+            deliver_at: SimTime::ZERO,
+            msg: (),
+        };
+        let peer = || env().map(|()| PeerMsg::Ack(penelope_core::GrantAck { seq: 0 }, None));
+        let slurm = || {
+            env().map(|()| SlurmMsg::Report {
+                from: id,
+                excess: penelope_units::Power::ZERO,
+            })
+        };
+        match kind {
+            0 => Event::Tick(id),
+            1 => Event::DeliverPeer(peer()),
+            2 => Event::PoolProcess(peer()),
+            3 => Event::DeliverSlurm(slurm()),
+            4 => Event::ServerProcess(slurm()),
+            5 => Event::Fault(FaultAction::Kill(id)),
+            _ => Event::EscrowTimeout {
+                granter: id,
+                requester: id,
+                seq: i as u64,
+            },
+        }
+    }
+
+    /// The push index an [`event`] was stamped with.
+    fn stamp(e: &Event) -> u32 {
+        match e {
+            Event::Tick(id) | Event::Fault(FaultAction::Kill(id)) => id.raw(),
+            Event::DeliverPeer(env) | Event::PoolProcess(env) => env.src.raw(),
+            Event::DeliverSlurm(env) | Event::ServerProcess(env) => env.src.raw(),
+            Event::EscrowTimeout { granter, .. } => granter.raw(),
+            Event::Fault(_) => unreachable!(),
+        }
+    }
+
+    #[test]
+    fn pops_the_order_of_a_sorted_model() {
+        use penelope_testkit::prop::{self, vec_of};
+        use std::cell::Cell;
+        // Each op is (action, kind, offset): action 0..3 pops, anything
+        // else pushes an event of `kind` at the last popped time plus
+        // `offset` less 4 ms, so equal timestamps, pushes earlier than the
+        // last pop and pushes behind a lane's tail are all common.
+        let (fallbacks, laned) = (Cell::new(0), Cell::new(0));
+        prop::check(
+            "lanes and heap pop in (at, seq) order",
+            prop::Config::default(),
+            vec_of((0u8..10, 0u8..7, 0u64..16), 1..400),
+            |ops| {
+                let mut q = EventQueue::new();
+                let mut model: Vec<(SimTime, u64, u32)> = Vec::new();
+                let mut last = 0u64;
+                let mut pushed = 0u32;
+                for &(action, kind, offset) in &ops {
+                    if action < 3 {
+                        let want = (0..model.len())
+                            .min_by_key(|&j| (model[j].0, model[j].1))
+                            .map(|j| model.remove(j));
+                        let got = q.pop().map(|s| (s.at, s.seq, stamp(&s.event)));
+                        assert_eq!(got, want);
+                        if let Some((at, ..)) = got {
+                            last = at.as_nanos() / 1_000_000;
+                        }
+                    } else {
+                        let at = t((last + offset).saturating_sub(4));
+                        q.push(at, event(kind, pushed));
+                        model.push((at, u64::from(pushed), pushed));
+                        pushed += 1;
+                        laned.set(laned.get() + q.lanes.iter().map(VecDeque::len).sum::<usize>());
+                    }
+                    assert_eq!(q.len(), model.len());
+                    assert_eq!(q.next_time(), model.iter().map(|m| m.0).min());
+                }
+                while let Some(s) = q.pop() {
+                    let j = (0..model.len())
+                        .min_by_key(|&j| (model[j].0, model[j].1))
+                        .expect("the model holds as many as the queue");
+                    assert_eq!((s.at, s.seq, stamp(&s.event)), model.remove(j));
+                }
+                assert!(model.is_empty());
+                fallbacks.set(fallbacks.get() + q.fallbacks());
+            },
+        );
+        assert!(laned.get() > 0, "no case put a key on a lane");
+        assert!(fallbacks.get() > 0, "no case fell back from a lane");
     }
 }

@@ -10,6 +10,9 @@
 //! small constant allocation budget (amortized collector growth — the
 //! turnaround sample vector doubling — is the only tolerated source).
 //!
+//! A SLURM cell is held to the same budget: only SLURM cells push server
+//! completions, which ride the event queue's timer lane.
+//!
 //! The sharded simulator's twin pins its calendar: an event is appended
 //! to the `Vec` of the lookahead bucket that will deliver it, so what a
 //! warm run acquires is a `Vec` per bucket and its doublings — per round,
@@ -120,6 +123,53 @@ fn steady_state_inner_loop_does_not_allocate() {
         "audit window saw only {} messages — not a hot-path measurement",
         report.net.offered()
     );
+}
+
+#[test]
+fn steady_state_slurm_inner_loop_does_not_allocate() {
+    let _turn = TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    // The same 16 half-starved, half-saturated nodes, under one SLURM
+    // server.
+    let n = 16usize;
+    let workloads: Vec<Profile> = (0..n)
+        .map(|i| {
+            let demand = if i % 2 == 0 { 100 } else { 250 };
+            Profile::new(
+                format!("app{i}"),
+                vec![Phase::new(w(demand), 1e9)],
+                PerfModel::new(w(60), 1.0),
+            )
+        })
+        .collect();
+    let mut cfg = ClusterConfig::paper_defaults(SystemKind::Slurm, w(160 * n as u64));
+    cfg.rapl = RaplConfig {
+        safe_range: PowerRange::from_watts(80, 300),
+        actuation_delay: SimDuration::ZERO,
+        read_noise_std: 0.0,
+    };
+    let mut sim = ClusterSim::builder()
+        .config(cfg)
+        .workloads(workloads)
+        .build();
+    sim.advance_to(SimTime::from_secs(15));
+
+    let before = ALLOCS.load(Ordering::Relaxed);
+    sim.advance_to(SimTime::from_secs(45));
+    let delta = ALLOCS.load(Ordering::Relaxed) - before;
+    assert!(
+        delta <= 64,
+        "steady-state SLURM window performed {delta} heap allocations; \
+         the inner loop is supposed to be allocation-free per event"
+    );
+
+    let report = sim.finish();
+    let served = report.server_queue.expect("a SLURM cell has a server");
+    assert!(
+        served.accepted > 100,
+        "the run served only {} requests — not a hot-path measurement",
+        served.accepted
+    );
+    println!("{delta} heap acquisitions over the SLURM window");
 }
 
 /// Heap acquisitions and executed engine inputs of a dense sharded run:
