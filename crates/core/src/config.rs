@@ -162,8 +162,9 @@ impl DeciderConfig {
 
 /// The per-node protocol knobs shared by every substrate.
 ///
-/// The simulator's `ClusterConfig` (which the lockstep runtime also runs)
-/// and the daemon's `DaemonConfig` both embed one of these, so the decider,
+/// The simulator's `ClusterConfig` (which the conformance suite's
+/// multiplexed daemon leg also runs) and the daemon's `DaemonConfig` both
+/// embed one of these, so the decider,
 /// pool and safe-range parameters cannot drift apart between deployments —
 /// a scenario tuned in simulation carries to real daemons verbatim.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]

@@ -5,8 +5,8 @@
 //! known about peers, and partner selection over it), composed into one
 //! state machine that owns every protocol decision and the node's one
 //! event sink. It performs no I/O and reads no clock: the hosting
-//! substrate (discrete-event simulator, lockstep threaded runtime, UDP
-//! daemon) pumps [`EngineInput`]s into [`NodeEngine::step`], which runs
+//! substrate (discrete-event simulator, sharded simulator, UDP daemon)
+//! pumps [`EngineInput`]s into [`NodeEngine::step`], which runs
 //! the automaton and executes what it decided through the substrate's
 //! [`Effects`] — sending messages, arming timers, actuating power caps.
 //! The engine is the single emission site for every protocol trace event,
@@ -88,12 +88,12 @@ use crate::pool::PowerPool;
 use crate::protocol::{GrantAck, PeerMsg, PowerGrant, PowerRequest, SuspicionDigest};
 
 /// Everything a [`NodeEngine`] needs to know at construction, shared by
-/// all three substrates so protocol parameters cannot drift between a
+/// every substrate so protocol parameters cannot drift between a
 /// simulation and a deployment.
 ///
 /// This is the one place seq-epoch plumbing lives: the simulator's
-/// restart path, the lockstep runtime and the daemon's crash-recovery
-/// watermark all express "start the sequence namespace at `floor`" via
+/// restart path, the multiplexer's restart and the daemon's
+/// crash-recovery watermark all express "start the sequence namespace at `floor`" via
 /// [`EngineConfig::with_seq_floor`], replacing the three per-substrate
 /// spellings that preceded the engine.
 ///

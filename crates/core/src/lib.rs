@@ -26,8 +26,8 @@
 //! acked floors, and peer selection over them) — compose into
 //! [`NodeEngine`], the complete per-node protocol automaton behind a
 //! sans-IO API: the caller
-//! (the discrete-event simulator, the lockstep threaded runtime or the
-//! UDP daemon) pumps [`EngineInput`]s into [`NodeEngine::step`] and
+//! (the discrete-event simulator, the sharded simulator or the UDP
+//! daemon) pumps [`EngineInput`]s into [`NodeEngine::step`] and
 //! implements [`Effects`], the substrate side of every [`EngineOutput`];
 //! the loop that executes them lives here once. This is what lets every
 //! experiment in the paper run the *same* algorithm code over different

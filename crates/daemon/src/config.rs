@@ -43,7 +43,7 @@ pub struct DaemonConfig {
     /// This node's initial powercap (the urgency threshold).
     pub initial_cap: Power,
     /// The per-node protocol knobs (decider, pool, safe range), shared
-    /// verbatim with the simulator and the lockstep runtime.
+    /// verbatim with the simulator.
     pub node: NodeParams,
     /// Peer-discovery strategy for the decider.
     pub discovery: DiscoveryStrategy,
@@ -253,8 +253,9 @@ impl DaemonConfigBuilder {
     /// Apply the unified engine configuration — node parameters,
     /// discovery strategy and sequence watermark in one `penelope_core`
     /// value. The same [`EngineConfig`] drives `ClusterSim::builder` (and
-    /// through its `ClusterConfig`, `penelope_runtime::run_lockstep`), so a
-    /// tuned protocol setup moves between substrates verbatim. The seq
+    /// through its `ClusterConfig`, the conformance suite's multiplexed
+    /// daemon leg), so a tuned protocol setup moves between substrates
+    /// verbatim. The seq
     /// floor lands in [`DaemonConfig::initial_seq`].
     pub fn engine_config(mut self, engine: EngineConfig) -> Self {
         self.cfg.node = engine.node;

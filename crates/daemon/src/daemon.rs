@@ -25,7 +25,7 @@ use penelope_core::decider::DeciderStats;
 use penelope_core::{EngineConfig, NodeEngine};
 use penelope_net::shim::DatagramSocket;
 use penelope_power::{CappedDevice, ConstantDevice, LinuxRapl, SimulatedRapl};
-use penelope_testkit::rng::{node_stream, TestRng};
+use penelope_testkit::rng::{node_seed, TestRng};
 use penelope_trace::{CounterObserver, CounterSnapshot, FanoutObserver, SharedObserver, Stamper};
 use penelope_units::{NodeId, Power, SimTime};
 use penelope_workload::WorkloadState;
@@ -221,7 +221,7 @@ pub(crate) fn build_reactor(
     plant.set_cap(0, engine.cap(), SimTime::ZERO);
     // The node's own stream, fixed by its id: a restarted daemon draws
     // what its first incarnation drew, whatever port it binds.
-    let rng = TestRng::seed_from_u64(node_stream(DAEMON_SEED, me.raw().into()));
+    let rng = TestRng::seed_from_u64(node_seed(DAEMON_SEED, me.raw().into()));
     let mut reactor = Reactor::new(
         vec![engine],
         vec![rng],
@@ -237,7 +237,7 @@ pub(crate) fn build_reactor(
 }
 
 /// The root of every per-node daemon's random stream (node `i` draws from
-/// `node_stream(DAEMON_SEED, i)`).
+/// `node_seed(DAEMON_SEED, i)`).
 const DAEMON_SEED: u64 = 0xDAE0_0DAE;
 
 /// What [`DaemonHandle::escrow_len`] reads while the loop is inside a tick

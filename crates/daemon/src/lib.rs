@@ -27,7 +27,8 @@
 //! for single-host soaks (there, and only there, frames share
 //! datagrams), and a [`Mux`] over simulated RAPL domains, stepped one
 //! round at a time, is how the conformance harness holds this code to the
-//! invariants the simulator and the lockstep runtime are held to. (The paper runs two threads and a lock per node,
+//! invariants the simulator is held to, and to the simulator's own
+//! protocol stream per seed. (The paper runs two threads and a lock per node,
 //! §3.3; one thread that owns its engines needs neither.)
 //!
 //! UDP matches the protocol's needs exactly: requests are idempotent-ish

@@ -26,8 +26,9 @@
 //! one `[dst][src][WireMsg]` frame in each.
 //!
 //! Time is hybrid: the protocol clock is virtual (round `p` ticks every
-//! engine at `(p + 1) × period`, so escrow deadlines and request timeouts
-//! behave exactly as on the lockstep runtime), while grant round-trip
+//! engine at `p × period`, the instant the simulator ticks it at, so
+//! escrow deadlines and request timeouts fall in the same periods and the
+//! events of round `p` are stamped period `p`), while grant round-trip
 //! *latency* is measured on the wall clock from the moment a request frame
 //! is handed to `tx` — so the wait for its datagram to fill or be flushed
 //! counts — to the moment the engine reports the round-trip
@@ -68,7 +69,7 @@ use penelope_core::{EngineConfig, NodeEngine, NodeParams};
 use penelope_net::shim::{CoalescingSocket, DatagramSocket, FaultConfig, FaultySocket, ShimStats};
 use penelope_net::FaultPlane;
 use penelope_power::{CappedDevice, SimulatedRapl};
-use penelope_testkit::rng::{node_stream, TestRng};
+use penelope_testkit::rng::{node_seed, TestRng};
 use penelope_trace::{EventKind, SharedObserver, Stamper};
 use penelope_units::{NodeId, Power, SimDuration, SimTime};
 
@@ -92,7 +93,7 @@ const DRAIN_PATIENCE: u32 = 10;
 pub struct MuxConfig {
     /// Number of node engines to host.
     pub nodes: usize,
-    /// Master seed; node `i` draws from `node_stream(seed, i)`.
+    /// Master seed; node `i` draws from `node_seed(seed, i)`.
     pub seed: u64,
     /// Per-node protocol knobs, shared verbatim with every substrate.
     pub node: NodeParams,
@@ -269,7 +270,7 @@ impl Mux {
     }
 
     /// The multiplexer over `engines`, engine `i` reading `rapls[i]` and
-    /// drawing from `node_stream(seed, i)`, every frame crossing a
+    /// drawing from `node_seed(seed, i)`, every frame crossing a
     /// `FaultySocket` set up by `wire`; `trace` stamps what it narrates.
     /// Each engine's cap at this point is its share of the budget and what
     /// a restart re-admits at most. Drive it with [`Mux::run`].
@@ -309,7 +310,7 @@ impl Mux {
             tx = shim.clone();
         }
         let rngs = (0..n)
-            .map(|i| TestRng::seed_from_u64(node_stream(seed, i as u64)))
+            .map(|i| TestRng::seed_from_u64(node_seed(seed, i as u64)))
             .collect();
         let rx = Arc::new(CoalescingSocket::new(rx));
         let mut reactor = Reactor::new(engines, rngs, plant, tx, rx, vec![rx_addr; n]);
@@ -356,8 +357,9 @@ impl Mux {
     }
 
     /// The round loop: `rounds` rounds. Before round `p`, `before` gets
-    /// the multiplexer and the round's start, `p × period`; after it `cut`
-    /// sees the quiesced books and `p`. Returns the run's accounts.
+    /// the multiplexer and the round's start, `p × period`, the instant the
+    /// round ticks at; after it `cut` sees the quiesced books and `p`.
+    /// Returns the run's accounts.
     pub fn run(
         mut self,
         rounds: u64,
@@ -367,9 +369,8 @@ impl Mux {
         let period = self.reactor.engines[0].config().node.decider.period;
         let start = Instant::now();
         for p in 0..rounds {
-            let begin = SimTime::ZERO + period * p;
-            before(&mut self, begin);
-            let now = begin + period;
+            let now = SimTime::ZERO + period * p;
+            before(&mut self, now);
             for i in 0..self.alive.len() {
                 if self.alive[i] {
                     self.reactor.tick(i, now);
@@ -601,18 +602,18 @@ mod tests {
 
     #[test]
     fn soak_traffic_and_ledger_are_pinned() {
-        // The reactor refactor must not move the mux: the protocol clock
-        // is virtual and the socket pair FIFO, so a seed fixes the whole
-        // run. Values measured on the pre-reactor multiplexer (PR 11).
+        // The protocol clock is virtual and the socket pair FIFO, so a
+        // seed fixes the whole run: these move only when what the engines
+        // draw or see does.
         let mw = Power::from_milliwatts;
         let s = run_multiplexed(&MuxConfig::soak(1000, 42, 30)).expect("soak runs");
         assert_eq!(
             (s.frames_sent, s.frames_delivered, s.events),
-            (37_389, 37_389, 68_440)
+            (37_491, 37_491, 68_561)
         );
         assert_eq!(
             (s.total_caps, s.total_pools, s.total_escrowed, s.lost),
-            (mw(153_396_077), mw(6_603_923), Power::ZERO, Power::ZERO)
+            (mw(153_583_843), mw(6_416_157), Power::ZERO, Power::ZERO)
         );
         assert_eq!(s.rtt_samples_ns.len(), 15_003);
         assert_eq!((s.wire_lost, s.send_failed, s.rejected), (0, 0, 0));
@@ -623,11 +624,11 @@ mod tests {
         let s = run_multiplexed(&cfg).expect("lossy soak runs");
         assert_eq!(
             (s.frames_sent, s.injected_drops, s.events),
-            (34_088, 1_833, 66_879)
+            (34_258, 1_793, 67_206)
         );
         assert_eq!(
             (s.total_caps, s.total_pools, s.total_escrowed, s.lost),
-            (mw(152_396_322), mw(7_520_515), mw(83_163), Power::ZERO)
+            (mw(152_387_731), mw(7_563_611), mw(48_658), Power::ZERO)
         );
         assert_eq!((s.wire_lost, s.send_failed, s.rejected), (0, 0, 0));
     }
@@ -639,7 +640,7 @@ mod tests {
         // tens of frames. Eight is the floor under which something is
         // flushing far too often.
         let s = run_multiplexed(&MuxConfig::soak(1000, 42, 30)).expect("soak runs");
-        assert_eq!(s.frames_sent, 37_389);
+        assert_eq!(s.frames_sent, 37_491);
         assert!(
             s.datagrams_sent * 8 <= s.frames_sent,
             "{} frames left in {} datagrams",

@@ -117,9 +117,9 @@ impl FaultPlane {
         self.drop_rate > 0.0 && rng.gen_bool(self.drop_rate)
     }
 
-    /// The fault decision for one message from `src` to `dst`, for every
-    /// transport that sends on its own clock (the thread-net and the
-    /// daemon's socket shim): the loss draw comes first, out of the
+    /// The fault decision for one message from `src` to `dst`, for a
+    /// transport that sends on its own clock (the daemon's socket shim):
+    /// the loss draw comes first, out of the
     /// sender's `rng`, so with a non-zero drop rate every send draws
     /// exactly once whether or not the link would have carried it, and a
     /// sender's loss stream does not depend on who is dead or cut off;
@@ -317,5 +317,30 @@ mod tests {
         assert_eq!(f.drop_rate(), 0.0);
         f.set_drop_rate(0.25);
         assert_eq!(f.drop_rate(), 0.25);
+    }
+
+    #[test]
+    fn carries_draws_once_per_message_from_the_senders_stream() {
+        use penelope_testkit::rng::TestRng;
+        // A healthy plane draws nothing.
+        let mut f = FaultPlane::healthy();
+        let mut rng = TestRng::seed_from_u64(7);
+        assert!(f.carries(n(0), n(1), &mut rng));
+        assert_eq!(rng.next_u64(), TestRng::seed_from_u64(7).next_u64());
+
+        // With a drop rate, one draw per message whether or not the link
+        // would have carried it: a dead destination does not shift the
+        // sender's loss stream.
+        f.set_drop_rate(0.5);
+        let mut rng = TestRng::seed_from_u64(7);
+        let mut oracle = TestRng::seed_from_u64(7);
+        for k in 0..200 {
+            if k == 100 {
+                f.kill(n(1));
+            }
+            let lost = oracle.gen_bool(0.5);
+            assert_eq!(f.carries(n(0), n(1), &mut rng), !lost && k < 100, "{k}");
+        }
+        assert_eq!(rng.next_u64(), oracle.next_u64());
     }
 }

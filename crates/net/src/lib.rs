@@ -7,21 +7,16 @@
 //! * [`SimNet`] — a routing model for the discrete-event simulator: samples a
 //!   delivery latency, consults the [`FaultPlane`] (node crashes, partitions,
 //!   random drops) and either produces a timestamped [`Envelope`] for the
-//!   event queue or reports the message lost.
-//! * [`ThreadNet`] — a channel-based transport for the thread-per-node runtime
-//!   (`penelope-runtime`), with the same fault plane semantics enforced at
-//!   send time.
-//!
-//! Both are generic over the message type, so the Penelope peer protocol and
-//! the SLURM client/server protocol share one substrate — mirroring how both
-//! systems ran over the same Ethernet in the paper's testbed.
-//!
-//! A third flavour serves the one substrate that uses *real* sockets: the
-//! [`shim`] module wraps a UDP socket in a [`DatagramSocket`] trait with the
-//! same fault plane plus what only a wire adds, duplication and delay
-//! ([`FaultySocket`]), so the daemon's conformance runs meet loss and
-//! partitions on actual datagrams, and a batching decorator
-//! ([`CoalescingSocket`]) that packs many small payloads into one.
+//!   event queue or reports the message lost. It is generic over the message
+//!   type, so the Penelope peer protocol and the SLURM client/server protocol
+//!   share one substrate — mirroring how both systems ran over the same
+//!   Ethernet in the paper's testbed.
+//! * The [`shim`] module, for the one substrate that uses *real* sockets,
+//!   the daemon: it wraps a UDP socket in a [`DatagramSocket`] trait with the
+//!   same fault plane plus what only a wire adds, duplication and delay
+//!   ([`FaultySocket`]), so the daemon's conformance runs meet loss and
+//!   partitions on actual datagrams, and a batching decorator
+//!   ([`CoalescingSocket`]) that packs many small payloads into one.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,7 +27,6 @@ pub mod latency;
 pub mod shim;
 pub mod simnet;
 pub mod stats;
-pub mod threadnet;
 
 pub use envelope::Envelope;
 pub use fault::FaultPlane;
@@ -42,4 +36,3 @@ pub use shim::{
 };
 pub use simnet::{RouteOutcome, SimNet};
 pub use stats::NetStats;
-pub use threadnet::{ThreadEndpoint, ThreadNet};

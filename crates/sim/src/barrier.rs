@@ -1,6 +1,5 @@
-//! The abortable phase barrier both thread drivers pace their threads
-//! with: the lockstep runtime's node threads and [`ShardedSim`]'s shard
-//! workers.
+//! The abortable phase barrier [`ShardedSim`] paces its shard workers
+//! with, and the guard that aborts it when a worker panics.
 //!
 //! [`ShardedSim`]: crate::shard::ShardedSim
 

@@ -8,8 +8,7 @@ use penelope_metrics::{Figures, MetricsCollector};
 use penelope_net::{RouteOutcome, SimNet};
 use penelope_power::{PowerInterface, SimulatedRapl};
 use penelope_slurm::{ClientAction, PowerServer, ServerGrant, ServerQueue, SlurmClient, SlurmMsg};
-use penelope_testkit::rng::Rng;
-use penelope_testkit::rng::TestRng;
+use penelope_testkit::rng::{node_seed, Rng, TestRng};
 use penelope_trace::{EventKind, FanoutObserver, SharedObserver, Stamper};
 use penelope_units::{NodeId, Power, SimDuration, SimTime};
 use penelope_workload::{Profile, WorkloadState};
@@ -65,18 +64,6 @@ pub struct ClusterSim {
     trace: Option<Arc<ClusterTrace>>,
     stamp: Stamper,
     events_processed: u64,
-}
-
-/// Per-node RNG stream derivation (SplitMix-style stream separation).
-///
-/// Public so other substrates (the lockstep runtime, `penelope-runtime`)
-/// can derive the *same* per-node streams from the same master seed,
-/// which keeps cross-substrate divergence small.
-pub fn node_seed(master: u64, idx: u64) -> u64 {
-    master
-        ^ idx
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(0xD1B5_4A32_D192_ED03)
 }
 
 impl ClusterSim {
@@ -1113,8 +1100,9 @@ impl ClusterSimBuilder {
     /// discovery strategy and sequence watermark in one `penelope_core`
     /// value, the one [`ClusterConfig::engine_config`] reads back. The
     /// same [`EngineConfig`] drives `DaemonConfig::builder`, and the
-    /// lockstep runtime takes the `ClusterConfig` itself, so a tuned
-    /// protocol setup moves between substrates verbatim.
+    /// conformance suite's multiplexed daemon leg takes the `ClusterConfig`
+    /// itself, so a tuned protocol setup moves between substrates
+    /// verbatim.
     pub fn engine_config(mut self, engine: EngineConfig) -> Self {
         self.cfg.node = engine.node;
         self.cfg.discovery = engine.discovery;

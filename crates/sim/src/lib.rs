@@ -36,10 +36,11 @@ pub mod soa;
 pub mod trace;
 
 pub use barrier::{AbortOnPanic, PhaseBarrier};
-pub use cluster::{node_seed, ClusterSim, ClusterSimBuilder};
+pub use cluster::{ClusterSim, ClusterSimBuilder};
 pub use config::{ClusterConfig, DiscoveryStrategy, SystemKind};
 pub use faults::{FaultAction, FaultScript};
 pub use ledger::{NodeSnapshot, Snapshot};
+pub use penelope_testkit::rng::node_seed;
 pub use report::RunReport;
 pub use shard::{PhaseSplit, ShardReport, ShardedConfig, ShardedSim};
 pub use soa::NodeTable;

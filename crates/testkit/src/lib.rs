@@ -21,4 +21,4 @@
 pub mod prop;
 pub mod rng;
 
-pub use rng::{node_stream, Rng, TestRng};
+pub use rng::{node_seed, Rng, TestRng};

@@ -15,9 +15,8 @@
 
 /// SplitMix64 step: advances `state` and returns the next output.
 ///
-/// Used for seed expansion and for deriving independent per-node streams
-/// ([`node_stream`]); it is a bijection on `u64` with good avalanche, so
-/// nearby seeds produce unrelated states.
+/// Used for seed expansion ([`TestRng::seed_from_u64`]); it is a bijection
+/// on `u64` with good avalanche, so nearby seeds produce unrelated states.
 #[inline]
 pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -27,18 +26,21 @@ pub fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Derive the seed for an independent stream `index` from a base `seed`.
+/// Derive the seed of node `idx`'s independent stream from a `master` seed.
 ///
-/// This is the stream-separation helper the simulator uses to give every
-/// node its own generator: two SplitMix64 steps over `(seed, index)` so
-/// that neither adjacent seeds nor adjacent indices produce correlated
-/// streams.
+/// The one per-node stream derivation in the workspace: the simulators,
+/// the multiplexed daemon, the per-node daemon and the socket shim's
+/// per-direction fault streams all seed through it, so two substrates
+/// handed the same master seed draw the same per-node streams — which is
+/// what lets the simulator and the daemon leg emit equal protocol-event
+/// streams per seed. A xor-multiply: [`TestRng::seed_from_u64`]'s
+/// SplitMix64 expansion does the mixing.
 #[inline]
-pub fn node_stream(seed: u64, index: u64) -> u64 {
-    let mut s = seed ^ 0xA076_1D64_78BD_642F_u64.wrapping_mul(index.wrapping_add(1));
-    let a = splitmix64(&mut s);
-    let b = splitmix64(&mut s);
-    a ^ b.rotate_left(32)
+pub fn node_seed(master: u64, idx: u64) -> u64 {
+    master
+        ^ idx
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(0xD1B5_4A32_D192_ED03)
 }
 
 /// The workspace PRNG: xoshiro256** with SplitMix64 seeding.
@@ -389,9 +391,9 @@ mod tests {
 
     #[test]
     fn node_streams_are_independent() {
-        let a = node_stream(42, 0);
-        let b = node_stream(42, 1);
-        let c = node_stream(43, 0);
+        let a = node_seed(42, 0);
+        let b = node_seed(42, 1);
+        let c = node_seed(43, 0);
         assert_ne!(a, b);
         assert_ne!(a, c);
         let mut ra = TestRng::seed_from_u64(a);

@@ -1,7 +1,7 @@
 //! The typed protocol-event vocabulary.
 //!
-//! Every substrate — the DES simulator, the lockstep threaded runtime and
-//! the UDP daemon — emits exactly these events, so observers (and the
+//! Every traced substrate — the DES simulator and the UDP daemon, per node
+//! or multiplexed — emits exactly these events, so observers (and the
 //! conformance harness) can diff protocol behaviour across deployments
 //! instead of comparing lossy end-of-run summaries.
 

@@ -3,8 +3,8 @@
 //! The paper's evaluation (§4) is derived from *watching* the protocol:
 //! per-request turnaround, redistribution traffic, cap trajectories. This
 //! crate defines the typed protocol-event vocabulary ([`TraceEvent`] /
-//! [`EventKind`]) and the [`Observer`] sink trait that the DES simulator,
-//! the lockstep threaded runtime and the UDP daemon all emit through — the
+//! [`EventKind`]) and the [`Observer`] sink trait that the DES simulator
+//! and the UDP daemon, per node or multiplexed, both emit through — the
 //! same events everywhere, so the conformance harness can diff event
 //! streams across substrates and the metrics crate can read the figures
 //! off any stream instead of reconstructing them from lossy summaries.

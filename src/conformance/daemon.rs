@@ -1,4 +1,4 @@
-//! Substrate 3: the daemon's reactor, multiplexed on loopback datagrams.
+//! Substrate 2: the daemon's reactor, multiplexed on loopback datagrams.
 
 use std::sync::Arc;
 
@@ -6,7 +6,8 @@ use penelope_core::{fair_assignment, NodeEngine};
 use penelope_daemon::Mux;
 use penelope_net::{FaultConfig, FaultPlane, LatencyModel};
 use penelope_power::{CappedDevice, SimulatedRapl};
-use penelope_sim::{node_seed, FaultAction};
+use penelope_sim::FaultAction;
+use penelope_testkit::rng::node_seed;
 use penelope_trace::Stamper;
 use penelope_units::{NodeId, SimDuration};
 use penelope_workload::WorkloadState;
@@ -29,9 +30,9 @@ impl Substrate for MultiplexedDaemon {
 
     fn run(&self, scenario: &Scenario) -> Result<SubstrateRun, String> {
         let (cfg, ring) = recorded(scenario);
-        // Engines and RAPL domains built as `ClusterSim` and the lockstep
-        // runtime build theirs: even shares of the budget, the scenario's
-        // discovery, sequence floor and observer.
+        // Engines and RAPL domains built as `ClusterSim` builds its own:
+        // even shares of the budget, the scenario's discovery, sequence
+        // floor and observer.
         let caps = fair_assignment(cfg.budget, scenario.profiles.len(), cfg.node.safe_range);
         let engine_cfg = Arc::new(cfg.engine_config());
         let (n, observer) = (caps.len(), &cfg.observer);
@@ -52,8 +53,7 @@ impl Substrate for MultiplexedDaemon {
         };
         let rapls = scenario.profiles.iter().cloned().zip(caps.iter().copied());
         let wire = FaultConfig {
-            // The lockstep runtime's loss lane, disjoint from every
-            // protocol stream.
+            // A loss lane of its own, disjoint from every protocol stream.
             seed: node_seed(cfg.seed, u64::MAX - 3),
             plane: FaultPlane::healthy(),
             dup_permille: scenario.dup_permille,

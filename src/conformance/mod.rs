@@ -1,4 +1,4 @@
-//! Cross-substrate conformance: one [`Scenario`], three substrates, one
+//! Cross-substrate conformance: one [`Scenario`], two substrates, one
 //! set of invariants.
 //!
 //! Penelope's portability claim (§3.3) is that the *same* decider + pool
@@ -12,28 +12,26 @@
 //! * [`SimSubstrate`] — the deterministic discrete-event simulator.
 //!   Single-threaded, so every per-period snapshot is a consistent cut
 //!   with exact in-flight accounting.
-//! * [`LockstepRuntime`] — `penelope_runtime::run_lockstep`: real OS
-//!   threads (one per node) exchanging `PeerMsg`s over a thread-net,
-//!   driven in lockstep periods by barriers. The barrier at each period
-//!   boundary guarantees no message is in flight, so these snapshots are
-//!   consistent cuts too — from genuinely concurrent code.
 //! * [`MultiplexedDaemon`] — the daemon's own code: its `Reactor`, wire
 //!   format and real UDP datagrams on loopback, every node's engine behind
 //!   one socket pair (`penelope_daemon::Mux`), stepped one period at a
-//!   time on the virtual clock. Each round is pumped until every frame
+//!   time on the virtual clock: round `p` ticks at the instant the
+//!   simulator ticks period `p`. Each round is pumped until every frame
 //!   has landed, so its snapshots are consistent cuts too —
 //!   unless the kernel lost a datagram, after which the cuts say they are
 //!   not. Its socket shim adds what only a wire can: duplication and
 //!   wall-clock delay.
 //!
-//! All three run the *same* `NodeEngine` through the same executor
-//! (`NodeEngine::step`) and read the [`FaultScript`] onto the same
-//! `penelope_net::FaultPlane` (`FaultAction::apply`); only what each
-//! substrate's `Effects` do — power delivery, transport — and the clock
-//! differ. A seed fixes a run on every substrate, except for the
-//! daemon's wire delays. The per-node daemon on the wall clock is not a
-//! conformance substrate; `penelope-daemon`'s `udp_cluster` tests smoke
-//! it on real sockets.
+//! Both run the *same* `NodeEngine` through the same executor
+//! (`NodeEngine::step`), seed each node's stream the same way
+//! (`penelope_testkit::rng::node_seed`) and read the [`FaultScript`] onto
+//! the same `penelope_net::FaultPlane` (`FaultAction::apply`); only what
+//! each substrate's `Effects` do — power delivery, transport — and the
+//! clock differ. A seed fixes a run on both, except for the daemon's wire
+//! delays, and on an [idealized](Scenario::idealized) loss-free scenario
+//! the two emit equal protocol-event streams. The per-node daemon on the
+//! wall clock is not a conformance substrate; `penelope-daemon`'s
+//! `udp_cluster` tests smoke it on real sockets.
 //!
 //! Every run records the events it emitted ([`SubstrateRun::events`]).
 //! [`check_run`] is the one verdict on a run: it holds the run's cuts, its
@@ -47,7 +45,6 @@
 use std::sync::Arc;
 
 use penelope_net::FaultPlane;
-use penelope_runtime::run_lockstep;
 use penelope_sim::{ClusterConfig, ClusterSim, FaultAction, FaultScript, SystemKind};
 use penelope_trace::{EventKind, FanoutObserver, RingBufferObserver, SharedObserver, TraceEvent};
 use penelope_units::{NodeId, Power, PowerRange, SimDuration, SimTime};
@@ -98,14 +95,14 @@ pub struct Scenario {
     /// One workload per node; the cluster has `profiles.len()` nodes.
     pub profiles: Vec<Profile>,
     /// The fault schedule, period-stamped ([`at_period`]). The simulator
-    /// installs it; the lockstep coordinator and the multiplexed daemon
-    /// apply each period's share of it between periods.
+    /// installs it; the multiplexed daemon applies each period's share of
+    /// it between periods.
     pub faults: FaultScript,
     /// Duplication probability on every link, in permille. A copy samples
     /// its own delay, so duplicates can overtake originals. Only a real
     /// wire can duplicate, so this has no `FaultAction`: the daemon
     /// substrate honours it on real datagrams through the socket shim and
-    /// the simulator and the lockstep runtime ignore it.
+    /// the simulator ignores it.
     pub dup_permille: u16,
     /// Upper bound of the uniform per-datagram delay (reordering), in
     /// milliseconds; 0 = none. Wire-only, like `dup_permille`.
@@ -140,7 +137,7 @@ impl Scenario {
         cfg.rapl.safe_range = safe;
         cfg.rapl.read_noise_std = 0.0;
         cfg.node.decider.period = PERIOD;
-        // Jitterless ticks: all substrates tick at exact period boundaries,
+        // Jitterless ticks: both substrates tick at exact period boundaries,
         // which keeps the per-node RNG streams aligned across substrates.
         cfg.tick_jitter = SimDuration::ZERO;
         Scenario {
@@ -167,11 +164,12 @@ impl Scenario {
 
     /// The transport idealized: zero message latency and zero pool service
     /// time, so a request sent in period *p* is served and its grant
-    /// applied within period *p* — the same phase alignment the lockstep
-    /// runtime's barriers enforce. With read noise and tick jitter also
-    /// zero, the two substrates draw identical per-node RNG streams and
-    /// their normalized protocol-event streams must be *equal*, which is
-    /// what the event-level conformance tests assert.
+    /// applied within period *p* — the same phase alignment the
+    /// multiplexed daemon's rounds have, each pumped until quiet. With read
+    /// noise and tick jitter also zero, the two substrates draw identical
+    /// per-node RNG streams and, on a loss-free script, their normalized
+    /// protocol-event streams must be *equal*, which is what the
+    /// event-level conformance tests assert.
     pub fn idealized(mut self) -> Scenario {
         self.cfg.latency = penelope_net::LatencyModel::Constant(SimDuration::ZERO);
         self.cfg.service = penelope_slurm::ServiceModel {
@@ -239,7 +237,7 @@ impl Scenario {
 /// The result of running one scenario on one substrate.
 #[derive(Clone, Debug)]
 pub struct SubstrateRun {
-    /// Substrate name ("sim", "runtime", "daemon", ...).
+    /// Substrate name ("sim", "daemon", ...).
     pub substrate: String,
     /// One snapshot per period boundary, in order.
     pub snapshots: Vec<Snapshot>,
@@ -281,7 +279,7 @@ pub trait Substrate {
 }
 
 // ---------------------------------------------------------------------
-// Substrates 1 and 2: the simulator and the lockstep runtime
+// Substrate 1: the simulator
 // ---------------------------------------------------------------------
 
 /// The scenario's configuration with an unbounded ring fanned in next to
@@ -334,9 +332,9 @@ fn cut_run(
         final_caps: end.nodes.iter().map(|n| n.cap).collect(),
         final_alive: end.nodes.iter().map(|n| n.alive).collect(),
         final_total: end.accounted_live() + end.lost,
-        // The DES delivers by timestamp and the thread-net in order and
-        // exactly once; only the daemon leg's socket shim can duplicate or
-        // delay, and that leg fills these in over this default.
+        // The DES delivers by timestamp, exactly once; only the daemon
+        // leg's socket shim can duplicate or delay, and that leg fills
+        // these in over this default.
         duplicated: None,
         delayed: None,
         events,
@@ -362,28 +360,6 @@ impl Substrate for SimSubstrate {
         }
         let end = sim.conformance_snapshot(scenario.periods);
         Ok(cut_run("sim", snapshots, &end, ring.events()))
-    }
-}
-
-/// Conformance adapter for [`run_lockstep`]: one real thread per node,
-/// barrier-paced, snapshots at period boundaries. The lockstep cluster is
-/// the part of [`Scenario::cfg`] a barrier-paced substrate can read.
-pub struct LockstepRuntime;
-
-impl Substrate for LockstepRuntime {
-    fn name(&self) -> &'static str {
-        "runtime"
-    }
-
-    fn run(&self, scenario: &Scenario) -> Result<SubstrateRun, String> {
-        let (cfg, ring) = recorded(scenario);
-        let run = run_lockstep(
-            &cfg,
-            scenario.profiles.clone(),
-            &scenario.faults,
-            scenario.periods,
-        );
-        Ok(cut_run("runtime", run.snapshots, &run.end, ring.events()))
     }
 }
 
@@ -446,11 +422,10 @@ pub fn lossy_scenario(seed: u64, drop_permille: u16, periods: u64) -> Scenario {
 
 /// Full wire-fault scenario: loss plus duplication plus delay-reordering
 /// on every link. On the daemon substrate all three legs run on real
-/// datagrams through the socket shim; the simulator and the lockstep
-/// runtime model the loss leg only. Nothing dies, so `lost` must stay
-/// exactly zero and every duplicate delivery must be absorbed
-/// idempotently (the engine's seq dedup and acked-floor guards are exactly
-/// what this shakes out).
+/// datagrams through the socket shim; the simulator models the loss leg
+/// only. Nothing dies, so `lost` must stay exactly zero and every
+/// duplicate delivery must be absorbed idempotently (the engine's seq
+/// dedup and acked-floor guards are exactly what this shakes out).
 pub fn lossy_wire_scenario(
     seed: u64,
     drop_permille: u16,

@@ -16,14 +16,12 @@
 //! * [`workload`] — NPB-like application power profiles and the
 //!   cap→performance model.
 //! * [`net`] — the virtual cluster network (latency, drops, partitions,
-//!   crashes) and the channel transport.
+//!   crashes) and the fault-injecting datagram socket shim.
 //! * [`trace`] — the structured observability layer: the typed protocol
 //!   event vocabulary and the [`Observer`](trace::Observer) sinks
 //!   (no-op, ring buffer, JSONL export, counters) every substrate feeds.
 //! * [`sim`] — the deterministic discrete-event cluster simulator with
 //!   conservation checking.
-//! * [`runtime`] — the thread-per-node lockstep runtime: one OS thread per
-//!   node over channels, barrier-paced periods, scripted faults.
 //! * [`metrics`] — performance normalization, redistribution time,
 //!   turnaround time.
 //! * [`experiments`] — the harness regenerating every table and figure in
@@ -33,8 +31,8 @@
 //!
 //! and holds one module of its own, [`conformance`]: a `Scenario` (the
 //! configuration, workloads and fault script of one run), the adapters
-//! that run it on the simulator, the lockstep runtime and UDP daemons, and
-//! the invariants every such run is held to.
+//! that run it on the simulator and on the daemon's reactor over loopback
+//! UDP, and the invariants every such run is held to.
 //!
 //! ## Quickstart
 //!
@@ -66,7 +64,6 @@ pub use penelope_experiments as experiments;
 pub use penelope_metrics as metrics;
 pub use penelope_net as net;
 pub use penelope_power as power;
-pub use penelope_runtime as runtime;
 pub use penelope_sim as sim;
 pub use penelope_slurm as slurm;
 pub use penelope_trace as trace;

@@ -1,6 +1,6 @@
 //! Architectural invariant: the protocol automaton lives in
-//! `penelope-core` and nowhere else. The substrates (simulator, lockstep
-//! runtime, UDP daemon) and the CLI are *drivers* — they pump
+//! `penelope-core` and nowhere else. The substrates (simulator, sharded
+//! simulator, UDP daemon) and the CLI are *drivers* — they pump
 //! `EngineInput`s and execute `EngineOutput`s, but they never branch on
 //! protocol state themselves. This test denies the identifiers that
 //! historically marked inlined protocol logic (escrow bookkeeping,
@@ -18,8 +18,8 @@
 //! size, a ninth and tenth hold a node's own *state* to the same: no
 //! hash table inside an engine, and no copy of the cluster's
 //! configuration in any struct an engine is made of, an eleventh holds
-//! the repo to its five effect mappings and one thread-per-node driver,
-//! in `penelope-runtime`, a twelfth holds it to one fault vocabulary
+//! the repo to its four effect mappings and the facade to adapters that
+//! start no engine threads, a twelfth holds it to one fault vocabulary
 //! (`FaultAction`) and one conformance module, in the root crate, whose
 //! `Scenario` nothing translates, a thirteenth holds `ShardedSim` to
 //! one thread scope per run, and a fourteenth holds the workspace to one
@@ -27,7 +27,9 @@
 //! holds the Fig. 4–8 metrics to one path: only `penelope-metrics` feeds
 //! a turnaround, oscillation or redistribution sample, and a sixteenth
 //! holds the fault script to one reading onto a `FaultPlane`: one shipped
-//! function matches `FaultAction`'s connectivity arms.
+//! function matches `FaultAction`'s connectivity arms, and a seventeenth
+//! holds every per-node random stream to one derivation,
+//! `penelope_testkit::rng::node_seed`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -51,13 +53,7 @@ const DENIED: &[&str] = &[
 const LATE_VERDICT: (&str, &str) = ("GrantOutcome", "crates/daemon/src/reactor.rs");
 
 /// Source trees that must stay protocol-free.
-const DRIVER_TREES: &[&str] = &[
-    "crates/sim/src",
-    "crates/runtime/src",
-    "crates/daemon/src",
-    "src",
-    "examples",
-];
+const DRIVER_TREES: &[&str] = &["crates/sim/src", "crates/daemon/src", "src", "examples"];
 
 /// Every file under `dir` with one of the extensions `exts`, skipping
 /// build output, the benchmark package and hidden directories other than
@@ -251,7 +247,7 @@ fn no_driver_walks_an_engine_output_buffer_by_hand() {
         }
     }
     assert!(
-        buffers >= 5,
+        buffers >= 4,
         "found only {buffers} output buffers; drivers renamed the type?"
     );
 }
@@ -668,14 +664,16 @@ fn spawns_engine_threads(text: &str) -> bool {
 }
 
 /// A substrate is an `Effects` mapping plus something that feeds the
-/// engine inputs, and the repo keeps five mappings: the DES's, the
-/// sharded DES's two (first tick and steady state), the reactor's, and
-/// the lockstep runtime's. The sixth, `ThreadFx`, belonged to a second
-/// thread-per-node driver with wall-clock sleeps for a clock; the first
-/// lived inside the facade crate's conformance module, which is adapters
-/// now and must not grow a driver back.
+/// engine inputs, and the repo keeps four mappings: the DES's, the
+/// sharded DES's two (first tick and steady state), and the reactor's,
+/// which the per-node daemon and the multiplexed daemon both run. A fifth
+/// belonged to a thread-per-node lockstep harness that only the
+/// conformance suite ran, and a sixth to a second thread-per-node driver
+/// with wall-clock sleeps for a clock; the first of those lived inside
+/// the facade crate's conformance module, which is adapters now and must
+/// not grow a driver back.
 #[test]
-fn effects_are_mapped_in_five_places_and_threads_step_engines_in_one_crate() {
+fn effects_are_mapped_in_four_places_and_the_facade_starts_no_engine_threads() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut files = Vec::new();
     for tree in ["src", "crates", "examples"] {
@@ -696,8 +694,8 @@ fn effects_are_mapped_in_five_places_and_threads_step_engines_in_one_crate() {
         }
         assert!(
             !(name.starts_with("src/") && spawns_engine_threads(shipped)),
-            "{name} starts threads that step engines — that driver is \
-             `penelope_runtime::run_lockstep`; the facade only adapts to it"
+            "{name} starts threads that step engines — the facade only \
+             adapts to the substrates' own drivers"
         );
     }
     impls.sort();
@@ -705,13 +703,12 @@ fn effects_are_mapped_in_five_places_and_threads_step_engines_in_one_crate() {
         impls,
         [
             "crates/daemon/src/reactor.rs",
-            "crates/runtime/src/lib.rs",
             "crates/sim/src/cluster.rs",
             "crates/sim/src/shard.rs",
             "crates/sim/src/shard.rs",
         ],
         "shipped code implements `Effects` somewhere new — a substrate is \
-         one mapping; a sixth is a second driver for an existing one"
+         one mapping; a fifth is a second driver for an existing one"
     );
 }
 
@@ -800,9 +797,7 @@ fn a_scenario_is_a_fault_script_and_nothing_translates_it() {
                 vocabularies.push(format!("{name}: {vocabulary}"));
             }
         }
-        let below_the_kit = ["crates/sim/src", "crates/runtime/src"]
-            .iter()
-            .any(|tree| path.starts_with(root.join(tree)));
+        let below_the_kit = path.starts_with(root.join("crates/sim/src"));
         assert!(
             !(below_the_kit && text.contains(concat!("testkit::", "conformance"))),
             "{name} imports a conformance type from the test kit — the cut \
@@ -897,7 +892,7 @@ fn connectivity_readers(text: &str) -> Vec<&str> {
 
 /// A fault script reaches a transport in one place: `FaultAction::apply`
 /// puts connectivity and loss on a `FaultPlane` and hands kills and
-/// restarts back. The simulator, the lockstep coordinator and the daemon
+/// restarts back. The simulator, a lockstep coordinator and the daemon
 /// adapter once each matched the arms themselves — the adapter by
 /// refusing every one its socket shim could not express.
 #[test]
@@ -963,6 +958,93 @@ fn connectivity_reader_detection_sees_the_shapes_it_replaced() {
                vec![FaultAction::Heal, FaultAction::HealLink { from, to }, heal]\n}\n\
                fn kills(&self) -> bool {\n    matches!(action, FaultAction::Kill(_))\n}";
     assert_eq!(connectivity_readers(new), [""; 0]);
+}
+
+/// The functions whose two-argument calls seed a generator in `text`,
+/// `TestRng::seed_from_u64(derive(master, index))`: the shape of a
+/// per-node stream derivation, by its last path segment. A one-argument
+/// mix (`splitmix64(&mut s)`) or an expression is not one.
+fn stream_derivations(text: &str) -> Vec<&str> {
+    let mut found = Vec::new();
+    for (at, call) in text.match_indices("seed_from_u64(") {
+        let arg = &text[at + call.len()..];
+        let path_len = arg
+            .find(|c: char| !is_ident_char(c) && c != ':')
+            .unwrap_or(arg.len());
+        let (path, rest) = arg.split_at(path_len);
+        let name = path.rsplit("::").next().unwrap_or("");
+        if name.is_empty() || !rest.starts_with('(') {
+            continue;
+        }
+        let (mut depth, mut commas) = (0, 0);
+        for c in rest.chars() {
+            match c {
+                '(' => depth += 1,
+                ')' if depth == 1 => break,
+                ')' => depth -= 1,
+                ',' if depth == 1 => commas += 1,
+                _ => {}
+            }
+        }
+        if commas == 1 {
+            found.push(name);
+        }
+    }
+    found
+}
+
+/// Every per-node random stream in the workspace is seeded by one
+/// function, `penelope_testkit::rng::node_seed`. The simulators once used
+/// a xor-multiply and the daemon code two SplitMix steps, so the two legs
+/// of the conformance suite drew different streams for the same seed and
+/// could not be held to equal protocol streams.
+#[test]
+fn per_node_streams_have_one_derivation() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for tree in ["src", "crates", "examples"] {
+        rust_sources(&root.join(tree), &mut files);
+    }
+    assert!(files.len() >= 80, "found only {} sources", files.len());
+    let (mut derivations, mut definitions) = (Vec::new(), Vec::new());
+    for path in &files {
+        let text = fs::read_to_string(path).expect("readable source file");
+        let name = path.strip_prefix(root).unwrap_or(path).display();
+        derivations.extend(stream_derivations(&text).into_iter().map(String::from));
+        if contains_identifier(&text, "fn node_seed") {
+            definitions.push(name.to_string());
+        }
+    }
+    derivations.sort_unstable();
+    derivations.dedup();
+    assert_eq!(
+        derivations,
+        ["node_seed"],
+        "a generator is seeded by a second per-node derivation"
+    );
+    assert_eq!(
+        definitions,
+        ["crates/testkit/src/rng.rs"],
+        "`node_seed` is defined somewhere other than `penelope_testkit::rng`"
+    );
+}
+
+#[test]
+fn stream_derivation_detection_sees_the_shapes_it_replaced() {
+    let old = "rng: TestRng::seed_from_u64(node_seed(cfg.seed, i as u64)),\n\
+               .map(|i| TestRng::seed_from_u64(split_stream(seed, i as u64)))\n\
+               TestRng::seed_from_u64(penelope_sim::node_seed(seed, i as u64))";
+    assert_eq!(
+        stream_derivations(old),
+        ["node_seed", "split_stream", "node_seed"]
+    );
+    // A single-argument mix, a plain expression and a literal are seeds,
+    // not per-node derivations.
+    let new = "TestRng::seed_from_u64(splitmix64(&mut s))\n\
+               TestRng::seed_from_u64(period ^ lambda)\n\
+               TestRng::seed_from_u64(0x5E41)\n\
+               pub fn seed_from_u64(seed: u64) -> Self {";
+    assert!(stream_derivations(new).is_empty());
 }
 
 #[test]
@@ -1190,7 +1272,7 @@ fn prop_vocabulary_detection_sees_the_shapes_it_replaced() {
 #[test]
 fn driver_detection_sees_the_shapes_it_replaced() {
     let old = "struct Shared {\n    engines: Vec<Mutex<NodeEngine>>,\n}\n\
-               impl Effects<TestRng> for LockstepFx {\n}\n\
+               impl Effects<TestRng> for BarrierFx<'_> {\n}\n\
                impl Effects<TestRng> for ThreadFx<'_> {\n}\n\
                fn run() {\n    threads.push(std::thread::spawn(move || node_loop(node)));\n}";
     assert_eq!(effects_impls(old), 2);
@@ -1198,9 +1280,9 @@ fn driver_detection_sees_the_shapes_it_replaced() {
     // The adapter names the driver's entry point and nothing it is made of;
     // a generic bound or a doc line is not an implementation; threads that
     // never see an engine (the experiment sweeps) are not a driver.
-    let new = "/// Conformance adapter for [`run_lockstep`].\n\
-               pub struct LockstepRuntime;\n\
-               fn go() { run_lockstep(&cfg, profiles, &faults, 9); }\n\
+    let new = "/// Conformance adapter for [`run_threads`].\n\
+               pub struct ThreadedRuntime;\n\
+               fn go() { run_threads(&cfg, profiles, &faults, 9); }\n\
                pub fn step<R>(fx: &mut impl Effects<R>) {}\n\
                //! implements [`Effects`], the substrate side";
     assert_eq!(effects_impls(new), 0);

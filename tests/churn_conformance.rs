@@ -20,8 +20,7 @@
 //!   its fair share.
 
 use penelope::conformance::{
-    at_period, check_run, churn_scenario, LockstepRuntime, MultiplexedDaemon, Scenario,
-    SimSubstrate, Substrate,
+    at_period, check_run, churn_scenario, MultiplexedDaemon, Scenario, SimSubstrate, Substrate,
 };
 use penelope_net::LatencyModel;
 use penelope_sim::{ClusterSim, DiscoveryStrategy, FaultAction, FaultScript};
@@ -122,15 +121,11 @@ fn assert_churn_conserves(scenario: &Scenario, substrate: &dyn Substrate) {
 
 #[test]
 fn churn_sweep_conserves_on_sim_and_lockstep() {
-    // Runs the multiplexed daemon leg too; the name predates that leg and
-    // is kept so the test keeps its id.
+    // Runs the simulator and the multiplexed daemon leg; the name
+    // predates the daemon leg and is kept so the test keeps its id.
     for drop_permille in DROP_RATES_PERMILLE {
         let scenario = churn_scenario(0x5EED_C402 + u64::from(drop_permille), drop_permille, 16);
-        for substrate in [
-            &SimSubstrate as &dyn Substrate,
-            &LockstepRuntime,
-            &MultiplexedDaemon,
-        ] {
+        for substrate in [&SimSubstrate as &dyn Substrate, &MultiplexedDaemon] {
             assert_churn_conserves(&scenario, substrate);
         }
     }
@@ -145,7 +140,7 @@ fn restarted_node_reconverges_to_fair_share() {
     let scenario = churn_scenario(0x5EED_C440, 0, 40);
     let fair = scenario.budget_per_node();
     let band = Power::from_watts_u64(50);
-    for substrate in [&SimSubstrate as &dyn Substrate, &LockstepRuntime] {
+    for substrate in [&SimSubstrate as &dyn Substrate, &MultiplexedDaemon] {
         let run = substrate
             .run(&scenario)
             .unwrap_or_else(|e| panic!("{} failed: {e}", substrate.name()));
@@ -349,11 +344,7 @@ fn a_killed_granter_retires_its_undelivered_escrow_everywhere() {
         scenario.faults = scenario.faults.partition_link_at(at_period(3), donor, peer);
     }
     scenario.faults = scenario.faults.at(at_period(4), FaultAction::Kill(donor));
-    for substrate in [
-        &SimSubstrate as &dyn Substrate,
-        &LockstepRuntime,
-        &MultiplexedDaemon,
-    ] {
+    for substrate in [&SimSubstrate as &dyn Substrate, &MultiplexedDaemon] {
         let run = substrate.run(&scenario).expect("runs");
         let violations = check_run(&scenario, &run);
         assert!(
@@ -363,14 +354,12 @@ fn a_killed_granter_retires_its_undelivered_escrow_everywhere() {
         );
         assert!(!run.final_alive[0]);
     }
-    // Non-vacuity on the barrier-paced substrates, whose cut after period
-    // 3 precedes the kill: the donor held undelivered escrow when it died.
-    for substrate in [&LockstepRuntime as &dyn Substrate, &MultiplexedDaemon] {
-        let run = substrate.run(&scenario).expect("runs");
-        assert!(
-            !run.snapshots[3].in_flight.is_zero(),
-            "{}: no grant was stranded before the kill",
-            substrate.name()
-        );
-    }
+    // Non-vacuity on the daemon leg, whose cut after period 3 — the round
+    // pumped until quiet — precedes the kill: the donor held undelivered
+    // escrow when it died.
+    let run = MultiplexedDaemon.run(&scenario).expect("runs");
+    assert!(
+        !run.snapshots[3].in_flight.is_zero(),
+        "daemon: no grant was stranded before the kill"
+    );
 }

@@ -1,7 +1,7 @@
-//! Cross-substrate conformance: the same scenarios on the DES simulator,
-//! the lockstep threaded runtime, and the daemon's reactor multiplexed on
-//! real UDP datagrams, with the safety invariants checked every period and
-//! sim↔runtime divergence bounded.
+//! Cross-substrate conformance: the same scenarios on the DES simulator
+//! and the daemon's reactor multiplexed on real UDP datagrams, with the
+//! safety invariants checked every period and sim↔daemon divergence
+//! bounded.
 //!
 //! These are the tentpole tests of the conformance harness: if any
 //! substrate mints power, lets a cap escape the safe range, or unbalances
@@ -11,8 +11,8 @@
 use penelope::conformance::{
     at_period, check_run, churn_scenario, lossy_wire_scenario, node_fault_scenario,
     noisy_power_scenario, nominal_scenario, partition_churn_scenario, run_conformance,
-    DivergenceBound, Invariant, LockstepRuntime, MultiplexedDaemon, NodeSnapshot, Scenario,
-    SimSubstrate, Snapshot, Substrate, SubstrateRun,
+    DivergenceBound, Invariant, MultiplexedDaemon, NodeSnapshot, Scenario, SimSubstrate, Snapshot,
+    Substrate, SubstrateRun,
 };
 use penelope::units::{NodeId, Power};
 use penelope::workload::Phase;
@@ -35,17 +35,10 @@ fn bound() -> DivergenceBound {
 }
 
 fn check_all_substrates(scenario: &Scenario) {
-    let sim = SimSubstrate;
-    let runtime = LockstepRuntime;
-    let daemon = MultiplexedDaemon;
-    let substrates: [&dyn Substrate; 3] = [&sim, &runtime, &daemon];
-    // Divergence is bounded for the pair that draws the same per-node
-    // streams (sim vs lockstep runtime); the daemon derives its streams
-    // another way and is held to the invariants, not to trajectory
-    // agreement.
+    let substrates: [&dyn Substrate; 2] = [&SimSubstrate, &MultiplexedDaemon];
     let report = run_conformance(scenario, &substrates, &[(0, 1)], bound());
     report.assert_conformant();
-    assert_eq!(report.substrates, ["sim", "runtime", "daemon"]);
+    assert_eq!(report.substrates, ["sim", "daemon"]);
 }
 
 #[test]
@@ -66,11 +59,7 @@ fn noisy_power_scenario_is_conformant_on_all_substrates() {
 #[test]
 fn fault_scenario_actually_kills_the_node_everywhere() {
     let scenario = node_fault_scenario(0x5EED_0004);
-    for s in [
-        &SimSubstrate as &dyn Substrate,
-        &LockstepRuntime,
-        &MultiplexedDaemon,
-    ] {
+    for s in [&SimSubstrate as &dyn Substrate, &MultiplexedDaemon] {
         let run = s.run(&scenario).expect("substrate runs");
         assert!(
             !run.final_alive[1],
@@ -128,6 +117,29 @@ fn the_daemon_legs_books_are_exact_at_every_period() {
                 scenario.name, snap.period
             );
         }
+    }
+}
+
+#[test]
+fn the_daemon_leg_stamps_round_p_as_period_p() {
+    // Round `p` ticks at `p × PERIOD`, the instant the simulator ticks
+    // period `p` at. A multiplexer that ticked a period late stamped round
+    // `p`'s events `p + 1`, read the plant a period late, and lost its
+    // last round to any `period < periods` filter. Loss-free, every grant
+    // lands within its round, so every node classifies once per round.
+    let scenario = nominal_scenario(0x5EED_0A07);
+    let run = MultiplexedDaemon.run(&scenario).expect("runs");
+    for node in (0..scenario.nodes() as u32).map(NodeId::new) {
+        let classified: Vec<(u64, u64)> = run
+            .events
+            .iter()
+            .filter(|e| e.node == node && matches!(e.kind, EventKind::Classified { .. }))
+            .map(|e| (e.period, e.at.as_nanos()))
+            .collect();
+        let rounds: Vec<(u64, u64)> = (0..scenario.periods)
+            .map(|p| (p, at_period(p).as_nanos()))
+            .collect();
+        assert_eq!(classified, rounds, "node {}", node.raw());
     }
 }
 

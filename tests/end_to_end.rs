@@ -1,10 +1,10 @@
 //! Cross-crate integration: the public facade API end to end — profile
-//! codec → simulator → metrics, DES vs threaded runtime agreement, and the
-//! NPB suite running under all three systems.
+//! codec → simulator → metrics, DES vs daemon agreement, and the NPB
+//! suite running under all three systems.
 
+use penelope::conformance::{check_run, MultiplexedDaemon, Scenario, Substrate};
 use penelope::metrics::geometric_mean;
 use penelope::prelude::*;
-use penelope::runtime::run_lockstep;
 use penelope::sim::ClusterConfig;
 use penelope::workload::codec;
 
@@ -79,24 +79,29 @@ fn des_and_threaded_runtime_agree_on_who_wins() {
     let des_pen = des_runtime(SystemKind::Penelope);
     assert!(des_pen < des_fair, "DES: {des_pen} !< {des_fair}");
 
-    // Threads (barrier-paced periods, no makespan to compare): the same
-    // imbalance must move power the same way — the recipient ends above
-    // its even share, the donor below — with the books exact at every cut.
+    // The daemon's reactor over loopback datagrams (rounds on the virtual
+    // clock, no makespan to compare): the same imbalance must move power
+    // the same way — the recipient ends above its even share, the donor
+    // below — with the books exact at every cut.
     let mut cfg = ClusterConfig::checked(SystemKind::Penelope, budget);
     cfg.management_overhead = 0.0;
-    let run = run_lockstep(&cfg, workloads, &FaultScript::none(), 20);
+    let scenario = Scenario {
+        name: "donor-recipient".into(),
+        periods: 20,
+        cfg,
+        profiles: workloads,
+        faults: FaultScript::none(),
+        dup_permille: 0,
+        jitter_ms: 0,
+    };
+    let run = MultiplexedDaemon.run(&scenario).expect("daemon runs");
+    let violations = check_run(&scenario, &run);
+    assert!(violations.is_empty(), "daemon: {violations:#?}");
+    assert!(run.snapshots.iter().all(|cut| cut.consistent_cut));
     let share = Power::from_watts_u64(160);
-    let (donor_cap, rcpt_cap) = (run.end.nodes[0].cap, run.end.nodes[1].cap);
-    assert!(rcpt_cap > share, "threads: recipient at {rcpt_cap}");
-    assert!(donor_cap < share, "threads: donor at {donor_cap}");
-    for cut in run.snapshots.iter().chain([&run.end]) {
-        assert_eq!(
-            cut.accounted_live() + cut.lost,
-            budget,
-            "threads: books off at period {}",
-            cut.period
-        );
-    }
+    let (donor_cap, rcpt_cap) = (run.final_caps[0], run.final_caps[1]);
+    assert!(rcpt_cap > share, "daemon: recipient at {rcpt_cap}");
+    assert!(donor_cap < share, "daemon: donor at {donor_cap}");
 }
 
 #[test]

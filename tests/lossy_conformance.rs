@@ -13,8 +13,8 @@
 //! specific to loss: that the fault plane really fired.
 
 use penelope::conformance::{
-    check_run, lossy_scenario, lossy_wire_scenario, LockstepRuntime, MultiplexedDaemon, Scenario,
-    SimSubstrate, Substrate, SubstrateRun,
+    check_run, lossy_scenario, lossy_wire_scenario, MultiplexedDaemon, Scenario, SimSubstrate,
+    Substrate, SubstrateRun,
 };
 use penelope_trace::EventKind;
 
@@ -40,15 +40,11 @@ fn conformant_run(scenario: &Scenario, substrate: &dyn Substrate) -> SubstrateRu
 
 #[test]
 fn drop_rate_sweep_loses_zero_peer_power_on_sim_and_lockstep() {
-    // Runs the multiplexed daemon leg too; the name predates that leg and
-    // is kept so the test keeps its id.
+    // Runs the simulator and the multiplexed daemon leg; the name
+    // predates the daemon leg and is kept so the test keeps its id.
     for drop_permille in DROP_RATES_PERMILLE {
         let scenario = lossy_scenario(0x5EED_1055 + u64::from(drop_permille), drop_permille, 12);
-        for substrate in [
-            &SimSubstrate as &dyn Substrate,
-            &LockstepRuntime,
-            &MultiplexedDaemon,
-        ] {
+        for substrate in [&SimSubstrate as &dyn Substrate, &MultiplexedDaemon] {
             conformant_run(&scenario, substrate);
         }
     }
@@ -57,10 +53,10 @@ fn drop_rate_sweep_loses_zero_peer_power_on_sim_and_lockstep() {
 #[test]
 fn long_run_at_20_percent_loss_conserves_every_period() {
     // The §4.2-length acceptance run: 40 decision periods at the paper's
-    // evaluated 20 % drop rate, on both deterministic substrates.
+    // evaluated 20 % drop rate, on both substrates.
     let scenario = lossy_scenario(0x5EED_2042, 200, 40);
     conformant_run(&scenario, &SimSubstrate);
-    conformant_run(&scenario, &LockstepRuntime);
+    conformant_run(&scenario, &MultiplexedDaemon);
 }
 
 #[test]
@@ -82,25 +78,6 @@ fn lossy_sim_actually_drops_and_escrows() {
         "no grants reclaimed at 50% loss over {} periods ({dropped} drops, {escrowed} escrows)",
         scenario.periods
     );
-}
-
-#[test]
-fn lossy_lockstep_actually_drops_and_escrows() {
-    let scenario = lossy_scenario(0x5EED_3051, 500, 20);
-    let events = LockstepRuntime
-        .run(&scenario)
-        .expect("lossy lockstep runs")
-        .events;
-    let dropped = events
-        .iter()
-        .filter(|e| matches!(e.kind, EventKind::MsgDropped { .. }))
-        .count();
-    let escrowed = events
-        .iter()
-        .filter(|e| matches!(e.kind, EventKind::GrantEscrowed { .. }))
-        .count();
-    assert!(dropped > 0, "no messages dropped at 50% loss");
-    assert!(escrowed > 0, "no grants escrowed at 50% loss");
 }
 
 #[test]
@@ -182,22 +159,17 @@ fn daemon_wire_faults_duplicate_delay_and_still_conserve() {
 
 #[test]
 fn sim_and_lockstep_run_the_loss_leg_of_wire_faults() {
-    // The deterministic substrates cannot reorder or duplicate, but they
-    // must still honor the loss leg of a wire-fault scenario (and conserve
-    // exactly, as for plain Lossy).
+    // The simulator cannot reorder or duplicate, but it must still honor
+    // the loss leg of a wire-fault scenario (and conserve exactly, as for
+    // plain Lossy). The name is kept from when a second in-process
+    // substrate ran here too.
     let scenario = lossy_wire_scenario(0x5EED_D0B2, 200, 150, 5, 12);
-    for substrate in [&SimSubstrate as &dyn Substrate, &LockstepRuntime] {
-        let run = conformant_run(&scenario, substrate);
-        assert!(
-            run.injected_drops() >= 1,
-            "{} ran the loss leg vacuously",
-            substrate.name()
-        );
-        // Honest reporting: these transports cannot duplicate, and must
-        // say so rather than report a fake zero.
-        assert_eq!(run.duplicated, None);
-        assert_eq!(run.delayed, None);
-    }
+    let run = conformant_run(&scenario, &SimSubstrate);
+    assert!(run.injected_drops() >= 1, "sim ran the loss leg vacuously");
+    // Honest reporting: this transport cannot duplicate, and must say so
+    // rather than report a fake zero.
+    assert_eq!(run.duplicated, None);
+    assert_eq!(run.delayed, None);
 }
 
 #[test]

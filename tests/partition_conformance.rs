@@ -1,9 +1,8 @@
 //! The adversarial partition matrix: asymmetric link cuts and
 //! gossip-propagated suspicion, held to the full invariant set.
 //!
-//! Five scenario families run over all three substrates (the
-//! discrete-event simulator, the lockstep threaded runtime and the
-//! multiplexed daemon reactor):
+//! Five scenario families run over both substrates (the discrete-event
+//! simulator and the multiplexed daemon reactor):
 //!
 //! * **Clean partition** — the cluster splits 2|2, then heals. No node
 //!   dies, so `lost` must stay zero at every cut (stranded grants are
@@ -35,8 +34,8 @@
 
 use penelope::conformance::{
     asymmetric_partition_scenario, at_period, check_run, flapping_scenario,
-    partition_churn_scenario, partition_scenario, LockstepRuntime, MultiplexedDaemon, Scenario,
-    SimSubstrate, Substrate, PERIOD,
+    partition_churn_scenario, partition_scenario, MultiplexedDaemon, Scenario, SimSubstrate,
+    Substrate, PERIOD,
 };
 use penelope_sim::{FaultAction, FaultScript};
 use penelope_testkit::prop::{self, vec_of, Gen};
@@ -71,8 +70,8 @@ fn split_then_heal() -> FaultScript {
         .at(at_period(12), FaultAction::Heal)
 }
 
-/// The three substrates, each of which must run every scenario here.
-const SUBSTRATES: [&dyn Substrate; 3] = [&SimSubstrate, &LockstepRuntime, &MultiplexedDaemon];
+/// The two substrates, each of which must run every scenario here.
+const SUBSTRATES: [&dyn Substrate; 2] = [&SimSubstrate, &MultiplexedDaemon];
 
 /// Node 1 goes deaf from period 3 to period 12: every link towards it is
 /// cut, its own sends deliver.
@@ -110,13 +109,13 @@ fn assert_conserves(scenario: &Scenario, substrate: &dyn Substrate) {
 }
 
 // ---------------------------------------------------------------------
-// The matrix: every partition family × all three substrates (× drop rates)
+// The matrix: every partition family × both substrates (× drop rates)
 // ---------------------------------------------------------------------
 
 #[test]
 fn partition_matrix_conserves_on_sim_and_lockstep() {
-    // Runs on all three `SUBSTRATES`, the multiplexed daemon leg included;
-    // the name predates that leg and is kept so the test keeps its id.
+    // Runs on both `SUBSTRATES`, the simulator and the multiplexed daemon
+    // leg; the name predates that leg and is kept so the test keeps its id.
     let mut scenarios = Vec::new();
     for dp in DROP_RATES_PERMILLE {
         scenarios.push(partition_scenario(0x5EED_9A01 + u64::from(dp), dp, 16));
@@ -298,27 +297,28 @@ fn clean_partition_drives_suspicion_and_gossip_then_heals() {
 
 #[test]
 fn gossip_rides_the_lockstep_transport_too() {
-    // The same digest machinery must work over the threaded runtime's
-    // real channels — the wire attachment is substrate code, not sim code.
+    // The same digest machinery must work over the daemon's wire — the
+    // digest rides encoded datagrams, substrate code, not sim code. The
+    // name is kept from the thread-per-node leg this test first ran on.
     let scenario = cut_by(
-        all_hungry_scenario(0x5EED_9C02, "partition-gossip-lockstep", 4, 22),
+        all_hungry_scenario(0x5EED_9C02, "partition-gossip-daemon", 4, 22),
         split_then_heal(),
     );
-    let events = LockstepRuntime
+    let events = MultiplexedDaemon
         .run(&scenario)
-        .unwrap_or_else(|e| panic!("lockstep failed: {e}"))
+        .unwrap_or_else(|e| panic!("daemon failed: {e}"))
         .events;
     assert!(
         events
             .iter()
             .any(|e| matches!(e.kind, EventKind::PeerSuspected { .. })),
-        "no suspicion formed on the lockstep runtime"
+        "no suspicion formed on the daemon leg"
     );
     assert!(
         events
             .iter()
             .any(|e| matches!(e.kind, EventKind::SuspicionGossiped { .. })),
-        "no suspicion was gossiped on the lockstep runtime"
+        "no suspicion was gossiped on the daemon leg"
     );
 }
 
@@ -624,7 +624,7 @@ fn random_fault_schedules_preserve_zero_sum_and_seq_epochs() {
     // kills, restarts, 2-group splits, heals and directional cuts in any
     // interleaving — including nonsense legs (restarting a live node,
     // cutting a link twice), which must be harmless no-ops. Every script
-    // runs, as it is, on all three substrates. The simulator asserts
+    // runs, as it is, on both substrates. The simulator asserts
     // conservation internally after every event; on top of that every run
     // is held to `check_run` — zero-sum at every cut and at the end, no
     // minting, caps in the safe range, pools balanced, nothing booked lost
@@ -671,8 +671,6 @@ fn random_fault_schedules_preserve_zero_sum_and_seq_epochs() {
 
 #[test]
 fn mid_run_drop_rate_starts_dropping_at_its_period_on_both_substrates() {
-    // All three `SUBSTRATES` (the name predates the daemon leg and is kept
-    // so the test keeps its id).
     // The loss rate is the script's own `SetDropRate`, in force from the
     // period it is stamped with: nothing is dropped before period 5, some
     // of the traffic is from then on, and the books stay exact throughout.

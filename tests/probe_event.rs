@@ -1,17 +1,17 @@
 //! "Lands once, works everywhere": the `peer_probed` protocol event is
 //! implemented *only* in `penelope-core` (the engine emits it when peer
 //! selection lets a request through to a peer whose suspicion outlived
-//! the probe interval), yet it is observable on all three substrates
-//! with zero substrate changes — the payoff of the NodeEngine seam.
+//! the probe interval), yet it is observable on both conformance
+//! substrates and on the wall-clock daemon (`penelope-daemon`'s
+//! `udp_cluster`) with zero substrate changes — the payoff of the
+//! NodeEngine seam.
 //!
 //! Topology for every leg: one node dies, the survivors suspect it after
 //! consecutive timeouts, selection avoids it while the suspicion is
 //! fresh, and once the probe interval elapses the next request to the
 //! corpse is narrated as a probe.
 
-use penelope::conformance::{
-    at_period, LockstepRuntime, MultiplexedDaemon, Scenario, SimSubstrate, Substrate,
-};
+use penelope::conformance::{at_period, MultiplexedDaemon, Scenario, SimSubstrate, Substrate};
 use penelope_sim::FaultScript;
 use penelope_trace::{EventKind, TraceEvent};
 use penelope_units::{NodeId, Power, SimDuration};
@@ -76,15 +76,6 @@ fn probe_event_surfaces_on_the_simulator() {
         .expect("sim runs")
         .events;
     assert_probe_narrative(&events, NodeId::new(0), "sim");
-}
-
-#[test]
-fn probe_event_surfaces_on_the_threaded_runtime() {
-    let events = LockstepRuntime
-        .run(&scenario(0x5EED_960B))
-        .expect("lockstep runs")
-        .events;
-    assert_probe_narrative(&events, NodeId::new(0), "runtime");
 }
 
 #[test]

@@ -3,11 +3,13 @@
 //!
 //! Three layers of checking, strongest first:
 //!
-//! 1. **Stream equality** — on an idealized scenario (zero message
-//!    latency, zero service time, zero tick jitter, exact power meters)
-//!    the simulator and the lockstep threaded runtime must emit *equal*
-//!    normalized protocol-event streams for the same seed: same events,
-//!    same per-node order, timestamps erased.
+//! 1. **Stream equality** — on an idealized loss-free scenario (zero
+//!    message latency, zero service time, zero tick jitter, exact power
+//!    meters) the simulator and the daemon's reactor, multiplexed on
+//!    loopback datagrams, must emit *equal* normalized protocol-event
+//!    streams for the same seed: same events, same per-node order,
+//!    timestamps erased — for every canned fault family that runs
+//!    without loss, kills, restarts and partitions included.
 //! 2. **Stream invariants** — both streams pass `check_run`, which holds
 //!    every substrate's stream to one debit per request, one application
 //!    per grant, alternating urgency and monotone request seqs.
@@ -16,13 +18,15 @@
 //!    must equal the `RunReport` the simulator fills by calling the same
 //!    collector's entry points directly: Penelope and SLURM, with
 //!    retransmits, and across a restart inside an open round trip. The
-//!    lockstep runtime's stream scores the same round trips as the
-//!    simulator's.
+//!    daemon leg's stream scores the same round trips as the simulator's.
 
 use std::sync::Arc;
 
 use penelope::conformance::{
-    at_period, check_run, normalize_protocol, LockstepRuntime, Scenario, SimSubstrate, Substrate,
+    asymmetric_partition_scenario, at_period, check_run, churn_scenario, flapping_scenario,
+    lossy_scenario, node_fault_scenario, nominal_scenario, normalize_protocol,
+    partition_churn_scenario, partition_scenario, MultiplexedDaemon, Scenario, SimSubstrate,
+    Substrate,
 };
 use penelope::prelude::*;
 use penelope_core::DiscoveryStrategy;
@@ -45,89 +49,107 @@ fn ideal_scenario(seed: u64) -> Scenario {
     Scenario::new("event-stream", seed, 10, [hungry, ramp]).idealized()
 }
 
+/// One hungry node between two donors under round-robin discovery: the
+/// strategy decides which pool each request goes to, and each pool still
+/// has only one possible requester.
+fn round_robin_scenario(seed: u64) -> Scenario {
+    let flat = |demand: u64| vec![Phase::new(watts(demand), 60.0)];
+    let mut scenario =
+        Scenario::new("round-robin", seed, 10, [flat(220), flat(100), flat(100)]).idealized();
+    scenario.cfg.discovery = DiscoveryStrategy::RoundRobin;
+    scenario
+}
+
+/// Every idealized loss-free canned scenario the two substrates must
+/// agree on: the two-node case, and each canned family that can run
+/// without loss, at three seeds.
+fn loss_free_scenarios() -> Vec<Scenario> {
+    let mut scenarios = vec![ideal_scenario(7), ideal_scenario(1234)];
+    for seed in [7, 1234, 99] {
+        scenarios.extend([
+            nominal_scenario(seed),
+            node_fault_scenario(seed),
+            churn_scenario(seed, 0, 16),
+            partition_scenario(seed, 0, 16),
+            asymmetric_partition_scenario(seed, 0, 16),
+            flapping_scenario(seed, 16),
+            partition_churn_scenario(seed, 16),
+            lossy_scenario(seed, 0, 12),
+        ]);
+    }
+    scenarios.into_iter().map(Scenario::idealized).collect()
+}
+
+fn count(evs: &[TraceEvent], kind: fn(&EventKind) -> bool) -> usize {
+    evs.iter().filter(|e| kind(&e.kind)).count()
+}
+
+/// Runs `scenario` on the simulator and the daemon, holds both to
+/// `check_run`, and asserts their normalized protocol-event streams are
+/// equal. Returns the simulator's events of the complete periods.
+fn assert_streams_agree(scenario: &Scenario) -> Vec<TraceEvent> {
+    let case = format!("{} seed {}", scenario.name, scenario.cfg.seed);
+    let sim = SimSubstrate.run(scenario).expect("sim run");
+    let daemon = MultiplexedDaemon.run(scenario).expect("daemon run");
+    for run in [&sim, &daemon] {
+        let v = check_run(scenario, run);
+        assert!(v.is_empty(), "{case} {}: {v:#?}", run.substrate);
+    }
+    // A frame the kernel lost would make the daemon's stream a
+    // different run, not a divergence to excuse: every cut must be
+    // one the multiplexer can vouch for.
+    assert!(
+        daemon.snapshots.iter().all(|cut| cut.consistent_cut),
+        "{case}: the daemon wrote a frame off on a loss-free wire"
+    );
+
+    // The sim's `advance_to(periods * PERIOD)` also fires the tick
+    // sitting exactly on the final boundary — a period the daemon
+    // never runs. Compare the complete periods.
+    let beyond = |e: &TraceEvent| e.period >= scenario.periods;
+    assert!(
+        !daemon.events.iter().any(beyond),
+        "{case}: a round ran long"
+    );
+    let sim_events: Vec<TraceEvent> = sim.events.into_iter().filter(|e| !beyond(e)).collect();
+    // The scenario must actually exercise the protocol, not match on
+    // two empty streams.
+    let requests = count(&sim_events, |k| matches!(k, EventKind::RequestSent { .. }));
+    let grants = count(&sim_events, |k| matches!(k, EventKind::GrantApplied { .. }));
+    let deposits = count(&sim_events, |k| matches!(k, EventKind::PoolDeposit { .. }));
+    assert!(requests > 0, "{case}: no requests");
+    assert!(grants > 0, "{case}: no grants");
+    assert!(deposits > 0, "{case}: no deposits");
+    assert_eq!(
+        normalize_protocol(&sim_events),
+        normalize_protocol(&daemon.events),
+        "{case}: sim and daemon protocol-event streams diverge"
+    );
+    sim_events
+}
+
 #[test]
-fn sim_and_lockstep_emit_identical_protocol_streams() {
-    for seed in [7, 1234] {
-        let scenario = ideal_scenario(seed);
-        let sim = SimSubstrate.run(&scenario).expect("sim run");
-        let rt = LockstepRuntime.run(&scenario).expect("lockstep run");
-        for run in [&sim, &rt] {
-            let v = check_run(&scenario, run);
-            assert!(v.is_empty(), "seed {seed} {}: {v:#?}", run.substrate);
-        }
-
-        // The sim's `advance_to(periods * PERIOD)` also fires the tick
-        // sitting exactly on the final boundary — an extra period the
-        // lockstep loop never starts. Compare the complete periods.
-        let cut = |evs: Vec<TraceEvent>| -> Vec<TraceEvent> {
-            evs.into_iter()
-                .filter(|e| e.period < scenario.periods)
-                .collect()
-        };
-        let sim_events = cut(sim.events);
-        let rt_events = cut(rt.events);
-        // The scenario must actually exercise the protocol, not match on
-        // two empty streams.
-        let count = |evs: &[TraceEvent], pred: fn(&EventKind) -> bool| {
-            evs.iter().filter(|e| pred(&e.kind)).count()
-        };
-        assert!(
-            count(&sim_events, |k| matches!(k, EventKind::RequestSent { .. })) > 0,
-            "seed {seed}: no requests in the sim stream"
-        );
-        assert!(
-            count(&sim_events, |k| matches!(k, EventKind::GrantApplied { .. })) > 0,
-            "seed {seed}: no grants in the sim stream"
-        );
-        assert!(
-            count(&sim_events, |k| matches!(k, EventKind::PoolDeposit { .. })) > 0,
-            "seed {seed}: no deposits in the sim stream"
-        );
-
-        let sim_norm = normalize_protocol(&sim_events);
-        let rt_norm = normalize_protocol(&rt_events);
-        assert_eq!(
-            sim_norm, rt_norm,
-            "seed {seed}: sim and lockstep protocol-event streams diverge"
-        );
+fn sim_and_daemon_emit_identical_protocol_streams() {
+    for scenario in loss_free_scenarios() {
+        assert_streams_agree(&scenario);
     }
 }
 
-/// Both adapters read the scenario's one `ClusterConfig`, discovery
-/// strategy included:
-/// the lockstep side used to rebuild its engine configuration from the
-/// node parameters alone and ran uniform-random discovery whatever the
-/// configuration said. One hungry node between two donors: the strategy
-/// decides which pool each request goes to, and each pool still has only
-/// one possible requester.
 #[test]
-fn sim_and_lockstep_agree_under_round_robin_discovery() {
-    let flat = |demand: u64| vec![Phase::new(watts(demand), 60.0)];
-    let mut scenario =
-        Scenario::new("round-robin", 7, 10, [flat(220), flat(100), flat(100)]).idealized();
-    scenario.cfg.discovery = DiscoveryStrategy::RoundRobin;
-    let sim_events = SimSubstrate.run(&scenario).expect("sim run").events;
-    let rt_events = LockstepRuntime.run(&scenario).expect("lockstep run").events;
-    let complete = |evs: Vec<TraceEvent>| -> Vec<TraceEvent> {
-        evs.into_iter()
-            .filter(|e| e.period < scenario.periods)
-            .collect()
-    };
-    let sim_events = complete(sim_events);
-    // The sweep itself: node 0 asks its two peers in turn.
-    let asked: Vec<u32> = sim_events
+fn sim_and_daemon_agree_under_round_robin_discovery() {
+    let events = assert_streams_agree(&round_robin_scenario(7));
+    // The strategy must actually sweep: never the same pool twice in a
+    // row.
+    let asked: Vec<u32> = events
         .iter()
         .filter_map(|e| match e.kind {
             EventKind::RequestSent { dst, .. } => Some(dst.raw()),
             _ => None,
         })
         .collect();
-    assert!(asked.len() >= 4, "only {} requests", asked.len());
-    assert!(asked.windows(2).all(|w| w[0] != w[1]), "asked {asked:?}");
-    assert_eq!(
-        normalize_protocol(&sim_events),
-        normalize_protocol(&complete(rt_events)),
-        "sim and lockstep diverge under round-robin discovery"
+    assert!(
+        asked.len() >= 4 && asked.windows(2).all(|w| w[0] != w[1]),
+        "round-robin seed 7: no sweep: {asked:?}"
     );
 }
 
@@ -245,21 +267,20 @@ fn folds_over_event_stream_agree_with_inline_summaries() {
     }
 }
 
-/// The lockstep runtime emits the simulator's protocol stream, so its
-/// recorded stream, replayed into a collector, scores the simulator's
-/// round trips.
+/// The daemon leg emits the simulator's protocol stream, so its recorded
+/// stream, replayed into a collector, scores the simulator's round trips.
 #[test]
-fn a_lockstep_stream_scores_the_simulators_round_trips() {
+fn a_daemon_stream_scores_the_simulators_round_trips() {
     for seed in [7, 1234] {
         let scenario = ideal_scenario(seed);
-        let events = LockstepRuntime.run(&scenario).expect("lockstep run").events;
+        let events = MultiplexedDaemon.run(&scenario).expect("daemon run").events;
         let mut collector = MetricsCollector::new();
         for ev in &events {
             collector.on_event(ev);
         }
         let fold = collector.finish().turnaround;
 
-        // The lockstep loop runs `periods` whole periods; the simulator's
+        // The daemon runs `periods` whole periods; the simulator's
         // `advance_to` would also fire the tick on the final boundary.
         let last_instant = SimTime::from_nanos(at_period(scenario.periods).as_nanos() - 1);
         let mut sim = ClusterSim::new(scenario.cfg.clone(), scenario.profiles.clone());
