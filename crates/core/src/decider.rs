@@ -44,7 +44,7 @@ pub fn classify(reading: Power, cap: Power, epsilon: Power) -> Classification {
 
 impl Classification {
     /// The trace-vocabulary equivalent of this classification.
-    pub fn as_trace(self) -> NodeClass {
+    pub(crate) fn as_trace(self) -> NodeClass {
         match self {
             Classification::Excess => NodeClass::Excess,
             Classification::Hungry => NodeClass::Hungry,
@@ -275,7 +275,12 @@ impl LocalDecider {
     /// margin case assumes tracing is off (the skipped `Classified`
     /// emissions are observable) — observer-bearing hosts must not elide.
     #[inline]
-    pub fn quiescent_until(&self, ctx: &NodeCtx, now: SimTime, reading: Power) -> Option<SimTime> {
+    pub(crate) fn quiescent_until(
+        &self,
+        ctx: &NodeCtx,
+        now: SimTime,
+        reading: Power,
+    ) -> Option<SimTime> {
         let cfg = ctx.knobs();
         if let Some(out) = self.outstanding {
             let wait = cfg.response_timeout * (1u64 << out.attempt.min(16));
@@ -287,7 +292,7 @@ impl LocalDecider {
     }
 
     /// Account `n` ticks a host elided after proving them quiescent via
-    /// [`quiescent_until`](LocalDecider::quiescent_until). Each elided
+    /// `quiescent_until`. Each elided
     /// tick would have executed as a pure `Idle` iteration, so only the
     /// iteration counter moves — every other observable is untouched by
     /// construction.

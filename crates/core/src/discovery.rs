@@ -573,7 +573,7 @@ impl PeerTable {
     }
 
     /// Drop the success hint (the node crashed).
-    pub fn forget_hint(&mut self) {
+    pub(crate) fn forget_hint(&mut self) {
         self.last_success = None;
     }
 
@@ -635,59 +635,6 @@ impl PeerTable {
 mod tests {
     use super::*;
 
-    /// A tiny deterministic LCG so core can exercise the selection logic
-    /// without depending on the testkit PRNG (draw-identity against the
-    /// testkit stream is proven by the simulator's re-exported test
-    /// suite, which runs the real `TestRng` through this code).
-    struct Lcg(u64);
-
-    impl EngineRng for Lcg {
-        fn gen_index(&mut self, upper: usize) -> usize {
-            self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((self.0 >> 33) % upper as u64) as usize
-        }
-        fn gen_chance(&mut self, p: f64) -> bool {
-            self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((self.0 >> 11) as f64 * (1.0 / (1u64 << 53) as f64)) < p
-        }
-    }
-
-    const STRATEGIES: [DiscoveryStrategy; 3] = [
-        DiscoveryStrategy::UniformRandom,
-        DiscoveryStrategy::RoundRobin,
-        DiscoveryStrategy::GossipHint { explore: 0.3 },
-    ];
-
-    #[test]
-    fn never_selects_self_under_any_state() {
-        for strategy in STRATEGIES {
-            for n in 2..=6usize {
-                for idx in 0..n {
-                    for cursor0 in 0..n as u32 + 1 {
-                        for suspect_all in [false, true] {
-                            let mut rng = Lcg((n * 31 + idx) as u64 ^ u64::from(cursor0) | 1);
-                            let mut cursor = cursor0;
-                            for _ in 0..32 {
-                                let picked = choose_peer(
-                                    strategy,
-                                    &mut rng,
-                                    idx,
-                                    n,
-                                    &mut cursor,
-                                    Some(NodeId::new(idx as u32)),
-                                    suspect_all,
-                                    |_| suspect_all,
-                                )
-                                .expect("n >= 2 always yields a peer");
-                                assert_ne!(picked.index(), idx);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     #[test]
     fn records_track_evidence_not_history() {
         let noop = penelope_trace::SharedObserver::noop();
@@ -711,33 +658,6 @@ mod tests {
     #[test]
     fn a_peer_record_stays_small() {
         assert_eq!(std::mem::size_of::<PeerRecord>(), 48);
-    }
-
-    #[test]
-    fn singleton_cluster_has_no_peer() {
-        let mut rng = Lcg(1);
-        let mut cursor = 0u32;
-        for strategy in STRATEGIES {
-            assert_eq!(
-                choose_peer(strategy, &mut rng, 0, 1, &mut cursor, None, false, |_| {
-                    false
-                }),
-                None
-            );
-        }
-    }
-
-    #[test]
-    fn initial_rr_cursor_never_points_at_self() {
-        for n in 1..=8u32 {
-            for idx in 0..n {
-                let c = initial_rr_cursor(idx, n);
-                assert!(c < n.max(1));
-                if n >= 2 {
-                    assert_ne!(c, idx, "node {idx} of {n} starts self-pointing");
-                }
-            }
-        }
     }
 }
 

@@ -491,7 +491,7 @@ impl NodeEngine {
     /// arrival or reading change — quiescence assumes frozen inputs).
     ///
     /// The engine layers its own gates over
-    /// [`LocalDecider::quiescent_until`]; all must hold, else `None`:
+    /// `LocalDecider::quiescent_until`; all must hold, else `None`:
     ///
     /// * tracing off — a real tick emits `CapActuated` (and the decider a
     ///   `Classified`) per iteration, so elision under an observer would

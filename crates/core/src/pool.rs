@@ -25,7 +25,6 @@ pub struct PowerPool {
     total_taken_local: Power,
     total_drained: Power,
     requests_served: u64,
-    urgent_served: u64,
 }
 
 impl PowerPool {
@@ -40,7 +39,6 @@ impl PowerPool {
             total_taken_local: Power::ZERO,
             total_drained: Power::ZERO,
             requests_served: 0,
-            urgent_served: 0,
         }
     }
 
@@ -51,7 +49,7 @@ impl PowerPool {
 
     /// `getMaxSize` from Algorithm 2: `fraction × pool` clamped into
     /// `[lower, upper]`.
-    pub fn get_max_size(&self) -> Power {
+    fn get_max_size(&self) -> Power {
         self.available
             .mul_f64(self.cfg.fraction)
             .clamp(self.cfg.lower, self.cfg.upper)
@@ -68,7 +66,7 @@ impl PowerPool {
     /// The co-located decider's local withdrawal: `min(pool, getMaxSize)`.
     /// Subject to the same limiter as remote requests so local access is
     /// not privileged (Algorithm 1 uses `getMaxSize` here too).
-    pub fn take_local(&mut self) -> Power {
+    pub(crate) fn take_local(&mut self) -> Power {
         let delta = self.available.min(self.get_max_size());
         self.available -= delta;
         self.total_taken_local += delta;
@@ -90,21 +88,18 @@ impl PowerPool {
         self.available -= delta;
         self.total_granted += delta;
         self.requests_served += 1;
-        if urgent {
-            self.urgent_served += 1;
-        }
         self.local_urgency = urgent;
         delta
     }
 
     /// Read and clear the `localUrgency` flag (the decider's end-of-
     /// iteration check in Algorithm 1).
-    pub fn consume_local_urgency(&mut self) -> bool {
+    pub(crate) fn consume_local_urgency(&mut self) -> bool {
         std::mem::take(&mut self.local_urgency)
     }
 
     /// Whether the flag is currently set (observability; does not clear).
-    pub fn local_urgency(&self) -> bool {
+    pub(crate) fn local_urgency(&self) -> bool {
         self.local_urgency
     }
 
@@ -118,9 +113,7 @@ impl PowerPool {
         self.total_granted
     }
 
-    /// Lifetime power the co-located decider withdrew via [`take_local`].
-    ///
-    /// [`take_local`]: PowerPool::take_local
+    /// Lifetime power the co-located decider withdrew via `take_local`.
     pub fn total_taken_local(&self) -> Power {
         self.total_taken_local
     }
@@ -132,21 +125,9 @@ impl PowerPool {
         self.total_drained
     }
 
-    /// Lifetime power withdrawn through any path. The pool's conservation
-    /// law, checked by the conformance harness, is
-    /// `total_deposited == total_withdrawn + available`.
-    pub fn total_withdrawn(&self) -> Power {
-        self.total_granted + self.total_taken_local + self.total_drained
-    }
-
     /// Requests served (including empty-handed ones).
     pub fn requests_served(&self) -> u64 {
         self.requests_served
-    }
-
-    /// Urgent requests served.
-    pub fn urgent_served(&self) -> u64 {
-        self.urgent_served
     }
 
     /// Drain the pool completely (used when a node crashes: its cached
@@ -177,6 +158,12 @@ mod tests {
         let mut pool = PowerPool::default();
         pool.deposit(p);
         pool
+    }
+
+    /// Lifetime power withdrawn through any path: the pool's conservation
+    /// law is `total_deposited == lifetime_withdrawn + available`.
+    fn lifetime_withdrawn(p: &PowerPool) -> Power {
+        p.total_granted() + p.total_taken_local() + p.total_drained()
     }
 
     #[test]
@@ -224,7 +211,6 @@ mod tests {
         let granted = p.handle_request(true, w(80));
         assert_eq!(granted, w(80));
         assert_eq!(p.available(), w(120));
-        assert_eq!(p.urgent_served(), 1);
     }
 
     #[test]
@@ -282,7 +268,6 @@ mod tests {
         assert_eq!(p.total_deposited(), w(150));
         assert_eq!(p.total_granted(), g1 + g2);
         assert_eq!(p.requests_served(), 2);
-        assert_eq!(p.urgent_served(), 1);
     }
 
     #[test]
@@ -304,7 +289,6 @@ mod tests {
         assert_eq!(p.total_granted(), Power::ZERO);
         assert!(p.local_urgency());
         assert_eq!(p.requests_served(), 1);
-        assert_eq!(p.urgent_served(), 1);
     }
 
     #[test]
@@ -345,11 +329,11 @@ mod tests {
         let drained = p.drain();
         assert_eq!(p.available(), Power::ZERO);
         assert_eq!(p.total_drained(), drained);
-        assert_eq!(p.total_withdrawn(), g + t + drained);
-        assert_eq!(p.total_deposited(), p.total_withdrawn() + p.available());
+        assert_eq!(lifetime_withdrawn(&p), g + t + drained);
+        assert_eq!(p.total_deposited(), lifetime_withdrawn(&p) + p.available());
         // A second drain is a no-op and must not disturb the ledger.
         assert_eq!(p.drain(), Power::ZERO);
-        assert_eq!(p.total_deposited(), p.total_withdrawn() + p.available());
+        assert_eq!(p.total_deposited(), lifetime_withdrawn(&p) + p.available());
     }
 
     #[test]
@@ -377,7 +361,7 @@ mod tests {
                     }
                     assert_eq!(deposited - withdrawn, p.available());
                     assert_eq!(p.total_deposited(), deposited);
-                    assert_eq!(p.total_withdrawn() + p.available(), deposited);
+                    assert_eq!(lifetime_withdrawn(&p) + p.available(), deposited);
                 }
             },
         );

@@ -5,12 +5,14 @@
 //! that silently reorders or drops an output fails here before any
 //! substrate-level conformance suite has to diagnose it.
 
+use std::sync::Arc;
+
 use penelope_core::{
     EngineConfig, EngineInput, EngineOutput, GrantAck, NodeEngine, NodeParams, PeerMsg, PowerGrant,
     PowerRequest,
 };
 use penelope_testkit::TestRng;
-use penelope_trace::SharedObserver;
+use penelope_trace::{EventKind, RingBufferObserver, SharedObserver};
 use penelope_units::{NodeId, Power, SimTime};
 
 fn w(x: u64) -> Power {
@@ -120,6 +122,34 @@ fn serving_a_request_emits_one_grant_then_escrows_on_outcome() {
         }]
     );
     assert_eq!(e.escrow_len(), 1);
+}
+
+#[test]
+fn back_to_back_urgent_requests_raise_urgency_once() {
+    // Algorithm 2 *assigns* `localUrgency`: a second urgent request finds
+    // the flag already up, so only the first one raises it, and the
+    // stream's raise/clear pairs stay alternating.
+    let ring = Arc::new(RingBufferObserver::unbounded());
+    let mut e = NodeEngine::new(
+        n(0),
+        3,
+        EngineConfig::new(NodeParams::default()),
+        w(150),
+        ring.clone().into(),
+    );
+    e.pool_mut().deposit(w(40));
+    step(&mut e, t(1), request(1, true, 10, 1));
+    step(&mut e, t(1), request(2, true, 10, 1));
+    let kinds: Vec<EventKind> = ring.events().iter().map(|ev| ev.kind).collect();
+    let served = kinds
+        .iter()
+        .filter(|k| matches!(k, EventKind::RequestServed { urgent: true, .. }))
+        .count();
+    let raised = kinds
+        .iter()
+        .filter(|k| matches!(k, EventKind::UrgencyRaised { .. }))
+        .count();
+    assert_eq!((served, raised), (2, 1), "{kinds:?}");
 }
 
 #[test]

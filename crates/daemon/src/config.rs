@@ -2,7 +2,7 @@
 
 use std::net::SocketAddr;
 
-use penelope_core::{DeciderConfig, DiscoveryStrategy, EngineConfig, NodeParams};
+use penelope_core::{DeciderConfig, DiscoveryStrategy, NodeParams};
 use penelope_power::RaplConfig;
 use penelope_trace::SharedObserver;
 use penelope_units::{Power, PowerRange, SimDuration};
@@ -214,87 +214,6 @@ impl DaemonConfig {
     }
 }
 
-/// Fluent construction of a [`DaemonConfig`] — the daemon-side counterpart
-/// of `ClusterSim::builder()`.
-#[derive(Clone, Debug)]
-pub struct DaemonConfigBuilder {
-    cfg: DaemonConfig,
-}
-
-impl DaemonConfig {
-    /// Start building a daemon configuration from the demo defaults
-    /// (20 ms period, 160 W initial cap, simulated 100 W demand).
-    pub fn builder(listen: SocketAddr) -> DaemonConfigBuilder {
-        DaemonConfigBuilder {
-            cfg: DaemonConfig::demo(listen, Vec::new(), Power::from_watts_u64(100)),
-        }
-    }
-}
-
-impl DaemonConfigBuilder {
-    /// This daemon's stable cluster-wide node id (unique per cluster).
-    pub fn node_id(mut self, id: u32) -> Self {
-        self.cfg.node_id = id;
-        self
-    }
-
-    /// The other nodes' daemon addresses.
-    pub fn peers(mut self, peers: Vec<SocketAddr>) -> Self {
-        self.cfg.peers = peers;
-        self
-    }
-
-    /// This node's initial powercap.
-    pub fn initial_cap(mut self, cap: Power) -> Self {
-        self.cfg.initial_cap = cap;
-        self
-    }
-
-    /// Apply the unified engine configuration — node parameters,
-    /// discovery strategy and sequence watermark in one `penelope_core`
-    /// value. The same [`EngineConfig`] drives `ClusterSim::builder` (and
-    /// through its `ClusterConfig`, the conformance suite's multiplexed
-    /// daemon leg), so a tuned protocol setup moves between substrates
-    /// verbatim. The seq
-    /// floor lands in [`DaemonConfig::initial_seq`].
-    pub fn engine_config(mut self, engine: EngineConfig) -> Self {
-        self.cfg.node = engine.node;
-        self.cfg.discovery = engine.discovery;
-        self.cfg.initial_seq = engine.seq_floor;
-        self
-    }
-
-    /// The power substrate.
-    pub fn power(mut self, power: PowerBackend) -> Self {
-        self.cfg.power = power;
-        self
-    }
-
-    /// Simulated-RAPL parameters.
-    pub fn rapl(mut self, rapl: RaplConfig) -> Self {
-        self.cfg.rapl = rapl;
-        self
-    }
-
-    /// Status-line cadence in decider iterations (0 = never).
-    pub fn status_every(mut self, every: u64) -> Self {
-        self.cfg.status_every = every;
-        self
-    }
-
-    /// Attach an external protocol-event observer.
-    pub fn observer(mut self, obs: SharedObserver) -> Self {
-        self.cfg.observer = obs;
-        self
-    }
-
-    /// Finish: validate the node parameters and return the configuration.
-    pub fn build(self) -> DaemonConfig {
-        let _ = self.cfg.node.validated();
-        self.cfg
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -359,24 +278,6 @@ mod tests {
         assert!(e.contains("--peers"));
         let e = DaemonConfig::from_args(&args("--listen 0.0.0.0:1 --whatever")).unwrap_err();
         assert!(e.contains("unknown flag"));
-    }
-
-    #[test]
-    fn engine_config_applies_unified_fields() {
-        // The same EngineConfig value the sim and runtime builders take
-        // lands in the daemon config's node / discovery / initial_seq.
-        let node = NodeParams {
-            safe_range: PowerRange::from_watts(90, 250),
-            ..NodeParams::default()
-        };
-        let cfg = DaemonConfig::builder("127.0.0.1:0".parse().unwrap())
-            .node_id(3)
-            .engine_config(EngineConfig::new(node).with_seq_floor(42))
-            .build();
-        assert_eq!(cfg.node_id, 3);
-        assert_eq!(cfg.node.safe_range, PowerRange::from_watts(90, 250));
-        assert_eq!(cfg.initial_seq, 42);
-        assert_eq!(cfg.discovery, DiscoveryStrategy::default());
     }
 
     #[test]

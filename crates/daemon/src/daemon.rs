@@ -1,7 +1,7 @@
 //! The per-node daemon: the N = 1 configuration of the `Reactor`.
 //!
 //! One spawned thread owns the node's [`NodeEngine`] — the same automaton
-//! the simulator and the threaded runtime run — its power hardware and its
+//! the simulators run — its power hardware and its
 //! socket. Each period it reads power, ticks the engine, and then receives
 //! until the next period boundary, dispatching every frame the moment it
 //! arrives: a peer's request is served and a grant applied (and acked) in

@@ -43,11 +43,11 @@
 
 pub mod config;
 pub mod daemon;
-pub mod multiplex;
+pub(crate) mod multiplex;
 mod reactor;
 pub mod wire;
 
-pub use config::{DaemonConfig, DaemonConfigBuilder, PowerBackend};
+pub use config::{DaemonConfig, PowerBackend};
 pub use daemon::{run_daemon, run_daemon_with_socket, DaemonHandle, DaemonStatus, DaemonSummary};
 pub use multiplex::{run_multiplexed, GrantRttStats, Mux, MuxConfig, MuxSummary};
 pub use wire::WireMsg;

@@ -199,7 +199,7 @@ pub struct MuxSummary {
 
 impl MuxSummary {
     /// All power the run can still account for: caps + pools +
-    /// undelivered escrow + booked losses. Never exceeds [`budget`]
+    /// undelivered escrow + booked losses. Never exceeds `budget`
     /// (`Self::budget`); equals it exactly when `wire_lost == 0`.
     pub fn accounted_total(&self) -> Power {
         self.total_caps + self.total_pools + self.total_escrowed + self.lost

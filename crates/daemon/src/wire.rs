@@ -49,7 +49,7 @@ use penelope_core::{
 use penelope_units::{NodeId, Power};
 
 /// The protocol version byte every message starts with.
-pub const WIRE_VERSION: u8 = 0x04;
+const WIRE_VERSION: u8 = 0x04;
 
 const KIND_REQUEST: u8 = 0x00;
 const KIND_GRANT: u8 = 0x01;
@@ -70,7 +70,7 @@ const MAX_DIGEST_LEN: usize = 9 + MAX_DIGEST_ENTRIES * 12;
 
 /// Maximum encoded size (for receive buffers): a grant with a full
 /// digest.
-pub const MAX_WIRE_LEN: usize = 19 + MAX_DIGEST_LEN;
+pub(crate) const MAX_WIRE_LEN: usize = 19 + MAX_DIGEST_LEN;
 
 /// A message on the wire.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -88,7 +88,7 @@ pub enum WireMsg {
         /// `None` — what the reactor sends — means "the frame's sender".
         from: Option<NodeId>,
         /// A legacy price section: round-tripped by the codec, ignored by
-        /// [`into_peer`](WireMsg::into_peer), and absent from the wire
+        /// `into_peer`, and absent from the wire
         /// when zero.
         bid: Power,
     },
@@ -232,7 +232,7 @@ impl WireMsg {
 
     /// Append the encoding to `buf` — the send path's form, which reuses
     /// one buffer instead of allocating per message.
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+    pub(crate) fn encode_into(&self, buf: &mut Vec<u8>) {
         let (kind, seq) = match self {
             WireMsg::Request { seq, .. } => (KIND_REQUEST, seq),
             WireMsg::Grant { seq, .. } => (KIND_GRANT, seq),

@@ -30,7 +30,7 @@ pub struct AssignmentRow {
 
 impl AssignmentRow {
     /// Slowdown caused by the bad assignment, percent.
-    pub fn penalty_pct(&self) -> f64 {
+    pub(crate) fn penalty_pct(&self) -> f64 {
         (self.inverted_secs / self.even_secs - 1.0) * 100.0
     }
 }

@@ -45,7 +45,7 @@ pub struct ChurnResult {
 
 impl ChurnResult {
     /// Churned performance as a fraction of fault-free performance.
-    pub fn retention(&self) -> f64 {
+    pub(crate) fn retention(&self) -> f64 {
         self.overall_churned / self.overall_nominal
     }
 
@@ -75,7 +75,7 @@ impl ChurnResult {
 
 /// Run one churned cell: the last node is killed at 25 % of the Fair
 /// runtime and restarted at 50 %. Returns the makespan in seconds.
-pub fn run_churn_cell(
+pub(crate) fn run_churn_cell(
     per_socket_cap_w: u64,
     pair: &(Profile, Profile),
     nodes: usize,
@@ -119,7 +119,7 @@ pub fn run_with_caps(effort: Effort, caps: &[u64]) -> ChurnResult {
 /// the churned run share a seed and the kill/restart schedule depends
 /// only on the Fair makespan computed inside the same cell, so cells are
 /// independent and the parallel matrix is identical to the serial one.
-pub fn run_with_caps_jobs(effort: Effort, caps: &[u64], jobs: usize) -> ChurnResult {
+pub(crate) fn run_with_caps_jobs(effort: Effort, caps: &[u64], jobs: usize) -> ChurnResult {
     let pairs = pair_subset(effort.pairs());
     let nodes = effort.cluster_nodes();
     let ts = effort.time_scale();

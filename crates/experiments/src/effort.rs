@@ -29,7 +29,7 @@ impl Effort {
 
     /// Time-compression factor applied to profile work (1.0 = class-D
     /// length runs).
-    pub fn time_scale(self) -> f64 {
+    pub(crate) fn time_scale(self) -> f64 {
         match self {
             Effort::Smoke => 0.08,
             Effort::Quick => 0.5,
@@ -38,7 +38,7 @@ impl Effort {
     }
 
     /// Client nodes for the real-cluster experiments (the paper uses 20).
-    pub fn cluster_nodes(self) -> usize {
+    pub(crate) fn cluster_nodes(self) -> usize {
         match self {
             Effort::Smoke => 6,
             Effort::Quick => 20,
@@ -48,7 +48,7 @@ impl Effort {
 
     /// The largest scale point in the scale study (the paper simulates up
     /// to 1056 nodes).
-    pub fn max_scale_nodes(self) -> usize {
+    pub(crate) fn max_scale_nodes(self) -> usize {
         match self {
             Effort::Smoke => 96,
             Effort::Quick => 1056,

@@ -16,7 +16,7 @@ use crate::parallel;
 use crate::scenarios::{pair_subset, pair_workloads, paper_cluster_config};
 
 /// The per-socket caps the paper sweeps (§4.3).
-pub const PAPER_CAPS_W: [u64; 5] = [60, 70, 80, 90, 100];
+pub(crate) const PAPER_CAPS_W: [u64; 5] = [60, 70, 80, 90, 100];
 
 /// One row of Figure 2: geometric-mean normalized performance per system at
 /// one initial cap.
@@ -109,7 +109,7 @@ pub fn run_with_caps(effort: Effort, caps: &[u64]) -> Fig2Result {
 /// Run Figure 2 with an explicit worker count. Every (system, cap, pair)
 /// cell is independent (its seed depends only on the cap and pair index),
 /// so the fanned-out matrix is identical to the serial one.
-pub fn run_with_caps_jobs(effort: Effort, caps: &[u64], jobs: usize) -> Fig2Result {
+pub(crate) fn run_with_caps_jobs(effort: Effort, caps: &[u64], jobs: usize) -> Fig2Result {
     const SYSTEMS: [SystemKind; 3] = [SystemKind::Fair, SystemKind::Slurm, SystemKind::Penelope];
     let pairs = pair_subset(effort.pairs());
     let nodes = effort.cluster_nodes();

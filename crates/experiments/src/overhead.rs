@@ -28,7 +28,7 @@ pub struct OverheadRow {
 
 impl OverheadRow {
     /// Percent slowdown of running with Penelope.
-    pub fn overhead_pct(&self) -> f64 {
+    pub(crate) fn overhead_pct(&self) -> f64 {
         (self.penelope_secs / self.static_secs - 1.0) * 100.0
     }
 }

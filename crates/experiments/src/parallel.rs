@@ -4,7 +4,7 @@
 //! `ClusterSim` run per (system, scenario, application pair) — and each
 //! cell derives its RNG streams from its own deterministic seed, never from
 //! shared mutable state. That makes the cells embarrassingly parallel:
-//! [`par_map`] fans them out over a scoped worker pool of plain `std`
+//! `par_map` fans them out over a scoped worker pool of plain `std`
 //! threads and reassembles results in input order, so a parallel sweep is
 //! *bit-for-bit identical* to a serial one (asserted by the conformance
 //! test in [`crate::scale`]).
@@ -15,14 +15,14 @@
 //!
 //! Tiny sweeps are cheaper than a thread pool: [`par_map_adaptive`]
 //! times the first cell inline and only spawns workers when the
-//! projected sweep cost clears [`PAR_MIN_TOTAL_S`], so smoke-effort
+//! projected sweep cost clears `PAR_MIN_TOTAL_S`, so smoke-effort
 //! matrices no longer pay for parallelism they cannot amortize.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// The machine's available parallelism (1 if it cannot be determined).
-pub fn available_jobs() -> usize {
+pub(crate) fn available_jobs() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -32,7 +32,7 @@ pub fn available_jobs() -> usize {
 /// to [`available_jobs`]. Panics (with the offending value) on anything
 /// that is not a positive integer — a silently ignored typo would quietly
 /// serialize or misconfigure a long sweep.
-pub fn jobs_from_env() -> usize {
+pub(crate) fn jobs_from_env() -> usize {
     match std::env::var("PENELOPE_JOBS") {
         Ok(v) => parse_jobs(&v).unwrap_or_else(|e| panic!("{e}")),
         Err(std::env::VarError::NotPresent) => available_jobs(),
@@ -43,7 +43,7 @@ pub fn jobs_from_env() -> usize {
 }
 
 /// Parse a `PENELOPE_JOBS` value: a positive integer.
-pub fn parse_jobs(v: &str) -> Result<usize, String> {
+pub(crate) fn parse_jobs(v: &str) -> Result<usize, String> {
     match v.trim().parse::<usize>() {
         Ok(n) if n >= 1 => Ok(n),
         _ => Err(format!(
@@ -60,7 +60,7 @@ pub fn parse_jobs(v: &str) -> Result<usize, String> {
 /// slot, so ordering is exact regardless of completion order. `jobs <= 1`
 /// or a single item runs inline on the caller's thread. A panicking cell
 /// propagates and fails the whole sweep.
-pub fn par_map<T, R, F>(jobs: usize, items: &[T], f: F) -> Vec<R>
+pub(crate) fn par_map<T, R, F>(jobs: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -99,7 +99,7 @@ where
 /// hundred microseconds plus cache-warming, so fanning out a sweep that
 /// finishes in a few milliseconds *loses* wall time (the nominal and
 /// churn matrices at smoke effort measured 0.5–0.6× "speedups").
-pub const PAR_MIN_TOTAL_S: f64 = 0.01;
+pub(crate) const PAR_MIN_TOTAL_S: f64 = 0.01;
 
 /// Should a sweep whose first cell took `first_cell_s` seconds, with
 /// `cells` cells in total, skip the worker pool? True when the serial
@@ -108,18 +108,18 @@ pub const PAR_MIN_TOTAL_S: f64 = 0.01;
 /// The first cell is the sample because sweep cells are near-uniform in
 /// cost (same scenario shape, different parameters); a sweep whose cost
 /// is front-loaded just pays the pool it would have paid anyway.
-pub fn should_stay_serial(first_cell_s: f64, cells: usize, threshold_s: f64) -> bool {
+pub(crate) fn should_stay_serial(first_cell_s: f64, cells: usize, threshold_s: f64) -> bool {
     first_cell_s * cells as f64 <= threshold_s
 }
 
-/// [`par_map`] with a measured serial fallback: the first cell runs (and
+/// `par_map` with a measured serial fallback: the first cell runs (and
 /// is timed) on the caller's thread, and the pool is spawned for the
 /// remainder only when the projected total exceeds `threshold_s`.
 ///
-/// Results are bit-identical to [`par_map`] in either regime — cells are
+/// Results are bit-identical to `par_map` in either regime — cells are
 /// independent and land in input order — so sweeps can adopt this
 /// without disturbing the serial-vs-parallel conformance checks.
-pub fn par_map_adaptive_with_threshold<T, R, F>(
+pub(crate) fn par_map_adaptive_with_threshold<T, R, F>(
     jobs: usize,
     items: &[T],
     threshold_s: f64,
@@ -147,7 +147,7 @@ where
     out
 }
 
-/// [`par_map_adaptive_with_threshold`] at the default [`PAR_MIN_TOTAL_S`].
+/// `par_map_adaptive_with_threshold` at the default `PAR_MIN_TOTAL_S`.
 pub fn par_map_adaptive<T, R, F>(jobs: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,

@@ -76,7 +76,7 @@ pub struct RunOutcome {
 /// Run one (system, scenario) scale point — redistribution tracked from
 /// the donors' finish, stopping once it completes — with the scenario's
 /// config adjusted by `mutate` first (the ablations' hook).
-pub fn run_scenario(
+pub(crate) fn run_scenario(
     system: SystemKind,
     scenario: &ScaleScenario,
     mutate: impl FnOnce(&mut ClusterConfig),
@@ -189,7 +189,7 @@ fn run_sweep(
 
 /// Figs. 4/5/7 with an explicit worker count: sweep decider frequency at
 /// the effort's maximum scale, cells fanned out over `jobs` workers.
-pub fn frequency_sweep_with_jobs(
+pub(crate) fn frequency_sweep_with_jobs(
     effort: Effort,
     frequencies: &[f64],
     jobs: usize,
@@ -208,7 +208,11 @@ pub fn frequency_sweep(effort: Effort, frequencies: &[f64]) -> Vec<SweepRow> {
 
 /// Figs. 6/8 with an explicit worker count: sweep scale at 1 iteration
 /// per second, cells fanned out over `jobs` workers.
-pub fn scale_sweep_with_jobs(effort: Effort, scales: &[usize], jobs: usize) -> Vec<SweepRow> {
+pub(crate) fn scale_sweep_with_jobs(
+    effort: Effort,
+    scales: &[usize],
+    jobs: usize,
+) -> Vec<SweepRow> {
     let pairs = pair_subset(effort.pairs());
     let points: Vec<(usize, f64, f64)> = scales
         .iter()

@@ -23,12 +23,12 @@ use crate::effort::Effort;
 use crate::parallel;
 
 /// Master seed the sweep derives per-cell seeds from.
-pub const MEGA_SEED: u64 = 0x4d45_4741; // "MEGA"
+pub(crate) const MEGA_SEED: u64 = 0x4d45_4741; // "MEGA"
 
 /// The node-count axis for one effort preset. Smoke (CI) stops at 10^5;
 /// the full preset reaches the 10^6-node headline point and a 10^7-node
 /// cell (2.2 GiB and under a minute on a 2-core host).
-pub fn node_axis(effort: Effort) -> Vec<usize> {
+pub(crate) fn node_axis(effort: Effort) -> Vec<usize> {
     match effort {
         Effort::Smoke => vec![100_000],
         Effort::Quick => vec![100_000, 300_000],
@@ -75,7 +75,7 @@ pub struct MegaRow {
 /// One shard per 32 768 nodes (at least 2, at most 16) — enough
 /// partitioning that even the smoke point exercises the cross-shard
 /// exchange path, without drowning small cells in barrier overhead.
-pub fn cell_config(effort: Effort, i: usize, n_nodes: usize) -> ShardedConfig {
+pub(crate) fn cell_config(effort: Effort, i: usize, n_nodes: usize) -> ShardedConfig {
     let mut cfg = ShardedConfig::mega(n_nodes, periods(effort), MEGA_SEED ^ (i as u64) << 32);
     cfg.shards = (n_nodes / 32_768).clamp(2, 16).min(n_nodes);
     cfg
@@ -104,12 +104,12 @@ fn run_cell(effort: Effort, i: usize, n_nodes: usize) -> MegaRow {
 /// `jobs` parallelizes *cells*; within a cell the sharded engine runs
 /// serially (its own `jobs` stays 1) so the two layers of parallelism
 /// never nest. Rows are bit-identical for every `jobs` value.
-pub fn mega_sweep_with_jobs(effort: Effort, nodes: &[usize], jobs: usize) -> Vec<MegaRow> {
+pub(crate) fn mega_sweep_with_jobs(effort: Effort, nodes: &[usize], jobs: usize) -> Vec<MegaRow> {
     let cells: Vec<(usize, usize)> = nodes.iter().copied().enumerate().collect();
     parallel::par_map(jobs, &cells, |&(i, n)| run_cell(effort, i, n))
 }
 
-/// Run the mega sweep over the effort's [`node_axis`] with the worker
+/// Run the mega sweep over the effort's `node_axis` with the worker
 /// count from `PENELOPE_JOBS`.
 pub fn run(effort: Effort) -> Vec<MegaRow> {
     mega_sweep_with_jobs(effort, &node_axis(effort), parallel::jobs_from_env())

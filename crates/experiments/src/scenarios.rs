@@ -8,7 +8,12 @@ use penelope_workload::{npb, PerfModel, Phase, Profile};
 /// Build the paper's real-cluster workload layout for one application pair:
 /// app `a` on the first half of the nodes, app `b` on the second half
 /// (§4.1), with profile work compressed by `time_scale`.
-pub fn pair_workloads(a: &Profile, b: &Profile, nodes: usize, time_scale: f64) -> Vec<Profile> {
+pub(crate) fn pair_workloads(
+    a: &Profile,
+    b: &Profile,
+    nodes: usize,
+    time_scale: f64,
+) -> Vec<Profile> {
     assert!(
         nodes >= 2 && nodes.is_multiple_of(2),
         "need an even node count"
@@ -44,7 +49,7 @@ pub fn pair_subset(count: usize) -> Vec<(Profile, Profile)> {
 
 /// Cluster config for the Fig. 2/3 experiments at a given per-socket cap
 /// (the paper tests 60–100 W per socket, 2 sockets per node).
-pub fn paper_cluster_config(
+pub(crate) fn paper_cluster_config(
     system: SystemKind,
     per_socket_cap_w: u64,
     nodes: usize,

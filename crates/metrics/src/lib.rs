@@ -38,7 +38,7 @@ pub mod turnaround;
 
 pub use collector::{Figures, MetricsCollector, SharedCollector};
 pub use oscillation::OscillationStats;
-pub use perf::{geometric_mean, normalized_performance};
+pub use perf::geometric_mean;
 pub use redistribution::RedistributionTracker;
 pub use sparkline::{downsample, sparkline};
 pub use stats::SummaryStats;

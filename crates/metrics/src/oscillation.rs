@@ -80,7 +80,7 @@ impl OscillationStats {
     /// Merge another collector (per-node collectors into a cluster figure;
     /// reversal counts and travel add, trajectory continuity is per-node so
     /// the merged `last`/`direction` are dropped).
-    pub fn merge(&mut self, other: &OscillationStats) {
+    pub(crate) fn merge(&mut self, other: &OscillationStats) {
         self.reversals += other.reversals;
         self.total_up += other.total_up;
         self.total_down += other.total_down;

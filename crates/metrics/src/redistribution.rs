@@ -56,7 +56,7 @@ impl RedistributionTracker {
 
     /// Time (since `start`) at which the cumulative shifted power first
     /// reached `fraction` of the total; `None` if it never did.
-    pub fn time_to_fraction(&self, fraction: f64) -> Option<SimDuration> {
+    pub(crate) fn time_to_fraction(&self, fraction: f64) -> Option<SimDuration> {
         assert!(
             (0.0..=1.0).contains(&fraction),
             "fraction out of range: {fraction}"

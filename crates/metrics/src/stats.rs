@@ -78,7 +78,7 @@ impl SummaryStats {
     }
 
     /// Geometric mean. Panics if any sample is non-positive.
-    pub fn geomean(&self) -> f64 {
+    pub(crate) fn geomean(&self) -> f64 {
         assert!(
             self.sorted[0] > 0.0,
             "geometric mean requires positive samples"

@@ -28,7 +28,7 @@ impl TurnaroundStats {
     }
 
     /// Record a request that never received a response.
-    pub fn record_unanswered(&mut self) {
+    pub(crate) fn record_unanswered(&mut self) {
         self.unanswered += 1;
     }
 

@@ -11,7 +11,7 @@ use penelope_units::NodeId;
 /// This is the substrate behind the paper's §4.4 experiment (killing the
 /// SLURM server mid-run) and the fault-injection integration tests. It is
 /// deliberately a plain value type: the DES mutates it through scripted
-/// fault events, the threaded runtime shares it behind a lock.
+/// fault events, the daemon's socket shim consults it on every send.
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlane {
     dead: HashSet<NodeId>,
@@ -49,16 +49,6 @@ impl FaultPlane {
         !self.dead.contains(&node)
     }
 
-    /// Number of crashed nodes.
-    pub fn dead_count(&self) -> usize {
-        self.dead.len()
-    }
-
-    /// Iterate over crashed nodes.
-    pub fn dead_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.dead.iter().copied()
-    }
-
     /// Split the network into disjoint groups; traffic only flows within a
     /// group. Replaces any existing partition.
     pub fn partition(&mut self, groups: Vec<HashSet<NodeId>>) {
@@ -92,11 +82,6 @@ impl FaultPlane {
         self.cuts.remove(&(from, to));
     }
 
-    /// True iff the directional link `from → to` is currently cut.
-    pub fn is_cut(&self, from: NodeId, to: NodeId) -> bool {
-        self.cuts.contains(&(from, to))
-    }
-
     /// Set the background drop probability (clamped into `[0, 1]`).
     pub fn set_drop_rate(&mut self, p: f64) {
         self.drop_rate = if p.is_finite() {
@@ -113,7 +98,7 @@ impl FaultPlane {
 
     /// Whether the drop rate takes the next message: one draw from the
     /// sender's `rng` when the rate is non-zero, none otherwise.
-    pub fn loses<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
+    pub(crate) fn loses<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
         self.drop_rate > 0.0 && rng.gen_bool(self.drop_rate)
     }
 
@@ -177,8 +162,8 @@ mod tests {
         assert!(!f.can_communicate(n(0), n(1)));
         assert!(!f.can_communicate(n(1), n(0)));
         assert!(f.can_communicate(n(0), n(2)));
-        assert_eq!(f.dead_count(), 1);
-        assert_eq!(f.dead_nodes().collect::<Vec<_>>(), vec![n(1)]);
+        assert_eq!(f.dead.len(), 1);
+        assert!(f.dead.contains(&n(1)));
     }
 
     #[test]
@@ -187,7 +172,7 @@ mod tests {
         f.kill(n(1));
         f.revive(n(1));
         assert!(f.can_communicate(n(0), n(1)));
-        assert_eq!(f.dead_count(), 0);
+        assert!(f.dead.is_empty());
     }
 
     #[test]
@@ -247,7 +232,7 @@ mod tests {
         let mut f = FaultPlane::healthy();
         f.cut_link(n(0), n(1));
         assert!(f.is_partitioned());
-        assert!(f.is_cut(n(0), n(1)));
+        assert!(f.cuts.contains(&(n(0), n(1))));
         assert!(!f.can_communicate(n(0), n(1)));
         // Asymmetry: the reverse direction still flows.
         assert!(f.can_communicate(n(1), n(0)));

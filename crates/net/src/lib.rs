@@ -21,7 +21,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod envelope;
+pub(crate) mod envelope;
 pub mod fault;
 pub mod latency;
 pub mod shim;

@@ -23,7 +23,7 @@
 //! ```
 //!
 //! A [`CoalescingSocket`] holds accepted payloads back until the next one
-//! would not fit in [`MAX_DATAGRAM`] bytes, the destination changes, or
+//! would not fit in `MAX_DATAGRAM` bytes, the destination changes, or
 //! the caller asks for [`DatagramSocket::flush`]; the receiving side hands
 //! the records up one `recv_from` at a time, in order, and
 //! [`DatagramSocket::recv_buffered`] says whether one is still waiting. A
@@ -205,7 +205,7 @@ impl FaultConfig {
 /// The fate of one datagram, fully determined by (seed, direction slot,
 /// packet index) and the plane it was sent under.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PacketFate {
+pub(crate) struct PacketFate {
     /// Dropped before reaching the network: lost, or refused by the link.
     pub drop: bool,
     /// Delay before the original copy is handed to the OS.
@@ -217,7 +217,7 @@ pub struct PacketFate {
 /// The deterministic fault schedule for one direction. Pure — no sockets,
 /// no clocks — so tests can pin the exact schedule a seed produces.
 #[derive(Clone, Debug)]
-pub struct DirectionPlan {
+pub(crate) struct DirectionPlan {
     rng: TestRng,
     dup_p: f64,
     latency: Option<LatencyModel>,
@@ -238,7 +238,11 @@ impl DirectionPlan {
     /// packet is fixed (the plane's loss, then delay, then duplicate, then
     /// the duplicate's delay), so the schedule is a pure function of the
     /// stream and the plane.
-    pub fn next_fate(&mut self, plane: &FaultPlane, link: Option<(NodeId, NodeId)>) -> PacketFate {
+    pub(crate) fn next_fate(
+        &mut self,
+        plane: &FaultPlane,
+        link: Option<(NodeId, NodeId)>,
+    ) -> PacketFate {
         let carried = match link {
             Some((dst, src)) => plane.carries(src, dst, &mut self.rng),
             None => !plane.loses(&mut self.rng),
@@ -586,7 +590,7 @@ impl DatagramSocket for FaultySocket {
 
 /// Largest datagram a [`CoalescingSocket`] puts on the wire: the UDP
 /// payload of one unfragmented Ethernet frame (1 500 − 20 IP − 8 UDP).
-pub const MAX_DATAGRAM: usize = 1472;
+pub(crate) const MAX_DATAGRAM: usize = 1472;
 
 /// Record header: the payload length, `u16` LE.
 const RECORD_HDR: usize = 2;

@@ -27,16 +27,6 @@ impl NetStats {
     pub fn dropped(&self) -> u64 {
         self.dropped_random + self.dropped_dead + self.dropped_partition
     }
-
-    /// Fraction of offered messages that were lost (0 if none offered).
-    pub fn loss_fraction(&self) -> f64 {
-        let offered = self.offered();
-        if offered == 0 {
-            0.0
-        } else {
-            self.dropped() as f64 / offered as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -53,12 +43,11 @@ mod tests {
         };
         assert_eq!(s.offered(), 100);
         assert_eq!(s.dropped(), 10);
-        assert!((s.loss_fraction() - 0.1).abs() < 1e-12);
     }
 
     #[test]
     fn empty_stats_have_zero_loss() {
-        assert_eq!(NetStats::default().loss_fraction(), 0.0);
+        assert_eq!(NetStats::default().dropped(), 0);
         assert_eq!(NetStats::default().offered(), 0);
     }
 }

@@ -1,6 +1,6 @@
 //! Devices that live under a powercap.
 
-use penelope_units::{Energy, Power, SimDuration, SimTime};
+use penelope_units::{Energy, Power, SimTime};
 
 /// Something that consumes power under a cap: the node's sockets plus
 /// whatever application is running on them.
@@ -43,91 +43,67 @@ impl CappedDevice for ConstantDevice {
     }
 }
 
-/// A device that idles at a small floor power — a node whose application has
-/// finished. The floor models package idle draw.
-#[derive(Clone, Debug)]
-pub struct IdleDevice {
-    floor: Power,
-}
-
-impl IdleDevice {
-    /// A device idling at `floor` watts.
-    pub fn new(floor: Power) -> Self {
-        IdleDevice { floor }
-    }
-}
-
-impl CappedDevice for IdleDevice {
-    fn advance(&mut self, from: SimTime, to: SimTime, effective_cap: Power) -> Energy {
-        let dt = to.saturating_since(from);
-        Energy::from_power(self.floor.min(effective_cap), dt)
-    }
-
-    fn demand(&self, _at: SimTime) -> Power {
-        self.floor
-    }
-}
-
-/// A device whose demand steps through a fixed schedule of
-/// `(until_time, demand)` segments — handy for scripting decider scenarios in
-/// tests (e.g. "hungry for 5 s, then idle").
-#[derive(Clone, Debug)]
-pub struct StepDevice {
-    /// Sorted `(segment_end, demand)` pairs; demand of the last segment
-    /// continues forever.
-    steps: Vec<(SimTime, Power)>,
-}
-
-impl StepDevice {
-    /// Build from `(segment_end, demand)` pairs. Panics if `steps` is empty
-    /// or segment ends are not strictly increasing.
-    pub fn new(steps: Vec<(SimTime, Power)>) -> Self {
-        assert!(!steps.is_empty(), "StepDevice needs at least one segment");
-        for w in steps.windows(2) {
-            assert!(w[0].0 < w[1].0, "StepDevice segments must be increasing");
-        }
-        StepDevice { steps }
-    }
-
-    fn demand_in_segment(&self, t: SimTime) -> Power {
-        for &(end, d) in &self.steps {
-            if t < end {
-                return d;
-            }
-        }
-        self.steps.last().expect("non-empty").1
-    }
-}
-
-impl CappedDevice for StepDevice {
-    fn advance(&mut self, from: SimTime, to: SimTime, effective_cap: Power) -> Energy {
-        let mut energy = Energy::ZERO;
-        let mut cursor = from;
-        while cursor < to {
-            let demand = self.demand_in_segment(cursor);
-            // End of the current segment, or `to`, whichever is sooner.
-            let seg_end = self
-                .steps
-                .iter()
-                .map(|&(end, _)| end)
-                .find(|&end| end > cursor)
-                .unwrap_or(SimTime::MAX)
-                .min(to);
-            let dt: SimDuration = seg_end.saturating_since(cursor);
-            energy += Energy::from_power(demand.min(effective_cap), dt);
-            cursor = seg_end;
-        }
-        energy
-    }
-
-    fn demand(&self, at: SimTime) -> Power {
-        self.demand_in_segment(at)
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use penelope_units::SimDuration;
+
+    /// A device whose demand steps through a fixed schedule of
+    /// `(until_time, demand)` segments — the tests' script for a time-varying
+    /// load (e.g. "hungry for 5 s, then idle").
+    #[derive(Clone, Debug)]
+    pub(crate) struct StepDevice {
+        /// Sorted `(segment_end, demand)` pairs; demand of the last segment
+        /// continues forever.
+        steps: Vec<(SimTime, Power)>,
+    }
+
+    impl StepDevice {
+        /// Build from `(segment_end, demand)` pairs. Panics if `steps` is empty
+        /// or segment ends are not strictly increasing.
+        pub(crate) fn new(steps: Vec<(SimTime, Power)>) -> Self {
+            assert!(!steps.is_empty(), "StepDevice needs at least one segment");
+            for w in steps.windows(2) {
+                assert!(w[0].0 < w[1].0, "StepDevice segments must be increasing");
+            }
+            StepDevice { steps }
+        }
+
+        fn demand_in_segment(&self, t: SimTime) -> Power {
+            for &(end, d) in &self.steps {
+                if t < end {
+                    return d;
+                }
+            }
+            self.steps.last().expect("non-empty").1
+        }
+    }
+
+    impl CappedDevice for StepDevice {
+        fn advance(&mut self, from: SimTime, to: SimTime, effective_cap: Power) -> Energy {
+            let mut energy = Energy::ZERO;
+            let mut cursor = from;
+            while cursor < to {
+                let demand = self.demand_in_segment(cursor);
+                // End of the current segment, or `to`, whichever is sooner.
+                let seg_end = self
+                    .steps
+                    .iter()
+                    .map(|&(end, _)| end)
+                    .find(|&end| end > cursor)
+                    .unwrap_or(SimTime::MAX)
+                    .min(to);
+                let dt: SimDuration = seg_end.saturating_since(cursor);
+                energy += Energy::from_power(demand.min(effective_cap), dt);
+                cursor = seg_end;
+            }
+            energy
+        }
+
+        fn demand(&self, at: SimTime) -> Power {
+            self.demand_in_segment(at)
+        }
+    }
 
     fn w(x: u64) -> Power {
         Power::from_watts_u64(x)
@@ -140,14 +116,6 @@ mod tests {
         assert_eq!(e, Energy::from_joules_u64(200)); // capped at 100 W
         let e = d.advance(SimTime::from_secs(2), SimTime::from_secs(3), w(200));
         assert_eq!(e, Energy::from_joules_u64(150)); // demand-limited
-    }
-
-    #[test]
-    fn idle_device_stays_at_floor() {
-        let mut d = IdleDevice::new(w(30));
-        let e = d.advance(SimTime::ZERO, SimTime::from_secs(10), w(120));
-        assert_eq!(e, Energy::from_joules_u64(300));
-        assert_eq!(d.demand(SimTime::from_secs(5)), w(30));
     }
 
     #[test]

@@ -6,22 +6,22 @@
 //! Intel RAPL; this crate provides [`SimulatedRapl`], a faithful software
 //! model of the documented RAPL dynamics (averaged-power readings, bounded
 //! safe range, and an actuation lag — RAPL converges on a new cap in under
-//! half a second, §4.5), plus simple devices for tests.
+//! half a second, §4.5).
 //!
 //! The device *under* the cap is abstracted as a [`CappedDevice`]: something
 //! that, given an effective cap over a time window, consumes energy and makes
 //! progress. `penelope-workload` implements it for NPB-like application
-//! profiles; this crate ships constant/stepped devices for unit testing.
+//! profiles; this crate ships a constant-demand device.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod device;
-pub mod iface;
-pub mod linux_rapl;
+pub(crate) mod iface;
+pub(crate) mod linux_rapl;
 pub mod rapl;
 
-pub use device::{CappedDevice, ConstantDevice, IdleDevice, StepDevice};
+pub use device::{CappedDevice, ConstantDevice};
 pub use iface::PowerInterface;
 pub use linux_rapl::{LinuxRapl, RaplError};
 pub use rapl::{RaplConfig, SimulatedRapl};

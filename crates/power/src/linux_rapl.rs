@@ -90,7 +90,7 @@ pub struct LinuxRapl {
 
 impl LinuxRapl {
     /// The production sysfs root.
-    pub const DEFAULT_ROOT: &'static str = "/sys/class/powercap";
+    const DEFAULT_ROOT: &'static str = "/sys/class/powercap";
 
     /// Discover package domains under the default sysfs root.
     pub fn discover(safe_range: PowerRange) -> Result<Self, RaplError> {
@@ -103,7 +103,7 @@ impl LinuxRapl {
     /// Package domains are direct children named `intel-rapl:<n>` (socket
     /// packages); subdomains like `intel-rapl:<n>:<m>` (core/dram planes)
     /// are intentionally skipped — the paper caps whole sockets.
-    pub fn discover_at(root: &Path, safe_range: PowerRange) -> Result<Self, RaplError> {
+    fn discover_at(root: &Path, safe_range: PowerRange) -> Result<Self, RaplError> {
         let entries = fs::read_dir(root).map_err(|_| RaplError::NoPowercap(root.to_path_buf()))?;
         let mut domains = Vec::new();
         for entry in entries.flatten() {
@@ -145,15 +145,10 @@ impl LinuxRapl {
         Ok(total)
     }
 
-    /// Number of package domains (sockets) found.
-    pub fn packages(&self) -> usize {
-        self.domains.len()
-    }
-
     /// Accumulate energy deltas since the previous poll, handling counter
     /// wraparound. Can be called more often than `read_power` to bound the
     /// wrap window (RAPL counters wrap in minutes under load).
-    pub fn poll_energy(&mut self) -> Result<(), RaplError> {
+    fn poll_energy(&mut self) -> Result<(), RaplError> {
         for d in &mut self.domains {
             let now = read_u64(&d.dir.join("energy_uj"))?;
             let delta = if now >= d.last_energy_uj {
@@ -169,7 +164,7 @@ impl LinuxRapl {
     }
 
     /// Fallible flavour of [`PowerInterface::read_power`].
-    pub fn try_read_power(&mut self, now: SimTime) -> Result<Power, RaplError> {
+    fn try_read_power(&mut self, now: SimTime) -> Result<Power, RaplError> {
         self.poll_energy()?;
         let dt = now.saturating_since(self.window_start);
         let avg = if dt.is_zero() {
@@ -186,7 +181,7 @@ impl LinuxRapl {
 
     /// Fallible flavour of [`PowerInterface::set_cap`]: clamps into the safe
     /// range and splits the node cap evenly across package constraint files.
-    pub fn try_set_cap(&mut self, cap: Power) -> Result<(), RaplError> {
+    fn try_set_cap(&mut self, cap: Power) -> Result<(), RaplError> {
         let clamped = self.safe_range.clamp(cap);
         self.requested_cap = clamped;
         let (share, rem) = clamped.split(self.domains.len() as u64);
@@ -268,7 +263,7 @@ mod tests {
     fn discovers_only_package_domains() {
         let root = fake_tree(2);
         let rapl = LinuxRapl::discover_at(&root, range()).unwrap();
-        assert_eq!(rapl.packages(), 2);
+        assert_eq!(rapl.domains.len(), 2);
         // Initial cap read back from the constraint files: 2 × 100 W.
         assert_eq!(rapl.cap(), Power::from_watts_u64(200));
     }

@@ -59,8 +59,6 @@ pub struct SimulatedRapl<D> {
     window_start: SimTime,
     /// Energy consumed in the current read window.
     window_energy: Energy,
-    /// Lifetime energy consumed (diagnostics).
-    total_energy: Energy,
 }
 
 impl<D: CappedDevice> SimulatedRapl<D> {
@@ -77,7 +75,6 @@ impl<D: CappedDevice> SimulatedRapl<D> {
             advanced_to: SimTime::ZERO,
             window_start: SimTime::ZERO,
             window_energy: Energy::ZERO,
-            total_energy: Energy::ZERO,
         }
     }
 
@@ -94,7 +91,6 @@ impl<D: CappedDevice> SimulatedRapl<D> {
                         .device
                         .advance(self.advanced_to, applies_at, self.effective_cap);
                     self.window_energy += e;
-                    self.total_energy += e;
                     self.advanced_to = applies_at;
                 }
                 self.effective_cap = cap;
@@ -105,7 +101,6 @@ impl<D: CappedDevice> SimulatedRapl<D> {
             .device
             .advance(self.advanced_to, now, self.effective_cap);
         self.window_energy += e;
-        self.total_energy += e;
         self.advanced_to = now;
     }
 
@@ -148,11 +143,6 @@ impl<D: CappedDevice> SimulatedRapl<D> {
         }
     }
 
-    /// Lifetime energy consumed by the device.
-    pub fn total_energy(&self) -> Energy {
-        self.total_energy
-    }
-
     /// Borrow the wrapped device.
     pub fn device(&self) -> &D {
         &self.device
@@ -188,7 +178,8 @@ impl<D: CappedDevice> PowerInterface for SimulatedRapl<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::{ConstantDevice, StepDevice};
+    use crate::device::tests::StepDevice;
+    use crate::device::ConstantDevice;
     use penelope_testkit::prop;
     use penelope_testkit::rng::TestRng;
 
@@ -273,14 +264,6 @@ mod tests {
     }
 
     #[test]
-    fn total_energy_accumulates() {
-        let mut rapl = SimulatedRapl::new(ConstantDevice::new(w(100)), w(100), cfg_no_lag());
-        let _ = rapl.read_power(SimTime::from_secs(2));
-        let _ = rapl.read_power(SimTime::from_secs(5));
-        assert_eq!(rapl.total_energy(), Energy::from_joules_u64(500));
-    }
-
-    #[test]
     fn step_device_through_rapl() {
         // App draws 200 W for 1 s then idles at 20 W; cap is 150 W.
         let dev = StepDevice::new(vec![
@@ -350,12 +333,14 @@ mod tests {
                 // as one read at t=a+b.
                 let mk =
                     || SimulatedRapl::new(ConstantDevice::new(w(demand_w)), w(300), cfg_no_lag());
+                let energy =
+                    |p: Power, secs: u64| Energy::from_power(p, SimDuration::from_secs(secs));
                 let mut one = mk();
-                let _ = one.read_power(SimTime::from_secs(a + b));
+                let whole = one.read_power(SimTime::from_secs(a + b));
                 let mut two = mk();
-                let _ = two.read_power(SimTime::from_secs(a));
-                let _ = two.read_power(SimTime::from_secs(a + b));
-                assert_eq!(one.total_energy(), two.total_energy());
+                let first = two.read_power(SimTime::from_secs(a));
+                let second = two.read_power(SimTime::from_secs(a + b));
+                assert_eq!(energy(whole, a + b), energy(first, a) + energy(second, b));
             },
         );
     }

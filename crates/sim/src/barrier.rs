@@ -10,7 +10,7 @@ use std::sync::{Condvar, Mutex};
 /// parties waiting forever — so this one keeps an `aborted` flag under
 /// the same lock as the arrival count: once it is set, every waiter is
 /// woken and nobody blocks here again.
-pub struct PhaseBarrier {
+pub(crate) struct PhaseBarrier {
     parties: usize,
     state: Mutex<BarrierState>,
     moved: Condvar,
@@ -63,7 +63,7 @@ impl PhaseBarrier {
     }
 
     /// Release every waiter, now and from now on, with `false`.
-    pub fn abort(&self) {
+    pub(crate) fn abort(&self) {
         self.state.lock().expect(UNPOISONED).aborted = true;
         self.moved.notify_all();
     }
@@ -71,7 +71,7 @@ impl PhaseBarrier {
 
 /// Held by every party for as long as it takes part: a panic aborts the
 /// barrier on its way out, so nobody waits for a thread that is gone.
-pub struct AbortOnPanic<'a>(pub &'a PhaseBarrier);
+pub(crate) struct AbortOnPanic<'a>(pub &'a PhaseBarrier);
 
 impl Drop for AbortOnPanic<'_> {
     fn drop(&mut self) {

@@ -1038,8 +1038,6 @@ fn server_of(servers: &[ServerSide], client: &SlurmClient) -> NodeId {
 pub struct ClusterSimBuilder {
     cfg: ClusterConfig,
     workloads: Vec<Profile>,
-    assignments: Option<Vec<Power>>,
-    record_traces: bool,
 }
 
 impl Default for ClusterSimBuilder {
@@ -1051,13 +1049,11 @@ impl Default for ClusterSimBuilder {
 impl ClusterSimBuilder {
     /// A builder starting from the paper defaults for Penelope with a
     /// zero budget (which [`build`](Self::build) rejects — set
-    /// [`budget`](Self::budget) or explicit [`assignments`](Self::assignments)).
+    /// [`budget`](Self::budget)).
     pub fn new() -> Self {
         ClusterSimBuilder {
             cfg: ClusterConfig::paper_defaults(SystemKind::Penelope, Power::ZERO),
             workloads: Vec::new(),
-            assignments: None,
-            record_traces: false,
         }
     }
 
@@ -1077,8 +1073,7 @@ impl ClusterSimBuilder {
         self
     }
 
-    /// System-wide power budget, split evenly unless
-    /// [`assignments`](Self::assignments) overrides it.
+    /// System-wide power budget, split evenly.
     pub fn budget(mut self, budget: Power) -> Self {
         self.cfg.budget = budget;
         self
@@ -1090,16 +1085,9 @@ impl ClusterSimBuilder {
         self
     }
 
-    /// Explicit (possibly uneven) initial cap assignments.
-    pub fn assignments(mut self, caps: Vec<Power>) -> Self {
-        self.assignments = Some(caps);
-        self
-    }
-
     /// Apply the unified engine configuration — node parameters,
     /// discovery strategy and sequence watermark in one `penelope_core`
     /// value, the one [`ClusterConfig::engine_config`] reads back. The
-    /// same [`EngineConfig`] drives `DaemonConfig::builder`, and the
     /// conformance suite's multiplexed daemon leg takes the `ClusterConfig`
     /// itself, so a tuned protocol setup moves between substrates
     /// verbatim.
@@ -1128,34 +1116,12 @@ impl ClusterSimBuilder {
         self
     }
 
-    /// Record per-node (cap, reading, pool) samples into the run report.
-    pub fn record_traces(mut self, on: bool) -> Self {
-        self.record_traces = on;
-        self
-    }
-
-    /// Build the simulator. Panics if no workloads were supplied, or if
-    /// neither a budget nor explicit assignments were set.
+    /// Build the simulator. Panics if no workloads or no budget were
+    /// supplied.
     pub fn build(self) -> ClusterSim {
         assert!(!self.workloads.is_empty(), "builder needs workloads");
-        assert!(
-            self.assignments.is_some() || !self.cfg.budget.is_zero(),
-            "builder needs a budget or explicit assignments"
-        );
-        let mut sim = match self.assignments {
-            Some(caps) => {
-                let mut cfg = self.cfg;
-                if cfg.budget.is_zero() {
-                    cfg.budget = caps.iter().copied().sum();
-                }
-                ClusterSim::with_assignments(cfg, self.workloads, caps)
-            }
-            None => ClusterSim::new(self.cfg, self.workloads),
-        };
-        if self.record_traces {
-            sim.record_traces();
-        }
-        sim
+        assert!(!self.cfg.budget.is_zero(), "builder needs a budget");
+        ClusterSim::new(self.cfg, self.workloads)
     }
 }
 

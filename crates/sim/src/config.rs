@@ -45,8 +45,8 @@ pub struct ClusterConfig {
     /// §4.3).
     pub budget: Power,
     /// The per-node protocol knobs (decider, pool, safe range) — shared
-    /// with the threaded runtime and the UDP daemon via
-    /// [`NodeParams`], so a scenario tuned here carries over verbatim.
+    /// with the UDP daemon via [`NodeParams`], so a scenario tuned here
+    /// carries over verbatim.
     pub node: NodeParams,
     /// Network latency model.
     pub latency: LatencyModel,

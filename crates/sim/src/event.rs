@@ -199,7 +199,7 @@ impl EventQueue {
     }
 
     /// Peek at the earliest event's time.
-    pub fn next_time(&self) -> Option<SimTime> {
+    pub(crate) fn next_time(&self) -> Option<SimTime> {
         self.head().map(|(k, _)| k.at)
     }
 
@@ -211,12 +211,6 @@ impl EventQueue {
     /// True iff no events are pending.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Slots currently allocated in the slab (pending + recyclable) —
-    /// the queue's steady-state footprint, exposed for perf tests.
-    pub fn slab_capacity(&self) -> usize {
-        self.slots.len()
     }
 
     /// Lane-kind pushes so far that found their lane's tail later and
@@ -318,7 +312,7 @@ mod tests {
             }
         }
         assert!(q.is_empty());
-        assert_eq!(q.slab_capacity(), 8);
+        assert_eq!(q.slots.len(), 8);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use penelope_units::Power;
 /// power can be *lost* (a crashed node's cap, a dropped report) but never
 /// minted, so the left side never exceeds the budget.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Ledger {
+pub(crate) struct Ledger {
     /// Sum of the initial cap assignment.
     pub initial_total: Power,
     /// Power carried by messages in flight or queued.
@@ -39,12 +39,12 @@ impl Ledger {
     }
 
     /// A power-bearing message departed.
-    pub fn depart(&mut self, amount: Power) {
+    pub(crate) fn depart(&mut self, amount: Power) {
         self.in_flight += amount;
     }
 
     /// A power-bearing message landed somewhere inside the system.
-    pub fn land(&mut self, amount: Power) {
+    pub(crate) fn land(&mut self, amount: Power) {
         self.in_flight = self
             .in_flight
             .checked_sub(amount)
@@ -52,13 +52,13 @@ impl Ledger {
     }
 
     /// A power-bearing message was destroyed in flight.
-    pub fn lose_in_flight(&mut self, amount: Power) {
+    pub(crate) fn lose_in_flight(&mut self, amount: Power) {
         self.land(amount);
         self.lost += amount;
     }
 
     /// Power held by a crashed node (cap + pool) left the system.
-    pub fn lose_direct(&mut self, amount: Power) {
+    pub(crate) fn lose_direct(&mut self, amount: Power) {
         self.lost += amount;
     }
 
@@ -66,7 +66,7 @@ impl Ledger {
     /// zero-sum churn rule: a reborn node's cap comes *out of* what its
     /// crash retired (`restarted cap + remaining lost == lost at crash`),
     /// never out of thin air — so re-admission can never mint power.
-    pub fn readmit(&mut self, amount: Power) {
+    pub(crate) fn readmit(&mut self, amount: Power) {
         self.lost = self
             .lost
             .checked_sub(amount)
@@ -124,7 +124,7 @@ impl NodeSnapshot {
 }
 
 /// The cluster's books at one period boundary, as a substrate reports
-/// them: the [`Ledger`]'s equation with its live sums spelled out per
+/// them: the `Ledger`'s equation with its live sums spelled out per
 /// node, so a checker outside the substrate can re-add them.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Snapshot {
@@ -161,7 +161,7 @@ impl Snapshot {
 /// A conservation violation: the strongest possible bug signal in a power
 /// manager, so it carries both sides for the panic message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LedgerError {
+pub(crate) struct LedgerError {
     /// The initially assigned total.
     pub expected: Power,
     /// What the live sums + in-flight + lost added up to.

@@ -32,16 +32,14 @@ pub mod ledger;
 pub mod node;
 pub mod report;
 pub mod shard;
-pub mod soa;
+pub(crate) mod soa;
 pub mod trace;
 
-pub use barrier::{AbortOnPanic, PhaseBarrier};
 pub use cluster::{ClusterSim, ClusterSimBuilder};
 pub use config::{ClusterConfig, DiscoveryStrategy, SystemKind};
 pub use faults::{FaultAction, FaultScript};
 pub use ledger::{NodeSnapshot, Snapshot};
 pub use penelope_testkit::rng::node_seed;
 pub use report::RunReport;
-pub use shard::{PhaseSplit, ShardReport, ShardedConfig, ShardedSim};
-pub use soa::NodeTable;
+pub use shard::{ShardReport, ShardedConfig, ShardedSim};
 pub use trace::{ClusterTrace, TraceSample};

@@ -3,7 +3,7 @@
 //! The rest of what used to live here as a per-node `SimNode` struct —
 //! RAPL domain, RNG stream, pending-request map, metrics collectors and
 //! the live-tick watermark — is stored column-wise in
-//! [`NodeTable`](crate::soa::NodeTable), the struct-of-arrays layout the
+//! `NodeTable`, the struct-of-arrays layout the
 //! hot path walks.
 
 use penelope_core::NodeEngine;
@@ -15,7 +15,7 @@ use penelope_slurm::{ServerQueue, SlurmClient};
 // cluster nearly every node carries the largest variant — boxing the
 // engine would buy nothing but a pointer chase in the per-event path.
 #[allow(clippy::large_enum_variant)]
-pub enum Manager {
+pub(crate) enum Manager {
     /// Static cap; no control loop.
     Fair,
     /// Penelope: the full per-node protocol automaton, plus the pool's

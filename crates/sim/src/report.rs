@@ -68,11 +68,6 @@ impl RunReport {
     pub fn runtime_secs(&self) -> Option<f64> {
         self.makespan().map(|t| t.as_secs_f64())
     }
-
-    /// How many workloads completed.
-    pub fn finished_count(&self) -> usize {
-        self.finished.iter().filter(|f| f.is_some()).count()
-    }
 }
 
 #[cfg(test)]
@@ -108,7 +103,6 @@ mod tests {
         );
         assert_eq!(r.makespan(), Some(SimTime::from_secs(30)));
         assert_eq!(r.runtime_secs(), Some(30.0));
-        assert_eq!(r.finished_count(), 2);
     }
 
     #[test]

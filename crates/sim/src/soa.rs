@@ -39,7 +39,7 @@ use crate::node::Manager;
 /// cluster construction; rows are never removed (dead nodes keep their
 /// row, exactly as the struct layout kept their `SimNode`).
 #[derive(Debug, Default)]
-pub struct NodeTable {
+pub(crate) struct NodeTable {
     /// The power manager (Fair / Penelope engine + queue / SLURM client).
     pub manager: Vec<Manager>,
     /// Simulated RAPL domain over the node's workload.
@@ -92,11 +92,6 @@ impl NodeTable {
         self.manager.len()
     }
 
-    /// True iff the table holds no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.manager.is_empty()
-    }
-
     /// The cap node `i`'s manager currently wants enforced.
     pub fn cap(&self, i: usize) -> Power {
         match &self.manager[i] {
@@ -118,12 +113,6 @@ impl NodeTable {
     /// system if it crashes.
     pub fn holdings(&self, i: usize) -> Power {
         self.cap(i) + self.pooled(i)
-    }
-
-    /// How far node `i`'s cap sits above its initial assignment (the
-    /// redistribution level metric counts this on hungry nodes).
-    pub fn gain_over_initial(&self, i: usize) -> Power {
-        self.cap(i).saturating_sub(self.initial_cap[i])
     }
 }
 
@@ -169,7 +158,6 @@ mod tests {
         assert_eq!(t.cap(0), w(160));
         assert_eq!(t.pooled(0), Power::ZERO);
         assert_eq!(t.holdings(0), w(160));
-        assert_eq!(t.gain_over_initial(0), Power::ZERO);
     }
 
     #[test]
@@ -192,15 +180,6 @@ mod tests {
         });
         assert_eq!(t.pooled(0), w(25));
         assert_eq!(t.holdings(0), w(185));
-    }
-
-    #[test]
-    fn gain_over_initial_saturates_at_zero() {
-        let mut t = table_with(Manager::Fair);
-        t.initial_cap[0] = w(200); // cap (160) below initial
-        assert_eq!(t.gain_over_initial(0), Power::ZERO);
-        t.initial_cap[0] = w(100);
-        assert_eq!(t.gain_over_initial(0), w(60));
     }
 
     #[test]

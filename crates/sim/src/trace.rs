@@ -33,8 +33,8 @@ pub struct TraceSample {
 /// All nodes' recorded samples, behind accessor methods.
 ///
 /// Samples arrive through [`Observer::on_event`] (or [`push`](Self::push)
-/// directly), so the container is internally synchronized and shareable
-/// across the threaded runtime's node threads.
+/// directly), so the container is internally synchronized, as every
+/// observer is.
 #[derive(Debug, Default)]
 pub struct ClusterTrace {
     nodes: Mutex<Vec<Vec<TraceSample>>>,
@@ -71,27 +71,12 @@ impl ClusterTrace {
         self.nodes.lock().expect("trace lock").len()
     }
 
-    /// The recorded samples of one node, in tick order.
-    pub fn node_samples(&self, node: NodeId) -> Vec<TraceSample> {
-        let nodes = self.nodes.lock().expect("trace lock");
-        nodes.get(node.index()).cloned().unwrap_or_default()
-    }
-
     /// The cap trajectory of one node, in watts (for sparklines).
     pub fn cap_series_watts(&self, node: NodeId) -> Vec<f64> {
         let nodes = self.nodes.lock().expect("trace lock");
         nodes
             .get(node.index())
             .map(|samples| samples.iter().map(|s| s.cap.as_watts()).collect())
-            .unwrap_or_default()
-    }
-
-    /// The pool trajectory of one node, in watts.
-    pub fn pool_series_watts(&self, node: NodeId) -> Vec<f64> {
-        let nodes = self.nodes.lock().expect("trace lock");
-        nodes
-            .get(node.index())
-            .map(|samples| samples.iter().map(|s| s.pool.as_watts()).collect())
             .unwrap_or_default()
     }
 
@@ -166,10 +151,10 @@ mod tests {
         t.push(NodeId::new(0), sample(2, 120));
         t.push(NodeId::new(1), sample(1, 90));
         assert_eq!(t.cap_series_watts(NodeId::new(0)), vec![100.0, 120.0]);
-        assert_eq!(t.pool_series_watts(NodeId::new(1)), vec![5.0]);
+        assert_eq!(t.nodes.lock().unwrap()[1][0].pool, Power::from_watts_u64(5));
         assert_eq!(t.len(), 3);
         assert!(!t.is_empty());
-        assert_eq!(t.node_samples(NodeId::new(0)).len(), 2);
+        assert_eq!(t.nodes.lock().unwrap()[0].len(), 2);
     }
 
     #[test]
@@ -213,7 +198,7 @@ mod tests {
             },
         });
         assert_eq!(t.len(), 1);
-        let s = t.node_samples(NodeId::new(0))[0];
+        let s = t.nodes.lock().unwrap()[0][0];
         assert_eq!(s.cap, Power::from_watts_u64(140));
         assert_eq!(s.pool, Power::from_watts_u64(7));
     }

@@ -525,9 +525,8 @@ fn fault_scripts_fire_in_timestamp_order_regardless_of_composition_order() {
 
 #[test]
 fn builder_accepts_the_unified_engine_config() {
-    // The same `penelope_core::EngineConfig` value that configures the
-    // threaded runtime and the UDP daemon configures the simulator: node
-    // params, discovery and seq floor land in the built cluster.
+    // One `penelope_core::EngineConfig` value configures the simulator:
+    // node params, discovery and seq floor land in the built cluster.
     use penelope_core::{EngineConfig, NodeParams};
 
     let node = NodeParams {

@@ -65,7 +65,8 @@ pub struct QueueStats {
 
 impl QueueStats {
     /// Mean waiting time of accepted requests.
-    pub fn mean_wait(&self) -> SimDuration {
+    #[cfg(test)]
+    fn mean_wait(&self) -> SimDuration {
         match self.total_wait.as_nanos().checked_div(self.accepted) {
             Some(ns) => SimDuration::from_nanos(ns),
             None => SimDuration::ZERO,
@@ -149,7 +150,8 @@ impl ServerQueue {
     }
 
     /// Backlog length as seen by an arrival at `at`.
-    pub fn backlog(&self, at: SimTime) -> usize {
+    #[cfg(test)]
+    fn backlog(&self, at: SimTime) -> usize {
         self.in_flight.iter().filter(|&&done| done > at).count()
     }
 

@@ -64,7 +64,7 @@ impl PowerServer {
 
     /// True iff an urgent node could not be made whole and the server is
     /// soliciting releases.
-    pub fn in_deficit(&self) -> bool {
+    pub(crate) fn in_deficit(&self) -> bool {
         !self.urgent_deficit.is_zero() && self.excess < self.urgent_deficit
     }
 

@@ -18,7 +18,7 @@
 /// Used for seed expansion ([`TestRng::seed_from_u64`]); it is a bijection
 /// on `u64` with good avalanche, so nearby seeds produce unrelated states.
 #[inline]
-pub fn splitmix64(state: &mut u64) -> u64 {
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -67,26 +67,6 @@ impl TestRng {
             splitmix64(&mut sm),
         ];
         TestRng { s }
-    }
-
-    /// Raw 256-bit state, for checkpointing a stream position.
-    pub fn state(&self) -> [u64; 4] {
-        self.s
-    }
-
-    /// Restore a generator from a previously captured state.
-    ///
-    /// Panics if `state` is all zeroes (the one forbidden xoshiro state).
-    pub fn from_state(state: [u64; 4]) -> Self {
-        assert!(state.iter().any(|&w| w != 0), "all-zero xoshiro256** state");
-        TestRng { s: state }
-    }
-
-    /// Split off an independent child generator, advancing this one.
-    pub fn fork(&mut self) -> TestRng {
-        let a = self.next_raw();
-        let b = self.next_raw();
-        TestRng::seed_from_u64(a ^ b.rotate_left(32))
     }
 
     #[inline]
@@ -314,7 +294,7 @@ mod tests {
     fn zero_seed_is_fine() {
         let mut r = TestRng::seed_from_u64(0);
         // SplitMix64 expansion never yields the forbidden all-zero state.
-        assert!(r.state().iter().any(|&w| w != 0));
+        assert!(r.s.iter().any(|&w| w != 0));
         let first = r.next_u64();
         assert_ne!(first, r.next_u64());
     }
@@ -322,7 +302,7 @@ mod tests {
     #[test]
     fn known_vector_xoshiro256starstar() {
         // Reference: xoshiro256** with state {1,2,3,4} produces 11520 first.
-        let mut r = TestRng::from_state([1, 2, 3, 4]);
+        let mut r = TestRng { s: [1, 2, 3, 4] };
         assert_eq!(r.next_u64(), 11520);
         assert_eq!(r.next_u64(), 0);
         assert_eq!(r.next_u64(), 1509978240);
@@ -399,16 +379,6 @@ mod tests {
         let mut ra = TestRng::seed_from_u64(a);
         let mut rb = TestRng::seed_from_u64(b);
         let same = (0..64).filter(|_| ra.next_u64() == rb.next_u64()).count();
-        assert_eq!(same, 0);
-    }
-
-    #[test]
-    fn fork_decorrelates() {
-        let mut parent = TestRng::seed_from_u64(11);
-        let mut child = parent.fork();
-        let same = (0..64)
-            .filter(|_| parent.next_u64() == child.next_u64())
-            .count();
         assert_eq!(same, 0);
     }
 

@@ -8,7 +8,7 @@ use crate::event::{EventKind, TraceEvent, KIND_COUNT, KIND_NAMES};
 use crate::observer::Observer;
 
 /// Number of log₂ buckets in the grant-size histogram.
-pub const HIST_BUCKETS: usize = 32;
+pub(crate) const HIST_BUCKETS: usize = 32;
 
 /// Counts events by kind, accumulates the power moved by each kind of
 /// transaction, and keeps a log₂ histogram of grant sizes. All state is
@@ -91,7 +91,7 @@ impl Observer for CounterObserver {
 /// Plain-data copy of a [`CounterObserver`]'s state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CounterSnapshot {
-    /// Event counts, indexed by [`EventKind::tag`] / [`KIND_NAMES`].
+    /// Event counts, indexed by [`EventKind::tag`] / `KIND_NAMES`.
     pub kinds: [u64; KIND_COUNT],
     /// Total power deposited into pools.
     pub deposited: Power,
@@ -107,7 +107,7 @@ pub struct CounterSnapshot {
 }
 
 impl CounterSnapshot {
-    /// Count of events of the kind named `name` (see [`KIND_NAMES`]).
+    /// Count of events of the kind named `name` (see `KIND_NAMES`).
     pub fn count(&self, name: &str) -> u64 {
         KIND_NAMES
             .iter()
@@ -129,11 +129,6 @@ impl CounterSnapshot {
     /// Requests that timed out waiting for a response.
     pub fn timeouts(&self) -> u64 {
         self.count("request_timeout")
-    }
-
-    /// Times the local urgency flag was raised.
-    pub fn urgency_raised(&self) -> u64 {
-        self.count("urgency_raised")
     }
 
     /// Total events observed.

@@ -241,7 +241,7 @@ pub enum EventKind {
 }
 
 /// Number of distinct [`EventKind`] variants (size of per-kind counters).
-pub const KIND_COUNT: usize = 25;
+pub(crate) const KIND_COUNT: usize = 25;
 
 impl EventKind {
     /// Dense index of the variant, `0..KIND_COUNT` (counter bucket).
@@ -306,7 +306,7 @@ impl EventKind {
 }
 
 /// JSONL `kind` names, indexed by [`EventKind::tag`].
-pub const KIND_NAMES: [&str; KIND_COUNT] = [
+pub(crate) const KIND_NAMES: [&str; KIND_COUNT] = [
     "classified",
     "pool_deposit",
     "pool_withdraw",
@@ -352,7 +352,7 @@ impl TraceEvent {
     /// newline). Times are nanoseconds, power amounts integer milliwatts;
     /// the first four fields (`t_ns`, `node`, `period`, `kind`) are always
     /// present, the rest depend on `kind`.
-    pub fn to_jsonl(&self) -> String {
+    pub(crate) fn to_jsonl(self) -> String {
         let mut s = String::with_capacity(128);
         s.push_str("{\"t_ns\":");
         s.push_str(&self.at.as_nanos().to_string());

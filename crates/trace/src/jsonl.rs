@@ -1,6 +1,6 @@
 //! JSONL export and schema validation.
 //!
-//! One event per line, rendered by [`TraceEvent::to_jsonl`]. The schema is
+//! One event per line, rendered by `TraceEvent::to_jsonl`. The schema is
 //! deliberately flat so shell tooling (`jq`, `grep`) works on it directly:
 //!
 //! ```json

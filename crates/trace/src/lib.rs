@@ -11,7 +11,7 @@
 //!
 //! ## Choosing an observer
 //!
-//! * [`NoopObserver`] (the default) — disabled; emission sites skip event
+//! * `NoopObserver` (the default) — disabled; emission sites skip event
 //!   construction entirely, so tracing costs nothing when off.
 //! * [`RingBufferObserver`] — capture events in memory (optionally bounded,
 //!   flight-recorder style) for programmatic analysis.
@@ -35,8 +35,8 @@ pub mod jsonl;
 pub mod observer;
 pub mod ring;
 
-pub use counter::{CounterObserver, CounterSnapshot, HIST_BUCKETS};
-pub use event::{EventKind, NodeClass, TraceEvent, KIND_COUNT, KIND_NAMES};
+pub use counter::{CounterObserver, CounterSnapshot};
+pub use event::{EventKind, NodeClass, TraceEvent};
 pub use jsonl::{validate_jsonl, JsonlObserver, JsonlSummary};
-pub use observer::{FanoutObserver, NoopObserver, Observer, SharedObserver, Stamper};
+pub use observer::{FanoutObserver, Observer, SharedObserver, Stamper};
 pub use ring::RingBufferObserver;

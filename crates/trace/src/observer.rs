@@ -9,8 +9,8 @@ use crate::event::{EventKind, TraceEvent};
 
 /// A sink for protocol events.
 ///
-/// Observers take `&self`: implementations use interior mutability (the
-/// threaded runtime and the daemon emit from several threads at once), and
+/// Observers take `&self`: implementations use interior mutability (an
+/// observer may be shared with other threads, such as a daemon's), and
 /// substrates hold them behind a [`SharedObserver`] so configs stay `Clone`.
 pub trait Observer: Send + Sync {
     /// Receive one event.
@@ -27,7 +27,7 @@ pub trait Observer: Send + Sync {
 /// The do-nothing observer: `enabled()` is `false`, so emission sites never
 /// build an event for it.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct NoopObserver;
+pub(crate) struct NoopObserver;
 
 impl Observer for NoopObserver {
     fn on_event(&self, _ev: &TraceEvent) {}

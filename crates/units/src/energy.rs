@@ -33,12 +33,6 @@ impl Energy {
         Energy(power.milliwatts() as u128 * dt.as_nanos() as u128 / 1000)
     }
 
-    /// Raw nanojoules.
-    #[inline]
-    pub const fn nanojoules(self) -> u128 {
-        self.0
-    }
-
     /// Joules, as `f64` (reporting only).
     #[inline]
     pub fn as_joules(self) -> f64 {
@@ -126,7 +120,7 @@ mod tests {
     fn sub_second_resolution() {
         // 1 mW for 1 us = 1 nJ.
         let e = Energy::from_power(Power::from_milliwatts(1), SimDuration::from_micros(1));
-        assert_eq!(e.nanojoules(), 1);
+        assert_eq!(e.0, 1);
     }
 
     #[test]
@@ -173,8 +167,8 @@ mod tests {
                 let parts = Energy::from_power(p, SimDuration::from_nanos(a_ns))
                     + Energy::from_power(p, SimDuration::from_nanos(b_ns));
                 // Floor division loses at most 1 nJ per piece.
-                assert!(whole.saturating_sub(parts).nanojoules() <= 1);
-                assert!(parts.saturating_sub(whole).nanojoules() <= 1);
+                assert!(whole.saturating_sub(parts).0 <= 1);
+                assert!(parts.saturating_sub(whole).0 <= 1);
             },
         );
     }
@@ -189,7 +183,7 @@ mod tests {
                 let p = Power::from_milliwatts(mw);
                 let dt = SimDuration::from_nanos(ns);
                 let avg = Energy::from_power(p, dt).average_power(dt);
-                assert!(avg.abs_diff(p) <= Power::from_milliwatts(1));
+                assert!(avg.milliwatts().abs_diff(p.milliwatts()) <= 1);
             },
         );
     }

@@ -26,7 +26,7 @@ impl NodeId {
 
     /// True iff this is the reserved coordinator identity.
     #[inline]
-    pub const fn is_server(self) -> bool {
+    pub(crate) const fn is_server(self) -> bool {
         self.0 == u32::MAX
     }
 

@@ -70,12 +70,6 @@ impl Power {
         self.0 == 0
     }
 
-    /// Checked addition.
-    #[inline]
-    pub fn checked_add(self, rhs: Power) -> Option<Power> {
-        self.0.checked_add(rhs.0).map(Power)
-    }
-
     /// Checked subtraction; `None` if `rhs > self`.
     #[inline]
     pub fn checked_sub(self, rhs: Power) -> Option<Power> {
@@ -139,12 +133,6 @@ impl Power {
     pub fn clamp(self, lo: Power, hi: Power) -> Power {
         assert!(lo <= hi, "invalid clamp range");
         Power(self.0.clamp(lo.0, hi.0))
-    }
-
-    /// Absolute difference.
-    #[inline]
-    pub fn abs_diff(self, other: Power) -> Power {
-        Power(self.0.abs_diff(other.0))
     }
 
     /// The ratio `self / other` as `f64`; `None` when `other` is zero.
@@ -285,12 +273,6 @@ mod tests {
     }
 
     #[test]
-    fn checked_add_none_on_overflow() {
-        assert_eq!(Power::MAX.checked_add(Power::from_milliwatts(1)), None);
-        assert_eq!(Power::ZERO.checked_add(Power::MAX), Some(Power::MAX));
-    }
-
-    #[test]
     fn mul_f64_ten_percent() {
         // The Algorithm 2 limiter: 10% of a 200 W pool is 20 W.
         let pool = Power::from_watts_u64(200);
@@ -370,14 +352,6 @@ mod tests {
     }
 
     #[test]
-    fn abs_diff_symmetric() {
-        let a = Power::from_watts_u64(7);
-        let b = Power::from_watts_u64(19);
-        assert_eq!(a.abs_diff(b), b.abs_diff(a));
-        assert_eq!(a.abs_diff(b), Power::from_watts_u64(12));
-    }
-
-    #[test]
     fn transfer_is_zero_sum() {
         let mw = 0u64..1_000_000_000;
         prop::check(
@@ -436,7 +410,7 @@ mod tests {
             |mw| {
                 let p = Power::from_milliwatts(mw);
                 let back = Power::from_watts(p.as_watts());
-                assert!(back.abs_diff(p) <= Power::from_milliwatts(1));
+                assert!(back.0.abs_diff(p.0) <= 1);
             },
         );
     }

@@ -15,13 +15,10 @@
 //!   straight under the simulated RAPL domain.
 //! * [`npb`] — nine synthetic profiles standing in for BT, CG, DC, EP, FT,
 //!   LU, MG, SP and UA, plus the 36 unordered pairs the paper sweeps.
-//! * [`codec`] — a small self-contained text format for profiles (the
-//!   "curated profiles of power consumption" the scale study replays).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod codec;
 pub mod npb;
 pub mod perf;
 pub mod profile;

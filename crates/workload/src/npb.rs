@@ -69,19 +69,19 @@ pub fn lu() -> Profile {
 }
 
 /// MG — multigrid: shortest app in the suite, alternating V-cycle levels.
-pub fn mg() -> Profile {
+fn mg() -> Profile {
     Profile::new("MG", repeat(&[(215, 10.0), (190, 5.0)], 8), model())
 }
 
 /// SP — scalar penta-diagonal: the longest pseudo-application, slightly
 /// lower draw than BT.
-pub fn sp() -> Profile {
+fn sp() -> Profile {
     Profile::new("SP", repeat(&[(195, 26.0), (175, 4.0)], 12), model())
 }
 
 /// UA — unstructured adaptive: irregular mix of mesh adaptation (high),
 /// communication (low) and solve (mid) phases.
-pub fn ua() -> Profile {
+fn ua() -> Profile {
     Profile::new(
         "UA",
         repeat(&[(220, 12.0), (185, 10.0), (200, 26.0)], 5),
@@ -106,13 +106,6 @@ pub fn all_pairs() -> Vec<(Profile, Profile)> {
         }
     }
     pairs
-}
-
-/// Look a profile up by (case-insensitive) name.
-pub fn by_name(name: &str) -> Option<Profile> {
-    all_profiles()
-        .into_iter()
-        .find(|p| p.name.eq_ignore_ascii_case(name))
 }
 
 #[cfg(test)]
@@ -197,13 +190,6 @@ mod tests {
             assert!(p.peak_demand() <= Power::from_watts_u64(300));
             assert!(p.peak_demand() >= Power::from_watts_u64(80));
         }
-    }
-
-    #[test]
-    fn lookup_by_name() {
-        assert_eq!(by_name("ep").unwrap().name, "EP");
-        assert_eq!(by_name("Ua").unwrap().name, "UA");
-        assert!(by_name("IS").is_none()); // IS is omitted, as in the paper
     }
 
     #[test]

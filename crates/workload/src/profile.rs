@@ -35,14 +35,6 @@ impl Phase {
             perf: None,
         }
     }
-
-    /// A copy of this phase pinned to its own performance model.
-    pub fn with_perf(self, perf: PerfModel) -> Self {
-        Phase {
-            perf: Some(perf),
-            ..self
-        }
-    }
 }
 
 /// A named application profile: an ordered list of phases plus the
@@ -117,7 +109,7 @@ impl Profile {
 
     /// The performance model governing phase `idx`: the phase's own
     /// override if it has one, the profile-level model otherwise.
-    pub fn phase_perf(&self, idx: usize) -> PerfModel {
+    pub(crate) fn phase_perf(&self, idx: usize) -> PerfModel {
         self.phases
             .get(idx)
             .and_then(|p| p.perf)
@@ -144,7 +136,8 @@ impl Profile {
 
     /// The runtime of this profile under a *fixed* cap, analytically.
     /// Returns `None` if some phase can make no progress under `cap`.
-    pub fn runtime_under_cap_secs(&self, cap: Power) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn runtime_under_cap_secs(&self, cap: Power) -> Option<f64> {
         let mut total = 0.0;
         for (i, ph) in self.phases.iter().enumerate() {
             let rate = self.phase_perf(i).rate(cap, ph.demand);

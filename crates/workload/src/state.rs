@@ -61,7 +61,8 @@ impl WorkloadState {
     }
 
     /// Fraction of total work completed, in `[0, 1]`.
-    pub fn progress(&self) -> f64 {
+    #[cfg(test)]
+    fn progress(&self) -> f64 {
         if self.is_finished() {
             return 1.0;
         }

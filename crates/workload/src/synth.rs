@@ -1,78 +1,10 @@
-//! Seeded synthetic workload generation.
-//!
-//! The benchmark harness needs workload *families*, not just the nine fixed
-//! NPB stand-ins: stress tests and property tests want arbitrary-but-valid
-//! profiles, and the multi-job experiments want random job sequences. All
-//! generation here is deterministic in the seed.
+//! Seeded job sequences for the multi-job experiments, deterministic in
+//! the seed.
 
 use penelope_testkit::rng::Rng;
 use penelope_testkit::rng::TestRng;
 
-use penelope_units::Power;
-
-use crate::perf::PerfModel;
-use crate::profile::{Phase, Profile};
-
-/// Parameters of the synthetic profile family.
-#[derive(Clone, Debug)]
-pub struct SynthConfig {
-    /// Number of phases, inclusive range.
-    pub phases: (usize, usize),
-    /// Node-level phase demand in watts, inclusive range. Must sit above
-    /// the perf model's idle floor.
-    pub demand_w: (u64, u64),
-    /// Per-phase work in seconds at full speed, range.
-    pub work_secs: (f64, f64),
-    /// The cap→performance model for generated profiles.
-    pub perf: PerfModel,
-}
-
-impl Default for SynthConfig {
-    fn default() -> Self {
-        SynthConfig {
-            phases: (1, 8),
-            demand_w: (90, 260),
-            work_secs: (5.0, 60.0),
-            perf: PerfModel::default(),
-        }
-    }
-}
-
-impl SynthConfig {
-    fn validate(&self) {
-        assert!(self.phases.0 >= 1 && self.phases.0 <= self.phases.1);
-        assert!(self.demand_w.0 <= self.demand_w.1);
-        assert!(
-            Power::from_watts_u64(self.demand_w.0) > self.perf.idle_power,
-            "minimum demand must exceed the idle floor"
-        );
-        assert!(self.work_secs.0 > 0.0 && self.work_secs.0 <= self.work_secs.1);
-    }
-}
-
-/// Generate one profile, deterministically from `seed`.
-pub fn profile(cfg: &SynthConfig, seed: u64) -> Profile {
-    cfg.validate();
-    let mut rng = TestRng::seed_from_u64(seed);
-    let n = rng.gen_range(cfg.phases.0..=cfg.phases.1);
-    let phases = (0..n)
-        .map(|_| {
-            Phase::new(
-                Power::from_watts_u64(rng.gen_range(cfg.demand_w.0..=cfg.demand_w.1)),
-                rng.gen_range(cfg.work_secs.0..=cfg.work_secs.1),
-            )
-        })
-        .collect();
-    Profile::new(format!("synth-{seed:#x}"), phases, cfg.perf)
-}
-
-/// Generate a whole cluster's worth of profiles (`seed` is the family;
-/// node `i` gets stream `i`).
-pub fn cluster(cfg: &SynthConfig, seed: u64, nodes: usize) -> Vec<Profile> {
-    (0..nodes)
-        .map(|i| profile(cfg, seed.wrapping_mul(0x9E37_79B9).wrapping_add(i as u64)))
-        .collect()
-}
+use crate::profile::Profile;
 
 /// A random back-to-back job sequence drawn from the NPB suite — the
 /// "generalized environment where multiple workloads would run on the
@@ -92,35 +24,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn deterministic_in_seed() {
-        let cfg = SynthConfig::default();
-        assert_eq!(profile(&cfg, 7), profile(&cfg, 7));
-        assert_ne!(profile(&cfg, 7), profile(&cfg, 8));
-    }
-
-    #[test]
-    fn respects_ranges() {
-        let cfg = SynthConfig::default();
-        for seed in 0..50 {
-            let p = profile(&cfg, seed);
-            assert!((1..=8).contains(&p.phases.len()));
-            for ph in &p.phases {
-                let w = ph.demand.as_watts();
-                assert!((90.0..=260.0).contains(&w), "demand {w}");
-                assert!((5.0..=60.0).contains(&ph.work), "work {}", ph.work);
-            }
-        }
-    }
-
-    #[test]
-    fn cluster_gives_distinct_nodes() {
-        let profiles = cluster(&SynthConfig::default(), 3, 8);
-        assert_eq!(profiles.len(), 8);
-        // Streams differ (overwhelmingly likely to give different profiles).
-        assert!(profiles.windows(2).any(|w| w[0] != w[1]));
-    }
-
-    #[test]
     fn npb_sequence_concatenates_jobs() {
         let seq = npb_sequence(5, 3);
         let apps = crate::npb::all_profiles();
@@ -130,16 +33,6 @@ mod tests {
             .fold(f64::INFINITY, f64::min);
         assert!(seq.nominal_runtime_secs() >= 3.0 * min_rt);
         assert_eq!(npb_sequence(5, 3), npb_sequence(5, 3));
-    }
-
-    #[test]
-    #[should_panic(expected = "idle floor")]
-    fn demand_below_idle_rejected() {
-        let cfg = SynthConfig {
-            demand_w: (10, 20),
-            ..Default::default()
-        };
-        let _ = profile(&cfg, 0);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The invariants every substrate run is held to, and the report that
-//! collects their violations.
+//! The invariants every substrate run is held to, and the violations
+//! that name their breaches.
 //!
 //! On the per-period cuts ([`SubstrateRun::snapshots`]):
 //!
@@ -32,9 +32,8 @@
 //!     pre-crash grant stays distinguishable from a fresh one.
 //!
 //! Every substrate cuts a consistent global state each period: the
-//! simulator trivially (single-threaded), the threaded runtime via a
-//! per-period barrier, the multiplexed daemon by pumping each round until
-//! every frame has landed. A snapshot still carries a `consistent_cut`
+//! simulator trivially (single-threaded), the multiplexed daemon by
+//! pumping each round until every frame has landed. A snapshot still carries a `consistent_cut`
 //! flag, because the daemon's kernel can lose a datagram the round then
 //! writes off; from then on its cross-node sums are skipped per period,
 //! the per-node invariants (2) and (3) still hold every period, and the
@@ -44,9 +43,9 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 
 use penelope_trace::{EventKind, TraceEvent};
-use penelope_units::{NodeId, Power};
+use penelope_units::NodeId;
 
-use super::{Scenario, Substrate, SubstrateRun};
+use super::{Scenario, SubstrateRun};
 
 /// Which invariant a violation breaches.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -313,69 +312,6 @@ fn check_events(events: &[TraceEvent], mut flag: impl FnMut(Invariant, &TraceEve
     }
 }
 
-/// Allowed end-state drift between two substrates running the same seed.
-///
-/// The substrates share algorithms and seed derivation but not event
-/// interleaving, so bit-exact agreement is not expected; what is
-/// expected is that they land in the *same regime*: per-node caps within
-/// `max_cap_diff` and accounted totals within `max_total_diff`.
-#[derive(Clone, Copy, Debug)]
-pub struct DivergenceBound {
-    /// Max per-node final cap difference.
-    pub max_cap_diff: Power,
-    /// Max difference of final accounted totals.
-    pub max_total_diff: Power,
-}
-
-/// Compare the end states of two substrate runs under `bound`.
-pub fn check_divergence(
-    scenario: &Scenario,
-    a: &SubstrateRun,
-    b: &SubstrateRun,
-    bound: DivergenceBound,
-) -> Vec<String> {
-    let mut out = Vec::new();
-    if a.final_caps.len() != b.final_caps.len() {
-        out.push(format!(
-            "seed {:#x}: node count mismatch: {} ({}) vs {} ({})",
-            scenario.cfg.seed,
-            a.final_caps.len(),
-            a.substrate,
-            b.final_caps.len(),
-            b.substrate
-        ));
-        return out;
-    }
-    for (i, (ca, cb)) in a.final_caps.iter().zip(&b.final_caps).enumerate() {
-        // Dead nodes hold their cap at death, which depends on timing;
-        // only live-live pairs are compared.
-        if !(a.final_alive[i] && b.final_alive[i]) {
-            continue;
-        }
-        let diff = ca.abs_diff(*cb);
-        if diff > bound.max_cap_diff {
-            out.push(format!(
-                "seed {:#x}: node {i} final cap diverges: {:?} ({}) vs {:?} ({}), |Δ|={:?} > {:?}",
-                scenario.cfg.seed, ca, a.substrate, cb, b.substrate, diff, bound.max_cap_diff
-            ));
-        }
-    }
-    let dt = a.final_total.abs_diff(b.final_total);
-    if dt > bound.max_total_diff {
-        out.push(format!(
-            "seed {:#x}: final totals diverge: {:?} ({}) vs {:?} ({}), |Δ|={:?} > {:?}",
-            scenario.cfg.seed,
-            a.final_total,
-            a.substrate,
-            b.final_total,
-            b.substrate,
-            dt,
-            bound.max_total_diff
-        ));
-    }
-    out
-}
-
 /// Strip a stream down to its comparable core: transport events out
 /// (delivery timing is substrate-specific), timestamps and period ids out,
 /// and the remaining protocol events grouped per node in recorded order.
@@ -387,103 +323,4 @@ pub fn normalize_protocol(events: &[TraceEvent]) -> BTreeMap<u32, Vec<EventKind>
         per_node.entry(ev.node.raw()).or_default().push(ev.kind);
     }
     per_node
-}
-
-/// Full conformance outcome for one scenario across several substrates.
-#[derive(Clone, Debug)]
-pub struct ConformanceReport {
-    /// The scenario name.
-    pub scenario: String,
-    /// The reproducing seed.
-    pub seed: u64,
-    /// Invariant violations across all substrates.
-    pub violations: Vec<Violation>,
-    /// Divergence-bound breaches for compared substrate pairs.
-    pub divergence: Vec<String>,
-    /// Infrastructure errors (a substrate failed to run at all).
-    pub errors: Vec<String>,
-    /// Names of the substrates that ran.
-    pub substrates: Vec<String>,
-}
-
-impl ConformanceReport {
-    /// True when every substrate ran cleanly with no violations.
-    pub fn conformant(&self) -> bool {
-        self.violations.is_empty() && self.divergence.is_empty() && self.errors.is_empty()
-    }
-
-    /// Panic with a full report unless conformant.
-    pub fn assert_conformant(&self) {
-        assert!(
-            self.conformant(),
-            "conformance failed for scenario '{}' (reproducing seed {:#018x})\n{}",
-            self.scenario,
-            self.seed,
-            self.render()
-        );
-    }
-
-    /// Multi-line human-readable rendering.
-    pub fn render(&self) -> String {
-        let mut s = String::new();
-        for e in &self.errors {
-            s.push_str(&format!("  error: {e}\n"));
-        }
-        for v in &self.violations {
-            s.push_str(&format!("  {v}\n"));
-        }
-        for d in &self.divergence {
-            s.push_str(&format!("  divergence: {d}\n"));
-        }
-        if s.is_empty() {
-            s.push_str("  conformant\n");
-        }
-        s
-    }
-}
-
-/// Run `scenario` on every substrate, check all invariants every period,
-/// and bound the divergence between the substrate pairs named in
-/// `compare` (indices into `substrates`).
-pub fn run_conformance(
-    scenario: &Scenario,
-    substrates: &[&dyn Substrate],
-    compare: &[(usize, usize)],
-    bound: DivergenceBound,
-) -> ConformanceReport {
-    let mut report = ConformanceReport {
-        scenario: scenario.name.clone(),
-        seed: scenario.cfg.seed,
-        violations: Vec::new(),
-        divergence: Vec::new(),
-        errors: Vec::new(),
-        substrates: Vec::new(),
-    };
-    let mut runs: Vec<Option<SubstrateRun>> = Vec::new();
-    for s in substrates {
-        report.substrates.push(s.name().to_string());
-        match s.run(scenario) {
-            Ok(run) => {
-                if run.snapshots.is_empty() {
-                    report
-                        .errors
-                        .push(format!("{}: produced no snapshots", s.name()));
-                }
-                report.violations.extend(check_run(scenario, &run));
-                runs.push(Some(run));
-            }
-            Err(e) => {
-                report.errors.push(format!("{}: {e}", s.name()));
-                runs.push(None);
-            }
-        }
-    }
-    for &(i, j) in compare {
-        if let (Some(a), Some(b)) = (&runs[i], &runs[j]) {
-            report
-                .divergence
-                .extend(check_divergence(scenario, a, b, bound));
-        }
-    }
-    report
 }

@@ -35,12 +35,12 @@
 //!
 //! Every run records the events it emitted ([`SubstrateRun::events`]).
 //! [`check_run`] is the one verdict on a run: it holds the run's cuts, its
-//! end state and its event stream to every [`Invariant`].
-//! [`check_divergence`] bounds how far two substrates may drift for the
-//! same seed, [`run_conformance`] does both across a substrate list,
-//! [`normalize_protocol`] strips a stream to what two substrates must
-//! emit alike, and [`oracle`] holds the differential Penelope/Fair/SLURM
-//! ordering checks from the paper's §4.2–§4.3.
+//! end state and its event stream to every [`Invariant`]. The one
+//! comparison across the two substrates is exact: [`normalize_protocol`]
+//! strips a stream to what both must emit alike on an idealized
+//! loss-free scenario, and the two results must be equal. [`oracle`]
+//! holds the differential Penelope/Fair/SLURM ordering checks from the
+//! paper's §4.2–§4.3.
 
 use std::sync::Arc;
 
@@ -56,10 +56,7 @@ pub mod oracle;
 #[cfg(test)]
 mod tests;
 
-pub use check::{
-    check_divergence, check_run, normalize_protocol, run_conformance, ConformanceReport,
-    DivergenceBound, Invariant, Violation,
-};
+pub use check::{check_run, normalize_protocol, Invariant, Violation};
 pub use daemon::MultiplexedDaemon;
 pub use penelope_sim::{NodeSnapshot, Snapshot};
 

@@ -1,4 +1,4 @@
-//! What `check_run`, `check_divergence` and the oracle flag, on hand-built
+//! What `check_run`, `normalize_protocol` and the oracle flag, on hand-built
 //! runs.
 
 use penelope_trace::Stamper;
@@ -442,21 +442,6 @@ fn normalize_drops_transport_and_groups_by_node() {
     assert_eq!(norm.len(), 2);
     assert_eq!(norm[&0], [served(7, 5).1]);
     assert_eq!(norm[&1], [applied(7, 5).1]);
-}
-
-#[test]
-fn divergence_bound_flags_drift() {
-    let a = run_of(vec![], 320);
-    let mut b = run_of(vec![], 320);
-    b.substrate = "other".into();
-    b.final_caps = vec![watts(160), watts(200)];
-    let bound = DivergenceBound {
-        max_cap_diff: watts(20),
-        max_total_diff: watts(1),
-    };
-    let d = check_divergence(&scenario(FaultScript::none()), &a, &b, bound);
-    assert_eq!(d.len(), 1, "{d:?}");
-    assert!(d[0].contains("node 1"));
 }
 
 #[test]

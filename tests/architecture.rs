@@ -29,8 +29,11 @@
 //! holds the fault script to one reading onto a `FaultPlane`: one shipped
 //! function matches `FaultAction`'s connectivity arms, and a seventeenth
 //! holds every per-node random stream to one derivation,
-//! `penelope_testkit::rng::node_seed`.
+//! `penelope_testkit::rng::node_seed`, and an eighteenth holds every
+//! crate's public surface to what is used: each `pub fn`, `pub const` and
+//! `pub static` a library declares is named somewhere outside it.
 
+use std::collections::HashSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -1045,6 +1048,146 @@ fn stream_derivation_detection_sees_the_shapes_it_replaced() {
                TestRng::seed_from_u64(0x5E41)\n\
                pub fn seed_from_u64(seed: u64) -> Self {";
     assert!(stream_derivations(new).is_empty());
+}
+
+/// `(line, name)` for every `pub fn`, `pub const` and `pub static` that
+/// `text` declares above its `#[cfg(test)]` module, methods included and
+/// `pub(crate)` items not.
+fn pub_items(text: &str) -> Vec<(usize, &str)> {
+    // What may stand between `pub` and `fn`: `const fn`, `unsafe fn`,
+    // `extern "C" fn`.
+    const QUALIFIERS: [&str; 5] = ["const", "unsafe", "async", "extern", "\"C\""];
+    let mut items = Vec::new();
+    for (i, line) in non_test_part(text).lines().enumerate() {
+        let Some(rest) = line.trim_start().strip_prefix("pub ") else {
+            continue;
+        };
+        let words: Vec<&str> = rest.split_whitespace().collect();
+        let quals = words.iter().take_while(|w| QUALIFIERS.contains(w)).count();
+        let name = match (words.get(quals), quals) {
+            (Some(&"fn"), _) => words.get(quals + 1),
+            (Some(&"static"), 0) => words.get(1).filter(|w| **w != "mut").or(words.get(2)),
+            (_, 1) if words[0] == "const" => words.get(1),
+            _ => None,
+        };
+        let name = name.map_or("", |w| {
+            &w[..w.find(|c: char| !is_ident_char(c)).unwrap_or(w.len())]
+        });
+        if !name.is_empty() {
+            items.push((i + 1, name));
+        }
+    }
+    items
+}
+
+/// Every identifier on a line of `text` that is not a comment.
+fn named_identifiers(text: &str) -> HashSet<&str> {
+    text.lines()
+        .filter(|line| !line.trim_start().starts_with("//"))
+        .flat_map(|line| line.split(|c: char| !is_ident_char(c)))
+        .filter(|word| !word.is_empty())
+        .collect()
+}
+
+/// The `pub` items of `lib` whose names `named` lacks.
+fn unnamed_pub_items<'a>(lib: &'a str, named: &HashSet<&str>) -> Vec<(usize, &'a str)> {
+    pub_items(lib)
+        .into_iter()
+        .filter(|(_, name)| !named.contains(name))
+        .collect()
+}
+
+/// A library's public surface is what the rest of the repo uses. Every
+/// `pub fn`, `pub const` and `pub static` in `crates/*/src` (the binaries
+/// in `src/main.rs` and `src/bin/` aside) must be named, on a line that is
+/// not a comment, in a `.rs` file outside that library: another crate,
+/// the crate's own `tests/`, its binaries, the root package's `src/`,
+/// `tests/` or `examples/`, or the benchmark harness. About ninety items
+/// were named by nothing but their own crate — a text format for
+/// profiles, a synthetic-profile generator, a builder over public fields
+/// among them — and `unreachable_pub` sees none of that while every
+/// module is a `pub mod`. This file is no witness: its fixtures name
+/// items they do not use.
+#[test]
+fn every_pub_item_is_named_outside_its_crate() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for tree in ["crates", "src", "tests", "examples", "benchmark/src"] {
+        rust_sources(&root.join(tree), &mut files);
+    }
+    let this_file = root.join("tests/architecture.rs");
+    files.retain(|path| *path != this_file);
+    let texts: Vec<String> = files
+        .iter()
+        .map(|path| fs::read_to_string(path).expect("readable source file"))
+        .collect();
+    let named: Vec<HashSet<&str>> = texts.iter().map(|text| named_identifiers(text)).collect();
+    let (mut items, mut offenders) = (0, Vec::new());
+    for entry in fs::read_dir(root.join("crates")).expect("crates/ exists") {
+        let src = entry.expect("readable dir entry").path().join("src");
+        let in_lib = |path: &Path| {
+            path.starts_with(&src)
+                && *path != src.join("main.rs")
+                && !path.starts_with(src.join("bin"))
+        };
+        let elsewhere: HashSet<&str> = files
+            .iter()
+            .zip(&named)
+            .filter(|(path, _)| !in_lib(path))
+            .flat_map(|(_, idents)| idents.iter().copied())
+            .collect();
+        for (path, text) in files.iter().zip(&texts).filter(|(path, _)| in_lib(path)) {
+            items += pub_items(text).len();
+            let path = path.strip_prefix(root).unwrap_or(path).display();
+            for (line, name) in unnamed_pub_items(text, &elsewhere) {
+                offenders.push(format!("{path}:{line}: `{name}`"));
+            }
+        }
+    }
+    assert!(
+        items >= 300,
+        "found only {items} pub items; tree layout changed?"
+    );
+    assert!(
+        offenders.is_empty(),
+        "pub items named nowhere outside their crate — narrow each to \
+         `pub(crate)` or private, or delete it:\n{}",
+        offenders.join("\n")
+    );
+}
+
+#[test]
+fn pub_item_census_flags_what_only_its_own_crate_names() {
+    let lib = "pub fn used_elsewhere() {}\n\
+               pub fn planted_helper() -> u8 {\n    1\n}\n\
+               pub(crate) fn narrowed() {}\n\
+               pub const fn also_used() -> u8 {\n    planted_helper()\n}\n\
+               pub const LIMIT: usize = 4;\n\
+               pub static mut COUNTER: u32 = 0;\n\
+               pub struct S;\n\
+               impl S {\n    pub unsafe fn method(&self) {}\n}\n\
+               #[cfg(test)]\nmod tests {\n    pub fn only_in_tests() {}\n}";
+    assert_eq!(
+        pub_items(lib),
+        [
+            (1, "used_elsewhere"),
+            (2, "planted_helper"),
+            (6, "also_used"),
+            (9, "LIMIT"),
+            (10, "COUNTER"),
+            (13, "method"),
+        ]
+    );
+    // A use, a call and a method call name an item; a comment or a doc
+    // line does not.
+    let elsewhere = "use krate::{used_elsewhere, LIMIT};\n\
+                     // planted_helper() is only mentioned in a comment\n\
+                     /// and in docs: [`COUNTER`]\n\
+                     fn f() { also_used(); s.method(); }";
+    assert_eq!(
+        unnamed_pub_items(lib, &named_identifiers(elsewhere)),
+        [(2, "planted_helper"), (10, "COUNTER")]
+    );
 }
 
 #[test]

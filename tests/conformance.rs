@@ -1,7 +1,7 @@
 //! Cross-substrate conformance: the same scenarios on the DES simulator
 //! and the daemon's reactor multiplexed on real UDP datagrams, with the
-//! safety invariants checked every period and sim↔daemon divergence
-//! bounded.
+//! safety invariants checked every period on both. (The exact sim↔daemon
+//! comparison, equal protocol-event streams, is `tests/trace_conformance.rs`.)
 //!
 //! These are the tentpole tests of the conformance harness: if any
 //! substrate mints power, lets a cap escape the safe range, or unbalances
@@ -10,9 +10,8 @@
 
 use penelope::conformance::{
     at_period, check_run, churn_scenario, lossy_wire_scenario, node_fault_scenario,
-    noisy_power_scenario, nominal_scenario, partition_churn_scenario, run_conformance,
-    DivergenceBound, Invariant, MultiplexedDaemon, NodeSnapshot, Scenario, SimSubstrate, Snapshot,
-    Substrate, SubstrateRun,
+    noisy_power_scenario, nominal_scenario, partition_churn_scenario, Invariant, MultiplexedDaemon,
+    NodeSnapshot, Scenario, SimSubstrate, Snapshot, Substrate, SubstrateRun,
 };
 use penelope::units::{NodeId, Power};
 use penelope::workload::Phase;
@@ -23,22 +22,26 @@ fn watts(w: u64) -> Power {
     Power::from_watts_u64(w)
 }
 
-/// Generous but meaningful: substrates share algorithms and seeds but not
-/// event interleaving, so caps may drift within the operating regime; a
-/// substrate collapsing to the 80 W floor or pinning at the 300 W ceiling
-/// while the other holds ~160 W is what this must catch.
-fn bound() -> DivergenceBound {
-    DivergenceBound {
-        max_cap_diff: watts(70),
-        max_total_diff: watts(1),
-    }
-}
-
+/// Runs `scenario` on both legs and holds each to `check_run`, with one
+/// cut per period.
 fn check_all_substrates(scenario: &Scenario) {
-    let substrates: [&dyn Substrate; 2] = [&SimSubstrate, &MultiplexedDaemon];
-    let report = run_conformance(scenario, &substrates, &[(0, 1)], bound());
-    report.assert_conformant();
-    assert_eq!(report.substrates, ["sim", "daemon"]);
+    for leg in [&SimSubstrate as &dyn Substrate, &MultiplexedDaemon] {
+        let run = leg.run(scenario).expect("substrate runs");
+        let violations = check_run(scenario, &run);
+        assert!(
+            violations.is_empty(),
+            "{} on {} (seed {:#x}): {violations:#?}",
+            scenario.name,
+            leg.name(),
+            scenario.cfg.seed
+        );
+        assert_eq!(
+            run.snapshots.len() as u64,
+            scenario.periods,
+            "{}",
+            leg.name()
+        );
+    }
 }
 
 #[test]
@@ -329,13 +332,12 @@ fn injected_double_grant_bug_is_caught_with_reproducing_seed() {
 }
 
 #[test]
-fn conformance_report_renders_failures_readably() {
+fn violations_render_readably() {
     let scenario = two_node_scenario("render", 0xFACE, 3);
-    let bug = DoubleApplyBug;
-    let substrates: [&dyn Substrate; 1] = [&bug];
-    let report = run_conformance(&scenario, &substrates, &[], bound());
-    assert!(!report.conformant());
-    let rendered = report.render();
+    let run = DoubleApplyBug.run(&scenario).expect("bug substrate runs");
+    let violations = check_run(&scenario, &run);
+    assert!(!violations.is_empty());
+    let rendered: String = violations.iter().map(|v| format!("{v}\n")).collect();
     assert!(rendered.contains("NoMinting"), "{rendered}");
     assert!(rendered.contains("seed=0x000000000000face"), "{rendered}");
 }

@@ -1,21 +1,23 @@
-//! Cross-crate integration: the public facade API end to end — profile
-//! codec → simulator → metrics, DES vs daemon agreement, and the NPB
+//! Cross-crate integration: the public facade API end to end — NPB
+//! profiles → simulator → metrics, DES vs daemon agreement, and the NPB
 //! suite running under all three systems.
 
 use penelope::conformance::{check_run, MultiplexedDaemon, Scenario, Substrate};
 use penelope::metrics::geometric_mean;
 use penelope::prelude::*;
 use penelope::sim::ClusterConfig;
-use penelope::workload::codec;
 
 #[test]
-fn profiles_roundtrip_through_codec_into_simulation() {
-    // Serialize the suite, parse it back, and run the parsed profiles —
-    // the "curated profiles" flow of the paper's scale study.
-    let text = codec::format_profiles(&npb::all_profiles());
-    let parsed = codec::parse_profiles(&text).expect("codec roundtrip");
-    assert_eq!(parsed.len(), 9);
-    let workloads: Vec<Profile> = parsed.into_iter().take(4).map(|p| p.scaled(0.05)).collect();
+fn npb_profiles_run_through_the_simulation() {
+    // Replay the suite's profiles — the "curated profiles" flow of the
+    // paper's scale study.
+    let profiles = npb::all_profiles();
+    assert_eq!(profiles.len(), 9);
+    let workloads: Vec<Profile> = profiles
+        .into_iter()
+        .take(4)
+        .map(|p| p.scaled(0.05))
+        .collect();
     let cfg = ClusterConfig::checked(SystemKind::Penelope, Power::from_watts_u64(4 * 160));
     let report = ClusterSim::new(cfg, workloads).run(SimTime::from_secs(600));
     assert!(report.conservation_ok);

@@ -24,9 +24,9 @@ use std::sync::Arc;
 
 use penelope::conformance::{
     asymmetric_partition_scenario, at_period, check_run, churn_scenario, flapping_scenario,
-    lossy_scenario, node_fault_scenario, nominal_scenario, normalize_protocol,
-    partition_churn_scenario, partition_scenario, MultiplexedDaemon, Scenario, SimSubstrate,
-    Substrate,
+    lossy_scenario, node_fault_scenario, noisy_power_scenario, nominal_scenario,
+    normalize_protocol, partition_churn_scenario, partition_scenario, MultiplexedDaemon, Scenario,
+    SimSubstrate, Substrate,
 };
 use penelope::prelude::*;
 use penelope_core::DiscoveryStrategy;
@@ -65,6 +65,10 @@ fn round_robin_scenario(seed: u64) -> Scenario {
 /// without loss, at three seeds.
 fn loss_free_scenarios() -> Vec<Scenario> {
     let mut scenarios = vec![ideal_scenario(7), ideal_scenario(1234)];
+    // Noisy meters, at the seed `tests/conformance.rs` runs them at and at
+    // two of the three; at 1234 no node sends a request within the ten
+    // periods, so that stream pair would agree vacuously.
+    scenarios.extend([0x5EED_0003, 7, 99].map(noisy_power_scenario));
     for seed in [7, 1234, 99] {
         scenarios.extend([
             nominal_scenario(seed),
