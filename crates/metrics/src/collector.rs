@@ -4,9 +4,9 @@
 //! nowhere else. The simulator calls the entry points directly where it
 //! learns each fact; [`SharedCollector`] feeds the same entry points from
 //! any substrate's [`TraceEvent`] stream, live or replayed, so the two
-//! paths cannot drift apart. Memory is O(open round trips + nodes).
+//! paths cannot drift apart. Memory is O(open round trips + nodes), no
+//! hashing: every per-node table is a `Vec` indexed by node.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Mutex;
 
 use penelope_trace::{EventKind, Observer, TraceEvent};
@@ -38,10 +38,14 @@ pub struct Figures {
 /// * each node's actuated caps form one oscillation trajectory.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsCollector {
-    open: HashMap<(NodeId, u64), SimTime>,
+    /// Per node, its open round trips as `(seq, first send)`, sorted by seq.
+    open: Vec<Vec<(u64, SimTime)>>,
+    /// How many trips `open` holds across all nodes.
+    open_count: usize,
     turnaround: TurnaroundStats,
     oscillation: Vec<OscillationStats>,
-    redistribution: Option<(RedistributionTracker, HashSet<NodeId>)>,
+    /// The tracker and, per node, whether it is a recipient.
+    redistribution: Option<(RedistributionTracker, Vec<bool>)>,
 }
 
 impl MetricsCollector {
@@ -58,8 +62,15 @@ impl MetricsCollector {
         recipients: impl IntoIterator<Item = NodeId>,
         from: SimTime,
     ) {
-        let recipients = recipients.into_iter().collect();
-        self.redistribution = Some((RedistributionTracker::new(total, from), recipients));
+        let mut is_recipient = Vec::new();
+        for node in recipients {
+            let i = node.index();
+            if i >= is_recipient.len() {
+                is_recipient.resize(i + 1, false);
+            }
+            is_recipient[i] = true;
+        }
+        self.redistribution = Some((RedistributionTracker::new(total, from), is_recipient));
     }
 
     /// The redistribution tracker so far, if one is installed.
@@ -69,16 +80,29 @@ impl MetricsCollector {
 
     /// `node` sent request `seq` at `at`.
     pub fn trip_opened(&mut self, node: NodeId, seq: u64, at: SimTime) {
-        self.open.entry((node, seq)).or_insert(at);
+        let i = node.index();
+        if i >= self.open.len() {
+            self.open.resize_with(i + 1, Vec::new);
+        }
+        let trips = &mut self.open[i];
+        // Found: a retransmit, which keeps the first send's clock.
+        if let Err(pos) = trips.binary_search_by_key(&seq, |&(s, _)| s) {
+            trips.insert(pos, (seq, at));
+            self.open_count += 1;
+        }
     }
 
     /// A grant of `granted` for request `seq` was applied on `node` at `at`.
     pub fn trip_closed(&mut self, node: NodeId, seq: u64, at: SimTime, granted: Power) {
-        if let Some(sent) = self.open.remove(&(node, seq)) {
-            self.turnaround.record(at.saturating_since(sent));
+        if let Some(trips) = self.open.get_mut(node.index()) {
+            if let Ok(pos) = trips.binary_search_by_key(&seq, |&(s, _)| s) {
+                let (_, sent) = trips.remove(pos);
+                self.open_count -= 1;
+                self.turnaround.record(at.saturating_since(sent));
+            }
         }
-        if let Some((tracker, recipients)) = &mut self.redistribution {
-            if recipients.contains(&node) {
+        if let Some((tracker, is_recipient)) = &mut self.redistribution {
+            if is_recipient.get(node.index()).copied().unwrap_or(false) {
                 tracker.record(at, granted);
             }
         }
@@ -95,7 +119,10 @@ impl MetricsCollector {
 
     /// `node` came back from a crash.
     pub fn node_restarted(&mut self, node: NodeId) {
-        self.open.retain(|&(n, _), _| n != node);
+        if let Some(trips) = self.open.get_mut(node.index()) {
+            self.open_count -= trips.len();
+            trips.clear();
+        }
     }
 
     /// Route one event to its entry point; other kinds are ignored.
@@ -114,7 +141,7 @@ impl MetricsCollector {
     /// The run's figures.
     pub fn finish(self) -> Figures {
         let mut turnaround = self.turnaround;
-        for _ in 0..self.open.len() {
+        for _ in 0..self.open_count {
             turnaround.record_unanswered();
         }
         let mut oscillation = OscillationStats::new();
@@ -255,6 +282,93 @@ mod tests {
         assert_eq!(tr.shifted(), w(100));
         assert_eq!(tr.median_time(), Some(SimDuration::from_secs(4)));
         assert_eq!(tr.total_time(), Some(SimDuration::from_secs(4)));
+    }
+
+    /// The collector's rules over one hash map keyed by `(node, seq)`.
+    #[derive(Default)]
+    struct HashedOracle {
+        open: std::collections::HashMap<(NodeId, u64), SimTime>,
+        turnaround: TurnaroundStats,
+        redistribution: Option<(RedistributionTracker, std::collections::HashSet<NodeId>)>,
+    }
+
+    impl HashedOracle {
+        fn on_event(&mut self, ev: &TraceEvent) {
+            match ev.kind {
+                EventKind::RequestSent { seq, .. } => {
+                    self.open.entry((ev.node, seq)).or_insert(ev.at);
+                }
+                EventKind::GrantApplied { seq, granted, .. } => {
+                    if let Some(sent) = self.open.remove(&(ev.node, seq)) {
+                        self.turnaround.record(ev.at.saturating_since(sent));
+                    }
+                    if let Some((tracker, recipients)) = &mut self.redistribution {
+                        if recipients.contains(&ev.node) {
+                            tracker.record(ev.at, granted);
+                        }
+                    }
+                }
+                EventKind::NodeRestarted { .. } => self.open.retain(|&(n, _), _| n != ev.node),
+                _ => {}
+            }
+        }
+
+        fn finish(mut self) -> (TurnaroundStats, Option<RedistributionTracker>) {
+            for _ in 0..self.open.len() {
+                self.turnaround.record_unanswered();
+            }
+            (
+                self.turnaround,
+                self.redistribution.map(|(tracker, _)| tracker),
+            )
+        }
+    }
+
+    #[test]
+    fn per_node_open_trips_match_a_hashed_oracle() {
+        use penelope_testkit::prop::{self, vec_of};
+        // Each op is (kind, node, seq, gap, watts): kinds 0..4 open, 4..8
+        // close and 8 restarts. Six nodes and eight seqs make retransmits
+        // of an open seq, closes of unknown, closed and older seqs, and
+        // nodes past the last recipient all common.
+        prop::check(
+            "per-node open trips fold like a (node, seq) hash map",
+            prop::Config::default(),
+            vec_of((0u8..9, 0u32..6, 0u64..8, 0u64..3, 1u64..40), 0..300),
+            |ops| {
+                let recipients = [NodeId::new(1), NodeId::new(3)];
+                let (total, from) = (w(400), t(2));
+                let mut c = MetricsCollector::new();
+                c.track_redistribution(total, recipients, from);
+                let mut oracle = HashedOracle {
+                    redistribution: Some((
+                        RedistributionTracker::new(total, from),
+                        recipients.into_iter().collect(),
+                    )),
+                    ..HashedOracle::default()
+                };
+                let mut secs = 0;
+                for &(kind, node, seq, gap, watts) in &ops {
+                    secs += gap;
+                    let e = match kind {
+                        0..4 => sent(node, secs, seq),
+                        4..8 => applied(node, secs, seq, w(watts)),
+                        _ => ev(node, secs, EventKind::NodeRestarted { readmitted: w(100) }),
+                    };
+                    c.on_event(&e);
+                    oracle.on_event(&e);
+                }
+                let got = c.finish();
+                let (turnaround, redistribution) = oracle.finish();
+                // Debug prints every sample in order, the unanswered count
+                // and the whole redistribution timeline.
+                assert_eq!(format!("{:?}", got.turnaround), format!("{turnaround:?}"));
+                assert_eq!(
+                    format!("{:?}", got.redistribution),
+                    format!("{redistribution:?}")
+                );
+            },
+        );
     }
 
     #[test]

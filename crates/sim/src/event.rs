@@ -18,6 +18,11 @@
 //! Every other kind goes to the heap. `pop` takes the least key among the
 //! lane heads and the heap top, so the `(time, sequence)` order is the
 //! same as a single heap's whatever the routing.
+//!
+//! A key on the tick lane carries the ticking node, not a slot: a `Tick`
+//! is nothing but its `NodeId`, so a laned tick never touches the slab and
+//! `pop` rebuilds it from the key. A tick that falls back to the heap
+//! takes a slot like any other event.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -68,8 +73,9 @@ pub struct Scheduled {
 }
 
 /// The compact ordering key: everything the ordering needs, plus the slot
-/// the payload lives in. `seq` is unique per push, so two keys never
-/// compare equal and FIFO tie-breaking at equal timestamps is total.
+/// the payload lives in (on the tick lane: the ticking node's raw id).
+/// `seq` is unique per push, so two keys never compare equal and FIFO
+/// tie-breaking at equal timestamps is total.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct HeapKey {
     at: SimTime,
@@ -96,10 +102,13 @@ impl Ord for HeapKey {
     }
 }
 
+/// The tick lane: its keys hold a node, not a slot.
+const TICKS: usize = 0;
+
 /// The FIFO lane an event kind may ride: ticks, or timers.
 fn lane_of(event: &Event) -> Option<usize> {
     match event {
-        Event::Tick(_) => Some(0),
+        Event::Tick(_) => Some(TICKS),
         Event::EscrowTimeout { .. } | Event::ServerProcess(_) => Some(1),
         _ => None,
     }
@@ -140,8 +149,28 @@ impl EventQueue {
     pub fn push(&mut self, at: SimTime, event: Event) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let lane = lane_of(&event);
-        let slot = match self.free.pop() {
+        if let Some(l) = lane_of(&event) {
+            // `seq` only grows, so a key not earlier than the tail is later.
+            if self.lanes[l].back().is_none_or(|tail| tail.at <= at) {
+                let slot = match event {
+                    Event::Tick(node) => node.raw(),
+                    event => self.store(event),
+                };
+                self.lanes[l].push_back(HeapKey { at, seq, slot });
+                return;
+            }
+            #[cfg(test)]
+            {
+                self.fallbacks += 1;
+            }
+        }
+        let slot = self.store(event);
+        self.heap.push(HeapKey { at, seq, slot });
+    }
+
+    /// Put `event` in a free slot (growing the slab if none is free).
+    fn store(&mut self, event: Event) -> u32 {
+        match self.free.pop() {
             Some(s) => {
                 self.slots[s as usize] = Some(event);
                 s
@@ -151,20 +180,7 @@ impl EventQueue {
                 self.slots.push(Some(event));
                 (self.slots.len() - 1) as u32
             }
-        };
-        let key = HeapKey { at, seq, slot };
-        if let Some(lane) = lane.map(|l| &mut self.lanes[l]) {
-            // `seq` only grows, so a key not earlier than the tail is later.
-            if lane.back().is_none_or(|tail| tail.at <= at) {
-                lane.push_back(key);
-                return;
-            }
-            #[cfg(test)]
-            {
-                self.fallbacks += 1;
-            }
         }
-        self.heap.push(key);
     }
 
     /// The least pending key and the lane holding it (`None`: the heap).
@@ -187,10 +203,15 @@ impl EventQueue {
             Some(l) => self.lanes[l].pop_front(),
             None => self.heap.pop(),
         };
-        let event = self.slots[key.slot as usize]
-            .take()
-            .expect("a key points at an occupied slot");
-        self.free.push(key.slot);
+        let event = if lane == Some(TICKS) {
+            Event::Tick(NodeId::new(key.slot))
+        } else {
+            let event = self.slots[key.slot as usize]
+                .take()
+                .expect("a key points at an occupied slot");
+            self.free.push(key.slot);
+            event
+        };
         Some(Scheduled {
             at: key.at,
             seq: key.seq,
@@ -301,11 +322,13 @@ mod tests {
     fn slab_slots_are_reused_not_grown() {
         // A bounded number of in-flight events keeps the slab bounded no
         // matter how many events pass through — the no-per-event-allocation
-        // property the DES hot loop relies on.
+        // property the DES hot loop relies on. Peer deliveries (kind 1) ride
+        // the heap and escrow timeouts (kind 6) their lane; both take a slot.
         let mut q = EventQueue::new();
         for round in 0..1_000u64 {
             for i in 0..8u32 {
-                q.push(t(round), Event::Tick(NodeId::new(i)));
+                let kind = if i % 2 == 0 { 1 } else { 6 };
+                q.push(t(round), event(kind, i));
             }
             for _ in 0..8 {
                 q.pop().unwrap();
@@ -313,6 +336,40 @@ mod tests {
         }
         assert!(q.is_empty());
         assert_eq!(q.slots.len(), 8);
+    }
+
+    #[test]
+    fn lane_ticks_take_no_slot() {
+        let mut q = EventQueue::new();
+        for round in 0..100u64 {
+            for i in 0..8u32 {
+                q.push(t(round), Event::Tick(NodeId::new(i)));
+            }
+            for _ in 0..4 {
+                q.pop().unwrap();
+            }
+        }
+        assert_eq!(q.fallbacks(), 0);
+        assert!(q.slots.is_empty(), "a laned tick wrote the slab");
+        // A tick earlier than the lane's tail falls back to the heap, takes
+        // a slot, and still pops in (at, seq) order among the laned ones.
+        let mut q = EventQueue::new();
+        q.push(t(10), Event::Tick(NodeId::new(0)));
+        q.push(t(20), Event::Tick(NodeId::new(1)));
+        q.push(t(15), Event::Tick(NodeId::new(2)));
+        q.push(t(20), Event::Tick(NodeId::new(3)));
+        q.push(t(10), Event::Tick(NodeId::new(4)));
+        assert_eq!(q.fallbacks(), 2);
+        assert_eq!(q.slots.len(), 2);
+        let popped: Vec<(SimTime, u64, u32)> = std::iter::from_fn(|| q.pop())
+            .map(|s| match s.event {
+                Event::Tick(n) => (s.at, s.seq, n.raw()),
+                _ => unreachable!(),
+            })
+            .collect();
+        let want = [(10, 0, 0), (10, 4, 4), (15, 2, 2), (20, 1, 1), (20, 3, 3)];
+        assert_eq!(popped, want.map(|(ms, seq, n)| (t(ms), seq, n)));
+        assert_eq!(q.free.len(), 2, "a fallen-back tick returns its slot");
     }
 
     #[test]

@@ -22,6 +22,9 @@ pub struct WorkloadState {
     /// (`0.013` reproduces the paper's measured 1.3 % Penelope overhead,
     /// §4.2). Applied as a multiplier on the execution rate.
     overhead: f64,
+    /// The last `(phase_idx, effective_cap)` and its overhead-scaled rate:
+    /// the cap changes far less often than `advance` runs.
+    rate_memo: Option<(usize, Power, f64)>,
 }
 
 impl WorkloadState {
@@ -42,6 +45,7 @@ impl WorkloadState {
             work_done: 0.0,
             finished_at: None,
             overhead,
+            rate_memo: None,
         }
     }
 
@@ -74,6 +78,20 @@ impl WorkloadState {
         (done / self.profile.nominal_runtime_secs()).clamp(0.0, 1.0)
     }
 
+    /// The current phase's execution rate under `cap`, overhead included.
+    fn rate(&mut self, cap: Power) -> f64 {
+        match self.rate_memo {
+            Some((idx, at_cap, rate)) if idx == self.phase_idx && at_cap == cap => rate,
+            _ => {
+                let demand = self.profile.phases[self.phase_idx].demand;
+                let rate = self.profile.phase_perf(self.phase_idx).rate(cap, demand)
+                    * (1.0 - self.overhead);
+                self.rate_memo = Some((self.phase_idx, cap, rate));
+                rate
+            }
+        }
+    }
+
     /// The power the application wants right now (the current phase's
     /// demand, or the idle floor once finished).
     pub fn current_demand(&self) -> Power {
@@ -97,11 +115,7 @@ impl CappedDevice for WorkloadState {
                 break;
             }
             let phase = self.profile.phases[self.phase_idx];
-            let rate = self
-                .profile
-                .phase_perf(self.phase_idx)
-                .rate(effective_cap, phase.demand)
-                * (1.0 - self.overhead);
+            let rate = self.rate(effective_cap);
             let draw = phase.demand.min(effective_cap);
             if rate <= 0.0 {
                 // Stalled: burns the cap without progressing.
@@ -306,6 +320,42 @@ mod tests {
                 assert!((whole.progress() - parts.progress()).abs() < 1e-6);
                 let diff = e_whole.saturating_sub(e_parts) + e_parts.saturating_sub(e_whole);
                 assert!(diff.as_joules() < 0.01, "energy diff {}", diff.as_joules());
+            },
+        );
+    }
+
+    #[test]
+    fn the_rate_memo_changes_no_bit() {
+        use prop::vec_of;
+        // Windows of 0..3 s under caps that repeat (so the memo hits) and
+        // change (so it must not), across phase ends and the finish.
+        prop::check(
+            "memoized and recomputed rates integrate identically",
+            prop::Config::default(),
+            (vec_of((0u64..3_000, 0usize..6), 1..80), prop::any_bool()),
+            |(windows, overhead)| {
+                let caps = [w(50), w(90), w(130), w(150), w(199), w(300)];
+                let overhead = if overhead { 0.013 } else { 0.0 };
+                let phases = vec![
+                    Phase::new(w(200), 3.0),
+                    Phase::new(w(120), 2.0),
+                    Phase::new(w(250), 4.0),
+                ];
+                let profile = Profile::new("concave", phases, PerfModel::new(w(60), 0.7));
+                let mut memo = WorkloadState::with_overhead(profile, overhead);
+                let mut fresh = memo.clone();
+                let mut t = SimTime::ZERO;
+                for &(ms, cap) in &windows {
+                    let next = t + SimDuration::from_millis(ms);
+                    fresh.rate_memo = None;
+                    let a = memo.advance(t, next, caps[cap]);
+                    let b = fresh.advance(t, next, caps[cap]);
+                    assert_eq!(a, b, "energy of the window ending at {next:?}");
+                    t = next;
+                }
+                assert_eq!(memo.finished_at(), fresh.finished_at());
+                assert_eq!(memo.progress().to_bits(), fresh.progress().to_bits());
+                assert_eq!(memo.work_done.to_bits(), fresh.work_done.to_bits());
             },
         );
     }

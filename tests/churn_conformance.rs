@@ -120,9 +120,7 @@ fn assert_churn_conserves(scenario: &Scenario, substrate: &dyn Substrate) {
 }
 
 #[test]
-fn churn_sweep_conserves_on_sim_and_lockstep() {
-    // Runs the simulator and the multiplexed daemon leg; the name
-    // predates the daemon leg and is kept so the test keeps its id.
+fn churn_sweep_conserves_on_sim_and_daemon() {
     for drop_permille in DROP_RATES_PERMILLE {
         let scenario = churn_scenario(0x5EED_C402 + u64::from(drop_permille), drop_permille, 16);
         for substrate in [&SimSubstrate as &dyn Substrate, &MultiplexedDaemon] {

@@ -50,7 +50,7 @@ fn all_three_systems_run_the_whole_suite() {
 }
 
 #[test]
-fn des_and_threaded_runtime_agree_on_who_wins() {
+fn des_and_daemon_agree_on_who_wins() {
     // The same donor/recipient imbalance through both substrates: each
     // must show Penelope moving the donor's slack to the recipient.
     let perf = PerfModel::new(Power::from_watts_u64(60), 1.0);

@@ -39,9 +39,7 @@ fn conformant_run(scenario: &Scenario, substrate: &dyn Substrate) -> SubstrateRu
 }
 
 #[test]
-fn drop_rate_sweep_loses_zero_peer_power_on_sim_and_lockstep() {
-    // Runs the simulator and the multiplexed daemon leg; the name
-    // predates the daemon leg and is kept so the test keeps its id.
+fn drop_rate_sweep_loses_zero_peer_power_on_sim_and_daemon() {
     for drop_permille in DROP_RATES_PERMILLE {
         let scenario = lossy_scenario(0x5EED_1055 + u64::from(drop_permille), drop_permille, 12);
         for substrate in [&SimSubstrate as &dyn Substrate, &MultiplexedDaemon] {
@@ -158,11 +156,10 @@ fn daemon_wire_faults_duplicate_delay_and_still_conserve() {
 }
 
 #[test]
-fn sim_and_lockstep_run_the_loss_leg_of_wire_faults() {
+fn sim_runs_the_loss_leg_of_wire_faults() {
     // The simulator cannot reorder or duplicate, but it must still honor
     // the loss leg of a wire-fault scenario (and conserve exactly, as for
-    // plain Lossy). The name is kept from when a second in-process
-    // substrate ran here too.
+    // plain Lossy).
     let scenario = lossy_wire_scenario(0x5EED_D0B2, 200, 150, 5, 12);
     let run = conformant_run(&scenario, &SimSubstrate);
     assert!(run.injected_drops() >= 1, "sim ran the loss leg vacuously");

@@ -113,9 +113,8 @@ fn assert_conserves(scenario: &Scenario, substrate: &dyn Substrate) {
 // ---------------------------------------------------------------------
 
 #[test]
-fn partition_matrix_conserves_on_sim_and_lockstep() {
-    // Runs on both `SUBSTRATES`, the simulator and the multiplexed daemon
-    // leg; the name predates that leg and is kept so the test keeps its id.
+fn partition_matrix_conserves_on_sim_and_daemon() {
+    // Runs on both `SUBSTRATES`, the simulator and the multiplexed daemon.
     let mut scenarios = Vec::new();
     for dp in DROP_RATES_PERMILLE {
         scenarios.push(partition_scenario(0x5EED_9A01 + u64::from(dp), dp, 16));
@@ -296,10 +295,9 @@ fn clean_partition_drives_suspicion_and_gossip_then_heals() {
 }
 
 #[test]
-fn gossip_rides_the_lockstep_transport_too() {
+fn gossip_rides_the_daemon_transport_too() {
     // The same digest machinery must work over the daemon's wire — the
-    // digest rides encoded datagrams, substrate code, not sim code. The
-    // name is kept from the thread-per-node leg this test first ran on.
+    // digest rides encoded datagrams, substrate code, not sim code.
     let scenario = cut_by(
         all_hungry_scenario(0x5EED_9C02, "partition-gossip-daemon", 4, 22),
         split_then_heal(),
