@@ -49,6 +49,12 @@ impl RedistributionTracker {
         self.shifted
     }
 
+    /// True once the whole tracked total has been redistributed: an
+    /// integer compare, for the simulator's per-event stop check.
+    pub fn complete(&self) -> bool {
+        !self.total.is_zero() && self.shifted >= self.total
+    }
+
     /// Fraction of the excess redistributed so far.
     pub fn fraction_shifted(&self) -> f64 {
         self.shifted.ratio(self.total).unwrap_or(0.0).min(1.0)
@@ -143,6 +149,44 @@ mod tests {
         let mut tr = RedistributionTracker::new(w(100), t(0));
         tr.record(t(4), w(1));
         assert_eq!(tr.time_to_fraction(0.0), Some(SimDuration::from_secs(4)));
+    }
+
+    #[test]
+    fn a_zero_total_never_completes() {
+        // `new` refuses a zero total; build one past it to pin the guard.
+        let tr = RedistributionTracker {
+            total: Power::ZERO,
+            start: t(0),
+            shifted: Power::ZERO,
+            timeline: Vec::new(),
+        };
+        assert!(!tr.complete());
+    }
+
+    #[test]
+    fn one_milliwatt_short_is_not_complete() {
+        let mut tr = RedistributionTracker::new(w(100), t(0));
+        tr.record(t(1), w(100) - Power::from_milliwatts(1));
+        assert!(!tr.complete());
+        assert!(tr.fraction_shifted() < 1.0);
+    }
+
+    #[test]
+    fn reaching_the_total_exactly_completes() {
+        let mut tr = RedistributionTracker::new(w(100), t(0));
+        tr.record(t(1), w(60));
+        assert!(!tr.complete());
+        tr.record(t(2), w(40));
+        assert!(tr.complete());
+        assert_eq!(tr.fraction_shifted(), 1.0);
+    }
+
+    #[test]
+    fn a_clipped_over_grant_completes() {
+        let mut tr = RedistributionTracker::new(w(100), t(0));
+        tr.record(t(1), w(250));
+        assert!(tr.complete());
+        assert_eq!(tr.fraction_shifted(), 1.0);
     }
 
     #[test]

@@ -61,11 +61,13 @@ impl SimNet {
         now: SimTime,
         rng: &mut R,
     ) -> RouteOutcome<M> {
-        if !self.faults.is_alive(src) || !self.faults.is_alive(dst) {
-            self.stats.dropped_dead += 1;
-            return RouteOutcome::DroppedDead;
-        }
         if !self.faults.can_communicate(src, dst) {
+            // Only a refused message asks why: a dead endpoint outranks
+            // any partition or cut.
+            if !self.faults.is_alive(src) || !self.faults.is_alive(dst) {
+                self.stats.dropped_dead += 1;
+                return RouteOutcome::DroppedDead;
+            }
             self.stats.dropped_partition += 1;
             return RouteOutcome::DroppedPartition;
         }
@@ -170,6 +172,30 @@ mod tests {
             .is_some());
         assert_eq!(net.stats().dropped_partition, 1);
         assert_eq!(net.stats().delivered, 1);
+    }
+
+    #[test]
+    fn a_dead_node_inside_a_partition_group_counts_as_dead() {
+        let mut net = net_const(50);
+        net.faults_mut().partition(vec![
+            [n(0), n(1)].into_iter().collect(),
+            [n(2)].into_iter().collect(),
+        ]);
+        net.faults_mut().kill(n(1));
+        net.faults_mut().cut_link(n(0), n(1));
+        let mut rng = TestRng::seed_from_u64(0);
+        for (src, dst) in [(n(0), n(1)), (n(1), n(0)), (n(1), n(2))] {
+            assert_eq!(
+                net.route(src, dst, (), SimTime::ZERO, &mut rng),
+                RouteOutcome::DroppedDead
+            );
+        }
+        assert_eq!(
+            net.route(n(0), n(2), (), SimTime::ZERO, &mut rng),
+            RouteOutcome::DroppedPartition
+        );
+        assert_eq!(net.stats().dropped_dead, 3);
+        assert_eq!(net.stats().dropped_partition, 1);
     }
 
     #[test]

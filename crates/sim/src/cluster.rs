@@ -252,26 +252,27 @@ impl ClusterSim {
     /// Process events up to and including `until`, leaving the simulator
     /// usable — the incremental form of [`run`](ClusterSim::run), used by
     /// the conformance harness to interleave execution with
-    /// [snapshots](ClusterSim::conformance_snapshot). Returns `false` once
-    /// the run has reached a stop condition (all workloads finished or
-    /// dead, or full redistribution when so configured).
-    pub fn advance_to(&mut self, until: SimTime) -> bool {
-        while let Some(next) = self.queue.next_time() {
-            if next > until {
-                return true;
-            }
+    /// [snapshots](ClusterSim::conformance_snapshot). Processes nothing
+    /// once the run has reached a stop condition (all workloads finished
+    /// or dead, or full redistribution when so configured).
+    pub fn advance_to(&mut self, until: SimTime) {
+        loop {
+            // Neither stop check looks at the next event, so slicing a run
+            // into several calls processes the same events as one call.
             if self.finished_count + self.dead_unfinished >= self.nodes.len() {
-                return false;
+                return;
             }
             if self.stop_on_full_redistribution
                 && self
                     .metrics
                     .redistribution()
-                    .is_some_and(|tracker| tracker.fraction_shifted() >= 1.0)
+                    .is_some_and(|tracker| tracker.complete())
             {
-                return false;
+                return;
             }
-            let Scheduled { at, event, .. } = self.queue.pop().expect("peeked");
+            let Some(Scheduled { at, event, .. }) = self.queue.pop_until(until) else {
+                return;
+            };
             self.now = at;
             self.events_processed += 1;
             match event {
@@ -291,7 +292,6 @@ impl ClusterSim {
                 self.check_conservation();
             }
         }
-        false
     }
 
     /// Finish an [`advance_to`](ClusterSim::advance_to)-driven run and

@@ -19,9 +19,14 @@
 //! lane heads and the heap top, so the `(time, sequence)` order is the
 //! same as a single heap's whatever the routing.
 //!
+//! Each pop searches for that least key once. The simulator's loop calls
+//! `pop_until(until)`, which finds the head, returns `None` if the queue
+//! is empty or the head is later than `until`, and otherwise pops the
+//! head from the lane or heap that holds it: one search per event.
+//!
 //! A key on the tick lane carries the ticking node, not a slot: a `Tick`
 //! is nothing but its `NodeId`, so a laned tick never touches the slab and
-//! `pop` rebuilds it from the key. A tick that falls back to the heap
+//! is rebuilt from the key when it pops. A tick that falls back to the heap
 //! takes a slot like any other event.
 
 use std::cmp::Ordering;
@@ -105,6 +110,10 @@ impl Ord for HeapKey {
 /// The tick lane: its keys hold a node, not a slot.
 const TICKS: usize = 0;
 
+/// Where [`EventQueue::head`] reports a key the heap holds (lanes are 0
+/// and 1).
+const HEAP: usize = 2;
+
 /// The FIFO lane an event kind may ride: ticks, or timers.
 fn lane_of(event: &Event) -> Option<usize> {
     match event {
@@ -130,7 +139,8 @@ pub struct EventQueue {
 
 impl EventQueue {
     /// An empty queue.
-    pub fn new() -> Self {
+    #[cfg(test)]
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -183,27 +193,43 @@ impl EventQueue {
         }
     }
 
-    /// The least pending key and the lane holding it (`None`: the heap).
-    fn head(&self) -> Option<(HeapKey, Option<usize>)> {
-        let mut best = self.heap.peek().map(|&k| (k, None));
+    /// The least pending key's time and where it sits: a lane, or
+    /// [`HEAP`]. Only the time leaves, not the key, so nothing is copied
+    /// out and read back before [`take`](Self::take) pops it.
+    fn head(&self) -> Option<(SimTime, usize)> {
+        let mut best = self.heap.peek().map(|k| (k, HEAP));
         for (l, lane) in self.lanes.iter().enumerate() {
-            if let Some(&k) = lane.front() {
-                if best.is_none_or(|(b, _)| k.before(&b)) {
-                    best = Some((k, Some(l)));
+            if let Some(k) = lane.front() {
+                if best.is_none_or(|(b, _)| k.before(b)) {
+                    best = Some((k, l));
                 }
             }
         }
-        best
+        best.map(|(k, from)| (k.at, from))
     }
 
     /// Pop the earliest event (FIFO among equal timestamps).
     pub fn pop(&mut self) -> Option<Scheduled> {
-        let (key, lane) = self.head()?;
-        match lane {
-            Some(l) => self.lanes[l].pop_front(),
-            None => self.heap.pop(),
-        };
-        let event = if lane == Some(TICKS) {
+        let (_, from) = self.head()?;
+        Some(self.take(from))
+    }
+
+    /// Pop the earliest event if it is due by `until` (inclusive); `None`,
+    /// leaving the queue untouched, if it is empty or its head is later.
+    pub(crate) fn pop_until(&mut self, until: SimTime) -> Option<Scheduled> {
+        let (at, from) = self.head()?;
+        (at <= until).then(|| self.take(from))
+    }
+
+    /// Pop the head from `from`, where [`head`](Self::head) found it, and
+    /// rebuild its event.
+    fn take(&mut self, from: usize) -> Scheduled {
+        let key = match from {
+            HEAP => self.heap.pop(),
+            l => self.lanes[l].pop_front(),
+        }
+        .expect("the head sits where `head` found it");
+        let event = if from == TICKS {
             Event::Tick(NodeId::new(key.slot))
         } else {
             let event = self.slots[key.slot as usize]
@@ -212,25 +238,22 @@ impl EventQueue {
             self.free.push(key.slot);
             event
         };
-        Some(Scheduled {
+        Scheduled {
             at: key.at,
             seq: key.seq,
             event,
-        })
-    }
-
-    /// Peek at the earliest event's time.
-    pub(crate) fn next_time(&self) -> Option<SimTime> {
-        self.head().map(|(k, _)| k.at)
+        }
     }
 
     /// Number of pending events.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.heap.len() + self.lanes.iter().map(VecDeque::len).sum::<usize>()
     }
 
     /// True iff no events are pending.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
@@ -373,13 +396,23 @@ mod tests {
     }
 
     #[test]
-    fn next_time_peeks_without_popping() {
+    fn pop_until_leaves_a_later_head_in_place() {
         let mut q = EventQueue::new();
-        assert_eq!(q.next_time(), None);
+        assert!(q.pop_until(t(100)).is_none());
+        // A laned tick, a heap-held delivery and a laned timer, each the
+        // head in turn: `until` is inclusive whichever structure holds it.
         q.push(t(7), Event::Tick(NodeId::new(0)));
-        assert_eq!(q.next_time(), Some(t(7)));
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
+        q.push(t(5), event(1, 1));
+        q.push(t(9), event(6, 2));
+        for (popped, (at, seq)) in [(5, 1), (7, 0), (9, 2)].into_iter().enumerate() {
+            assert!(q.pop_until(t(at - 1)).is_none());
+            assert_eq!(q.len(), 3 - popped);
+            assert!(!q.is_empty());
+            let s = q.pop_until(t(at)).expect("a head due at `until`");
+            assert_eq!((s.at, s.seq), (t(at), seq));
+        }
+        assert!(q.is_empty());
+        assert!(q.pop_until(t(100)).is_none());
     }
 
     /// A push-index-stamped event of kind `kind` (0..7, every variant).
@@ -429,27 +462,50 @@ mod tests {
     fn pops_the_order_of_a_sorted_model() {
         use penelope_testkit::prop::{self, vec_of};
         use std::cell::Cell;
-        // Each op is (action, kind, offset): action 0..3 pops, anything
-        // else pushes an event of `kind` at the last popped time plus
-        // `offset` less 4 ms, so equal timestamps, pushes earlier than the
-        // last pop and pushes behind a lane's tail are all common.
+        // Each op is (action, kind, offset): action 0..3 pops; 3..5 calls
+        // `pop_until` with `until` at the least pending time plus `offset`
+        // less 8 ms, so below, on and above the head are all common;
+        // anything else pushes an event of `kind` at the last popped time
+        // plus `offset` less 4 ms, so equal timestamps, pushes earlier than
+        // the last pop and pushes behind a lane's tail are all common.
         let (fallbacks, laned) = (Cell::new(0), Cell::new(0));
+        // `pop_until` calls whose `until` fell below, on and above the head.
+        let untils = Cell::new([0u32; 3]);
         prop::check(
             "lanes and heap pop in (at, seq) order",
             prop::Config::default(),
-            vec_of((0u8..10, 0u8..7, 0u64..16), 1..400),
+            vec_of((0u8..12, 0u8..7, 0u64..16), 1..400),
             |ops| {
                 let mut q = EventQueue::new();
                 let mut model: Vec<(SimTime, u64, u32)> = Vec::new();
                 let mut last = 0u64;
                 let mut pushed = 0u32;
+                let least = |model: &[(SimTime, u64, u32)]| {
+                    (0..model.len()).min_by_key(|&j| (model[j].0, model[j].1))
+                };
                 for &(action, kind, offset) in &ops {
-                    if action < 3 {
-                        let want = (0..model.len())
-                            .min_by_key(|&j| (model[j].0, model[j].1))
-                            .map(|j| model.remove(j));
-                        let got = q.pop().map(|s| (s.at, s.seq, stamp(&s.event)));
-                        assert_eq!(got, want);
+                    if action < 5 {
+                        let got = if action < 3 {
+                            q.pop()
+                        } else {
+                            let head = least(&model);
+                            let head_ms = head.map_or(last, |j| model[j].0.as_nanos() / 1_000_000);
+                            let until = t((head_ms + offset).saturating_sub(8));
+                            if let Some(j) = head {
+                                let mut seen = untils.get();
+                                seen[(until.cmp(&model[j].0) as i8 + 1) as usize] += 1;
+                                untils.set(seen);
+                            }
+                            if head.is_none_or(|j| model[j].0 > until) {
+                                let len = q.len();
+                                assert!(q.pop_until(until).is_none());
+                                assert_eq!(q.len(), len);
+                                continue;
+                            }
+                            q.pop_until(until)
+                        };
+                        let got = got.map(|s| (s.at, s.seq, stamp(&s.event)));
+                        assert_eq!(got, least(&model).map(|j| model.remove(j)));
                         if let Some((at, ..)) = got {
                             last = at.as_nanos() / 1_000_000;
                         }
@@ -461,12 +517,9 @@ mod tests {
                         laned.set(laned.get() + q.lanes.iter().map(VecDeque::len).sum::<usize>());
                     }
                     assert_eq!(q.len(), model.len());
-                    assert_eq!(q.next_time(), model.iter().map(|m| m.0).min());
                 }
                 while let Some(s) = q.pop() {
-                    let j = (0..model.len())
-                        .min_by_key(|&j| (model[j].0, model[j].1))
-                        .expect("the model holds as many as the queue");
+                    let j = least(&model).expect("the model holds as many as the queue");
                     assert_eq!((s.at, s.seq, stamp(&s.event)), model.remove(j));
                 }
                 assert!(model.is_empty());
@@ -475,5 +528,10 @@ mod tests {
         );
         assert!(laned.get() > 0, "no case put a key on a lane");
         assert!(fallbacks.get() > 0, "no case fell back from a lane");
+        assert!(
+            untils.get().iter().all(|&n| n > 0),
+            "`until` below/on/above the head: {:?}",
+            untils.get()
+        );
     }
 }

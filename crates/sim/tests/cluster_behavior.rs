@@ -2,7 +2,7 @@
 //! fault tolerance, determinism.
 
 use penelope_power::RaplConfig;
-use penelope_sim::{ClusterConfig, ClusterSim, FaultAction, FaultScript, SystemKind};
+use penelope_sim::{ClusterConfig, ClusterSim, FaultAction, FaultScript, RunReport, SystemKind};
 use penelope_units::{NodeId, Power, PowerRange, SimDuration, SimTime};
 use penelope_workload::{PerfModel, Phase, Profile};
 
@@ -542,4 +542,92 @@ fn builder_accepts_the_unified_engine_config() {
         .build()
         .run(SimTime::from_secs(10));
     assert!(report.conservation_ok);
+}
+
+/// What a run reports that slicing it could disturb.
+fn sliceable(r: &RunReport) -> impl PartialEq + std::fmt::Debug {
+    let redistribution = r.redistribution.as_ref();
+    (
+        (
+            r.events,
+            r.ended_at,
+            r.final_caps.clone(),
+            r.finished.clone(),
+        ),
+        (r.turnaround.count(), r.turnaround.mean()),
+        redistribution.map(|t| (t.shifted(), t.median_time(), t.total_time())),
+        (r.net, r.lost, r.conservation_ok),
+    )
+}
+
+/// `advance_to` over `slices` equal slices of `horizon` and then `finish`
+/// report what one `run(horizon)` of the same cell reports. `build` makes
+/// a fresh simulator for each side.
+fn assert_slices_equal_one_run(
+    cell: &str,
+    build: impl Fn() -> ClusterSim,
+    horizon: SimTime,
+    slices: u64,
+) -> RunReport {
+    let whole = build().run(horizon);
+    let mut sim = build();
+    let step = horizon.as_nanos() / slices;
+    for k in 1..slices {
+        sim.advance_to(SimTime::from_nanos(k * step));
+    }
+    sim.advance_to(horizon);
+    let sliced = sim.finish();
+    assert_eq!(sliceable(&sliced), sliceable(&whole), "{cell}");
+    assert!(whole.events > 0, "{cell}: nothing ran");
+    whole
+}
+
+#[test]
+fn a_sliced_run_reports_what_one_run_reports() {
+    // Penelope: the run ends when every workload finishes, mid-slice.
+    let penelope = || {
+        let workloads = vec![
+            profile("a", 100, 30.0),
+            profile("b", 250, 30.0),
+            profile("c", 180, 30.0),
+        ];
+        ClusterSim::new(cfg(SystemKind::Penelope, 480), workloads)
+    };
+    let report = assert_slices_equal_one_run("penelope", penelope, horizon(300), 7);
+    assert!(
+        report.runtime_secs().is_some(),
+        "the Penelope cell never finished"
+    );
+
+    // SLURM, stopped by full redistribution rather than by the horizon.
+    let slurm = || {
+        let workloads = vec![profile("short", 155, 10.0), profile("rcpt", 250, 200.0)];
+        let mut sim = ClusterSim::new(cfg(SystemKind::Slurm, 320), workloads);
+        sim.track_redistribution(w(80), vec![NodeId::new(1)], SimTime::from_secs(10));
+        sim.stop_when_redistributed();
+        sim
+    };
+    let report = assert_slices_equal_one_run("slurm", slurm, horizon(400), 13);
+    let tracker = report.redistribution.as_ref().expect("tracking installed");
+    assert!(tracker.complete(), "SLURM never redistributed the 80 W");
+    assert!(report.ended_at < horizon(400), "the stop check never fired");
+
+    // Zero tick jitter: every slice ends exactly on a tick instant, and
+    // the tick there fires inside the slice — `until` is inclusive.
+    let aligned = || {
+        let mut c = cfg(SystemKind::Penelope, 480);
+        c.tick_jitter = SimDuration::ZERO;
+        let workloads = vec![
+            profile("a", 100, 1e3),
+            profile("b", 250, 1e3),
+            profile("c", 180, 1e3),
+        ];
+        ClusterSim::new(c, workloads)
+    };
+    assert_slices_equal_one_run("aligned", aligned, horizon(40), 40);
+    let mut sim = aligned();
+    for s in 1..=40 {
+        sim.advance_to(horizon(s));
+        assert_eq!(sim.now(), horizon(s), "the tick at {s} s did not fire");
+    }
 }
