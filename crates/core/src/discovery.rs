@@ -348,8 +348,15 @@ impl PeerTable {
         let at = self.slot(peer).unwrap_or_else(|at| {
             // Grow by a quarter, not by doubling: every node carries one
             // of these tables, and under loss they reach dozens of records.
+            // The first record gets a block of its own: a fault-free donor
+            // only ever holds one, the acked floor of the peer it served.
             if self.records.len() == self.records.capacity() {
-                self.records.reserve_exact(self.records.len() / 4 + 4);
+                let more = if self.records.is_empty() {
+                    1
+                } else {
+                    self.records.len() / 4 + 4
+                };
+                self.records.reserve_exact(more);
             }
             self.records.insert(at, PeerRecord::blank(peer));
             at

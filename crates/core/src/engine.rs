@@ -60,7 +60,7 @@
 //! # What an engine stores
 //!
 //! A sharded run holds 10^5–10^6 engines, so `size_of::<NodeEngine>()` is
-//! a memory budget (392 bytes, pinned with its parts in
+//! a memory budget (384 bytes, pinned with its parts in
 //! `tests/peer_table.rs`). Everything that is constant across the cluster
 //! — the [`EngineConfig`]: decider knobs, pool limiter, safe range,
 //! discovery strategy — is stored once per cluster behind an [`Arc`]; an
@@ -69,11 +69,19 @@
 //! lends that context to the decider and the peer table on every call.
 //! The rest is state that differs from node to node: the decider's caps,
 //! outstanding request, seq namespace and counters (168 bytes), the pool
-//! (88, including the one configuration copy left — its 24-byte limiter,
+//! (80, including the one configuration copy left — its 24-byte limiter,
 //! because a [`PowerPool`] is also driven on its own), the peer table (56)
 //! and the escrow (24). The two tables a node keeps about *itself* — the
 //! escrow and the decider's applied-seq window — are plain `Vec`s: they
 //! hold a handful of entries, so nothing inside an engine hashes.
+//!
+//! Beside those bytes an engine owns heap only once it has served a peer.
+//! A fresh engine on a shared config and the no-op observer owns none; a
+//! donor that has served one request and seen its ack owns 80 bytes: one
+//! 32-byte escrow slot (the first grant reserves exactly one, and it is
+//! kept when the ack empties the table) and one 48-byte peer record (the
+//! acked floor; the first record is reserved alone, and the table grows
+//! by a quarter after it). `tests/engine_heap.rs` pins both.
 
 use std::sync::Arc;
 

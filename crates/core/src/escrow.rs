@@ -35,6 +35,15 @@
 //! the order of `GrantReclaimed` events on substrates that sweep — a
 //! function of the inputs alone, not of a per-process hasher seed.
 //!
+//! The first entry reserves exactly one slot, not the four a `Vec` starts
+//! with. At the peak of the sparse sharded cell (seed 7) 117 170 tables
+//! held one slot and at most 2 833 had grown past it, so three more would
+//! be 96 bytes per served donor; growth after the first slot is `Vec`'s
+//! own. The slot is kept when an ack empties the table: freeing it would
+//! save its 32 bytes too, but then every grant after an empty table would
+//! allocate, and the simulator's steady state is pinned allocation-free
+//! (`penelope-sim`'s `tests/alloc_free.rs`).
+//!
 //! The table is generic over the requester key; every engine keys it by
 //! [`NodeId`](penelope_units::NodeId).
 
@@ -121,7 +130,14 @@ impl<K: Eq + Copy> GrantEscrow<K> {
         // grants were first served in.
         match self.position(requester, seq) {
             Some(at) => self.entries[at] = entry,
-            None => self.entries.push(entry),
+            None => {
+                // The first grant gets one slot, not `Vec`'s four: most
+                // granters never hold a second (see "Representation").
+                if self.entries.capacity() == 0 {
+                    self.entries.reserve_exact(1);
+                }
+                self.entries.push(entry);
+            }
         }
     }
 

@@ -624,18 +624,21 @@ fn a_pick_costs_the_evidence_held_not_the_cluster() {
 /// the [`PeerTable`], 424 once the cluster's configuration (stored two to
 /// three times in every engine) moved behind one shared `Arc` and the two
 /// std hash tables became `Vec`s, 392 once the decider lost its policy
-/// state (a forecast, the previous reading and a bid). The parts are
-/// pinned with the whole, so a field that grows back says where.
+/// state (a forecast, the previous reading and a bid), 384 once the pool
+/// lost its lifetime urgent-serve counter (88 → 80). The parts are pinned
+/// with the whole, so a field that grows back says where; the heap an
+/// engine holds beside them is pinned in `tests/engine_heap.rs`.
 #[test]
 fn an_engine_stays_within_its_size_budget() {
-    use penelope_core::{GrantEscrow, LocalDecider, NodeEngine};
+    use penelope_core::{GrantEscrow, LocalDecider, NodeEngine, PowerPool};
     use std::mem::size_of;
     let sizes = [
-        ("NodeEngine", size_of::<NodeEngine>(), 392),
+        ("NodeEngine", size_of::<NodeEngine>(), 384),
         ("NodeCtx", size_of::<NodeCtx>(), 56),
         ("LocalDecider", size_of::<LocalDecider>(), 168),
         ("PeerTable", size_of::<PeerTable>(), 56),
         ("GrantEscrow<NodeId>", size_of::<GrantEscrow<NodeId>>(), 24),
+        ("PowerPool", size_of::<PowerPool>(), 80),
     ];
     for (name, size, budget) in sizes {
         assert!(

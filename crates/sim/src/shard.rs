@@ -84,9 +84,13 @@
 //! for the two to be a third of it. So a node nobody has written to owns
 //! no engine: a donor parked at the margin is a constant until its first
 //! message, and the shard holds a 4-byte slot for it. A node that *has*
-//! been written to costs a 464-byte `Live` record — the 392-byte
+//! been written to costs a 456-byte `Live` record — the 384-byte
 //! [`NodeEngine`] plus RNG, demand, cap, wake time, digest and message
-//! seq — built on first arrival, in arrival order. The records sit in one
+//! seq — built on first arrival, in arrival order. A donor that has served
+//! a peer also owns 80 heap bytes (one escrow slot and one acked-floor
+//! record, `penelope-core`'s "What an engine stores"), and no engine owns
+//! any for its observer: the shard builds every one with
+//! [`SharedObserver::noop`], which allocates nothing. The records sit in one
 //! `Vec` whose capacity is reserved once at the shard's length, so a push
 //! never reallocates; that leans on lazily-committed anonymous memory —
 //! the reservation is as much *virtual* memory as eager columns were, but

@@ -11,8 +11,9 @@
 //!
 //! ## Choosing an observer
 //!
-//! * `NoopObserver` (the default) — disabled; emission sites skip event
-//!   construction entirely, so tracing costs nothing when off.
+//! * [`SharedObserver::noop()`] (the default) — disabled; emission sites
+//!   skip event construction entirely, so tracing costs nothing when off,
+//!   and the handle owns no allocation.
 //! * [`RingBufferObserver`] — capture events in memory (optionally bounded,
 //!   flight-recorder style) for programmatic analysis.
 //! * [`JsonlObserver`] — stream events to a writer as JSONL

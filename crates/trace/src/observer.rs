@@ -24,55 +24,50 @@ pub trait Observer: Send + Sync {
     }
 }
 
-/// The do-nothing observer: `enabled()` is `false`, so emission sites never
-/// build an event for it.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct NoopObserver;
-
-impl Observer for NoopObserver {
-    fn on_event(&self, _ev: &TraceEvent) {}
-
-    fn enabled(&self) -> bool {
-        false
-    }
-}
-
 /// A cheaply clonable handle to an observer, embeddable in config structs.
 ///
 /// `Default` is the no-op observer, so existing configs gain observability
 /// without changing behaviour; `emit` takes a closure so disabled observers
 /// cost one boolean load and nothing else.
+///
+/// The no-op handle is `None`: it owns no allocation, so a driver that
+/// builds 10^5–10^6 engines with [`SharedObserver::noop`] pays nothing per
+/// engine for it, and no two threads ever share its reference count. The
+/// `Arc`'s non-null niche keeps the handle two words either way.
 #[derive(Clone)]
-pub struct SharedObserver(Arc<dyn Observer>);
+pub struct SharedObserver(Option<Arc<dyn Observer>>);
 
 impl SharedObserver {
     /// Wrap an observer.
     pub fn new(observer: Arc<dyn Observer>) -> Self {
-        SharedObserver(observer)
+        SharedObserver(Some(observer))
     }
 
-    /// The no-op observer.
+    /// The no-op observer: disabled, so emission sites never build an
+    /// event for it, and it allocates nothing.
     pub fn noop() -> Self {
-        SharedObserver(Arc::new(NoopObserver))
+        SharedObserver(None)
     }
 
     /// Whether the underlying observer wants events.
     #[inline]
     pub fn enabled(&self) -> bool {
-        self.0.enabled()
+        self.0.as_ref().is_some_and(|obs| obs.enabled())
     }
 
     /// Build and deliver an event — but only if the observer is enabled.
     #[inline]
     pub fn emit(&self, build: impl FnOnce() -> TraceEvent) {
-        if self.0.enabled() {
-            self.0.on_event(&build());
+        if let Some(obs) = self.0.as_ref().filter(|obs| obs.enabled()) {
+            obs.on_event(&build());
         }
     }
 
     /// Deliver an already-built event (used when fanning out).
     pub fn on_event(&self, ev: &TraceEvent) {
-        self.0.on_event(ev);
+        if let Some(obs) = &self.0 {
+            obs.on_event(ev);
+        }
     }
 }
 
@@ -92,7 +87,7 @@ impl fmt::Debug for SharedObserver {
 
 impl<T: Observer + 'static> From<Arc<T>> for SharedObserver {
     fn from(observer: Arc<T>) -> Self {
-        SharedObserver(observer)
+        SharedObserver(Some(observer))
     }
 }
 
@@ -209,6 +204,8 @@ mod tests {
             ev(0)
         });
         assert!(!built, "emit must not build events for a disabled observer");
+        obs.on_event(&ev(0));
+        assert_eq!(std::mem::size_of::<SharedObserver>(), 16);
     }
 
     #[test]

@@ -29,8 +29,15 @@ impl Energy {
     #[inline]
     pub fn from_power(power: Power, dt: SimDuration) -> Self {
         // mW * ns = pJ; divide by 1000 for nJ (floor; at worst 1 nJ lost per
-        // integration step, irrelevant at the scales we report).
-        Energy(power.milliwatts() as u128 * dt.as_nanos() as u128 / 1000)
+        // integration step, irrelevant at the scales we report). A product
+        // that fits a `u64` — every tick of a simulated node — divides in
+        // `u64`: the `u128` division is a library call, the `u64` one a
+        // multiply. Both floor the same quotient.
+        let (mw, ns) = (power.milliwatts(), dt.as_nanos());
+        match mw.checked_mul(ns) {
+            Some(pj) => Energy((pj / 1000) as u128),
+            None => Energy(mw as u128 * ns as u128 / 1000),
+        }
     }
 
     /// Joules, as `f64` (reporting only).
@@ -46,8 +53,17 @@ impl Energy {
         if dt.is_zero() {
             return Power::ZERO;
         }
-        // nJ / ns = W; multiply by 1000 first for mW precision.
-        Power::from_milliwatts((self.0 * 1000 / dt.as_nanos() as u128).min(u64::MAX as u128) as u64)
+        // nJ / ns = W; multiply by 1000 first for mW precision, in `u64`
+        // when the scaled energy fits (as in `from_power`).
+        let ns = dt.as_nanos();
+        let pj = u64::try_from(self.0)
+            .ok()
+            .and_then(|nj| nj.checked_mul(1000));
+        let mw = match pj {
+            Some(pj) => pj / ns,
+            None => (self.0 * 1000 / ns as u128).min(u64::MAX as u128) as u64,
+        };
+        Power::from_milliwatts(mw)
     }
 
     /// True iff zero.
@@ -169,6 +185,58 @@ mod tests {
                 // Floor division loses at most 1 nJ per piece.
                 assert!(whole.saturating_sub(parts).0 <= 1);
                 assert!(parts.saturating_sub(whole).0 <= 1);
+            },
+        );
+    }
+
+    /// An operand of up to `bits` significant bits: drawing the width
+    /// first spreads the draws over every magnitude of the `u64` range.
+    fn of_width(bits: u32, raw: u64) -> u64 {
+        raw.checked_shr(64 - bits).unwrap_or(0)
+    }
+
+    #[test]
+    fn u64_fast_paths_agree_with_the_u128_formulas() {
+        prop::check(
+            "u64_fast_paths_agree_with_the_u128_formulas",
+            prop::Config::with_cases(4096),
+            (
+                0u32..=64,
+                prop::any_u64(),
+                0u32..=64,
+                prop::any_u64(),
+                0u64..8,
+            ),
+            |(a_bits, a_raw, b_bits, b_raw, nudge)| {
+                let a = of_width(a_bits, a_raw);
+                // Half the draws put the second operand within a few units
+                // of where `a × b` stops fitting a `u64`.
+                let b = if b_raw & 1 == 0 {
+                    of_width(b_bits, b_raw)
+                } else {
+                    (u64::MAX / a.max(1))
+                        .saturating_add(nudge)
+                        .saturating_sub(3)
+                };
+                let e = Energy::from_power(Power::from_milliwatts(a), SimDuration::from_nanos(b));
+                assert_eq!(
+                    e.0,
+                    a as u128 * b as u128 / 1000,
+                    "from_power({a} mW, {b} ns)"
+                );
+
+                // Energies from zero past `u64::MAX` (up to 2^118, where the `u128` formula still fits), with the
+                // `nJ × 1000` boundary drawn as often as the rest.
+                let nj = match nudge % 4 {
+                    0 => a as u128,
+                    1 => (u64::MAX / 1000) as u128 + (b_raw % 5) as u128 - 2,
+                    2 => ((a as u128) << 54) | b as u128,
+                    _ => u64::MAX as u128 + (b_raw % 3) as u128,
+                };
+                let ns = b.max(1);
+                let avg = Energy(nj).average_power(SimDuration::from_nanos(ns));
+                let want = (nj * 1000 / ns as u128).min(u64::MAX as u128) as u64;
+                assert_eq!(avg.milliwatts(), want, "average_power({nj} nJ, {ns} ns)");
             },
         );
     }
