@@ -192,11 +192,6 @@ impl LocalDecider {
         self.cap
     }
 
-    /// The initial assignment — the urgency threshold.
-    pub fn initial_cap(&self) -> Power {
-        self.initial_cap
-    }
-
     /// Lifetime counters.
     pub fn stats(&self) -> DeciderStats {
         self.stats
@@ -954,9 +949,9 @@ mod tests {
     fn initial_cap_clamped_to_safe_range() {
         let d = Rig::new(DeciderConfig::default(), w(999), safe());
         assert_eq!(d.cap(), w(300));
-        assert_eq!(d.initial_cap(), w(300));
+        assert_eq!(d.d.initial_cap, w(300));
         let d = Rig::new(DeciderConfig::default(), w(1), safe());
-        assert_eq!(d.initial_cap(), w(80));
+        assert_eq!(d.d.initial_cap, w(80));
     }
 
     #[test]

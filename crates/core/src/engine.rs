@@ -417,11 +417,6 @@ impl NodeEngine {
         self.ctx.node
     }
 
-    /// Number of client nodes in the cluster (peer-selection domain).
-    pub fn cluster_size(&self) -> usize {
-        self.ctx.cluster_size
-    }
-
     /// The configuration the engine was built with — the cluster's, shared
     /// by every engine handed the same `Arc`. Its `seq_floor` is the floor
     /// this node *started* under; a [`reincarnate`](NodeEngine::reincarnate)
@@ -433,11 +428,6 @@ impl NodeEngine {
     /// The cap the decider currently wants enforced.
     pub fn cap(&self) -> Power {
         self.decider.cap()
-    }
-
-    /// The initial assignment — the urgency threshold.
-    pub fn initial_cap(&self) -> Power {
-        self.decider.initial_cap()
     }
 
     /// The local power pool (read access for snapshots and audits).

@@ -24,7 +24,6 @@ pub struct PowerPool {
     total_granted: Power,
     total_taken_local: Power,
     total_drained: Power,
-    requests_served: u64,
 }
 
 impl PowerPool {
@@ -38,7 +37,6 @@ impl PowerPool {
             total_granted: Power::ZERO,
             total_taken_local: Power::ZERO,
             total_drained: Power::ZERO,
-            requests_served: 0,
         }
     }
 
@@ -87,7 +85,6 @@ impl PowerPool {
         };
         self.available -= delta;
         self.total_granted += delta;
-        self.requests_served += 1;
         self.local_urgency = urgent;
         delta
     }
@@ -123,11 +120,6 @@ impl PowerPool {
     /// [`drain`]: PowerPool::drain
     pub fn total_drained(&self) -> Power {
         self.total_drained
-    }
-
-    /// Requests served (including empty-handed ones).
-    pub fn requests_served(&self) -> u64 {
-        self.requests_served
     }
 
     /// Drain the pool completely (used when a node crashes: its cached
@@ -201,7 +193,6 @@ mod tests {
         let mut p = PowerPool::default();
         assert_eq!(p.handle_request(false, Power::ZERO), Power::ZERO);
         assert_eq!(p.handle_request(true, w(50)), Power::ZERO);
-        assert_eq!(p.requests_served(), 2);
     }
 
     #[test]
@@ -267,7 +258,6 @@ mod tests {
         let g2 = p.handle_request(true, w(40));
         assert_eq!(p.total_deposited(), w(150));
         assert_eq!(p.total_granted(), g1 + g2);
-        assert_eq!(p.requests_served(), 2);
     }
 
     #[test]
@@ -288,7 +278,6 @@ mod tests {
         assert_eq!(p.available(), w(100));
         assert_eq!(p.total_granted(), Power::ZERO);
         assert!(p.local_urgency());
-        assert_eq!(p.requests_served(), 1);
     }
 
     #[test]

@@ -19,7 +19,7 @@ pub enum Effort {
 
 impl Effort {
     /// How many of the 36 application pairs to sweep.
-    pub fn pairs(self) -> usize {
+    pub(crate) fn pairs(self) -> usize {
         match self {
             Effort::Smoke => 3,
             Effort::Quick => 12,

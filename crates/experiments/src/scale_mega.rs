@@ -38,7 +38,7 @@ pub(crate) fn node_axis(effort: Effort) -> Vec<usize> {
 
 /// Protocol periods simulated per cell. Enough to amortize the one-off
 /// engine construction cost and reach the drained-pool steady state.
-pub fn periods(effort: Effort) -> u64 {
+pub(crate) fn periods(effort: Effort) -> u64 {
     match effort {
         Effort::Smoke => 250,
         Effort::Quick => 250,

@@ -27,7 +27,7 @@ impl OscillationStats {
     }
 
     /// Feed the cap after an iteration.
-    pub fn record(&mut self, cap: Power) {
+    pub(crate) fn record(&mut self, cap: Power) {
         self.samples += 1;
         if let Some(prev) = self.last {
             if cap > prev {

@@ -35,7 +35,7 @@ impl RedistributionTracker {
     /// Record `amount` of the tracked excess landing on a hungry node at
     /// `at`. Amounts beyond the tracked total are clipped (power can churn
     /// back and forth; only first-arrival counts toward redistribution).
-    pub fn record(&mut self, at: SimTime, amount: Power) {
+    pub(crate) fn record(&mut self, at: SimTime, amount: Power) {
         if amount.is_zero() || self.shifted >= self.total {
             return;
         }

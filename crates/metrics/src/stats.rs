@@ -60,7 +60,7 @@ impl SummaryStats {
     }
 
     /// The `p`-th percentile, `0 ≤ p ≤ 100`, with linear interpolation.
-    pub fn percentile(&self, p: f64) -> f64 {
+    pub(crate) fn percentile(&self, p: f64) -> f64 {
         assert!((0.0..=100.0).contains(&p), "percentile out of range: {p}");
         if self.sorted.len() == 1 {
             return self.sorted[0];

@@ -23,7 +23,7 @@ impl TurnaroundStats {
     }
 
     /// Record a completed request↔response round trip.
-    pub fn record(&mut self, turnaround: SimDuration) {
+    pub(crate) fn record(&mut self, turnaround: SimDuration) {
         self.samples_ns.push(turnaround.as_nanos());
     }
 

@@ -21,11 +21,6 @@ pub struct Envelope<M> {
 }
 
 impl<M> Envelope<M> {
-    /// One-way latency this envelope experienced.
-    pub fn latency(&self) -> penelope_units::SimDuration {
-        self.deliver_at.saturating_since(self.sent_at)
-    }
-
     /// Map the payload, keeping routing metadata (used when wrapping
     /// protocol-specific messages into the simulator's unified event type).
     pub fn map<N>(self, f: impl FnOnce(M) -> N) -> Envelope<N> {
@@ -42,19 +37,6 @@ impl<M> Envelope<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use penelope_units::SimDuration;
-
-    #[test]
-    fn latency_is_delivery_minus_send() {
-        let e = Envelope {
-            src: NodeId::new(0),
-            dst: NodeId::new(1),
-            sent_at: SimTime::from_millis(10),
-            deliver_at: SimTime::from_millis(12),
-            msg: (),
-        };
-        assert_eq!(e.latency(), SimDuration::from_millis(2));
-    }
 
     #[test]
     fn map_preserves_metadata() {

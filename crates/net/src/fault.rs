@@ -110,16 +110,16 @@ impl FaultPlane {
     /// exactly once whether or not the link would have carried it, and a
     /// sender's loss stream does not depend on who is dead or cut off;
     /// then the link must connect ([`can_communicate`](Self::can_communicate)).
-    pub fn carries<R: Rng + ?Sized>(&self, src: NodeId, dst: NodeId, rng: &mut R) -> bool {
+    pub(crate) fn carries<R: Rng + ?Sized>(&self, src: NodeId, dst: NodeId, rng: &mut R) -> bool {
         !self.loses(rng) && self.can_communicate(src, dst)
     }
 
     /// Can a message currently travel from `src` to `dst`?
     ///
     /// Requires both endpoints alive and, if partitioned, co-located in some
-    /// group. (The random drop rate is applied separately, by
-    /// [`carries`](Self::carries) or the simulator's router, so it can
-    /// consume randomness from the caller's RNG.)
+    /// group. (The random drop rate is applied separately, by the
+    /// socket shim or the simulator's router, so it can consume
+    /// randomness from the caller's RNG.)
     pub fn can_communicate(&self, src: NodeId, dst: NodeId) -> bool {
         if !self.is_alive(src) || !self.is_alive(dst) {
             return false;

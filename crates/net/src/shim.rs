@@ -64,7 +64,7 @@
 //! reclaim it at the deadline, exactly as the simulator's send-side loss
 //! model does. Sends to unregistered destinations pass through unfaulted.
 //!
-//! A payload's fate is [`FaultPlane::carries`] — the loss
+//! A payload's fate is the [`FaultPlane`]'s — the loss
 //! draw from the direction's stream, then the link the daemon frame's
 //! `[dst][src]` header names ([`frame_endpoints`]); a payload too short
 //! for a header is on no node's link and meets the loss draw alone.

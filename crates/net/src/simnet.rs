@@ -21,16 +21,6 @@ pub enum RouteOutcome<M> {
     DroppedPartition,
 }
 
-impl<M> RouteOutcome<M> {
-    /// The envelope, if the message survived.
-    pub fn delivered(self) -> Option<Envelope<M>> {
-        match self {
-            RouteOutcome::Deliver(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
 /// The virtual network used by the DES: latency model + fault plane +
 /// traffic counters. Routing is purely functional over the caller's RNG,
 /// which keeps whole-cluster runs reproducible from a single seed.
@@ -122,7 +112,9 @@ mod tests {
         let mut net = net_const(50);
         let mut rng = TestRng::seed_from_u64(0);
         let out = net.route(n(0), n(1), "hello", SimTime::from_secs(1), &mut rng);
-        let env = out.delivered().expect("delivered");
+        let RouteOutcome::Deliver(env) = out else {
+            panic!("dropped: {out:?}")
+        };
         assert_eq!(env.src, n(0));
         assert_eq!(env.dst, n(1));
         assert_eq!(env.sent_at, SimTime::from_secs(1));
@@ -166,10 +158,10 @@ mod tests {
             net.route(n(0), n(2), (), SimTime::ZERO, &mut rng),
             RouteOutcome::DroppedPartition
         );
-        assert!(net
-            .route(n(0), n(1), (), SimTime::ZERO, &mut rng)
-            .delivered()
-            .is_some());
+        assert!(matches!(
+            net.route(n(0), n(1), (), SimTime::ZERO, &mut rng),
+            RouteOutcome::Deliver(_)
+        ));
         assert_eq!(net.stats().dropped_partition, 1);
         assert_eq!(net.stats().delivered, 1);
     }
@@ -207,10 +199,10 @@ mod tests {
             net.route(n(0), n(1), (), SimTime::ZERO, &mut rng),
             RouteOutcome::DroppedPartition
         );
-        assert!(net
-            .route(n(1), n(0), (), SimTime::ZERO, &mut rng)
-            .delivered()
-            .is_some());
+        assert!(matches!(
+            net.route(n(1), n(0), (), SimTime::ZERO, &mut rng),
+            RouteOutcome::Deliver(_)
+        ));
         assert_eq!(net.stats().dropped_partition, 1);
     }
 
@@ -240,11 +232,11 @@ mod tests {
         let mut rng1 = TestRng::seed_from_u64(5);
         let mut rng2 = TestRng::seed_from_u64(5);
         for _ in 0..100 {
-            let e = net
-                .route(n(0), n(1), (), SimTime::ZERO, &mut rng1)
-                .delivered()
-                .unwrap();
-            assert_eq!(e.latency(), lat.sample(&mut rng2));
+            let out = net.route(n(0), n(1), (), SimTime::ZERO, &mut rng1);
+            let RouteOutcome::Deliver(e) = out else {
+                panic!("dropped: {out:?}")
+            };
+            assert_eq!(e.deliver_at - e.sent_at, lat.sample(&mut rng2));
         }
     }
 

@@ -43,7 +43,7 @@ impl PhaseBarrier {
 
     /// Arrive, and block until all parties have. False once the barrier
     /// is aborted: the caller stops there, and so does everyone else.
-    pub fn wait(&self) -> bool {
+    pub(crate) fn wait(&self) -> bool {
         let mut state = self.state.lock().expect(UNPOISONED);
         if state.aborted {
             return false;

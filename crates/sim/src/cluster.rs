@@ -24,6 +24,12 @@ use crate::report::RunReport;
 use crate::soa::NodeTable;
 use crate::trace::ClusterTrace;
 
+/// Backlog capacity of the SLURM server queue (drop when full).
+const SERVER_QUEUE_CAPACITY: usize = 1200;
+
+/// Backlog capacity of each Penelope pool's queue.
+const POOL_QUEUE_CAPACITY: usize = 300;
+
 /// The SLURM server side: policy + queue model, hosted on a dedicated node.
 struct ServerSide {
     id: NodeId,
@@ -126,7 +132,7 @@ impl ClusterSim {
                         caps[i],
                         cfg.observer.clone(),
                     ),
-                    queue: ServerQueue::new(cfg.service, cfg.pool_queue_capacity),
+                    queue: ServerQueue::new(cfg.service, POOL_QUEUE_CAPACITY),
                 },
                 SystemKind::Slurm => Manager::Slurm {
                     client: SlurmClient::new(cfg.node.decider, caps[i], cfg.node.safe_range),
@@ -151,7 +157,7 @@ impl ClusterSim {
                     .map(|k| ServerSide {
                         id: NodeId::new((n + k) as u32),
                         policy: PowerServer::new(cfg.node.pool),
-                        queue: ServerQueue::new(cfg.service, cfg.server_queue_capacity),
+                        queue: ServerQueue::new(cfg.service, SERVER_QUEUE_CAPACITY),
                         rng: TestRng::seed_from_u64(node_seed(cfg.seed, u64::MAX - k as u64 * 2)),
                     })
                     .collect()
@@ -229,11 +235,6 @@ impl ClusterSim {
     /// nodes), with the clock starting at `from`.
     pub fn track_redistribution(&mut self, total: Power, recipients: Vec<NodeId>, from: SimTime) {
         self.metrics.track_redistribution(total, recipients, from);
-    }
-
-    /// Number of client nodes.
-    pub fn n_nodes(&self) -> usize {
-        self.nodes.len()
     }
 
     /// Current virtual time.
@@ -724,7 +725,7 @@ impl ClusterSim {
             // cap; the serve queue is the driver's and is replaced here.
             Manager::Penelope { engine, queue } => {
                 engine.reincarnate(readmitted);
-                *queue = ServerQueue::new(self.cfg.service, self.cfg.pool_queue_capacity);
+                *queue = ServerQueue::new(self.cfg.service, POOL_QUEUE_CAPACITY);
             }
             Manager::Fair => {}
             Manager::Slurm { client } => {
@@ -1153,7 +1154,7 @@ mod tests {
         let mut sim = ClusterSim::new(cfg, workloads);
         let traffic = |sim: &ClusterSim| {
             let served = sim.servers.iter().map(|s| s.queue.stats().accepted);
-            let granted = (0..sim.n_nodes())
+            let granted = (0..sim.nodes.len())
                 .filter_map(|i| sim.decider_stats(NodeId::new(i as u32)))
                 .map(|s| s.granted);
             (

@@ -56,10 +56,6 @@ pub struct ClusterConfig {
     /// measured 80–100 µs, also applied to each Penelope pool (the pool is
     /// a small server; its *load* is what differs at scale).
     pub service: ServiceModel,
-    /// Backlog capacity of the SLURM server queue (drop when full).
-    pub server_queue_capacity: usize,
-    /// Backlog capacity of each Penelope pool's queue.
-    pub pool_queue_capacity: usize,
     /// Give SLURM a warm standby server (empty cache) that clients fail
     /// over to after two consecutive request timeouts — the fallback-server
     /// study the paper leaves as future work (§4.4).
@@ -102,8 +98,6 @@ impl ClusterConfig {
             latency: LatencyModel::default(),
             rapl: RaplConfig::default(),
             service: ServiceModel::default(),
-            server_queue_capacity: 1200,
-            pool_queue_capacity: 300,
             backup_server: false,
             tick_jitter: SimDuration::from_millis(30),
             discovery: DiscoveryStrategy::default(),

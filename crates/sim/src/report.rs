@@ -50,7 +50,7 @@ impl RunReport {
     /// The experiment runtime: "the time necessary for all nodes to
     /// complete their workloads" (§4.1), over nodes that were alive at the
     /// end. `None` if any live node never finished.
-    pub fn makespan(&self) -> Option<SimTime> {
+    pub(crate) fn makespan(&self) -> Option<SimTime> {
         let mut latest = SimTime::ZERO;
         for (i, fin) in self.finished.iter().enumerate() {
             if self.dead.iter().any(|d| d.index() == i) {

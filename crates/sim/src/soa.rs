@@ -102,7 +102,7 @@ impl NodeTable {
     }
 
     /// Power cached in node `i`'s local pool (zero for Fair/SLURM).
-    pub fn pooled(&self, i: usize) -> Power {
+    pub(crate) fn pooled(&self, i: usize) -> Power {
         match &self.manager[i] {
             Manager::Penelope { engine, .. } => engine.pool().available(),
             _ => Power::ZERO,
@@ -111,7 +111,7 @@ impl NodeTable {
 
     /// Power node `i` holds in total (cap + pool) — what leaves the
     /// system if it crashes.
-    pub fn holdings(&self, i: usize) -> Power {
+    pub(crate) fn holdings(&self, i: usize) -> Power {
         self.cap(i) + self.pooled(i)
     }
 }

@@ -66,11 +66,6 @@ impl ClusterTrace {
         nodes[node.index()].push(sample);
     }
 
-    /// Number of nodes the trace has rows for.
-    pub fn n_nodes(&self) -> usize {
-        self.nodes.lock().expect("trace lock").len()
-    }
-
     /// The cap trajectory of one node, in watts (for sparklines).
     pub fn cap_series_watts(&self, node: NodeId) -> Vec<f64> {
         let nodes = self.nodes.lock().expect("trace lock");

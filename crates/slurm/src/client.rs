@@ -110,11 +110,6 @@ impl SlurmClient {
         self.cap
     }
 
-    /// The initial assignment — the urgency threshold.
-    pub fn initial_cap(&self) -> Power {
-        self.initial_cap
-    }
-
     /// Lifetime counters.
     pub fn stats(&self) -> ClientStats {
         self.stats

@@ -91,7 +91,8 @@ impl Observer for CounterObserver {
 /// Plain-data copy of a [`CounterObserver`]'s state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CounterSnapshot {
-    /// Event counts, indexed by [`EventKind::tag`] / `KIND_NAMES`.
+    /// Event counts, one per [`EventKind`] variant in declaration order;
+    /// [`CounterSnapshot::count`] reads one by its JSONL name.
     pub kinds: [u64; KIND_COUNT],
     /// Total power deposited into pools.
     pub deposited: Power,
@@ -116,19 +117,9 @@ impl CounterSnapshot {
             .unwrap_or(0)
     }
 
-    /// Requests this node's pool served.
-    pub fn requests_served(&self) -> u64 {
-        self.count("request_served")
-    }
-
     /// Requests this node sent to peers.
     pub fn requests_sent(&self) -> u64 {
         self.count("request_sent")
-    }
-
-    /// Requests that timed out waiting for a response.
-    pub fn timeouts(&self) -> u64 {
-        self.count("request_timeout")
     }
 
     /// Total events observed.
@@ -196,7 +187,7 @@ mod tests {
         assert_eq!(snap.withdrawn, w(4));
         assert_eq!(snap.granted, w(3));
         assert_eq!(snap.applied, w(3));
-        assert_eq!(snap.requests_served(), 1);
+        assert_eq!(snap.count("request_served"), 1);
         assert_eq!(snap.total_events(), 4);
     }
 

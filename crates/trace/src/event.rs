@@ -22,7 +22,7 @@ pub enum NodeClass {
 
 impl NodeClass {
     /// Stable snake_case name used in the JSONL schema.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             NodeClass::Excess => "excess",
             NodeClass::Hungry => "hungry",
@@ -245,7 +245,7 @@ pub(crate) const KIND_COUNT: usize = 25;
 
 impl EventKind {
     /// Dense index of the variant, `0..KIND_COUNT` (counter bucket).
-    pub fn tag(&self) -> usize {
+    pub(crate) fn tag(&self) -> usize {
         match self {
             EventKind::Classified { .. } => 0,
             EventKind::PoolDeposit { .. } => 1,
@@ -276,7 +276,7 @@ impl EventKind {
     }
 
     /// Stable snake_case name used as the JSONL `kind` field.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         KIND_NAMES[self.tag()]
     }
 

@@ -45,11 +45,6 @@ impl<W: Write + Send> JsonlObserver<W> {
     pub fn flush(&self) -> io::Result<()> {
         self.out.lock().unwrap().flush()
     }
-
-    /// Flush and hand back the writer.
-    pub fn into_inner(self) -> W {
-        self.out.into_inner().unwrap()
-    }
 }
 
 impl<W: Write + Send> Observer for JsonlObserver<W> {
@@ -170,7 +165,7 @@ mod tests {
         obs.on_event(&ev(1000, 0, 1));
         obs.on_event(&ev(1000, 1, 1));
         obs.on_event(&ev(2000, 0, 2));
-        let text = String::from_utf8(obs.into_inner()).unwrap();
+        let text = String::from_utf8(obs.out.into_inner().unwrap()).unwrap();
         let summary = validate_jsonl(&text).expect("valid trace");
         assert_eq!(summary.events, 3);
         assert_eq!(summary.per_node[&0], 2);
@@ -196,7 +191,7 @@ mod tests {
         let obs = JsonlObserver::new(Vec::new());
         obs.on_event(&ev(2000, 0, 1));
         obs.on_event(&ev(1000, 0, 2));
-        let text = String::from_utf8(obs.into_inner()).unwrap();
+        let text = String::from_utf8(obs.out.into_inner().unwrap()).unwrap();
         let err = validate_jsonl(&text).expect_err("backwards time");
         assert!(err.contains("backwards"), "{err}");
     }
@@ -207,7 +202,7 @@ mod tests {
         obs.on_event(&ev(5000, 0, 1));
         obs.on_event(&ev(1000, 1, 1)); // node 1 starts later in the file but earlier in time
         obs.on_event(&ev(6000, 0, 2));
-        let text = String::from_utf8(obs.into_inner()).unwrap();
+        let text = String::from_utf8(obs.out.into_inner().unwrap()).unwrap();
         assert!(validate_jsonl(&text).is_ok());
     }
 

@@ -82,12 +82,6 @@ impl Power {
         Power(self.0.saturating_sub(rhs.0))
     }
 
-    /// Addition clamped at `Power::MAX`.
-    #[inline]
-    pub fn saturating_add(self, rhs: Power) -> Power {
-        Power(self.0.saturating_add(rhs.0))
-    }
-
     /// Multiply by a non-negative scalar, rounding to the nearest milliwatt.
     ///
     /// Used by the power pool's proportional transaction limiter (10 % of the

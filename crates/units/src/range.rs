@@ -38,12 +38,6 @@ impl PowerRange {
         self.max
     }
 
-    /// The width of the range.
-    #[inline]
-    pub fn span(&self) -> Power {
-        self.max - self.min
-    }
-
     /// True iff `p` lies within the range (inclusive).
     #[inline]
     pub fn contains(&self, p: Power) -> bool {
@@ -54,20 +48,6 @@ impl PowerRange {
     #[inline]
     pub fn clamp(&self, p: Power) -> Power {
         p.clamp(self.min, self.max)
-    }
-
-    /// How much headroom remains between `p` and the top of the range
-    /// (zero if `p` is already at or above `max`).
-    #[inline]
-    pub fn headroom(&self, p: Power) -> Power {
-        self.max.saturating_sub(p)
-    }
-
-    /// How far `p` sits above the bottom of the range
-    /// (zero if `p` is at or below `min`).
-    #[inline]
-    pub fn slack(&self, p: Power) -> Power {
-        p.saturating_sub(self.min)
     }
 }
 
@@ -105,22 +85,6 @@ mod tests {
     }
 
     #[test]
-    fn headroom_and_slack() {
-        let r = PowerRange::from_watts(80, 300);
-        assert_eq!(
-            r.headroom(Power::from_watts_u64(250)),
-            Power::from_watts_u64(50)
-        );
-        assert_eq!(r.headroom(Power::from_watts_u64(400)), Power::ZERO);
-        assert_eq!(
-            r.slack(Power::from_watts_u64(100)),
-            Power::from_watts_u64(20)
-        );
-        assert_eq!(r.slack(Power::from_watts_u64(50)), Power::ZERO);
-        assert_eq!(r.span(), Power::from_watts_u64(220));
-    }
-
-    #[test]
     #[should_panic(expected = "invalid PowerRange")]
     fn inverted_range_panics() {
         let _ = PowerRange::from_watts(300, 80);
@@ -130,7 +94,6 @@ mod tests {
     fn degenerate_range_is_allowed() {
         let r = PowerRange::from_watts(100, 100);
         assert!(r.contains(Power::from_watts_u64(100)));
-        assert_eq!(r.span(), Power::ZERO);
         assert_eq!(
             r.clamp(Power::from_watts_u64(120)),
             Power::from_watts_u64(100)

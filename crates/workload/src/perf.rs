@@ -39,7 +39,7 @@ impl PerfModel {
 
     /// The relative execution rate (in `[0, 1]`) of a phase demanding
     /// `demand` power under effective cap `cap`.
-    pub fn rate(&self, cap: Power, demand: Power) -> f64 {
+    pub(crate) fn rate(&self, cap: Power, demand: Power) -> f64 {
         if cap >= demand {
             return 1.0;
         }

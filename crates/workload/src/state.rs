@@ -49,11 +49,6 @@ impl WorkloadState {
         }
     }
 
-    /// The profile being executed.
-    pub fn profile(&self) -> &Profile {
-        &self.profile
-    }
-
     /// True iff every phase has completed.
     pub fn is_finished(&self) -> bool {
         self.finished_at.is_some()

@@ -1,5 +1,6 @@
-//! The invariants every substrate run is held to, and the violations
-//! that name their breaches.
+//! The invariants every substrate run is held to, the violations that
+//! name their breaches, and the one runner that holds a scenario to them
+//! on a leg ([`assert_conformant`]).
 //!
 //! On the per-period cuts ([`SubstrateRun::snapshots`]):
 //!
@@ -13,8 +14,16 @@
 //!    last cut must only not exceed it).
 //! 5. **No peer loss** — unless the script kills a node, nothing is ever
 //!    booked as lost.
-//! 6. **Non-vacuous loss** — a script that sets a drop rate over enough
-//!    traffic must see the fault plane drop something.
+//! 6. **Non-vacuous** — the run shows what its scenario asks of it,
+//!    worked out from the scenario alone:
+//!    (a) some node sent a peer request, or rules 7–10 held over nothing;
+//!    (b) a script that sets a drop rate over enough traffic saw the fault
+//!    plane drop something;
+//!    (c) under duplication or delay, a leg that counts them reports at
+//!    least one once enough traffic was sent;
+//!    (d) every cut's per-node liveness is the script's `Kill`s and
+//!    `Restart`s walked up to the start of that cut's period, and the end
+//!    state's is the last cut's.
 //!
 //! On the recorded event stream ([`SubstrateRun::events`]), the
 //! transaction rules of Algorithm 2 — every grant is zero-sum and atomic:
@@ -31,9 +40,12 @@
 //!     never decrease, crashes and rebirths included, so a stale
 //!     pre-crash grant stays distinguishable from a fresh one.
 //!
-//! Every substrate cuts a consistent global state each period: the
-//! simulator trivially (single-threaded), the multiplexed daemon by
-//! pumping each round until every frame has landed. A snapshot still carries a `consistent_cut`
+//! Cut `p` is the state at the end of period `p` on every substrate: what
+//! the faults and ticks stamped up to and including `at_period(p)` made
+//! of it, and nothing stamped `at_period(p + 1)`. Every substrate cuts a
+//! consistent global state each period: the simulator trivially
+//! (single-threaded), the multiplexed daemon by pumping each round until
+//! every frame has landed. A snapshot still carries a `consistent_cut`
 //! flag, because the daemon's kernel can lose a datagram the round then
 //! writes off; from then on its cross-node sums are skipped per period,
 //! the per-node invariants (2) and (3) still hold every period, and the
@@ -42,10 +54,11 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 
+use penelope_sim::FaultAction;
 use penelope_trace::{EventKind, TraceEvent};
-use penelope_units::NodeId;
+use penelope_units::{NodeId, SimTime};
 
-use super::{Scenario, SubstrateRun};
+use super::{at_period, Scenario, Substrate, SubstrateRun};
 
 /// Which invariant a violation breaches.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -63,10 +76,12 @@ pub enum Invariant {
     /// grant dropped or stranded by a cut must be escrowed and reclaimed,
     /// so `lost` has nothing legitimate to count.
     NoPeerLoss,
-    /// A script setting a drop rate ran with zero observed drops on
-    /// a substrate that counts them: the fault plane was never wired in,
-    /// and every loss-tolerance conclusion from the run is vacuous.
-    NonVacuousLoss,
+    /// The run did not show what its scenario asks of it: no peer
+    /// request at all, zero drops under a drop rate, zero duplicates or
+    /// delays under wire faults on a leg that counts them, or a node
+    /// alive or dead against the script's kills and restarts. Every
+    /// conclusion drawn from such a run is vacuous.
+    NonVacuous,
     /// A node applied a power-moving grant for one sequence number twice.
     GrantAppliedOnce,
     /// A pool debited one request twice, or a node applied power no pool
@@ -113,14 +128,35 @@ impl fmt::Display for Violation {
     }
 }
 
+/// Run `scenario` on `leg` and hold the run to every invariant: panics
+/// if the leg fails to run, takes other than one cut per period, or
+/// breaks any invariant, listing every [`Violation`] (each names the
+/// reproducing seed). Returns the run for the checks a test adds.
+pub fn assert_conformant(leg: &dyn Substrate, scenario: &Scenario) -> SubstrateRun {
+    let case = format!("{} on {}", scenario.name, leg.name());
+    let run = leg
+        .run(scenario)
+        .unwrap_or_else(|e| panic!("{case} failed to run: {e}"));
+    assert_eq!(
+        run.snapshots.len() as u64,
+        scenario.periods,
+        "{case}: one cut per period"
+    );
+    let violations = check_run(scenario, &run);
+    let listed: String = violations.iter().map(|v| format!("\n  {v}")).collect();
+    assert!(violations.is_empty(), "{case} is not conformant:{listed}");
+    run
+}
+
 /// Check every invariant of the module doc over one substrate run: its
 /// cuts, its end state and its event stream.
 ///
-/// Returns all violations found (empty = conformant). Per period, exact
-/// zero-sum is only required on consistent cuts; the no-minting
-/// inequality is also only meaningful there (an inconsistent cut can
-/// double-count a transferred watt, so cross-node sums are skipped for
-/// those snapshots).
+/// Returns all violations found (empty = conformant); tests that expect
+/// violations call it, every other run goes through [`assert_conformant`].
+/// Per period, exact zero-sum is only required on consistent cuts; the
+/// no-minting inequality is also only meaningful there (an inconsistent
+/// cut can double-count a transferred watt, so cross-node sums are
+/// skipped for those snapshots).
 pub fn check_run(scenario: &Scenario, run: &SubstrateRun) -> Vec<Violation> {
     let mut out = Vec::new();
     let budget = scenario.cfg.budget;
@@ -212,30 +248,9 @@ pub fn check_run(scenario: &Scenario, run: &SubstrateRun) -> Vec<Violation> {
         }
     }
 
-    // A lossy scenario that observably dropped nothing proved nothing:
-    // loss-tolerance coverage is only real if the fault plane actually
-    // fired. Zero drops is legitimate randomness when the expected count
-    // is small (a 5 % rate over a few dozen messages often drops nothing),
-    // so the check only fires once it reaches 20 — an honest fault plane
-    // drops zero there with probability ≤ e⁻²⁰. The expectation is the
-    // attempts times the rate averaged over the run's periods: attempts
-    // are counted for the whole run, so a rate that starts at period *p*
-    // is judged against the share of them made from *p* on, taking
-    // traffic as even across periods.
-    let rates = (0..scenario.periods).map(|p| scenario.drop_rate_in(p));
-    let mean_rate = rates.sum::<f64>() / scenario.periods.max(1) as f64;
-    let attempts = run.send_attempts();
-    if mean_rate > 0.0 && attempts as f64 * mean_rate >= 20.0 && run.injected_drops() == 0 {
-        out.push(violation(
-            Invariant::NonVacuousLoss,
-            scenario.periods,
-            None,
-            format!(
-                "the script sets a mean drop rate of {mean_rate} but the substrate injected \
-                 zero drops over {attempts} send attempts — the lossy coverage is vacuous",
-            ),
-        ));
-    }
+    non_vacuous(scenario, run, |period, node, detail| {
+        out.push(violation(Invariant::NonVacuous, period, node, detail));
+    });
 
     // The end state is the last cut, drained: it balances exactly on
     // every substrate whose last cut is consistent. After a daemon
@@ -259,6 +274,99 @@ pub fn check_run(scenario: &Scenario, run: &SubstrateRun) -> Vec<Violation> {
     });
 
     out
+}
+
+/// Flag, as `flag(period, node, detail)`, each arm of invariant 6 the run
+/// fails.
+fn non_vacuous(
+    scenario: &Scenario,
+    run: &SubstrateRun,
+    mut flag: impl FnMut(u64, Option<u32>, String),
+) {
+    let end = scenario.periods;
+
+    // (a) Rules 7–10 read the requests a run sends; with none, they held
+    // over an empty protocol.
+    let requested = |ev: &TraceEvent| matches!(ev.kind, EventKind::RequestSent { .. });
+    if !run.events.iter().any(requested) {
+        flag(end, None, "no node sent a peer request".into());
+    }
+
+    // (b), (c) A fault leg that observably never fired proved nothing.
+    // Zero is legitimate randomness when the expected count is small (a
+    // 5 % rate over a few dozen messages often drops nothing), so each
+    // arm only fires once it reaches 20 — an honest leg counts zero there
+    // with probability ≤ e⁻²⁰. The loss expectation is the attempts times
+    // the rate averaged over the run's periods: attempts are counted for
+    // the whole run, so a rate that starts at period *p* is judged against
+    // the share of them made from *p* on, taking traffic as even across
+    // periods. Duplication and delay are wire-wide and run-long; the
+    // shim delays every datagram when jitter is on.
+    let attempts = run.send_attempts();
+    let rates = (0..scenario.periods).map(|p| scenario.drop_rate_in(p));
+    let mean_rate = rates.sum::<f64>() / scenario.periods.max(1) as f64;
+    let dup_rate = f64::from(scenario.dup_permille) / 1000.0;
+    let delay_rate = if scenario.jitter_ms > 0 { 1.0 } else { 0.0 };
+    let legs = [
+        ("dropped", mean_rate, Some(run.injected_drops())),
+        ("duplicated", dup_rate, run.duplicated),
+        ("delayed", delay_rate, run.delayed),
+    ];
+    for (what, rate, count) in legs {
+        let expected = attempts as f64 * rate;
+        if rate > 0.0 && expected >= 20.0 && count == Some(0) {
+            let detail = format!(
+                "{what} none of {attempts} send attempts, where the scenario expects {expected:.0}"
+            );
+            flag(end, None, detail);
+        }
+    }
+
+    // (d) Liveness is the script's: a leg that ignored a kill or a
+    // restart, or applied it a period off, ran another scenario. The end
+    // state is the last period's; a fault stamped at or after
+    // `at_period(periods)` falls outside the run.
+    let state = |alive: bool| if alive { "alive" } else { "dead" };
+    let mut flag_liveness = |period, node: usize, alive: bool, want: &[bool]| {
+        if want.get(node) != Some(&alive) {
+            let (read, script) = (state(alive), state(!alive));
+            let detail = format!("{read} where the script has it {script}");
+            flag(period, Some(node as u32), detail);
+        }
+    };
+    for snap in &run.snapshots {
+        let want = alive_at(scenario, at_period(snap.period));
+        for n in &snap.nodes {
+            flag_liveness(snap.period, n.node as usize, n.alive, &want);
+        }
+    }
+    let want = alive_at(scenario, at_period(end.saturating_sub(1)));
+    for (node, &alive) in run.final_alive.iter().enumerate() {
+        flag_liveness(end, node, alive, &want);
+    }
+}
+
+/// Which nodes the script has alive at `at`: its `Kill`s and `Restart`s
+/// stamped up to `at`, walked in firing order (kills last within an
+/// instant).
+fn alive_at(scenario: &Scenario, at: SimTime) -> Vec<bool> {
+    let mut alive = vec![true; scenario.nodes()];
+    for (_, action) in scenario
+        .faults
+        .in_firing_order()
+        .into_iter()
+        .take_while(|(t, _)| *t <= at)
+    {
+        let (node, up) = match action {
+            FaultAction::Kill(node) => (node, false),
+            FaultAction::Restart(node) => (node, true),
+            _ => continue,
+        };
+        if let Some(slot) = alive.get_mut(node.index()) {
+            *slot = up;
+        }
+    }
+    alive
 }
 
 /// Hold a recorded stream to the transaction rules (invariants 7–10 of

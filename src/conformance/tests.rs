@@ -44,6 +44,7 @@ fn cut_with_loss() -> Snapshot {
     cut(0, true, 10, [node(0, 150, 0, 0, 0), node(1, 160, 0, 0, 0)])
 }
 
+/// A run of `snaps` ending on `total`, in which node 0 sends one request.
 fn run_of(snaps: Vec<Snapshot>, total: u64) -> SubstrateRun {
     SubstrateRun {
         substrate: "unit".into(),
@@ -53,7 +54,7 @@ fn run_of(snaps: Vec<Snapshot>, total: u64) -> SubstrateRun {
         final_total: watts(total),
         duplicated: None,
         delayed: None,
-        events: Vec::new(),
+        events: stream([sent(0, 0)]),
     }
 }
 
@@ -162,10 +163,9 @@ fn vacuous_lossy_run_is_flagged() {
     let snap = cut(0, true, 0, [node(0, 160, 0, 0, 0), node(1, 160, 0, 0, 0)]);
     let vacuous = |sc: &Scenario, events: Vec<TraceEvent>| {
         let mut run = run_of(vec![snap.clone()], 320);
-        run.events = events;
+        run.events.extend(events);
         let v = check_run(sc, &run);
-        v.into_iter()
-            .find(|v| v.invariant == Invariant::NonVacuousLoss)
+        v.into_iter().find(|v| v.invariant == Invariant::NonVacuous)
     };
     // Zero drops over heavy traffic is a dead fault plane (expected
     // 500 · 0.2 = 100 drops), flagged with the attempt count.
@@ -186,13 +186,95 @@ fn a_late_drop_rate_is_judged_against_the_attempts_made_under_it() {
     // the rate, 16 expected drops — zero is still honest. The same
     // count under a rate in force from the start expects 80.
     let mut run = run_of(vec![], 320);
-    run.events = traffic(400, 0);
+    run.events.extend(traffic(400, 0));
     for (from, flagged) in [(8, false), (0, true)] {
         let mut sc = scenario(drop_rate_from(from, 0.2));
         sc.periods = 10;
         let v = broken(&sc, &run);
-        assert_eq!(v.contains(&Invariant::NonVacuousLoss), flagged, "{from}");
+        assert_eq!(v.contains(&Invariant::NonVacuous), flagged, "{from}");
     }
+}
+
+#[test]
+fn a_run_that_sends_no_request_is_vacuous() {
+    let mut run = run_of(vec![], 320);
+    run.events.clear();
+    let v = check_run(&scenario(FaultScript::none()), &run);
+    assert_eq!(v.len(), 1, "{v:?}");
+    assert_eq!(v[0].invariant, Invariant::NonVacuous);
+    assert!(v[0].detail.contains("request"), "{}", v[0]);
+}
+
+#[test]
+fn a_wire_that_never_duplicates_or_delays_is_flagged() {
+    // 150 ‰ duplication over 500 attempts expects 75 copies; a leg that
+    // counts and reports none never wired the leg in. Jitter delays every
+    // datagram. A leg that cannot count (`None`) is not held to either.
+    let mut sc = scenario(FaultScript::none());
+    sc.dup_permille = 150;
+    let mut run = run_of(vec![], 320);
+    run.events.extend(traffic(500, 0));
+    let flagged = |run: &SubstrateRun, sc: &Scenario| broken(sc, run) == [Invariant::NonVacuous];
+    assert!(!flagged(&run, &sc));
+    run.duplicated = Some(0);
+    assert!(flagged(&run, &sc));
+    run.duplicated = Some(70);
+    assert!(!flagged(&run, &sc));
+    (sc.dup_permille, sc.jitter_ms, run.delayed) = (0, 5, Some(0));
+    assert!(flagged(&run, &sc));
+    // Thin traffic (19 attempts) expects fewer than 20 copies.
+    run.events.truncate(20);
+    assert!(!flagged(&run, &sc));
+}
+
+/// Two balanced cuts, periods 0 and 1, with node 1's liveness `alive`
+/// (a dead node's 160 W booked lost).
+fn liveness_run(alive: [bool; 2], final_alive: bool) -> SubstrateRun {
+    let cuts = alive.iter().enumerate().map(|(p, &up)| {
+        let lost = if up { 0 } else { 160 };
+        let mut c = cut(
+            p as u64,
+            true,
+            lost,
+            [node(0, 160, 0, 0, 0), node(1, 160, 0, 0, 0)],
+        );
+        c.nodes[1].alive = up;
+        c
+    });
+    let mut run = run_of(cuts.collect(), 320);
+    run.final_alive[1] = final_alive;
+    run
+}
+
+#[test]
+fn a_kill_the_cuts_never_show_is_flagged() {
+    // Killed at the start of period 1: dead in cut 1, not in cut 0.
+    let killed = scenario(FaultScript::kill_node_at(at_period(1), NodeId::new(1)));
+    let v = check_run(&killed, &liveness_run([true, true], false));
+    assert_eq!(v.len(), 1, "{v:?}");
+    assert_eq!(
+        (v[0].invariant, v[0].period, v[0].node),
+        (Invariant::NonVacuous, 1, Some(1))
+    );
+    // A kill read one cut early is as wrong as one never read.
+    assert_eq!(
+        broken(&killed, &liveness_run([false, false], false)),
+        [Invariant::NonVacuous]
+    );
+    assert_eq!(broken(&killed, &liveness_run([true, false], false)), []);
+}
+
+#[test]
+fn a_restart_the_end_state_ignores_is_flagged() {
+    let churn = FaultScript::kill_restart(NodeId::new(1), at_period(0), at_period(1));
+    let sc = scenario(churn);
+    assert_eq!(broken(&sc, &liveness_run([false, true], true)), []);
+    let v = check_run(&sc, &liveness_run([false, true], false));
+    assert_eq!(v.len(), 1, "{v:?}");
+    assert_eq!(
+        (v[0].invariant, v[0].period, v[0].node),
+        (Invariant::NonVacuous, 2, Some(1))
+    );
 }
 
 #[test]
@@ -288,9 +370,7 @@ fn a_slurm_cluster_is_held_to_the_same_verdict() {
     // its cuts and its stream meet the same rules.
     let mut sc = nominal_scenario(7);
     sc.cfg.system = SystemKind::Slurm;
-    let run = SimSubstrate.run(&sc).expect("sim run");
-    let v = check_run(&sc, &run);
-    assert!(v.is_empty(), "{v:#?}");
+    let run = assert_conformant(&SimSubstrate, &sc);
     let moved = run.events.iter().any(|ev| match ev.kind {
         EventKind::GrantApplied { granted, .. } => !granted.is_zero(),
         _ => false,
@@ -344,11 +424,11 @@ fn sent(node: u32, seq: u64) -> Step {
     (node, kind)
 }
 
-/// What `check_run` reports for the stream `steps` make, on a run whose
-/// books balance.
+/// What `check_run` reports for the stream `steps` make, after node 0's
+/// one request, on a run whose books balance.
 fn stream_violations(steps: impl IntoIterator<Item = Step>) -> Vec<Violation> {
     let mut run = run_of(vec![], 320);
-    run.events = stream(steps);
+    run.events.extend(stream(steps));
     check_run(&scenario(FaultScript::none()), &run)
 }
 

@@ -1218,8 +1218,44 @@ fn fault_vocabulary_detection_sees_the_shapes_it_replaced() {
     let new = "fn split_then_heal() -> FaultScript {\n}\n\
                fn cut_by(mut scenario: Scenario, faults: FaultScript) -> Scenario {\n}\n\
                fn observed_sim_run(scenario: &Scenario) -> Vec<TraceEvent> {\n}\n\
-               fn assert_conserves(scenario: &Scenario, substrate: &dyn Substrate) {\n}";
+               fn assert_readmits_once(scenario: &Scenario, run: &SubstrateRun) {\n}";
     assert_eq!(scenario_translators(new), [""; 0]);
+}
+
+/// Every conformance run goes through `penelope::conformance`'s
+/// `assert_conformant` on its `SUBSTRATES`. No test file keeps a list of
+/// legs or a run-and-check helper taking a leg of its own (four private
+/// copies of "run on a leg, check, panic with the seed" once grew here),
+/// and `check_run` is called directly only by `tests/conformance.rs`,
+/// whose planted double-grant substrate expects violations.
+#[test]
+fn conformance_tests_share_one_runner() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_sources(&root.join("tests"), &mut files);
+    files.retain(|path| *path != root.join("tests/architecture.rs"));
+    let mut offenders = Vec::new();
+    for path in &files {
+        let text = fs::read_to_string(path).expect("readable test file");
+        let rel = path.strip_prefix(root).unwrap_or(path);
+        let code = text
+            .lines()
+            .filter(|line| !line.trim_start().starts_with("//"));
+        for line in code {
+            let own_legs = line.contains("&dyn Substrate;") || line.contains("as &dyn Substrate");
+            let helper = line.contains("fn ") && line.contains("&dyn Substrate");
+            let direct = line.contains("check_run(") && rel != Path::new("tests/conformance.rs");
+            if own_legs || helper || direct {
+                offenders.push(format!("{}: {}", rel.display(), line.trim()));
+            }
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "run conformance scenarios with `assert_conformant(leg, &scenario)` \
+         over `SUBSTRATES`:\n{}",
+        offenders.join("\n")
+    );
 }
 
 /// True iff `text` invokes one of the `proptest` crate's macros.

@@ -7,20 +7,22 @@
 //!
 //! * **Zero-sum at every consistent cut** — live power + lost power equals
 //!   the initial budget before, during, and after the outage; the restart
-//!   mints nothing (`check_run`, on every run here).
+//!   mints nothing (`assert_conformant`, on every run here, which also
+//!   holds each cut's liveness to the script's kill and restart).
 //! * **Bounded re-admission** — the restart moves exactly
 //!   `min(initial cap, lost)` back from `lost` to live, never more than
 //!   the crash retired.
 //! * **Sequence-epoch safety** — grants addressed to the pre-crash
 //!   incarnation are discarded by the reborn decider (non-vacuously: the
 //!   stale-grant test arranges for one to actually land), and no node's
-//!   request seq ever rewinds (`check_run`).
+//!   request seq ever rewinds (`assert_conformant`).
 //! * **Liveness** — request timeouts drive peer suspicion, so survivors
 //!   stop hammering the dead node and the restarted node reconverges to
 //!   its fair share.
 
 use penelope::conformance::{
-    at_period, check_run, churn_scenario, MultiplexedDaemon, Scenario, SimSubstrate, Substrate,
+    assert_conformant, at_period, churn_scenario, partition_churn_scenario, MultiplexedDaemon,
+    Scenario, SimSubstrate, Substrate, SubstrateRun, SUBSTRATES,
 };
 use penelope_net::LatencyModel;
 use penelope_sim::{ClusterSim, DiscoveryStrategy, FaultAction, FaultScript};
@@ -28,35 +30,18 @@ use penelope_trace::EventKind;
 use penelope_units::{NodeId, Power, SimDuration, SimTime};
 use penelope_workload::Phase;
 
-/// Drop rates (in permille) the churn sweep runs under.
-const DROP_RATES_PERMILLE: [u16; 2] = [0, 200];
-
 /// The churned node index in [`churn_scenario`].
 const CHURNED: u32 = 1;
 
-/// Run `scenario` on `substrate` and assert `check_run` finds nothing,
-/// plus the churn-specific guarantees: the kill retires power into `lost`,
-/// the restart re-admits exactly `min(initial cap, lost)` back out of it
-/// (the single decrease `lost` ever takes), and the node's liveness
-/// follows an alive → dead → alive pattern with no other transitions.
-fn assert_churn_conserves(scenario: &Scenario, substrate: &dyn Substrate) {
-    let run = substrate
-        .run(scenario)
-        .unwrap_or_else(|e| panic!("{} failed to run {}: {e}", substrate.name(), scenario.name));
-
-    let violations = check_run(scenario, &run);
-    assert!(
-        violations.is_empty(),
-        "{} violated invariants on {} (seed {:#x}): {violations:#?}",
-        substrate.name(),
-        scenario.name,
-        scenario.cfg.seed
+/// The restart's zero-sum re-admission: `lost` rises when the node dies
+/// (its cap, pool and escrow are retired, plus any in-flight remnants
+/// addressed to it), then takes exactly one decrease — the restart — of
+/// exactly `min(initial cap, lost)`.
+fn assert_readmits_once(scenario: &Scenario, run: &SubstrateRun) {
+    let case = format!(
+        "{} on {} (seed {:#x})",
+        scenario.name, run.substrate, scenario.cfg.seed
     );
-
-    // `lost` rises when the node dies (its cap, pool and escrow are
-    // retired, plus any in-flight remnants addressed to it), then takes
-    // exactly one decrease — the restart — of exactly
-    // min(initial cap, lost): zero-sum re-admission.
     let mut decreases = Vec::new();
     let mut prev = Power::ZERO;
     for snap in &run.snapshots {
@@ -68,63 +53,30 @@ fn assert_churn_conserves(scenario: &Scenario, substrate: &dyn Substrate) {
     assert_eq!(
         decreases.len(),
         1,
-        "{} on {}: expected exactly one lost-ledger decrease (the restart), got {decreases:?} (seed {:#x})",
-        substrate.name(),
-        scenario.name,
-        scenario.cfg.seed
+        "{case}: expected exactly one lost-ledger decrease (the restart), got {decreases:?}"
     );
     let (period, readmitted, lost_before) = decreases[0];
     let expected = scenario.budget_per_node().min(lost_before);
     assert_eq!(
         readmitted,
         expected,
-        "{} on {}: restart at period {period} re-admitted {readmitted:?}, expected min(initial cap {:?}, lost {lost_before:?}) (seed {:#x})",
-        substrate.name(),
-        scenario.name,
-        scenario.budget_per_node(),
-        scenario.cfg.seed
+        "{case}: restart at period {period} re-admitted {readmitted:?}, expected min(initial cap {:?}, lost {lost_before:?})",
+        scenario.budget_per_node()
     );
-
-    // Liveness pattern: alive, then one contiguous dead window, then
-    // alive through to the end.
-    let alive: Vec<bool> = run
-        .snapshots
-        .iter()
-        .map(|s| s.nodes[CHURNED as usize].alive)
-        .collect();
-    assert!(alive.first() == Some(&true), "node {CHURNED} dead at start");
-    assert!(
-        alive.last() == Some(&true),
-        "{} on {}: node {CHURNED} never came back (seed {:#x})",
-        substrate.name(),
-        scenario.name,
-        scenario.cfg.seed
-    );
-    assert!(
-        alive.iter().any(|a| !a),
-        "{} on {}: node {CHURNED} was never observed dead (seed {:#x})",
-        substrate.name(),
-        scenario.name,
-        scenario.cfg.seed
-    );
-    let transitions = alive.windows(2).filter(|w| w[0] != w[1]).count();
-    assert_eq!(
-        transitions,
-        2,
-        "{} on {}: liveness flapped: {alive:?} (seed {:#x})",
-        substrate.name(),
-        scenario.name,
-        scenario.cfg.seed
-    );
-    assert!(run.final_alive[CHURNED as usize], "dead in final state");
 }
 
 #[test]
 fn churn_sweep_conserves_on_sim_and_daemon() {
-    for drop_permille in DROP_RATES_PERMILLE {
-        let scenario = churn_scenario(0x5EED_C402 + u64::from(drop_permille), drop_permille, 16);
-        for substrate in [&SimSubstrate as &dyn Substrate, &MultiplexedDaemon] {
-            assert_churn_conserves(&scenario, substrate);
+    // Churn with and without background loss, and a crash inside a
+    // partitioned half whose restart lands the period the split heals.
+    let scenarios = [
+        churn_scenario(0x5EED_C402, 0, 16),
+        churn_scenario(0x5EED_C402 + 200, 200, 16),
+        partition_churn_scenario(0x5EED_9B01, 16),
+    ];
+    for scenario in &scenarios {
+        for leg in SUBSTRATES {
+            assert_readmits_once(scenario, &assert_conformant(leg, scenario));
         }
     }
 }
@@ -138,17 +90,14 @@ fn restarted_node_reconverges_to_fair_share() {
     let scenario = churn_scenario(0x5EED_C440, 0, 40);
     let fair = scenario.budget_per_node();
     let band = Power::from_watts_u64(50);
-    for substrate in [&SimSubstrate as &dyn Substrate, &MultiplexedDaemon] {
-        let run = substrate
-            .run(&scenario)
-            .unwrap_or_else(|e| panic!("{} failed: {e}", substrate.name()));
-        assert!(run.final_alive[CHURNED as usize]);
+    for leg in SUBSTRATES {
+        let run = assert_conformant(leg, &scenario);
         let cap = run.final_caps[CHURNED as usize];
         let dev = if cap > fair { cap - fair } else { fair - cap };
         assert!(
             dev <= band,
             "{}: churned node ended at {cap:?}, more than {band:?} from fair share {fair:?} (seed {:#x})",
-            substrate.name(),
+            leg.name(),
             scenario.cfg.seed
         );
     }
@@ -268,7 +217,7 @@ fn churn_daemon_restarts_on_the_same_address_with_a_seq_watermark() {
     // `a_daemon_restarted_on_its_address_rejoins_above_its_watermark` now
     // covers. Held to the invariants and the zero-sum re-admission.
     let scenario = churn_scenario(0x5EED_C4DA, 0, 16);
-    assert_churn_conserves(&scenario, &MultiplexedDaemon);
+    assert_readmits_once(&scenario, &assert_conformant(&MultiplexedDaemon, &scenario));
 }
 
 #[test]
@@ -285,13 +234,8 @@ fn churn_daemon_keeps_one_seq_watermark_per_node() {
         .at(at_period(5), FaultAction::Kill(NodeId::new(1)))
         .at(at_period(7), FaultAction::Kill(NodeId::new(2)))
         .restart_at(at_period(9), NodeId::new(1));
-    // `check_run` holds node 1's request seqs to never rewinding.
-    let run = MultiplexedDaemon
-        .run(&scenario)
-        .expect("daemon substrate runs");
-    let violations = check_run(&scenario, &run);
-    assert!(violations.is_empty(), "{violations:#?}");
-    assert_eq!(run.final_alive, [true, true, false, true]);
+    // `assert_conformant` holds node 1's request seqs to never rewinding.
+    let run = assert_conformant(&MultiplexedDaemon, &scenario);
 
     // Non-vacuity: node 1 requested in both incarnations, on either side
     // of its rebirth.
@@ -342,22 +286,12 @@ fn a_killed_granter_retires_its_undelivered_escrow_everywhere() {
         scenario.faults = scenario.faults.partition_link_at(at_period(3), donor, peer);
     }
     scenario.faults = scenario.faults.at(at_period(4), FaultAction::Kill(donor));
-    for substrate in [&SimSubstrate as &dyn Substrate, &MultiplexedDaemon] {
-        let run = substrate.run(&scenario).expect("runs");
-        let violations = check_run(&scenario, &run);
-        assert!(
-            violations.is_empty(),
-            "{}: {violations:#?}",
-            substrate.name()
-        );
-        assert!(!run.final_alive[0]);
-    }
+    let [_, daemon] = SUBSTRATES.map(|leg| assert_conformant(leg, &scenario));
     // Non-vacuity on the daemon leg, whose cut after period 3 — the round
     // pumped until quiet — precedes the kill: the donor held undelivered
     // escrow when it died.
-    let run = MultiplexedDaemon.run(&scenario).expect("runs");
     assert!(
-        !run.snapshots[3].in_flight.is_zero(),
+        !daemon.snapshots[3].in_flight.is_zero(),
         "daemon: no grant was stranded before the kill"
     );
 }

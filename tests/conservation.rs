@@ -41,17 +41,17 @@ fn workload_strategy(n: usize) -> impl Gen<Value = Vec<Profile>> {
     })
 }
 
-fn check_run(
+fn assert_sim_conserves(
     system: SystemKind,
     workloads: Vec<Profile>,
     seed: u64,
     budget_per_node_w: u64,
     faults: FaultScript,
 ) {
-    check_run_noisy(system, workloads, seed, budget_per_node_w, faults, 0.0)
+    assert_sim_conserves_noisy(system, workloads, seed, budget_per_node_w, faults, 0.0)
 }
 
-fn check_run_noisy(
+fn assert_sim_conserves_noisy(
     system: SystemKind,
     workloads: Vec<Profile>,
     seed: u64,
@@ -79,7 +79,7 @@ fn penelope_conserves_power() {
         prop::Config::with_cases(CASES),
         (workload_strategy(6), any_u64(), 140u64..220),
         |(workloads, seed, budget)| {
-            check_run(
+            assert_sim_conserves(
                 SystemKind::Penelope,
                 workloads,
                 seed,
@@ -97,7 +97,7 @@ fn slurm_conserves_power() {
         prop::Config::with_cases(CASES),
         (workload_strategy(6), any_u64(), 140u64..220),
         |(workloads, seed, budget)| {
-            check_run(
+            assert_sim_conserves(
                 SystemKind::Slurm,
                 workloads,
                 seed,
@@ -127,7 +127,7 @@ fn penelope_conserves_power_under_faults() {
                     SimTime::from_secs(kill_at),
                     FaultAction::Kill(NodeId::new(victim)),
                 );
-            check_run(SystemKind::Penelope, workloads, seed, 160, faults);
+            assert_sim_conserves(SystemKind::Penelope, workloads, seed, 160, faults);
         },
     );
 }
@@ -146,7 +146,7 @@ fn slurm_conserves_power_under_server_and_client_faults() {
                     FaultAction::Kill(NodeId::new(2)),
                 );
             }
-            check_run(SystemKind::Slurm, workloads, seed, 160, faults);
+            assert_sim_conserves(SystemKind::Slurm, workloads, seed, 160, faults);
         },
     );
 }
@@ -166,7 +166,7 @@ fn conservation_survives_noisy_power_readings() {
             } else {
                 SystemKind::Penelope
             };
-            check_run_noisy(system, workloads, seed, 160, FaultScript::none(), noise);
+            assert_sim_conserves_noisy(system, workloads, seed, 160, FaultScript::none(), noise);
         },
     );
 }
@@ -186,7 +186,7 @@ fn penelope_conserves_power_under_partitions() {
                     FaultAction::Partition(vec![left, right]),
                 )
                 .at(SimTime::from_secs(heal_at), FaultAction::Heal);
-            check_run(SystemKind::Penelope, workloads, seed, 160, faults);
+            assert_sim_conserves(SystemKind::Penelope, workloads, seed, 160, faults);
         },
     );
 }

@@ -2,7 +2,7 @@
 //! profiles → simulator → metrics, DES vs daemon agreement, and the NPB
 //! suite running under all three systems.
 
-use penelope::conformance::{check_run, MultiplexedDaemon, Scenario, Substrate};
+use penelope::conformance::{assert_conformant, MultiplexedDaemon, Scenario};
 use penelope::metrics::geometric_mean;
 use penelope::prelude::*;
 use penelope::sim::ClusterConfig;
@@ -96,9 +96,7 @@ fn des_and_daemon_agree_on_who_wins() {
         dup_permille: 0,
         jitter_ms: 0,
     };
-    let run = MultiplexedDaemon.run(&scenario).expect("daemon runs");
-    let violations = check_run(&scenario, &run);
-    assert!(violations.is_empty(), "daemon: {violations:#?}");
+    let run = assert_conformant(&MultiplexedDaemon, &scenario);
     assert!(run.snapshots.iter().all(|cut| cut.consistent_cut));
     let share = Power::from_watts_u64(160);
     let (donor_cap, rcpt_cap) = (run.final_caps[0], run.final_caps[1]);

@@ -2,7 +2,9 @@
 //! gossip-propagated suspicion, held to the full invariant set.
 //!
 //! Five scenario families run over both substrates (the discrete-event
-//! simulator and the multiplexed daemon reactor):
+//! simulator and the multiplexed daemon reactor), as rows of
+//! `tests/conformance.rs`'s canned table (partition + churn also in
+//! `tests/churn_conformance.rs`'s sweep):
 //!
 //! * **Clean partition** — the cluster splits 2|2, then heals. No node
 //!   dies, so `lost` must stay zero at every cut (stranded grants are
@@ -28,23 +30,19 @@
 //! ablated cluster pays the full `suspect_after × response_timeout`
 //! detection cost per node. A deterministic property test then throws
 //! arbitrary kill/restart/partition/heal interleavings at every substrate
-//! and holds every schedule to the full `check_run` invariant set, per-node
-//! seq-epoch monotonicity included, shrinking any failure to a minimal
-//! script.
+//! and holds every schedule to the full invariant set, per-node
+//! seq-epoch monotonicity and the script's liveness included, shrinking
+//! any failure to a minimal script.
 
 use penelope::conformance::{
-    asymmetric_partition_scenario, at_period, check_run, flapping_scenario,
-    partition_churn_scenario, partition_scenario, MultiplexedDaemon, Scenario, SimSubstrate,
-    Substrate, PERIOD,
+    assert_conformant, at_period, flapping_scenario, MultiplexedDaemon, Scenario, SimSubstrate,
+    Substrate, PERIOD, SUBSTRATES,
 };
 use penelope_sim::{FaultAction, FaultScript};
 use penelope_testkit::prop::{self, vec_of, Gen};
 use penelope_trace::{EventKind, TraceEvent};
 use penelope_units::{NodeId, Power, SimDuration, SimTime};
 use penelope_workload::Phase;
-
-/// Drop rates (in permille) the partition families run under.
-const DROP_RATES_PERMILLE: [u16; 2] = [0, 200];
 
 /// A hand-rolled scenario whose nodes all run a flat 220 W demand — every
 /// node is hungry for the whole run, so request/grant traffic (and with
@@ -70,9 +68,6 @@ fn split_then_heal() -> FaultScript {
         .at(at_period(12), FaultAction::Heal)
 }
 
-/// The two substrates, each of which must run every scenario here.
-const SUBSTRATES: [&dyn Substrate; 2] = [&SimSubstrate, &MultiplexedDaemon];
-
 /// Node 1 goes deaf from period 3 to period 12: every link towards it is
 /// cut, its own sends deliver.
 fn deaf_then_heal() -> FaultScript {
@@ -83,86 +78,6 @@ fn deaf_then_heal() -> FaultScript {
             .partition_link_at(at_period(3), peer, victim)
             .heal_link_at(at_period(12), peer, victim)
     })
-}
-
-/// Run on `substrate`, assert `check_run` finds nothing, and that the
-/// substrate vouched for every cut — so zero-sum held at every period,
-/// not only at the end.
-fn assert_conserves(scenario: &Scenario, substrate: &dyn Substrate) {
-    let run = substrate
-        .run(scenario)
-        .unwrap_or_else(|e| panic!("{} failed to run {}: {e}", substrate.name(), scenario.name));
-    let violations = check_run(scenario, &run);
-    assert!(
-        violations.is_empty(),
-        "{} violated invariants on {} (seed {:#x}): {violations:#?}",
-        substrate.name(),
-        scenario.name,
-        scenario.cfg.seed
-    );
-    assert!(
-        run.snapshots.iter().all(|cut| cut.consistent_cut),
-        "{} could not vouch for a cut of {}",
-        substrate.name(),
-        scenario.name
-    );
-}
-
-// ---------------------------------------------------------------------
-// The matrix: every partition family × both substrates (× drop rates)
-// ---------------------------------------------------------------------
-
-#[test]
-fn partition_matrix_conserves_on_sim_and_daemon() {
-    // Runs on both `SUBSTRATES`, the simulator and the multiplexed daemon.
-    let mut scenarios = Vec::new();
-    for dp in DROP_RATES_PERMILLE {
-        scenarios.push(partition_scenario(0x5EED_9A01 + u64::from(dp), dp, 16));
-        scenarios.push(asymmetric_partition_scenario(
-            0x5EED_9A02 + u64::from(dp),
-            dp,
-            16,
-        ));
-    }
-    scenarios.push(flapping_scenario(0x5EED_9A03, 16));
-    scenarios.push(partition_churn_scenario(0x5EED_9A04, 16));
-    for scenario in &scenarios {
-        for substrate in SUBSTRATES {
-            assert_conserves(scenario, substrate);
-        }
-    }
-}
-
-#[test]
-fn partition_churn_restart_readmits_zero_sum() {
-    // The concurrent-fault scenario: the node dies inside a partitioned
-    // half and reboots the period the split heals. On top of the shared
-    // invariants, the lost ledger must take exactly one decrease — the
-    // restart — of exactly min(initial cap, lost).
-    let scenario = partition_churn_scenario(0x5EED_9B01, 16);
-    for substrate in SUBSTRATES {
-        let run = substrate
-            .run(&scenario)
-            .unwrap_or_else(|e| panic!("{} failed: {e}", substrate.name()));
-        assert!(check_run(&scenario, &run).is_empty());
-        let mut decreases = Vec::new();
-        let mut prev = Power::ZERO;
-        for snap in &run.snapshots {
-            if snap.lost < prev {
-                decreases.push((prev - snap.lost, prev));
-            }
-            prev = snap.lost;
-        }
-        assert_eq!(
-            decreases.len(),
-            1,
-            "{}: expected exactly one lost-ledger decrease (the restart): {decreases:?}",
-            substrate.name()
-        );
-        let (readmitted, lost_before) = decreases[0];
-        assert_eq!(readmitted, scenario.budget_per_node().min(lost_before));
-        assert!(run.final_alive[1], "node 1 never rejoined");
-    }
 }
 
 /// Frames `events` shows refused on a link `crosses` while `cut` held, and
@@ -185,7 +100,7 @@ fn refused_then_delivered(
 
 #[test]
 fn cut_links_refuse_frames_then_carry_them_after_the_heal_everywhere() {
-    // What `NonVacuousLoss` is for loss, for connectivity: a substrate
+    // What `NonVacuous` is for loss, for connectivity: a substrate
     // that accepted a partition and kept delivering across it would pass
     // every conservation check above. With no background loss, every
     // drop is the cut's doing: at least one frame across the cut must be
@@ -205,12 +120,11 @@ fn cut_links_refuse_frames_then_carry_them_after_the_heal_everywhere() {
     let cases = [(&split, halves), (&deaf, towards_victim)];
     for (scenario, crosses) in cases {
         assert_eq!(scenario.drop_rate_in(3), 0.0);
-        for substrate in SUBSTRATES {
-            let run = substrate.run(scenario).expect("runs");
-            assert!(check_run(scenario, &run).is_empty());
+        for leg in SUBSTRATES {
+            let run = assert_conformant(leg, scenario);
             let window = (at_period(3), at_period(12));
             let (refused, delivered) = refused_then_delivered(&run.events, crosses, window);
-            let name = substrate.name();
+            let name = leg.name();
             assert!(
                 refused > 0,
                 "{name}: {} delivered across its cut",
@@ -389,10 +303,9 @@ fn flapping_node_books_stay_balanced_under_alternating_cuts() {
     // One-period flaps are shorter than the retransmit schedule, so the
     // reliability layer rides them out: messages die on the cut (the
     // fault is real), but the ledger never books a loss and the books
-    // balance at every period — already asserted by check_run inside.
+    // balance at every period — already asserted by `assert_conformant`.
     let scenario = flapping_scenario(0x5EED_9C04, 16);
-    let run = SimSubstrate.run(&scenario).expect("sim runs");
-    assert!(check_run(&scenario, &run).is_empty());
+    let run = assert_conformant(&SimSubstrate, &scenario);
     assert!(
         run.events
             .iter()
@@ -624,12 +537,13 @@ fn random_fault_schedules_preserve_zero_sum_and_seq_epochs() {
     // cutting a link twice), which must be harmless no-ops. Every script
     // runs, as it is, on both substrates. The simulator asserts
     // conservation internally after every event; on top of that every run
-    // is held to `check_run` — zero-sum at every cut and at the end, no
-    // minting, caps in the safe range, pools balanced, nothing booked lost
-    // unless the script kills a node, each request debited once and each
-    // grant applied once, and no node's request sequence ever regressing,
-    // crashes and rebirths included (the seq-epoch contract that makes
-    // stale grants detectable).
+    // is held to `assert_conformant` — zero-sum at every cut and at the
+    // end, no minting, caps in the safe range, pools balanced, nothing
+    // booked lost unless the script kills a node, each node alive or dead
+    // in each cut as the script has it, each request debited once and
+    // each grant applied once, and no node's request sequence ever
+    // regressing, crashes and rebirths included (the seq-epoch contract
+    // that makes stale grants detectable).
     let ops = vec_of((0u64..12, 0u32..6, 0u32..4, 0u32..4), 0..10).prop_map(|raw| {
         raw.into_iter()
             .map(|(period, kind, a, b)| {
@@ -655,14 +569,8 @@ fn random_fault_schedules_preserve_zero_sum_and_seq_epochs() {
                 scenario.faults = scenario.faults.at(at_period(*period), action);
             }
         }
-        for substrate in SUBSTRATES {
-            let run = substrate.run(&scenario).expect("runs");
-            let violations = check_run(&scenario, &run);
-            assert!(
-                violations.is_empty(),
-                "{}: {violations:#?} under {script:?}",
-                substrate.name()
-            );
+        for leg in SUBSTRATES {
+            assert_conformant(leg, &scenario);
         }
     });
 }
@@ -674,8 +582,8 @@ fn mid_run_drop_rate_starts_dropping_at_its_period_on_both_substrates() {
     // of the traffic is from then on, and the books stay exact throughout.
     let mut scenario = all_hungry_scenario(0x5EED_9F02, "mid-run-loss", 4, 14);
     scenario.faults = FaultScript::none().at(at_period(5), FaultAction::SetDropRate(0.3));
-    for substrate in SUBSTRATES {
-        let run = substrate.run(&scenario).expect("runs");
+    for leg in SUBSTRATES {
+        let run = assert_conformant(leg, &scenario);
         let dropped = |from: u64, to: u64| {
             run.events
                 .iter()
@@ -688,13 +596,11 @@ fn mid_run_drop_rate_starts_dropping_at_its_period_on_both_substrates() {
                 })
                 .count()
         };
-        let name = substrate.name();
+        let name = leg.name();
         assert_eq!(dropped(0, 5), 0, "{name}: drops before the rate was set");
         assert!(
             dropped(5, scenario.periods) > 0,
             "{name}: a 30 % drop rate from period 5 dropped nothing"
         );
-        let violations = check_run(&scenario, &run);
-        assert!(violations.is_empty(), "{name}: {violations:#?}");
     }
 }
