@@ -1,6 +1,8 @@
-//! Cross-substrate conformance: every canned scenario family on the DES
+//! Cross-substrate conformance: the canned scenario families on the DES
 //! simulator and on the daemon's reactor multiplexed on real UDP
 //! datagrams, each run held to every invariant by `assert_conformant`.
+//! (The loss and partition families run in `tests/lossy_conformance.rs`
+//! and `tests/partition_conformance.rs`.)
 //! (The exact sim↔daemon comparison, equal protocol-event streams, is
 //! `tests/trace_conformance.rs`.)
 //!
@@ -9,9 +11,8 @@
 //! report carries the scenario's reproducing seed.
 
 use penelope::conformance::{
-    assert_conformant, asymmetric_partition_scenario, at_period, check_run, churn_scenario,
-    flapping_scenario, lossy_scenario, lossy_wire_scenario, node_fault_scenario,
-    noisy_power_scenario, nominal_scenario, partition_churn_scenario, partition_scenario,
+    assert_conformant, at_period, check_run, churn_scenario, lossy_wire_scenario,
+    node_fault_scenario, noisy_power_scenario, nominal_scenario, partition_churn_scenario,
     Invariant, MultiplexedDaemon, NodeSnapshot, Scenario, Snapshot, Substrate, SubstrateRun,
     SUBSTRATES,
 };
@@ -24,66 +25,59 @@ fn watts(w: u64) -> Power {
     Power::from_watts_u64(w)
 }
 
-/// Every canned family at the seeds the suite runs it at. What each run
-/// must show is read off its scenario (`Invariant::NonVacuous`): a
-/// request, drops under a drop rate, copies and delays under wire
-/// faults, and each kill and restart in the cut that follows it.
-fn canned_rows() -> Vec<Scenario> {
-    let mut rows = vec![
-        nominal_scenario(0x5EED_0001),
-        node_fault_scenario(0x5EED_0002),
-        noisy_power_scenario(0x5EED_0003),
-        nominal_scenario(0x5EED_0005),
+/// Holds `scenario` conformant on both legs. Without wire delay every cut
+/// is consistent on both: the simulator is single-threaded, and the
+/// daemon pumps each round until every frame it sent, and every copy the
+/// shim added, has landed. So zero-sum holds at every period, not only
+/// at the end.
+fn conformant_on_both_legs(scenario: &Scenario) {
+    for leg in SUBSTRATES {
+        let run = assert_conformant(leg, scenario);
+        let consistent = run.snapshots.iter().all(|cut| cut.consistent_cut);
+        let (case, leg) = (&scenario.name, leg.name());
+        assert!(
+            consistent || scenario.jitter_ms > 0,
+            "{case} on {leg}: inconsistent cut"
+        );
+    }
+}
+
+#[test]
+fn nominal_scenario_is_conformant_on_all_substrates() {
+    conformant_on_both_legs(&nominal_scenario(0x5EED_0001));
+}
+
+#[test]
+fn node_fault_scenario_is_conformant_on_all_substrates() {
+    // `NonVacuous` holds every cut to the script's kill of node 1.
+    conformant_on_both_legs(&node_fault_scenario(0x5EED_0002));
+}
+
+#[test]
+fn noisy_power_scenario_is_conformant_on_all_substrates() {
+    conformant_on_both_legs(&noisy_power_scenario(0x5EED_0003));
+}
+
+#[test]
+fn sim_consistent_cuts_report_in_flight_power() {
+    // On a consistent cut the accounted total must equal the budget
+    // *including* in-flight power; a scenario busy enough to have
+    // requests airborne checks the field is fed.
+    conformant_on_both_legs(&nominal_scenario(0x5EED_0005));
+}
+
+#[test]
+fn the_daemon_legs_books_are_exact_at_every_period() {
+    // Zero-sum at every period, under kills, restarts, loss and
+    // duplication.
+    for scenario in [
         nominal_scenario(0x5EED_0A02),
         node_fault_scenario(0x5EED_0A03),
         churn_scenario(0x5EED_0A04, 200, 16),
         partition_churn_scenario(0x5EED_0A05, 16),
         lossy_wire_scenario(0x5EED_0A01, 100, 150, 0, 12),
-        // Loss, duplication and up to 5 ms of delay: copies and slow
-        // originals overtake later sends, and duplicate grants and
-        // requests must be absorbed idempotently. The simulator runs the
-        // loss leg and counts no copies or delays (`None`). Forty periods
-        // send enough that every leg is expected to fire at least 20
-        // times, so `NonVacuous` holds each to firing.
-        lossy_wire_scenario(0x5EED_D0B1, 100, 150, 5, 40),
-        lossy_wire_scenario(0x5EED_D0B2, 200, 150, 5, 40),
-        // The §4.2-length run at the paper's evaluated 20 % drop rate.
-        lossy_scenario(0x5EED_2042, 200, 40),
-        flapping_scenario(0x5EED_9A03, 16),
-        partition_churn_scenario(0x5EED_9A04, 16),
-    ];
-    for drop_permille in [50, 200, 500] {
-        let seed = 0x5EED_1055 + u64::from(drop_permille);
-        rows.push(lossy_scenario(seed, drop_permille, 12));
-    }
-    for drop_permille in [0, 200] {
-        let dp = u64::from(drop_permille);
-        rows.push(partition_scenario(0x5EED_9A01 + dp, drop_permille, 16));
-        rows.push(asymmetric_partition_scenario(
-            0x5EED_9A02 + dp,
-            drop_permille,
-            16,
-        ));
-    }
-    rows
-}
-
-#[test]
-fn canned_families_are_conformant_on_both_legs() {
-    // Without wire delay every cut is consistent on both legs: the
-    // simulator is single-threaded, and the daemon pumps each round until
-    // every frame it sent, and every copy the shim added, has landed. So
-    // zero-sum holds at every period, not only at the end.
-    for scenario in canned_rows() {
-        for leg in SUBSTRATES {
-            let run = assert_conformant(leg, &scenario);
-            let consistent = run.snapshots.iter().all(|cut| cut.consistent_cut);
-            let (case, leg) = (&scenario.name, leg.name());
-            assert!(
-                consistent || scenario.jitter_ms > 0,
-                "{case} on {leg}: inconsistent cut"
-            );
-        }
+    ] {
+        conformant_on_both_legs(&scenario);
     }
 }
 

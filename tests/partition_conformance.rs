@@ -2,9 +2,7 @@
 //! gossip-propagated suspicion, held to the full invariant set.
 //!
 //! Five scenario families run over both substrates (the discrete-event
-//! simulator and the multiplexed daemon reactor), as rows of
-//! `tests/conformance.rs`'s canned table (partition + churn also in
-//! `tests/churn_conformance.rs`'s sweep):
+//! simulator and the multiplexed daemon reactor):
 //!
 //! * **Clean partition** — the cluster splits 2|2, then heals. No node
 //!   dies, so `lost` must stay zero at every cut (stranded grants are
@@ -35,7 +33,8 @@
 //! any failure to a minimal script.
 
 use penelope::conformance::{
-    assert_conformant, at_period, flapping_scenario, MultiplexedDaemon, Scenario, SimSubstrate,
+    assert_conformant, asymmetric_partition_scenario, at_period, flapping_scenario,
+    partition_churn_scenario, partition_scenario, MultiplexedDaemon, Scenario, SimSubstrate,
     Substrate, PERIOD, SUBSTRATES,
 };
 use penelope_sim::{FaultAction, FaultScript};
@@ -78,6 +77,63 @@ fn deaf_then_heal() -> FaultScript {
             .partition_link_at(at_period(3), peer, victim)
             .heal_link_at(at_period(12), peer, victim)
     })
+}
+
+/// Drop rates (in permille) the partition families run under.
+const DROP_RATES_PERMILLE: [u16; 2] = [0, 200];
+
+// ---------------------------------------------------------------------
+// The matrix: every partition family × both substrates (× drop rates)
+// ---------------------------------------------------------------------
+
+#[test]
+fn partition_matrix_conserves_on_sim_and_daemon() {
+    // Both legs vouch for every cut, so zero-sum holds at every period,
+    // not only at the end.
+    let mut scenarios = Vec::new();
+    for dp in DROP_RATES_PERMILLE {
+        let seed = u64::from(dp);
+        scenarios.push(partition_scenario(0x5EED_9A01 + seed, dp, 16));
+        scenarios.push(asymmetric_partition_scenario(0x5EED_9A02 + seed, dp, 16));
+    }
+    scenarios.push(flapping_scenario(0x5EED_9A03, 16));
+    scenarios.push(partition_churn_scenario(0x5EED_9A04, 16));
+    for scenario in &scenarios {
+        for leg in SUBSTRATES {
+            let run = assert_conformant(leg, scenario);
+            assert!(
+                run.snapshots.iter().all(|cut| cut.consistent_cut),
+                "{} on {}: inconsistent cut",
+                scenario.name,
+                leg.name()
+            );
+        }
+    }
+}
+
+#[test]
+fn partition_churn_restart_readmits_zero_sum() {
+    // The node dies inside a partitioned half and reboots the period the
+    // split heals. On top of the shared invariants, the lost ledger must
+    // take exactly one decrease — the restart — of exactly
+    // min(initial cap, lost).
+    let scenario = partition_churn_scenario(0x5EED_9B01, 16);
+    for leg in SUBSTRATES {
+        let run = assert_conformant(leg, &scenario);
+        let lost: Vec<Power> = run.snapshots.iter().map(|cut| cut.lost).collect();
+        let decreases: Vec<(Power, Power)> = lost
+            .windows(2)
+            .filter(|w| w[1] < w[0])
+            .map(|w| (w[0] - w[1], w[0]))
+            .collect();
+        let [(readmitted, lost_before)] = decreases[..] else {
+            panic!(
+                "{}: expected exactly one lost-ledger decrease (the restart): {decreases:?}",
+                leg.name()
+            );
+        };
+        assert_eq!(readmitted, scenario.budget_per_node().min(lost_before));
+    }
 }
 
 /// Frames `events` shows refused on a link `crosses` while `cut` held, and
