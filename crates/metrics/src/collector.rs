@@ -5,7 +5,9 @@
 //! learns each fact; [`SharedCollector`] feeds the same entry points from
 //! any substrate's [`TraceEvent`] stream, live or replayed, so the two
 //! paths cannot drift apart. Memory is O(open round trips + nodes), no
-//! hashing: every per-node table is a `Vec` indexed by node.
+//! hashing: every per-node table is a `Vec` indexed by node, and the
+//! figures themselves are folds of constant size (a turnaround sum and
+//! count, two redistribution stamps), whatever the run's length.
 
 use std::sync::Mutex;
 
@@ -357,11 +359,20 @@ mod tests {
                     };
                     c.on_event(&e);
                     oracle.on_event(&e);
+                    // Compared after every op, the sum's step at each close
+                    // pins that trip's duration, in order; Debug prints the
+                    // sum, the count and the tracker's stamps.
+                    assert_eq!(
+                        format!("{:?}", c.turnaround),
+                        format!("{:?}", oracle.turnaround)
+                    );
+                    assert_eq!(
+                        format!("{:?}", c.redistribution()),
+                        format!("{:?}", oracle.redistribution.as_ref().map(|(t, _)| t))
+                    );
                 }
                 let got = c.finish();
                 let (turnaround, redistribution) = oracle.finish();
-                // Debug prints every sample in order, the unanswered count
-                // and the whole redistribution timeline.
                 assert_eq!(format!("{:?}", got.turnaround), format!("{turnaround:?}"));
                 assert_eq!(
                     format!("{:?}", got.redistribution),

@@ -10,14 +10,18 @@ use penelope_units::{Power, SimDuration, SimTime};
 /// time necessary for some percentage of excess power to be redistributed
 /// to power-hungry nodes" — 50 % for the median plots (Figs. 4, 6), 100 %
 /// for the total plot (Fig. 5). The tracker is fed every grant that lands
-/// on a hungry node and answers `time_to_fraction` queries afterwards.
+/// on a hungry node and stamps the instants at which the cumulative amount
+/// first reached half of the total and all of it; those two stamps are all
+/// it keeps.
 #[derive(Clone, Debug)]
 pub struct RedistributionTracker {
     total: Power,
     start: SimTime,
     shifted: Power,
-    /// `(time, cumulative shifted)` at each grant, non-decreasing in both.
-    timeline: Vec<(SimTime, Power)>,
+    /// The first grant at which `shifted` reached half of `total`.
+    half_at: Option<SimTime>,
+    /// The first grant at which `shifted` reached `total`.
+    full_at: Option<SimTime>,
 }
 
 impl RedistributionTracker {
@@ -28,7 +32,8 @@ impl RedistributionTracker {
             total,
             start,
             shifted: Power::ZERO,
-            timeline: Vec::new(),
+            half_at: None,
+            full_at: None,
         }
     }
 
@@ -41,7 +46,12 @@ impl RedistributionTracker {
         }
         let credited = amount.min(self.total - self.shifted);
         self.shifted += credited;
-        self.timeline.push((at, self.shifted));
+        if self.half_at.is_none() && self.shifted >= self.total.mul_f64(0.5) {
+            self.half_at = Some(at);
+        }
+        if self.shifted >= self.total {
+            self.full_at = Some(at);
+        }
     }
 
     /// Power shifted so far.
@@ -60,28 +70,17 @@ impl RedistributionTracker {
         self.shifted.ratio(self.total).unwrap_or(0.0).min(1.0)
     }
 
-    /// Time (since `start`) at which the cumulative shifted power first
-    /// reached `fraction` of the total; `None` if it never did.
-    pub(crate) fn time_to_fraction(&self, fraction: f64) -> Option<SimDuration> {
-        assert!(
-            (0.0..=1.0).contains(&fraction),
-            "fraction out of range: {fraction}"
-        );
-        let target = self.total.mul_f64(fraction);
-        self.timeline
-            .iter()
-            .find(|&&(_, cum)| cum >= target)
-            .map(|&(at, _)| at.saturating_since(self.start))
-    }
-
-    /// Convenience: the median (50 %) redistribution time.
+    /// The median (50 %) redistribution time: from `start` to the grant
+    /// that first brought the shifted power to half of the total; `None`
+    /// if none did.
     pub fn median_time(&self) -> Option<SimDuration> {
-        self.time_to_fraction(0.5)
+        self.half_at.map(|at| at.saturating_since(self.start))
     }
 
-    /// Convenience: the total (100 %) redistribution time.
+    /// The total (100 %) redistribution time: from `start` to the grant
+    /// that completed it; `None` if none did.
     pub fn total_time(&self) -> Option<SimDuration> {
-        self.time_to_fraction(1.0)
+        self.full_at.map(|at| at.saturating_since(self.start))
     }
 }
 
@@ -103,7 +102,6 @@ mod tests {
         tr.record(t(11), w(30));
         tr.record(t(12), w(30));
         tr.record(t(15), w(40));
-        assert_eq!(tr.time_to_fraction(0.25), Some(SimDuration::from_secs(1)));
         assert_eq!(tr.median_time(), Some(SimDuration::from_secs(2)));
         assert_eq!(tr.total_time(), Some(SimDuration::from_secs(5)));
         assert_eq!(tr.fraction_shifted(), 1.0);
@@ -141,14 +139,7 @@ mod tests {
         let mut tr = RedistributionTracker::new(w(100), t(0));
         tr.record(t(1), Power::ZERO);
         assert_eq!(tr.fraction_shifted(), 0.0);
-        assert_eq!(tr.time_to_fraction(0.0), None); // no events at all
-    }
-
-    #[test]
-    fn zero_fraction_satisfied_by_first_event() {
-        let mut tr = RedistributionTracker::new(w(100), t(0));
-        tr.record(t(4), w(1));
-        assert_eq!(tr.time_to_fraction(0.0), Some(SimDuration::from_secs(4)));
+        assert_eq!(tr.median_time(), None);
     }
 
     #[test]
@@ -158,7 +149,8 @@ mod tests {
             total: Power::ZERO,
             start: t(0),
             shifted: Power::ZERO,
-            timeline: Vec::new(),
+            half_at: None,
+            full_at: None,
         };
         assert!(!tr.complete());
     }
@@ -195,10 +187,66 @@ mod tests {
         let _ = RedistributionTracker::new(Power::ZERO, t(0));
     }
 
+    /// The reference: keep every grant's `(time, cumulative shifted)` and
+    /// search for the first entry at or past `fraction` of the total.
+    fn timeline_search(
+        total: Power,
+        start: SimTime,
+        grants: &[(SimTime, Power)],
+        fraction: f64,
+    ) -> Option<SimDuration> {
+        let mut shifted = Power::ZERO;
+        let mut timeline = Vec::new();
+        for &(at, amount) in grants {
+            if amount.is_zero() || shifted >= total {
+                continue;
+            }
+            shifted += amount.min(total - shifted);
+            timeline.push((at, shifted));
+        }
+        let target = total.mul_f64(fraction);
+        timeline
+            .iter()
+            .find(|&&(_, cum)| cum >= target)
+            .map(|&(at, _)| at.saturating_since(start))
+    }
+
     #[test]
-    #[should_panic(expected = "fraction out of range")]
-    fn bad_fraction_rejected() {
-        let tr = RedistributionTracker::new(w(1), t(0));
-        let _ = tr.time_to_fraction(1.5);
+    fn the_stamps_answer_as_the_timeline_search_did() {
+        use penelope_testkit::prop::{self, one_of, vec_of};
+        // Totals of up to 1 kW, half of them a multiple of 8 mW and the
+        // rest off it (so the half target rounds), and grants of k/8 of the
+        // total (floored), mostly in small steps so the cumulative amount
+        // lands on either target exactly; zero amounts and single grants
+        // past the total are drawn too.
+        prop::check(
+            "two stamps give the timeline search's median and total times",
+            prop::Config::default(),
+            (
+                1u64..125_000,
+                one_of(vec![0u64, 0, 0, 1, 4, 7]),
+                0u64..5,
+                vec_of((0u64..3, one_of(vec![0u64, 1, 1, 2, 2, 3, 4, 12])), 0..40),
+            ),
+            |(base, rem, start_s, grants)| {
+                let total_mw = 8 * base + rem;
+                let (total, start) = (Power::from_milliwatts(total_mw), t(start_s));
+                let mut at = SimTime::ZERO;
+                let grants: Vec<(SimTime, Power)> = grants
+                    .iter()
+                    .map(|&(gap, eighths)| {
+                        at += SimDuration::from_secs(gap);
+                        (at, Power::from_milliwatts(total_mw * eighths / 8))
+                    })
+                    .collect();
+                let mut tr = RedistributionTracker::new(total, start);
+                for &(at, amount) in &grants {
+                    tr.record(at, amount);
+                }
+                let search = |f| timeline_search(total, start, &grants, f);
+                assert_eq!(tr.median_time(), search(0.5));
+                assert_eq!(tr.total_time(), search(1.0));
+            },
+        );
     }
 }

@@ -34,11 +34,6 @@ impl SummaryStats {
         }
     }
 
-    /// Number of samples.
-    pub fn count(&self) -> usize {
-        self.sorted.len()
-    }
-
     /// Arithmetic mean.
     pub fn mean(&self) -> f64 {
         self.mean
@@ -47,16 +42,6 @@ impl SummaryStats {
     /// Population standard deviation.
     pub fn std(&self) -> f64 {
         self.std
-    }
-
-    /// Smallest sample.
-    pub fn min(&self) -> f64 {
-        self.sorted[0]
-    }
-
-    /// Largest sample.
-    pub fn max(&self) -> f64 {
-        *self.sorted.last().expect("non-empty")
     }
 
     /// The `p`-th percentile, `0 ≤ p ≤ 100`, with linear interpolation.
@@ -96,11 +81,11 @@ mod tests {
     #[test]
     fn basic_moments() {
         let s = SummaryStats::from_samples(&[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(s.count(), 4);
+        assert_eq!(s.sorted.len(), 4);
         assert!((s.mean() - 2.5).abs() < 1e-12);
         assert!((s.std() - (1.25f64).sqrt()).abs() < 1e-12);
-        assert_eq!(s.min(), 1.0);
-        assert_eq!(s.max(), 4.0);
+        assert_eq!(s.percentile(0.0), 1.0);
+        assert_eq!(s.percentile(100.0), 4.0);
     }
 
     #[test]
@@ -162,9 +147,10 @@ mod tests {
             vec_of(-1e6f64..1e6, 1..200),
             |samples| {
                 let s = SummaryStats::from_samples(&samples);
-                assert!(s.min() <= s.median());
-                assert!(s.median() <= s.max());
-                assert!(s.min() <= s.mean() && s.mean() <= s.max());
+                let (min, max) = (s.percentile(0.0), s.percentile(100.0));
+                assert!(min <= s.median());
+                assert!(s.median() <= max);
+                assert!(min <= s.mean() && s.mean() <= max);
                 assert!(s.std() >= 0.0);
                 assert!(s.percentile(10.0) <= s.percentile(90.0));
             },

@@ -7,12 +7,16 @@ use penelope_units::SimDuration;
 ///
 /// "For SLURM this is the server's average response time. For Penelope this
 /// is the average time needed to complete a transaction in the system"
-/// (§4.5). One sample per completed request; requests that never get a
-/// response (dropped packets) are counted separately — they are what drive
-/// SLURM off a cliff, so losing them silently would hide the effect.
+/// (§4.5). The figures plot only that mean, so each completed request adds
+/// to a running sum and count; requests that never get a response (dropped
+/// packets) are counted separately — they are what drive SLURM off a
+/// cliff, so losing them silently would hide the effect.
 #[derive(Clone, Debug, Default)]
 pub struct TurnaroundStats {
-    samples_ns: Vec<u64>,
+    /// Sum of every completed round trip, in ns: `u128` cannot overflow
+    /// before `count` does.
+    sum_ns: u128,
+    count: u64,
     unanswered: u64,
 }
 
@@ -24,7 +28,8 @@ impl TurnaroundStats {
 
     /// Record a completed request↔response round trip.
     pub(crate) fn record(&mut self, turnaround: SimDuration) {
-        self.samples_ns.push(turnaround.as_nanos());
+        self.sum_ns += u128::from(turnaround.as_nanos());
+        self.count += 1;
     }
 
     /// Record a request that never received a response.
@@ -34,7 +39,7 @@ impl TurnaroundStats {
 
     /// Completed round trips.
     pub fn count(&self) -> usize {
-        self.samples_ns.len()
+        self.count as usize
     }
 
     /// Requests that never got a response.
@@ -44,7 +49,7 @@ impl TurnaroundStats {
 
     /// Fraction of all requests that went unanswered.
     pub fn unanswered_fraction(&self) -> f64 {
-        let total = self.samples_ns.len() as u64 + self.unanswered;
+        let total = self.count + self.unanswered;
         if total == 0 {
             0.0
         } else {
@@ -52,14 +57,14 @@ impl TurnaroundStats {
         }
     }
 
-    /// Mean turnaround. `None` with no completed samples.
+    /// Mean turnaround, truncated to the nanosecond. `None` with no
+    /// completed round trips.
     pub fn mean(&self) -> Option<SimDuration> {
-        if self.samples_ns.is_empty() {
+        if self.count == 0 {
             return None;
         }
-        let sum: u128 = self.samples_ns.iter().map(|&x| x as u128).sum();
         Some(SimDuration::from_nanos(
-            (sum / self.samples_ns.len() as u128) as u64,
+            (self.sum_ns / u128::from(self.count)) as u64,
         ))
     }
 }
@@ -67,6 +72,7 @@ impl TurnaroundStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use penelope_testkit::prop::{self, any_u64, vec_of};
 
     fn us(x: u64) -> SimDuration {
         SimDuration::from_micros(x)
@@ -97,5 +103,27 @@ mod tests {
         assert!((t.unanswered_fraction() - 2.0 / 3.0).abs() < 1e-12);
         // Mean is over completed requests only.
         assert_eq!(t.mean(), Some(us(100)));
+    }
+
+    #[test]
+    fn the_running_mean_is_the_mean_of_the_kept_samples() {
+        // Samples up to `u64::MAX` ns: a `u64` sum would overflow on the
+        // second one, the `u128` one must not.
+        prop::check(
+            "the running mean is the u128 mean of a sample vector",
+            prop::Config::default(),
+            vec_of(any_u64(), 0..64),
+            |samples| {
+                let mut t = TurnaroundStats::new();
+                for &ns in &samples {
+                    t.record(SimDuration::from_nanos(ns));
+                }
+                let sum: u128 = samples.iter().map(|&ns| u128::from(ns)).sum();
+                let want = (!samples.is_empty())
+                    .then(|| SimDuration::from_nanos((sum / samples.len() as u128) as u64));
+                assert_eq!(t.mean(), want);
+                assert_eq!(t.count(), samples.len());
+            },
+        );
     }
 }
