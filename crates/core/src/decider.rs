@@ -110,19 +110,23 @@ pub struct DeciderStats {
     /// Total power released due to a peer's urgent request (the
     /// `localUrgency` inducement).
     pub urgency_released: Power,
-    /// Grants discarded because their `seq` sat below the decider's floor:
-    /// pre-crash grants addressed to a reborn node, or redeliveries older
-    /// than the applied-seq window.
+    /// Grants discarded because their `seq` sat below the decider's floor
+    /// (pre-crash grants addressed to a reborn node, or redeliveries older
+    /// than the applied-seq window) or at or above `next_seq` (a seq this
+    /// node never spent).
     pub stale_discards: u64,
 }
 
 /// How many recent applied sequence numbers are remembered exactly; grants
 /// older than this window below `next_seq` are rejected wholesale (treated
-/// as already applied), which is what keeps [`LocalDecider`]'s dedup list
-/// O(outstanding) instead of O(lifetime requests). The decider has at most
-/// one request outstanding and the escrow deadline spans a handful of
-/// periods, so a legitimate late grant is always far younger than this.
+/// as already applied), which is what keeps [`LocalDecider`]'s dedup state
+/// one word instead of O(lifetime requests). The decider has at most one
+/// request outstanding and the escrow deadline spans a handful of periods,
+/// so a legitimate late grant is always far younger than this.
 pub const APPLIED_SEQ_WINDOW: u64 = 64;
+
+// The window is one `u64` bitmap, a bit per seq.
+const _: () = assert!(APPLIED_SEQ_WINDOW == u64::BITS as u64);
 
 /// Algorithm 1: the per-node feedback controller.
 ///
@@ -143,19 +147,24 @@ pub struct LocalDecider {
     cap: Power,
     outstanding: Option<Outstanding>,
     next_seq: u64,
-    /// Sequence numbers whose non-zero grant has already been applied.
-    /// A lossy transport can redeliver a grant (the granter re-sends its
-    /// escrowed amount when a retransmitted request arrives); applying it
-    /// twice would mint power, so redeliveries are discarded by `seq`.
-    /// Bounded: seqs below `seq_floor` are rejected without lookup, so
-    /// this never holds more than [`APPLIED_SEQ_WINDOW`] of them — few
-    /// enough that a scan beats hashing, in the order they were applied.
-    applied_seqs: Vec<u64>,
+    /// Which seqs of `[seq_floor, seq_floor + 64)` have had their non-zero
+    /// grant applied: bit `i` is seq `seq_floor + i`. A lossy transport can
+    /// redeliver a grant (the granter re-sends its escrowed amount when a
+    /// retransmitted request arrives); applying it twice would mint power,
+    /// so redeliveries are discarded by `seq`. This is the sliding
+    /// anti-replay window of RFC 4303 §3.4.3 in one word (RFC 6479 keeps
+    /// wider ones as arrays of such words): seqs below the floor are
+    /// rejected without lookup, and every applied seq at or above it lies
+    /// inside the window, because the floor is raised to
+    /// `next_seq − APPLIED_SEQ_WINDOW` whenever one is applied and only
+    /// seqs below `next_seq` ever are.
+    applied_window: u64,
     /// Grants with `seq < seq_floor` are stale and discarded. Raised in two
     /// ways: a restarted node adopts its pre-crash `next_seq` watermark here
     /// (the seq-epoch rule — stale pre-crash grants and escrow re-sends can
     /// never double-pay the reborn node), and ordinary operation advances it
-    /// to `next_seq − APPLIED_SEQ_WINDOW` so `applied_seqs` stays bounded.
+    /// to `next_seq − APPLIED_SEQ_WINDOW` so `applied_window` covers every
+    /// applied seq it has not already rejected.
     seq_floor: u64,
     stats: DeciderStats,
 }
@@ -170,7 +179,7 @@ impl LocalDecider {
             cap,
             outstanding: None,
             next_seq: 0,
-            applied_seqs: Vec::new(),
+            applied_window: 0,
             seq_floor: 0,
             stats: DeciderStats::default(),
         }
@@ -184,6 +193,7 @@ impl LocalDecider {
     pub fn with_seq_floor(mut self, floor: u64) -> Self {
         self.next_seq = floor;
         self.seq_floor = floor;
+        self.applied_window = 0;
         self
     }
 
@@ -216,20 +226,31 @@ impl LocalDecider {
         seq < self.seq_floor
     }
 
-    /// Size of the applied-seq dedup list — bounded by
-    /// [`APPLIED_SEQ_WINDOW`], proven in the memory-boundedness test.
+    /// Is `seq` one this decider has not spent yet? No honest granter
+    /// answers such a seq: no request carried it. Applying the grant would
+    /// pay for power nobody asked for, and the window could not remember
+    /// it, so `on_grant` discards it like a stale one.
+    pub(crate) fn is_unspent(&self, seq: u64) -> bool {
+        seq >= self.next_seq
+    }
+
+    /// How many seqs in the applied-seq window have been applied — at
+    /// most [`APPLIED_SEQ_WINDOW`] by construction.
     pub fn applied_seq_count(&self) -> usize {
-        self.applied_seqs.len()
+        self.applied_window.count_ones() as usize
     }
 
     /// Has the non-zero grant for `seq` already been applied? True for
-    /// seqs in the dedup list *or* below the floor (everything below the
-    /// floor is treated as already paid). Hosts use this to recognise a
-    /// redelivered grant *before* handing it to
+    /// seqs marked in the window *or* below the floor (everything below
+    /// the floor is treated as already paid). Hosts use this to recognise
+    /// a redelivered grant *before* handing it to
     /// [`on_grant`](LocalDecider::on_grant), e.g. to avoid double-reporting
     /// a resolution the first delivery already reported.
     pub fn is_applied_seq(&self, seq: u64) -> bool {
-        seq < self.seq_floor || self.applied_seqs.contains(&seq)
+        match seq.checked_sub(self.seq_floor) {
+            None => true,
+            Some(i) => i < APPLIED_SEQ_WINDOW && (self.applied_window >> i) & 1 == 1,
+        }
     }
 
     /// This decider's own incarnation counter: the persistent seq-epoch
@@ -457,26 +478,35 @@ impl LocalDecider {
         amount: Power,
         pool: &mut PowerPool,
     ) -> Power {
-        if seq < self.seq_floor {
+        if self.is_stale_grant(seq) || self.is_unspent(seq) {
             // Stale epoch: a pre-crash grant addressed to this node's dead
-            // predecessor, or a redelivery older than the applied window.
-            // Either way the seq is treated as already paid; the host books
-            // the amount as lost (see `is_stale_grant`).
+            // predecessor, or a redelivery older than the applied window —
+            // treated as already paid — or a seq never spent, which nothing
+            // could have been paid for. The host books the amount as lost
+            // (see `is_stale_grant`).
             self.stats.stale_discards += 1;
             return Power::ZERO;
         }
         if !amount.is_zero() {
-            if self.applied_seqs.contains(&seq) {
+            if self.is_applied_seq(seq) {
                 return Power::ZERO; // duplicate redelivery; already paid
             }
-            self.applied_seqs.push(seq);
-            // Low-watermark prune: everything below the window is rejected
-            // by the floor check above, so remembering it exactly is
-            // redundant — the list stays O(window), not O(lifetime).
+            // Slide the window up to `next_seq` first: everything it drops
+            // is rejected by the floor check above from now on, so
+            // remembering it exactly is redundant. `seq` itself may fall
+            // below the new floor, which then stands for its bit.
             let floor = self.next_seq.saturating_sub(APPLIED_SEQ_WINDOW);
             if floor > self.seq_floor {
+                let shift = floor - self.seq_floor;
+                self.applied_window = if shift < APPLIED_SEQ_WINDOW {
+                    self.applied_window >> shift
+                } else {
+                    0
+                };
                 self.seq_floor = floor;
-                self.applied_seqs.retain(|&s| s >= floor);
+            }
+            if let Some(i) = seq.checked_sub(self.seq_floor) {
+                self.applied_window |= 1u64 << i;
             }
         }
         if let Some(out) = self.outstanding {
@@ -1145,7 +1175,7 @@ mod churn_tests {
 
     #[test]
     fn applied_seqs_stay_bounded_over_many_grants() {
-        // Satellite regression: the dedup set is O(window), not
+        // Regression: the dedup set is O(window), not
         // O(lifetime requests). Drive far more grant cycles than the
         // window and watch the set stay small while dedup still works.
         let mut d = Rig::new(DeciderConfig::default(), w(150), safe());

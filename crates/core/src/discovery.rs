@@ -3,10 +3,11 @@
 //! The paper's node knows nothing about its peers — a power-hungry decider
 //! "chooses at random" (§3.1) — so timeout suspicion, incarnations, digest
 //! gossip, the granter's acked-seq floor and the sticky success hint are
-//! all *peer knowledge*, and it lives once, in the [`PeerTable`]: one
-//! sparse record per peer the node holds evidence about (memory is
-//! O(evidence); a fault-free node that never granted holds none), plus
-//! the selection state. The decider writes it through
+//! all *peer knowledge*, and it lives once, in the [`PeerTable`]: a
+//! 16-byte acked floor per peer the node has served, a sparse liveness
+//! record per peer it holds fault evidence about (memory is O(evidence);
+//! a fault-free node holds no records, and one that never granted holds
+//! no floors either), plus the selection state. The decider writes it through
 //! [`note_timeout`](PeerTable::note_timeout); the engine through
 //! [`note_reply`](PeerTable::note_reply),
 //! [`merge_digest`](PeerTable::merge_digest),
@@ -250,9 +251,8 @@ struct Suspicion {
     incarnation: u64,
 }
 
-/// What this node holds about one peer. Kept small (48 bytes): on a
-/// fault-free run every record is a bare acked floor, and a long run holds
-/// one per peer that ever asked.
+/// What this node holds about one peer's liveness. Kept small (40 bytes),
+/// and only ever held under faults: a fault-free run writes none.
 #[derive(Clone, Copy, Debug)]
 struct PeerRecord {
     peer: NodeId,
@@ -263,13 +263,6 @@ struct PeerRecord {
     /// formed against an older one is refuted instead of adopted, so a
     /// rejoined node is never re-shunned by stale gossip.
     incarnation: u64,
-    /// Granter-side late-duplicate guard: one past the highest request
-    /// `seq` this peer acknowledged a grant for (zero: none yet). The ack
-    /// releases the escrow entry, so a duplicate request delayed past it
-    /// would be debited again and the requester's dedup would make that
-    /// debit vanish. Requester seqs are strictly monotone (across rebirths
-    /// too), so anything below this duplicates a completed exchange.
-    acked_next: u64,
 }
 
 impl PeerRecord {
@@ -280,16 +273,42 @@ impl PeerRecord {
             timeout_streak: 0,
             suspicion: None,
             incarnation: 0,
-            acked_next: 0,
         }
     }
 
     fn is_blank(&self) -> bool {
-        self.timeout_streak == 0
-            && self.suspicion.is_none()
-            && self.incarnation == 0
-            && self.acked_next == 0
+        self.timeout_streak == 0 && self.suspicion.is_none() && self.incarnation == 0
     }
+}
+
+/// Granter-side late-duplicate guard for one requester (16 bytes): one
+/// past the highest request `seq` it acknowledged a grant for. The ack
+/// releases the escrow entry, so a duplicate request delayed past it
+/// would be debited again and the requester's dedup would make that debit
+/// vanish. Requester seqs are strictly monotone (across rebirths too), so
+/// anything below `next` duplicates a completed exchange. This is the
+/// one thing a fault-free donor learns about a peer, and a long run holds
+/// one per peer that ever asked.
+#[derive(Clone, Copy, Debug)]
+struct AckedFloor {
+    peer: NodeId,
+    next: u64,
+}
+
+/// Insert `item` at `at` of a table every node carries: the first entry
+/// gets a block of its own (a fault-free donor only ever holds one), and
+/// the table grows by a quarter after it, not by doubling — under loss
+/// these tables reach dozens of entries.
+fn insert_sparse<T>(table: &mut Vec<T>, at: usize, item: T) {
+    if table.len() == table.capacity() {
+        let more = if table.is_empty() {
+            1
+        } else {
+            table.len() / 4 + 4
+        };
+        table.reserve_exact(more);
+    }
+    table.insert(at, item);
 }
 
 /// Everything one node knows about its peers — see the [module docs](self).
@@ -300,41 +319,31 @@ impl PeerRecord {
 /// cluster's, and every call that needs one takes the [`NodeCtx`].
 #[derive(Clone, Debug)]
 pub struct PeerTable {
-    /// Sparse, and ascending by peer so a digest needs no sort.
-    records: Vec<PeerRecord>,
-    /// How many records hold a suspicion, and how many a running timeout
-    /// streak. With both zero — every fault-free run — no liveness query
-    /// or reply touches `records`: the hot path pays two loads, as it did
-    /// when the liveness maps it replaced were simply empty.
-    suspected: usize,
-    streaking: usize,
+    /// One acked floor per requester this node has served, ascending by
+    /// peer.
+    acked: Vec<AckedFloor>,
+    /// Liveness evidence, behind one word: `None` until the first timeout
+    /// or digest, so a fault-free run never allocates it and no liveness
+    /// query or reply there reads more than this handle.
+    liveness: Option<Box<Liveness>>,
     rr_cursor: u32,
     /// The pool that last granted power (the `GossipHint` arm's hint).
     last_success: Option<NodeId>,
 }
 
-impl PeerTable {
-    /// The empty table of `ctx`'s node: its round-robin cursor starts at
-    /// the next node ring-wise in `ctx`'s cluster.
-    pub fn new(ctx: &NodeCtx) -> Self {
-        PeerTable {
-            records: Vec::new(),
-            suspected: 0,
-            streaking: 0,
-            rr_cursor: initial_rr_cursor(ctx.node.raw(), ctx.cluster_size as u32),
-            last_success: None,
-        }
-    }
+/// What the fault path has learnt about peers' liveness.
+#[derive(Clone, Debug, Default)]
+struct Liveness {
+    /// Sparse, and ascending by peer so a digest needs no sort.
+    records: Vec<PeerRecord>,
+    /// How many records hold a suspicion, and how many a running timeout
+    /// streak. With both zero — a run whose faults have healed — no
+    /// liveness query or reply touches `records`.
+    suspected: usize,
+    streaking: usize,
+}
 
-    /// Rebirth: everything learnt is forgotten. The round-robin cursor
-    /// survives (the historical restart behaviour, byte-for-byte).
-    pub fn reset(&mut self) {
-        self.records.clear();
-        self.suspected = 0;
-        self.streaking = 0;
-        self.last_success = None;
-    }
-
+impl Liveness {
     fn slot(&self, peer: NodeId) -> Result<usize, usize> {
         self.records.binary_search_by_key(&peer, |r| r.peer)
     }
@@ -344,21 +353,9 @@ impl PeerTable {
     }
 
     /// The record for `peer`, blank if this is the first evidence of it.
-    fn record(&mut self, peer: NodeId) -> &mut PeerRecord {
+    fn record_mut(&mut self, peer: NodeId) -> &mut PeerRecord {
         let at = self.slot(peer).unwrap_or_else(|at| {
-            // Grow by a quarter, not by doubling: every node carries one
-            // of these tables, and under loss they reach dozens of records.
-            // The first record gets a block of its own: a fault-free donor
-            // only ever holds one, the acked floor of the peer it served.
-            if self.records.len() == self.records.capacity() {
-                let more = if self.records.is_empty() {
-                    1
-                } else {
-                    self.records.len() / 4 + 4
-                };
-                self.records.reserve_exact(more);
-            }
-            self.records.insert(at, PeerRecord::blank(peer));
+            insert_sparse(&mut self.records, at, PeerRecord::blank(peer));
             at
         });
         &mut self.records[at]
@@ -372,6 +369,57 @@ impl PeerTable {
         }
     }
 
+    /// Drop the suspicion held of `peer`, on incarnation evidence (which
+    /// is itself evidence: the record stays).
+    fn refute(&mut self, ctx: &NodeCtx, now: SimTime, peer: NodeId) {
+        let r = self.record_mut(peer);
+        r.suspicion = None;
+        let streak = std::mem::take(&mut r.timeout_streak);
+        self.streaking -= usize::from(streak > 0);
+        self.suspected -= 1;
+        ctx.emit(now, || EventKind::SuspicionRefuted { peer });
+    }
+}
+
+impl PeerTable {
+    /// The empty table of `ctx`'s node: its round-robin cursor starts at
+    /// the next node ring-wise in `ctx`'s cluster.
+    pub fn new(ctx: &NodeCtx) -> Self {
+        PeerTable {
+            acked: Vec::new(),
+            liveness: None,
+            rr_cursor: initial_rr_cursor(ctx.node.raw(), ctx.cluster_size as u32),
+            last_success: None,
+        }
+    }
+
+    /// Rebirth: everything learnt is forgotten. The round-robin cursor
+    /// survives (the historical restart behaviour, byte-for-byte).
+    pub fn reset(&mut self) {
+        self.acked.clear();
+        if let Some(l) = &mut self.liveness {
+            l.records.clear();
+            l.suspected = 0;
+            l.streaking = 0;
+        }
+        self.last_success = None;
+    }
+
+    /// The liveness evidence, allocated on the first of it.
+    fn liveness_mut(&mut self) -> &mut Liveness {
+        self.liveness.get_or_insert_with(Box::default)
+    }
+
+    /// The liveness records held, ascending by peer.
+    fn records(&self) -> &[PeerRecord] {
+        self.liveness.as_deref().map_or(&[], |l| &l.records)
+    }
+
+    /// How many peers a suspicion is held against.
+    fn suspected(&self) -> usize {
+        self.liveness.as_deref().map_or(0, |l| l.suspected)
+    }
+
     /// One request to `peer` timed out (retransmit fired or the request
     /// was abandoned): extend the streak, and at `suspect_after` (zero
     /// disables the layer) suspect the peer against the newest incarnation
@@ -381,7 +429,8 @@ impl PeerTable {
         if suspect_after == 0 {
             return;
         }
-        let r = self.record(peer);
+        let l = self.liveness_mut();
+        let r = l.record_mut(peer);
         r.timeout_streak += 1;
         let streak = r.timeout_streak;
         let confirmed = Suspicion {
@@ -389,9 +438,9 @@ impl PeerTable {
             incarnation: r.incarnation,
         };
         let fresh = streak >= suspect_after && r.suspicion.replace(confirmed).is_none();
-        self.streaking += usize::from(streak == 1);
+        l.streaking += usize::from(streak == 1);
         if fresh {
-            self.suspected += 1;
+            l.suspected += 1;
             ctx.emit(now, || EventKind::PeerSuspected { peer });
         }
     }
@@ -399,26 +448,29 @@ impl PeerTable {
     /// Any reply from `peer` — even a zero grant — proves it alive: the
     /// streak resets and a suspicion is cleared.
     pub fn note_reply(&mut self, ctx: &NodeCtx, now: SimTime, peer: NodeId) {
-        if self.suspected + self.streaking == 0 {
+        let Some(l) = self.liveness.as_deref_mut() else {
             return; // nothing a reply could clear
+        };
+        if l.suspected + l.streaking == 0 {
+            return;
         }
-        if let Ok(at) = self.slot(peer) {
-            let r = &mut self.records[at];
-            self.streaking -= usize::from(std::mem::take(&mut r.timeout_streak) > 0);
+        if let Ok(at) = l.slot(peer) {
+            let r = &mut l.records[at];
+            l.streaking -= usize::from(std::mem::take(&mut r.timeout_streak) > 0);
             if r.suspicion.take().is_some() {
-                self.suspected -= 1;
+                l.suspected -= 1;
                 ctx.emit(now, || EventKind::PeerCleared { peer });
             }
-            self.prune(at);
+            l.prune(at);
         }
     }
 
     /// Consecutive unanswered requests to `peer` (zero after any reply).
     pub fn timeout_streak(&self, peer: NodeId) -> u32 {
-        if self.streaking == 0 {
-            return 0;
+        match self.liveness.as_deref() {
+            Some(l) if l.streaking > 0 => l.get(peer).map_or(0, |r| r.timeout_streak),
+            _ => 0,
         }
-        self.get(peer).map_or(0, |r| r.timeout_streak)
     }
 
     /// `Some(filtering?)` iff `r` holds a suspicion: it filters selection
@@ -430,10 +482,11 @@ impl PeerTable {
 
     /// [`filtering`](Self::filtering) for `peer`, by lookup.
     fn suspicion_of(&self, ctx: &NodeCtx, now: SimTime, peer: NodeId) -> Option<bool> {
-        if self.suspected == 0 {
+        let l = self.liveness.as_deref()?;
+        if l.suspected == 0 {
             return None;
         }
-        Self::filtering(ctx, now, self.get(peer)?)
+        Self::filtering(ctx, now, l.get(peer)?)
     }
 
     /// Is `peer` filtered out of selection right now?
@@ -451,13 +504,13 @@ impl PeerTable {
     /// True iff any peer is filtered right now — the gate that keeps
     /// fault-free selection on the paper's single blind draw.
     pub fn suspicion_active(&self, ctx: &NodeCtx, now: SimTime) -> bool {
-        let mut all = self.records.iter();
-        self.suspected != 0 && all.any(|r| Self::filtering(ctx, now, r) == Some(true))
+        let mut all = self.records().iter();
+        self.suspected() != 0 && all.any(|r| Self::filtering(ctx, now, r) == Some(true))
     }
 
     /// Peers a suspicion is held against (filtering or awaiting a probe).
     pub fn suspected_count(&self) -> usize {
-        self.suspected
+        self.suspected()
     }
 
     /// The digest to piggyback on an outgoing grant or ack: the lowest
@@ -468,10 +521,10 @@ impl PeerTable {
     /// ([`SuspicionDigest::boxed`]).
     pub fn digest(&self, ctx: &NodeCtx, own_incarnation: u64) -> Option<Box<SuspicionDigest>> {
         let limit = ctx.knobs().gossip_digest.min(MAX_DIGEST_ENTRIES);
-        if limit == 0 || (self.suspected == 0 && own_incarnation == 0) {
+        if limit == 0 || (self.suspected() == 0 && own_incarnation == 0) {
             return None;
         }
-        let suspicions = self.records.iter().filter_map(|r| {
+        let suspicions = self.records().iter().filter_map(|r| {
             let (peer, incarnation) = (r.peer, r.suspicion?.incarnation);
             Some(SuspicionEntry { peer, incarnation })
         });
@@ -509,12 +562,13 @@ impl PeerTable {
         // (Incarnation zero is what an absent record already says, and it
         // refutes nothing.)
         if digest.incarnation > 0 {
-            let r = self.record(src);
+            let l = self.liveness_mut();
+            let r = l.record_mut(src);
             r.incarnation = r.incarnation.max(digest.incarnation);
             if r.suspicion
                 .is_some_and(|s| s.incarnation < digest.incarnation)
             {
-                self.refute(ctx, now, src);
+                l.refute(ctx, now, src);
             }
         }
         for entry in digest.entries.iter().take(MAX_DIGEST_ENTRIES) {
@@ -524,10 +578,11 @@ impl PeerTable {
             if peer == ctx.node || peer == src {
                 continue;
             }
-            let r = self.record(peer);
+            let l = self.liveness_mut();
+            let r = l.record_mut(peer);
             if incarnation < r.incarnation {
                 if r.suspicion.is_some_and(|s| s.incarnation < r.incarnation) {
-                    self.refute(ctx, now, peer);
+                    l.refute(ctx, now, peer);
                 }
                 continue;
             }
@@ -537,7 +592,7 @@ impl PeerTable {
                 None => {
                     let since = now;
                     r.suspicion = Some(Suspicion { since, incarnation });
-                    self.suspected += 1;
+                    l.suspected += 1;
                     let gossiped = EventKind::SuspicionGossiped { peer, via: src };
                     ctx.emit(now, || gossiped);
                 }
@@ -545,28 +600,21 @@ impl PeerTable {
         }
     }
 
-    /// Drop the suspicion held of `peer`, on incarnation evidence (which
-    /// is itself evidence: the record stays).
-    fn refute(&mut self, ctx: &NodeCtx, now: SimTime, peer: NodeId) {
-        let r = self.record(peer);
-        r.suspicion = None;
-        let streak = std::mem::take(&mut r.timeout_streak);
-        self.streaking -= usize::from(streak > 0);
-        self.suspected -= 1;
-        ctx.emit(now, || EventKind::SuspicionRefuted { peer });
-    }
-
     /// `peer` acknowledged the grant for its request `seq`: that exchange
     /// is complete, whether or not its escrow entry was still live (a
     /// duplicated ack may land after expiry).
     pub fn note_ack(&mut self, peer: NodeId, seq: u64) {
-        let r = self.record(peer);
-        r.acked_next = r.acked_next.max(seq.saturating_add(1));
+        let next = seq.saturating_add(1);
+        match self.acked.binary_search_by_key(&peer, |f| f.peer) {
+            Ok(at) => self.acked[at].next = self.acked[at].next.max(next),
+            Err(at) => insert_sparse(&mut self.acked, at, AckedFloor { peer, next }),
+        }
     }
 
     /// Is `(peer, seq)` a request whose grant `peer` already acknowledged?
     pub fn already_acked(&self, peer: NodeId, seq: u64) -> bool {
-        self.get(peer).is_some_and(|r| seq < r.acked_next)
+        let at = self.acked.binary_search_by_key(&peer, |f| f.peer);
+        at.is_ok_and(|at| seq < self.acked[at].next)
     }
 
     /// A grant from `src` arrived: remember a productive pool as the
@@ -589,7 +637,7 @@ impl PeerTable {
     /// found it: the one question quiescent-tick elision asks.
     #[inline]
     pub fn selection_is_blind(&self) -> bool {
-        self.last_success.is_none() && self.suspected == 0
+        self.last_success.is_none() && self.suspected() == 0
     }
 
     /// Pick the peer to query this iteration by the
@@ -613,10 +661,10 @@ impl PeerTable {
         // With nothing suspected — every fault-free run — no record is
         // read. A record about this node or about an id outside the
         // cluster (a digest can carry either) excludes nothing.
-        let held = if self.suspected == 0 {
+        let held = if self.suspected() == 0 {
             &[][..]
         } else {
-            &self.records[..]
+            self.records()
         };
         let excluded = held
             .iter()
@@ -648,23 +696,25 @@ mod tests {
         let ctx = NodeCtx::new(NodeId::new(0), 8, crate::EngineConfig::default(), noop);
         let mut t = PeerTable::new(&ctx);
         let (now, peer) = (SimTime::from_secs(1), NodeId::new(3));
+        // An acked floor is kept apart and allocates no liveness records.
+        t.note_ack(peer, 0);
+        assert!(t.liveness.is_none());
+        assert_eq!(t.acked.len(), 1);
         // A streak a reply cleared, and a digest that proves nothing new,
-        // leave nothing behind; an acked floor does.
+        // leave no record behind; the acked floor stays.
         t.note_timeout(&ctx, now, peer);
-        assert_eq!(t.records.len(), 1);
+        assert_eq!(t.records().len(), 1);
         t.note_reply(&ctx, now, peer);
         t.merge_digest(&ctx, now, peer, &SuspicionDigest::default());
-        assert!(t.records.is_empty());
-        t.note_ack(peer, 0);
-        t.note_timeout(&ctx, now, peer);
-        t.note_reply(&ctx, now, peer);
-        assert_eq!(t.records.len(), 1);
+        assert!(t.records().is_empty());
         assert!(t.already_acked(peer, 0));
+        assert!(!t.already_acked(peer, 1));
     }
 
     #[test]
     fn a_peer_record_stays_small() {
-        assert_eq!(std::mem::size_of::<PeerRecord>(), 48);
+        assert_eq!(std::mem::size_of::<PeerRecord>(), 40);
+        assert_eq!(std::mem::size_of::<AckedFloor>(), 16);
     }
 }
 

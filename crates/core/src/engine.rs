@@ -60,7 +60,7 @@
 //! # What an engine stores
 //!
 //! A sharded run holds 10^5–10^6 engines, so `size_of::<NodeEngine>()` is
-//! a memory budget (384 bytes, pinned with its parts in
+//! a memory budget (352 bytes, pinned with its parts in
 //! `tests/peer_table.rs`). Everything that is constant across the cluster
 //! — the [`EngineConfig`]: decider knobs, pool limiter, safe range,
 //! discovery strategy — is stored once per cluster behind an [`Arc`]; an
@@ -68,20 +68,23 @@
 //! things that say which node this is (id, cluster size, event sink), and
 //! lends that context to the decider and the peer table on every call.
 //! The rest is state that differs from node to node: the decider's caps,
-//! outstanding request, seq namespace and counters (168 bytes), the pool
-//! (80, including the one configuration copy left — its 24-byte limiter,
-//! because a [`PowerPool`] is also driven on its own), the peer table (56)
-//! and the escrow (24). The two tables a node keeps about *itself* — the
-//! escrow and the decider's applied-seq window — are plain `Vec`s: they
-//! hold a handful of entries, so nothing inside an engine hashes.
+//! outstanding request, seq namespace and counters (152 bytes), the pool
+//! (72, including the one configuration copy left — its 24-byte limiter,
+//! because a [`PowerPool`] is also driven on its own), the peer table (48)
+//! and the escrow (24). Nothing inside an engine hashes: the escrow is a
+//! plain `Vec` of the handful of grants in flight, the decider's
+//! applied-seq window is one 64-bit bitmap, and the peer table keeps
+//! sorted `Vec`s — one 16-byte acked floor per peer served, and, behind a
+//! one-word handle that stays empty on a fault-free run, the liveness
+//! records.
 //!
 //! Beside those bytes an engine owns heap only once it has served a peer.
 //! A fresh engine on a shared config and the no-op observer owns none; a
-//! donor that has served one request and seen its ack owns 80 bytes: one
+//! donor that has served one request and seen its ack owns 48 bytes: one
 //! 32-byte escrow slot (the first grant reserves exactly one, and it is
-//! kept when the ack empties the table) and one 48-byte peer record (the
-//! acked floor; the first record is reserved alone, and the table grows
-//! by a quarter after it). `tests/engine_heap.rs` pins both.
+//! kept when the ack empties the table) and one 16-byte acked floor (the
+//! first floor is reserved alone, and the table grows by a quarter after
+//! it). `tests/engine_heap.rs` pins both.
 
 use std::sync::Arc;
 
@@ -250,9 +253,9 @@ pub enum EngineOutput {
         cap: Power,
     },
     /// A non-zero grant arrived but was discarded as stale (pre-crash
-    /// seq epoch): its power is gone — the substrate's conservation
-    /// ledger must book it as lost. No ack is sent; the granter's escrow
-    /// entry expires creditless.
+    /// seq epoch, or a seq this node never spent): its power is gone —
+    /// the substrate's conservation ledger must book it as lost. No ack
+    /// is sent; the granter's escrow entry expires creditless.
     PowerLost {
         /// The discarded grant's amount.
         amount: Power,
@@ -824,7 +827,7 @@ impl NodeEngine {
         // land on the post-merge state.
         self.merge_digest(now, src, digest);
         self.peers.note_reply(&self.ctx, now, src);
-        let stale = self.decider.is_stale_grant(g.seq);
+        let stale = self.decider.is_stale_grant(g.seq) || self.decider.is_unspent(g.seq);
         // A redelivered copy of an already-applied grant (the granter
         // re-sends its escrowed amount when a retransmitted request races
         // the original) resolves nothing: the first delivery did. The
@@ -840,10 +843,11 @@ impl NodeEngine {
             // A pre-crash grant caught up with its reborn requester: the
             // crash already retired this node's whole pre-crash epoch, so
             // applying the grant now would pay the new epoch with the old
-            // one's money. The decider discarded it (counted in
-            // `stale_discards`) and the amount joins the crash's losses.
-            // No ack: the granter's escrow entry expires creditless,
-            // exactly as if the requester died.
+            // one's money. (A grant for a seq this node never spent is
+            // treated the same: no honest granter sends one.) The decider
+            // discarded it (counted in `stale_discards`) and the amount
+            // joins the crash's losses. No ack: the granter's escrow entry
+            // expires creditless, exactly as if the requester died.
             if !g.amount.is_zero() {
                 out.push(EngineOutput::PowerLost { amount: g.amount });
             }

@@ -8,8 +8,8 @@
 //!
 //! The pinned shape: the no-op observer and a fresh engine own nothing;
 //! a donor that has served one peer owns one escrow slot (kept when the
-//! ack empties it) and one peer record (the acked floor); more peers grow
-//! the record table by a quarter, not once per record.
+//! ack empties it) and one 16-byte acked floor, and no liveness record;
+//! more peers grow the floor table by a quarter, not once per floor.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -149,19 +149,19 @@ fn a_served_donor_holds_one_escrow_slot_and_one_record() {
     let ((), _, live) = measure(|| serve(&mut e, 1, &mut out));
     assert_eq!(e.escrow_len(), 0, "the ack released the escrow entry");
     assert_eq!(
-        live, 80,
-        "one served peer costs one 32-byte escrow slot and one 48-byte acked floor"
+        live, 48,
+        "one served peer costs one 32-byte escrow slot and one 16-byte acked floor"
     );
 
-    // A second peer adds a record: the table grows once, by a quarter
+    // A second peer adds a floor: the table grows once, by a quarter
     // plus four, and the peers after it fit without another acquisition.
     // The emptied escrow slot takes each new grant.
     let ((), acquired, _) = measure(|| serve(&mut e, 2, &mut out));
-    assert_eq!(acquired, 1, "the second record grows the table once");
+    assert_eq!(acquired, 1, "the second floor grows the table once");
     let ((), acquired, _) = measure(|| {
         for peer in 3..=5 {
             serve(&mut e, peer, &mut out);
         }
     });
-    assert_eq!(acquired, 0, "records three to five fit the grown table");
+    assert_eq!(acquired, 0, "floors three to five fit the grown table");
 }

@@ -1,21 +1,27 @@
-//! The two tables a node keeps as small arrays — [`GrantEscrow`] and the
-//! decider's applied-seq window — against the std hash tables they
-//! replaced, kept here as oracles, and the run-to-run order bug the hashed
-//! escrow had.
+//! Three small tables a node keeps — the [`GrantEscrow`] array, the
+//! decider's applied-seq window (one 64-bit word) and the [`PeerTable`]'s
+//! acked floors — against the std hash tables they replaced, kept here as
+//! oracles, and the run-to-run order bug the hashed escrow had.
 //!
-//! Both properties drive the shipped table and its oracle through the same
-//! random operation sequence and compare every return and every query
+//! Each property drives the shipped table and its oracle through the same
+//! random operation sequence and compares every return and every query
 //! after every step. The escrow oracle also stamps each entry with the
 //! order it was first escrowed in, because that — not a hasher's — is the
-//! order [`GrantEscrow::take_expired`] must report.
+//! order [`GrantEscrow::take_expired`] must report. The window oracle
+//! starts from reborn floors as well as from zero, and pins what the
+//! window does with a grant for a seq never spent: it discards it, where
+//! the hash set would have applied it and minted power. The acked-floor
+//! oracle is interleaved with the liveness evidence the same table holds
+//! (timeouts, replies, digests) and with rebirths, none of which may
+//! disturb a floor except the rebirth that forgets it.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use penelope_core::{
-    EngineConfig, EngineInput, EngineOutput, EscrowEntry, EscrowState, GrantEscrow, LocalDecider,
-    NodeCtx, NodeEngine, NodeParams, PeerMsg, PeerTable, PowerPool, PowerRequest, TickAction,
-    APPLIED_SEQ_WINDOW,
+    EngineConfig, EngineInput, EngineOutput, EscrowEntry, EscrowState, GrantAck, GrantEscrow,
+    LocalDecider, NodeCtx, NodeEngine, NodeParams, PeerMsg, PeerTable, PowerGrant, PowerPool,
+    PowerRequest, SuspicionDigest, SuspicionEntry, TickAction, APPLIED_SEQ_WINDOW,
 };
 use penelope_testkit::prop::{self, vec_of};
 use penelope_testkit::TestRng;
@@ -180,7 +186,8 @@ fn the_escrow_answers_like_the_hashed_table_it_replaced() {
 }
 
 /// The requester's grant dedup as it was: a hash set of applied seqs under
-/// a floor that only a non-zero grant advances.
+/// a floor that only a non-zero grant advances — plus the one rule the set
+/// never needed: a grant for a seq not yet spent is discarded as stale.
 #[derive(Default)]
 struct HashedWindow {
     applied: HashSet<u64>,
@@ -192,7 +199,7 @@ struct HashedWindow {
 
 impl HashedWindow {
     fn on_grant(&mut self, seq: u64, amount: Power) {
-        if seq < self.floor {
+        if seq < self.floor || seq >= self.next_seq {
             self.stale_discards += 1;
             return;
         }
@@ -225,16 +232,22 @@ struct Requester {
 }
 
 impl Requester {
-    fn new() -> Self {
+    /// A requester whose seq namespace starts at `floor`, as a node reborn
+    /// at that watermark does.
+    fn new(floor: u64) -> Self {
         let params = NodeParams::default();
         let cfg = EngineConfig::new(params);
         let ctx = NodeCtx::new(NodeId::new(0), 4, cfg, SharedObserver::noop());
         Requester {
-            decider: LocalDecider::new(&ctx, w(150)),
+            decider: LocalDecider::new(&ctx, w(150)).with_seq_floor(floor),
             peers: PeerTable::new(&ctx),
             pool: PowerPool::new(params.pool),
             now: SimTime::ZERO,
-            oracle: HashedWindow::default(),
+            oracle: HashedWindow {
+                floor,
+                next_seq: floor,
+                ..HashedWindow::default()
+            },
             ctx,
         }
     }
@@ -262,11 +275,11 @@ impl Requester {
         seq
     }
 
-    fn grant(&mut self, seq: u64, amount: Power) {
-        let _ = self
-            .decider
-            .on_grant(&self.ctx, self.now, seq, amount, &mut self.pool);
+    /// Deliver a grant to both; returns what the decider applied.
+    fn grant(&mut self, seq: u64, amount: Power) -> Power {
         self.oracle.on_grant(seq, amount);
+        self.decider
+            .on_grant(&self.ctx, self.now, seq, amount, &mut self.pool)
     }
 
     fn agrees(&self, probe: u64, step: &str) {
@@ -290,19 +303,24 @@ impl Requester {
     }
 }
 
+/// Where a requester's seq namespace starts: a fresh node, and nodes
+/// reborn at watermarks on and around the window's width and far past it.
+const FLOORS: [u64; 7] = [0, 1, 63, 64, 65, 1_000, 1 << 40];
+
 #[test]
 fn the_applied_seq_window_dedups_like_the_hash_set_it_replaced() {
-    // (kind, x) steps over one requester: new requests, their grants (zero
-    // and not, in and out of order), redeliveries, seqs from far below the
-    // window, and runs of more than a window's worth of empty-handed
+    // (kind, x) steps over one requester reborn at one of `FLOORS`: new
+    // requests, their grants (zero and not, in and out of order),
+    // redeliveries, seqs from far below the window, grants for seqs not
+    // yet spent, and runs of more than a window's worth of empty-handed
     // replies — across which the floor must hold still.
-    let steps = vec_of((0u32..9, 0u64..200), 0..50);
+    let steps = (0..FLOORS.len(), vec_of((0u32..10, 0u64..200), 0..50));
     prop::check(
         "applied_seqs_vs_hash_set",
         prop::Config::with_cases(3_000),
         steps,
-        |steps| {
-            let mut r = Requester::new();
+        |(floor, steps)| {
+            let mut r = Requester::new(FLOORS[floor]);
             let mut paid: Vec<u64> = Vec::new();
             for (i, &(kind, x)) in steps.iter().enumerate() {
                 let step = format!("step {i} {:?}", steps[i]);
@@ -355,9 +373,146 @@ fn the_applied_seq_window_dedups_like_the_hash_set_it_replaced() {
                         paid.push(seq);
                         seq
                     }
+                    // A grant for a seq no request has carried yet: no
+                    // honest granter sends one. It is discarded, so it
+                    // neither pays nor marks the seq, and the real grant,
+                    // once the seq is spent, still applies.
+                    8 => {
+                        let seq = spent + x % 3;
+                        let amount = if x % 2 == 0 { w(4) } else { Power::ZERO };
+                        assert_eq!(r.grant(seq, amount), Power::ZERO, "{step}: unspent");
+                        assert!(!r.decider.is_applied_seq(seq), "{step}: unspent marked");
+                        seq
+                    }
                     _ => spent,
                 };
                 r.agrees(probe, &step);
+            }
+        },
+    );
+}
+
+#[test]
+fn an_engine_books_a_grant_for_an_unspent_seq_as_lost() {
+    // No honest granter answers a seq its requester has not spent, and
+    // the window cannot remember one. The engine discards it as it does a
+    // stale grant: the power is booked lost, nothing is resolved and no
+    // ack tells the granter it arrived. The real grant for that seq, once
+    // a request has carried it, applies as usual.
+    let mut engine = NodeEngine::new(
+        NodeId::new(0),
+        4,
+        EngineConfig::new(NodeParams::default()),
+        w(150),
+        SharedObserver::noop(),
+    );
+    let mut rng = TestRng::seed_from_u64(1);
+    let mut out = Vec::new();
+    let granter = NodeId::new(1);
+    let grant = |seq| EngineInput::Msg {
+        src: granter,
+        msg: PeerMsg::Grant(PowerGrant { amount: w(5), seq }, None),
+    };
+    let now = SimTime::from_secs(1);
+    engine.handle(now, grant(0), &mut rng, &mut out);
+    assert_eq!(out, [EngineOutput::PowerLost { amount: w(5) }]);
+    assert_eq!(engine.stats().stale_discards, 1);
+    assert_eq!(engine.cap(), w(150));
+
+    // Hungry with an empty pool: the tick spends seq 0.
+    out.clear();
+    let reading = NodeParams::default().safe_range.max();
+    engine.handle(now, EngineInput::Tick { reading }, &mut rng, &mut out);
+    let asked = out
+        .iter()
+        .any(|o| matches!(o, EngineOutput::Send { msg: PeerMsg::Request(r), .. } if r.seq == 0));
+    assert!(asked, "{out:?}");
+    out.clear();
+    engine.handle(now, grant(0), &mut rng, &mut out);
+    assert_eq!(
+        out,
+        [
+            EngineOutput::Actuate { cap: w(155) },
+            EngineOutput::Resolved {
+                seq: 0,
+                amount: w(5)
+            },
+            EngineOutput::Send {
+                dst: granter,
+                msg: PeerMsg::Ack(GrantAck { seq: 0 }, None),
+                carried: Power::ZERO,
+            },
+        ]
+    );
+    assert_eq!(engine.stats().granted, w(5));
+}
+
+/// Peers the acked-floor property draws from (node 0 is the table's own).
+const PEERS: u32 = 6;
+/// Seqs the acked-floor property acks and asks about.
+const ACKED_SEQS: u64 = 12;
+
+#[test]
+fn the_acked_floors_answer_like_the_hash_map_they_replaced() {
+    // (kind, peer, x) steps over one node's table: acks in and out of
+    // order, queries, and the liveness evidence that shares the table —
+    // timeouts (the third suspects), replies that clear them, digests
+    // that record incarnations and gossip suspicions — and rebirths.
+    let steps = vec_of((0u32..9, 1u32..PEERS, 0u64..ACKED_SEQS), 0..60);
+    prop::check(
+        "acked_floors_vs_hash_map",
+        prop::Config::with_cases(3_000),
+        steps,
+        |steps| {
+            let cfg = EngineConfig::new(NodeParams::default());
+            let ctx = NodeCtx::new(NodeId::new(0), 8, cfg, SharedObserver::noop());
+            let mut table = PeerTable::new(&ctx);
+            let mut oracle: HashMap<NodeId, u64> = HashMap::new();
+            let mut now = SimTime::ZERO;
+            for (i, &(kind, peer, x)) in steps.iter().enumerate() {
+                let step = format!("step {i} {:?}", steps[i]);
+                let peer = NodeId::new(peer);
+                match kind {
+                    0 | 1 => {
+                        table.note_ack(peer, x);
+                        let next = oracle.entry(peer).or_default();
+                        *next = (*next).max(x + 1);
+                    }
+                    2 => assert_eq!(
+                        table.already_acked(peer, x),
+                        oracle.get(&peer).is_some_and(|&next| x < next),
+                        "{step}"
+                    ),
+                    3 | 4 => table.note_timeout(&ctx, now, peer),
+                    5 => table.note_reply(&ctx, now, peer),
+                    6 => {
+                        // From `peer`: its incarnation, and suspicions of
+                        // the peers after it.
+                        let entries = (peer.raw() + 1..PEERS)
+                            .take(x as usize % 3)
+                            .map(|p| SuspicionEntry {
+                                peer: NodeId::new(p),
+                                incarnation: x % 2,
+                            })
+                            .collect();
+                        let digest = SuspicionDigest {
+                            incarnation: x % 4,
+                            entries,
+                        };
+                        table.merge_digest(&ctx, now, peer, &digest);
+                    }
+                    7 if x == 0 => {
+                        table.reset();
+                        oracle.clear();
+                    }
+                    _ => now += SimDuration::from_secs(x),
+                }
+                for p in (0..PEERS).map(NodeId::new) {
+                    for seq in 0..=ACKED_SEQS {
+                        let acked = oracle.get(&p).is_some_and(|&next| seq < next);
+                        assert_eq!(table.already_acked(p, seq), acked, "{step}: {p:?} {seq}");
+                    }
+                }
             }
         },
     );

@@ -121,10 +121,11 @@ fn steady_state_inner_loop_does_not_allocate() {
     // 30 simulated seconds ≈ 16 nodes × 60 ticks plus the full message
     // and service-event traffic between them — thousands of events. A
     // per-event allocation anywhere in the loop would cost thousands
-    // here; the budget leaves room only for the engines' own tables
-    // reaching a new high-water mark.
+    // here; the budget is what the window measures (4; 16 while the
+    // decider's applied seqs were a `Vec` that grew in the window), room
+    // only for the engines' own tables reaching a new high-water mark.
     assert!(
-        delta <= 32,
+        delta <= 4,
         "steady-state window performed {delta} heap allocations; \
          the inner loop is supposed to be allocation-free per event \
          (reused output buffers, slab-recycled events, boxless messages)"

@@ -43,7 +43,7 @@ const DENIED: &[&str] = &[
     "GrantEscrow",
     "observe_digest",
     "is_stale_grant",
-    "applied_seqs",
+    "applied_window",
     // Only `NodeEngine::step` constructs the feedback for a sent grant
     // (but see `LATE_VERDICT`).
     "GrantOutcome",
@@ -1595,5 +1595,5 @@ fn identifier_matching_respects_word_boundaries() {
         "pre_observe_digest_hook()",
         "observe_digest"
     ));
-    assert!(contains_identifier("applied_seqs", "applied_seqs"));
+    assert!(contains_identifier("applied_window", "applied_window"));
 }
