@@ -31,7 +31,7 @@ use penelope_units::{NodeId, Power, SimTime};
 use penelope_workload::WorkloadState;
 
 use crate::config::{DaemonConfig, PowerBackend};
-use crate::reactor::{Plant, Reactor};
+use crate::reactor::{Plant, Reactor, Tx};
 
 /// One status sample, emitted every `status_every` iterations.
 #[derive(Clone, Copy, Debug)]
@@ -222,14 +222,8 @@ pub(crate) fn build_reactor(
     // The node's own stream, fixed by its id: a restarted daemon draws
     // what its first incarnation drew, whatever port it binds.
     let rng = TestRng::seed_from_u64(node_seed(DAEMON_SEED, me.raw().into()));
-    let mut reactor = Reactor::new(
-        vec![engine],
-        vec![rng],
-        plant,
-        Arc::clone(&socket),
-        socket,
-        addrs,
-    );
+    let tx = Tx::direct(Arc::clone(&socket));
+    let mut reactor = Reactor::new(vec![engine], vec![rng], plant, tx, socket, addrs);
     let period = cfg.node.decider.period.as_nanos().max(1);
     reactor.trace = Stamper::new(obs, cfg.node.decider.period);
     reactor.follow_senders = true;

@@ -7,7 +7,7 @@
 //! ```
 //!
 //! Every packet names its source and destination, and one loop forwards by
-//! header: [`Reactor::dispatch`] turns a received frame into an
+//! header: [`Reactor::pump`] turns a received frame into an
 //! [`EngineInput::Msg`] for the engine `dst` names, and [`Reactor::drive`]
 //! steps that engine with the reactor's [`Effects`] — sends go to the
 //! address the `NodeId → SocketAddr` table holds for their destination,
@@ -36,29 +36,34 @@
 //!
 //! # Flushing
 //!
-//! The `tx` socket may hold frames back to share a datagram
-//! (`penelope_net::CoalescingSocket`, which the multiplexer wears; a
-//! plain socket holds nothing and every step below is a no-op on it).
-//! [`Reactor::pump`] flushes `tx` only when `rx` has no unpacked frame
-//! left to hand up: flushing before every receive would put one frame in
-//! each datagram, and never flushing would wait for frames that are still
-//! in this process. A frame counts as sent — `frames_sent`, `MsgSent`, a
-//! grant escrowed as awaiting its ack, a request's round trip stamped —
-//! when `tx` takes it; the kernel's verdict comes with the flush. Until
-//! then the reactor keeps the frame's addressing and, for a non-zero
-//! grant, its escrow key. A flush that fails names how many of the latest
-//! frames went down with it ([`Reactor::flush`]): each moves from
-//! `frames_sent` to `send_failed`, emits `SendFailed`, and a grant among
-//! them is fed back to its granter as not delivered, so the amount is
-//! reclaimed at the deadline like any other send the reactor knows failed.
+//! Frames leave one of two ways ([`Tx`]): each its own datagram, straight
+//! to the socket (a per-node daemon, whose peers read raw frames), or as
+//! records of the reactor's own [`Outbox`] (the multiplexer, whose
+//! [`Inbox`] unpacks them on the other end). The codec is plain state the
+//! reactor owns, so a frame costs no lock and no dynamic call; only a
+//! datagram reaches the socket. On the direct path every step below is a
+//! no-op. [`Reactor::pump`] flushes the outbox only when the inbox has no
+//! unpacked frame left to hand up: flushing before every receive would put
+//! one frame in each datagram, and never flushing would wait for frames
+//! that are still in this process. A frame counts as sent —
+//! `frames_sent`, `MsgSent`, a grant escrowed as awaiting its ack, a
+//! request's round trip stamped — when the outbox takes it; the kernel's
+//! verdict comes with the flush. Until then the reactor keeps the frame's
+//! addressing and, for a non-zero grant, its escrow key. A flush that
+//! fails names how many of the latest frames went down with it
+//! ([`Reactor::flush`]): each moves from `frames_sent` to `send_failed`,
+//! emits `SendFailed`, and a grant among them is fed back to its granter
+//! as not delivered, so the amount is reclaimed at the deadline like any
+//! other send the reactor knows failed.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Instant;
 
 use penelope_core::{Effects, EngineInput, EngineOutput, NodeEngine, PeerMsg};
-use penelope_net::shim::{frame_endpoints, DatagramSocket, SendStatus, FRAME_HDR};
+use penelope_net::shim::{frame_endpoints, DatagramSocket, Inbox, Outbox, SendStatus, FRAME_HDR};
 use penelope_power::{CappedDevice, LinuxRapl, PowerInterface, SimulatedRapl};
 use penelope_testkit::rng::TestRng;
 use penelope_trace::{EventKind, SharedObserver, Stamper};
@@ -66,9 +71,11 @@ use penelope_units::{NodeId, Power, SimDuration, SimTime};
 
 use crate::wire::{WireMsg, MAX_WIRE_LEN};
 
-/// Encode one frame, header plus wire message, over whatever `buf` held.
+/// The longest frame the reactor sends.
+pub(crate) const MAX_FRAME: usize = FRAME_HDR + MAX_WIRE_LEN;
+
+/// Append one frame, header plus wire message, to `buf`.
 pub(crate) fn frame_into(buf: &mut Vec<u8>, dst: NodeId, src: NodeId, msg: &WireMsg) {
-    buf.clear();
     buf.extend_from_slice(&dst.raw().to_le_bytes());
     buf.extend_from_slice(&src.raw().to_le_bytes());
     msg.encode_into(buf);
@@ -114,10 +121,61 @@ impl Plant {
 /// handed to `tx` to the engine's [`EngineOutput::Resolved`].
 #[derive(Default)]
 pub(crate) struct RttLedger {
-    /// Send stamp per open request, keyed (requester, seq).
-    pending: HashMap<(u32, u64), Instant>,
+    /// Send stamp per open request, keyed (requester, seq). A retransmit
+    /// reuses its seq and re-stamps it; a stamp whose request was
+    /// abandoned stays until a late grant closes it.
+    pending: HashMap<(u32, u64), Instant, BuildHasherDefault<OwnKeyHasher>>,
     /// Completed round trips, nanoseconds, unsorted.
     pub(crate) samples_ns: Vec<u64>,
+}
+
+impl RttLedger {
+    /// Open (or restart) `node`'s round trip for `seq` at `at`.
+    fn stamp(&mut self, node: u32, seq: u64, at: Instant) {
+        self.pending.insert((node, seq), at);
+    }
+
+    /// Close `node`'s round trip for `seq` at `at()`, if one is open.
+    fn resolve(&mut self, node: u32, seq: u64, at: impl FnOnce() -> Instant) {
+        if let Some(t0) = self.pending.remove(&(node, seq)) {
+            let ns = at().saturating_duration_since(t0).as_nanos();
+            self.samples_ns.push(ns.min(u64::MAX as u128) as u64);
+        }
+    }
+}
+
+/// A multiply-rotate hash (the Fx hash) for keys this process made
+/// itself: a node id and a sequence number are not a peer's input, so
+/// they need no defence against chosen collisions, and SipHash's rounds
+/// are pure cost on them.
+#[derive(Default)]
+struct OwnKeyHasher(u64);
+
+impl OwnKeyHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for OwnKeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.add(u64::from(b)));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    /// A product's high bits are its best mixed; the rotate moves them
+    /// into the low bits the table picks buckets by, and its middle bits
+    /// into the top seven it tags entries with.
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
 }
 
 /// What the reactor did, for the two summaries.
@@ -132,8 +190,8 @@ pub(crate) struct Counters {
     pub(crate) injected_drops: u64,
     /// Frames behind an OS-level send error, at the send or at the flush.
     pub(crate) send_failed: u64,
-    /// Datagrams received and refused: undecodable, or naming an engine
-    /// not hosted here or a sender not in the address table.
+    /// Frames received and refused: undecodable, or naming an engine not
+    /// hosted here or a sender not in the address table.
     pub(crate) rejected: u64,
     /// Engine inputs driven.
     pub(crate) events: u64,
@@ -141,13 +199,34 @@ pub(crate) struct Counters {
     pub(crate) lost: Power,
 }
 
-/// A frame `tx` took and may still hold: what [`Reactor::flush`] needs to
-/// take it back.
+/// A frame the outbox took and may still hold: what [`Reactor::flush`] needs
+/// to take it back.
 struct Unflushed {
     src: NodeId,
     dst: NodeId,
     /// Escrow key and amount, for a non-zero grant.
     grant: Option<(u64, Power)>,
+}
+
+/// Where the reactor's frames leave.
+pub(crate) enum Tx {
+    /// Each frame its own datagram, encoded in `frame` and sent at once.
+    Direct {
+        socket: Arc<dyn DatagramSocket>,
+        frame: Vec<u8>,
+    },
+    /// Frames packed as records, to be unpacked by an [`Inbox::records`].
+    Coalesced(Outbox),
+}
+
+impl Tx {
+    /// One frame per datagram on `socket`.
+    pub(crate) fn direct(socket: Arc<dyn DatagramSocket>) -> Self {
+        Tx::Direct {
+            socket,
+            frame: Vec::with_capacity(MAX_FRAME),
+        }
+    }
 }
 
 /// The reactor state: engines with consecutive ids, their random streams
@@ -156,8 +235,11 @@ pub(crate) struct Reactor {
     pub(crate) engines: Vec<NodeEngine>,
     rngs: Vec<TestRng>,
     pub(crate) plant: Plant,
-    tx: Arc<dyn DatagramSocket>,
+    tx: Tx,
     rx: Arc<dyn DatagramSocket>,
+    /// What `rx` delivered and the reactor has not dispatched yet: records
+    /// when `tx` coalesces, raw frames when it does not.
+    inbox: Inbox,
     /// Where frames for node `j` are sent, indexed by node id.
     addrs: Vec<SocketAddr>,
     /// Point a sender's table entry at the address its latest frame came
@@ -171,9 +253,7 @@ pub(crate) struct Reactor {
     pub(crate) rtt: Option<RttLedger>,
     /// Reusable engine-output buffer for [`Reactor::drive`].
     scratch: Vec<EngineOutput>,
-    /// Reusable frame buffer for [`ReactorFx::send`].
-    frame: Vec<u8>,
-    /// Frames handed to `tx` since its last flush, oldest first.
+    /// Frames the outbox took since its last flush, oldest first.
     unflushed: Vec<Unflushed>,
     pub(crate) counters: Counters,
 }
@@ -186,24 +266,37 @@ impl Reactor {
         engines: Vec<NodeEngine>,
         rngs: Vec<TestRng>,
         plant: Plant,
-        tx: Arc<dyn DatagramSocket>,
+        tx: Tx,
         rx: Arc<dyn DatagramSocket>,
         addrs: Vec<SocketAddr>,
     ) -> Self {
+        let inbox = match tx {
+            Tx::Direct { .. } => Inbox::raw(MAX_FRAME),
+            Tx::Coalesced(_) => Inbox::records(),
+        };
         Reactor {
             engines,
             rngs,
             plant,
             tx,
             rx,
+            inbox,
             addrs,
             follow_senders: false,
             trace: Stamper::new(SharedObserver::noop(), SimDuration::ZERO),
             rtt: None,
             scratch: Vec::new(),
-            frame: Vec::with_capacity(FRAME_HDR + MAX_WIRE_LEN),
             unflushed: Vec::new(),
             counters: Counters::default(),
+        }
+    }
+
+    /// Datagrams the outbox has handed to the kernel (none on the direct
+    /// path, which does not count them).
+    pub(crate) fn datagrams_sent(&self) -> u64 {
+        match &self.tx {
+            Tx::Direct { .. } => 0,
+            Tx::Coalesced(outbox) => outbox.datagrams_sent(),
         }
     }
 
@@ -217,11 +310,10 @@ impl Reactor {
             me: self.engines[i].id(),
             now,
             plant: &mut self.plant,
-            tx: &*self.tx,
+            tx: &mut self.tx,
             addrs: &self.addrs,
             trace: &self.trace,
             rtt: &mut self.rtt,
-            frame: &mut self.frame,
             unflushed: &mut self.unflushed,
             counters: &mut self.counters,
         };
@@ -243,15 +335,22 @@ impl Reactor {
         reading
     }
 
-    /// Dispatch one datagram received from `from` to the engine its
-    /// header names, or count it as rejected.
+    /// Dispatch one frame received from `from` to the engine its header
+    /// names, or count it as rejected.
+    #[cfg(test)]
     pub(crate) fn dispatch(&mut self, buf: &[u8], from: SocketAddr, now: SimTime) {
-        let first = self.engines[0].id().index();
-        let accepted = deframe(buf).and_then(|(dst, src, msg)| {
-            let i = dst.index().checked_sub(first)?;
-            (i < self.engines.len() && src != dst && src.index() < self.addrs.len())
-                .then_some((i, src, msg))
-        });
+        let accepted = accept(
+            buf,
+            self.engines[0].id(),
+            self.engines.len(),
+            self.addrs.len(),
+        );
+        self.deliver(accepted, from, now);
+    }
+
+    /// Drive the frame [`accept`] decoded into its engine, or count a
+    /// refused one.
+    fn deliver(&mut self, accepted: Option<Accepted>, from: SocketAddr, now: SimTime) {
         let Some((i, src, msg)) = accepted else {
             self.counters.rejected += 1;
             return;
@@ -271,13 +370,16 @@ impl Reactor {
         self.drive(i, now, EngineInput::Msg { src, msg });
     }
 
-    /// Push every frame `tx` still holds into the kernel. If it refuses,
+    /// Push every frame the outbox holds into the kernel. If it refuses,
     /// the frames the error names never left: count them as failed sends
     /// at `clock()`, and tell each granter among them that its grant was
     /// not delivered (the escrow entry turns from awaiting-ack to
     /// undelivered and is reclaimed at its deadline).
     pub(crate) fn flush(&mut self, clock: impl FnOnce() -> SimTime) {
-        let Err(e) = self.tx.flush() else {
+        let Tx::Coalesced(outbox) = &mut self.tx else {
+            return;
+        };
+        let Err(e) = outbox.flush() else {
             self.unflushed.clear();
             return;
         };
@@ -302,24 +404,39 @@ impl Reactor {
         }
     }
 
-    /// Receive one frame — waiting up to the `rx` socket's read timeout,
-    /// or not at all if it is non-blocking — and dispatch it at `clock()`,
-    /// read once it has arrived. `false` when nothing came. Frames held in
-    /// `tx` are flushed first, unless `rx` still has one to hand up
-    /// without asking the kernel.
+    /// Dispatch one frame at `clock()`, read once it is in hand: the next
+    /// one the inbox holds, or — once it holds none, and the outbox is
+    /// flushed — the first of a datagram from `rx`, waiting up to its read
+    /// timeout, or not at all if it is non-blocking. `false` when nothing
+    /// came.
     pub(crate) fn pump(&mut self, clock: impl Fn() -> SimTime) -> bool {
-        if !self.rx.recv_buffered() {
+        if self.inbox.is_empty() {
             self.flush(&clock);
-        }
-        let mut buf = [0u8; FRAME_HDR + MAX_WIRE_LEN];
-        match self.rx.recv_from(&mut buf) {
-            Ok((len, from)) => {
-                self.dispatch(&buf[..len], from, clock());
-                true
+            if self.inbox.recv(&*self.rx).is_err() {
+                return false;
             }
-            Err(_) => false,
         }
+        let first = self.engines[0].id();
+        let (engines, addrs) = (self.engines.len(), self.addrs.len());
+        let Some((frame, from)) = self.inbox.next_frame() else {
+            return false;
+        };
+        let accepted = accept(frame, first, engines, addrs);
+        self.deliver(accepted, from, clock());
+        true
     }
+}
+
+/// A frame for a hosted engine: its index, the sender and the message.
+type Accepted = (usize, NodeId, WireMsg);
+
+/// Decode `frame` for the engines from `first` on, `engines` of them, in a
+/// table of `addrs` nodes: `None` for garbage, an engine not hosted here,
+/// a sender outside the table or a frame to itself.
+fn accept(frame: &[u8], first: NodeId, engines: usize, addrs: usize) -> Option<Accepted> {
+    let (dst, src, msg) = deframe(frame)?;
+    let i = dst.index().checked_sub(first.index())?;
+    (i < engines && src != dst && src.index() < addrs).then_some((i, src, msg))
 }
 
 /// The reactor's side of one engine step for node `me`, engine `i`.
@@ -328,11 +445,10 @@ struct ReactorFx<'a> {
     me: NodeId,
     now: SimTime,
     plant: &'a mut Plant,
-    tx: &'a dyn DatagramSocket,
+    tx: &'a mut Tx,
     addrs: &'a [SocketAddr],
     trace: &'a Stamper,
     rtt: &'a mut Option<RttLedger>,
-    frame: &'a mut Vec<u8>,
     unflushed: &'a mut Vec<Unflushed>,
     counters: &'a mut Counters,
 }
@@ -342,7 +458,7 @@ impl Effects<TestRng> for ReactorFx<'_> {
     /// follows the shim's knowledge: only a frame `tx` took counts as
     /// carried, so a grant behind a known drop (or a failed send) stays
     /// escrowed as undelivered and is reclaimed at the deadline. A frame
-    /// `tx` took is remembered until the flush that settles it.
+    /// the outbox took is remembered until the flush that settles it.
     fn send(
         &mut self,
         _: &mut TestRng,
@@ -356,25 +472,38 @@ impl Effects<TestRng> for ReactorFx<'_> {
             // flush and the full kernel round trip. A dropped request
             // still opens the engine's wait window — its stamp dies
             // unresolved, like the timeout it causes.
-            rtt.pending.insert((self.me.raw(), req.seq), Instant::now());
+            rtt.stamp(self.me.raw(), req.seq, Instant::now());
         }
         let wire = WireMsg::from_peer(msg);
-        frame_into(self.frame, dst, self.me, &wire);
-        let status = match self.addrs.get(dst.index()) {
-            Some(addr) => self.tx.send_to(self.frame, *addr).ok(),
-            None => None,
+        let me = self.me;
+        let status = match (self.addrs.get(dst.index()), &mut *self.tx) {
+            (None, _) => None,
+            (Some(&addr), Tx::Direct { socket, frame }) => {
+                frame.clear();
+                frame_into(frame, dst, me, &wire);
+                socket.send_to(frame, addr).ok()
+            }
+            (Some(&addr), Tx::Coalesced(outbox)) => {
+                let status = outbox.send(addr, |buf| frame_into(buf, dst, me, &wire));
+                status.ok()
+            }
         };
         let kind = match (status, &wire) {
             (Some(SendStatus::Sent), _) => {
                 self.counters.frames_sent += 1;
-                let grant = match &wire {
-                    WireMsg::Grant { seq, amount, .. } if !amount.is_zero() => {
-                        Some((*seq, *amount))
-                    }
-                    _ => None,
-                };
-                let src = self.me;
-                self.unflushed.push(Unflushed { src, dst, grant });
+                if let Tx::Coalesced(_) = self.tx {
+                    let grant = match &wire {
+                        WireMsg::Grant { seq, amount, .. } if !amount.is_zero() => {
+                            Some((*seq, *amount))
+                        }
+                        _ => None,
+                    };
+                    self.unflushed.push(Unflushed {
+                        src: me,
+                        dst,
+                        grant,
+                    });
+                }
                 EventKind::MsgSent { dst, carried }
             }
             // A dropped ack conserves power (the amount already landed in
@@ -411,10 +540,7 @@ impl Effects<TestRng> for ReactorFx<'_> {
 
     fn resolved(&mut self, seq: u64, _amount: Power) {
         if let Some(rtt) = self.rtt {
-            if let Some(t0) = rtt.pending.remove(&(self.me.raw(), seq)) {
-                let ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                rtt.samples_ns.push(ns);
-            }
+            rtt.resolve(self.me.raw(), seq, Instant::now);
         }
     }
 }
@@ -425,12 +551,10 @@ mod tests {
     use crate::daemon::build_reactor;
     use crate::multiplex::Mux;
     use crate::{DaemonConfig, MuxConfig};
-    use penelope_net::shim::FlushError;
     use penelope_units::SimDuration;
     use std::io;
     use std::net::UdpSocket;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Mutex;
     use std::time::Duration;
 
     fn frame(dst: NodeId, src: NodeId, msg: &WireMsg) -> Vec<u8> {
@@ -462,6 +586,66 @@ mod tests {
 
     fn w(x: u64) -> Power {
         Power::from_watts_u64(x)
+    }
+
+    /// The ledger's own hash table answers exactly like the SipHash map it
+    /// replaced: the same samples in the same order, and the same stamps
+    /// left open. Keys come from a few nodes and seqs (so stamps collide,
+    /// retransmits re-stamp and grants arrive for seqs never stamped) and
+    /// from the ends of both ranges.
+    #[test]
+    fn the_rtt_ledger_answers_like_a_hash_map() {
+        use penelope_testkit::prop::{self, one_of, vec_of};
+        let nodes = one_of(vec![0u32, 1, 2, 3, 4_099, u32::MAX]);
+        let seqs = one_of(vec![0u64, 1, 2, 3, 4, 1 << 40, u64::MAX]);
+        prop::check(
+            "rtt ledger vs HashMap",
+            prop::Config::with_cases(512),
+            vec_of((prop::any_bool(), nodes, seqs, 0u64..1_000), 0..300),
+            |ops| {
+                let mut at = Instant::now();
+                let mut ledger = RttLedger::default();
+                let mut oracle: HashMap<(u32, u64), Instant> = HashMap::new();
+                let mut samples = Vec::new();
+                for (stamp, node, seq, gap_ns) in ops {
+                    at += Duration::from_nanos(gap_ns);
+                    if stamp {
+                        ledger.stamp(node, seq, at);
+                        oracle.insert((node, seq), at);
+                    } else {
+                        ledger.resolve(node, seq, || at);
+                        if let Some(t0) = oracle.remove(&(node, seq)) {
+                            samples.push((at - t0).as_nanos() as u64);
+                        }
+                    }
+                }
+                assert_eq!(ledger.samples_ns, samples);
+                let mut open: Vec<_> = ledger.pending.into_iter().collect();
+                let mut expected: Vec<_> = oracle.into_iter().collect();
+                open.sort();
+                expected.sort();
+                assert_eq!(open, expected);
+            },
+        );
+    }
+
+    /// The three ways a round trip's stamp is reused or outlived: a
+    /// retransmit re-stamps its seq, a grant for a seq never stamped adds
+    /// nothing, and a late grant for an abandoned seq still closes it.
+    #[test]
+    fn the_rtt_ledger_restamps_and_closes_abandoned_seqs() {
+        let t0 = Instant::now();
+        let at = |us: u64| t0 + Duration::from_micros(us);
+        let mut ledger = RttLedger::default();
+        ledger.stamp(7, 1, at(0));
+        ledger.stamp(7, 1, at(20)); // the retransmit
+        ledger.resolve(7, 9, || at(25)); // never stamped
+        ledger.stamp(7, 2, at(40)); // seq 1 abandoned
+        ledger.resolve(7, 2, || at(45));
+        ledger.resolve(7, 1, || at(70)); // its late grant
+        ledger.resolve(7, 1, || at(90)); // a duplicate of it
+        assert_eq!(ledger.samples_ns, [5_000, 50_000]);
+        assert!(ledger.pending.is_empty());
     }
 
     /// The next frame on `socket`, or `None` if nothing is queued.
@@ -540,27 +724,30 @@ mod tests {
         assert_eq!(reactor.counters.rejected, 0);
     }
 
-    /// A `tx` layer that holds frames like the coalescing socket does and
-    /// has the kernel refuse the first `refusals` batches that carry a
-    /// non-zero grant.
+    /// A `tx` socket under the outbox whose kernel refuses the first
+    /// `refusals` datagrams that carry a non-zero grant.
     struct RefusedFlushes {
         inner: Arc<dyn DatagramSocket>,
-        held: Mutex<Vec<(Vec<u8>, SocketAddr)>>,
         refusals: AtomicU64,
         grants_lost: AtomicU64,
     }
 
+    /// The frames of a coalesced datagram, `[len: u16 LE][frame]` each.
+    fn records(mut datagram: &[u8]) -> Vec<&[u8]> {
+        let mut frames = Vec::new();
+        while let Some((len, rest)) = datagram.split_first_chunk::<2>() {
+            let (frame, tail) = rest.split_at(usize::from(u16::from_le_bytes(*len)));
+            frames.push(frame);
+            datagram = tail;
+        }
+        frames
+    }
+
     impl DatagramSocket for RefusedFlushes {
         fn send_to(&self, buf: &[u8], dst: SocketAddr) -> io::Result<SendStatus> {
-            self.held.lock().unwrap().push((buf.to_vec(), dst));
-            Ok(SendStatus::Sent)
-        }
-
-        fn flush(&self) -> Result<(), FlushError> {
-            let held = std::mem::take(&mut *self.held.lock().unwrap());
-            let grants = held
-                .iter()
-                .filter(|(frame, _)| match deframe(frame) {
+            let grants = records(buf)
+                .into_iter()
+                .filter(|frame| match deframe(frame) {
                     Some((_, _, WireMsg::Grant { amount, .. })) => !amount.is_zero(),
                     _ => false,
                 })
@@ -568,15 +755,9 @@ mod tests {
             if grants > 0 && self.refusals.load(Ordering::Relaxed) > 0 {
                 self.refusals.fetch_sub(1, Ordering::Relaxed);
                 self.grants_lost.fetch_add(grants, Ordering::Relaxed);
-                return Err(FlushError {
-                    lost: held.len(),
-                    source: io::ErrorKind::ConnectionRefused.into(),
-                });
+                return Err(io::ErrorKind::ConnectionRefused.into());
             }
-            for (frame, dst) in held {
-                self.inner.send_to(&frame, dst).expect("loopback send");
-            }
-            self.inner.flush()
+            self.inner.send_to(buf, dst)
         }
 
         fn recv_from(&self, buf: &mut [u8]) -> io::Result<(usize, SocketAddr)> {
@@ -605,7 +786,6 @@ mod tests {
         let (mux, _) = Mux::bind(&cfg, |inner| {
             let tx = Arc::new(RefusedFlushes {
                 inner,
-                held: Mutex::new(Vec::new()),
                 refusals: AtomicU64::new(3),
                 grants_lost: AtomicU64::new(0),
             });

@@ -35,16 +35,6 @@ impl LatencyModel {
             }
         }
     }
-
-    /// Mean latency of the model (for analytic extrapolations).
-    pub fn mean(&self) -> SimDuration {
-        match *self {
-            LatencyModel::Constant(d) => d,
-            LatencyModel::Uniform { lo, hi } => {
-                SimDuration::from_nanos((lo.as_nanos() + hi.as_nanos()) / 2)
-            }
-        }
-    }
 }
 
 impl Default for LatencyModel {
@@ -68,7 +58,6 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(m.sample(&mut rng), SimDuration::from_micros(50));
         }
-        assert_eq!(m.mean(), SimDuration::from_micros(50));
     }
 
     #[test]
@@ -81,7 +70,6 @@ mod tests {
             let s = m.sample(&mut rng);
             assert!(s >= lo && s <= hi);
         }
-        assert_eq!(m.mean(), SimDuration::from_micros(55));
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //!   the daemon: it wraps a UDP socket in a [`DatagramSocket`] trait with the
 //!   same fault plane plus what only a wire adds, duplication and delay
 //!   ([`FaultySocket`]), so the daemon's conformance runs meet loss and
-//!   partitions on actual datagrams, and a batching decorator
-//!   ([`CoalescingSocket`]) that packs many small payloads into one.
+//!   partitions on actual datagrams, and the coalescing codec
+//!   ([`shim::Outbox`], [`shim::Inbox`]) that packs many small frames
+//!   into one datagram for the one owner that drives it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,8 +32,6 @@ pub mod stats;
 pub use envelope::Envelope;
 pub use fault::FaultPlane;
 pub use latency::LatencyModel;
-pub use shim::{
-    CoalescingSocket, DatagramSocket, FaultConfig, FaultySocket, FlushError, SendStatus,
-};
+pub use shim::{DatagramSocket, FaultConfig, FaultySocket, FlushError, SendStatus};
 pub use simnet::{RouteOutcome, SimNet};
 pub use stats::NetStats;

@@ -4,44 +4,48 @@
 //! loopback socket never drops, delays, or reorders anything — so until
 //! this module existed, every "lossy" daemon run was silently lossless.
 //! [`DatagramSocket`] abstracts the socket operations the daemon uses
-//! (send, flush, receive, local address, non-blocking mode);
-//! [`UdpSocket`] implements it as a passthrough, and two decorators
-//! compose over it. [`FaultySocket`] holds a [`FaultPlane`] — the one the
-//! simulator routes through — and adds what only a wire
-//! can: seeded per-direction duplication and latency, so conformance runs
-//! exercise partitions, loss and the escrow/ack machinery on real
-//! datagrams. [`CoalescingSocket`] packs
-//! consecutive payloads for one destination into one datagram and
-//! unpacks them on receive, so a process that sends many small payloads
-//! to the same socket pays the kernel once per batch instead of twice
-//! per payload.
+//! (send, receive, local address, non-blocking mode); [`UdpSocket`]
+//! implements it as a passthrough, and [`FaultySocket`] composes over it:
+//! it holds a [`FaultPlane`] — the one the simulator routes through — and
+//! adds what only a wire can: seeded per-direction duplication and
+//! latency, so conformance runs exercise partitions, loss and the
+//! escrow/ack machinery on real datagrams.
 //!
 //! # Coalesced datagrams
 //!
 //! ```text
-//! datagram: ([len: u16 LE][payload: len bytes])+     ≤ 1 472 bytes
+//! datagram: ([len: u16 LE][frame: len bytes])+     ≤ 8 192 bytes
 //! ```
 //!
-//! A [`CoalescingSocket`] holds accepted payloads back until the next one
-//! would not fit in `MAX_DATAGRAM` bytes, the destination changes, or
-//! the caller asks for [`DatagramSocket::flush`]; the receiving side hands
-//! the records up one `recv_from` at a time, in order, and
-//! [`DatagramSocket::recv_buffered`] says whether one is still waiting. A
-//! record has at least one payload byte. Whatever follows the last whole
-//! record — a length that overruns the datagram, a zero length, a lone
-//! trailing byte, or an empty datagram — is handed up once as an empty
-//! payload, which no frame decoder accepts, so a hostile datagram costs
-//! its receiver one counted rejection and never a panic or a loop.
-//! Composed *under* a [`FaultySocket`] ([`FaultySocket::over`]), every
-//! payload still draws its own fate; only the survivors share datagrams.
+//! A process that sends many small frames to one socket of its own can
+//! pay the kernel once per batch instead of twice per frame. The two
+//! halves of that codec are plain state their one owner drives through
+//! `&mut`, with no lock: an [`Outbox`] appends each frame as a record,
+//! encoded in place, and holds the records back until the next one would
+//! not fit in `MAX_DATAGRAM` bytes, the destination changes, or its owner
+//! calls [`Outbox::flush`]; an [`Inbox`] takes one datagram from the
+//! kernel and hands its records up one at a time, in order and in place,
+//! and [`Inbox::is_empty`] says whether one is still waiting. The cap
+//! holds an in-flight window of frames rather than one Ethernet payload:
+//! both ends are one process's own sockets on loopback. A record has at
+//! least one frame byte. Whatever follows the last whole record — a
+//! length that overruns the datagram, a zero length, a lone trailing
+//! byte, or an empty datagram — is handed up once as an empty frame,
+//! which no frame decoder accepts, so a hostile datagram costs its
+//! receiver one counted rejection and never a panic or a loop. A frame
+//! is at most `MAX_RECORD` bytes, so a frame and its duplicate always
+//! share one datagram. An outbox may hold a [`FaultySocket`]
+//! ([`Outbox::faulty`]): every frame then draws its own fate before it is
+//! batched, only the survivors share datagrams, and they leave through the
+//! socket the fault plane wraps, as its delayed copies do.
 //!
-//! The kernel's verdict on a coalesced payload arrives at flush time, not
-//! at `send_to`. An implicit flush that fails loses nothing: the batch is
-//! kept and the payload that needed the room is refused with the error.
-//! An explicit [`flush`](DatagramSocket::flush) that fails discards the
-//! batch and says how many payloads went with it ([`FlushError::lost`]) —
-//! always the most recently accepted ones, which is what lets a caller
-//! keeping its own list of accepted payloads name them.
+//! The kernel's verdict on a coalesced frame arrives at flush time, not
+//! at [`Outbox::send`]. An implicit flush that fails loses nothing: the
+//! batch is kept and the frame that needed the room is refused with the
+//! error. An explicit [`Outbox::flush`] that fails discards the batch and
+//! says how many frames went with it ([`FlushError::lost`]) — always the
+//! most recently accepted ones, which is what lets a caller keeping its
+//! own list of accepted frames name them.
 //!
 //! # Who owns the fault randomness
 //!
@@ -107,11 +111,11 @@ pub enum SendStatus {
     Dropped,
 }
 
-/// A [`DatagramSocket::flush`] the network refused.
+/// An [`Outbox::flush`] the network refused.
 #[derive(Debug)]
 pub struct FlushError {
-    /// How many accepted payloads never left: always the `lost` most
-    /// recently accepted ones. Zero when the socket cannot tell which.
+    /// How many accepted frames never left: always the `lost` most
+    /// recently accepted ones. Zero when the outbox cannot tell which.
     pub lost: usize,
     /// The OS error behind it.
     pub source: io::Error,
@@ -120,28 +124,14 @@ pub struct FlushError {
 /// The socket surface the daemon runtime needs, abstracted so a
 /// deterministic fault plane can sit between the protocol and the OS.
 pub trait DatagramSocket: Send + Sync {
-    /// Send one payload to `dst`. `Ok(SendStatus::Dropped)` means the
+    /// Send one datagram to `dst`. `Ok(SendStatus::Dropped)` means the
     /// fault plane consumed it — an injected drop, not an OS error. An
-    /// `Err` means this payload was not taken, and says nothing about
-    /// earlier ones.
+    /// `Err` means this datagram was not taken.
     fn send_to(&self, buf: &[u8], dst: SocketAddr) -> io::Result<SendStatus>;
 
-    /// Hand every payload `send_to` accepted and still holds to the
-    /// network. A socket that sends each payload as it comes holds
-    /// nothing, which is the default.
-    fn flush(&self) -> Result<(), FlushError> {
-        Ok(())
-    }
-
-    /// Receive one payload (honours the socket's read timeout, or
+    /// Receive one datagram (honours the socket's read timeout, or
     /// returns `WouldBlock` at once in non-blocking mode).
     fn recv_from(&self, buf: &mut [u8]) -> io::Result<(usize, SocketAddr)>;
-
-    /// Whether the next `recv_from` is served from a datagram already
-    /// received, without asking the network.
-    fn recv_buffered(&self) -> bool {
-        false
-    }
 
     /// The bound local address.
     fn local_addr(&self) -> io::Result<SocketAddr>;
@@ -369,7 +359,10 @@ impl FaultySocket {
     }
 
     /// The fault plane described by `cfg` over any socket: fates are
-    /// drawn per payload here, and what survives goes to `inner`.
+    /// drawn per payload here, and the copies that survive go to `inner` —
+    /// all of them when [`send_to`](DatagramSocket::send_to) is handed the
+    /// payload, the delayed ones when an [`Outbox`] holding this socket
+    /// batches the rest itself.
     pub fn over(inner: Arc<dyn DatagramSocket>, mut cfg: FaultConfig) -> Self {
         let plane = std::mem::take(&mut cfg.plane);
         FaultySocket {
@@ -426,10 +419,70 @@ impl FaultySocket {
         }
     }
 
-    fn send_now(&self, buf: &[u8], dst: SocketAddr) -> io::Result<SendStatus> {
-        let status = self.inner.send_to(buf, dst)?;
-        self.sent.fetch_add(1, Ordering::Relaxed);
-        Ok(status)
+    /// Draw the fate of one frame on `link` bound for `dst` and queue its
+    /// delayed copies; `copy` is what a delayed copy puts on the wire.
+    /// `None` if the plane dropped it; a frame to an unregistered `dst`
+    /// passes as one copy, now.
+    fn admit(
+        &self,
+        copy: &[u8],
+        link: Option<(NodeId, NodeId)>,
+        dst: SocketAddr,
+    ) -> Option<Admitted> {
+        let fate = {
+            let mut guard = lock_shim(&self.directions, "directions");
+            let dirs = &mut *guard;
+            match dirs.slot(dst) {
+                None => None, // unregistered: passthrough
+                Some(slot) => {
+                    dirs.stamp += 1;
+                    let fate = dirs.plans[slot].next_fate(&dirs.plane, link);
+                    Some((fate, dirs.stamp))
+                }
+            }
+        };
+        let Some((fate, stamp)) = fate else {
+            return Some(Admitted::PASSTHROUGH);
+        };
+        if fate.drop {
+            self.injected_drops.fetch_add(1, Ordering::Relaxed);
+            return None;
+        }
+        let mut admitted = Admitted {
+            now: 0,
+            dup_now: fate.dup_delay_ns == Some(0),
+            delayed: false,
+        };
+        if fate.delay_ns == 0 {
+            admitted.now += 1;
+        } else {
+            self.send_later(copy, dst, fate.delay_ns, stamp);
+            admitted.delayed = true;
+        }
+        match fate.dup_delay_ns {
+            Some(0) => admitted.now += 1,
+            Some(delay_ns) => {
+                self.send_later(copy, dst, delay_ns, stamp);
+                self.duplicated.fetch_add(1, Ordering::Relaxed);
+                admitted.delayed = true;
+            }
+            None => {}
+        }
+        Some(admitted)
+    }
+
+    /// Count the copies an admitted frame put on the wire now.
+    fn count_now(&self, admitted: Admitted) {
+        self.sent.fetch_add(admitted.now as u64, Ordering::Relaxed);
+        if admitted.dup_now {
+            self.duplicated.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Whether copies reach the wire in another number or order than
+    /// their frames were admitted: duplication or delay is configured.
+    fn reorders(&self) -> bool {
+        self.cfg.dup_permille > 0 || self.cfg.latency.is_some()
     }
 
     /// Queue a copy for sending at `now + delay`, starting the flusher
@@ -450,9 +503,31 @@ impl FaultySocket {
             dst,
             payload: buf.to_vec(),
         });
+        self.sent.fetch_add(1, Ordering::Relaxed);
         self.delayed.fetch_add(1, Ordering::Relaxed);
         self.queue.wake.notify_one();
     }
+}
+
+/// A frame the fault plane let through.
+#[derive(Clone, Copy)]
+struct Admitted {
+    /// Copies to send now: the original, a duplicate, both or neither.
+    now: usize,
+    /// One of those is a duplicate.
+    dup_now: bool,
+    /// A copy was queued for later, so the frame leaves whatever becomes
+    /// of the copies sent now.
+    delayed: bool,
+}
+
+impl Admitted {
+    /// An unregistered destination: one copy, now.
+    const PASSTHROUGH: Admitted = Admitted {
+        now: 1,
+        dup_now: false,
+        delayed: false,
+    };
 }
 
 /// Lock a shim-internal mutex, naming it if a panicking sibling poisoned
@@ -475,7 +550,6 @@ fn flush_loop(inner: &dyn DatagramSocket, queue: &DelayQueue) {
             while let Some(pkt) = guard.0.pop() {
                 let _ = inner.send_to(&pkt.payload, pkt.dst);
             }
-            let _ = inner.flush();
             return;
         }
         let now = Instant::now();
@@ -483,11 +557,8 @@ fn flush_loop(inner: &dyn DatagramSocket, queue: &DelayQueue) {
             Some(pkt) if pkt.due <= now => {
                 let pkt = guard.0.pop().expect("peeked");
                 // Send outside the lock so senders never block on the OS.
-                // A deferred payload is due now, not at the caller's next
-                // flush.
                 drop(guard);
                 let _ = inner.send_to(&pkt.payload, pkt.dst);
-                let _ = inner.flush();
                 guard = lock_shim(&queue.heap, "delay queue");
             }
             Some(pkt) => {
@@ -520,63 +591,32 @@ impl Drop for FaultySocket {
 }
 
 impl DatagramSocket for FaultySocket {
+    /// The payload's fate, then its copies due now, each its own datagram.
+    /// The kernel's refusal is an error only if no copy of the payload is
+    /// on its way: one that left, or one queued for later, still arrives.
     fn send_to(&self, buf: &[u8], dst: SocketAddr) -> io::Result<SendStatus> {
-        let fate = {
-            let mut guard = lock_shim(&self.directions, "directions");
-            let dirs = &mut *guard;
-            match dirs.slot(dst) {
-                None => None, // unregistered: passthrough
-                Some(slot) => {
-                    dirs.stamp += 1;
-                    let fate = dirs.plans[slot].next_fate(&dirs.plane, frame_endpoints(buf));
-                    Some((fate, dirs.stamp))
-                }
-            }
-        };
-        let (fate, stamp) = match fate {
-            None => return self.send_now(buf, dst),
-            Some(x) => x,
-        };
-        if fate.drop {
-            self.injected_drops.fetch_add(1, Ordering::Relaxed);
+        let Some(admitted) = self.admit(buf, frame_endpoints(buf), dst) else {
             return Ok(SendStatus::Dropped);
-        }
-        if fate.delay_ns == 0 {
-            self.send_now(buf, dst)?;
-        } else {
-            self.send_later(buf, dst, fate.delay_ns, stamp);
-            self.sent.fetch_add(1, Ordering::Relaxed);
-        }
-        if let Some(dup_delay) = fate.dup_delay_ns {
-            self.duplicated.fetch_add(1, Ordering::Relaxed);
-            if dup_delay == 0 {
-                self.send_now(buf, dst)?;
-            } else {
-                self.send_later(buf, dst, dup_delay, stamp);
-                self.sent.fetch_add(1, Ordering::Relaxed);
+        };
+        let mut left = 0;
+        for _ in 0..admitted.now {
+            match self.inner.send_to(buf, dst) {
+                Ok(_) => left += 1,
+                Err(e) if left == 0 && !admitted.delayed => return Err(e),
+                Err(_) => break,
             }
         }
+        self.count_now(Admitted {
+            now: left,
+            // The copy due now that is a duplicate is the last one sent.
+            dup_now: admitted.dup_now && left == admitted.now,
+            ..admitted
+        });
         Ok(SendStatus::Sent)
-    }
-
-    /// With duplication or delay configured, payloads reach `inner` in
-    /// another number and order than the caller handed them over, so a
-    /// failed flush cannot name its victims: `lost` is zeroed and they
-    /// count as sent, the side on which power is stranded, never minted.
-    fn flush(&self) -> Result<(), FlushError> {
-        let exact = self.cfg.dup_permille == 0 && self.cfg.latency.is_none();
-        self.inner.flush().map_err(|e| FlushError {
-            lost: if exact { e.lost } else { 0 },
-            ..e
-        })
     }
 
     fn recv_from(&self, buf: &mut [u8]) -> io::Result<(usize, SocketAddr)> {
         self.inner.recv_from(buf)
-    }
-
-    fn recv_buffered(&self) -> bool {
-        self.inner.recv_buffered()
     }
 
     fn local_addr(&self) -> io::Result<SocketAddr> {
@@ -588,143 +628,240 @@ impl DatagramSocket for FaultySocket {
     }
 }
 
-/// Largest datagram a [`CoalescingSocket`] puts on the wire: the UDP
-/// payload of one unfragmented Ethernet frame (1 500 − 20 IP − 8 UDP).
-pub(crate) const MAX_DATAGRAM: usize = 1472;
+/// Largest datagram an [`Outbox`] puts on the wire: room for an in-flight
+/// window of frames. Both ends of a coalesced link are one process's own
+/// sockets on loopback, so no Ethernet payload bounds it.
+pub(crate) const MAX_DATAGRAM: usize = 8192;
 
-/// Record header: the payload length, `u16` LE.
+/// Record header: the frame length, `u16` LE.
 const RECORD_HDR: usize = 2;
 
-/// Payloads accepted and not yet handed to the kernel.
-struct TxBatch {
+/// Longest frame an [`Outbox`] takes: a frame and its duplicate, record
+/// headers included, fill one datagram at most.
+pub(crate) const MAX_RECORD: usize = MAX_DATAGRAM / 2 - RECORD_HDR;
+const _: () = assert!(2 * (RECORD_HDR + MAX_RECORD) <= MAX_DATAGRAM);
+const _: () = assert!(MAX_RECORD <= u16::MAX as usize);
+
+/// The sending half of the coalescing codec: frames for one destination
+/// held as records until they leave as one datagram, through one socket.
+/// Its one owner drives it by `&mut`; see the module docs for the record
+/// format, the flush rule and what a failed flush means.
+pub struct Outbox {
+    /// Where the held records go: the socket itself, or the one the fault
+    /// plane wraps, so on-time and delayed copies leave by the same one.
+    sink: Arc<dyn DatagramSocket>,
+    /// The fault plane every frame meets before it joins the batch.
+    faults: Option<Arc<FaultySocket>>,
+    /// Held records. Sized once for a full datagram and the most one
+    /// frame and its duplicate can add past it.
     buf: Vec<u8>,
     /// Where the held records go; meaningless while there are none.
     dst: SocketAddr,
-    records: usize,
+    /// Frames held; a duplicated frame is one frame in two records.
+    frames: usize,
     datagrams_sent: u64,
 }
 
-/// The datagram being unpacked: records remain in `buf[at..len]`.
-struct RxBatch {
-    buf: [u8; MAX_DATAGRAM],
-    len: usize,
-    at: usize,
-    from: SocketAddr,
-}
+impl Outbox {
+    /// An outbox whose frames go straight to `sink`.
+    pub fn new(sink: Arc<dyn DatagramSocket>) -> Self {
+        Outbox::with(sink, None)
+    }
 
-/// A [`DatagramSocket`] that packs consecutive payloads bound for one
-/// destination into one datagram of length-prefixed records, and unpacks
-/// such datagrams on receive. Both ends of a link must wear it. See the
-/// module docs for the record format, the flush rule and what a failed
-/// flush means.
-pub struct CoalescingSocket {
-    inner: UdpSocket,
-    tx: Mutex<TxBatch>,
-    rx: Mutex<RxBatch>,
-}
+    /// An outbox whose frames each meet `faults` first, and whose
+    /// survivors leave through the socket it wraps.
+    pub fn faulty(faults: Arc<FaultySocket>) -> Self {
+        Outbox::with(Arc::clone(&faults.inner), Some(faults))
+    }
 
-impl CoalescingSocket {
-    /// Coalesce over `socket`.
-    pub fn new(socket: UdpSocket) -> Self {
-        let nowhere = SocketAddr::from(([0, 0, 0, 0], 0));
-        CoalescingSocket {
-            inner: socket,
-            tx: Mutex::new(TxBatch {
-                buf: Vec::with_capacity(MAX_DATAGRAM),
-                dst: nowhere,
-                records: 0,
-                datagrams_sent: 0,
-            }),
-            rx: Mutex::new(RxBatch {
-                buf: [0; MAX_DATAGRAM],
-                len: 0,
-                at: 0,
-                from: nowhere,
-            }),
+    fn with(sink: Arc<dyn DatagramSocket>, faults: Option<Arc<FaultySocket>>) -> Self {
+        Outbox {
+            sink,
+            faults,
+            buf: Vec::with_capacity(2 * MAX_DATAGRAM),
+            dst: SocketAddr::from(([0, 0, 0, 0], 0)),
+            frames: 0,
+            datagrams_sent: 0,
         }
+    }
+
+    /// Append one frame for `dst`, which `encode` writes in place after
+    /// whatever the buffer holds. The frame meets the fault plane first:
+    /// `Dropped` is an injected drop. The held batch leaves first if `dst`
+    /// is another destination or the frame does not fit beside it; if the
+    /// kernel refuses that batch it is kept and this frame is refused with
+    /// the error, unless a delayed copy of it is already on its way.
+    pub fn send(
+        &mut self,
+        dst: SocketAddr,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) -> io::Result<SendStatus> {
+        let start = self.buf.len();
+        self.buf.extend_from_slice(&[0; RECORD_HDR]);
+        encode(&mut self.buf);
+        let len = self.buf.len() - start - RECORD_HDR;
+        if len == 0 || len > MAX_RECORD {
+            self.buf.truncate(start);
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "frame does not fit one record",
+            ));
+        }
+        self.buf[start..start + RECORD_HDR].copy_from_slice(&(len as u16).to_le_bytes());
+        let admitted = match &self.faults {
+            None => Admitted::PASSTHROUGH,
+            Some(faults) => {
+                let record = &self.buf[start..];
+                let link = frame_endpoints(&record[RECORD_HDR..]);
+                let Some(admitted) = faults.admit(record, link, dst) else {
+                    self.buf.truncate(start);
+                    return Ok(SendStatus::Dropped);
+                };
+                admitted
+            }
+        };
+        match admitted.now {
+            0 => {
+                self.buf.truncate(start);
+                return Ok(SendStatus::Sent);
+            }
+            1 => {}
+            _ => self.buf.extend_from_within(start..),
+        }
+        if self.frames > 0 && (dst != self.dst || self.buf.len() > MAX_DATAGRAM) {
+            if let Err(e) = self.send_held(start) {
+                self.buf.truncate(start);
+                return if admitted.delayed {
+                    Ok(SendStatus::Sent)
+                } else {
+                    Err(e)
+                };
+            }
+        }
+        self.dst = dst;
+        self.frames += 1;
+        if let Some(faults) = &self.faults {
+            faults.count_now(admitted);
+        }
+        Ok(SendStatus::Sent)
+    }
+
+    /// Hand every held frame to the kernel. If it refuses, the batch is
+    /// discarded and the error names how many frames went with it — none
+    /// when the fault plane duplicates or delays, which leaves a frame's
+    /// fate unknown: such frames count as sent, the side that can strand
+    /// power but never mint it.
+    pub fn flush(&mut self) -> Result<(), FlushError> {
+        if self.frames == 0 {
+            return Ok(());
+        }
+        self.send_held(self.buf.len()).map_err(|source| {
+            let frames = std::mem::take(&mut self.frames);
+            self.buf.clear();
+            let reorders = self.faults.as_ref().is_some_and(|f| f.reorders());
+            FlushError {
+                lost: if reorders { 0 } else { frames },
+                source,
+            }
+        })
     }
 
     /// Datagrams the kernel has taken so far.
     pub fn datagrams_sent(&self) -> u64 {
-        lock_shim(&self.tx, "tx batch").datagrams_sent
+        self.datagrams_sent
     }
 
-    /// Hand the batch to the kernel; on an error it stays as it was.
-    fn send_batch(&self, tx: &mut TxBatch) -> io::Result<()> {
-        if tx.records > 0 {
-            UdpSocket::send_to(&self.inner, &tx.buf, tx.dst)?;
-            tx.datagrams_sent += 1;
-            tx.buf.clear();
-            tx.records = 0;
-        }
+    /// Send the held records, `buf[..end]`, as one datagram and keep what
+    /// follows them; on an error nothing changes.
+    fn send_held(&mut self, end: usize) -> io::Result<()> {
+        self.sink.send_to(&self.buf[..end], self.dst)?;
+        self.datagrams_sent += 1;
+        self.buf.drain(..end);
+        self.frames = 0;
         Ok(())
     }
 }
 
-impl DatagramSocket for CoalescingSocket {
-    fn send_to(&self, buf: &[u8], dst: SocketAddr) -> io::Result<SendStatus> {
-        if buf.is_empty() || buf.len() > MAX_DATAGRAM - RECORD_HDR {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "payload does not fit one coalesced record",
-            ));
-        }
-        let mut tx = lock_shim(&self.tx, "tx batch");
-        if tx.dst != dst || tx.buf.len() + RECORD_HDR + buf.len() > MAX_DATAGRAM {
-            self.send_batch(&mut tx)?;
-        }
-        tx.dst = dst;
-        tx.buf.extend_from_slice(&(buf.len() as u16).to_le_bytes());
-        tx.buf.extend_from_slice(buf);
-        tx.records += 1;
-        Ok(SendStatus::Sent)
+/// The receiving half: one datagram from the kernel, handed up a frame at
+/// a time, in place. An inbox reads either coalesced records or one raw
+/// frame per datagram.
+pub struct Inbox {
+    buf: Box<[u8]>,
+    len: usize,
+    /// Where the next record starts.
+    at: usize,
+    /// Every frame of the datagram in hand has been handed up.
+    done: bool,
+    records: bool,
+    from: SocketAddr,
+}
+
+impl Inbox {
+    /// An inbox for coalesced datagrams of up to `MAX_DATAGRAM` bytes.
+    pub fn records() -> Self {
+        Inbox::with(MAX_DATAGRAM, true)
     }
 
-    fn flush(&self) -> Result<(), FlushError> {
-        let mut tx = lock_shim(&self.tx, "tx batch");
-        self.send_batch(&mut tx).map_err(|source| {
-            let lost = std::mem::take(&mut tx.records);
-            tx.buf.clear();
-            FlushError { lost, source }
-        })
+    /// An inbox that hands each datagram up whole, as one frame, cut to
+    /// `max_frame` bytes as the kernel cuts a datagram longer than the
+    /// buffer it reads into.
+    pub fn raw(max_frame: usize) -> Self {
+        Inbox::with(max_frame, false)
     }
 
-    fn recv_from(&self, buf: &mut [u8]) -> io::Result<(usize, SocketAddr)> {
-        let mut rx = lock_shim(&self.rx, "rx batch");
-        let rx = &mut *rx;
-        if rx.at == rx.len {
-            (rx.len, rx.from) = UdpSocket::recv_from(&self.inner, &mut rx.buf)?;
-            rx.at = 0;
+    fn with(cap: usize, records: bool) -> Self {
+        Inbox {
+            buf: vec![0; cap].into_boxed_slice(),
+            len: 0,
+            at: 0,
+            done: true,
+            records,
+            from: SocketAddr::from(([0, 0, 0, 0], 0)),
         }
-        let rest = &rx.buf[rx.at..rx.len];
+    }
+
+    /// Whether every frame received so far has been handed up, so the
+    /// next one must come from the kernel.
+    pub fn is_empty(&self) -> bool {
+        self.done
+    }
+
+    /// Take the next datagram from `socket` (honouring its timeout or
+    /// non-blocking mode), dropping whatever was left of the last one.
+    pub fn recv(&mut self, socket: &dyn DatagramSocket) -> io::Result<()> {
+        let (len, from) = socket.recv_from(&mut self.buf)?;
+        (self.len, self.at, self.done, self.from) = (len, 0, false, from);
+        Ok(())
+    }
+
+    /// The next frame and its sender, or `None` once the datagram is
+    /// done. Whatever follows the last whole record comes up once, as an
+    /// empty frame.
+    pub fn next_frame(&mut self) -> Option<(&[u8], SocketAddr)> {
+        if self.done {
+            return None;
+        }
+        let rest = &self.buf[self.at..self.len];
+        if !self.records {
+            self.done = true;
+            return Some((rest, self.from));
+        }
         let record = rest.split_first_chunk().and_then(|(len, body)| {
             let len = usize::from(u16::from_le_bytes(*len));
-            body.get(..len).filter(|payload| !payload.is_empty())
+            body.get(..len).filter(|frame| !frame.is_empty())
         });
-        let Some(payload) = record else {
-            // Not a record: the rest of the datagram goes up as one
-            // empty payload.
-            rx.at = rx.len;
-            return Ok((0, rx.from));
+        let frame = match record {
+            Some(frame) => {
+                self.at += RECORD_HDR + frame.len();
+                self.done = self.at == self.len;
+                frame
+            }
+            None => {
+                self.done = true;
+                &[]
+            }
         };
-        rx.at += RECORD_HDR + payload.len();
-        // Like the kernel, cut a payload longer than the caller's buffer.
-        let n = payload.len().min(buf.len());
-        buf[..n].copy_from_slice(&payload[..n]);
-        Ok((n, rx.from))
-    }
-
-    fn recv_buffered(&self) -> bool {
-        let rx = lock_shim(&self.rx, "rx batch");
-        rx.at < rx.len
-    }
-
-    fn local_addr(&self) -> io::Result<SocketAddr> {
-        UdpSocket::local_addr(&self.inner)
-    }
-
-    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
-        UdpSocket::set_nonblocking(&self.inner, nonblocking)
+        Some((frame, self.from))
     }
 }
 
@@ -937,7 +1074,37 @@ mod tests {
         .collect()
     }
 
-    /// Any sequence of payloads crosses a coalescing pair byte for byte
+    /// An outbox straight onto a fresh loopback socket.
+    fn outbox() -> Outbox {
+        let tx = UdpSocket::bind("127.0.0.1:0").expect("bind tx");
+        Outbox::new(Arc::new(tx))
+    }
+
+    /// An outbox behind a fault plane over a fresh loopback socket.
+    fn faulty_outbox(cfg: FaultConfig) -> (Outbox, Arc<FaultySocket>) {
+        let tx = UdpSocket::bind("127.0.0.1:0").expect("bind tx");
+        let faults = Arc::new(FaultySocket::new(tx, cfg));
+        (Outbox::faulty(faults.clone()), faults)
+    }
+
+    /// Append `frame` as it is.
+    fn put(outbox: &mut Outbox, dst: SocketAddr, frame: &[u8]) -> io::Result<SendStatus> {
+        outbox.send(dst, |buf| buf.extend_from_slice(frame))
+    }
+
+    /// Every frame `inbox` hands up from `socket`, in order, until the
+    /// socket times out.
+    fn frames(inbox: &mut Inbox, socket: &UdpSocket) -> Vec<Vec<u8>> {
+        let mut got = Vec::new();
+        while !inbox.is_empty() || inbox.recv(socket).is_ok() {
+            while let Some((frame, _)) = inbox.next_frame() {
+                got.push(frame.to_vec());
+            }
+        }
+        got
+    }
+
+    /// Any sequence of frames crosses an outbox and an inbox byte for byte
     /// and in order, however it falls across datagram boundaries, and no
     /// datagram on the wire exceeds the bound.
     #[test]
@@ -945,22 +1112,23 @@ mod tests {
         use penelope_testkit::prop::{self, one_of, vec_of};
         let (tap, tap_addr) = bound(20);
         let (rx, rx_addr) = bound(20);
-        let rx = CoalescingSocket::new(rx);
-        let tx = CoalescingSocket::new(UdpSocket::bind("127.0.0.1:0").expect("bind tx"));
-        let lens = one_of(vec![1usize, 2, 27, 31, 300, 733, 734, 735, 1469, 1470]);
+        let inbox = std::cell::RefCell::new(Inbox::records());
+        let tx = std::cell::RefCell::new(outbox());
+        let lens = one_of(vec![1usize, 2, 27, 31, 84, 733, 2045, 4093, MAX_RECORD]);
         prop::check(
-            "coalesced payloads round-trip",
+            "coalesced frames round-trip",
             prop::Config::default(),
             vec_of((lens, prop::any_u8()), 1..48),
             |seq| {
+                let (mut tx, mut inbox) = (tx.borrow_mut(), inbox.borrow_mut());
                 let sent: Vec<Vec<u8>> = seq
                     .iter()
                     .map(|&(len, fill)| (0..len).map(|i| fill.wrapping_add(i as u8)).collect())
                     .collect();
                 let before = tx.datagrams_sent();
-                for payload in &sent {
+                for frame in &sent {
                     assert_eq!(
-                        tx.send_to(payload, tap_addr).expect("send"),
+                        put(&mut tx, tap_addr, frame).expect("send"),
                         SendStatus::Sent
                     );
                 }
@@ -974,23 +1142,52 @@ mod tests {
                     datagrams += 1;
                 }
                 assert_eq!(datagrams, tx.datagrams_sent() - before);
-                assert_eq!(payloads(&rx), sent);
-                assert!(!rx.recv_buffered());
+                assert_eq!(frames(&mut inbox, &rx), sent);
+                assert!(inbox.is_empty());
             },
         );
+    }
+
+    /// The cap is exact: records of the largest daemon frame (84 bytes)
+    /// plus one filler that ends the batch on the cap's last byte leave as
+    /// one datagram; one byte more and the filler waits for the next.
+    #[test]
+    fn a_batch_fills_the_cap_to_the_byte_and_no_further() {
+        const LARGEST: usize = 84;
+        let whole = MAX_DATAGRAM / (RECORD_HDR + LARGEST);
+        let room = MAX_DATAGRAM - whole * (RECORD_HDR + LARGEST) - RECORD_HDR;
+        assert_eq!((whole, room), (95, 20));
+        for (filler, datagrams) in [(room, 1), (room + 1, 2)] {
+            let (rx, rx_addr) = bound(20);
+            let mut tx = outbox();
+            let mut sent = vec![vec![0xA5; LARGEST]; whole];
+            sent.push(vec![0x5A; filler]);
+            for frame in &sent {
+                put(&mut tx, rx_addr, frame).expect("send");
+            }
+            assert_eq!(tx.datagrams_sent(), datagrams - 1, "filler {filler}");
+            tx.flush().expect("flush");
+            assert_eq!(tx.datagrams_sent(), datagrams);
+            let wire: Vec<usize> = payloads(&rx).iter().map(Vec::len).collect();
+            let full = whole * (RECORD_HDR + LARGEST);
+            match datagrams {
+                1 => assert_eq!(wire, [MAX_DATAGRAM]),
+                _ => assert_eq!(wire, [full, RECORD_HDR + filler]),
+            }
+        }
     }
 
     #[test]
     fn a_destination_change_flushes_first() {
         let (a, a_addr) = bound(20);
         let (b, b_addr) = bound(20);
-        let tx = CoalescingSocket::new(UdpSocket::bind("127.0.0.1:0").expect("bind tx"));
-        tx.send_to(b"to a", a_addr).expect("send");
-        tx.send_to(b"a too", a_addr).expect("send");
+        let mut tx = outbox();
+        put(&mut tx, a_addr, b"to a").expect("send");
+        put(&mut tx, a_addr, b"a too").expect("send");
         let mut buf = [0u8; 64];
         assert!(a.recv_from(&mut buf).is_err(), "sent before any flush");
-        tx.send_to(b"to b", b_addr).expect("send");
-        // The batch for `a` left when `b`'s payload came; `b`'s waits.
+        put(&mut tx, b_addr, b"to b").expect("send");
+        // The batch for `a` left when `b`'s frame came; `b`'s waits.
         let (len, _) = a.recv_from(&mut buf).expect("a's batch");
         assert_eq!(&buf[..len], b"\x04\0to a\x05\0a too");
         assert!(b.recv_from(&mut buf).is_err(), "b's batch left unflushed");
@@ -1003,24 +1200,28 @@ mod tests {
     #[test]
     fn payloads_that_fit_no_record_are_invalid_input() {
         let (rx, rx_addr) = bound(20);
-        let rx = CoalescingSocket::new(rx);
-        let tx = CoalescingSocket::new(UdpSocket::bind("127.0.0.1:0").expect("bind tx"));
-        for bad in [&[][..], &[7u8; MAX_DATAGRAM - 1]] {
-            let err = tx.send_to(bad, rx_addr).expect_err("no record holds it");
+        let mut inbox = Inbox::records();
+        let mut tx = outbox();
+        put(&mut tx, rx_addr, b"kept").expect("send");
+        for bad in [&[][..], &[7u8; MAX_RECORD + 1]] {
+            let err = put(&mut tx, rx_addr, bad).expect_err("no record holds it");
             assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         }
-        tx.send_to(&[7u8; MAX_DATAGRAM - 2], rx_addr).expect("send");
+        put(&mut tx, rx_addr, &[7u8; MAX_RECORD]).expect("send");
         tx.flush().expect("flush");
-        assert_eq!(payloads(&rx), vec![vec![7u8; MAX_DATAGRAM - 2]]);
+        assert_eq!(
+            frames(&mut inbox, &rx),
+            vec![b"kept".to_vec(), vec![7u8; MAX_RECORD]]
+        );
     }
 
     /// Whatever follows the last whole record of a datagram comes up once,
-    /// as an empty payload, and the datagram is done: no panic, no loop,
+    /// as an empty frame, and the datagram is done: no panic, no loop,
     /// and the next datagram is read as if nothing had happened.
     #[test]
     fn hostile_datagrams_surface_once_as_an_empty_payload() {
         let (rx, rx_addr) = bound(20);
-        let rx = CoalescingSocket::new(rx);
+        let mut inbox = Inbox::records();
         let stranger = UdpSocket::bind("127.0.0.1:0").expect("bind");
         let cases: [(&[u8], &[&[u8]]); 6] = [
             // A length that overruns the datagram.
@@ -1037,75 +1238,238 @@ mod tests {
         ];
         for (datagram, expect) in cases {
             stranger.send_to(datagram, rx_addr).expect("send");
-            let got = payloads(&rx);
+            let got = frames(&mut inbox, &rx);
             assert_eq!(got, expect.iter().map(|p| p.to_vec()).collect::<Vec<_>>());
-            assert!(!rx.recv_buffered());
+            assert!(inbox.is_empty());
         }
+        // A raw inbox reads no records: each datagram is one frame.
+        let mut raw = Inbox::raw(4);
+        for datagram in [&b"\x01\0a"[..], b"", b"longer"] {
+            stranger.send_to(datagram, rx_addr).expect("send");
+        }
+        let cut = [b"\x01\0a".to_vec(), Vec::new(), b"long".to_vec()];
+        assert_eq!(frames(&mut raw, &rx), cut);
     }
 
     /// An implicit flush the kernel refuses loses nothing — the batch
-    /// stays and the payload that needed the room is refused — and an
-    /// explicit one discards the batch and says how many payloads it held.
+    /// stays and the frame that needed the room is refused — and an
+    /// explicit one discards the batch and says how many frames it held.
     #[test]
     fn a_refused_flush_names_what_it_lost() {
         let (rx, rx_addr) = bound(20);
-        let rx = CoalescingSocket::new(rx);
-        let tx = CoalescingSocket::new(UdpSocket::bind("127.0.0.1:0").expect("bind tx"));
+        let mut inbox = Inbox::records();
+        let mut tx = outbox();
         // The kernel refuses port 0 as a destination.
         let nowhere = SocketAddr::from(([127, 0, 0, 1], 0));
-        for payload in [b"a", b"b", b"c"] {
+        for frame in [b"a", b"b", b"c"] {
             assert_eq!(
-                tx.send_to(payload, nowhere).expect("held"),
+                put(&mut tx, nowhere, frame).expect("held"),
                 SendStatus::Sent
             );
         }
-        tx.send_to(b"d", rx_addr)
-            .expect_err("the batch in the way cannot leave");
+        put(&mut tx, rx_addr, b"d").expect_err("the batch in the way cannot leave");
         let err = tx.flush().expect_err("the kernel refuses the batch");
         assert_eq!(err.lost, 3);
         tx.flush().expect("nothing left to refuse");
-        tx.send_to(b"e", rx_addr).expect("send");
+        put(&mut tx, rx_addr, b"e").expect("send");
         tx.flush().expect("flush");
-        assert_eq!(payloads(&rx), vec![b"e".to_vec()]);
+        assert_eq!(frames(&mut inbox, &rx), vec![b"e".to_vec()]);
         assert_eq!(tx.datagrams_sent(), 1);
+
+        // Under a fault plane that duplicates or delays, a frame's copies
+        // leave in another number and order than it was accepted, so the
+        // refusal names none of them.
+        let (mut tx, _) = faulty_outbox(FaultConfig {
+            dup_permille: 1000,
+            ..FaultConfig::lossy(5, 0)
+        });
+        put(&mut tx, nowhere, b"f").expect("held");
+        let err = tx.flush().expect_err("the kernel refuses the batch");
+        assert_eq!(err.lost, 0);
     }
 
-    /// Under the fault plane, coalescing changes what is on the wire and
-    /// nothing else: the same seed drops the same payloads, the stats
-    /// count payloads, and the survivors arrive in order.
+    /// A loopback socket whose kernel refuses the sends `refuse` picks by
+    /// call count, on the thread that built it; a flusher's sends pass.
+    struct Refusing {
+        socket: UdpSocket,
+        owner: std::thread::ThreadId,
+        calls: AtomicU64,
+        refuse: fn(u64) -> bool,
+    }
+
+    impl Refusing {
+        fn new(refuse: fn(u64) -> bool) -> Arc<Self> {
+            Arc::new(Refusing {
+                socket: UdpSocket::bind("127.0.0.1:0").expect("bind tx"),
+                owner: std::thread::current().id(),
+                calls: AtomicU64::new(0),
+                refuse,
+            })
+        }
+    }
+
+    impl DatagramSocket for Refusing {
+        fn send_to(&self, buf: &[u8], dst: SocketAddr) -> io::Result<SendStatus> {
+            let mine = std::thread::current().id() == self.owner;
+            if mine && (self.refuse)(self.calls.fetch_add(1, Ordering::Relaxed)) {
+                return Err(io::ErrorKind::ConnectionRefused.into());
+            }
+            DatagramSocket::send_to(&self.socket, buf, dst)
+        }
+
+        fn recv_from(&self, buf: &mut [u8]) -> io::Result<(usize, SocketAddr)> {
+            DatagramSocket::recv_from(&self.socket, buf)
+        }
+
+        fn local_addr(&self) -> io::Result<SocketAddr> {
+            DatagramSocket::local_addr(&self.socket)
+        }
+
+        fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+            DatagramSocket::set_nonblocking(&self.socket, nonblocking)
+        }
+    }
+
+    /// A payload whose copies due now the kernel refuses is an error only
+    /// if no copy of it is on its way: a copy queued for later still
+    /// arrives, so it is `Sent`, and only the copies that left are counted.
+    #[test]
+    fn a_refused_send_is_an_error_only_if_no_copy_is_on_its_way() {
+        let (rx, rx_addr) = bound(200);
+        // Every copy is duplicated; each copy is due now or 1 ns later.
+        let cfg = FaultConfig {
+            dup_permille: 1000,
+            latency: Some(LatencyModel::Uniform {
+                lo: SimDuration::ZERO,
+                hi: SimDuration::from_nanos(1),
+            }),
+            ..FaultConfig::lossy(11, 0)
+        };
+        let tx = FaultySocket::over(Refusing::new(|_| true), cfg.clone());
+        tx.register_peer(rx_addr);
+        let mut plan = DirectionPlan::new(&cfg, 0);
+        let (mut refused, mut late, mut late_dups) = (0, Vec::new(), 0);
+        for i in 0u8..32 {
+            let fate = plan.next_fate(&cfg.plane, None);
+            let queued = [Some(fate.delay_ns), fate.dup_delay_ns]
+                .into_iter()
+                .filter(|d| d.is_some_and(|d| d > 0))
+                .count();
+            late_dups += usize::from(fate.dup_delay_ns.is_some_and(|d| d > 0));
+            match tx.send_to(&[i], rx_addr) {
+                Err(_) => {
+                    assert_eq!(queued, 0, "payload {i} has a copy on its way");
+                    refused += 1;
+                }
+                Ok(status) => {
+                    assert_eq!(status, SendStatus::Sent);
+                    assert!(queued > 0, "payload {i} reached no one");
+                    late.extend(std::iter::repeat_n(vec![i], queued));
+                }
+            }
+        }
+        assert!(refused > 0 && late_dups > 0 && late.len() > late_dups);
+        let stats = tx.stats();
+        assert_eq!(stats.sent, late.len() as u64, "only queued copies left");
+        assert_eq!(stats.delayed, late.len() as u64);
+        assert_eq!(stats.duplicated, late_dups as u64);
+        drop(tx);
+        let mut got = payloads(&rx);
+        got.sort();
+        late.sort();
+        assert_eq!(got, late);
+
+        // The original leaves and its duplicate is refused: the payload
+        // went, and one copy is counted.
+        let cfg = FaultConfig {
+            dup_permille: 1000,
+            ..FaultConfig::lossy(11, 0)
+        };
+        let tx = FaultySocket::over(Refusing::new(|call| call % 2 == 1), cfg);
+        tx.register_peer(rx_addr);
+        for i in 0u8..8 {
+            assert_eq!(
+                tx.send_to(&[i], rx_addr).expect("one left"),
+                SendStatus::Sent
+            );
+        }
+        assert_eq!(
+            (tx.stats().sent, tx.stats().duplicated),
+            (8, 0),
+            "no duplicate left"
+        );
+        assert_eq!(payloads(&rx).len(), 8);
+    }
+
+    /// In an outbox, the fault plane changes what is on the wire and
+    /// nothing else: the same seed drops the same frames as a plain faulty
+    /// socket, the stats count frames, and the survivors arrive in order.
     #[test]
     fn faults_over_coalescing_replay_the_plain_schedule() {
-        let fates = |tx: FaultySocket, dst: SocketAddr| -> (Vec<bool>, ShimStats) {
-            tx.register_peer(dst);
-            let pattern = (0u8..64)
-                .map(|i| tx.send_to(&[i], dst).expect("send") == SendStatus::Sent)
-                .collect();
-            tx.flush().expect("flush");
-            (pattern, tx.stats())
-        };
+        let cfg = || FaultConfig::lossy(99, 300);
         let (plain_rx, plain_addr) = bound(200);
-        let plain = FaultySocket::new(
-            UdpSocket::bind("127.0.0.1:0").expect("bind tx"),
-            FaultConfig::lossy(99, 300),
-        );
-        let (rx, rx_addr) = bound(200);
-        let rx = CoalescingSocket::new(rx);
-        let inner = Arc::new(CoalescingSocket::new(
-            UdpSocket::bind("127.0.0.1:0").expect("bind tx"),
-        ));
-        let coalesced = FaultySocket::over(inner.clone(), FaultConfig::lossy(99, 300));
+        let plain = FaultySocket::new(UdpSocket::bind("127.0.0.1:0").expect("bind tx"), cfg());
+        plain.register_peer(plain_addr);
+        let plain_pattern: Vec<bool> = (0u8..64)
+            .map(|i| plain.send_to(&[i], plain_addr).expect("send") == SendStatus::Sent)
+            .collect();
 
-        let (plain_pattern, plain_stats) = fates(plain, plain_addr);
-        let (pattern, stats) = fates(coalesced, rx_addr);
+        let (rx, rx_addr) = bound(200);
+        let mut inbox = Inbox::records();
+        let (mut tx, faults) = faulty_outbox(cfg());
+        faults.register_peer(rx_addr);
+        let pattern: Vec<bool> = (0u8..64)
+            .map(|i| put(&mut tx, rx_addr, &[i]).expect("send") == SendStatus::Sent)
+            .collect();
+        tx.flush().expect("flush");
+
         assert_eq!(pattern, plain_pattern, "same seed, same fates");
-        assert_eq!(stats, plain_stats);
+        assert_eq!(faults.stats(), plain.stats());
         let survivors: Vec<Vec<u8>> = (0u8..64)
             .zip(&pattern)
             .filter(|(_, sent)| **sent)
             .map(|(i, _)| vec![i])
             .collect();
         assert_eq!(payloads(&plain_rx), survivors);
-        assert_eq!(payloads(&rx), survivors);
-        assert_eq!(inner.datagrams_sent(), 1, "64 one-byte payloads fit one");
+        assert_eq!(frames(&mut inbox, &rx), survivors);
+        assert_eq!(tx.datagrams_sent(), 1, "64 one-byte frames fit one");
+    }
+
+    /// Duplicated and delayed copies of a frame arrive as well-formed
+    /// records: a duplicate sent now shares its original's datagram, a
+    /// delayed copy leaves later in a datagram of its own.
+    #[test]
+    fn copies_in_an_outbox_arrive_as_records() {
+        let (rx, rx_addr) = bound(200);
+        let mut inbox = Inbox::records();
+        let (mut tx, faults) = faulty_outbox(FaultConfig {
+            dup_permille: 1000,
+            ..FaultConfig::lossy(5, 0)
+        });
+        faults.register_peer(rx_addr);
+        for frame in [b"x", b"y"] {
+            assert_eq!(
+                put(&mut tx, rx_addr, frame).expect("send"),
+                SendStatus::Sent
+            );
+        }
+        tx.flush().expect("flush");
+        let twice = [b"x", b"x", b"y", b"y"].map(|f| f.to_vec());
+        assert_eq!(frames(&mut inbox, &rx), twice);
+        assert_eq!(faults.stats().duplicated, 2);
+
+        let (mut tx, faults) = faulty_outbox(FaultConfig {
+            latency: Some(LatencyModel::Constant(SimDuration::from_millis(1))),
+            ..FaultConfig::lossy(5, 0)
+        });
+        faults.register_peer(rx_addr);
+        assert_eq!(
+            put(&mut tx, rx_addr, b"late").expect("send"),
+            SendStatus::Sent
+        );
+        tx.flush().expect("nothing held");
+        assert_eq!(tx.datagrams_sent(), 0, "the copy is the fault plane's");
+        assert_eq!(frames(&mut inbox, &rx), vec![b"late".to_vec()]);
+        assert_eq!(faults.stats().delayed, 1);
     }
 }
