@@ -15,9 +15,12 @@
 //! its window acquires nothing at all.
 //!
 //! The sharded simulator's twin pins its calendar: an event is appended
-//! to the `Vec` of the lookahead bucket that will deliver it, so what a
-//! warm run acquires is a `Vec` per bucket and its doublings — per round,
-//! not per event.
+//! to the `Vec` of the lookahead bucket that will deliver it, and a
+//! round orders its bucket with key buffers the calendar keeps from round
+//! to round, so what a warm run acquires is a `Vec` per bucket and its
+//! doublings, plus the engines' own escrow and peer records — per round
+//! and per new peer, not per event. The key buffers grow only when a
+//! bucket outgrows every earlier one, which a warm run seldom sees.
 //!
 //! The tests live in their own integration-test binary, and its
 //! allocator counts per thread: the test harness's own thread, which
