@@ -46,14 +46,35 @@ pub struct DaemonStatus {
     pub reading: Power,
     /// Power cached in the local pool.
     pub pool: Power,
+    /// Frames the socket accepted for delivery so far.
+    pub frames_sent: u64,
+    /// Frames received and dispatched to the engine so far.
+    pub frames_delivered: u64,
+    /// Frames a fault shim dropped before the kernel saw them.
+    pub injected_drops: u64,
+    /// Frames behind an OS-level send error.
+    pub send_failed: u64,
+    /// Datagrams received and refused: undecodable, addressed to another
+    /// node, or from a sender outside the configured cluster.
+    pub rejected: u64,
 }
 
 impl DaemonStatus {
     /// Render as the daemon's stdout status line.
     pub fn render(&self) -> String {
         format!(
-            "t={:8.2}s iter={:6} cap={} reading={} pool={}",
-            self.uptime_secs, self.iteration, self.cap, self.reading, self.pool
+            "t={:8.2}s iter={:6} cap={} reading={} pool={} sent={} delivered={} \
+             dropped={} send_failed={} rejected={}",
+            self.uptime_secs,
+            self.iteration,
+            self.cap,
+            self.reading,
+            self.pool,
+            self.frames_sent,
+            self.frames_delivered,
+            self.injected_drops,
+            self.send_failed,
+            self.rejected
         )
     }
 }
@@ -283,13 +304,18 @@ fn run_loop(
             }
         }
         if status_every > 0 && iterations.is_multiple_of(status_every) {
-            let engine = &reactor.engines[0];
+            let (engine, c) = (&reactor.engines[0], &reactor.counters);
             let _ = status_tx.send(DaemonStatus {
                 iteration: iterations,
                 uptime_secs: origin.elapsed().as_secs_f64(),
                 cap: engine.cap(),
                 reading,
                 pool: engine.pool().available(),
+                frames_sent: c.frames_sent,
+                frames_delivered: c.frames_delivered,
+                injected_drops: c.injected_drops,
+                send_failed: c.send_failed,
+                rejected: c.rejected,
             });
         }
     }

@@ -33,11 +33,15 @@
 //! engine at `p × period`, the instant the simulator ticks it at, so
 //! escrow deadlines and request timeouts fall in the same periods and the
 //! events of round `p` are stamped period `p`), while grant round-trip
-//! *latency* is measured on the wall clock from the moment a request frame
-//! is handed to `tx` — so the wait for its datagram to fill or be flushed
-//! counts — to the moment the engine reports the round-trip
+//! *latency* is measured on the wall clock, to one reactor pass: from the
+//! pass in which a request frame is handed to `tx` — so the wait for its
+//! datagram to fill or be flushed counts — to the pass in which the
+//! datagram carrying its grant arrived and the engine reported the
+//! round-trip
 //! [`EngineOutput::Resolved`](penelope_core::EngineOutput::Resolved) — the
-//! tail-latency distribution the soak harness reports.
+//! tail-latency distribution the soak harness reports. A pass is a
+//! received datagram or a round's tick wave, and each reads the wall
+//! clock once ([`MuxSummary::wall_reads`]), not each request.
 //!
 //! There is one round loop, [`Mux::run`]. Before round `p` it hands the
 //! multiplexer to the caller, who may change the fault plane or kill and
@@ -184,6 +188,10 @@ pub struct MuxSummary {
     /// Engine inputs processed (ticks, messages, outcomes, sweeps) — the
     /// throughput numerator for the BENCH report.
     pub events: u64,
+    /// Wall-clock reads the RTT ledger took: one per received datagram
+    /// and one per round's tick wave. A lossless run receives each
+    /// datagram it sends once, so this is `datagrams_sent + rounds` there.
+    pub wall_reads: u64,
     /// Sum of final caps.
     pub total_caps: Power,
     /// Sum of final pool balances.
@@ -199,7 +207,9 @@ pub struct MuxSummary {
     pub wall_s: f64,
     /// Virtual seconds simulated (`rounds × period`).
     pub virtual_secs: f64,
-    /// Raw grant round-trip samples, wall-clock nanoseconds, unsorted.
+    /// Raw grant round-trip samples, wall-clock nanoseconds, unsorted,
+    /// each to one pass's resolution: request and grant are stamped with
+    /// the wall instant at which their pass started.
     pub rtt_samples_ns: Vec<u64>,
 }
 
@@ -323,7 +333,6 @@ impl Mux {
         let tx = Tx::Coalesced(outbox);
         let mut reactor = Reactor::new(engines, rngs, plant, tx, Arc::new(rx), vec![rx_addr; n]);
         reactor.trace = trace;
-        reactor.rtt = Some(RttLedger::default());
         let mux = Mux {
             reactor,
             shim,
@@ -366,7 +375,7 @@ impl Mux {
     /// The round loop: `rounds` rounds. Before round `p`, `before` gets
     /// the multiplexer and the round's start, `p × period`, the instant the
     /// round ticks at; after it `cut` sees the quiesced books and `p`.
-    /// Returns the run's accounts.
+    /// The RTT ledger starts with the loop. Returns the run's accounts.
     pub fn run(
         mut self,
         rounds: u64,
@@ -375,9 +384,11 @@ impl Mux {
     ) -> MuxSummary {
         let period = self.reactor.engines[0].config().node.decider.period;
         let start = Instant::now();
+        self.reactor.rtt = Some(RttLedger::new(start));
         for p in 0..rounds {
             let now = SimTime::ZERO + period * p;
             before(&mut self, now);
+            self.reactor.start_pass();
             for i in 0..self.alive.len() {
                 if self.alive[i] {
                     self.reactor.tick(i, now);
@@ -405,6 +416,7 @@ impl Mux {
             send_failed: c.send_failed,
             rejected: c.rejected,
             events: c.events,
+            wall_reads: c.wall_reads,
             total_caps: engines.iter().map(|e| e.cap()).sum(),
             total_pools: engines.iter().map(|e| e.pool().available()).sum(),
             total_escrowed: engines.iter().map(|e| e.escrowed_undelivered()).sum(),
@@ -624,6 +636,11 @@ mod tests {
         );
         assert_eq!(s.rtt_samples_ns.len(), 15_003);
         assert_eq!((s.wire_lost, s.send_failed, s.rejected), (0, 0, 0));
+        // The RTT ledger reads the wall clock once per pass — each
+        // datagram received, each round's tick wave — not once per
+        // request sent and again per round trip closed (2 × 15 003).
+        assert_eq!(s.wall_reads, s.datagrams_sent + 30);
+        assert!(s.wall_reads * 10 < 2 * 15_003, "{} reads", s.wall_reads);
 
         let mut cfg = MuxConfig::soak(1000, 42, 30);
         cfg.fault = Some(FaultConfig::lossy(42 ^ 0xFA17_FA17, 50));
@@ -638,6 +655,7 @@ mod tests {
             (mw(152_387_731), mw(7_563_611), mw(48_658), Power::ZERO)
         );
         assert_eq!((s.wire_lost, s.send_failed, s.rejected), (0, 0, 0));
+        assert!(30 < s.wall_reads && s.wall_reads <= s.datagrams_sent + 30);
     }
 
     #[test]

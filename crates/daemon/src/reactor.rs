@@ -17,7 +17,14 @@
 //! reply: a grant is just another frame, applied whenever it arrives (the
 //! engine's own blocked/timeout state decides what a late one means).
 //!
-//! The reactor reads no clock; its two callers pass `now` in.
+//! Protocol time is passed in: the reactor's two callers hand it `now`.
+//! The wall clock is read once per pass, and for the RTT ledger only
+//! ([`RttLedger`], which only the multiplexer keeps): a pass starts when
+//! [`Reactor::pump`] takes a datagram from `rx` or the caller starts a
+//! tick wave ([`Reactor::start_pass`]), and every round trip it opens or
+//! closes is stamped with that one read — so a reactor without a ledger
+//! reads no clock at all.
+//!
 //! [`crate::run_multiplexed`] hosts N engines on a virtual clock, every
 //! table entry its own `rx` socket, and drains to quiescence each round;
 //! [`crate::run_daemon_with_socket`] is the N = 1 case — peers' real
@@ -47,14 +54,14 @@
 //! one frame in each datagram, and never flushing would wait for frames
 //! that are still in this process. A frame counts as sent —
 //! `frames_sent`, `MsgSent`, a grant escrowed as awaiting its ack, a
-//! request's round trip stamped — when the outbox takes it; the kernel's
-//! verdict comes with the flush. Until then the reactor keeps the frame's
-//! addressing and, for a non-zero grant, its escrow key. A flush that
-//! fails names how many of the latest frames went down with it
-//! ([`Reactor::flush`]): each moves from `frames_sent` to `send_failed`,
-//! emits `SendFailed`, and a grant among them is fed back to its granter
-//! as not delivered, so the amount is reclaimed at the deadline like any
-//! other send the reactor knows failed.
+//! request's round trip stamped with the current pass — when the outbox
+//! takes it; the kernel's verdict comes with the flush. Until then the
+//! reactor keeps the frame's addressing and, for a non-zero grant, its
+//! escrow key. A flush that fails names how many of the latest frames
+//! went down with it ([`Reactor::flush`]): each moves from `frames_sent`
+//! to `send_failed`, emits `SendFailed`, and a grant among them is fed
+//! back to its granter as not delivered, so the amount is reclaimed at
+//! the deadline like any other send the reactor knows failed.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -117,28 +124,42 @@ impl Plant {
     }
 }
 
-/// Wall-clock grant round trips, from the moment a request frame is
-/// handed to `tx` to the engine's [`EngineOutput::Resolved`].
-#[derive(Default)]
+/// Wall-clock grant round trips, to one pass's resolution: from the pass
+/// in which a request frame is handed to `tx` to the pass in which the
+/// datagram carrying its grant arrived and the engine reported
+/// [`EngineOutput::Resolved`]. A pass starts when a datagram arrives or a
+/// tick wave begins ([`Reactor::start_pass`]), and its one wall-clock read
+/// stamps everything the pass opens or closes.
 pub(crate) struct RttLedger {
     /// Send stamp per open request, keyed (requester, seq). A retransmit
     /// reuses its seq and re-stamps it; a stamp whose request was
     /// abandoned stays until a late grant closes it.
     pending: HashMap<(u32, u64), Instant, BuildHasherDefault<OwnKeyHasher>>,
+    /// When the current pass started.
+    pass: Instant,
     /// Completed round trips, nanoseconds, unsorted.
     pub(crate) samples_ns: Vec<u64>,
 }
 
 impl RttLedger {
+    /// An empty ledger whose first pass started at `pass`.
+    pub(crate) fn new(pass: Instant) -> Self {
+        RttLedger {
+            pending: HashMap::default(),
+            pass,
+            samples_ns: Vec::new(),
+        }
+    }
+
     /// Open (or restart) `node`'s round trip for `seq` at `at`.
     fn stamp(&mut self, node: u32, seq: u64, at: Instant) {
         self.pending.insert((node, seq), at);
     }
 
-    /// Close `node`'s round trip for `seq` at `at()`, if one is open.
-    fn resolve(&mut self, node: u32, seq: u64, at: impl FnOnce() -> Instant) {
+    /// Close `node`'s round trip for `seq` at `at`, if one is open.
+    fn resolve(&mut self, node: u32, seq: u64, at: Instant) {
         if let Some(t0) = self.pending.remove(&(node, seq)) {
-            let ns = at().saturating_duration_since(t0).as_nanos();
+            let ns = at.saturating_duration_since(t0).as_nanos();
             self.samples_ns.push(ns.min(u64::MAX as u128) as u64);
         }
     }
@@ -195,6 +216,9 @@ pub(crate) struct Counters {
     pub(crate) rejected: u64,
     /// Engine inputs driven.
     pub(crate) events: u64,
+    /// Wall-clock reads for the RTT ledger: one per pass, none without a
+    /// ledger.
+    pub(crate) wall_reads: u64,
     /// Power booked as lost (stale-grant discards).
     pub(crate) lost: Power,
 }
@@ -248,8 +272,9 @@ pub(crate) struct Reactor {
     pub(crate) follow_senders: bool,
     /// Transport events (`MsgSent`, `MsgRecv`, drops) go here.
     pub(crate) trace: Stamper,
-    /// Round-trip stamping; `None` on a long-lived daemon, which must not
-    /// grow a sample per request forever.
+    /// Round-trip stamping, installed by the multiplexer's round loop;
+    /// `None` on a long-lived daemon, which must not grow a sample per
+    /// request forever (and so reads no wall clock for it).
     pub(crate) rtt: Option<RttLedger>,
     /// Reusable engine-output buffer for [`Reactor::drive`].
     scratch: Vec<EngineOutput>,
@@ -297,6 +322,15 @@ impl Reactor {
         match &self.tx {
             Tx::Direct { .. } => 0,
             Tx::Coalesced(outbox) => outbox.datagrams_sent(),
+        }
+    }
+
+    /// Start a pass of the RTT ledger, if there is one: read the wall
+    /// clock once, for every round trip the pass opens or closes.
+    pub(crate) fn start_pass(&mut self) {
+        if let Some(rtt) = &mut self.rtt {
+            rtt.pass = Instant::now();
+            self.counters.wall_reads += 1;
         }
     }
 
@@ -407,14 +441,15 @@ impl Reactor {
     /// Dispatch one frame at `clock()`, read once it is in hand: the next
     /// one the inbox holds, or — once it holds none, and the outbox is
     /// flushed — the first of a datagram from `rx`, waiting up to its read
-    /// timeout, or not at all if it is non-blocking. `false` when nothing
-    /// came.
+    /// timeout, or not at all if it is non-blocking. A datagram starts a
+    /// pass. `false` when nothing came.
     pub(crate) fn pump(&mut self, clock: impl Fn() -> SimTime) -> bool {
         if self.inbox.is_empty() {
             self.flush(&clock);
             if self.inbox.recv(&*self.rx).is_err() {
                 return false;
             }
+            self.start_pass();
         }
         let first = self.engines[0].id();
         let (engines, addrs) = (self.engines.len(), self.addrs.len());
@@ -472,7 +507,7 @@ impl Effects<TestRng> for ReactorFx<'_> {
             // flush and the full kernel round trip. A dropped request
             // still opens the engine's wait window — its stamp dies
             // unresolved, like the timeout it causes.
-            rtt.stamp(self.me.raw(), req.seq, Instant::now());
+            rtt.stamp(self.me.raw(), req.seq, rtt.pass);
         }
         let wire = WireMsg::from_peer(msg);
         let me = self.me;
@@ -540,7 +575,7 @@ impl Effects<TestRng> for ReactorFx<'_> {
 
     fn resolved(&mut self, seq: u64, _amount: Power) {
         if let Some(rtt) = self.rtt {
-            rtt.resolve(self.me.raw(), seq, Instant::now);
+            rtt.resolve(self.me.raw(), seq, rtt.pass);
         }
     }
 }
@@ -604,7 +639,7 @@ mod tests {
             vec_of((prop::any_bool(), nodes, seqs, 0u64..1_000), 0..300),
             |ops| {
                 let mut at = Instant::now();
-                let mut ledger = RttLedger::default();
+                let mut ledger = RttLedger::new(at);
                 let mut oracle: HashMap<(u32, u64), Instant> = HashMap::new();
                 let mut samples = Vec::new();
                 for (stamp, node, seq, gap_ns) in ops {
@@ -613,7 +648,7 @@ mod tests {
                         ledger.stamp(node, seq, at);
                         oracle.insert((node, seq), at);
                     } else {
-                        ledger.resolve(node, seq, || at);
+                        ledger.resolve(node, seq, at);
                         if let Some(t0) = oracle.remove(&(node, seq)) {
                             samples.push((at - t0).as_nanos() as u64);
                         }
@@ -636,14 +671,14 @@ mod tests {
     fn the_rtt_ledger_restamps_and_closes_abandoned_seqs() {
         let t0 = Instant::now();
         let at = |us: u64| t0 + Duration::from_micros(us);
-        let mut ledger = RttLedger::default();
+        let mut ledger = RttLedger::new(t0);
         ledger.stamp(7, 1, at(0));
         ledger.stamp(7, 1, at(20)); // the retransmit
-        ledger.resolve(7, 9, || at(25)); // never stamped
+        ledger.resolve(7, 9, at(25)); // never stamped
         ledger.stamp(7, 2, at(40)); // seq 1 abandoned
-        ledger.resolve(7, 2, || at(45));
-        ledger.resolve(7, 1, || at(70)); // its late grant
-        ledger.resolve(7, 1, || at(90)); // a duplicate of it
+        ledger.resolve(7, 2, at(45));
+        ledger.resolve(7, 1, at(70)); // its late grant
+        ledger.resolve(7, 1, at(90)); // a duplicate of it
         assert_eq!(ledger.samples_ns, [5_000, 50_000]);
         assert!(ledger.pending.is_empty());
     }

@@ -259,6 +259,27 @@ fn status_stream_reports_progress() {
     assert!(seen.windows(2).all(|p| p[0].iteration < p[1].iteration));
     let line = seen[0].render();
     assert!(line.contains("cap=") && line.contains("pool="));
+    // The transport counters ride along, so a live cluster can be read
+    // from its status lines alone.
+    for field in [
+        "sent=",
+        "delivered=",
+        "dropped=",
+        "send_failed=",
+        "rejected=",
+    ] {
+        assert!(line.contains(field), "no {field} in {line:?}");
+    }
+    let last = seen.last().expect("samples");
+    assert!(
+        last.frames_sent > 0,
+        "the hungry node sent nothing: {last:?}"
+    );
+    assert!(
+        last.frames_delivered > 0,
+        "the hungry node heard nothing: {last:?}"
+    );
+    assert_eq!((last.injected_drops, last.send_failed), (0, 0));
 }
 
 #[test]

@@ -12,8 +12,11 @@
 //! Effort presets (overridable with `--nodes` / `--rounds`):
 //! smoke = 1 000 nodes × 25 rounds, quick = 3 000 × 30, full =
 //! 10 000 × 50. The run fails — exit status 1 — if the cluster mints
-//! power, if any loopback send fails, or if no grant round trip
-//! completes (a latency report with no samples proves nothing).
+//! power, if any loopback send fails, if no grant round trip completes
+//! (a latency report with no samples proves nothing), or if the RTT
+//! ledger read the wall clock more than once per pass: a lossless soak
+//! receives each datagram it sends once, so the reads are bounded by
+//! datagrams plus rounds.
 
 use penelope::experiments::Effort;
 use penelope_daemon::{run_multiplexed, MuxConfig};
@@ -107,14 +110,25 @@ fn main() {
         std::process::exit(1);
     });
     println!(
-        "  grant rtt: samples={} p50={:.1}µs p99={:.1}µs p999={:.1}µs",
+        "  grant rtt: samples={} p50={:.1}µs p99={:.1}µs p999={:.1}µs \
+         wall_reads={} mean pass={:.1}µs",
         rtt.samples,
         rtt.p50_ns as f64 / 1e3,
         rtt.p99_ns as f64 / 1e3,
-        rtt.p999_ns as f64 / 1e3
+        rtt.p999_ns as f64 / 1e3,
+        summary.wall_reads,
+        summary.wall_s * 1e6 / summary.wall_reads.max(1) as f64
     );
 
     let mut failed = false;
+    let passes = summary.datagrams_sent + summary.rounds;
+    if summary.wall_reads > passes {
+        eprintln!(
+            "FAIL: {} wall-clock reads for {} passes ({} datagrams + {} rounds)",
+            summary.wall_reads, passes, summary.datagrams_sent, summary.rounds
+        );
+        failed = true;
+    }
     if summary.send_failed > 0 {
         eprintln!(
             "FAIL: {} loopback sends failed at the OS level",
